@@ -15,8 +15,8 @@
 //	-render            print the SQL-like assertion rendering
 //	-no-slice          disable bug-reachability slicing
 //	-rewrite on|off    term-level simplification before bit-blasting
-//	-incremental on|off  persistent solver per slice with clause reuse,
-//	                   shared CNF and inprocessing (verdicts identical)
+//	-incremental on|off  persistent solver per slice with clause reuse
+//	                   across retractable scopes (verdicts identical)
 //	-no-dontcare       disable dontCare-widened inference
 //	-no-multitable     disable the multi-table heuristic
 //	-j N               inference worker pool size (0 = GOMAXPROCS);
@@ -86,7 +86,7 @@ func main() {
 		jobs         = flag.Int("j", 0, "inference worker pool size (0 = GOMAXPROCS; results identical for every value)")
 		analysisMode = flag.String("analysis", "on", "static-analysis pre-pass: on discharges statically-safe checks before the solver, off runs every query (verdicts are identical either way)")
 		rewriteMode  = flag.String("rewrite", "on", "term-level rewrite engine: on simplifies formulas through the known-bits + interval domain before bit-blasting, off blasts them as built (verdicts are identical either way)")
-		incrMode     = flag.String("incremental", "on", "incremental solver core: on keeps one persistent solver per slice with clause reuse, shared CNF and inprocessing between checks, off runs each check from the asserted base (verdicts are identical either way)")
+		incrMode     = flag.String("incremental", "on", "incremental solver core: on keeps one persistent solver per slice, checks each bug in a retractable scope so learned clauses carry over, and cleans the scope's clauses out on retract; off runs each check from the asserted base (verdicts are identical either way)")
 		metricsOut   = flag.String("metrics-json", "", "write run metrics as JSON to this file (\"-\" for stdout; verdicts are identical with metrics on or off)")
 		traceOut     = flag.String("trace-out", "", "write the hierarchical phase-timing tree to this file (\"-\" for stdout)")
 		check        = flag.String("check", "", "enable extra bug classes: iflow adds information-flow leak checks (sensitive data reaching egress-visible sinks); assert compiles user @assert/@assume properties (source comments plus -prop-spec) into the verified set")

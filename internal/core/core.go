@@ -242,9 +242,8 @@ type FindOptions struct {
 	// Incremental runs every bug check of the slice on one persistent
 	// solver: each check's condition is asserted inside a retractable
 	// activation scope (solver.CheckIn/Retract), so conflict clauses
-	// learned on one check prune the next, shared term DAGs blast to
-	// shared CNF via structural gate hashing, and bounded inprocessing
-	// between checks cleans out retracted-scope clauses. Verdicts and
+	// learned on one check prune the next, and level-0 cleaning between
+	// checks deletes retracted-scope clauses. Verdicts and
 	// reported models' satisfying status are unchanged — the identity
 	// harness pins -incremental=on/off reports byte-identical.
 	Incremental bool

@@ -45,9 +45,8 @@ type Config struct {
 	Rewrite bool
 	// Incremental makes the bug-check solver persistent across all of a
 	// slice's checks: each bug condition is asserted inside a retractable
-	// activation scope so learned clauses survive check-to-check,
-	// structural gate hashing shares CNF between checks' shared term DAGs,
-	// and bounded inprocessing between checks cleans out retracted-scope
+	// activation scope so learned clauses survive check-to-check, and
+	// level-0 cleaning after each check deletes the retracted scope's
 	// clauses. Verdicts and inferred annotations are identical either way
 	// (opt out with -incremental=off to cross-check).
 	Incremental bool
@@ -151,6 +150,10 @@ func Run(name, src string, cfg Config) (*Result, error) {
 	inferOpts.Trace = inferSp
 	inf := infer.Run(pl, rep, inferOpts)
 	inferDone()
+	// The bug solver has answered its last recheck. Let go of it now: a
+	// rebuild round brings its own, and the peak of a run is that round's
+	// inference, which would otherwise carry this one's CNF underneath.
+	rep.S = nil
 	res.InferResult = inf
 	res.BugsAfterInfer = len(inf.Uncontrolled)
 

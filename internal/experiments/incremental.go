@@ -33,10 +33,6 @@ type Table1JSONRow struct {
 	CNFClauses     int64  `json:"cnf_clauses"`
 	Discharged     int64  `json:"discharged"`
 	InferCalls     int64  `json:"infer_calls"`
-	GateHits       int64  `json:"gate_hits"`
-	Inprocessings  int64  `json:"inprocessings"`
-	InprocDeleted  int64  `json:"inprocess_deleted"`
-	InprocElimVars int64  `json:"inprocess_elim_vars"`
 }
 
 // Table1JSON marshals the table1 rows and their metric summaries as the
@@ -70,10 +66,6 @@ func Table1JSON(rows []Table1Row, ms []Table1Metrics, incremental bool) ([]byte,
 			CNFClauses:     m.CNFClauses,
 			Discharged:     m.Discharged,
 			InferCalls:     m.InferCalls,
-			GateHits:       m.GateHits,
-			Inprocessings:  m.Inprocessings,
-			InprocDeleted:  m.InprocDeleted,
-			InprocElimVars: m.InprocElim,
 		}
 		totalConflicts += m.Conflicts
 		totalProps += m.Propagations
@@ -91,8 +83,8 @@ func Table1JSON(rows []Table1Row, ms []Table1Metrics, incremental bool) ([]byte,
 // IncrementalRow compares one corpus program verified with the
 // incremental solver core on vs off. Incremental mode keeps one
 // persistent solver per slice (clause reuse across activation scopes,
-// structurally-hashed CNF, inprocessing between checks), so what should
-// move is solver effort — conflicts and propagations — while every
+// guard clauses cleaned out on every Retract), so what should move is
+// solver effort — conflicts and propagations — while every
 // verdict stays byte-identical.
 type IncrementalRow struct {
 	Program string `json:"program"`
@@ -102,14 +94,9 @@ type IncrementalRow struct {
 	ConflictsOff    int64 `json:"conflicts_off"`
 	PropagationsOn  int64 `json:"propagations_on"`
 	PropagationsOff int64 `json:"propagations_off"`
-	// ClausesOn/Off are the initial bug-finding solver's final CNF sizes;
-	// structural hashing plus inprocessing should keep On at or below Off.
+	// ClausesOn/Off are the initial bug-finding solver's final CNF sizes.
 	ClausesOn  int64 `json:"cnf_clauses_on"`
 	ClausesOff int64 `json:"cnf_clauses_off"`
-	// GateHits counts CNF emissions avoided by structural hashing;
-	// Inprocessings counts cleanup passes between checks.
-	GateHits      int64 `json:"gate_hits"`
-	Inprocessings int64 `json:"inprocessings"`
 	// Identical reports whether the two runs produced byte-identical
 	// verification verdicts and inferred annotations. The incremental
 	// core is only sound if this is true for every program.
@@ -159,8 +146,6 @@ func IncrementalAblation(switchScale, workers int) ([]IncrementalRow, error) {
 			PropagationsOff: regOff.CounterValue("bf4_solver_propagations_total"),
 			ClausesOn:       int64(resOn.InitialRep.CNFClauses),
 			ClausesOff:      int64(resOff.InitialRep.CNFClauses),
-			GateHits:        regOn.CounterValue("bf4_solver_gate_hits_total"),
-			Inprocessings:   regOn.CounterValue("bf4_solver_inprocessings_total"),
 			Identical:       verdictFingerprint(resOn) == verdictFingerprint(resOff),
 		}, nil
 	})
@@ -175,12 +160,12 @@ func IncrementalAblation(switchScale, workers int) ([]IncrementalRow, error) {
 // every field is deterministic, so CI can diff the output.
 func RenderIncrementalStable(rows []IncrementalRow) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-22s %10s %10s %12s %12s %10s %11s %9s %7s %9s\n",
-		"Program", "conflicts", "conflicts0", "propagations", "props0", "clauses", "clauses0", "gatehits", "inproc", "identical")
+	fmt.Fprintf(&b, "%-22s %10s %10s %12s %12s %10s %11s %9s\n",
+		"Program", "conflicts", "conflicts0", "propagations", "props0", "clauses", "clauses0", "identical")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%-22s %10d %10d %12d %12d %10d %11d %9d %7d %9v\n",
+		fmt.Fprintf(&b, "%-22s %10d %10d %12d %12d %10d %11d %9v\n",
 			r.Program, r.ConflictsOn, r.ConflictsOff, r.PropagationsOn, r.PropagationsOff,
-			r.ClausesOn, r.ClausesOff, r.GateHits, r.Inprocessings, r.Identical)
+			r.ClausesOn, r.ClausesOff, r.Identical)
 	}
 	return b.String()
 }

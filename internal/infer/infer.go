@@ -83,10 +83,10 @@ type Options struct {
 	// MaxInferIterations bounds Algorithm 1's loop per assert point.
 	MaxInferIterations int
 	// Workers bounds the per-table-instance inference fan-out; <= 0
-	// means GOMAXPROCS. Each worker task owns its own solvers (solvers
-	// are stateful and must never be shared across goroutines) and
-	// results are merged in a fixed instance order, so Run's output is
-	// identical for every worker count.
+	// means GOMAXPROCS. Each worker task owns its own solvers (forks of
+	// the round's two warm bases; solvers are stateful and must never be
+	// shared across goroutines) and results are merged in a fixed instance
+	// order, so Run's output is identical for every worker count.
 	Workers int
 	// Obs, when non-nil, receives phase timings, pool utilization and
 	// per-query solver telemetry; Trace parents the phase spans. Both
@@ -115,14 +115,17 @@ func DefaultOptions() Options {
 // pool (Options.Workers). Solver reuse remains the efficiency lever, but
 // ownership is strict: the bug reachability solver from FindBugs (every
 // bug condition already blasted) serves all predicate rechecks serially,
-// while each Infer task owns a private dual solver holding the OK
-// formula that serves that instance's whole model/core loop. Isolating
-// the dual solver per instance — rather than sharing one across all
-// instances — is what makes the inferred cubes independent of scheduling:
-// unsat cores depend on learned-clause state, so any sharing would make
-// the output depend on which instances a worker happened to process
-// first. Results are merged in instance order, so Assertions and
-// Uncontrolled are byte-identical for every worker count.
+// while each Infer task owns a private dual and a private direct solver
+// that serve that instance's whole model/core loop. Both are forks of
+// two bases built once per round, before the fan-out (warmBases): the
+// formulas every instance needs are blasted once, and every instance
+// starts from the same warm state — not from whatever state a worker's
+// previous instance left behind. That is what keeps the inferred cubes
+// independent of scheduling: models and unsat cores depend on
+// learned-clause state, so any sharing between instances would make the
+// output depend on which instances a worker happened to process first.
+// Results are merged in instance order, so Assertions and Uncontrolled
+// are byte-identical for every worker count.
 func Run(pl *core.Pipeline, rep *core.Report, opts Options) *Result {
 	f := pl.IR.F
 	workers := pool.Workers(opts.Workers)
@@ -162,19 +165,16 @@ func Run(pl *core.Pipeline, rep *core.Report, opts Options) *Result {
 	uncontrolled := re.recheck(reachableBugs)
 
 	// Phase 2: Infer for assert points that still dominate uncontrolled
-	// bugs, one task (and one private dual solver) per instance.
+	// bugs, one task (and one private pair of solvers) per instance.
 	if opts.UseInfer && len(uncontrolled) > 0 {
 		start := time.Now()
-		sp, phaseDone := obs.StartPhase(opts.Obs, opts.Trace, "infer")
 		byInstance := map[*ir.TableInstance][]*core.Bug{}
+		var dominated []*core.Bug
 		for _, b := range uncontrolled {
 			if b.Instance != nil {
 				byInstance[b.Instance] = append(byInstance[b.Instance], b)
+				dominated = append(dominated, b)
 			}
-		}
-		ok := pl.FullReach.OK
-		if opts.UseDontCare {
-			ok = f.And(ok, f.Not(pl.FullReach.DontCareReach))
 		}
 		var insts []*ir.TableInstance
 		for _, inst := range pl.IR.Instances {
@@ -182,23 +182,24 @@ func Run(pl *core.Pipeline, rep *core.Report, opts Options) *Result {
 				insts = append(insts, inst)
 			}
 		}
+		// The bases are built once, in their own phase, and live for the
+		// fan-out only: the worker pool's utilization is measured against
+		// the time it had, and a round holds two solvers more than its
+		// workers' own for no longer than it forks from them.
+		var dualBase, directBase *solver.Solver
+		if len(insts) > 0 {
+			_, basesDone := obs.StartPhase(opts.Obs, opts.Trace, "inferbase")
+			dualBase, directBase = warmBases(pl, dominated, opts)
+			basesDone()
+		}
+		sp, phaseDone := obs.StartPhase(opts.Obs, opts.Trace, "infer")
 		type inferOut struct {
 			a     *Assertion
 			calls int
 		}
 		outs := pool.ObservedMap(opts.Obs, "infer", workers, len(insts), func(i int) inferOut {
-			inst := insts[i]
-			dual := solver.New(f)
-			dual.SetObs(opts.Obs)
-			// Model-enumeration solvers run without the term-level
-			// rewrite pass: rewriting is verdict-preserving but not
-			// model-preserving, and Infer's cubes are built from models
-			// and unsat cores, so keeping the circuit fixed is what makes
-			// the inferred annotations identical under -rewrite=on/off.
-			dual.SetRewrite(nil)
-			dual.Assert(ok)
 			var out inferOut
-			out.a = inferShared(pl, dual, inst, byInstance[inst], opts, &out.calls)
+			out.a = inferShared(pl, dualBase, directBase, insts[i], byInstance[insts[i]], opts, &out.calls)
 			return out
 		})
 		for _, o := range outs {
@@ -262,7 +263,7 @@ func (re *rechecker) recheck(candidates []*core.Bug) []*core.Bug {
 		// blasted circuit via the term memo, while a scope would mint a
 		// fresh activation variable and guard clauses per visit. On an
 		// incremental bug-check solver the recheck still profits from the
-		// inprocessed (smaller) clause database FindBugs left behind.
+		// cleaned (smaller) clause database FindBugs left behind.
 		if re.s.Check(b.Cond) == solver.Sat {
 			out = append(out, b)
 		} else {
@@ -395,25 +396,57 @@ func regionNodes(p *ir.Program, inst *ir.TableInstance) []*ir.Node {
 // Infer is the paper's Algorithm 1: iteratively sample bad runs, widen
 // each model to a cube over the atom set, verify the cube excludes no
 // good run (dual solver + unsat core generalization), and block it.
-// This standalone entry point builds its own dual solver; Run uses the
-// shared-solver variant.
+// This standalone entry point builds the warm bases for one instance; Run
+// builds them once for all.
 func Infer(pl *core.Pipeline, inst *ir.TableInstance, bugs []*core.Bug, opts Options, calls *int) *Assertion {
-	f := pl.IR.F
-	ok := pl.FullReach.OK
-	if opts.UseDontCare {
-		ok = f.And(ok, f.Not(pl.FullReach.DontCareReach))
-	}
-	dual := solver.New(f)
-	dual.SetRewrite(nil) // model enumeration must be rewrite-independent
-	dual.Assert(ok)
-	return inferShared(pl, dual, inst, bugs, opts, calls)
+	dual, direct := warmBases(pl, bugs, opts)
+	return inferShared(pl, dual, direct, inst, bugs, opts, calls)
 }
 
-// inferShared runs Algorithm 1 against a shared dual solver holding the
-// OK formula. The assert point's reachability condition is passed as an
-// extra assumption and filtered out of the unsat core, so the resulting
-// cubes range over control-variable atoms only.
-func inferShared(pl *core.Pipeline, dual *solver.Solver, inst *ir.TableInstance, bugs []*core.Bug, opts Options, calls *int) *Assertion {
+// warmBases builds the two solvers every Infer instance of a round starts
+// from. dual holds the OK formula (under ¬reach(dontCare) when enabled);
+// direct holds nothing but has every given bug condition blasted. Each has
+// answered one query, so what an instance inherits is not just the CNF but
+// saved phases, variable activities and learnt clauses of a search that
+// has already walked the program once. The two are independent of each
+// other, so they are built side by side when there is a second worker.
+//
+// Both run without the term-level rewrite pass: rewriting is
+// verdict-preserving but not model-preserving, and Infer's cubes are built
+// from models and unsat cores, so keeping the circuit fixed is what makes
+// the inferred annotations identical under -rewrite=on/off.
+func warmBases(pl *core.Pipeline, bugs []*core.Bug, opts Options) (dual, direct *solver.Solver) {
+	f := pl.IR.F
+	bases := pool.Map(opts.Workers, 2, func(i int) *solver.Solver {
+		s := solver.New(f)
+		s.SetObs(opts.Obs)
+		s.SetRewrite(nil)
+		if i == 0 {
+			ok := pl.FullReach.OK
+			if opts.UseDontCare {
+				ok = f.And(ok, f.Not(pl.FullReach.DontCareReach))
+			}
+			s.Assert(ok)
+			s.Check()
+			return s
+		}
+		anyBug := f.False()
+		for _, b := range bugs {
+			anyBug = f.Or(anyBug, b.Cond)
+		}
+		s.Check(anyBug)
+		return s
+	})
+	return bases[0], bases[1]
+}
+
+// inferShared runs Algorithm 1 for one instance on private forks of the
+// round's bases (see warmBases), which it only reads: the dual fork holds
+// the OK formula, the direct fork has the bug conditions blasted and
+// receives the instance's BUG disjunction. The assert point's reachability
+// condition is passed as an extra assumption and filtered out of the unsat
+// core, so the resulting cubes range over control-variable atoms only.
+func inferShared(pl *core.Pipeline, dualBase, directBase *solver.Solver, inst *ir.TableInstance, bugs []*core.Bug, opts Options, calls *int) *Assertion {
 	f := pl.IR.F
 	atoms := atomsFor(pl, inst)
 	if len(atoms) == 0 {
@@ -433,9 +466,7 @@ func inferShared(pl *core.Pipeline, dual *solver.Solver, inst *ir.TableInstance,
 		return nil
 	}
 
-	direct := solver.New(f)
-	direct.SetObs(opts.Obs)
-	direct.SetRewrite(nil) // model enumeration must be rewrite-independent
+	dual, direct := dualBase.Fork(), directBase.Fork()
 	direct.Assert(bug)
 
 	atomSet := map[*smt.Term]bool{}

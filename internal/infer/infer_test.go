@@ -1,10 +1,12 @@
 package infer
 
 import (
+	"fmt"
 	"testing"
 
 	"bf4/internal/core"
 	"bf4/internal/ir"
+	"bf4/internal/progs"
 	"bf4/internal/smt"
 	"bf4/internal/solver"
 )
@@ -249,21 +251,126 @@ func renderResult(res *Result) string {
 // TestRunDeterministicAcrossWorkerCounts is the parallel engine's core
 // guarantee: inference output is byte-identical no matter how many
 // workers run it, including across separate compiles (fresh factories).
+// switch@1 is the case with something to lose: ten instances fork the same
+// two warm bases, so any state leaking from one instance's solvers into
+// another's would show as a cube that depends on the schedule.
 func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
-	render := func(workers int) string {
-		pl, rep := compileAndFind(t, natSrc)
-		opts := DefaultOptions()
-		opts.Workers = workers
-		return renderResult(Run(pl, rep, opts))
+	cases := []struct {
+		name, src string
+		workers   []int
+	}{
+		{"nat", natSrc, []int{1, 2, 4, 8}},
+		{"switch@1", progs.GenerateSwitch(1), []int{1, 2, 4}},
 	}
-	base := render(1)
-	if base == "" {
-		t.Fatal("no inference output to compare")
-	}
-	for _, w := range []int{1, 2, 4, 8} {
-		if got := render(w); got != base {
-			t.Errorf("workers=%d output differs from workers=1:\n--- j1:\n%s--- j%d:\n%s", w, base, w, got)
+	for _, c := range cases {
+		if c.name != "nat" && testing.Short() {
+			continue
 		}
+		t.Run(c.name, func(t *testing.T) {
+			render := func(workers int) string {
+				pl, rep := compileAndFind(t, c.src)
+				opts := DefaultOptions()
+				opts.Workers = workers
+				return renderResult(Run(pl, rep, opts))
+			}
+			base := render(1)
+			if base == "" {
+				t.Fatal("no inference output to compare")
+			}
+			for _, w := range c.workers {
+				if got := render(w); got != base {
+					t.Errorf("workers=%d output differs from workers=1:\n--- j1:\n%s--- j%d:\n%s", w, base, w, got)
+				}
+			}
+		})
+	}
+}
+
+// TestForkMatchesFreshOnCorpus: a fork of a warm base is the solver a
+// cold build would have been, as far as answers go. For every corpus
+// program and every instance Infer works on, the queries that instance's
+// Infer run issues — its BUG disjunction and the negation of each cube it
+// found asserted into direct with a check between, each cube and each atom
+// (both polarities) assumed in dual beside the assert point's reach
+// condition — are replayed through forks of the round's bases and through
+// solvers built from nothing, and must get the same sat/unsat answers.
+func TestForkMatchesFreshOnCorpus(t *testing.T) {
+	queries := 0
+	for _, p := range progs.All() {
+		if p.Name == "switch" {
+			continue // the generated switch is TestRunDeterministicAcrossWorkerCounts' subject
+		}
+		t.Run(p.Name, func(t *testing.T) {
+			pl, rep := compileAndFind(t, p.Source)
+			f := pl.IR.F
+			opts := DefaultOptions()
+			byInstance := map[*ir.TableInstance][]*core.Bug{}
+			var dominated []*core.Bug
+			for _, b := range rep.Bugs {
+				if b.Reachable && b.Instance != nil {
+					byInstance[b.Instance] = append(byInstance[b.Instance], b)
+					dominated = append(dominated, b)
+				}
+			}
+			if len(dominated) == 0 {
+				return // no reachable bug is dominated by a table: Infer has no work
+			}
+			dualBase, directBase := warmBases(pl, dominated, opts)
+			ok := f.And(pl.FullReach.OK, f.Not(pl.FullReach.DontCareReach))
+			for _, inst := range pl.IR.Instances {
+				bugs := byInstance[inst]
+				reachAP := pl.FullReach.Cond[inst.Apply]
+				if len(bugs) == 0 || reachAP == nil {
+					continue
+				}
+				var calls int
+				a := inferShared(pl, dualBase, directBase, inst, bugs, opts, &calls)
+				if a == nil {
+					continue
+				}
+				bug := f.False()
+				for _, b := range bugs {
+					bug = f.Or(bug, b.Cond)
+				}
+				same := func(what string, fork, fresh solver.Result) {
+					t.Helper()
+					queries++
+					if fork != fresh {
+						t.Errorf("%s: %s: fork says %v, fresh solver says %v", inst.Name(), what, fork, fresh)
+					}
+				}
+
+				directFork, directFresh := directBase.Fork(), solver.New(f)
+				directFresh.SetRewrite(nil)
+				directFork.Assert(bug)
+				directFresh.Assert(bug)
+				for i, cube := range a.Forbidden {
+					same(fmt.Sprintf("direct before cube %d", i), directFork.Check(), directFresh.Check())
+					directFork.Assert(f.Not(cube))
+					directFresh.Assert(f.Not(cube))
+				}
+				same("direct after every cube", directFork.Check(), directFresh.Check())
+
+				dualFork, dualFresh := dualBase.Fork(), solver.New(f)
+				dualFresh.SetRewrite(nil)
+				dualFresh.Assert(ok)
+				for i, cube := range a.Forbidden {
+					fork, fresh := dualFork.Check(cube, reachAP), dualFresh.Check(cube, reachAP)
+					same(fmt.Sprintf("dual under cube %d", i), fork, fresh)
+					if fork != solver.Unsat {
+						t.Errorf("%s: forbidden cube %s admits a good run (%v)", inst.Name(), cube, fork)
+					}
+				}
+				for _, atom := range atomsFor(pl, inst) {
+					for _, lit := range []*smt.Term{atom, f.Not(atom)} {
+						same("dual under "+lit.String(), dualFork.Check(lit, reachAP), dualFresh.Check(lit, reachAP))
+					}
+				}
+			}
+		})
+	}
+	if queries == 0 {
+		t.Fatal("no query was replayed: the corpus gave Infer no instance to work on")
 	}
 }
 

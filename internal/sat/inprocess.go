@@ -1,135 +1,39 @@
-// Inprocessing: bounded clause-database simplification between Solve
-// calls. Three passes run at decision level 0, in order:
+// Inprocessing: clause-database cleaning between Solve calls. At decision
+// level 0, Inprocess deletes clauses satisfied by level-0 facts and strips
+// false literals. A retracted activation scope asserts ¬act at level 0,
+// which satisfies every guard clause of that scope and strengthens every
+// learnt clause that mentions act to its scope-independent content, so
+// later checks stop propagating through dead scopes.
 //
-//  1. clause cleaning — delete clauses satisfied by level-0 facts and
-//     strip false literals (a retracted activation scope asserts ¬act at
-//     level 0, which satisfies every guard clause of that scope and
-//     strengthens every learnt clause that mentions act to its
-//     scope-independent content);
-//  2. subsumption and self-subsuming resolution — occurrence-list driven,
-//     signature-filtered, budget-bounded;
-//  3. bounded variable elimination — resolve out low-occurrence,
-//     non-frozen variables when the resolvent set is no larger than the
-//     clauses it replaces (the classic no-growth rule).
-//
-// Every transformation is equivalence-preserving on the frozen variables:
-// subsumption and strengthening replace clauses by logical consequences of
-// the problem set, and variable elimination preserves all models projected
-// onto the remaining variables (deleted clauses are recorded on an
-// elimination stack so full models can be reconstructed after Sat).
-// Callers must Freeze every variable they will ever mention again — in
-// bf4, internal/bitblast freezes every memoized term literal, which covers
-// assumption roots and activation literals.
-//
-// All passes iterate in clause-index and variable-index order, so results
-// are deterministic for a given solver history.
+// Both transformations replace clauses by equivalents under the level-0
+// facts, so verdicts and models are unchanged. The pass iterates in
+// clause-index order: results are deterministic for a given solver
+// history.
 package sat
 
-// InprocessOptions bounds one Inprocess pass. The zero value selects
-// defaults suitable for bf4's per-slice clause databases.
-type InprocessOptions struct {
-	// MaxOccur is the occurrence cap for variable elimination: variables
-	// appearing in more than this many live problem clauses (both
-	// polarities combined) are not candidates. 0 means 10.
-	MaxOccur int
-	// SubsumeLimit bounds the number of clause-pair comparisons spent in
-	// the subsumption phase. 0 means 200000.
-	SubsumeLimit int64
-}
-
-// InprocessResult summarizes what one Inprocess pass did.
-type InprocessResult struct {
-	// Deleted counts clauses removed because level-0 facts satisfy them
-	// (or they shrank to a unit that became a fact).
-	Deleted int
-	// Subsumed counts clauses deleted because another clause subsumes them.
-	Subsumed int
-	// Strengthened counts literals removed by self-subsuming resolution.
-	Strengthened int
-	// Eliminated lists the variables removed by variable elimination.
-	Eliminated []Var
-}
-
-// elimEntry is one clause deleted by variable elimination: pivot is the
-// literal of the eliminated variable inside lits.
-type elimEntry struct {
-	pivot Lit
-	lits  []Lit
-}
-
-// Inprocess simplifies the clause database in place. It must be called at
-// decision level 0 (i.e. between Solve calls). It returns a summary of
-// the work done; after it runs, eliminated variables must not appear in
-// new clauses or assumptions (callers observe the frozen protocol).
-func (s *Solver) Inprocess(opt InprocessOptions) InprocessResult {
+// Inprocess cleans the clause database in place and returns how many
+// clauses it deleted (satisfied by level-0 facts, or shrunk to a unit that
+// became a fact). It must be called at decision level 0, i.e. between
+// Solve calls.
+func (s *Solver) Inprocess() (deleted int) {
 	s.init()
-	var res InprocessResult
 	if !s.okState {
-		return res
+		return 0
 	}
 	if s.decisionLevel() != 0 {
 		panic("sat: Inprocess above decision level 0")
 	}
 	if s.propagate() != -1 {
 		s.okState = false
-		return res
+		return 0
 	}
-	s.inprocessings++
 	// Level-0 facts need no reason clauses (analyze skips level-0 vars),
-	// and clearing them lets the passes below delete any clause freely.
+	// and clearing them lets the loop below delete any clause freely.
 	for _, l := range s.trail {
 		s.reason[l.Var()] = -1
 	}
-	if !s.cleanClauses(&res) {
-		return res
-	}
-	dirty, ok := s.subsume(&res, opt)
-	if !ok {
-		return res
-	}
-	if dirty && !s.cleanClauses(&res) {
-		// Strengthening produced new level-0 facts; re-clean so the
-		// elimination pass sees assignment-free clauses.
-		return res
-	}
-	s.eliminate(&res, opt)
-	return res
-}
-
-// deleteClause detaches cref from the watch lists and marks it deleted,
-// maintaining the live-clause counters. The literal slice is released:
-// occurrence lists may still hold the cref, so every consumer re-checks
-// the deleted flag before touching lits.
-func (s *Solver) deleteClause(cref int) {
-	s.detachClause(cref)
-	s.markDeleted(cref)
-}
-
-// markDeleted is deleteClause for a clause that is already detached.
-func (s *Solver) markDeleted(cref int) {
-	c := &s.clauses[cref]
-	c.deleted = true
-	c.lits = nil
-	if c.learnt {
-		s.numLearnt--
-	} else {
-		s.problemCs--
-	}
-}
-
-// reattach re-adds an existing (shrunk) clause to the watch lists.
-func (s *Solver) reattach(cref int) {
-	c := &s.clauses[cref]
-	l0, l1 := c.lits[0], c.lits[1]
-	s.watches[l0.Neg()] = append(s.watches[l0.Neg()], watcher{cref, l1})
-	s.watches[l1.Neg()] = append(s.watches[l1.Neg()], watcher{cref, l0})
-}
-
-// cleanClauses deletes satisfied clauses and strips false literals,
-// looping until fixpoint (stripping can create units whose propagation
-// satisfies or shortens further clauses). Returns false when the clause
-// set became unsatisfiable.
-func (s *Solver) cleanClauses(res *InprocessResult) bool {
+	// Loop until fixpoint: stripping can create units whose propagation
+	// satisfies or shortens further clauses.
 	for {
 		changed := false
 		for i := range s.clauses {
@@ -148,7 +52,7 @@ func (s *Solver) cleanClauses(res *InprocessResult) bool {
 			}
 			if satisfied {
 				s.deleteClause(i)
-				res.Deleted++
+				deleted++
 				changed = true
 				continue
 			}
@@ -167,361 +71,21 @@ func (s *Solver) cleanClauses(res *InprocessResult) bool {
 			switch len(out) {
 			case 0:
 				s.okState = false
-				return false
+				return deleted
 			case 1:
-				u := out[0]
 				s.markDeleted(i)
-				res.Deleted++
-				s.uncheckedEnqueue(u, -1)
+				deleted++
+				s.uncheckedEnqueue(out[0], -1)
 			default:
-				s.reattach(i)
+				s.watchClause(i)
 			}
 		}
 		if s.propagate() != -1 {
 			s.okState = false
-			return false
+			return deleted
 		}
 		if !changed {
-			return true
+			return deleted
 		}
 	}
-}
-
-// buildOcc returns, for every literal, the crefs of live clauses that
-// contain it (in clause-index order).
-func (s *Solver) buildOcc() [][]int32 {
-	occ := make([][]int32, len(s.watches))
-	for i := range s.clauses {
-		c := &s.clauses[i]
-		if c.deleted {
-			continue
-		}
-		for _, l := range c.lits {
-			occ[l] = append(occ[l], int32(i))
-		}
-	}
-	return occ
-}
-
-// subsetOf reports whether every literal of d occurs in c. Clause sizes
-// are small (Tseitin gates), so the quadratic scan beats sorting.
-func subsetOf(d, c []Lit) bool {
-	for _, l := range d {
-		found := false
-		for _, q := range c {
-			if q == l {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return false
-		}
-	}
-	return true
-}
-
-// strengthens reports whether clause d self-subsumes c on literal l:
-// d contains l.Neg() and every other literal of d occurs in c. Resolving
-// c with d on l then yields a clause that subsumes c with l removed.
-func strengthens(d, c []Lit, l Lit) bool {
-	negSeen := false
-	for _, q := range d {
-		if q == l.Neg() {
-			negSeen = true
-			continue
-		}
-		found := false
-		for _, r := range c {
-			if r == q {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return false
-		}
-	}
-	return negSeen
-}
-
-// subsume runs backward subsumption and self-subsuming resolution over
-// the live clause database. It returns dirty=true when strengthening
-// produced new level-0 facts (the caller must re-clean before variable
-// elimination) and ok=false when the clause set became unsatisfiable.
-func (s *Solver) subsume(res *InprocessResult, opt InprocessOptions) (dirty, ok bool) {
-	occ := s.buildOcc()
-	sig := make([]uint64, len(s.clauses))
-	for i := range s.clauses {
-		c := &s.clauses[i]
-		if c.deleted {
-			continue
-		}
-		for _, l := range c.lits {
-			sig[i] |= 1 << (uint(l.Var()) % 64)
-		}
-	}
-	budget := opt.SubsumeLimit
-	if budget <= 0 {
-		budget = 200000
-	}
-	for i := range s.clauses {
-		if budget <= 0 {
-			return dirty, true
-		}
-		c := &s.clauses[i]
-		if c.deleted {
-			continue
-		}
-		// Subsumption with c as the subsumer: every superset of c must
-		// contain c's rarest literal, so only that occurrence list is probed.
-		rare := c.lits[0]
-		for _, l := range c.lits[1:] {
-			if len(occ[l]) < len(occ[rare]) {
-				rare = l
-			}
-		}
-		for _, jj := range occ[rare] {
-			j := int(jj)
-			d := &s.clauses[j]
-			if j == i || d.deleted || len(d.lits) < len(c.lits) {
-				continue
-			}
-			budget--
-			if sig[i]&^sig[j] != 0 {
-				continue
-			}
-			if subsetOf(c.lits, d.lits) {
-				if !d.learnt && c.learnt {
-					// A learnt clause subsumes a problem clause: the learnt
-					// clause now carries the constraint, so it must survive
-					// reduceDB. Promote it to a problem clause.
-					c.learnt = false
-					s.numLearnt--
-					s.problemCs++
-				}
-				s.deleteClause(j)
-				s.subsumedCs++
-				res.Subsumed++
-			}
-		}
-		// Self-subsuming resolution: d = (¬l ∨ R) with R ⊆ c\{l} lets us
-		// drop l from c. The strengthened clause implies the original, so
-		// d is not load-bearing afterwards and needs no promotion.
-		for li := 0; li < len(c.lits); li++ {
-			if budget <= 0 {
-				return dirty, true
-			}
-			l := c.lits[li]
-			hit := false
-			for _, jj := range occ[l.Neg()] {
-				j := int(jj)
-				d := &s.clauses[j]
-				if d.deleted || len(d.lits) > len(c.lits) {
-					continue
-				}
-				budget--
-				if strengthens(d.lits, c.lits, l) {
-					hit = true
-					break
-				}
-			}
-			if !hit {
-				continue
-			}
-			s.detachClause(i)
-			out := c.lits[:0]
-			for _, q := range c.lits {
-				if q != l {
-					out = append(out, q)
-				}
-			}
-			c.lits = out
-			s.strengthenedCs++
-			res.Strengthened++
-			if len(out) == 1 {
-				u := out[0]
-				s.markDeleted(i)
-				dirty = true
-				switch s.value(u) {
-				case lFalse:
-					s.okState = false
-					return dirty, false
-				case lUndef:
-					s.uncheckedEnqueue(u, -1)
-					if s.propagate() != -1 {
-						s.okState = false
-						return dirty, false
-					}
-				}
-				break // clause is gone; move to the next one
-			}
-			s.reattach(i)
-			li = -1 // re-scan the shrunk clause from the start
-		}
-	}
-	return dirty, true
-}
-
-// resolve returns the resolvent of a (which contains v positively) and b
-// (which contains v negatively) on v, or taut=true when the resolvent is
-// a tautology.
-func resolve(a, b []Lit, v Var) (out []Lit, taut bool) {
-	out = make([]Lit, 0, len(a)+len(b)-2)
-	for _, l := range a {
-		if l.Var() != v {
-			out = append(out, l)
-		}
-	}
-	for _, l := range b {
-		if l.Var() == v {
-			continue
-		}
-		dup := false
-		for _, q := range out {
-			if q == l {
-				dup = true
-				break
-			}
-			if q == l.Neg() {
-				return nil, true
-			}
-		}
-		if !dup {
-			out = append(out, l)
-		}
-	}
-	return out, false
-}
-
-// eliminate runs bounded variable elimination over non-frozen, unassigned
-// variables in index order. A variable is resolved away only when the
-// non-tautological resolvent count does not exceed the number of problem
-// clauses it replaces. Learnt clauses mentioning the pivot are simply
-// deleted (they are consequences; dropping them is always sound). The
-// pass stops early when a unit resolvent changes assignments, leaving the
-// rest for the next Inprocess call.
-func (s *Solver) eliminate(res *InprocessResult, opt InprocessOptions) {
-	maxOccur := opt.MaxOccur
-	if maxOccur <= 0 {
-		maxOccur = 10
-	}
-	occ := s.buildOcc()
-	for v := Var(0); int(v) < len(s.assigns); v++ {
-		if s.frozen[v] || s.eliminated[v] || s.assigns[v] != lUndef {
-			continue
-		}
-		posLit, negLit := MkLit(v, false), MkLit(v, true)
-		var posP, negP []int32
-		for _, j := range occ[posLit] {
-			if c := &s.clauses[j]; !c.deleted && !c.learnt {
-				posP = append(posP, j)
-			}
-		}
-		for _, j := range occ[negLit] {
-			if c := &s.clauses[j]; !c.deleted && !c.learnt {
-				negP = append(negP, j)
-			}
-		}
-		if len(posP)+len(negP) > maxOccur {
-			continue
-		}
-		var resolvents [][]Lit
-		grow := false
-		for _, pi := range posP {
-			for _, ni := range negP {
-				r, taut := resolve(s.clauses[pi].lits, s.clauses[ni].lits, v)
-				if taut {
-					continue
-				}
-				resolvents = append(resolvents, r)
-				if len(resolvents) > len(posP)+len(negP) {
-					grow = true
-					break
-				}
-			}
-			if grow {
-				break
-			}
-		}
-		if grow {
-			continue
-		}
-		// Commit: delete every live clause mentioning v, recording problem
-		// clauses for model reconstruction, then add the resolvents.
-		for _, lit := range []Lit{posLit, negLit} {
-			for _, jj := range occ[lit] {
-				j := int(jj)
-				c := &s.clauses[j]
-				if c.deleted {
-					continue
-				}
-				if !c.learnt {
-					s.elimStack = append(s.elimStack, elimEntry{
-						pivot: lit,
-						lits:  append([]Lit(nil), c.lits...),
-					})
-				}
-				s.deleteClause(j)
-			}
-		}
-		s.eliminated[v] = true
-		s.elimVars++
-		res.Eliminated = append(res.Eliminated, v)
-		var units []Lit
-		for _, r := range resolvents {
-			if len(r) == 1 {
-				units = append(units, r[0])
-				continue
-			}
-			cref := s.attachClause(clause{lits: r})
-			for _, l := range r {
-				occ[l] = append(occ[l], int32(cref))
-			}
-		}
-		if len(units) > 0 {
-			for _, u := range units {
-				switch s.value(u) {
-				case lFalse:
-					s.okState = false
-					return
-				case lUndef:
-					s.uncheckedEnqueue(u, -1)
-				}
-			}
-			if s.propagate() != -1 {
-				s.okState = false
-			}
-			// Assignments changed; occurrence data is stale with respect to
-			// satisfied clauses. Stop here — the next pass continues.
-			return
-		}
-	}
-}
-
-// extendModel assigns eliminated variables by walking the elimination
-// stack in reverse: when a recorded clause is not satisfied by the model,
-// flip its pivot to true. Unassigned variables read as false, which keeps
-// reconstruction deterministic.
-func (s *Solver) extendModel() {
-	for i := len(s.elimStack) - 1; i >= 0; i-- {
-		e := &s.elimStack[i]
-		satisfied := false
-		for _, l := range e.lits {
-			if l != e.pivot && s.modelLitTrue(l) {
-				satisfied = true
-				break
-			}
-		}
-		if !satisfied {
-			s.model[e.pivot.Var()] = boolToLbool(!e.pivot.Sign())
-		}
-	}
-}
-
-// modelLitTrue reads l under the current model, treating unassigned
-// variables as false.
-func (s *Solver) modelLitTrue(l Lit) bool {
-	varTrue := int(l.Var()) < len(s.model) && s.model[l.Var()] == lTrue
-	return varTrue != l.Sign()
 }

@@ -5,96 +5,6 @@ import (
 	"testing"
 )
 
-func TestInprocessSubsumption(t *testing.T) {
-	s := New()
-	a, b, c := s.NewVar(), s.NewVar(), s.NewVar()
-	for _, v := range []Var{a, b, c} {
-		s.Freeze(v)
-	}
-	s.AddClause(MkLit(a, false), MkLit(b, false))                  // subsumer
-	s.AddClause(MkLit(a, false), MkLit(b, false), MkLit(c, false)) // subsumed
-	res := s.Inprocess(InprocessOptions{})
-	if res.Subsumed != 1 {
-		t.Fatalf("Subsumed = %d, want 1", res.Subsumed)
-	}
-	if s.NumClauses() != 1 {
-		t.Fatalf("NumClauses = %d, want 1", s.NumClauses())
-	}
-	if got := s.Solve(); got != Sat {
-		t.Fatalf("after subsumption: got %v, want Sat", got)
-	}
-}
-
-func TestInprocessSelfSubsumingResolution(t *testing.T) {
-	s := New()
-	a, b, c := s.NewVar(), s.NewVar(), s.NewVar()
-	for _, v := range []Var{a, b, c} {
-		s.Freeze(v)
-	}
-	s.AddClause(MkLit(a, false), MkLit(b, false))                 // (a ∨ b)
-	s.AddClause(MkLit(a, true), MkLit(b, false), MkLit(c, false)) // (¬a ∨ b ∨ c) → (b ∨ c)
-	res := s.Inprocess(InprocessOptions{})
-	if res.Strengthened < 1 {
-		t.Fatalf("Strengthened = %d, want >= 1", res.Strengthened)
-	}
-	// The strengthened problem set must still behave like the original:
-	// ¬b forces a (from clause 1) and c (from the strengthened clause 2).
-	if got := s.Solve(MkLit(b, true)); got != Sat {
-		t.Fatalf("got %v, want Sat", got)
-	}
-	if !s.Value(a) || !s.Value(c) {
-		t.Fatalf("under ¬b want a=true c=true, got a=%v c=%v", s.Value(a), s.Value(c))
-	}
-}
-
-func TestInprocessVariableElimination(t *testing.T) {
-	s := New()
-	a, x, y := s.NewVar(), s.NewVar(), s.NewVar()
-	s.Freeze(x)
-	s.Freeze(y)
-	s.AddClause(MkLit(a, false), MkLit(x, false)) // (a ∨ x)
-	s.AddClause(MkLit(a, true), MkLit(y, false))  // (¬a ∨ y)
-	res := s.Inprocess(InprocessOptions{})
-	if len(res.Eliminated) != 1 || res.Eliminated[0] != a {
-		t.Fatalf("Eliminated = %v, want [%d]", res.Eliminated, a)
-	}
-	if !s.IsEliminated(a) {
-		t.Fatalf("IsEliminated(a) = false")
-	}
-	if s.NumClauses() != 1 {
-		t.Fatalf("NumClauses = %d, want 1 (the resolvent x ∨ y)", s.NumClauses())
-	}
-	// ¬x must still force y via the resolvent.
-	if got := s.Solve(MkLit(x, true)); got != Sat {
-		t.Fatalf("got %v, want Sat", got)
-	}
-	if !s.Value(y) {
-		t.Fatalf("under ¬x want y=true")
-	}
-	// The reconstructed model must satisfy the original clauses too:
-	// with x=false, (a ∨ x) forces a=true.
-	if !s.Value(a) {
-		t.Fatalf("reconstructed model must set a=true to satisfy (a ∨ x) under ¬x")
-	}
-}
-
-func TestInprocessFrozenNotEliminated(t *testing.T) {
-	s := New()
-	a, x, y := s.NewVar(), s.NewVar(), s.NewVar()
-	for _, v := range []Var{a, x, y} {
-		s.Freeze(v)
-	}
-	s.AddClause(MkLit(a, false), MkLit(x, false))
-	s.AddClause(MkLit(a, true), MkLit(y, false))
-	res := s.Inprocess(InprocessOptions{})
-	if len(res.Eliminated) != 0 {
-		t.Fatalf("Eliminated = %v, want none (all vars frozen)", res.Eliminated)
-	}
-	if s.NumClauses() != 2 {
-		t.Fatalf("NumClauses = %d, want 2", s.NumClauses())
-	}
-}
-
 // TestInprocessRetractedScope models the solver-layer scope lifecycle: a
 // retracted activation scope asserts ¬act at level 0, and the next
 // Inprocess pass must clean every guard clause of that scope out of the
@@ -102,9 +12,6 @@ func TestInprocessFrozenNotEliminated(t *testing.T) {
 func TestInprocessRetractedScope(t *testing.T) {
 	s := New()
 	act, x, y := s.NewVar(), s.NewVar(), s.NewVar()
-	for _, v := range []Var{act, x, y} {
-		s.Freeze(v)
-	}
 	// Scoped assertions: act → x, act → ¬y.
 	s.AddClause(MkLit(act, true), MkLit(x, false))
 	s.AddClause(MkLit(act, true), MkLit(y, true))
@@ -116,9 +23,8 @@ func TestInprocessRetractedScope(t *testing.T) {
 	}
 	// Retract: ¬act becomes a level-0 fact.
 	s.AddClause(MkLit(act, true))
-	res := s.Inprocess(InprocessOptions{})
-	if res.Deleted != 2 {
-		t.Fatalf("Deleted = %d, want 2 (both guard clauses satisfied by ¬act)", res.Deleted)
+	if deleted := s.Inprocess(); deleted != 2 {
+		t.Fatalf("deleted = %d, want 2 (both guard clauses satisfied by ¬act)", deleted)
 	}
 	if s.NumClauses() != 0 {
 		t.Fatalf("NumClauses = %d, want 0", s.NumClauses())
@@ -129,25 +35,83 @@ func TestInprocessRetractedScope(t *testing.T) {
 	}
 }
 
-// inprocessTrial adds the same random CNF to a plain reference solver and
-// to a solver that interleaves Inprocess passes, then compares Solve
-// results under random assumptions over frozen variables and checks that
-// the (reconstructed) model satisfies every original clause.
+// TestInprocessForgetsRetractedLiteral: once ¬act is a level-0 fact, one
+// Inprocess pass leaves no live clause — problem or learnt — that mentions
+// act. The scope's guard clauses make a pigeonhole instance, so the search
+// inside the scope learns clauses over act before it is retracted.
+func TestInprocessForgetsRetractedLiteral(t *testing.T) {
+	s := New()
+	act := s.NewVar()
+	const holes = 4
+	var p [holes + 1][holes]Var
+	for i := range p {
+		for j := range p[i] {
+			p[i][j] = s.NewVar()
+		}
+	}
+	// Every pigeon sits in some hole (unscoped, satisfiable on its own)...
+	for i := range p {
+		var cl []Lit
+		for j := range p[i] {
+			cl = append(cl, MkLit(p[i][j], false))
+		}
+		s.AddClause(cl...)
+	}
+	// ...and, inside the scope only, no two pigeons share one.
+	for j := 0; j < holes; j++ {
+		for i := range p {
+			for k := i + 1; k < len(p); k++ {
+				s.AddClause(MkLit(act, true), MkLit(p[i][j], true), MkLit(p[k][j], true))
+			}
+		}
+	}
+	if got := s.Solve(MkLit(act, false)); got != Unsat {
+		t.Fatalf("inside scope: got %v, want Unsat", got)
+	}
+	if s.Learned() == 0 {
+		t.Fatalf("scope refuted without learning: the test exercises no learnt clause")
+	}
+	mentions := func() (n int) {
+		for i := range s.clauses {
+			if s.clauses[i].deleted {
+				continue
+			}
+			for _, l := range s.clauses[i].lits {
+				if l.Var() == act {
+					n++
+				}
+			}
+		}
+		return n
+	}
+	if mentions() == 0 {
+		t.Fatalf("no live clause mentions act before the retract")
+	}
+	s.AddClause(MkLit(act, true))
+	s.Inprocess()
+	if n := mentions(); n != 0 {
+		t.Fatalf("%d literal(s) of the retracted activation variable survive Inprocess", n)
+	}
+	if got := s.Solve(); got != Sat {
+		t.Fatalf("after retract: got %v, want Sat", got)
+	}
+}
+
+// inprocessTrial adds the same random CNF, in batches, to a plain
+// reference solver and to a solver that runs Inprocess after every batch,
+// then compares Solve results under random assumptions and checks that the
+// model satisfies every clause added so far.
 func inprocessTrial(t *testing.T, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	nVars := 4 + rng.Intn(12)
 	s, ref := New(), New()
-	var frozen []Var
-	for i := 0; i < nVars; i++ {
-		v := s.NewVar()
+	vars := make([]Var, nVars)
+	for i := range vars {
+		vars[i] = s.NewVar()
 		ref.NewVar()
-		if rng.Intn(2) == 0 {
-			s.Freeze(v)
-			frozen = append(frozen, v)
-		}
 	}
 	var all [][]Lit
-	addBatch := func(vars []Var, n int) {
+	addBatch := func(n int) {
 		for i := 0; i < n; i++ {
 			k := 1 + rng.Intn(3)
 			var cl []Lit
@@ -159,21 +123,16 @@ func inprocessTrial(t *testing.T, seed int64) {
 			ref.AddClause(cl...)
 		}
 	}
-	allVars := make([]Var, nVars)
-	for i := range allVars {
-		allVars[i] = Var(i)
-	}
 	batches := 1 + rng.Intn(3)
 	for b := 0; b < batches; b++ {
 		if b == 0 {
-			addBatch(allVars, 5+rng.Intn(25))
-		} else if len(frozen) > 0 {
-			// After inprocessing, only frozen variables may be mentioned.
-			addBatch(frozen, rng.Intn(8))
+			addBatch(5 + rng.Intn(25))
+		} else {
+			addBatch(rng.Intn(8))
 		}
 		var assumptions []Lit
-		for _, v := range frozen {
-			if rng.Intn(3) == 0 {
+		for _, v := range vars {
+			if rng.Intn(6) == 0 {
 				assumptions = append(assumptions, MkLit(v, rng.Intn(2) == 0))
 			}
 		}
@@ -192,16 +151,11 @@ func inprocessTrial(t *testing.T, seed int64) {
 					}
 				}
 				if !ok {
-					t.Fatalf("seed %d batch %d: reconstructed model violates clause %v", seed, b, cl)
+					t.Fatalf("seed %d batch %d: model violates clause %v", seed, b, cl)
 				}
 			}
 		}
-		res := s.Inprocess(InprocessOptions{})
-		for _, v := range res.Eliminated {
-			if s.Frozen(v) {
-				t.Fatalf("seed %d: frozen var %d eliminated", seed, v)
-			}
-		}
+		s.Inprocess()
 	}
 }
 
@@ -212,9 +166,8 @@ func TestInprocessEquivalenceRandom(t *testing.T) {
 }
 
 // FuzzInprocess drives the same equivalence property from fuzzed seeds:
-// interleaving Inprocess passes (with frozen literals protected) must
-// never change a Solve verdict, and reconstructed models must satisfy the
-// original clause set.
+// interleaving Inprocess passes must never change a Solve verdict, and
+// models must satisfy the original clause set.
 func FuzzInprocess(f *testing.F) {
 	f.Add(int64(1))
 	f.Add(int64(42))

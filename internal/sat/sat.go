@@ -11,7 +11,10 @@
 // semantics.
 package sat
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Var is a propositional variable, numbered from 0.
 type Var int32
@@ -79,8 +82,8 @@ type clause struct {
 }
 
 type watcher struct {
-	cref    int // index into Solver.clauses
-	blocker Lit // quick satisfaction check without touching the clause
+	cref    int32 // index into Solver.clauses
+	blocker Lit   // quick satisfaction check without touching the clause
 }
 
 // Result is the outcome of a Solve call.
@@ -133,20 +136,6 @@ type Solver struct {
 	model      []lbool
 	conflictCs []Lit // failed assumptions (negated), valid after Unsat
 
-	// frozen marks variables that outside code holds references to
-	// (bitblast memo entries, activation literals): inprocessing must
-	// never eliminate them, since their semantics are observed across
-	// Solve calls.
-	frozen []bool
-	// eliminated marks variables removed by bounded variable elimination.
-	// They occur in no clause, are never branched on, and their model
-	// values are reconstructed from elimStack after a Sat result.
-	eliminated []bool
-	// elimStack records, in elimination order, every problem clause
-	// deleted by variable elimination; extendModel walks it in reverse
-	// (Järvisalo & Biere style reconstruction) to assign eliminated vars.
-	elimStack []elimEntry
-
 	// Budget limits a single Solve call; 0 means unlimited.
 	Budget struct {
 		Conflicts int64
@@ -160,11 +149,6 @@ type Solver struct {
 	restarts     int64
 	learned      int64
 	problemCs    int // cached count of live non-learnt clauses
-
-	subsumedCs     int64
-	strengthenedCs int64
-	elimVars       int64
-	inprocessings  int64
 }
 
 // Stats is a snapshot of the solver's cumulative search statistics.
@@ -244,8 +228,7 @@ func (s *Solver) NumVars() int { return len(s.assigns) }
 // NumClauses returns the number of live problem (non-learnt) clauses.
 // The count is maintained incrementally on attach/delete, so per-check
 // CNF-growth snapshots are O(1) instead of a walk over the clause
-// database. Inprocessing may shrink it (satisfied, subsumed, and
-// variable-elimination deletions).
+// database. Inprocess shrinks it by the clauses level-0 facts satisfy.
 func (s *Solver) NumClauses() int { return s.problemCs }
 
 // Conflicts returns the cumulative number of conflicts across Solve calls.
@@ -263,42 +246,6 @@ func (s *Solver) Restarts() int64 { return s.restarts }
 // Learned returns the cumulative number of learnt clauses.
 func (s *Solver) Learned() int64 { return s.learned }
 
-// SubsumedClauses returns the cumulative number of clauses deleted by
-// inprocessing subsumption.
-func (s *Solver) SubsumedClauses() int64 { return s.subsumedCs }
-
-// StrengthenedClauses returns the cumulative number of self-subsuming
-// resolution strengthenings performed by inprocessing.
-func (s *Solver) StrengthenedClauses() int64 { return s.strengthenedCs }
-
-// EliminatedVars returns the cumulative number of variables removed by
-// bounded variable elimination.
-func (s *Solver) EliminatedVars() int64 { return s.elimVars }
-
-// Inprocessings returns the number of Inprocess passes run.
-func (s *Solver) Inprocessings() int64 { return s.inprocessings }
-
-// Freeze marks v as off-limits for variable elimination. Any variable
-// whose value or clauses are observed from outside the solver — bitblast
-// memo roots, activation literals, future assumption literals — must be
-// frozen before the first Inprocess call.
-func (s *Solver) Freeze(v Var) {
-	s.init()
-	s.ensureVar(v)
-	s.frozen[v] = true
-}
-
-// Frozen reports whether v is protected from elimination.
-func (s *Solver) Frozen(v Var) bool {
-	return int(v) < len(s.frozen) && s.frozen[v]
-}
-
-// IsEliminated reports whether v was removed by variable elimination.
-// Eliminated variables must not appear in new clauses or assumptions.
-func (s *Solver) IsEliminated(v Var) bool {
-	return int(v) < len(s.eliminated) && s.eliminated[v]
-}
-
 // NewVar creates a fresh variable and returns it.
 func (s *Solver) NewVar() Var {
 	s.init()
@@ -309,11 +256,73 @@ func (s *Solver) NewVar() Var {
 	s.polarity = append(s.polarity, true) // default phase: false (sign=true)
 	s.activity = append(s.activity, 0)
 	s.seen = append(s.seen, false)
-	s.frozen = append(s.frozen, false)
-	s.eliminated = append(s.eliminated, false)
 	s.watches = append(s.watches, nil, nil)
 	s.heap.insert(v)
 	return v
+}
+
+// SetPhase sets the saved phase of v: the value the next decision on v
+// tries first, until search overwrites it (phase saving). Fresh variables
+// start false.
+func (s *Solver) SetPhase(v Var, phase bool) {
+	s.ensureVar(v)
+	s.polarity[v] = !phase
+}
+
+// Clone returns a deep copy of s: clause database with learnt clauses,
+// watch lists, level-0 trail, activities, saved phases, heap order and
+// statistics. The copy shares no mutable memory with s, so the two may be
+// used from different goroutines, and it continues exactly as s would have.
+// Clone must be called at decision level 0 (between Solve calls).
+func (s *Solver) Clone() *Solver {
+	s.init()
+	if s.decisionLevel() != 0 {
+		panic("sat: Clone above decision level 0")
+	}
+	c := *s
+	// One backing array per kind, carved into full slices: a clone costs a
+	// handful of allocations, and the first append to a watch list moves it
+	// out of the shared array.
+	nLits, nWatches := 0, 0
+	for i := range s.clauses {
+		nLits += len(s.clauses[i].lits) // nil once deleted
+	}
+	for _, ws := range s.watches {
+		nWatches += len(ws)
+	}
+	lits := make([]Lit, 0, nLits)
+	// Headroom for the clauses the copy will learn: without it the first
+	// one reallocates the whole database.
+	c.clauses = make([]clause, len(s.clauses), len(s.clauses)+len(s.clauses)/8+64)
+	for i, cl := range s.clauses {
+		start := len(lits)
+		lits = append(lits, cl.lits...)
+		cl.lits = lits[start:len(lits):len(lits)]
+		c.clauses[i] = cl
+	}
+	watchers := make([]watcher, 0, nWatches)
+	c.watches = make([][]watcher, len(s.watches))
+	for i, ws := range s.watches {
+		start := len(watchers)
+		watchers = append(watchers, ws...)
+		c.watches[i] = watchers[start:len(watchers):len(watchers)]
+	}
+	c.assigns = slices.Clone(s.assigns)
+	c.level = slices.Clone(s.level)
+	c.reason = slices.Clone(s.reason)
+	c.polarity = slices.Clone(s.polarity)
+	c.activity = slices.Clone(s.activity)
+	c.seen = slices.Clone(s.seen)
+	c.trail = slices.Clone(s.trail)
+	c.trailLim = nil
+	c.model = slices.Clone(s.model)
+	c.conflictCs = slices.Clone(s.conflictCs)
+	c.heap = varHeap{
+		heap:     slices.Clone(s.heap.heap),
+		indices:  slices.Clone(s.heap.indices),
+		activity: &c.activity,
+	}
+	return &c
 }
 
 func (s *Solver) ensureVar(v Var) {
@@ -346,24 +355,28 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 	}
 	for _, l := range lits {
 		s.ensureVar(l.Var())
-		if s.eliminated[l.Var()] {
-			panic("sat: AddClause on eliminated variable (missing Freeze before Inprocess?)")
-		}
 	}
 	// Normalize: drop duplicate and false literals; detect tautology and
-	// already-satisfied clauses.
-	out := lits[:0:0]
-	seen := map[Lit]bool{}
+	// already-satisfied clauses. Clauses are a handful of literals, so
+	// scanning the kept prefix beats any per-clause set.
+	out := make([]Lit, 0, len(lits))
+nextLit:
 	for _, l := range lits {
-		switch {
-		case s.value(l) == lTrue || seen[l.Neg()]:
-			return true // satisfied or tautological
-		case s.value(l) == lFalse || seen[l]:
+		switch s.value(l) {
+		case lTrue:
+			return true // satisfied
+		case lFalse:
 			continue
-		default:
-			seen[l] = true
-			out = append(out, l)
 		}
+		for _, q := range out {
+			if q == l {
+				continue nextLit
+			}
+			if q == l.Neg() {
+				return true // tautological
+			}
+		}
+		out = append(out, l)
 	}
 	switch len(out) {
 	case 0:
@@ -387,10 +400,17 @@ func (s *Solver) attachClause(c clause) int {
 		s.problemCs++
 	}
 	s.clauses = append(s.clauses, c)
-	l0, l1 := c.lits[0], c.lits[1]
-	s.watches[l0.Neg()] = append(s.watches[l0.Neg()], watcher{cref, l1})
-	s.watches[l1.Neg()] = append(s.watches[l1.Neg()], watcher{cref, l0})
+	s.watchClause(cref)
 	return cref
+}
+
+// watchClause puts clause cref on the watch lists of its first two
+// literals.
+func (s *Solver) watchClause(cref int) {
+	c := &s.clauses[cref]
+	l0, l1 := c.lits[0], c.lits[1]
+	s.watches[l0.Neg()] = append(s.watches[l0.Neg()], watcher{int32(cref), l1})
+	s.watches[l1.Neg()] = append(s.watches[l1.Neg()], watcher{int32(cref), l0})
 }
 
 func (s *Solver) uncheckedEnqueue(l Lit, from int32) {
@@ -450,9 +470,9 @@ func (s *Solver) propagate() int {
 				}
 				s.watches[p] = ws[:n]
 				s.qhead = len(s.trail)
-				return w.cref
+				return int(w.cref)
 			}
-			s.uncheckedEnqueue(first, int32(w.cref))
+			s.uncheckedEnqueue(first, w.cref)
 		}
 		s.watches[p] = ws[:n]
 	}
@@ -699,9 +719,7 @@ func (s *Solver) reduceDB() {
 		if locked[e.cref] {
 			continue
 		}
-		s.detachClause(e.cref)
-		s.clauses[e.cref].deleted = true
-		s.numLearnt--
+		s.deleteClause(e.cref)
 	}
 }
 
@@ -711,12 +729,31 @@ func (s *Solver) detachClause(cref int) {
 		ws := s.watches[wl]
 		n := 0
 		for _, w := range ws {
-			if w.cref != cref {
+			if w.cref != int32(cref) {
 				ws[n] = w
 				n++
 			}
 		}
 		s.watches[wl] = ws[:n]
+	}
+}
+
+// deleteClause detaches cref from the watch lists and marks it deleted,
+// maintaining the live-clause counters, and releases the literal slice.
+func (s *Solver) deleteClause(cref int) {
+	s.detachClause(cref)
+	s.markDeleted(cref)
+}
+
+// markDeleted is deleteClause for a clause that is already detached.
+func (s *Solver) markDeleted(cref int) {
+	c := &s.clauses[cref]
+	c.deleted = true
+	c.lits = nil
+	if c.learnt {
+		s.numLearnt--
+	} else {
+		s.problemCs--
 	}
 }
 
@@ -744,9 +781,6 @@ func (s *Solver) Solve(assumptions ...Lit) Result {
 	}
 	for _, a := range assumptions {
 		s.ensureVar(a.Var())
-		if s.eliminated[a.Var()] {
-			panic("sat: Solve assumption on eliminated variable (missing Freeze before Inprocess?)")
-		}
 	}
 	defer s.cancelUntil(0)
 
@@ -831,10 +865,8 @@ func (s *Solver) search(assumptions []Lit, conflictLimit int64, conflictsThisCal
 		// Pick a branching variable.
 		next := s.pickBranch()
 		if next == LitUndef {
-			// All variables assigned: model found. Eliminated variables are
-			// unassigned; reconstruct their values from the elimination stack.
+			// All variables assigned: model found.
 			s.model = append(s.model[:0], s.assigns...)
-			s.extendModel()
 			return Sat
 		}
 		s.decisions++
@@ -849,7 +881,7 @@ func (s *Solver) pickBranch() Lit {
 		if !ok {
 			return LitUndef
 		}
-		if s.assigns[v] == lUndef && !s.eliminated[v] {
+		if s.assigns[v] == lUndef {
 			return MkLit(v, s.polarity[v])
 		}
 	}

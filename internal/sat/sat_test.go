@@ -397,3 +397,98 @@ func BenchmarkSolveRandom3SAT(b *testing.B) {
 		solveCNF(cnf)
 	}
 }
+
+// TestCloneContinuesIdentically: a clone is the same solver, not merely an
+// equivalent one — the same later calls give the same answers at the same
+// search effort, because clauses, learnt clauses, activities, saved phases
+// and heap order all came along.
+func TestCloneContinuesIdentically(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	const nVars = 40
+	s := New()
+	for i := 0; i < 160; i++ {
+		var cl []Lit
+		for j := 0; j < 3; j++ {
+			cl = append(cl, MkLit(Var(rng.Intn(nVars)), rng.Intn(2) == 0))
+		}
+		s.AddClause(cl...)
+	}
+	s.Solve()
+	if s.Conflicts() == 0 {
+		t.Fatal("warm-up solve hit no conflict: the clone would carry no learnt state")
+	}
+	c := s.Clone()
+	for round := 0; round < 20; round++ {
+		var cl, assumptions []Lit
+		for j := 0; j < 3; j++ {
+			cl = append(cl, MkLit(Var(rng.Intn(nVars)), rng.Intn(2) == 0))
+		}
+		for j := 0; j < 2; j++ {
+			assumptions = append(assumptions, MkLit(Var(rng.Intn(nVars)), rng.Intn(2) == 0))
+		}
+		s.AddClause(cl...)
+		c.AddClause(cl...)
+		rs, rc := s.Solve(assumptions...), c.Solve(assumptions...)
+		if rs != rc {
+			t.Fatalf("round %d: original %v, clone %v", round, rs, rc)
+		}
+		if s.StatsSnapshot() != c.StatsSnapshot() {
+			t.Fatalf("round %d: search effort diverged: original %+v, clone %+v", round, s.StatsSnapshot(), c.StatsSnapshot())
+		}
+		for v := Var(0); rs == Sat && v < nVars; v++ {
+			if s.Value(v) != c.Value(v) {
+				t.Fatalf("round %d: models differ at var %d", round, v)
+			}
+		}
+	}
+}
+
+// TestCloneIsolated: clauses added to, and learnt by, a clone never show in
+// the original or in a sibling clone.
+func TestCloneIsolated(t *testing.T) {
+	s := New()
+	pigeonhole(s, 5, 5) // satisfiable
+	if got := s.Solve(); got != Sat {
+		t.Fatalf("base: got %v, want Sat", got)
+	}
+	vars, clauses, before := s.NumVars(), s.NumClauses(), s.StatsSnapshot()
+	a, b := s.Clone(), s.Clone()
+	// a gets a sixth pigeon with nowhere to go; b pins pigeon 0 to hole 0.
+	extra := Var(a.NumVars())
+	var home []Lit
+	for h := 0; h < 5; h++ {
+		home = append(home, MkLit(extra+Var(h), false))
+		for p := 0; p < 5; p++ {
+			a.AddClause(MkLit(extra+Var(h), true), MkLit(Var(p*5+h), true))
+		}
+	}
+	a.AddClause(home...)
+	b.AddClause(MkLit(0, false))
+	if got := a.Solve(); got != Unsat {
+		t.Fatalf("clone a: got %v, want Unsat", got)
+	}
+	if got := b.Solve(); got != Sat || !b.Value(0) {
+		t.Fatalf("clone b: got %v (var 0 = %v), want Sat with var 0 true", got, b.Value(0))
+	}
+	if s.NumVars() != vars || s.NumClauses() != clauses || s.StatsSnapshot() != before {
+		t.Fatalf("original changed under its clones: %d vars %d clauses %+v, was %d %d %+v",
+			s.NumVars(), s.NumClauses(), s.StatsSnapshot(), vars, clauses, before)
+	}
+	if got := s.Solve(MkLit(0, true)); got != Sat {
+		t.Fatalf("original after clones: got %v under ¬var0, want Sat (b's unit leaked?)", got)
+	}
+}
+
+// TestSetPhase: an unconstrained variable takes its saved phase in the
+// model — false by default, true after SetPhase(v, true).
+func TestSetPhase(t *testing.T) {
+	s := New()
+	a, b := s.NewVar(), s.NewVar()
+	s.SetPhase(b, true)
+	if got := s.Solve(); got != Sat {
+		t.Fatalf("got %v, want Sat", got)
+	}
+	if s.Value(a) || !s.Value(b) {
+		t.Fatalf("a=%v b=%v, want a=false (default phase) b=true (set phase)", s.Value(a), s.Value(b))
+	}
+}

@@ -1,11 +1,8 @@
 // Incremental mode: one persistent solver serves every bug check of a
 // CFG slice. Each check runs inside a retractable activation scope
-// (CheckIn/Retract), so learned clauses survive from check to check;
-// structural gate hashing in the bit-blaster emits shared CNF for shared
-// term DAGs once per slice; and bounded inprocessing between checks
-// cleans out the clauses of retracted scopes, with every externally
-// visible literal frozen (the bit-blaster freezes all term-memo roots,
-// which covers activation literals and assumption roots).
+// (CheckIn/Retract) whose condition is asserted as direct guard clauses,
+// so learned clauses survive from check to check, and Retract cleans the
+// clauses of the scope it closed out of the database.
 //
 // Incremental mode changes which CNF the solver sees, never what a check
 // means: verdicts with -incremental=on and off are byte-identical on the
@@ -14,25 +11,13 @@
 
 package solver
 
-import (
-	"bf4/internal/sat"
-	"bf4/internal/smt"
-)
+import "bf4/internal/smt"
 
-// SetIncremental toggles incremental mode on this solver: structural
-// gate hashing in the bit-blaster, guard-clause scope assertions, and
-// bounded inprocessing after every Retract (the pass is cheap — one
-// occurrence-list sweep over a database that shrinks as it runs — and
-// deferring it measurably costs later checks propagation work on dead
-// guard clauses). Call it before the first Assert; circuitry already
-// emitted is not retroactively shared.
-func (s *Solver) SetIncremental(on bool) {
-	s.incremental = on
-	s.ctx.SetStructHash(on)
-	if on && s.inprocEvery == 0 {
-		s.inprocEvery = 1
-	}
-}
+// SetIncremental toggles incremental mode on this solver: guard-clause
+// scope assertions, and clause cleaning after every Retract (one sweep over
+// the database; deferring it measurably costs later checks propagation
+// work on dead guard clauses). Call it before the first scoped Assert.
+func (s *Solver) SetIncremental(on bool) { s.incremental = on }
 
 // Incremental reports whether incremental mode is on.
 func (s *Solver) Incremental() bool { return s.incremental }
@@ -50,15 +35,14 @@ func (s *Solver) CheckIn(cond *smt.Term) Result {
 }
 
 // Retract closes the scope opened by the most recent CheckIn. On an
-// incremental solver it periodically runs bounded inprocessing, which
-// deletes the now-satisfied guard clauses of retracted scopes and
-// strengthens learned clauses that mention dead activation literals down
-// to their scope-independent content.
+// incremental solver it then cleans the clause database at level 0, which
+// deletes the now-satisfied guard clauses of the retracted scope and
+// strengthens learned clauses that mention its dead activation literal
+// down to their scope-independent content.
 func (s *Solver) Retract() {
 	s.Pop()
-	s.scopedChecks++
-	if s.incremental && s.inprocEvery > 0 && s.scopedChecks%s.inprocEvery == 0 {
-		s.Inprocess()
+	if s.incremental {
+		s.sat.Inprocess()
 	}
 }
 
@@ -73,22 +57,5 @@ func (s *Solver) CheckScoped(cond *smt.Term) Result {
 	}
 	res := s.CheckIn(cond)
 	s.Retract()
-	return res
-}
-
-// Inprocess runs one bounded inprocessing pass over the SAT clause
-// database and purges bit-blaster gate-memo entries that mention
-// eliminated variables (their defining clauses are gone, so their
-// outputs must never be reused). Safe to call between any two checks; it
-// is a no-op on an unsat database.
-func (s *Solver) Inprocess() sat.InprocessResult {
-	res := s.sat.Inprocess(sat.InprocessOptions{})
-	s.ctx.ForgetEliminated(res.Eliminated)
-	h := &s.hooks
-	h.inprocessings.Inc()
-	h.inprocDeleted.Add(int64(res.Deleted))
-	h.inprocSubsumed.Add(int64(res.Subsumed))
-	h.inprocStrengthened.Add(int64(res.Strengthened))
-	h.inprocElimVars.Add(int64(len(res.Eliminated)))
 	return res
 }

@@ -31,9 +31,8 @@ func sliceFixture(f *smt.Factory) (base, conds []*smt.Term) {
 // TestScopedChecksAdversarialOrdering pins the core incremental-soundness
 // property: clauses learned under a retracted scope must never flip a
 // later check's verdict, for any ordering of the checks on one slice.
-// Every verdict is compared against a fresh single-shot solver, with
-// forced inprocessing between checks to exercise clause cleanup at every
-// boundary.
+// Every verdict is compared against a fresh single-shot solver; Retract
+// cleans the clause database at every boundary.
 func TestScopedChecksAdversarialOrdering(t *testing.T) {
 	f := smt.NewFactory()
 	base, conds := sliceFixture(f)
@@ -79,8 +78,6 @@ func TestScopedChecksAdversarialOrdering(t *testing.T) {
 				}
 			}
 			s.Retract()
-			// Force inprocessing at every boundary, not just every 4th.
-			s.Inprocess()
 		}
 	}
 }
@@ -132,8 +129,9 @@ func TestIncrementalUnsatCoreUnpolluted(t *testing.T) {
 	}
 }
 
-// TestIncrementalStatsShrink: after many retracted scopes, inprocessing
-// must actually shrink the clause database below its peak.
+// TestIncrementalStatsShrink: Retract's level-0 cleaning must shrink the
+// clause database after every scope — the guard clauses of a retracted
+// scope are deleted, not left behind satisfied.
 func TestIncrementalStatsShrink(t *testing.T) {
 	f := smt.NewFactory()
 	s := New(f)
@@ -141,17 +139,13 @@ func TestIncrementalStatsShrink(t *testing.T) {
 	x := f.BVVar("x", 8)
 	y := f.BVVar("y", 8)
 	s.Assert(f.Eq(f.Add(x, y), f.BVConst64(77, 8)))
-	peak := 0
 	for i := 0; i < 12; i++ {
 		s.CheckIn(f.Eq(x, f.BVConst64(int64(i*17%256), 8)))
-		if _, clauses, _, _ := s.Stats(); clauses > peak {
-			peak = clauses
-		}
+		_, inside, _, _ := s.Stats()
 		s.Retract()
-	}
-	s.Inprocess()
-	_, after, _, _ := s.Stats()
-	if after >= peak {
-		t.Fatalf("clause DB did not shrink: peak %d, after inprocessing %d", peak, after)
+		_, after, _, _ := s.Stats()
+		if after >= inside {
+			t.Fatalf("scope %d: clause DB did not shrink on Retract: %d inside, %d after", i, inside, after)
+		}
 	}
 }

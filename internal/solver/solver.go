@@ -9,7 +9,9 @@ package solver
 
 import (
 	"fmt"
+	"maps"
 	"math/big"
+	"slices"
 	"time"
 
 	"bf4/internal/bitblast"
@@ -67,13 +69,10 @@ type Solver struct {
 	scopes   []*smt.Term
 	scopeSeq int
 
-	// incremental enables the persistent-solver features (structural gate
-	// hashing, guarded scope assertions, periodic inprocessing). See
+	// incremental enables the persistent-solver features (guard-clause
+	// scope assertions, clause cleaning after every Retract). See
 	// SetIncremental.
-	incremental  bool
-	scopedChecks int
-	inprocEvery  int
-	lastGateHits int64
+	incremental bool
 }
 
 // CheckStats describes one Check call in isolation: every field is a
@@ -90,8 +89,9 @@ type CheckStats struct {
 	// NewVars and NewClauses count CNF growth during this check
 	// (assumption blasting; the incremental circuit persists).
 	NewVars, NewClauses int
-	// BlastTime covers simplification + bit-blasting of the assumptions;
-	// SearchTime covers the CDCL search itself.
+	// BlastTime covers simplification + bit-blasting of the assumptions
+	// (asserted formulas are lowered, and timed, in Assert); SearchTime
+	// covers the CDCL search itself.
 	BlastTime, SearchTime time.Duration
 }
 
@@ -102,13 +102,12 @@ type obsHooks struct {
 	learned, blastNs, searchNs                   *obs.Counter
 	checkConflicts, checkNs                      *obs.Histogram
 	cnfVars, cnfClauses                          *obs.Gauge
-
-	inprocessings, inprocDeleted, inprocSubsumed *obs.Counter
-	inprocStrengthened, inprocElimVars, gateHits *obs.Counter
 }
 
 // SetObs installs a metrics registry: every subsequent Check records its
-// per-query deltas under the bf4_solver_* names. A nil registry disables
+// per-query deltas under the bf4_solver_* names, and every Assert adds the
+// time it spent lowering its formula to CNF to bf4_solver_blast_ns_total,
+// the same counter Check's assumption blasting feeds. A nil registry disables
 // recording (the default). Counters are shared and atomic, so many
 // solvers across worker goroutines may point at one registry.
 func (s *Solver) SetObs(reg *obs.Registry) {
@@ -132,13 +131,6 @@ func (s *Solver) SetObs(reg *obs.Registry) {
 		checkNs:        reg.Histogram("bf4_solver_check_ns", obs.DurationBuckets),
 		cnfVars:        reg.Gauge("bf4_solver_cnf_vars"),
 		cnfClauses:     reg.Gauge("bf4_solver_cnf_clauses"),
-
-		inprocessings:      reg.Counter("bf4_solver_inprocessings_total"),
-		inprocDeleted:      reg.Counter("bf4_solver_inprocess_deleted_total"),
-		inprocSubsumed:     reg.Counter("bf4_solver_inprocess_subsumed_total"),
-		inprocStrengthened: reg.Counter("bf4_solver_inprocess_strengthened_total"),
-		inprocElimVars:     reg.Counter("bf4_solver_inprocess_elim_vars_total"),
-		gateHits:           reg.Counter("bf4_solver_gate_hits_total"),
 	}
 }
 
@@ -156,6 +148,29 @@ func New(f *smt.Factory) *Solver {
 		varSeen: make(map[uint32]bool),
 		rewrite: f.NewSimplifier(),
 	}
+}
+
+// Fork returns an independent copy of s: the same assertions, open scopes
+// and registered variables over a deep copy of the SAT state (clauses,
+// learnt clauses, activities, saved phases) and of the blasted-term memo.
+// Terms s has blasted cost the fork nothing, its first Check starts as
+// warm as s's next one would, and nothing done to either afterwards shows
+// in the other, so forks of one solver may run on different goroutines.
+// The installed metrics registry is shared (its counters are atomic); a
+// solver with a rewrite pass hands the fork a fresh one from the factory,
+// since passes hold private memos.
+func (s *Solver) Fork() *Solver {
+	fs := *s
+	fs.ctx = s.ctx.Fork()
+	fs.sat = fs.ctx.Solver()
+	fs.vars = maps.Clone(s.vars)
+	fs.varSeen = maps.Clone(s.varSeen)
+	fs.scopes = slices.Clone(s.scopes)
+	fs.lastCore = slices.Clone(s.lastCore)
+	if s.rewrite != nil {
+		fs.rewrite = s.f.NewSimplifier()
+	}
+	return &fs
 }
 
 // SetRewrite installs (or with nil removes) the pre-blast simplification
@@ -203,12 +218,14 @@ func (s *Solver) registerVars(t *smt.Term) {
 // Assert adds t to the solver's constraint set: permanently when no Push
 // scope is open, otherwise until the innermost scope is popped.
 func (s *Solver) Assert(t *smt.Term) {
+	start := time.Now()
+	defer func() { s.hooks.blastNs.Add(time.Since(start).Nanoseconds()) }()
 	if n := len(s.scopes); n > 0 {
 		if s.incremental {
 			// Emit direct guard clauses (¬act ∨ conjunct) instead of a
 			// Tseitin implication gate: when Retract asserts ¬act, every
-			// guard clause is satisfied outright and the next inprocessing
-			// pass deletes it, instead of leaving dead gate circuitry.
+			// guard clause is satisfied outright and its cleaning pass
+			// deletes it, instead of leaving dead gate circuitry.
 			rt := s.Simplify(t)
 			s.registerVars(rt)
 			s.ctx.AssertImplied(s.scopes[n-1], rt)
@@ -351,10 +368,6 @@ func (s *Solver) recordCheck() {
 	h.checkNs.Observe(s.lastCheck.BlastTime.Nanoseconds() + s.lastCheck.SearchTime.Nanoseconds())
 	h.cnfVars.Set(int64(s.sat.NumVars()))
 	h.cnfClauses.Set(int64(s.sat.NumClauses()))
-	if gh := s.ctx.GateHits(); gh != s.lastGateHits {
-		h.gateHits.Add(gh - s.lastGateHits)
-		s.lastGateHits = gh
-	}
 }
 
 // LastCheckStats returns the per-query statistics of the most recent
