@@ -4,9 +4,7 @@
 //
 // Usage:
 //
-//	bf4-bench -run table1 [-switch-scale 16] [-j 4] [-stable] [-incremental on|off] [-json]
-//	bf4-bench -run rewrite [-json]
-//	bf4-bench -run incremental [-json]
+//	bf4-bench -run table1 [-switch-scale 16] [-j 4] [-stable] [-metrics] [-json]
 //	bf4-bench -run shimfleet [-json]
 //	bf4-bench -run shimscale [-fastpath on|off|both] [-updates N] [-decision-log path] [-json]
 //	bf4-bench -run slicing|infer|multitable|dontcare|p4v|vera|shim|overhead|stages
@@ -14,9 +12,7 @@
 //
 // -json on table1 writes BENCH_table1.json: the verdict columns joined
 // with deterministic per-program solver counters (CNF vars/clauses,
-// conflicts, propagations, discharge counts — no wall-clock), labeled
-// with the -incremental mode. The bench-trajectory CI job produces one
-// artifact per mode and compares them with tools/benchcmp.
+// conflicts, propagations, discharge counts — no wall-clock).
 //
 // -j bounds the worker pool for experiments that run independent
 // verifications (table1's corpus loop, each ablation's two arms);
@@ -39,7 +35,7 @@ import (
 
 func main() {
 	var (
-		run         = flag.String("run", "all", "experiment: table1, discharge, rewrite, incremental, slicing, infer, multitable, dontcare, p4v, vera, shim, shimfleet, shimscale, overhead, stages, all")
+		run         = flag.String("run", "all", "experiment: table1, slicing, infer, multitable, dontcare, p4v, vera, shim, shimfleet, shimscale, overhead, stages, all")
 		switchScale = flag.Int("switch-scale", 8, "generated switch scale for switch-based experiments")
 		updates     = flag.Int("updates", 2000, "controller updates for the shim experiment (shimscale defaults to 1000000 unless set explicitly)")
 		fastpath    = flag.String("fastpath", "on", "shimscale: bytecode fast path on|off|both (both replays each tier and reports the speedup)")
@@ -47,21 +43,10 @@ func main() {
 		veraBudget  = flag.Duration("vera-budget", 20*time.Second, "budget for symbolic Vera exploration")
 		jobs        = flag.Int("j", 0, "worker pool size for parallel experiments (0 = GOMAXPROCS, 1 = serial)")
 		stable      = flag.Bool("stable", false, "render table1 without the runtime column (byte-stable across -j values and machines)")
-		jsonOut     = flag.Bool("json", false, "additionally write machine-readable results (table1: BENCH_table1.json; rewrite: BENCH_rewrite.json; incremental: BENCH_incremental.json)")
+		jsonOut     = flag.Bool("json", false, "additionally write machine-readable results (table1: BENCH_table1.json; shimfleet: BENCH_shimfleet.json; shimscale: BENCH_shimscale.json)")
 		metrics     = flag.Bool("metrics", false, "table1: append a per-program metrics table (deterministic solver/pipeline counters); the table1 section itself is unchanged")
-		incrMode    = flag.String("incremental", "on", "table1: incremental solver core on|off (verdict columns are identical either way; solver-effort counters move)")
 	)
 	flag.Parse()
-
-	incremental := true
-	switch *incrMode {
-	case "on":
-	case "off":
-		incremental = false
-	default:
-		fmt.Fprintf(os.Stderr, "bf4-bench: -incremental must be on or off, got %q\n", *incrMode)
-		os.Exit(2)
-	}
 
 	all := *run == "all"
 	ok := false
@@ -85,14 +70,9 @@ func main() {
 			ms   []experiments.Table1Metrics
 			err  error
 		)
-		switch {
-		case !incremental || *jsonOut:
-			// Pinning -incremental or emitting BENCH_table1.json both need
-			// the metric registry threaded through every run.
-			rows, ms, err = experiments.Table1Incremental(*switchScale, *jobs, incremental)
-		case *metrics:
+		if *metrics || *jsonOut {
 			rows, ms, err = experiments.Table1WithMetrics(*switchScale, *jobs)
-		default:
+		} else {
 			rows, err = experiments.Table1(*switchScale, *jobs)
 		}
 		if err != nil {
@@ -108,7 +88,7 @@ func main() {
 			fmt.Print(experiments.RenderTable1Metrics(ms))
 		}
 		if *jsonOut {
-			data, err := experiments.Table1JSON(rows, ms, incremental)
+			data, err := experiments.Table1JSON(rows, ms)
 			if err != nil {
 				return err
 			}
@@ -116,61 +96,6 @@ func main() {
 				return err
 			}
 			fmt.Println("wrote BENCH_table1.json")
-		}
-		return nil
-	})
-
-	dispatch("discharge", func() error {
-		rows, err := experiments.Discharge(*switchScale, *jobs, true)
-		if err != nil {
-			return err
-		}
-		if *stable {
-			fmt.Print(experiments.RenderDischargeStable(rows))
-		} else {
-			fmt.Print(experiments.RenderDischarge(rows))
-		}
-		return nil
-	})
-
-	dispatch("rewrite", func() error {
-		rows, err := experiments.RewriteAblation(*switchScale, *jobs)
-		if err != nil {
-			return err
-		}
-		if *stable {
-			fmt.Print(experiments.RenderRewriteStable(rows))
-		} else {
-			fmt.Print(experiments.RenderRewrite(rows))
-		}
-		if *jsonOut {
-			data, err := experiments.RewriteJSON(rows)
-			if err != nil {
-				return err
-			}
-			if err := os.WriteFile("BENCH_rewrite.json", data, 0o644); err != nil {
-				return err
-			}
-			fmt.Println("wrote BENCH_rewrite.json")
-		}
-		return nil
-	})
-
-	dispatch("incremental", func() error {
-		rows, err := experiments.IncrementalAblation(*switchScale, *jobs)
-		if err != nil {
-			return err
-		}
-		fmt.Print(experiments.RenderIncrementalStable(rows))
-		if *jsonOut {
-			data, err := experiments.IncrementalJSON(rows)
-			if err != nil {
-				return err
-			}
-			if err := os.WriteFile("BENCH_incremental.json", data, 0o644); err != nil {
-				return err
-			}
-			fmt.Println("wrote BENCH_incremental.json")
 		}
 		return nil
 	})

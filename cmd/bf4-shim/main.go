@@ -70,18 +70,8 @@ func main() {
 		maxFrame     = flag.Int("max-frame", 1<<20, "max request frame size in bytes")
 		drainTimeout = flag.Duration("drain-timeout", 10*time.Second, "graceful-shutdown drain budget")
 		obsAddr      = flag.String("obs-addr", "", "serve Prometheus /metrics, /metrics.json and /debug/pprof on this address (e.g. 127.0.0.1:9560; empty disables)")
-		fastpathMode = flag.String("fastpath", "on", "assertion evaluation tier: on compiles cached annotations to bytecode, off pins the term-DAG slow path (both tiers are decision-identical; see bf4-bench -run shimscale)")
 	)
 	flag.Parse()
-
-	fastpath := true
-	switch *fastpathMode {
-	case "on":
-	case "off":
-		fastpath = false
-	default:
-		fatalf("bf4-shim: -fastpath must be on or off, got %q", *fastpathMode)
-	}
 
 	src, name := "", ""
 	switch {
@@ -168,7 +158,6 @@ func main() {
 			OnShardDown:    mode,
 			HealthInterval: *healthIvl,
 			HealthDeadline: *healthDl,
-			NoFastpath:     !fastpath,
 			Obs:            reg,
 		})
 		for _, id := range ids {
@@ -186,7 +175,6 @@ func main() {
 		if err != nil {
 			fatalf("shim: %v", err)
 		}
-		sh.SetFastpath(fastpath)
 		if *stateDir != "" {
 			store, err = shim.OpenStore(*stateDir)
 			if err != nil {

@@ -14,9 +14,6 @@
 //	-fixed out.p4      write the fixed program (keys added)
 //	-render            print the SQL-like assertion rendering
 //	-no-slice          disable bug-reachability slicing
-//	-rewrite on|off    term-level simplification before bit-blasting
-//	-incremental on|off  persistent solver per slice with clause reuse
-//	                   across retractable scopes (verdicts identical)
 //	-no-dontcare       disable dontCare-widened inference
 //	-no-multitable     disable the multi-table heuristic
 //	-j N               inference worker pool size (0 = GOMAXPROCS);
@@ -84,9 +81,6 @@ func main() {
 		verbose      = flag.Bool("v", false, "verbose bug listing")
 		showTrace    = flag.Bool("trace", false, "print a counterexample trace for each reachable bug")
 		jobs         = flag.Int("j", 0, "inference worker pool size (0 = GOMAXPROCS; results identical for every value)")
-		analysisMode = flag.String("analysis", "on", "static-analysis pre-pass: on discharges statically-safe checks before the solver, off runs every query (verdicts are identical either way)")
-		rewriteMode  = flag.String("rewrite", "on", "term-level rewrite engine: on simplifies formulas through the known-bits + interval domain before bit-blasting, off blasts them as built (verdicts are identical either way)")
-		incrMode     = flag.String("incremental", "on", "incremental solver core: on keeps one persistent solver per slice, checks each bug in a retractable scope so learned clauses carry over, and cleans the scope's clauses out on retract; off runs each check from the asserted base (verdicts are identical either way)")
 		metricsOut   = flag.String("metrics-json", "", "write run metrics as JSON to this file (\"-\" for stdout; verdicts are identical with metrics on or off)")
 		traceOut     = flag.String("trace-out", "", "write the hierarchical phase-timing tree to this file (\"-\" for stdout)")
 		check        = flag.String("check", "", "enable extra bug classes: iflow adds information-flow leak checks (sensitive data reaching egress-visible sinks); assert compiles user @assert/@assume properties (source comments plus -prop-spec) into the verified set")
@@ -123,30 +117,6 @@ func main() {
 	}
 
 	cfg := driver.DefaultConfig()
-	switch *analysisMode {
-	case "on":
-		cfg.Analysis = true
-	case "off":
-		cfg.Analysis = false
-	default:
-		fatalf("bf4: -analysis must be on or off, got %q", *analysisMode)
-	}
-	switch *rewriteMode {
-	case "on":
-		cfg.Rewrite = true
-	case "off":
-		cfg.Rewrite = false
-	default:
-		fatalf("bf4: -rewrite must be on or off, got %q", *rewriteMode)
-	}
-	switch *incrMode {
-	case "on":
-		cfg.Incremental = true
-	case "off":
-		cfg.Incremental = false
-	default:
-		fatalf("bf4: -incremental must be on or off, got %q", *incrMode)
-	}
 	checkAssert := false
 	switch *check {
 	case "":
@@ -157,8 +127,7 @@ func main() {
 		checkAssert = true
 		props, err := gatherProps(name, src, *propSpec)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "%v\n", err)
-			os.Exit(2)
+			usagef("%v", err)
 		}
 		if len(props) == 0 {
 			fatalf("bf4: -check=assert found no properties (write // @assert(...) comments or pass -prop-spec)")
@@ -189,11 +158,9 @@ func main() {
 	cfg.Trace.End()
 
 	fmt.Println(res.Summary())
-	if res.Analysis != nil {
-		st := res.Analysis.Stats
-		fmt.Printf("analysis: discharged %d/%d checks statically (%d via header-validity alone); %d lint diagnostic(s)\n",
-			st.Discharged, st.BugChecks, st.DischargedValidity, len(res.Analysis.Diags))
-	}
+	st := res.Analysis.Stats
+	fmt.Printf("analysis: discharged %d/%d checks statically (%d via header-validity alone); %d lint diagnostic(s)\n",
+		st.Discharged, st.BugChecks, st.DischargedValidity, len(res.Analysis.Diags))
 	if checkAssert {
 		violated, controlled, hold := 0, 0, 0
 		for _, b := range res.InitialRep.Bugs {
@@ -297,10 +264,10 @@ func writeOut(path string, data []byte) {
 	}
 }
 
-// lintMain implements `bf4 lint`: run only the static-analysis layer and
-// report diagnostics, without any solver work. Exit status is 1 when an
-// error-severity diagnostic (a definite static bug) is found, 2 on usage
-// or compile failure, 0 otherwise.
+// lintMain implements `bf4 lint`: run the static-analysis layer — or, with
+// -taint or -props, one of the solver-backed check families — and report
+// diagnostics. Exit status is 1 when an error-severity diagnostic is found,
+// 2 on usage or compile failure, 0 otherwise.
 func lintMain(args []string) {
 	fs := flag.NewFlagSet("bf4 lint", flag.ExitOnError)
 	var (
@@ -316,7 +283,6 @@ func lintMain(args []string) {
 		family      = fs.String("family", "", "lint a generated exercise program: props (a pipeline plus a .props spec covering all three verdict tiers; sized by -switch-scale, placed by -seed)")
 		famSeed     = fs.Int("seed", 1, "placement seed for -family generation (deterministic per seed)")
 		jobs        = fs.Int("j", 0, "confirmation solver workers (0 = 1; output identical for every value)")
-		incrMode    = fs.String("incremental", "on", "persistent confirmation solver with retractable scopes: on|off (output identical either way)")
 	)
 	fs.Usage = func() {
 		fmt.Fprintln(os.Stderr, "usage: bf4 lint [-json] [-taint] [-props] (program.p4 | -corpus name | -switch-scale n | -taint-family leaky|clean | -family props)")
@@ -331,7 +297,7 @@ func lintMain(args []string) {
 	switch {
 	case *family != "":
 		if *family != "props" {
-			fatalf("bf4 lint: -family must be props, got %q", *family)
+			usagef("bf4 lint: -family must be props, got %q", *family)
 		}
 		scale := *switchScale
 		if scale <= 0 {
@@ -351,7 +317,7 @@ func lintMain(args []string) {
 		*propsRun = true
 	case *taintFamily != "":
 		if *taintFamily != "leaky" && *taintFamily != "clean" {
-			fatalf("bf4 lint: -taint-family must be leaky or clean, got %q", *taintFamily)
+			usagef("bf4 lint: -taint-family must be leaky or clean, got %q", *taintFamily)
 		}
 		scale := *switchScale
 		if scale <= 0 {
@@ -362,7 +328,7 @@ func lintMain(args []string) {
 	case *corpusName != "":
 		p := progs.Get(*corpusName)
 		if p == nil {
-			fatalf("unknown corpus program %q (use bf4 -list)", *corpusName)
+			usagef("unknown corpus program %q (use bf4 -list)", *corpusName)
 		}
 		name, src = p.Name+".p4", p.Source
 	case *switchScale > 0:
@@ -370,116 +336,69 @@ func lintMain(args []string) {
 	case fs.NArg() == 1:
 		data, err := os.ReadFile(fs.Arg(0))
 		if err != nil {
-			fatalf("%v", err)
+			usagef("%v", err)
 		}
 		name, src = fs.Arg(0), string(data)
 	default:
 		fs.Usage()
 		os.Exit(2)
 	}
+	if *specFile != "" && !*propsRun {
+		usagef("bf4 lint: -spec requires -props")
+	}
 
-	if *propsRun {
-		if *specFile != "" {
-			data, err := os.ReadFile(*specFile)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "%v\n", err)
-				os.Exit(2)
+	rep, err := func() (*analysis.Report, error) {
+		switch {
+		case *propsRun:
+			if *specFile != "" {
+				data, err := os.ReadFile(*specFile)
+				if err != nil {
+					return nil, err
+				}
+				ps, err := prop.ParseSpecFile(*specFile, data)
+				if err != nil {
+					return nil, err
+				}
+				extraProps = append(extraProps, ps...)
 			}
-			ps, err := prop.ParseSpecFile(*specFile, data)
+			pcfg := driver.DefaultPropConfig()
+			pcfg.Workers = *jobs
+			pr, err := driver.Props(name, src, extraProps, pcfg)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "%v\n", err)
-				os.Exit(2)
+				return nil, err
 			}
-			extraProps = append(extraProps, ps...)
-		}
-		pcfg := driver.DefaultPropConfig()
-		pcfg.Workers = *jobs
-		switch *incrMode {
-		case "on":
-			pcfg.Incremental = true
-		case "off":
-			pcfg.Incremental = false
+			return pr.Report(), nil
+		case *taint:
+			tcfg := driver.DefaultTaintConfig()
+			tcfg.Policy = *taintPolicy
+			tcfg.Workers = *jobs
+			tr, err := driver.Taint(name, src, tcfg)
+			if err != nil {
+				return nil, err
+			}
+			return tr.Report(), nil
 		default:
-			fatalf("bf4 lint: -incremental must be on or off, got %q", *incrMode)
-		}
-		rep, err := driver.Props(name, src, extraProps, pcfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "%v\n", err)
-			os.Exit(2)
-		}
-		if *jsonOut {
-			data, err := rep.RenderJSON(name)
+			res, err := Lint(name, src)
 			if err != nil {
-				fatalf("render: %v", err)
+				return nil, err
 			}
-			fmt.Printf("%s\n", data)
-		} else {
-			fmt.Print(rep.RenderText(name))
+			return &analysis.Report{Diags: res.Diags}, nil
 		}
-		for _, d := range rep.Diags {
-			if d.Severity == analysis.SevError {
-				os.Exit(1)
-			}
-		}
-		return
-	}
-
-	if *specFile != "" {
-		fatalf("bf4 lint: -spec requires -props")
-	}
-
-	if *taint {
-		tcfg := driver.DefaultTaintConfig()
-		tcfg.Policy = *taintPolicy
-		tcfg.Workers = *jobs
-		switch *incrMode {
-		case "on":
-			tcfg.Incremental = true
-		case "off":
-			tcfg.Incremental = false
-		default:
-			fatalf("bf4 lint: -incremental must be on or off, got %q", *incrMode)
-		}
-		rep, err := driver.Taint(name, src, tcfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "%v\n", err)
-			os.Exit(2)
-		}
-		if *jsonOut {
-			data, err := rep.RenderJSON(name)
-			if err != nil {
-				fatalf("render: %v", err)
-			}
-			fmt.Printf("%s\n", data)
-		} else {
-			fmt.Print(rep.RenderText(name))
-		}
-		for _, d := range rep.Diags {
-			if d.Severity == analysis.SevError {
-				os.Exit(1)
-			}
-		}
-		return
-	}
-
-	res, err := Lint(name, src)
+	}()
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "%v\n", err)
-		os.Exit(2)
+		usagef("%v", err)
 	}
 	if *jsonOut {
-		data, err := analysis.RenderJSON(name, res.Diags)
+		data, err := rep.RenderJSON(name)
 		if err != nil {
 			fatalf("render: %v", err)
 		}
 		fmt.Printf("%s\n", data)
 	} else {
-		fmt.Print(analysis.RenderText(name, res.Diags))
+		fmt.Print(rep.RenderText(name))
 	}
-	for _, d := range res.Diags {
-		if d.Severity == analysis.SevError {
-			os.Exit(1)
-		}
+	if rep.HasErrors() {
+		os.Exit(1)
 	}
 }
 
@@ -505,4 +424,11 @@ func Lint(name, src string) (*analysis.Result, error) {
 func fatalf(format string, args ...interface{}) {
 	fmt.Fprintf(os.Stderr, format+"\n", args...)
 	os.Exit(1)
+}
+
+// usagef reports a usage, input or compile failure: exit 2, never 1, which
+// `bf4 lint` reserves for error-severity findings.
+func usagef(format string, args ...interface{}) {
+	fmt.Fprintf(os.Stderr, format+"\n", args...)
+	os.Exit(2)
 }

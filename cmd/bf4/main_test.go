@@ -116,6 +116,20 @@ func TestLintPropsExitUsage(t *testing.T) {
 	if out, code := runBF4(t, "lint", "-props"); code != 2 {
 		t.Errorf("no input: exit %d, want 2\n%s", code, out)
 	}
+
+	// Bad flag values and unreadable inputs are usage errors too: exit 2,
+	// never 1 — CI reads 1 as "the family has findings".
+	for _, args := range [][]string{
+		{"lint", "-family", "nosuch"},
+		{"lint", "-taint", "-taint-family", "nosuch"},
+		{"lint", "-spec", bad, p4},
+		{"lint", "-corpus", "nosuch"},
+		{"lint", "/nonexistent.p4"},
+	} {
+		if out, code := runBF4(t, args...); code != 2 {
+			t.Errorf("bf4 %s: exit %d, want 2\n%s", strings.Join(args, " "), code, out)
+		}
+	}
 }
 
 func TestCheckAssertLoop(t *testing.T) {

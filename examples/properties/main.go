@@ -35,7 +35,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Print(rep.RenderText(name))
+	fmt.Print(rep.Report().RenderText(name))
 
 	// The same properties through the full pipeline: find violations
 	// assuming arbitrary table entries, then infer the controller

@@ -134,14 +134,38 @@ func SortAndDedupe(ds []Diagnostic) []Diagnostic {
 	return dedupeDiags(ds)
 }
 
-// RenderText renders diagnostics one per line for terminals, ending with
-// a count summary.
-func RenderText(file string, ds []Diagnostic) string {
-	var b strings.Builder
-	errs, warns := 0, 0
-	for _, d := range ds {
-		b.WriteString(d.Format(file))
-		b.WriteString("\n")
+// Report is what every `bf4 lint` mode renders: the diagnostics and, for
+// the two solver-backed check families, the family's summary counts.
+type Report struct {
+	Diags []Diagnostic
+	Taint *TaintSummary
+	Props *PropSummary
+}
+
+// TaintSummary counts one information-flow run.
+type TaintSummary struct {
+	Alarms          int `json:"alarms"`           // sinks escalated to the solver
+	Confirmed       int `json:"confirmed"`        // alarms the solver confirmed (with a model)
+	Dismissed       int `json:"dismissed"`        // alarms the solver refuted (infeasible flow)
+	StaticallyClean int `json:"statically_clean"` // sinks the dataflow cleared without a query
+	Sinks           int `json:"sinks"`            // reachable instrumented sink checks
+}
+
+// PropSummary counts one property run. Checks can exceed the number of
+// asserts when an @after table has several apply instances (one check per
+// instance).
+type PropSummary struct {
+	Props      int `json:"properties"` // properties gathered (asserts + assumes)
+	Checks     int `json:"checks"`     // assert check nodes spliced
+	Confirmed  int `json:"confirmed"`  // checks the solver violated (with a packet witness)
+	Dismissed  int `json:"dismissed"`  // checks the solver proved to hold (violation infeasible)
+	Discharged int `json:"discharged"` // checks proven to hold statically (no solver query)
+	Assumes    int `json:"assumes"`    // @assume constraints spliced
+}
+
+// counts tallies error- and warning-severity diagnostics.
+func (r *Report) counts() (errs, warns int) {
+	for _, d := range r.Diags {
 		switch d.Severity {
 		case SevError:
 			errs++
@@ -149,7 +173,38 @@ func RenderText(file string, ds []Diagnostic) string {
 			warns++
 		}
 	}
-	fmt.Fprintf(&b, "%d error(s), %d warning(s), %d diagnostic(s)\n", errs, warns, len(ds))
+	return errs, warns
+}
+
+// HasErrors reports whether any diagnostic is error-severity — the
+// condition under which `bf4 lint` exits 1.
+func (r *Report) HasErrors() bool {
+	errs, _ := r.counts()
+	return errs > 0
+}
+
+// RenderText renders diagnostics one per line for terminals, then a count
+// line, then the family's stable one-line summary if there is one.
+func (r *Report) RenderText(file string) string {
+	var b strings.Builder
+	for _, d := range r.Diags {
+		b.WriteString(d.Format(file))
+		b.WriteString("\n")
+	}
+	errs, warns := r.counts()
+	fmt.Fprintf(&b, "%d error(s), %d warning(s), %d diagnostic(s)\n", errs, warns, len(r.Diags))
+	if t := r.Taint; t != nil {
+		fmt.Fprintf(&b, "taint: %d alarm(s), %d confirmed, %d dismissed, %d statically clean, %d sink check(s)\n",
+			t.Alarms, t.Confirmed, t.Dismissed, t.StaticallyClean, t.Sinks)
+	}
+	if p := r.Props; p != nil {
+		ending := "ies"
+		if p.Props == 1 {
+			ending = "y"
+		}
+		fmt.Fprintf(&b, "props: %d propert%s, %d check(s), %d confirmed, %d dismissed, %d discharged, %d assume(s)\n",
+			p.Props, ending, p.Checks, p.Confirmed, p.Dismissed, p.Discharged, p.Assumes)
+	}
 	return b.String()
 }
 
@@ -158,28 +213,24 @@ func RenderText(file string, ds []Diagnostic) string {
 // changes meaning or goes away; adding fields keeps the version.
 const SchemaVersion = "bf4.lint.v1"
 
-// jsonReport is the machine-readable lint output schema.
+// jsonReport is the machine-readable output schema: the lint fields, plus
+// a "taint" or "props" summary object for those families.
 type jsonReport struct {
-	Schema      string       `json:"schema"`
-	File        string       `json:"file"`
-	Diagnostics []Diagnostic `json:"diagnostics"`
-	Errors      int          `json:"errors"`
-	Warnings    int          `json:"warnings"`
+	Schema      string        `json:"schema"`
+	File        string        `json:"file"`
+	Diagnostics []Diagnostic  `json:"diagnostics"`
+	Errors      int           `json:"errors"`
+	Warnings    int           `json:"warnings"`
+	Taint       *TaintSummary `json:"taint,omitempty"`
+	Props       *PropSummary  `json:"props,omitempty"`
 }
 
-// RenderJSON renders diagnostics as a stable, indented JSON report.
-func RenderJSON(file string, ds []Diagnostic) ([]byte, error) {
-	rep := jsonReport{Schema: SchemaVersion, File: file, Diagnostics: ds}
+// RenderJSON renders the report as stable, indented JSON.
+func (r *Report) RenderJSON(file string) ([]byte, error) {
+	rep := jsonReport{Schema: SchemaVersion, File: file, Diagnostics: r.Diags, Taint: r.Taint, Props: r.Props}
 	if rep.Diagnostics == nil {
 		rep.Diagnostics = []Diagnostic{}
 	}
-	for _, d := range ds {
-		switch d.Severity {
-		case SevError:
-			rep.Errors++
-		case SevWarning:
-			rep.Warnings++
-		}
-	}
+	rep.Errors, rep.Warnings = r.counts()
 	return json.MarshalIndent(rep, "", "  ")
 }

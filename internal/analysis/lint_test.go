@@ -47,7 +47,7 @@ func TestLintGolden(t *testing.T) {
 			}
 			file := p.Name + ".p4"
 			res := lint(t, file, src)
-			got := analysis.RenderText(file, res.Diags)
+			got := (&analysis.Report{Diags: res.Diags}).RenderText(file)
 
 			golden := filepath.Join("testdata", p.Name+".lint.golden")
 			if *update {
@@ -92,7 +92,7 @@ func TestLintJSONRoundTrips(t *testing.T) {
 	if len(res.Diags) == 0 {
 		t.Skip("simple_nat produces no diagnostics; golden covers this")
 	}
-	data, err := analysis.RenderJSON("simple_nat.p4", res.Diags)
+	data, err := (&analysis.Report{Diags: res.Diags}).RenderJSON("simple_nat.p4")
 	if err != nil {
 		t.Fatalf("render: %v", err)
 	}

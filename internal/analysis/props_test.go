@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"bf4/internal/driver"
+	"bf4/internal/obs"
 	"bf4/internal/progs"
 	"bf4/internal/prop"
 )
@@ -39,7 +40,7 @@ func TestPropGolden(t *testing.T) {
 			if err != nil {
 				t.Fatalf("props: %v", err)
 			}
-			got := rep.RenderText(name)
+			got := rep.Report().RenderText(name)
 
 			golden := filepath.Join("testdata", fmt.Sprintf("propswitch@%d.props.golden", seed))
 			if *update {
@@ -98,38 +99,43 @@ func TestPropFamilies(t *testing.T) {
 	}
 }
 
-// TestPropDeterminism: solver confirmation fans out across workers and
-// can reuse incremental contexts, but rendered output — including the
-// canonical witnesses — must stay byte-identical for every (workers,
-// incremental) combination.
+// TestPropDeterminism: solver confirmation fans out across workers, but
+// rendered output — including the canonical witnesses — must stay
+// byte-identical for every worker count, and every worker's solver must
+// report to the registry: the solver-query count is the same (and not
+// zero) whether one solver or four shared the work.
 func TestPropDeterminism(t *testing.T) {
 	name, src, props := propFixture(t, 4, 1)
-	type variant struct {
-		workers     int
-		incremental bool
-	}
 	var baseText, baseJSON string
-	for i, v := range []variant{{1, true}, {4, true}, {1, false}, {4, false}} {
+	var baseChecks int64
+	for i, workers := range []int{1, 4} {
 		cfg := driver.DefaultPropConfig()
-		cfg.Workers, cfg.Incremental = v.workers, v.incremental
+		cfg.Workers, cfg.Obs = workers, obs.NewRegistry()
 		rep, err := driver.Props(name, src, props, cfg)
 		if err != nil {
-			t.Fatalf("props (workers=%d incr=%v): %v", v.workers, v.incremental, err)
+			t.Fatalf("props (workers=%d): %v", workers, err)
 		}
-		text := rep.RenderText(name)
-		js, err := rep.RenderJSON(name)
+		text := rep.Report().RenderText(name)
+		js, err := rep.Report().RenderJSON(name)
 		if err != nil {
 			t.Fatalf("json: %v", err)
 		}
+		checks := cfg.Obs.CounterValue("bf4_solver_checks_total")
 		if i == 0 {
-			baseText, baseJSON = text, string(js)
+			baseText, baseJSON, baseChecks = text, string(js), checks
+			if checks == 0 {
+				t.Errorf("workers=%d: no solver checks recorded", workers)
+			}
 			continue
 		}
 		if text != baseText {
-			t.Errorf("text output differs at workers=%d incremental=%v", v.workers, v.incremental)
+			t.Errorf("text output differs at workers=%d", workers)
 		}
 		if string(js) != baseJSON {
-			t.Errorf("json output differs at workers=%d incremental=%v", v.workers, v.incremental)
+			t.Errorf("json output differs at workers=%d", workers)
+		}
+		if checks != baseChecks {
+			t.Errorf("bf4_solver_checks_total = %d at workers=%d, %d at workers=1", checks, workers, baseChecks)
 		}
 	}
 }
@@ -142,7 +148,7 @@ func TestPropJSONShape(t *testing.T) {
 	if err != nil {
 		t.Fatalf("props: %v", err)
 	}
-	js, err := rep.RenderJSON(name)
+	js, err := rep.Report().RenderJSON(name)
 	if err != nil {
 		t.Fatalf("json: %v", err)
 	}

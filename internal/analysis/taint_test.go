@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"bf4/internal/driver"
+	"bf4/internal/obs"
 	"bf4/internal/progs"
 )
 
@@ -42,7 +43,7 @@ func TestTaintGolden(t *testing.T) {
 			if err != nil {
 				t.Fatalf("taint: %v", err)
 			}
-			got := rep.RenderText(file)
+			got := rep.Report().RenderText(file)
 
 			golden := filepath.Join("testdata", name+".taint.golden")
 			if *update {
@@ -109,37 +110,43 @@ func TestTaintFamilies(t *testing.T) {
 	}
 }
 
-// TestTaintDeterminism: solver confirmation fans out across workers and
-// can reuse incremental contexts, but rendered output must stay
-// byte-identical for every (workers, incremental) combination.
+// TestTaintDeterminism: solver confirmation fans out across workers, but
+// rendered output must stay byte-identical for every worker count, and
+// every worker's solver must report to the registry: the solver-query
+// count is the same (and not zero) whether one solver or four shared the
+// work.
 func TestTaintDeterminism(t *testing.T) {
 	src := progs.GenerateTaintSwitch(4, 1, true)
-	type variant struct {
-		workers     int
-		incremental bool
-	}
 	var baseText, baseJSON string
-	for i, v := range []variant{{1, true}, {4, true}, {1, false}, {4, false}} {
+	var baseChecks int64
+	for i, workers := range []int{1, 4} {
 		cfg := driver.DefaultTaintConfig()
-		cfg.Workers, cfg.Incremental = v.workers, v.incremental
+		cfg.Workers, cfg.Obs = workers, obs.NewRegistry()
 		rep, err := driver.Taint("leaky.p4", src, cfg)
 		if err != nil {
-			t.Fatalf("taint (workers=%d incr=%v): %v", v.workers, v.incremental, err)
+			t.Fatalf("taint (workers=%d): %v", workers, err)
 		}
-		text := rep.RenderText("leaky.p4")
-		js, err := rep.RenderJSON("leaky.p4")
+		text := rep.Report().RenderText("leaky.p4")
+		js, err := rep.Report().RenderJSON("leaky.p4")
 		if err != nil {
 			t.Fatalf("json: %v", err)
 		}
+		checks := cfg.Obs.CounterValue("bf4_solver_checks_total")
 		if i == 0 {
-			baseText, baseJSON = text, string(js)
+			baseText, baseJSON, baseChecks = text, string(js), checks
+			if checks == 0 {
+				t.Errorf("workers=%d: no solver checks recorded", workers)
+			}
 			continue
 		}
 		if text != baseText {
-			t.Errorf("text output differs at workers=%d incremental=%v", v.workers, v.incremental)
+			t.Errorf("text output differs at workers=%d", workers)
 		}
 		if string(js) != baseJSON {
-			t.Errorf("json output differs at workers=%d incremental=%v", v.workers, v.incremental)
+			t.Errorf("json output differs at workers=%d", workers)
+		}
+		if checks != baseChecks {
+			t.Errorf("bf4_solver_checks_total = %d at workers=%d, %d at workers=1", checks, workers, baseChecks)
 		}
 	}
 }
@@ -151,7 +158,7 @@ func TestTaintJSONShape(t *testing.T) {
 	if err != nil {
 		t.Fatalf("taint: %v", err)
 	}
-	js, err := rep.RenderJSON("leaky.p4")
+	js, err := rep.Report().RenderJSON("leaky.p4")
 	if err != nil {
 		t.Fatalf("json: %v", err)
 	}

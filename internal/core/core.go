@@ -9,6 +9,7 @@ package core
 import (
 	"fmt"
 	"sort"
+	"sync"
 	"time"
 
 	"bf4/internal/cfg"
@@ -45,43 +46,55 @@ type Pipeline struct {
 	CompileTime time.Duration
 }
 
+// CompileOptions configures CompileWith.
+type CompileOptions struct {
+	IR ir.Options
+	// Slicing computes bug-reachability conditions over the slice with
+	// respect to the bug nodes (paper default) rather than the whole CFG.
+	Slicing bool
+	// AST and Info, when set, are src's already-checked frontend result;
+	// compilation then starts at the lowering (CompileTime excludes the
+	// frontend). Callers that attach file names to frontend diagnostics
+	// parse first and hand the result over.
+	AST  *ast.Program
+	Info *types.Info
+	// Obs and Trace attach observability: each stage (parse, typecheck,
+	// lower, passify, wp, slice) becomes a child span of Trace and adds
+	// its wall time to a bf4_phase_<stage>_ns_total counter. The
+	// artifacts are identical with both nil — instrumentation only reads
+	// the clock.
+	Obs   *obs.Registry
+	Trace *obs.Span
+}
+
 // Compile runs the frontend and all verification-form passes.
 func Compile(src string, opts ir.Options, useSlicing bool) (*Pipeline, error) {
-	return CompileObs(src, opts, useSlicing, nil, nil)
+	return CompileWith(src, CompileOptions{IR: opts, Slicing: useSlicing})
 }
 
-// CompileObs is Compile with observability: each pipeline stage (parse,
-// typecheck, lower, passify, wp, slice) becomes a child span of parent
-// and adds its wall time to a bf4_phase_<stage>_ns_total counter. A nil
-// registry and span make it exactly Compile — the artifacts are identical
-// either way (instrumentation only reads the clock).
-func CompileObs(src string, opts ir.Options, useSlicing bool, reg *obs.Registry, parent *obs.Span) (*Pipeline, error) {
+// CompileWith is the fully-parameterised Compile.
+func CompileWith(src string, opts CompileOptions) (*Pipeline, error) {
 	start := time.Now()
-	_, done := obs.StartPhase(reg, parent, "parse")
-	prog, err := parser.Parse(src)
-	done()
-	if err != nil {
-		return nil, fmt.Errorf("parse: %w", err)
+	reg, parent := opts.Obs, opts.Trace
+	prog, info := opts.AST, opts.Info
+	if prog == nil {
+		_, done := obs.StartPhase(reg, parent, "parse")
+		var err error
+		prog, err = parser.Parse(src)
+		done()
+		if err != nil {
+			return nil, fmt.Errorf("parse: %w", err)
+		}
+		_, done = obs.StartPhase(reg, parent, "typecheck")
+		info, err = types.Check(prog)
+		done()
+		if err != nil {
+			return nil, fmt.Errorf("typecheck: %w", err)
+		}
 	}
-	_, done = obs.StartPhase(reg, parent, "typecheck")
-	info, err := types.Check(prog)
-	done()
-	if err != nil {
-		return nil, fmt.Errorf("typecheck: %w", err)
-	}
-	return CompileCheckedObs(src, prog, info, opts, useSlicing, start, reg, parent)
-}
 
-// CompileChecked continues compilation from an already-checked AST.
-func CompileChecked(src string, prog *ast.Program, info *types.Info, opts ir.Options, useSlicing bool, start time.Time) (*Pipeline, error) {
-	return CompileCheckedObs(src, prog, info, opts, useSlicing, start, nil, nil)
-}
-
-// CompileCheckedObs is CompileChecked with per-stage spans and phase
-// counters (see CompileObs).
-func CompileCheckedObs(src string, prog *ast.Program, info *types.Info, opts ir.Options, useSlicing bool, start time.Time, reg *obs.Registry, parent *obs.Span) (*Pipeline, error) {
 	sp, done := obs.StartPhase(reg, parent, "lower")
-	p, err := ir.Build(prog, info, opts)
+	p, err := ir.Build(prog, info, opts.IR)
 	done()
 	if err != nil {
 		return nil, fmt.Errorf("lower: %w", err)
@@ -105,10 +118,10 @@ func CompileCheckedObs(src string, prog *ast.Program, info *types.Info, opts ir.
 		Pass:      pass,
 		FullReach: full,
 		Doms:      cfg.NewDominators(p),
-		Options:   opts,
-		Sliced:    useSlicing,
+		Options:   opts.IR,
+		Sliced:    opts.Slicing,
 	}
-	if useSlicing {
+	if opts.Slicing {
 		sp, done := obs.StartPhase(reg, parent, "slice")
 		keep, stats := slice.WRTBugs(p)
 		pl.SliceStats = stats
@@ -173,9 +186,7 @@ type Report struct {
 	// pre-pass's discharge set.
 	FoldDischarged int
 	// CNFVars/CNFClauses snapshot the blasted circuit size at the end of
-	// bug finding, before the inference phase reuses the solver — the
-	// "CNF before vs after rewriting" number the experiments layer
-	// compares across -rewrite=on/off.
+	// bug finding, before the inference phase reuses the solver.
 	CNFVars, CNFClauses int
 	// S is the incremental solver used for the reachability checks; the
 	// inference phase reuses it (all bug conditions are already blasted)
@@ -208,114 +219,78 @@ func (r *Report) ReachableByKind() map[ir.BugKind]int {
 // FindBugs checks reachability of every instrumented bug (paper §4.1:
 // SAT(reach(bug)) per bug node, incrementally on one solver).
 func (pl *Pipeline) FindBugs() *Report {
-	return pl.FindBugsSkipping(nil)
-}
-
-// FindBugsSkipping is FindBugs with a pre-discharge set: bug nodes in
-// skip were proven statically unreachable by internal/analysis, so their
-// reachability condition is unsatisfiable and the solver query can be
-// skipped. Discharged bugs still appear in the report exactly as an unsat
-// answer would leave them (Reachable false, no model), with Discharged
-// set, so every downstream consumer (Infer, Fixes, the spec builder) sees
-// an identical bug list either way.
-func (pl *Pipeline) FindBugsSkipping(skip map[*ir.Node]bool) *Report {
-	return pl.FindBugsObs(skip, nil, nil)
-}
-
-// FindBugsObs is FindBugsSkipping with observability: the whole phase is
-// one child span of parent (annotated with check/reachable/discharged
-// counts), the bug-check solver publishes its per-query telemetry to reg
-// (see solver.SetObs), and discharge outcomes land on
-// bf4_core_discharged_{analysis,fold}_total. Verdicts and models are
-// identical with reg/parent nil — the solver path is untouched.
-func (pl *Pipeline) FindBugsObs(skip map[*ir.Node]bool, reg *obs.Registry, parent *obs.Span) *Report {
-	return pl.FindBugsWith(FindOptions{Skip: skip, Obs: reg, Trace: parent})
+	return pl.FindBugsWith(FindOptions{})
 }
 
 // FindOptions configures the bug-finding phase.
 type FindOptions struct {
-	// Skip holds bug nodes pre-discharged by internal/analysis.
+	// Skip holds bug nodes internal/analysis proved statically
+	// unreachable: their reachability condition is unsatisfiable, so the
+	// solver query is skipped. A skipped bug still appears in the report
+	// exactly as an unsat answer would leave it (Reachable false, no
+	// model), with Discharged set, so every downstream consumer (Infer,
+	// Fixes, the spec builder) sees an identical bug list either way.
 	Skip map[*ir.Node]bool
-	// Obs/Trace attach observability (see FindBugsObs).
+	// Obs and Trace attach observability: the whole phase is one child
+	// span of Trace (annotated with check/reachable/discharged counts),
+	// the bug-check solver publishes its per-query telemetry to Obs (see
+	// solver.SetObs), and discharge outcomes land on
+	// bf4_core_discharged_{analysis,fold}_total. Verdicts and models are
+	// identical with both nil.
 	Obs   *obs.Registry
 	Trace *obs.Span
-	// Incremental runs every bug check of the slice on one persistent
-	// solver: each check's condition is asserted inside a retractable
-	// activation scope (solver.CheckIn/Retract), so conflict clauses
-	// learned on one check prune the next, and level-0 cleaning between
-	// checks deletes retracted-scope clauses. Verdicts and
-	// reported models' satisfying status are unchanged — the identity
-	// harness pins -incremental=on/off reports byte-identical.
-	Incremental bool
 }
 
-// FindBugsWith is the fully-parameterised bug finder; FindBugs,
-// FindBugsSkipping and FindBugsObs delegate to it.
+// FindBugsWith is the fully-parameterised bug finder. All checks of the
+// slice run on one persistent solver, which the report hands on to Infer.
 func (pl *Pipeline) FindBugsWith(opts FindOptions) *Report {
-	skip, reg, parent := opts.Skip, opts.Obs, opts.Trace
 	start := time.Now()
-	sp, done := obs.StartPhase(reg, parent, "findbugs")
+	sp, done := obs.StartPhase(opts.Obs, opts.Trace, "findbugs")
 	defer done()
-	s := solver.New(pl.IR.F)
-	s.SetObs(reg)
-	if opts.Incremental {
-		s.SetIncremental(true)
-	}
-	rep := &Report{Pipeline: pl, S: s}
+	rep := &Report{Pipeline: pl}
 	reachable := pl.IR.Reachable()
 
 	bugs := append([]*ir.Node(nil), pl.IR.Bugs...)
 	sort.Slice(bugs, func(i, j int) bool { return bugs[i].ID < bugs[j].ID })
+	// queue holds the nodes that need the solver, queued their bugs.
+	var queue []*ir.Node
+	var queued []*Bug
 	for _, bn := range bugs {
-		if !reachable[bn] {
-			continue
-		}
 		cond := pl.Reach.Cond[bn]
-		if cond == nil {
+		if !reachable[bn] || cond == nil {
 			continue
 		}
 		b := &Bug{Node: bn, Kind: bn.Bug, Cond: cond}
 		if ap := cfg.DominatingAssertPoint(pl.Doms, bn); ap != nil {
 			b.Instance = ap.Instance
 		}
-		if cond.IsFalse() {
-			rep.Bugs = append(rep.Bugs, b)
-			continue
-		}
-		if skip[bn] {
-			b.Discharged = true
-			rep.Bugs = append(rep.Bugs, b)
-			continue
-		}
-		// Term-level pre-discharge: if the solver's rewrite pass folds
-		// the condition to false, the query is unsatisfiable by
-		// construction — report the bug exactly as an unsat check would
-		// (Reachable false, no model), like the dataflow discharge path.
-		if s.Simplify(cond).IsFalse() {
-			b.Discharged = true
-			rep.FoldDischarged++
-			rep.Bugs = append(rep.Bugs, b)
-			continue
-		}
-		var res solver.Result
-		if opts.Incremental {
-			res = s.CheckIn(cond)
-		} else {
-			res = s.Check(cond)
-		}
-		rep.Checks++
-		if res == solver.Sat {
-			b.Reachable = true
-			b.Model = s.Model()
-		}
-		if opts.Incremental {
-			s.Retract()
-		}
 		rep.Bugs = append(rep.Bugs, b)
+		switch {
+		case cond.IsFalse():
+		case opts.Skip[bn]:
+			b.Discharged = true
+		default:
+			queue, queued = append(queue, bn), append(queued, b)
+		}
+	}
+
+	checks, s := pl.checkNodes(queue, 1, opts.Obs)
+	rep.S = s
+	for i, c := range checks {
+		b := queued[i]
+		// Absent and constant-false conditions never enter the queue, so
+		// a discharge here is the rewrite pass's fold.
+		b.Reachable, b.Model, b.Discharged = c.reachable, c.model, c.discharged
+		if c.discharged {
+			rep.FoldDischarged++
+		} else {
+			rep.Checks++
+		}
 	}
 	rep.CNFVars, rep.CNFClauses, _, _ = s.Stats()
 	rep.SolveTime = time.Since(start)
-	if reg != nil {
+	if opts.Obs != nil {
+		reg := opts.Obs
 		reg.Counter("bf4_core_bugs_total").Add(int64(len(rep.Bugs)))
 		reg.Counter("bf4_core_bugs_reachable_total").Add(int64(rep.NumReachable()))
 		discharged := 0
@@ -331,4 +306,57 @@ func (pl *Pipeline) FindBugsWith(opts FindOptions) *Report {
 		sp.SetMetric("discharged", int64(discharged))
 	}
 	return rep
+}
+
+// nodeCheck is the outcome of deciding one bug node's reachability
+// condition: reachable with a witness model; discharged, i.e. known
+// unsatisfiable without a query (absent, constant false, or folded to
+// false by the rewrite pass); or neither (the solver answered unsat).
+type nodeCheck struct {
+	reachable  bool
+	model      smt.Env
+	discharged bool
+}
+
+// checkNodes decides the reachability condition of every node — the one
+// check loop behind bug finding and behind taint/property confirmation.
+// Node i goes to worker i mod workers; each worker owns a persistent
+// solver over the shared term factory (hash-consing is mutex-guarded) that
+// publishes to reg, and results are indexed by node position, so verdicts
+// are deterministic for any worker count (models may differ across
+// counts). The solver returned is worker 0's, built even for an empty node
+// list.
+func (pl *Pipeline) checkNodes(nodes []*ir.Node, workers int, reg *obs.Registry) ([]nodeCheck, *solver.Solver) {
+	workers = max(1, min(workers, len(nodes)))
+	out := make([]nodeCheck, len(nodes))
+	solvers := make([]*solver.Solver, workers)
+	var wg sync.WaitGroup
+	for w := range solvers {
+		s := solver.New(pl.IR.F)
+		s.SetObs(reg)
+		solvers[w] = s
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < len(nodes); i += workers {
+				out[i] = checkCond(s, pl.Reach.Cond[nodes[i]])
+			}
+		}(w)
+	}
+	wg.Wait()
+	return out, solvers[0]
+}
+
+// checkCond decides one condition on s. An absent or constant-false
+// condition, or one the solver's rewrite pass folds to false, is
+// unsatisfiable by construction and discharged without a query;
+// everything else is checked inside a retractable scope,
+// so learned clauses carry over to the solver's next check and the
+// scope's own clauses are cleaned out before it.
+func checkCond(s *solver.Solver, cond *smt.Term) nodeCheck {
+	if cond == nil || cond.IsFalse() || s.Simplify(cond).IsFalse() {
+		return nodeCheck{discharged: true}
+	}
+	res, model := s.CheckScoped(cond)
+	return nodeCheck{reachable: res == solver.Sat, model: model}
 }

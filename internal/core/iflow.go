@@ -11,13 +11,11 @@
 package core
 
 import (
-	"sync"
 	"time"
 
 	"bf4/internal/ir"
 	"bf4/internal/obs"
 	"bf4/internal/smt"
-	"bf4/internal/solver"
 )
 
 // CheckVerdict is the solver's answer for one bug node handed to
@@ -41,14 +39,8 @@ type LeakVerdict = CheckVerdict
 // ConfirmOptions configures the confirmation phase.
 type ConfirmOptions struct {
 	// Workers is the number of parallel solver workers; values < 1 mean
-	// one. Each worker owns a private solver over the shared term
-	// factory (hash-consing is mutex-guarded), and verdicts are indexed
-	// by alarm position, so results are deterministic for any count.
+	// one. Verdicts are deterministic for any count (see checkNodes).
 	Workers int
-	// Incremental runs each worker's checks inside retractable
-	// activation scopes (solver.CheckIn/Retract) on one persistent
-	// solver, like the bug-finding phase.
-	Incremental bool
 	// Obs/Trace attach observability; nil disables it.
 	Obs   *obs.Registry
 	Trace *obs.Span
@@ -82,85 +74,24 @@ func (pl *Pipeline) ConfirmLeaks(alarms []*ir.Node, opts ConfirmOptions) ([]*Lea
 // Discharged when the condition is absent or folds to false, dismissed
 // (neither flag) when the solver proves it unreachable. The returned
 // slice is parallel to nodes: verdict i answers nodes[i]. Verdicts do
-// not depend on Workers or Incremental — only wall-clock does (models
-// MAY differ across those knobs; callers needing a canonical witness
-// re-derive one deterministically).
+// not depend on Workers — only wall-clock does (models MAY differ across
+// worker counts; callers needing a canonical witness re-derive one
+// deterministically).
 func (pl *Pipeline) ConfirmNodes(nodes []*ir.Node, opts ConfirmOptions, phase string) ([]*CheckVerdict, time.Duration) {
 	start := time.Now()
 	sp, done := obs.StartPhase(opts.Obs, opts.Trace, phase)
 	defer done()
 
+	checks, _ := pl.checkNodes(nodes, opts.Workers, opts.Obs)
 	out := make([]*CheckVerdict, len(nodes))
-	workers := opts.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(nodes) {
-		workers = len(nodes)
-	}
-
-	run := func(s *solver.Solver, i int) {
-		bn := nodes[i]
-		v := &CheckVerdict{Node: bn}
-		out[i] = v
-		cond := pl.Reach.Cond[bn]
-		if cond == nil || cond.IsFalse() {
-			v.Discharged = true
-			return
-		}
-		if s.Simplify(cond).IsFalse() {
-			v.Discharged = true
-			return
-		}
-		var res solver.Result
-		if opts.Incremental {
-			res = s.CheckIn(cond)
-		} else {
-			res = s.Check(cond)
-		}
-		if res == solver.Sat {
-			v.Confirmed = true
-			v.Model = s.Model()
-		}
-		if opts.Incremental {
-			s.Retract()
+	confirmed := 0
+	for i, c := range checks {
+		out[i] = &CheckVerdict{Node: nodes[i], Confirmed: c.reachable, Model: c.model, Discharged: c.discharged}
+		if c.reachable {
+			confirmed++
 		}
 	}
-
-	if workers <= 1 {
-		s := solver.New(pl.IR.F)
-		s.SetObs(opts.Obs)
-		if opts.Incremental {
-			s.SetIncremental(true)
-		}
-		for i := range nodes {
-			run(s, i)
-		}
-	} else {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				s := solver.New(pl.IR.F)
-				if opts.Incremental {
-					s.SetIncremental(true)
-				}
-				for i := w; i < len(nodes); i += workers {
-					run(s, i)
-				}
-			}(w)
-		}
-		wg.Wait()
-	}
-
 	if opts.Obs != nil {
-		confirmed := 0
-		for _, v := range out {
-			if v.Confirmed {
-				confirmed++
-			}
-		}
 		sp.SetMetric("alarms", int64(len(nodes)))
 		sp.SetMetric("confirmed", int64(confirmed))
 	}

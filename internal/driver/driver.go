@@ -21,7 +21,6 @@ import (
 	"bf4/internal/p4/ast"
 	"bf4/internal/p4/parser"
 	"bf4/internal/p4/types"
-	"bf4/internal/smt/rewrite"
 )
 
 // Config selects pipeline options for a run.
@@ -30,26 +29,6 @@ type Config struct {
 	Infer infer.Options
 	// Slicing enables bug-reachability slicing (paper default: on).
 	Slicing bool
-	// Analysis enables the static-analysis pre-pass (internal/analysis):
-	// bug checks it proves unreachable are discharged without a solver
-	// query, and lint diagnostics are collected on Result.Analysis. It is
-	// a pure optimization for the verification verdict (opt out with
-	// -analysis=off to cross-check).
-	Analysis bool
-	// Rewrite enables the term-level rewrite engine (internal/smt/rewrite):
-	// every solver created for this run simplifies formulas through the
-	// known-bits + interval abstract domain before bit-blasting, and bug
-	// conditions that fold to false are discharged without a solver query.
-	// Evaluation-preserving, so verdicts are identical either way (opt out
-	// with -rewrite=off to cross-check).
-	Rewrite bool
-	// Incremental makes the bug-check solver persistent across all of a
-	// slice's checks: each bug condition is asserted inside a retractable
-	// activation scope so learned clauses survive check-to-check, and
-	// level-0 cleaning after each check deletes the retracted scope's
-	// clauses. Verdicts and inferred annotations are identical either way
-	// (opt out with -incremental=off to cross-check).
-	Incremental bool
 	// Workers bounds the per-instance inference fan-out (cmd/bf4's -j);
 	// <= 0 means GOMAXPROCS. It overrides Infer.Workers when set. The
 	// results are identical for every value — only wall-clock changes.
@@ -66,7 +45,7 @@ type Config struct {
 
 // DefaultConfig matches the paper's configuration.
 func DefaultConfig() Config {
-	return Config{IR: ir.DefaultOptions(), Infer: infer.DefaultOptions(), Slicing: true, Analysis: true, Rewrite: true, Incremental: true}
+	return Config{IR: ir.DefaultOptions(), Infer: infer.DefaultOptions(), Slicing: true}
 }
 
 // Result is one full bf4 run over a program (one Table 1 row).
@@ -101,8 +80,9 @@ type Result struct {
 	Fixes       *fixes.Result
 	FixedSource string // fixed P4 program (empty when no fixes)
 	Dataplane   []*core.Bug
-	// Analysis is the static-analysis result for the initial program
-	// (nil when Config.Analysis is off).
+	// Analysis is the static-analysis result for the initial program: the
+	// bug checks the dataflow pre-pass discharged without a solver query,
+	// and its lint diagnostics.
 	Analysis *analysis.Result
 }
 
@@ -116,29 +96,19 @@ func Run(name, src string, cfg Config) (*Result, error) {
 	res := &Result{Name: name, LoC: countLoC(src)}
 
 	compileSp, compileDone := obs.StartPhase(cfg.Obs, cfg.Trace, "compile")
-	pl, err := core.CompileObs(src, cfg.IR, cfg.Slicing, cfg.Obs, compileSp)
+	pl, err := core.CompileWith(src, core.CompileOptions{IR: cfg.IR, Slicing: cfg.Slicing, Obs: cfg.Obs, Trace: compileSp})
 	compileDone()
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Rewrite {
-		// Install the rewrite pass on this run's factory so every solver
-		// built over it (bug finding, inference, fix rechecks) picks up a
-		// private simplifier. The setting travels with the factory, so
-		// concurrent runs with different configs stay isolated.
-		pl.IR.F.SetSimplifyProvider(rewrite.Provider(pl.IR.F))
-	}
 	res.Initial = pl
+	// The dataflow pre-pass retires the checks it can prove unreachable;
+	// the solver decides the rest.
 	findBugs := func(pl *core.Pipeline, parent *obs.Span) (*core.Report, *analysis.Result) {
-		opts := core.FindOptions{Obs: cfg.Obs, Trace: parent, Incremental: cfg.Incremental}
-		if !cfg.Analysis {
-			return pl.FindBugsWith(opts), nil
-		}
 		_, done := obs.StartPhase(cfg.Obs, parent, "analysis")
 		ar := analysis.Run(pl.IR, pl.AST)
 		done()
-		opts.Skip = ar.Discharge
-		return pl.FindBugsWith(opts), ar
+		return pl.FindBugsWith(core.FindOptions{Skip: ar.Discharge, Obs: cfg.Obs, Trace: parent}), ar
 	}
 	rep, ar := findBugs(pl, cfg.Trace)
 	res.Analysis = ar
@@ -185,14 +155,10 @@ func Run(name, src string, cfg Config) (*Result, error) {
 		opts2 := cfg.IR
 		opts2.ExtraKeys = allKeys
 		opts2.InitEgressSpecDrop = opts2.InitEgressSpecDrop || egressFix
-		pl2, err := core.CompileObs(src, opts2, cfg.Slicing, cfg.Obs, roundSp)
+		pl2, err := core.CompileWith(src, core.CompileOptions{IR: opts2, Slicing: cfg.Slicing, Obs: cfg.Obs, Trace: roundSp})
 		if err != nil {
 			roundDone()
 			return nil, fmt.Errorf("rebuild with fixes: %w", err)
-		}
-		if cfg.Rewrite {
-			// The rebuild creates a fresh factory; re-install the pass.
-			pl2.IR.F.SetSimplifyProvider(rewrite.Provider(pl2.IR.F))
 		}
 		res.Fixed = pl2
 		rep2, _ := findBugs(pl2, roundSp)

@@ -1,20 +1,15 @@
 package driver_test
 
 import (
-	"fmt"
-	"strings"
 	"testing"
 
 	"bf4/internal/driver"
-	"bf4/internal/spec"
 )
 
 // guardSrc is a program every one of whose instrumented checks the
 // static analysis can discharge: the parser always extracts ethernet,
 // the only header access is guarded by isValid(), the deparser emit is
-// likewise guarded, and egress_spec is set unconditionally. With the
-// pre-pass on, the solver should see strictly fewer queries — and the
-// verdicts must not move at all.
+// likewise guarded, and egress_spec is set unconditionally.
 const guardSrc = `
 header ethernet_t { bit<48> dst; bit<48> src; bit<16> etherType; }
 struct metadata { }
@@ -45,66 +40,29 @@ control Dep(packet_out pkt, in headers hdr) { apply { pkt.emit(hdr.ethernet); } 
 V1Switch(P(), Ing(), Eg(), Dep()) main;
 `
 
-// fingerprint captures everything verification-relevant about a run so
-// two results can be compared byte-for-byte.
-func fingerprint(res *driver.Result) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "bugs=%d afterInfer=%d afterFixes=%d keys=%d tables=%d rounds=%d\n",
-		res.Bugs, res.BugsAfterInfer, res.BugsAfterFixes, res.KeysAdded, res.TablesTouched, res.Rounds)
-	for _, bug := range res.InitialRep.Bugs {
-		fmt.Fprintf(&b, "bug %d %s reachable=%v\n", bug.Node.ID, bug.Kind, bug.Reachable)
-	}
-	fmt.Fprintf(&b, "fixes:%s\n", res.Fixes.Describe())
-	finalPl := res.Fixed
-	if finalPl == nil {
-		finalPl = res.Initial
-	}
-	file := spec.Build(res.Name, finalPl.IR, res.InitialRep, res.FinalInfer, res.Fixes.Special)
-	b.WriteString(file.Render())
-	return b.String()
-}
-
-// TestDischargeOnlyProgramVerifiesIdentically is the guard for the
-// pre-pass being a pure optimization: on a program whose safety is
-// entirely provable by the dataflow layer, running with analysis on
-// must skip solver queries yet produce results byte-identical to
-// analysis off.
+// TestDischargeOnlyProgramVerifiesIdentically: on a program whose safety
+// is entirely provable by the dataflow layer, the pre-pass retires every
+// check, the solver sees no query at all, and the discharged bugs are
+// still reported — unreachable, never dropped. (That a discharged
+// condition really is unsatisfiable is TestVerdictsMatchReferenceSolver's
+// job, on the whole corpus.)
 func TestDischargeOnlyProgramVerifiesIdentically(t *testing.T) {
-	on := driver.DefaultConfig()
-	on.Analysis = true
-	resOn, err := driver.Run("guard", guardSrc, on)
+	res, err := driver.Run("guard", guardSrc, driver.DefaultConfig())
 	if err != nil {
-		t.Fatalf("analysis on: %v", err)
+		t.Fatal(err)
 	}
-	off := driver.DefaultConfig()
-	off.Analysis = false
-	resOff, err := driver.Run("guard", guardSrc, off)
-	if err != nil {
-		t.Fatalf("analysis off: %v", err)
-	}
-
-	if resOn.Analysis == nil {
-		t.Fatalf("no analysis result attached with Analysis on")
-	}
-	st := resOn.Analysis.Stats
+	st := res.Analysis.Stats
 	if st.Discharged == 0 {
 		t.Fatalf("expected the pre-pass to discharge checks on the guard program, got 0 of %d", st.BugChecks)
 	}
-	if resOn.Bugs != 0 {
-		t.Fatalf("guard program must be bug-free, got %d reachable bugs", resOn.Bugs)
+	if res.Bugs != 0 {
+		t.Fatalf("guard program must be bug-free, got %d reachable bugs", res.Bugs)
 	}
 	if st.Discharged != st.BugChecks {
 		t.Fatalf("expected every check discharged, got %d of %d", st.Discharged, st.BugChecks)
 	}
-	if resOn.InitialRep.Checks != 0 {
-		t.Fatalf("everything was discharged yet the solver still saw %d queries", resOn.InitialRep.Checks)
-	}
-	if resOn.InitialRep.Checks > resOff.InitialRep.Checks {
-		t.Fatalf("analysis on issued %d solver queries, off issued %d",
-			resOn.InitialRep.Checks, resOff.InitialRep.Checks)
-	}
-	if gotOn, gotOff := fingerprint(resOn), fingerprint(resOff); gotOn != gotOff {
-		t.Fatalf("verdicts differ between analysis on and off:\n--- on ---\n%s--- off ---\n%s", gotOn, gotOff)
+	if res.InitialRep.Checks != 0 {
+		t.Fatalf("everything was discharged yet the solver still saw %d queries", res.InitialRep.Checks)
 	}
 
 	// Discharged bugs must be reported unreachable, never dropped. WP
@@ -112,7 +70,7 @@ func TestDischargeOnlyProgramVerifiesIdentically(t *testing.T) {
 	// then carry Discharged=false, having needed no query either way), so
 	// the report-level count is bounded by the analysis-level one.
 	var discharged int
-	for _, b := range resOn.InitialRep.Bugs {
+	for _, b := range res.InitialRep.Bugs {
 		if b.Discharged {
 			discharged++
 			if b.Reachable {
@@ -123,8 +81,7 @@ func TestDischargeOnlyProgramVerifiesIdentically(t *testing.T) {
 	if discharged > st.Discharged {
 		t.Errorf("report carries %d discharged bugs, stats say only %d", discharged, st.Discharged)
 	}
-	if len(resOn.InitialRep.Bugs) != len(resOff.InitialRep.Bugs) {
-		t.Errorf("bug list length differs: %d on vs %d off",
-			len(resOn.InitialRep.Bugs), len(resOff.InitialRep.Bugs))
+	if len(res.InitialRep.Bugs) == 0 {
+		t.Error("report dropped the discharged bugs")
 	}
 }

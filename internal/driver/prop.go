@@ -10,7 +10,6 @@
 package driver
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
@@ -21,10 +20,7 @@ import (
 	"bf4/internal/dataplane"
 	"bf4/internal/ir"
 	"bf4/internal/obs"
-	"bf4/internal/p4/parser"
-	"bf4/internal/p4/types"
 	"bf4/internal/prop"
-	"bf4/internal/smt/rewrite"
 	"bf4/internal/solver"
 )
 
@@ -33,20 +29,14 @@ type PropConfig struct {
 	// Workers is the solver-confirmation fan-out; <= 0 means one.
 	// Reports are byte-identical for every value.
 	Workers int
-	// Incremental/Rewrite mirror Config. Verdicts and witnesses are
-	// identical either way: witnesses come from a separate canonical
-	// solver pass, not from the (mode-dependent) confirmation models.
-	Incremental bool
-	Rewrite     bool
 	// Obs/Trace attach observability (nil = off, zero overhead).
 	Obs   *obs.Registry
 	Trace *obs.Span
 }
 
-// DefaultPropConfig matches lint's defaults: sequential confirmation,
-// rewrite and incremental solving on.
+// DefaultPropConfig matches lint's defaults: sequential confirmation.
 func DefaultPropConfig() PropConfig {
-	return PropConfig{Incremental: true, Rewrite: true}
+	return PropConfig{}
 }
 
 // PropReport is the result of one property run.
@@ -55,15 +45,7 @@ type PropReport struct {
 	Pipeline   *core.Pipeline
 	Properties []*prop.Property
 	Diags      []analysis.Diagnostic
-
-	// Summary counts. Checks can exceed the number of asserts when an
-	// @after table has several apply instances (one check per instance).
-	Props      int // properties gathered (asserts + assumes)
-	Assumes    int // @assume constraints spliced
-	Checks     int // assert check nodes spliced
-	Discharged int // checks proven to hold statically (no solver query)
-	Confirmed  int // checks the solver violated (with a packet witness)
-	Dismissed  int // checks the solver proved to hold (violation infeasible)
+	analysis.PropSummary
 
 	Runtime time.Duration
 }
@@ -74,15 +56,6 @@ type PropReport struct {
 // property type errors come back with positions attached.
 func Props(name, src string, extra []*prop.Property, cfg PropConfig) (*PropReport, error) {
 	start := time.Now()
-	prog, err := parser.ParseFile(name, src)
-	if err != nil {
-		return nil, err
-	}
-	info, err := types.Check(prog)
-	if err != nil {
-		return nil, parser.PrefixFile(name, err)
-	}
-
 	props, err := prop.ExtractSource(name, src)
 	if err != nil {
 		return nil, err
@@ -93,17 +66,13 @@ func Props(name, src string, extra []*prop.Property, cfg PropConfig) (*PropRepor
 	opts := ir.DefaultOptions()
 	opts.Instrument = prop.Instrumenter(props)
 
-	compileSp, compileDone := obs.StartPhase(cfg.Obs, cfg.Trace, "compile")
-	pl, err := core.CompileCheckedObs(src, prog, info, opts, true, start, cfg.Obs, compileSp)
-	compileDone()
+	pl, err := compileNamed(name, src, opts, cfg.Obs, cfg.Trace)
 	if err != nil {
-		return nil, parser.PrefixFile(name, err)
-	}
-	if cfg.Rewrite {
-		pl.IR.F.SetSimplifyProvider(rewrite.Provider(pl.IR.F))
+		return nil, err
 	}
 
-	rep := &PropReport{Name: name, Pipeline: pl, Properties: props, Props: len(props)}
+	rep := &PropReport{Name: name, Pipeline: pl, Properties: props}
+	rep.Props = len(props)
 	byOrigin := map[string]*prop.Property{}
 	for _, pr := range props {
 		if pr.Kind == prop.Assume {
@@ -140,12 +109,7 @@ func Props(name, src string, extra []*prop.Property, cfg PropConfig) (*PropRepor
 
 	// The solver tier adjudicates the remainder through the standard wp
 	// reachability conditions.
-	verdicts, _ := pl.ConfirmNodes(candidates, core.ConfirmOptions{
-		Workers:     cfg.Workers,
-		Incremental: cfg.Incremental,
-		Obs:         cfg.Obs,
-		Trace:       cfg.Trace,
-	}, "confirm-props")
+	verdicts, _ := pl.ConfirmNodes(candidates, core.ConfirmOptions{Workers: cfg.Workers, Obs: cfg.Obs, Trace: cfg.Trace}, "confirm-props")
 	verdictOf := map[*ir.Node]*core.CheckVerdict{}
 	for _, v := range verdicts {
 		verdictOf[v.Node] = v
@@ -190,12 +154,11 @@ func originOf(bn *ir.Node) string {
 }
 
 // canonicalWitness derives the packet witness reported for a confirmed
-// violation. The confirmation phase's models depend on worker count and
-// solver mode, so the report never uses them: a fresh plain solver
-// re-solves the check's reachability condition sequentially (the term is
-// fixed at compile time, so the model is reproducible), and the model is
-// replayed on the concrete interpreter to read off the fields the
-// property mentions.
+// violation. The confirmation phase's models depend on worker count, so
+// the report never uses them: a fresh solver re-solves the check's
+// reachability condition sequentially (the term is fixed at compile time,
+// so the model is reproducible), and the model is replayed on the concrete
+// interpreter to read off the fields the property mentions.
 func canonicalWitness(pl *core.Pipeline, bn *ir.Node, pr *prop.Property) string {
 	cond := pl.Reach.Cond[bn]
 	if cond == nil {
@@ -270,63 +233,8 @@ func propDiag(bn *ir.Node, pr *prop.Property, status, witness string) analysis.D
 	return d
 }
 
-// summaryLine is the stable one-line property summary appended to both
-// renderings.
-func (r *PropReport) summaryLine() string {
-	return fmt.Sprintf("props: %d propert%s, %d check(s), %d confirmed, %d dismissed, %d discharged, %d assume(s)",
-		r.Props, plural(r.Props, "y", "ies"), r.Checks, r.Confirmed, r.Dismissed, r.Discharged, r.Assumes)
-}
-
-func plural(n int, one, many string) string {
-	if n == 1 {
-		return one
-	}
-	return many
-}
-
-// RenderText renders the property report like lint output, with the
-// property summary line appended after the diagnostic count.
-func (r *PropReport) RenderText(file string) string {
-	return analysis.RenderText(file, r.Diags) + r.summaryLine() + "\n"
-}
-
-// propJSON is the machine-readable property report schema: the lint
-// schema plus a "props" summary object.
-type propJSON struct {
-	Schema      string                `json:"schema"`
-	File        string                `json:"file"`
-	Diagnostics []analysis.Diagnostic `json:"diagnostics"`
-	Errors      int                   `json:"errors"`
-	Warnings    int                   `json:"warnings"`
-	PropsObj    struct {
-		Properties int `json:"properties"`
-		Checks     int `json:"checks"`
-		Confirmed  int `json:"confirmed"`
-		Dismissed  int `json:"dismissed"`
-		Discharged int `json:"discharged"`
-		Assumes    int `json:"assumes"`
-	} `json:"props"`
-}
-
-// RenderJSON renders the property report as stable, indented JSON.
-func (r *PropReport) RenderJSON(file string) ([]byte, error) {
-	rep := propJSON{Schema: analysis.SchemaVersion, File: file, Diagnostics: r.Diags}
-	if rep.Diagnostics == nil {
-		rep.Diagnostics = []analysis.Diagnostic{}
-	}
-	for _, d := range r.Diags {
-		switch d.Severity {
-		case analysis.SevError:
-			rep.Errors++
-		case analysis.SevWarning:
-			rep.Warnings++
-		}
-	}
-	rep.PropsObj.Properties = r.Props
-	rep.PropsObj.Checks = r.Checks
-	rep.PropsObj.Confirmed = r.Confirmed
-	rep.PropsObj.Dismissed = r.Dismissed
-	rep.PropsObj.Discharged = r.Discharged
-	rep.PropsObj.Assumes = r.Assumes
-	return json.MarshalIndent(rep, "", "  ")
+// Report is the rendered form of the run: lint output plus the property
+// summary.
+func (r *PropReport) Report() *analysis.Report {
+	return &analysis.Report{Diags: r.Diags, Props: &r.PropSummary}
 }

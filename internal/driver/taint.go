@@ -8,7 +8,6 @@
 package driver
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 	"time"
@@ -19,7 +18,6 @@ import (
 	"bf4/internal/obs"
 	"bf4/internal/p4/parser"
 	"bf4/internal/p4/types"
-	"bf4/internal/smt/rewrite"
 )
 
 // TaintConfig selects options for a taint run.
@@ -31,20 +29,15 @@ type TaintConfig struct {
 	// Workers is the solver-confirmation fan-out; <= 0 means one.
 	// Reports are byte-identical for every value.
 	Workers int
-	// Incremental/Rewrite mirror Config: persistent confirmation solver
-	// with retractable scopes, and term-level simplification. Verdicts
-	// are identical either way.
-	Incremental bool
-	Rewrite     bool
 	// Obs/Trace attach observability (nil = off, zero overhead).
 	Obs   *obs.Registry
 	Trace *obs.Span
 }
 
 // DefaultTaintConfig matches lint's defaults: full policy, sequential
-// confirmation, rewrite and incremental solving on.
+// confirmation.
 func DefaultTaintConfig() TaintConfig {
-	return TaintConfig{Policy: "default", Incremental: true, Rewrite: true}
+	return TaintConfig{Policy: "default"}
 }
 
 // TaintReport is the result of one taint run.
@@ -58,13 +51,7 @@ type TaintReport struct {
 	// annotated sources are errors, confirmed policy-source leaks are
 	// warnings, dismissed alarms are info.
 	Diags []analysis.Diagnostic
-
-	// Summary counts.
-	Sinks           int // reachable instrumented sink checks
-	StaticallyClean int // sinks the dataflow cleared without a query
-	Alarms          int // sinks escalated to the solver
-	Confirmed       int // alarms the solver confirmed (with a model)
-	Dismissed       int // alarms the solver refuted (infeasible flow)
+	analysis.TaintSummary
 
 	DataflowIterations int
 	Runtime            time.Duration
@@ -83,26 +70,12 @@ func Taint(name, src string, cfg TaintConfig) (*TaintReport, error) {
 		return nil, fmt.Errorf("taint: policy must be default or annot, got %q", cfg.Policy)
 	}
 
-	prog, err := parser.ParseFile(name, src)
-	if err != nil {
-		return nil, err
-	}
-	info, err := types.Check(prog)
-	if err != nil {
-		return nil, parser.PrefixFile(name, err)
-	}
 	opts := ir.DefaultOptions()
 	opts.CheckInfoFlow = true
 	opts.TaintDefaultPolicy = cfg.Policy == "default"
-
-	compileSp, compileDone := obs.StartPhase(cfg.Obs, cfg.Trace, "compile")
-	pl, err := core.CompileCheckedObs(src, prog, info, opts, true, start, cfg.Obs, compileSp)
-	compileDone()
+	pl, err := compileNamed(name, src, opts, cfg.Obs, cfg.Trace)
 	if err != nil {
-		return nil, parser.PrefixFile(name, err)
-	}
-	if cfg.Rewrite {
-		pl.IR.F.SetSimplifyProvider(rewrite.Provider(pl.IR.F))
+		return nil, err
 	}
 
 	_, dfDone := obs.StartPhase(cfg.Obs, cfg.Trace, "taint-dataflow")
@@ -113,21 +86,18 @@ func Taint(name, src string, cfg TaintConfig) (*TaintReport, error) {
 	for i, a := range df.Alarms {
 		alarmNodes[i] = a.Node
 	}
-	verdicts, _ := pl.ConfirmLeaks(alarmNodes, core.ConfirmOptions{
-		Workers:     cfg.Workers,
-		Incremental: cfg.Incremental,
-		Obs:         cfg.Obs,
-		Trace:       cfg.Trace,
-	})
+	verdicts, _ := pl.ConfirmLeaks(alarmNodes, core.ConfirmOptions{Workers: cfg.Workers, Obs: cfg.Obs, Trace: cfg.Trace})
 
 	rep := &TaintReport{
-		Name:               name,
-		Pipeline:           pl,
-		Dataflow:           df,
-		Verdicts:           verdicts,
-		Sinks:              df.Sinks,
-		StaticallyClean:    df.StaticallyClean,
-		Alarms:             len(df.Alarms),
+		Name:     name,
+		Pipeline: pl,
+		Dataflow: df,
+		Verdicts: verdicts,
+		TaintSummary: analysis.TaintSummary{
+			Sinks:           df.Sinks,
+			StaticallyClean: df.StaticallyClean,
+			Alarms:          len(df.Alarms),
+		},
 		DataflowIterations: df.Iterations,
 	}
 	for i, a := range df.Alarms {
@@ -182,54 +152,27 @@ func taintDiag(p *ir.Program, a *analysis.TaintAlarm, v *core.LeakVerdict) analy
 	return d
 }
 
-// summaryLine is the stable one-line taint summary appended to both
-// renderings.
-func (r *TaintReport) summaryLine() string {
-	return fmt.Sprintf("taint: %d alarm(s), %d confirmed, %d dismissed, %d statically clean, %d sink check(s)",
-		r.Alarms, r.Confirmed, r.Dismissed, r.StaticallyClean, r.Sinks)
+// Report is the rendered form of the run: lint output plus the taint
+// summary.
+func (r *TaintReport) Report() *analysis.Report {
+	return &analysis.Report{Diags: r.Diags, Taint: &r.TaintSummary}
 }
 
-// RenderText renders the taint report like lint output, with the taint
-// summary line appended after the diagnostic count.
-func (r *TaintReport) RenderText(file string) string {
-	return analysis.RenderText(file, r.Diags) + r.summaryLine() + "\n"
-}
-
-// taintJSON is the machine-readable taint report schema: the lint
-// schema plus a "taint" summary object.
-type taintJSON struct {
-	Schema      string                `json:"schema"`
-	File        string                `json:"file"`
-	Diagnostics []analysis.Diagnostic `json:"diagnostics"`
-	Errors      int                   `json:"errors"`
-	Warnings    int                   `json:"warnings"`
-	TaintObj    struct {
-		Alarms          int `json:"alarms"`
-		Confirmed       int `json:"confirmed"`
-		Dismissed       int `json:"dismissed"`
-		StaticallyClean int `json:"statically_clean"`
-		Sinks           int `json:"sinks"`
-	} `json:"taint"`
-}
-
-// RenderJSON renders the taint report as stable, indented JSON.
-func (r *TaintReport) RenderJSON(file string) ([]byte, error) {
-	rep := taintJSON{Schema: analysis.SchemaVersion, File: file, Diagnostics: r.Diags}
-	if rep.Diagnostics == nil {
-		rep.Diagnostics = []analysis.Diagnostic{}
+// compileNamed is the front half Taint and Props share: parse and
+// type-check src with name: prefixed onto every diagnostic line (like
+// Lint), then lower, passify and compute sliced reachability conditions
+// under a "compile" span.
+func compileNamed(name, src string, opts ir.Options, reg *obs.Registry, trace *obs.Span) (*core.Pipeline, error) {
+	prog, err := parser.ParseFile(name, src)
+	if err != nil {
+		return nil, err
 	}
-	for _, d := range r.Diags {
-		switch d.Severity {
-		case analysis.SevError:
-			rep.Errors++
-		case analysis.SevWarning:
-			rep.Warnings++
-		}
+	info, err := types.Check(prog)
+	if err != nil {
+		return nil, parser.PrefixFile(name, err)
 	}
-	rep.TaintObj.Alarms = r.Alarms
-	rep.TaintObj.Confirmed = r.Confirmed
-	rep.TaintObj.Dismissed = r.Dismissed
-	rep.TaintObj.StaticallyClean = r.StaticallyClean
-	rep.TaintObj.Sinks = r.Sinks
-	return json.MarshalIndent(rep, "", "  ")
+	sp, done := obs.StartPhase(reg, trace, "compile")
+	pl, err := core.CompileWith(src, core.CompileOptions{IR: opts, Slicing: true, AST: prog, Info: info, Obs: reg, Trace: sp})
+	done()
+	return pl, parser.PrefixFile(name, err)
 }

@@ -18,6 +18,7 @@
 package experiments
 
 import (
+	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
@@ -58,7 +59,7 @@ type Table1Row struct {
 // Runtime column is load-dependent. switchScale overrides the generated
 // switch's scale (0 = skip switch, for quick runs).
 func Table1(switchScale, workers int) ([]Table1Row, error) {
-	rows, _, err := table1(switchScale, workers, false, nil)
+	rows, _, err := table1(switchScale, workers, false)
 	return rows, err
 }
 
@@ -86,20 +87,10 @@ type Table1Metrics struct {
 // byte-identical to Table1's — the observability contract — which CI
 // enforces by diffing the table1 section with -metrics on and off.
 func Table1WithMetrics(switchScale, workers int) ([]Table1Row, []Table1Metrics, error) {
-	return table1(switchScale, workers, true, nil)
+	return table1(switchScale, workers, true)
 }
 
-// Table1Incremental is Table1WithMetrics with the incremental solver
-// core pinned on or off (instead of the driver default). The Table1Row
-// values must be identical either way — incremental mode changes solver
-// effort, never verdicts — which the bench-trajectory CI job enforces by
-// diffing the stable renderings; the metrics (conflicts, propagations,
-// CNF size) are what the two BENCH_table1.json artifacts compare.
-func Table1Incremental(switchScale, workers int, incremental bool) ([]Table1Row, []Table1Metrics, error) {
-	return table1(switchScale, workers, true, func(cfg *driver.Config) { cfg.Incremental = incremental })
-}
-
-func table1(switchScale, workers int, withMetrics bool, mutate func(*driver.Config)) ([]Table1Row, []Table1Metrics, error) {
+func table1(switchScale, workers int, withMetrics bool) ([]Table1Row, []Table1Metrics, error) {
 	type job struct{ name, src string }
 	var jobs []job
 	for _, p := range progs.All() {
@@ -118,9 +109,6 @@ func table1(switchScale, workers int, withMetrics bool, mutate func(*driver.Conf
 	}
 	outs, err := pool.MapErr(workers, len(jobs), func(i int) (out, error) {
 		cfg := driver.DefaultConfig()
-		if mutate != nil {
-			mutate(&cfg)
-		}
 		var reg *obs.Registry
 		if withMetrics {
 			reg = obs.NewRegistry()
@@ -185,6 +173,72 @@ func RenderTable1Metrics(ms []Table1Metrics) string {
 			m.CNFVars, m.CNFClauses, m.InferCalls, m.Discharged, m.LearnedCls)
 	}
 	return b.String()
+}
+
+// Table1JSONRow is one program of BENCH_table1.json: the Table 1 verdict
+// columns joined with the deterministic solver counters for that run.
+// Every field is reproducible bit-for-bit across machines and worker
+// counts — no wall-clock — so CI can compare two artifacts numerically.
+type Table1JSONRow struct {
+	Program        string `json:"program"`
+	LoC            int    `json:"loc"`
+	Bugs           int    `json:"bugs"`
+	BugsAfterInfer int    `json:"bugs_after_infer"`
+	BugsAfterFixes int    `json:"bugs_after_fixes"`
+	KeysAdded      int    `json:"keys_added"`
+	SolverChecks   int64  `json:"solver_checks"`
+	Sat            int64  `json:"sat"`
+	Unsat          int64  `json:"unsat"`
+	Conflicts      int64  `json:"conflicts"`
+	Propagations   int64  `json:"propagations"`
+	LearnedClauses int64  `json:"learned_clauses"`
+	CNFVars        int64  `json:"cnf_vars"`
+	CNFClauses     int64  `json:"cnf_clauses"`
+	Discharged     int64  `json:"discharged"`
+	InferCalls     int64  `json:"infer_calls"`
+}
+
+// Table1JSON marshals the table1 rows and their metric summaries as the
+// BENCH_table1.json artifact.
+func Table1JSON(rows []Table1Row, ms []Table1Metrics) ([]byte, error) {
+	if len(rows) != len(ms) {
+		return nil, fmt.Errorf("table1 json: %d rows but %d metric summaries", len(rows), len(ms))
+	}
+	var totalConflicts, totalProps int64
+	out := make([]Table1JSONRow, len(rows))
+	for i, r := range rows {
+		m := ms[i]
+		if m.Program != r.Program {
+			return nil, fmt.Errorf("table1 json: row %d is %s but metrics are %s", i, r.Program, m.Program)
+		}
+		out[i] = Table1JSONRow{
+			Program:        r.Program,
+			LoC:            r.LoC,
+			Bugs:           r.Bugs,
+			BugsAfterInfer: r.BugsAfterInfer,
+			BugsAfterFixes: r.BugsAfterFixes,
+			KeysAdded:      r.KeysAdded,
+			SolverChecks:   m.SolverChecks,
+			Sat:            m.Sat,
+			Unsat:          m.Unsat,
+			Conflicts:      m.Conflicts,
+			Propagations:   m.Propagations,
+			LearnedClauses: m.LearnedCls,
+			CNFVars:        m.CNFVars,
+			CNFClauses:     m.CNFClauses,
+			Discharged:     m.Discharged,
+			InferCalls:     m.InferCalls,
+		}
+		totalConflicts += m.Conflicts
+		totalProps += m.Propagations
+	}
+	return json.MarshalIndent(struct {
+		Bench             string          `json:"bench"`
+		Programs          int             `json:"programs"`
+		TotalConflicts    int64           `json:"total_conflicts"`
+		TotalPropagations int64           `json:"total_propagations"`
+		Rows              []Table1JSONRow `json:"rows"`
+	}{"table1", len(out), totalConflicts, totalProps, out}, "", "  ")
 }
 
 // RenderTable1 prints rows in the paper's column order.

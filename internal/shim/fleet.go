@@ -128,10 +128,6 @@ type FleetConfig struct {
 	CompactEvery int
 	// NoSync skips per-record journal fsync on every shard.
 	NoSync bool
-	// NoFastpath pins every shard (including post-failover incarnations)
-	// to the term-DAG slow path; the zero value keeps the bytecode fast
-	// path on.
-	NoFastpath bool
 	// Obs publishes fleet and per-shard metrics (nil disables).
 	Obs *obs.Registry
 	// Cache supplies the annotation cache; nil builds a private one

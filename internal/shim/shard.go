@@ -332,7 +332,6 @@ func (sd *Shard) restore(initial bool) error {
 
 	sh := NewFromCompiled(sd.cp)
 	sh.AutofillSynthesizedKeys = autofill
-	sh.SetFastpath(!sd.fleet.cfg.NoFastpath)
 	sh.SetObs(sd.fleet.cfg.Obs)
 	var st *Store
 	if sd.dir != "" {

@@ -63,7 +63,7 @@ type Stats struct {
 	Rejected  int
 	// FastpathHits counts assertion evaluations served by a compiled
 	// bytecode program; SlowpathHits counts term-DAG evaluations (shadow
-	// resolution, wide vectors, or -fastpath=off).
+	// resolution, wide vectors, or SetFastpath(false)).
 	FastpathHits int
 	SlowpathHits int
 	// PerAssertion summarizes single-assertion evaluation latency;
@@ -198,7 +198,8 @@ func NewFromCompiled(cp *Compiled) *Shim {
 // SetFastpath enables or disables the compiled-bytecode evaluation tier.
 // Decisions are identical either way (the differential harness proves
 // it); off forces every condition through the term-DAG slow path, which
-// is the reference semantics and the -fastpath=off escape hatch.
+// is the reference semantics the differential tests, the fuzzer and the
+// benchmarks' oracles compare the fast tier against.
 func (s *Shim) SetFastpath(on bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -412,7 +413,7 @@ func (s *Shim) validateLocked(u *Update) error {
 	}
 
 	// Two-tier dispatch: conditions compiled to bytecode run over a
-	// pooled register file; the rest (and everything under -fastpath=off)
+	// pooled register file; the rest (and everything under SetFastpath(false))
 	// takes the term-DAG slow path. Both tiers see identical bindings;
 	// the env is built lazily, only when a slow evaluation actually runs.
 	plan := s.cp.plans[u.Table]

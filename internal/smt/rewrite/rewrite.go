@@ -76,16 +76,6 @@ func New(f *smt.Factory) *Rewriter {
 	}
 }
 
-// Provider adapts New to the factory's simplify-provider hook: installing
-// rewrite.Provider(f) on f makes every subsequently created solver
-// simplify its input through a private Rewriter.
-func Provider(f *smt.Factory) func() func(*smt.Term) *smt.Term {
-	return func() func(*smt.Term) *smt.Term {
-		r := New(f)
-		return r.Rewrite
-	}
-}
-
 // Stats returns cumulative rule-application counts.
 func (r *Rewriter) Stats() Stats { return r.stats }
 

@@ -248,25 +248,6 @@ func TestIdempotent(t *testing.T) {
 	}
 }
 
-func TestProviderInstallsPerSolver(t *testing.T) {
-	f := smt.NewFactory()
-	f.SetSimplifyProvider(rewrite.Provider(f))
-	s1 := f.NewSimplifier()
-	s2 := f.NewSimplifier()
-	if s1 == nil || s2 == nil {
-		t.Fatal("provider returned nil simplifier")
-	}
-	x := f.BoolVar("x")
-	y := f.BoolVar("y")
-	tm := f.And(x, f.Or(x, y))
-	if got := s1(tm); got != x {
-		t.Fatalf("simplifier 1: want x, got %s", got)
-	}
-	if got := s2(tm); got != x {
-		t.Fatalf("simplifier 2: want x, got %s", got)
-	}
-}
-
 // FuzzRewrite is the differential soundness harness for the rewriter:
 // random term DAGs from termgen must evaluate identically before and
 // after rewriting under the generated environment, and rewriting must be

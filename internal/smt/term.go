@@ -276,12 +276,6 @@ type Factory struct {
 	nextID uint32
 	true_  *Term
 	false_ *Term
-
-	// simplify optionally provides evaluation-preserving term rewriters
-	// (internal/smt/rewrite installs one via the driver). Each consumer —
-	// typically a solver instance — obtains its own rewriter so per-
-	// rewriter memo tables need no locking.
-	simplify func() func(*Term) *Term
 }
 
 // NewFactory returns an empty term factory with interned true/false.
@@ -290,32 +284,6 @@ func NewFactory() *Factory {
 	f.true_ = f.intern(&Term{op: OpTrue, sort: BoolSort})
 	f.false_ = f.intern(&Term{op: OpFalse, sort: BoolSort})
 	return f
-}
-
-// SetSimplifyProvider installs (or, with nil, removes) a provider of
-// evaluation-preserving rewrite passes for terms of this factory. Every
-// rewriter returned by the provider must satisfy: for all terms t and
-// environments env, Eval(rewrite(t), env) == Eval(t, env). Consumers that
-// want pre-solve simplification (internal/solver) call NewSimplifier.
-// Installing the provider is the driver's way of turning -rewrite on for
-// one run without global state: the setting travels with the factory.
-func (f *Factory) SetSimplifyProvider(p func() func(*Term) *Term) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.simplify = p
-}
-
-// NewSimplifier returns a fresh rewrite pass from the installed provider,
-// or nil when none is installed. Each returned rewriter is independent
-// (own memo), so callers may use theirs without synchronization.
-func (f *Factory) NewSimplifier() func(*Term) *Term {
-	f.mu.Lock()
-	p := f.simplify
-	f.mu.Unlock()
-	if p == nil {
-		return nil
-	}
-	return p()
 }
 
 // NumTerms returns the number of distinct terms created so far, a proxy

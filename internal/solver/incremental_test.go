@@ -31,7 +31,7 @@ func sliceFixture(f *smt.Factory) (base, conds []*smt.Term) {
 // TestScopedChecksAdversarialOrdering pins the core incremental-soundness
 // property: clauses learned under a retracted scope must never flip a
 // later check's verdict, for any ordering of the checks on one slice.
-// Every verdict is compared against a fresh single-shot solver; Retract
+// Every verdict is compared against a fresh single-shot solver; retract
 // cleans the clause database at every boundary.
 func TestScopedChecksAdversarialOrdering(t *testing.T) {
 	f := smt.NewFactory()
@@ -55,12 +55,11 @@ func TestScopedChecksAdversarialOrdering(t *testing.T) {
 	}
 	for oi, order := range orders {
 		s := New(f)
-		s.SetIncremental(true)
 		for _, b := range base {
 			s.Assert(b)
 		}
 		for step, ci := range order {
-			res := s.CheckIn(conds[ci])
+			res := s.checkIn(conds[ci])
 			if res != want[ci] {
 				t.Fatalf("order %d step %d: cond %d got %v, want %v (learned-clause leak across retracted scopes?)",
 					oi, step, ci, res, want[ci])
@@ -77,31 +76,39 @@ func TestScopedChecksAdversarialOrdering(t *testing.T) {
 					t.Fatalf("order %d step %d: model violates cond %s", oi, step, conds[ci])
 				}
 			}
-			s.Retract()
+			s.retract()
 		}
 	}
 }
 
-// TestCheckScopedFallback: with incremental off, CheckScoped must be an
-// assumption-based Check — same verdicts, usable model, no scope state.
-func TestCheckScopedFallback(t *testing.T) {
+// TestCheckScopedMatchesCheck: the exported scoped entry point answers like
+// an assumption-based Check on a solver that never opened a scope, hands
+// back a model of base ∧ cond exactly when the answer is Sat, and closes
+// its scope before returning.
+func TestCheckScopedMatchesCheck(t *testing.T) {
 	f := smt.NewFactory()
 	base, conds := sliceFixture(f)
-	inc := New(f)
-	inc.SetIncremental(true)
-	plain := New(f)
+	scoped, plain := New(f), New(f)
 	for _, b := range base {
-		inc.Assert(b)
+		scoped.Assert(b)
 		plain.Assert(b)
 	}
 	for i, c := range conds {
-		ri, rp := inc.CheckScoped(c), plain.CheckScoped(c)
-		if ri != rp {
-			t.Fatalf("cond %d: incremental %v, plain %v", i, ri, rp)
+		res, model := scoped.CheckScoped(c)
+		if want := plain.Check(c); res != want {
+			t.Fatalf("cond %d: CheckScoped %v, Check %v", i, res, want)
 		}
-	}
-	if n := inc.NumScopes(); n != 0 {
-		t.Fatalf("CheckScoped left %d scopes open", n)
+		if (model != nil) != (res == Sat) {
+			t.Fatalf("cond %d: result %v with model %v", i, res, model)
+		}
+		for _, b := range append([]*smt.Term{c}, base...) {
+			if res == Sat && !smt.EvalBool(b, model) {
+				t.Fatalf("cond %d: returned model violates %s", i, b)
+			}
+		}
+		if n := len(scoped.scopes); n != 0 {
+			t.Fatalf("cond %d: CheckScoped left %d scopes open", i, n)
+		}
 	}
 }
 
@@ -110,14 +117,13 @@ func TestCheckScopedFallback(t *testing.T) {
 func TestIncrementalUnsatCoreUnpolluted(t *testing.T) {
 	f := smt.NewFactory()
 	s := New(f)
-	s.SetIncremental(true)
 	x := f.BVVar("x", 8)
 	s.Assert(f.Ult(x, f.BVConst64(5, 8)))
 	// Burn a few scoped checks first so retracted activation literals and
 	// learned clauses are in play.
 	for i := 0; i < 5; i++ {
-		s.CheckIn(f.Eq(x, f.BVConst64(int64(i), 8)))
-		s.Retract()
+		s.checkIn(f.Eq(x, f.BVConst64(int64(i), 8)))
+		s.retract()
 	}
 	a := f.Ugt(x, f.BVConst64(10, 8))
 	if res := s.Check(a); res != Unsat {
@@ -129,23 +135,22 @@ func TestIncrementalUnsatCoreUnpolluted(t *testing.T) {
 	}
 }
 
-// TestIncrementalStatsShrink: Retract's level-0 cleaning must shrink the
+// TestIncrementalStatsShrink: retract's level-0 cleaning must shrink the
 // clause database after every scope — the guard clauses of a retracted
 // scope are deleted, not left behind satisfied.
 func TestIncrementalStatsShrink(t *testing.T) {
 	f := smt.NewFactory()
 	s := New(f)
-	s.SetIncremental(true)
 	x := f.BVVar("x", 8)
 	y := f.BVVar("y", 8)
 	s.Assert(f.Eq(f.Add(x, y), f.BVConst64(77, 8)))
 	for i := 0; i < 12; i++ {
-		s.CheckIn(f.Eq(x, f.BVConst64(int64(i*17%256), 8)))
+		s.checkIn(f.Eq(x, f.BVConst64(int64(i*17%256), 8)))
 		_, inside, _, _ := s.Stats()
-		s.Retract()
+		s.retract()
 		_, after, _, _ := s.Stats()
 		if after >= inside {
-			t.Fatalf("scope %d: clause DB did not shrink on Retract: %d inside, %d after", i, inside, after)
+			t.Fatalf("scope %d: clause DB did not shrink on retract: %d inside, %d after", i, inside, after)
 		}
 	}
 }

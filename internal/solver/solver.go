@@ -18,6 +18,7 @@ import (
 	"bf4/internal/obs"
 	"bf4/internal/sat"
 	"bf4/internal/smt"
+	"bf4/internal/smt/rewrite"
 )
 
 // Result mirrors sat.Result at the SMT level.
@@ -44,11 +45,11 @@ type Solver struct {
 	// per call.
 	varSeen map[uint32]bool
 
-	// rewrite, when non-nil, simplifies every formula after variable
-	// registration and before bit-blasting (smaller CNF). It must be
+	// rewrite, when non-nil, simplifies every formula before variable
+	// registration and bit-blasting (smaller CNF). It must be
 	// evaluation-preserving; models and unsat cores are reported in terms
-	// of the original formulas. Installed from the factory's simplify
-	// provider, or explicitly with SetRewrite.
+	// of the original formulas. New installs a private rewrite.Rewriter;
+	// SetRewrite replaces or removes it.
 	rewrite func(*smt.Term) *smt.Term
 
 	lastCore []*smt.Term
@@ -63,16 +64,11 @@ type Solver struct {
 	// recording call is a nil-check no-op.
 	hooks obsHooks
 
-	// scopes holds the activation literal of each open Push frame;
-	// scopeSeq names fresh activation variables (never reused, since Pop
+	// scopes holds the activation literal of each open push frame;
+	// scopeSeq names fresh activation variables (never reused, since pop
 	// permanently asserts the negation).
 	scopes   []*smt.Term
 	scopeSeq int
-
-	// incremental enables the persistent-solver features (guard-clause
-	// scope assertions, clause cleaning after every Retract). See
-	// SetIncremental.
-	incremental bool
 }
 
 // CheckStats describes one Check call in isolation: every field is a
@@ -134,10 +130,9 @@ func (s *Solver) SetObs(reg *obs.Registry) {
 	}
 }
 
-// New returns an empty solver over the given term factory. If the
-// factory has a simplify provider installed (see
-// smt.Factory.SetSimplifyProvider), the solver gets a private rewrite
-// pass from it.
+// New returns an empty solver over the given term factory, with a
+// private term-level rewrite pass (internal/smt/rewrite) in front of the
+// bit-blaster.
 func New(f *smt.Factory) *Solver {
 	s := sat.New()
 	return &Solver{
@@ -146,7 +141,7 @@ func New(f *smt.Factory) *Solver {
 		ctx:     bitblast.New(f, s),
 		vars:    make(map[*smt.Term]bool),
 		varSeen: make(map[uint32]bool),
-		rewrite: f.NewSimplifier(),
+		rewrite: rewrite.New(f).Rewrite,
 	}
 }
 
@@ -157,8 +152,8 @@ func New(f *smt.Factory) *Solver {
 // warm as s's next one would, and nothing done to either afterwards shows
 // in the other, so forks of one solver may run on different goroutines.
 // The installed metrics registry is shared (its counters are atomic); a
-// solver with a rewrite pass hands the fork a fresh one from the factory,
-// since passes hold private memos.
+// solver with a rewrite pass hands the fork a fresh one, since passes hold
+// private memos.
 func (s *Solver) Fork() *Solver {
 	fs := *s
 	fs.ctx = s.ctx.Fork()
@@ -168,14 +163,14 @@ func (s *Solver) Fork() *Solver {
 	fs.scopes = slices.Clone(s.scopes)
 	fs.lastCore = slices.Clone(s.lastCore)
 	if s.rewrite != nil {
-		fs.rewrite = s.f.NewSimplifier()
+		fs.rewrite = rewrite.New(s.f).Rewrite
 	}
 	return &fs
 }
 
 // SetRewrite installs (or with nil removes) the pre-blast simplification
-// pass, overriding whatever New picked up from the factory. The pass must
-// preserve evaluation under every environment.
+// pass, overriding the one New installed. The pass must preserve
+// evaluation under every environment.
 func (s *Solver) SetRewrite(fn func(*smt.Term) *smt.Term) { s.rewrite = fn }
 
 // Simplify applies the solver's rewrite pass to t (identity when no pass
@@ -215,27 +210,11 @@ func (s *Solver) registerVars(t *smt.Term) {
 	}
 }
 
-// Assert adds t to the solver's constraint set: permanently when no Push
-// scope is open, otherwise until the innermost scope is popped.
+// Assert adds t to the solver's constraint set: permanently when no scope
+// is open, otherwise until the innermost scope is retracted.
 func (s *Solver) Assert(t *smt.Term) {
 	start := time.Now()
 	defer func() { s.hooks.blastNs.Add(time.Since(start).Nanoseconds()) }()
-	if n := len(s.scopes); n > 0 {
-		if s.incremental {
-			// Emit direct guard clauses (¬act ∨ conjunct) instead of a
-			// Tseitin implication gate: when Retract asserts ¬act, every
-			// guard clause is satisfied outright and its cleaning pass
-			// deletes it, instead of leaving dead gate circuitry.
-			rt := s.Simplify(t)
-			s.registerVars(rt)
-			s.ctx.AssertImplied(s.scopes[n-1], rt)
-			return
-		}
-		// Guard with the innermost activation literal. Scopes pop LIFO,
-		// so when an outer scope dies every inner one is already dead;
-		// guarding with one literal is enough.
-		t = s.f.Implies(s.scopes[n-1], t)
-	}
 	// Variables are collected from the SIMPLIFIED formula: a variable the
 	// rewrite erased is unconstrained, so leaving its bits unallocated
 	// keeps the CNF smaller without losing models — the rewrite preserves
@@ -244,11 +223,20 @@ func (s *Solver) Assert(t *smt.Term) {
 	// simplified formula zero-extends to one of the original.
 	rt := s.Simplify(t)
 	s.registerVars(rt)
-	// With the simplification layer on and no activation literal in
-	// play, a top-level conjunction splits into one unit assertion per
-	// conjunct — the standard assert-time flattening that skips the
-	// Tseitin gate for the conjunction itself.
-	if s.rewrite != nil && len(s.scopes) == 0 && rt.Op() == smt.OpAnd {
+	if n := len(s.scopes); n > 0 {
+		// Guard with the innermost activation literal (scopes close LIFO,
+		// so when an outer scope dies every inner one is already dead),
+		// as direct guard clauses (¬act ∨ conjunct) rather than a Tseitin
+		// implication gate: once retract asserts ¬act every guard clause
+		// is satisfied outright and its cleaning pass deletes it, instead
+		// of leaving dead gate circuitry.
+		s.ctx.AssertImplied(s.scopes[n-1], rt)
+		return
+	}
+	// With the simplification layer on, a top-level conjunction splits
+	// into one unit assertion per conjunct — the standard assert-time
+	// flattening that skips the Tseitin gate for the conjunction itself.
+	if s.rewrite != nil && rt.Op() == smt.OpAnd {
 		for _, a := range rt.Args() {
 			s.ctx.AssertTrue(a)
 		}
@@ -257,34 +245,67 @@ func (s *Solver) Assert(t *smt.Term) {
 	s.ctx.AssertTrue(rt)
 }
 
-// Push opens a retractable assertion scope, emulated with an activation
+// CheckScoped decides cond on top of the asserted formulas without keeping
+// it: cond is asserted inside a retractable activation scope, checked, and
+// the scope is closed again before returning, so no call can leave one
+// open. The environment is the model of the Sat answer (nil otherwise),
+// captured while the scope was still open. Learned clauses that do not
+// depend on cond survive into later checks, which is what makes one
+// persistent solver per slice pay off across a whole bug list.
+func (s *Solver) CheckScoped(cond *smt.Term) (Result, smt.Env) {
+	res := s.checkIn(cond)
+	var model smt.Env
+	if res == Sat {
+		model = s.Model()
+	}
+	s.retract()
+	return res, model
+}
+
+// checkIn opens a scope, asserts cond inside it and checks; the scope
+// stays open until retract.
+func (s *Solver) checkIn(cond *smt.Term) Result {
+	s.push()
+	s.Assert(cond)
+	return s.Check()
+}
+
+// retract closes the innermost scope and cleans the clause database at
+// level 0: the scope's now-satisfied guard clauses are deleted and learned
+// clauses that mention its dead activation literal are strengthened down
+// to their scope-independent content (one sweep over the database;
+// deferring it measurably costs later checks propagation work on dead
+// guard clauses).
+func (s *Solver) retract() {
+	s.pop()
+	s.sat.Inprocess()
+}
+
+// push opens a retractable assertion scope, emulated with an activation
 // literal (the classic trick for assumption-based incremental SAT):
 // assertions made while the scope is open are guarded by a fresh boolean,
 // Check passes the booleans of all open scopes as extra assumptions, and
-// Pop permanently asserts the negation, turning the scope's assertions
+// pop permanently asserts the negation, turning the scope's assertions
 // into tautologies. Learned clauses survive pops, keeping the solver
 // incremental across scoped probes.
-func (s *Solver) Push() {
+func (s *Solver) push() {
 	act := s.f.BoolVar(fmt.Sprintf("$scope%d", s.scopeSeq))
 	s.scopeSeq++
 	s.registerVars(act)
 	s.scopes = append(s.scopes, act)
 }
 
-// Pop closes the innermost Push scope, retracting every assertion made
-// inside it. It panics without a matching Push.
-func (s *Solver) Pop() {
+// pop closes the innermost push scope, retracting every assertion made
+// inside it. It panics without a matching push.
+func (s *Solver) pop() {
 	n := len(s.scopes)
 	if n == 0 {
-		panic("solver: Pop without matching Push")
+		panic("solver: pop without matching push")
 	}
 	act := s.scopes[n-1]
 	s.scopes = s.scopes[:n-1]
 	s.ctx.AssertTrue(s.f.Not(act))
 }
-
-// NumScopes returns the number of currently open Push scopes.
-func (s *Solver) NumScopes() int { return len(s.scopes) }
 
 // Check determines satisfiability of the asserted formulas together with
 // the given assumptions. Unlike Assert, assumptions hold only for this

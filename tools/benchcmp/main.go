@@ -1,27 +1,6 @@
-// Command benchcmp compares two bench artifacts, dispatching on their
-// "bench" field.
-//
-// table1 mode compares two BENCH_table1.json artifacts produced by
-// `bf4-bench -run table1 -json` — conventionally incremental solver core
-// ON first, OFF second — and enforces the bench trajectory:
-//
-//	benchcmp [-max-conflict-ratio 1.05] on.json off.json
-//
-// It prints a per-program table of conflict and propagation deltas, then
-// exits non-zero if
-//
-//   - the two artifacts disagree on any verdict column (program set,
-//     bug counts, keys) — incremental mode must never change verdicts, or
-//   - total conflicts in the ON artifact exceed the OFF artifact by more
-//     than the allowed ratio — the incremental core must not regress
-//     total solver effort.
-//
-// It also reports on how many programs conflicts and propagations went
-// down; the CI log keeps that trajectory visible over time.
-//
-// shimscale mode compares two BENCH_shimscale.json artifacts produced by
-// `bf4-bench -run shimscale -fastpath both -json` — fast path ON first,
-// OFF second:
+// Command benchcmp compares the two BENCH_shimscale.json artifacts produced
+// by `bf4-bench -run shimscale -fastpath both -json` — fast path ON first,
+// OFF (the term-DAG reference tier) second:
 //
 //	benchcmp [-min-speedup 2.0] BENCH_shimscale.json BENCH_shimscale_off.json
 //
@@ -39,29 +18,6 @@ import (
 	"os"
 )
 
-type benchRow struct {
-	Program        string `json:"program"`
-	LoC            int    `json:"loc"`
-	Bugs           int    `json:"bugs"`
-	BugsAfterInfer int    `json:"bugs_after_infer"`
-	BugsAfterFixes int    `json:"bugs_after_fixes"`
-	KeysAdded      int    `json:"keys_added"`
-	Conflicts      int64  `json:"conflicts"`
-	Propagations   int64  `json:"propagations"`
-	CNFVars        int64  `json:"cnf_vars"`
-	CNFClauses     int64  `json:"cnf_clauses"`
-	Discharged     int64  `json:"discharged"`
-}
-
-type benchFile struct {
-	Bench             string     `json:"bench"`
-	Incremental       bool       `json:"incremental"`
-	Programs          int        `json:"programs"`
-	TotalConflicts    int64      `json:"total_conflicts"`
-	TotalPropagations int64      `json:"total_propagations"`
-	Rows              []benchRow `json:"rows"`
-}
-
 // shimscaleFile mirrors experiments.ShimScaleResult.
 type shimscaleFile struct {
 	Bench         string  `json:"bench"`
@@ -76,111 +32,14 @@ type shimscaleFile struct {
 	UpdatesPerSec float64 `json:"updates_per_sec"`
 }
 
-func load(path string) (*benchFile, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var f benchFile
-	if err := json.Unmarshal(data, &f); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if f.Bench != "table1" {
-		return nil, fmt.Errorf("%s: bench is %q, want table1", path, f.Bench)
-	}
-	return &f, nil
-}
-
-// benchKind reads just the artifact's bench discriminator.
-func benchKind(path string) (string, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return "", err
-	}
-	var k struct {
-		Bench string `json:"bench"`
-	}
-	if err := json.Unmarshal(data, &k); err != nil {
-		return "", fmt.Errorf("%s: %w", path, err)
-	}
-	return k.Bench, nil
-}
-
 func main() {
-	maxRatio := flag.Float64("max-conflict-ratio", 1.05, "table1: fail if on-conflicts exceed off-conflicts by more than this factor")
-	minSpeedup := flag.Float64("min-speedup", 2.0, "shimscale: fail if fast-path throughput is below this multiple of the slow path")
+	minSpeedup := flag.Float64("min-speedup", 2.0, "fail if fast-path throughput is below this multiple of the slow path")
 	flag.Parse()
 	if flag.NArg() != 2 {
-		fmt.Fprintln(os.Stderr, "usage: benchcmp [-max-conflict-ratio 1.05] [-min-speedup 2.0] on.json off.json")
+		fmt.Fprintln(os.Stderr, "usage: benchcmp [-min-speedup 2.0] on.json off.json")
 		os.Exit(2)
 	}
-	kind, err := benchKind(flag.Arg(0))
-	if err != nil {
-		fatalf("%v", err)
-	}
-	if kind == "shimscale" {
-		compareShimscale(flag.Arg(0), flag.Arg(1), *minSpeedup)
-		return
-	}
-	on, err := load(flag.Arg(0))
-	if err != nil {
-		fatalf("%v", err)
-	}
-	off, err := load(flag.Arg(1))
-	if err != nil {
-		fatalf("%v", err)
-	}
-
-	offRows := map[string]benchRow{}
-	for _, r := range off.Rows {
-		offRows[r.Program] = r
-	}
-	if len(on.Rows) != len(off.Rows) {
-		fatalf("program sets differ: %d rows in %s, %d in %s", len(on.Rows), flag.Arg(0), len(off.Rows), flag.Arg(1))
-	}
-
-	verdictsOK := true
-	reducedConflicts, reducedProps := 0, 0
-	fmt.Printf("%-22s %12s %12s %8s %14s %14s %8s\n",
-		"program", "conflicts", "conflicts0", "Δ%", "propagations", "props0", "Δ%")
-	for _, a := range on.Rows {
-		b, ok := offRows[a.Program]
-		if !ok {
-			fatalf("program %s present only in %s", a.Program, flag.Arg(0))
-		}
-		if a.Bugs != b.Bugs || a.BugsAfterInfer != b.BugsAfterInfer ||
-			a.BugsAfterFixes != b.BugsAfterFixes || a.KeysAdded != b.KeysAdded {
-			fmt.Fprintf(os.Stderr, "VERDICT MISMATCH %s: on=(%d,%d,%d,%d) off=(%d,%d,%d,%d)\n",
-				a.Program, a.Bugs, a.BugsAfterInfer, a.BugsAfterFixes, a.KeysAdded,
-				b.Bugs, b.BugsAfterInfer, b.BugsAfterFixes, b.KeysAdded)
-			verdictsOK = false
-		}
-		if a.Conflicts < b.Conflicts {
-			reducedConflicts++
-		}
-		if a.Propagations < b.Propagations {
-			reducedProps++
-		}
-		fmt.Printf("%-22s %12d %12d %7.1f%% %14d %14d %7.1f%%\n",
-			a.Program, a.Conflicts, b.Conflicts, delta(a.Conflicts, b.Conflicts),
-			a.Propagations, b.Propagations, delta(a.Propagations, b.Propagations))
-	}
-
-	fmt.Printf("\ntotal conflicts: on=%d off=%d (%.1f%%); propagations: on=%d off=%d (%.1f%%)\n",
-		on.TotalConflicts, off.TotalConflicts, delta(on.TotalConflicts, off.TotalConflicts),
-		on.TotalPropagations, off.TotalPropagations, delta(on.TotalPropagations, off.TotalPropagations))
-	fmt.Printf("conflicts reduced on %d/%d programs; propagations reduced on %d/%d\n",
-		reducedConflicts, len(on.Rows), reducedProps, len(on.Rows))
-
-	if !verdictsOK {
-		fatalf("incremental mode changed verdicts")
-	}
-	limit := float64(off.TotalConflicts) * *maxRatio
-	if float64(on.TotalConflicts) > limit {
-		fatalf("total conflicts regressed: on=%d > %.2f × off=%d",
-			on.TotalConflicts, *maxRatio, off.TotalConflicts)
-	}
-	fmt.Println("benchcmp: OK")
+	compareShimscale(flag.Arg(0), flag.Arg(1), *minSpeedup)
 }
 
 // compareShimscale enforces the fast-path contract between a fastpath=on
@@ -237,18 +96,6 @@ func compareShimscale(onPath, offPath string, minSpeedup float64) {
 		fatalf("fast path speedup %.2fx below required %.2fx", speedup, minSpeedup)
 	}
 	fmt.Println("benchcmp: OK")
-}
-
-// delta is the percentage change of on relative to off (negative =
-// improvement).
-func delta(on, off int64) float64 {
-	if off == 0 {
-		if on == 0 {
-			return 0
-		}
-		return 100
-	}
-	return 100 * float64(on-off) / float64(off)
 }
 
 func fatalf(format string, args ...any) {
