@@ -16,10 +16,13 @@
 //	-no-slice          disable bug-reachability slicing
 //	-no-dontcare       disable dontCare-widened inference
 //	-no-multitable     disable the multi-table heuristic
-//	-j N               inference worker pool size (0 = GOMAXPROCS);
-//	                   output is identical for every value
-//	-metrics-json f    write run metrics (counters, gauges, histograms)
-//	                   as JSON to f ("-" for stdout)
+//	-j N               workers: solver shards for bug checks and rechecks,
+//	                   inference pool size (0 = GOMAXPROCS); verdicts,
+//	                   fixes and annotation files are identical for every
+//	                   value, witness traces may differ
+//	-metrics-json f    write run metrics (counters, gauges, histograms,
+//	                   the ten slowest solver checks) as JSON to f ("-"
+//	                   for stdout)
 //	-trace-out f       write the hierarchical phase-timing tree to f
 //	                   ("-" for stdout)
 //	-v                 verbose: list every bug with its verdict
@@ -80,7 +83,7 @@ func main() {
 		noMultiTable = flag.Bool("no-multitable", false, "disable the multi-table heuristic")
 		verbose      = flag.Bool("v", false, "verbose bug listing")
 		showTrace    = flag.Bool("trace", false, "print a counterexample trace for each reachable bug")
-		jobs         = flag.Int("j", 0, "inference worker pool size (0 = GOMAXPROCS; results identical for every value)")
+		jobs         = flag.Int("j", 0, "workers: solver shards for bug checks and rechecks, and the inference pool size (0 = GOMAXPROCS; verdicts, fixes and annotation files are identical for every value, witness traces may differ)")
 		metricsOut   = flag.String("metrics-json", "", "write run metrics as JSON to this file (\"-\" for stdout; verdicts are identical with metrics on or off)")
 		traceOut     = flag.String("trace-out", "", "write the hierarchical phase-timing tree to this file (\"-\" for stdout)")
 		check        = flag.String("check", "", "enable extra bug classes: iflow adds information-flow leak checks (sensitive data reaching egress-visible sinks); assert compiles user @assert/@assume properties (source comments plus -prop-spec) into the verified set")

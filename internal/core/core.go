@@ -160,6 +160,9 @@ type Bug struct {
 	// Both guarantee the query is unsatisfiable, so the bug is reported
 	// exactly as an unsat answer would leave it.
 	Discharged bool
+	// Shard indexes Report.Shards: the solver that decided this bug and
+	// has its condition blasted (0 for a bug no solver saw).
+	Shard int
 }
 
 // Description renders a human-readable bug summary.
@@ -186,12 +189,14 @@ type Report struct {
 	// pre-pass's discharge set.
 	FoldDischarged int
 	// CNFVars/CNFClauses snapshot the blasted circuit size at the end of
-	// bug finding, before the inference phase reuses the solver.
+	// bug finding, before the inference phase reuses the solvers: the sum
+	// over Shards.
 	CNFVars, CNFClauses int
-	// S is the incremental solver used for the reachability checks; the
-	// inference phase reuses it (all bug conditions are already blasted)
-	// for its predicate rechecks.
-	S *solver.Solver
+	// Shards are the persistent solvers of the reachability checks, one
+	// per worker; the bugs that needed a query are dealt to them round
+	// robin (Bug.Shard). The inference phase reuses each for the predicate
+	// rechecks of the bugs it decided, whose conditions it has blasted.
+	Shards []*solver.Solver
 }
 
 // NumReachable counts reachable bugs.
@@ -231,9 +236,13 @@ type FindOptions struct {
 	// model), with Discharged set, so every downstream consumer (Infer,
 	// Fixes, the spec builder) sees an identical bug list either way.
 	Skip map[*ir.Node]bool
+	// Workers bounds the number of solver shards the checks are dealt to,
+	// each on its own goroutine; values < 1 mean one. Verdicts do not depend
+	// on it, witness models may (see checkNodes).
+	Workers int
 	// Obs and Trace attach observability: the whole phase is one child
 	// span of Trace (annotated with check/reachable/discharged counts),
-	// the bug-check solver publishes its per-query telemetry to Obs (see
+	// the bug-check solvers publish their per-query telemetry to Obs (see
 	// solver.SetObs), and discharge outcomes land on
 	// bf4_core_discharged_{analysis,fold}_total. Verdicts and models are
 	// identical with both nil.
@@ -241,8 +250,9 @@ type FindOptions struct {
 	Trace *obs.Span
 }
 
-// FindBugsWith is the fully-parameterised bug finder. All checks of the
-// slice run on one persistent solver, which the report hands on to Infer.
+// FindBugsWith is the fully-parameterised bug finder. The checks of the
+// slice run on up to opts.Workers persistent solvers, which the report
+// hands on to Infer.
 func (pl *Pipeline) FindBugsWith(opts FindOptions) *Report {
 	start := time.Now()
 	sp, done := obs.StartPhase(opts.Obs, opts.Trace, "findbugs")
@@ -274,10 +284,11 @@ func (pl *Pipeline) FindBugsWith(opts FindOptions) *Report {
 		}
 	}
 
-	checks, s := pl.checkNodes(queue, 1, opts.Obs)
-	rep.S = s
+	checks, shards := pl.checkNodes(queue, opts.Workers, opts.Obs, "findbugs")
+	rep.Shards = shards
 	for i, c := range checks {
 		b := queued[i]
+		b.Shard = i % len(shards)
 		// Absent and constant-false conditions never enter the queue, so
 		// a discharge here is the rewrite pass's fold.
 		b.Reachable, b.Model, b.Discharged = c.reachable, c.model, c.discharged
@@ -287,7 +298,11 @@ func (pl *Pipeline) FindBugsWith(opts FindOptions) *Report {
 			rep.Checks++
 		}
 	}
-	rep.CNFVars, rep.CNFClauses, _, _ = s.Stats()
+	for _, s := range shards {
+		vars, clauses, _, _ := s.Stats()
+		rep.CNFVars += vars
+		rep.CNFClauses += clauses
+	}
 	rep.SolveTime = time.Since(start)
 	if opts.Obs != nil {
 		reg := opts.Obs
@@ -322,12 +337,15 @@ type nodeCheck struct {
 // check loop behind bug finding and behind taint/property confirmation.
 // Node i goes to worker i mod workers; each worker owns a persistent
 // solver over the shared term factory (hash-consing is mutex-guarded) that
-// publishes to reg, and results are indexed by node position, so verdicts
-// are deterministic for any worker count (models may differ across
-// counts). The solver returned is worker 0's, built even for an empty node
-// list.
-func (pl *Pipeline) checkNodes(nodes []*ir.Node, workers int, reg *obs.Registry) ([]nodeCheck, *solver.Solver) {
-	workers = max(1, min(workers, len(nodes)))
+// publishes to reg, its checks tagged with phase, and results are indexed
+// by node position, so verdicts are deterministic for any worker count
+// (models may differ across counts). A worker is a cold solver that blasts
+// nearly the whole program for its first check and holds that CNF from then
+// on, so no more are started than one per checksPerShard nodes. The
+// workers' solvers are returned in worker order; there is always at least
+// one, even for an empty node list.
+func (pl *Pipeline) checkNodes(nodes []*ir.Node, workers int, reg *obs.Registry, phase string) ([]nodeCheck, []*solver.Solver) {
+	workers = max(1, min(workers, (len(nodes)+checksPerShard-1)/checksPerShard))
 	out := make([]nodeCheck, len(nodes))
 	solvers := make([]*solver.Solver, workers)
 	var wg sync.WaitGroup
@@ -338,14 +356,25 @@ func (pl *Pipeline) checkNodes(nodes []*ir.Node, workers int, reg *obs.Registry)
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			name := ShardName(w)
 			for i := w; i < len(nodes); i += workers {
+				s.Tag(phase, name, nodes[i].ID)
 				out[i] = checkCond(s, pl.Reach.Cond[nodes[i]])
 			}
 		}(w)
 	}
 	wg.Wait()
-	return out, solvers[0]
+	return out, solvers
 }
+
+// checksPerShard is the share of a check list that earns a solver of its
+// own. A shard's cold start costs about three warm checks and its CNF about
+// 25 MB at switch@2; dealt one check each, 25 shards took 1.2x the CPU and
+// 1.5x the peak memory of 8 for the same verdicts (EXPERIMENTS.md E19).
+const checksPerShard = 4
+
+// ShardName is the name shard w's checks carry in the slowest-checks table.
+func ShardName(w int) string { return fmt.Sprintf("shard %d", w) }
 
 // checkCond decides one condition on s. An absent or constant-false
 // condition, or one the solver's rewrite pass folds to false, is

@@ -38,7 +38,7 @@ type LeakVerdict = CheckVerdict
 
 // ConfirmOptions configures the confirmation phase.
 type ConfirmOptions struct {
-	// Workers is the number of parallel solver workers; values < 1 mean
+	// Workers bounds the number of parallel solver workers; values < 1 mean
 	// one. Verdicts are deterministic for any count (see checkNodes).
 	Workers int
 	// Obs/Trace attach observability; nil disables it.
@@ -82,7 +82,7 @@ func (pl *Pipeline) ConfirmNodes(nodes []*ir.Node, opts ConfirmOptions, phase st
 	sp, done := obs.StartPhase(opts.Obs, opts.Trace, phase)
 	defer done()
 
-	checks, _ := pl.checkNodes(nodes, opts.Workers, opts.Obs)
+	checks, _ := pl.checkNodes(nodes, opts.Workers, opts.Obs, phase)
 	out := make([]*CheckVerdict, len(nodes))
 	confirmed := 0
 	for i, c := range checks {

@@ -15,7 +15,9 @@ import (
 // trace must name the bug. This is the end-to-end soundness check tying
 // the symbolic pipeline (WP + bit-blasting + SAT) to the operational
 // semantics — a divergence means one of the two is wrong about the
-// program.
+// program. Where there are more than checksPerShard of them the bugs are
+// dealt to two solver shards, so the witnesses come from both: a bug's model
+// is whatever the shard that decided it found, and each has to replay.
 func TestCorpusWitnessReplay(t *testing.T) {
 	for _, p := range progs.All() {
 		name, src := p.Name, p.Source
@@ -32,7 +34,7 @@ func TestCorpusWitnessReplay(t *testing.T) {
 			if err != nil {
 				t.Fatalf("compile: %v", err)
 			}
-			rep := pl.FindBugs()
+			rep := pl.FindBugsWith(FindOptions{Workers: 2})
 			replayed := 0
 			for _, b := range rep.Bugs {
 				if !b.Reachable {

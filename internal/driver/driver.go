@@ -21,6 +21,7 @@ import (
 	"bf4/internal/p4/ast"
 	"bf4/internal/p4/parser"
 	"bf4/internal/p4/types"
+	"bf4/internal/pool"
 )
 
 // Config selects pipeline options for a run.
@@ -29,9 +30,13 @@ type Config struct {
 	Infer infer.Options
 	// Slicing enables bug-reachability slicing (paper default: on).
 	Slicing bool
-	// Workers bounds the per-instance inference fan-out (cmd/bf4's -j);
-	// <= 0 means GOMAXPROCS. It overrides Infer.Workers when set. The
-	// results are identical for every value — only wall-clock changes.
+	// Workers is the run's worker count (cmd/bf4's -j): the bound of the
+	// solver shards the bug checks and their rechecks are dealt to, and of
+	// the per-instance inference fan-out; <= 0 means GOMAXPROCS. It
+	// overrides Infer.Workers when set. Verdicts, annotations and fixes
+	// are identical for every value; the witness models of reachable bugs
+	// may differ, since a bug's model comes from whichever shard decided
+	// it.
 	Workers int
 	// Obs, when non-nil, collects metrics from every layer of the run
 	// (phase timings, per-query solver telemetry, pool utilization);
@@ -108,7 +113,7 @@ func Run(name, src string, cfg Config) (*Result, error) {
 		_, done := obs.StartPhase(cfg.Obs, parent, "analysis")
 		ar := analysis.Run(pl.IR, pl.AST)
 		done()
-		return pl.FindBugsWith(core.FindOptions{Skip: ar.Discharge, Obs: cfg.Obs, Trace: parent}), ar
+		return pl.FindBugsWith(core.FindOptions{Skip: ar.Discharge, Workers: pool.Workers(cfg.Infer.Workers), Obs: cfg.Obs, Trace: parent}), ar
 	}
 	rep, ar := findBugs(pl, cfg.Trace)
 	res.Analysis = ar
@@ -120,10 +125,10 @@ func Run(name, src string, cfg Config) (*Result, error) {
 	inferOpts.Trace = inferSp
 	inf := infer.Run(pl, rep, inferOpts)
 	inferDone()
-	// The bug solver has answered its last recheck. Let go of it now: a
-	// rebuild round brings its own, and the peak of a run is that round's
-	// inference, which would otherwise carry this one's CNF underneath.
-	rep.S = nil
+	// The bug solvers have answered their last recheck. Let go of them now:
+	// a rebuild round brings its own, and the peak of a run is that round's
+	// inference, which would otherwise carry this one's CNFs underneath.
+	rep.Shards = nil
 	res.InferResult = inf
 	res.BugsAfterInfer = len(inf.Uncontrolled)
 

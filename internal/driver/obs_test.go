@@ -2,6 +2,7 @@ package driver
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"bf4/internal/obs"
@@ -38,7 +39,8 @@ func runWithObs(t *testing.T, name, src string, reg *obs.Registry, tr *obs.Span)
 // bug counts, inferred annotations, fixed source, the marshaled spec —
 // is byte-identical to a plain run. Instrumentation only reads clocks
 // and bumps counters; it must never perturb solver state or iteration
-// order.
+// order. That includes the slowest-checks table, which is collected only
+// on the observed side.
 func TestObservabilityPreservesVerdicts(t *testing.T) {
 	for _, name := range []string{"simple_nat", "heavy_hitter_2", "linearroad_16", "mplb_router-ppc"} {
 		p := progs.Get(name)
@@ -81,6 +83,33 @@ func TestObservabilityPreservesVerdicts(t *testing.T) {
 			}
 			if root.Duration() <= 0 {
 				t.Error("root span has no duration")
+			}
+			// The slowest-checks table names where each of its checks came
+			// from: bug checks and rechecks carry their bug node, Infer's
+			// solvers do not decide a single node.
+			slowest := reg.SlowestChecks()
+			if len(slowest) == 0 {
+				t.Fatal("no check in the slowest-checks table")
+			}
+			for i, c := range slowest {
+				if i > 0 && c.Ns > slowest[i-1].Ns {
+					t.Errorf("slowest checks out of order: %d ns after %d ns", c.Ns, slowest[i-1].Ns)
+				}
+				switch c.Phase {
+				case "findbugs", "recheck":
+					if c.Node < 0 || !strings.HasPrefix(c.Solver, "shard ") {
+						t.Errorf("%s check names solver %q, node %d: want a shard and a bug node", c.Phase, c.Solver, c.Node)
+					}
+				case "inferbase", "infer":
+					if c.Node != -1 || c.Solver == "" {
+						t.Errorf("%s check names solver %q, node %d: want a solver name and no node", c.Phase, c.Solver, c.Node)
+					}
+				default:
+					t.Errorf("check from unknown phase %q", c.Phase)
+				}
+				if c.CNFVars == 0 || c.CNFClauses == 0 || c.Ns <= 0 {
+					t.Errorf("check without size or time: %+v", c)
+				}
 			}
 		})
 	}

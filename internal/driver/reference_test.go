@@ -15,8 +15,9 @@ import (
 // reachable, unreachable, discharged by the dataflow pre-pass or folded
 // away by the rewrite pass alike — must get the same answer from a fresh
 // solver with no rewrite pass and no scopes deciding Check(cond) on that
-// one condition, and every reachable bug's production model must satisfy
-// the condition as built. The pre-pass, the rewrite engine and the
+// one condition, and every reachable bug's production model — found by
+// whichever of the run's solver shards decided the bug (two, where a program
+// has checks enough for two) — must satisfy the condition as built. The pre-pass, the rewrite engine and the
 // persistent scoped solver are each allowed to save work, never to move a
 // verdict; this is where an unsound discharge, an evaluation-changing
 // rewrite or a clause leaking out of a retracted scope shows.
@@ -31,7 +32,9 @@ func TestVerdictsMatchReferenceSolver(t *testing.T) {
 			src = progs.GenerateSwitch(2)
 		}
 		t.Run(p.Name, func(t *testing.T) {
-			res, err := driver.Run(p.Name, src, driver.DefaultConfig())
+			cfg := driver.DefaultConfig()
+			cfg.Workers = 2
+			res, err := driver.Run(p.Name, src, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

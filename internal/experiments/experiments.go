@@ -319,13 +319,13 @@ func Slicing(scale, workers int) (*SlicingResult, error) {
 	out.TimeWithSlicing = repS.SolveTime
 	out.BugsWith = repS.NumReachable()
 	out.FormulaWith = formulaNodes(repS)
-	_, _, _, out.PropagationsWith = repS.S.Stats()
+	_, _, _, out.PropagationsWith = repS.Shards[0].Stats()
 
 	repU := arms[1].rep
 	out.TimeWithout = repU.SolveTime
 	out.BugsWithout = repU.NumReachable()
 	out.FormulaWithout = formulaNodes(repU)
-	_, _, _, out.PropagationsWithout = repU.S.Stats()
+	_, _, _, out.PropagationsWithout = repU.Shards[0].Stats()
 	return out, nil
 }
 

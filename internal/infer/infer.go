@@ -82,11 +82,12 @@ type Options struct {
 	UseDontCare bool
 	// MaxInferIterations bounds Algorithm 1's loop per assert point.
 	MaxInferIterations int
-	// Workers bounds the per-table-instance inference fan-out; <= 0
-	// means GOMAXPROCS. Each worker task owns its own solvers (forks of
-	// the round's two warm bases; solvers are stateful and must never be
-	// shared across goroutines) and results are merged in a fixed instance
-	// order, so Run's output is identical for every worker count.
+	// Workers bounds the per-table-instance inference fan-out and the
+	// number of report shards rechecked at once; <= 0 means GOMAXPROCS.
+	// Each worker task owns its own solvers (forks of the round's two warm
+	// bases; solvers are stateful and must never be shared across
+	// goroutines) and results are merged in a fixed instance order, so
+	// Run's output is identical for every worker count.
 	Workers int
 	// Obs, when non-nil, receives phase timings, pool utilization and
 	// per-query solver telemetry; Trace parents the phase spans. Both
@@ -111,36 +112,36 @@ func DefaultOptions() Options {
 // the paper's strategy: Fast-Infer first; Infer only for bugs Fast-Infer
 // does not control; finally the multi-table heuristic for what remains.
 //
-// Every phase fans its per-table-instance work out over a bounded worker
-// pool (Options.Workers). Solver reuse remains the efficiency lever, but
-// ownership is strict: the bug reachability solver from FindBugs (every
-// bug condition already blasted) serves all predicate rechecks serially,
-// while each Infer task owns a private dual and a private direct solver
-// that serve that instance's whole model/core loop. Both are forks of
-// two bases built once per round, before the fan-out (warmBases): the
-// formulas every instance needs are blasted once, and every instance
-// starts from the same warm state — not from whatever state a worker's
-// previous instance left behind. That is what keeps the inferred cubes
-// independent of scheduling: models and unsat cores depend on
-// learned-clause state, so any sharing between instances would make the
-// output depend on which instances a worker happened to process first.
-// Results are merged in instance order, so Assertions and Uncontrolled
-// are byte-identical for every worker count.
+// Every phase fans its work out over a bounded worker pool
+// (Options.Workers). Solver reuse remains the efficiency lever, but
+// ownership is strict: the bug reachability solvers from FindBugs (the
+// report's shards, each with its own bugs' conditions already blasted)
+// serve the predicate rechecks, one goroutine per shard, while each Infer
+// task owns a private dual and a private direct solver that serve that
+// instance's whole model/core loop. Both are forks of two bases built once
+// per round, before the fan-out (warmBases): the formulas every instance
+// needs are blasted once, and every instance starts from the same warm
+// state — not from whatever state a worker's previous instance left
+// behind. That is what keeps the inferred cubes independent of scheduling:
+// models and unsat cores depend on learned-clause state, so any sharing
+// between instances would make the output depend on which instances a
+// worker happened to process first. Results are merged in instance order,
+// so Assertions and Uncontrolled are byte-identical for every worker count.
+//
+// rep must still hold the shards FindBugs decided its bugs on.
 func Run(pl *core.Pipeline, rep *core.Report, opts Options) *Result {
-	f := pl.IR.F
 	workers := pool.Workers(opts.Workers)
 	res := &Result{Controlled: map[*ir.Node]bool{}}
-	re := &rechecker{pl: pl, res: res, s: rep.S, obs: opts.Obs, trace: opts.Trace}
-	if re.s == nil {
-		re.s = solver.New(f)
-		re.s.SetObs(opts.Obs)
-	}
+	re := &rechecker{pl: pl, res: res, shards: rep.Shards, workers: workers, obs: opts.Obs, trace: opts.Trace}
 
 	reachableBugs := make([]*core.Bug, 0, len(rep.Bugs))
 	for _, b := range rep.Bugs {
 		if b.Reachable {
 			reachableBugs = append(reachableBugs, b)
 		}
+	}
+	if len(reachableBugs) > 0 && len(rep.Shards) == 0 {
+		panic("infer.Run: the report's solver shards have been released")
 	}
 
 	// Phase 1: Fast-Infer on every instance, in parallel (pure symbolic
@@ -236,16 +237,23 @@ func Run(pl *core.Pipeline, rep *core.Report, opts Options) *Result {
 
 // rechecker incrementally re-verifies bug reachability under the growing
 // predicate set, asserting only assertions added since the last call and
-// re-checking only still-uncontrolled bugs.
+// re-checking only still-uncontrolled bugs. The work is split by shard:
+// every bug is rechecked on the solver that first decided it.
 type rechecker struct {
 	pl       *core.Pipeline
 	res      *Result
-	s        *solver.Solver
+	shards   []*solver.Solver
 	asserted int
+	workers  int
 	obs      *obs.Registry
 	trace    *obs.Span
 }
 
+// recheck returns the candidates still reachable under the predicates
+// inferred so far, in candidate order, and records the others as
+// controlled. Each shard, on its own goroutine, takes on the predicates
+// added since the last call and decides its own candidates; a verdict is a
+// SAT/UNSAT answer, so the split changes neither the result nor its order.
 func (re *rechecker) recheck(candidates []*core.Bug) []*core.Bug {
 	start := time.Now()
 	sp, done := obs.StartPhase(re.obs, re.trace, "recheck")
@@ -253,18 +261,32 @@ func (re *rechecker) recheck(candidates []*core.Bug) []*core.Bug {
 	defer done()
 	defer func() { re.res.RecheckTime += time.Since(start) }()
 	f := re.pl.IR.F
+	var preds []*smt.Term
 	for ; re.asserted < len(re.res.Assertions); re.asserted++ {
-		re.s.Assert(re.res.Assertions[re.asserted].Predicate(f))
+		preds = append(preds, re.res.Assertions[re.asserted].Predicate(f))
 	}
+	reachable := make([]bool, len(candidates))
+	pool.ForEach(re.workers, len(re.shards), func(k int) {
+		s, name := re.shards[k], core.ShardName(k)
+		for _, p := range preds {
+			s.Assert(p)
+		}
+		for i, b := range candidates {
+			if b.Shard != k {
+				continue
+			}
+			// Assumption-based Check, not a retractable scope: rechecks revisit
+			// the same conditions many times, so the assumption path reuses the
+			// circuit the shard blasted when it first decided the bug, while a
+			// scope would mint a fresh activation variable and guard clauses
+			// per visit.
+			s.Tag("recheck", name, b.Node.ID)
+			reachable[i] = s.Check(b.Cond) == solver.Sat
+		}
+	})
 	var out []*core.Bug
-	for _, b := range candidates {
-		// Assumption-based Check, not a retractable scope: rechecks revisit
-		// the same conditions many times, so the assumption path reuses the
-		// blasted circuit via the term memo, while a scope would mint a
-		// fresh activation variable and guard clauses per visit. On an
-		// incremental bug-check solver the recheck still profits from the
-		// cleaned (smaller) clause database FindBugs left behind.
-		if re.s.Check(b.Cond) == solver.Sat {
+	for i, b := range candidates {
+		if reachable[i] {
 			out = append(out, b)
 		} else {
 			re.res.Controlled[b.Node] = true
@@ -411,16 +433,19 @@ func Infer(pl *core.Pipeline, inst *ir.TableInstance, bugs []*core.Bug, opts Opt
 // has already walked the program once. The two are independent of each
 // other, so they are built side by side when there is a second worker.
 //
-// Both run without the term-level rewrite pass: rewriting is
-// verdict-preserving but not model-preserving, and Infer's cubes are built
-// from models and unsat cores, so keeping the circuit fixed is what makes
-// the inferred annotations identical under -rewrite=on/off.
+// Both run without the term-level rewrite pass. Rewriting preserves
+// verdicts, not models, and Infer's cubes are built from models and unsat
+// cores: the annotations are a function of the circuit these two solvers
+// blast. That circuit is the un-rewritten one, and TestForkMatchesFreshOnCorpus
+// replays every instance's query sequence on fresh un-rewritten solvers to
+// hold the forks to it.
 func warmBases(pl *core.Pipeline, bugs []*core.Bug, opts Options) (dual, direct *solver.Solver) {
 	f := pl.IR.F
 	bases := pool.Map(opts.Workers, 2, func(i int) *solver.Solver {
 		s := solver.New(f)
 		s.SetObs(opts.Obs)
 		s.SetRewrite(nil)
+		s.Tag("inferbase", [2]string{"dual", "direct"}[i], -1)
 		if i == 0 {
 			ok := pl.FullReach.OK
 			if opts.UseDontCare {
@@ -467,6 +492,8 @@ func inferShared(pl *core.Pipeline, dualBase, directBase *solver.Solver, inst *i
 	}
 
 	dual, direct := dualBase.Fork(), directBase.Fork()
+	dual.Tag("infer", inst.Name()+"/dual", -1)
+	direct.Tag("infer", inst.Name()+"/direct", -1)
 	direct.Assert(bug)
 
 	atomSet := map[*smt.Term]bool{}

@@ -226,66 +226,6 @@ func TestAssertionSources(t *testing.T) {
 	}
 }
 
-// renderResult flattens a Result into a canonical textual form: every
-// assertion (instance, source, forbidden cubes in order) plus the
-// uncontrolled bug list. Two Results with the same rendering are
-// byte-identical for the purposes of the determinism guarantee.
-func renderResult(res *Result) string {
-	out := ""
-	for _, a := range res.Assertions {
-		out += a.Instance.Name() + " [" + a.Source + "]"
-		if a.Linked != nil {
-			out += " linked=" + a.Linked.Name()
-		}
-		out += "\n"
-		for _, forb := range a.Forbidden {
-			out += "  forbid " + forb.String() + "\n"
-		}
-	}
-	for _, b := range res.Uncontrolled {
-		out += "uncontrolled " + b.Description() + "\n"
-	}
-	return out
-}
-
-// TestRunDeterministicAcrossWorkerCounts is the parallel engine's core
-// guarantee: inference output is byte-identical no matter how many
-// workers run it, including across separate compiles (fresh factories).
-// switch@1 is the case with something to lose: ten instances fork the same
-// two warm bases, so any state leaking from one instance's solvers into
-// another's would show as a cube that depends on the schedule.
-func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
-	cases := []struct {
-		name, src string
-		workers   []int
-	}{
-		{"nat", natSrc, []int{1, 2, 4, 8}},
-		{"switch@1", progs.GenerateSwitch(1), []int{1, 2, 4}},
-	}
-	for _, c := range cases {
-		if c.name != "nat" && testing.Short() {
-			continue
-		}
-		t.Run(c.name, func(t *testing.T) {
-			render := func(workers int) string {
-				pl, rep := compileAndFind(t, c.src)
-				opts := DefaultOptions()
-				opts.Workers = workers
-				return renderResult(Run(pl, rep, opts))
-			}
-			base := render(1)
-			if base == "" {
-				t.Fatal("no inference output to compare")
-			}
-			for _, w := range c.workers {
-				if got := render(w); got != base {
-					t.Errorf("workers=%d output differs from workers=1:\n--- j1:\n%s--- j%d:\n%s", w, base, w, got)
-				}
-			}
-		})
-	}
-}
-
 // TestForkMatchesFreshOnCorpus: a fork of a warm base is the solver a
 // cold build would have been, as far as answers go. For every corpus
 // program and every instance Infer works on, the queries that instance's

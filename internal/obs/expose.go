@@ -97,6 +97,8 @@ type metricsJSON struct {
 	Counters   map[string]int64         `json:"counters"`
 	Gauges     map[string]int64         `json:"gauges"`
 	Histograms map[string]HistogramJSON `json:"histograms"`
+	// SlowestChecks is present once a solver check has been recorded.
+	SlowestChecks []CheckRecord `json:"slowest_checks,omitempty"`
 }
 
 // JSON renders the registry as an indented JSON document with stable key
@@ -108,9 +110,10 @@ func (r *Registry) JSON() ([]byte, error) {
 	}
 	counters, gauges, hists := r.names()
 	doc := metricsJSON{
-		Counters:   map[string]int64{},
-		Gauges:     map[string]int64{},
-		Histograms: map[string]HistogramJSON{},
+		Counters:      map[string]int64{},
+		Gauges:        map[string]int64{},
+		Histograms:    map[string]HistogramJSON{},
+		SlowestChecks: r.SlowestChecks(),
 	}
 	for _, name := range counters {
 		doc.Counters[name] = r.CounterValue(name)

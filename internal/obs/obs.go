@@ -22,6 +22,7 @@
 package obs
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -35,6 +36,56 @@ type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
+	slowest  []CheckRecord // descending by Ns, at most slowestChecksKept
+}
+
+// CheckRecord is one solver check as the slowest-checks table lists it:
+// who issued it, how big the CNF was when it ran, and what it cost.
+type CheckRecord struct {
+	// Phase is the pipeline phase that issued the check (findbugs,
+	// recheck, inferbase, infer, ...), Solver the issuing solver's name
+	// within it (a shard, an Infer instance's dual or direct solver).
+	Phase  string `json:"phase"`
+	Solver string `json:"solver"`
+	// Node is the IR id of the bug node the check decides, -1 when the
+	// check is not about one node.
+	Node         int   `json:"node"`
+	CNFVars      int   `json:"cnf_vars"`
+	CNFClauses   int   `json:"cnf_clauses"`
+	Decisions    int64 `json:"decisions"`
+	Propagations int64 `json:"propagations"`
+	Conflicts    int64 `json:"conflicts"`
+	// Ns is the check's blast plus search time.
+	Ns int64 `json:"ns"`
+}
+
+// slowestChecksKept is the length of the slowest-checks table.
+const slowestChecksKept = 10
+
+// RecordCheck offers one check to the slowest-checks table, which keeps
+// the slowestChecksKept largest by Ns (no-op on nil).
+func (r *Registry) RecordCheck(c CheckRecord) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	i := sort.Search(len(r.slowest), func(i int) bool { return r.slowest[i].Ns < c.Ns })
+	if i == slowestChecksKept {
+		return
+	}
+	r.slowest = slices.Insert(r.slowest, i, c)
+	r.slowest = r.slowest[:min(len(r.slowest), slowestChecksKept)]
+}
+
+// SlowestChecks returns the table, slowest first (nil on nil).
+func (r *Registry) SlowestChecks() []CheckRecord {
+	if r == nil {
+		return nil
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return slices.Clone(r.slowest)
 }
 
 // NewRegistry returns an empty registry.

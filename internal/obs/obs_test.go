@@ -77,6 +77,42 @@ func TestNilRegistryIsNoOp(t *testing.T) {
 	if r.CounterValue("x_total") != 0 || r.GaugeValue("g") != 0 {
 		t.Fatal("nil registry reads nonzero")
 	}
+	r.RecordCheck(CheckRecord{Ns: 1})
+	if r.SlowestChecks() != nil {
+		t.Fatal("nil registry kept a check")
+	}
+}
+
+// TestSlowestChecks: the table keeps the ten largest checks by time,
+// slowest first, ties in arrival order, and shows in the JSON document only
+// once something was recorded.
+func TestSlowestChecks(t *testing.T) {
+	r := NewRegistry()
+	if data, _ := r.JSON(); strings.Contains(string(data), "slowest_checks") {
+		t.Fatal("empty table rendered")
+	}
+	for _, ns := range []int64{5, 90, 20, 70, 20, 100, 30, 10, 60, 40, 80, 50, 1} {
+		r.RecordCheck(CheckRecord{Phase: "findbugs", Solver: "shard 0", Node: int(ns), Ns: ns})
+	}
+	got := r.SlowestChecks()
+	want := []int64{100, 90, 80, 70, 60, 50, 40, 30, 20, 20}
+	if len(got) != len(want) {
+		t.Fatalf("kept %d checks, want %d", len(got), len(want))
+	}
+	for i, c := range got {
+		if c.Ns != want[i] || c.Node != int(want[i]) {
+			t.Fatalf("entry %d is %+v, want the %d ns check", i, c, want[i])
+		}
+	}
+	data, err := r.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{`"slowest_checks"`, `"phase": "findbugs"`, `"solver": "shard 0"`, `"node": 100`, `"cnf_vars"`, `"cnf_clauses"`, `"decisions"`, `"propagations"`, `"conflicts"`, `"ns": 100`} {
+		if !strings.Contains(string(data), key) {
+			t.Errorf("JSON document lacks %s", key)
+		}
+	}
 }
 
 func TestSpanTree(t *testing.T) {

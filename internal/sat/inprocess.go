@@ -7,8 +7,9 @@
 //
 // Both transformations replace clauses by equivalents under the level-0
 // facts, so verdicts and models are unchanged. The pass iterates in
-// clause-index order: results are deterministic for a given solver
-// history.
+// attach order: results are deterministic for a given solver history.
+// What it deletes or strips stays in the arena as counted waste; once that
+// exceeds half the live words the pass ends with a compaction.
 package sat
 
 // Inprocess cleans the clause database in place and returns how many
@@ -27,23 +28,19 @@ func (s *Solver) Inprocess() (deleted int) {
 		s.okState = false
 		return 0
 	}
-	// Level-0 facts need no reason clauses (analyze skips level-0 vars),
-	// and clearing them lets the loop below delete any clause freely.
-	for _, l := range s.trail {
-		s.reason[l.Var()] = -1
-	}
 	// Loop until fixpoint: stripping can create units whose propagation
 	// satisfies or shortens further clauses.
 	for {
 		changed := false
-		for i := range s.clauses {
-			c := &s.clauses[i]
-			if c.deleted {
+		for _, cref := range s.clauses {
+			h := s.arena[cref]
+			if h&deletedBit != 0 {
 				continue
 			}
+			lits := s.litsOf(cref)
 			satisfied, hasFalse := false, false
-			for _, l := range c.lits {
-				switch s.value(l) {
+			for _, w := range lits {
+				switch s.value(Lit(w)) {
 				case lTrue:
 					satisfied = true
 				case lFalse:
@@ -51,7 +48,7 @@ func (s *Solver) Inprocess() (deleted int) {
 				}
 			}
 			if satisfied {
-				s.deleteClause(i)
+				s.deleteClause(cref)
 				deleted++
 				changed = true
 				continue
@@ -60,24 +57,28 @@ func (s *Solver) Inprocess() (deleted int) {
 				continue
 			}
 			changed = true
-			s.detachClause(i)
-			out := c.lits[:0]
-			for _, l := range c.lits {
-				if s.value(l) != lFalse {
-					out = append(out, l)
+			s.detachClause(cref)
+			// Strip in place: the clause keeps its cref and its place in
+			// the walk, and the words it gives up are waste.
+			n := 0
+			for _, w := range lits {
+				if s.value(Lit(w)) != lFalse {
+					lits[n] = w
+					n++
 				}
 			}
-			c.lits = out
-			switch len(out) {
+			s.wasted += len(lits) - n
+			s.arena[cref] = uint32(n)<<sizeShift | h&learntBit
+			switch n {
 			case 0:
 				s.okState = false
 				return deleted
 			case 1:
-				s.markDeleted(i)
+				s.markDeleted(cref)
 				deleted++
-				s.uncheckedEnqueue(out[0], -1)
+				s.uncheckedEnqueue(Lit(lits[0]), -1)
 			default:
-				s.watchClause(i)
+				s.watchClause(cref)
 			}
 		}
 		if s.propagate() != -1 {
@@ -85,6 +86,14 @@ func (s *Solver) Inprocess() (deleted int) {
 			return deleted
 		}
 		if !changed {
+			// Level-0 facts need no reason clauses (analyze skips level-0
+			// vars), and at the fixpoint every clause that was one is
+			// satisfied and gone: no reason may outlive its clause, since a
+			// compaction hands the offset to another.
+			for _, l := range s.trail {
+				s.reason[l.Var()] = -1
+			}
+			s.collectGarbage()
 			return deleted
 		}
 	}

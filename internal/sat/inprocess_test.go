@@ -72,12 +72,12 @@ func TestInprocessForgetsRetractedLiteral(t *testing.T) {
 		t.Fatalf("scope refuted without learning: the test exercises no learnt clause")
 	}
 	mentions := func() (n int) {
-		for i := range s.clauses {
-			if s.clauses[i].deleted {
+		for _, cref := range s.clauses {
+			if s.arena[cref]&deletedBit != 0 {
 				continue
 			}
-			for _, l := range s.clauses[i].lits {
-				if l.Var() == act {
+			for _, l := range s.litsOf(cref) {
+				if Lit(l).Var() == act {
 					n++
 				}
 			}
@@ -100,7 +100,8 @@ func TestInprocessForgetsRetractedLiteral(t *testing.T) {
 // inprocessTrial adds the same random CNF, in batches, to a plain
 // reference solver and to a solver that runs Inprocess after every batch,
 // then compares Solve results under random assumptions and checks that the
-// model satisfies every clause added so far.
+// model satisfies every clause added so far, and the arena and watch-list
+// invariants after every Solve and Inprocess.
 func inprocessTrial(t *testing.T, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	nVars := 4 + rng.Intn(12)
@@ -137,6 +138,8 @@ func inprocessTrial(t *testing.T, seed int64) {
 			}
 		}
 		got, want := s.Solve(assumptions...), ref.Solve(assumptions...)
+		checkInvariants(t, s)
+		checkInvariants(t, ref)
 		if got != want {
 			t.Fatalf("seed %d batch %d: inprocessed solver %v, reference %v (assumptions %v)",
 				seed, b, got, want, assumptions)
@@ -156,6 +159,7 @@ func inprocessTrial(t *testing.T, seed int64) {
 			}
 		}
 		s.Inprocess()
+		checkInvariants(t, s)
 	}
 }
 

@@ -12,7 +12,9 @@
 package sat
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"slices"
 )
 
@@ -56,35 +58,64 @@ func (l Lit) String() string {
 	return fmt.Sprintf("%d", l.Var()+1)
 }
 
-// lbool is a three-valued boolean.
-type lbool int8
+// lbool is a three-valued boolean, encoded so that a literal's value is
+// its variable's value XOR its sign, with no branch: bit 0 tells true (0)
+// from false (1), bit 1 set means unassigned. value() therefore answers 2
+// or 3 for an unassigned literal: compare its result with lTrue and lFalse
+// only. The assigns array itself holds lTrue, lFalse or lUndef.
+type lbool uint8
 
 const (
-	lUndef lbool = iota
-	lTrue
-	lFalse
+	lTrue  lbool = 0
+	lFalse lbool = 1
+	lUndef lbool = 2
 )
 
-func boolToLbool(b bool) lbool {
-	if b {
-		return lTrue
+// The clause database is one flat []uint32, Solver.arena. A clause
+// reference (cref) is the offset of the clause's header word,
+//
+//	size<<sizeShift | learntBit | deletedBit
+//
+// a learnt clause keeps its float64 activity in the two words after the
+// header, and the literals follow inline. The store holds no pointer: the
+// collector never scans it, Clone copies it in one go, and a clause visit
+// in propagate is one dependent load where a slice of clause structs, each
+// with its own literal slice, cost two.
+const (
+	deletedBit uint32 = 1
+	learntBit  uint32 = 2 // its value is also the number of activity words
+	sizeShift         = 2
+
+	// binFlag tags the watchers of a two-literal clause. It is the top bit
+	// of watcher.ref, so every cref has to stay below it (which also keeps
+	// crefs inside the int32 reason array).
+	binFlag uint32 = 1 << 31
+	maxCref        = 1<<31 - 1
+)
+
+// clauseWords is the number of arena words the clause with header h owns.
+func clauseWords(h uint32) int { return int(1 + h&learntBit + h>>sizeShift) }
+
+// mustCref turns an arena offset into a clause reference. An offset that
+// would reach binFlag cannot be told from a tagged watcher, so it panics
+// here rather than wrap into some other clause's reference.
+func mustCref(off int) int32 {
+	if off > maxCref {
+		panic(fmt.Sprintf("sat: clause arena full: offset %d does not fit a clause reference", off))
 	}
-	return lFalse
+	return int32(off)
 }
 
-// clause is a disjunction of literals. Learnt clauses carry an activity
-// used for clause-database reduction.
-type clause struct {
-	lits     []Lit
-	activity float64
-	learnt   bool
-	deleted  bool
-}
-
+// watcher is one entry of a literal's watch list. The watchers of a
+// two-literal clause carry binFlag and have the clause's other literal as
+// their blocker, so propagate decides such a clause from the watcher alone
+// and reads the arena for it only on a conflict.
 type watcher struct {
-	cref    int32 // index into Solver.clauses
-	blocker Lit   // quick satisfaction check without touching the clause
+	ref     uint32 // cref, plus binFlag for a two-literal clause
+	blocker Lit    // quick satisfaction check without touching the clause
 }
+
+func (w watcher) cref() int32 { return int32(w.ref &^ binFlag) }
 
 // Result is the outcome of a Solve call.
 type Result int8
@@ -114,7 +145,12 @@ func (r Result) String() string {
 // be added between Solve calls (incremental use); variables are created
 // with NewVar or implicitly by AddClause.
 type Solver struct {
-	clauses []clause
+	arena []uint32 // the clause store, see deletedBit
+	// clauses lists the crefs in attach order, deleted ones included until
+	// the next compaction: the order of every whole-database walk
+	// (reduceDB, Inprocess, activity rescaling, compact).
+	clauses []int32
+	wasted  int         // dead arena words: deleted clauses and stripped literals
 	watches [][]watcher // indexed by Lit
 
 	assigns  []lbool // indexed by Var
@@ -135,6 +171,10 @@ type Solver struct {
 
 	model      []lbool
 	conflictCs []Lit // failed assumptions (negated), valid after Unsat
+
+	// addBuf and learntBuf are AddClause's and analyze's scratch: the
+	// normalised or learnt clause is built here and copied into the arena.
+	addBuf, learntBuf []Lit
 
 	// Budget limits a single Solve call; 0 means unlimited.
 	Budget struct {
@@ -280,25 +320,14 @@ func (s *Solver) Clone() *Solver {
 		panic("sat: Clone above decision level 0")
 	}
 	c := *s
-	// One backing array per kind, carved into full slices: a clone costs a
-	// handful of allocations, and the first append to a watch list moves it
-	// out of the shared array.
-	nLits, nWatches := 0, 0
-	for i := range s.clauses {
-		nLits += len(s.clauses[i].lits) // nil once deleted
-	}
+	// The clause store is one copy.
+	c.arena = slices.Clone(s.arena)
+	c.clauses = slices.Clone(s.clauses)
+	// One backing array for all watch lists, carved into full slices: the
+	// first append to a list moves it out of the shared array.
+	nWatches := 0
 	for _, ws := range s.watches {
 		nWatches += len(ws)
-	}
-	lits := make([]Lit, 0, nLits)
-	// Headroom for the clauses the copy will learn: without it the first
-	// one reallocates the whole database.
-	c.clauses = make([]clause, len(s.clauses), len(s.clauses)+len(s.clauses)/8+64)
-	for i, cl := range s.clauses {
-		start := len(lits)
-		lits = append(lits, cl.lits...)
-		cl.lits = lits[start:len(lits):len(lits)]
-		c.clauses[i] = cl
 	}
 	watchers := make([]watcher, 0, nWatches)
 	c.watches = make([][]watcher, len(s.watches))
@@ -317,6 +346,7 @@ func (s *Solver) Clone() *Solver {
 	c.trailLim = nil
 	c.model = slices.Clone(s.model)
 	c.conflictCs = slices.Clone(s.conflictCs)
+	c.addBuf, c.learntBuf = nil, nil
 	c.heap = varHeap{
 		heap:     slices.Clone(s.heap.heap),
 		indices:  slices.Clone(s.heap.indices),
@@ -331,18 +361,24 @@ func (s *Solver) ensureVar(v Var) {
 	}
 }
 
-func (s *Solver) value(l Lit) lbool {
-	a := s.assigns[l.Var()]
-	if a == lUndef {
-		return lUndef
-	}
-	if l.Sign() {
-		if a == lTrue {
-			return lFalse
-		}
-		return lTrue
-	}
-	return a
+// value is l's current truth value; see lbool for what it returns when l
+// is unassigned.
+func (s *Solver) value(l Lit) lbool { return s.assigns[l>>1] ^ lbool(l&1) }
+
+// litsOf returns the literals of clause cref as a window on the arena.
+func (s *Solver) litsOf(cref int32) []uint32 {
+	h := s.arena[cref]
+	off := uint32(cref) + 1 + h&learntBit
+	return s.arena[off : off+h>>sizeShift]
+}
+
+func (s *Solver) clauseActivity(cref int32) float64 {
+	return math.Float64frombits(uint64(s.arena[cref+1]) | uint64(s.arena[cref+2])<<32)
+}
+
+func (s *Solver) setClauseActivity(cref int32, a float64) {
+	b := math.Float64bits(a)
+	s.arena[cref+1], s.arena[cref+2] = uint32(b), uint32(b>>32)
 }
 
 // AddClause adds a disjunction of literals. It returns false if the clause
@@ -359,7 +395,7 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 	// Normalize: drop duplicate and false literals; detect tautology and
 	// already-satisfied clauses. Clauses are a handful of literals, so
 	// scanning the kept prefix beats any per-clause set.
-	out := make([]Lit, 0, len(lits))
+	out := s.addBuf[:0]
 nextLit:
 	for _, l := range lits {
 		switch s.value(l) {
@@ -378,6 +414,7 @@ nextLit:
 		}
 		out = append(out, l)
 	}
+	s.addBuf = out
 	switch len(out) {
 	case 0:
 		s.okState = false
@@ -390,32 +427,48 @@ nextLit:
 		}
 		return true
 	}
-	s.attachClause(clause{lits: out})
+	s.attachClause(out, false)
 	return true
 }
 
-func (s *Solver) attachClause(c clause) int {
-	cref := len(s.clauses)
-	if !c.learnt {
+// attachClause copies lits (two or more) into the arena as a new clause,
+// learnt ones starting at the current clause-activity increment, and puts
+// it on the watch lists of its first two literals.
+func (s *Solver) attachClause(lits []Lit, learnt bool) int32 {
+	cref := mustCref(len(s.arena))
+	h := uint32(len(lits)) << sizeShift
+	if learnt {
+		s.arena = append(s.arena, h|learntBit, 0, 0)
+		s.setClauseActivity(cref, s.claInc)
+		s.numLearnt++
+	} else {
+		s.arena = append(s.arena, h)
 		s.problemCs++
 	}
-	s.clauses = append(s.clauses, c)
+	for _, l := range lits {
+		s.arena = append(s.arena, uint32(l))
+	}
+	s.clauses = append(s.clauses, cref)
 	s.watchClause(cref)
 	return cref
 }
 
 // watchClause puts clause cref on the watch lists of its first two
-// literals.
-func (s *Solver) watchClause(cref int) {
-	c := &s.clauses[cref]
-	l0, l1 := c.lits[0], c.lits[1]
-	s.watches[l0.Neg()] = append(s.watches[l0.Neg()], watcher{int32(cref), l1})
-	s.watches[l1.Neg()] = append(s.watches[l1.Neg()], watcher{int32(cref), l0})
+// literals, tagged when those are all it has.
+func (s *Solver) watchClause(cref int32) {
+	lits := s.litsOf(cref)
+	l0, l1 := Lit(lits[0]), Lit(lits[1])
+	ref := uint32(cref)
+	if len(lits) == 2 {
+		ref |= binFlag
+	}
+	s.watches[l0.Neg()] = append(s.watches[l0.Neg()], watcher{ref, l1})
+	s.watches[l1.Neg()] = append(s.watches[l1.Neg()], watcher{ref, l0})
 }
 
 func (s *Solver) uncheckedEnqueue(l Lit, from int32) {
 	v := l.Var()
-	s.assigns[v] = boolToLbool(!l.Sign())
+	s.assigns[v] = lbool(l & 1)
 	s.level[v] = int32(len(s.trailLim))
 	s.reason[v] = from
 	s.polarity[v] = l.Sign()
@@ -424,45 +477,60 @@ func (s *Solver) uncheckedEnqueue(l Lit, from int32) {
 
 // propagate performs unit propagation; returns the conflicting clause ref
 // or -1 if no conflict.
-func (s *Solver) propagate() int {
+func (s *Solver) propagate() int32 {
 	for s.qhead < len(s.trail) {
 		p := s.trail[s.qhead]
 		s.qhead++
 		ws := s.watches[p]
+		notP := uint32(p.Neg())
 		n := 0
 	nextWatcher:
 		for i := 0; i < len(ws); i++ {
 			w := ws[i]
-			if s.value(w.blocker) == lTrue {
+			bv := s.value(w.blocker)
+			if bv == lTrue {
 				ws[n] = w
 				n++
 				continue
 			}
-			c := &s.clauses[w.cref]
 			s.propagations++
-			// Ensure the false literal is lits[1].
-			if c.lits[0] == p.Neg() {
-				c.lits[0], c.lits[1] = c.lits[1], c.lits[0]
-			}
-			first := c.lits[0]
-			if first != w.blocker && s.value(first) == lTrue {
-				ws[n] = watcher{w.cref, first}
-				n++
-				continue
-			}
-			// Look for a new literal to watch.
-			for k := 2; k < len(c.lits); k++ {
-				if s.value(c.lits[k]) != lFalse {
-					c.lits[1], c.lits[k] = c.lits[k], c.lits[1]
-					nl := c.lits[1].Neg()
-					s.watches[nl] = append(s.watches[nl], watcher{w.cref, first})
-					continue nextWatcher
+			cref := w.cref()
+			first := w.blocker
+			if w.ref&binFlag == 0 {
+				lits := s.litsOf(cref)
+				// Ensure the false literal is lits[1].
+				if lits[0] == notP {
+					lits[0], lits[1] = lits[1], notP
 				}
+				first = Lit(lits[0])
+				if first != w.blocker && s.value(first) == lTrue {
+					ws[n] = watcher{w.ref, first}
+					n++
+					continue
+				}
+				// Look for a new literal to watch.
+				for k := 2; k < len(lits); k++ {
+					if s.value(Lit(lits[k])) != lFalse {
+						lits[1], lits[k] = lits[k], lits[1]
+						nl := Lit(lits[1]).Neg()
+						s.watches[nl] = append(s.watches[nl], watcher{w.ref, first})
+						continue nextWatcher
+					}
+				}
+				bv = s.value(first)
 			}
 			// Clause is unit or conflicting.
-			ws[n] = watcher{w.cref, first}
+			ws[n] = watcher{w.ref, first}
 			n++
-			if s.value(first) == lFalse {
+			if bv == lFalse {
+				if w.ref&binFlag != 0 {
+					// The one time a two-literal clause's order shows:
+					// analyze walks the conflict clause front to back, and
+					// a clause visited through the arena would stand with
+					// its false watch second.
+					lits := s.litsOf(cref)
+					lits[0], lits[1] = uint32(first), notP
+				}
 				// Conflict: copy remaining watchers and bail.
 				for i++; i < len(ws); i++ {
 					ws[n] = ws[i]
@@ -470,9 +538,9 @@ func (s *Solver) propagate() int {
 				}
 				s.watches[p] = ws[:n]
 				s.qhead = len(s.trail)
-				return int(w.cref)
+				return cref
 			}
-			s.uncheckedEnqueue(first, w.cref)
+			s.uncheckedEnqueue(first, cref)
 		}
 		s.watches[p] = ws[:n]
 	}
@@ -516,16 +584,16 @@ func (s *Solver) bumpVar(v Var) {
 	}
 }
 
-func (s *Solver) bumpClause(cref int) {
-	c := &s.clauses[cref]
-	if !c.learnt {
+func (s *Solver) bumpClause(cref int32) {
+	if s.arena[cref]&learntBit == 0 {
 		return
 	}
-	c.activity += s.claInc
-	if c.activity > 1e20 {
-		for i := range s.clauses {
-			if s.clauses[i].learnt {
-				s.clauses[i].activity *= 1e-20
+	act := s.clauseActivity(cref) + s.claInc
+	s.setClauseActivity(cref, act)
+	if act > 1e20 {
+		for _, c := range s.clauses {
+			if s.arena[c]&(learntBit|deletedBit) == learntBit {
+				s.setClauseActivity(c, s.clauseActivity(c)*1e-20)
 			}
 		}
 		s.claInc *= 1e-20
@@ -533,23 +601,24 @@ func (s *Solver) bumpClause(cref int) {
 }
 
 // analyze computes the first-UIP learnt clause from the conflicting clause
-// and returns it together with the backtrack level.
-func (s *Solver) analyze(confl int) ([]Lit, int) {
-	learnt := []Lit{LitUndef} // slot 0 reserved for the asserting literal
+// and returns it, in the solver's scratch buffer, together with the
+// backtrack level.
+func (s *Solver) analyze(confl int32) ([]Lit, int) {
+	learnt := append(s.learntBuf[:0], LitUndef) // slot 0 reserved for the asserting literal
 	counter := 0
 	p := LitUndef
+	resolved := Var(-1) // the variable confl is the reason of
 	idx := len(s.trail) - 1
 
 	for {
-		c := &s.clauses[confl]
 		s.bumpClause(confl)
-		start := 0
-		if p != LitUndef {
-			start = 1
-		}
-		for _, q := range c.lits[start:] {
+		for _, w := range s.litsOf(confl) {
+			q := Lit(w)
 			v := q.Var()
-			if s.seen[v] || s.level[v] == 0 {
+			// A reason clause holds its implied literal at any position
+			// (a two-literal one is never reordered), so it is skipped by
+			// value.
+			if v == resolved || s.seen[v] || s.level[v] == 0 {
 				continue
 			}
 			s.seen[v] = true
@@ -566,15 +635,16 @@ func (s *Solver) analyze(confl int) ([]Lit, int) {
 		}
 		p = s.trail[idx]
 		idx--
-		v := p.Var()
-		s.seen[v] = false
+		resolved = p.Var()
+		s.seen[resolved] = false
 		counter--
 		if counter == 0 {
 			break
 		}
-		confl = int(s.reason[v])
+		confl = s.reason[resolved]
 	}
 	learnt[0] = p.Neg()
+	s.learntBuf = learnt // keep the grown buffer
 
 	// Minimize: remove literals implied by the rest (simple self-subsumption
 	// over direct reasons). Clear seen flags of removed literals here; the
@@ -615,15 +685,26 @@ func (s *Solver) redundant(q Lit) bool {
 	if r < 0 {
 		return false
 	}
-	for _, l := range s.clauses[r].lits {
-		if l.Var() == q.Var() {
+	for _, w := range s.litsOf(r) {
+		v := Lit(w).Var()
+		if v == q.Var() {
 			continue
 		}
-		if !s.seen[l.Var()] && s.level[l.Var()] != 0 {
+		if !s.seen[v] && s.level[v] != 0 {
 			return false
 		}
 	}
 	return true
+}
+
+// markReasonLits flags, for conflict-core extraction, the variables above
+// level 0 that clause cref mentions.
+func (s *Solver) markReasonLits(cref int32) {
+	for _, w := range s.litsOf(cref) {
+		if v := Lit(w).Var(); s.level[v] > 0 {
+			s.seen[v] = true
+		}
+	}
 }
 
 // analyzeFinal computes the set of assumption literals responsible for
@@ -648,11 +729,7 @@ func (s *Solver) analyzeFinal(p Lit) {
 				s.conflictCs = append(s.conflictCs, s.trail[i])
 			}
 		} else {
-			for _, l := range s.clauses[s.reason[v]].lits {
-				if s.level[l.Var()] > 0 {
-					s.seen[l.Var()] = true
-				}
-			}
+			s.markReasonLits(s.reason[v])
 		}
 		s.seen[v] = false
 	}
@@ -661,16 +738,12 @@ func (s *Solver) analyzeFinal(p Lit) {
 
 // analyzeFinalConfl is like analyzeFinal but starts from a conflicting
 // clause instead of a single failed assumption.
-func (s *Solver) analyzeFinalConfl(confl int) {
+func (s *Solver) analyzeFinalConfl(confl int32) {
 	s.conflictCs = s.conflictCs[:0]
 	if s.decisionLevel() == 0 {
 		return
 	}
-	for _, l := range s.clauses[confl].lits {
-		if s.level[l.Var()] > 0 {
-			s.seen[l.Var()] = true
-		}
-	}
+	s.markReasonLits(confl)
 	for i := len(s.trail) - 1; i >= int(s.trailLim[0]); i-- {
 		v := s.trail[i].Var()
 		if !s.seen[v] {
@@ -679,57 +752,48 @@ func (s *Solver) analyzeFinalConfl(confl int) {
 		if s.reason[v] == -1 {
 			s.conflictCs = append(s.conflictCs, s.trail[i])
 		} else {
-			for _, l := range s.clauses[s.reason[v]].lits {
-				if s.level[l.Var()] > 0 {
-					s.seen[l.Var()] = true
-				}
-			}
+			s.markReasonLits(s.reason[v])
 		}
 		s.seen[v] = false
 	}
 }
 
+// reduceDB deletes the less active half of the learnt clauses, keeping
+// two-literal clauses and current reasons.
 func (s *Solver) reduceDB() {
-	// Collect learnt clause refs sorted by activity; delete the lower half,
-	// keeping binary clauses and current reasons.
 	type ca struct {
-		cref int
+		cref int32
 		act  float64
 	}
 	var learnts []ca
-	for i := range s.clauses {
-		c := &s.clauses[i]
-		if c.learnt && !c.deleted && len(c.lits) > 2 {
-			learnts = append(learnts, ca{i, c.activity})
+	for _, c := range s.clauses {
+		if h := s.arena[c]; h&(learntBit|deletedBit) == learntBit && h>>sizeShift > 2 {
+			learnts = append(learnts, ca{c, s.clauseActivity(c)})
 		}
 	}
-	// Insertion sort by activity ascending (learnts lists are modest).
-	for i := 1; i < len(learnts); i++ {
-		for j := i; j > 0 && learnts[j].act < learnts[j-1].act; j-- {
-			learnts[j], learnts[j-1] = learnts[j-1], learnts[j]
-		}
-	}
-	locked := map[int]bool{}
-	for _, l := range s.trail {
-		if r := s.reason[l.Var()]; r >= 0 {
-			locked[int(r)] = true
-		}
-	}
+	// Stable, so clauses of equal activity fall in attach order whatever
+	// the sort algorithm.
+	slices.SortStableFunc(learnts, func(a, b ca) int { return cmp.Compare(a.act, b.act) })
 	for _, e := range learnts[:len(learnts)/2] {
-		if locked[e.cref] {
+		// A clause of more than two literals is the reason of no variable
+		// but that of its first literal (propagate and search enqueue
+		// lits[0]; cancelUntil resets the reason), so this is the mark of
+		// the trail's reasons.
+		if s.reason[Lit(s.litsOf(e.cref)[0]).Var()] == e.cref {
 			continue
 		}
 		s.deleteClause(e.cref)
 	}
+	s.collectGarbage()
 }
 
-func (s *Solver) detachClause(cref int) {
-	c := &s.clauses[cref]
-	for _, wl := range []Lit{c.lits[0].Neg(), c.lits[1].Neg()} {
+func (s *Solver) detachClause(cref int32) {
+	lits := s.litsOf(cref)
+	for _, wl := range [2]Lit{Lit(lits[0]).Neg(), Lit(lits[1]).Neg()} {
 		ws := s.watches[wl]
 		n := 0
 		for _, w := range ws {
-			if w.cref != int32(cref) {
+			if w.cref() != cref {
 				ws[n] = w
 				n++
 			}
@@ -739,22 +803,69 @@ func (s *Solver) detachClause(cref int) {
 }
 
 // deleteClause detaches cref from the watch lists and marks it deleted,
-// maintaining the live-clause counters, and releases the literal slice.
-func (s *Solver) deleteClause(cref int) {
+// maintaining the live-clause counters.
+func (s *Solver) deleteClause(cref int32) {
 	s.detachClause(cref)
 	s.markDeleted(cref)
 }
 
-// markDeleted is deleteClause for a clause that is already detached.
-func (s *Solver) markDeleted(cref int) {
-	c := &s.clauses[cref]
-	c.deleted = true
-	c.lits = nil
-	if c.learnt {
+// markDeleted is deleteClause for a clause that is already detached. The
+// clause's words stay where they are, counted as waste, until the next
+// compaction.
+func (s *Solver) markDeleted(cref int32) {
+	h := s.arena[cref]
+	s.arena[cref] = h | deletedBit
+	s.wasted += clauseWords(h)
+	if h&learntBit != 0 {
 		s.numLearnt--
 	} else {
 		s.problemCs--
 	}
+}
+
+// collectGarbage compacts the arena once its dead words exceed half its
+// live ones.
+func (s *Solver) collectGarbage() {
+	if s.wasted > (len(s.arena)-s.wasted)/2 {
+		s.compact()
+	}
+}
+
+// compact copies the live clauses, in attach order, into a fresh arena and
+// redirects every reference. Each old header receives its clause's new
+// cref as a forward pointer; watch lists are rewritten in place, entry by
+// entry, so the order propagate visits clauses in — and with it the search
+// trace — is what it would have been without the compaction.
+func (s *Solver) compact() {
+	old := s.arena
+	live := len(old) - s.wasted
+	to := make([]uint32, 0, live+live/8+1024)
+	n := 0
+	for _, cref := range s.clauses {
+		h := old[cref]
+		if h&deletedBit != 0 {
+			continue
+		}
+		moved := mustCref(len(to))
+		to = append(to, old[cref:int(cref)+clauseWords(h)]...)
+		old[cref] = uint32(moved)
+		s.clauses[n] = moved
+		n++
+	}
+	s.clauses = s.clauses[:n]
+	for _, ws := range s.watches {
+		for i := range ws {
+			ws[i].ref = old[ws[i].cref()] | ws[i].ref&binFlag
+		}
+	}
+	// A reason is always a live clause: reduceDB keeps the trail's, and
+	// Inprocess, which deletes freely, leaves level 0 without any.
+	for _, l := range s.trail {
+		if r := s.reason[l.Var()]; r >= 0 {
+			s.reason[l.Var()] = int32(old[r])
+		}
+	}
+	s.arena, s.wasted = to, 0
 }
 
 // luby computes the Luby restart sequence value for index i (1-based).
@@ -831,9 +942,7 @@ func (s *Solver) search(assumptions []Lit, conflictLimit int64, conflictsThisCal
 				s.uncheckedEnqueue(learnt[0], -1)
 				// Re-establish assumptions on the next loop iterations.
 			} else {
-				cref := s.attachClause(clause{lits: learnt, learnt: true, activity: s.claInc})
-				s.numLearnt++
-				s.uncheckedEnqueue(learnt[0], int32(cref))
+				s.uncheckedEnqueue(learnt[0], s.attachClause(learnt, true))
 			}
 			s.varInc /= 0.95
 			s.claInc /= 0.999

@@ -200,7 +200,8 @@ func TestAgainstBruteForce(t *testing.T) {
 			}
 			cnf = append(cnf, cl)
 		}
-		_, res := solveCNF(cnf)
+		s, res := solveCNF(cnf)
+		checkInvariants(t, s)
 		want := bruteForce(nVars, cnf)
 		return (res == Sat) == want
 	}
@@ -281,13 +282,16 @@ func TestCorePropertyRandom(t *testing.T) {
 				assumptions = append(assumptions, MkLit(Var(v), rng.Intn(2) == 0))
 			}
 		}
-		if s.Solve(assumptions...) != Unsat {
+		res := s.Solve(assumptions...)
+		checkInvariants(t, s)
+		if res != Unsat {
 			continue
 		}
 		core := append([]Lit(nil), s.FailedAssumptions()...)
 		if got := s.Solve(core...); got != Unsat {
 			t.Fatalf("iter %d: core %v not unsat on its own", iter, core)
 		}
+		checkInvariants(t, s)
 	}
 }
 
@@ -418,6 +422,8 @@ func TestCloneContinuesIdentically(t *testing.T) {
 		t.Fatal("warm-up solve hit no conflict: the clone would carry no learnt state")
 	}
 	c := s.Clone()
+	checkInvariants(t, c)
+	checkCloneAgrees(t, s, c)
 	for round := 0; round < 20; round++ {
 		var cl, assumptions []Lit
 		for j := 0; j < 3; j++ {
@@ -432,6 +438,8 @@ func TestCloneContinuesIdentically(t *testing.T) {
 		if rs != rc {
 			t.Fatalf("round %d: original %v, clone %v", round, rs, rc)
 		}
+		checkInvariants(t, s)
+		checkInvariants(t, c)
 		if s.StatsSnapshot() != c.StatsSnapshot() {
 			t.Fatalf("round %d: search effort diverged: original %+v, clone %+v", round, s.StatsSnapshot(), c.StatsSnapshot())
 		}

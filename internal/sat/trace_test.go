@@ -1,0 +1,92 @@
+package sat
+
+import (
+	"math/rand"
+	"testing"
+)
+
+func random3SAT(seed int64, nVars, nClauses int) [][]Lit {
+	rng := rand.New(rand.NewSource(seed))
+	cnf := make([][]Lit, nClauses)
+	for i := range cnf {
+		for j := 0; j < 3; j++ {
+			cnf[i] = append(cnf[i], MkLit(Var(rng.Intn(nVars)), rng.Intn(2) == 0))
+		}
+	}
+	return cnf
+}
+
+// incrementalRound is one scoped check the way internal/solver issues it:
+// guard clauses under a fresh activation variable on top of a random 3-SAT
+// base (added in round 0), a Solve under the activation literal and one
+// more assumption, then the retracting unit and an Inprocess pass.
+func incrementalRound(s *Solver, round int) Result {
+	const nVars = 60
+	if round == 0 {
+		for _, cl := range random3SAT(13, nVars, 235) {
+			s.AddClause(cl...)
+		}
+	}
+	rng := rand.New(rand.NewSource(int64(round)))
+	act := Var(nVars + round)
+	for k := 0; k < 6; k++ {
+		cl := []Lit{MkLit(act, true)}
+		for j := 0; j < 2+rng.Intn(2); j++ {
+			cl = append(cl, MkLit(Var(rng.Intn(nVars)), rng.Intn(2) == 0))
+		}
+		s.AddClause(cl...)
+	}
+	res := s.Solve(MkLit(act, false), MkLit(Var(rng.Intn(nVars)), rng.Intn(2) == 0))
+	s.AddClause(MkLit(act, true))
+	s.Inprocess()
+	return res
+}
+
+// pinnedTraces are instances with the search effort the solver spent on
+// them before its clause store became a flat arena (commit a9207a4, the
+// []clause-of-slices representation). Decisions, propagations, conflicts,
+// restarts and learnt clauses are a fingerprint of the whole search trace:
+// a change of data layout must not move any of them, a change of heuristics
+// has to re-pin them on purpose.
+var pinnedTraces = []struct {
+	name string
+	run  func(s *Solver) Result
+	res  Result
+	want Stats
+}{
+	{"pigeonhole-7", func(s *Solver) Result { pigeonhole(s, 8, 7); return s.Solve() }, Unsat,
+		Stats{Conflicts: 6254, Propagations: 1574658, Decisions: 7693, Restarts: 29, Learned: 6253}},
+	{"3sat-seed11-200x850", func(s *Solver) Result {
+		for _, cl := range random3SAT(11, 200, 850) {
+			s.AddClause(cl...)
+		}
+		return s.Solve()
+	}, Unsat, Stats{Conflicts: 13470, Propagations: 2915190, Decisions: 16249, Restarts: 59, Learned: 13469}},
+	{"3sat-seed5-180x765", func(s *Solver) Result {
+		for _, cl := range random3SAT(5, 180, 765) {
+			s.AddClause(cl...)
+		}
+		return s.Solve()
+	}, Sat, Stats{Conflicts: 878, Propagations: 108609, Decisions: 1133, Restarts: 6, Learned: 878}},
+	{"40-scoped-rounds", func(s *Solver) Result {
+		var last Result
+		for round := 0; round < 40; round++ {
+			last = incrementalRound(s, round)
+		}
+		return last
+	}, Unsat, Stats{Conflicts: 357, Propagations: 25404, Decisions: 412, Restarts: 0, Learned: 326}},
+}
+
+func TestSearchTracePinned(t *testing.T) {
+	for _, tc := range pinnedTraces {
+		t.Run(tc.name, func(t *testing.T) {
+			s := New()
+			if got := tc.run(s); got != tc.res {
+				t.Errorf("result %v, pinned %v", got, tc.res)
+			}
+			if got := s.StatsSnapshot(); got != tc.want {
+				t.Errorf("search effort %+v, pinned %+v", got, tc.want)
+			}
+		})
+	}
+}

@@ -64,6 +64,9 @@ type Solver struct {
 	// recording call is a nil-check no-op.
 	hooks obsHooks
 
+	// tag labels the checks that follow in the slowest-checks table.
+	tag obs.CheckRecord
+
 	// scopes holds the activation literal of each open push frame;
 	// scopeSeq names fresh activation variables (never reused, since pop
 	// permanently asserts the negation).
@@ -93,6 +96,7 @@ type CheckStats struct {
 
 // obsHooks are the solver's retained metric handles (nil when disabled).
 type obsHooks struct {
+	reg                                          *obs.Registry
 	checks, sat, unsat, unknown                  *obs.Counter
 	conflicts, propagations, decisions, restarts *obs.Counter
 	learned, blastNs, searchNs                   *obs.Counter
@@ -103,7 +107,8 @@ type obsHooks struct {
 // SetObs installs a metrics registry: every subsequent Check records its
 // per-query deltas under the bf4_solver_* names, and every Assert adds the
 // time it spent lowering its formula to CNF to bf4_solver_blast_ns_total,
-// the same counter Check's assumption blasting feeds. A nil registry disables
+// the same counter Check's assumption blasting feeds, and offers every check
+// to the registry's slowest-checks table (see Tag). A nil registry disables
 // recording (the default). Counters are shared and atomic, so many
 // solvers across worker goroutines may point at one registry.
 func (s *Solver) SetObs(reg *obs.Registry) {
@@ -112,6 +117,7 @@ func (s *Solver) SetObs(reg *obs.Registry) {
 		return
 	}
 	s.hooks = obsHooks{
+		reg:            reg,
 		checks:         reg.Counter("bf4_solver_checks_total"),
 		sat:            reg.Counter("bf4_solver_sat_total"),
 		unsat:          reg.Counter("bf4_solver_unsat_total"),
@@ -142,6 +148,7 @@ func New(f *smt.Factory) *Solver {
 		vars:    make(map[*smt.Term]bool),
 		varSeen: make(map[uint32]bool),
 		rewrite: rewrite.New(f).Rewrite,
+		tag:     obs.CheckRecord{Node: -1},
 	}
 }
 
@@ -166,6 +173,15 @@ func (s *Solver) Fork() *Solver {
 		fs.rewrite = rewrite.New(s.f).Rewrite
 	}
 	return &fs
+}
+
+// Tag labels the checks that follow for the slowest-checks table
+// (obs.CheckRecord): the phase issuing them, this solver's name within it,
+// and the bug node they decide (-1 when they are not about one node). A
+// fork inherits its parent's tag. Nothing reads a tag unless a registry is
+// installed.
+func (s *Solver) Tag(phase, name string, node int) {
+	s.tag = obs.CheckRecord{Phase: phase, Solver: name, Node: node}
 }
 
 // SetRewrite installs (or with nil removes) the pre-blast simplification
@@ -389,6 +405,11 @@ func (s *Solver) recordCheck() {
 	h.checkNs.Observe(s.lastCheck.BlastTime.Nanoseconds() + s.lastCheck.SearchTime.Nanoseconds())
 	h.cnfVars.Set(int64(s.sat.NumVars()))
 	h.cnfClauses.Set(int64(s.sat.NumClauses()))
+	rec := s.tag
+	rec.CNFVars, rec.CNFClauses = s.sat.NumVars(), s.sat.NumClauses()
+	rec.Decisions, rec.Propagations, rec.Conflicts = d.Decisions, d.Propagations, d.Conflicts
+	rec.Ns = s.lastCheck.BlastTime.Nanoseconds() + s.lastCheck.SearchTime.Nanoseconds()
+	h.reg.RecordCheck(rec)
 }
 
 // LastCheckStats returns the per-query statistics of the most recent
