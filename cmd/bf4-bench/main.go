@@ -4,29 +4,25 @@
 //
 // Usage:
 //
-//	bf4-bench -run table1 [-switch-scale 16] [-j 4] [-stable] [-metrics] [-json]
-//	bf4-bench -run shimfleet [-json]
-//	bf4-bench -run shimscale [-fastpath on|off|both] [-updates N] [-decision-log path] [-json]
+//	bf4-bench -run table1 [-switch-scale 16] [-j 4] [-stable]
 //	bf4-bench -run slicing|infer|multitable|dontcare|p4v|vera|shim|overhead|stages
 //	bf4-bench -run all
 //
-// -json on table1 writes BENCH_table1.json: the verdict columns joined
-// with deterministic per-program solver counters (CNF vars/clauses,
-// conflicts, propagations, discharge counts — no wall-clock).
+// Performance is measured by `go run ./bench`, not here; per-program
+// solver counters come from `bf4 -metrics-json`.
 //
 // -j bounds the worker pool for experiments that run independent
 // verifications (table1's corpus loop, each ablation's two arms);
 // 0 means GOMAXPROCS, 1 reproduces the paper's serial timing
 // methodology. All counts are identical for every -j. -stable renders
-// table1 without its runtime column so outputs from different -j values
-// (or machines) can be diffed byte-for-byte — CI does exactly that.
+// table1 without its runtime column and drops each experiment's
+// wall-clock footer, so outputs from different -j values (or machines)
+// can be diffed byte-for-byte — CI does exactly that.
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"time"
 
@@ -35,16 +31,12 @@ import (
 
 func main() {
 	var (
-		run         = flag.String("run", "all", "experiment: table1, slicing, infer, multitable, dontcare, p4v, vera, shim, shimfleet, shimscale, overhead, stages, all")
+		run         = flag.String("run", "all", "experiment: table1, slicing, infer, multitable, dontcare, p4v, vera, shim, overhead, stages, all")
 		switchScale = flag.Int("switch-scale", 8, "generated switch scale for switch-based experiments")
-		updates     = flag.Int("updates", 2000, "controller updates for the shim experiment (shimscale defaults to 1000000 unless set explicitly)")
-		fastpath    = flag.String("fastpath", "on", "shimscale: bytecode fast path on|off|both (both replays each tier and reports the speedup)")
-		decisionLog = flag.String("decision-log", "", "shimscale: write per-update decision logs to <path>.on / <path>.off for byte-diffing the tiers")
+		updates     = flag.Int("updates", 2000, "controller updates for the shim experiment")
 		veraBudget  = flag.Duration("vera-budget", 20*time.Second, "budget for symbolic Vera exploration")
 		jobs        = flag.Int("j", 0, "worker pool size for parallel experiments (0 = GOMAXPROCS, 1 = serial)")
-		stable      = flag.Bool("stable", false, "render table1 without the runtime column (byte-stable across -j values and machines)")
-		jsonOut     = flag.Bool("json", false, "additionally write machine-readable results (table1: BENCH_table1.json; shimfleet: BENCH_shimfleet.json; shimscale: BENCH_shimscale.json)")
-		metrics     = flag.Bool("metrics", false, "table1: append a per-program metrics table (deterministic solver/pipeline counters); the table1 section itself is unchanged")
+		stable      = flag.Bool("stable", false, "render table1 without the runtime column and omit the wall-clock footers (byte-stable across -j values and machines)")
 	)
 	flag.Parse()
 
@@ -61,20 +53,14 @@ func main() {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
 			os.Exit(1)
 		}
-		fmt.Printf("    (%s)\n\n", time.Since(start).Round(time.Millisecond))
+		if !*stable {
+			fmt.Printf("    (%s)\n", time.Since(start).Round(time.Millisecond))
+		}
+		fmt.Println()
 	}
 
 	dispatch("table1", func() error {
-		var (
-			rows []experiments.Table1Row
-			ms   []experiments.Table1Metrics
-			err  error
-		)
-		if *metrics || *jsonOut {
-			rows, ms, err = experiments.Table1WithMetrics(*switchScale, *jobs)
-		} else {
-			rows, err = experiments.Table1(*switchScale, *jobs)
-		}
+		rows, err := experiments.Table1(*switchScale, *jobs)
 		if err != nil {
 			return err
 		}
@@ -82,20 +68,6 @@ func main() {
 			fmt.Print(experiments.RenderTable1Stable(rows))
 		} else {
 			fmt.Print(experiments.RenderTable1(rows))
-		}
-		if *metrics {
-			fmt.Println("metrics:")
-			fmt.Print(experiments.RenderTable1Metrics(ms))
-		}
-		if *jsonOut {
-			data, err := experiments.Table1JSON(rows, ms)
-			if err != nil {
-				return err
-			}
-			if err := os.WriteFile("BENCH_table1.json", data, 0o644); err != nil {
-				return err
-			}
-			fmt.Println("wrote BENCH_table1.json")
 		}
 		return nil
 	})
@@ -188,106 +160,6 @@ func main() {
 			r.PerAssertion.P50, r.PerAssertion.P90, r.PerAssertion.P99, r.PerAssertion.Max)
 		fmt.Printf("per-update:    p50=%s p90=%s p99=%s max=%s\n",
 			r.PerUpdate.P50, r.PerUpdate.P90, r.PerUpdate.P99, r.PerUpdate.Max)
-		return nil
-	})
-
-	dispatch("shimfleet", func() error {
-		r, err := experiments.ShimFleet(*switchScale, *updates)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("%d shards, %d updates/shard: %d applied, %d rejected, %d dedup hits\n",
-			r.Shards, r.UpdatesPerShard, r.UpdatesApplied, r.UpdatesRejected, r.DedupHits)
-		fmt.Printf("failover: %d restores, %d parked writes replayed, %d checkpoints, %d journal appends\n",
-			r.Restores, r.ReplayedBatches, r.Checkpoints, r.JournalAppends)
-		fmt.Printf("verify-once: %d compile for %d shards (%d cache hits)\n",
-			r.AnnotationCompiles, r.Shards, r.AnnotationHits)
-		if *jsonOut {
-			data, err := experiments.ShimFleetJSON(r)
-			if err != nil {
-				return err
-			}
-			if err := os.WriteFile("BENCH_shimfleet.json", data, 0o644); err != nil {
-				return err
-			}
-			fmt.Println("wrote BENCH_shimfleet.json")
-		}
-		return nil
-	})
-
-	dispatch("shimscale", func() error {
-		// The headline run replays 1M updates; an explicit -updates (the
-		// CI smoke job passes a reduced scale) overrides, and -run all
-		// uses the shared -updates default.
-		scaleUpdates := 1_000_000
-		if all {
-			scaleUpdates = *updates
-		}
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "updates" {
-				scaleUpdates = *updates
-			}
-		})
-		setup, err := experiments.NewShimScaleSetup(*switchScale, scaleUpdates)
-		if err != nil {
-			return err
-		}
-		arms := map[string][]bool{"on": {true}, "off": {false}, "both": {true, false}}[*fastpath]
-		if arms == nil {
-			return fmt.Errorf("-fastpath must be on, off or both, got %q", *fastpath)
-		}
-		var results []*experiments.ShimScaleResult
-		for _, fp := range arms {
-			var log io.Writer
-			var logFile *os.File
-			if *decisionLog != "" {
-				suffix := map[bool]string{true: ".on", false: ".off"}[fp]
-				logFile, err = os.Create(*decisionLog + suffix)
-				if err != nil {
-					return err
-				}
-				log = bufio.NewWriterSize(logFile, 1<<20)
-			}
-			r, err := setup.Run(scaleUpdates, fp, log)
-			if err != nil {
-				return err
-			}
-			if logFile != nil {
-				if err := log.(*bufio.Writer).Flush(); err != nil {
-					return err
-				}
-				if err := logFile.Close(); err != nil {
-					return err
-				}
-			}
-			results = append(results, r)
-			fmt.Printf("fastpath=%-5v %d updates in %s: %.0f updates/s (%d accepted, %d rejected; %d fast / %d slow evals)\n",
-				fp, r.Updates, time.Duration(r.ElapsedNs).Round(time.Millisecond),
-				r.UpdatesPerSec, r.Accepted, r.Rejected, r.FastHits, r.SlowHits)
-			if *jsonOut {
-				name := "BENCH_shimscale.json"
-				if !fp {
-					name = "BENCH_shimscale_off.json"
-				}
-				data, err := experiments.ShimScaleJSON(r)
-				if err != nil {
-					return err
-				}
-				if err := os.WriteFile(name, data, 0o644); err != nil {
-					return err
-				}
-				fmt.Printf("wrote %s\n", name)
-			}
-		}
-		if len(results) == 2 {
-			on, off := results[0], results[1]
-			if on.Accepted != off.Accepted || on.Rejected != off.Rejected {
-				return fmt.Errorf("tiers disagree: on=%d/%d off=%d/%d accepted/rejected",
-					on.Accepted, on.Rejected, off.Accepted, off.Rejected)
-			}
-			fmt.Printf("speedup: %.1fx (identical decisions on both tiers)\n",
-				on.UpdatesPerSec/off.UpdatesPerSec)
-		}
 		return nil
 	})
 

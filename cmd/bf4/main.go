@@ -13,9 +13,6 @@
 //	-spec out.json     write the controller assertions + table schemas
 //	-fixed out.p4      write the fixed program (keys added)
 //	-render            print the SQL-like assertion rendering
-//	-no-slice          disable bug-reachability slicing
-//	-no-dontcare       disable dontCare-widened inference
-//	-no-multitable     disable the multi-table heuristic
 //	-j N               workers: solver shards for bug checks and rechecks,
 //	                   inference pool size (0 = GOMAXPROCS); verdicts,
 //	                   fixes and annotation files are identical for every
@@ -72,22 +69,19 @@ func main() {
 		return
 	}
 	var (
-		corpusName   = flag.String("corpus", "", "analyze a named corpus program (see -list)")
-		list         = flag.Bool("list", false, "list corpus programs and exit")
-		switchScale  = flag.Int("switch-scale", 0, "analyze a generated switch program at this scale")
-		specOut      = flag.String("spec", "", "write controller assertions (JSON) to this file")
-		fixedOut     = flag.String("fixed", "", "write the fixed P4 program to this file")
-		render       = flag.Bool("render", false, "print assertions in SQL-like form")
-		noSlice      = flag.Bool("no-slice", false, "disable slicing")
-		noDontCare   = flag.Bool("no-dontcare", false, "disable dontCare handling")
-		noMultiTable = flag.Bool("no-multitable", false, "disable the multi-table heuristic")
-		verbose      = flag.Bool("v", false, "verbose bug listing")
-		showTrace    = flag.Bool("trace", false, "print a counterexample trace for each reachable bug")
-		jobs         = flag.Int("j", 0, "workers: solver shards for bug checks and rechecks, and the inference pool size (0 = GOMAXPROCS; verdicts, fixes and annotation files are identical for every value, witness traces may differ)")
-		metricsOut   = flag.String("metrics-json", "", "write run metrics as JSON to this file (\"-\" for stdout; verdicts are identical with metrics on or off)")
-		traceOut     = flag.String("trace-out", "", "write the hierarchical phase-timing tree to this file (\"-\" for stdout)")
-		check        = flag.String("check", "", "enable extra bug classes: iflow adds information-flow leak checks (sensitive data reaching egress-visible sinks); assert compiles user @assert/@assume properties (source comments plus -prop-spec) into the verified set")
-		propSpec     = flag.String("prop-spec", "", "with -check=assert: read additional @assert/@assume properties from this .props spec file")
+		corpusName  = flag.String("corpus", "", "analyze a named corpus program (see -list)")
+		list        = flag.Bool("list", false, "list corpus programs and exit")
+		switchScale = flag.Int("switch-scale", 0, "analyze a generated switch program at this scale")
+		specOut     = flag.String("spec", "", "write controller assertions (JSON) to this file")
+		fixedOut    = flag.String("fixed", "", "write the fixed P4 program to this file")
+		render      = flag.Bool("render", false, "print assertions in SQL-like form")
+		verbose     = flag.Bool("v", false, "verbose bug listing")
+		showTrace   = flag.Bool("trace", false, "print a counterexample trace for each reachable bug")
+		jobs        = flag.Int("j", 0, "workers: solver shards for bug checks and rechecks, and the inference pool size (0 = GOMAXPROCS; verdicts, fixes and annotation files are identical for every value, witness traces may differ)")
+		metricsOut  = flag.String("metrics-json", "", "write run metrics as JSON to this file (\"-\" for stdout; verdicts are identical with metrics on or off)")
+		traceOut    = flag.String("trace-out", "", "write the hierarchical phase-timing tree to this file (\"-\" for stdout)")
+		check       = flag.String("check", "", "enable extra bug classes: iflow adds information-flow leak checks (sensitive data reaching egress-visible sinks); assert compiles user @assert/@assume properties (source comments plus -prop-spec) into the verified set")
+		propSpec    = flag.String("prop-spec", "", "with -check=assert: read additional @assert/@assume properties from this .props spec file")
 	)
 	flag.Parse()
 
@@ -142,10 +136,6 @@ func main() {
 	if *propSpec != "" && !checkAssert {
 		fatalf("bf4: -prop-spec requires -check=assert")
 	}
-	cfg.Slicing = !*noSlice
-	cfg.IR.DontCare = !*noDontCare
-	cfg.Infer.UseDontCare = !*noDontCare
-	cfg.Infer.UseMultiTable = !*noMultiTable
 	cfg.Workers = *jobs
 	if *metricsOut != "" {
 		cfg.Obs = obs.NewRegistry()

@@ -42,17 +42,21 @@ func runWithObs(t *testing.T, name, src string, reg *obs.Registry, tr *obs.Span)
 // order. That includes the slowest-checks table, which is collected only
 // on the observed side.
 func TestObservabilityPreservesVerdicts(t *testing.T) {
-	for _, name := range []string{"simple_nat", "heavy_hitter_2", "linearroad_16", "mplb_router-ppc"} {
-		p := progs.Get(name)
-		if p == nil {
-			t.Fatalf("missing corpus program %s", name)
-		}
-		t.Run(name, func(t *testing.T) {
-			plain, plainSpec := runWithObs(t, p.Name, p.Source, nil, nil)
+	for _, p := range progs.All() {
+		p := p
+		t.Run(p.Name, func(t *testing.T) {
+			src := p.Source
+			if p.Name == "switch" {
+				if testing.Short() {
+					t.Skip("verifies a generated switch twice; skipped in -short")
+				}
+				src = progs.GenerateSwitch(1)
+			}
+			plain, plainSpec := runWithObs(t, p.Name, src, nil, nil)
 
 			reg := obs.NewRegistry()
 			root := obs.StartSpan(p.Name)
-			observed, obsSpec := runWithObs(t, p.Name, p.Source, reg, root)
+			observed, obsSpec := runWithObs(t, p.Name, src, reg, root)
 			root.End()
 
 			if plain.Bugs != observed.Bugs ||

@@ -4,8 +4,7 @@
 // (§4.2), the multi-table and dontCare heuristics (§4.2), the p4v and
 // Vera comparisons (§5.2), the shim latency study (§5.3), the key
 // overhead analysis (§5) and the stage-cost motivation (§3). The cmd/
-// bf4-bench binary and the repository's Go benchmarks both drive these
-// entry points.
+// bf4-bench binary drives these entry points, one per experiment.
 //
 // Experiments that run several independent verifications (the corpus
 // loop of Table1, the two arms of each ablation) accept a workers knob
@@ -18,7 +17,6 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
@@ -31,7 +29,6 @@ import (
 	"bf4/internal/driver"
 	"bf4/internal/infer"
 	"bf4/internal/ir"
-	"bf4/internal/obs"
 	"bf4/internal/pool"
 	"bf4/internal/progs"
 	"bf4/internal/shim"
@@ -59,38 +56,6 @@ type Table1Row struct {
 // Runtime column is load-dependent. switchScale overrides the generated
 // switch's scale (0 = skip switch, for quick runs).
 func Table1(switchScale, workers int) ([]Table1Row, error) {
-	rows, _, err := table1(switchScale, workers, false)
-	return rows, err
-}
-
-// Table1Metrics is one program's deterministic metric summary for the
-// bf4-bench -metrics table: solver and pipeline counters only, no
-// timings, so the rendering is byte-stable across worker counts and
-// machines (search effort is deterministic per program — each run owns
-// its factory and solvers).
-type Table1Metrics struct {
-	Program       string
-	SolverChecks  int64
-	Sat, Unsat    int64
-	Conflicts     int64
-	Propagations  int64
-	LearnedCls    int64
-	CNFVars       int64
-	CNFClauses    int64
-	InferCalls    int64
-	Discharged    int64 // analysis + fold pre-discharges
-	PoolInferRuns int64 // instances handed to the infer pool
-}
-
-// Table1WithMetrics is Table1 plus a per-program metric summary gathered
-// through a private obs.Registry per run. The Table1Row values are
-// byte-identical to Table1's — the observability contract — which CI
-// enforces by diffing the table1 section with -metrics on and off.
-func Table1WithMetrics(switchScale, workers int) ([]Table1Row, []Table1Metrics, error) {
-	return table1(switchScale, workers, true)
-}
-
-func table1(switchScale, workers int, withMetrics bool) ([]Table1Row, []Table1Metrics, error) {
 	type job struct{ name, src string }
 	var jobs []job
 	for _, p := range progs.All() {
@@ -103,22 +68,12 @@ func table1(switchScale, workers int, withMetrics bool) ([]Table1Row, []Table1Me
 		}
 		jobs = append(jobs, job{p.Name, src})
 	}
-	type out struct {
-		row Table1Row
-		m   Table1Metrics
-	}
-	outs, err := pool.MapErr(workers, len(jobs), func(i int) (out, error) {
-		cfg := driver.DefaultConfig()
-		var reg *obs.Registry
-		if withMetrics {
-			reg = obs.NewRegistry()
-			cfg.Obs = reg
-		}
-		res, err := driver.Run(jobs[i].name, jobs[i].src, cfg)
+	rows, err := pool.MapErr(workers, len(jobs), func(i int) (Table1Row, error) {
+		res, err := driver.Run(jobs[i].name, jobs[i].src, driver.DefaultConfig())
 		if err != nil {
-			return out{}, fmt.Errorf("%s: %w", jobs[i].name, err)
+			return Table1Row{}, fmt.Errorf("%s: %w", jobs[i].name, err)
 		}
-		o := out{row: Table1Row{
+		return Table1Row{
 			Program:        jobs[i].name,
 			LoC:            res.LoC,
 			Bugs:           res.Bugs,
@@ -126,119 +81,13 @@ func table1(switchScale, workers int, withMetrics bool) ([]Table1Row, []Table1Me
 			Runtime:        res.Runtime,
 			BugsAfterFixes: res.BugsAfterFixes,
 			KeysAdded:      res.KeysAdded,
-		}}
-		if withMetrics {
-			o.m = Table1Metrics{
-				Program:      jobs[i].name,
-				SolverChecks: reg.CounterValue("bf4_solver_checks_total"),
-				Sat:          reg.CounterValue("bf4_solver_sat_total"),
-				Unsat:        reg.CounterValue("bf4_solver_unsat_total"),
-				Conflicts:    reg.CounterValue("bf4_solver_conflicts_total"),
-				Propagations: reg.CounterValue("bf4_solver_propagations_total"),
-				LearnedCls:   reg.CounterValue("bf4_solver_learned_clauses_total"),
-				CNFVars:      reg.GaugeValue("bf4_solver_cnf_vars"),
-				CNFClauses:   reg.GaugeValue("bf4_solver_cnf_clauses"),
-				InferCalls:   reg.CounterValue("bf4_infer_calls_total"),
-				Discharged: reg.CounterValue("bf4_core_discharged_analysis_total") +
-					reg.CounterValue("bf4_core_discharged_fold_total"),
-				PoolInferRuns: reg.CounterValue("bf4_pool_infer_tasks_total"),
-			}
-		}
-		return o, nil
+		}, nil
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	sort.Slice(outs, func(i, j int) bool { return outs[i].row.Program < outs[j].row.Program })
-	rows := make([]Table1Row, len(outs))
-	var ms []Table1Metrics
-	for i, o := range outs {
-		rows[i] = o.row
-		if withMetrics {
-			ms = append(ms, o.m)
-		}
-	}
-	return rows, ms, nil
-}
-
-// RenderTable1Metrics prints the -metrics companion table. Every column
-// is a deterministic counter, so the output is byte-stable.
-func RenderTable1Metrics(ms []Table1Metrics) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-22s %7s %5s %6s %9s %12s %8s %8s %9s %6s %6s\n",
-		"Program", "checks", "sat", "unsat", "conflicts", "propagations", "cnfvars", "cnfcls", "inferiter", "disch", "learnt")
-	for _, m := range ms {
-		fmt.Fprintf(&b, "%-22s %7d %5d %6d %9d %12d %8d %8d %9d %6d %6d\n",
-			m.Program, m.SolverChecks, m.Sat, m.Unsat, m.Conflicts, m.Propagations,
-			m.CNFVars, m.CNFClauses, m.InferCalls, m.Discharged, m.LearnedCls)
-	}
-	return b.String()
-}
-
-// Table1JSONRow is one program of BENCH_table1.json: the Table 1 verdict
-// columns joined with the deterministic solver counters for that run.
-// Every field is reproducible bit-for-bit across machines and worker
-// counts — no wall-clock — so CI can compare two artifacts numerically.
-type Table1JSONRow struct {
-	Program        string `json:"program"`
-	LoC            int    `json:"loc"`
-	Bugs           int    `json:"bugs"`
-	BugsAfterInfer int    `json:"bugs_after_infer"`
-	BugsAfterFixes int    `json:"bugs_after_fixes"`
-	KeysAdded      int    `json:"keys_added"`
-	SolverChecks   int64  `json:"solver_checks"`
-	Sat            int64  `json:"sat"`
-	Unsat          int64  `json:"unsat"`
-	Conflicts      int64  `json:"conflicts"`
-	Propagations   int64  `json:"propagations"`
-	LearnedClauses int64  `json:"learned_clauses"`
-	CNFVars        int64  `json:"cnf_vars"`
-	CNFClauses     int64  `json:"cnf_clauses"`
-	Discharged     int64  `json:"discharged"`
-	InferCalls     int64  `json:"infer_calls"`
-}
-
-// Table1JSON marshals the table1 rows and their metric summaries as the
-// BENCH_table1.json artifact.
-func Table1JSON(rows []Table1Row, ms []Table1Metrics) ([]byte, error) {
-	if len(rows) != len(ms) {
-		return nil, fmt.Errorf("table1 json: %d rows but %d metric summaries", len(rows), len(ms))
-	}
-	var totalConflicts, totalProps int64
-	out := make([]Table1JSONRow, len(rows))
-	for i, r := range rows {
-		m := ms[i]
-		if m.Program != r.Program {
-			return nil, fmt.Errorf("table1 json: row %d is %s but metrics are %s", i, r.Program, m.Program)
-		}
-		out[i] = Table1JSONRow{
-			Program:        r.Program,
-			LoC:            r.LoC,
-			Bugs:           r.Bugs,
-			BugsAfterInfer: r.BugsAfterInfer,
-			BugsAfterFixes: r.BugsAfterFixes,
-			KeysAdded:      r.KeysAdded,
-			SolverChecks:   m.SolverChecks,
-			Sat:            m.Sat,
-			Unsat:          m.Unsat,
-			Conflicts:      m.Conflicts,
-			Propagations:   m.Propagations,
-			LearnedClauses: m.LearnedCls,
-			CNFVars:        m.CNFVars,
-			CNFClauses:     m.CNFClauses,
-			Discharged:     m.Discharged,
-			InferCalls:     m.InferCalls,
-		}
-		totalConflicts += m.Conflicts
-		totalProps += m.Propagations
-	}
-	return json.MarshalIndent(struct {
-		Bench             string          `json:"bench"`
-		Programs          int             `json:"programs"`
-		TotalConflicts    int64           `json:"total_conflicts"`
-		TotalPropagations int64           `json:"total_propagations"`
-		Rows              []Table1JSONRow `json:"rows"`
-	}{"table1", len(out), totalConflicts, totalProps, out}, "", "  ")
+	sort.Slice(rows, func(i, j int) bool { return rows[i].Program < rows[j].Program })
+	return rows, nil
 }
 
 // RenderTable1 prints rows in the paper's column order.

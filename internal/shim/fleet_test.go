@@ -100,6 +100,12 @@ func TestFleetKillRestorePreservesAckedUpdates(t *testing.T) {
 	if got := sd.ShadowSize("t"); got != len(acked) {
 		t.Fatalf("retries double-applied: %d entries, want %d", got, len(acked))
 	}
+	if got := reg.CounterValue("bf4_shim_dedup_hits_total"); got != int64(len(acked)) {
+		t.Fatalf("dedup hits = %d, want one per retried key (%d)", got, len(acked))
+	}
+	if got := reg.CounterValue("bf4_shim_journal_appends_total"); got != int64(len(acked)) {
+		t.Fatalf("journal appends = %d, want one per acked update (%d)", got, len(acked))
+	}
 	// Byte-identical to an oracle that saw the same acked sequence with
 	// no faults.
 	oracle := tinyShim(t)

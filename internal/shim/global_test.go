@@ -20,13 +20,26 @@ import (
 // execution may reach a bug node. Programs with genuine dataplane bugs
 // (mplb_router, linearroad) are excluded — the theorem's premise
 // ("only controlled bugs") does not hold for them by design.
+//
+// The same workload is replayed through a second shim held on the slow
+// tier: over verifier-derived annotations the bytecode tier must return
+// the same verdict and the same rejection text on every update. The
+// generated switch@1 is the one program here where some conditions of a
+// fast-tier shim fall back to the term DAG.
 func TestGlobalCorrectnessAcrossCorpus(t *testing.T) {
-	programs := []string{"simple_nat", "mc_nat_16", "ecmp_2", "netchain", "heavy_hitter_2", "issue894"}
+	programs := []string{"simple_nat", "mc_nat_16", "ecmp_2", "netchain", "heavy_hitter_2", "issue894", "switch"}
 	for _, name := range programs {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			p := progs.Get(name)
-			res, err := driver.Run(p.Name, p.Source, driver.DefaultConfig())
+			src := p.Source
+			if name == "switch" {
+				if testing.Short() {
+					t.Skip("verifies a generated switch; skipped in -short")
+				}
+				src = progs.GenerateSwitch(1)
+			}
+			res, err := driver.Run(p.Name, src, driver.DefaultConfig())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -38,17 +51,37 @@ func TestGlobalCorrectnessAcrossCorpus(t *testing.T) {
 				pl = res.Initial
 			}
 			file := spec.Build(p.Name, pl.IR, res.InitialRep, res.FinalInfer, res.Fixes.Special)
-			sh, err := shim.New(file)
+			cp, err := shim.Compile(file)
 			if err != nil {
 				t.Fatal(err)
 			}
+			sh, oracle := shim.NewFromCompiled(cp), shim.NewFromCompiled(cp)
+			oracle.SetFastpath(false)
 
 			gen := trace.NewGenerator(77, file)
-			accepted := 0
-			for _, u := range gen.Updates(120) {
-				if sh.Apply(u) == nil {
-					accepted++
+			accepted, rejected := 0, 0
+			for i, u := range gen.Updates(120) {
+				got, want := sh.Apply(u), oracle.Apply(u)
+				if (got == nil) != (want == nil) || (got != nil && got.Error() != want.Error()) {
+					t.Fatalf("update %d on %s: fast tier says %v, slow tier says %v", i, u.Table, got, want)
 				}
+				if got == nil {
+					accepted++
+				} else {
+					rejected++
+				}
+			}
+			fast, slow := sh.Counters(), oracle.Counters()
+			if slow.FastpathHits != 0 {
+				t.Fatalf("SetFastpath(false) used the bytecode tier %d times", slow.FastpathHits)
+			}
+			if fast.FastpathHits+fast.SlowpathHits != slow.SlowpathHits {
+				t.Fatalf("assertion evaluation counts differ: fast %d+%d, slow %d",
+					fast.FastpathHits, fast.SlowpathHits, slow.SlowpathHits)
+			}
+			if fast.FastpathHits == 0 || rejected == 0 {
+				t.Fatalf("workload must exercise the bytecode tier and contain faulty updates: %d fast hits, %d rejected",
+					fast.FastpathHits, rejected)
 			}
 			snap := sh.Snapshot()
 

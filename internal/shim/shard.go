@@ -142,14 +142,6 @@ func (sd *Shard) JournalLag() int {
 	return 0
 }
 
-// QueueLen reports how many writes are parked awaiting restore
-// (DownQueue mode only; always 0 in reject mode).
-func (sd *Shard) QueueLen() int {
-	sd.mu.Lock()
-	defer sd.mu.Unlock()
-	return len(sd.queue)
-}
-
 // SetAutofill toggles AutofillSynthesizedKeys for the current and all
 // future incarnations.
 func (sd *Shard) SetAutofill(on bool) {
