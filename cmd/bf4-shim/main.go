@@ -173,7 +173,7 @@ func main() {
 		var err error
 		sh, err = shim.New(file)
 		if err != nil {
-			fatalf("shim: %v", err)
+			fatalf("%v", err)
 		}
 		if *stateDir != "" {
 			store, err = shim.OpenStore(*stateDir)

@@ -1,0 +1,82 @@
+package main
+
+import (
+	"context"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"testing"
+	"time"
+
+	"bf4/internal/driver"
+	"bf4/internal/progs"
+	"bf4/internal/spec"
+)
+
+// TestMain re-executes the test binary as the bf4-shim command when
+// BF4_TEST_MAIN is set, so start-up failures are tested against the real
+// main().
+func TestMain(m *testing.M) {
+	if os.Getenv("BF4_TEST_MAIN") == "1" {
+		os.Args = append([]string{"bf4-shim"}, os.Args[1:]...)
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+func forbid(cond string) func(*spec.File) {
+	return func(f *spec.File) { f.AssertionsFor("nat")[0].Forbidden[0] = cond }
+}
+
+// TestTamperedSpecIsRefusedAtLoad: a spec file whose forbidden conditions
+// are ill-sorted, not boolean or absurdly wide, or whose key widths are,
+// makes bf4-shim exit 1 with one line naming the layer — no goroutine
+// trace, no allocation sized by the file's numbers.
+func TestTamperedSpecIsRefusedAtLoad(t *testing.T) {
+	p := progs.Get("simple_nat")
+	res, err := driver.Run(p.Name, p.Source, driver.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := spec.Build(p.Name, res.Fixed.IR, res.InitialRep, res.FinalInfer, res.Fixes.Special)
+	for name, tamper := range map[string]func(*spec.File){
+		"ill-sorted":  forbid("(bvadd |pcn_nat$0.hit| true)"),
+		"not-boolean": forbid("|pcn_nat$0.key1|"),
+		"oversize":    forbid("(= (_ bv1 70000000000) (_ bv1 70000000000))"),
+		"key-width":   func(f *spec.File) { f.Table("ipv4_lpm").Keys[0].Width = 70000000000 },
+	} {
+		data, err := good.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		file, err := spec.Parse(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tamper(file)
+		if data, err = file.Marshal(); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), name+".json")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		cmd := exec.CommandContext(ctx, os.Args[0], "-spec", path, "-listen", "127.0.0.1:0")
+		cmd.Env = append(os.Environ(), "BF4_TEST_MAIN=1")
+		out, err := cmd.CombinedOutput()
+		cancel()
+		ee, ok := err.(*exec.ExitError)
+		if !ok || ee.ExitCode() != 1 {
+			t.Errorf("%s: bf4-shim -spec: err = %v, want exit status 1\n%s", name, err, out)
+			continue
+		}
+		msg := strings.TrimSpace(string(out))
+		if strings.Contains(msg, "\n") || strings.Contains(msg, "goroutine") ||
+			!(strings.HasPrefix(msg, "shim: ") || strings.HasPrefix(msg, "spec: ")) {
+			t.Errorf("%s: want one line starting shim: or spec:, got\n%s", name, msg)
+		}
+	}
+}

@@ -34,12 +34,6 @@ var (
 	bigOne  = big.NewInt(1)
 )
 
-// mask returns 2^w - 1.
-func mask(w int) *big.Int {
-	m := new(big.Int).Lsh(bigOne, uint(w))
-	return m.Sub(m, bigOne)
-}
-
 // Value is an abstract value: an over-approximation of the concrete
 // values a term may evaluate to. The zero Value is invalid; use the
 // constructors. Values are immutable — the big.Int fields must never be
@@ -69,13 +63,13 @@ func ConstBool(b bool) Value { return Value{sort: smt.BoolSort, mayT: b, mayF: !
 
 // TopBV is the unconstrained bitvector value of width w.
 func TopBV(w int) Value {
-	return Value{sort: smt.BV(w), zeros: bigZero, ones: bigZero, lo: bigZero, hi: mask(w)}
+	return Value{sort: smt.BV(w), zeros: bigZero, ones: bigZero, lo: bigZero, hi: smt.Mask(w)}
 }
 
 // ConstBV abstracts the single bitvector value x (which must lie in
 // [0, 2^w)).
 func ConstBV(x *big.Int, w int) Value {
-	z := new(big.Int).AndNot(mask(w), x)
+	z := new(big.Int).AndNot(smt.Mask(w), x)
 	return Value{sort: smt.BV(w), zeros: z, ones: x, lo: x, hi: x}
 }
 
@@ -94,7 +88,7 @@ func MakeBV(w int, zeros, ones, lo, hi *big.Int) Value {
 		lo = bigZero
 	}
 	if hi == nil {
-		hi = mask(w)
+		hi = smt.Mask(w)
 	}
 	v := Value{sort: smt.BV(w), zeros: zeros, ones: ones, lo: lo, hi: hi}
 	return v.reduce()
@@ -197,13 +191,12 @@ func (v Value) String() string {
 	return fmt.Sprintf("{bits=%s, [%s,%s]}", bits, v.lo, v.hi)
 }
 
-// join returns the least upper bound of two values of the same sort.
+// join returns the least upper bound of two bitvector values of the same
+// sort (the branches of an ite, which the factory only interns over
+// bitvectors).
 func join(a, b Value) Value {
-	if a.sort != b.sort {
-		panic(fmt.Sprintf("absdom: join of different sorts %v vs %v", a.sort, b.sort))
-	}
-	if a.sort.IsBool() {
-		return Value{sort: a.sort, mayT: a.mayT || b.mayT, mayF: a.mayF || b.mayF}
+	if a.sort != b.sort || a.sort.IsBool() {
+		panic(fmt.Sprintf("absdom: join of %v and %v", a.sort, b.sort))
 	}
 	lo := a.lo
 	if b.lo.Cmp(lo) < 0 {
@@ -230,7 +223,7 @@ func join(a, b Value) Value {
 // contradictory — a sound transfer function can never produce one.
 func (v Value) reduce() Value {
 	w := v.sort.Width
-	m := mask(w)
+	m := smt.Mask(w)
 	zeros := new(big.Int).Set(v.zeros)
 	ones := new(big.Int).Set(v.ones)
 	lo := new(big.Int).Set(v.lo)

@@ -94,10 +94,6 @@ func transfer(t *smt.Term, memo map[uint32]Value) Value {
 		return Value{sort: smt.BoolSort, mayT: mayT, mayF: mayF}
 	case smt.OpXor:
 		return triXor(arg(0), arg(1))
-	case smt.OpImplies:
-		x, y := arg(0), arg(1)
-		// x -> y  ≡  ¬x ∨ y
-		return Value{sort: smt.BoolSort, mayT: x.mayF || y.mayT, mayF: x.mayT && y.mayF}
 
 	case smt.OpIte:
 		cond, x, y := arg(0), arg(1), arg(2)
@@ -110,14 +106,7 @@ func transfer(t *smt.Term, memo map[uint32]Value) Value {
 		return join(x, y)
 
 	case smt.OpEq:
-		x, y := arg(0), arg(1)
-		if x.sort.IsBool() {
-			// Both decided: equality is decided. One side impossible for a
-			// truth value the other forces: decided false, etc.
-			v := triXor(x, y)
-			return Value{sort: smt.BoolSort, mayT: v.mayF, mayF: v.mayT}
-		}
-		return transferEq(x, y)
+		return transferEq(arg(0), arg(1))
 	case smt.OpUlt:
 		return transferUlt(arg(0), arg(1), true)
 	case smt.OpUle:
@@ -178,7 +167,7 @@ func transfer(t *smt.Term, memo map[uint32]Value) Value {
 	case smt.OpExtract:
 		hi, lo := t.ExtractBounds()
 		x := arg(0)
-		m := mask(hi - lo + 1)
+		m := smt.Mask(hi - lo + 1)
 		zeros := new(big.Int).Rsh(x.zeros, uint(lo))
 		zeros.And(zeros, m)
 		ones := new(big.Int).Rsh(x.ones, uint(lo))
@@ -191,7 +180,7 @@ func transfer(t *smt.Term, memo map[uint32]Value) Value {
 	case smt.OpZExt:
 		x := arg(0)
 		wx := t.Arg(0).Sort().Width
-		zeros := new(big.Int).Lsh(mask(w-wx), uint(wx))
+		zeros := new(big.Int).Lsh(smt.Mask(w-wx), uint(wx))
 		zeros.Or(zeros, x.zeros)
 		return MakeBV(w, zeros, x.ones, x.lo, x.hi)
 	case smt.OpSExt:
@@ -227,7 +216,7 @@ func maxBig(a, b *big.Int) *big.Int {
 // notBits returns the bitwise complement of x as a width-w value
 // (known bits swap; the interval maps antitonically).
 func notBits(x Value, w int) Value {
-	m := mask(w)
+	m := smt.Mask(w)
 	return Value{
 		sort:  smt.BV(w),
 		zeros: x.ones,
@@ -392,7 +381,7 @@ func transferMul(x, y Value, w int) Value {
 	if tz > w {
 		tz = w
 	}
-	zeros := mask(tz)
+	zeros := smt.Mask(tz)
 	return MakeBV(w, zeros, nil, ilo, ihi)
 }
 
@@ -411,9 +400,9 @@ func transferShl(x, y Value, w int) Value {
 			return ConstBV(bigZero, w)
 		}
 		sh := uint(s.Uint64())
-		m := mask(w)
+		m := smt.Mask(w)
 		zeros := new(big.Int).Lsh(x.zeros, sh)
-		zeros.Or(zeros, mask(int(sh)))
+		zeros.Or(zeros, smt.Mask(int(sh)))
 		zeros.And(zeros, m)
 		// Bits shifted out of range are irrelevant; bits shifted in are 0.
 		ones := new(big.Int).Lsh(x.ones, sh)
@@ -435,7 +424,7 @@ func transferShl(x, y Value, w int) Value {
 	if tz > w {
 		tz = w
 	}
-	return MakeBV(w, mask(tz), nil, nil, nil)
+	return MakeBV(w, smt.Mask(tz), nil, nil, nil)
 }
 
 func transferLshr(x, y Value, w int) Value {
@@ -445,7 +434,7 @@ func transferLshr(x, y Value, w int) Value {
 		}
 		sh := uint(s.Uint64())
 		zeros := new(big.Int).Rsh(x.zeros, sh)
-		zeros.Or(zeros, new(big.Int).Lsh(mask(int(sh)), uint(w)-sh))
+		zeros.Or(zeros, new(big.Int).Lsh(smt.Mask(int(sh)), uint(w)-sh))
 		ones := new(big.Int).Rsh(x.ones, sh)
 		return MakeBV(w, zeros, ones, new(big.Int).Rsh(x.lo, sh), new(big.Int).Rsh(x.hi, sh))
 	}
@@ -493,7 +482,7 @@ func transferAshr(x, y Value, w int) Value {
 }
 
 func transferSExt(x Value, wx, w int) Value {
-	highOnes := new(big.Int).Lsh(mask(w-wx), uint(wx))
+	highOnes := new(big.Int).Lsh(smt.Mask(w-wx), uint(wx))
 	switch {
 	case x.zeros.Bit(wx-1) == 1: // sign known 0: zext
 		zeros := new(big.Int).Or(highOnes, x.zeros)
@@ -506,7 +495,7 @@ func transferSExt(x Value, wx, w int) Value {
 	default:
 		// Sign unknown: the low wx-1 bits keep their knowledge; bit wx-1
 		// and every extension bit share the (unknown) sign.
-		lowKeep := mask(wx - 1)
+		lowKeep := smt.Mask(wx - 1)
 		return MakeBV(w,
 			new(big.Int).And(x.zeros, lowKeep),
 			new(big.Int).And(x.ones, lowKeep), nil, nil)

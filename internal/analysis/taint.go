@@ -76,7 +76,7 @@ func (a *taintAnalysis) Join(x, y Fact) Fact {
 }
 
 // Transfer is the label transfer function, exhaustive over ir.NodeKind
-// (gated by tools/analyzers/taintcheck). Only shadow assignments move
+// (TestTaintTransferEveryNodeKind). Only shadow assignments move
 // labels: the instrumented IR mirrors every data-variable update onto
 // its shadow, so value assignments and havocs are identity here — their
 // label effect arrives via the shadow node emitted right after them.

@@ -154,3 +154,32 @@ func TestFallbackPos(t *testing.T) {
 		t.Errorf("FallbackPos with no positioned ancestor = %v, want invalid", got)
 	}
 }
+
+// TestTaintTransferEveryNodeKind feeds one node of every ir.NodeKind to
+// the label transfer: a kind with no arm panics there. Only a shadow
+// assignment may move a label; every other kind is the identity.
+func TestTaintTransferEveryNodeKind(t *testing.T) {
+	p := ir.NewProgram("t")
+	x := p.NewVar("x", smt.BV(8))
+	xs := p.NewVar("x"+ir.TaintSuffix, smt.BV(8))
+	a := &taintAnalysis{p: p}
+	in := iflabels{"y": &label{mask: big.NewInt(1), src: "y"}}
+	kinds := 0
+	for k := ir.NodeKind(0); k.String() != ""; k++ {
+		kinds++
+		n := p.NewNode(k)
+		n.Var, n.Expr = x, p.F.BVConst64(0xff, 8) // a value write: no label effect
+		if out := a.Transfer(n, in); !a.Equal(out, in) {
+			t.Errorf("%v: transfer of a non-shadow node changed the labels: %v", k, out)
+		}
+	}
+	if kinds < 10 {
+		t.Fatalf("enumerated %d node kinds, want at least the 10 known ones", kinds)
+	}
+	n := p.NewNode(ir.Assign)
+	n.Var, n.Expr = xs, p.F.BVConst64(0xf0, 8)
+	out := a.Transfer(n, in).(iflabels)
+	if out["x"] == nil || out["x"].mask.Cmp(big.NewInt(0xf0)) != 0 || out["y"] == nil {
+		t.Errorf("shadow assignment: labels = %v, want x=f0 and y kept", out)
+	}
+}

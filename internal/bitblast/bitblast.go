@@ -146,14 +146,8 @@ func (c *Context) blastBool(t *smt.Term) sat.Lit {
 		return c.mkAnd(lits).Neg()
 	case smt.OpXor:
 		return c.mkXor(c.Literal(t.Arg(0)), c.Literal(t.Arg(1)))
-	case smt.OpImplies:
-		return c.mkAnd([]sat.Lit{c.Literal(t.Arg(0)), c.Literal(t.Arg(1)).Neg()}).Neg()
 	case smt.OpEq:
-		a, b := t.Arg(0), t.Arg(1)
-		if a.Sort().IsBool() {
-			return c.mkXor(c.Literal(a), c.Literal(b)).Neg()
-		}
-		return c.mkBVEq(c.Bits(a), c.Bits(b))
+		return c.mkBVEq(c.Bits(t.Arg(0)), c.Bits(t.Arg(1)))
 	case smt.OpUlt:
 		return c.mkULT(c.Bits(t.Arg(0)), c.Bits(t.Arg(1)))
 	case smt.OpUle:
@@ -162,11 +156,6 @@ func (c *Context) blastBool(t *smt.Term) sat.Lit {
 		return c.mkSLT(c.Bits(t.Arg(0)), c.Bits(t.Arg(1)))
 	case smt.OpSle:
 		return c.mkSLT(c.Bits(t.Arg(1)), c.Bits(t.Arg(0))).Neg()
-	case smt.OpIte:
-		// Boolean ite is normalized away by the factory, but handle it for
-		// robustness.
-		cond := c.Literal(t.Arg(0))
-		return c.mkIte(cond, c.Literal(t.Arg(1)), c.Literal(t.Arg(2)))
 	default:
 		panic(fmt.Sprintf("bitblast: unexpected boolean op %v in %s", t.Op(), t))
 	}

@@ -261,7 +261,7 @@ func (ip *Interp) applyTable(inst *ir.TableInstance, state smt.Env, tr *Trace) {
 			if j < len(e.Keys) {
 				state[inst.KeyVars[j].Name] = e.Keys[j].Value
 				if inst.MaskVars[j] != nil {
-					state[inst.MaskVars[j].Name] = effectiveMask(t.Keys[j], e.Keys[j])
+					state[inst.MaskVars[j].Name] = EffectiveMaskFor(t.Keys[j], e.Keys[j])
 				}
 			}
 		}
@@ -310,7 +310,7 @@ func matchEntry(t *ir.Table, e *Entry, keyVals []*big.Int) (score int, ok bool) 
 		case "ternary":
 			mask := km.Mask
 			if mask == nil {
-				mask = maskOnes(k.Width)
+				mask = smt.Mask(k.Width)
 			}
 			a := new(big.Int).And(kv, mask)
 			b := new(big.Int).And(km.Value, mask)
@@ -322,7 +322,7 @@ func matchEntry(t *ir.Table, e *Entry, keyVals []*big.Int) (score int, ok bool) 
 			if plen < 0 {
 				plen = k.Width
 			}
-			mask := prefixMask(k.Width, plen)
+			mask := PrefixMask(k.Width, plen)
 			a := new(big.Int).And(kv, mask)
 			b := new(big.Int).And(km.Value, mask)
 			if a.Cmp(b) != 0 {
@@ -334,44 +334,33 @@ func matchEntry(t *ir.Table, e *Entry, keyVals []*big.Int) (score int, ok bool) 
 	return score, true
 }
 
-func maskOnes(w int) *big.Int {
-	m := new(big.Int).Lsh(big.NewInt(1), uint(w))
-	return m.Sub(m, big.NewInt(1))
-}
-
-func prefixMask(w, plen int) *big.Int {
+// PrefixMask returns the width-w mask of an lpm prefix of length plen: the
+// top plen bits set.
+func PrefixMask(w, plen int) *big.Int {
 	if plen >= w {
-		return maskOnes(w)
+		return smt.Mask(w)
 	}
-	ones := new(big.Int).Lsh(big.NewInt(1), uint(plen))
-	ones.Sub(ones, big.NewInt(1))
-	return ones.Lsh(ones, uint(w-plen))
+	return new(big.Int).Lsh(smt.Mask(plen), uint(w-plen))
 }
 
 // EffectiveMaskFor converts an entry's key match into the mask value the
 // expansion's mask variable expects (ternary mask, lpm prefix mask, or
 // all-ones for exact).
 func EffectiveMaskFor(k *ir.KeyInfo, km KeyMatch) *big.Int {
-	return effectiveMask(k, km)
-}
-
-// effectiveMask converts an entry's key match into the mask value the
-// expansion's mask variable expects.
-func effectiveMask(k *ir.KeyInfo, km KeyMatch) *big.Int {
 	switch k.MatchKind {
 	case "ternary":
 		if km.Mask != nil {
 			return km.Mask
 		}
-		return maskOnes(k.Width)
+		return smt.Mask(k.Width)
 	case "lpm":
 		plen := km.PrefixLen
 		if plen < 0 {
 			plen = k.Width
 		}
-		return prefixMask(k.Width, plen)
+		return PrefixMask(k.Width, plen)
 	default:
-		return maskOnes(k.Width)
+		return smt.Mask(k.Width)
 	}
 }
 

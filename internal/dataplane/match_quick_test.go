@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"bf4/internal/ir"
+	"bf4/internal/smt"
 )
 
 // refMatch is an independent oracle for single-entry matching.
@@ -99,7 +100,7 @@ func TestPrefixMaskProperties(t *testing.T) {
 	prop := func(w8, p8 uint8) bool {
 		w := int(w8%64) + 1
 		p := int(p8) % (w + 1)
-		m := prefixMask(w, p)
+		m := PrefixMask(w, p)
 		// The mask has exactly p leading ones within width w.
 		ones := 0
 		for i := 0; i < w; i++ {
@@ -116,7 +117,7 @@ func TestPrefixMaskProperties(t *testing.T) {
 				return false
 			}
 		}
-		return prefixMask(w, w).Cmp(maskOnes(w)) == 0
+		return PrefixMask(w, w).Cmp(smt.Mask(w)) == 0
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Fatal(err)

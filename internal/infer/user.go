@@ -43,6 +43,9 @@ func UserAssertion(pl *core.Pipeline, table string, forbidden string) (*Assertio
 	if err != nil {
 		return nil, fmt.Errorf("infer: table %s: %w (conditions may only use the table's control variables)", table, err)
 	}
+	if !term.Sort().IsBool() {
+		return nil, fmt.Errorf("infer: table %s: condition is %v, want Bool", table, term.Sort())
+	}
 	if !termControlled(pl.IR, term, controlledSet(inst)) {
 		return nil, fmt.Errorf("infer: table %s: condition uses non-control variables", table)
 	}

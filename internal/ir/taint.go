@@ -24,8 +24,8 @@
 // Per-bit refinement: each transfer result is intersected with the
 // complement of the known bits of the underlying value term
 // (internal/absdom), so extracting statically-known bits of a tainted
-// word does not alarm. The taint transfer is exhaustive over smt.Op —
-// tools/analyzers/taintcheck gates this in CI.
+// word does not alarm. The taint transfer is exhaustive over smt.Op:
+// TestEveryOpEverywhere runs a term of every operator through it.
 package ir
 
 import (
@@ -60,11 +60,6 @@ func shadowed(v *Var) bool {
 	return !v.IsControl && !strings.Contains(v.Name, "$")
 }
 
-// onesMask returns the all-ones mask of width w.
-func onesMask(w int) *big.Int {
-	return new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), uint(w)), big.NewInt(1))
-}
-
 // shadowVar interns the shadow taint variable for v.
 func (b *builder) shadowVar(v *Var) *Var {
 	s := smt.BoolSort
@@ -87,7 +82,7 @@ func (b *builder) fullTaint(v *Var) *smt.Term {
 	if v.Sort.IsBool() {
 		return b.f().True()
 	}
-	return b.f().BVConst(onesMask(v.Sort.Width), v.Sort.Width)
+	return b.f().BVConst(smt.Mask(v.Sort.Width), v.Sort.Width)
 }
 
 // sourceTaint is the mask a fresh (initialized or havocked) value of v
@@ -234,7 +229,7 @@ func (b *builder) smearUp(taint *smt.Term, w int) *smt.Term {
 }
 
 // taintOfRaw is the per-operator transfer function, exhaustive over
-// smt.Op (gated by tools/analyzers/taintcheck).
+// smt.Op (TestEveryOpEverywhere).
 func (b *builder) taintOfRaw(t *smt.Term) *smt.Term {
 	f := b.f()
 	switch t.Op() {
@@ -255,7 +250,7 @@ func (b *builder) taintOfRaw(t *smt.Term) *smt.Term {
 		return b.shadowVar(v).Term
 	case smt.OpNot:
 		return b.taintOf(t.Arg(0))
-	case smt.OpAnd, smt.OpOr, smt.OpXor, smt.OpImplies,
+	case smt.OpAnd, smt.OpOr, smt.OpXor,
 		smt.OpEq, smt.OpUlt, smt.OpUle, smt.OpSlt, smt.OpSle:
 		// Boolean connectives and comparisons: one boolean of output,
 		// tainted iff any input bit is.
@@ -263,13 +258,10 @@ func (b *builder) taintOfRaw(t *smt.Term) *smt.Term {
 	case smt.OpIte:
 		condT := b.nonzero(b.taintOf(t.Arg(0)))
 		a, c := b.taintOf(t.Arg(1)), b.taintOf(t.Arg(2))
-		if t.Sort().IsBool() {
-			return f.Or(condT, a, c)
-		}
 		// A tainted condition taints every bit of the selected value;
 		// otherwise a bit is tainted if it may come from a tainted bit
 		// of either branch.
-		return f.Ite(condT, f.BVConst(onesMask(t.Sort().Width), t.Sort().Width), f.BVOr(a, c))
+		return f.Ite(condT, f.BVConst(smt.Mask(t.Sort().Width), t.Sort().Width), f.BVOr(a, c))
 	case smt.OpAdd, smt.OpSub, smt.OpMul:
 		return b.smearUp(b.orTaints(t.Args()), t.Sort().Width)
 	case smt.OpNeg:
@@ -297,7 +289,7 @@ func (b *builder) taintOfRaw(t *smt.Term) *smt.Term {
 		// Variable shift: any taint anywhere may move anywhere.
 		w := t.Sort().Width
 		any := f.Or(b.nonzero(tv), b.nonzero(b.taintOf(sh)))
-		return f.Ite(any, f.BVConst(onesMask(w), w), f.BVConst64(0, w))
+		return f.Ite(any, f.BVConst(smt.Mask(w), w), f.BVConst64(0, w))
 	case smt.OpConcat:
 		return f.Concat(b.taintOf(t.Arg(0)), b.taintOf(t.Arg(1)))
 	case smt.OpExtract:
@@ -334,7 +326,7 @@ func (b *builder) refineTaint(t, raw *smt.Term) *smt.Term {
 		return raw
 	}
 	w := t.Sort().Width
-	unknown := new(big.Int).AndNot(onesMask(w), known)
+	unknown := new(big.Int).AndNot(smt.Mask(w), known)
 	return b.f().BVAnd(raw, b.f().BVConst(unknown, w))
 }
 

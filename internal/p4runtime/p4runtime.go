@@ -41,11 +41,13 @@ import (
 	"bf4/internal/ir"
 	"bf4/internal/obs"
 	"bf4/internal/shim"
+	"bf4/internal/smt"
 )
 
 // MaxValueBits bounds wire integers; anything wider is rejected before
-// it can reach the bitvector layer.
-const MaxValueBits = 4096
+// it can reach the bitvector layer. It is the width bound smt.Parse holds
+// spec-file conditions to.
+const MaxValueBits = smt.MaxWidth
 
 // KeyMatchMsg is the wire form of a key match. Values are decimal
 // strings (bitvector widths exceed int64).

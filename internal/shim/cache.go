@@ -7,6 +7,7 @@ import (
 	"math/big"
 	"sync"
 
+	"bf4/internal/dataplane"
 	"bf4/internal/obs"
 	"bf4/internal/smt"
 	"bf4/internal/spec"
@@ -43,7 +44,7 @@ type Compiled struct {
 
 	// onesMask and lpmMask memoize the match-mask constructions bindEntry
 	// needs: onesMask[w] = 2^w-1 for every ternary key width,
-	// lpmMask[w][plen] = prefixMask(w, plen) for every lpm key width.
+	// lpmMask[w][plen] = dataplane.PrefixMask(w, plen) for every lpm key width.
 	// Built at compile time for every width in the schema, then only
 	// read — shards share them without locking.
 	onesMask map[int]*big.Int
@@ -63,13 +64,13 @@ func (cp *Compiled) compileMasks() {
 			switch k.MatchKind {
 			case "ternary":
 				if _, ok := cp.onesMask[k.Width]; !ok {
-					cp.onesMask[k.Width] = ones(k.Width)
+					cp.onesMask[k.Width] = smt.Mask(k.Width)
 				}
 			case "lpm":
 				if _, ok := cp.lpmMask[k.Width]; !ok {
 					ms := make([]*big.Int, k.Width+1)
 					for plen := 0; plen <= k.Width; plen++ {
-						ms[plen] = prefixMask(k.Width, plen)
+						ms[plen] = dataplane.PrefixMask(k.Width, plen)
 					}
 					cp.lpmMask[k.Width] = ms
 				}
@@ -84,10 +85,10 @@ func (cp *Compiled) memoOnes(w int) *big.Int {
 	if m, ok := cp.onesMask[w]; ok {
 		return m
 	}
-	return ones(w)
+	return smt.Mask(w)
 }
 
-// memoPrefixMask returns the memoized prefixMask(w, plen).
+// memoPrefixMask returns the memoized dataplane.PrefixMask(w, plen).
 func (cp *Compiled) memoPrefixMask(w, plen int) *big.Int {
 	if plen >= w {
 		return cp.memoOnes(w)
@@ -95,7 +96,7 @@ func (cp *Compiled) memoPrefixMask(w, plen int) *big.Int {
 	if ms, ok := cp.lpmMask[w]; ok && plen >= 0 {
 		return ms[plen]
 	}
-	return prefixMask(w, plen)
+	return dataplane.PrefixMask(w, plen)
 }
 
 // Fingerprint content-addresses a spec file: the SHA-256 of its

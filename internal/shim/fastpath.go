@@ -630,7 +630,7 @@ func low64(v *big.Int) uint64 {
 	return lo
 }
 
-// onesNorm is ones(keyWidth) reduced to the slot width.
+// onesNorm is smt.Mask(keyWidth) reduced to the slot width.
 func onesNorm(keyWidth, width int) uint64 {
 	if keyWidth >= 64 {
 		return normU64(^uint64(0), width)
@@ -638,7 +638,7 @@ func onesNorm(keyWidth, width int) uint64 {
 	return normU64((uint64(1)<<uint(keyWidth))-1, width)
 }
 
-// prefixMaskNorm is prefixMask(keyWidth, plen) reduced to the slot
+// prefixMaskNorm is dataplane.PrefixMask(keyWidth, plen) reduced to the slot
 // width: plen one bits above keyWidth-plen zero bits.
 func prefixMaskNorm(keyWidth, plen, width int) uint64 {
 	if plen >= keyWidth {

@@ -136,6 +136,11 @@ func Compile(file *spec.File) (*Compiled, error) {
 		tables:  make(map[string]*spec.TableSchema, len(file.Tables)),
 	}
 	for _, ts := range file.Tables {
+		for _, k := range ts.Keys {
+			if k.Width < 1 || k.Width > smt.MaxWidth { // sizes the mask tables
+				return nil, fmt.Errorf("shim: table %s: key %s has width %d, want 1 to %d", ts.Name, k.Path, k.Width, smt.MaxWidth)
+			}
+		}
 		cp.tables[ts.Name] = ts
 	}
 	for _, a := range file.Assertions {
@@ -595,18 +600,4 @@ func (s *Shim) autofill(ts *spec.TableSchema, e *dataplane.Entry) {
 		}
 		e.Keys = append(e.Keys, dataplane.KeyMatch{Value: v, PrefixLen: -1})
 	}
-}
-
-func ones(w int) *big.Int {
-	m := new(big.Int).Lsh(big.NewInt(1), uint(w))
-	return m.Sub(m, big.NewInt(1))
-}
-
-func prefixMask(w, plen int) *big.Int {
-	if plen >= w {
-		return ones(w)
-	}
-	m := new(big.Int).Lsh(big.NewInt(1), uint(plen))
-	m.Sub(m, big.NewInt(1))
-	return m.Lsh(m, uint(w-plen))
 }

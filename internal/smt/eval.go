@@ -1,9 +1,6 @@
 package smt
 
-import (
-	"fmt"
-	"math/big"
-)
+import "math/big"
 
 // Env maps variable names to concrete values. Boolean variables use 0/1.
 type Env map[string]*big.Int
@@ -47,139 +44,45 @@ func EvalBool(t *Term, env Env) bool {
 	return Eval(t, env).Sign() != 0
 }
 
-var bigZero = new(big.Int)
-
+// eval is strict: every argument is evaluated (once, through the cache)
+// and the node's value is evalOp of the argument values.
 func eval(t *Term, env Env, cache map[*Term]*big.Int) *big.Int {
 	if v, ok := cache[t]; ok {
 		return v
 	}
-	v := evalUncached(t, env, cache)
-	cache[t] = v
-	return v
-}
-
-func truth(b bool) *big.Int {
-	if b {
-		return bigOne
-	}
-	return bigZero
-}
-
-func evalUncached(t *Term, env Env, cache map[*Term]*big.Int) *big.Int {
-	arg := func(i int) *big.Int { return eval(t.args[i], env, cache) }
-	argB := func(i int) bool { return arg(i).Sign() != 0 }
-	w := t.sort.Width
-	norm := func(v *big.Int) *big.Int {
-		if v.Sign() >= 0 && v.BitLen() <= w {
-			return v
-		}
-		out := new(big.Int).Mod(v, new(big.Int).Lsh(bigOne, uint(w)))
-		if out.Sign() < 0 {
-			out.Add(out, new(big.Int).Lsh(bigOne, uint(w)))
-		}
-		return out
-	}
+	var v *big.Int
 	switch t.op {
 	case OpTrue:
-		return bigOne
+		v = bigOne
 	case OpFalse:
-		return bigZero
-	case OpVar:
-		if v, ok := env[t.name]; ok {
-			if t.sort.IsBool() {
-				return truth(v.Sign() != 0)
-			}
-			return norm(v)
-		}
-		return bigZero
+		v = bigZero
 	case OpConst:
-		return t.val
-	case OpNot:
-		return truth(!argB(0))
-	case OpAnd:
-		for i := range t.args {
-			if !argB(i) {
-				return bigZero
+		v = t.val
+	case OpVar:
+		v = bigZero
+		if bound, ok := env[t.name]; ok {
+			if t.sort.IsBool() {
+				v = truth(bound.Sign() != 0)
+			} else {
+				v = normalize(bound, t.sort.Width)
 			}
 		}
-		return bigOne
-	case OpOr:
-		for i := range t.args {
-			if argB(i) {
-				return bigOne
-			}
-		}
-		return bigZero
-	case OpXor:
-		return truth(argB(0) != argB(1))
-	case OpImplies:
-		return truth(!argB(0) || argB(1))
-	case OpIte:
-		if argB(0) {
-			return arg(1)
-		}
-		return arg(2)
-	case OpEq:
-		return truth(arg(0).Cmp(arg(1)) == 0)
-	case OpUlt:
-		return truth(arg(0).Cmp(arg(1)) < 0)
-	case OpUle:
-		return truth(arg(0).Cmp(arg(1)) <= 0)
-	case OpSlt:
-		wa := t.args[0].sort.Width
-		return truth(toSigned(arg(0), wa).Cmp(toSigned(arg(1), wa)) < 0)
-	case OpSle:
-		wa := t.args[0].sort.Width
-		return truth(toSigned(arg(0), wa).Cmp(toSigned(arg(1), wa)) <= 0)
-	case OpAdd:
-		return norm(new(big.Int).Add(arg(0), arg(1)))
-	case OpSub:
-		return norm(new(big.Int).Sub(arg(0), arg(1)))
-	case OpNeg:
-		return norm(new(big.Int).Neg(arg(0)))
-	case OpMul:
-		return norm(new(big.Int).Mul(arg(0), arg(1)))
-	case OpBVAnd:
-		return new(big.Int).And(arg(0), arg(1))
-	case OpBVOr:
-		return new(big.Int).Or(arg(0), arg(1))
-	case OpBVXor:
-		return new(big.Int).Xor(arg(0), arg(1))
-	case OpBVNot:
-		return new(big.Int).Xor(arg(0), maskFor(w))
-	case OpShl:
-		sh := arg(1)
-		if sh.Cmp(big.NewInt(int64(w))) >= 0 {
-			return bigZero
-		}
-		return norm(new(big.Int).Lsh(arg(0), uint(sh.Uint64())))
-	case OpLshr:
-		sh := arg(1)
-		if sh.Cmp(big.NewInt(int64(w))) >= 0 {
-			return bigZero
-		}
-		return new(big.Int).Rsh(arg(0), uint(sh.Uint64()))
-	case OpAshr:
-		s := toSigned(arg(0), w)
-		shv := uint(w)
-		if arg(1).Cmp(big.NewInt(int64(w))) < 0 {
-			shv = uint(arg(1).Uint64())
-		}
-		return norm(new(big.Int).Rsh(s, shv))
-	case OpConcat:
-		wb := t.args[1].sort.Width
-		v := new(big.Int).Lsh(arg(0), uint(wb))
-		return v.Or(v, arg(1))
-	case OpExtract:
-		v := new(big.Int).Rsh(arg(0), uint(t.lo))
-		return v.And(v, maskFor(t.hi-t.lo+1))
-	case OpZExt:
-		return arg(0)
-	case OpSExt:
-		return norm(toSigned(arg(0), t.args[0].sort.Width))
 	default:
-		panic(fmt.Sprintf("smt: eval: unknown op %v", t.op))
+		if opTable[t.op].arity == variadic { // and, or: fold the binary operator
+			v = eval(t.args[0], env, cache)
+			for _, a := range t.args[1:] {
+				v = evalOp(t.op, 0, 0, 0, v, eval(a, env, cache), nil)
+			}
+			break
+		}
+		var arg [3]*big.Int
+		for i, a := range t.args {
+			arg[i] = eval(a, env, cache)
+		}
+		v = evalOp(t.op, t.sort.Width, t.args[0].sort.Width, t.idx[1], arg[0], arg[1], arg[2])
 	}
+	cache[t] = v
+	return v
 }
 
 // Substitute returns t with every occurrence of the variables in subst
@@ -208,73 +111,13 @@ func Substitute(f *Factory, t *Term, subst map[*Term]*Term) *Term {
 		}
 		out := u
 		if changed {
-			out = f.Rebuild(u, args)
+			var err error
+			if out, err = f.Apply(u.op, args, u.Indices()...); err != nil {
+				panic(err) // subst maps a term to one of another sort
+			}
 		}
 		cache[u] = out
 		return out
 	}
 	return walk(t)
-}
-
-// Rebuild reconstructs a term like u but with new arguments, going
-// through the simplifying constructors — the primitive substitution and
-// rewrite passes are built on. args must match u's argument count and
-// sorts.
-func (f *Factory) Rebuild(u *Term, args []*Term) *Term {
-	switch u.op {
-	case OpNot:
-		return f.Not(args[0])
-	case OpAnd:
-		return f.And(args...)
-	case OpOr:
-		return f.Or(args...)
-	case OpXor:
-		return f.Xor(args[0], args[1])
-	case OpImplies:
-		return f.Implies(args[0], args[1])
-	case OpIte:
-		return f.Ite(args[0], args[1], args[2])
-	case OpEq:
-		return f.Eq(args[0], args[1])
-	case OpUlt:
-		return f.Ult(args[0], args[1])
-	case OpUle:
-		return f.Ule(args[0], args[1])
-	case OpSlt:
-		return f.Slt(args[0], args[1])
-	case OpSle:
-		return f.Sle(args[0], args[1])
-	case OpAdd:
-		return f.Add(args[0], args[1])
-	case OpSub:
-		return f.Sub(args[0], args[1])
-	case OpNeg:
-		return f.Neg(args[0])
-	case OpMul:
-		return f.Mul(args[0], args[1])
-	case OpBVAnd:
-		return f.BVAnd(args[0], args[1])
-	case OpBVOr:
-		return f.BVOr(args[0], args[1])
-	case OpBVXor:
-		return f.BVXor(args[0], args[1])
-	case OpBVNot:
-		return f.BVNot(args[0])
-	case OpShl:
-		return f.Shl(args[0], args[1])
-	case OpLshr:
-		return f.Lshr(args[0], args[1])
-	case OpAshr:
-		return f.Ashr(args[0], args[1])
-	case OpConcat:
-		return f.Concat(args[0], args[1])
-	case OpExtract:
-		return f.Extract(args[0], u.hi, u.lo)
-	case OpZExt:
-		return f.ZExt(args[0], u.sort.Width)
-	case OpSExt:
-		return f.SExt(args[0], u.sort.Width)
-	default:
-		panic(fmt.Sprintf("smt: rebuild: unexpected op %v", u.op))
-	}
 }

@@ -328,19 +328,6 @@ func (l *lowerer) lowerUncached(t *Term) (uint32, error) {
 		return l.chain(pOr, t.args)
 	case OpXor:
 		return l.bin(pXor, t, 0, 0, 0)
-	case OpImplies:
-		// Not interned by the factory (Implies builds Or), but kept for
-		// completeness with eval.
-		a, err := l.lower(t.args[0])
-		if err != nil {
-			return 0, err
-		}
-		b, err := l.lower(t.args[1])
-		if err != nil {
-			return 0, err
-		}
-		na := l.emit(pinst{op: pNot, a: a})
-		return l.emit(pinst{op: pOr, a: na, b: b}), nil
 	case OpIte:
 		cond, err := l.lower(t.args[0])
 		if err != nil {
@@ -396,7 +383,7 @@ func (l *lowerer) lowerUncached(t *Term) (uint32, error) {
 	case OpConcat:
 		return l.bin(pConcat, t, uint64(t.args[1].sort.Width), 0, 0)
 	case OpExtract:
-		return l.un(pExtract, t, uint64(t.lo), mask64(t.hi-t.lo+1), 0)
+		return l.un(pExtract, t, uint64(t.idx[1]), mask, 0)
 	case OpZExt:
 		// Zero-extension of an already-normalized value is the identity:
 		// alias the argument's register.

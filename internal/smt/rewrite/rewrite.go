@@ -108,7 +108,10 @@ func (r *Rewriter) rewriteNode(t *smt.Term) *smt.Term {
 			changed = changed || newArgs[i] != a
 		}
 		if changed {
-			out = r.f.Rebuild(t, newArgs)
+			var err error
+			if out, err = r.f.Apply(t.Op(), newArgs, t.Indices()...); err != nil {
+				panic(err) // a rule changed a sort
+			}
 			// The rebuilt node may be one we already rewrote in full.
 			if memoized, ok := r.memo[out.ID()]; ok {
 				return memoized
@@ -162,9 +165,7 @@ func (r *Rewriter) applyRules(t *smt.Term) *smt.Term {
 	case smt.OpExtract:
 		return r.ruleExtractPush(t)
 	case smt.OpEq:
-		if !t.Arg(0).Sort().IsBool() {
-			return r.ruleNarrowCmp(t, smt.OpEq)
-		}
+		return r.ruleNarrowCmp(t, smt.OpEq)
 	case smt.OpUlt:
 		return r.ruleNarrowCmp(t, smt.OpUlt)
 	case smt.OpUle:
@@ -328,8 +329,9 @@ func (r *Rewriter) ruleCarryFreeAdd(t *smt.Term) *smt.Term {
 	za, _ := r.ad.Of(a).KnownBits()
 	zb, _ := r.ad.Of(b).KnownBits()
 	w := t.Sort().Width
-	mayA := new(big.Int).AndNot(maskFor(w), za)
-	mayB := new(big.Int).AndNot(maskFor(w), zb)
+	m := smt.Mask(w)
+	mayA := new(big.Int).AndNot(m, za)
+	mayB := new(big.Int).AndNot(m, zb)
 	if new(big.Int).And(mayA, mayB).Sign() != 0 {
 		return t
 	}
@@ -343,7 +345,7 @@ func (r *Rewriter) ruleCarryFreeAdd(t *smt.Term) *smt.Term {
 func (r *Rewriter) ruleAbsorb(t *smt.Term, isAnd bool) *smt.Term {
 	a, b := t.Arg(0), t.Arg(1)
 	w := t.Sort().Width
-	m := maskFor(w)
+	m := smt.Mask(w)
 	za, oa := r.ad.Of(a).KnownBits()
 	zb, ob := r.ad.Of(b).KnownBits()
 	mayA := new(big.Int).AndNot(m, za)
@@ -456,11 +458,4 @@ func (r *Rewriter) ruleNarrowCmp(t *smt.Term, op smt.Op) *smt.Term {
 		return r.f.Ule(la, lb)
 	}
 	return t
-}
-
-var bigOne = big.NewInt(1)
-
-func maskFor(w int) *big.Int {
-	m := new(big.Int).Lsh(bigOne, uint(w))
-	return m.Sub(m, bigOne)
 }

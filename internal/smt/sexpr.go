@@ -3,6 +3,7 @@ package smt
 import (
 	"fmt"
 	"math/big"
+	"strconv"
 	"strings"
 )
 
@@ -12,40 +13,47 @@ import (
 // acceptable for the spec file format.
 func Serialize(t *Term) string {
 	var b strings.Builder
-	serialize(t, &b)
+	t.write(&b, false, 0)
 	return b.String()
 }
 
-func serialize(t *Term, b *strings.Builder) {
-	switch t.op {
-	case OpTrue:
-		b.WriteString("true")
-	case OpFalse:
-		b.WriteString("false")
-	case OpVar:
+// write renders t as an S-expression with the operator table's names.
+// Serialize's form is what Parse reads. String's (debug) form is for
+// people: bare variable names, hexadecimal constants tagged with their
+// width, and arguments nested deeper than 16 levels elided to @id.
+func (t *Term) write(b *strings.Builder, debug bool, depth int) {
+	switch {
+	case t.op == OpVar && debug:
+		b.WriteString(t.name)
+	case t.op == OpVar:
 		b.WriteString("|")
 		b.WriteString(t.name)
 		b.WriteString("|")
-	case OpConst:
+	case t.op == OpConst && debug:
+		fmt.Fprintf(b, "#x%s[%d]", t.val.Text(16), t.sort.Width)
+	case t.op == OpConst:
 		fmt.Fprintf(b, "(_ bv%s %d)", t.val.Text(10), t.sort.Width)
-	case OpExtract:
-		fmt.Fprintf(b, "((_ extract %d %d) ", t.hi, t.lo)
-		serialize(t.args[0], b)
-		b.WriteString(")")
-	case OpZExt:
-		fmt.Fprintf(b, "((_ zero_extend %d) ", t.sort.Width-t.args[0].sort.Width)
-		serialize(t.args[0], b)
-		b.WriteString(")")
-	case OpSExt:
-		fmt.Fprintf(b, "((_ sign_extend %d) ", t.sort.Width-t.args[0].sort.Width)
-		serialize(t.args[0], b)
-		b.WriteString(")")
+	case len(t.args) == 0:
+		b.WriteString(t.op.String())
 	default:
 		b.WriteString("(")
-		b.WriteString(t.op.String())
+		if idx := t.Indices(); len(idx) > 0 {
+			b.WriteString("(_ ")
+			b.WriteString(t.op.String())
+			for _, i := range idx {
+				fmt.Fprintf(b, " %d", i)
+			}
+			b.WriteString(")")
+		} else {
+			b.WriteString(t.op.String())
+		}
 		for _, a := range t.args {
 			b.WriteString(" ")
-			serialize(a, b)
+			if debug && depth > 16 {
+				fmt.Fprintf(b, "@%d", a.id)
+				continue
+			}
+			a.write(b, debug, depth+1)
 		}
 		b.WriteString(")")
 	}
@@ -72,6 +80,7 @@ func Parse(f *Factory, src string, sorts VarSorts) (*Term, error) {
 type sexprParser struct {
 	src   string
 	pos   int
+	depth int
 	f     *Factory
 	sorts VarSorts
 }
@@ -122,6 +131,10 @@ func (p *sexprParser) peek() byte {
 	return p.src[p.pos]
 }
 
+// maxParseDepth bounds the nesting Parse accepts, and with it the
+// recursion of everything that later walks the term.
+const maxParseDepth = 1000
+
 func (p *sexprParser) parse() (*Term, error) {
 	tok, err := p.token()
 	if err != nil {
@@ -140,91 +153,51 @@ func (p *sexprParser) parse() (*Term, error) {
 		}
 		return p.f.Var(name, sort), nil
 	case tok == "(":
-		return p.parseApp()
+		if p.depth++; p.depth > maxParseDepth {
+			return nil, p.errf("nesting deeper than %d", maxParseDepth)
+		}
+		t, err := p.parseApp()
+		p.depth--
+		return t, err
 	default:
 		return nil, p.errf("unexpected token %q", tok)
 	}
 }
 
+// parseApp parses what follows an opening parenthesis: a literal
+// (_ bvN w), or an application (op arg…) or ((_ op index…) arg…) of an
+// operator-table row, built through Factory.Apply.
 func (p *sexprParser) parseApp() (*Term, error) {
-	// Either (_ bvN w), ((_ extract h l) t), or (op args...).
-	if p.peek() == '(' {
-		// ((_ indexed-op ...) arg)
-		if _, err := p.token(); err != nil { // consume '('
+	indexed := p.peek() == '('
+	if indexed {
+		p.pos++
+		if err := p.expect("_"); err != nil {
 			return nil, err
-		}
-		head, err := p.token()
-		if err != nil {
-			return nil, err
-		}
-		if head != "_" {
-			return nil, p.errf("expected indexed operator, got %q", head)
-		}
-		op, err := p.token()
-		if err != nil {
-			return nil, err
-		}
-		var i1, i2 int
-		switch op {
-		case "extract":
-			if _, err := fmt.Sscanf(p.remainderToken()+" "+p.remainderToken(), "%d %d", &i1, &i2); err != nil {
-				return nil, p.errf("bad extract indices")
-			}
-		case "zero_extend", "sign_extend":
-			if _, err := fmt.Sscanf(p.remainderToken(), "%d", &i1); err != nil {
-				return nil, p.errf("bad extend amount")
-			}
-		default:
-			return nil, p.errf("unknown indexed op %q", op)
-		}
-		if err := p.expect(")"); err != nil {
-			return nil, err
-		}
-		arg, err := p.parse()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expect(")"); err != nil {
-			return nil, err
-		}
-		switch op {
-		case "extract":
-			return p.f.Extract(arg, i1, i2), nil
-		case "zero_extend":
-			return p.f.ZExt(arg, arg.Sort().Width+i1), nil
-		default:
-			return p.f.SExt(arg, arg.Sort().Width+i1), nil
 		}
 	}
 	head, err := p.token()
 	if err != nil {
 		return nil, err
 	}
-	if head == "_" {
-		// (_ bvN w)
-		lit, err := p.token()
-		if err != nil {
-			return nil, err
-		}
-		if !strings.HasPrefix(lit, "bv") {
-			return nil, p.errf("expected bv literal, got %q", lit)
-		}
-		v, ok := new(big.Int).SetString(lit[2:], 10)
-		if !ok {
-			return nil, p.errf("bad bv literal %q", lit)
-		}
-		wTok, err := p.token()
-		if err != nil {
-			return nil, err
-		}
-		var w int
-		if _, err := fmt.Sscanf(wTok, "%d", &w); err != nil {
-			return nil, p.errf("bad width %q", wTok)
+	if head == "_" && !indexed {
+		return p.parseLiteral()
+	}
+	op, ok := opByName[head]
+	if !ok {
+		return nil, p.errf("unknown operator %q", head)
+	}
+	var idx []int
+	if indexed {
+		for p.peek() != ')' && p.peek() != 0 {
+			i, err := p.integer()
+			if err != nil {
+				return nil, err
+			}
+			idx = append(idx, i)
 		}
 		if err := p.expect(")"); err != nil {
 			return nil, err
 		}
-		return p.f.BVConst(v, w), nil
 	}
 	var args []*Term
 	for p.peek() != ')' && p.peek() != 0 {
@@ -237,15 +210,53 @@ func (p *sexprParser) parseApp() (*Term, error) {
 	if err := p.expect(")"); err != nil {
 		return nil, err
 	}
-	return p.apply(head, args)
+	t, err := p.f.Apply(op, args, idx...)
+	if err != nil {
+		return nil, p.errf("%s", strings.TrimPrefix(err.Error(), "smt: "))
+	}
+	if t.sort.Width > MaxWidth {
+		return nil, p.errf("%s builds a %d-bit vector, limit %d", head, t.sort.Width, MaxWidth)
+	}
+	return t, nil
 }
 
-func (p *sexprParser) remainderToken() string {
+// parseLiteral parses the bvN w) of a bitvector literal (_ bvN w).
+func (p *sexprParser) parseLiteral() (*Term, error) {
+	lit, err := p.token()
+	if err != nil {
+		return nil, err
+	}
+	digits := strings.TrimPrefix(lit, "bv")
+	v, ok := new(big.Int).SetString(digits, 10)
+	if !ok || digits == lit || digits[0] < '0' || digits[0] > '9' {
+		return nil, p.errf("bad bv literal %q", lit)
+	}
+	w, err := p.integer()
+	if err != nil {
+		return nil, err
+	}
+	if w < 1 || v.BitLen() > w {
+		return nil, p.errf("literal %s does not fit width %d", lit, w)
+	}
+	if err := p.expect(")"); err != nil {
+		return nil, err
+	}
+	return p.f.BVConst(v, w), nil
+}
+
+// integer reads a literal's width or an operator's index: an integer no
+// larger than MaxWidth (how small it may be is the literal's, or the
+// operator's sort rule's, to say).
+func (p *sexprParser) integer() (int, error) {
 	tok, err := p.token()
 	if err != nil {
-		return ""
+		return 0, err
 	}
-	return tok
+	n, err := strconv.Atoi(tok)
+	if err != nil || n > MaxWidth {
+		return 0, p.errf("bad width or index %q (limit %d)", tok, MaxWidth)
+	}
+	return n, nil
 }
 
 func (p *sexprParser) expect(tok string) error {
@@ -257,126 +268,4 @@ func (p *sexprParser) expect(tok string) error {
 		return p.errf("expected %q, got %q", tok, got)
 	}
 	return nil
-}
-
-func (p *sexprParser) apply(op string, args []*Term) (*Term, error) {
-	need := func(n int) error {
-		if len(args) != n {
-			return p.errf("operator %s needs %d args, got %d", op, n, len(args))
-		}
-		return nil
-	}
-	switch op {
-	case "not":
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		return p.f.Not(args[0]), nil
-	case "and":
-		return p.f.And(args...), nil
-	case "or":
-		return p.f.Or(args...), nil
-	case "xor":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		return p.f.Xor(args[0], args[1]), nil
-	case "=>":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		return p.f.Implies(args[0], args[1]), nil
-	case "ite":
-		if err := need(3); err != nil {
-			return nil, err
-		}
-		return p.f.Ite(args[0], args[1], args[2]), nil
-	case "=":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		return p.f.Eq(args[0], args[1]), nil
-	case "bvult":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		return p.f.Ult(args[0], args[1]), nil
-	case "bvule":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		return p.f.Ule(args[0], args[1]), nil
-	case "bvslt":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		return p.f.Slt(args[0], args[1]), nil
-	case "bvsle":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		return p.f.Sle(args[0], args[1]), nil
-	case "bvadd":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		return p.f.Add(args[0], args[1]), nil
-	case "bvsub":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		return p.f.Sub(args[0], args[1]), nil
-	case "bvneg":
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		return p.f.Neg(args[0]), nil
-	case "bvmul":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		return p.f.Mul(args[0], args[1]), nil
-	case "bvand":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		return p.f.BVAnd(args[0], args[1]), nil
-	case "bvor":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		return p.f.BVOr(args[0], args[1]), nil
-	case "bvxor":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		return p.f.BVXor(args[0], args[1]), nil
-	case "bvnot":
-		if err := need(1); err != nil {
-			return nil, err
-		}
-		return p.f.BVNot(args[0]), nil
-	case "bvshl":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		return p.f.Shl(args[0], args[1]), nil
-	case "bvlshr":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		return p.f.Lshr(args[0], args[1]), nil
-	case "bvashr":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		return p.f.Ashr(args[0], args[1]), nil
-	case "concat":
-		if err := need(2); err != nil {
-			return nil, err
-		}
-		return p.f.Concat(args[0], args[1]), nil
-	default:
-		return nil, p.errf("unknown operator %q", op)
-	}
 }

@@ -2,6 +2,7 @@ package smt
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -44,9 +45,11 @@ func TestSerializeParseRoundTrip(t *testing.T) {
 	}
 }
 
+// TestParseErrors: malformed, ill-sorted and oversized input is an error,
+// never a panic or an allocation sized by the input.
 func TestParseErrors(t *testing.T) {
 	f := NewFactory()
-	sorts := VarSorts{"x": BV(8)}
+	sorts := VarSorts{"x": BV(8), "x8": BV(8), "y16": BV(16), "t$0.hit": BoolSort}
 	cases := []string{
 		"",
 		"(and true",
@@ -55,10 +58,56 @@ func TestParseErrors(t *testing.T) {
 		"(= |x|)",
 		"(_ bvXYZ 8)",
 		"true extra",
+		// Ill-sorted applications and width mismatches.
+		"(bvadd |t$0.hit| true)",
+		"(bvult |x8| |y16|)",
+		"(= |x8| true)",
+		"(ite |x8| true false)",
+		"(not |x8|)",
+		"(concat |x8| true)",
+		// Indices: out of range, negative, too many, too few, huge.
+		"((_ extract 99 0) |x8|)",
+		"((_ extract 3 4) |x8|)",
+		"((_ extract 3) |x8|)",
+		"((_ zero_extend -3) |x8|)",
+		"((_ sign_extend 1 2) |x8|)",
+		"((_ zero_extend 70000000000) |x8|)",
+		"((_ bvadd 1) |x8| |x8|)",
+		"((_ zero_extend 4090) |y16|)",
+		// Literals: width out of range, value out of range or signed.
+		"(_ bv1 70000000000)",
+		"(_ bv5 0)",
+		"(_ bv5 -1)",
+		"(_ bv256 8)",
+		"(_ bv-1 8)",
+		"(_ bv+1 8)",
+		"(_ bv 8)",
+		"(_ bv1 4097)",
+		// Arity, leaves and implication (never a term: Implies builds an or).
+		"(and)",
+		"(or)",
+		"(not)",
+		"(xor true)",
+		"(var)",
+		"(const)",
+		"(true)",
+		"(=> true false)",
+		// Nesting beyond maxParseDepth.
+		strings.Repeat("(not ", maxParseDepth+1) + "true" + strings.Repeat(")", maxParseDepth+1),
 	}
 	for _, src := range cases {
 		if _, err := Parse(f, src, sorts); err == nil {
-			t.Errorf("Parse(%q) succeeded, want error", src)
+			t.Errorf("Parse(%.40q) succeeded, want error", src)
+		}
+	}
+	// The limits themselves are inside the language.
+	for _, src := range []string{
+		"(= (_ bv1 4096) (_ bv1 4096))",
+		"(= ((_ zero_extend 4080) |y16|) (_ bv0 4096))",
+		strings.Repeat("(not ", maxParseDepth-1) + "|t$0.hit|" + strings.Repeat(")", maxParseDepth-1),
+	} {
+		if _, err := Parse(f, src, sorts); err != nil {
+			t.Errorf("Parse(%.40q): %v", src, err)
 		}
 	}
 }

@@ -51,8 +51,10 @@ func (s Sort) String() string {
 // Op enumerates term constructors.
 type Op uint8
 
-// Term operators. Bool-sorted: OpTrue..OpIte (OpIte may also be BV-sorted);
-// comparison ops take BV args and produce Bool; the rest are BV ops.
+// Term operators; op.go's operator table gives each one's name, arity and
+// sort rule. The numbering is frozen: Factory.key and contentHash mix the
+// number into the canonical argument order, and with it into CNF shape,
+// search traces and witness bytes.
 const (
 	OpTrue Op = iota
 	OpFalse
@@ -61,9 +63,9 @@ const (
 	OpAnd
 	OpOr
 	OpXor // boolean xor
-	OpImplies
-	OpIte // polymorphic: sort of branches
-	OpEq  // polymorphic args (both Bool or both BV w)
+	_     // reserved: implication is never interned (Implies builds an Or)
+	OpIte // bitvector-sorted only: a Bool ite is built as Or(And, And)
+	OpEq  // bitvector arguments only: a Bool = is built as Not(Xor)
 
 	OpConst // bitvector constant
 	OpUlt
@@ -85,20 +87,10 @@ const (
 	OpExtract
 	OpZExt
 	OpSExt
+
+	// NumOps is one past the last operator.
+	NumOps
 )
-
-var opNames = map[Op]string{
-	OpTrue: "true", OpFalse: "false", OpVar: "var", OpNot: "not",
-	OpAnd: "and", OpOr: "or", OpXor: "xor", OpImplies: "=>", OpIte: "ite",
-	OpEq: "=", OpConst: "const", OpUlt: "bvult", OpUle: "bvule",
-	OpSlt: "bvslt", OpSle: "bvsle", OpAdd: "bvadd", OpSub: "bvsub",
-	OpNeg: "bvneg", OpMul: "bvmul", OpBVAnd: "bvand", OpBVOr: "bvor",
-	OpBVXor: "bvxor", OpBVNot: "bvnot", OpShl: "bvshl", OpLshr: "bvlshr",
-	OpAshr: "bvashr", OpConcat: "concat", OpExtract: "extract",
-	OpZExt: "zext", OpSExt: "sext",
-}
-
-func (o Op) String() string { return opNames[o] }
 
 // Term is an immutable, hash-consed term. Terms produced by the same
 // Factory are pointer-comparable: a == b iff they are structurally equal.
@@ -110,8 +102,7 @@ type Term struct {
 	args []*Term
 	val  *big.Int // OpConst only, normalized to [0, 2^w)
 	name string   // OpVar only
-	lo   int      // OpExtract only
-	hi   int      // OpExtract only
+	idx  [2]int   // integer indices (see Indices): extract hi lo, zero_extend/sign_extend k
 }
 
 // ID returns a factory-unique identifier, usable as a map key.
@@ -137,7 +128,7 @@ func (t *Term) Name() string { return t.name }
 func (t *Term) Const() *big.Int { return t.val }
 
 // ExtractBounds returns (hi, lo) for OpExtract terms.
-func (t *Term) ExtractBounds() (hi, lo int) { return t.hi, t.lo }
+func (t *Term) ExtractBounds() (hi, lo int) { return t.idx[0], t.idx[1] }
 
 // IsTrue reports whether t is the constant true.
 func (t *Term) IsTrue() bool { return t.op == OpTrue }
@@ -152,41 +143,8 @@ func (t *Term) IsConst() bool { return t.op == OpConst }
 // error messages, not serialization (the DAG is expanded to a tree).
 func (t *Term) String() string {
 	var b strings.Builder
-	t.write(&b, map[*Term]bool{}, 0)
+	t.write(&b, true, 0)
 	return b.String()
-}
-
-func (t *Term) write(b *strings.Builder, seen map[*Term]bool, depth int) {
-	switch t.op {
-	case OpTrue:
-		b.WriteString("true")
-	case OpFalse:
-		b.WriteString("false")
-	case OpVar:
-		b.WriteString(t.name)
-	case OpConst:
-		fmt.Fprintf(b, "#x%s[%d]", t.val.Text(16), t.sort.Width)
-	case OpExtract:
-		fmt.Fprintf(b, "((_ extract %d %d) ", t.hi, t.lo)
-		t.args[0].write(b, seen, depth+1)
-		b.WriteString(")")
-	case OpZExt, OpSExt:
-		fmt.Fprintf(b, "((_ %s %d) ", t.op, t.sort.Width-t.args[0].sort.Width)
-		t.args[0].write(b, seen, depth+1)
-		b.WriteString(")")
-	default:
-		b.WriteString("(")
-		b.WriteString(t.op.String())
-		for _, a := range t.args {
-			b.WriteString(" ")
-			if depth > 16 {
-				fmt.Fprintf(b, "@%d", a.id)
-				continue
-			}
-			a.write(b, seen, depth+1)
-		}
-		b.WriteString(")")
-	}
 }
 
 // Vars appends to dst all distinct variables occurring in t and returns
@@ -307,8 +265,8 @@ func (f *Factory) key(t *Term) string {
 	case OpConst:
 		b.WriteString(t.val.Text(62))
 	case OpExtract:
-		binary.LittleEndian.PutUint32(tmp[:4], uint32(t.lo))
-		binary.LittleEndian.PutUint32(tmp[4:], uint32(t.hi))
+		binary.LittleEndian.PutUint32(tmp[:4], uint32(t.idx[1]))
+		binary.LittleEndian.PutUint32(tmp[4:], uint32(t.idx[0]))
 		b.Write(tmp[:])
 	}
 	for _, a := range t.args {
@@ -363,8 +321,8 @@ func contentHash(t *Term) uint64 {
 			h *= prime64
 		}
 	case OpExtract:
-		mix(uint64(t.lo))
-		mix(uint64(t.hi))
+		mix(uint64(t.idx[1]))
+		mix(uint64(t.idx[0]))
 	}
 	for _, a := range t.args {
 		mix(a.hash)
@@ -409,13 +367,13 @@ func structCmp(a, b *Term) int {
 		return strings.Compare(a.name, b.name)
 	case a.op == OpConst:
 		return a.val.Cmp(b.val)
-	case a.op == OpExtract && a.lo != b.lo:
-		if a.lo < b.lo {
+	case a.op == OpExtract && a.idx[1] != b.idx[1]:
+		if a.idx[1] < b.idx[1] {
 			return -1
 		}
 		return 1
-	case a.op == OpExtract && a.hi != b.hi:
-		if a.hi < b.hi {
+	case a.op == OpExtract && a.idx[0] != b.idx[0]:
+		if a.idx[0] < b.idx[0] {
 			return -1
 		}
 		return 1
@@ -467,25 +425,14 @@ func (f *Factory) Var(name string, s Sort) *Term {
 	return f.BVVar(name, s.Width)
 }
 
-var bigOne = big.NewInt(1)
-
-// maskFor returns 2^w - 1.
-func maskFor(w int) *big.Int {
-	m := new(big.Int).Lsh(bigOne, uint(w))
-	return m.Sub(m, bigOne)
-}
-
 // BVConst returns the bitvector constant v (mod 2^w) of width w.
 func (f *Factory) BVConst(v *big.Int, w int) *Term {
-	nv := new(big.Int).And(new(big.Int).Set(v), maskFor(w))
-	if v.Sign() < 0 {
-		nv = new(big.Int).Set(v)
-		nv.Mod(nv, new(big.Int).Lsh(bigOne, uint(w)))
-		if nv.Sign() < 0 {
-			nv.Add(nv, new(big.Int).Lsh(bigOne, uint(w)))
-		}
+	s := BV(w)
+	nv := normalize(v, w)
+	if nv == v {
+		nv = new(big.Int).Set(v) // the caller keeps v
 	}
-	return f.intern(&Term{op: OpConst, sort: BV(w), val: nv})
+	return f.intern(&Term{op: OpConst, sort: s, val: nv})
 }
 
 // BVConst64 returns the bitvector constant v (mod 2^w) of width w.
@@ -642,8 +589,8 @@ func (f *Factory) Eq(a, b *Term) *Term {
 	if a.sort.IsBool() {
 		return f.Iff(a, b)
 	}
-	if a.IsConst() && b.IsConst() {
-		return f.Bool(a.val.Cmp(b.val) == 0)
+	if c := f.fold(OpEq, BoolSort, 0, a, b); c != nil {
+		return c
 	}
 	if termLess(b, a) {
 		a, b = b, a
@@ -675,216 +622,158 @@ func mustSameWidth(a, b *Term) int {
 	return wa
 }
 
-func (f *Factory) binBV(op Op, a, b *Term, fold func(x, y *big.Int, w int) *big.Int, comm bool) *Term {
-	w := mustSameWidth(a, b)
-	if a.IsConst() && b.IsConst() {
-		return f.BVConst(fold(a.val, b.val, w), w)
+// fold returns the constant that op denotes over constant bitvector
+// arguments a and (for binary operators) b, or nil when one of them is
+// not a constant. s is the result sort, lo an extract's low index.
+func (f *Factory) fold(op Op, s Sort, lo int, a, b *Term) *Term {
+	if !a.IsConst() || (b != nil && !b.IsConst()) {
+		return nil
+	}
+	var y *big.Int
+	if b != nil {
+		y = b.val
+	}
+	v := evalOp(op, s.Width, a.sort.Width, lo, a.val, y, nil)
+	if s.IsBool() {
+		return f.Bool(v.Sign() != 0)
+	}
+	return f.intern(&Term{op: OpConst, sort: s, val: v})
+}
+
+// binBV builds a binary operator over two vectors of one width, with a
+// result of that width: folded when both are constant, in canonical
+// argument order when commutative.
+func (f *Factory) binBV(op Op, a, b *Term, comm bool) *Term {
+	s := BV(mustSameWidth(a, b))
+	if c := f.fold(op, s, 0, a, b); c != nil {
+		return c
 	}
 	if comm && termLess(b, a) {
 		a, b = b, a
 	}
-	return f.intern(&Term{op: op, sort: BV(w), args: []*Term{a, b}})
+	return f.intern(&Term{op: op, sort: s, args: []*Term{a, b}})
+}
+
+// unBV builds a unary operator over a vector, folded when it is constant.
+// k is the index zero_extend and sign_extend carry.
+func (f *Factory) unBV(op Op, s Sort, k int, a *Term) *Term {
+	if c := f.fold(op, s, 0, a, nil); c != nil {
+		return c
+	}
+	return f.intern(&Term{op: op, sort: s, args: []*Term{a}, idx: [2]int{k}})
+}
+
+// isZero, isOne and isOnes recognize the constants the identities below
+// key on.
+func isZero(t *Term) bool { return t.IsConst() && t.val.Sign() == 0 }
+func isOne(t *Term) bool  { return t.IsConst() && t.val.Cmp(bigOne) == 0 }
+func isOnes(t *Term) bool {
+	return t.IsConst() && t.val.BitLen() == t.sort.Width && t.val.Cmp(Mask(t.sort.Width)) == 0
 }
 
 // Add returns a + b (mod 2^w).
 func (f *Factory) Add(a, b *Term) *Term {
-	if a.IsConst() && a.val.Sign() == 0 {
+	if isZero(a) {
 		return b
 	}
-	if b.IsConst() && b.val.Sign() == 0 {
+	if isZero(b) {
 		return a
 	}
-	return f.binBV(OpAdd, a, b, func(x, y *big.Int, w int) *big.Int {
-		return new(big.Int).Add(x, y)
-	}, true)
+	return f.binBV(OpAdd, a, b, true)
 }
 
 // Sub returns a - b (mod 2^w).
 func (f *Factory) Sub(a, b *Term) *Term {
-	if b.IsConst() && b.val.Sign() == 0 {
+	if isZero(b) {
 		return a
 	}
 	if a == b {
 		return f.BVConst64(0, a.sort.Width)
 	}
-	return f.binBV(OpSub, a, b, func(x, y *big.Int, w int) *big.Int {
-		return new(big.Int).Sub(x, y)
-	}, false)
+	return f.binBV(OpSub, a, b, false)
 }
 
 // Neg returns -a (mod 2^w).
 func (f *Factory) Neg(a *Term) *Term {
-	w := mustBV(a)
-	if a.IsConst() {
-		return f.BVConst(new(big.Int).Neg(a.val), w)
-	}
-	return f.intern(&Term{op: OpNeg, sort: BV(w), args: []*Term{a}})
+	return f.unBV(OpNeg, BV(mustBV(a)), 0, a)
 }
 
 // Mul returns a * b (mod 2^w).
 func (f *Factory) Mul(a, b *Term) *Term {
-	if a.IsConst() {
-		if a.val.Sign() == 0 {
-			return a
-		}
-		if a.val.Cmp(bigOne) == 0 {
-			return b
-		}
+	switch {
+	case isZero(a):
+		return a
+	case isOne(a):
+		return b
+	case isZero(b):
+		return b
+	case isOne(b):
+		return a
 	}
-	if b.IsConst() {
-		if b.val.Sign() == 0 {
-			return b
-		}
-		if b.val.Cmp(bigOne) == 0 {
-			return a
-		}
-	}
-	return f.binBV(OpMul, a, b, func(x, y *big.Int, w int) *big.Int {
-		return new(big.Int).Mul(x, y)
-	}, true)
+	return f.binBV(OpMul, a, b, true)
 }
 
 // BVAnd returns the bitwise conjunction of a and b.
 func (f *Factory) BVAnd(a, b *Term) *Term {
-	w := mustSameWidth(a, b)
-	if a == b {
+	mustSameWidth(a, b)
+	switch {
+	case a == b, isZero(a), isOnes(b):
 		return a
+	case isOnes(a), isZero(b):
+		return b
 	}
-	if a.IsConst() {
-		if a.val.Sign() == 0 {
-			return a
-		}
-		if a.val.Cmp(maskFor(w)) == 0 {
-			return b
-		}
-	}
-	if b.IsConst() {
-		if b.val.Sign() == 0 {
-			return b
-		}
-		if b.val.Cmp(maskFor(w)) == 0 {
-			return a
-		}
-	}
-	return f.binBV(OpBVAnd, a, b, func(x, y *big.Int, w int) *big.Int {
-		return new(big.Int).And(x, y)
-	}, true)
+	return f.binBV(OpBVAnd, a, b, true)
 }
 
 // BVOr returns the bitwise disjunction of a and b.
 func (f *Factory) BVOr(a, b *Term) *Term {
-	w := mustSameWidth(a, b)
-	if a == b {
+	mustSameWidth(a, b)
+	switch {
+	case a == b, isOnes(a), isZero(b):
 		return a
+	case isZero(a), isOnes(b):
+		return b
 	}
-	if a.IsConst() {
-		if a.val.Sign() == 0 {
-			return b
-		}
-		if a.val.Cmp(maskFor(w)) == 0 {
-			return a
-		}
-	}
-	if b.IsConst() {
-		if b.val.Sign() == 0 {
-			return a
-		}
-		if b.val.Cmp(maskFor(w)) == 0 {
-			return b
-		}
-	}
-	return f.binBV(OpBVOr, a, b, func(x, y *big.Int, w int) *big.Int {
-		return new(big.Int).Or(x, y)
-	}, true)
+	return f.binBV(OpBVOr, a, b, true)
 }
 
 // BVXor returns the bitwise exclusive-or of a and b.
 func (f *Factory) BVXor(a, b *Term) *Term {
-	w := mustSameWidth(a, b)
-	if a == b {
+	if w := mustSameWidth(a, b); a == b {
 		return f.BVConst64(0, w)
 	}
-	return f.binBV(OpBVXor, a, b, func(x, y *big.Int, w int) *big.Int {
-		return new(big.Int).Xor(x, y)
-	}, true)
+	return f.binBV(OpBVXor, a, b, true)
 }
 
 // BVNot returns the bitwise complement of a.
 func (f *Factory) BVNot(a *Term) *Term {
-	w := mustBV(a)
-	if a.IsConst() {
-		return f.BVConst(new(big.Int).Xor(a.val, maskFor(w)), w)
-	}
 	if a.op == OpBVNot {
 		return a.args[0]
 	}
-	return f.intern(&Term{op: OpBVNot, sort: BV(w), args: []*Term{a}})
+	return f.unBV(OpBVNot, BV(mustBV(a)), 0, a)
 }
 
 // Shl returns a << b (filling with zeros, shift amount unsigned).
-func (f *Factory) Shl(a, b *Term) *Term {
-	if b.IsConst() && b.val.Sign() == 0 {
-		return a
-	}
-	return f.binBV(OpShl, a, b, func(x, y *big.Int, w int) *big.Int {
-		if y.Cmp(big.NewInt(int64(w))) >= 0 {
-			return new(big.Int)
-		}
-		return new(big.Int).Lsh(x, uint(y.Uint64()))
-	}, false)
-}
+func (f *Factory) Shl(a, b *Term) *Term { return f.shift(OpShl, a, b) }
 
 // Lshr returns a >> b (logical, zero-filling).
-func (f *Factory) Lshr(a, b *Term) *Term {
-	if b.IsConst() && b.val.Sign() == 0 {
-		return a
-	}
-	return f.binBV(OpLshr, a, b, func(x, y *big.Int, w int) *big.Int {
-		if y.Cmp(big.NewInt(int64(w))) >= 0 {
-			return new(big.Int)
-		}
-		return new(big.Int).Rsh(x, uint(y.Uint64()))
-	}, false)
-}
+func (f *Factory) Lshr(a, b *Term) *Term { return f.shift(OpLshr, a, b) }
 
 // Ashr returns a >> b (arithmetic, sign-filling).
-func (f *Factory) Ashr(a, b *Term) *Term {
-	if b.IsConst() && b.val.Sign() == 0 {
+func (f *Factory) Ashr(a, b *Term) *Term { return f.shift(OpAshr, a, b) }
+
+func (f *Factory) shift(op Op, a, b *Term) *Term {
+	if isZero(b) {
 		return a
 	}
-	return f.binBV(OpAshr, a, b, func(x, y *big.Int, w int) *big.Int {
-		s := toSigned(x, w)
-		sh := uint(w)
-		if y.Cmp(big.NewInt(int64(w))) < 0 {
-			sh = uint(y.Uint64())
-		}
-		return new(big.Int).Rsh(s, sh)
-	}, false)
+	return f.binBV(op, a, b, false)
 }
 
 // Ult returns the unsigned comparison a < b.
-func (f *Factory) Ult(a, b *Term) *Term {
-	mustSameWidth(a, b)
-	if a == b {
-		return f.false_
-	}
-	if a.IsConst() && b.IsConst() {
-		return f.Bool(a.val.Cmp(b.val) < 0)
-	}
-	return f.intern(&Term{op: OpUlt, sort: BoolSort, args: []*Term{a, b}})
-}
+func (f *Factory) Ult(a, b *Term) *Term { return f.compare(OpUlt, a, b, false) }
 
 // Ule returns the unsigned comparison a <= b.
-func (f *Factory) Ule(a, b *Term) *Term {
-	mustSameWidth(a, b)
-	if a == b {
-		return f.true_
-	}
-	if a.IsConst() && b.IsConst() {
-		return f.Bool(a.val.Cmp(b.val) <= 0)
-	}
-	return f.intern(&Term{op: OpUle, sort: BoolSort, args: []*Term{a, b}})
-}
+func (f *Factory) Ule(a, b *Term) *Term { return f.compare(OpUle, a, b, true) }
 
 // Ugt returns a > b (unsigned).
 func (f *Factory) Ugt(a, b *Term) *Term { return f.Ult(b, a) }
@@ -893,39 +782,31 @@ func (f *Factory) Ugt(a, b *Term) *Term { return f.Ult(b, a) }
 func (f *Factory) Uge(a, b *Term) *Term { return f.Ule(b, a) }
 
 // Slt returns the signed comparison a < b.
-func (f *Factory) Slt(a, b *Term) *Term {
-	w := mustSameWidth(a, b)
-	if a == b {
-		return f.false_
-	}
-	if a.IsConst() && b.IsConst() {
-		return f.Bool(toSigned(a.val, w).Cmp(toSigned(b.val, w)) < 0)
-	}
-	return f.intern(&Term{op: OpSlt, sort: BoolSort, args: []*Term{a, b}})
-}
+func (f *Factory) Slt(a, b *Term) *Term { return f.compare(OpSlt, a, b, false) }
 
 // Sle returns the signed comparison a <= b.
-func (f *Factory) Sle(a, b *Term) *Term {
-	w := mustSameWidth(a, b)
+func (f *Factory) Sle(a, b *Term) *Term { return f.compare(OpSle, a, b, true) }
+
+// compare builds an order comparison; reflexive is its value on a == b.
+func (f *Factory) compare(op Op, a, b *Term, reflexive bool) *Term {
+	mustSameWidth(a, b)
 	if a == b {
-		return f.true_
+		return f.Bool(reflexive)
 	}
-	if a.IsConst() && b.IsConst() {
-		return f.Bool(toSigned(a.val, w).Cmp(toSigned(b.val, w)) <= 0)
+	if c := f.fold(op, BoolSort, 0, a, b); c != nil {
+		return c
 	}
-	return f.intern(&Term{op: OpSle, sort: BoolSort, args: []*Term{a, b}})
+	return f.intern(&Term{op: op, sort: BoolSort, args: []*Term{a, b}})
 }
 
 // Concat returns the concatenation a ++ b, with a providing the
 // high-order bits.
 func (f *Factory) Concat(a, b *Term) *Term {
-	wa, wb := mustBV(a), mustBV(b)
-	if a.IsConst() && b.IsConst() {
-		v := new(big.Int).Lsh(a.val, uint(wb))
-		v.Or(v, b.val)
-		return f.BVConst(v, wa+wb)
+	s := BV(mustBV(a) + mustBV(b))
+	if c := f.fold(OpConcat, s, 0, a, b); c != nil {
+		return c
 	}
-	return f.intern(&Term{op: OpConcat, sort: BV(wa + wb), args: []*Term{a, b}})
+	return f.intern(&Term{op: OpConcat, sort: s, args: []*Term{a, b}})
 }
 
 // Extract returns bits hi..lo of a (inclusive), a bitvector of width
@@ -938,44 +819,30 @@ func (f *Factory) Extract(a *Term, hi, lo int) *Term {
 	if lo == 0 && hi == w-1 {
 		return a
 	}
-	if a.IsConst() {
-		v := new(big.Int).Rsh(a.val, uint(lo))
-		return f.BVConst(v, hi-lo+1)
+	if c := f.fold(OpExtract, BV(hi-lo+1), lo, a, nil); c != nil {
+		return c
 	}
 	if a.op == OpExtract {
-		return f.Extract(a.args[0], a.lo+hi, a.lo+lo)
+		return f.Extract(a.args[0], a.idx[1]+hi, a.idx[1]+lo)
 	}
-	return f.intern(&Term{op: OpExtract, sort: BV(hi - lo + 1), args: []*Term{a}, lo: lo, hi: hi})
+	return f.intern(&Term{op: OpExtract, sort: BV(hi - lo + 1), args: []*Term{a}, idx: [2]int{hi, lo}})
 }
 
 // ZExt zero-extends a to width w.
-func (f *Factory) ZExt(a *Term, w int) *Term {
-	wa := mustBV(a)
-	if w == wa {
-		return a
-	}
-	if w < wa {
-		panic(fmt.Sprintf("smt: zext to narrower width %d < %d", w, wa))
-	}
-	if a.IsConst() {
-		return f.BVConst(a.val, w)
-	}
-	return f.intern(&Term{op: OpZExt, sort: BV(w), args: []*Term{a}})
-}
+func (f *Factory) ZExt(a *Term, w int) *Term { return f.extend(OpZExt, a, w) }
 
 // SExt sign-extends a to width w.
-func (f *Factory) SExt(a *Term, w int) *Term {
+func (f *Factory) SExt(a *Term, w int) *Term { return f.extend(OpSExt, a, w) }
+
+func (f *Factory) extend(op Op, a *Term, w int) *Term {
 	wa := mustBV(a)
 	if w == wa {
 		return a
 	}
 	if w < wa {
-		panic(fmt.Sprintf("smt: sext to narrower width %d < %d", w, wa))
+		panic(fmt.Sprintf("smt: %v to narrower width %d < %d", op, w, wa))
 	}
-	if a.IsConst() {
-		return f.BVConst(toSigned(a.val, wa), w)
-	}
-	return f.intern(&Term{op: OpSExt, sort: BV(w), args: []*Term{a}})
+	return f.unBV(op, BV(w), w-wa, a)
 }
 
 // Resize zero-extends or truncates a to width w, the semantics of P4
@@ -990,12 +857,4 @@ func (f *Factory) Resize(a *Term, w int) *Term {
 	default:
 		return f.Extract(a, w-1, 0)
 	}
-}
-
-// toSigned interprets v (in [0,2^w)) as a w-bit two's complement value.
-func toSigned(v *big.Int, w int) *big.Int {
-	if v.Bit(w-1) == 0 {
-		return new(big.Int).Set(v)
-	}
-	return new(big.Int).Sub(v, new(big.Int).Lsh(bigOne, uint(w)))
 }

@@ -283,15 +283,23 @@ func (f *File) Render() string {
 	return b.String()
 }
 
-// ParseForbidden reconstructs a forbidden condition as a term.
+// ParseForbidden reconstructs a forbidden condition as a boolean term.
+// The file is outside input: a variable width out of range, a condition
+// smt.Parse refuses, or one that is not boolean is an error.
 func (a *Assertion) ParseForbidden(f *smt.Factory, i int) (*smt.Term, error) {
 	sorts := smt.VarSorts{}
 	for name, w := range a.Vars {
-		if w == 0 {
-			sorts[name] = smt.BoolSort
-		} else {
-			sorts[name] = smt.BV(w)
+		if w < 0 || w > smt.MaxWidth {
+			return nil, fmt.Errorf("spec: variable %s has width %d, want 0 (Bool) to %d", name, w, smt.MaxWidth)
 		}
+		sorts[name] = smt.Sort{Width: w}
 	}
-	return smt.Parse(f, a.Forbidden[i], sorts)
+	t, err := smt.Parse(f, a.Forbidden[i], sorts)
+	if err != nil {
+		return nil, fmt.Errorf("spec: forbidden condition %d: %w", i, err)
+	}
+	if !t.Sort().IsBool() {
+		return nil, fmt.Errorf("spec: forbidden condition %d is %v, want Bool", i, t.Sort())
+	}
+	return t, nil
 }

@@ -12,6 +12,7 @@ import (
 
 	"bf4/internal/dataplane"
 	"bf4/internal/shim"
+	"bf4/internal/smt"
 	"bf4/internal/spec"
 )
 
@@ -118,7 +119,5 @@ func (g *Generator) randBits(w int) *big.Int {
 		v.Lsh(v, 32)
 		v.Or(v, big.NewInt(int64(g.rng.Uint32())))
 	}
-	mask := new(big.Int).Lsh(big.NewInt(1), uint(w))
-	mask.Sub(mask, big.NewInt(1))
-	return v.And(v, mask)
+	return v.And(v, smt.Mask(w))
 }

@@ -14,9 +14,9 @@
 //
 // The check is purely syntactic: it collects the exported struct types
 // named *Expr declared in ast.go, then scans the three walker files for
-// `case *Kind:` clauses. Unlike taintcheck, the walkers live in the
-// same package as the AST, so case expressions are bare identifiers
-// under a star (`*PathExpr`), not package selectors. Missing names fail
+// `case *Kind:` clauses. The walkers live in the same package as the
+// AST, so case expressions are bare identifiers under a star
+// (`*PathExpr`), not package selectors. Missing names fail
 // the build. Stdlib-only (go/ast + go/parser); CI runs it as
 // `go run ./tools/analyzers/propcheck .`.
 package main

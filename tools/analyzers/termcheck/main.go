@@ -19,10 +19,12 @@
 //     result is always a bug, usually a missing assignment.
 //
 // Only constructor names unique to the factory are checked for the
-// discard rule (Ite, Eq, BVAnd, Extract, ...). Generic names that
-// collide with common stdlib methods (Add, Not, And, Or, Xor, Mul, Sub,
-// Neg, Bool, Var) are deliberately excluded: flagging wg.Add(1) or
-// big.Int.Not would drown the signal in false positives.
+// discard rule (Ite, Eq, BVAnd, Extract, ...), plus Apply, whose other
+// receivers in this repository return an error that must not be dropped
+// either. Generic names that collide with common stdlib methods (Add,
+// Not, And, Or, Xor, Mul, Sub, Neg, Bool, Var) are deliberately excluded:
+// flagging wg.Add(1) or big.Int.Not would drown the signal in false
+// positives.
 //
 // Like solvercheck it is stdlib-only (go/ast + go/parser) and runs in CI
 // as `go run ./tools/analyzers/termcheck .`.
@@ -55,7 +57,7 @@ var discardable = map[string]bool{
 	"Shl": true, "Lshr": true, "Ashr": true,
 	"Concat": true, "Extract": true, "ZExt": true, "SExt": true, "Resize": true,
 	"BVConst": true, "BVConst64": true, "BoolVar": true, "BVVar": true,
-	"Rebuild": true,
+	"Apply": true,
 }
 
 func main() {
