@@ -181,7 +181,7 @@ func main() {
 				fatalf("state dir: %v", err)
 			}
 			if err := sh.AttachStore(store); err != nil {
-				fatalf("restore state: %v", err)
+				fatalf("%v", err)
 			}
 			fmt.Printf("bf4-shim: shadow state restored from %s\n", *stateDir)
 		}

@@ -26,6 +26,24 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
+// runMain runs bf4-shim's main() with args and returns its exit code and
+// combined output.
+func runMain(t *testing.T, args ...string) (int, string) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	cmd := exec.CommandContext(ctx, os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "BF4_TEST_MAIN=1")
+	out, err := cmd.CombinedOutput()
+	if ee, ok := err.(*exec.ExitError); ok {
+		return ee.ExitCode(), string(out)
+	}
+	if err != nil {
+		t.Fatalf("bf4-shim %v: %v\n%s", args, err, out)
+	}
+	return 0, string(out)
+}
+
 func forbid(cond string) func(*spec.File) {
 	return func(f *spec.File) { f.AssertionsFor("nat")[0].Forbidden[0] = cond }
 }
@@ -63,20 +81,51 @@ func TestTamperedSpecIsRefusedAtLoad(t *testing.T) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		cmd := exec.CommandContext(ctx, os.Args[0], "-spec", path, "-listen", "127.0.0.1:0")
-		cmd.Env = append(os.Environ(), "BF4_TEST_MAIN=1")
-		out, err := cmd.CombinedOutput()
-		cancel()
-		ee, ok := err.(*exec.ExitError)
-		if !ok || ee.ExitCode() != 1 {
-			t.Errorf("%s: bf4-shim -spec: err = %v, want exit status 1\n%s", name, err, out)
+		code, out := runMain(t, "-spec", path, "-listen", "127.0.0.1:0")
+		if code != 1 {
+			t.Errorf("%s: bf4-shim -spec: exit status %d, want 1\n%s", name, code, out)
 			continue
 		}
-		msg := strings.TrimSpace(string(out))
+		msg := strings.TrimSpace(out)
 		if strings.Contains(msg, "\n") || strings.Contains(msg, "goroutine") ||
 			!(strings.HasPrefix(msg, "shim: ") || strings.HasPrefix(msg, "spec: ")) {
 			t.Errorf("%s: want one line starting shim: or spec:, got\n%s", name, msg)
 		}
+	}
+}
+
+// TestLegacyStateDirIsRefusedAtStart: -state-dir on a directory the JSON
+// persistence wrote makes bf4-shim exit 1 with one line naming the file;
+// it neither starts empty over acknowledged state nor touches the files.
+func TestLegacyStateDirIsRefusedAtStart(t *testing.T) {
+	p := progs.Get("simple_nat")
+	res, err := driver.Run(p.Name, p.Source, driver.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := spec.Build(p.Name, res.Fixed.IR, res.InitialRep, res.FinalInfer, res.Fixes.Special).Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	specPath := filepath.Join(t.TempDir(), "nat.json")
+	if err := os.WriteFile(specPath, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	legacy := filepath.Join(dir, "journal.jsonl")
+	record := `{"seq":1,"ops":[{"table":"nat","default":{"action":"drop_"}}]}` + "\n"
+	if err := os.WriteFile(legacy, []byte(record), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	code, out := runMain(t, "-spec", specPath, "-state-dir", dir, "-listen", "127.0.0.1:0")
+	msg := strings.TrimSpace(out)
+	if code != 1 || strings.Contains(msg, "\n") || !strings.HasPrefix(msg, "shim: ") || !strings.Contains(msg, legacy) {
+		t.Errorf("exit status %d, want 1 and one line starting shim: that names %s, got\n%s", code, legacy, msg)
+	}
+	if left, _ := os.ReadFile(legacy); string(left) != record {
+		t.Errorf("the refused journal was modified")
+	}
+	if names, _ := os.ReadDir(dir); len(names) != 1 {
+		t.Errorf("the refused directory now holds %d files", len(names))
 	}
 }

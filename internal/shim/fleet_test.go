@@ -2,10 +2,13 @@ package shim
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -369,14 +372,11 @@ func TestFleetPrometheusExposesPerShardMetrics(t *testing.T) {
 	}
 }
 
-// TestTornJournalTailByteByByte corrupts or truncates the final journal
-// record at every byte position and asserts recovery always lands on
-// exactly the acked prefix: the torn record dropped, the file truncated
-// to the last whole record, and subsequent appends clean.
-func TestTornJournalTailByteByByte(t *testing.T) {
-	// Build a reference journal with 3 records.
-	seedDir := t.TempDir()
-	st, err := OpenStore(seedDir)
+// threeRecordJournal returns a journal of three single-insert records
+// over tinySpec, and the offsets its records start and end at.
+func threeRecordJournal(t *testing.T) (journal []byte, bounds [4]int) {
+	t.Helper()
+	st, err := OpenStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,140 +391,170 @@ func TestTornJournalTailByteByByte(t *testing.T) {
 		}
 	}
 	st.Close()
-	journal, err := os.ReadFile(filepath.Join(seedDir, journalName))
-	if err != nil {
+	if journal, err = os.ReadFile(st.JournalPath()); err != nil {
 		t.Fatal(err)
 	}
-	lines := bytes.SplitAfter(journal, []byte("\n"))
-	if len(lines) < 3 {
-		t.Fatalf("expected 3 journal lines, got %d", len(lines)-1)
-	}
-	last := lines[2]
-	prefix := journal[:len(journal)-len(last)]
-
-	recover := func(t *testing.T, contents []byte) (*Shim, *obs.Registry) {
-		t.Helper()
-		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, journalName), contents, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		reg := obs.NewRegistry()
-		st2, err := OpenStore(dir)
+	bounds[0] = len(st.header)
+	for i := 0; i < 3; i++ {
+		_, size, err := splitFrame(journal[bounds[i]:])
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("record %d of the reference journal: %v", i, err)
 		}
-		st2.NoSync = true
-		sh2 := tinyShim(t)
-		sh2.SetObs(reg)
-		if err := sh2.AttachStore(st2); err != nil {
-			t.Fatalf("recovery failed: %v", err)
-		}
-		t.Cleanup(func() { st2.Close() })
-		// Whatever was torn, appending must still work and survive the
-		// next recovery (the file was truncated to a record boundary).
-		if err := sh2.ApplyWithKey("post", insertT(77, "NoAction")); err != nil {
-			t.Fatal(err)
-		}
-		return sh2, reg
+		bounds[i+1] = bounds[i] + size
 	}
-
-	// Truncations: every strict prefix of the final record.
-	for cut := 0; cut < len(last); cut++ {
-		contents := append(append([]byte{}, prefix...), last[:cut]...)
-		sh2, reg := recover(t, contents)
-		want := 2 + 1 // two whole records + the post-recovery append
-		if cut == 0 {
-			want = 2 + 1 // clean boundary: torn tail is empty
-		}
-		if got := sh2.ShadowSize("t"); got != want {
-			t.Fatalf("cut=%d: %d entries, want %d", cut, got, want)
-		}
-		if cut > 0 {
-			if got := reg.CounterValue("bf4_shim_journal_torn_tails_total"); got != 1 {
-				t.Fatalf("cut=%d: torn-tail counter = %d, want 1", cut, got)
-			}
-		}
+	if bounds[3] != len(journal) {
+		t.Fatalf("reference journal: %d bytes after its three records", len(journal)-bounds[3])
 	}
-
-	// Corruptions: flip each byte of the final record (newline excluded —
-	// flipping it is the truncation case above).
-	for i := 0; i < len(last)-1; i++ {
-		contents := append([]byte{}, journal...)
-		contents[len(prefix)+i] ^= 0xFF
-		sh2, reg := recover(t, contents)
-		if got := sh2.ShadowSize("t"); got != 3 {
-			t.Fatalf("flip=%d: %d entries, want 3 (two whole + post append)", i, got)
-		}
-		if got := reg.CounterValue("bf4_shim_journal_torn_tails_total"); got != 1 {
-			t.Fatalf("flip=%d: torn-tail counter = %d, want 1", i, got)
-		}
-	}
+	return journal, bounds
 }
 
-func TestJournalMidFileCorruptionRefused(t *testing.T) {
+// recoverJournal attaches a fresh tinyShim to a directory holding contents
+// as its journal.
+func recoverJournal(t *testing.T, contents []byte) (*Shim, *Store, *obs.Registry, error) {
+	t.Helper()
 	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, journalName), contents, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
 	st, err := OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	st.NoSync = true
 	sh := tinyShim(t)
-	if err := sh.AttachStore(st); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if err := sh.Apply(insertT(int64(i+1), "NoAction")); err != nil {
+	sh.SetObs(reg)
+	t.Cleanup(func() { st.Close() })
+	return sh, st, reg, sh.AttachStore(st)
+}
+
+// TestTornJournalTailByteByByte corrupts or truncates the final journal
+// record at every byte position, frame header included, and asserts
+// recovery always lands on exactly the acked prefix: the torn record
+// dropped, the file truncated to the last whole record, and subsequent
+// appends clean.
+func TestTornJournalTailByteByByte(t *testing.T) {
+	journal, bounds := threeRecordJournal(t)
+	last := bounds[2]
+
+	recover := func(t *testing.T, contents []byte) (*Shim, *obs.Registry) {
+		t.Helper()
+		sh2, st2, reg, err := recoverJournal(t, contents)
+		if err != nil {
+			t.Fatalf("recovery failed: %v", err)
+		}
+		// Whatever was torn, appending must still work and survive the
+		// next recovery (the file was truncated to a record boundary).
+		if err := sh2.ApplyWithKey("post", insertT(77, "NoAction")); err != nil {
 			t.Fatal(err)
 		}
+		st2.Close()
+		after, err := os.ReadFile(st2.JournalPath())
+		if err != nil {
+			t.Fatal(err)
+		}
+		sh3, _, _, err := recoverJournal(t, after)
+		if err != nil || sh3.ShadowSize("t") != sh2.ShadowSize("t") {
+			t.Fatalf("second recovery: error %v, %d entries, want %d", err, sh3.ShadowSize("t"), sh2.ShadowSize("t"))
+		}
+		return sh2, reg
 	}
-	st.Close()
-	path := filepath.Join(dir, journalName)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+
+	// Truncations: every strict prefix of the final record.
+	for cut := last; cut < len(journal); cut++ {
+		sh2, reg := recover(t, journal[:cut])
+		if got := sh2.ShadowSize("t"); got != 3 {
+			t.Fatalf("cut=%d: %d entries, want 3 (two whole + post append)", cut-last, got)
+		}
+		want := int64(1)
+		if cut == last {
+			want = 0 // clean boundary: nothing torn
+		}
+		if got := reg.CounterValue("bf4_shim_journal_torn_tails_total"); got != want {
+			t.Fatalf("cut=%d: torn-tail counter = %d, want %d", cut-last, got, want)
+		}
 	}
-	data[2] ^= 0xFF // corrupt the FIRST record
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
+
+	// Corruptions: flip each byte of the final record.
+	for i := last; i < len(journal); i++ {
+		contents := append([]byte{}, journal...)
+		contents[i] ^= 0xFF
+		sh2, reg := recover(t, contents)
+		if got := sh2.ShadowSize("t"); got != 3 {
+			t.Fatalf("flip=%d: %d entries, want 3 (two whole + post append)", i-last, got)
+		}
+		if got := reg.CounterValue("bf4_shim_journal_torn_tails_total"); got != 1 {
+			t.Fatalf("flip=%d: torn-tail counter = %d, want 1", i-last, got)
+		}
 	}
-	st2, err := OpenStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st2.Close()
-	sh2 := tinyShim(t)
-	if err := sh2.AttachStore(st2); err == nil {
-		t.Fatal("mid-file corruption silently accepted")
-	} else if !strings.Contains(err.Error(), "corrupt journal record") {
-		t.Fatalf("unexpected error: %v", err)
+
+	// The file's own header torn at its creation: nothing was acknowledged,
+	// the journal starts over.
+	for cut := 0; cut < bounds[0]; cut++ {
+		if sh2, _ := recover(t, journal[:cut]); sh2.ShadowSize("t") != 1 {
+			t.Fatalf("header cut=%d: %d entries, want 1 (the post append)", cut, sh2.ShadowSize("t"))
+		}
 	}
 }
 
-func TestJournalWithoutCRCStillReplays(t *testing.T) {
-	// Journals written before the CRC field must replay unchanged.
-	dir := t.TempDir()
-	rec := `{"seq":1,"key":"old:1","ops":[{"table":"t","entry":{"keys":[{"v":"9"}],"action":"NoAction"}}]}` + "\n"
-	if err := os.WriteFile(filepath.Join(dir, journalName), []byte(rec), 0o644); err != nil {
-		t.Fatal(err)
+// TestJournalMidFileCorruptionRefused flips every byte of a record that an
+// acknowledged record follows — length, both checksums, payload — and of
+// the file header. None of it may pass for a torn tail: recovery refuses.
+func TestJournalMidFileCorruptionRefused(t *testing.T) {
+	journal, bounds := threeRecordJournal(t)
+	for i := 0; i < bounds[2]; i++ {
+		contents := append([]byte{}, journal...)
+		contents[i] ^= 0xFF
+		_, st2, _, err := recoverJournal(t, contents)
+		if err == nil {
+			t.Fatalf("flip=%d: mid-file corruption silently accepted", i)
+		}
+		if i >= bounds[0] && !strings.Contains(err.Error(), "corrupt journal record") {
+			t.Fatalf("flip=%d: unexpected error: %v", i, err)
+		}
+		if after, _ := os.ReadFile(st2.JournalPath()); !bytes.Equal(after, contents) {
+			t.Fatalf("flip=%d: a refused journal was modified", i)
+		}
 	}
-	st, err := OpenStore(dir)
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestHostileLengthsRefused: counts and lengths inside a correctly
+// checksummed record or snapshot that the bytes behind them cannot back
+// are refused before anything is allocated for them.
+func TestHostileLengthsRefused(t *testing.T) {
+	journal, bounds := threeRecordJournal(t)
+	huge := binary.AppendUvarint(nil, 1<<40)
+	seal := func(payload []byte) []byte {
+		frame := append(make([]byte, frameHeader), payload...)
+		sealFrame(frame)
+		return frame
 	}
-	defer st.Close()
+	hostile := map[string][]byte{
+		"op count":   append([]byte{1, 0}, huge...),
+		"key length": append([]byte{1}, huge...),
+		"key count":  append([]byte{1, 0, 1, 1, 't', opEntry}, huge...),
+		"integer":    append([]byte{1, 0, 1, 1, 't', opEntry, 1, 0}, huge...),
+	}
+	for name, payload := range hostile {
+		contents := append(append(append([]byte{}, journal[:bounds[1]]...), seal(payload)...), journal[bounds[1]:]...)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _, _, err := recoverJournal(t, contents)
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), "corrupt journal record") {
+			t.Errorf("%s: hostile record not refused: %v", name, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Errorf("%s: recovery allocated %d bytes over a %d-byte journal", name, grew, len(contents))
+		}
+	}
+
 	sh := tinyShim(t)
-	if err := sh.AttachStore(st); err != nil {
-		t.Fatal(err)
-	}
-	if got := sh.ShadowSize("t"); got != 1 {
-		t.Fatalf("legacy record not replayed: %d entries", got)
-	}
-	// And its dedup key was restored.
-	if err := sh.ApplyWithKey("old:1", insertT(9, "NoAction")); err != nil {
-		t.Fatal(err)
-	}
-	if got := sh.ShadowSize("t"); got != 1 {
-		t.Fatal("legacy key double-applied")
+	body := append(fileHeader(snapshotMagic, "tiny"), 1) // seq
+	body = append(body, huge...)                         // table count
+	body = binary.LittleEndian.AppendUint32(body, crc32.ChecksumIEEE(body))
+	if err := sh.loadSnapshot("snapshot", body); err == nil || !strings.Contains(err.Error(), "corrupt snapshot") {
+		t.Errorf("hostile table count not refused: %v", err)
 	}
 }
 

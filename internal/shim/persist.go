@@ -2,14 +2,16 @@ package shim
 
 import (
 	"bytes"
-	"encoding/json"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
-	"math/big"
 	"os"
 	"path/filepath"
+	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"bf4/internal/dataplane"
 )
@@ -19,8 +21,16 @@ import (
 // small append-only journal, so a restarted shim (`bf4-shim -state-dir`)
 // recovers its exact state without any controller replay. Layout:
 //
-//	<dir>/snapshot.json   — full state as of journal sequence Seq
-//	<dir>/journal.jsonl   — one record per applied mutation since Seq
+//	<dir>/snapshot.bin  — full state as of journal sequence seq
+//	<dir>/journal.bin   — one record per applied mutation since seq
+//
+// Both are in the encoding of codec.go and start with an eight-byte
+// magic, whose last byte is the format version, and the program's name.
+// The snapshot goes on with seq, the state (writeState), the dedup
+// window's applied keys oldest first, and the CRC-32 of all of it; the
+// journal with records — seq, idempotency key, ops — each behind a frame
+// header of three little-endian uint32: payload length, payload CRC-32,
+// CRC-32 of those eight bytes.
 //
 // Mutations are journaled before they are committed to memory; recovery
 // loads the snapshot and replays the journal (already-validated updates
@@ -29,160 +39,82 @@ import (
 // and truncated.
 
 const (
-	snapshotName   = "snapshot.json"
-	journalName    = "journal.jsonl"
-	snapshotFormat = 1
+	snapshotName  = "snapshot.bin"
+	journalName   = "journal.bin"
+	snapshotMagic = "bf4snap\x01"
+	journalMagic  = "bf4jrnl\x01"
+	frameHeader   = 12
 )
 
-// persistKey is the serialized form of one dataplane.KeyMatch.
-type persistKey struct {
-	Value     string `json:"v"`
-	Mask      string `json:"m,omitempty"`
-	PrefixLen *int   `json:"p,omitempty"`
-}
+// legacyNames are the state files of the JSON persistence this format
+// replaced. No decoder for them remains, so a directory holding one is
+// refused: starting empty beside it would drop acknowledged state.
+var legacyNames = []string{"snapshot.json", "journal.jsonl"}
 
-// persistEntry is the serialized form of one dataplane.Entry.
-type persistEntry struct {
-	Keys     []persistKey `json:"keys"`
-	Action   string       `json:"action"`
-	Params   []string     `json:"params,omitempty"`
-	Priority int          `json:"priority,omitempty"`
-}
+// fsync is (*os.File).Sync; a test replaces it to record what is made
+// durable in which order.
+var fsync = (*os.File).Sync
 
-// persistDefault is the serialized form of a runtime default action.
-type persistDefault struct {
-	Action string   `json:"action"`
-	Params []string `json:"params,omitempty"`
-}
-
-// persistOp is one mutation inside a journal record.
-type persistOp struct {
-	Table   string          `json:"table"`
-	Entry   *persistEntry   `json:"entry,omitempty"`
-	Default *persistDefault `json:"default,omitempty"`
-}
-
-// journalRecord is one line of journal.jsonl.
-type journalRecord struct {
-	Seq int64       `json:"seq"`
-	Key string      `json:"key,omitempty"`
-	Ops []persistOp `json:"ops"`
-	// CRC is the IEEE CRC-32 of the record marshaled with CRC=0. Zero
-	// means "not checksummed" (journals written before this field
-	// existed), so recovery stays backward compatible.
-	CRC uint32 `json:"crc,omitempty"`
-}
-
-// recordCRC checksums a record as it is written: the JSON encoding with
-// the CRC field zeroed. json.Marshal is deterministic for a fixed
-// struct, so recovery recomputes the identical bytes.
-func recordCRC(rec *journalRecord) uint32 {
-	c := *rec
-	c.CRC = 0
-	data, err := json.Marshal(&c)
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
 	if err != nil {
-		return 0
+		return err
 	}
-	return crc32.ChecksumIEEE(data)
+	defer d.Close()
+	return fsync(d)
 }
 
-// snapshotFile is the on-disk snapshot format.
-type snapshotFile struct {
-	Format   int                        `json:"format"`
-	Program  string                     `json:"program"`
-	Seq      int64                      `json:"seq"`
-	Tables   map[string][]*persistEntry `json:"tables"`
-	Defaults map[string]*persistDefault `json:"defaults,omitempty"`
-	// Applied lists the dedup window's successfully applied keys,
-	// oldest first.
-	Applied []string `json:"applied,omitempty"`
+// fileHeader returns the bytes a state file of program starts with.
+func fileHeader(magic, program string) []byte {
+	e := Encoder{Buf: []byte(magic)}
+	e.str(program)
+	return e.Buf
 }
 
-func encodeEntry(e *dataplane.Entry) *persistEntry {
-	pe := &persistEntry{Action: e.Action, Priority: e.Priority}
-	for _, k := range e.Keys {
-		pk := persistKey{Value: k.Value.Text(10)}
-		if k.Mask != nil {
-			pk.Mask = k.Mask.Text(10)
-		}
-		if k.PrefixLen >= 0 {
-			pl := k.PrefixLen
-			pk.PrefixLen = &pl
-		}
-		pe.Keys = append(pe.Keys, pk)
+// openHeader checks that data starts with the header this shim writes
+// and returns a decoder over what follows it.
+func (s *Shim) openHeader(path, magic string, data []byte) (*Decoder, error) {
+	if !bytes.HasPrefix(data, []byte(magic)) {
+		return nil, fmt.Errorf("shim: %s is not a %s file of format %d", path, magic[:7], magic[7])
 	}
-	for _, p := range e.Params {
-		pe.Params = append(pe.Params, p.Text(10))
-	}
-	return pe
-}
-
-func decodePersistInt(s string) (*big.Int, error) {
-	v, ok := new(big.Int).SetString(s, 10)
-	if !ok || v.Sign() < 0 {
-		return nil, fmt.Errorf("shim: corrupt persisted integer %q", s)
-	}
-	return v, nil
-}
-
-// decodePersistMask decodes a ternary mask; "-1" is the dataplane's
-// full-mask sentinel (two's-complement all-ones at any width) and is
-// the one negative value a valid journal can contain.
-func decodePersistMask(s string) (*big.Int, error) {
-	if s == "-1" {
-		return big.NewInt(-1), nil
-	}
-	return decodePersistInt(s)
-}
-
-func decodeEntry(pe *persistEntry) (*dataplane.Entry, error) {
-	e := &dataplane.Entry{Action: pe.Action, Priority: pe.Priority}
-	for _, pk := range pe.Keys {
-		v, err := decodePersistInt(pk.Value)
-		if err != nil {
-			return nil, err
-		}
-		km := dataplane.KeyMatch{Value: v, PrefixLen: -1}
-		if pk.Mask != "" {
-			m, err := decodePersistMask(pk.Mask)
-			if err != nil {
-				return nil, err
-			}
-			km.Mask = m
-		}
-		if pk.PrefixLen != nil {
-			km.PrefixLen = *pk.PrefixLen
-		}
-		e.Keys = append(e.Keys, km)
-	}
-	for _, p := range pe.Params {
-		v, err := decodePersistInt(p)
-		if err != nil {
-			return nil, err
-		}
-		e.Params = append(e.Params, v)
-	}
-	return e, nil
-}
-
-func encodeDefault(d *dataplane.DefaultAction) *persistDefault {
-	pd := &persistDefault{Action: d.Action}
-	for _, p := range d.Params {
-		pd.Params = append(pd.Params, p.Text(10))
-	}
-	return pd
-}
-
-func decodeDefault(pd *persistDefault) (*dataplane.DefaultAction, error) {
-	d := &dataplane.DefaultAction{Action: pd.Action}
-	for _, p := range pd.Params {
-		v, err := decodePersistInt(p)
-		if err != nil {
-			return nil, err
-		}
-		d.Params = append(d.Params, v)
+	d := &Decoder{Buf: data[len(magic):]}
+	if prog := d.str(); d.Err != nil {
+		return nil, fmt.Errorf("shim: %s: corrupt header: %v", path, d.Err)
+	} else if prog != s.cp.file.Program {
+		return nil, fmt.Errorf("shim: %s holds the state of program %q, not of %q", path, prog, s.cp.file.Program)
 	}
 	return d, nil
+}
+
+// sealFrame fills in the header in front of the payload buf[frameHeader:].
+func sealFrame(buf []byte) {
+	binary.LittleEndian.PutUint32(buf[0:], uint32(len(buf)-frameHeader))
+	binary.LittleEndian.PutUint32(buf[4:], crc32.ChecksumIEEE(buf[frameHeader:]))
+	binary.LittleEndian.PutUint32(buf[8:], crc32.ChecksumIEEE(buf[:8]))
+}
+
+// splitFrame checks the frame at the front of b. size is the frame's
+// whole length whenever its header is intact, also beside an error about
+// the payload, and 0 otherwise.
+func splitFrame(b []byte) (payload []byte, size int, err error) {
+	if len(b) < frameHeader || crc32.ChecksumIEEE(b[:8]) != binary.LittleEndian.Uint32(b[8:]) {
+		return nil, 0, errors.New("frame header short or failing its checksum")
+	}
+	size = frameHeader + int(binary.LittleEndian.Uint32(b))
+	if size > len(b) || crc32.ChecksumIEEE(b[frameHeader:size]) != binary.LittleEndian.Uint32(b[4:]) {
+		return nil, size, errors.New("payload short or failing its checksum")
+	}
+	return b[frameHeader:size], size, nil
+}
+
+// frameFollows reports whether a whole valid frame starts anywhere in b.
+func frameFollows(b []byte) bool {
+	for ; len(b) >= frameHeader; b = b[1:] {
+		if _, _, err := splitFrame(b); err == nil {
+			return true
+		}
+	}
+	return false
 }
 
 // Store journals shim mutations under a state directory.
@@ -199,6 +131,12 @@ type Store struct {
 	fenced  atomic.Bool
 
 	recs int
+
+	// header is what the journal file starts with; enc is the buffer every
+	// record and snapshot is encoded in. Both are the attached shim's,
+	// used under its lock.
+	header []byte
+	enc    Encoder
 
 	// CompactEvery folds the journal into a fresh snapshot once it
 	// reaches this many records (default 4096).
@@ -257,150 +195,78 @@ func (st *Store) journalHandle() *os.File {
 
 // AttachStore loads any persisted state from st into the shim — snapshot
 // first, then journal replay — and journals every subsequent mutation.
-// Call once, before serving traffic.
+// Call once, before serving traffic; a shim it fails on holds a partial
+// state and is to be discarded.
 func (s *Shim) AttachStore(st *Store) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.store != nil {
 		return fmt.Errorf("shim: store already attached")
 	}
+	for _, name := range legacyNames {
+		if _, err := os.Lstat(filepath.Join(st.dir, name)); err == nil {
+			return fmt.Errorf("shim: state directory holds %s, written in the JSON format this build no longer reads (and does not migrate); move the directory aside to start empty, or run the build that wrote it",
+				filepath.Join(st.dir, name))
+		}
+	}
 
 	// 1. Snapshot.
 	if data, err := os.ReadFile(st.SnapshotPath()); err == nil {
-		var snap snapshotFile
-		if err := json.Unmarshal(data, &snap); err != nil {
-			return fmt.Errorf("shim: corrupt snapshot: %w", err)
+		if err := s.loadSnapshot(st.SnapshotPath(), data); err != nil {
+			return err
 		}
-		if snap.Format != snapshotFormat {
-			return fmt.Errorf("shim: unsupported snapshot format %d", snap.Format)
-		}
-		for table, pes := range snap.Tables {
-			for _, pe := range pes {
-				e, err := decodeEntry(pe)
-				if err != nil {
-					return err
-				}
-				s.shadow[table] = append(s.shadow[table], e)
-			}
-		}
-		for table, pd := range snap.Defaults {
-			d, err := decodeDefault(pd)
-			if err != nil {
-				return err
-			}
-			s.defaults[table] = d
-		}
-		for _, key := range snap.Applied {
-			s.recordOutcome(key, nil)
-		}
-		s.seq = snap.Seq
 	} else if !os.IsNotExist(err) {
 		return fmt.Errorf("shim: read snapshot: %w", err)
 	}
 
 	// 2. Journal replay: records hold already-validated updates, applied
 	// directly (this is exactly what makes controller replay unnecessary).
-	//
-	// A crash during append can leave a torn tail — a final record
-	// missing bytes (no trailing newline) or with a flipped byte (CRC
-	// mismatch). A torn tail was never acknowledged, so it is detected,
-	// counted (bf4_shim_journal_torn_tails_total) and truncated away; the
-	// truncation matters because the journal is reopened O_APPEND, and
-	// appending after a torn line would concatenate the next record onto
-	// garbage, losing an *acknowledged* record at the following recovery.
-	// Corruption before the final record is not a crash artifact and is
-	// refused outright.
-	if data, err := os.ReadFile(st.JournalPath()); err == nil {
-		off := 0  // start of the current line
-		good := 0 // just past the last whole, valid record
-		for off < len(data) {
-			nl := bytes.IndexByte(data[off:], '\n')
-			complete := nl >= 0
-			payload := data[off:]
-			next := len(data)
-			if complete {
-				payload = data[off : off+nl]
-				next = off + nl + 1
-			}
-			if len(bytes.TrimSpace(payload)) == 0 {
-				if !complete {
-					break // whitespace tail fragment: torn
-				}
-				off, good = next, next
-				continue
-			}
-			// Strict decoding: a flipped byte inside a field NAME would
-			// otherwise demote the field (the CRC, say) to an ignored
-			// unknown key and slip past the checksum.
-			var rec journalRecord
-			dec := json.NewDecoder(bytes.NewReader(payload))
-			dec.DisallowUnknownFields()
-			parseErr := dec.Decode(&rec)
-			if parseErr == nil && dec.More() {
-				parseErr = fmt.Errorf("trailing bytes after record")
-			}
-			if parseErr == nil && rec.CRC != 0 && rec.CRC != recordCRC(&rec) {
-				parseErr = fmt.Errorf("crc mismatch")
-			}
-			if parseErr != nil || !complete {
-				if next < len(data) {
-					// Not the final line: real corruption, not a torn
-					// append. Refuse to guess at the state.
-					return fmt.Errorf("shim: corrupt journal record at offset %d: %v", off, parseErr)
-				}
-				break // torn tail
-			}
-			st.recs++
-			if rec.Seq != 0 && rec.Seq <= s.seq {
-				// Already folded into the snapshot (possible when a crash
-				// lands between snapshot rename and journal truncation).
-				off, good = next, next
-				continue
-			}
-			if rec.Key != "" {
-				if prev, seen := s.applied[rec.Key]; seen && prev == nil {
-					// Duplicate idempotency key: the mutation was already
-					// applied (snapshot window or an earlier record).
-					s.seq = rec.Seq
-					off, good = next, next
-					continue
-				}
-			}
-			for _, op := range rec.Ops {
-				u := &Update{Table: op.Table}
-				if op.Entry != nil {
-					e, err := decodeEntry(op.Entry)
-					if err != nil {
-						return err
-					}
-					u.Entry = e
-				}
-				if op.Default != nil {
-					d, err := decodeDefault(op.Default)
-					if err != nil {
-						return err
-					}
-					u.SetDefault = d
-				}
-				s.commitLocked(u)
-			}
-			s.recordOutcome(rec.Key, nil)
-			s.seq = rec.Seq
-			off, good = next, next
-		}
-		if good < len(data) {
-			if err := os.Truncate(st.JournalPath(), int64(good)); err != nil {
-				return fmt.Errorf("shim: truncate torn journal tail: %w", err)
-			}
-			s.obs.journalTornTails.Inc()
-		}
-	} else if !os.IsNotExist(err) {
+	st.header = fileHeader(journalMagic, s.cp.file.Program)
+	data, err := os.ReadFile(st.JournalPath())
+	if err != nil && !os.IsNotExist(err) {
 		return fmt.Errorf("shim: read journal: %w", err)
 	}
+	created := err != nil
+	good := 0 // just past the last whole, valid record
+	// A file that stops inside the header was torn at its creation, before
+	// any record could be acknowledged, and is started over like an absent
+	// one.
+	if len(data) >= len(st.header) || !bytes.HasPrefix(st.header, data) {
+		if _, err := s.openHeader(st.JournalPath(), journalMagic, data); err != nil {
+			return err
+		}
+		if good, err = s.replayJournal(st, data, len(st.header)); err != nil {
+			return err
+		}
+	}
+	if good < len(data) {
+		// The truncation matters because the journal is reopened O_APPEND:
+		// appending after a torn record would put the next one behind
+		// garbage, losing an *acknowledged* record at the following recovery.
+		if err := os.Truncate(st.JournalPath(), int64(good)); err != nil {
+			return fmt.Errorf("shim: truncate torn journal tail: %w", err)
+		}
+		s.obs.journalTornTails.Inc()
+	}
 
-	// 3. Reopen the journal for appending.
-	jf, err := os.OpenFile(st.JournalPath(), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	// 3. Reopen the journal for appending, started over with its header if
+	// it holds nothing. Records are fsynced into the file; the directory
+	// entry of a new one must outlive a power loss too.
+	flag := os.O_WRONLY | os.O_APPEND
+	if good == 0 {
+		flag |= os.O_CREATE | os.O_TRUNC
+	}
+	jf, err := os.OpenFile(st.JournalPath(), flag, 0o644)
+	if err == nil && good == 0 {
+		_, err = jf.Write(st.header)
+	}
+	if err == nil && created && !st.NoSync {
+		err = syncDir(st.dir)
+	}
 	if err != nil {
+		if jf != nil {
+			jf.Close()
+		}
 		return fmt.Errorf("shim: open journal: %w", err)
 	}
 	st.mu.Lock()
@@ -408,6 +274,81 @@ func (s *Shim) AttachStore(st *Store) error {
 	st.mu.Unlock()
 	s.store = st
 	return nil
+}
+
+// loadSnapshot installs the state a snapshot file holds.
+func (s *Shim) loadSnapshot(path string, data []byte) error {
+	d, err := s.openHeader(path, snapshotMagic, data)
+	if err != nil {
+		return err
+	}
+	if len(d.Buf) < 4 || crc32.ChecksumIEEE(data[:len(data)-4]) != binary.LittleEndian.Uint32(data[len(data)-4:]) {
+		return fmt.Errorf("shim: corrupt snapshot %s: checksum mismatch", path)
+	}
+	d.Buf = d.Buf[:len(d.Buf)-4]
+	s.seq = int64(d.uvarint())
+	s.readState(d)
+	for n := d.count(); n > 0; n-- {
+		s.recordOutcome(d.str(), nil)
+	}
+	if err := d.Finish(); err != nil {
+		return fmt.Errorf("shim: corrupt snapshot %s: %v", path, err)
+	}
+	return nil
+}
+
+// replayJournal applies the records of data from offset off on and
+// returns the offset just past the last whole, valid one.
+//
+// A crash during append can leave a torn tail: a final record missing
+// bytes, or holding bytes that were never written (a checksum mismatch).
+// A torn tail was never acknowledged, so it is left for the caller to
+// truncate and count (bf4_shim_journal_torn_tails_total). Damage that
+// valid records follow is not a crash artifact and is refused outright:
+// a record whose intact header places its end before the file's, and a
+// header failing its own checksum with a whole valid frame anywhere
+// behind it — so a flipped bit in a length field cannot pose as a short
+// final record and have acknowledged records truncated.
+func (s *Shim) replayJournal(st *Store, data []byte, off int) (int, error) {
+	for off < len(data) {
+		payload, size, err := splitFrame(data[off:])
+		var seq int64
+		var key string
+		var ops []*Update
+		if err == nil {
+			d := Decoder{Buf: payload}
+			seq, key = int64(d.uvarint()), d.str()
+			ops = make([]*Update, d.count())
+			for i := range ops {
+				ops[i] = d.Update()
+			}
+			err = d.Finish()
+		}
+		if err != nil {
+			if size > 0 && off+size < len(data) || size == 0 && frameFollows(data[off+1:]) {
+				return 0, fmt.Errorf("shim: corrupt journal record at offset %d: %v", off, err)
+			}
+			break // torn tail
+		}
+		off += size
+		st.recs++
+		if seq <= s.seq {
+			// Already folded into the snapshot (possible when a crash
+			// lands between snapshot rename and journal truncation).
+			continue
+		}
+		s.seq = seq
+		if prev, seen := s.applied[key]; key != "" && seen && prev == nil {
+			// Duplicate idempotency key: the mutation was already
+			// applied (snapshot window or an earlier record).
+			continue
+		}
+		for _, u := range ops {
+			s.commitLocked(u)
+		}
+		s.recordOutcome(key, nil)
+	}
+	return off, nil
 }
 
 // JournalLag returns the number of journal records appended since the
@@ -429,31 +370,27 @@ func (s *Shim) journalLocked(key string, updates []*Update) error {
 	if st == nil {
 		return nil
 	}
-	rec := journalRecord{Seq: s.seq + 1, Key: key}
+	enc := &st.enc
+	*enc = Encoder{Buf: append(enc.Buf[:0], make([]byte, frameHeader)...)}
+	enc.uvarint(uint64(s.seq + 1))
+	enc.str(key)
+	enc.uvarint(uint64(len(updates)))
 	for _, u := range updates {
-		op := persistOp{Table: u.Table}
-		if u.Entry != nil {
-			op.Entry = encodeEntry(u.Entry)
-		}
-		if u.SetDefault != nil {
-			op.Default = encodeDefault(u.SetDefault)
-		}
-		rec.Ops = append(rec.Ops, op)
+		enc.Update(u)
 	}
-	rec.CRC = recordCRC(&rec)
-	data, err := json.Marshal(&rec)
-	if err != nil {
-		return fmt.Errorf("shim: journal encode: %w", err)
+	if enc.Err != nil {
+		return fmt.Errorf("shim: journal encode: %w", enc.Err)
 	}
+	sealFrame(enc.Buf)
 	j := st.journalHandle()
 	if j == nil {
 		return fmt.Errorf("shim: journal append: store fenced")
 	}
-	if _, err := j.Write(append(data, '\n')); err != nil {
+	if _, err := j.Write(enc.Buf); err != nil {
 		return fmt.Errorf("shim: journal append: %w", err)
 	}
 	if !st.NoSync {
-		if err := j.Sync(); err != nil {
+		if err := fsync(j); err != nil {
 			return fmt.Errorf("shim: journal sync: %w", err)
 		}
 	}
@@ -464,9 +401,10 @@ func (s *Shim) journalLocked(key string, updates []*Update) error {
 		// resolves through the idempotency window.
 		return fmt.Errorf("shim: journal append: store fenced mid-append")
 	}
-	s.seq = rec.Seq
+	s.seq++
 	st.recs++
 	s.obs.journalAppends.Inc()
+	s.obs.journalBytes.Add(int64(len(enc.Buf)))
 	return nil
 }
 
@@ -490,47 +428,113 @@ func (s *Shim) Checkpoint() error {
 	return s.checkpointLocked()
 }
 
+// spillAt is how much of a snapshot is encoded before it goes to the file.
+const spillAt = 64 << 10
+
+// writeState appends the shadow state (tables + runtime defaults) to enc
+// deterministically: tables sorted by name, empty ones left out, entries
+// in insertion order. After each entry it offers spill what enc holds, so
+// that a checkpoint never holds the whole state.
+func (s *Shim) writeState(enc *Encoder, spill func(atLeast int)) {
+	names := make([]string, 0, len(s.shadow)+len(s.defaults))
+	for table, es := range s.shadow {
+		if len(es) > 0 {
+			names = append(names, table)
+		}
+	}
+	sort.Strings(names)
+	enc.uvarint(uint64(len(names)))
+	for _, table := range names {
+		enc.str(table)
+		enc.uvarint(uint64(len(s.shadow[table])))
+		for _, e := range s.shadow[table] {
+			enc.Entry(e)
+			spill(spillAt)
+		}
+	}
+	names = names[:0]
+	for table := range s.defaults {
+		names = append(names, table)
+	}
+	sort.Strings(names)
+	enc.uvarint(uint64(len(names)))
+	for _, table := range names {
+		enc.str(table)
+		enc.Default(s.defaults[table])
+	}
+}
+
+// readState is writeState's inverse, into an empty shim.
+func (s *Shim) readState(d *Decoder) {
+	for n := d.count(); n > 0; n-- {
+		table := d.str()
+		es := make([]*dataplane.Entry, d.count())
+		for i := range es {
+			es[i] = d.Entry()
+		}
+		if s.shadow[table] != nil {
+			d.fail("table %s listed twice", table)
+		}
+		s.shadow[table] = es
+	}
+	for n := d.count(); n > 0; n-- {
+		table := d.str()
+		s.defaults[table] = d.Default()
+	}
+}
+
 func (s *Shim) checkpointLocked() error {
 	st := s.store
 	if st.fenced.Load() {
 		return fmt.Errorf("shim: checkpoint: store fenced")
 	}
-	snap := snapshotFile{
-		Format:   snapshotFormat,
-		Program:  s.cp.file.Program,
-		Seq:      s.seq,
-		Tables:   map[string][]*persistEntry{},
-		Defaults: map[string]*persistDefault{},
-	}
-	for table, es := range s.shadow {
-		for _, e := range es {
-			snap.Tables[table] = append(snap.Tables[table], encodeEntry(e))
-		}
-	}
-	for table, d := range s.defaults {
-		snap.Defaults[table] = encodeDefault(d)
-	}
-	// Dedup window, oldest first (ring order), applied keys only.
-	for i := 0; i < len(s.appliedOrder); i++ {
-		key := s.appliedOrder[(s.appliedHead+i)%len(s.appliedOrder)]
-		if err, ok := s.applied[key]; ok && err == nil {
-			snap.Applied = append(snap.Applied, key)
-		}
-	}
-	data, err := json.MarshalIndent(&snap, "", " ")
-	if err != nil {
-		return fmt.Errorf("shim: snapshot encode: %w", err)
-	}
+	start := time.Now()
 	tmp := st.SnapshotPath() + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
 		return fmt.Errorf("shim: snapshot write: %w", err)
 	}
-	if _, err := f.Write(data); err != nil {
+	enc := &st.enc
+	*enc = Encoder{Buf: append(enc.Buf[:0], fileHeader(snapshotMagic, s.cp.file.Program)...)}
+	var crc uint32
+	size := 4 // the checksum
+	spill := func(atLeast int) {
+		if len(enc.Buf) >= atLeast {
+			crc = crc32.Update(crc, crc32.IEEETable, enc.Buf)
+			size += len(enc.Buf)
+			if err == nil {
+				_, err = f.Write(enc.Buf)
+			}
+			enc.Buf = enc.Buf[:0]
+		}
+	}
+	enc.uvarint(uint64(s.seq))
+	s.writeState(enc, spill)
+	// Dedup window, oldest first (ring order), applied keys only.
+	var applied []string
+	for i := range s.appliedOrder {
+		key := s.appliedOrder[(s.appliedHead+i)%len(s.appliedOrder)]
+		if outcome, ok := s.applied[key]; ok && outcome == nil {
+			applied = append(applied, key)
+		}
+	}
+	enc.uvarint(uint64(len(applied)))
+	for _, key := range applied {
+		enc.str(key)
+		spill(spillAt)
+	}
+	spill(0)
+	if err == nil {
+		_, err = f.Write(binary.LittleEndian.AppendUint32(enc.Buf, crc))
+	}
+	if err == nil && enc.Err != nil {
+		err = fmt.Errorf("encode: %w", enc.Err)
+	}
+	if err != nil {
 		f.Close()
 		return fmt.Errorf("shim: snapshot write: %w", err)
 	}
-	if err := f.Sync(); err != nil {
+	if err := fsync(f); err != nil {
 		f.Close()
 		return fmt.Errorf("shim: snapshot sync: %w", err)
 	}
@@ -542,52 +546,45 @@ func (s *Shim) checkpointLocked() error {
 	// replace the snapshot of, or truncate the journal of, a restored
 	// incarnation that now owns this directory.
 	st.mu.Lock()
+	defer st.mu.Unlock()
 	if st.fenced.Load() {
-		st.mu.Unlock()
 		os.Remove(tmp)
 		return fmt.Errorf("shim: checkpoint: store fenced")
 	}
 	if err := os.Rename(tmp, st.SnapshotPath()); err != nil {
-		st.mu.Unlock()
 		return fmt.Errorf("shim: snapshot rename: %w", err)
 	}
-	if st.journal != nil {
-		st.journal.Close()
+	if !st.NoSync {
+		// The rename must be durable before the truncation can be: a power
+		// loss that kept only the latter would recover the previous
+		// snapshot beside an empty journal.
+		if err := syncDir(st.dir); err != nil {
+			return fmt.Errorf("shim: state dir sync: %w", err)
+		}
 	}
-	jf, err := os.OpenFile(st.JournalPath(), os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		st.journal = nil
-		st.mu.Unlock()
+	if st.journal == nil {
+		return fmt.Errorf("shim: journal truncate: store closed")
+	}
+	// The handle appends (O_APPEND), so the next record lands behind the
+	// header wherever the file offset was.
+	if err := st.journal.Truncate(int64(len(st.header))); err != nil {
 		return fmt.Errorf("shim: journal truncate: %w", err)
 	}
-	st.journal = jf
-	st.mu.Unlock()
 	st.recs = 0
 	s.obs.checkpoints.Inc()
+	s.obs.snapshotBytes.Set(int64(size))
+	s.obs.checkpointNs.Observe(time.Since(start).Nanoseconds())
 	return nil
 }
 
 // MarshalSnapshot serializes the shadow state (tables + runtime
-// defaults) deterministically: table names sorted (JSON map order),
-// entries in insertion order. Two shims holding the same logical state
-// produce byte-identical output — the equality the chaos tests assert.
+// defaults) as writeState orders it. Two shims holding the same logical
+// state produce byte-identical output — the equality the chaos tests
+// assert.
 func (s *Shim) MarshalSnapshot() ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := struct {
-		Tables   map[string][]*persistEntry `json:"tables"`
-		Defaults map[string]*persistDefault `json:"defaults,omitempty"`
-	}{Tables: map[string][]*persistEntry{}, Defaults: map[string]*persistDefault{}}
-	for table, es := range s.shadow {
-		if len(es) == 0 {
-			continue
-		}
-		for _, e := range es {
-			out.Tables[table] = append(out.Tables[table], encodeEntry(e))
-		}
-	}
-	for table, d := range s.defaults {
-		out.Defaults[table] = encodeDefault(d)
-	}
-	return json.MarshalIndent(&out, "", " ")
+	var enc Encoder
+	s.writeState(&enc, func(int) {})
+	return enc.Buf, enc.Err
 }
