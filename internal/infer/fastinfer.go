@@ -24,18 +24,11 @@ const maxPaths = 4096
 // is why adding keys (the Fixes algorithm) turns uncontrollable bugs into
 // controllable ones.
 func FastInfer(pl *core.Pipeline, inst *ir.TableInstance) *Assertion {
-	ex := &symbex{
-		p:          pl.IR,
-		f:          pl.IR.F,
-		inst:       inst,
-		stop:       inst.Join,
-		controlled: controlledSet(inst),
-		boundary:   inst.Apply.ID,
-	}
+	ex := newSymbex(pl.IR, inst, controlledSet(inst), inst.Apply)
 	ex.run(inst.Apply, ex.f.True(), nil)
 	a := &Assertion{Instance: inst, Source: "fast-infer"}
 	for _, pc := range ex.bugPCs {
-		if termControlled(pl.IR, pc, ex.controlled) {
+		if ex.isControlled(pc) {
 			a.Forbidden = append(a.Forbidden, pc)
 		}
 	}
@@ -54,7 +47,36 @@ type symbex struct {
 
 	bugPCs []*smt.Term
 	paths  int
+
+	// varsOf memoises Term.Vars. Terms are hash-consed and one run asks
+	// for the variables of the same node expressions and path conditions
+	// on every path through them; seen is the walk's reusable scratch.
+	varsOf map[*smt.Term][]*smt.Term
+	seen   map[uint32]bool
 }
+
+// newSymbex returns an executor for inst's expansion that starts at from
+// (inst's own apply node, or that of a dominating instance).
+func newSymbex(p *ir.Program, inst *ir.TableInstance, controlled map[string]bool, from *ir.Node) *symbex {
+	return &symbex{
+		p: p, f: p.F, inst: inst, stop: inst.Join, controlled: controlled, boundary: from.ID,
+		varsOf: map[*smt.Term][]*smt.Term{}, seen: map[uint32]bool{},
+	}
+}
+
+// vars returns the distinct variables of t, in Term.Vars order.
+func (ex *symbex) vars(t *smt.Term) []*smt.Term {
+	vs, ok := ex.varsOf[t]
+	if !ok {
+		clear(ex.seen)
+		vs = t.VarsSeen(nil, ex.seen)
+		ex.varsOf[t] = vs
+	}
+	return vs
+}
+
+// isControlled is termControlled over the executor's controlled set.
+func (ex *symbex) isControlled(t *smt.Term) bool { return allControlled(ex.vars(t), ex.controlled) }
 
 // env is a persistent substitution: variable base term → current value.
 type env struct {
@@ -82,7 +104,7 @@ func (ex *symbex) subst(t *smt.Term, e *env) *smt.Term {
 		return t
 	}
 	m := map[*smt.Term]*smt.Term{}
-	for _, vt := range t.Vars(nil) {
+	for _, vt := range ex.vars(t) {
 		if v := e.get(vt); v != nil && v != vt {
 			m[vt] = v
 		}
@@ -107,7 +129,7 @@ func (ex *symbex) learnEq(cond *smt.Term, e *env) *env {
 }
 
 func (ex *symbex) tryBind(lhs, rhs *smt.Term, e *env) *env {
-	if !termControlled(ex.p, rhs, ex.controlled) {
+	if !ex.isControlled(rhs) {
 		return e
 	}
 	switch lhs.Op() {
@@ -181,7 +203,7 @@ func (ex *symbex) run(n *ir.Node, pc *smt.Term, e *env) {
 				// residue (packet fields) is implied by "hit" and can be
 				// soundly dropped — this is what makes ¬pc a predicate
 				// over rules alone.
-				if termControlled(ex.p, condT, ex.controlled) {
+				if ex.isControlled(condT) {
 					pc = ex.f.And(pc, condT)
 				}
 				e = te

@@ -382,7 +382,11 @@ func controlledSet(inst *ir.TableInstance) map[string]bool {
 // base) is in the controlled set. Versioned variables other than version
 // 0 are never controlled.
 func termControlled(p *ir.Program, t *smt.Term, controlled map[string]bool) bool {
-	for _, vt := range t.Vars(nil) {
+	return allControlled(t.Vars(nil), controlled)
+}
+
+func allControlled(vars []*smt.Term, controlled map[string]bool) bool {
+	for _, vt := range vars {
 		if !controlled[vt.Name()] {
 			return false
 		}

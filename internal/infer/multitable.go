@@ -62,7 +62,7 @@ func MultiTable(pl *core.Pipeline, uncontrolled []*core.Bug, workers int) []*Ass
 // the multi-table exploration know, e.g., that inner_ipv4 was invalidated
 // right before t1 (the paper's H.setInvalid(); t1.apply(); t2.apply()
 // pattern).
-func primeEnv(pl *core.Pipeline, ap *ir.Node) *env {
+func (ex *symbex) primeEnv(pl *core.Pipeline, ap *ir.Node) *env {
 	p := pl.IR
 	canReach := map[*ir.Node]bool{ap: true}
 	stack := []*ir.Node{ap}
@@ -90,19 +90,7 @@ func primeEnv(pl *core.Pipeline, ap *ir.Node) *env {
 		switch n.Kind {
 		case ir.Assign:
 			if pl.Doms.Dominates(n, ap) {
-				rhs := n.Expr
-				if e != nil {
-					m := map[*smt.Term]*smt.Term{}
-					for _, vt := range rhs.Vars(nil) {
-						if v := e.get(vt); v != nil && v != vt {
-							m[vt] = v
-						}
-					}
-					if len(m) > 0 {
-						rhs = smt.Substitute(p.F, rhs, m)
-					}
-				}
-				e = e.set(n.Var.Term, rhs)
+				e = e.set(n.Var.Term, ex.subst(n.Expr, e))
 			} else {
 				e = e.set(n.Var.Term, n.Var.Term)
 			}
@@ -152,21 +140,14 @@ func fastInferLinked(pl *core.Pipeline, t1, t2 *ir.TableInstance) *Assertion {
 	for k := range controlledSet(t2) {
 		controlled[k] = true
 	}
-	ex := &symbex{
-		p:          pl.IR,
-		f:          pl.IR.F,
-		inst:       t2,
-		stop:       t2.Join,
-		controlled: controlled,
-		boundary:   t1.Apply.ID,
-	}
-	ex.run(t1.Apply, ex.f.True(), primeEnv(pl, t1.Apply))
+	ex := newSymbex(pl.IR, t2, controlled, t1.Apply)
+	ex.run(t1.Apply, ex.f.True(), ex.primeEnv(pl, t1.Apply))
 	a := &Assertion{Instance: t2, Linked: t1, Source: "multi-table"}
 	c1, c2 := controlledSet(t1), controlledSet(t2)
 	f := pl.IR.F
 	negHit1, negHit2 := f.Not(t1.HitVar.Term), f.Not(t2.HitVar.Term)
 	for _, pc := range ex.bugPCs {
-		if !termControlled(pl.IR, pc, controlled) {
+		if !ex.isControlled(pc) {
 			continue
 		}
 		// A negated hit means the path relies on a table MISS, which is a
@@ -178,7 +159,7 @@ func fastInferLinked(pl *core.Pipeline, t1, t2 *ir.TableInstance) *Assertion {
 		// Keep only conditions that genuinely link the two tables;
 		// single-table conditions are already covered by FastInfer.
 		var in1, in2 bool
-		for _, vt := range pc.Vars(nil) {
+		for _, vt := range ex.vars(pc) {
 			if c1[vt.Name()] {
 				in1 = true
 			}

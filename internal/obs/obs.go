@@ -55,6 +55,9 @@ type CheckRecord struct {
 	Decisions    int64 `json:"decisions"`
 	Propagations int64 `json:"propagations"`
 	Conflicts    int64 `json:"conflicts"`
+	// Cancelled is the number of literals the check's backtracking
+	// unassigned: what search then has to decide or propagate again.
+	Cancelled int64 `json:"cancelled"`
 	// Ns is the check's blast plus search time.
 	Ns int64 `json:"ns"`
 }

@@ -76,7 +76,7 @@ func (s *Solver) Inprocess() (deleted int) {
 			case 1:
 				s.markDeleted(cref)
 				deleted++
-				s.uncheckedEnqueue(Lit(lits[0]), -1)
+				s.uncheckedEnqueue(Lit(lits[0]), 0, -1)
 			default:
 				s.watchClause(cref)
 			}

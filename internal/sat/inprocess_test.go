@@ -10,7 +10,7 @@ import (
 // Inprocess pass must clean every guard clause of that scope out of the
 // database while leaving the solver sound.
 func TestInprocessRetractedScope(t *testing.T) {
-	s := New()
+	s := newSolver()
 	act, x, y := s.NewVar(), s.NewVar(), s.NewVar()
 	// Scoped assertions: act → x, act → ¬y.
 	s.AddClause(MkLit(act, true), MkLit(x, false))
@@ -40,7 +40,7 @@ func TestInprocessRetractedScope(t *testing.T) {
 // act. The scope's guard clauses make a pigeonhole instance, so the search
 // inside the scope learns clauses over act before it is retracted.
 func TestInprocessForgetsRetractedLiteral(t *testing.T) {
-	s := New()
+	s := newSolver()
 	act := s.NewVar()
 	const holes = 4
 	var p [holes + 1][holes]Var
@@ -105,7 +105,7 @@ func TestInprocessForgetsRetractedLiteral(t *testing.T) {
 func inprocessTrial(t *testing.T, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	nVars := 4 + rng.Intn(12)
-	s, ref := New(), New()
+	s, ref := newSolver(), newSolver()
 	vars := make([]Var, nVars)
 	for i := range vars {
 		vars[i] = s.NewVar()

@@ -135,6 +135,35 @@ func TestCompactionKeepsTheTrace(t *testing.T) {
 	if s.StatsSnapshot().Conflicts == 0 {
 		t.Fatal("the rounds hit no conflict: nothing learnt was ever relocated")
 	}
+
+	// Above level 0, with literals out of order on the trail: the deep-trail
+	// instance behind a block of deleted clauses, and a learnt-clause limit
+	// of 0, so that reduceDB runs after the first conflict. Every learnt
+	// clause of the instance is the reason of a literal asserted at level 1
+	// from the trail's far end, so reduceDB deletes none of them, finds the
+	// dead block larger than half the live clauses and compacts: each
+	// reason moves, and the search must still spend the pinned effort.
+	deep := pinnedTraces[4]
+	s = New()
+	for i := 0; i < 400; i++ {
+		s.AddClause(MkLit(500, false), MkLit(Var(501+i), false), MkLit(Var(502+i), false))
+		s.deleteClause(s.clauses[i])
+	}
+	s.maxLearnt = 0
+	moved := false
+	s.afterBacktrack = func(s *Solver) {
+		outOfOrder := slices.ContainsFunc(s.trail, func(l Lit) bool {
+			return s.reason[l.Var()] >= 0 && int(s.level[l.Var()]) < s.decisionLevel()-chronoThreshold
+		})
+		moved = moved || (outOfOrder && s.wasted == 0)
+	}
+	if got := deep.run(s); got != deep.res || s.StatsSnapshot() != deep.want {
+		t.Fatalf("deep trail compacted inside the search: %v %+v, pinned %v %+v", got, s.StatsSnapshot(), deep.res, deep.want)
+	}
+	checkInvariants(t, s)
+	if !moved || len(s.clauses) != s.NumClauses()+s.numLearnt {
+		t.Fatalf("no compaction with an out-of-order reason on the trail (seen %v; the index lists %d clauses, %d are live)", moved, len(s.clauses), s.NumClauses()+s.numLearnt)
+	}
 }
 
 // TestCompactionInsideSearch: reduceDB compacts above decision level 0,

@@ -9,6 +9,35 @@
 // uses Z3; this package provides the subset of Z3's functionality those
 // algorithms need (check, model, failed assumptions) with identical
 // semantics.
+//
+// Backtracking is chronological in the Möhle–Biere form (SAT 2019): when
+// the backjump level of a learnt clause lies more than chronoThreshold
+// levels below the conflict, search steps back one level and enqueues the
+// asserting literal at the end of the trail with the backjump level as its
+// level, instead of unassigning thousands of levels that the saved phases
+// would rebuild literal for literal. The trail is therefore out of order:
+// level[v] is always v's true level, and these hold at every point (the
+// tests' checkTrailInvariants):
+//
+//   - trail[trailLim[i]] is the decision of level i+1 (or the level is the
+//     empty dummy of an assumption that was already true), and no literal
+//     has a level above the decision level;
+//   - an implied literal's level is the highest among the other literals of
+//     its reason, which are all false and earlier on the trail;
+//   - a reason of more than two literals holds its implied literal first;
+//   - a reason is never a deleted clause.
+//
+// So a conflict clause may have its highest level below the current one,
+// or a single literal there (then that literal is flipped and nothing is
+// learnt); backtracking keeps the literals at or below its target and
+// propagates them again; and level-0 literals found deep in a search stay
+// on the trail after Solve as the facts they are. The threshold is a
+// constant, not an option: on the verifier's workloads decisions are flat
+// within a factor 1.3 from 0 to 1000 and double only without the rule
+// (EXPERIMENTS.md E23). The one shortcut that must not be taken is to give
+// the asserting literal the level search stepped back to: first-UIP
+// analysis then resolves on a level the literal is not on, and switch@1
+// needs 16 240 conflicts where it needs 2 999.
 package sat
 
 import (
@@ -92,6 +121,10 @@ const (
 	binFlag uint32 = 1 << 31
 	maxCref        = 1<<31 - 1
 )
+
+// chronoThreshold is how many levels a backjump may cross before search
+// steps back a single level instead (see search).
+const chronoThreshold = 100
 
 // clauseWords is the number of arena words the clause with header h owns.
 func clauseWords(h uint32) int { return int(1 + h&learntBit + h>>sizeShift) }
@@ -181,14 +214,15 @@ type Solver struct {
 		Conflicts int64
 	}
 
-	numLearnt    int
-	maxLearnt    float64
-	propagations int64
-	conflicts    int64
-	decisions    int64
-	restarts     int64
-	learned      int64
-	problemCs    int // cached count of live non-learnt clauses
+	// chrono is chronoThreshold; in-package tests lower it to reach the
+	// chronological path on small instances, and hook afterBacktrack.
+	chrono         int
+	afterBacktrack func(*Solver)
+
+	numLearnt int
+	maxLearnt float64
+	stats     Stats
+	problemCs int // cached count of live non-learnt clauses
 }
 
 // Stats is a snapshot of the solver's cumulative search statistics.
@@ -208,6 +242,14 @@ type Stats struct {
 	// Learned is the number of clauses learned from conflicts (including
 	// unit clauses that never enter the clause database).
 	Learned int64
+	// ChronoBacktracks is the number of conflicts after which the solver
+	// stepped back one level instead of jumping to the backjump level.
+	ChronoBacktracks int64
+	// ForcedLiterals is the number of conflicts with a single literal on
+	// their highest level: that literal is flipped, nothing is learnt.
+	ForcedLiterals int64
+	// CancelledLiterals is the number of literals backtracking unassigned.
+	CancelledLiterals int64
 }
 
 // Sub returns the component-wise difference a - b: the work done between
@@ -219,6 +261,10 @@ func (a Stats) Sub(b Stats) Stats {
 		Decisions:    a.Decisions - b.Decisions,
 		Restarts:     a.Restarts - b.Restarts,
 		Learned:      a.Learned - b.Learned,
+
+		ChronoBacktracks:  a.ChronoBacktracks - b.ChronoBacktracks,
+		ForcedLiterals:    a.ForcedLiterals - b.ForcedLiterals,
+		CancelledLiterals: a.CancelledLiterals - b.CancelledLiterals,
 	}
 }
 
@@ -230,19 +276,15 @@ func (a Stats) Add(b Stats) Stats {
 		Decisions:    a.Decisions + b.Decisions,
 		Restarts:     a.Restarts + b.Restarts,
 		Learned:      a.Learned + b.Learned,
+
+		ChronoBacktracks:  a.ChronoBacktracks + b.ChronoBacktracks,
+		ForcedLiterals:    a.ForcedLiterals + b.ForcedLiterals,
+		CancelledLiterals: a.CancelledLiterals + b.CancelledLiterals,
 	}
 }
 
 // StatsSnapshot returns the current cumulative search statistics.
-func (s *Solver) StatsSnapshot() Stats {
-	return Stats{
-		Conflicts:    s.conflicts,
-		Propagations: s.propagations,
-		Decisions:    s.decisions,
-		Restarts:     s.restarts,
-		Learned:      s.learned,
-	}
-}
+func (s *Solver) StatsSnapshot() Stats { return s.stats }
 
 // New returns an empty solver. Equivalent to new(Solver) but reads better
 // at call sites.
@@ -258,6 +300,7 @@ func (s *Solver) init() {
 		s.claInc = 1
 		s.okState = true
 		s.maxLearnt = 1000
+		s.chrono = chronoThreshold
 		s.heap.activity = &s.activity
 	}
 }
@@ -272,19 +315,19 @@ func (s *Solver) NumVars() int { return len(s.assigns) }
 func (s *Solver) NumClauses() int { return s.problemCs }
 
 // Conflicts returns the cumulative number of conflicts across Solve calls.
-func (s *Solver) Conflicts() int64 { return s.conflicts }
+func (s *Solver) Conflicts() int64 { return s.stats.Conflicts }
 
 // Propagations returns the cumulative number of unit propagations.
-func (s *Solver) Propagations() int64 { return s.propagations }
+func (s *Solver) Propagations() int64 { return s.stats.Propagations }
 
 // Decisions returns the cumulative number of branching decisions.
-func (s *Solver) Decisions() int64 { return s.decisions }
+func (s *Solver) Decisions() int64 { return s.stats.Decisions }
 
 // Restarts returns the cumulative number of restarts across Solve calls.
-func (s *Solver) Restarts() int64 { return s.restarts }
+func (s *Solver) Restarts() int64 { return s.stats.Restarts }
 
 // Learned returns the cumulative number of learnt clauses.
-func (s *Solver) Learned() int64 { return s.learned }
+func (s *Solver) Learned() int64 { return s.stats.Learned }
 
 // NewVar creates a fresh variable and returns it.
 func (s *Solver) NewVar() Var {
@@ -420,7 +463,7 @@ nextLit:
 		s.okState = false
 		return false
 	case 1:
-		s.uncheckedEnqueue(out[0], -1)
+		s.uncheckedEnqueue(out[0], 0, -1)
 		if s.propagate() != -1 {
 			s.okState = false
 			return false
@@ -466,10 +509,13 @@ func (s *Solver) watchClause(cref int32) {
 	s.watches[l1.Neg()] = append(s.watches[l1.Neg()], watcher{ref, l0})
 }
 
-func (s *Solver) uncheckedEnqueue(l Lit, from int32) {
+// uncheckedEnqueue makes l true at the given level, which is the current
+// one for a decision and, for an implied literal, the highest level among
+// the other literals of its reason — possibly below the current one.
+func (s *Solver) uncheckedEnqueue(l Lit, level int32, from int32) {
 	v := l.Var()
 	s.assigns[v] = lbool(l & 1)
-	s.level[v] = int32(len(s.trailLim))
+	s.level[v] = level
 	s.reason[v] = from
 	s.polarity[v] = l.Sign()
 	s.trail = append(s.trail, l)
@@ -482,6 +528,7 @@ func (s *Solver) propagate() int32 {
 		p := s.trail[s.qhead]
 		s.qhead++
 		ws := s.watches[p]
+		pLevel := s.level[p>>1]
 		notP := uint32(p.Neg())
 		n := 0
 	nextWatcher:
@@ -493,7 +540,7 @@ func (s *Solver) propagate() int32 {
 				n++
 				continue
 			}
-			s.propagations++
+			s.stats.Propagations++
 			cref := w.cref()
 			first := w.blocker
 			if w.ref&binFlag == 0 {
@@ -540,7 +587,16 @@ func (s *Solver) propagate() int32 {
 				s.qhead = len(s.trail)
 				return cref
 			}
-			s.uncheckedEnqueue(first, cref)
+			// The implied literal's level is the highest among the clause's
+			// false literals: p's own, unless p sits out of order below the
+			// current level and the clause has more than the two.
+			level := pLevel
+			if int(pLevel) != len(s.trailLim) && w.ref&binFlag == 0 {
+				for _, q := range s.litsOf(cref)[2:] {
+					level = max(level, s.level[q>>1])
+				}
+			}
+			s.uncheckedEnqueue(first, level, cref)
 		}
 		s.watches[p] = ws[:n]
 	}
@@ -553,22 +609,47 @@ func (s *Solver) newDecisionLevel() {
 	s.trailLim = append(s.trailLim, int32(len(s.trail)))
 }
 
+// decide opens a decision level with l as its decision.
+func (s *Solver) decide(l Lit) {
+	s.newDecisionLevel()
+	s.uncheckedEnqueue(l, int32(len(s.trailLim)), -1)
+}
+
+// cancelUntil backtracks to level: it unassigns, last first, the literals
+// above it and keeps, in trail order, those at or below it that were
+// enqueued out of order. Propagation resumes at the level's trail start, so
+// the kept ones are propagated again: a clause one of them falsified may
+// have been watched on a true literal of a level that is now gone.
 func (s *Solver) cancelUntil(level int) {
 	if s.decisionLevel() <= level {
 		return
 	}
-	bound := s.trailLim[level]
-	for i := len(s.trail) - 1; i >= int(bound); i-- {
+	bound := int(s.trailLim[level])
+	for i := len(s.trail) - 1; i >= bound; i-- {
 		v := s.trail[i].Var()
+		if int(s.level[v]) <= level {
+			continue
+		}
 		s.assigns[v] = lUndef
 		s.reason[v] = -1
 		if !s.heap.inHeap(v) {
 			s.heap.insert(v)
 		}
 	}
-	s.trail = s.trail[:bound]
+	n := bound
+	for _, l := range s.trail[bound:] {
+		if s.assigns[l>>1] != lUndef {
+			s.trail[n] = l
+			n++
+		}
+	}
+	s.stats.CancelledLiterals += int64(len(s.trail) - n)
+	s.trail = s.trail[:n]
 	s.trailLim = s.trailLim[:level]
-	s.qhead = len(s.trail)
+	s.qhead = bound
+	if s.afterBacktrack != nil {
+		s.afterBacktrack(s)
+	}
 }
 
 func (s *Solver) bumpVar(v Var) {
@@ -600,15 +681,16 @@ func (s *Solver) bumpClause(cref int32) {
 	}
 }
 
-// analyze computes the first-UIP learnt clause from the conflicting clause
-// and returns it, in the solver's scratch buffer, together with the
-// backtrack level.
+// analyze computes the first-UIP learnt clause from the conflicting clause,
+// which holds at least two literals of the current level, and returns it,
+// in the solver's scratch buffer, together with the backjump level.
 func (s *Solver) analyze(confl int32) ([]Lit, int) {
 	learnt := append(s.learntBuf[:0], LitUndef) // slot 0 reserved for the asserting literal
 	counter := 0
 	p := LitUndef
 	resolved := Var(-1) // the variable confl is the reason of
 	idx := len(s.trail) - 1
+	level := int32(s.decisionLevel())
 
 	for {
 		s.bumpClause(confl)
@@ -623,14 +705,16 @@ func (s *Solver) analyze(confl int32) ([]Lit, int) {
 			}
 			s.seen[v] = true
 			s.bumpVar(v)
-			if int(s.level[v]) >= s.decisionLevel() {
+			if s.level[v] >= level {
 				counter++
 			} else {
 				learnt = append(learnt, q)
 			}
 		}
-		// Select next literal on the trail to resolve on.
-		for !s.seen[s.trail[idx].Var()] {
+		// Select next literal on the trail to resolve on: the last seen one
+		// of the current level (a seen literal kept out of order from a lower
+		// level is already in learnt).
+		for !s.seen[s.trail[idx].Var()] || s.level[s.trail[idx].Var()] < level {
 			idx--
 		}
 		p = s.trail[idx]
@@ -909,7 +993,7 @@ func (s *Solver) Solve(assumptions ...Lit) Result {
 		if conflictBudget > 0 && conflictsThisCall >= conflictBudget {
 			return Unknown
 		}
-		s.restarts++
+		s.stats.Restarts++
 		s.cancelUntil(0)
 	}
 }
@@ -920,30 +1004,72 @@ func (s *Solver) search(assumptions []Lit, conflictLimit int64, conflictsThisCal
 	for {
 		confl := s.propagate()
 		if confl != -1 {
-			s.conflicts++
+			s.stats.Conflicts++
 			conflictC++
 			*conflictsThisCall++
-			if s.decisionLevel() == 0 {
+			// The conflict level is the highest in the clause. With literals
+			// out of order on the trail it can lie below the current level,
+			// and a single literal of the clause can be on it.
+			lits := s.litsOf(confl)
+			level, hi, atLevel := int32(-1), 0, 0
+			for i, q := range lits {
+				if l := s.level[q>>1]; l > level {
+					level, hi, atLevel = l, i, 1
+				} else if l == level {
+					atLevel++
+				}
+			}
+			if level == 0 {
 				s.okState = false
 				s.conflictCs = s.conflictCs[:0]
 				return Unsat
 			}
-			if s.decisionLevel() <= len(assumptions) {
+			if int(level) <= len(assumptions) {
 				// Conflict within the assumption prefix: the assumptions
-				// are jointly unsatisfiable.
+				// are jointly unsatisfiable. (Decisions above the prefix
+				// may stand on the trail; nothing marks them.)
 				s.analyzeFinalConfl(confl)
 				return Unsat
 			}
-			learnt, btLevel := s.analyze(confl)
-			s.learned++
-			s.cancelUntil(btLevel)
-			if len(learnt) == 1 {
-				s.cancelUntil(0)
-				s.uncheckedEnqueue(learnt[0], -1)
-				// Re-establish assumptions on the next loop iterations.
-			} else {
-				s.uncheckedEnqueue(learnt[0], s.attachClause(learnt, true))
+			if atLevel == 1 {
+				// One level down the clause is unit: it becomes the reason
+				// of its top literal, on the level of its second highest,
+				// with those two in front for the watches and for reduceDB.
+				s.stats.ForcedLiterals++
+				s.cancelUntil(int(level) - 1)
+				if len(lits) > 2 {
+					s.detachClause(confl)
+				}
+				lits[0], lits[hi] = lits[hi], lits[0]
+				for i := 2; i < len(lits); i++ {
+					if s.level[lits[i]>>1] > s.level[lits[1]>>1] {
+						lits[1], lits[i] = lits[i], lits[1]
+					}
+				}
+				if len(lits) > 2 {
+					s.watchClause(confl)
+				}
+				s.uncheckedEnqueue(Lit(lits[0]), s.level[lits[1]>>1], confl)
+				continue
 			}
+			s.cancelUntil(int(level))
+			learnt, btLevel := s.analyze(confl)
+			s.stats.Learned++
+			// A far backjump would unassign levels the saved phases rebuild
+			// unchanged: step back one level instead and give the asserting
+			// literal, out of order, the level it would have had. A learnt
+			// unit goes to level 0 the plain way (and the assumptions are
+			// re-established on the next loop iterations).
+			reason, to := int32(-1), btLevel
+			if len(learnt) > 1 {
+				reason = s.attachClause(learnt, true)
+				if int(level)-btLevel > s.chrono {
+					s.stats.ChronoBacktracks++
+					to = int(level) - 1
+				}
+			}
+			s.cancelUntil(to)
+			s.uncheckedEnqueue(learnt[0], int32(btLevel), reason)
 			s.varInc /= 0.95
 			s.claInc /= 0.999
 			if float64(s.numLearnt) > s.maxLearnt {
@@ -966,8 +1092,7 @@ func (s *Solver) search(assumptions []Lit, conflictLimit int64, conflictsThisCal
 				s.analyzeFinal(p)
 				return Unsat
 			default:
-				s.newDecisionLevel()
-				s.uncheckedEnqueue(p, -1)
+				s.decide(p)
 				continue
 			}
 		}
@@ -978,9 +1103,8 @@ func (s *Solver) search(assumptions []Lit, conflictLimit int64, conflictsThisCal
 			s.model = append(s.model[:0], s.assigns...)
 			return Sat
 		}
-		s.decisions++
-		s.newDecisionLevel()
-		s.uncheckedEnqueue(next, -1)
+		s.stats.Decisions++
+		s.decide(next)
 	}
 }
 

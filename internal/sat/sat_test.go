@@ -36,7 +36,7 @@ func bruteForce(nVars int, cnf [][]Lit) bool {
 }
 
 func solveCNF(cnf [][]Lit) (*Solver, Result) {
-	s := New()
+	s := newSolver()
 	for _, cl := range cnf {
 		if !s.AddClause(cl...) {
 			return s, Unsat
@@ -63,14 +63,14 @@ func TestLitBasics(t *testing.T) {
 }
 
 func TestEmptySolverIsSat(t *testing.T) {
-	s := New()
+	s := newSolver()
 	if got := s.Solve(); got != Sat {
 		t.Fatalf("empty solver: got %v, want Sat", got)
 	}
 }
 
 func TestUnitPropagation(t *testing.T) {
-	s := New()
+	s := newSolver()
 	a, b, c := s.NewVar(), s.NewVar(), s.NewVar()
 	s.AddClause(MkLit(a, false))
 	s.AddClause(MkLit(a, true), MkLit(b, false))
@@ -86,7 +86,7 @@ func TestUnitPropagation(t *testing.T) {
 }
 
 func TestTrivialConflict(t *testing.T) {
-	s := New()
+	s := newSolver()
 	a := s.NewVar()
 	s.AddClause(MkLit(a, false))
 	if s.AddClause(MkLit(a, true)) {
@@ -98,7 +98,7 @@ func TestTrivialConflict(t *testing.T) {
 }
 
 func TestTautologyAndDuplicates(t *testing.T) {
-	s := New()
+	s := newSolver()
 	a, b := s.NewVar(), s.NewVar()
 	if !s.AddClause(MkLit(a, false), MkLit(a, true)) {
 		t.Fatalf("tautology rejected")
@@ -136,7 +136,7 @@ func pigeonhole(s *Solver, pigeons, holes int) {
 
 func TestPigeonholeUnsat(t *testing.T) {
 	for n := 2; n <= 6; n++ {
-		s := New()
+		s := newSolver()
 		pigeonhole(s, n+1, n)
 		if got := s.Solve(); got != Unsat {
 			t.Fatalf("PHP(%d,%d): got %v, want Unsat", n+1, n, got)
@@ -145,7 +145,7 @@ func TestPigeonholeUnsat(t *testing.T) {
 }
 
 func TestPigeonholeSat(t *testing.T) {
-	s := New()
+	s := newSolver()
 	pigeonhole(s, 5, 5)
 	if got := s.Solve(); got != Sat {
 		t.Fatalf("PHP(5,5): got %v, want Sat", got)
@@ -211,7 +211,7 @@ func TestAgainstBruteForce(t *testing.T) {
 }
 
 func TestAssumptions(t *testing.T) {
-	s := New()
+	s := newSolver()
 	a, b := s.NewVar(), s.NewVar()
 	s.AddClause(MkLit(a, true), MkLit(b, false)) // a -> b
 	if got := s.Solve(MkLit(a, false)); got != Sat {
@@ -230,7 +230,7 @@ func TestAssumptions(t *testing.T) {
 }
 
 func TestFailedAssumptionsCore(t *testing.T) {
-	s := New()
+	s := newSolver()
 	a, b, c, d := s.NewVar(), s.NewVar(), s.NewVar(), s.NewVar()
 	// a & b -> false; c, d are irrelevant padding assumptions.
 	s.AddClause(MkLit(a, true), MkLit(b, true))
@@ -262,7 +262,7 @@ func TestCorePropertyRandom(t *testing.T) {
 	// are unsatisfiable with the clause set.
 	rng := rand.New(rand.NewSource(99))
 	for iter := 0; iter < 150; iter++ {
-		s := New()
+		s := newSolver()
 		nVars := 3 + rng.Intn(7)
 		for i := 0; i < nVars; i++ {
 			s.NewVar()
@@ -296,7 +296,7 @@ func TestCorePropertyRandom(t *testing.T) {
 }
 
 func TestIncrementalAddAfterSolve(t *testing.T) {
-	s := New()
+	s := newSolver()
 	a, b := s.NewVar(), s.NewVar()
 	s.AddClause(MkLit(a, false), MkLit(b, false))
 	if s.Solve() != Sat {
@@ -316,7 +316,7 @@ func TestIncrementalAddAfterSolve(t *testing.T) {
 }
 
 func TestBudget(t *testing.T) {
-	s := New()
+	s := newSolver()
 	pigeonhole(s, 9, 8)
 	s.Budget.Conflicts = 10
 	res := s.Solve()
@@ -332,7 +332,7 @@ func TestBudget(t *testing.T) {
 }
 
 func TestNumVarsAndClauses(t *testing.T) {
-	s := New()
+	s := newSolver()
 	a, b := s.NewVar(), s.NewVar()
 	if s.NumVars() != 2 {
 		t.Fatalf("NumVars = %d, want 2", s.NumVars())
@@ -377,7 +377,7 @@ func TestHardRandom3SAT(t *testing.T) {
 
 func BenchmarkSolvePigeonhole7(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		s := New()
+		s := newSolver()
 		pigeonhole(s, 8, 7)
 		if s.Solve() != Unsat {
 			b.Fatal("want Unsat")
@@ -409,7 +409,7 @@ func BenchmarkSolveRandom3SAT(b *testing.B) {
 func TestCloneContinuesIdentically(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	const nVars = 40
-	s := New()
+	s := newSolver()
 	for i := 0; i < 160; i++ {
 		var cl []Lit
 		for j := 0; j < 3; j++ {
@@ -454,7 +454,7 @@ func TestCloneContinuesIdentically(t *testing.T) {
 // TestCloneIsolated: clauses added to, and learnt by, a clone never show in
 // the original or in a sibling clone.
 func TestCloneIsolated(t *testing.T) {
-	s := New()
+	s := newSolver()
 	pigeonhole(s, 5, 5) // satisfiable
 	if got := s.Solve(); got != Sat {
 		t.Fatalf("base: got %v, want Sat", got)
@@ -490,7 +490,7 @@ func TestCloneIsolated(t *testing.T) {
 // TestSetPhase: an unconstrained variable takes its saved phase in the
 // model — false by default, true after SetPhase(v, true).
 func TestSetPhase(t *testing.T) {
-	s := New()
+	s := newSolver()
 	a, b := s.NewVar(), s.NewVar()
 	s.SetPhase(b, true)
 	if got := s.Solve(); got != Sat {

@@ -47,7 +47,13 @@ func incrementalRound(s *Solver, round int) Result {
 // []clause-of-slices representation). Decisions, propagations, conflicts,
 // restarts and learnt clauses are a fingerprint of the whole search trace:
 // a change of data layout must not move any of them, a change of heuristics
-// has to re-pin them on purpose.
+// has to re-pin them on purpose. The first four never backjump over
+// chronoThreshold levels, so the rule that keeps the trail left those five
+// counters where they were (CancelledLiterals was first counted with it);
+// the fifth is the instance of TestDeepTrailKeepsAssignment, which crosses
+// the threshold at every conflict, and the sixth repeats the third with
+// the threshold at 0, where conflicts with a single literal on their level
+// occur as well.
 var pinnedTraces = []struct {
 	name string
 	run  func(s *Solver) Result
@@ -55,26 +61,35 @@ var pinnedTraces = []struct {
 	want Stats
 }{
 	{"pigeonhole-7", func(s *Solver) Result { pigeonhole(s, 8, 7); return s.Solve() }, Unsat,
-		Stats{Conflicts: 6254, Propagations: 1574658, Decisions: 7693, Restarts: 29, Learned: 6253}},
+		Stats{Conflicts: 6254, Propagations: 1574658, Decisions: 7693, Restarts: 29, Learned: 6253, CancelledLiterals: 113417}},
 	{"3sat-seed11-200x850", func(s *Solver) Result {
 		for _, cl := range random3SAT(11, 200, 850) {
 			s.AddClause(cl...)
 		}
 		return s.Solve()
-	}, Unsat, Stats{Conflicts: 13470, Propagations: 2915190, Decisions: 16249, Restarts: 59, Learned: 13469}},
+	}, Unsat, Stats{Conflicts: 13470, Propagations: 2915190, Decisions: 16249, Restarts: 59, Learned: 13469, CancelledLiterals: 676667}},
 	{"3sat-seed5-180x765", func(s *Solver) Result {
 		for _, cl := range random3SAT(5, 180, 765) {
 			s.AddClause(cl...)
 		}
 		return s.Solve()
-	}, Sat, Stats{Conflicts: 878, Propagations: 108609, Decisions: 1133, Restarts: 6, Learned: 878}},
+	}, Sat, Stats{Conflicts: 878, Propagations: 108609, Decisions: 1133, Restarts: 6, Learned: 878, CancelledLiterals: 39043}},
 	{"40-scoped-rounds", func(s *Solver) Result {
 		var last Result
 		for round := 0; round < 40; round++ {
 			last = incrementalRound(s, round)
 		}
 		return last
-	}, Unsat, Stats{Conflicts: 357, Propagations: 25404, Decisions: 412, Restarts: 0, Learned: 326}},
+	}, Unsat, Stats{Conflicts: 357, Propagations: 25404, Decisions: 412, Restarts: 0, Learned: 326, CancelledLiterals: 8926}},
+	{"deep-trail-3000x40", func(s *Solver) Result { deepTrail(s, 3000, 40); return s.Solve() }, Sat,
+		Stats{Conflicts: 40, Propagations: 451, Decisions: 3044, Restarts: 0, Learned: 40, ChronoBacktracks: 40, CancelledLiterals: 3209}},
+	{"3sat-seed5-180x765-threshold-0", func(s *Solver) Result {
+		s.chrono = 0
+		for _, cl := range random3SAT(5, 180, 765) {
+			s.AddClause(cl...)
+		}
+		return s.Solve()
+	}, Sat, Stats{Conflicts: 5468, Propagations: 912570, Decisions: 5986, Restarts: 28, Learned: 5357, ChronoBacktracks: 5357, ForcedLiterals: 111, CancelledLiterals: 249818}},
 }
 
 func TestSearchTracePinned(t *testing.T) {

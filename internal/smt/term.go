@@ -16,7 +16,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/big"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 )
@@ -470,16 +470,13 @@ func (f *Factory) nary(op Op, args []*Term) *Term {
 	if op == OpOr {
 		neutral, absorbing = f.false_, f.true_
 	}
-	flat := make([]*Term, 0, len(args))
-	seen := map[*Term]bool{}
+	n := 0
+	for _, a := range args {
+		n += max(1, len(a.args))
+	}
+	flat := make([]*Term, 0, n)
 	for _, a := range args {
 		mustBool(a)
-		if a == absorbing {
-			return absorbing
-		}
-		if a == neutral {
-			continue
-		}
 		// Flatten one level of the same operator.
 		sub := []*Term{a}
 		if a.op == op {
@@ -489,17 +486,22 @@ func (f *Factory) nary(op Op, args []*Term) *Term {
 			if s == absorbing {
 				return absorbing
 			}
-			if s == neutral || seen[s] {
-				continue
+			if s != neutral {
+				flat = append(flat, s)
 			}
-			seen[s] = true
-			flat = append(flat, s)
 		}
 	}
+	// In canonical order duplicates are neighbours and a complement is a
+	// binary search away: no per-call set (a path condition grows by one
+	// conjunct at a time, and its own arguments arrive sorted).
+	slices.SortFunc(flat, termCmp)
+	flat = slices.Compact(flat)
 	// Complement detection: x and not(x) together collapse.
 	for _, a := range flat {
-		if a.op == OpNot && seen[a.args[0]] {
-			return absorbing
+		if a.op == OpNot {
+			if _, found := slices.BinarySearchFunc(flat, a.args[0], termCmp); found {
+				return absorbing
+			}
 		}
 	}
 	switch len(flat) {
@@ -508,7 +510,6 @@ func (f *Factory) nary(op Op, args []*Term) *Term {
 	case 1:
 		return flat[0]
 	}
-	sort.Slice(flat, func(i, j int) bool { return termLess(flat[i], flat[j]) })
 	return f.intern(&Term{op: op, sort: BoolSort, args: flat})
 }
 

@@ -100,6 +100,7 @@ type obsHooks struct {
 	checks, sat, unsat, unknown                  *obs.Counter
 	conflicts, propagations, decisions, restarts *obs.Counter
 	learned, blastNs, searchNs                   *obs.Counter
+	chrono, forced, cancelled                    *obs.Counter
 	checkConflicts, checkNs                      *obs.Histogram
 	cnfVars, cnfClauses                          *obs.Gauge
 }
@@ -127,6 +128,9 @@ func (s *Solver) SetObs(reg *obs.Registry) {
 		decisions:      reg.Counter("bf4_solver_decisions_total"),
 		restarts:       reg.Counter("bf4_solver_restarts_total"),
 		learned:        reg.Counter("bf4_solver_learned_clauses_total"),
+		chrono:         reg.Counter("bf4_solver_chrono_backtracks_total"),
+		forced:         reg.Counter("bf4_solver_forced_literals_total"),
+		cancelled:      reg.Counter("bf4_solver_cancelled_literals_total"),
 		blastNs:        reg.Counter("bf4_solver_blast_ns_total"),
 		searchNs:       reg.Counter("bf4_solver_search_ns_total"),
 		checkConflicts: reg.Histogram("bf4_solver_check_conflicts", obs.CountBuckets),
@@ -399,6 +403,9 @@ func (s *Solver) recordCheck() {
 	h.decisions.Add(d.Decisions)
 	h.restarts.Add(d.Restarts)
 	h.learned.Add(d.Learned)
+	h.chrono.Add(d.ChronoBacktracks)
+	h.forced.Add(d.ForcedLiterals)
+	h.cancelled.Add(d.CancelledLiterals)
 	h.blastNs.Add(s.lastCheck.BlastTime.Nanoseconds())
 	h.searchNs.Add(s.lastCheck.SearchTime.Nanoseconds())
 	h.checkConflicts.Observe(d.Conflicts)
@@ -408,6 +415,7 @@ func (s *Solver) recordCheck() {
 	rec := s.tag
 	rec.CNFVars, rec.CNFClauses = s.sat.NumVars(), s.sat.NumClauses()
 	rec.Decisions, rec.Propagations, rec.Conflicts = d.Decisions, d.Propagations, d.Conflicts
+	rec.Cancelled = d.CancelledLiterals
 	rec.Ns = s.lastCheck.BlastTime.Nanoseconds() + s.lastCheck.SearchTime.Nanoseconds()
 	h.reg.RecordCheck(rec)
 }
