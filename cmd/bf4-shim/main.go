@@ -92,41 +92,31 @@ func main() {
 	}
 
 	var file *spec.File
-	var prog *ir.Program
 	if *specPath != "" {
 		data, err := os.ReadFile(*specPath)
 		if err != nil {
 			fatalf("%v", err)
 		}
-		file, err = spec.Parse(data)
-		if err != nil {
+		if file, err = spec.Parse(data); err != nil {
 			fatalf("%v", err)
 		}
-		if src != "" {
-			res, err := driver.Run(name, src, driver.DefaultConfig())
-			if err != nil {
-				fatalf("compile program: %v", err)
-			}
-			pl := res.Fixed
-			if pl == nil {
-				pl = res.Initial
-			}
-			prog = pl.IR
-		}
-	} else if src != "" {
-		// No spec file: run the full analysis here and serve its output.
+	}
+	var prog *ir.Program
+	if src != "" {
+		// The verified program's final IR serves packet injection; with no
+		// spec file, its annotations are what the shim enforces.
 		res, err := driver.Run(name, src, driver.DefaultConfig())
 		if err != nil {
 			fatalf("bf4: %v", err)
 		}
-		pl := res.Fixed
-		if pl == nil {
-			pl = res.Initial
-		}
+		pl, _, _ := res.Final()
 		prog = pl.IR
-		file = spec.Build(name, pl.IR, res.InitialRep, res.FinalInfer, res.Fixes.Special)
-		fmt.Printf("analyzed %s: %s\n", name, res.Summary())
-	} else {
+		if file == nil {
+			file = res.Spec()
+			fmt.Printf("analyzed %s: %s\n", name, res.Summary())
+		}
+	}
+	if file == nil {
 		fatalf("need -spec and/or a program (-program/-corpus/-switch-scale)")
 	}
 

@@ -58,7 +58,7 @@ func TestTamperedSpecIsRefusedAtLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	good := spec.Build(p.Name, res.Fixed.IR, res.InitialRep, res.FinalInfer, res.Fixes.Special)
+	good := res.Spec()
 	for name, tamper := range map[string]func(*spec.File){
 		"ill-sorted":  forbid("(bvadd |pcn_nat$0.hit| true)"),
 		"not-boolean": forbid("|pcn_nat$0.key1|"),
@@ -103,7 +103,7 @@ func TestLegacyStateDirIsRefusedAtStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := spec.Build(p.Name, res.Fixed.IR, res.InitialRep, res.FinalInfer, res.Fixes.Special).Marshal()
+	data, err := res.Spec().Marshal()
 	if err != nil {
 		t.Fatal(err)
 	}

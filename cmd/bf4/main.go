@@ -38,7 +38,6 @@ import (
 	"bf4/internal/p4/types"
 	"bf4/internal/progs"
 	"bf4/internal/prop"
-	"bf4/internal/spec"
 )
 
 // gatherProps collects the properties for a -check=assert run: source
@@ -207,11 +206,7 @@ func main() {
 		fmt.Printf("dataplane bug (fix the P4 code): %s\n", b.Description())
 	}
 
-	finalPl := res.Fixed
-	if finalPl == nil {
-		finalPl = res.Initial
-	}
-	file := spec.Build(name, finalPl.IR, res.InitialRep, res.FinalInfer, res.Fixes.Special)
+	file := res.Spec()
 	if *render {
 		fmt.Print(file.Render())
 	}

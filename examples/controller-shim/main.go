@@ -26,7 +26,6 @@ import (
 	"bf4/internal/p4runtime"
 	"bf4/internal/progs"
 	"bf4/internal/shim"
-	"bf4/internal/spec"
 )
 
 func main() {
@@ -35,8 +34,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	pl := res.Fixed // the fixed program (ipv4_lpm gained a validity key)
-	file := spec.Build(prog.Name, pl.IR, res.InitialRep, res.FinalInfer, res.Fixes.Special)
+	pl, _, _ := res.Final() // the fixed program (ipv4_lpm gained a validity key)
+	file := res.Spec()
 
 	sh, err := shim.New(file)
 	if err != nil {

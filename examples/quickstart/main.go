@@ -11,7 +11,6 @@ import (
 
 	"bf4/internal/driver"
 	"bf4/internal/progs"
-	"bf4/internal/spec"
 )
 
 func main() {
@@ -40,11 +39,7 @@ func main() {
 
 	// The annotations the runtime shim will enforce, in the paper's
 	// SQL-like rendering.
-	pl := res.Fixed
-	if pl == nil {
-		pl = res.Initial
-	}
-	file := spec.Build(prog.Name, pl.IR, res.InitialRep, res.FinalInfer, res.Fixes.Special)
+	file := res.Spec()
 	fmt.Println("== inferred controller assertions ==")
 	fmt.Print(file.Render())
 }

@@ -13,7 +13,7 @@ import (
 func validityKind(k ir.BugKind) bool {
 	switch k {
 	case ir.BugInvalidHeaderRead, ir.BugInvalidHeaderWrite,
-		ir.BugInvalidKeyRead, ir.BugHeaderOverwrite, ir.BugLiveHeaderNotEmitted:
+		ir.BugInvalidKeyRead, ir.BugHeaderOverwrite:
 		return true
 	}
 	return false

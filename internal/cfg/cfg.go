@@ -1,7 +1,6 @@
-// Package cfg provides control-flow-graph analyses over the IR: dominator
-// and postdominator trees (Cooper–Harvey–Kennedy), dominance queries (the
-// paper computes which assert point dominates each bug), and control
-// dependence, which feeds the program-dependence-graph slicer.
+// Package cfg provides control-flow-graph analyses over the IR: the
+// dominator tree (Cooper–Harvey–Kennedy) and dominance queries (the paper
+// computes which assert point dominates each bug).
 package cfg
 
 import (
@@ -18,26 +17,7 @@ type Dominators struct {
 // NewDominators computes the dominator tree of the graph rooted at
 // p.Start.
 func NewDominators(p *ir.Program) *Dominators {
-	topo := p.Topo()
-	return computeDoms(topo, func(n *ir.Node) []*ir.Node { return n.Preds })
-}
-
-// NewPostDominators computes the postdominator tree. Terminal nodes are
-// joined through a virtual exit (represented by nil); a node whose idom is
-// the virtual exit reports Idom == nil.
-func NewPostDominators(p *ir.Program) *Dominators {
-	topo := p.Topo()
-	rev := make([]*ir.Node, len(topo))
-	for i, n := range topo {
-		rev[len(topo)-1-i] = n
-	}
-	// Build with a virtual exit: terminals have no succs; treat them as
-	// preds of the virtual root by seeding them as roots.
-	return computeDomsMulti(rev, func(n *ir.Node) []*ir.Node { return n.Succs })
-}
-
-// computeDoms runs CHK with the first node of order as the unique root.
-func computeDoms(order []*ir.Node, preds func(*ir.Node) []*ir.Node) *Dominators {
+	order := p.Topo()
 	d := &Dominators{idom: map[*ir.Node]*ir.Node{}, order: map[*ir.Node]int{}}
 	for i, n := range order {
 		d.order[n] = i
@@ -49,14 +29,14 @@ func computeDoms(order []*ir.Node, preds func(*ir.Node) []*ir.Node) *Dominators 
 		changed = false
 		for _, n := range order[1:] {
 			var newIdom *ir.Node
-			for _, p := range preds(n) {
-				if _, ok := d.idom[p]; !ok {
+			for _, pred := range n.Preds {
+				if _, ok := d.idom[pred]; !ok {
 					continue
 				}
 				if newIdom == nil {
-					newIdom = p
+					newIdom = pred
 				} else {
-					newIdom = d.intersect(p, newIdom)
+					newIdom = d.intersect(pred, newIdom)
 				}
 			}
 			if newIdom == nil {
@@ -66,54 +46,6 @@ func computeDoms(order []*ir.Node, preds func(*ir.Node) []*ir.Node) *Dominators 
 				d.idom[n] = newIdom
 				changed = true
 			}
-		}
-	}
-	return d
-}
-
-// computeDomsMulti handles multiple roots (all terminals, for
-// postdominance) via a virtual root: nodes with no successors are treated
-// as immediately dominated by the virtual root (nil).
-func computeDomsMulti(order []*ir.Node, preds func(*ir.Node) []*ir.Node) *Dominators {
-	d := &Dominators{idom: map[*ir.Node]*ir.Node{}, order: map[*ir.Node]int{}}
-	virtual := &ir.Node{ID: -1}
-	d.order[virtual] = -1
-	d.idom[virtual] = virtual
-	for i, n := range order {
-		d.order[n] = i
-	}
-	changed := true
-	for changed {
-		changed = false
-		for _, n := range order {
-			var newIdom *ir.Node
-			ps := preds(n)
-			if len(ps) == 0 {
-				newIdom = virtual
-			}
-			for _, p := range ps {
-				if _, ok := d.idom[p]; !ok {
-					continue
-				}
-				if newIdom == nil {
-					newIdom = p
-				} else {
-					newIdom = d.intersectV(p, newIdom, virtual)
-				}
-			}
-			if newIdom == nil {
-				continue
-			}
-			if d.idom[n] != newIdom {
-				d.idom[n] = newIdom
-				changed = true
-			}
-		}
-	}
-	// Normalize: virtual root becomes nil.
-	for n, m := range d.idom {
-		if m == virtual {
-			d.idom[n] = nil
 		}
 	}
 	return d
@@ -131,29 +63,8 @@ func (d *Dominators) intersect(a, b *ir.Node) *ir.Node {
 	return a
 }
 
-func (d *Dominators) intersectV(a, b, virtual *ir.Node) *ir.Node {
-	for a != b {
-		if a == virtual || b == virtual {
-			return virtual
-		}
-		for d.order[a] > d.order[b] {
-			a = d.idom[a]
-			if a == nil {
-				return virtual
-			}
-		}
-		for d.order[b] > d.order[a] {
-			b = d.idom[b]
-			if b == nil {
-				return virtual
-			}
-		}
-	}
-	return a
-}
-
-// Idom returns the immediate dominator of n (nil for the root, the
-// virtual exit, or unreachable nodes).
+// Idom returns the immediate dominator of n (nil for the root or
+// unreachable nodes).
 func (d *Dominators) Idom(n *ir.Node) *ir.Node {
 	m := d.idom[n]
 	if m == n {
@@ -193,33 +104,4 @@ func DominatingAssertPoint(d *Dominators, n *ir.Node) *ir.Node {
 		m = next
 	}
 	return nil
-}
-
-// ControlDeps computes, for each node, the set of branch nodes it is
-// control-dependent on (classic CD via postdominance: n is
-// control-dependent on branch b if b has a successor from which n is
-// always reached — n postdominates that successor — while n does not
-// postdominate b itself).
-func ControlDeps(p *ir.Program, pdom *Dominators) map[*ir.Node][]*ir.Node {
-	deps := map[*ir.Node][]*ir.Node{}
-	for _, b := range p.Topo() {
-		if b.Kind != ir.Branch {
-			continue
-		}
-		for _, s := range b.Succs {
-			// Walk the postdominator chain from s up to (but excluding)
-			// b's postdominator; everything on it is control-dependent
-			// on b.
-			stop := pdom.idom[b]
-			for n := s; n != nil && n != stop; {
-				deps[n] = append(deps[n], b)
-				next := pdom.idom[n]
-				if next == n {
-					break
-				}
-				n = next
-			}
-		}
-	}
-	return deps
 }

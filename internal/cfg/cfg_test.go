@@ -64,43 +64,6 @@ func TestDominatorsDiamond(t *testing.T) {
 	}
 }
 
-func TestPostDominatorsDiamond(t *testing.T) {
-	p, n := diamond(t)
-	pd := NewPostDominators(p)
-	if got := pd.Idom(n["a"]); got != n["join"] {
-		t.Errorf("pidom(a) = %v, want join", got)
-	}
-	if got := pd.Idom(n["br"]); got != n["join"] {
-		t.Errorf("pidom(br) = %v, want join", got)
-	}
-	if !pd.Dominates(n["exit"], n["start"]) {
-		t.Error("exit must postdominate start")
-	}
-	if pd.Dominates(n["a"], n["start"]) {
-		t.Error("a must not postdominate start")
-	}
-}
-
-func TestControlDepsDiamond(t *testing.T) {
-	p, n := diamond(t)
-	pd := NewPostDominators(p)
-	deps := ControlDeps(p, pd)
-	hasDep := func(x string) bool {
-		for _, b := range deps[n[x]] {
-			if b == n["br"] {
-				return true
-			}
-		}
-		return false
-	}
-	if !hasDep("a") || !hasDep("b") {
-		t.Error("a and b must be control-dependent on br")
-	}
-	if hasDep("join") {
-		t.Error("join must not be control-dependent on br")
-	}
-}
-
 func TestDominatingAssertPoint(t *testing.T) {
 	p := ir.NewProgram("ap")
 	start := p.NewNode(ir.Nop)

@@ -38,8 +38,6 @@ type Pipeline struct {
 	FullReach  *wp.Reach
 	Doms       *cfg.Dominators
 	SliceStats slice.Stats
-	Options    ir.Options
-	Sliced     bool
 
 	// CompileTime covers frontend + IR + SSA + WP, for the evaluation
 	// harness.
@@ -118,8 +116,6 @@ func CompileWith(src string, opts CompileOptions) (*Pipeline, error) {
 		Pass:      pass,
 		FullReach: full,
 		Doms:      cfg.NewDominators(p),
-		Options:   opts.IR,
-		Sliced:    opts.Slicing,
 	}
 	if opts.Slicing {
 		sp, done := obs.StartPhase(reg, parent, "slice")

@@ -93,16 +93,3 @@ func TestSynthesizedKeyBits(t *testing.T) {
 		t.Fatalf("TotalKeyBits = %d < extra", s.TotalKeyBits)
 	}
 }
-
-func TestNoChecksNoGuardCost(t *testing.T) {
-	opts := ir.DefaultOptions()
-	opts.CheckHeaderValidity = false
-	opts.CheckEgressSpec = false
-	opts.CheckRegisterBounds = false
-	p := build(t, twoTableSrc, opts)
-	s := Estimate(p)
-	if s.WithGuards != s.Original {
-		t.Fatalf("without instrumentation, guards=%d must equal original=%d",
-			s.WithGuards, s.Original)
-	}
-}

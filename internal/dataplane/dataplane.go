@@ -17,7 +17,6 @@ package dataplane
 import (
 	"fmt"
 	"math/big"
-	"sort"
 	"strings"
 
 	"bf4/internal/ir"
@@ -247,10 +246,30 @@ func (ip *Interp) applyTable(inst *ir.TableInstance, state smt.Env, tr *Trace) {
 		}
 	}
 	tr.Matched[inst] = matchIdx
-	f := ip.P.F
-	_ = f
+	var e *Entry
 	if matchIdx >= 0 {
-		e := entries[matchIdx]
+		e = entries[matchIdx]
+	} else if d := ip.Snapshot.Defaults[t.Name]; d != nil && d.Action != t.Default.Name {
+		// The controller made another of the table's actions its default.
+		// The expansion has that body on the hit side only, so it runs
+		// there, as an entry matching this packet on every key (exact
+		// keys take the packet's values, masks are empty). What that
+		// cannot reproduce is `hit` reading false afterwards.
+		if _, listed := inst.ActIndex[d.Action]; listed {
+			e = &Entry{Action: d.Action, Params: d.Params}
+			for j, k := range t.Keys {
+				km := KeyMatch{Value: keyVals[j], PrefixLen: -1}
+				switch k.MatchKind {
+				case "ternary":
+					km.Mask = bigZero
+				case "lpm":
+					km.PrefixLen = 0
+				}
+				e.Keys = append(e.Keys, km)
+			}
+		}
+	}
+	if e != nil {
 		state.SetBool(inst.HitVar.Name, true)
 		idx, ok := inst.ActIndex[e.Action]
 		if !ok {
@@ -275,9 +294,7 @@ func (ip *Interp) applyTable(inst *ir.TableInstance, state smt.Env, tr *Trace) {
 	} else {
 		state.SetBool(inst.HitVar.Name, false)
 		if d := ip.Snapshot.Defaults[t.Name]; d != nil {
-			// Default-action override: expansion runs the declared
-			// default's body, so overrides are limited to parameter
-			// values of the declared default.
+			// The declared default with other parameter values.
 			for pi, pv := range inst.DefaultParamVars {
 				if pi < len(d.Params) {
 					state[pv.Name] = d.Params[pi]
@@ -362,11 +379,4 @@ func EffectiveMaskFor(k *ir.KeyInfo, km KeyMatch) *big.Int {
 	default:
 		return smt.Mask(k.Width)
 	}
-}
-
-// SortEntriesByPriority orders a table's entries with highest priority
-// first (useful for deterministic iteration in tests and the shim).
-func (s *Snapshot) SortEntriesByPriority(table string) {
-	es := s.Entries[table]
-	sort.SliceStable(es, func(i, j int) bool { return es[i].Priority > es[j].Priority })
 }

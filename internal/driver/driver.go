@@ -9,6 +9,7 @@ package driver
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -22,21 +23,23 @@ import (
 	"bf4/internal/p4/parser"
 	"bf4/internal/p4/types"
 	"bf4/internal/pool"
+	"bf4/internal/spec"
 )
 
 // Config selects pipeline options for a run.
 type Config struct {
-	IR    ir.Options
+	IR ir.Options
+	// Infer's ablation switches; its Workers, Obs and Trace are Run's to
+	// set, from the fields below.
 	Infer infer.Options
 	// Slicing enables bug-reachability slicing (paper default: on).
 	Slicing bool
 	// Workers is the run's worker count (cmd/bf4's -j): the bound of the
 	// solver shards the bug checks and their rechecks are dealt to, and of
-	// the per-instance inference fan-out; <= 0 means GOMAXPROCS. It
-	// overrides Infer.Workers when set. Verdicts, annotations and fixes
-	// are identical for every value; the witness models of reachable bugs
-	// may differ, since a bug's model comes from whichever shard decided
-	// it.
+	// the per-instance inference fan-out; <= 0 means GOMAXPROCS. Verdicts,
+	// annotations and fixes are identical for every value; the witness
+	// models of reachable bugs may differ, since a bug's model comes from
+	// whichever shard decided it.
 	Workers int
 	// Obs, when non-nil, collects metrics from every layer of the run
 	// (phase timings, per-query solver telemetry, pool utilization);
@@ -76,168 +79,174 @@ type Result struct {
 
 	Runtime time.Duration
 
-	// Artifacts.
+	// Artifacts of round 0, the program as written: what the -v and
+	// -trace listings and the size metrics read.
 	Initial     *core.Pipeline
-	Fixed       *core.Pipeline // nil when no fixes were needed
 	InitialRep  *core.Report
 	InferResult *infer.Result
-	FinalInfer  *infer.Result // inference on the fixed program
-	Fixes       *fixes.Result
-	FixedSource string // fixed P4 program (empty when no fixes)
-	Dataplane   []*core.Bug
 	// Analysis is the static-analysis result for the initial program: the
 	// bug checks the dataflow pre-pass discharged without a solver query,
 	// and its lint diagnostics.
 	Analysis *analysis.Result
+	// Artifacts of the last round, the program the switch runs. Fixed is
+	// nil when no fixes were needed; FinalRep and FinalInfer are then
+	// round 0's. Use Final, which resolves that.
+	Fixed      *core.Pipeline
+	FinalRep   *core.Report
+	FinalInfer *infer.Result
+	// Fixes accumulates every round's proposals.
+	Fixes       *fixes.Result
+	FixedSource string // fixed P4 program (empty when no fixes)
+	Dataplane   []*core.Bug
 }
 
-// Run executes the full bf4 loop on a program.
+// Final returns the last round's pipeline, bug report and inference
+// result: three views of one compiled program, whose nodes and table
+// instances key each other's maps. Mixing them with round 0's artifacts
+// after a rebuild pairs maps with keys that can never match.
+func (r *Result) Final() (*core.Pipeline, *core.Report, *infer.Result) {
+	pl := r.Fixed
+	if pl == nil {
+		pl = r.Initial
+	}
+	return pl, r.FinalRep, r.FinalInfer
+}
+
+// Spec assembles the annotation file the shim enforces, from the final
+// round alone.
+func (r *Result) Spec() *spec.File {
+	pl, rep, inf := r.Final()
+	return spec.Build(r.Name, pl.IR, rep, inf, r.Fixes.Special)
+}
+
+// maxRebuilds bounds the rebuild rounds after round 0.
+const maxRebuilds = 3
+
+// Run executes the full bf4 loop on a program: round 0 on the program as
+// written, then a rebuild round with the fixes so far applied for as long
+// as a round proposes a fix no earlier one did (Figure 3's loop back from
+// "fixes" to "infer predicates"; the corpus converges in one rebuild, but
+// nothing guarantees that in general).
 func Run(name, src string, cfg Config) (*Result, error) {
 	start := time.Now()
-	if cfg.Workers != 0 {
-		cfg.Infer.Workers = cfg.Workers
-	}
+	cfg.Infer.Workers = cfg.Workers
 	cfg.Infer.Obs = cfg.Obs
 	res := &Result{Name: name, LoC: countLoC(src)}
 
-	compileSp, compileDone := obs.StartPhase(cfg.Obs, cfg.Trace, "compile")
-	pl, err := core.CompileWith(src, core.CompileOptions{IR: cfg.IR, Slicing: cfg.Slicing, Obs: cfg.Obs, Trace: compileSp})
-	compileDone()
-	if err != nil {
-		return nil, err
+	keys := map[string][]string{}
+	for t, ks := range cfg.IR.ExtraKeys {
+		keys[t] = slices.Clone(ks)
 	}
-	res.Initial = pl
-	// The dataflow pre-pass retires the checks it can prove unreachable;
-	// the solver decides the rest.
-	findBugs := func(pl *core.Pipeline, parent *obs.Span) (*core.Report, *analysis.Result) {
-		_, done := obs.StartPhase(cfg.Obs, parent, "analysis")
-		ar := analysis.Run(pl.IR, pl.AST)
-		done()
-		return pl.FindBugsWith(core.FindOptions{Skip: ar.Discharge, Workers: pool.Workers(cfg.Infer.Workers), Obs: cfg.Obs, Trace: parent}), ar
-	}
-	rep, ar := findBugs(pl, cfg.Trace)
-	res.Analysis = ar
-	res.InitialRep = rep
-	res.Bugs = rep.NumReachable()
-
-	inferOpts := cfg.Infer
-	inferSp, inferDone := obs.StartPhase(cfg.Obs, cfg.Trace, "inference")
-	inferOpts.Trace = inferSp
-	inf := infer.Run(pl, rep, inferOpts)
-	inferDone()
-	// The bug solvers have answered their last recheck. Let go of them now:
-	// a rebuild round brings its own, and the peak of a run is that round's
-	// inference, which would otherwise carry this one's CNFs underneath.
-	rep.Shards = nil
-	res.InferResult = inf
-	res.BugsAfterInfer = len(inf.Uncontrolled)
-
-	_, fixesDone := obs.StartPhase(cfg.Obs, cfg.Trace, "fixes")
-	fx := fixes.Run(pl, inf.Uncontrolled)
-	fixesDone()
-	res.Fixes = fx
-	res.KeysAdded = fx.TotalKeys()
-	res.TablesTouched = fx.TablesTouched()
-
-	if res.KeysAdded == 0 && len(fx.Special) == 0 {
-		res.BugsAfterFixes = res.BugsAfterInfer
-		res.Dataplane = inf.Uncontrolled
-		res.FinalInfer = inf
-		res.Runtime = time.Since(start)
-		return res, nil
-	}
-
-	// Rebuild with the fixes applied, re-find, re-infer, and repeat while
-	// new fixes keep appearing (Figure 3's loop back from "fixes" to
-	// "infer predicates"; the corpus converges in one round, but nothing
-	// guarantees that in general).
-	allKeys := mergeKeys(cfg.IR.ExtraKeys, fx.Keys)
-	egressFix := len(fx.Special) > 0
-	const maxRounds = 3
-	for round := 0; round < maxRounds; round++ {
-		res.Rounds = round + 1
-		roundSp, roundDone := obs.StartPhase(cfg.Obs, cfg.Trace, "rebuild")
-		opts2 := cfg.IR
-		opts2.ExtraKeys = allKeys
-		opts2.InitEgressSpecDrop = opts2.InitEgressSpecDrop || egressFix
-		pl2, err := core.CompileWith(src, core.CompileOptions{IR: opts2, Slicing: cfg.Slicing, Obs: cfg.Obs, Trace: roundSp})
+	cfg.IR.ExtraKeys = keys
+	for n := 0; n <= maxRebuilds; n++ {
+		t, err := round(n, src, cfg)
 		if err != nil {
-			roundDone()
-			return nil, fmt.Errorf("rebuild with fixes: %w", err)
+			return nil, err
 		}
-		res.Fixed = pl2
-		rep2, _ := findBugs(pl2, roundSp)
-		inferOpts2 := cfg.Infer
-		inferOpts2.Trace = roundSp
-		inf2 := infer.Run(pl2, rep2, inferOpts2)
-		res.FinalInfer = inf2
-		res.BugsAfterFixes = len(inf2.Uncontrolled)
-		res.Dataplane = inf2.Uncontrolled
-		if res.BugsAfterFixes == 0 {
-			roundDone()
-			break
+		if n == 0 {
+			res.Initial, res.InitialRep, res.InferResult, res.Analysis = t.pl, t.rep, t.inf, t.ar
+			res.Bugs = t.rep.NumReachable()
+			res.BugsAfterInfer = len(t.inf.Uncontrolled)
+			res.Fixes = &fixes.Result{Keys: map[string][]string{}, Unfixable: t.fx.Unfixable}
+		} else {
+			res.Fixed, res.Rounds = t.pl, n
 		}
-		fx2 := fixes.Run(pl2, inf2.Uncontrolled)
-		newKeys := 0
-		for t, ks := range fx2.Keys {
-			have := map[string]bool{}
-			for _, k := range allKeys[t] {
-				have[k] = true
-			}
+		res.FinalRep, res.FinalInfer = t.rep, t.inf
+		res.BugsAfterFixes = len(t.inf.Uncontrolled)
+		res.Dataplane = t.inf.Uncontrolled
+
+		// Merge the round's proposals into the keys the next compile gets.
+		// A round that proposes nothing new ends the loop: what it left
+		// uncontrolled are genuine dataplane bugs.
+		fresh := false
+		for tbl, ks := range t.fx.Keys {
 			for _, k := range ks {
-				if !have[k] {
-					allKeys[t] = append(allKeys[t], k)
-					res.Fixes.Keys[t] = append(res.Fixes.Keys[t], k)
-					newKeys++
+				if !slices.Contains(keys[tbl], k) {
+					keys[tbl] = append(keys[tbl], k)
+					res.Fixes.Keys[tbl] = append(res.Fixes.Keys[tbl], k)
+					fresh = true
 				}
 			}
 		}
-		if len(fx2.Special) > 0 && !egressFix {
-			egressFix = true
-			res.Fixes.Special = append(res.Fixes.Special, fx2.Special...)
-			newKeys++
+		if len(t.fx.Special) > 0 && !cfg.IR.InitEgressSpecDrop {
+			cfg.IR.InitEgressSpecDrop = true
+			res.Fixes.Special = append(res.Fixes.Special, t.fx.Special...)
+			fresh = true
 		}
-		roundDone()
-		if newKeys == 0 {
-			break // only genuine dataplane bugs remain
+		if !fresh {
+			break
 		}
 		res.KeysAdded = res.Fixes.TotalKeys()
 		res.TablesTouched = res.Fixes.TablesTouched()
 	}
 
-	if fixedSrc, err := RewriteSource(src, pl.Info, res.Fixes); err == nil {
-		res.FixedSource = fixedSrc
+	if res.Fixed != nil {
+		if fixedSrc, err := RewriteSource(src, res.Initial.Info, res.Fixes); err == nil {
+			res.FixedSource = fixedSrc
+		}
 	}
 	res.Runtime = time.Since(start)
 	return res, nil
 }
 
-// mergeKeys unions two table→keys maps, deduplicating: a key present in
-// both ExtraKeys and a fix round (or proposed twice across rounds) must
-// not be added to the table twice.
-func mergeKeys(a, b map[string][]string) map[string][]string {
-	out := map[string][]string{}
-	seen := map[string]map[string]bool{}
-	add := func(t, k string) {
-		if seen[t] == nil {
-			seen[t] = map[string]bool{}
-		}
-		if !seen[t][k] {
-			seen[t][k] = true
-			out[t] = append(out[t], k)
-		}
+// turn is what one round of the loop produces.
+type turn struct {
+	pl  *core.Pipeline
+	ar  *analysis.Result
+	rep *core.Report
+	inf *infer.Result
+	fx  *fixes.Result
+}
+
+// round is one turn of the loop: compile src with the keys and the
+// egress-spec fix accumulated in cfg.IR, find the bugs (the dataflow
+// pre-pass retires the checks it can prove unreachable, the solver decides
+// the rest), infer annotations, and propose fixes for what they leave
+// uncontrolled. Round 0's phases are top-level spans of cfg.Trace; a later
+// round is one "rebuild" phase, timed whole, with only analysis and
+// findbugs as spans of their own beneath it.
+func round(n int, src string, cfg Config) (turn, error) {
+	parent := cfg.Trace
+	if n > 0 {
+		var done func()
+		parent, done = obs.StartPhase(cfg.Obs, cfg.Trace, "rebuild")
+		defer done()
 	}
-	for t, ks := range a {
-		for _, k := range ks {
-			add(t, k)
+	phase := func(name string) (*obs.Span, func()) {
+		if n > 0 {
+			return parent, func() {}
 		}
+		return obs.StartPhase(cfg.Obs, parent, name)
 	}
-	for t, ks := range b {
-		for _, k := range ks {
-			add(t, k)
+
+	sp, done := phase("compile")
+	pl, err := core.CompileWith(src, core.CompileOptions{IR: cfg.IR, Slicing: cfg.Slicing, Obs: cfg.Obs, Trace: sp})
+	done()
+	if err != nil {
+		if n > 0 {
+			err = fmt.Errorf("rebuild with fixes: %w", err)
 		}
+		return turn{}, err
 	}
-	return out
+
+	_, done = obs.StartPhase(cfg.Obs, parent, "analysis")
+	ar := analysis.Run(pl.IR, pl.AST)
+	done()
+	rep := pl.FindBugsWith(core.FindOptions{Skip: ar.Discharge, Workers: pool.Workers(cfg.Workers), Obs: cfg.Obs, Trace: parent})
+
+	sp, done = phase("inference")
+	cfg.Infer.Trace = sp
+	inf := infer.Run(pl, rep, cfg.Infer)
+	done()
+	// The bug solvers have answered their last recheck. Let go of them now:
+	// the next round brings its own, and the peak of a run is that round's
+	// inference, which would otherwise carry this one's CNFs underneath.
+	rep.Shards = nil
+
+	_, done = phase("fixes")
+	fx := fixes.Run(pl, inf.Uncontrolled)
+	done()
+	return turn{pl, ar, rep, inf, fx}, nil
 }
 
 func countLoC(src string) int {

@@ -7,7 +7,6 @@ import (
 
 	"bf4/internal/obs"
 	"bf4/internal/progs"
-	"bf4/internal/spec"
 )
 
 // runWithObs runs the full loop and returns the result together with the
@@ -22,11 +21,7 @@ func runWithObs(t *testing.T, name, src string, reg *obs.Registry, tr *obs.Span)
 	if err != nil {
 		t.Fatalf("driver: %v", err)
 	}
-	pl := res.Fixed
-	if pl == nil {
-		pl = res.Initial
-	}
-	file := spec.Build(name, pl.IR, res.InitialRep, res.FinalInfer, res.Fixes.Special)
+	file := res.Spec()
 	data, err := file.Marshal()
 	if err != nil {
 		t.Fatalf("marshal spec: %v", err)

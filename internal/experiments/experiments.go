@@ -32,7 +32,6 @@ import (
 	"bf4/internal/pool"
 	"bf4/internal/progs"
 	"bf4/internal/shim"
-	"bf4/internal/spec"
 	"bf4/internal/trace"
 )
 
@@ -431,11 +430,7 @@ func Shim(scale, n int) (*ShimLatency, error) {
 	if err != nil {
 		return nil, err
 	}
-	pl := res.Fixed
-	if pl == nil {
-		pl = res.Initial
-	}
-	file := spec.Build("switch", pl.IR, res.InitialRep, res.FinalInfer, res.Fixes.Special)
+	file := res.Spec()
 	sh, err := shim.New(file)
 	if err != nil {
 		return nil, err
@@ -494,10 +489,7 @@ func KeyOverhead(scale int) (*Overhead, error) {
 	if err != nil {
 		return nil, err
 	}
-	pl := res.Fixed
-	if pl == nil {
-		pl = res.Initial
-	}
+	pl, _, _ := res.Final()
 	st := cost.Estimate(pl.IR)
 	out := &Overhead{
 		KeysAdded:     res.KeysAdded,
@@ -544,10 +536,7 @@ func Stages(name string) (*StageCost, error) {
 	if err != nil {
 		return nil, err
 	}
-	pl := res.Fixed
-	if pl == nil {
-		pl = res.Initial
-	}
+	pl, _, _ := res.Final()
 	st := cost.Estimate(pl.IR)
 	return &StageCost{Program: name, Original: st.Original, WithGuards: st.WithGuards, WithKeys: st.WithKeys}, nil
 }

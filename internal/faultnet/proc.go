@@ -43,9 +43,6 @@ func StartProc(name string, args, env []string, stdout, stderr io.Writer) (*Proc
 	return p, nil
 }
 
-// Pid returns the child's process id.
-func (p *Proc) Pid() int { return p.cmd.Process.Pid }
-
 // Kill delivers SIGKILL — the child gets no chance to flush or clean
 // up — and waits for the process to be reaped.
 func (p *Proc) Kill() error {
@@ -67,16 +64,6 @@ func (p *Proc) Wait() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.werr
-}
-
-// Exited reports whether the child has exited.
-func (p *Proc) Exited() bool {
-	select {
-	case <-p.done:
-		return true
-	default:
-		return false
-	}
 }
 
 func alreadyFinished(err error) bool {

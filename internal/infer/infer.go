@@ -80,8 +80,6 @@ type Options struct {
 	UseMultiTable bool
 	// UseDontCare constrains OK with ¬reach(dontCare).
 	UseDontCare bool
-	// MaxInferIterations bounds Algorithm 1's loop per assert point.
-	MaxInferIterations int
 	// Workers bounds the per-table-instance inference fan-out and the
 	// number of report shards rechecked at once; <= 0 means GOMAXPROCS.
 	// Each worker task owns its own solvers (forks of the round's two warm
@@ -97,14 +95,16 @@ type Options struct {
 	Trace *obs.Span
 }
 
+// maxInferIterations bounds Algorithm 1's loop per assert point.
+const maxInferIterations = 200
+
 // DefaultOptions matches the paper's configuration.
 func DefaultOptions() Options {
 	return Options{
-		UseFastInfer:       true,
-		UseInfer:           true,
-		UseMultiTable:      true,
-		UseDontCare:        true,
-		MaxInferIterations: 200,
+		UseFastInfer:  true,
+		UseInfer:      true,
+		UseMultiTable: true,
+		UseDontCare:   true,
 	}
 }
 
@@ -507,7 +507,7 @@ func inferShared(pl *core.Pipeline, dualBase, directBase *solver.Solver, inst *i
 	}
 
 	a := &Assertion{Instance: inst, Source: "infer"}
-	for iter := 0; iter < opts.MaxInferIterations; iter++ {
+	for iter := 0; iter < maxInferIterations; iter++ {
 		*calls++
 		if direct.Check() != solver.Sat {
 			return a

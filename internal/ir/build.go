@@ -16,35 +16,20 @@ import (
 // convention: port 511).
 const DropSpec = 511
 
-// Options control IR construction and instrumentation. The Fixes
-// algorithm reruns Build with ExtraKeys populated; the evaluation
-// harness toggles the check flags for ablations.
+// Options control IR construction and instrumentation. The three bug
+// classes of the paper (header validity, egress_spec, register bounds),
+// dontCare marking and the egress control are always lowered. The Fixes
+// algorithm reruns Build with ExtraKeys populated.
 type Options struct {
 	// ExtraKeys maps table name to additional key paths (P4 expressions,
 	// e.g. "hdr.ipv4.isValid()") appended as exact-match keys.
 	ExtraKeys map[string][]string
 
-	// CheckHeaderValidity instruments reads/writes of invalid headers.
-	CheckHeaderValidity bool
-	// CheckEgressSpec instruments the egress_spec-not-set bug.
-	CheckEgressSpec bool
-	// CheckRegisterBounds instruments register index bounds.
-	CheckRegisterBounds bool
-	// DontCare marks no-op header-copy branches with dontCare nodes
-	// (paper §4.2, increases Infer coverage).
-	DontCare bool
-	// IncludeEgress stitches the egress control after ingress.
-	IncludeEgress bool
 	// InitEgressSpecDrop applies the paper's special fix for
 	// egress-spec-not-set bugs (§4.6/§5.1): initialize egress_spec to the
 	// drop port at the beginning of ingress, making the programmer's
 	// implicit-drop intention explicit.
 	InitEgressSpecDrop bool
-	// CheckDeparsedHeaders instruments the decapsulation-error class: a
-	// forwarded packet must not carry a valid header the deparser never
-	// emits. Off by default (bf4 proper checks three classes; this is the
-	// extension the related work checks).
-	CheckDeparsedHeaders bool
 	// CheckInfoFlow instruments information-flow tracking: shadow taint
 	// variables, @sensitive sources and info-leak sink checks (see
 	// taint.go). Off by default; the IR is unchanged when disabled.
@@ -54,9 +39,6 @@ type Options struct {
 	// explicit @sensitive annotations. Only meaningful with
 	// CheckInfoFlow.
 	TaintDefaultPolicy bool
-	// UnrollSlack adds extra parser unroll budget beyond the computed
-	// bound.
-	UnrollSlack int
 
 	// Instrument, when non-nil, runs after lowering completes and may
 	// splice additional instrumentation into the CFG before
@@ -69,17 +51,9 @@ type Options struct {
 	Instrument func(*Program) error
 }
 
-// DefaultOptions enables every instrumentation, matching the paper's
-// configuration.
-func DefaultOptions() Options {
-	return Options{
-		CheckHeaderValidity: true,
-		CheckEgressSpec:     true,
-		CheckRegisterBounds: true,
-		DontCare:            true,
-		IncludeEgress:       true,
-	}
-}
+// DefaultOptions is the paper's configuration: the program as written,
+// no fixes applied, no extension checks.
+func DefaultOptions() Options { return Options{} }
 
 // Build lowers a type-checked program to IR. See the package comment for
 // what the lowering includes.
@@ -324,10 +298,8 @@ func (b *builder) run(prog *ast.Program) error {
 	b.cur = b.p.Start
 	b.emitInit()
 
-	if b.opts.CheckEgressSpec {
-		b.p.EgressSpecSet = b.p.NewVar("$egress_spec_set", smt.BoolSort)
-		b.assign(b.p.EgressSpecSet, b.f().False())
-	}
+	b.p.EgressSpecSet = b.p.NewVar("$egress_spec_set", smt.BoolSort)
+	b.assign(b.p.EgressSpecSet, b.f().False())
 	if b.opts.InitEgressSpecDrop {
 		if spec := b.lookupVar("smeta.egress_spec"); spec != nil {
 			b.assign(spec, b.f().BVConst64(DropSpec, 9))
@@ -360,10 +332,8 @@ func (b *builder) run(prog *ast.Program) error {
 	b.cur = ingressEnd
 
 	// egress_spec-not-set check at end of ingress (paper §4.6).
-	if b.opts.CheckEgressSpec {
-		b.checkBug(b.f().Not(b.p.EgressSpecSet.Term), BugEgressSpecNotSet, token.Pos{},
-			"egress_spec not set by end of ingress")
-	}
+	b.checkBug(b.f().Not(b.p.EgressSpecSet.Term), BugEgressSpecNotSet, token.Pos{},
+		"egress_spec not set by end of ingress")
 
 	// Dropped packets skip egress.
 	spec := b.lookupVar("smeta.egress_spec")
@@ -374,24 +344,11 @@ func (b *builder) run(prog *ast.Program) error {
 	}
 
 	// Egress.
-	if b.opts.IncludeEgress && pl.Egress != nil {
+	if pl.Egress != nil {
 		egressEnd := b.nop("egress-end")
 		b.buildControl(pl.Egress, egressEnd)
 		b.p.Edge(b.cur, egressEnd)
 		b.cur = egressEnd
-	}
-
-	// Optional decapsulation-error check: every still-valid header must
-	// be emitted by the deparser.
-	if b.opts.CheckDeparsedHeaders && pl.Deparser != nil {
-		emitted := b.emittedHeaders(pl.Deparser)
-		for _, h := range sortedHeaders(b.p.Headers) {
-			if emitted[h.Path] || b.cur == nil {
-				continue
-			}
-			b.checkBug(h.Valid.Term, BugLiveHeaderNotEmitted, token.Pos{},
-				"header %s is valid on output but never emitted by the deparser", h.Path)
-		}
 	}
 
 	b.p.Edge(b.cur, b.accept)
@@ -611,9 +568,9 @@ func (b *builder) roleOfParam(p *ast.Param) string {
 // ------------------------------------------------------------- parser
 
 // unrollBudget bounds parser state revisits: total stack capacity plus
-// the number of states, plus slack.
+// the number of states.
 func (b *builder) unrollBudget(pd *ast.ParserDecl) int {
-	budget := len(pd.States) + 2 + b.opts.UnrollSlack
+	budget := len(pd.States) + 2
 	for _, s := range b.p.Stacks {
 		budget += s.Size
 	}
@@ -793,10 +750,6 @@ func (b *builder) beginReads() {
 // flushReadChecks emits validity-bug checks for every header read since
 // beginReads. The current chain continues on the valid path.
 func (b *builder) flushReadChecks(pos token.Pos) {
-	if !b.opts.CheckHeaderValidity {
-		b.reads, b.stackReads = nil, nil
-		return
-	}
 	paths := make([]string, 0, len(b.reads))
 	for p := range b.reads {
 		paths = append(paths, p)

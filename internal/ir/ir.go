@@ -53,11 +53,6 @@ const (
 	// BugEgressSpecNotSet fires when ingress ends without any assignment
 	// to standard_metadata.egress_spec.
 	BugEgressSpecNotSet
-	// BugLiveHeaderNotEmitted fires when a packet leaves the pipeline with
-	// a valid header the deparser never emits (the "decapsulation error"
-	// class of Vera/p4v; an opt-in extension here, see
-	// Options.CheckDeparsedHeaders).
-	BugLiveHeaderNotEmitted
 	// BugInfoLeak fires when a value derived from a sensitive source
 	// (@sensitive annotation or the built-in default policy) reaches an
 	// egress-visible sink: an emitted header field, egress-visible
@@ -78,8 +73,7 @@ var bugNames = map[BugKind]string{
 	BugInvalidKeyRead: "invalid-key-read", BugHeaderOverwrite: "header-overwrite",
 	BugRegisterOOB: "register-oob", BugStackOverflow: "stack-overflow",
 	BugStackUnderflow: "stack-underflow", BugEgressSpecNotSet: "egress-spec-not-set",
-	BugLiveHeaderNotEmitted: "live-header-not-emitted", BugInfoLeak: "info-leak",
-	BugAssertFail: "assert-fail",
+	BugInfoLeak: "info-leak", BugAssertFail: "assert-fail",
 }
 
 func (k BugKind) String() string { return bugNames[k] }

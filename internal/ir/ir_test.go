@@ -198,16 +198,6 @@ V1Switch(P(), Ing()) main;
 	if overwrite != 1 || dontcare != 1 {
 		t.Fatalf("overwrite=%d dontcare=%d, want 1/1", overwrite, dontcare)
 	}
-
-	// Without the dontCare option, no DontCare nodes appear.
-	opts := DefaultOptions()
-	opts.DontCare = false
-	p2 := buildSrc(t, src, opts)
-	for _, n := range p2.Nodes {
-		if n.Kind == DontCare {
-			t.Fatal("DontCare node present despite disabled option")
-		}
-	}
 }
 
 func TestParserUnrollingTerminates(t *testing.T) {

@@ -83,7 +83,7 @@ func (b *builder) lowerAssign(st *ast.AssignStmt) {
 	if b.cur == nil {
 		return
 	}
-	if lhs.fromHeader != "" && b.opts.CheckHeaderValidity {
+	if lhs.fromHeader != "" {
 		h := b.p.Headers[lhs.fromHeader]
 		b.checkBug(b.f().Not(h.Valid.Term), BugInvalidHeaderWrite, st.P,
 			"write to field of invalid header %s", lhs.fromHeader)
@@ -134,11 +134,9 @@ func (b *builder) lowerHeaderCopy(dst, src *Header, pos token.Pos) {
 	b.bugHere(BugHeaderOverwrite, pos,
 		"copy from invalid header %s destroys live header %s", src.Path, dst.Path)
 	b.cur = deadT
-	if b.opts.DontCare {
-		dc := b.p.NewNode(DontCare)
-		dc.Comment = fmt.Sprintf("no-op copy %s = %s", dst.Path, src.Path)
-		b.emit(dc)
-	}
+	dc := b.p.NewNode(DontCare)
+	dc.Comment = fmt.Sprintf("no-op copy %s = %s", dst.Path, src.Path)
+	b.emit(dc)
 	noopDone := b.cur
 
 	b.join(copyDone, noopDone)
@@ -217,7 +215,7 @@ func (b *builder) havocLValue(e ast.Expr, pos token.Pos) {
 		b.errorf(pos, "cannot havoc %s", ast.PathString(e))
 		return
 	}
-	if r.fromHeader != "" && b.opts.CheckHeaderValidity {
+	if r.fromHeader != "" {
 		h := b.p.Headers[r.fromHeader]
 		b.checkBug(b.f().Not(h.Valid.Term), BugInvalidHeaderWrite, pos,
 			"write to field of invalid header %s", r.fromHeader)
@@ -291,12 +289,10 @@ func (b *builder) lowerRegisterOp(reg *Register, method string, c *ast.CallExpr)
 		if b.cur == nil {
 			return
 		}
-		if b.opts.CheckRegisterBounds {
-			b.checkBug(f.Uge(idx, f.BVConst64(int64(reg.Size), 32)), BugRegisterOOB, c.P,
-				"register %s read index out of bounds (size %d)", reg.Name, reg.Size)
-			if b.cur == nil {
-				return
-			}
+		b.checkBug(f.Uge(idx, f.BVConst64(int64(reg.Size), 32)), BugRegisterOOB, c.P,
+			"register %s read index out of bounds (size %d)", reg.Name, reg.Size)
+		if b.cur == nil {
+			return
 		}
 		// Register contents are arbitrary (mutated by other packets and
 		// the controller): the destination is havocked.
@@ -313,10 +309,8 @@ func (b *builder) lowerRegisterOp(reg *Register, method string, c *ast.CallExpr)
 		if b.cur == nil {
 			return
 		}
-		if b.opts.CheckRegisterBounds {
-			b.checkBug(f.Uge(idx, f.BVConst64(int64(reg.Size), 32)), BugRegisterOOB, c.P,
-				"register %s write index out of bounds (size %d)", reg.Name, reg.Size)
-		}
+		b.checkBug(f.Uge(idx, f.BVConst64(int64(reg.Size), 32)), BugRegisterOOB, c.P,
+			"register %s write index out of bounds (size %d)", reg.Name, reg.Size)
 	default:
 		b.errorf(c.P, "unsupported register method %s", method)
 	}
@@ -733,27 +727,25 @@ func (b *builder) expandTable(td *ast.TableDecl, pos token.Pos) *TableInstance {
 		}
 		b.assume(match)
 	}
-	if b.opts.CheckHeaderValidity {
-		for j, k := range t.Keys {
-			if keyTerms[j] == nil {
+	for j, k := range t.Keys {
+		if keyTerms[j] == nil {
+			continue
+		}
+		// Key-read bugs: evaluating a key over an invalid header is
+		// undefined. For ternary/lpm the read only happens under a
+		// nonzero mask (the paper's nat example); for exact it
+		// always happens on a hit.
+		for _, hp := range keyReads[j] {
+			h := b.p.Headers[hp]
+			if h == nil || b.cur == nil {
 				continue
 			}
-			// Key-read bugs: evaluating a key over an invalid header is
-			// undefined. For ternary/lpm the read only happens under a
-			// nonzero mask (the paper's nat example); for exact it
-			// always happens on a hit.
-			for _, hp := range keyReads[j] {
-				h := b.p.Headers[hp]
-				if h == nil || b.cur == nil {
-					continue
-				}
-				badCond := f.Not(h.Valid.Term)
-				if inst.MaskVars[j] != nil {
-					badCond = f.And(badCond, f.Not(f.Eq(inst.MaskVars[j].Term, f.BVConst64(0, k.Width))))
-				}
-				b.checkBug(badCond, BugInvalidKeyRead, pos,
-					"table %s key %s reads invalid header %s", t.Name, k.Path, hp)
+			badCond := f.Not(h.Valid.Term)
+			if inst.MaskVars[j] != nil {
+				badCond = f.And(badCond, f.Not(f.Eq(inst.MaskVars[j].Term, f.BVConst64(0, k.Width))))
 			}
+			b.checkBug(badCond, BugInvalidKeyRead, pos,
+				"table %s key %s reads invalid header %s", t.Name, k.Path, hp)
 		}
 	}
 	var hitTails []*Node

@@ -692,14 +692,6 @@ func DialOptions(addr string, opts Options) (*Client, error) {
 	return c, nil
 }
 
-// NewClient wraps an established connection. Without a dialer the client
-// cannot reconnect, so calls fail fast on transport errors.
-func NewClient(conn net.Conn) *Client {
-	c := newClient(Options{MaxAttempts: 1})
-	c.setConn(conn)
-	return c
-}
-
 func newClient(opts Options) *Client {
 	if opts.CallTimeout == 0 {
 		opts.CallTimeout = 30 * time.Second

@@ -76,11 +76,8 @@ func natProgram(t *testing.T) (*ir.Program, *spec.File) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl := res.Fixed
-	if pl == nil {
-		pl = res.Initial
-	}
-	return pl.IR, spec.Build("simple_nat", pl.IR, res.InitialRep, res.FinalInfer, nil)
+	pl, _, _ := res.Final()
+	return pl.IR, res.Spec()
 }
 
 func startServer(t *testing.T) (*Client, func()) {

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"math/big"
 	"net"
 	"strings"
 	"testing"
@@ -146,18 +147,20 @@ func TestPacketWithoutProgram(t *testing.T) {
 	}
 }
 
+// TestBuggyDefaultRejectedOverWire: the default-rule policy (paper §4.4)
+// over the wire, on the NAT example's real annotation file. set_nhop
+// decrements the TTL of a possibly-invalid ipv4 header — a reachable bug
+// of the fixed program, so the file flags it and the shim refuses it as
+// ipv4_lpm's default; drop_ holds no bug and is admitted.
 func TestBuggyDefaultRejectedOverWire(t *testing.T) {
-	conn, stop := startRawServer(t)
+	client, stop := startServer(t)
 	defer stop()
-	resp := roundTripRaw(t, conn,
-		`{"id":8,"type":"set_default","table":"t","entry":{"keys":[],"action":"bad"}}`)
-	if resp.OK {
-		t.Fatal("buggy default action accepted")
+	err := client.SetDefault("ipv4_lpm", "set_nhop", []*big.Int{big.NewInt(1), big.NewInt(7)})
+	if err == nil || !strings.Contains(err.Error(), "reachable bug") {
+		t.Fatalf("buggy default action: got %v, want a reachable-bug rejection", err)
 	}
-	resp = roundTripRaw(t, conn,
-		`{"id":9,"type":"set_default","table":"t","entry":{"keys":[],"action":"NoAction"}}`)
-	if !resp.OK {
-		t.Fatalf("clean default rejected: %s", resp.Error)
+	if err := client.SetDefault("ipv4_lpm", "drop_", nil); err != nil {
+		t.Fatalf("clean default rejected: %v", err)
 	}
 }
 

@@ -121,8 +121,6 @@ type FleetConfig struct {
 	// QueueWait bounds how long a queued write waits for restore in
 	// DownQueue mode (default 30s).
 	QueueWait time.Duration
-	// QueueLimit bounds the per-shard degraded queue (default 1024).
-	QueueLimit int
 	// CompactEvery overrides the per-shard journal compaction threshold
 	// (0 keeps the store default).
 	CompactEvery int
@@ -163,12 +161,8 @@ func (c *FleetConfig) queueWait() time.Duration {
 	return 30 * time.Second
 }
 
-func (c *FleetConfig) queueLimit() int {
-	if c.QueueLimit > 0 {
-		return c.QueueLimit
-	}
-	return 1024
-}
+// queueLimit bounds the per-shard degraded queue.
+const queueLimit = 1024
 
 // Fleet multiplexes shards and runs their supervisor.
 type Fleet struct {

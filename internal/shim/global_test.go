@@ -9,7 +9,6 @@ import (
 	"bf4/internal/driver"
 	"bf4/internal/progs"
 	"bf4/internal/shim"
-	"bf4/internal/spec"
 	"bf4/internal/trace"
 )
 
@@ -46,11 +45,8 @@ func TestGlobalCorrectnessAcrossCorpus(t *testing.T) {
 			if res.BugsAfterFixes != 0 {
 				t.Fatalf("premise violated: %d bugs after fixes", res.BugsAfterFixes)
 			}
-			pl := res.Fixed
-			if pl == nil {
-				pl = res.Initial
-			}
-			file := spec.Build(p.Name, pl.IR, res.InitialRep, res.FinalInfer, res.Fixes.Special)
+			pl, _, _ := res.Final()
+			file := res.Spec()
 			cp, err := shim.Compile(file)
 			if err != nil {
 				t.Fatal(err)

@@ -22,15 +22,8 @@ import (
 func corpusSpec(tb testing.TB, name string) *spec.File {
 	tb.Helper()
 	p := progs.Get(name)
-	res, err := driver.Run(p.Name, p.Source, driver.DefaultConfig())
-	if err != nil {
-		tb.Fatal(err)
-	}
-	pl := res.Fixed
-	if pl == nil {
-		pl = res.Initial
-	}
-	return spec.Build(p.Name, pl.IR, res.InitialRep, res.FinalInfer, res.Fixes.Special)
+	_, file := verifyToFile(tb, p.Name, p.Source, driver.DefaultConfig())
+	return file
 }
 
 // attach brings up a shim of cp on the state directory dir.

@@ -2,7 +2,6 @@ package shim
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -37,8 +36,6 @@ type Shard struct {
 	gen       int64 // incarnation counter; bumped by every fence
 	queue     []*queuedOp
 	restoring bool
-	lastErr   error
-	autofill  bool
 
 	// Per-shard metrics (nil-safe).
 	restores *obs.Counter
@@ -73,13 +70,6 @@ func (sd *Shard) State() ShardState {
 
 // Healthy reports whether the shard is serving.
 func (sd *Shard) Healthy() bool { return sd.State() == ShardHealthy }
-
-// LastError returns the most recent restore failure (nil when healthy).
-func (sd *Shard) LastError() error {
-	sd.mu.Lock()
-	defer sd.mu.Unlock()
-	return sd.lastErr
-}
 
 // Validate checks an update against the shard without applying it.
 func (sd *Shard) Validate(u *Update) error {
@@ -140,18 +130,6 @@ func (sd *Shard) JournalLag() int {
 		return sh.JournalLag()
 	}
 	return 0
-}
-
-// SetAutofill toggles AutofillSynthesizedKeys for the current and all
-// future incarnations.
-func (sd *Shard) SetAutofill(on bool) {
-	sd.mu.Lock()
-	sd.autofill = on
-	sh := sd.sh
-	sd.mu.Unlock()
-	if sh != nil {
-		sh.AutofillSynthesizedKeys = on
-	}
 }
 
 func (sd *Shard) currentShim() *Shim {
@@ -247,7 +225,7 @@ func (sd *Shard) degradedOp(run func(*Shim) error) error {
 		sd.mu.Unlock()
 		return errShardRecovered
 	}
-	if len(sd.queue) >= f.cfg.queueLimit() {
+	if len(sd.queue) >= queueLimit {
 		sd.mu.Unlock()
 		sd.rejectDegraded()
 		return &ShardDownError{ID: sd.id, State: sd.State(), Reason: "degraded queue full"}
@@ -314,7 +292,6 @@ func (sd *Shard) restore(initial bool) error {
 	}
 	sd.restoring = true
 	sd.state = ShardRestoring
-	autofill := sd.autofill
 	sd.mu.Unlock()
 	defer func() {
 		sd.mu.Lock()
@@ -323,7 +300,6 @@ func (sd *Shard) restore(initial bool) error {
 	}()
 
 	sh := NewFromCompiled(sd.cp)
-	sh.AutofillSynthesizedKeys = autofill
 	sh.SetObs(sd.fleet.cfg.Obs)
 	var st *Store
 	if sd.dir != "" {
@@ -342,7 +318,6 @@ func (sd *Shard) restore(initial bool) error {
 			}
 			sd.mu.Lock()
 			sd.state = ShardDown
-			sd.lastErr = fmt.Errorf("restore: %w", err)
 			sd.mu.Unlock()
 			return err
 		}
@@ -354,7 +329,6 @@ func (sd *Shard) restore(initial bool) error {
 	sd.mu.Lock()
 	sd.sh, sd.store, sd.sem = sh, st, sem
 	sd.state = ShardHealthy
-	sd.lastErr = nil
 	q := sd.queue
 	sd.queue = nil
 	sd.mu.Unlock()

@@ -108,13 +108,6 @@ type Shim struct {
 	// crash recovery.
 	store *Store
 	seq   int64
-
-	// AutofillSynthesizedKeys lets rules from a controller that predates
-	// the Fixes pass be accepted: updates that omit exactly the
-	// synthesized (bf4-added) keys get safe values appended — validity
-	// keys expect a valid header (1), other widths get 0 — before
-	// validation. The paper sketches this as future work in §4.4.
-	AutofillSynthesizedKeys bool
 }
 
 // New compiles a spec file into a shim.
@@ -408,9 +401,6 @@ func (s *Shim) validateLocked(u *Update) error {
 		s.rejectLocked()
 		return &RejectionError{Table: u.Table, Reason: "empty update"}
 	}
-	if s.AutofillSynthesizedKeys {
-		s.autofill(ts, u.Entry)
-	}
 	if len(u.Entry.Keys) != len(ts.Keys) {
 		s.rejectLocked()
 		return &RejectionError{Table: u.Table,
@@ -576,28 +566,4 @@ func (cp *Compiled) bindEntry(env smt.Env, ts *spec.TableSchema, e *dataplane.En
 		}
 	}
 	return bound
-}
-
-// autofill appends safe values for trailing synthesized keys when the
-// entry was written against the pre-fix table schema.
-func (s *Shim) autofill(ts *spec.TableSchema, e *dataplane.Entry) {
-	synth := 0
-	for _, k := range ts.Keys {
-		if k.Synthesized {
-			synth++
-		}
-	}
-	if synth == 0 || len(e.Keys) != len(ts.Keys)-synth {
-		return
-	}
-	for _, k := range ts.Keys {
-		if !k.Synthesized {
-			continue
-		}
-		v := big.NewInt(0)
-		if len(k.Path) >= 9 && k.Path[len(k.Path)-9:] == "isValid()" {
-			v = big.NewInt(1) // safe default: the header must be valid
-		}
-		e.Keys = append(e.Keys, dataplane.KeyMatch{Value: v, PrefixLen: -1})
-	}
 }

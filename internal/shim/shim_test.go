@@ -74,11 +74,7 @@ func buildNATShim(t *testing.T) (*Shim, *driver.Result, *spec.File) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl := res.Fixed
-	if pl == nil {
-		pl = res.Initial
-	}
-	file := spec.Build("simple_nat", pl.IR, res.InitialRep, res.FinalInfer, res.Fixes.Special)
+	file := res.Spec()
 	// Round-trip through the wire format, as the standalone shim would.
 	data, err := file.Marshal()
 	if err != nil {
@@ -156,6 +152,21 @@ func TestShimRejectsInvalidLpmRule(t *testing.T) {
 	}
 }
 
+// TestAutofillOffRejectsOldFormat: Fixes changed ipv4_lpm's runtime API
+// (paper §5) and nothing fills the new key in for a controller that
+// predates it: a rule written against the pre-fix schema is refused.
+func TestAutofillOffRejectsOldFormat(t *testing.T) {
+	sh, _, _ := buildNATShim(t)
+	err := sh.Apply(&Update{Table: "ipv4_lpm", Entry: &dataplane.Entry{
+		Keys:   []dataplane.KeyMatch{dataplane.NewLpm(0, 0)},
+		Action: "set_nhop",
+		Params: []*big.Int{big.NewInt(1), big.NewInt(7)},
+	}})
+	if err == nil {
+		t.Fatal("rule without the synthesized validity key accepted")
+	}
+}
+
 func TestShimKeyCountValidation(t *testing.T) {
 	sh, _, _ := buildNATShim(t)
 	err := sh.Apply(&Update{Table: "nat", Entry: &dataplane.Entry{
@@ -181,10 +192,7 @@ func TestShimUnknownTable(t *testing.T) {
 // that no execution ends in a bug node.
 func TestGlobalCorrectness(t *testing.T) {
 	sh, res, _ := buildNATShim(t)
-	pl := res.Fixed
-	if pl == nil {
-		t.Skip("no fixed pipeline")
-	}
+	pl, _, _ := res.Final()
 	rng := rand.New(rand.NewSource(42))
 
 	// Attempt a mix of sane and faulty updates; only accepted ones enter

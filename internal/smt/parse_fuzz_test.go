@@ -6,7 +6,6 @@ import (
 	"bf4/internal/driver"
 	"bf4/internal/progs"
 	"bf4/internal/smt"
-	"bf4/internal/spec"
 )
 
 // corpusConditions verifies every hand-written corpus program and returns
@@ -27,11 +26,7 @@ func corpusConditions(tb testing.TB) ([]string, smt.VarSorts) {
 		if err != nil {
 			tb.Fatalf("%s: %v", p.Name, err)
 		}
-		pl := res.Fixed
-		if pl == nil {
-			pl = res.Initial
-		}
-		file := spec.Build(p.Name, pl.IR, res.InitialRep, res.FinalInfer, res.Fixes.Special)
+		file := res.Spec()
 		for _, a := range file.Assertions {
 			f := smt.NewFactory()
 			for i, src := range a.Forbidden {

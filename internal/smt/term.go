@@ -244,14 +244,6 @@ func NewFactory() *Factory {
 	return f
 }
 
-// NumTerms returns the number of distinct terms created so far, a proxy
-// for formula memory footprint.
-func (f *Factory) NumTerms() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return len(f.table)
-}
-
 func (f *Factory) key(t *Term) string {
 	var b strings.Builder
 	b.Grow(16 + 4*len(t.args))

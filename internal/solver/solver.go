@@ -210,10 +210,6 @@ func (s *Solver) Factory() *smt.Factory { return s.f }
 // the evaluation harness.
 func (s *Solver) NumChecks() int { return s.checks }
 
-// SetConflictBudget bounds each subsequent Check call to approximately n
-// conflicts; 0 removes the bound. Budgeted checks may return Unknown.
-func (s *Solver) SetConflictBudget(n int64) { s.sat.Budget.Conflicts = n }
-
 func (s *Solver) registerVars(t *smt.Term) {
 	for _, v := range t.VarsSeen(nil, s.varSeen) {
 		if s.vars[v] {

@@ -100,7 +100,15 @@ type File struct {
 
 // Build assembles a spec file from inference results. rep (optional)
 // supplies bug locations so that actions containing reachable bugs are
-// flagged for the shim's default-rule policy.
+// flagged for the shim's default-rule policy, and the user properties'
+// outcomes.
+//
+// rep and res must be p's own — the report and the inference result of
+// the compile that produced p. The buggy-action and controlled-property
+// lookups key on p's *ir.TableInstance and *ir.Node pointers, so a report
+// of another compile of the same source (round 0's, next to the rebuilt
+// program) matches nothing and the file silently flags no action.
+// driver.Result.Spec is the caller that gets this right.
 func Build(program string, p *ir.Program, rep *core.Report, res *infer.Result, suggestions []string) *File {
 	f := &File{Program: program, Suggestions: suggestions}
 	buggy := map[*ir.TableInstance]map[string]bool{}

@@ -87,15 +87,3 @@ func Compute(p *ir.Program, pass *ssa.Result, keep map[*ir.Node]bool) *Reach {
 	}
 	return r
 }
-
-// BugConds returns the reachability condition of every bug node, in
-// program order.
-func (r *Reach) BugConds() map[*ir.Node]*smt.Term {
-	out := map[*ir.Node]*smt.Term{}
-	for _, b := range r.P.Bugs {
-		if c, ok := r.Cond[b]; ok {
-			out[b] = c
-		}
-	}
-	return out
-}
