@@ -23,12 +23,16 @@
 //	-trace-out f       write the hierarchical phase-timing tree to f
 //	                   ("-" for stdout)
 //	-v                 verbose: list every bug with its verdict
+//	-cpuprofile f      write a CPU profile of the verification run to f
+//	-memprofile f      write an allocation profile of the run to f
+//	                   (go tool pprof -sample_index=alloc_space)
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime/pprof"
 
 	"bf4/internal/analysis"
 	"bf4/internal/driver"
@@ -81,6 +85,8 @@ func main() {
 		traceOut    = flag.String("trace-out", "", "write the hierarchical phase-timing tree to this file (\"-\" for stdout)")
 		check       = flag.String("check", "", "enable extra bug classes: iflow adds information-flow leak checks (sensitive data reaching egress-visible sinks); assert compiles user @assert/@assume properties (source comments plus -prop-spec) into the verified set")
 		propSpec    = flag.String("prop-spec", "", "with -check=assert: read additional @assert/@assume properties from this .props spec file")
+		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile of the verification run to this file")
+		memProfile  = flag.String("memprofile", "", "write an allocation profile of the verification run to this file")
 	)
 	flag.Parse()
 
@@ -143,7 +149,9 @@ func main() {
 		cfg.Trace = obs.StartSpan(name)
 	}
 
+	stopProfiles := startProfiles(*cpuProfile, *memProfile)
 	res, err := driver.Run(name, src, cfg)
+	stopProfiles()
 	if err != nil {
 		fatalf("bf4: %v", err)
 	}
@@ -238,6 +246,44 @@ func main() {
 	}
 	if *traceOut != "" {
 		writeOut(*traceOut, []byte(cfg.Trace.RenderString()))
+	}
+}
+
+// startProfiles starts a CPU profile into cpuPath and returns the function
+// that ends it and writes the allocation profile (every allocation since
+// process start, sampled) to memPath; an empty path skips that profile.
+func startProfiles(cpuPath, memPath string) (stop func()) {
+	create := func(path string) *os.File {
+		f, err := os.Create(path)
+		if err != nil {
+			fatalf("bf4: %v", err)
+		}
+		return f
+	}
+	finish := func(f *os.File, err error) {
+		if err == nil {
+			err = f.Close()
+		}
+		if err != nil {
+			fatalf("bf4: write %s: %v", f.Name(), err)
+		}
+	}
+	var cpu *os.File
+	if cpuPath != "" {
+		cpu = create(cpuPath)
+		if err := pprof.StartCPUProfile(cpu); err != nil {
+			fatalf("bf4: %v", err)
+		}
+	}
+	return func() {
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			finish(cpu, nil)
+		}
+		if memPath != "" {
+			f := create(memPath)
+			finish(f, pprof.Lookup("allocs").WriteTo(f, 0))
+		}
 	}
 }
 

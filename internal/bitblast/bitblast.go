@@ -40,17 +40,36 @@ func New(f *smt.Factory, s *sat.Solver) *Context {
 	}
 }
 
-// Fork returns an independent copy of c over a Clone of its solver
-// (Solver returns it): every memoized literal means in the copy what it
-// means in c, and blasting into one never shows in the other. The term
-// memos are copied; the bit-vector literal slices they point at are never
-// written after creation, so the two contexts share them.
-func (c *Context) Fork() *Context {
-	fc := *c
-	fc.s = c.s.Clone()
-	fc.lit = maps.Clone(c.lit)
-	fc.bv = maps.Clone(c.bv)
-	return &fc
+// Fork returns an independent copy of c: CopyFrom into a new context.
+func (c *Context) Fork() *Context { return new(Context).CopyFrom(c) }
+
+// CopyFrom overwrites c with an independent copy of src over a copy of its
+// solver (Solver returns it), reusing c's solver and memo tables where it
+// has them: every memoized literal means in the copy what it means in src,
+// and blasting into one never shows in the other. The term memos are
+// copied; the bit-vector literal slices they point at are never written
+// after creation, so the two contexts share them.
+func (c *Context) CopyFrom(src *Context) *Context {
+	s, lit, bv := c.s, c.lit, c.bv
+	if s == nil {
+		s, lit, bv = new(sat.Solver), make(map[*smt.Term]sat.Lit, len(src.lit)), make(map[*smt.Term][]sat.Lit, len(src.bv))
+	}
+	clear(lit)
+	clear(bv)
+	maps.Copy(lit, src.lit)
+	maps.Copy(bv, src.bv)
+	*c = *src
+	c.s, c.lit, c.bv = s.CopyFrom(src.s), lit, bv
+	return c
+}
+
+// Reset empties c — solver and memos — for terms of f, keeping what memory
+// they hold: c is then what New(f, sat.New()) returns.
+func (c *Context) Reset(f *smt.Factory) *Context {
+	clear(c.lit)
+	clear(c.bv)
+	*c = Context{f: f, s: c.s.Reset(), lit: c.lit, bv: c.bv}
+	return c
 }
 
 func (c *Context) ensureConsts() {

@@ -9,7 +9,6 @@ package core
 import (
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"bf4/internal/cfg"
@@ -18,6 +17,7 @@ import (
 	"bf4/internal/p4/ast"
 	"bf4/internal/p4/parser"
 	"bf4/internal/p4/types"
+	"bf4/internal/pool"
 	"bf4/internal/slice"
 	"bf4/internal/smt"
 	"bf4/internal/solver"
@@ -236,6 +236,10 @@ type FindOptions struct {
 	// each on its own goroutine; values < 1 mean one. Verdicts do not depend
 	// on it, witness models may (see checkNodes).
 	Workers int
+	// Solvers, when non-nil, is the run's solver pool: the shards are built
+	// in solvers it has idle, and whoever ends up owning Report.Shards may
+	// Put them back once no check will run on them again.
+	Solvers *solver.Pool
 	// Obs and Trace attach observability: the whole phase is one child
 	// span of Trace (annotated with check/reachable/discharged counts),
 	// the bug-check solvers publish their per-query telemetry to Obs (see
@@ -280,7 +284,7 @@ func (pl *Pipeline) FindBugsWith(opts FindOptions) *Report {
 		}
 	}
 
-	checks, shards := pl.checkNodes(queue, opts.Workers, opts.Obs, "findbugs")
+	checks, shards := pl.checkNodes(queue, opts.Workers, opts.Solvers, opts.Obs, "findbugs")
 	rep.Shards = shards
 	for i, c := range checks {
 		b := queued[i]
@@ -338,29 +342,24 @@ type nodeCheck struct {
 // (models may differ across counts). A worker is a cold solver that blasts
 // nearly the whole program for its first check and holds that CNF from then
 // on, so no more are started than one per checksPerShard nodes. The
-// workers' solvers are returned in worker order; there is always at least
-// one, even for an empty node list.
-func (pl *Pipeline) checkNodes(nodes []*ir.Node, workers int, reg *obs.Registry, phase string) ([]nodeCheck, []*solver.Solver) {
+// workers' solvers, taken from solvers (nil: allocated), are returned in
+// worker order; there is always at least one, even for an empty node list.
+// A panic inside a check is re-raised here, on the caller's goroutine.
+func (pl *Pipeline) checkNodes(nodes []*ir.Node, workers int, solvers *solver.Pool, reg *obs.Registry, phase string) ([]nodeCheck, []*solver.Solver) {
 	workers = max(1, min(workers, (len(nodes)+checksPerShard-1)/checksPerShard))
 	out := make([]nodeCheck, len(nodes))
-	solvers := make([]*solver.Solver, workers)
-	var wg sync.WaitGroup
-	for w := range solvers {
-		s := solver.New(pl.IR.F)
+	shards := make([]*solver.Solver, workers)
+	pool.ForEach(workers, workers, func(w int) {
+		s := solvers.New(pl.IR.F)
 		s.SetObs(reg)
-		solvers[w] = s
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			name := ShardName(w)
-			for i := w; i < len(nodes); i += workers {
-				s.Tag(phase, name, nodes[i].ID)
-				out[i] = checkCond(s, pl.Reach.Cond[nodes[i]])
-			}
-		}(w)
-	}
-	wg.Wait()
-	return out, solvers
+		shards[w] = s
+		name := ShardName(w)
+		for i := w; i < len(nodes); i += workers {
+			s.Tag(phase, name, nodes[i].ID)
+			out[i] = checkCond(s, pl.Reach.Cond[nodes[i]])
+		}
+	})
+	return out, shards
 }
 
 // checksPerShard is the share of a check list that earns a solver of its

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -256,4 +257,30 @@ func TestDescriptionsAreInformative(t *testing.T) {
 			t.Errorf("weak description: %q", d)
 		}
 	}
+}
+
+// TestShardPanicReachesTheCaller: a panic inside one shard's check — here a
+// reachability condition that is no boolean, which the bit-blaster refuses —
+// comes up in the goroutine that asked for the checks, after the other
+// shards have finished, where a caller's recover (bf4 lint's, the
+// experiments') sees it. From a bare goroutine it would end the process.
+func TestShardPanicReachesTheCaller(t *testing.T) {
+	pl, err := Compile(natSrc, ir.DefaultOptions(), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var nodes []*ir.Node
+	for len(nodes) < 2*checksPerShard {
+		nodes = append(nodes, pl.IR.Bugs...)
+	}
+	bad := nodes[len(nodes)-1]
+	pl.Reach.Cond[bad] = pl.IR.F.BVVar("not-a-condition", 8)
+	defer func() {
+		if r := recover(); r == nil {
+			t.Fatal("checkNodes returned from a check that panicked")
+		} else if !strings.Contains(fmt.Sprint(r), "not-a-condition") {
+			t.Fatalf("recovered %v, want the bit-blaster's refusal of the bad condition", r)
+		}
+	}()
+	pl.checkNodes(nodes, 2, nil, nil, "test")
 }

@@ -82,7 +82,7 @@ func (pl *Pipeline) ConfirmNodes(nodes []*ir.Node, opts ConfirmOptions, phase st
 	sp, done := obs.StartPhase(opts.Obs, opts.Trace, phase)
 	defer done()
 
-	checks, _ := pl.checkNodes(nodes, opts.Workers, opts.Obs, phase)
+	checks, _ := pl.checkNodes(nodes, opts.Workers, nil, opts.Obs, phase)
 	out := make([]*CheckVerdict, len(nodes))
 	confirmed := 0
 	for i, c := range checks {

@@ -23,14 +23,15 @@ import (
 	"bf4/internal/p4/parser"
 	"bf4/internal/p4/types"
 	"bf4/internal/pool"
+	"bf4/internal/solver"
 	"bf4/internal/spec"
 )
 
 // Config selects pipeline options for a run.
 type Config struct {
 	IR ir.Options
-	// Infer's ablation switches; its Workers, Obs and Trace are Run's to
-	// set, from the fields below.
+	// Infer's ablation switches; its Workers, Solvers, Obs and Trace are
+	// Run's to set.
 	Infer infer.Options
 	// Slicing enables bug-reachability slicing (paper default: on).
 	Slicing bool
@@ -131,6 +132,10 @@ func Run(name, src string, cfg Config) (*Result, error) {
 	start := time.Now()
 	cfg.Infer.Workers = cfg.Workers
 	cfg.Infer.Obs = cfg.Obs
+	// The run's solver memory: what one round is done with, the next
+	// overwrites. It lives as long as this call — a pool outliving a run
+	// would make a second run in the process warmer than a user's only one.
+	cfg.Infer.Solvers = solver.NewPool(cfg.Obs)
 	res := &Result{Name: name, LoC: countLoC(src)}
 
 	keys := map[string][]string{}
@@ -232,19 +237,20 @@ func round(n int, src string, cfg Config) (turn, error) {
 	_, done = obs.StartPhase(cfg.Obs, parent, "analysis")
 	ar := analysis.Run(pl.IR, pl.AST)
 	done()
-	rep := pl.FindBugsWith(core.FindOptions{Skip: ar.Discharge, Workers: pool.Workers(cfg.Workers), Obs: cfg.Obs, Trace: parent})
+	rep := pl.FindBugsWith(core.FindOptions{Skip: ar.Discharge, Workers: pool.Workers(cfg.Workers), Solvers: cfg.Infer.Solvers, Obs: cfg.Obs, Trace: parent})
 
 	sp, done = phase("inference")
 	cfg.Infer.Trace = sp
 	inf := infer.Run(pl, rep, cfg.Infer)
 	done()
-	// The bug solvers have answered their last recheck. Let go of them now:
-	// the next round brings its own, and the peak of a run is that round's
-	// inference, which would otherwise carry this one's CNFs underneath.
+	// The bug solvers have answered their last recheck and nothing else
+	// holds them: they go back to the run's pool, where the next round's
+	// shards and bases are built in their arrays.
+	cfg.Infer.Solvers.Put(rep.Shards...)
 	rep.Shards = nil
 
 	_, done = phase("fixes")
-	fx := fixes.Run(pl, inf.Uncontrolled)
+	fx := fixes.Run(pl, inf.Uncontrolled, cfg.Workers)
 	done()
 	return turn{pl, ar, rep, inf, fx}, nil
 }

@@ -2,7 +2,9 @@ package driver
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"bf4/internal/obs"
@@ -110,6 +112,55 @@ func TestObservabilityPreservesVerdicts(t *testing.T) {
 					t.Errorf("check without size or time: %+v", c)
 				}
 			}
+		})
+	}
+}
+
+// TestRunOwnsItsSolvers: a run's recycled solver memory is its own. The
+// same programs verified with 1, 2 and 4 workers, and twice at the same
+// time on two goroutines (each Run with its own pool; run under -race),
+// give the verdicts, fixed source and annotation file of the first run,
+// and the registry says the rebuild round was served from what round 0
+// put back.
+func TestRunOwnsItsSolvers(t *testing.T) {
+	for _, name := range []string{"simple_nat", "heavy_hitter_2", "netchain_16"} {
+		t.Run(name, func(t *testing.T) {
+			src := progs.Get(name).Source
+			render := func(workers int, reg *obs.Registry) string {
+				cfg := DefaultConfig()
+				cfg.Workers, cfg.Obs = workers, reg
+				res, err := Run(name, src, cfg)
+				if err != nil {
+					t.Error(err)
+					return ""
+				}
+				data, err := res.Spec().Marshal()
+				if err != nil {
+					t.Error(err)
+				}
+				return fmt.Sprintf("bugs=%d afterInfer=%d afterFixes=%d keys=%d rounds=%d\n%s\n%s",
+					res.Bugs, res.BugsAfterInfer, res.BugsAfterFixes, res.KeysAdded, res.Rounds, res.FixedSource, data)
+			}
+			reg := obs.NewRegistry()
+			want := render(1, reg)
+			if !strings.Contains(want, "rounds=1") {
+				t.Fatalf("no rebuild round: nothing is recycled across rounds\n%s", want)
+			}
+			fresh, recycled := reg.CounterValue("bf4_solver_fresh_total"), reg.CounterValue("bf4_solver_recycled_total")
+			if fresh == 0 || fresh > 7 || recycled == 0 {
+				t.Errorf("one worker allocated %d solvers and recycled %d: a shard and two bases serve both rounds, two forks every instance of a round", fresh, recycled)
+			}
+			var wg sync.WaitGroup
+			for _, workers := range []int{2, 4, 2, 4} {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					if got := render(workers, nil); got != want {
+						t.Errorf("workers=%d, beside another run: output differs from workers=1 alone:\n--- j1:\n%s--- j%d:\n%s", workers, want, workers, got)
+					}
+				}()
+			}
+			wg.Wait()
 		})
 	}
 }

@@ -16,6 +16,7 @@ import (
 
 	"bf4/internal/core"
 	"bf4/internal/ir"
+	"bf4/internal/pool"
 	"bf4/internal/slice"
 	"bf4/internal/smt"
 )
@@ -79,13 +80,26 @@ func (r *Result) TotalKeys() int {
 // TablesTouched counts tables receiving at least one key.
 func (r *Result) TablesTouched() int { return len(r.Keys) }
 
-// Run proposes fixes for every uncontrolled bug.
-func Run(pl *core.Pipeline, uncontrolled []*core.Bug) *Result {
+// Run proposes fixes for every uncontrolled bug. The per-bug dataflow runs
+// (TableKeys: pure functions of the pipeline) go out to at most workers
+// goroutines; their answers are merged in bug order, so the result does not
+// depend on the count.
+func Run(pl *core.Pipeline, uncontrolled []*core.Bug, workers int) *Result {
 	res := &Result{Keys: map[string][]string{}}
 	seen := map[string]map[string]bool{}
 	egressSuggested := false
 
-	for _, b := range uncontrolled {
+	type proposal struct {
+		keys []string
+		ok   bool
+	}
+	proposals := pool.Map(workers, len(uncontrolled), func(i int) (p proposal) {
+		if b := uncontrolled[i]; b.Kind != ir.BugEgressSpecNotSet && b.Instance != nil {
+			p.keys, p.ok = TableKeys(pl, b, b.Instance)
+		}
+		return p
+	})
+	for i, b := range uncontrolled {
 		if b.Kind == ir.BugEgressSpecNotSet {
 			if !egressSuggested {
 				res.Special = append(res.Special,
@@ -99,7 +113,7 @@ func Run(pl *core.Pipeline, uncontrolled []*core.Bug) *Result {
 			res.Unfixable = append(res.Unfixable, b)
 			continue
 		}
-		keys, ok := TableKeys(pl, b, b.Instance)
+		keys, ok := proposals[i].keys, proposals[i].ok
 		if !ok || len(keys) == 0 {
 			res.Unfixable = append(res.Unfixable, b)
 			continue

@@ -75,7 +75,7 @@ func TestRunProposesValidityKey(t *testing.T) {
 	if len(unc) == 0 {
 		t.Fatal("expected uncontrolled bugs")
 	}
-	res := Run(pl, unc)
+	res := Run(pl, unc, 2)
 	keys := res.Keys["ipv4_lpm"]
 	found := false
 	for _, k := range keys {
@@ -93,7 +93,7 @@ func TestRunProposesValidityKey(t *testing.T) {
 
 func TestEgressSpecSpecialCase(t *testing.T) {
 	pl, unc := uncontrolledBugs(t, natSrc)
-	res := Run(pl, unc)
+	res := Run(pl, unc, 2)
 	if len(res.Special) == 0 {
 		t.Fatal("expected the egress-spec suggestion")
 	}
@@ -112,7 +112,7 @@ func TestEgressSpecSpecialCase(t *testing.T) {
 
 func TestDescribeMentionsEverything(t *testing.T) {
 	pl, unc := uncontrolledBugs(t, natSrc)
-	res := Run(pl, unc)
+	res := Run(pl, unc, 2)
 	d := res.Describe()
 	if !strings.Contains(d, "ipv4_lpm") || !strings.Contains(d, "suggestion:") {
 		t.Fatalf("Describe() = %q", d)
@@ -149,7 +149,7 @@ V1Switch(P(), Ing()) main;
 	if len(unc) == 0 {
 		t.Fatal("expected an uncontrolled bug")
 	}
-	res := Run(pl, unc)
+	res := Run(pl, unc, 2)
 	if len(res.Unfixable) == 0 {
 		t.Fatal("dataplane bug (no dominating table) must be unfixable")
 	}
@@ -196,7 +196,7 @@ control Ing(inout headers hdr, inout metadata meta,
 V1Switch(P(), Ing()) main;
 `
 	pl, unc := uncontrolledBugs(t, src)
-	res := Run(pl, unc)
+	res := Run(pl, unc, 2)
 	keys := res.Keys["t"]
 	joined := strings.Join(keys, ",")
 	// x itself must not be a key (killed); its inputs y/z (via the h

@@ -87,6 +87,12 @@ type Options struct {
 	// goroutines) and results are merged in a fixed instance order, so
 	// Run's output is identical for every worker count.
 	Workers int
+	// Solvers, when non-nil, is the run's solver pool: the two bases are
+	// built in solvers it has idle and Put back when the fan-out has
+	// returned, for the next round to build its own in. (The forks recycle
+	// among themselves, in a pool of the fan-out's own.) The report's shards
+	// are not Run's to put back: its caller owns them.
+	Solvers *solver.Pool
 	// Obs, when non-nil, receives phase timings, pool utilization and
 	// per-query solver telemetry; Trace parents the phase spans. Both
 	// default nil, and the inference output — assertions, controlled set,
@@ -198,11 +204,21 @@ func Run(pl *core.Pipeline, rep *core.Report, opts Options) *Result {
 			a     *Assertion
 			calls int
 		}
+		// A fork is wanted again by the fan-out's next instance and by
+		// nothing after it, so the forks' pool is the fan-out's own: an
+		// instance copies the bases into the pair an earlier one put back,
+		// two pairs a worker at most exist, and none of them is held while
+		// the round's other phases and the next round's compile run. Which
+		// pair a worker is handed depends on scheduling; what is in it
+		// after CopyFrom does not.
+		forks := solver.NewPool(opts.Obs)
 		outs := pool.ObservedMap(opts.Obs, "infer", workers, len(insts), func(i int) inferOut {
 			var out inferOut
-			out.a = inferShared(pl, dualBase, directBase, insts[i], byInstance[insts[i]], opts, &out.calls)
+			out.a = inferShared(pl, forks, dualBase, directBase, insts[i], byInstance[insts[i]], &out.calls)
 			return out
 		})
+		forks.Release()
+		opts.Solvers.Put(dualBase, directBase)
 		for _, o := range outs {
 			res.InferCalls += o.calls
 			if o.a != nil && len(o.a.Forbidden) > 0 {
@@ -426,7 +442,8 @@ func regionNodes(p *ir.Program, inst *ir.TableInstance) []*ir.Node {
 // builds them once for all.
 func Infer(pl *core.Pipeline, inst *ir.TableInstance, bugs []*core.Bug, opts Options, calls *int) *Assertion {
 	dual, direct := warmBases(pl, bugs, opts)
-	return inferShared(pl, dual, direct, inst, bugs, opts, calls)
+	defer opts.Solvers.Put(dual, direct)
+	return inferShared(pl, nil, dual, direct, inst, bugs, calls)
 }
 
 // warmBases builds the two solvers every Infer instance of a round starts
@@ -446,7 +463,7 @@ func Infer(pl *core.Pipeline, inst *ir.TableInstance, bugs []*core.Bug, opts Opt
 func warmBases(pl *core.Pipeline, bugs []*core.Bug, opts Options) (dual, direct *solver.Solver) {
 	f := pl.IR.F
 	bases := pool.Map(opts.Workers, 2, func(i int) *solver.Solver {
-		s := solver.New(f)
+		s := opts.Solvers.New(f)
 		s.SetObs(opts.Obs)
 		s.SetRewrite(nil)
 		s.Tag("inferbase", [2]string{"dual", "direct"}[i], -1)
@@ -470,12 +487,13 @@ func warmBases(pl *core.Pipeline, bugs []*core.Bug, opts Options) (dual, direct 
 }
 
 // inferShared runs Algorithm 1 for one instance on private forks of the
-// round's bases (see warmBases), which it only reads: the dual fork holds
-// the OK formula, the direct fork has the bug conditions blasted and
-// receives the instance's BUG disjunction. The assert point's reachability
+// round's bases (see warmBases), which it only reads. The forks come from
+// the pool forks (nil: are allocated) and go back to it on return: the dual
+// fork holds the OK formula, the direct fork has the bug conditions blasted
+// and receives the instance's BUG disjunction. The assert point's reachability
 // condition is passed as an extra assumption and filtered out of the unsat
 // core, so the resulting cubes range over control-variable atoms only.
-func inferShared(pl *core.Pipeline, dualBase, directBase *solver.Solver, inst *ir.TableInstance, bugs []*core.Bug, opts Options, calls *int) *Assertion {
+func inferShared(pl *core.Pipeline, forks *solver.Pool, dualBase, directBase *solver.Solver, inst *ir.TableInstance, bugs []*core.Bug, calls *int) *Assertion {
 	f := pl.IR.F
 	atoms := atomsFor(pl, inst)
 	if len(atoms) == 0 {
@@ -495,7 +513,8 @@ func inferShared(pl *core.Pipeline, dualBase, directBase *solver.Solver, inst *i
 		return nil
 	}
 
-	dual, direct := dualBase.Fork(), directBase.Fork()
+	dual, direct := forks.Fork(dualBase), forks.Fork(directBase)
+	defer forks.Put(dual, direct)
 	dual.Tag("infer", inst.Name()+"/dual", -1)
 	direct.Tag("infer", inst.Name()+"/direct", -1)
 	direct.Assert(bug)

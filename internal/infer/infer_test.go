@@ -2,6 +2,7 @@ package infer
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"bf4/internal/core"
@@ -235,6 +236,21 @@ func TestAssertionSources(t *testing.T) {
 // condition — are replayed through forks of the round's bases and through
 // solvers built from nothing, and must get the same sat/unsat answers.
 func TestForkMatchesFreshOnCorpus(t *testing.T) {
+	// Every fork below is taken from a pool whose idle solvers have another
+	// program's whole life behind them: its shards, with their bug checks
+	// and rechecks, and the bases of its inference.
+	recycled := solver.NewPool(nil)
+	{
+		pl, err := core.Compile(natSrc, ir.DefaultOptions(), true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep := pl.FindBugsWith(core.FindOptions{Workers: 2, Solvers: recycled})
+		dirtying := DefaultOptions()
+		dirtying.Solvers = recycled
+		Run(pl, rep, dirtying)
+		recycled.Put(rep.Shards...)
+	}
 	queries := 0
 	for _, p := range progs.All() {
 		if p.Name == "switch" {
@@ -263,8 +279,11 @@ func TestForkMatchesFreshOnCorpus(t *testing.T) {
 				if len(bugs) == 0 || reachAP == nil {
 					continue
 				}
-				var calls int
-				a := inferShared(pl, dualBase, directBase, inst, bugs, opts, &calls)
+				var calls, pooledCalls int
+				a := inferShared(pl, nil, dualBase, directBase, inst, bugs, &calls)
+				if b := inferShared(pl, recycled, dualBase, directBase, inst, bugs, &pooledCalls); !reflect.DeepEqual(a, b) || calls != pooledCalls {
+					t.Errorf("%s: Infer on recycled forks took %d calls to %v, on allocated ones %d calls to %v", inst.Name(), pooledCalls, b, calls, a)
+				}
 				if a == nil {
 					continue
 				}
@@ -280,7 +299,7 @@ func TestForkMatchesFreshOnCorpus(t *testing.T) {
 					}
 				}
 
-				directFork, directFresh := directBase.Fork(), solver.New(f)
+				directFork, directFresh := recycled.Fork(directBase), solver.New(f)
 				directFresh.SetRewrite(nil)
 				directFork.Assert(bug)
 				directFresh.Assert(bug)
@@ -291,7 +310,7 @@ func TestForkMatchesFreshOnCorpus(t *testing.T) {
 				}
 				same("direct after every cube", directFork.Check(), directFresh.Check())
 
-				dualFork, dualFresh := dualBase.Fork(), solver.New(f)
+				dualFork, dualFresh := recycled.Fork(dualBase), solver.New(f)
 				dualFresh.SetRewrite(nil)
 				dualFresh.Assert(ok)
 				for i, cube := range a.Forbidden {
@@ -306,6 +325,7 @@ func TestForkMatchesFreshOnCorpus(t *testing.T) {
 						same("dual under "+lit.String(), dualFork.Check(lit, reachAP), dualFresh.Check(lit, reachAP))
 					}
 				}
+				recycled.Put(directFork, dualFork)
 			}
 		})
 	}

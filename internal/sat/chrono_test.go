@@ -223,21 +223,29 @@ func TestDeepTrailKeepsAssignment(t *testing.T) {
 }
 
 // FuzzSolve drives small incremental sessions at a fuzzed threshold: the
-// first byte picks it, the rest is a CNF over at most 14 variables, then
-// per round a few assumptions and a few more clauses. Every verdict must
-// match brute force, every model satisfy clauses and assumptions, every
-// core be a subset of the assumptions that is unsatisfiable on its own;
-// arena and watch invariants hold after every call, trail invariants after
-// every backtrack.
+// first byte picks it and how the solver of a session is come by (the
+// recycling byte: data[0]/3%3 is 0 for one session on a new solver, 1 for a
+// second session after Reset of the first one's solver, 2 for a second
+// session after CopyFrom(New()) into it); a session is a CNF over at most
+// 14 variables, then per round a few assumptions and a few more clauses.
+// Every verdict must match brute force, every model satisfy clauses and
+// assumptions, every core be a subset of the assumptions that is
+// unsatisfiable on its own; arena and watch invariants hold after every
+// call — the first Solve on a recycled solver included — and trail
+// invariants after every backtrack.
 func FuzzSolve(f *testing.F) {
 	f.Add([]byte{0, 5, 0x12, 0x35, 0x71, 0x24, 0x93, 0x58, 0x16, 0x47, 0x82, 0x39, 0x61, 0x75})
 	f.Add([]byte{1, 14, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 255, 254, 253, 252, 251, 250, 17, 34, 51, 68, 85, 102})
 	f.Add([]byte{2, 3, 1, 2, 3})
+	f.Add([]byte{3, 6, 5, 0x12, 0x35, 0x71, 0x24, 0x93, 0x58, 0x16, 0x47, 0x82, 1, 4, 0, 2, 3, 0, 0, 0, 0, 9, 7, 0x21, 0x43, 0x65, 0x87, 0x19, 0x3b, 0x5d, 0x7f, 0x22, 0x46, 2, 5, 8})
+	f.Add([]byte{8, 13, 3, 1, 2, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 4, 30, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 255, 254, 253, 252, 251, 250, 17, 34, 51, 68, 85, 102})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 2 {
 			return
 		}
-		s := chronoSolver(t, []int{0, 1, chronoThreshold}[int(data[0])%3])
+		threshold := []int{0, 1, chronoThreshold}[int(data[0])%3]
+		recycle := int(data[0]) / 3 % 3
+		s := chronoSolver(t, threshold)
 		nVars := 2 + int(data[1])%13
 		data = data[2:]
 		next := func() int {
@@ -248,54 +256,74 @@ func FuzzSolve(f *testing.F) {
 			data = data[1:]
 			return int(b)
 		}
-		lit := func() Lit { b := next(); return MkLit(Var(b>>1%nVars), b&1 == 1) }
-		var cnf [][]Lit
-		addClauses := func(n int) {
-			for ; n > 0 && len(data) > 0; n-- {
-				cl := make([]Lit, 1+next()%3)
-				for i := range cl {
-					cl[i] = lit()
+		for session := 0; session < 2; session++ {
+			if session == 1 {
+				switch recycle {
+				case 0:
+					return
+				case 1:
+					s.Reset()
+				case 2:
+					s.CopyFrom(New())
 				}
-				cnf = append(cnf, cl)
-				s.AddClause(cl...)
+				s.chrono = threshold
+				s.afterBacktrack = func(s *Solver) { checkTrailInvariants(t, s) }
+				nVars = 2 + next()%13
 			}
-		}
-		unit := func(l Lit) []Lit { return []Lit{l} }
-		addClauses(4 + next()%40)
-		for round := 0; round < 4; round++ {
-			assumptions := make([]Lit, next()%4)
-			for i := range assumptions {
-				assumptions[i] = lit()
-			}
-			withAssumptions := slices.Clone(cnf)
-			for _, a := range assumptions {
-				withAssumptions = append(withAssumptions, unit(a))
-			}
-			res := s.Solve(assumptions...)
-			checkInvariants(t, s)
-			if want := bruteForce(nVars, withAssumptions); (res == Sat) != want || res == Unknown {
-				t.Fatalf("round %d: got %v under %v, brute force says sat=%v", round, res, assumptions, want)
-			}
-			if res == Sat {
-				for _, cl := range withAssumptions {
-					if !slices.ContainsFunc(cl, s.ValueLit) {
-						t.Fatalf("round %d: model violates %v (assumptions %v)", round, cl, assumptions)
-					}
-				}
-			} else {
-				core := slices.Clone(s.FailedAssumptions())
-				withCore := slices.Clone(cnf)
-				for _, a := range core {
-					if !slices.Contains(assumptions, a) {
-						t.Fatalf("round %d: core %v is not a subset of the assumptions %v", round, core, assumptions)
-					}
-					withCore = append(withCore, unit(a))
-				}
-				if bruteForce(nVars, withCore) {
-					t.Fatalf("round %d: core %v of %v is satisfiable", round, core, assumptions)
-				}
-			}
-			addClauses(next() % 4)
+			fuzzSession(t, s, nVars, next, func() bool { return len(data) > 0 })
 		}
 	})
+}
+
+// fuzzSession is one session of FuzzSolve on s, which is empty.
+func fuzzSession(t *testing.T, s *Solver, nVars int, next func() int, more func() bool) {
+	lit := func() Lit { b := next(); return MkLit(Var(b>>1%nVars), b&1 == 1) }
+	var cnf [][]Lit
+	addClauses := func(n int) {
+		for ; n > 0 && more(); n-- {
+			cl := make([]Lit, 1+next()%3)
+			for i := range cl {
+				cl[i] = lit()
+			}
+			cnf = append(cnf, cl)
+			s.AddClause(cl...)
+		}
+	}
+	unit := func(l Lit) []Lit { return []Lit{l} }
+	addClauses(4 + next()%40)
+	for round := 0; round < 4; round++ {
+		assumptions := make([]Lit, next()%4)
+		for i := range assumptions {
+			assumptions[i] = lit()
+		}
+		withAssumptions := slices.Clone(cnf)
+		for _, a := range assumptions {
+			withAssumptions = append(withAssumptions, unit(a))
+		}
+		res := s.Solve(assumptions...)
+		checkInvariants(t, s)
+		if want := bruteForce(nVars, withAssumptions); (res == Sat) != want || res == Unknown {
+			t.Fatalf("round %d: got %v under %v, brute force says sat=%v", round, res, assumptions, want)
+		}
+		if res == Sat {
+			for _, cl := range withAssumptions {
+				if !slices.ContainsFunc(cl, s.ValueLit) {
+					t.Fatalf("round %d: model violates %v (assumptions %v)", round, cl, assumptions)
+				}
+			}
+		} else {
+			core := slices.Clone(s.FailedAssumptions())
+			withCore := slices.Clone(cnf)
+			for _, a := range core {
+				if !slices.Contains(assumptions, a) {
+					t.Fatalf("round %d: core %v is not a subset of the assumptions %v", round, core, assumptions)
+				}
+				withCore = append(withCore, unit(a))
+			}
+			if bruteForce(nVars, withCore) {
+				t.Fatalf("round %d: core %v of %v is satisfiable", round, core, assumptions)
+			}
+		}
+		addClauses(next() % 4)
+	}
 }

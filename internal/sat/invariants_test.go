@@ -116,7 +116,13 @@ func checkCloneAgrees(t testing.TB, s, c *Solver) {
 // here after every incremental round, far more often than collectGarbage
 // would — changes no answer and no search counter, and leaves no waste.
 func TestCompactionKeepsTheTrace(t *testing.T) {
-	s, ref := New(), New()
+	for _, origin := range solverOrigins {
+		t.Run(origin.name, func(t *testing.T) { compactionKeepsTheTrace(t, origin.make) })
+	}
+}
+
+func compactionKeepsTheTrace(t *testing.T, newSolver func() *Solver) {
+	s, ref := newSolver(), New()
 	for round := 0; round < 40; round++ {
 		for _, x := range []*Solver{s, ref} {
 			incrementalRound(x, round)
@@ -144,7 +150,7 @@ func TestCompactionKeepsTheTrace(t *testing.T) {
 	// dead block larger than half the live clauses and compacts: each
 	// reason moves, and the search must still spend the pinned effort.
 	deep := pinnedTraces[4]
-	s = New()
+	s = newSolver()
 	for i := 0; i < 400; i++ {
 		s.AddClause(MkLit(500, false), MkLit(Var(501+i), false), MkLit(Var(502+i), false))
 		s.deleteClause(s.clauses[i])

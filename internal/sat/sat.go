@@ -185,6 +185,9 @@ type Solver struct {
 	clauses []int32
 	wasted  int         // dead arena words: deleted clauses and stripped literals
 	watches [][]watcher // indexed by Lit
+	// watchMem is the one array CopyFrom carved the watch lists from, kept
+	// for the next CopyFrom to carve them from again.
+	watchMem []watcher
 
 	assigns  []lbool // indexed by Var
 	level    []int32 // decision level of each assigned var
@@ -305,8 +308,74 @@ func (s *Solver) init() {
 	}
 }
 
+// Reset empties s and keeps its arrays: what follows — variables, clauses,
+// answers, search effort — is what it would be on New(), whatever s held
+// before. Every field is named here or zero, so one added later starts
+// zero rather than stale.
+func (s *Solver) Reset() *Solver {
+	*s = Solver{
+		arena: s.arena[:0], clauses: s.clauses[:0], watches: s.watches[:0],
+		watchMem: s.watchMem[:0],
+		assigns:  s.assigns[:0], level: s.level[:0], reason: s.reason[:0],
+		polarity: s.polarity[:0], activity: s.activity[:0], seen: s.seen[:0],
+		trail: s.trail[:0], trailLim: s.trailLim[:0],
+		heap:  varHeap{heap: s.heap.heap[:0], indices: s.heap.indices[:0]},
+		model: s.model[:0], conflictCs: s.conflictCs[:0],
+		addBuf: s.addBuf[:0], learntBuf: s.learntBuf[:0],
+	}
+	s.init()
+	return s
+}
+
+// The arrays grow by doubling from a first step small enough that a
+// hundred-variable solver pays nothing for it. append alone would grow a
+// large slice by a quarter at a time and so allocate five times its final
+// size on the way there; doubling allocates twice.
+const (
+	firstVars  = 64  // variables
+	firstWords = 512 // arena words; a quarter as many clause references
+)
+
+// regrow returns s with room for at least n elements, contents kept.
+func regrow[T any](s []T, n int) []T {
+	if cap(s) >= n {
+		return s
+	}
+	return append(make([]T, 0, n), s...)
+}
+
+// growVars makes room for n variables in every array indexed by variable
+// or literal, and in the trail and the heap, which hold each variable at
+// most once: they are always grown here, together, so none of them ever
+// grows on its own append.
+func (s *Solver) growVars(n int) {
+	s.assigns = regrow(s.assigns, n)
+	s.level = regrow(s.level, n)
+	s.reason = regrow(s.reason, n)
+	s.polarity = regrow(s.polarity, n)
+	s.activity = regrow(s.activity, n)
+	s.seen = regrow(s.seen, n)
+	s.watches = regrow(s.watches, 2*n)
+	s.trail = regrow(s.trail, n)
+	s.heap.heap = regrow(s.heap.heap, n)
+	s.heap.indices = regrow(s.heap.indices, n)
+}
+
 // NumVars returns the number of variables created so far.
 func (s *Solver) NumVars() int { return len(s.assigns) }
+
+// Bytes returns the size of the arrays s holds on to, used or not: what
+// keeping s around for reuse costs. (Watch lists that still lie in the
+// array CopyFrom carved them from are counted once, with it.)
+func (s *Solver) Bytes() int {
+	perVar := cap(s.assigns) + 4*cap(s.level) + 4*cap(s.reason) + cap(s.polarity) + 8*cap(s.activity) +
+		cap(s.seen) + 4*cap(s.trail) + 4*cap(s.heap.heap) + 8*cap(s.heap.indices) + cap(s.model)
+	watchers := 0
+	for _, ws := range s.watches {
+		watchers += cap(ws)
+	}
+	return 4*(cap(s.arena)+cap(s.clauses)) + perVar + 24*cap(s.watches) + 8*max(watchers, cap(s.watchMem))
+}
 
 // NumClauses returns the number of live problem (non-learnt) clauses.
 // The count is maintained incrementally on attach/delete, so per-check
@@ -333,6 +402,9 @@ func (s *Solver) Learned() int64 { return s.stats.Learned }
 func (s *Solver) NewVar() Var {
 	s.init()
 	v := Var(len(s.assigns))
+	if len(s.assigns) == cap(s.assigns) {
+		s.growVars(max(firstVars, 2*cap(s.assigns)))
+	}
 	s.assigns = append(s.assigns, lUndef)
 	s.level = append(s.level, 0)
 	s.reason = append(s.reason, -1)
@@ -352,50 +424,61 @@ func (s *Solver) SetPhase(v Var, phase bool) {
 	s.polarity[v] = !phase
 }
 
-// Clone returns a deep copy of s: clause database with learnt clauses,
-// watch lists, level-0 trail, activities, saved phases, heap order and
-// statistics. The copy shares no mutable memory with s, so the two may be
-// used from different goroutines, and it continues exactly as s would have.
-// Clone must be called at decision level 0 (between Solve calls).
-func (s *Solver) Clone() *Solver {
-	s.init()
-	if s.decisionLevel() != 0 {
-		panic("sat: Clone above decision level 0")
+// Clone returns a deep copy of s: CopyFrom into a new solver.
+func (s *Solver) Clone() *Solver { return new(Solver).CopyFrom(s) }
+
+// CopyFrom overwrites s with a deep copy of src — clause database with
+// learnt clauses, watch lists, level-0 trail, activities, saved phases,
+// heap order and statistics — and returns s. Nothing s held before shows
+// afterwards, but its arrays are written over in place where they are large
+// enough, so copying into a solver that is done with is a copy and not an
+// allocation. The copy shares no mutable memory with src, so the two may be
+// used from different goroutines, and it continues exactly as src would
+// have. src must be at decision level 0 (between Solve calls).
+func (s *Solver) CopyFrom(src *Solver) *Solver {
+	src.init()
+	if src.decisionLevel() != 0 {
+		panic("sat: CopyFrom above decision level 0")
 	}
-	c := *s
-	// The clause store is one copy.
-	c.arena = slices.Clone(s.arena)
-	c.clauses = slices.Clone(s.clauses)
+	buf := *s.Reset() // the receiver's arrays, emptied
+	// Where they are too small, the new ones get an eighth more than src
+	// fills: what a fork adds to its base — a few hundred variables, its
+	// learnt clauses — must not be what doubles every array.
+	room := func(n int) int { return n + n/8 }
+	buf.growVars(room(len(src.assigns)))
+	*s = *src
+	s.arena = append(regrow(buf.arena, room(len(src.arena))), src.arena...)
+	s.clauses = append(regrow(buf.clauses, room(len(src.clauses))), src.clauses...)
 	// One backing array for all watch lists, carved into full slices: the
 	// first append to a list moves it out of the shared array.
 	nWatches := 0
-	for _, ws := range s.watches {
+	for _, ws := range src.watches {
 		nWatches += len(ws)
 	}
-	watchers := make([]watcher, 0, nWatches)
-	c.watches = make([][]watcher, len(s.watches))
-	for i, ws := range s.watches {
-		start := len(watchers)
-		watchers = append(watchers, ws...)
-		c.watches[i] = watchers[start:len(watchers):len(watchers)]
+	s.watchMem = regrow(buf.watchMem, nWatches)
+	s.watches = buf.watches[:len(src.watches)]
+	for i, ws := range src.watches {
+		start := len(s.watchMem)
+		s.watchMem = append(s.watchMem, ws...)
+		s.watches[i] = s.watchMem[start:len(s.watchMem):len(s.watchMem)]
 	}
-	c.assigns = slices.Clone(s.assigns)
-	c.level = slices.Clone(s.level)
-	c.reason = slices.Clone(s.reason)
-	c.polarity = slices.Clone(s.polarity)
-	c.activity = slices.Clone(s.activity)
-	c.seen = slices.Clone(s.seen)
-	c.trail = slices.Clone(s.trail)
-	c.trailLim = nil
-	c.model = slices.Clone(s.model)
-	c.conflictCs = slices.Clone(s.conflictCs)
-	c.addBuf, c.learntBuf = nil, nil
-	c.heap = varHeap{
-		heap:     slices.Clone(s.heap.heap),
-		indices:  slices.Clone(s.heap.indices),
-		activity: &c.activity,
+	s.assigns = append(buf.assigns, src.assigns...)
+	s.level = append(buf.level, src.level...)
+	s.reason = append(buf.reason, src.reason...)
+	s.polarity = append(buf.polarity, src.polarity...)
+	s.activity = append(buf.activity, src.activity...)
+	s.seen = append(buf.seen, src.seen...)
+	s.trail = append(buf.trail, src.trail...)
+	s.trailLim = buf.trailLim
+	s.model = append(buf.model, src.model...)
+	s.conflictCs = append(buf.conflictCs, src.conflictCs...)
+	s.addBuf, s.learntBuf = buf.addBuf, buf.learntBuf
+	s.heap = varHeap{
+		heap:     append(buf.heap.heap, src.heap.heap...),
+		indices:  append(buf.heap.indices, src.heap.indices...),
+		activity: &s.activity,
 	}
-	return &c
+	return s
 }
 
 func (s *Solver) ensureVar(v Var) {
@@ -480,6 +563,12 @@ nextLit:
 func (s *Solver) attachClause(lits []Lit, learnt bool) int32 {
 	cref := mustCref(len(s.arena))
 	h := uint32(len(lits)) << sizeShift
+	if need := len(s.arena) + 3 + len(lits); need > cap(s.arena) {
+		s.arena = regrow(s.arena, max(firstWords, 2*cap(s.arena), need))
+	}
+	if len(s.clauses) == cap(s.clauses) {
+		s.clauses = regrow(s.clauses, max(firstWords/4, 2*cap(s.clauses)))
+	}
 	if learnt {
 		s.arena = append(s.arena, h|learntBit, 0, 0)
 		s.setClauseActivity(cref, s.claInc)

@@ -407,6 +407,33 @@ func BenchmarkSolveRandom3SAT(b *testing.B) {
 // search effort, because clauses, learnt clauses, activities, saved phases
 // and heap order all came along.
 func TestCloneContinuesIdentically(t *testing.T) {
+	for _, c := range copiers {
+		t.Run(c.name, func(t *testing.T) { cloneContinuesIdentically(t, c.copy) })
+	}
+}
+
+// copiers are the ways to a copy of a solver: Clone, and CopyFrom into a
+// solver with a life behind it (dirtySolver) that has more variables and
+// clauses than the original, or fewer.
+var copiers = []struct {
+	name string
+	copy func(s *Solver) *Solver
+}{
+	{"clone", (*Solver).Clone},
+	{"into-larger", func(s *Solver) *Solver { return dirtySolver(600).CopyFrom(s) }},
+	{"into-smaller", func(s *Solver) *Solver {
+		// Two variables: a model, a core, then refuted by a unit.
+		d := New()
+		d.AddClause(MkLit(0, false), MkLit(1, false))
+		d.AddClause(MkLit(0, true), MkLit(1, false))
+		if d.Solve() != Sat || d.Solve(MkLit(1, true)) != Unsat || d.AddClause(MkLit(1, true)) {
+			panic("into-smaller: the target is not dirty")
+		}
+		return d.CopyFrom(s)
+	}},
+}
+
+func cloneContinuesIdentically(t *testing.T, copyOf func(*Solver) *Solver) {
 	rng := rand.New(rand.NewSource(7))
 	const nVars = 40
 	s := newSolver()
@@ -421,7 +448,7 @@ func TestCloneContinuesIdentically(t *testing.T) {
 	if s.Conflicts() == 0 {
 		t.Fatal("warm-up solve hit no conflict: the clone would carry no learnt state")
 	}
-	c := s.Clone()
+	c := copyOf(s)
 	checkInvariants(t, c)
 	checkCloneAgrees(t, s, c)
 	for round := 0; round < 20; round++ {
@@ -454,13 +481,19 @@ func TestCloneContinuesIdentically(t *testing.T) {
 // TestCloneIsolated: clauses added to, and learnt by, a clone never show in
 // the original or in a sibling clone.
 func TestCloneIsolated(t *testing.T) {
+	for _, c := range copiers {
+		t.Run(c.name, func(t *testing.T) { cloneIsolated(t, c.copy) })
+	}
+}
+
+func cloneIsolated(t *testing.T, copyOf func(*Solver) *Solver) {
 	s := newSolver()
 	pigeonhole(s, 5, 5) // satisfiable
 	if got := s.Solve(); got != Sat {
 		t.Fatalf("base: got %v, want Sat", got)
 	}
 	vars, clauses, before := s.NumVars(), s.NumClauses(), s.StatsSnapshot()
-	a, b := s.Clone(), s.Clone()
+	a, b := copyOf(s), copyOf(s)
 	// a gets a sixth pigeon with nowhere to go; b pins pigeon 0 to hole 0.
 	extra := Var(a.NumVars())
 	var home []Lit

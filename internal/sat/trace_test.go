@@ -92,16 +92,68 @@ var pinnedTraces = []struct {
 	}, Sat, Stats{Conflicts: 5468, Propagations: 912570, Decisions: 5986, Restarts: 28, Learned: 5357, ChronoBacktracks: 5357, ForcedLiterals: 111, CancelledLiterals: 249818}},
 }
 
+// TestSearchTracePinned runs every trace on a solver from New and on the
+// two kinds of recycled solver (solverOrigins): the pinned effort is spent
+// on each, to the last propagation.
 func TestSearchTracePinned(t *testing.T) {
 	for _, tc := range pinnedTraces {
 		t.Run(tc.name, func(t *testing.T) {
-			s := New()
-			if got := tc.run(s); got != tc.res {
-				t.Errorf("result %v, pinned %v", got, tc.res)
-			}
-			if got := s.StatsSnapshot(); got != tc.want {
-				t.Errorf("search effort %+v, pinned %+v", got, tc.want)
+			for _, origin := range solverOrigins {
+				t.Run(origin.name, func(t *testing.T) {
+					s := origin.make()
+					if got := tc.run(s); got != tc.res {
+						t.Errorf("result %v, pinned %v", got, tc.res)
+					}
+					if got := s.StatsSnapshot(); got != tc.want {
+						t.Errorf("search effort %+v, pinned %+v", got, tc.want)
+					}
+					checkInvariants(t, s)
+				})
 			}
 		})
 	}
+}
+
+// dirtySolver returns a solver at the end of a life that has touched every
+// piece of state a next one could inherit: nVars variables under clauses
+// solved to a model, a failed-assumption core, learnt clauses and bumped
+// activities, saved phases, a level-0 trail that has been propagated
+// (qhead), a budget, a lowered threshold — and finally a refutation at
+// level 0, which leaves it not Okay.
+func dirtySolver(nVars int) *Solver {
+	s := New()
+	s.chrono = 0
+	for _, cl := range random3SAT(3, nVars, 3*nVars) {
+		s.AddClause(cl...)
+	}
+	s.Budget.Conflicts = 1 << 20
+	if s.Solve() != Sat || s.Solve(MkLit(0, false), MkLit(0, true)) != Unsat || s.Conflicts() == 0 {
+		panic("dirtySolver: no model, no core or nothing learnt")
+	}
+	// Pigeons on variables of their own: the refutation ends at level 0.
+	holes := Var(s.NumVars())
+	for p := Var(0); p < 5; p++ {
+		s.AddClause(MkLit(holes+4*p, false), MkLit(holes+4*p+1, false), MkLit(holes+4*p+2, false), MkLit(holes+4*p+3, false))
+		for q := Var(0); q < p; q++ {
+			for h := Var(0); h < 4; h++ {
+				s.AddClause(MkLit(holes+4*p+h, true), MkLit(holes+4*q+h, true))
+			}
+		}
+	}
+	if s.Solve() != Unsat || s.Okay() || s.qhead == 0 {
+		panic("dirtySolver: the pigeons fit")
+	}
+	return s
+}
+
+// solverOrigins are the ways a caller comes by an empty solver: New, Reset
+// of a used one, and CopyFrom an empty one into a used one. Everything the
+// package promises of the first holds of the other two.
+var solverOrigins = []struct {
+	name string
+	make func() *Solver
+}{
+	{"new", New},
+	{"reset", func() *Solver { return dirtySolver(300).Reset() }},
+	{"copied-over", func() *Solver { return dirtySolver(300).CopyFrom(New()) }},
 }

@@ -59,64 +59,62 @@ func wrt(p *ir.Program, targets []*ir.Node) (map[*ir.Node]bool, Stats) {
 	// a target, so branches in the region generate uses; an assignment
 	// contributes (keep) iff its variable is live-out, i.e. some later
 	// condition on a path to a target reads it. One reverse-topological
-	// pass suffices on the acyclic CFG.
-	topo := p.Topo()
-	liveIn := map[*ir.Node]map[*ir.Var]bool{}
+	// pass suffices on the acyclic CFG. A live set is a bitset over the
+	// program's variables in declaration order, one a node, never written
+	// again once it is the node's.
+	vars := p.VarList()
+	index := make(map[*ir.Var]int, len(vars))
+	for i, v := range vars {
+		index[v] = i
+	}
+	words := (len(vars) + 63) / 64
+	liveIn := map[*ir.Node][]uint64{}
 	keep := map[*ir.Node]bool{}
-	varsOf := func(e *smt.Term, into map[*ir.Var]bool) {
+	use := func(e *smt.Term, live []uint64) {
 		for _, vt := range e.Vars(nil) {
 			if v, ok := p.Vars[vt.Name()]; ok {
-				into[v] = true
+				live[index[v]/64] |= 1 << (index[v] % 64)
 			}
 		}
 	}
+	// kill reports whether n's variable was live and leaves it dead.
+	kill := func(n *ir.Node, live []uint64) bool {
+		w, bit := index[n.Var]/64, uint64(1)<<(index[n.Var]%64)
+		was := live[w]&bit != 0
+		live[w] &^= bit
+		return was
+	}
+	topo := p.Topo()
 	for i := len(topo) - 1; i >= 0; i-- {
 		n := topo[i]
 		if !canReach[n] {
 			continue
 		}
-		out := map[*ir.Var]bool{}
+		live := make([]uint64, words)
 		for _, s := range n.Succs {
-			if !canReach[s] {
-				continue
-			}
-			for v := range liveIn[s] {
-				out[v] = true
+			for w, bits := range liveIn[s] {
+				live[w] |= bits
 			}
 		}
-		in := out
 		switch n.Kind {
 		case ir.Branch:
-			in = cloneSet(out)
-			varsOf(n.Expr, in)
+			use(n.Expr, live)
 			keep[n] = true
 		case ir.Assign:
-			if out[n.Var] {
+			if kill(n, live) {
 				keep[n] = true
-				in = cloneSet(out)
-				delete(in, n.Var)
-				varsOf(n.Expr, in)
+				use(n.Expr, live)
 			}
 		case ir.Havoc:
-			if out[n.Var] {
+			if kill(n, live) {
 				keep[n] = true
-				in = cloneSet(out)
-				delete(in, n.Var)
 			}
 		case ir.AssertPoint:
 			keep[n] = true
 		}
-		liveIn[n] = in
+		liveIn[n] = live
 	}
 
 	stats.SliceInstructions = len(keep)
 	return keep, stats
-}
-
-func cloneSet(m map[*ir.Var]bool) map[*ir.Var]bool {
-	out := make(map[*ir.Var]bool, len(m)+4)
-	for k := range m {
-		out[k] = true
-	}
-	return out
 }

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"maps"
 	"math/big"
-	"slices"
 	"time"
 
 	"bf4/internal/bitblast"
@@ -144,39 +143,67 @@ func (s *Solver) SetObs(reg *obs.Registry) {
 // private term-level rewrite pass (internal/smt/rewrite) in front of the
 // bit-blaster.
 func New(f *smt.Factory) *Solver {
-	s := sat.New()
-	return &Solver{
-		f:       f,
-		sat:     s,
-		ctx:     bitblast.New(f, s),
+	s := &Solver{
+		ctx:     bitblast.New(f, sat.New()),
 		vars:    make(map[*smt.Term]bool),
 		varSeen: make(map[uint32]bool),
-		rewrite: rewrite.New(f).Rewrite,
-		tag:     obs.CheckRecord{Node: -1},
 	}
+	return s.Reset(f)
 }
 
-// Fork returns an independent copy of s: the same assertions, open scopes
-// and registered variables over a deep copy of the SAT state (clauses,
-// learnt clauses, activities, saved phases) and of the blasted-term memo.
-// Terms s has blasted cost the fork nothing, its first Check starts as
-// warm as s's next one would, and nothing done to either afterwards shows
-// in the other, so forks of one solver may run on different goroutines.
-// The installed metrics registry is shared (its counters are atomic); a
-// solver with a rewrite pass hands the fork a fresh one, since passes hold
-// private memos.
-func (s *Solver) Fork() *Solver {
-	fs := *s
-	fs.ctx = s.ctx.Fork()
-	fs.sat = fs.ctx.Solver()
-	fs.vars = maps.Clone(s.vars)
-	fs.varSeen = maps.Clone(s.varSeen)
-	fs.scopes = slices.Clone(s.scopes)
-	fs.lastCore = slices.Clone(s.lastCore)
-	if s.rewrite != nil {
-		fs.rewrite = rewrite.New(s.f).Rewrite
+// Reset empties s for terms of f, keeping the memory its SAT core and its
+// tables hold: every later call answers as it would on New(f). Every field
+// is named here or zero.
+func (s *Solver) Reset(f *smt.Factory) *Solver {
+	clear(s.vars)
+	clear(s.varSeen)
+	s.ctx.Reset(f)
+	*s = Solver{
+		f:        f,
+		sat:      s.ctx.Solver(),
+		ctx:      s.ctx,
+		vars:     s.vars,
+		varSeen:  s.varSeen,
+		rewrite:  rewrite.New(f).Rewrite,
+		tag:      obs.CheckRecord{Node: -1},
+		lastCore: s.lastCore[:0],
+		scopes:   s.scopes[:0],
 	}
-	return &fs
+	return s
+}
+
+// Fork returns an independent copy of s: CopyFrom into a new solver.
+func (s *Solver) Fork() *Solver { return new(Solver).CopyFrom(s) }
+
+// CopyFrom overwrites s with an independent copy of src and returns s: the
+// same assertions, open scopes and registered variables over a deep copy
+// of the SAT state (clauses, learnt clauses, activities, saved phases) and
+// of the blasted-term memo, written into the memory s already holds where
+// that is large enough. Terms src has blasted cost the copy nothing, its
+// first Check starts as warm as src's next one would, nothing s held before
+// shows, and nothing done to either afterwards shows in the other, so
+// copies of one solver may run on different goroutines. The installed
+// metrics registry is shared (its counters are atomic); a solver with a
+// rewrite pass hands the copy a fresh one, since passes hold private memos.
+func (s *Solver) CopyFrom(src *Solver) *Solver {
+	ctx, vars, varSeen, lastCore, scopes := s.ctx, s.vars, s.varSeen, s.lastCore, s.scopes
+	if ctx == nil {
+		ctx, vars, varSeen = new(bitblast.Context), make(map[*smt.Term]bool, len(src.vars)), make(map[uint32]bool, len(src.varSeen))
+	}
+	clear(vars)
+	clear(varSeen)
+	maps.Copy(vars, src.vars)
+	maps.Copy(varSeen, src.varSeen)
+	*s = *src
+	s.ctx = ctx.CopyFrom(src.ctx)
+	s.sat = s.ctx.Solver()
+	s.vars, s.varSeen = vars, varSeen
+	s.lastCore = append(lastCore[:0], src.lastCore...)
+	s.scopes = append(scopes[:0], src.scopes...)
+	if src.rewrite != nil {
+		s.rewrite = rewrite.New(src.f).Rewrite
+	}
+	return s
 }
 
 // Tag labels the checks that follow for the slowest-checks table
