@@ -185,7 +185,9 @@ func (ip *Interp) Run() (*Trace, error) {
 			continue
 		case ir.AssertPoint:
 			if ip.Snapshot != nil {
-				ip.applyTable(n.Instance, state, tr)
+				if err := ip.applyTable(n.Instance, state, tr); err != nil {
+					return nil, err
+				}
 			}
 		}
 		if len(n.Succs) == 0 {
@@ -219,8 +221,10 @@ func (ip *Interp) havocValue(n *ir.Node) *big.Int {
 
 // applyTable performs concrete matching and writes the chosen entry into
 // the instance's control variables, so the expansion's branches replay
-// the decision consistently.
-func (ip *Interp) applyTable(inst *ir.TableInstance, state smt.Env, tr *Trace) {
+// the decision consistently. An entry, or a runtime default, whose action
+// the table does not list has no branch to replay: that snapshot is not
+// one a switch can hold (the shim refuses the update), and it is an error.
+func (ip *Interp) applyTable(inst *ir.TableInstance, state smt.Env, tr *Trace) error {
 	t := inst.Table
 	keyVals := make([]*big.Int, len(inst.KeyTerms))
 	for j, kt := range inst.KeyTerms {
@@ -255,26 +259,24 @@ func (ip *Interp) applyTable(inst *ir.TableInstance, state smt.Env, tr *Trace) {
 		// there, as an entry matching this packet on every key (exact
 		// keys take the packet's values, masks are empty). What that
 		// cannot reproduce is `hit` reading false afterwards.
-		if _, listed := inst.ActIndex[d.Action]; listed {
-			e = &Entry{Action: d.Action, Params: d.Params}
-			for j, k := range t.Keys {
-				km := KeyMatch{Value: keyVals[j], PrefixLen: -1}
-				switch k.MatchKind {
-				case "ternary":
-					km.Mask = bigZero
-				case "lpm":
-					km.PrefixLen = 0
-				}
-				e.Keys = append(e.Keys, km)
+		e = &Entry{Action: d.Action, Params: d.Params}
+		for j, k := range t.Keys {
+			km := KeyMatch{Value: keyVals[j], PrefixLen: -1}
+			switch k.MatchKind {
+			case "ternary":
+				km.Mask = bigZero
+			case "lpm":
+				km.PrefixLen = 0
 			}
+			e.Keys = append(e.Keys, km)
 		}
 	}
 	if e != nil {
-		state.SetBool(inst.HitVar.Name, true)
 		idx, ok := inst.ActIndex[e.Action]
 		if !ok {
-			idx = 0
+			return fmt.Errorf("dataplane: table %s: the snapshot runs action %q, which the table does not list", t.Name, e.Action)
 		}
+		state.SetBool(inst.HitVar.Name, true)
 		state.SetUint64(inst.ActVar.Name, uint64(idx))
 		for j := range inst.KeyVars {
 			if j < len(e.Keys) {
@@ -306,6 +308,7 @@ func (ip *Interp) applyTable(inst *ir.TableInstance, state smt.Env, tr *Trace) {
 			}
 		}
 	}
+	return nil
 }
 
 // matchEntry reports whether the key values match the entry, returning a

@@ -2,6 +2,7 @@ package dataplane_test
 
 import (
 	"math/big"
+	"strings"
 	"testing"
 
 	"bf4/internal/core"
@@ -131,6 +132,28 @@ func TestSnapshotMissRunsDefault(t *testing.T) {
 	}
 	if got := tr.EgressSpec(); got != ir.DropSpec {
 		t.Fatalf("egress_spec = %d, want drop (%d)", got, ir.DropSpec)
+	}
+}
+
+// TestUnlistedActionIsAnError: a snapshot whose matched entry, or whose
+// runtime default, runs an action the table does not list has no branch in
+// the expansion. Run used to take the table's action 0 for such an entry,
+// whatever the snapshot said, and the declared default for such a default;
+// no test relied on either. It is an error naming table and action.
+func TestUnlistedActionIsAnError(t *testing.T) {
+	pl := compileNAT(t)
+	entry := dataplane.NewSnapshot()
+	entry.Insert("nat", &dataplane.Entry{
+		Keys:   []dataplane.KeyMatch{dataplane.NewExact(1), dataplane.NewTernary(0x0A000001, -1)},
+		Action: "bogus_action",
+	})
+	def := dataplane.NewSnapshot()
+	def.Defaults["nat"] = &dataplane.DefaultAction{Action: "bogus_action"}
+	for name, snap := range map[string]*dataplane.Snapshot{"entry": entry, "default": def} {
+		_, err := (&dataplane.Interp{P: pl.IR, Snapshot: snap, Inputs: ipv4Packet(0x0A000001, 64)}).Run()
+		if err == nil || !strings.Contains(err.Error(), "table nat") || !strings.Contains(err.Error(), `"bogus_action"`) {
+			t.Errorf("%s running bogus_action: Run = %v, want an error naming table and action", name, err)
+		}
 	}
 }
 

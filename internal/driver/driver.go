@@ -186,7 +186,7 @@ func Run(name, src string, cfg Config) (*Result, error) {
 	}
 
 	if res.Fixed != nil {
-		if fixedSrc, err := RewriteSource(src, res.Initial.Info, res.Fixes); err == nil {
+		if fixedSrc, err := RewriteSource(src, res.Fixes); err == nil {
 			res.FixedSource = fixedSrc
 		}
 	}
@@ -269,12 +269,12 @@ func countLoC(src string) int {
 // RewriteSource produces the fixed P4 program: the proposed keys are
 // appended to their tables (translated from canonical paths back to each
 // control's parameter names) and re-printed.
-func RewriteSource(src string, info *types.Info, fx *fixes.Result) (string, error) {
+func RewriteSource(src string, fx *fixes.Result) (string, error) {
 	prog, err := parser.Parse(src)
 	if err != nil {
 		return "", err
 	}
-	info2, err := types.Check(prog)
+	info, err := types.Check(prog)
 	if err != nil {
 		return "", err
 	}
@@ -283,7 +283,7 @@ func RewriteSource(src string, info *types.Info, fx *fixes.Result) (string, erro
 		if !ok {
 			continue
 		}
-		inverse := roleInverse(info2, ctl)
+		inverse := roleInverse(info, ctl)
 		for _, l := range ctl.Locals {
 			td, ok := l.(*ast.TableDecl)
 			if !ok {

@@ -241,6 +241,12 @@ type Server struct {
 	// (bf4_p4rt_connections). Attach the same registry to Shim via
 	// SetObs for the full picture. All obs calls are nil-safe.
 	Obs *obs.Registry
+	// met holds the handles of those metrics, looked up once per Serve.
+	met struct {
+		requests, errors *obs.Counter
+		requestNs        *obs.Histogram
+		conns            *obs.Gauge
+	}
 
 	mu     sync.Mutex
 	ln     net.Listener
@@ -290,6 +296,10 @@ func (s *Server) Serve(ln net.Listener) error {
 	if s.conns == nil {
 		s.conns = map[net.Conn]bool{}
 	}
+	s.met.requests = s.Obs.Counter("bf4_p4rt_requests_total")
+	s.met.errors = s.Obs.Counter("bf4_p4rt_request_errors_total")
+	s.met.requestNs = s.Obs.Histogram("bf4_p4rt_request_ns", obs.DurationBuckets)
+	s.met.conns = s.Obs.Gauge("bf4_p4rt_connections")
 	s.mu.Unlock()
 	for {
 		conn, err := ln.Accept()
@@ -315,7 +325,7 @@ func (s *Server) Serve(ln net.Listener) error {
 		s.conns[conn] = true
 		s.wg.Add(1)
 		s.mu.Unlock()
-		s.Obs.Gauge("bf4_p4rt_connections").Add(1)
+		s.met.conns.Add(1)
 		go func() {
 			defer s.wg.Done()
 			s.handle(conn)
@@ -404,7 +414,7 @@ func (s *Server) handle(conn net.Conn) {
 		delete(s.conns, conn)
 		s.mu.Unlock()
 		conn.Close()
-		s.Obs.Gauge("bf4_p4rt_connections").Add(-1)
+		s.met.conns.Add(-1)
 	}()
 	r := bufio.NewReaderSize(conn, 4096)
 	enc := json.NewEncoder(conn)
@@ -456,11 +466,11 @@ func (s *Server) dispatchSafe(req *Request) (resp *Response) {
 			resp = &Response{ID: req.ID, OK: false,
 				Error: fmt.Sprintf("p4runtime: internal error: %v", r)}
 		}
-		s.Obs.Counter("bf4_p4rt_requests_total").Inc()
+		s.met.requests.Inc()
 		if resp != nil && !resp.OK {
-			s.Obs.Counter("bf4_p4rt_request_errors_total").Inc()
+			s.met.errors.Inc()
 		}
-		s.Obs.Histogram("bf4_p4rt_request_ns", obs.DurationBuckets).Observe(int64(time.Since(start)))
+		s.met.requestNs.Observe(int64(time.Since(start)))
 	}()
 	return s.dispatch(req)
 }

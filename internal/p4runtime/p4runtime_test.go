@@ -3,6 +3,7 @@ package p4runtime
 import (
 	"math/big"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 
@@ -145,6 +146,43 @@ func TestInsertAndPacket(t *testing.T) {
 	}
 	if pr.EgressSpec != 7 {
 		t.Fatalf("egress_spec = %d, want 7", pr.EgressSpec)
+	}
+}
+
+// TestPacketReportsUnlistedAction: a server whose annotation file was
+// made for another build of the program can hold, shim-approved, an entry
+// running an action its own program's table does not list. A packet that
+// matches it has no branch to take; the RPC says so, it does not run the
+// table's action 0 and report that action's egress port.
+func TestPacketReportsUnlistedAction(t *testing.T) {
+	prog, file := natProgram(t)
+	nat := file.Table("nat")
+	nat.Actions = append(nat.Actions, &spec.ActionSchema{Name: "nat_hit_v2", Index: len(nat.Actions)})
+	sh, err := shim.New(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := &Server{Shim: sh, Prog: prog}
+	go srv.Serve(ln)
+	defer srv.Close()
+	client, err := Dial(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	if err := client.Insert("nat", &dataplane.Entry{
+		Keys:   []dataplane.KeyMatch{dataplane.NewExact(1), dataplane.NewTernary(0x0A000001, -1)},
+		Action: "nat_hit_v2",
+	}); err != nil {
+		t.Fatalf("insert: %v", err)
+	}
+	_, err = client.SendPacket(map[string]int64{"hdr.ethernet.etherType": 0x800, "hdr.ipv4.srcAddr": 0x0A000001})
+	if err == nil || !strings.Contains(err.Error(), "table nat") || !strings.Contains(err.Error(), `"nat_hit_v2"`) {
+		t.Fatalf("packet = %v, want an error naming table nat and action nat_hit_v2", err)
 	}
 }
 

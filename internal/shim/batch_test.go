@@ -19,7 +19,7 @@ func tinySpec() *spec.File {
 			{
 				Name:   "t",
 				Prefix: "pcn_t$0",
-				Keys:   []spec.KeySchema{{Path: "x", MatchKind: "exact", Width: 8}},
+				Keys:   []spec.KeySchema{{Path: "x", MatchKind: "exact", Width: 16}},
 				Actions: []*spec.ActionSchema{
 					{Name: "NoAction", Index: 0},
 					{Name: "bad", Index: 1, Buggy: true},
@@ -30,7 +30,7 @@ func tinySpec() *spec.File {
 			{
 				Name:   "u",
 				Prefix: "pcn_u$0",
-				Keys:   []spec.KeySchema{{Path: "y", MatchKind: "exact", Width: 8}},
+				Keys:   []spec.KeySchema{{Path: "y", MatchKind: "exact", Width: 16}},
 				Actions: []*spec.ActionSchema{
 					{Name: "NoAction", Index: 0},
 				},
@@ -42,18 +42,18 @@ func tinySpec() *spec.File {
 				Table:  "t",
 				Source: "test-single",
 				Forbidden: []string{
-					"(and (= |pcn_t$0.action_run| (_ bv2 8)) (= |pcn_t$0.key0| (_ bv0 8)))",
+					"(and (= |pcn_t$0.action_run| (_ bv2 8)) (= |pcn_t$0.key0| (_ bv0 16)))",
 				},
-				Vars: map[string]int{"pcn_t$0.action_run": 8, "pcn_t$0.key0": 8},
+				Vars: map[string]int{"pcn_t$0.action_run": 8, "pcn_t$0.key0": 16},
 			},
 			{
 				Table:  "t",
 				Linked: "u",
 				Source: "test-linked",
 				Forbidden: []string{
-					"(and (= |pcn_t$0.key0| (_ bv5 8)) |pcn_u$0.hit| (= |pcn_u$0.key0| (_ bv7 8)))",
+					"(and (= |pcn_t$0.key0| (_ bv5 16)) |pcn_u$0.hit| (= |pcn_u$0.key0| (_ bv7 16)))",
 				},
-				Vars: map[string]int{"pcn_t$0.key0": 8, "pcn_u$0.hit": 0, "pcn_u$0.key0": 8},
+				Vars: map[string]int{"pcn_t$0.key0": 16, "pcn_u$0.hit": 0, "pcn_u$0.key0": 16},
 			},
 		},
 	}
@@ -80,6 +80,30 @@ func insertU(key int64) *Update {
 		Keys:   []dataplane.KeyMatch{dataplane.NewExact(key)},
 		Action: "NoAction",
 	}}
+}
+
+// TestUpdateWithEntryAndDefaultChecksBoth: an update carrying a default
+// change next to its entry (the journal's encoding allows it, the wire
+// never builds it) has both judged. The default's policy check used to
+// end validation, and the entry was committed as it came.
+func TestUpdateWithEntryAndDefaultChecksBoth(t *testing.T) {
+	sh := tinyShim(t)
+	u := insertT(0, "act") // violates the single-table assertion
+	u.SetDefault = &dataplane.DefaultAction{Action: "NoAction"}
+	var re *RejectionError
+	if err := sh.Apply(u); !errors.As(err, &re) || re.Assertion == nil {
+		t.Fatalf("Apply = %v, want the entry refused by its assertion", err)
+	}
+	if sh.ShadowSize("t") != 0 || len(sh.Snapshot().Defaults) != 0 {
+		t.Fatal("the refused update left an entry or a default behind")
+	}
+	u.Entry.Keys[0] = dataplane.NewExact(1)
+	if err := sh.Apply(u); err != nil {
+		t.Fatal(err)
+	}
+	if sh.ShadowSize("t") != 1 || sh.Snapshot().Defaults["t"] == nil {
+		t.Fatal("the admitted update did not commit both parts")
+	}
 }
 
 func TestBatchAllOrNothing(t *testing.T) {

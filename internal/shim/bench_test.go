@@ -14,7 +14,7 @@ func benchStream(t testing.TB, cp *Compiled, n int) []*Update {
 	fd := &byteFeed{data: data}
 	ups := make([]*Update, n)
 	for i := range ups {
-		ups[i] = fuzzUpdate(cp.file, fd)
+		ups[i], _ = fuzzUpdate(cp.file, fd)
 	}
 	return ups
 }

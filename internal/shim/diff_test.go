@@ -2,12 +2,14 @@ package shim
 
 import (
 	"bytes"
+	"errors"
 	"math/big"
 	"math/rand"
 	"sync"
 	"testing"
 
 	"bf4/internal/dataplane"
+	"bf4/internal/smt"
 	"bf4/internal/spec"
 )
 
@@ -155,8 +157,10 @@ func diffPair(t testing.TB, cp *Compiled) (fast, slow *Shim) {
 }
 
 // applyBoth applies one update to both tiers and requires byte-identical
-// outcomes (including the rejection message).
-func applyBoth(t testing.TB, fast, slow *Shim, u *Update) {
+// outcomes (including the rejection message). A malformed update must be
+// refused at the boundary by both — with a Reason, not by an assertion —
+// whatever the shadow state is.
+func applyBoth(t testing.TB, fast, slow *Shim, u *Update, malformed bool) {
 	t.Helper()
 	errF := fast.Apply(u)
 	errS := slow.Apply(u)
@@ -165,6 +169,12 @@ func applyBoth(t testing.TB, fast, slow *Shim, u *Update) {
 		t.Fatalf("tiers disagree on update to %s: fast=%v slow=%v", u.Table, errF, errS)
 	case errF != nil && errF.Error() != errS.Error():
 		t.Fatalf("tiers reject with different messages:\nfast: %s\nslow: %s", errF, errS)
+	}
+	if malformed {
+		var re *RejectionError
+		if !errors.As(errF, &re) || re.Assertion != nil || re.Reason == "" {
+			t.Fatalf("malformed update to %s (%+v %+v) not refused at the boundary: %v", u.Table, u.Entry, u.SetDefault, errF)
+		}
 	}
 }
 
@@ -216,59 +226,91 @@ func (b *byteFeed) big(nb int) *big.Int {
 	return new(big.Int).SetBytes(buf)
 }
 
-// fuzzUpdate decodes one controller update: mostly schema-conformant
-// inserts with adversarial values (overflowing key widths, 64-bit-plus
-// words, nil and oversized ternary masks, out-of-range prefix lengths,
-// missing params), plus every error path the shim special-cases
-// (unknown table, empty update, arity breaks, unknown actions, default
-// changes onto buggy actions).
-func fuzzUpdate(file *spec.File, fd *byteFeed) *Update {
+// inWidth draws a value of the given width: adversarial within it (all
+// ones, the top bit, a 64-bit word and beyond) but never over it.
+func (b *byteFeed) inWidth(w int) *big.Int {
+	v := b.big((w + 7) / 8)
+	return v.And(v, smt.Mask(w))
+}
+
+// fuzzUpdate decodes one controller update and says whether it is
+// malformed. Seven in eight entries are well-formed — every value in
+// its declared width, masks nil, -1 or in range, prefix lengths -1 to the
+// width, the action's own parameter count — so that the conditions and
+// both tiers do the judging; the eighth breaks exactly one rule of the
+// boundary check (schema.go). Default changes likewise, plus the error
+// paths the shim special-cases (unknown table, empty update, a default
+// onto a buggy action).
+func fuzzUpdate(file *spec.File, fd *byteFeed) (u *Update, malformed bool) {
 	ts := file.Tables[int(fd.next())%len(file.Tables)]
 	op := fd.next()
+	args := func(a *spec.ActionSchema) (ps []*big.Int) {
+		for _, p := range a.Params {
+			ps = append(ps, fd.inWidth(p.Width))
+		}
+		return ps
+	}
 	switch {
 	case op == 250:
-		return &Update{Table: "no_such_table", Entry: &dataplane.Entry{}}
+		return &Update{Table: "no_such_table", Entry: &dataplane.Entry{}}, true
 	case op == 251:
-		return &Update{Table: ts.Name} // empty update
+		return &Update{Table: ts.Name}, true // empty update
 	case op%16 == 0:
 		act := ts.Actions[int(fd.next())%len(ts.Actions)]
-		return &Update{Table: ts.Name, SetDefault: &dataplane.DefaultAction{Action: act.Name}}
+		d := &dataplane.DefaultAction{Action: act.Name, Params: args(act)}
+		switch m := fd.next(); {
+		case m%8 != 7:
+		case m&8 != 0:
+			d.Action, malformed = "no_such_action", true
+		default:
+			d.Params, malformed = append(d.Params, big.NewInt(0)), true
+		}
+		return &Update{Table: ts.Name, SetDefault: d}, malformed
 	}
 	e := &dataplane.Entry{}
 	for _, k := range ts.Keys {
-		nb := (k.Width + 7) / 8
-		if fd.next()%7 == 0 {
-			nb += 9 // overflow the key width (and any 64-bit word)
-		}
-		km := dataplane.KeyMatch{Value: fd.big(nb), PrefixLen: -1}
+		km := dataplane.KeyMatch{Value: fd.inWidth(k.Width), PrefixLen: -1}
 		switch k.MatchKind {
 		case "ternary":
-			if fd.next()%4 != 0 {
-				km.Mask = fd.big(nb)
+			switch fd.next() % 4 {
+			case 0: // nil: the full mask
+			case 1:
+				km.Mask = big.NewInt(-1)
+			default:
+				km.Mask = fd.inWidth(k.Width)
 			}
 		case "lpm":
-			km.PrefixLen = int(fd.next())%(k.Width+4) - 1 // -1 .. width+2
+			km.PrefixLen = int(fd.next())%(k.Width+2) - 1 // -1 .. width
 		}
 		e.Keys = append(e.Keys, km)
 	}
-	if op%13 == 0 && len(e.Keys) > 0 {
-		e.Keys = e.Keys[:len(e.Keys)-1] // arity break
-	}
-	ai := int(fd.next())
-	if ai%11 == 0 {
-		e.Action = "bogus_action"
-	} else {
-		a := ts.Actions[ai%len(ts.Actions)]
-		e.Action = a.Name
-		np := len(a.Params)
-		if np > 0 && fd.next()%5 == 0 {
-			np-- // short params: the missing one reads as zero
+	a := ts.Actions[int(fd.next())%len(ts.Actions)]
+	e.Action, e.Params = a.Name, args(a)
+	if m := fd.next(); m%8 == 7 {
+		malformed = true
+		j := int(fd.next()) % len(ts.Keys)
+		k, w := &e.Keys[j], ts.Keys[j].Width
+		over := new(big.Int).Lsh(big.NewInt(1), uint(w+int(fd.next())%70)) // a bit at or above the width
+		switch shape := (m >> 3) % 8; {
+		case shape == 0:
+			e.Action = "bogus_action"
+		case shape == 1:
+			k.Value = over
+		case shape == 2 && len(e.Params) > 0:
+			e.Params[0] = new(big.Int).Lsh(big.NewInt(1), uint(a.Params[0].Width))
+		case shape == 3 && len(e.Params) > 0:
+			e.Params = e.Params[1:]
+		case shape == 4:
+			e.Params = append(e.Params, big.NewInt(0))
+		case shape == 5:
+			k.Mask = over
+		case shape == 6:
+			k.PrefixLen = w + 1 + int(fd.next())%3
+		default:
+			e.Keys = e.Keys[:len(e.Keys)-1] // arity break
 		}
-		for pi := 0; pi < np; pi++ {
-			e.Params = append(e.Params, fd.big((a.Params[pi].Width+7)/8))
-		}
 	}
-	return &Update{Table: ts.Name, Entry: e}
+	return &Update{Table: ts.Name, Entry: e}, malformed
 }
 
 // TestDifferentialReplayWidths replays a long adversarial stream over
@@ -282,7 +324,8 @@ func TestDifferentialReplayWidths(t *testing.T) {
 	rng.Read(data)
 	fd := &byteFeed{data: data}
 	for i := 0; i < 2500; i++ {
-		applyBoth(t, fast, slow, fuzzUpdate(cp.file, fd))
+		u, malformed := fuzzUpdate(cp.file, fd)
+		applyBoth(t, fast, slow, u, malformed)
 	}
 	finishDiff(t, fast, slow)
 	sf := fast.Stats()
@@ -311,14 +354,15 @@ func TestDifferentialReplayNAT(t *testing.T) {
 	rng.Read(data)
 	fd := &byteFeed{data: data}
 	for i := 0; i < 2000; i++ {
-		applyBoth(t, fast, slow, fuzzUpdate(cp.file, fd))
+		u, malformed := fuzzUpdate(cp.file, fd)
+		applyBoth(t, fast, slow, u, malformed)
 	}
 	// The paper's faulty rule, verbatim.
 	applyBoth(t, fast, slow, &Update{Table: "nat", Entry: &dataplane.Entry{
 		Keys:   []dataplane.KeyMatch{dataplane.NewExact(0), dataplane.NewTernary(0x0A000000, 0xFF000000)},
 		Action: "nat_hit",
 		Params: []*big.Int{big.NewInt(1)},
-	}})
+	}}, false)
 	finishDiff(t, fast, slow)
 	if fast.Stats().FastpathHits == 0 {
 		t.Fatal("NAT assertions should compile to the fast path")
@@ -345,33 +389,38 @@ func TestDifferentialShadowGrowth(t *testing.T) {
 		}}
 	}
 	// Empty shadow: the linked condition treats peer.hit as false.
-	applyBoth(t, fast, slow, small(0, nil))
+	applyBoth(t, fast, slow, small(0, nil), false)
 	// Non-matching peer entry, then the matching one (key0 == 3).
-	applyBoth(t, fast, slow, peer(9))
-	applyBoth(t, fast, slow, small(0, nil))
-	applyBoth(t, fast, slow, peer(3))
-	applyBoth(t, fast, slow, small(0, nil))
-	applyBoth(t, fast, slow, small(1, nil))
+	applyBoth(t, fast, slow, peer(9), false)
+	applyBoth(t, fast, slow, small(0, nil), false)
+	applyBoth(t, fast, slow, peer(3), false)
+	applyBoth(t, fast, slow, small(0, nil), false)
+	applyBoth(t, fast, slow, small(1, nil), false)
 	finishDiff(t, fast, slow)
 }
 
 // FuzzFastpath: the headline oracle. Arbitrary byte strings decode into
 // update streams; fast and slow tiers must stay byte-identical on
-// decisions, messages and shadow state.
+// decisions, messages and shadow state, and both must refuse a malformed
+// update at the boundary.
 func FuzzFastpath(f *testing.F) {
-	// Seeds cover: a clean wide-table insert (exact/ternary/lpm keys at
-	// widths 64/63/64/1), a small-table insert with a 9-bit param, the
-	// shadow-fallback pair (peer insert then small insert), a SetDefault
-	// onto the buggy action, an arity break, an unknown table, an empty
-	// update, and width-overflow values.
-	f.Add([]byte{0x00, 0x01, 0x01, 1, 2, 3, 4, 5, 6, 7, 8, 0x01, 9, 9, 9, 9, 9, 9, 9, 8, 0x01, 1, 1, 1, 1, 1, 1, 1, 1, 0x05, 0x01, 1, 0x03})
-	f.Add([]byte{0x01, 0x02, 0x01, 1, 0x01, 0xff, 0x01, 0x0e, 0x01, 0xff, 0x01})
-	f.Add([]byte{0x02, 0x01, 0x01, 3, 0x0e, 0x01, 0x01, 0x01, 0, 0x01, 0x55, 0x03})
-	f.Add([]byte{0x00, 0x10, 0x02})
-	f.Add([]byte{0x00, 0x0d, 0x01, 1, 1, 1, 1, 1, 1, 1, 1, 0x01, 2, 2, 2, 2, 2, 2, 2, 2, 0x01, 3, 3, 3, 3, 3, 3, 3, 3, 0x01, 1, 0x01})
+	// Seeds (testdata/fuzz/FuzzFastpath holds the same under names): a
+	// clean wide-table insert (exact/ternary/lpm keys at widths 64/63/64/1),
+	// a small-table insert with a 9-bit param, the shadow-scan pair (peer
+	// insert then small insert), a SetDefault onto the buggy action, an
+	// unknown table, an empty update — and every malformed shape fuzzUpdate
+	// knows, on a small-table insert running go_ and on a default change.
+	f.Add([]byte{0x00, 0x01, 1, 2, 3, 4, 5, 6, 7, 8, 9, 9, 9, 9, 9, 9, 9, 8, 0x02, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 0x01, 0x01, 0x03})
+	f.Add([]byte{0x01, 0x01, 0x01, 0xff, 0x02, 0x0e, 0x01, 0x01, 0xff})
+	f.Add([]byte{0x02, 0x01, 0x03, 0x01, 0x00, 0x01, 0x01, 0x00, 0x55, 0x00, 0x00, 0x00})
+	f.Add([]byte{0x00, 0x10, 0x02, 0x01})
 	f.Add([]byte{0x00, 0xfa})
 	f.Add([]byte{0x01, 0xfb})
-	f.Add([]byte{0x00, 0x03, 0x00, 0xaa, 0xbb, 0xcc, 0xdd, 0xee, 0xff, 0x11, 0x22, 0x33, 0x44, 0x55, 0x66, 0x77, 0x88, 0x99, 0x00, 0x01})
+	for shape := byte(0); shape < 8; shape++ {
+		f.Add([]byte{0x01, 0x01, 0x01, 0x55, 0x00, 0x01, 0x00, 0x07, 7 + 8*shape, 0x01, 0x09, 0x01})
+	}
+	f.Add([]byte{0x01, 0x10, 0x01, 0x00, 0x07, 0x07}) // a default with a parameter too many
+	f.Add([]byte{0x01, 0x10, 0x01, 0x00, 0x07, 0x0f}) // set_default no_such_action
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cp := widthCompiled(t)
 		fast, slow := diffPair(t, cp)
@@ -381,7 +430,8 @@ func FuzzFastpath(f *testing.F) {
 			n = 64
 		}
 		for i := 0; i < n; i++ {
-			applyBoth(t, fast, slow, fuzzUpdate(cp.file, fd))
+			u, malformed := fuzzUpdate(cp.file, fd)
+			applyBoth(t, fast, slow, u, malformed)
 		}
 		finishDiff(t, fast, slow)
 	})

@@ -70,73 +70,67 @@ func smallAccept() *Update {
 // else must lower to a single-shot program.
 func TestFastpathPlanShape(t *testing.T) {
 	cp := widthCompiled(t)
-	wide := cp.plans["wide"]
-	if wide == nil || !wide.hasFast {
+	wide := cp.tables["wide"]
+	if !wide.hasFast {
 		t.Fatal("wide table should have a fast-path plan")
 	}
-	// byTable["wide"] clusters in spec order: width-boundary (3 terms),
-	// wide-param (1 term), ghost-var (1 term).
-	if got := len(wide.progs); got != 3 {
-		t.Fatalf("wide plan has %d clusters, want 3", got)
+	// wide's cluster in spec order: width-boundary (3 terms), wide-param
+	// (1 term), ghost-var (1 term).
+	if got := len(wide.conds); got != 5 {
+		t.Fatalf("wide's cluster has %d conditions, want 5", got)
 	}
-	for ti, prog := range wide.progs[0] {
-		if prog == nil {
-			t.Errorf("width-boundary term %d did not compile", ti)
+	for ci := range wide.conds {
+		c := &wide.conds[ci]
+		switch {
+		case ci == 3 && c.prog != nil:
+			t.Error("65-bit param condition must stay on the term tier")
+		case ci == 3 && len(c.guards) != 1:
+			t.Errorf("65-bit param condition has %d guards, want its action_run conjunct", len(c.guards))
+		case ci != 3 && c.prog == nil:
+			t.Errorf("wide condition %d (%s) did not compile; an unbound ghost var must not force a fallback", ci, c.src.Source)
+		case ci != 3 && len(c.guards) != 0:
+			t.Errorf("wide condition %d runs once per update and needs no guards, has %d", ci, len(c.guards))
+		}
+		if c.scan != nil {
+			t.Errorf("wide condition %d scans %s; wide has no linked assertions", ci, c.scan.tb.ts.Name)
 		}
 	}
-	if wide.progs[1][0] != nil {
-		t.Error("65-bit param condition must fall back to the slow path")
-	}
-	if wide.progs[2][0] == nil {
-		t.Error("unbound ghost var should not force a fallback")
-	}
-	if !wide.needsEnv {
-		t.Error("wide plan must still build an env for its slow condition")
-	}
-	for ci, lps := range wide.linked {
-		for ti, lp := range lps {
-			if lp != nil {
-				t.Errorf("wide cluster %d term %d has a scan plan; wide has no linked assertions", ci, ti)
-			}
+	for _, v := range wide.own.vars {
+		if wideVar := v.name == "w$0.actA.p65"; wideVar != (v.slot < 0) {
+			t.Errorf("%s at width %d has register %d", v.name, v.width, v.slot)
 		}
 	}
 
-	small := cp.plans["small"]
-	if small == nil || !small.hasFast {
+	small := cp.tables["small"]
+	if !small.hasFast {
 		t.Fatal("small table should have a fast-path plan")
 	}
-	if small.progs[0][0] != nil {
-		t.Error("linked (shadow-resolved) condition must not be a single-shot program")
-	}
-	lp := small.linked[0][0]
-	if lp == nil {
+	linked := &small.conds[0]
+	if linked.prog == nil || linked.scan == nil {
 		t.Fatal("linked condition should compile into the scan tier")
 	}
-	if lp.sb.ts.Name != "peer" {
-		t.Errorf("small's linked condition scans %q, want peer", lp.sb.ts.Name)
+	if linked.scan.tb.ts.Name != "peer" {
+		t.Errorf("small's linked condition scans %q, want peer", linked.scan.tb.ts.Name)
 	}
-	if len(lp.sb.slots) == 0 {
-		t.Error("scan binder owns no slots")
+	if len(linked.scan.vars) != 2 {
+		t.Errorf("scan binding has %d variables, want p$0.hit and p$0.key0", len(linked.scan.vars))
 	}
 	// The linked term is (and s.hit (= s.key0 0) p.hit (= p.key0 3)):
 	// the two small-only conjuncts become scan guards.
-	if got := len(lp.guards); got != 2 {
+	if got := len(linked.guards); got != 2 {
 		t.Errorf("linked condition has %d scan guards, want 2", got)
 	}
-	for ti, prog := range small.progs[1] {
-		if prog == nil {
-			t.Errorf("param-guard term %d did not compile", ti)
+	for ci := range small.conds[1:] {
+		if c := &small.conds[1+ci]; c.prog == nil || c.scan != nil {
+			t.Errorf("param-guard term %d did not compile into a single-shot program", ci)
 		}
 	}
-	if small.needsEnv {
-		t.Error("every small condition compiled; plan must not build envs")
-	}
 
-	peer := cp.plans["peer"]
-	if peer == nil || peer.linked[0][0] == nil {
+	peer := cp.tables["peer"]
+	if len(peer.conds) != 1 || peer.conds[0].scan == nil {
 		t.Fatal("peer's view of the linked assertion should scan small")
 	}
-	if got := peer.linked[0][0].sb.ts.Name; got != "small" {
+	if got := peer.conds[0].scan.tb.ts.Name; got != "small" {
 		t.Errorf("peer's linked condition scans %q, want small", got)
 	}
 
@@ -176,6 +170,22 @@ func TestFastpathStatsSplit(t *testing.T) {
 	st = off.Stats()
 	if st.FastpathHits != 0 || st.SlowpathHits != 13 {
 		t.Fatalf("fastpath off: fast/slow hits = %d/%d, want 0/13", st.FastpathHits, st.SlowpathHits)
+	}
+}
+
+// TestAcceptedUpdateAllocatesNothing: the boundary check and the binders
+// format no name and build no map for an update that is admitted — on the
+// fast tier, validating one touches the heap not at all.
+func TestAcceptedUpdateAllocatesNothing(t *testing.T) {
+	s := NewFromCompiled(widthCompiled(t))
+	for _, u := range []*Update{wideAccept(), smallAccept()} {
+		if n := testing.AllocsPerRun(100, func() {
+			if err := s.Validate(u); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("validating an accepted %s update allocates %v times", u.Table, n)
+		}
 	}
 }
 

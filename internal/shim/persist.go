@@ -32,14 +32,22 @@ import (
 // header of three little-endian uint32: payload length, payload CRC-32,
 // CRC-32 of those eight bytes.
 //
-// Mutations are journaled before they are committed to memory; recovery
+// Mutations are journaled before they are acknowledged (and rolled back
+// in memory if the append fails); recovery
 // loads the snapshot and replays the journal (already-validated updates
 // are applied directly). When the journal exceeds CompactEvery records
-// it is folded into a fresh snapshot written atomically (tmp + rename)
-// and truncated.
+// it is folded into a fresh snapshot written atomically (a temporary file
+// of its own, then rename) and truncated. What is loaded is held to the
+// boundary check of schema.go, entry by entry and update by update: state
+// the shim would not have admitted is refused, not repaired.
 
 const (
-	snapshotName  = "snapshot.bin"
+	snapshotName = "snapshot.bin"
+	// tmpPattern names a checkpoint's temporary file (os.CreateTemp). Each
+	// checkpoint has its own: a fenced incarnation still mid-checkpoint
+	// and its successor share the directory, and neither may truncate or
+	// remove what the other is writing.
+	tmpPattern    = snapshotName + ".*.tmp"
 	journalName   = "journal.bin"
 	snapshotMagic = "bf4snap\x01"
 	journalMagic  = "bf4jrnl\x01"
@@ -210,6 +218,13 @@ func (s *Shim) AttachStore(st *Store) error {
 		}
 	}
 
+	// Temporary files a crashed or fenced incarnation left behind hold
+	// nothing a recovery reads.
+	stale, _ := filepath.Glob(filepath.Join(st.dir, tmpPattern))
+	for _, tmp := range stale {
+		os.Remove(tmp)
+	}
+
 	// 1. Snapshot.
 	if data, err := os.ReadFile(st.SnapshotPath()); err == nil {
 		if err := s.loadSnapshot(st.SnapshotPath(), data); err != nil {
@@ -323,6 +338,12 @@ func (s *Shim) replayJournal(st *Store, data []byte, off int) (int, error) {
 				ops[i] = d.Update()
 			}
 			err = d.Finish()
+		}
+		for i := 0; err == nil && i < len(ops); i++ {
+			// Intact bytes the shim never wrote: not a torn tail.
+			if _, _, reason := s.cp.check(ops[i]); reason != "" {
+				return 0, fmt.Errorf("shim: %s: record at offset %d holds a malformed update (%d, to table %s): %s", st.JournalPath(), off, i, ops[i].Table, reason)
+			}
 		}
 		if err != nil {
 			if size > 0 && off+size < len(data) || size == 0 && frameFollows(data[off+1:]) {
@@ -467,19 +488,26 @@ func (s *Shim) writeState(enc *Encoder, spill func(atLeast int)) {
 // readState is writeState's inverse, into an empty shim.
 func (s *Shim) readState(d *Decoder) {
 	for n := d.count(); n > 0; n-- {
-		table := d.str()
+		u := Update{Table: d.str()}
 		es := make([]*dataplane.Entry, d.count())
 		for i := range es {
 			es[i] = d.Entry()
+			u.Entry = es[i]
+			if _, _, reason := s.cp.check(&u); d.Err == nil && reason != "" {
+				d.fail("table %s entry %d: %s", u.Table, i, reason)
+			}
 		}
-		if s.shadow[table] != nil {
-			d.fail("table %s listed twice", table)
+		if s.shadow[u.Table] != nil {
+			d.fail("table %s listed twice", u.Table)
 		}
-		s.shadow[table] = es
+		s.shadow[u.Table] = es
 	}
 	for n := d.count(); n > 0; n-- {
-		table := d.str()
-		s.defaults[table] = d.Default()
+		u := Update{Table: d.str(), SetDefault: d.Default()}
+		if _, _, reason := s.cp.check(&u); d.Err == nil && reason != "" {
+			d.fail("table %s default: %s", u.Table, reason)
+		}
+		s.defaults[u.Table] = u.SetDefault
 	}
 }
 
@@ -489,11 +517,18 @@ func (s *Shim) checkpointLocked() error {
 		return fmt.Errorf("shim: checkpoint: store fenced")
 	}
 	start := time.Now()
-	tmp := st.SnapshotPath() + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	f, err := os.CreateTemp(st.dir, tmpPattern)
 	if err != nil {
 		return fmt.Errorf("shim: snapshot write: %w", err)
 	}
+	tmp := f.Name()
+	published := false
+	defer func() {
+		if !published {
+			f.Close()
+			os.Remove(tmp)
+		}
+	}()
 	enc := &st.enc
 	*enc = Encoder{Buf: append(enc.Buf[:0], fileHeader(snapshotMagic, s.cp.file.Program)...)}
 	var crc uint32
@@ -530,16 +565,17 @@ func (s *Shim) checkpointLocked() error {
 	if err == nil && enc.Err != nil {
 		err = fmt.Errorf("encode: %w", enc.Err)
 	}
+	if err == nil {
+		err = f.Chmod(0o644) // CreateTemp's 0600 would outlive the rename
+	}
 	if err != nil {
-		f.Close()
 		return fmt.Errorf("shim: snapshot write: %w", err)
 	}
 	if err := fsync(f); err != nil {
-		f.Close()
 		return fmt.Errorf("shim: snapshot sync: %w", err)
 	}
 	if err := f.Close(); err != nil {
-		return err
+		return fmt.Errorf("shim: snapshot close: %w", err)
 	}
 	// Publish the snapshot and truncate the journal under the store
 	// lock, re-checking the fence — a zombie incarnation must never
@@ -548,12 +584,12 @@ func (s *Shim) checkpointLocked() error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.fenced.Load() {
-		os.Remove(tmp)
 		return fmt.Errorf("shim: checkpoint: store fenced")
 	}
 	if err := os.Rename(tmp, st.SnapshotPath()); err != nil {
 		return fmt.Errorf("shim: snapshot rename: %w", err)
 	}
+	published = true
 	if !st.NoSync {
 		// The rename must be durable before the truncation can be: a power
 		// loss that kept only the latter would recover the previous

@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"hash/crc32"
 	"os"
+	"path/filepath"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -126,6 +128,62 @@ func writeFiles(tb testing.TB, st *shim.Store, journal, snapshot []byte) {
 		}
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			tb.Fatal(err)
+		}
+	}
+}
+
+// TestStoredMalformedStateRefused: state the shim would not have admitted
+// is not loaded either. The journal is FuzzJournalReplay's seed
+// seed-stored-bogus-action — a checksummed record holding a nat entry that
+// runs bogus_action — and the snapshot a checkpoint of well-formed traffic
+// with an entry's drop_ turned into bogus and the checksum redone. Each is
+// refused at AttachStore like mid-file corruption is, naming the file and
+// the record; the directory is left as it was.
+func TestStoredMalformedStateRefused(t *testing.T) {
+	file := corpusSpec(t, "simple_nat")
+	cp, err := shim.Compile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seed, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzJournalReplay", "seed-stored-bogus-action"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	quoted := strings.TrimSuffix(strings.TrimPrefix(strings.Split(string(seed), "\n")[1], "[]byte("), ")")
+	payload, err := strconv.Unquote(quoted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := append(make([]byte, shim.FrameHeader), payload...)
+	shim.SealFrame(frame)
+	journal := append(shim.JournalHeader(file.Program), frame...)
+
+	_, snapshot := traceState(t, file, cp, t.TempDir())
+	if n := bytes.Count(snapshot, []byte("\x05drop_")); n == 0 {
+		t.Fatal("premise: the trace's snapshot holds no drop_ entry")
+	}
+	snapshot = bytes.Replace(snapshot[:len(snapshot)-4], []byte("\x05drop_"), []byte("\x05bogus"), 1)
+	snapshot = binary.LittleEndian.AppendUint32(snapshot, crc32.ChecksumIEEE(snapshot))
+
+	for name, files := range map[string][2][]byte{"journal": {journal, nil}, "snapshot": {nil, snapshot}} {
+		dir := t.TempDir()
+		st, _ := shim.OpenStore(dir)
+		writeFiles(t, st, files[0], files[1])
+		path, record, action := st.JournalPath(), fmt.Sprintf("offset %d holds a malformed update (0, to table nat)", len(journal)-len(frame)), `"bogus_action"`
+		if name == "snapshot" {
+			path, record, action = st.SnapshotPath(), " entry ", `"bogus"`
+		}
+		_, _, err := attach(cp, dir)
+		if err == nil {
+			t.Fatalf("%s holding a bogus action was loaded", name)
+		}
+		for _, want := range []string{path, record, "has no action " + action} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: AttachStore = %v, want it to say %q", name, err, want)
+			}
+		}
+		if left, _ := os.ReadFile(path); !bytes.Equal(left, append(files[0], files[1]...)) {
+			t.Errorf("%s: the refused file was rewritten", name)
 		}
 	}
 }

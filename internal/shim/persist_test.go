@@ -267,11 +267,14 @@ func TestCheckpointSyncOrder(t *testing.T) {
 			if f.Name() == dir {
 				name = "dir"
 			}
-			_, tmpErr := os.Stat(st.SnapshotPath() + ".tmp")
+			if ok, _ := filepath.Match(tmpPattern, name); ok {
+				name = "snapshot.bin.tmp" // each checkpoint's has a name of its own
+			}
+			tmps, _ := filepath.Glob(filepath.Join(dir, tmpPattern))
 			_, snapErr := os.Stat(st.SnapshotPath())
 			journal, _ := os.ReadFile(st.JournalPath())
 			steps = append(steps, fmt.Sprintf("%s tmp=%t snapshot=%t records=%t",
-				name, tmpErr == nil, snapErr == nil, len(journal) > len(st.header)))
+				name, len(tmps) > 0, snapErr == nil, len(journal) > len(st.header)))
 			return f.Sync()
 		}
 
@@ -300,6 +303,88 @@ func TestCheckpointSyncOrder(t *testing.T) {
 		if !reflect.DeepEqual(steps, want) {
 			t.Fatalf("NoSync=%t: syncs\n %s\nwant\n %s", noSync, strings.Join(steps, "\n "), strings.Join(want, "\n "))
 		}
+	}
+}
+
+// TestFencedCheckpointSparesSuccessor interleaves the checkpoint a fenced
+// incarnation is still in the middle of with one of the incarnation that
+// replaced it, as a failover under load does. The zombie finds itself
+// fenced and cleans up while the successor's snapshot is written but not
+// yet renamed; with one temporary name for both, that clean-up (or the
+// successor's O_TRUNC before it) destroyed the other's file and the
+// successor's checkpoint failed at the rename — the flake
+// TestFleetChaosFailover showed about once in forty -race runs.
+func TestFencedCheckpointSparesSuccessor(t *testing.T) {
+	t.Cleanup(func() { fsync = (*os.File).Sync })
+	dir := t.TempDir()
+	attach := func() (*Shim, *Store) {
+		st, _ := OpenStore(dir)
+		st.NoSync = true
+		sh := tinyShim(t)
+		if err := sh.AttachStore(st); err != nil {
+			t.Fatal(err)
+		}
+		return sh, st
+	}
+	zombie, zombieStore := attach()
+	if err := zombie.Apply(insertT(1, "NoAction")); err != nil {
+		t.Fatal(err)
+	}
+
+	// The n-th sync of a snapshot's temporary file signals reached[n] and
+	// waits for resume[n]: 0 is the zombie's, 1 the successor's.
+	reached := []chan struct{}{make(chan struct{}), make(chan struct{})}
+	resume := []chan struct{}{make(chan struct{}), make(chan struct{})}
+	n := 0
+	fsync = func(f *os.File) error {
+		if ok, _ := filepath.Match(tmpPattern, filepath.Base(f.Name())); ok && n < 2 {
+			i := n
+			n++
+			close(reached[i])
+			<-resume[i]
+		}
+		return f.Sync()
+	}
+	zombieDone := make(chan error, 1)
+	go func() { zombieDone <- zombie.Checkpoint() }()
+	<-reached[0]
+	zombieStore.Fence() // Shard.Kill; the shard then restores
+
+	successor, st := attach()
+	defer st.Close()
+	if err := successor.Apply(insertT(2, "NoAction")); err != nil {
+		t.Fatal(err)
+	}
+	successorDone := make(chan error, 1)
+	go func() { successorDone <- successor.Checkpoint() }()
+	<-reached[1]
+	close(resume[0])
+	if err := <-zombieDone; err == nil || !strings.Contains(err.Error(), "fenced") {
+		t.Fatalf("the fenced incarnation's checkpoint: %v, want a refusal", err)
+	}
+	close(resume[1])
+	if err := <-successorDone; err != nil {
+		t.Fatalf("the successor's checkpoint, interleaved with the zombie's clean-up: %v", err)
+	}
+	if tmps, _ := filepath.Glob(filepath.Join(dir, tmpPattern)); len(tmps) != 0 {
+		t.Fatalf("temporary files left behind: %v", tmps)
+	}
+
+	want, _ := successor.MarshalSnapshot()
+	st.Close()
+	// A stale temporary file, as a kill -9 mid-checkpoint leaves one, is
+	// swept by the next incarnation.
+	stale := filepath.Join(dir, strings.Replace(tmpPattern, "*", "123", 1))
+	if err := os.WriteFile(stale, []byte("half a snapshot"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	restored, st3 := attach()
+	defer st3.Close()
+	if got, _ := restored.MarshalSnapshot(); !bytes.Equal(got, want) || restored.ShadowSize("t") != 2 {
+		t.Fatalf("state restored from the successor's checkpoint:\n %q\nwant\n %q", got, want)
+	}
+	if _, err := os.Stat(stale); !os.IsNotExist(err) {
+		t.Fatalf("stale temporary file survived AttachStore: %v", err)
 	}
 }
 

@@ -12,7 +12,6 @@ package shim
 
 import (
 	"fmt"
-	"math/big"
 	"sync"
 	"time"
 
@@ -44,15 +43,6 @@ func (e *RejectionError) Error() string {
 			e.Table, e.Forbidden, e.Assertion.Source)
 	}
 	return fmt.Sprintf("shim: update to table %s rejected: %s", e.Table, e.Reason)
-}
-
-// compiledAssertion pre-parses one assertion's forbidden terms.
-type compiledAssertion struct {
-	src       *spec.Assertion
-	terms     []*smt.Term
-	primary   *spec.TableSchema
-	linked    *spec.TableSchema // nil for single-table assertions
-	termBound []map[string]bool // var names each term mentions
 }
 
 // Stats aggregates validation outcomes and latencies (for §5.3).
@@ -123,10 +113,9 @@ func New(file *spec.File) (*Shim, error) {
 // compiled annotation set (see Compiled).
 func Compile(file *spec.File) (*Compiled, error) {
 	cp := &Compiled{
-		file:    file,
-		f:       smt.NewFactory(),
-		byTable: map[string][]*compiledAssertion{},
-		tables:  make(map[string]*spec.TableSchema, len(file.Tables)),
+		file:   file,
+		f:      smt.NewFactory(),
+		tables: make(map[string]*table, len(file.Tables)),
 	}
 	for _, ts := range file.Tables {
 		for _, k := range ts.Keys {
@@ -134,38 +123,31 @@ func Compile(file *spec.File) (*Compiled, error) {
 				return nil, fmt.Errorf("shim: table %s: key %s has width %d, want 1 to %d", ts.Name, k.Path, k.Width, smt.MaxWidth)
 			}
 		}
-		cp.tables[ts.Name] = ts
+		cp.tables[ts.Name] = newTable(ts)
 	}
 	for _, a := range file.Assertions {
-		ca := &compiledAssertion{src: a, primary: file.Table(a.Table)}
-		if ca.primary == nil {
+		primary, linked := cp.tables[a.Table], cp.tables[a.Linked]
+		if primary == nil {
 			return nil, fmt.Errorf("shim: assertion references unknown table %s", a.Table)
 		}
-		if a.Linked != "" {
-			ca.linked = file.Table(a.Linked)
-			if ca.linked == nil {
-				return nil, fmt.Errorf("shim: assertion references unknown linked table %s", a.Linked)
-			}
+		if a.Linked != "" && linked == nil {
+			return nil, fmt.Errorf("shim: assertion references unknown linked table %s", a.Linked)
+		}
+		if linked == primary {
+			linked = nil
 		}
 		for i := range a.Forbidden {
 			t, err := a.ParseForbidden(cp.f, i)
 			if err != nil {
 				return nil, fmt.Errorf("shim: table %s: %w", a.Table, err)
 			}
-			ca.terms = append(ca.terms, t)
-			names := map[string]bool{}
-			for _, vt := range t.Vars(nil) {
-				names[vt.Name()] = true
+			// Cluster by every table the assertion mentions (step a).
+			primary.conds = append(primary.conds, condition{src: a, i: i, term: t, other: linked})
+			if linked != nil {
+				linked.conds = append(linked.conds, condition{src: a, i: i, term: t, other: primary})
 			}
-			ca.termBound = append(ca.termBound, names)
-		}
-		// Cluster by every table the assertion mentions (step a).
-		cp.byTable[a.Table] = append(cp.byTable[a.Table], ca)
-		if a.Linked != "" && a.Linked != a.Table {
-			cp.byTable[a.Linked] = append(cp.byTable[a.Linked], ca)
 		}
 	}
-	cp.compileMasks()
 	cp.compilePlans()
 	cp.scratch.New = func() any {
 		regs := make([]uint64, cp.maxRegs)
@@ -280,45 +262,7 @@ func (s *Shim) Apply(u *Update) error { return s.ApplyWithKey("", u) }
 // controller retrying after an ambiguous transport failure cannot
 // double-insert a rule. An empty key disables deduplication.
 func (s *Shim) ApplyWithKey(key string, u *Update) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err, seen := s.lookupApplied(key); seen {
-		s.obs.dedupHits.Inc()
-		return err
-	}
-	err := s.validateLocked(u)
-	if err == nil {
-		// Journal before committing: on a journal failure nothing is
-		// applied, and after a crash the journal is the source of truth.
-		if err = s.journalLocked(key, []*Update{u}); err == nil {
-			s.commitLocked(u)
-			// Record the outcome BEFORE any checkpoint: a checkpoint
-			// triggered by this very record folds the journal into the
-			// snapshot, and the snapshot must carry this key in its
-			// dedup window or a crash right after would re-apply the
-			// retry.
-			s.recordOutcome(key, nil)
-			if cerr := s.maybeCheckpointLocked(); cerr != nil {
-				// The update is applied and its outcome recorded; the
-				// caller's retry resolves through the window.
-				return cerr
-			}
-			return nil
-		}
-	}
-	s.recordOutcome(key, err)
-	return err
-}
-
-// commitLocked records a validated update in the shadow state.
-func (s *Shim) commitLocked(u *Update) {
-	if u.Entry != nil {
-		s.shadow[u.Table] = append(s.shadow[u.Table], u.Entry)
-		s.obs.shadowEntries.Add(1)
-	}
-	if u.SetDefault != nil {
-		s.defaults[u.Table] = u.SetDefault
-	}
+	return s.apply(key, []*Update{u}, false)
 }
 
 func (s *Shim) lookupApplied(key string) (error, bool) {
@@ -366,9 +310,10 @@ func (s *Shim) Snapshot() *dataplane.Snapshot {
 }
 
 // rejectLocked bumps the rejection tallies (legacy counter + metrics).
-func (s *Shim) rejectLocked() {
+func (s *Shim) rejectLocked(e *RejectionError) error {
 	s.counters.rejected++
 	s.obs.rejected.Inc()
+	return e
 }
 
 func (s *Shim) validateLocked(u *Update) error {
@@ -381,189 +326,92 @@ func (s *Shim) validateLocked(u *Update) error {
 	s.counters.validated++
 	s.obs.validated.Inc()
 
-	ts := s.cp.tables[u.Table]
-	if ts == nil {
-		s.rejectLocked()
-		return &RejectionError{Table: u.Table, Reason: "unknown table"}
+	tb, act, reason := s.cp.check(u)
+	if reason != "" {
+		return s.rejectLocked(&RejectionError{Table: u.Table, Reason: reason})
 	}
 	// Default-rule policy: reject buggy actions outright (§4.4).
-	if u.SetDefault != nil {
-		for _, a := range ts.Actions {
-			if a.Name == u.SetDefault.Action && a.Buggy {
-				s.rejectLocked()
-				return &RejectionError{Table: u.Table,
-					Reason: fmt.Sprintf("default action %s has a reachable bug", a.Name)}
-			}
-		}
-		return nil
+	if d := u.SetDefault; d != nil && tb.actions[d.Action].Buggy {
+		return s.rejectLocked(&RejectionError{Table: u.Table,
+			Reason: fmt.Sprintf("default action %s has a reachable bug", d.Action)})
 	}
 	if u.Entry == nil {
-		s.rejectLocked()
-		return &RejectionError{Table: u.Table, Reason: "empty update"}
-	}
-	if len(u.Entry.Keys) != len(ts.Keys) {
-		s.rejectLocked()
-		return &RejectionError{Table: u.Table,
-			Reason: fmt.Sprintf("entry has %d keys, table has %d", len(u.Entry.Keys), len(ts.Keys))}
+		return nil
 	}
 
-	// Two-tier dispatch: conditions compiled to bytecode run over a
-	// pooled register file; the rest (and everything under SetFastpath(false))
-	// takes the term-DAG slow path. Both tiers see identical bindings;
-	// the env is built lazily, only when a slow evaluation actually runs.
-	plan := s.cp.plans[u.Table]
-	useFast := s.fastpath && plan != nil && plan.hasFast
+	// Two tiers, one plan (fastpath.go): conditions compiled to bytecode
+	// run over a pooled register file; the rest (and everything under
+	// SetFastpath(false)) are evaluated as terms over an env, built only
+	// when such an evaluation actually runs.
+	useFast := s.fastpath && tb.hasFast
 	var regs []uint64
 	if useFast {
 		regsp := s.cp.scratch.Get().(*[]uint64)
 		defer s.cp.scratch.Put(regsp)
 		regs = *regsp
-		plan.bind(regs, u.Entry)
+		tb.own.fill(regs, nil, act, u.Entry)
 	}
 	var env smt.Env
-	var bound map[string]bool
 
-	for ci, ca := range s.cp.byTable[u.Table] {
-		for i, term := range ca.terms {
-			aStart := time.Now()
-			violated, fast := false, false
-			if useFast {
-				switch {
-				case plan.progs[ci][i] != nil:
-					violated, fast = plan.progs[ci][i].Eval(regs), true
-				case plan.linked[ci][i] != nil:
-					violated, fast = s.evalLinkedFast(plan.linked[ci][i], regs), true
-				case len(plan.slowGuards[ci][i]) > 0 && guardsRefute(plan.slowGuards[ci][i], regs):
-					// A false implied conjunct decides the condition
-					// without an env build or term-DAG walk.
-					fast = true
-				}
+	for ci := range tb.conds {
+		c := &tb.conds[ci]
+		aStart := time.Now()
+		violated, fast := false, false
+		if useFast {
+			switch {
+			case guardsRefute(c.guards, regs):
+				// A false implied conjunct decides the condition without
+				// a shadow scan, an env build or a term-DAG walk.
+				fast = true
+			case c.prog != nil:
+				violated, fast = s.violated(c, regs, nil), true
 			}
-			if fast {
-				s.counters.fastHits++
-				s.obs.fastpathHits.Inc()
-			} else {
-				if env == nil {
-					env = smt.Env{}
-					bound = s.cp.bindEntry(env, ts, u.Entry)
-				}
-				violated = s.evalCondition(ca, i, term, env, bound, ts)
-				s.counters.slowHits++
-				s.obs.slowpathHits.Inc()
+		}
+		if fast {
+			s.counters.fastHits++
+			s.obs.fastpathHits.Inc()
+		} else {
+			if env == nil {
+				env = smt.Env{}
+				tb.own.fill(nil, env, act, u.Entry)
 			}
-			aNs := time.Since(aStart).Nanoseconds()
-			s.perAssertion.add(aNs)
-			s.obs.assertNs.Observe(aNs)
-			if violated {
-				s.rejectLocked()
-				return &RejectionError{Table: u.Table, Assertion: ca.src, Forbidden: ca.src.Forbidden[i]}
-			}
+			violated = s.violated(c, nil, env)
+			s.counters.slowHits++
+			s.obs.slowpathHits.Inc()
+		}
+		aNs := time.Since(aStart).Nanoseconds()
+		s.perAssertion.add(aNs)
+		s.obs.assertNs.Observe(aNs)
+		if violated {
+			return s.rejectLocked(&RejectionError{Table: u.Table, Assertion: c.src, Forbidden: c.src.Forbidden[c.i]})
 		}
 	}
 	return nil
 }
 
-// evalCondition evaluates one forbidden term under the update's bindings,
-// querying shadow tables for unbound (linked-table) variables: the term
-// is violated if ANY completion from the shadow state satisfies it.
-func (s *Shim) evalCondition(ca *compiledAssertion, i int, term *smt.Term, env smt.Env, bound map[string]bool, updated *spec.TableSchema) bool {
-	// Which mentioned variables are still unbound?
-	unboundTables := map[*spec.TableSchema]bool{}
-	for name := range ca.termBound[i] {
-		if bound[name] {
-			continue
-		}
-		switch {
-		case ca.primary != updated && hasPrefixVar(ca.primary, name):
-			unboundTables[ca.primary] = true
-		case ca.linked != nil && ca.linked != updated && hasPrefixVar(ca.linked, name):
-			unboundTables[ca.linked] = true
-		}
+// violated evaluates one forbidden condition under the update's bindings
+// — in regs on the bytecode tier, in env (non-nil) on the term tier. A
+// condition that reads its assertion's other table is violated if ANY
+// shadow entry of that table completes the forbidden shape (the paper's
+// step c, linear in that table's size).
+func (s *Shim) violated(c *condition, regs []uint64, env smt.Env) bool {
+	if c.scan == nil {
+		return c.holds(regs, env)
 	}
-	if len(unboundTables) == 0 {
-		return smt.EvalBool(term, env)
-	}
-	// Multi-table: try every shadow entry of the other table (the paper's
-	// step c — linear in unbound variables, here one auxiliary table).
-	for other := range unboundTables {
-		entries := s.shadow[other.Name]
-		if len(entries) == 0 {
-			// No candidate entry can complete the forbidden shape; treat
-			// the hit variable as false.
-			env2 := env.Clone()
-			env2.SetBool(other.Prefix+".hit", false)
-			if smt.EvalBool(term, env2) {
-				return true
-			}
-			continue
-		}
-		for _, e := range entries {
-			env2 := env.Clone()
-			s.cp.bindEntry(env2, other, e)
-			if smt.EvalBool(term, env2) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-func hasPrefixVar(ts *spec.TableSchema, name string) bool {
-	return ts != nil && len(name) > len(ts.Prefix) && name[:len(ts.Prefix)] == ts.Prefix
-}
-
-// bindEntry writes an entry's control-variable values into env and
-// returns the set of bound names. Match masks come from the per-width
-// memo tables built at compile time rather than fresh big.Int
-// construction per call.
-func (cp *Compiled) bindEntry(env smt.Env, ts *spec.TableSchema, e *dataplane.Entry) map[string]bool {
-	bound := map[string]bool{}
-	set := func(name string, v *big.Int) {
-		env[name] = v
-		bound[name] = true
-	}
-	setB := func(name string, v bool) {
-		env.SetBool(name, v)
-		bound[name] = true
-	}
-	setB(ts.Prefix+".hit", true)
-	actIdx := 0
-	var act *spec.ActionSchema
-	for _, a := range ts.Actions {
-		if a.Name == e.Action {
-			actIdx = a.Index
-			act = a
-		}
-	}
-	set(ts.Prefix+".action_run", big.NewInt(int64(actIdx)))
-	for j, k := range ts.Keys {
-		if j >= len(e.Keys) {
+	entries := s.shadow[c.scan.tb.ts.Name]
+	held := false
+	for _, e := range entries {
+		c.scan.fill(regs, env, c.scan.tb.actions[e.Action], e)
+		if held = c.holds(regs, env); held {
 			break
 		}
-		set(fmt.Sprintf("%s.key%d", ts.Prefix, j), e.Keys[j].Value)
-		switch k.MatchKind {
-		case "ternary":
-			m := e.Keys[j].Mask
-			if m == nil {
-				m = cp.memoOnes(k.Width)
-			}
-			set(fmt.Sprintf("%s.mask%d", ts.Prefix, j), m)
-		case "lpm":
-			plen := e.Keys[j].PrefixLen
-			if plen < 0 {
-				plen = k.Width
-			}
-			set(fmt.Sprintf("%s.mask%d", ts.Prefix, j), cp.memoPrefixMask(k.Width, plen))
-		}
 	}
-	if act != nil {
-		for pi, p := range act.Params {
-			v := big.NewInt(0)
-			if pi < len(e.Params) {
-				v = e.Params[pi]
-			}
-			set(fmt.Sprintf("%s.%s.%s", ts.Prefix, act.Name, p.Name), v)
-		}
+	// With no entry bound the scanned table's variables read zero, hit
+	// included: for this condition when there is no candidate entry, and
+	// for later ones that name them without scanning that table.
+	c.scan.clear(regs, env)
+	if len(entries) == 0 {
+		return c.holds(regs, env)
 	}
-	return bound
+	return held
 }
