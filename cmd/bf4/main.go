@@ -23,6 +23,11 @@
 //	-trace-out f       write the hierarchical phase-timing tree to f
 //	                   ("-" for stdout)
 //	-v                 verbose: list every bug with its verdict
+//	-trace             print a counterexample for each reachable bug: of the
+//	                   program as written the run assumes arbitrary table
+//	                   entries; the one after a "dataplane bug" line runs
+//	                   the final program under rules every inferred
+//	                   annotation admits
 //	-cpuprofile f      write a CPU profile of the verification run to f
 //	-memprofile f      write an allocation profile of the run to f
 //	                   (go tool pprof -sample_index=alloc_space)
@@ -35,6 +40,7 @@ import (
 	"runtime/pprof"
 
 	"bf4/internal/analysis"
+	"bf4/internal/core"
 	"bf4/internal/driver"
 	"bf4/internal/ir"
 	"bf4/internal/obs"
@@ -79,7 +85,7 @@ func main() {
 		fixedOut    = flag.String("fixed", "", "write the fixed P4 program to this file")
 		render      = flag.Bool("render", false, "print assertions in SQL-like form")
 		verbose     = flag.Bool("v", false, "verbose bug listing")
-		showTrace   = flag.Bool("trace", false, "print a counterexample trace for each reachable bug")
+		showTrace   = flag.Bool("trace", false, "print a counterexample trace for each reachable bug of the program as written (a run under arbitrary table entries) and, after each dataplane bug, one on the final program that satisfies every inferred annotation")
 		jobs        = flag.Int("j", 0, "workers: solver shards for bug checks and rechecks, and the inference pool size (0 = GOMAXPROCS; verdicts, fixes and annotation files are identical for every value, witness traces may differ)")
 		metricsOut  = flag.String("metrics-json", "", "write run metrics as JSON to this file (\"-\" for stdout; verdicts are identical with metrics on or off)")
 		traceOut    = flag.String("trace-out", "", "write the hierarchical phase-timing tree to this file (\"-\" for stdout)")
@@ -199,19 +205,20 @@ func main() {
 			if !b.Reachable {
 				continue
 			}
-			tr, err := res.Initial.Counterexample(b)
-			if err != nil {
-				fmt.Printf("trace unavailable: %v\n", err)
-				continue
-			}
-			fmt.Print(res.Initial.RenderTrace(b, tr))
+			printTrace(res.Initial, b)
 		}
 	}
 	if len(res.Fixes.Keys) > 0 || len(res.Fixes.Special) > 0 || len(res.Fixes.Unfixable) > 0 {
 		fmt.Print(res.Fixes.Describe())
 	}
+	final, _, _ := res.Final()
 	for _, b := range res.Dataplane {
 		fmt.Printf("dataplane bug (fix the P4 code): %s\n", b.Description())
+		if *showTrace {
+			// The bug's witness has held through the last recheck, so this run
+			// of the final program uses no rule an inferred annotation forbids.
+			printTrace(final, b)
+		}
 	}
 
 	file := res.Spec()
@@ -247,6 +254,17 @@ func main() {
 	if *traceOut != "" {
 		writeOut(*traceOut, []byte(cfg.Trace.RenderString()))
 	}
+}
+
+// printTrace replays b's witness on pl, the pipeline b was found in, and
+// prints the run.
+func printTrace(pl *core.Pipeline, b *core.Bug) {
+	tr, err := pl.Counterexample(b)
+	if err != nil {
+		fmt.Printf("trace unavailable: %v\n", err)
+		return
+	}
+	fmt.Print(pl.RenderTrace(b, tr))
 }
 
 // startProfiles starts a CPU profile into cpuPath and returns the function

@@ -170,3 +170,28 @@ func TestCheckAssertUsageErrors(t *testing.T) {
 		t.Errorf("malformed spec: exit %d, want 2\n%s", code, out)
 	}
 }
+
+// TestTraceShowsDataplaneBugs: under -trace a "dataplane bug" line is
+// followed by the run that reaches it — on the final program, under rules the
+// inferred annotations admit (TestUncontrolledWitnessesAreCertificates holds
+// the witness to that) — on the two corpus programs the loop leaves a bug in.
+// Without -trace the line stands alone.
+func TestTraceShowsDataplaneBugs(t *testing.T) {
+	for _, name := range []string{"linearroad_16", "mplb_router-ppc"} {
+		out, code := runBF4(t, "-corpus", name, "-trace")
+		if code != 0 {
+			t.Fatalf("%s: exit %d, want 0\n%s", name, code, out)
+		}
+		_, after, found := strings.Cut(out, "dataplane bug (fix the P4 code): ")
+		if !found {
+			t.Fatalf("%s: no dataplane bug reported:\n%s", name, out)
+		}
+		desc, trace, _ := strings.Cut(after, "\n")
+		if !strings.HasPrefix(trace, "counterexample for "+desc+"\n") || !strings.Contains(trace, "** BUG") {
+			t.Errorf("%s: the dataplane bug line is not followed by its counterexample:\n%s", name, after)
+		}
+		if plain, _ := runBF4(t, "-corpus", name); strings.Contains(plain, "counterexample") {
+			t.Errorf("%s: a counterexample printed without -trace:\n%s", name, plain)
+		}
+	}
+}

@@ -32,39 +32,48 @@ type Result struct {
 	Stats     Stats
 }
 
-// Run executes the static-analysis layer over a lowered program: constant
-// propagation & reachability, header validity, dead-write liveness, and —
-// when the source AST is supplied — table lint. The forward analyses are
-// sound abstractions of the IR semantics (unknown inputs and table
-// outcomes stay unknown), so a bug node they prove unreachable is
+// Discharge runs the one analysis whose result feeds the solver — constant
+// propagation & reachability — and returns the bug nodes it proves
+// unreachable. The analysis is a sound abstraction of the IR semantics
+// (unknown inputs and table outcomes stay unknown), so such a node is
 // unreachable on every concrete execution and its weakest-precondition
-// query is unsatisfiable; discharging it cannot change any verdict.
-func Run(p *ir.Program, prog *ast.Program) *Result {
-	reach := p.Reachable()
+// query is unsatisfiable; discharging it cannot change any verdict. A rebuild
+// round, which reads nothing else of the layer, calls this and not Run.
+func Discharge(p *ir.Program) map[*ir.Node]bool {
+	set, _, _ := discharge(p)
+	return set
+}
 
-	cp := SolveForward(p.Start, NewConstProp(p))
+// discharge also returns what the lint reads of the computation: CFG
+// reachability and the constant-propagation facts.
+func discharge(p *ir.Program) (set, reach map[*ir.Node]bool, cp *Facts) {
+	reach = p.Reachable()
+	cp = SolveForward(p.Start, NewConstProp(p))
+	return dischargeSet(p, reach, cp), reach, cp
+}
+
+// Run executes the whole static-analysis layer over a lowered program:
+// Discharge, and on top of it the lint — header validity, dead-write
+// liveness, and, when the source AST is supplied, table lint.
+func Run(p *ir.Program, prog *ast.Program) *Result {
+	set, reach, cp := discharge(p)
 	val := SolveForward(p.Start, NewValidity(p))
 	live := SolveBackward(p.Start, NewLiveness(p))
 
-	res := &Result{Discharge: map[*ir.Node]bool{}}
+	res := &Result{Discharge: set}
 	res.Stats.Iterations = cp.Iterations + val.Iterations + live.Iterations
 
-	// Discharge: constant propagation tracks a superset of what the
-	// validity lattice tracks (with identical refinement), so its
-	// discharge set subsumes validity's; the validity run attributes how
-	// much the cheap lattice achieves alone.
-	byValidity := dischargeSet(p, reach, val)
-	res.Discharge = dischargeSet(p, reach, cp)
-	for n := range byValidity {
-		res.Discharge[n] = true
-	}
 	for _, bn := range p.Bugs {
 		if reach[bn] {
 			res.Stats.BugChecks++
 		}
 	}
 	res.Stats.Discharged = len(res.Discharge)
-	res.Stats.DischargedValidity = len(byValidity)
+	// Constant propagation tracks a superset of what the validity lattice
+	// tracks (with identical refinement), so its discharge set subsumes
+	// validity's (TestConstPropDischargeSubsumesValidity); the validity run
+	// attributes how much the cheap lattice achieves alone.
+	res.Stats.DischargedValidity = len(dischargeSet(p, reach, val))
 
 	// Lint. Definite validity bugs come from the validity facts; definite
 	// bugs of other classes from the richer constprop facts.

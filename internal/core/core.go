@@ -144,8 +144,16 @@ type Bug struct {
 	// Instance is the table instance whose assert point dominates the
 	// bug (nil for bugs outside any table, e.g. egress_spec).
 	Instance *ir.TableInstance
-	// Model is a satisfying assignment for the bug's reachability
-	// condition (inputs + table entries), present when Reachable.
+	// Model is the bug's witness, present when Reachable: an assignment
+	// (inputs + table entries; a variable it leaves out reads zero, the
+	// smt.Eval convention) under which Cond evaluates true, and with it every
+	// predicate inference had asserted when the bug was last found reachable.
+	// infer.Run maintains it: a recheck evaluates the witness before it asks
+	// the solver, and replaces it by the solver's model when it no longer
+	// holds. For a bug still uncontrolled at the end of a round it therefore
+	// satisfies every annotation of that round, so Counterexample replays a
+	// run that no inferred annotation forbids. The bug's shard is its only
+	// writer.
 	Model smt.Env
 	// Cond is the bug's reachability condition.
 	Cond *smt.Term

@@ -6,6 +6,7 @@ import (
 
 	"bf4/internal/ir"
 	"bf4/internal/progs"
+	"bf4/internal/smt"
 )
 
 // TestCorpusWitnessReplay replays every reachable bug's solver model
@@ -60,6 +61,51 @@ func TestCorpusWitnessReplay(t *testing.T) {
 				t.Fatalf("%s: no reachable bugs to replay (corpus regression)", name)
 			}
 			t.Logf("%s: replayed %d/%d witnesses", name, replayed, rep.NumReachable())
+		})
+	}
+}
+
+// TestEverySatModelEvaluates pins the convention a maintained witness leans
+// on: the environment a Sat answer of checkNodes comes with makes the bug's
+// condition as written — pl.Reach.Cond, not the form the shard's rewrite pass
+// blasted — evaluate true under smt.EvalBool, a variable the rewrite erased
+// reading zero. The evaluator shares no code with bit-blasting or the CDCL
+// core, so each model checked here is also independent evidence for a
+// "reachable" verdict.
+func TestEverySatModelEvaluates(t *testing.T) {
+	for _, p := range progs.All() {
+		name, src := p.Name, p.Source
+		if p.Name == "switch" {
+			if testing.Short() {
+				continue
+			}
+			name, src = "switch@1", progs.GenerateSwitch(1)
+		}
+		t.Run(name, func(t *testing.T) {
+			pl, err := Compile(src, ir.DefaultOptions(), true)
+			if err != nil {
+				t.Fatalf("compile: %v", err)
+			}
+			var nodes []*ir.Node
+			for _, bn := range pl.IR.Bugs {
+				if pl.Reach.Cond[bn] != nil {
+					nodes = append(nodes, bn)
+				}
+			}
+			checks, _ := pl.checkNodes(nodes, 2, nil, nil, "test")
+			sat := 0
+			for i, c := range checks {
+				if !c.reachable {
+					continue
+				}
+				sat++
+				if !smt.EvalBool(pl.Reach.Cond[nodes[i]], c.model) {
+					t.Errorf("n%d (%s): the Sat answer's model does not satisfy the condition as written", nodes[i].ID, nodes[i].Comment)
+				}
+			}
+			if sat == 0 {
+				t.Fatalf("%s: no Sat answer to evaluate (corpus regression)", name)
+			}
 		})
 	}
 }

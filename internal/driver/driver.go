@@ -234,10 +234,19 @@ func round(n int, src string, cfg Config) (turn, error) {
 		return turn{}, err
 	}
 
+	// Only round 0's lint and statistics are reported (Result.Analysis): a
+	// rebuild round runs the part of the layer that feeds the solver.
 	_, done = obs.StartPhase(cfg.Obs, parent, "analysis")
-	ar := analysis.Run(pl.IR, pl.AST)
+	var ar *analysis.Result
+	var skip map[*ir.Node]bool
+	if n == 0 {
+		ar = analysis.Run(pl.IR, pl.AST)
+		skip = ar.Discharge
+	} else {
+		skip = analysis.Discharge(pl.IR)
+	}
 	done()
-	rep := pl.FindBugsWith(core.FindOptions{Skip: ar.Discharge, Workers: pool.Workers(cfg.Workers), Solvers: cfg.Infer.Solvers, Obs: cfg.Obs, Trace: parent})
+	rep := pl.FindBugsWith(core.FindOptions{Skip: skip, Workers: pool.Workers(cfg.Workers), Solvers: cfg.Infer.Solvers, Obs: cfg.Obs, Trace: parent})
 
 	sp, done = phase("inference")
 	cfg.Infer.Trace = sp

@@ -85,6 +85,38 @@ func TestObservabilityPreservesVerdicts(t *testing.T) {
 			if root.Duration() <= 0 {
 				t.Error("root span has no duration")
 			}
+			// Every recheck says how many of its candidates a witness answered,
+			// and the registry's two counters split the same candidates.
+			var candidates, witnessed int64
+			var walk func(*obs.Span)
+			walk = func(sp *obs.Span) {
+				if sp.Name() == "recheck" {
+					c, _ := sp.Metric("candidates")
+					w, ok := sp.Metric("witnessed")
+					r, _ := sp.Metric("reachable")
+					if !ok || w > r || r > c {
+						t.Errorf("recheck span: %d candidates, %d witnessed (recorded: %v), %d reachable", c, w, ok, r)
+					}
+					candidates, witnessed = candidates+c, witnessed+w
+				}
+				for _, c := range sp.Children() {
+					walk(c)
+				}
+			}
+			walk(root)
+			if got := reg.CounterValue("bf4_infer_recheck_witnessed_total"); got != witnessed {
+				t.Errorf("bf4_infer_recheck_witnessed_total = %d, the recheck spans say %d", got, witnessed)
+			}
+			if got := reg.CounterValue("bf4_infer_recheck_solved_total"); got != candidates-witnessed {
+				t.Errorf("bf4_infer_recheck_solved_total = %d, the recheck spans say %d of %d candidates", got, candidates-witnessed, candidates)
+			}
+			if candidates == 0 {
+				t.Error("no recheck span recorded a candidate")
+			}
+			if pairs, yielding := reg.CounterValue("bf4_infer_multitable_pairs_total"), reg.CounterValue("bf4_infer_multitable_pairs_yielding_total"); yielding > pairs ||
+				(pairs > 0 && reg.CounterValue("bf4_infer_multitable_paths_total") < pairs) {
+				t.Errorf("multi-table counters: %d pairs, %d yielding, %d paths", pairs, yielding, reg.CounterValue("bf4_infer_multitable_paths_total"))
+			}
 			// The slowest-checks table names where each of its checks came
 			// from: bug checks and rechecks carry their bug node, Infer's
 			// solvers do not decide a single node.

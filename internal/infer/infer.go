@@ -136,9 +136,14 @@ func DefaultOptions() Options {
 //
 // rep must still hold the shards FindBugs decided its bugs on.
 func Run(pl *core.Pipeline, rep *core.Report, opts Options) *Result {
+	return run(pl, rep, opts, false)
+}
+
+// run is Run; solveOnly is the rechecker's test switch.
+func run(pl *core.Pipeline, rep *core.Report, opts Options, solveOnly bool) *Result {
 	workers := pool.Workers(opts.Workers)
 	res := &Result{Controlled: map[*ir.Node]bool{}}
-	re := &rechecker{pl: pl, res: res, shards: rep.Shards, workers: workers, obs: opts.Obs, trace: opts.Trace}
+	re := &rechecker{pl: pl, res: res, shards: rep.Shards, workers: workers, obs: opts.Obs, trace: opts.Trace, solveOnly: solveOnly}
 
 	reachableBugs := make([]*core.Bug, 0, len(rep.Bugs))
 	for _, b := range rep.Bugs {
@@ -238,7 +243,7 @@ func Run(pl *core.Pipeline, rep *core.Report, opts Options) *Result {
 	// Phase 3: multi-table heuristic for the stragglers.
 	if opts.UseMultiTable && len(uncontrolled) > 0 {
 		_, done := obs.StartPhase(opts.Obs, opts.Trace, "multitable")
-		for _, a := range MultiTable(pl, uncontrolled, workers) {
+		for _, a := range MultiTable(pl, uncontrolled, workers, opts.Obs) {
 			if len(a.Forbidden) > 0 {
 				res.Assertions = append(res.Assertions, a)
 			}
@@ -256,13 +261,17 @@ func Run(pl *core.Pipeline, rep *core.Report, opts Options) *Result {
 // re-checking only still-uncontrolled bugs. The work is split by shard:
 // every bug is rechecked on the solver that first decided it.
 type rechecker struct {
-	pl       *core.Pipeline
-	res      *Result
-	shards   []*solver.Solver
-	asserted int
-	workers  int
-	obs      *obs.Registry
-	trace    *obs.Span
+	pl      *core.Pipeline
+	res     *Result
+	shards  []*solver.Solver
+	preds   []*smt.Term // the predicate of res.Assertions[i], for every one asserted so far
+	workers int
+	obs     *obs.Registry
+	trace   *obs.Span
+	// solveOnly sends every candidate to the solver, as if no bug carried a
+	// witness. Only TestRecheckWitnessMatchesSolver sets it, to hold the
+	// witness path to the solver's answers.
+	solveOnly bool
 }
 
 // recheck returns the candidates still reachable under the predicates
@@ -270,6 +279,14 @@ type rechecker struct {
 // controlled. Each shard, on its own goroutine, takes on the predicates
 // added since the last call and decides its own candidates; a verdict is a
 // SAT/UNSAT answer, so the split changes neither the result nor its order.
+//
+// A candidate's witness (core.Bug.Model) is tried before the solver: a total
+// assignment under which the bug's condition and every predicate evaluate
+// true is a model of their conjunction, whatever search produced it, so the
+// bug is reachable and the solver is not asked. Only when the witness fails
+// does the shard search, and a Sat answer's model becomes the bug's new
+// witness. The shards serve nothing but these rechecks, so skipping a check
+// changes no state any Infer query sees.
 func (re *rechecker) recheck(candidates []*core.Bug) []*core.Bug {
 	start := time.Now()
 	sp, done := obs.StartPhase(re.obs, re.trace, "recheck")
@@ -277,18 +294,24 @@ func (re *rechecker) recheck(candidates []*core.Bug) []*core.Bug {
 	defer done()
 	defer func() { re.res.RecheckTime += time.Since(start) }()
 	f := re.pl.IR.F
-	var preds []*smt.Term
-	for ; re.asserted < len(re.res.Assertions); re.asserted++ {
-		preds = append(preds, re.res.Assertions[re.asserted].Predicate(f))
+	asserted := len(re.preds)
+	for _, a := range re.res.Assertions[asserted:] {
+		re.preds = append(re.preds, a.Predicate(f))
 	}
 	reachable := make([]bool, len(candidates))
+	witnessed := make([]int64, len(re.shards))
 	pool.ForEach(re.workers, len(re.shards), func(k int) {
 		s, name := re.shards[k], core.ShardName(k)
-		for _, p := range preds {
+		for _, p := range re.preds[asserted:] {
 			s.Assert(p)
 		}
 		for i, b := range candidates {
 			if b.Shard != k {
+				continue
+			}
+			if !re.solveOnly && re.witnessHolds(b) {
+				reachable[i] = true
+				witnessed[k]++
 				continue
 			}
 			// Assumption-based Check, not a retractable scope: rechecks revisit
@@ -297,7 +320,10 @@ func (re *rechecker) recheck(candidates []*core.Bug) []*core.Bug {
 			// scope would mint a fresh activation variable and guard clauses
 			// per visit.
 			s.Tag("recheck", name, b.Node.ID)
-			reachable[i] = s.Check(b.Cond) == solver.Sat
+			if s.Check(b.Cond) == solver.Sat {
+				reachable[i] = true
+				b.Model = s.Model()
+			}
 		}
 	})
 	var out []*core.Bug
@@ -308,7 +334,29 @@ func (re *rechecker) recheck(candidates []*core.Bug) []*core.Bug {
 			re.res.Controlled[b.Node] = true
 		}
 	}
+	var hits int64
+	for _, n := range witnessed {
+		hits += n
+	}
+	sp.SetMetric("witnessed", hits)
+	sp.SetMetric("reachable", int64(len(out)))
+	re.obs.Counter("bf4_infer_recheck_witnessed_total").Add(hits)
+	re.obs.Counter("bf4_infer_recheck_solved_total").Add(int64(len(candidates)) - hits)
 	return out
+}
+
+// witnessHolds reports whether b's witness still certifies it reachable:
+// every predicate asserted so far and b's own condition evaluate true under
+// it (smt.Eval reads a variable the witness leaves out as zero, so the
+// witness is a total assignment). The predicates come first: they are small,
+// and they are what a new annotation breaks.
+func (re *rechecker) witnessHolds(b *core.Bug) bool {
+	for _, p := range re.preds {
+		if !smt.EvalBool(p, b.Model) {
+			return false
+		}
+	}
+	return smt.EvalBool(b.Cond, b.Model)
 }
 
 // ------------------------------------------------------------- Infer
@@ -531,7 +579,9 @@ func inferShared(pl *core.Pipeline, forks *solver.Pool, dualBase, directBase *so
 		if direct.Check() != solver.Sat {
 			return a
 		}
-		model := direct.Model()
+		// The atoms range over this instance's control variables: the model
+		// of those is all the cube is read from.
+		model := direct.ModelOf(atoms...)
 		assumptions := make([]*smt.Term, 0, len(atoms)+1)
 		for _, p := range atoms {
 			if smt.EvalBool(p, model) {

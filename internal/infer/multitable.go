@@ -3,6 +3,7 @@ package infer
 import (
 	"bf4/internal/core"
 	"bf4/internal/ir"
+	"bf4/internal/obs"
 	"bf4/internal/pool"
 	"bf4/internal/smt"
 )
@@ -17,8 +18,14 @@ import (
 // controlled bug paths yield two-table assertions.
 // Each t2 with uncontrolled bugs is an independent task, fanned out over
 // the worker pool (workers <= 0 means GOMAXPROCS); per-task results keep
-// the deterministic inner t1 order and are merged in instance order.
-func MultiTable(pl *core.Pipeline, uncontrolled []*core.Bug, workers int) []*Assertion {
+// the deterministic inner t1 order and are merged in instance order. reg
+// (nil: nothing is recorded) counts what the heuristic costs: the (t1, t2)
+// pairs executed, those that yielded a linked condition, and the paths the
+// executions explored.
+func MultiTable(pl *core.Pipeline, uncontrolled []*core.Bug, workers int, reg *obs.Registry) []*Assertion {
+	pairs := reg.Counter("bf4_infer_multitable_pairs_total")
+	yielding := reg.Counter("bf4_infer_multitable_pairs_yielding_total")
+	paths := reg.Counter("bf4_infer_multitable_paths_total")
 	byInstance := map[*ir.TableInstance][]*core.Bug{}
 	for _, b := range uncontrolled {
 		if b.Instance != nil {
@@ -40,8 +47,11 @@ func MultiTable(pl *core.Pipeline, uncontrolled []*core.Bug, workers int) []*Ass
 			if !keysSubset(t1.Table, t2.Table) {
 				continue
 			}
-			a := fastInferLinked(pl, t1, t2)
-			if a != nil && len(a.Forbidden) > 0 {
+			a, explored := fastInferLinked(pl, t1, t2)
+			pairs.Inc()
+			paths.Add(int64(explored))
+			if len(a.Forbidden) > 0 {
+				yielding.Inc()
 				return a
 			}
 		}
@@ -134,8 +144,9 @@ func keysSubset(t1, t2 *ir.Table) bool {
 
 // fastInferLinked runs the Fast-Infer executor from t1's assert point to
 // t2's join, with both instances' variables controlled; only bug paths
-// belonging to t2's region are kept.
-func fastInferLinked(pl *core.Pipeline, t1, t2 *ir.TableInstance) *Assertion {
+// belonging to t2's region are kept. The second result is the number of
+// paths the execution explored.
+func fastInferLinked(pl *core.Pipeline, t1, t2 *ir.TableInstance) (*Assertion, int) {
 	controlled := controlledSet(t1)
 	for k := range controlledSet(t2) {
 		controlled[k] = true
@@ -172,5 +183,5 @@ func fastInferLinked(pl *core.Pipeline, t1, t2 *ir.TableInstance) *Assertion {
 		}
 	}
 	a.Forbidden = dedupeTerms(a.Forbidden)
-	return a
+	return a, ex.paths
 }

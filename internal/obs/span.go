@@ -113,6 +113,22 @@ func (s *Span) SetMetric(key string, v int64) {
 	s.metrics = append(s.metrics, spanMetric{key, v})
 }
 
+// Metric returns the annotation SetMetric attached under key, and whether
+// there is one.
+func (s *Span) Metric(key string) (int64, bool) {
+	if s == nil {
+		return 0, false
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, m := range s.metrics {
+		if m.key == key {
+			return m.val, true
+		}
+	}
+	return 0, false
+}
+
 // Children returns a snapshot of the span's children in start order.
 func (s *Span) Children() []*Span {
 	if s == nil {

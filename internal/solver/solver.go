@@ -464,14 +464,31 @@ func (s *Solver) Model() smt.Env {
 	return env
 }
 
+// ModelOf is Model restricted to the variables of the given terms: the same
+// values, so evaluating any of the terms under it gives what Model would,
+// without a big.Int for every other variable of the program. A variable the
+// solver has never seen stays out, as it does in Model, and reads zero.
+func (s *Solver) ModelOf(terms ...*smt.Term) smt.Env {
+	env := smt.Env{}
+	seen := map[uint32]bool{}
+	for _, t := range terms {
+		for _, v := range t.VarsSeen(nil, seen) {
+			if s.vars[v] {
+				env[v.Name()] = s.ctx.ModelValue(v)
+			}
+		}
+	}
+	return env
+}
+
 // Value evaluates t under the current model.
 func (s *Solver) Value(t *smt.Term) *big.Int {
-	return smt.Eval(t, s.Model())
+	return smt.Eval(t, s.ModelOf(t))
 }
 
 // ValueBool evaluates boolean t under the current model.
 func (s *Solver) ValueBool(t *smt.Term) bool {
-	return smt.EvalBool(t, s.Model())
+	return smt.EvalBool(t, s.ModelOf(t))
 }
 
 // Stats reports SAT-level statistics.

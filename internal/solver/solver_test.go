@@ -26,6 +26,38 @@ func TestAssertCheckModel(t *testing.T) {
 	}
 }
 
+// TestModelOfIsModelRestricted: ModelOf holds exactly the variables of its
+// terms that the solver has seen, with Model's values, so a term evaluates the
+// same under either; a variable no formula mentioned is in neither.
+func TestModelOfIsModelRestricted(t *testing.T) {
+	f := smt.NewFactory()
+	s := New(f)
+	a, b, c := f.BVVar("a", 8), f.BVVar("b", 8), f.BVVar("c", 8)
+	p, q := f.BoolVar("p"), f.BoolVar("q")
+	s.Assert(f.Eq(f.Add(a, b), f.BVConst64(10, 8)))
+	s.Assert(f.Ult(a, b))
+	s.Assert(f.Iff(p, f.Ugt(c, b)))
+	if res := s.Check(p); res != Sat {
+		t.Fatalf("got %v, want Sat", res)
+	}
+	full := s.Model()
+	atoms := []*smt.Term{f.Ult(a, f.BVConst64(3, 8)), f.And(p, f.Eq(b, c)), q}
+	part := s.ModelOf(atoms...)
+	if len(part) != 4 { // a, b, c, p: not q, which the solver never saw
+		t.Fatalf("ModelOf holds %d variables: %v", len(part), part)
+	}
+	for name, v := range part {
+		if full[name] == nil || full[name].Cmp(v) != 0 {
+			t.Errorf("%s = %v in ModelOf, %v in Model", name, v, full[name])
+		}
+	}
+	for _, at := range atoms {
+		if smt.EvalBool(at, part) != smt.EvalBool(at, full) {
+			t.Errorf("%s evaluates differently under ModelOf and Model", at)
+		}
+	}
+}
+
 func TestCheckWithAssumptions(t *testing.T) {
 	f := smt.NewFactory()
 	s := New(f)
