@@ -18,8 +18,9 @@
 //	                   fixes and annotation files are identical for every
 //	                   value, witness traces may differ
 //	-metrics-json f    write run metrics (counters, gauges, histograms,
-//	                   the ten slowest solver checks) as JSON to f ("-"
-//	                   for stdout)
+//	                   the ten slowest solver checks, each marked "first"
+//	                   when it was its solver's cold start) as JSON to f
+//	                   ("-" for stdout)
 //	-trace-out f       write the hierarchical phase-timing tree to f
 //	                   ("-" for stdout)
 //	-v                 verbose: list every bug with its verdict

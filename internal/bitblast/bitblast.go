@@ -91,13 +91,21 @@ func (c *Context) Solver() *sat.Solver { return c.s }
 // false, so models (and the witnesses built from them) stay zero-biased.
 func (c *Context) freshLit() sat.Lit { return sat.MkLit(c.s.NewVar(), false) }
 
-// freshGate allocates the output variable of a Tseitin gate. Gate outputs
-// start with saved phase true: a reach condition is a conjunction of path
-// guards, and a search that first tries every guard false falsifies the
-// query it was asked, then has to learn its way back.
-func (c *Context) freshGate() sat.Lit {
+// phase returns the saved phase of literal l: the value the solver's next
+// decision on it tries first. Level-0 facts, the constant among them, and
+// every variable of the last model read their value.
+func (c *Context) phase(l sat.Lit) bool { return c.s.Phase(l.Var()) != l.Sign() }
+
+// freshGate allocates the output variable of a Tseitin gate, whose first
+// saved phase is the gate's function of its inputs' saved phases. The saved
+// phases are then a point of the circuit — the all-zeros input on a fresh
+// solver, the last model after a Sat answer — so a descent that follows
+// them can contradict an asserted root or an assumption, never a gate
+// definition. The three emitters below are the only callers: a gate with
+// any other first phase costs a conflict to put right.
+func (c *Context) freshGate(phase bool) sat.Lit {
 	v := c.s.NewVar()
-	c.s.SetPhase(v, true)
+	c.s.SetPhase(v, phase)
 	return sat.MkLit(v, false)
 }
 
@@ -331,7 +339,11 @@ func (c *Context) mkAnd(lits []sat.Lit) sat.Lit {
 
 // emitAnd emits the Tseitin definition y ↔ ∧ lits and returns y.
 func (c *Context) emitAnd(lits []sat.Lit) sat.Lit {
-	y := c.freshGate()
+	all := true
+	for _, l := range lits {
+		all = all && c.phase(l)
+	}
+	y := c.freshGate(all)
 	long := make([]sat.Lit, 0, len(lits)+1)
 	long = append(long, y)
 	for _, l := range lits {
@@ -363,7 +375,7 @@ func (c *Context) mkXor(a, b sat.Lit) sat.Lit {
 
 // emitXor emits the Tseitin definition y ↔ a ⊕ b and returns y.
 func (c *Context) emitXor(a, b sat.Lit) sat.Lit {
-	y := c.freshGate()
+	y := c.freshGate(c.phase(a) != c.phase(b))
 	c.s.AddClause(y.Neg(), a, b)
 	c.s.AddClause(y.Neg(), a.Neg(), b.Neg())
 	c.s.AddClause(y, a.Neg(), b)
@@ -390,7 +402,11 @@ func (c *Context) mkIte(cond, a, b sat.Lit) sat.Lit {
 
 // emitIte emits the Tseitin definition y ↔ (cond ? a : b) and returns y.
 func (c *Context) emitIte(cond, a, b sat.Lit) sat.Lit {
-	y := c.freshGate()
+	branch := b
+	if c.phase(cond) {
+		branch = a
+	}
+	y := c.freshGate(c.phase(branch))
 	c.s.AddClause(cond.Neg(), a.Neg(), y)
 	c.s.AddClause(cond.Neg(), a, y.Neg())
 	c.s.AddClause(cond, b.Neg(), y)

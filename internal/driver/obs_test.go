@@ -76,6 +76,14 @@ func TestObservabilityPreservesVerdicts(t *testing.T) {
 			if reg.CounterValue("bf4_solver_checks_total") == 0 {
 				t.Error("no solver checks recorded")
 			}
+			// Every run has cold starts — each shard's and each base's first
+			// check — and the registry counts them and their conflicts apart.
+			if first, checks := reg.CounterValue("bf4_solver_first_checks_total"), reg.CounterValue("bf4_solver_checks_total"); first == 0 || first > checks {
+				t.Errorf("%d first checks of %d checks", first, checks)
+			}
+			if cold, all := reg.CounterValue("bf4_solver_first_check_conflicts_total"), reg.CounterValue("bf4_solver_conflicts_total"); cold > all {
+				t.Errorf("%d conflicts in first checks, %d in all", cold, all)
+			}
 			if reg.CounterValue("bf4_phase_findbugs_ns_total") == 0 {
 				t.Error("no findbugs phase time recorded")
 			}
@@ -194,5 +202,33 @@ func TestRunOwnsItsSolvers(t *testing.T) {
 			}
 			wg.Wait()
 		})
+	}
+}
+
+// TestColdChecksStayCheap pins what a cold start costs on switch@1: the
+// first check of each bug-check shard and of each Infer base, rounds 0 and 1
+// together. A fresh solver's saved phases are the circuit at the all-zeros
+// input (bitblast.freshGate), so its first descent contradicts only what was
+// asserted; with every gate starting true instead (the parent of the change
+// that introduced this test) the same eight checks took 713 conflicts of the
+// run's 2 756, against 158 of 765. The counts repeat exactly at a fixed
+// worker count; the ceilings leave room for an unrelated change to the
+// program or the encoding, not for a gate emitter with a constant phase.
+func TestColdChecksStayCheap(t *testing.T) {
+	reg := obs.NewRegistry()
+	cfg := DefaultConfig()
+	cfg.Workers = 2
+	cfg.Obs = reg
+	if _, err := Run("switch", progs.GenerateSwitch(1), cfg); err != nil {
+		t.Fatalf("driver: %v", err)
+	}
+	if got := reg.CounterValue("bf4_solver_first_checks_total"); got != 8 {
+		t.Errorf("%d first checks, want 8: two shards and two bases in each of two rounds", got)
+	}
+	if got := reg.CounterValue("bf4_solver_first_check_conflicts_total"); got > 250 {
+		t.Errorf("the run's cold starts took %d conflicts, want at most 250 (158 when pinned, 713 with constant gate phases)", got)
+	}
+	if got := reg.CounterValue("bf4_solver_conflicts_total"); got > 1100 {
+		t.Errorf("the run took %d conflicts, want at most 1100 (765 when pinned, 2756 with constant gate phases)", got)
 	}
 }

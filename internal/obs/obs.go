@@ -49,7 +49,10 @@ type CheckRecord struct {
 	Solver string `json:"solver"`
 	// Node is the IR id of the bug node the check decides, -1 when the
 	// check is not about one node.
-	Node         int   `json:"node"`
+	Node int `json:"node"`
+	// First marks a cold start: no check had run on the issuing solver, or
+	// on the one it was copied from, since it was made or reset.
+	First        bool  `json:"first"`
 	CNFVars      int   `json:"cnf_vars"`
 	CNFClauses   int   `json:"cnf_clauses"`
 	Decisions    int64 `json:"decisions"`

@@ -108,7 +108,7 @@ func TestSlowestChecks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, key := range []string{`"slowest_checks"`, `"phase": "findbugs"`, `"solver": "shard 0"`, `"node": 100`, `"cnf_vars"`, `"cnf_clauses"`, `"decisions"`, `"propagations"`, `"conflicts"`, `"ns": 100`} {
+	for _, key := range []string{`"slowest_checks"`, `"phase": "findbugs"`, `"solver": "shard 0"`, `"node": 100`, `"first": false`, `"cnf_vars"`, `"cnf_clauses"`, `"decisions"`, `"propagations"`, `"conflicts"`, `"ns": 100`} {
 		if !strings.Contains(string(data), key) {
 			t.Errorf("JSON document lacks %s", key)
 		}

@@ -28,10 +28,13 @@ func (s *Solver) Inprocess() (deleted int) {
 		s.okState = false
 		return 0
 	}
-	// Loop until fixpoint: stripping can create units whose propagation
-	// satisfies or shortens further clauses.
+	// Sweep again only after a sweep that made a level-0 fact: a stripped
+	// clause can become a unit whose propagation satisfies or shortens
+	// clauses the walk had already passed. Deleting a satisfied clause or
+	// stripping false literals changes no value, so a sweep that enqueued
+	// nothing has left nothing for the next one to find.
 	for {
-		changed := false
+		newFact := false
 		for _, cref := range s.clauses {
 			h := s.arena[cref]
 			if h&deletedBit != 0 {
@@ -50,13 +53,11 @@ func (s *Solver) Inprocess() (deleted int) {
 			if satisfied {
 				s.deleteClause(cref)
 				deleted++
-				changed = true
 				continue
 			}
 			if !hasFalse {
 				continue
 			}
-			changed = true
 			s.detachClause(cref)
 			// Strip in place: the clause keeps its cref and its place in
 			// the walk, and the words it gives up are waste.
@@ -77,6 +78,7 @@ func (s *Solver) Inprocess() (deleted int) {
 				s.markDeleted(cref)
 				deleted++
 				s.uncheckedEnqueue(Lit(lits[0]), 0, -1)
+				newFact = true
 			default:
 				s.watchClause(cref)
 			}
@@ -85,7 +87,7 @@ func (s *Solver) Inprocess() (deleted int) {
 			s.okState = false
 			return deleted
 		}
-		if !changed {
+		if !newFact {
 			// Level-0 facts need no reason clauses (analyze skips level-0
 			// vars), and at the fixpoint every clause that was one is
 			// satisfied and gone: no reason may outlive its clause, since a

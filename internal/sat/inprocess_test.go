@@ -2,6 +2,7 @@ package sat
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -97,11 +98,99 @@ func TestInprocessForgetsRetractedLiteral(t *testing.T) {
 	}
 }
 
+// inprocessEveryChange is Inprocess as it was before it learnt when a second
+// sweep can find anything: it sweeps again after every sweep that deleted or
+// stripped a clause, not only after one that made a level-0 fact. It is the
+// reference inprocessTrial holds Inprocess against, clause for clause.
+func inprocessEveryChange(s *Solver) (deleted int) {
+	if !s.okState {
+		return 0
+	}
+	if s.propagate() != -1 {
+		s.okState = false
+		return 0
+	}
+	for {
+		changed := false
+		for _, cref := range s.clauses {
+			h := s.arena[cref]
+			if h&deletedBit != 0 {
+				continue
+			}
+			lits := s.litsOf(cref)
+			satisfied, hasFalse := false, false
+			for _, w := range lits {
+				switch s.value(Lit(w)) {
+				case lTrue:
+					satisfied = true
+				case lFalse:
+					hasFalse = true
+				}
+			}
+			if satisfied {
+				s.deleteClause(cref)
+				deleted++
+				changed = true
+				continue
+			}
+			if !hasFalse {
+				continue
+			}
+			changed = true
+			s.detachClause(cref)
+			n := 0
+			for _, w := range lits {
+				if s.value(Lit(w)) != lFalse {
+					lits[n] = w
+					n++
+				}
+			}
+			s.wasted += len(lits) - n
+			s.arena[cref] = uint32(n)<<sizeShift | h&learntBit
+			switch n {
+			case 0:
+				s.okState = false
+				return deleted
+			case 1:
+				s.markDeleted(cref)
+				deleted++
+				s.uncheckedEnqueue(Lit(lits[0]), 0, -1)
+			default:
+				s.watchClause(cref)
+			}
+		}
+		if s.propagate() != -1 {
+			s.okState = false
+			return deleted
+		}
+		if !changed {
+			for _, l := range s.trail {
+				s.reason[l.Var()] = -1
+			}
+			s.collectGarbage()
+			return deleted
+		}
+	}
+}
+
+// liveClauses lists s's live clauses in attach order, learnt bit and
+// literals in arena order.
+func liveClauses(s *Solver) (cs [][]uint32) {
+	for _, cref := range s.clauses {
+		if h := s.arena[cref]; h&deletedBit == 0 {
+			cs = append(cs, append([]uint32{h & learntBit}, s.litsOf(cref)...))
+		}
+	}
+	return cs
+}
+
 // inprocessTrial adds the same random CNF, in batches, to a plain
 // reference solver and to a solver that runs Inprocess after every batch,
 // then compares Solve results under random assumptions and checks that the
 // model satisfies every clause added so far, and the arena and watch-list
-// invariants after every Solve and Inprocess.
+// invariants after every Solve and Inprocess. Each Inprocess pass runs beside
+// inprocessEveryChange on a clone and must leave the same live clauses and
+// the same trail.
 func inprocessTrial(t *testing.T, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	nVars := 4 + rng.Intn(12)
@@ -158,8 +247,19 @@ func inprocessTrial(t *testing.T, seed int64) {
 				}
 			}
 		}
-		s.Inprocess()
+		old := s.Clone()
+		wantDeleted := inprocessEveryChange(old)
+		if got := s.Inprocess(); got != wantDeleted {
+			t.Fatalf("seed %d batch %d: Inprocess deleted %d clauses, the every-change loop %d", seed, b, got, wantDeleted)
+		}
 		checkInvariants(t, s)
+		if s.okState != old.okState || !slices.Equal(s.trail, old.trail) {
+			t.Fatalf("seed %d batch %d: Inprocess left ok=%v trail %v, the every-change loop ok=%v trail %v",
+				seed, b, s.okState, s.trail, old.okState, old.trail)
+		}
+		if got, want := liveClauses(s), liveClauses(old); !slices.EqualFunc(got, want, slices.Equal[[]uint32]) {
+			t.Fatalf("seed %d batch %d: Inprocess left clauses %v, the every-change loop %v", seed, b, got, want)
+		}
 	}
 }
 

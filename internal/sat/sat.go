@@ -424,6 +424,10 @@ func (s *Solver) SetPhase(v Var, phase bool) {
 	s.polarity[v] = !phase
 }
 
+// Phase returns the saved phase of v: what SetPhase or v's last assignment
+// left (a level-0 fact reads its value; after Sat, every variable its model's).
+func (s *Solver) Phase(v Var) bool { return !s.polarity[v] }
+
 // Clone returns a deep copy of s: CopyFrom into a new solver.
 func (s *Solver) Clone() *Solver { return new(Solver).CopyFrom(s) }
 

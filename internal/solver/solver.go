@@ -100,6 +100,7 @@ type obsHooks struct {
 	conflicts, propagations, decisions, restarts *obs.Counter
 	learned, blastNs, searchNs                   *obs.Counter
 	chrono, forced, cancelled                    *obs.Counter
+	firstChecks, firstConflicts                  *obs.Counter
 	checkConflicts, checkNs                      *obs.Histogram
 	cnfVars, cnfClauses                          *obs.Gauge
 }
@@ -130,6 +131,8 @@ func (s *Solver) SetObs(reg *obs.Registry) {
 		chrono:         reg.Counter("bf4_solver_chrono_backtracks_total"),
 		forced:         reg.Counter("bf4_solver_forced_literals_total"),
 		cancelled:      reg.Counter("bf4_solver_cancelled_literals_total"),
+		firstChecks:    reg.Counter("bf4_solver_first_checks_total"),
+		firstConflicts: reg.Counter("bf4_solver_first_check_conflicts_total"),
 		blastNs:        reg.Counter("bf4_solver_blast_ns_total"),
 		searchNs:       reg.Counter("bf4_solver_search_ns_total"),
 		checkConflicts: reg.Histogram("bf4_solver_check_conflicts", obs.CountBuckets),
@@ -436,6 +439,13 @@ func (s *Solver) recordCheck() {
 	h.cnfVars.Set(int64(s.sat.NumVars()))
 	h.cnfClauses.Set(int64(s.sat.NumClauses()))
 	rec := s.tag
+	// A cold start: the first check of this solver and of every solver it
+	// was copied from (a fork carries its source's count).
+	rec.First = s.checks == 1
+	if rec.First {
+		h.firstChecks.Inc()
+		h.firstConflicts.Add(d.Conflicts)
+	}
 	rec.CNFVars, rec.CNFClauses = s.sat.NumVars(), s.sat.NumClauses()
 	rec.Decisions, rec.Propagations, rec.Conflicts = d.Decisions, d.Propagations, d.Conflicts
 	rec.Cancelled = d.CancelledLiterals

@@ -159,3 +159,52 @@ func TestSolverObsRecording(t *testing.T) {
 		t.Fatal("cnf vars gauge empty")
 	}
 }
+
+// TestFirstCheckIsMarked: the slowest-checks table and the two first-check
+// counters name cold starts — the first check since New or Reset. A copy
+// carries its source's count, so a fork of a solver that has checked is warm
+// and a fork of one that has not is as cold as its source.
+func TestFirstCheckIsMarked(t *testing.T) {
+	f := smt.NewFactory()
+	reg := obs.NewRegistry()
+	s := New(f)
+	s.SetObs(reg)
+	s.SetRewrite(nil)
+	pigeon := distinct(f, s, "a", 5)
+
+	cold := s.Fork()
+	cold.Tag("test", "fork of an unchecked solver", -1)
+	s.Tag("test", "fresh", -1)
+	s.Check(pigeon...)
+	firstConflicts := s.LastCheckStats().Search.Conflicts
+	s.Tag("test", "second", -1)
+	s.Check()
+	warm := s.Fork()
+	warm.Tag("test", "fork of a checked solver", -1)
+	warm.Check()
+	cold.Check()
+	firstConflicts += cold.LastCheckStats().Search.Conflicts
+	s.Reset(f).SetObs(reg)
+	s.Tag("test", "reset", -1)
+	s.Check()
+
+	want := map[string]bool{
+		"fresh": true, "second": false, "fork of a checked solver": false,
+		"fork of an unchecked solver": true, "reset": true,
+	}
+	for _, c := range reg.SlowestChecks() {
+		if first, ok := want[c.Solver]; !ok || first != c.First {
+			t.Errorf("check %q: first = %v, want %v (known: %v)", c.Solver, c.First, first, ok)
+		}
+		delete(want, c.Solver)
+	}
+	if len(want) != 0 {
+		t.Errorf("checks missing from the table: %v", want)
+	}
+	if got := reg.CounterValue("bf4_solver_first_checks_total"); got != 3 {
+		t.Errorf("bf4_solver_first_checks_total = %d, want 3", got)
+	}
+	if got := reg.CounterValue("bf4_solver_first_check_conflicts_total"); got != firstConflicts || got == 0 {
+		t.Errorf("bf4_solver_first_check_conflicts_total = %d, the first checks' deltas sum to %d (want it non-zero)", got, firstConflicts)
+	}
+}
