@@ -492,8 +492,6 @@ func (b *builder) lowerSwitch(st *ast.SwitchStmt) {
 
 // ------------------------------------------------------------- actions
 
-var inlineSeq int
-
 func (b *builder) inlineAction(ad *ast.ActionDecl, args []*smt.Term) {
 	if b.inlining > 16 {
 		b.errorf(ad.P, "action inlining too deep (recursive actions?)")

@@ -1,13 +1,19 @@
 // Package ssa passifies the IR: it converts the acyclic CFG to static
 // single assignment form (paper §4.1, following Flanagan–Saxe) and turns
 // every assignment into an equality constraint over versioned variables.
-// Merge points get fresh versions with per-edge equalities instead of phi
-// nodes, so downstream reachability conditions (internal/wp) are linear in
-// program size when built over the shared term DAG.
+// Only assignments and havocs mint versions. A merge point has no phi node
+// and no version of its own: a variable whose incoming versions differ
+// continues as the highest of them (Barnett–Leino's passive form), and each
+// in-edge that carries another one equates the two. Versions are minted in
+// topological order and never decrease along a path, so a path constrains
+// every version at most once — by its assignment or by one such edge — and
+// downstream reachability conditions (internal/wp) are linear in program
+// size when built over the shared term DAG.
 package ssa
 
 import (
 	"fmt"
+	"slices"
 
 	"bf4/internal/ir"
 	"bf4/internal/smt"
@@ -34,18 +40,27 @@ type Result struct {
 	HavocTerm map[*ir.Node]*smt.Term
 	// BaseVar maps every versioned term back to its IR variable.
 	BaseVar map[*smt.Term]*ir.Var
-	// InState gives each node's incoming symbolic state: the versioned
-	// term for every variable (version 0 if untouched).
-	inState map[*ir.Node]*pmap
 
 	varByIdx []*ir.Var
 	varIdx   map[*ir.Var]int32
 	versions map[*ir.Var]int
-	f        *smt.Factory
+	// versionOf numbers every minted term; a variable's own term, absent,
+	// is version 0.
+	versionOf map[*smt.Term]int
+	f         *smt.Factory
 }
 
 // Passify converts p to passified SSA form.
 func Passify(p *ir.Program) *Result {
+	r := newResult(p)
+	outState := map[*ir.Node]*pmap{}
+	for _, n := range p.Topo() {
+		outState[n] = r.transfer(n, r.mergeState(n, outState))
+	}
+	return r
+}
+
+func newResult(p *ir.Program) *Result {
 	r := &Result{
 		P:          p,
 		NodeCond:   map[*ir.Node]*smt.Term{},
@@ -53,9 +68,9 @@ func Passify(p *ir.Program) *Result {
 		BranchCond: map[*ir.Node]*smt.Term{},
 		HavocTerm:  map[*ir.Node]*smt.Term{},
 		BaseVar:    map[*smt.Term]*ir.Var{},
-		inState:    map[*ir.Node]*pmap{},
 		varIdx:     map[*ir.Var]int32{},
 		versions:   map[*ir.Var]int{},
+		versionOf:  map[*smt.Term]int{},
 		f:          p.F,
 	}
 	for i, v := range p.VarList() {
@@ -63,34 +78,31 @@ func Passify(p *ir.Program) *Result {
 		r.varByIdx = append(r.varByIdx, v)
 		r.BaseVar[v.Term] = v
 	}
-
-	topo := p.Topo()
-	outState := map[*ir.Node]*pmap{}
-	for _, n := range topo {
-		in := r.mergeState(n, outState)
-		r.inState[n] = in
-		out := in
-		switch n.Kind {
-		case ir.Assign:
-			rhs := r.subst(n.Expr, in)
-			nv := r.freshVersion(n.Var)
-			r.NodeCond[n] = r.f.Eq(nv, rhs)
-			out = in.set(r.varIdx[n.Var], nv)
-		case ir.Havoc:
-			nv := r.freshVersion(n.Var)
-			r.HavocTerm[n] = nv
-			out = in.set(r.varIdx[n.Var], nv)
-		case ir.Branch:
-			cond := r.subst(n.Expr, in)
-			r.BranchCond[n] = cond
-			if len(n.Succs) == 2 {
-				r.conjoinEdge(EdgeKey{n.ID, n.Succs[0].ID}, cond)
-				r.conjoinEdge(EdgeKey{n.ID, n.Succs[1].ID}, r.f.Not(cond))
-			}
-		}
-		outState[n] = out
-	}
 	return r
+}
+
+// transfer records the constraints n contributes when entered in state in
+// and returns the state it leaves.
+func (r *Result) transfer(n *ir.Node, in *pmap) *pmap {
+	switch n.Kind {
+	case ir.Assign:
+		rhs := r.subst(n.Expr, in)
+		nv := r.freshVersion(n.Var)
+		r.NodeCond[n] = r.f.Eq(nv, rhs)
+		return in.set(r.varIdx[n.Var], nv)
+	case ir.Havoc:
+		nv := r.freshVersion(n.Var)
+		r.HavocTerm[n] = nv
+		return in.set(r.varIdx[n.Var], nv)
+	case ir.Branch:
+		cond := r.subst(n.Expr, in)
+		r.BranchCond[n] = cond
+		if len(n.Succs) == 2 {
+			r.conjoinEdge(EdgeKey{n.ID, n.Succs[0].ID}, cond)
+			r.conjoinEdge(EdgeKey{n.ID, n.Succs[1].ID}, r.f.Not(cond))
+		}
+	}
+	return in
 }
 
 // termOf returns the current versioned term of v in state.
@@ -101,16 +113,11 @@ func (r *Result) termOf(state *pmap, v *ir.Var) *smt.Term {
 	return v.Term
 }
 
-// StateTerm exposes the incoming versioned term of v at node n (used by
-// trace reconstruction and Fast-Infer).
-func (r *Result) StateTerm(n *ir.Node, v *ir.Var) *smt.Term {
-	return r.termOf(r.inState[n], v)
-}
-
 func (r *Result) freshVersion(v *ir.Var) *smt.Term {
 	r.versions[v]++
 	t := r.f.Var(fmt.Sprintf("%s#%d", v.Name, r.versions[v]), v.Sort)
 	r.BaseVar[t] = v
+	r.versionOf[t] = r.versions[v]
 	return t
 }
 
@@ -142,63 +149,61 @@ func (r *Result) conjoinEdge(k EdgeKey, c *smt.Term) {
 	r.EdgeCond[k] = c
 }
 
-// mergeState computes the incoming state of n from its predecessors'
-// out-states, introducing merged versions with per-edge equalities where
-// they disagree.
-func (r *Result) mergeState(n *ir.Node, outState map[*ir.Node]*pmap) *pmap {
+// joinInputs returns the predecessors of n whose out-states n merges and,
+// in index order, the variables those states disagree on. No variables means
+// n continues in its first predecessor's state (nil with no predecessor).
+func joinInputs(n *ir.Node, outState map[*ir.Node]*pmap) (preds []*ir.Node, differ []int32) {
 	// Consider only predecessors already processed (reachable ones; the
 	// topological order guarantees all reachable preds come first).
-	var preds []*ir.Node
 	for _, p := range n.Preds {
 		if _, ok := outState[p]; ok {
 			preds = append(preds, p)
 		}
 	}
-	switch len(preds) {
-	case 0:
-		return nil
-	case 1:
-		return outState[preds[0]]
-	}
 	// Terminals never read state; skip the merge work.
 	switch n.Kind {
 	case ir.AcceptTerm, ir.RejectTerm, ir.UnreachTerm, ir.BugTerm:
-		return outState[preds[0]]
+		return preds, nil
 	}
-	base := outState[preds[0]]
-	diffSet := map[int32]bool{}
-	var keys []int32
-	for _, p := range preds[1:] {
-		keys = diffKeys(base, outState[p], keys[:0])
-		for _, k := range keys {
-			diffSet[k] = true
-		}
+	for i := 1; i < len(preds); i++ {
+		differ = diffKeys(outState[preds[0]], outState[preds[i]], differ)
 	}
-	if len(diffSet) == 0 {
-		return base
+	slices.Sort(differ)
+	return preds, slices.Compact(differ)
+}
+
+// mergeState computes the incoming state of n from its predecessors'
+// out-states. A variable they disagree on continues as the highest incoming
+// version, and every edge that carries another one equates the two. The
+// highest one was minted by an assignment or havoc between the join's
+// dominator and the join, and a path into an edge that carries a lower one
+// cannot have crossed that node or an earlier edge equating it (either would
+// have left it in the path's state), so no path constrains a version twice.
+// That is all the passive form needs; it is also why the choice may not be a
+// constant or a version live into the dominator, which every path has
+// already constrained or read.
+func (r *Result) mergeState(n *ir.Node, outState map[*ir.Node]*pmap) *pmap {
+	preds, differ := joinInputs(n, outState)
+	if len(preds) == 0 {
+		return nil
 	}
-	merged := base
-	order := make([]int32, 0, len(diffSet))
-	for k := range diffSet {
-		order = append(order, k)
+	merged := outState[preds[0]]
+	if len(differ) == 0 {
+		return merged
 	}
-	sortInt32(order)
-	for _, k := range order {
+	incoming := make([]*smt.Term, len(preds))
+	for _, k := range differ {
 		v := r.varByIdx[k]
-		nv := r.freshVersion(v)
-		merged = merged.set(k, nv)
-		for _, p := range preds {
-			cur := r.termOf(outState[p], v)
-			r.conjoinEdge(EdgeKey{p.ID, n.ID}, r.f.Eq(nv, cur))
+		for i, p := range preds {
+			incoming[i] = r.termOf(outState[p], v)
+		}
+		top := slices.MaxFunc(incoming, func(a, b *smt.Term) int { return r.versionOf[a] - r.versionOf[b] })
+		merged = merged.set(k, top)
+		for i, p := range preds {
+			if incoming[i] != top {
+				r.conjoinEdge(EdgeKey{p.ID, n.ID}, r.f.Eq(top, incoming[i]))
+			}
 		}
 	}
 	return merged
-}
-
-func sortInt32(s []int32) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
