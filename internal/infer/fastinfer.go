@@ -1,6 +1,8 @@
 package infer
 
 import (
+	"slices"
+
 	"bf4/internal/core"
 	"bf4/internal/ir"
 	"bf4/internal/smt"
@@ -8,8 +10,8 @@ import (
 
 // maxPaths bounds the symbolic exploration of one table region; table
 // expansions are small (≈ #actions × #checks paths), so hitting the bound
-// indicates a pathological program and degrades gracefully to "no
-// assertion".
+// indicates a pathological program. A capped execution keeps the bug path
+// conditions of the DFS prefix it explored and misses the rest.
 const maxPaths = 4096
 
 // FastInfer is the paper's Algorithm 2: symbolically execute the table's
@@ -25,28 +27,28 @@ const maxPaths = 4096
 // controllable ones.
 func FastInfer(pl *core.Pipeline, inst *ir.TableInstance) *Assertion {
 	ex := newSymbex(pl.IR, inst, controlledSet(inst), inst.Apply)
-	ex.run(inst.Apply, ex.f.True(), nil)
-	a := &Assertion{Instance: inst, Source: "fast-infer"}
-	for _, pc := range ex.bugPCs {
-		if ex.isControlled(pc) {
-			a.Forbidden = append(a.Forbidden, pc)
-		}
-	}
-	a.Forbidden = dedupeTerms(a.Forbidden)
-	return a
+	ex.run(inst.Apply)
+	return &Assertion{Instance: inst, Source: "fast-infer", Forbidden: dedupeTerms(ex.bugPCs)}
 }
 
 // symbex is a small-path symbolic executor over one expansion region.
 type symbex struct {
-	p          *ir.Program
 	f          *smt.Factory
-	inst       *ir.TableInstance
 	stop       *ir.Node
 	controlled map[string]bool
 	boundary   int
 
-	bugPCs []*smt.Term
+	bugPCs []*smt.Term // the path conditions of the controlled bug paths
 	paths  int
+
+	// The path state: the path condition is the conjunction of conj, in
+	// holds its members and negated the x of each not(x) among them; bind
+	// maps a variable to its value (nil: unbound). trail logs every change.
+	conj    []*smt.Term
+	in      map[*smt.Term]bool
+	negated map[*smt.Term]bool
+	bind    map[*smt.Term]*smt.Term
+	trail   []change
 
 	// varsOf memoises Term.Vars. Terms are hash-consed and one run asks
 	// for the variables of the same node expressions and path conditions
@@ -55,11 +57,17 @@ type symbex struct {
 	seen   map[uint32]bool
 }
 
+type change struct{ key, old *smt.Term } // a conjunct pushed (key nil) or key's binding replaced
+
 // newSymbex returns an executor for inst's expansion that starts at from
-// (inst's own apply node, or that of a dominating instance).
+// (inst's own apply node, or that of a dominating instance). Its one path
+// state serves the whole depth-first run: a branch marks the trail, extends
+// the state for its true side, undoes to the mark and extends it for its
+// false side; a term is built only for a controlled bug path.
 func newSymbex(p *ir.Program, inst *ir.TableInstance, controlled map[string]bool, from *ir.Node) *symbex {
 	return &symbex{
-		p: p, f: p.F, inst: inst, stop: inst.Join, controlled: controlled, boundary: from.ID,
+		f: p.F, stop: inst.Join, controlled: controlled, boundary: from.ID,
+		in: map[*smt.Term]bool{}, negated: map[*smt.Term]bool{}, bind: map[*smt.Term]*smt.Term{},
 		varsOf: map[*smt.Term][]*smt.Term{}, seen: map[uint32]bool{},
 	}
 }
@@ -78,38 +86,66 @@ func (ex *symbex) vars(t *smt.Term) []*smt.Term {
 // isControlled is termControlled over the executor's controlled set.
 func (ex *symbex) isControlled(t *smt.Term) bool { return allControlled(ex.vars(t), ex.controlled) }
 
-// env is a persistent substitution: variable base term → current value.
-type env struct {
-	parent *env
-	key    *smt.Term
-	val    *smt.Term
+// assume conjoins c as Factory.And would, one conjunct at a time: an And
+// adds its arguments; true or a present conjunct adds nothing. It reports
+// false on false or a conjunct beside its complement: the path is dead.
+func (ex *symbex) assume(c *smt.Term) bool {
+	cs := []*smt.Term{c}
+	if c.Op() == smt.OpAnd {
+		cs = c.Args()
+	}
+	for _, x := range cs {
+		switch {
+		case x.IsTrue() || ex.in[x]:
+			continue
+		case x.IsFalse() || ex.negated[x] || x.Op() == smt.OpNot && ex.in[x.Arg(0)]:
+			return false
+		}
+		ex.in[x] = true
+		if x.Op() == smt.OpNot {
+			ex.negated[x.Arg(0)] = true
+		}
+		ex.conj = append(ex.conj, x)
+		ex.trail = append(ex.trail, change{})
+	}
+	return true
 }
 
-func (e *env) get(k *smt.Term) *smt.Term {
-	for n := e; n != nil; n = n.parent {
-		if n.key == k {
-			return n.val
+// set binds k to v.
+func (ex *symbex) set(k, v *smt.Term) {
+	ex.trail = append(ex.trail, change{key: k, old: ex.bind[k]})
+	ex.bind[k] = v
+}
+
+// undo takes the path state back to when the trail was mark long.
+func (ex *symbex) undo(mark int) {
+	for i := len(ex.trail) - 1; i >= mark; i-- {
+		if c := ex.trail[i]; c.key != nil {
+			ex.bind[c.key] = c.old
+			continue
+		}
+		x := ex.conj[len(ex.conj)-1]
+		ex.conj = ex.conj[:len(ex.conj)-1]
+		delete(ex.in, x)
+		if x.Op() == smt.OpNot {
+			delete(ex.negated, x.Arg(0))
 		}
 	}
-	return nil
+	ex.trail = ex.trail[:mark]
 }
 
-func (e *env) set(k, v *smt.Term) *env {
-	return &env{parent: e, key: k, val: v}
-}
-
-// subst rewrites version-0 variables in t according to the environment.
-func (ex *symbex) subst(t *smt.Term, e *env) *smt.Term {
-	if e == nil {
-		return t
-	}
-	m := map[*smt.Term]*smt.Term{}
+// subst rewrites version-0 variables in t according to the bindings.
+func (ex *symbex) subst(t *smt.Term) *smt.Term {
+	var m map[*smt.Term]*smt.Term
 	for _, vt := range ex.vars(t) {
-		if v := e.get(vt); v != nil && v != vt {
+		if v := ex.bind[vt]; v != nil && v != vt {
+			if m == nil {
+				m = map[*smt.Term]*smt.Term{}
+			}
 			m[vt] = v
 		}
 	}
-	if len(m) == 0 {
+	if m == nil {
 		return t
 	}
 	return smt.Substitute(ex.f, t, m)
@@ -118,40 +154,40 @@ func (ex *symbex) subst(t *smt.Term, e *env) *smt.Term {
 // learnEq mines substitutions from an assumed equality: if one side is a
 // plain uncontrolled variable (or the ite-encoding of a boolean) and the
 // other side is fully controlled, rewrite the variable.
-func (ex *symbex) learnEq(cond *smt.Term, e *env) *env {
+func (ex *symbex) learnEq(cond *smt.Term) {
 	if cond.Op() != smt.OpEq {
-		return e
+		return
 	}
 	a, b := cond.Arg(0), cond.Arg(1)
-	e = ex.tryBind(a, b, e)
-	e = ex.tryBind(b, a, e)
-	return e
+	ex.tryBind(a, b)
+	ex.tryBind(b, a)
 }
 
-func (ex *symbex) tryBind(lhs, rhs *smt.Term, e *env) *env {
+func (ex *symbex) tryBind(lhs, rhs *smt.Term) {
 	if !ex.isControlled(rhs) {
-		return e
+		return
 	}
 	switch lhs.Op() {
 	case smt.OpVar:
-		if !ex.controlled[lhs.Name()] && e.get(lhs) == nil {
-			return e.set(lhs, rhs)
+		if !ex.controlled[lhs.Name()] && ex.bind[lhs] == nil {
+			ex.set(lhs, rhs)
 		}
 	case smt.OpIte:
 		// ite(v, 1, 0) == rhs  with boolean v: bind v := (rhs == 1).
 		c := lhs.Arg(0)
 		tt, ff := lhs.Arg(1), lhs.Arg(2)
-		if c.Op() == smt.OpVar && !ex.controlled[c.Name()] && e.get(c) == nil &&
+		if c.Op() == smt.OpVar && !ex.controlled[c.Name()] && ex.bind[c] == nil &&
 			tt.IsConst() && ff.IsConst() && tt.Const().Sign() != 0 && ff.Const().Sign() == 0 {
-			return e.set(c, ex.f.Eq(rhs, tt))
+			ex.set(c, ex.f.Eq(rhs, tt))
 		}
 	}
-	return e
 }
 
-func (ex *symbex) run(n *ir.Node, pc *smt.Term, e *env) {
+// run explores every path from n, depth first, from the path state.
+func (ex *symbex) run(n *ir.Node) {
+	feasible := true
 	for {
-		if ex.paths > maxPaths || pc.IsFalse() {
+		if ex.paths > maxPaths || !feasible {
 			return
 		}
 		if n == ex.stop {
@@ -161,7 +197,9 @@ func (ex *symbex) run(n *ir.Node, pc *smt.Term, e *env) {
 		switch n.Kind {
 		case ir.BugTerm:
 			ex.paths++
-			ex.bugPCs = append(ex.bugPCs, pc)
+			if !slices.ContainsFunc(ex.conj, func(c *smt.Term) bool { return !ex.isControlled(c) }) {
+				ex.bugPCs = append(ex.bugPCs, ex.f.And(ex.conj...))
+			}
 			return
 		case ir.UnreachTerm:
 			ex.paths++ // infeasible
@@ -170,14 +208,13 @@ func (ex *symbex) run(n *ir.Node, pc *smt.Term, e *env) {
 			ex.paths++ // left the region cleanly
 			return
 		case ir.Assign:
-			rhs := ex.subst(n.Expr, e)
-			e = e.set(n.Var.Term, rhs)
+			ex.set(n.Var.Term, ex.subst(n.Expr))
 		case ir.Havoc:
 			// Havoc invalidates prior knowledge of the variable by
 			// binding it to itself (stops substitution of stale values).
-			e = e.set(n.Var.Term, n.Var.Term)
+			ex.set(n.Var.Term, n.Var.Term)
 		case ir.Branch:
-			cond := ex.subst(n.Expr, e)
+			cond := ex.subst(n.Expr)
 			if len(n.Succs) != 2 {
 				return
 			}
@@ -194,8 +231,9 @@ func (ex *symbex) run(n *ir.Node, pc *smt.Term, e *env) {
 			// rewrite the assumed condition with it so path conditions
 			// are expressed over controlled variables where possible
 			// (e.g. ¬valid becomes key0 != 1 after an isValid key match).
-			te := ex.learnEq(cond, e)
-			condT := ex.subst(cond, te)
+			mark := len(ex.trail)
+			ex.learnEq(cond)
+			condT := ex.subst(cond)
 			if ex.isAssume(fSucc) {
 				// Match relation: holds by definition for every packet
 				// that hits the entry. Keep it in the path condition only
@@ -204,20 +242,20 @@ func (ex *symbex) run(n *ir.Node, pc *smt.Term, e *env) {
 				// soundly dropped — this is what makes ¬pc a predicate
 				// over rules alone.
 				if ex.isControlled(condT) {
-					pc = ex.f.And(pc, condT)
+					feasible = ex.assume(condT)
 				}
-				e = te
 				n = tSucc
 				continue
 			}
-			if ex.inRegion(tSucc) {
-				ex.run(tSucc, ex.f.And(pc, condT), te)
-			} else {
+			if !ex.inRegion(tSucc) {
 				ex.paths++
+			} else if ex.assume(condT) {
+				ex.run(tSucc)
 			}
-			// Continue iteratively on the false side, where the learned
-			// equality does not hold: use the un-rewritten condition.
-			pc = ex.f.And(pc, ex.f.Not(cond))
+			// Continue on the false side, where the learned equality does
+			// not hold: undo it and use the un-rewritten condition.
+			ex.undo(mark)
+			feasible = ex.assume(ex.f.Not(cond))
 			n = fSucc
 			if !ex.inRegion(n) {
 				ex.paths++

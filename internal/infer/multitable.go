@@ -1,6 +1,9 @@
 package infer
 
 import (
+	"maps"
+	"slices"
+
 	"bf4/internal/core"
 	"bf4/internal/ir"
 	"bf4/internal/obs"
@@ -18,13 +21,16 @@ import (
 // controlled bug paths yield two-table assertions.
 // Each t2 with uncontrolled bugs is an independent task, fanned out over
 // the worker pool (workers <= 0 means GOMAXPROCS); per-task results keep
-// the deterministic inner t1 order and are merged in instance order. reg
-// (nil: nothing is recorded) counts what the heuristic costs: the (t1, t2)
-// pairs executed, those that yielded a linked condition, and the paths the
-// executions explored.
+// the deterministic inner t1 order and are merged in instance order. Each
+// (t1, t2) execution has a path state of its own, primed with t1's
+// dominating facts; tasks share the program, its topological order and the
+// term factory. reg (nil: nothing is recorded) counts what the heuristic
+// costs: the (t1, t2) pairs executed, those that yielded a linked
+// condition, those capped at maxPaths, and the paths explored.
 func MultiTable(pl *core.Pipeline, uncontrolled []*core.Bug, workers int, reg *obs.Registry) []*Assertion {
 	pairs := reg.Counter("bf4_infer_multitable_pairs_total")
 	yielding := reg.Counter("bf4_infer_multitable_pairs_yielding_total")
+	capped := reg.Counter("bf4_infer_multitable_capped_total")
 	paths := reg.Counter("bf4_infer_multitable_paths_total")
 	byInstance := map[*ir.TableInstance][]*core.Bug{}
 	for _, b := range uncontrolled {
@@ -38,6 +44,7 @@ func MultiTable(pl *core.Pipeline, uncontrolled []*core.Bug, workers int, reg *o
 			targets = append(targets, t2)
 		}
 	}
+	topo := pl.IR.Topo()
 	found := pool.Map(workers, len(targets), func(i int) *Assertion {
 		t2 := targets[i]
 		for _, t1 := range pl.IR.Instances {
@@ -47,9 +54,12 @@ func MultiTable(pl *core.Pipeline, uncontrolled []*core.Bug, workers int, reg *o
 			if !keysSubset(t1.Table, t2.Table) {
 				continue
 			}
-			a, explored := fastInferLinked(pl, t1, t2)
+			a, explored := fastInferLinked(pl, topo, t1, t2)
 			pairs.Inc()
 			paths.Add(int64(explored))
+			if explored > maxPaths {
+				capped.Inc()
+			}
 			if len(a.Forbidden) > 0 {
 				yielding.Inc()
 				return a
@@ -66,14 +76,13 @@ func MultiTable(pl *core.Pipeline, uncontrolled []*core.Bug, workers int, reg *o
 	return out
 }
 
-// primeEnv seeds the symbolic environment with facts that hold on EVERY
-// run reaching the assert point: assignments whose node dominates it and
+// primeEnv seeds the executor's bindings with facts that hold on EVERY
+// run reaching the assert point ap: assignments whose node dominates it and
 // that are not clobbered by any later possible writer. This is what lets
 // the multi-table exploration know, e.g., that inner_ipv4 was invalidated
 // right before t1 (the paper's H.setInvalid(); t1.apply(); t2.apply()
-// pattern).
-func (ex *symbex) primeEnv(pl *core.Pipeline, ap *ir.Node) *env {
-	p := pl.IR
+// pattern). topo is the program's topological order.
+func (ex *symbex) primeEnv(pl *core.Pipeline, topo []*ir.Node, ap *ir.Node) {
 	canReach := map[*ir.Node]bool{ap: true}
 	stack := []*ir.Node{ap}
 	for len(stack) > 0 {
@@ -86,11 +95,14 @@ func (ex *symbex) primeEnv(pl *core.Pipeline, ap *ir.Node) *env {
 			}
 		}
 	}
-	var e *env
+	dominates := map[*ir.Node]bool{} // ap's dominator-tree ancestors
+	for n := ap; n != nil; n = pl.Doms.Idom(n) {
+		dominates[n] = true
+	}
 	// Topological order respects edges, so for any path containing both a
 	// dominating writer and an off-path writer, the later one (in topo
 	// order) is processed later; off-path writers invalidate.
-	for _, n := range p.Topo() {
+	for _, n := range topo {
 		if n == ap {
 			break
 		}
@@ -99,32 +111,21 @@ func (ex *symbex) primeEnv(pl *core.Pipeline, ap *ir.Node) *env {
 		}
 		switch n.Kind {
 		case ir.Assign:
-			if pl.Doms.Dominates(n, ap) {
-				e = e.set(n.Var.Term, ex.subst(n.Expr, e))
+			if dominates[n] {
+				ex.set(n.Var.Term, ex.subst(n.Expr))
 			} else {
-				e = e.set(n.Var.Term, n.Var.Term)
+				ex.set(n.Var.Term, n.Var.Term)
 			}
 		case ir.Havoc:
-			e = e.set(n.Var.Term, n.Var.Term)
+			ex.set(n.Var.Term, n.Var.Term)
 		}
 	}
-	return e
 }
 
 // containsConjunct reports whether pc (a conjunction) contains t as a
 // top-level conjunct.
 func containsConjunct(pc, t *smt.Term) bool {
-	if pc == t {
-		return true
-	}
-	if pc.Op() == smt.OpAnd {
-		for _, a := range pc.Args() {
-			if a == t {
-				return true
-			}
-		}
-	}
-	return false
+	return pc == t || pc.Op() == smt.OpAnd && slices.Contains(pc.Args(), t)
 }
 
 // keysSubset reports whether every key path of t1 also appears in t2
@@ -146,21 +147,17 @@ func keysSubset(t1, t2 *ir.Table) bool {
 // t2's join, with both instances' variables controlled; only bug paths
 // belonging to t2's region are kept. The second result is the number of
 // paths the execution explored.
-func fastInferLinked(pl *core.Pipeline, t1, t2 *ir.TableInstance) (*Assertion, int) {
-	controlled := controlledSet(t1)
-	for k := range controlledSet(t2) {
-		controlled[k] = true
-	}
-	ex := newSymbex(pl.IR, t2, controlled, t1.Apply)
-	ex.run(t1.Apply, ex.f.True(), ex.primeEnv(pl, t1.Apply))
-	a := &Assertion{Instance: t2, Linked: t1, Source: "multi-table"}
+func fastInferLinked(pl *core.Pipeline, topo []*ir.Node, t1, t2 *ir.TableInstance) (*Assertion, int) {
 	c1, c2 := controlledSet(t1), controlledSet(t2)
+	controlled := maps.Clone(c1)
+	maps.Copy(controlled, c2)
+	ex := newSymbex(pl.IR, t2, controlled, t1.Apply)
+	ex.primeEnv(pl, topo, t1.Apply)
+	ex.run(t1.Apply)
+	a := &Assertion{Instance: t2, Linked: t1, Source: "multi-table"}
 	f := pl.IR.F
 	negHit1, negHit2 := f.Not(t1.HitVar.Term), f.Not(t2.HitVar.Term)
 	for _, pc := range ex.bugPCs {
-		if !ex.isControlled(pc) {
-			continue
-		}
 		// A negated hit means the path relies on a table MISS, which is a
 		// property of the whole rule set — not of the (e1, e2) pair — so
 		// forbidding it would block rules with good runs.
