@@ -10,16 +10,17 @@
 //
 // The analysis is computed bottom-up over the hash-consed term DAG with
 // memoization on Term.ID(), so shared subterms are analyzed exactly once
-// and analyzing a formula costs one pass over its distinct nodes. The
-// rewrite engine (internal/smt/rewrite) consults the domain to fold
-// decided comparisons, narrow operand widths and discharge conditions;
-// internal/analysis uses it as an abstract evaluator for constant
-// propagation.
+// and analyzing a formula costs one pass over its distinct nodes. Two
+// users consult it: internal/analysis's constant propagation folds a term
+// the domain decides to a constant (absFold), and internal/ir's taint
+// analysis reads which bits of a value are known.
 //
 // Soundness contract: for every term t and every environment env,
 // Eval(t, env) ∈ γ(Of(t)). It is enforced mechanically by exhaustive
-// transfer-function enumeration at small widths and by differential
-// fuzzing against smt.Eval (see the package tests).
+// transfer-function enumeration at small widths, by differential fuzzing
+// against smt.Eval, and on every subterm of the corpus's verification
+// conditions under witness and random environments (see the package
+// tests).
 package absdom
 
 import (

@@ -26,7 +26,7 @@ type Stats struct {
 type Result struct {
 	// Diags are the lint findings, sorted and deduplicated.
 	Diags []Diagnostic
-	// Discharge marks bug nodes proven unreachable; core.FindBugsSkipping
+	// Discharge marks bug nodes proven unreachable; core.FindOptions.Skip
 	// skips their solver queries with verdict "unreachable" guaranteed.
 	Discharge map[*ir.Node]bool
 	Stats     Stats

@@ -82,9 +82,8 @@ func evalUnder(f *smt.Factory, t *smt.Term, e env) *smt.Term {
 // absFold strengthens the syntactic fold with the known-bits + interval
 // abstract domain: a term the factory's local rules leave symbolic can
 // still be decided by value analysis (e.g. (x & 0xF0) < 0x100 is true for
-// every x). Only whole-term folds are taken — partial rewriting belongs
-// to internal/smt/rewrite, which the analyses must not depend on for
-// their verdicts.
+// every x). Only whole-term folds are taken: a term is replaced by a
+// constant or left as it is.
 func absFold(f *smt.Factory, t *smt.Term) *smt.Term {
 	if isLiteral(t) {
 		return t

@@ -48,9 +48,7 @@ func P4VApprox(pl *core.Pipeline) *P4VResult {
 			query = f.Or(query, c)
 		}
 	}
-	// The baselines model tools without bf4's term-level rewrite pass.
 	s := solver.New(f)
-	s.SetRewrite(nil)
 	res := &P4VResult{}
 	if s.Check(query) == solver.Sat {
 		res.AnyBugReachable = true
@@ -117,7 +115,6 @@ func Vera(pl *core.Pipeline, opts VeraOptions) *VeraResult {
 		visited: map[*ir.Node]bool{},
 		bugs:    map[*ir.Node]bool{},
 	}
-	ex.s.SetRewrite(nil) // as in P4VApprox
 	if opts.Timeout > 0 {
 		ex.deadline = start.Add(opts.Timeout)
 	}

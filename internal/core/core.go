@@ -157,12 +157,10 @@ type Bug struct {
 	Model smt.Env
 	// Cond is the bug's reachability condition.
 	Cond *smt.Term
-	// Discharged marks a bug whose solver query a static layer skipped:
-	// either the dataflow pre-pass (internal/analysis) proved the bug
-	// node unreachable, or the term-level rewrite engine
-	// (internal/smt/rewrite) folded the reachability condition to false.
-	// Both guarantee the query is unsatisfiable, so the bug is reported
-	// exactly as an unsat answer would leave it.
+	// Discharged marks a bug whose solver query the dataflow pre-pass
+	// (internal/analysis) skipped: it proved the bug node unreachable, so
+	// the query is unsatisfiable and the bug is reported exactly as an
+	// unsat answer would leave it.
 	Discharged bool
 	// Shard indexes Report.Shards: the solver that decided this bug and
 	// has its condition blasted (0 for a bug no solver saw).
@@ -188,10 +186,6 @@ type Report struct {
 	Bugs      []*Bug
 	SolveTime time.Duration
 	Checks    int
-	// FoldDischarged counts bug conditions the term-level rewrite engine
-	// folded to false — solver queries skipped beyond the dataflow
-	// pre-pass's discharge set.
-	FoldDischarged int
 	// CNFVars/CNFClauses snapshot the blasted circuit size at the end of
 	// bug finding, before the inference phase reuses the solvers: the sum
 	// over Shards.
@@ -251,8 +245,8 @@ type FindOptions struct {
 	// Obs and Trace attach observability: the whole phase is one child
 	// span of Trace (annotated with check/reachable/discharged counts),
 	// the bug-check solvers publish their per-query telemetry to Obs (see
-	// solver.SetObs), and discharge outcomes land on
-	// bf4_core_discharged_{analysis,fold}_total. Verdicts and models are
+	// solver.SetObs), and pre-pass discharges land on
+	// bf4_core_discharged_analysis_total. Verdicts and models are
 	// identical with both nil.
 	Obs   *obs.Registry
 	Trace *obs.Span
@@ -294,17 +288,11 @@ func (pl *Pipeline) FindBugsWith(opts FindOptions) *Report {
 
 	checks, shards := pl.checkNodes(queue, opts.Workers, opts.Solvers, opts.Obs, "findbugs")
 	rep.Shards = shards
+	rep.Checks = len(checks)
 	for i, c := range checks {
 		b := queued[i]
 		b.Shard = i % len(shards)
-		// Absent and constant-false conditions never enter the queue, so
-		// a discharge here is the rewrite pass's fold.
-		b.Reachable, b.Model, b.Discharged = c.reachable, c.model, c.discharged
-		if c.discharged {
-			rep.FoldDischarged++
-		} else {
-			rep.Checks++
-		}
+		b.Reachable, b.Model = c.reachable, c.model
 	}
 	for _, s := range shards {
 		vars, clauses, _, _ := s.Stats()
@@ -322,8 +310,7 @@ func (pl *Pipeline) FindBugsWith(opts FindOptions) *Report {
 				discharged++
 			}
 		}
-		reg.Counter("bf4_core_discharged_analysis_total").Add(int64(discharged - rep.FoldDischarged))
-		reg.Counter("bf4_core_discharged_fold_total").Add(int64(rep.FoldDischarged))
+		reg.Counter("bf4_core_discharged_analysis_total").Add(int64(discharged))
 		sp.SetMetric("checks", int64(rep.Checks))
 		sp.SetMetric("reachable", int64(rep.NumReachable()))
 		sp.SetMetric("discharged", int64(discharged))
@@ -333,8 +320,8 @@ func (pl *Pipeline) FindBugsWith(opts FindOptions) *Report {
 
 // nodeCheck is the outcome of deciding one bug node's reachability
 // condition: reachable with a witness model; discharged, i.e. known
-// unsatisfiable without a query (absent, constant false, or folded to
-// false by the rewrite pass); or neither (the solver answered unsat).
+// unsatisfiable without a query (absent or constant false); or neither
+// (the solver answered unsat).
 type nodeCheck struct {
 	reachable  bool
 	model      smt.Env
@@ -380,13 +367,12 @@ const checksPerShard = 4
 func ShardName(w int) string { return fmt.Sprintf("shard %d", w) }
 
 // checkCond decides one condition on s. An absent or constant-false
-// condition, or one the solver's rewrite pass folds to false, is
-// unsatisfiable by construction and discharged without a query;
-// everything else is checked inside a retractable scope,
-// so learned clauses carry over to the solver's next check and the
-// scope's own clauses are cleaned out before it.
+// condition is unsatisfiable by construction and discharged without a
+// query; everything else is checked inside a retractable scope, so learned
+// clauses carry over to the solver's next check and the scope's own clauses
+// are cleaned out before it.
 func checkCond(s *solver.Solver, cond *smt.Term) nodeCheck {
-	if cond == nil || cond.IsFalse() || s.Simplify(cond).IsFalse() {
+	if cond == nil || cond.IsFalse() {
 		return nodeCheck{discharged: true}
 	}
 	res, model := s.CheckScoped(cond)

@@ -28,8 +28,8 @@ type CheckVerdict struct {
 	Confirmed bool
 	Model     smt.Env
 	// Discharged marks nodes dismissed without a solver query: the
-	// reachability condition was absent, already false, or folded to
-	// false by the rewrite engine.
+	// reachability condition was absent, or the term factory folded it to
+	// false.
 	Discharged bool
 }
 
@@ -64,6 +64,8 @@ func (pl *Pipeline) ConfirmLeaks(alarms []*ir.Node, opts ConfirmOptions) ([]*Lea
 		opts.Obs.Counter("bf4_iflow_alarms_total").Add(int64(len(alarms)))
 		opts.Obs.Counter("bf4_iflow_confirmed_total").Add(int64(confirmed))
 		opts.Obs.Counter("bf4_iflow_dismissed_total").Add(int64(len(alarms) - confirmed))
+		// Alarms whose condition is absent or that the factory folded to
+		// false: no query was asked.
 		opts.Obs.Counter("bf4_iflow_discharged_fold_total").Add(int64(discharged))
 	}
 	return out, dur
@@ -71,7 +73,7 @@ func (pl *Pipeline) ConfirmLeaks(alarms []*ir.Node, opts ConfirmOptions) ([]*Lea
 
 // ConfirmNodes decides each bug node with the solver: Confirmed with a
 // witness model when its reachability condition is satisfiable,
-// Discharged when the condition is absent or folds to false, dismissed
+// Discharged when the condition is absent or constant false, dismissed
 // (neither flag) when the solver proves it unreachable. The returned
 // slice is parallel to nodes: verdict i answers nodes[i]. Verdicts do
 // not depend on Workers — only wall-clock does (models MAY differ across

@@ -67,9 +67,8 @@ func TestCorpusWitnessReplay(t *testing.T) {
 
 // TestEverySatModelEvaluates pins the convention a maintained witness leans
 // on: the environment a Sat answer of checkNodes comes with makes the bug's
-// condition as written — pl.Reach.Cond, not the form the shard's rewrite pass
-// blasted — evaluate true under smt.EvalBool, a variable the rewrite erased
-// reading zero. The evaluator shares no code with bit-blasting or the CDCL
+// condition — pl.Reach.Cond, the term the shard blasted — evaluate true under
+// smt.EvalBool. The evaluator shares no code with bit-blasting or the CDCL
 // core, so each model checked here is also independent evidence for a
 // "reachable" verdict.
 func TestEverySatModelEvaluates(t *testing.T) {

@@ -12,17 +12,18 @@ import (
 // TestVerdictsMatchReferenceSolver checks every verdict of the shipped
 // pipeline against an independent reference: for all corpus programs (and
 // switch@2 outside -short), each bug of driver.Run's initial report —
-// reachable, unreachable, discharged by the dataflow pre-pass or folded
-// away by the rewrite pass alike — must get the same answer from a fresh
-// solver with no rewrite pass and no scopes deciding Check(cond) on that
-// one condition, and every reachable bug's production model — found by
-// whichever of the run's solver shards decided the bug (two, where a program
-// has checks enough for two) — must satisfy the condition as built. The pre-pass, the rewrite engine and the
-// persistent scoped solver are each allowed to save work, never to move a
-// verdict; this is where an unsound discharge, an evaluation-changing
-// rewrite or a clause leaking out of a retracted scope shows.
+// reachable, unreachable or discharged by the dataflow pre-pass alike — must
+// get the same answer from a fresh solver deciding Check(cond) on that one
+// condition, and every reachable bug's production model — found by whichever
+// of the run's solver shards decided the bug (two, where a program has checks
+// enough for two) — must satisfy the condition as built. The reference
+// differs from the pipeline in three things only: it opens no scopes, it
+// shares its solver with no other bug, and no pre-pass skips a query for it.
+// Each of those is allowed to save work, never to move a verdict; this is
+// where an unsound discharge or a clause leaking out of a retracted scope or
+// into a shard's next check shows.
 func TestVerdictsMatchReferenceSolver(t *testing.T) {
-	var reachable, unreachable, byAnalysis, byFold int
+	var reachable, unreachable, byAnalysis int
 	for _, p := range progs.All() {
 		src := p.Source
 		if p.Name == "switch" {
@@ -40,7 +41,6 @@ func TestVerdictsMatchReferenceSolver(t *testing.T) {
 			}
 			for _, b := range res.InitialRep.Bugs {
 				ref := solver.New(res.Initial.IR.F)
-				ref.SetRewrite(nil)
 				want := ref.Check(b.Cond) == solver.Sat
 				if b.Reachable != want {
 					t.Errorf("%s: pipeline says reachable=%v (discharged=%v), reference solver says %v",
@@ -54,19 +54,15 @@ func TestVerdictsMatchReferenceSolver(t *testing.T) {
 					}
 				case res.Analysis.Discharge[b.Node]:
 					byAnalysis++
-				case b.Discharged:
-					byFold++
 				default:
 					unreachable++
 				}
 			}
 		})
 	}
-	// The comparison must not be vacuous. (With the pre-pass in front, no
-	// corpus condition is left for the rewrite pass to fold away; the class
-	// is compared like the others when a program has one.)
-	t.Logf("%d reachable, %d solver-unreachable, %d analysis-discharged, %d fold-discharged",
-		reachable, unreachable, byAnalysis, byFold)
+	// The comparison must not be vacuous.
+	t.Logf("%d reachable, %d solver-unreachable, %d analysis-discharged",
+		reachable, unreachable, byAnalysis)
 	if reachable == 0 || unreachable == 0 || byAnalysis == 0 {
 		t.Errorf("verdict classes not all exercised")
 	}

@@ -501,19 +501,11 @@ func Infer(pl *core.Pipeline, inst *ir.TableInstance, bugs []*core.Bug, opts Opt
 // saved phases, variable activities and learnt clauses of a search that
 // has already walked the program once. The two are independent of each
 // other, so they are built side by side when there is a second worker.
-//
-// Both run without the term-level rewrite pass. Rewriting preserves
-// verdicts, not models, and Infer's cubes are built from models and unsat
-// cores: the annotations are a function of the circuit these two solvers
-// blast. That circuit is the un-rewritten one, and TestForkMatchesFreshOnCorpus
-// replays every instance's query sequence on fresh un-rewritten solvers to
-// hold the forks to it.
 func warmBases(pl *core.Pipeline, bugs []*core.Bug, opts Options) (dual, direct *solver.Solver) {
 	f := pl.IR.F
 	bases := pool.Map(opts.Workers, 2, func(i int) *solver.Solver {
 		s := opts.Solvers.New(f)
 		s.SetObs(opts.Obs)
-		s.SetRewrite(nil)
 		s.Tag("inferbase", [2]string{"dual", "direct"}[i], -1)
 		if i == 0 {
 			ok := pl.FullReach.OK

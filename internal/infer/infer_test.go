@@ -300,7 +300,6 @@ func TestForkMatchesFreshOnCorpus(t *testing.T) {
 				}
 
 				directFork, directFresh := recycled.Fork(directBase), solver.New(f)
-				directFresh.SetRewrite(nil)
 				directFork.Assert(bug)
 				directFresh.Assert(bug)
 				for i, cube := range a.Forbidden {
@@ -311,7 +310,6 @@ func TestForkMatchesFreshOnCorpus(t *testing.T) {
 				same("direct after every cube", directFork.Check(), directFresh.Check())
 
 				dualFork, dualFresh := recycled.Fork(dualBase), solver.New(f)
-				dualFresh.SetRewrite(nil)
 				dualFresh.Assert(ok)
 				for i, cube := range a.Forbidden {
 					fork, fresh := dualFork.Check(cube, reachAP), dualFresh.Check(cube, reachAP)

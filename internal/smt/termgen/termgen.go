@@ -3,9 +3,9 @@
 // the differential-fuzz harnesses: the native fuzzers hand it their input
 // bytes, it turns them into a well-sorted term DAG plus an assignment for
 // every variable it used, and the harness checks the abstract domain
-// (internal/absdom) and the rewrite engine (internal/smt/rewrite) against
-// concrete evaluation (smt.Eval). The same bytes always produce the same
-// term and environment, so fuzz findings replay exactly.
+// (internal/absdom) against concrete evaluation (smt.Eval). The same bytes
+// always produce the same term and environment, so fuzz findings replay
+// exactly.
 package termgen
 
 import (

@@ -17,7 +17,6 @@ func TestForkIsolation(t *testing.T) {
 	f := smt.NewFactory()
 	basis, conds := sliceFixture(f)
 	base := New(f)
-	base.SetRewrite(nil)
 	for _, b := range basis {
 		base.Assert(b)
 	}
@@ -30,7 +29,6 @@ func TestForkIsolation(t *testing.T) {
 	want := make([]Result, len(conds))
 	for i, c := range conds {
 		fresh := New(f)
-		fresh.SetRewrite(nil)
 		for _, b := range basis {
 			fresh.Assert(b)
 		}

@@ -18,7 +18,6 @@ func poolSession(t *testing.T, p *Pool, f *smt.Factory) string {
 	t.Helper()
 	basis, conds := sliceFixture(f)
 	base := p.New(f)
-	base.SetRewrite(nil)
 	for _, b := range basis {
 		base.Assert(b)
 	}

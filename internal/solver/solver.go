@@ -17,7 +17,6 @@ import (
 	"bf4/internal/obs"
 	"bf4/internal/sat"
 	"bf4/internal/smt"
-	"bf4/internal/smt/rewrite"
 )
 
 // Result mirrors sat.Result at the SMT level.
@@ -43,13 +42,6 @@ type Solver struct {
 	// of each distinct node in total instead of re-walking the whole DAG
 	// per call.
 	varSeen map[uint32]bool
-
-	// rewrite, when non-nil, simplifies every formula before variable
-	// registration and bit-blasting (smaller CNF). It must be
-	// evaluation-preserving; models and unsat cores are reported in terms
-	// of the original formulas. New installs a private rewrite.Rewriter;
-	// SetRewrite replaces or removes it.
-	rewrite func(*smt.Term) *smt.Term
 
 	lastCore []*smt.Term
 	checks   int
@@ -87,9 +79,9 @@ type CheckStats struct {
 	// NewVars and NewClauses count CNF growth during this check
 	// (assumption blasting; the incremental circuit persists).
 	NewVars, NewClauses int
-	// BlastTime covers simplification + bit-blasting of the assumptions
-	// (asserted formulas are lowered, and timed, in Assert); SearchTime
-	// covers the CDCL search itself.
+	// BlastTime covers bit-blasting of the assumptions (asserted formulas
+	// are lowered, and timed, in Assert); SearchTime covers the CDCL search
+	// itself.
 	BlastTime, SearchTime time.Duration
 }
 
@@ -142,9 +134,7 @@ func (s *Solver) SetObs(reg *obs.Registry) {
 	}
 }
 
-// New returns an empty solver over the given term factory, with a
-// private term-level rewrite pass (internal/smt/rewrite) in front of the
-// bit-blaster.
+// New returns an empty solver over the given term factory.
 func New(f *smt.Factory) *Solver {
 	s := &Solver{
 		ctx:     bitblast.New(f, sat.New()),
@@ -167,7 +157,6 @@ func (s *Solver) Reset(f *smt.Factory) *Solver {
 		ctx:      s.ctx,
 		vars:     s.vars,
 		varSeen:  s.varSeen,
-		rewrite:  rewrite.New(f).Rewrite,
 		tag:      obs.CheckRecord{Node: -1},
 		lastCore: s.lastCore[:0],
 		scopes:   s.scopes[:0],
@@ -186,8 +175,7 @@ func (s *Solver) Fork() *Solver { return new(Solver).CopyFrom(s) }
 // first Check starts as warm as src's next one would, nothing s held before
 // shows, and nothing done to either afterwards shows in the other, so
 // copies of one solver may run on different goroutines. The installed
-// metrics registry is shared (its counters are atomic); a solver with a
-// rewrite pass hands the copy a fresh one, since passes hold private memos.
+// metrics registry is shared (its counters are atomic).
 func (s *Solver) CopyFrom(src *Solver) *Solver {
 	ctx, vars, varSeen, lastCore, scopes := s.ctx, s.vars, s.varSeen, s.lastCore, s.scopes
 	if ctx == nil {
@@ -203,9 +191,6 @@ func (s *Solver) CopyFrom(src *Solver) *Solver {
 	s.vars, s.varSeen = vars, varSeen
 	s.lastCore = append(lastCore[:0], src.lastCore...)
 	s.scopes = append(scopes[:0], src.scopes...)
-	if src.rewrite != nil {
-		s.rewrite = rewrite.New(src.f).Rewrite
-	}
 	return s
 }
 
@@ -216,21 +201,6 @@ func (s *Solver) CopyFrom(src *Solver) *Solver {
 // installed.
 func (s *Solver) Tag(phase, name string, node int) {
 	s.tag = obs.CheckRecord{Phase: phase, Solver: name, Node: node}
-}
-
-// SetRewrite installs (or with nil removes) the pre-blast simplification
-// pass, overriding the one New installed. The pass must preserve
-// evaluation under every environment.
-func (s *Solver) SetRewrite(fn func(*smt.Term) *smt.Term) { s.rewrite = fn }
-
-// Simplify applies the solver's rewrite pass to t (identity when no pass
-// is installed). Callers can use it to pre-discharge queries: a formula
-// that simplifies to false is unsatisfiable without a Check.
-func (s *Solver) Simplify(t *smt.Term) *smt.Term {
-	if s.rewrite == nil {
-		return t
-	}
-	return s.rewrite(t)
 }
 
 // Factory returns the term factory this solver builds on.
@@ -247,7 +217,7 @@ func (s *Solver) registerVars(t *smt.Term) {
 		}
 		s.vars[v] = true
 		// Blast the variable now so that model extraction always works,
-		// even if simplification erased it from the final circuit.
+		// even if the blasted circuit does not depend on it.
 		if v.Sort().IsBool() {
 			s.ctx.Literal(v)
 		} else {
@@ -261,14 +231,7 @@ func (s *Solver) registerVars(t *smt.Term) {
 func (s *Solver) Assert(t *smt.Term) {
 	start := time.Now()
 	defer func() { s.hooks.blastNs.Add(time.Since(start).Nanoseconds()) }()
-	// Variables are collected from the SIMPLIFIED formula: a variable the
-	// rewrite erased is unconstrained, so leaving its bits unallocated
-	// keeps the CNF smaller without losing models — the rewrite preserves
-	// evaluation under every total environment, and absent variables
-	// default to zero under the smt.Eval convention, so a model of the
-	// simplified formula zero-extends to one of the original.
-	rt := s.Simplify(t)
-	s.registerVars(rt)
+	s.registerVars(t)
 	if n := len(s.scopes); n > 0 {
 		// Guard with the innermost activation literal (scopes close LIFO,
 		// so when an outer scope dies every inner one is already dead),
@@ -276,19 +239,10 @@ func (s *Solver) Assert(t *smt.Term) {
 		// implication gate: once retract asserts ¬act every guard clause
 		// is satisfied outright and its cleaning pass deletes it, instead
 		// of leaving dead gate circuitry.
-		s.ctx.AssertImplied(s.scopes[n-1], rt)
+		s.ctx.AssertImplied(s.scopes[n-1], t)
 		return
 	}
-	// With the simplification layer on, a top-level conjunction splits
-	// into one unit assertion per conjunct — the standard assert-time
-	// flattening that skips the Tseitin gate for the conjunction itself.
-	if s.rewrite != nil && rt.Op() == smt.OpAnd {
-		for _, a := range rt.Args() {
-			s.ctx.AssertTrue(a)
-		}
-		return
-	}
-	s.ctx.AssertTrue(rt)
+	s.ctx.AssertTrue(t)
 }
 
 // CheckScoped decides cond on top of the asserted formulas without keeping
@@ -369,20 +323,14 @@ func (s *Solver) Check(assumptions ...*smt.Term) Result {
 		lits = append(lits, s.ctx.Literal(act))
 	}
 	for _, a := range assumptions {
+		// A constant-true assumption is a tautology and cannot appear in
+		// any unsat core; a constant-false one blasts to the false literal
+		// and surfaces in the core.
 		if a.IsTrue() {
 			continue
 		}
-		// Blast the simplified form (smaller circuit) but keep the core
-		// map keyed to the caller's original assumption. A rewrite to
-		// true means the assumption is a tautology and cannot appear in
-		// any unsat core; a rewrite to false blasts to the false literal
-		// and surfaces in the core as the original formula.
-		ra := s.Simplify(a)
-		if ra.IsTrue() {
-			continue
-		}
-		s.registerVars(ra)
-		l := s.ctx.Literal(ra)
+		s.registerVars(a)
+		l := s.ctx.Literal(a)
 		if _, dup := byLit[l]; !dup {
 			byLit[l] = a
 			lits = append(lits, l)

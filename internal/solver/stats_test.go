@@ -39,8 +39,6 @@ func distinct(f *smt.Factory, s *Solver, tag string, n int) []*smt.Term {
 func TestCheckStatsAreDeltas(t *testing.T) {
 	f := smt.NewFactory()
 	s := New(f)
-	s.SetRewrite(nil) // keep the circuit as written: guarantees search work
-
 	pigeon := distinct(f, s, "a", 6)
 	if res := s.Check(pigeon...); res != Unsat {
 		t.Fatalf("first check = %v, want unsat", res)
@@ -91,7 +89,6 @@ func TestCheckStatsAreDeltas(t *testing.T) {
 func TestCheckStatsSumToCumulative(t *testing.T) {
 	f := smt.NewFactory()
 	s := New(f)
-	s.SetRewrite(nil)
 	pigeon := distinct(f, s, "a", 6)
 	// Assert-time unit propagation (clauses added outside any Check) is
 	// deliberately attributed to no check; measure from here.
@@ -125,7 +122,6 @@ func TestSolverObsRecording(t *testing.T) {
 		f := smt.NewFactory()
 		s := New(f)
 		s.SetObs(reg)
-		s.SetRewrite(nil)
 		pigeon := distinct(f, s, "a", 5)
 		var out []Result
 		out = append(out, s.Check(pigeon...))
@@ -169,7 +165,6 @@ func TestFirstCheckIsMarked(t *testing.T) {
 	reg := obs.NewRegistry()
 	s := New(f)
 	s.SetObs(reg)
-	s.SetRewrite(nil)
 	pigeon := distinct(f, s, "a", 5)
 
 	cold := s.Fork()
