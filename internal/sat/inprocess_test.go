@@ -11,7 +11,7 @@ import (
 // Inprocess pass must clean every guard clause of that scope out of the
 // database while leaving the solver sound.
 func TestInprocessRetractedScope(t *testing.T) {
-	s := newSolver()
+	s := New()
 	act, x, y := s.NewVar(), s.NewVar(), s.NewVar()
 	// Scoped assertions: act → x, act → ¬y.
 	s.AddClause(MkLit(act, true), MkLit(x, false))
@@ -38,10 +38,11 @@ func TestInprocessRetractedScope(t *testing.T) {
 
 // TestInprocessForgetsRetractedLiteral: once ¬act is a level-0 fact, one
 // Inprocess pass leaves no live clause — problem or learnt — that mentions
-// act. The scope's guard clauses make a pigeonhole instance, so the search
-// inside the scope learns clauses over act before it is retracted.
+// act: each holds ¬act and is deleted as satisfied. The scope's guard
+// clauses make a pigeonhole instance, so the search inside the scope learns
+// clauses over act before it is retracted.
 func TestInprocessForgetsRetractedLiteral(t *testing.T) {
-	s := newSolver()
+	s := New()
 	act := s.NewVar()
 	const holes = 4
 	var p [holes + 1][holes]Var
@@ -69,7 +70,7 @@ func TestInprocessForgetsRetractedLiteral(t *testing.T) {
 	if got := s.Solve(MkLit(act, false)); got != Unsat {
 		t.Fatalf("inside scope: got %v, want Unsat", got)
 	}
-	if s.Learned() == 0 {
+	if s.StatsSnapshot().Learned == 0 {
 		t.Fatalf("scope refuted without learning: the test exercises no learnt clause")
 	}
 	mentions := func() (n int) {
@@ -98,81 +99,6 @@ func TestInprocessForgetsRetractedLiteral(t *testing.T) {
 	}
 }
 
-// inprocessEveryChange is Inprocess as it was before it learnt when a second
-// sweep can find anything: it sweeps again after every sweep that deleted or
-// stripped a clause, not only after one that made a level-0 fact. It is the
-// reference inprocessTrial holds Inprocess against, clause for clause.
-func inprocessEveryChange(s *Solver) (deleted int) {
-	if !s.okState {
-		return 0
-	}
-	if s.propagate() != -1 {
-		s.okState = false
-		return 0
-	}
-	for {
-		changed := false
-		for _, cref := range s.clauses {
-			h := s.arena[cref]
-			if h&deletedBit != 0 {
-				continue
-			}
-			lits := s.litsOf(cref)
-			satisfied, hasFalse := false, false
-			for _, w := range lits {
-				switch s.value(Lit(w)) {
-				case lTrue:
-					satisfied = true
-				case lFalse:
-					hasFalse = true
-				}
-			}
-			if satisfied {
-				s.deleteClause(cref)
-				deleted++
-				changed = true
-				continue
-			}
-			if !hasFalse {
-				continue
-			}
-			changed = true
-			s.detachClause(cref)
-			n := 0
-			for _, w := range lits {
-				if s.value(Lit(w)) != lFalse {
-					lits[n] = w
-					n++
-				}
-			}
-			s.wasted += len(lits) - n
-			s.arena[cref] = uint32(n)<<sizeShift | h&learntBit
-			switch n {
-			case 0:
-				s.okState = false
-				return deleted
-			case 1:
-				s.markDeleted(cref)
-				deleted++
-				s.uncheckedEnqueue(Lit(lits[0]), 0, -1)
-			default:
-				s.watchClause(cref)
-			}
-		}
-		if s.propagate() != -1 {
-			s.okState = false
-			return deleted
-		}
-		if !changed {
-			for _, l := range s.trail {
-				s.reason[l.Var()] = -1
-			}
-			s.collectGarbage()
-			return deleted
-		}
-	}
-}
-
 // liveClauses lists s's live clauses in attach order, learnt bit and
 // literals in arena order.
 func liveClauses(s *Solver) (cs [][]uint32) {
@@ -188,13 +114,13 @@ func liveClauses(s *Solver) (cs [][]uint32) {
 // reference solver and to a solver that runs Inprocess after every batch,
 // then compares Solve results under random assumptions and checks that the
 // model satisfies every clause added so far, and the arena and watch-list
-// invariants after every Solve and Inprocess. Each Inprocess pass runs beside
-// inprocessEveryChange on a clone and must leave the same live clauses and
-// the same trail.
-func inprocessTrial(t *testing.T, seed int64) {
+// invariants after every Solve and Inprocess. Each Inprocess pass must
+// leave the trail alone and keep, in order, exactly the live clauses with
+// no true literal, those with false literals included.
+func inprocessTrial(t *testing.T, seed int64, fresh func() *Solver) {
 	rng := rand.New(rand.NewSource(seed))
 	nVars := 4 + rng.Intn(12)
-	s, ref := newSolver(), newSolver()
+	s, ref := fresh(), fresh()
 	vars := make([]Var, nVars)
 	for i := range vars {
 		vars[i] = s.NewVar()
@@ -247,25 +173,31 @@ func inprocessTrial(t *testing.T, seed int64) {
 				}
 			}
 		}
-		old := s.Clone()
-		wantDeleted := inprocessEveryChange(old)
-		if got := s.Inprocess(); got != wantDeleted {
-			t.Fatalf("seed %d batch %d: Inprocess deleted %d clauses, the every-change loop %d", seed, b, got, wantDeleted)
+		before, trail, ok := liveClauses(s), slices.Clone(s.trail), s.okState
+		kept := before
+		if ok {
+			kept = slices.DeleteFunc(slices.Clone(before), func(c []uint32) bool {
+				return slices.ContainsFunc(c[1:], func(w uint32) bool { return s.value(Lit(w)) == lTrue })
+			})
+		}
+		if got := s.Inprocess(); got != len(before)-len(kept) {
+			t.Fatalf("seed %d batch %d: Inprocess deleted %d of %d clauses, %d are satisfied", seed, b, got, len(before), len(before)-len(kept))
 		}
 		checkInvariants(t, s)
-		if s.okState != old.okState || !slices.Equal(s.trail, old.trail) {
-			t.Fatalf("seed %d batch %d: Inprocess left ok=%v trail %v, the every-change loop ok=%v trail %v",
-				seed, b, s.okState, s.trail, old.okState, old.trail)
+		if s.okState != ok || !slices.Equal(s.trail, trail) {
+			t.Fatalf("seed %d batch %d: Inprocess moved ok %v → %v, trail %v → %v", seed, b, ok, s.okState, trail, s.trail)
 		}
-		if got, want := liveClauses(s), liveClauses(old); !slices.EqualFunc(got, want, slices.Equal[[]uint32]) {
-			t.Fatalf("seed %d batch %d: Inprocess left clauses %v, the every-change loop %v", seed, b, got, want)
+		if got := liveClauses(s); !slices.EqualFunc(got, kept, slices.Equal[[]uint32]) {
+			t.Fatalf("seed %d batch %d: Inprocess left clauses %v, want the unsatisfied ones %v", seed, b, got, kept)
 		}
 	}
 }
 
-func TestInprocessEquivalenceRandom(t *testing.T) {
+func TestInprocessEquivalenceRandom(t *testing.T) { inprocessEquivalenceRandom(t, New) }
+
+func inprocessEquivalenceRandom(t *testing.T, fresh func() *Solver) {
 	for seed := int64(0); seed < 200; seed++ {
-		inprocessTrial(t, seed)
+		inprocessTrial(t, seed, fresh)
 	}
 }
 
@@ -277,6 +209,6 @@ func FuzzInprocess(f *testing.F) {
 	f.Add(int64(42))
 	f.Add(int64(1 << 30))
 	f.Fuzz(func(t *testing.T, seed int64) {
-		inprocessTrial(t, seed)
+		inprocessTrial(t, seed, New)
 	})
 }

@@ -1,6 +1,7 @@
 package sat
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 )
@@ -18,7 +19,7 @@ func checkInvariants(t testing.TB, s *Solver) {
 	}
 	// The index lists every clause once, in arena order, and the live ones
 	// plus the counted waste account for every arena word.
-	problem, learnt, words := 0, 0, s.wasted
+	live, problem, words := 0, 0, s.wasted
 	prev := int32(-1)
 	for _, cref := range s.clauses {
 		if cref <= prev || int(cref) >= len(s.arena) {
@@ -33,14 +34,13 @@ func checkInvariants(t testing.TB, s *Solver) {
 			t.Fatalf("live clause %d has %d literal(s)", cref, h>>sizeShift)
 		}
 		words += clauseWords(h)
-		if h&learntBit != 0 {
-			learnt++
-		} else {
+		live++
+		if h&learntBit == 0 {
 			problem++
 		}
 	}
-	if problem != s.NumClauses() || learnt != s.numLearnt {
-		t.Fatalf("a walk finds %d problem and %d learnt clauses, the counters say %d and %d", problem, learnt, s.NumClauses(), s.numLearnt)
+	if problem != s.NumClauses() {
+		t.Fatalf("a walk finds %d problem clauses, the counter says %d", problem, s.NumClauses())
 	}
 	if words != len(s.arena) {
 		t.Fatalf("live clauses plus %d wasted words make %d, the arena has %d", s.wasted, words, len(s.arena))
@@ -90,8 +90,162 @@ func checkInvariants(t testing.TB, s *Solver) {
 			}
 		}
 	}
-	if len(seen) != 2*(problem+learnt) {
-		t.Fatalf("%d watched positions for %d live clauses", len(seen), problem+learnt)
+	if len(seen) != 2*live {
+		t.Fatalf("%d watched positions for %d live clauses", len(seen), live)
+	}
+}
+
+// checkTrailInvariants checks, at any decision level, what analyze and
+// cancelUntil rely on:
+//
+//   - each assigned variable is on the trail exactly once, true;
+//   - levels never fall along the trail: a literal's level is the number of
+//     levels opened at or before its position, so level i+1 is the stretch
+//     from trail[trailLim[i]] on (empty for the dummy level of an
+//     assumption that was already true);
+//   - above level 0, a literal has no reason exactly when it opens its
+//     level, as its decision;
+//   - an implied literal's reason is a live clause that holds it, whose
+//     other literals are false and earlier on the trail, and the literal
+//     sits at the highest of their levels.
+func checkTrailInvariants(t testing.TB, s *Solver) {
+	t.Helper()
+	pos := make(map[Var]int, len(s.trail))
+	level := 0
+	for i, l := range s.trail {
+		v := l.Var()
+		if _, dup := pos[v]; dup {
+			t.Fatalf("variable %d is on the trail twice", v)
+		}
+		pos[v] = i
+		if s.value(l) != lTrue {
+			t.Fatalf("trail literal %v is not true", l)
+		}
+		opens := false
+		for level < len(s.trailLim) && int(s.trailLim[level]) <= i {
+			level++
+			opens = true
+		}
+		if int(s.level[v]) != level {
+			t.Fatalf("%v at trail position %d has level %d, the trail puts it on level %d", l, i, s.level[v], level)
+		}
+		if level > 0 && opens != (s.reason[v] < 0) {
+			t.Fatalf("%v on level %d: opens the level %v, reason %d", l, level, opens, s.reason[v])
+		}
+	}
+	for v, a := range s.assigns {
+		if _, onTrail := pos[Var(v)]; (a != lUndef) != onTrail {
+			t.Fatalf("variable %d: assigned %v, on the trail %v", v, a != lUndef, onTrail)
+		}
+	}
+	for i, l := range s.trail {
+		r := s.reason[l.Var()]
+		if r < 0 {
+			continue
+		}
+		if s.arena[r]&deletedBit != 0 {
+			t.Fatalf("%v keeps deleted clause %d as its reason", l, r)
+		}
+		lits := s.litsOf(r)
+		if !slices.Contains(lits, uint32(l)) {
+			t.Fatalf("clause %d %v is the reason of %v, which it does not hold", r, lits, l)
+		}
+		top := int32(0)
+		for _, w := range lits {
+			q := Lit(w)
+			if q == l {
+				continue
+			}
+			if s.value(q) != lFalse || pos[q.Var()] > i {
+				t.Fatalf("reason %d %v of %v: %v is not false earlier on the trail", r, lits, l, q)
+			}
+			top = max(top, s.level[q.Var()])
+		}
+		if s.level[l.Var()] != top {
+			t.Fatalf("%v has level %d, the other literals of its reason %d %v reach level %d", l, s.level[l.Var()], r, lits, top)
+		}
+	}
+}
+
+// TestChronologicalPath re-runs the brute-force, model, assumption, core,
+// incremental, clone and inprocessing suites on solvers that check the
+// trail after every backtrack, so that none of them leaves it out of order.
+// At threshold T the suites must also, at least once, backjump from a
+// conflict down more than T levels to a level above 0: a jump whose
+// asserting literal takes a level below the ones it leaves. Threshold 0
+// counts every such jump, threshold 1 only those that skip a level.
+func TestChronologicalPath(t *testing.T) {
+	suites := []struct {
+		name string
+		run  func(*testing.T, func() *Solver)
+	}{
+		{"AgainstBruteForce", againstBruteForce},
+		{"ModelSatisfiesClauses", modelSatisfiesClauses},
+		{"Assumptions", solveUnderAssumptions},
+		{"FailedAssumptionsCore", failedAssumptionsCore},
+		{"CorePropertyRandom", corePropertyRandom},
+		{"IncrementalAddAfterSolve", incrementalAddAfterSolve},
+		{"CloneContinuesIdentically", clonesContinueIdentically},
+		{"InprocessEquivalenceRandom", inprocessEquivalenceRandom},
+		{"FuzzInprocessSeeds", func(t *testing.T, fresh func() *Solver) {
+			for _, seed := range []int64{1, 42, 1 << 30} {
+				inprocessTrial(t, seed, fresh)
+			}
+		}},
+	}
+	for _, threshold := range []int{0, 1} {
+		jumps := 0
+		for _, suite := range suites {
+			t.Run(fmt.Sprintf("threshold=%d/%s", threshold, suite.name), func(t *testing.T) {
+				suite.run(t, func() *Solver {
+					s := New()
+					s.afterBacktrack = func(s *Solver, from int) {
+						checkTrailInvariants(t, s)
+						if to := s.decisionLevel(); to > 0 && from-to > threshold {
+							jumps++
+						}
+					}
+					return s
+				})
+			})
+		}
+		t.Logf("threshold %d: %d backjumps", threshold, jumps)
+		if jumps == 0 {
+			t.Errorf("threshold %d: the suites never backjumped more than %d level(s) to a level above 0", threshold, threshold)
+		}
+	}
+}
+
+// checkDerivedImplied checks, by enumeration over nVars variables, that
+// every live learnt clause of s and every level-0 fact follows from cnf:
+// a learnt clause that does not is the first trace of a wrong resolution in
+// analyze, long before it turns a verdict.
+func checkDerivedImplied(t testing.TB, s *Solver, nVars int, cnf [][]Lit) {
+	t.Helper()
+	if !s.Okay() {
+		return
+	}
+	var derived [][]Lit
+	for _, cref := range s.clauses {
+		if s.arena[cref]&(learntBit|deletedBit) == learntBit {
+			var c []Lit
+			for _, w := range s.litsOf(cref) {
+				c = append(c, Lit(w))
+			}
+			derived = append(derived, c)
+		}
+	}
+	for _, l := range s.trail {
+		derived = append(derived, []Lit{l})
+	}
+	for _, c := range derived {
+		refute := slices.Clone(cnf)
+		for _, l := range c {
+			refute = append(refute, []Lit{l.Neg()})
+		}
+		if bruteForce(nVars, refute) {
+			t.Fatalf("derived clause %v does not follow from the problem clauses", c)
+		}
 	}
 }
 
@@ -102,7 +256,7 @@ func checkCloneAgrees(t testing.TB, s, c *Solver) {
 		slices.Equal(s.assigns, c.assigns) && slices.Equal(s.level, c.level) && slices.Equal(s.reason, c.reason) &&
 		slices.Equal(s.polarity, c.polarity) && slices.Equal(s.activity, c.activity) && slices.Equal(s.trail, c.trail) &&
 		slices.Equal(s.heap.heap, c.heap.heap) && slices.Equal(s.heap.indices, c.heap.indices) &&
-		s.NumClauses() == c.NumClauses() && s.numLearnt == c.numLearnt && s.StatsSnapshot() == c.StatsSnapshot() &&
+		s.NumClauses() == c.NumClauses() && s.StatsSnapshot() == c.StatsSnapshot() &&
 		slices.EqualFunc(s.watches, c.watches, func(a, b []watcher) bool { return slices.Equal(a, b) })
 	if !same {
 		t.Fatal("clone differs from its original")
@@ -121,8 +275,8 @@ func TestCompactionKeepsTheTrace(t *testing.T) {
 	}
 }
 
-func compactionKeepsTheTrace(t *testing.T, newSolver func() *Solver) {
-	s, ref := newSolver(), New()
+func compactionKeepsTheTrace(t *testing.T, fresh func() *Solver) {
+	s, ref := fresh(), New()
 	for round := 0; round < 40; round++ {
 		for _, x := range []*Solver{s, ref} {
 			incrementalRound(x, round)
@@ -140,56 +294,6 @@ func compactionKeepsTheTrace(t *testing.T, newSolver func() *Solver) {
 	}
 	if s.StatsSnapshot().Conflicts == 0 {
 		t.Fatal("the rounds hit no conflict: nothing learnt was ever relocated")
-	}
-
-	// Above level 0, with literals out of order on the trail: the deep-trail
-	// instance behind a block of deleted clauses, and a learnt-clause limit
-	// of 0, so that reduceDB runs after the first conflict. Every learnt
-	// clause of the instance is the reason of a literal asserted at level 1
-	// from the trail's far end, so reduceDB deletes none of them, finds the
-	// dead block larger than half the live clauses and compacts: each
-	// reason moves, and the search must still spend the pinned effort.
-	deep := pinnedTraces[4]
-	s = newSolver()
-	for i := 0; i < 400; i++ {
-		s.AddClause(MkLit(500, false), MkLit(Var(501+i), false), MkLit(Var(502+i), false))
-		s.deleteClause(s.clauses[i])
-	}
-	s.maxLearnt = 0
-	moved := false
-	s.afterBacktrack = func(s *Solver) {
-		outOfOrder := slices.ContainsFunc(s.trail, func(l Lit) bool {
-			return s.reason[l.Var()] >= 0 && int(s.level[l.Var()]) < s.decisionLevel()-chronoThreshold
-		})
-		moved = moved || (outOfOrder && s.wasted == 0)
-	}
-	if got := deep.run(s); got != deep.res || s.StatsSnapshot() != deep.want {
-		t.Fatalf("deep trail compacted inside the search: %v %+v, pinned %v %+v", got, s.StatsSnapshot(), deep.res, deep.want)
-	}
-	checkInvariants(t, s)
-	if !moved || len(s.clauses) != s.NumClauses()+s.numLearnt {
-		t.Fatalf("no compaction with an out-of-order reason on the trail (seen %v; the index lists %d clauses, %d are live)", moved, len(s.clauses), s.NumClauses()+s.numLearnt)
-	}
-}
-
-// TestCompactionInsideSearch: reduceDB compacts above decision level 0,
-// where the trail's reasons have to move with their clauses. Refuting the
-// pigeonhole instance learns some thirty times the clauses it starts with
-// and halves them over and over, so the run compacts many times — shown by
-// a clause index (which only a compaction shortens) far shorter than the
-// number of clauses ever attached — and still spends exactly the pinned
-// effort.
-func TestCompactionInsideSearch(t *testing.T) {
-	s := New()
-	pigeonhole(s, 8, 7)
-	if got := s.Solve(); got != Unsat {
-		t.Fatalf("got %v, want Unsat", got)
-	}
-	if got := s.StatsSnapshot(); got != pinnedTraces[0].want {
-		t.Fatalf("search effort %+v, pinned %+v", got, pinnedTraces[0].want)
-	}
-	if len(s.clauses) > int(s.Learned())/2 {
-		t.Fatalf("the index lists %d clauses of more than %d ever attached: the search never compacted", len(s.clauses), s.Learned())
 	}
 }
 

@@ -10,42 +10,13 @@
 // algorithms need (check, model, failed assumptions) with identical
 // semantics.
 //
-// Backtracking is chronological in the Möhle–Biere form (SAT 2019): when
-// the backjump level of a learnt clause lies more than chronoThreshold
-// levels below the conflict, search steps back one level and enqueues the
-// asserting literal at the end of the trail with the backjump level as its
-// level, instead of unassigning thousands of levels that the saved phases
-// would rebuild literal for literal. The trail is therefore out of order:
-// level[v] is always v's true level, and these hold at every point (the
-// tests' checkTrailInvariants):
-//
-//   - trail[trailLim[i]] is the decision of level i+1 (or the level is the
-//     empty dummy of an assumption that was already true), and no literal
-//     has a level above the decision level;
-//   - an implied literal's level is the highest among the other literals of
-//     its reason, which are all false and earlier on the trail;
-//   - a reason of more than two literals holds its implied literal first;
-//   - a reason is never a deleted clause.
-//
-// So a conflict clause may have its highest level below the current one,
-// or a single literal there (then that literal is flipped and nothing is
-// learnt); backtracking keeps the literals at or below its target and
-// propagates them again; and level-0 literals found deep in a search stay
-// on the trail after Solve as the facts they are. The threshold is a
-// constant, not an option: on the verifier's workloads decisions are flat
-// within a factor 1.3 from 0 to 1000 and double only without the rule
-// (EXPERIMENTS.md E23). The one shortcut that must not be taken is to give
-// the asserting literal the level search stepped back to: first-UIP
-// analysis then resolves on a level the literal is not on, and switch@1
-// needs 16 240 conflicts where it needs 2 999.
+// Search backjumps to the level where a learnt clause asserts, so the trail
+// stays in level order, and keeps every learnt clause: on the verifier's
+// workloads neither stepping back one level at a time nor learnt-clause
+// reduction fired or paid (EXPERIMENTS.md E32).
 package sat
 
-import (
-	"cmp"
-	"fmt"
-	"math"
-	"slices"
-)
+import "fmt"
 
 // Var is a propositional variable, numbered from 0.
 type Var int32
@@ -105,14 +76,13 @@ const (
 //
 //	size<<sizeShift | learntBit | deletedBit
 //
-// a learnt clause keeps its float64 activity in the two words after the
-// header, and the literals follow inline. The store holds no pointer: the
+// and the literals follow inline. The store holds no pointer: the
 // collector never scans it, Clone copies it in one go, and a clause visit
 // in propagate is one dependent load where a slice of clause structs, each
 // with its own literal slice, cost two.
 const (
 	deletedBit uint32 = 1
-	learntBit  uint32 = 2 // its value is also the number of activity words
+	learntBit  uint32 = 2 // keeps learnt clauses out of NumClauses
 	sizeShift         = 2
 
 	// binFlag tags the watchers of a two-literal clause. It is the top bit
@@ -122,12 +92,8 @@ const (
 	maxCref        = 1<<31 - 1
 )
 
-// chronoThreshold is how many levels a backjump may cross before search
-// steps back a single level instead (see search).
-const chronoThreshold = 100
-
 // clauseWords is the number of arena words the clause with header h owns.
-func clauseWords(h uint32) int { return int(1 + h&learntBit + h>>sizeShift) }
+func clauseWords(h uint32) int { return int(1 + h>>sizeShift) }
 
 // mustCref turns an arena offset into a clause reference. An offset that
 // would reach binFlag cannot be told from a tagged watcher, so it panics
@@ -154,7 +120,8 @@ func (w watcher) cref() int32 { return int32(w.ref &^ binFlag) }
 type Result int8
 
 const (
-	// Unknown means the solver was interrupted by budget exhaustion.
+	// Unknown is what search answers at its restart limit; Solve never
+	// returns it.
 	Unknown Result = iota
 	// Sat means a satisfying assignment was found.
 	Sat
@@ -181,9 +148,9 @@ type Solver struct {
 	arena []uint32 // the clause store, see deletedBit
 	// clauses lists the crefs in attach order, deleted ones included until
 	// the next compaction: the order of every whole-database walk
-	// (reduceDB, Inprocess, activity rescaling, compact).
+	// (Inprocess, compact).
 	clauses []int32
-	wasted  int         // dead arena words: deleted clauses and stripped literals
+	wasted  int         // dead arena words: deleted clauses
 	watches [][]watcher // indexed by Lit
 	// watchMem is the one array CopyFrom carved the watch lists from, kept
 	// for the next CopyFrom to carve them from again.
@@ -202,7 +169,6 @@ type Solver struct {
 
 	heap    varHeap
 	varInc  float64
-	claInc  float64
 	okState bool // false once the clause set is unsat at level 0
 
 	model      []lbool
@@ -212,18 +178,10 @@ type Solver struct {
 	// normalised or learnt clause is built here and copied into the arena.
 	addBuf, learntBuf []Lit
 
-	// Budget limits a single Solve call; 0 means unlimited.
-	Budget struct {
-		Conflicts int64
-	}
+	// afterBacktrack, when set, runs after every backtrack, given the level
+	// it left; in-package tests check the trail there.
+	afterBacktrack func(s *Solver, from int)
 
-	// chrono is chronoThreshold; in-package tests lower it to reach the
-	// chronological path on small instances, and hook afterBacktrack.
-	chrono         int
-	afterBacktrack func(*Solver)
-
-	numLearnt int
-	maxLearnt float64
 	stats     Stats
 	problemCs int // cached count of live non-learnt clauses
 }
@@ -245,12 +203,6 @@ type Stats struct {
 	// Learned is the number of clauses learned from conflicts (including
 	// unit clauses that never enter the clause database).
 	Learned int64
-	// ChronoBacktracks is the number of conflicts after which the solver
-	// stepped back one level instead of jumping to the backjump level.
-	ChronoBacktracks int64
-	// ForcedLiterals is the number of conflicts with a single literal on
-	// their highest level: that literal is flipped, nothing is learnt.
-	ForcedLiterals int64
 	// CancelledLiterals is the number of literals backtracking unassigned.
 	CancelledLiterals int64
 }
@@ -259,30 +211,12 @@ type Stats struct {
 // snapshot b and snapshot a.
 func (a Stats) Sub(b Stats) Stats {
 	return Stats{
-		Conflicts:    a.Conflicts - b.Conflicts,
-		Propagations: a.Propagations - b.Propagations,
-		Decisions:    a.Decisions - b.Decisions,
-		Restarts:     a.Restarts - b.Restarts,
-		Learned:      a.Learned - b.Learned,
-
-		ChronoBacktracks:  a.ChronoBacktracks - b.ChronoBacktracks,
-		ForcedLiterals:    a.ForcedLiterals - b.ForcedLiterals,
+		Conflicts:         a.Conflicts - b.Conflicts,
+		Propagations:      a.Propagations - b.Propagations,
+		Decisions:         a.Decisions - b.Decisions,
+		Restarts:          a.Restarts - b.Restarts,
+		Learned:           a.Learned - b.Learned,
 		CancelledLiterals: a.CancelledLiterals - b.CancelledLiterals,
-	}
-}
-
-// Add returns the component-wise sum a + b.
-func (a Stats) Add(b Stats) Stats {
-	return Stats{
-		Conflicts:    a.Conflicts + b.Conflicts,
-		Propagations: a.Propagations + b.Propagations,
-		Decisions:    a.Decisions + b.Decisions,
-		Restarts:     a.Restarts + b.Restarts,
-		Learned:      a.Learned + b.Learned,
-
-		ChronoBacktracks:  a.ChronoBacktracks + b.ChronoBacktracks,
-		ForcedLiterals:    a.ForcedLiterals + b.ForcedLiterals,
-		CancelledLiterals: a.CancelledLiterals + b.CancelledLiterals,
 	}
 }
 
@@ -300,10 +234,7 @@ func New() *Solver {
 func (s *Solver) init() {
 	if s.varInc == 0 {
 		s.varInc = 1
-		s.claInc = 1
 		s.okState = true
-		s.maxLearnt = 1000
-		s.chrono = chronoThreshold
 		s.heap.activity = &s.activity
 	}
 }
@@ -388,15 +319,6 @@ func (s *Solver) Conflicts() int64 { return s.stats.Conflicts }
 
 // Propagations returns the cumulative number of unit propagations.
 func (s *Solver) Propagations() int64 { return s.stats.Propagations }
-
-// Decisions returns the cumulative number of branching decisions.
-func (s *Solver) Decisions() int64 { return s.stats.Decisions }
-
-// Restarts returns the cumulative number of restarts across Solve calls.
-func (s *Solver) Restarts() int64 { return s.stats.Restarts }
-
-// Learned returns the cumulative number of learnt clauses.
-func (s *Solver) Learned() int64 { return s.stats.Learned }
 
 // NewVar creates a fresh variable and returns it.
 func (s *Solver) NewVar() Var {
@@ -497,18 +419,7 @@ func (s *Solver) value(l Lit) lbool { return s.assigns[l>>1] ^ lbool(l&1) }
 
 // litsOf returns the literals of clause cref as a window on the arena.
 func (s *Solver) litsOf(cref int32) []uint32 {
-	h := s.arena[cref]
-	off := uint32(cref) + 1 + h&learntBit
-	return s.arena[off : off+h>>sizeShift]
-}
-
-func (s *Solver) clauseActivity(cref int32) float64 {
-	return math.Float64frombits(uint64(s.arena[cref+1]) | uint64(s.arena[cref+2])<<32)
-}
-
-func (s *Solver) setClauseActivity(cref int32, a float64) {
-	b := math.Float64bits(a)
-	s.arena[cref+1], s.arena[cref+2] = uint32(b), uint32(b>>32)
+	return s.arena[cref+1 : cref+1+int32(s.arena[cref]>>sizeShift)]
 }
 
 // AddClause adds a disjunction of literals. It returns false if the clause
@@ -561,50 +472,39 @@ nextLit:
 	return true
 }
 
-// attachClause copies lits (two or more) into the arena as a new clause,
-// learnt ones starting at the current clause-activity increment, and puts
-// it on the watch lists of its first two literals.
+// attachClause copies lits (two or more) into the arena as a new clause and
+// puts it on the watch lists of its first two literals, tagged when those
+// are all it has.
 func (s *Solver) attachClause(lits []Lit, learnt bool) int32 {
 	cref := mustCref(len(s.arena))
 	h := uint32(len(lits)) << sizeShift
-	if need := len(s.arena) + 3 + len(lits); need > cap(s.arena) {
+	if need := len(s.arena) + 1 + len(lits); need > cap(s.arena) {
 		s.arena = regrow(s.arena, max(firstWords, 2*cap(s.arena), need))
 	}
 	if len(s.clauses) == cap(s.clauses) {
 		s.clauses = regrow(s.clauses, max(firstWords/4, 2*cap(s.clauses)))
 	}
 	if learnt {
-		s.arena = append(s.arena, h|learntBit, 0, 0)
-		s.setClauseActivity(cref, s.claInc)
-		s.numLearnt++
+		h |= learntBit
 	} else {
-		s.arena = append(s.arena, h)
 		s.problemCs++
 	}
+	s.arena = append(s.arena, h)
 	for _, l := range lits {
 		s.arena = append(s.arena, uint32(l))
 	}
 	s.clauses = append(s.clauses, cref)
-	s.watchClause(cref)
-	return cref
-}
-
-// watchClause puts clause cref on the watch lists of its first two
-// literals, tagged when those are all it has.
-func (s *Solver) watchClause(cref int32) {
-	lits := s.litsOf(cref)
-	l0, l1 := Lit(lits[0]), Lit(lits[1])
 	ref := uint32(cref)
 	if len(lits) == 2 {
 		ref |= binFlag
 	}
+	l0, l1 := lits[0], lits[1]
 	s.watches[l0.Neg()] = append(s.watches[l0.Neg()], watcher{ref, l1})
 	s.watches[l1.Neg()] = append(s.watches[l1.Neg()], watcher{ref, l0})
+	return cref
 }
 
-// uncheckedEnqueue makes l true at the given level, which is the current
-// one for a decision and, for an implied literal, the highest level among
-// the other literals of its reason — possibly below the current one.
+// uncheckedEnqueue makes l true at the given level with reason from.
 func (s *Solver) uncheckedEnqueue(l Lit, level int32, from int32) {
 	v := l.Var()
 	s.assigns[v] = lbool(l & 1)
@@ -621,7 +521,6 @@ func (s *Solver) propagate() int32 {
 		p := s.trail[s.qhead]
 		s.qhead++
 		ws := s.watches[p]
-		pLevel := s.level[p>>1]
 		notP := uint32(p.Neg())
 		n := 0
 	nextWatcher:
@@ -680,16 +579,7 @@ func (s *Solver) propagate() int32 {
 				s.qhead = len(s.trail)
 				return cref
 			}
-			// The implied literal's level is the highest among the clause's
-			// false literals: p's own, unless p sits out of order below the
-			// current level and the clause has more than the two.
-			level := pLevel
-			if int(pLevel) != len(s.trailLim) && w.ref&binFlag == 0 {
-				for _, q := range s.litsOf(cref)[2:] {
-					level = max(level, s.level[q>>1])
-				}
-			}
-			s.uncheckedEnqueue(first, level, cref)
+			s.uncheckedEnqueue(first, int32(len(s.trailLim)), cref)
 		}
 		s.watches[p] = ws[:n]
 	}
@@ -709,39 +599,27 @@ func (s *Solver) decide(l Lit) {
 }
 
 // cancelUntil backtracks to level: it unassigns, last first, the literals
-// above it and keeps, in trail order, those at or below it that were
-// enqueued out of order. Propagation resumes at the level's trail start, so
-// the kept ones are propagated again: a clause one of them falsified may
-// have been watched on a true literal of a level that is now gone.
+// above it.
 func (s *Solver) cancelUntil(level int) {
-	if s.decisionLevel() <= level {
+	from := s.decisionLevel()
+	if from <= level {
 		return
 	}
 	bound := int(s.trailLim[level])
 	for i := len(s.trail) - 1; i >= bound; i-- {
 		v := s.trail[i].Var()
-		if int(s.level[v]) <= level {
-			continue
-		}
 		s.assigns[v] = lUndef
 		s.reason[v] = -1
 		if !s.heap.inHeap(v) {
 			s.heap.insert(v)
 		}
 	}
-	n := bound
-	for _, l := range s.trail[bound:] {
-		if s.assigns[l>>1] != lUndef {
-			s.trail[n] = l
-			n++
-		}
-	}
-	s.stats.CancelledLiterals += int64(len(s.trail) - n)
-	s.trail = s.trail[:n]
+	s.stats.CancelledLiterals += int64(len(s.trail) - bound)
+	s.trail = s.trail[:bound]
 	s.trailLim = s.trailLim[:level]
 	s.qhead = bound
 	if s.afterBacktrack != nil {
-		s.afterBacktrack(s)
+		s.afterBacktrack(s, from)
 	}
 }
 
@@ -758,22 +636,6 @@ func (s *Solver) bumpVar(v Var) {
 	}
 }
 
-func (s *Solver) bumpClause(cref int32) {
-	if s.arena[cref]&learntBit == 0 {
-		return
-	}
-	act := s.clauseActivity(cref) + s.claInc
-	s.setClauseActivity(cref, act)
-	if act > 1e20 {
-		for _, c := range s.clauses {
-			if s.arena[c]&(learntBit|deletedBit) == learntBit {
-				s.setClauseActivity(c, s.clauseActivity(c)*1e-20)
-			}
-		}
-		s.claInc *= 1e-20
-	}
-}
-
 // analyze computes the first-UIP learnt clause from the conflicting clause,
 // which holds at least two literals of the current level, and returns it,
 // in the solver's scratch buffer, together with the backjump level.
@@ -786,7 +648,6 @@ func (s *Solver) analyze(confl int32) ([]Lit, int) {
 	level := int32(s.decisionLevel())
 
 	for {
-		s.bumpClause(confl)
 		for _, w := range s.litsOf(confl) {
 			q := Lit(w)
 			v := q.Var()
@@ -804,10 +665,8 @@ func (s *Solver) analyze(confl int32) ([]Lit, int) {
 				learnt = append(learnt, q)
 			}
 		}
-		// Select next literal on the trail to resolve on: the last seen one
-		// of the current level (a seen literal kept out of order from a lower
-		// level is already in learnt).
-		for !s.seen[s.trail[idx].Var()] || s.level[s.trail[idx].Var()] < level {
+		// Select next literal on the trail to resolve on: the last seen one.
+		for !s.seen[s.trail[idx].Var()] {
 			idx--
 		}
 		p = s.trail[idx]
@@ -935,36 +794,10 @@ func (s *Solver) analyzeFinalConfl(confl int32) {
 	}
 }
 
-// reduceDB deletes the less active half of the learnt clauses, keeping
-// two-literal clauses and current reasons.
-func (s *Solver) reduceDB() {
-	type ca struct {
-		cref int32
-		act  float64
-	}
-	var learnts []ca
-	for _, c := range s.clauses {
-		if h := s.arena[c]; h&(learntBit|deletedBit) == learntBit && h>>sizeShift > 2 {
-			learnts = append(learnts, ca{c, s.clauseActivity(c)})
-		}
-	}
-	// Stable, so clauses of equal activity fall in attach order whatever
-	// the sort algorithm.
-	slices.SortStableFunc(learnts, func(a, b ca) int { return cmp.Compare(a.act, b.act) })
-	for _, e := range learnts[:len(learnts)/2] {
-		// A clause of more than two literals is the reason of no variable
-		// but that of its first literal (propagate and search enqueue
-		// lits[0]; cancelUntil resets the reason), so this is the mark of
-		// the trail's reasons.
-		if s.reason[Lit(s.litsOf(e.cref)[0]).Var()] == e.cref {
-			continue
-		}
-		s.deleteClause(e.cref)
-	}
-	s.collectGarbage()
-}
-
-func (s *Solver) detachClause(cref int32) {
+// deleteClause detaches cref from the watch lists and marks it deleted,
+// maintaining the problem-clause count. The clause's words stay where they
+// are, counted as waste, until the next compaction.
+func (s *Solver) deleteClause(cref int32) {
 	lits := s.litsOf(cref)
 	for _, wl := range [2]Lit{Lit(lits[0]).Neg(), Lit(lits[1]).Neg()} {
 		ws := s.watches[wl]
@@ -977,25 +810,10 @@ func (s *Solver) detachClause(cref int32) {
 		}
 		s.watches[wl] = ws[:n]
 	}
-}
-
-// deleteClause detaches cref from the watch lists and marks it deleted,
-// maintaining the live-clause counters.
-func (s *Solver) deleteClause(cref int32) {
-	s.detachClause(cref)
-	s.markDeleted(cref)
-}
-
-// markDeleted is deleteClause for a clause that is already detached. The
-// clause's words stay where they are, counted as waste, until the next
-// compaction.
-func (s *Solver) markDeleted(cref int32) {
 	h := s.arena[cref]
 	s.arena[cref] = h | deletedBit
 	s.wasted += clauseWords(h)
-	if h&learntBit != 0 {
-		s.numLearnt--
-	} else {
+	if h&learntBit == 0 {
 		s.problemCs--
 	}
 }
@@ -1012,7 +830,8 @@ func (s *Solver) collectGarbage() {
 // redirects every reference. Each old header receives its clause's new
 // cref as a forward pointer; watch lists are rewritten in place, entry by
 // entry, so the order propagate visits clauses in — and with it the search
-// trace — is what it would have been without the compaction.
+// trace — is what it would have been without the compaction. It runs at
+// level 0 after Inprocess has cleared every reason, so no reason moves.
 func (s *Solver) compact() {
 	old := s.arena
 	live := len(old) - s.wasted
@@ -1033,13 +852,6 @@ func (s *Solver) compact() {
 	for _, ws := range s.watches {
 		for i := range ws {
 			ws[i].ref = old[ws[i].cref()] | ws[i].ref&binFlag
-		}
-	}
-	// A reason is always a live clause: reduceDB keeps the trail's, and
-	// Inprocess, which deletes freely, leaves level 0 without any.
-	for _, l := range s.trail {
-		if r := s.reason[l.Var()]; r >= 0 {
-			s.reason[l.Var()] = int32(old[r])
 		}
 	}
 	s.arena, s.wasted = to, 0
@@ -1071,104 +883,46 @@ func (s *Solver) Solve(assumptions ...Lit) Result {
 		s.ensureVar(a.Var())
 	}
 	defer s.cancelUntil(0)
-
-	restartNum := int64(0)
-	conflictBudget := s.Budget.Conflicts
-	var conflictsThisCall int64
-
-	for {
-		restartNum++
-		limit := luby(restartNum) * 100
-		res := s.search(assumptions, limit, &conflictsThisCall)
-		if res != Unknown {
+	for restart := int64(1); ; restart++ {
+		if res := s.search(assumptions, luby(restart)*100); res != Unknown {
 			return res
-		}
-		if conflictBudget > 0 && conflictsThisCall >= conflictBudget {
-			return Unknown
 		}
 		s.stats.Restarts++
 		s.cancelUntil(0)
 	}
 }
 
-// search runs CDCL until a result, a restart limit, or budget exhaustion.
-func (s *Solver) search(assumptions []Lit, conflictLimit int64, conflictsThisCall *int64) Result {
+// search runs CDCL until a result or the restart limit.
+func (s *Solver) search(assumptions []Lit, conflictLimit int64) Result {
 	var conflictC int64
 	for {
 		confl := s.propagate()
 		if confl != -1 {
 			s.stats.Conflicts++
 			conflictC++
-			*conflictsThisCall++
-			// The conflict level is the highest in the clause. With literals
-			// out of order on the trail it can lie below the current level,
-			// and a single literal of the clause can be on it.
-			lits := s.litsOf(confl)
-			level, hi, atLevel := int32(-1), 0, 0
-			for i, q := range lits {
-				if l := s.level[q>>1]; l > level {
-					level, hi, atLevel = l, i, 1
-				} else if l == level {
-					atLevel++
-				}
-			}
+			level := s.decisionLevel()
 			if level == 0 {
 				s.okState = false
 				s.conflictCs = s.conflictCs[:0]
 				return Unsat
 			}
-			if int(level) <= len(assumptions) {
+			if level <= len(assumptions) {
 				// Conflict within the assumption prefix: the assumptions
-				// are jointly unsatisfiable. (Decisions above the prefix
-				// may stand on the trail; nothing marks them.)
+				// are jointly unsatisfiable.
 				s.analyzeFinalConfl(confl)
 				return Unsat
 			}
-			if atLevel == 1 {
-				// One level down the clause is unit: it becomes the reason
-				// of its top literal, on the level of its second highest,
-				// with those two in front for the watches and for reduceDB.
-				s.stats.ForcedLiterals++
-				s.cancelUntil(int(level) - 1)
-				if len(lits) > 2 {
-					s.detachClause(confl)
-				}
-				lits[0], lits[hi] = lits[hi], lits[0]
-				for i := 2; i < len(lits); i++ {
-					if s.level[lits[i]>>1] > s.level[lits[1]>>1] {
-						lits[1], lits[i] = lits[i], lits[1]
-					}
-				}
-				if len(lits) > 2 {
-					s.watchClause(confl)
-				}
-				s.uncheckedEnqueue(Lit(lits[0]), s.level[lits[1]>>1], confl)
-				continue
-			}
-			s.cancelUntil(int(level))
 			learnt, btLevel := s.analyze(confl)
 			s.stats.Learned++
-			// A far backjump would unassign levels the saved phases rebuild
-			// unchanged: step back one level instead and give the asserting
-			// literal, out of order, the level it would have had. A learnt
-			// unit goes to level 0 the plain way (and the assumptions are
-			// re-established on the next loop iterations).
-			reason, to := int32(-1), btLevel
+			// A learnt unit goes to level 0 without a reason (and the
+			// assumptions are re-established on the next loop iterations).
+			reason := int32(-1)
 			if len(learnt) > 1 {
 				reason = s.attachClause(learnt, true)
-				if int(level)-btLevel > s.chrono {
-					s.stats.ChronoBacktracks++
-					to = int(level) - 1
-				}
 			}
-			s.cancelUntil(to)
+			s.cancelUntil(btLevel)
 			s.uncheckedEnqueue(learnt[0], int32(btLevel), reason)
 			s.varInc /= 0.95
-			s.claInc /= 0.999
-			if float64(s.numLearnt) > s.maxLearnt {
-				s.maxLearnt *= 1.3
-				s.reduceDB()
-			}
 			continue
 		}
 		if conflictC >= conflictLimit {

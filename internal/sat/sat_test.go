@@ -2,6 +2,7 @@ package sat
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -35,14 +36,14 @@ func bruteForce(nVars int, cnf [][]Lit) bool {
 	return false
 }
 
-func solveCNF(cnf [][]Lit) (*Solver, Result) {
-	s := newSolver()
+// solveCNF adds cnf to s and solves it.
+func solveCNF(s *Solver, cnf [][]Lit) Result {
 	for _, cl := range cnf {
 		if !s.AddClause(cl...) {
-			return s, Unsat
+			return Unsat
 		}
 	}
-	return s, s.Solve()
+	return s.Solve()
 }
 
 func TestLitBasics(t *testing.T) {
@@ -63,14 +64,14 @@ func TestLitBasics(t *testing.T) {
 }
 
 func TestEmptySolverIsSat(t *testing.T) {
-	s := newSolver()
+	s := New()
 	if got := s.Solve(); got != Sat {
 		t.Fatalf("empty solver: got %v, want Sat", got)
 	}
 }
 
 func TestUnitPropagation(t *testing.T) {
-	s := newSolver()
+	s := New()
 	a, b, c := s.NewVar(), s.NewVar(), s.NewVar()
 	s.AddClause(MkLit(a, false))
 	s.AddClause(MkLit(a, true), MkLit(b, false))
@@ -86,7 +87,7 @@ func TestUnitPropagation(t *testing.T) {
 }
 
 func TestTrivialConflict(t *testing.T) {
-	s := newSolver()
+	s := New()
 	a := s.NewVar()
 	s.AddClause(MkLit(a, false))
 	if s.AddClause(MkLit(a, true)) {
@@ -98,7 +99,7 @@ func TestTrivialConflict(t *testing.T) {
 }
 
 func TestTautologyAndDuplicates(t *testing.T) {
-	s := newSolver()
+	s := New()
 	a, b := s.NewVar(), s.NewVar()
 	if !s.AddClause(MkLit(a, false), MkLit(a, true)) {
 		t.Fatalf("tautology rejected")
@@ -136,7 +137,7 @@ func pigeonhole(s *Solver, pigeons, holes int) {
 
 func TestPigeonholeUnsat(t *testing.T) {
 	for n := 2; n <= 6; n++ {
-		s := newSolver()
+		s := New()
 		pigeonhole(s, n+1, n)
 		if got := s.Solve(); got != Unsat {
 			t.Fatalf("PHP(%d,%d): got %v, want Unsat", n+1, n, got)
@@ -145,14 +146,16 @@ func TestPigeonholeUnsat(t *testing.T) {
 }
 
 func TestPigeonholeSat(t *testing.T) {
-	s := newSolver()
+	s := New()
 	pigeonhole(s, 5, 5)
 	if got := s.Solve(); got != Sat {
 		t.Fatalf("PHP(5,5): got %v, want Sat", got)
 	}
 }
 
-func TestModelSatisfiesClauses(t *testing.T) {
+func TestModelSatisfiesClauses(t *testing.T) { modelSatisfiesClauses(t, New) }
+
+func modelSatisfiesClauses(t *testing.T, fresh func() *Solver) {
 	rng := rand.New(rand.NewSource(7))
 	for iter := 0; iter < 200; iter++ {
 		nVars := 3 + rng.Intn(10)
@@ -166,7 +169,8 @@ func TestModelSatisfiesClauses(t *testing.T) {
 			}
 			cnf = append(cnf, cl)
 		}
-		s, res := solveCNF(cnf)
+		s := fresh()
+		res := solveCNF(s, cnf)
 		if res != Sat {
 			continue
 		}
@@ -185,33 +189,60 @@ func TestModelSatisfiesClauses(t *testing.T) {
 	}
 }
 
-func TestAgainstBruteForce(t *testing.T) {
+// TestAgainstBruteForce: verdicts match enumeration, and so does everything
+// the search derives on the way (checkDerivedImplied), with the trail
+// checked after every backtrack. Half the instances mix clause lengths and
+// mostly end without a conflict; the other half are random 3-SAT at the
+// satisfiability threshold, where analyze and backjumping do the work.
+func TestAgainstBruteForce(t *testing.T) { againstBruteForce(t, trailChecked(t)) }
+
+// trailChecked returns a constructor of solvers that check the trail after
+// every backtrack.
+func trailChecked(t testing.TB) func() *Solver {
+	return func() *Solver {
+		s := New()
+		s.afterBacktrack = func(s *Solver, _ int) { checkTrailInvariants(t, s) }
+		return s
+	}
+}
+
+func againstBruteForce(t *testing.T, fresh func() *Solver) {
 	cfg := &quick.Config{MaxCount: 300}
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		nVars := 2 + rng.Intn(8)
-		nClauses := rng.Intn(25)
+		mixed := rng.Intn(2) == 0
+		nVars, nClauses := 2+rng.Intn(8), rng.Intn(25)
+		if !mixed {
+			nVars = 8 + rng.Intn(4)
+			nClauses = int(4.26 * float64(nVars))
+		}
 		var cnf [][]Lit
 		for i := 0; i < nClauses; i++ {
-			k := 1 + rng.Intn(3)
+			k := 3
+			if mixed {
+				k = 1 + rng.Intn(3)
+			}
 			var cl []Lit
 			for j := 0; j < k; j++ {
 				cl = append(cl, MkLit(Var(rng.Intn(nVars)), rng.Intn(2) == 0))
 			}
 			cnf = append(cnf, cl)
 		}
-		s, res := solveCNF(cnf)
+		s := fresh()
+		res := solveCNF(s, cnf)
 		checkInvariants(t, s)
-		want := bruteForce(nVars, cnf)
-		return (res == Sat) == want
+		checkDerivedImplied(t, s, nVars, cnf)
+		return (res == Sat) == bruteForce(nVars, cnf)
 	}
 	if err := quick.Check(prop, cfg); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestAssumptions(t *testing.T) {
-	s := newSolver()
+func TestAssumptions(t *testing.T) { solveUnderAssumptions(t, New) }
+
+func solveUnderAssumptions(t *testing.T, fresh func() *Solver) {
+	s := fresh()
 	a, b := s.NewVar(), s.NewVar()
 	s.AddClause(MkLit(a, true), MkLit(b, false)) // a -> b
 	if got := s.Solve(MkLit(a, false)); got != Sat {
@@ -229,8 +260,10 @@ func TestAssumptions(t *testing.T) {
 	}
 }
 
-func TestFailedAssumptionsCore(t *testing.T) {
-	s := newSolver()
+func TestFailedAssumptionsCore(t *testing.T) { failedAssumptionsCore(t, New) }
+
+func failedAssumptionsCore(t *testing.T, fresh func() *Solver) {
+	s := fresh()
 	a, b, c, d := s.NewVar(), s.NewVar(), s.NewVar(), s.NewVar()
 	// a & b -> false; c, d are irrelevant padding assumptions.
 	s.AddClause(MkLit(a, true), MkLit(b, true))
@@ -257,12 +290,14 @@ func TestFailedAssumptionsCore(t *testing.T) {
 	}
 }
 
-func TestCorePropertyRandom(t *testing.T) {
+func TestCorePropertyRandom(t *testing.T) { corePropertyRandom(t, New) }
+
+func corePropertyRandom(t *testing.T, fresh func() *Solver) {
 	// Property: after Unsat under assumptions, the failed assumptions alone
 	// are unsatisfiable with the clause set.
 	rng := rand.New(rand.NewSource(99))
 	for iter := 0; iter < 150; iter++ {
-		s := newSolver()
+		s := fresh()
 		nVars := 3 + rng.Intn(7)
 		for i := 0; i < nVars; i++ {
 			s.NewVar()
@@ -295,8 +330,10 @@ func TestCorePropertyRandom(t *testing.T) {
 	}
 }
 
-func TestIncrementalAddAfterSolve(t *testing.T) {
-	s := newSolver()
+func TestIncrementalAddAfterSolve(t *testing.T) { incrementalAddAfterSolve(t, New) }
+
+func incrementalAddAfterSolve(t *testing.T, fresh func() *Solver) {
+	s := fresh()
 	a, b := s.NewVar(), s.NewVar()
 	s.AddClause(MkLit(a, false), MkLit(b, false))
 	if s.Solve() != Sat {
@@ -315,24 +352,8 @@ func TestIncrementalAddAfterSolve(t *testing.T) {
 	}
 }
 
-func TestBudget(t *testing.T) {
-	s := newSolver()
-	pigeonhole(s, 9, 8)
-	s.Budget.Conflicts = 10
-	res := s.Solve()
-	if res == Sat {
-		t.Fatalf("PHP(9,8) cannot be Sat")
-	}
-	// Either it proved Unsat within budget or gave up; both are acceptable,
-	// but the solver must remain usable.
-	s.Budget.Conflicts = 0
-	if got := s.Solve(); got != Unsat {
-		t.Fatalf("unbudgeted solve: got %v, want Unsat", got)
-	}
-}
-
 func TestNumVarsAndClauses(t *testing.T) {
-	s := newSolver()
+	s := New()
 	a, b := s.NewVar(), s.NewVar()
 	if s.NumVars() != 2 {
 		t.Fatalf("NumVars = %d, want 2", s.NumVars())
@@ -367,7 +388,7 @@ func TestHardRandom3SAT(t *testing.T) {
 			}
 			cnf = append(cnf, cl)
 		}
-		_, res := solveCNF(cnf)
+		res := solveCNF(New(), cnf)
 		want := bruteForce(nVars, cnf)
 		if (res == Sat) != want {
 			t.Fatalf("iter %d: got %v, brute force says sat=%v", iter, res, want)
@@ -377,7 +398,7 @@ func TestHardRandom3SAT(t *testing.T) {
 
 func BenchmarkSolvePigeonhole7(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		s := newSolver()
+		s := New()
 		pigeonhole(s, 8, 7)
 		if s.Solve() != Unsat {
 			b.Fatal("want Unsat")
@@ -398,7 +419,7 @@ func BenchmarkSolveRandom3SAT(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		solveCNF(cnf)
+		solveCNF(New(), cnf)
 	}
 }
 
@@ -406,9 +427,11 @@ func BenchmarkSolveRandom3SAT(b *testing.B) {
 // equivalent one — the same later calls give the same answers at the same
 // search effort, because clauses, learnt clauses, activities, saved phases
 // and heap order all came along.
-func TestCloneContinuesIdentically(t *testing.T) {
+func TestCloneContinuesIdentically(t *testing.T) { clonesContinueIdentically(t, New) }
+
+func clonesContinueIdentically(t *testing.T, fresh func() *Solver) {
 	for _, c := range copiers {
-		t.Run(c.name, func(t *testing.T) { cloneContinuesIdentically(t, c.copy) })
+		t.Run(c.name, func(t *testing.T) { cloneContinuesIdentically(t, fresh, c.copy) })
 	}
 }
 
@@ -433,10 +456,10 @@ var copiers = []struct {
 	}},
 }
 
-func cloneContinuesIdentically(t *testing.T, copyOf func(*Solver) *Solver) {
+func cloneContinuesIdentically(t *testing.T, fresh func() *Solver, copyOf func(*Solver) *Solver) {
 	rng := rand.New(rand.NewSource(7))
 	const nVars = 40
-	s := newSolver()
+	s := fresh()
 	for i := 0; i < 160; i++ {
 		var cl []Lit
 		for j := 0; j < 3; j++ {
@@ -487,7 +510,7 @@ func TestCloneIsolated(t *testing.T) {
 }
 
 func cloneIsolated(t *testing.T, copyOf func(*Solver) *Solver) {
-	s := newSolver()
+	s := New()
 	pigeonhole(s, 5, 5) // satisfiable
 	if got := s.Solve(); got != Sat {
 		t.Fatalf("base: got %v, want Sat", got)
@@ -523,7 +546,7 @@ func cloneIsolated(t *testing.T, copyOf func(*Solver) *Solver) {
 // TestSetPhase: an unconstrained variable takes its saved phase in the
 // model — false by default, true after SetPhase(v, true).
 func TestSetPhase(t *testing.T) {
-	s := newSolver()
+	s := New()
 	a, b := s.NewVar(), s.NewVar()
 	s.SetPhase(b, true)
 	if got := s.Solve(); got != Sat {
@@ -531,5 +554,128 @@ func TestSetPhase(t *testing.T) {
 	}
 	if s.Value(a) || !s.Value(b) {
 		t.Fatalf("a=%v b=%v, want a=false (default phase) b=true (set phase)", s.Value(a), s.Value(b))
+	}
+}
+
+// FuzzSolve drives small incremental sessions: the first byte picks how the
+// solver of a session is come by (data[0]%3 is 0 for one session on a new
+// solver, 1 for a second session after Reset of the first one's solver, 2
+// for a second session after CopyFrom(New()) into it); a session is a CNF
+// over at most 14 variables, then per round a few assumptions and a few
+// more clauses. Every verdict must match brute force, every model satisfy
+// clauses and assumptions, every core be a subset of the assumptions that
+// is unsatisfiable on its own, every learnt clause follow from the
+// clauses; arena and watch invariants hold after every call — the first
+// Solve on a recycled solver included — and trail invariants after every
+// backtrack. The last seed is random 3-SAT at the threshold, the one that
+// reaches conflicts.
+func FuzzSolve(f *testing.F) {
+	f.Add([]byte{0, 5, 0x12, 0x35, 0x71, 0x24, 0x93, 0x58, 0x16, 0x47, 0x82, 0x39, 0x61, 0x75})
+	f.Add([]byte{0, 14, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 255, 254, 253, 252, 251, 250, 17, 34, 51, 68, 85, 102})
+	f.Add([]byte{0, 3, 1, 2, 3})
+	f.Add([]byte{1, 6, 5, 0x12, 0x35, 0x71, 0x24, 0x93, 0x58, 0x16, 0x47, 0x82, 1, 4, 0, 2, 3, 0, 0, 0, 0, 9, 7, 0x21, 0x43, 0x65, 0x87, 0x19, 0x3b, 0x5d, 0x7f, 0x22, 0x46, 2, 5, 8})
+	f.Add([]byte{2, 13, 3, 1, 2, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 4, 30, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 255, 254, 253, 252, 251, 250, 17, 34, 51, 68, 85, 102})
+	f.Add(threshold3SATSession(34))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		recycle := int(data[0]) % 3
+		s := New()
+		nVars := 2 + int(data[1])%13
+		data = data[2:]
+		next := func() int {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return int(b)
+		}
+		for session := 0; session < 2; session++ {
+			if session == 1 {
+				switch recycle {
+				case 0:
+					return
+				case 1:
+					s.Reset()
+				case 2:
+					s.CopyFrom(New())
+				}
+				nVars = 2 + next()%13
+			}
+			s.afterBacktrack = func(s *Solver, _ int) { checkTrailInvariants(t, s) }
+			fuzzSession(t, s, nVars, next, func() bool { return len(data) > 0 })
+		}
+	})
+}
+
+// threshold3SATSession is FuzzSolve input for one session on a new solver:
+// 43 random three-literal clauses over 10 variables, then four rounds of
+// two random assumptions each and no more clauses.
+func threshold3SATSession(seed int64) []byte {
+	rng := rand.New(rand.NewSource(seed))
+	lit := func() byte { return byte(rng.Intn(256)) }
+	data := []byte{0, 8, 39}
+	for i := 0; i < 43; i++ {
+		data = append(data, 2, lit(), lit(), lit())
+	}
+	for round := 0; round < 4; round++ {
+		data = append(data, 2, lit(), lit(), 0)
+	}
+	return data
+}
+
+// fuzzSession is one session of FuzzSolve on s, which is empty.
+func fuzzSession(t *testing.T, s *Solver, nVars int, next func() int, more func() bool) {
+	lit := func() Lit { b := next(); return MkLit(Var(b>>1%nVars), b&1 == 1) }
+	var cnf [][]Lit
+	addClauses := func(n int) {
+		for ; n > 0 && more(); n-- {
+			cl := make([]Lit, 1+next()%3)
+			for i := range cl {
+				cl[i] = lit()
+			}
+			cnf = append(cnf, cl)
+			s.AddClause(cl...)
+		}
+	}
+	unit := func(l Lit) []Lit { return []Lit{l} }
+	addClauses(4 + next()%40)
+	for round := 0; round < 4; round++ {
+		assumptions := make([]Lit, next()%4)
+		for i := range assumptions {
+			assumptions[i] = lit()
+		}
+		withAssumptions := slices.Clone(cnf)
+		for _, a := range assumptions {
+			withAssumptions = append(withAssumptions, unit(a))
+		}
+		res := s.Solve(assumptions...)
+		checkInvariants(t, s)
+		checkDerivedImplied(t, s, nVars, cnf)
+		if want := bruteForce(nVars, withAssumptions); (res == Sat) != want || res == Unknown {
+			t.Fatalf("round %d: got %v under %v, brute force says sat=%v", round, res, assumptions, want)
+		}
+		if res == Sat {
+			for _, cl := range withAssumptions {
+				if !slices.ContainsFunc(cl, s.ValueLit) {
+					t.Fatalf("round %d: model violates %v (assumptions %v)", round, cl, assumptions)
+				}
+			}
+		} else {
+			core := slices.Clone(s.FailedAssumptions())
+			withCore := slices.Clone(cnf)
+			for _, a := range core {
+				if !slices.Contains(assumptions, a) {
+					t.Fatalf("round %d: core %v is not a subset of the assumptions %v", round, core, assumptions)
+				}
+				withCore = append(withCore, unit(a))
+			}
+			if bruteForce(nVars, withCore) {
+				t.Fatalf("round %d: core %v of %v is satisfiable", round, core, assumptions)
+			}
+		}
+		addClauses(next() % 4)
 	}
 }

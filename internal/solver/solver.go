@@ -90,8 +90,7 @@ type obsHooks struct {
 	reg                                          *obs.Registry
 	checks, sat, unsat, unknown                  *obs.Counter
 	conflicts, propagations, decisions, restarts *obs.Counter
-	learned, blastNs, searchNs                   *obs.Counter
-	chrono, forced, cancelled                    *obs.Counter
+	learned, blastNs, searchNs, cancelled        *obs.Counter
 	firstChecks, firstConflicts                  *obs.Counter
 	checkConflicts, checkNs                      *obs.Histogram
 	cnfVars, cnfClauses                          *obs.Gauge
@@ -120,8 +119,6 @@ func (s *Solver) SetObs(reg *obs.Registry) {
 		decisions:      reg.Counter("bf4_solver_decisions_total"),
 		restarts:       reg.Counter("bf4_solver_restarts_total"),
 		learned:        reg.Counter("bf4_solver_learned_clauses_total"),
-		chrono:         reg.Counter("bf4_solver_chrono_backtracks_total"),
-		forced:         reg.Counter("bf4_solver_forced_literals_total"),
 		cancelled:      reg.Counter("bf4_solver_cancelled_literals_total"),
 		firstChecks:    reg.Counter("bf4_solver_first_checks_total"),
 		firstConflicts: reg.Counter("bf4_solver_first_check_conflicts_total"),
@@ -271,11 +268,10 @@ func (s *Solver) checkIn(cond *smt.Term) Result {
 }
 
 // retract closes the innermost scope and cleans the clause database at
-// level 0: the scope's now-satisfied guard clauses are deleted and learned
-// clauses that mention its dead activation literal are strengthened down
-// to their scope-independent content (one sweep over the database;
-// deferring it measurably costs later checks propagation work on dead
-// guard clauses).
+// level 0: the scope's guard clauses and the clauses learnt from them all
+// hold the dead activation literal's negation, so they are satisfied and
+// deleted (one sweep over the database; deferring it measurably costs
+// later checks propagation work on dead guard clauses).
 func (s *Solver) retract() {
 	s.pop()
 	s.sat.Inprocess()
@@ -377,8 +373,6 @@ func (s *Solver) recordCheck() {
 	h.decisions.Add(d.Decisions)
 	h.restarts.Add(d.Restarts)
 	h.learned.Add(d.Learned)
-	h.chrono.Add(d.ChronoBacktracks)
-	h.forced.Add(d.ForcedLiterals)
 	h.cancelled.Add(d.CancelledLiterals)
 	h.blastNs.Add(s.lastCheck.BlastTime.Nanoseconds())
 	h.searchNs.Add(s.lastCheck.SearchTime.Nanoseconds())
