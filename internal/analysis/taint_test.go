@@ -14,9 +14,15 @@ import (
 )
 
 // taintFixtures returns the sources the taint goldens cover: the whole
-// lint corpus plus one leaky and one clean generated taint switch.
-func taintFixtures() map[string]string {
-	out := map[string]string{}
+// lint corpus, one leaky and one clean generated taint switch, and
+// testdata/masked_shift.p4, whose sinks are clean only if the transfer
+// drops taint where a constant mask fixes the bits.
+func taintFixtures(t *testing.T) map[string]string {
+	masked, err := os.ReadFile(filepath.Join("testdata", "masked_shift.p4"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]string{"masked_shift": string(masked)}
 	for _, p := range progs.All() {
 		src := p.Source
 		if p.Name == "switch" {
@@ -34,7 +40,7 @@ func taintFixtures() map[string]string {
 // both generated taint families. Run with -update to accept intended
 // changes.
 func TestTaintGolden(t *testing.T) {
-	for name, src := range taintFixtures() {
+	for name, src := range taintFixtures(t) {
 		name, src := name, src
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()

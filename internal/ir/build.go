@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strings"
 
-	"bf4/internal/absdom"
 	"bf4/internal/p4/ast"
 	"bf4/internal/p4/token"
 	"bf4/internal/p4/types"
@@ -117,7 +116,6 @@ type builder struct {
 	// Information-flow state (Options.CheckInfoFlow; see taint.go).
 	shadowInited    map[*Var]bool           // shadows already initialized
 	taintMemo       map[*smt.Term]*smt.Term // per-term taint transfer memo
-	absTaint        *absdom.Analyzer        // known-bits refinement, lazily built
 	emitSinkHeaders map[string]bool         // header paths the deparser emits
 	emitSinkFields  map[string]string       // field var name -> emitted header path
 

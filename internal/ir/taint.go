@@ -21,19 +21,16 @@
 // untainted on every path, and a dataflow alarm the solver refutes is a
 // genuinely infeasible flow (reported "dismissed").
 //
-// Per-bit refinement: each transfer result is intersected with the
-// complement of the known bits of the underlying value term
-// (internal/absdom), so extracting statically-known bits of a tainted
-// word does not alarm. The taint transfer is exhaustive over smt.Op:
+// The transfer is bit-precise where a mask is: x & c keeps x's taint on
+// c's one bits only and x | c on c's zero bits only, so masking drops
+// taint exactly where bits are discarded. It is exhaustive over smt.Op:
 // TestEveryOpEverywhere runs a term of every operator through it.
 package ir
 
 import (
 	"fmt"
-	"math/big"
 	"strings"
 
-	"bf4/internal/absdom"
 	"bf4/internal/p4/ast"
 	"bf4/internal/p4/token"
 	"bf4/internal/smt"
@@ -185,7 +182,7 @@ func (b *builder) taintOf(t *smt.Term) *smt.Term {
 	if m, ok := b.taintMemo[t]; ok {
 		return m
 	}
-	res := b.refineTaint(t, b.taintOfRaw(t))
+	res := b.taintOfRaw(t)
 	b.taintMemo[t] = res
 	return res
 }
@@ -266,7 +263,21 @@ func (b *builder) taintOfRaw(t *smt.Term) *smt.Term {
 		return b.smearUp(b.orTaints(t.Args()), t.Sort().Width)
 	case smt.OpNeg:
 		return b.smearUp(b.taintOf(t.Arg(0)), t.Sort().Width)
-	case smt.OpBVAnd, smt.OpBVOr, smt.OpBVXor:
+	case smt.OpBVAnd, smt.OpBVOr:
+		x, c := t.Arg(0), t.Arg(1)
+		if x.IsConst() {
+			x, c = c, x
+		}
+		if !c.IsConst() {
+			return b.orTaints(t.Args())
+		}
+		// A constant mask fixes the bits it clears (and) or sets (or):
+		// those bits of the result carry nothing of x.
+		if t.Op() == smt.OpBVOr {
+			c = f.BVNot(c)
+		}
+		return f.BVAnd(b.taintOf(x), c)
+	case smt.OpBVXor:
 		return b.orTaints(t.Args())
 	case smt.OpBVNot:
 		return b.taintOf(t.Arg(0))
@@ -303,31 +314,6 @@ func (b *builder) taintOfRaw(t *smt.Term) *smt.Term {
 		return f.SExt(b.taintOf(t.Arg(0)), t.Sort().Width)
 	}
 	panic(fmt.Sprintf("ir: no taint transfer for smt op %v", t.Op()))
-}
-
-// refineTaint intersects a raw transfer result with the complement of
-// the bits absdom proves constant in t: a statically-known bit carries
-// no information from any source, whatever fed it. Applied uniformly at
-// every level of taintOf, so the dataflow evaluation (which evaluates
-// these same terms) refines identically.
-func (b *builder) refineTaint(t, raw *smt.Term) *smt.Term {
-	if b.absTaint == nil {
-		b.absTaint = absdom.NewAnalyzer()
-	}
-	if t.Sort().IsBool() {
-		if _, decided := b.absTaint.Of(t).Decided(); decided {
-			return b.f().False()
-		}
-		return raw
-	}
-	zeros, ones := b.absTaint.Of(t).KnownBits()
-	known := new(big.Int).Or(zeros, ones)
-	if known.Sign() == 0 {
-		return raw
-	}
-	w := t.Sort().Width
-	unknown := new(big.Int).AndNot(smt.Mask(w), known)
-	return b.f().BVAnd(raw, b.f().BVConst(unknown, w))
 }
 
 // ------------------------------------------------------------ sinks

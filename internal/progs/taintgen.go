@@ -39,9 +39,10 @@ func (g *taintLCG) next(n int) int {
 //     takes both branches.
 //
 // leaky = false routes the token only through statically-clean uses: a
-// fully-masked copy (token & 0, killed by the per-bit known-bits
-// refinement at build time) and a scratch variable overwritten before
-// it reaches the sink (killed by the dataflow labels).
+// fully-masked copy (token & 0, which the term factory folds to the
+// constant 0 at build time, so the sink gets no check) and a scratch
+// variable overwritten before it reaches the sink (killed by the
+// dataflow labels).
 func GenerateTaintSwitch(scale, seed int, leaky bool) string {
 	if scale < 1 {
 		scale = 1

@@ -1,11 +1,10 @@
 // Package termgen deterministically generates random smt terms and
-// matching environments from a byte string. It is the shared front end of
-// the differential-fuzz harnesses: the native fuzzers hand it their input
-// bytes, it turns them into a well-sorted term DAG plus an assignment for
-// every variable it used, and the harness checks the abstract domain
-// (internal/absdom) against concrete evaluation (smt.Eval). The same bytes
-// always produce the same term and environment, so fuzz findings replay
-// exactly.
+// matching environments from a byte string: a well-sorted term DAG plus an
+// assignment for every variable it used. Two harnesses read it: FuzzLower
+// (internal/smt) checks the bytecode lowering against smt.EvalBool, and
+// TestFreshPhasesAreTheCircuitAtItsInputs (internal/bitblast) checks a
+// circuit's saved phases against smt.Eval. The same bytes always produce
+// the same term and environment, so fuzz findings replay exactly.
 package termgen
 
 import (
