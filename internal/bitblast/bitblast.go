@@ -129,26 +129,6 @@ func (c *Context) AssertTrue(t *smt.Term) {
 	c.s.AddClause(c.Literal(t))
 }
 
-// AssertImplied adds clauses equivalent to guard → t without routing the
-// implication through a Tseitin gate: top-level conjunctions of t split
-// into one guarded clause per conjunct. When the guard is an activation
-// literal that later becomes false at level 0, each guard clause is
-// satisfied outright and clause cleaning deletes it, instead of leaving a
-// dead implication gate behind.
-func (c *Context) AssertImplied(guard, t *smt.Term) {
-	c.assertImplied(c.Literal(guard).Neg(), t)
-}
-
-func (c *Context) assertImplied(notGuard sat.Lit, t *smt.Term) {
-	if t.Op() == smt.OpAnd {
-		for _, a := range t.Args() {
-			c.assertImplied(notGuard, a)
-		}
-		return
-	}
-	c.s.AddClause(notGuard, c.Literal(t))
-}
-
 func (c *Context) blastBool(t *smt.Term) sat.Lit {
 	switch t.Op() {
 	case smt.OpTrue:

@@ -326,28 +326,3 @@ func BenchmarkSolveMulFactor(b *testing.B) {
 		}
 	}
 }
-
-// TestAssertImplied: guard → (p ∧ q ∧ r) must split into guarded unit
-// implications that bind only while the guard holds.
-func TestAssertImplied(t *testing.T) {
-	f := smt.NewFactory()
-	s := sat.New()
-	c := New(f, s)
-	g := f.BoolVar("g")
-	p, q := f.BoolVar("p"), f.BoolVar("q")
-	x := f.BVVar("x", 4)
-	c.AssertImplied(g, f.And(p, f.And(q, f.Eq(x, f.BVConst64(9, 4)))))
-	gl := c.Literal(g)
-	// With the guard assumed, all conjuncts must hold.
-	if res := s.Solve(gl); res != sat.Sat {
-		t.Fatalf("guard on: got %v, want Sat", res)
-	}
-	if !c.ModelBool(p) || !c.ModelBool(q) || c.ModelBV(x).Int64() != 9 {
-		t.Fatalf("guard on: conjuncts not forced (p=%v q=%v x=%v)",
-			c.ModelBool(p), c.ModelBool(q), c.ModelBV(x))
-	}
-	// With the guard negated, the conjuncts are unconstrained.
-	if res := s.Solve(gl.Neg(), c.Literal(p).Neg(), c.Literal(q).Neg()); res != sat.Sat {
-		t.Fatalf("guard off: got %v, want Sat", res)
-	}
-}

@@ -368,13 +368,15 @@ func ShardName(w int) string { return fmt.Sprintf("shard %d", w) }
 
 // checkCond decides one condition on s. An absent or constant-false
 // condition is unsatisfiable by construction and discharged without a
-// query; everything else is checked inside a retractable scope, so learned
-// clauses carry over to the solver's next check and the scope's own clauses
-// are cleaned out before it.
+// query; everything else is checked as an assumption, so the condition
+// holds for this check only while its circuit and the clauses learnt from
+// it carry over to the solver's next check.
 func checkCond(s *solver.Solver, cond *smt.Term) nodeCheck {
 	if cond == nil || cond.IsFalse() {
 		return nodeCheck{discharged: true}
 	}
-	res, model := s.CheckScoped(cond)
-	return nodeCheck{reachable: res == solver.Sat, model: model}
+	if s.Check(cond) != solver.Sat {
+		return nodeCheck{}
+	}
+	return nodeCheck{reachable: true, model: s.Model()}
 }

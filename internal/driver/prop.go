@@ -81,10 +81,10 @@ func Props(name, src string, extra []*prop.Property, cfg PropConfig) (*PropRepor
 		byOrigin[pr.Origin()] = pr
 	}
 
-	// The static tier: dataflow facts (constant propagation, validity)
-	// plus plain CFG reachability retire every check they can prove.
+	// The static tier: constant propagation's discharge set plus plain CFG
+	// reachability retire every check they can prove.
 	_, anDone := obs.StartPhase(cfg.Obs, cfg.Trace, "prop-analysis")
-	ar := analysis.Run(pl.IR, nil)
+	discharged := analysis.Discharge(pl.IR)
 	reach := pl.IR.Reachable()
 	anDone()
 
@@ -100,7 +100,7 @@ func Props(name, src string, extra []*prop.Property, cfg PropConfig) (*PropRepor
 	var candidates []*ir.Node
 	static := map[*ir.Node]bool{}
 	for _, bn := range nodes {
-		if !reach[bn] || ar.Discharge[bn] {
+		if !reach[bn] || discharged[bn] {
 			static[bn] = true
 			continue
 		}

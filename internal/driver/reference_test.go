@@ -17,11 +17,10 @@ import (
 // condition, and every reachable bug's production model — found by whichever
 // of the run's solver shards decided the bug (two, where a program has checks
 // enough for two) — must satisfy the condition as built. The reference
-// differs from the pipeline in three things only: it opens no scopes, it
-// shares its solver with no other bug, and no pre-pass skips a query for it.
-// Each of those is allowed to save work, never to move a verdict; this is
-// where an unsound discharge or a clause leaking out of a retracted scope or
-// into a shard's next check shows.
+// differs from the pipeline in two things only: it shares its solver with
+// no other bug, and no pre-pass skips a query for it. Each of those is
+// allowed to save work, never to move a verdict; this is where an unsound
+// discharge or a clause leaking from one check into a shard's next shows.
 func TestVerdictsMatchReferenceSolver(t *testing.T) {
 	var reachable, unreachable, byAnalysis int
 	for _, p := range progs.All() {

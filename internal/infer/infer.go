@@ -314,11 +314,8 @@ func (re *rechecker) recheck(candidates []*core.Bug) []*core.Bug {
 				witnessed[k]++
 				continue
 			}
-			// Assumption-based Check, not a retractable scope: rechecks revisit
-			// the same conditions many times, so the assumption path reuses the
-			// circuit the shard blasted when it first decided the bug, while a
-			// scope would mint a fresh activation variable and guard clauses
-			// per visit.
+			// The shard blasted b.Cond when it first decided the bug, so the
+			// recheck reuses that circuit and only searches.
 			s.Tag("recheck", name, b.Node.ID)
 			if s.Check(b.Cond) == solver.Sat {
 				reachable[i] = true
@@ -483,17 +480,6 @@ func regionNodes(p *ir.Program, inst *ir.TableInstance) []*ir.Node {
 	return out
 }
 
-// Infer is the paper's Algorithm 1: iteratively sample bad runs, widen
-// each model to a cube over the atom set, verify the cube excludes no
-// good run (dual solver + unsat core generalization), and block it.
-// This standalone entry point builds the warm bases for one instance; Run
-// builds them once for all.
-func Infer(pl *core.Pipeline, inst *ir.TableInstance, bugs []*core.Bug, opts Options, calls *int) *Assertion {
-	dual, direct := warmBases(pl, bugs, opts)
-	defer opts.Solvers.Put(dual, direct)
-	return inferShared(pl, nil, dual, direct, inst, bugs, calls)
-}
-
 // warmBases builds the two solvers every Infer instance of a round starts
 // from. dual holds the OK formula (under ¬reach(dontCare) when enabled);
 // direct holds nothing but has every given bug condition blasted. Each has
@@ -526,13 +512,16 @@ func warmBases(pl *core.Pipeline, bugs []*core.Bug, opts Options) (dual, direct 
 	return bases[0], bases[1]
 }
 
-// inferShared runs Algorithm 1 for one instance on private forks of the
-// round's bases (see warmBases), which it only reads. The forks come from
-// the pool forks (nil: are allocated) and go back to it on return: the dual
-// fork holds the OK formula, the direct fork has the bug conditions blasted
-// and receives the instance's BUG disjunction. The assert point's reachability
-// condition is passed as an extra assumption and filtered out of the unsat
-// core, so the resulting cubes range over control-variable atoms only.
+// inferShared runs Algorithm 1 for one instance — sample a bad run, widen
+// its model to a cube over the atom set, check the cube excludes no good
+// run (dual solver + unsat core generalization), block it, repeat — on
+// private forks of the round's bases (see warmBases), which it only reads.
+// The forks come from the pool forks (nil: are allocated) and go back to it
+// on return: the dual fork holds the OK formula, the direct fork has the bug
+// conditions blasted and receives the instance's BUG disjunction. The assert
+// point's reachability condition is passed as an extra assumption and
+// filtered out of the unsat core, so the resulting cubes range over
+// control-variable atoms only.
 func inferShared(pl *core.Pipeline, forks *solver.Pool, dualBase, directBase *solver.Solver, inst *ir.TableInstance, bugs []*core.Bug, calls *int) *Assertion {
 	f := pl.IR.F
 	atoms := atomsFor(pl, inst)

@@ -193,7 +193,8 @@ func TestInferAlgorithmDirectly(t *testing.T) {
 		t.Fatal("no nat key bug")
 	}
 	calls := 0
-	a := Infer(pl, nat, natBugs, DefaultOptions(), &calls)
+	dual, direct := warmBases(pl, natBugs, DefaultOptions())
+	a := inferShared(pl, nil, dual, direct, nat, natBugs, &calls)
 	if a == nil || len(a.Forbidden) == 0 {
 		t.Fatal("Infer produced nothing for the controllable nat bug")
 	}

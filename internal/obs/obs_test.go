@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"context"
 	"strings"
 	"testing"
 	"time"
@@ -174,35 +173,6 @@ func TestNilSpanIsNoOp(t *testing.T) {
 	}
 	if c.Duration() != 0 || c.Name() != "" || c.Children() != nil {
 		t.Fatal("nil span has state")
-	}
-}
-
-func TestContextSpanStack(t *testing.T) {
-	ctx := context.Background()
-	if FromContext(ctx) != nil {
-		t.Fatal("empty context carries a span")
-	}
-	// Disabled path: no span in context, Start returns nil.
-	ctx2, sp := Start(ctx, "phase")
-	if sp != nil || ctx2 != ctx {
-		t.Fatal("Start without a parent span should be a no-op")
-	}
-
-	root := StartSpan("root")
-	ctx = NewContext(ctx, root)
-	ctx, child := Start(ctx, "child")
-	if child == nil || FromContext(ctx) != child {
-		t.Fatal("Start did not push the child span")
-	}
-	_, grand := Start(ctx, "grandchild")
-	grand.End()
-	child.End()
-	root.End()
-	if kids := root.Children(); len(kids) != 1 || kids[0] != child {
-		t.Fatalf("root children = %v", kids)
-	}
-	if kids := child.Children(); len(kids) != 1 || kids[0].Name() != "grandchild" {
-		t.Fatalf("child children = %v", kids)
 	}
 }
 

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"strings"
@@ -182,35 +181,6 @@ func (s *Span) render(w io.Writer, depth int) {
 	for _, c := range children {
 		c.render(w, depth+1)
 	}
-}
-
-// ----------------------------------------------------------- context
-
-type spanKey struct{}
-
-// NewContext returns ctx carrying s as the current span.
-func NewContext(ctx context.Context, s *Span) context.Context {
-	return context.WithValue(ctx, spanKey{}, s)
-}
-
-// FromContext returns the current span in ctx (nil when absent), giving
-// call chains a context-carried span stack: each Start pushes a child,
-// its returned context carries it, End pops it.
-func FromContext(ctx context.Context) *Span {
-	s, _ := ctx.Value(spanKey{}).(*Span)
-	return s
-}
-
-// Start begins a child of the context's current span and returns a
-// context carrying the child. With no span in ctx it returns ctx and nil
-// — the disabled path stays allocation-free.
-func Start(ctx context.Context, name string) (context.Context, *Span) {
-	parent := FromContext(ctx)
-	if parent == nil {
-		return ctx, nil
-	}
-	c := parent.StartChild(name)
-	return NewContext(ctx, c), c
 }
 
 // ----------------------------------------------------------- phases

@@ -80,29 +80,6 @@ func TestForkIsolation(t *testing.T) {
 	}
 }
 
-// TestForkKeepsOpenScopes: a fork taken inside a checkIn scope carries the
-// scope, and retracting it in the fork leaves the original's open.
-func TestForkKeepsOpenScopes(t *testing.T) {
-	f := smt.NewFactory()
-	x := f.BVVar("x", 8)
-	s := New(f)
-	s.Assert(f.Ult(x, f.BVConst64(10, 8)))
-	if res := s.checkIn(f.Eq(x, f.BVConst64(3, 8))); res != Sat {
-		t.Fatalf("scoped check: got %v, want Sat", res)
-	}
-	fk := s.Fork()
-	fk.retract()
-	if res := fk.Check(f.Eq(x, f.BVConst64(4, 8))); res != Sat {
-		t.Fatalf("fork after retract: got %v, want Sat", res)
-	}
-	if res := s.Check(f.Eq(x, f.BVConst64(4, 8))); res != Unsat {
-		t.Fatalf("original, scope still open: got %v, want Unsat", res)
-	}
-	if len(s.scopes) != 1 || len(fk.scopes) != 0 {
-		t.Fatalf("scopes: original %d, fork %d; want 1, 0", len(s.scopes), len(fk.scopes))
-	}
-}
-
 // TestAssertCountsAsBlastTime: lowering happens in Assert, so a solver
 // that only asserts must still report time under the blast counter.
 func TestAssertCountsAsBlastTime(t *testing.T) {

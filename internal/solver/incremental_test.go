@@ -29,10 +29,11 @@ func sliceFixture(f *smt.Factory) (base, conds []*smt.Term) {
 }
 
 // TestScopedChecksAdversarialOrdering pins the core incremental-soundness
-// property: clauses learned under a retracted scope must never flip a
-// later check's verdict, for any ordering of the checks on one slice.
-// Every verdict is compared against a fresh single-shot solver; retract
-// cleans the clause database at every boundary.
+// property: one solver answering a list of conditions, each checked as an
+// assumption, answers every ordering of the list as fresh single-shot
+// solvers do. A clause learnt during one check is a consequence of the
+// asserted base alone, so it may speed a later check but never flip its
+// verdict; a learnt clause that leaked a condition would show here.
 func TestScopedChecksAdversarialOrdering(t *testing.T) {
 	f := smt.NewFactory()
 	base, conds := sliceFixture(f)
@@ -59,13 +60,13 @@ func TestScopedChecksAdversarialOrdering(t *testing.T) {
 			s.Assert(b)
 		}
 		for step, ci := range order {
-			res := s.checkIn(conds[ci])
+			res := s.Check(conds[ci])
 			if res != want[ci] {
-				t.Fatalf("order %d step %d: cond %d got %v, want %v (learned-clause leak across retracted scopes?)",
+				t.Fatalf("order %d step %d: cond %d got %v, want %v (an earlier check's condition leaked?)",
 					oi, step, ci, res, want[ci])
 			}
 			if res == Sat {
-				// The model must satisfy the base and the scoped condition.
+				// The model must satisfy the base and the assumed condition.
 				m := s.Model()
 				for _, b := range base {
 					if !smt.EvalBool(b, m) {
@@ -76,54 +77,21 @@ func TestScopedChecksAdversarialOrdering(t *testing.T) {
 					t.Fatalf("order %d step %d: model violates cond %s", oi, step, conds[ci])
 				}
 			}
-			s.retract()
 		}
 	}
 }
 
-// TestCheckScopedMatchesCheck: the exported scoped entry point answers like
-// an assumption-based Check on a solver that never opened a scope, hands
-// back a model of base ∧ cond exactly when the answer is Sat, and closes
-// its scope before returning.
-func TestCheckScopedMatchesCheck(t *testing.T) {
-	f := smt.NewFactory()
-	base, conds := sliceFixture(f)
-	scoped, plain := New(f), New(f)
-	for _, b := range base {
-		scoped.Assert(b)
-		plain.Assert(b)
-	}
-	for i, c := range conds {
-		res, model := scoped.CheckScoped(c)
-		if want := plain.Check(c); res != want {
-			t.Fatalf("cond %d: CheckScoped %v, Check %v", i, res, want)
-		}
-		if (model != nil) != (res == Sat) {
-			t.Fatalf("cond %d: result %v with model %v", i, res, model)
-		}
-		for _, b := range append([]*smt.Term{c}, base...) {
-			if res == Sat && !smt.EvalBool(b, model) {
-				t.Fatalf("cond %d: returned model violates %s", i, b)
-			}
-		}
-		if n := len(scoped.scopes); n != 0 {
-			t.Fatalf("cond %d: CheckScoped left %d scopes open", i, n)
-		}
-	}
-}
-
-// TestIncrementalUnsatCoreUnpolluted: scoped checks must not leak
-// activation literals into caller-visible unsat cores.
+// TestIncrementalUnsatCoreUnpolluted: earlier checks' assumptions never
+// show up in a later check's unsat core.
 func TestIncrementalUnsatCoreUnpolluted(t *testing.T) {
 	f := smt.NewFactory()
 	s := New(f)
 	x := f.BVVar("x", 8)
 	s.Assert(f.Ult(x, f.BVConst64(5, 8)))
-	// Burn a few scoped checks first so retracted activation literals and
-	// learned clauses are in play.
+	// Burn a few checks first so earlier assumptions and learned clauses
+	// are in play.
 	for i := 0; i < 5; i++ {
-		s.checkIn(f.Eq(x, f.BVConst64(int64(i), 8)))
-		s.retract()
+		s.Check(f.Eq(x, f.BVConst64(int64(i), 8)))
 	}
 	a := f.Ugt(x, f.BVConst64(10, 8))
 	if res := s.Check(a); res != Unsat {
@@ -135,22 +103,30 @@ func TestIncrementalUnsatCoreUnpolluted(t *testing.T) {
 	}
 }
 
-// TestIncrementalStatsShrink: retract's level-0 cleaning must shrink the
-// clause database after every scope — the guard clauses of a retracted
-// scope are deleted, not left behind satisfied.
-func TestIncrementalStatsShrink(t *testing.T) {
+// TestRecheckBlastsNothing: a condition is blasted once per solver. Asking
+// it again — as Infer's rechecks ask every bug condition a shard has already
+// decided — adds no variable and no clause, only search.
+func TestRecheckBlastsNothing(t *testing.T) {
 	f := smt.NewFactory()
 	s := New(f)
 	x := f.BVVar("x", 8)
 	y := f.BVVar("y", 8)
 	s.Assert(f.Eq(f.Add(x, y), f.BVConst64(77, 8)))
+	var conds []*smt.Term
 	for i := 0; i < 12; i++ {
-		s.checkIn(f.Eq(x, f.BVConst64(int64(i*17%256), 8)))
-		_, inside, _, _ := s.Stats()
-		s.retract()
-		_, after, _, _ := s.Stats()
-		if after >= inside {
-			t.Fatalf("scope %d: clause DB did not shrink on retract: %d inside, %d after", i, inside, after)
+		conds = append(conds, f.Eq(x, f.BVConst64(int64(i*17%256), 8)))
+	}
+	for _, c := range conds {
+		s.Check(c)
+	}
+	vars, clauses, _, _ := s.Stats()
+	for i, c := range conds {
+		s.Check(c)
+		if st := s.LastCheckStats(); st.NewVars != 0 || st.NewClauses != 0 {
+			t.Fatalf("recheck %d grew the CNF by %d variables and %d clauses", i, st.NewVars, st.NewClauses)
 		}
+	}
+	if v, c, _, _ := s.Stats(); v != vars || c != clauses {
+		t.Fatalf("rechecks moved the CNF from %d variables %d clauses to %d %d", vars, clauses, v, c)
 	}
 }

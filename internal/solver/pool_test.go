@@ -47,8 +47,7 @@ func poolSession(t *testing.T, p *Pool, f *smt.Factory) string {
 }
 
 // TestPoolRecyclesLikeFresh: solvers from a pool — idle ones with a life on
-// another factory's terms behind them, an open scope, a registry and a tag
-// included — answer, model and search exactly as New's and Fork's do, and
+// another factory's terms behind them, a registry and a tag included — answer, model and search exactly as New's and Fork's do, and
 // the pool says what it allocated, recycled and holds. Run under -race:
 // forks are taken and put back from two goroutines.
 func TestPoolRecyclesLikeFresh(t *testing.T) {
@@ -64,8 +63,9 @@ func TestPoolRecyclesLikeFresh(t *testing.T) {
 		for _, b := range basis {
 			d.Assert(b)
 		}
-		d.Check(conds[i])     // an unsat core or a model
-		d.checkIn(conds[i+1]) // and a scope left open
+		d.Check(conds[i])    // an unsat core or a model
+		d.Assert(conds[i+1]) // and an assertion of its own
+		d.Check(conds[i+2])
 	}
 	checks := reg.CounterValue("bf4_solver_checks_total")
 	p.Put(dirty...)
@@ -101,10 +101,10 @@ func TestPoolRecyclesLikeFresh(t *testing.T) {
 	}
 	p.Put(dirty[0])
 
-	// What the pool hands out is empty: no scope, no tag, no variable.
+	// What the pool hands out is empty: no tag, no variable, no core.
 	s := p.New(smt.NewFactory())
-	if len(s.scopes) != 0 || len(s.vars) != 0 || s.checks != 0 || s.sat.NumVars() != 0 || !reflect.DeepEqual(s.tag, obs.CheckRecord{Node: -1}) {
-		t.Errorf("a solver from the pool is not empty: %d scopes, %d vars, %d checks, %d SAT vars, tag %+v", len(s.scopes), len(s.vars), s.checks, s.sat.NumVars(), s.tag)
+	if len(s.vars) != 0 || len(s.lastCore) != 0 || s.checks != 0 || s.sat.NumVars() != 0 || !reflect.DeepEqual(s.tag, obs.CheckRecord{Node: -1}) {
+		t.Errorf("a solver from the pool is not empty: %d vars, core %v, %d checks, %d SAT vars, tag %+v", len(s.vars), s.lastCore, s.checks, s.sat.NumVars(), s.tag)
 	}
 }
 

@@ -5,10 +5,15 @@
 // and is incremental: learned clauses and blasted circuitry persist across
 // Check calls, which is what makes the per-bug reachability queries and
 // Infer's model/core loop cheap after the first call.
+//
+// There is one way to ask: Check under assumptions. A formula that holds
+// for one query — a bug's reachability condition, an Infer cube — is an
+// assumption, never an assertion that is later taken back, so every clause
+// the solver holds follows from what was asserted and stays valid for every
+// later check (the SAT core never deletes one).
 package solver
 
 import (
-	"fmt"
 	"maps"
 	"math/big"
 	"time"
@@ -57,12 +62,6 @@ type Solver struct {
 
 	// tag labels the checks that follow in the slowest-checks table.
 	tag obs.CheckRecord
-
-	// scopes holds the activation literal of each open push frame;
-	// scopeSeq names fresh activation variables (never reused, since pop
-	// permanently asserts the negation).
-	scopes   []*smt.Term
-	scopeSeq int
 }
 
 // CheckStats describes one Check call in isolation: every field is a
@@ -156,7 +155,6 @@ func (s *Solver) Reset(f *smt.Factory) *Solver {
 		varSeen:  s.varSeen,
 		tag:      obs.CheckRecord{Node: -1},
 		lastCore: s.lastCore[:0],
-		scopes:   s.scopes[:0],
 	}
 	return s
 }
@@ -165,7 +163,7 @@ func (s *Solver) Reset(f *smt.Factory) *Solver {
 func (s *Solver) Fork() *Solver { return new(Solver).CopyFrom(s) }
 
 // CopyFrom overwrites s with an independent copy of src and returns s: the
-// same assertions, open scopes and registered variables over a deep copy
+// same assertions and registered variables over a deep copy
 // of the SAT state (clauses, learnt clauses, activities, saved phases) and
 // of the blasted-term memo, written into the memory s already holds where
 // that is large enough. Terms src has blasted cost the copy nothing, its
@@ -174,7 +172,7 @@ func (s *Solver) Fork() *Solver { return new(Solver).CopyFrom(s) }
 // copies of one solver may run on different goroutines. The installed
 // metrics registry is shared (its counters are atomic).
 func (s *Solver) CopyFrom(src *Solver) *Solver {
-	ctx, vars, varSeen, lastCore, scopes := s.ctx, s.vars, s.varSeen, s.lastCore, s.scopes
+	ctx, vars, varSeen, lastCore := s.ctx, s.vars, s.varSeen, s.lastCore
 	if ctx == nil {
 		ctx, vars, varSeen = new(bitblast.Context), make(map[*smt.Term]bool, len(src.vars)), make(map[uint32]bool, len(src.varSeen))
 	}
@@ -187,7 +185,6 @@ func (s *Solver) CopyFrom(src *Solver) *Solver {
 	s.sat = s.ctx.Solver()
 	s.vars, s.varSeen = vars, varSeen
 	s.lastCore = append(lastCore[:0], src.lastCore...)
-	s.scopes = append(scopes[:0], src.scopes...)
 	return s
 }
 
@@ -223,84 +220,13 @@ func (s *Solver) registerVars(t *smt.Term) {
 	}
 }
 
-// Assert adds t to the solver's constraint set: permanently when no scope
-// is open, otherwise until the innermost scope is retracted.
+// Assert adds t to the solver's constraint set for good. A formula that
+// should hold for one query only is a Check assumption.
 func (s *Solver) Assert(t *smt.Term) {
 	start := time.Now()
 	defer func() { s.hooks.blastNs.Add(time.Since(start).Nanoseconds()) }()
 	s.registerVars(t)
-	if n := len(s.scopes); n > 0 {
-		// Guard with the innermost activation literal (scopes close LIFO,
-		// so when an outer scope dies every inner one is already dead),
-		// as direct guard clauses (¬act ∨ conjunct) rather than a Tseitin
-		// implication gate: once retract asserts ¬act every guard clause
-		// is satisfied outright and its cleaning pass deletes it, instead
-		// of leaving dead gate circuitry.
-		s.ctx.AssertImplied(s.scopes[n-1], t)
-		return
-	}
 	s.ctx.AssertTrue(t)
-}
-
-// CheckScoped decides cond on top of the asserted formulas without keeping
-// it: cond is asserted inside a retractable activation scope, checked, and
-// the scope is closed again before returning, so no call can leave one
-// open. The environment is the model of the Sat answer (nil otherwise),
-// captured while the scope was still open. Learned clauses that do not
-// depend on cond survive into later checks, which is what makes one
-// persistent solver per slice pay off across a whole bug list.
-func (s *Solver) CheckScoped(cond *smt.Term) (Result, smt.Env) {
-	res := s.checkIn(cond)
-	var model smt.Env
-	if res == Sat {
-		model = s.Model()
-	}
-	s.retract()
-	return res, model
-}
-
-// checkIn opens a scope, asserts cond inside it and checks; the scope
-// stays open until retract.
-func (s *Solver) checkIn(cond *smt.Term) Result {
-	s.push()
-	s.Assert(cond)
-	return s.Check()
-}
-
-// retract closes the innermost scope and cleans the clause database at
-// level 0: the scope's guard clauses and the clauses learnt from them all
-// hold the dead activation literal's negation, so they are satisfied and
-// deleted (one sweep over the database; deferring it measurably costs
-// later checks propagation work on dead guard clauses).
-func (s *Solver) retract() {
-	s.pop()
-	s.sat.Inprocess()
-}
-
-// push opens a retractable assertion scope, emulated with an activation
-// literal (the classic trick for assumption-based incremental SAT):
-// assertions made while the scope is open are guarded by a fresh boolean,
-// Check passes the booleans of all open scopes as extra assumptions, and
-// pop permanently asserts the negation, turning the scope's assertions
-// into tautologies. Learned clauses survive pops, keeping the solver
-// incremental across scoped probes.
-func (s *Solver) push() {
-	act := s.f.BoolVar(fmt.Sprintf("$scope%d", s.scopeSeq))
-	s.scopeSeq++
-	s.registerVars(act)
-	s.scopes = append(s.scopes, act)
-}
-
-// pop closes the innermost push scope, retracting every assertion made
-// inside it. It panics without a matching push.
-func (s *Solver) pop() {
-	n := len(s.scopes)
-	if n == 0 {
-		panic("solver: pop without matching push")
-	}
-	act := s.scopes[n-1]
-	s.scopes = s.scopes[:n-1]
-	s.ctx.AssertTrue(s.f.Not(act))
 }
 
 // Check determines satisfiability of the asserted formulas together with
@@ -311,13 +237,8 @@ func (s *Solver) Check(assumptions ...*smt.Term) Result {
 	start := time.Now()
 	preStats := s.sat.StatsSnapshot()
 	preVars, preClauses := s.sat.NumVars(), s.sat.NumClauses()
-	lits := make([]sat.Lit, 0, len(assumptions)+len(s.scopes))
+	lits := make([]sat.Lit, 0, len(assumptions))
 	byLit := make(map[sat.Lit]*smt.Term, len(assumptions))
-	for _, act := range s.scopes {
-		// Activation literals of open scopes are implicit assumptions;
-		// they are not part of the caller's unsat core.
-		lits = append(lits, s.ctx.Literal(act))
-	}
 	for _, a := range assumptions {
 		// A constant-true assumption is a tautology and cannot appear in
 		// any unsat core; a constant-false one blasts to the false literal
