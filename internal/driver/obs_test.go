@@ -121,9 +121,8 @@ func TestObservabilityPreservesVerdicts(t *testing.T) {
 			if candidates == 0 {
 				t.Error("no recheck span recorded a candidate")
 			}
-			if pairs, yielding := reg.CounterValue("bf4_infer_multitable_pairs_total"), reg.CounterValue("bf4_infer_multitable_pairs_yielding_total"); yielding > pairs ||
-				(pairs > 0 && reg.CounterValue("bf4_infer_multitable_paths_total") < pairs) {
-				t.Errorf("multi-table counters: %d pairs, %d yielding, %d paths", pairs, yielding, reg.CounterValue("bf4_infer_multitable_paths_total"))
+			if pairs, yielding := reg.CounterValue("bf4_infer_multitable_pairs_total"), reg.CounterValue("bf4_infer_multitable_pairs_yielding_total"); yielding > pairs {
+				t.Errorf("multi-table counters: %d pairs, %d yielding", pairs, yielding)
 			}
 			// The slowest-checks table names where each of its checks came
 			// from: bug checks and rechecks carry their bug node, Infer's

@@ -8,16 +8,11 @@ import (
 	"bf4/internal/smt"
 )
 
-// maxPaths bounds the symbolic exploration of one table region; table
-// expansions are small (≈ #actions × #checks paths), so hitting the bound
-// indicates a pathological program. A capped execution keeps the bug path
-// conditions of the DFS prefix it explored and misses the rest.
-const maxPaths = 4096
-
 // FastInfer is the paper's Algorithm 2: symbolically execute the table's
 // expansion from its assert point, collect the path condition of every
 // path that ends in a bug, and emit ¬pc as a necessary precondition
-// whenever pc mentions only controlled variables.
+// whenever pc mentions only controlled variables. The executor walks only
+// the paths that can still end in such a pc (see assume).
 //
 // The executor propagates match equalities as substitutions (e.g. an
 // exact key over hdr.x.isValid() rewrites the validity bit in terms of
@@ -38,8 +33,11 @@ type symbex struct {
 	controlled map[string]bool
 	boundary   int
 
-	bugPCs []*smt.Term // the path conditions of the controlled bug paths
-	paths  int
+	bugPCs []*smt.Term // the path conditions of the bug paths reached, all controlled
+	// refuse holds the conjuncts other than uncontrolled ones that no cube
+	// of this execution may contain: ¬hit of both tables in a linked
+	// execution (see fastInferLinked), none in Fast-Infer's.
+	refuse []*smt.Term
 
 	// The path state: the path condition is the conjunction of conj, in
 	// holds its members and negated the x of each not(x) among them; bind
@@ -63,7 +61,7 @@ type change struct{ key, old *smt.Term } // a conjunct pushed (key nil) or key's
 // (inst's own apply node, or that of a dominating instance). Its one path
 // state serves the whole depth-first run: a branch marks the trail, extends
 // the state for its true side, undoes to the mark and extends it for its
-// false side; a term is built only for a controlled bug path.
+// false side; a term is built only at a bug.
 func newSymbex(p *ir.Program, inst *ir.TableInstance, controlled map[string]bool, from *ir.Node) *symbex {
 	return &symbex{
 		f: p.F, stop: inst.Join, controlled: controlled, boundary: from.ID,
@@ -88,7 +86,11 @@ func (ex *symbex) isControlled(t *smt.Term) bool { return allControlled(ex.vars(
 
 // assume conjoins c as Factory.And would, one conjunct at a time: an And
 // adds its arguments; true or a present conjunct adds nothing. It reports
-// false on false or a conjunct beside its complement: the path is dead.
+// false on false or a conjunct beside its complement: the path is dead. It
+// also reports false on a conjunct no cube may contain — one with a variable
+// outside the controlled set, or one in ex.refuse — and the path ends there
+// too. That drops no cube: a conjunct stays in the path condition of every
+// bug below it, so none of those bugs could have passed the filters.
 func (ex *symbex) assume(c *smt.Term) bool {
 	cs := []*smt.Term{c}
 	if c.Op() == smt.OpAnd {
@@ -99,6 +101,8 @@ func (ex *symbex) assume(c *smt.Term) bool {
 		case x.IsTrue() || ex.in[x]:
 			continue
 		case x.IsFalse() || ex.negated[x] || x.Op() == smt.OpNot && ex.in[x.Arg(0)]:
+			return false
+		case !ex.isControlled(x) || slices.Contains(ex.refuse, x):
 			return false
 		}
 		ex.in[x] = true
@@ -183,30 +187,19 @@ func (ex *symbex) tryBind(lhs, rhs *smt.Term) {
 	}
 }
 
-// run explores every path from n, depth first, from the path state.
+// run explores, depth first from the path state, every path from n that
+// can still end in a cube. A path ends at a terminal, at the join (ex.stop:
+// a good run by assumption), where it leaves the region (an exit
+// statement: a good run) and where assume refuses its next conjunct.
 func (ex *symbex) run(n *ir.Node) {
 	feasible := true
-	for {
-		if ex.paths > maxPaths || !feasible {
-			return
-		}
-		if n == ex.stop {
-			ex.paths++ // exits the table: a good run by assumption
-			return
-		}
+	for feasible && n != ex.stop {
 		switch n.Kind {
 		case ir.BugTerm:
-			ex.paths++
-			if !slices.ContainsFunc(ex.conj, func(c *smt.Term) bool { return !ex.isControlled(c) }) {
-				ex.bugPCs = append(ex.bugPCs, ex.f.And(ex.conj...))
-			}
+			ex.bugPCs = append(ex.bugPCs, ex.f.And(ex.conj...))
 			return
-		case ir.UnreachTerm:
-			ex.paths++ // infeasible
-			return
-		case ir.AcceptTerm, ir.RejectTerm:
-			ex.paths++ // left the region cleanly
-			return
+		case ir.UnreachTerm, ir.AcceptTerm, ir.RejectTerm:
+			return // infeasible, or left the region cleanly
 		case ir.Assign:
 			ex.set(n.Var.Term, ex.subst(n.Expr))
 		case ir.Havoc:
@@ -240,16 +233,15 @@ func (ex *symbex) run(n *ir.Node) {
 				// when it constrains the entry itself; an uncontrolled
 				// residue (packet fields) is implied by "hit" and can be
 				// soundly dropped — this is what makes ¬pc a predicate
-				// over rules alone.
+				// over rules alone. Dropped, not refused: refusing it would
+				// end every path through a table that matches packet fields.
 				if ex.isControlled(condT) {
 					feasible = ex.assume(condT)
 				}
 				n = tSucc
 				continue
 			}
-			if !ex.inRegion(tSucc) {
-				ex.paths++
-			} else if ex.assume(condT) {
+			if ex.inRegion(tSucc) && ex.assume(condT) {
 				ex.run(tSucc)
 			}
 			// Continue on the false side, where the learned equality does
@@ -258,19 +250,16 @@ func (ex *symbex) run(n *ir.Node) {
 			feasible = ex.assume(ex.f.Not(cond))
 			n = fSucc
 			if !ex.inRegion(n) {
-				ex.paths++
 				return
 			}
 			continue
 		}
 		if len(n.Succs) == 0 {
-			ex.paths++
 			return
 		}
 		n = n.Succs[0]
 		if !ex.inRegion(n) {
-			ex.paths++ // left the region (exit statement): good run
-			return
+			return // left the region (exit statement): good run
 		}
 	}
 }

@@ -7,7 +7,9 @@
 // controller may satisfy, because every packet hitting such a rule
 // triggers a bug. The runtime shim (internal/shim) enforces them; the
 // verifier re-checks bug reachability under them to report "bugs after
-// Infer" (Table 1).
+// Infer" (Table 1). Fast-Infer and the multi-table heuristic share one
+// symbolic executor (symbex), which walks only the paths that can still
+// yield such a predicate and needs no bound on how many it walks.
 package infer
 
 import (
@@ -393,7 +395,7 @@ func atomsFor(pl *core.Pipeline, inst *ir.TableInstance) []*smt.Term {
 		if n.Kind != ir.Branch {
 			continue
 		}
-		if termControlled(pl.IR, n.Expr, controlled) && !n.Expr.IsTrue() && !n.Expr.IsFalse() {
+		if termControlled(n.Expr, controlled) && !n.Expr.IsTrue() && !n.Expr.IsFalse() {
 			atoms = append(atoms, n.Expr)
 		}
 	}
@@ -442,7 +444,7 @@ func controlledSet(inst *ir.TableInstance) map[string]bool {
 // termControlled reports whether every variable of t (resolved to its
 // base) is in the controlled set. Versioned variables other than version
 // 0 are never controlled.
-func termControlled(p *ir.Program, t *smt.Term, controlled map[string]bool) bool {
+func termControlled(t *smt.Term, controlled map[string]bool) bool {
 	return allControlled(t.Vars(nil), controlled)
 }
 

@@ -2,7 +2,6 @@ package infer
 
 import (
 	"maps"
-	"slices"
 
 	"bf4/internal/core"
 	"bf4/internal/ir"
@@ -24,14 +23,11 @@ import (
 // the deterministic inner t1 order and are merged in instance order. Each
 // (t1, t2) execution has a path state of its own, primed with t1's
 // dominating facts; tasks share the program, its topological order and the
-// term factory. reg (nil: nothing is recorded) counts what the heuristic
-// costs: the (t1, t2) pairs executed, those that yielded a linked
-// condition, those capped at maxPaths, and the paths explored.
+// term factory. reg (nil: nothing is recorded) counts the (t1, t2) pairs
+// executed and those that yielded a linked condition.
 func MultiTable(pl *core.Pipeline, uncontrolled []*core.Bug, workers int, reg *obs.Registry) []*Assertion {
 	pairs := reg.Counter("bf4_infer_multitable_pairs_total")
 	yielding := reg.Counter("bf4_infer_multitable_pairs_yielding_total")
-	capped := reg.Counter("bf4_infer_multitable_capped_total")
-	paths := reg.Counter("bf4_infer_multitable_paths_total")
 	byInstance := map[*ir.TableInstance][]*core.Bug{}
 	for _, b := range uncontrolled {
 		if b.Instance != nil {
@@ -54,12 +50,8 @@ func MultiTable(pl *core.Pipeline, uncontrolled []*core.Bug, workers int, reg *o
 			if !keysSubset(t1.Table, t2.Table) {
 				continue
 			}
-			a, explored := fastInferLinked(pl, topo, t1, t2)
+			a := fastInferLinked(pl, topo, t1, t2)
 			pairs.Inc()
-			paths.Add(int64(explored))
-			if explored > maxPaths {
-				capped.Inc()
-			}
 			if len(a.Forbidden) > 0 {
 				yielding.Inc()
 				return a
@@ -122,12 +114,6 @@ func (ex *symbex) primeEnv(pl *core.Pipeline, topo []*ir.Node, ap *ir.Node) {
 	}
 }
 
-// containsConjunct reports whether pc (a conjunction) contains t as a
-// top-level conjunct.
-func containsConjunct(pc, t *smt.Term) bool {
-	return pc == t || pc.Op() == smt.OpAnd && slices.Contains(pc.Args(), t)
-}
-
 // keysSubset reports whether every key path of t1 also appears in t2
 // (the paper's "keys of t2 are a superset of t1" condition).
 func keysSubset(t1, t2 *ir.Table) bool {
@@ -145,25 +131,20 @@ func keysSubset(t1, t2 *ir.Table) bool {
 
 // fastInferLinked runs the Fast-Infer executor from t1's assert point to
 // t2's join, with both instances' variables controlled; only bug paths
-// belonging to t2's region are kept. The second result is the number of
-// paths the execution explored.
-func fastInferLinked(pl *core.Pipeline, topo []*ir.Node, t1, t2 *ir.TableInstance) (*Assertion, int) {
+// belonging to t2's region are kept. The execution refuses ¬hit of either
+// table: a path that needs a table MISS relies on a property of the whole
+// rule set — not of the (e1, e2) pair — so forbidding it would block rules
+// with good runs.
+func fastInferLinked(pl *core.Pipeline, topo []*ir.Node, t1, t2 *ir.TableInstance) *Assertion {
 	c1, c2 := controlledSet(t1), controlledSet(t2)
 	controlled := maps.Clone(c1)
 	maps.Copy(controlled, c2)
 	ex := newSymbex(pl.IR, t2, controlled, t1.Apply)
+	ex.refuse = []*smt.Term{pl.IR.F.Not(t1.HitVar.Term), pl.IR.F.Not(t2.HitVar.Term)}
 	ex.primeEnv(pl, topo, t1.Apply)
 	ex.run(t1.Apply)
 	a := &Assertion{Instance: t2, Linked: t1, Source: "multi-table"}
-	f := pl.IR.F
-	negHit1, negHit2 := f.Not(t1.HitVar.Term), f.Not(t2.HitVar.Term)
 	for _, pc := range ex.bugPCs {
-		// A negated hit means the path relies on a table MISS, which is a
-		// property of the whole rule set — not of the (e1, e2) pair — so
-		// forbidding it would block rules with good runs.
-		if containsConjunct(pc, negHit1) || containsConjunct(pc, negHit2) {
-			continue
-		}
 		// Keep only conditions that genuinely link the two tables;
 		// single-table conditions are already covered by FastInfer.
 		var in1, in2 bool
@@ -180,5 +161,5 @@ func fastInferLinked(pl *core.Pipeline, topo []*ir.Node, t1, t2 *ir.TableInstanc
 		}
 	}
 	a.Forbidden = dedupeTerms(a.Forbidden)
-	return a, ex.paths
+	return a
 }

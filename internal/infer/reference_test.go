@@ -1,6 +1,8 @@
 package infer
 
 import (
+	"slices"
+
 	"bf4/internal/core"
 	"bf4/internal/ir"
 	"bf4/internal/smt"
@@ -14,8 +16,21 @@ import (
 // symbex's fields and the helpers both walks need (vars, isControlled,
 // isAssume, inRegion), and refFastInfer / refFastInferLinked are FastInfer
 // and fastInferLinked over it, filtering every bug path after the walk.
-// TestExecutorMatchesReference holds the production executor to it.
-type refSymbex struct{ *symbex }
+// It prunes nothing: it walks every path, uncontrolled conjuncts and table
+// misses included, until it has walked refMaxPaths of them, and keeps the
+// bug paths of the prefix it walked. TestExecutorMatchesReference holds the
+// production executor to it.
+type refSymbex struct {
+	*symbex
+	paths int // the paths walked so far
+}
+
+// refMaxPaths caps one reference execution: the unpruned walk of a linked
+// execution at switch@2 runs to thousands of paths.
+const refMaxPaths = 4096
+
+// capped reports whether the walk stopped at refMaxPaths.
+func (ex *refSymbex) capped() bool { return ex.paths > refMaxPaths }
 
 // env is a persistent substitution: variable base term → current value.
 type env struct {
@@ -37,10 +52,9 @@ func (e *env) set(k, v *smt.Term) *env {
 	return &env{parent: e, key: k, val: v}
 }
 
-// refFastInfer is FastInfer on the reference executor; the second result is
-// the number of paths it explored.
-func refFastInfer(pl *core.Pipeline, inst *ir.TableInstance) (*Assertion, int) {
-	ex := refSymbex{newSymbex(pl.IR, inst, controlledSet(inst), inst.Apply)}
+// refFastInfer is FastInfer on the reference executor, which it returns too.
+func refFastInfer(pl *core.Pipeline, inst *ir.TableInstance) (*Assertion, *refSymbex) {
+	ex := &refSymbex{symbex: newSymbex(pl.IR, inst, controlledSet(inst), inst.Apply)}
 	ex.run(inst.Apply, ex.f.True(), nil)
 	a := &Assertion{Instance: inst, Source: "fast-infer"}
 	for _, pc := range ex.bugPCs {
@@ -49,16 +63,18 @@ func refFastInfer(pl *core.Pipeline, inst *ir.TableInstance) (*Assertion, int) {
 		}
 	}
 	a.Forbidden = dedupeTerms(a.Forbidden)
-	return a, ex.paths
+	return a, ex
 }
 
-// refFastInferLinked is fastInferLinked on the reference executor.
-func refFastInferLinked(pl *core.Pipeline, t1, t2 *ir.TableInstance) (*Assertion, int) {
+// refFastInferLinked is fastInferLinked on the reference executor, which it
+// returns too. It drops a bug path that needs a table miss after the walk,
+// where fastInferLinked's executor refuses ¬hit as a conjunct.
+func refFastInferLinked(pl *core.Pipeline, t1, t2 *ir.TableInstance) (*Assertion, *refSymbex) {
 	controlled := controlledSet(t1)
 	for k := range controlledSet(t2) {
 		controlled[k] = true
 	}
-	ex := refSymbex{newSymbex(pl.IR, t2, controlled, t1.Apply)}
+	ex := &refSymbex{symbex: newSymbex(pl.IR, t2, controlled, t1.Apply)}
 	ex.run(t1.Apply, ex.f.True(), ex.primeEnv(pl, t1.Apply))
 	a := &Assertion{Instance: t2, Linked: t1, Source: "multi-table"}
 	c1, c2 := controlledSet(t1), controlledSet(t2)
@@ -85,11 +101,17 @@ func refFastInferLinked(pl *core.Pipeline, t1, t2 *ir.TableInstance) (*Assertion
 		}
 	}
 	a.Forbidden = dedupeTerms(a.Forbidden)
-	return a, ex.paths
+	return a, ex
+}
+
+// containsConjunct reports whether pc (a conjunction) contains t as a
+// top-level conjunct.
+func containsConjunct(pc, t *smt.Term) bool {
+	return pc == t || pc.Op() == smt.OpAnd && slices.Contains(pc.Args(), t)
 }
 
 // subst rewrites version-0 variables in t according to the environment.
-func (ex refSymbex) subst(t *smt.Term, e *env) *smt.Term {
+func (ex *refSymbex) subst(t *smt.Term, e *env) *smt.Term {
 	if e == nil {
 		return t
 	}
@@ -105,7 +127,7 @@ func (ex refSymbex) subst(t *smt.Term, e *env) *smt.Term {
 	return smt.Substitute(ex.f, t, m)
 }
 
-func (ex refSymbex) learnEq(cond *smt.Term, e *env) *env {
+func (ex *refSymbex) learnEq(cond *smt.Term, e *env) *env {
 	if cond.Op() != smt.OpEq {
 		return e
 	}
@@ -115,7 +137,7 @@ func (ex refSymbex) learnEq(cond *smt.Term, e *env) *env {
 	return e
 }
 
-func (ex refSymbex) tryBind(lhs, rhs *smt.Term, e *env) *env {
+func (ex *refSymbex) tryBind(lhs, rhs *smt.Term, e *env) *env {
 	if !ex.isControlled(rhs) {
 		return e
 	}
@@ -136,9 +158,9 @@ func (ex refSymbex) tryBind(lhs, rhs *smt.Term, e *env) *env {
 	return e
 }
 
-func (ex refSymbex) run(n *ir.Node, pc *smt.Term, e *env) {
+func (ex *refSymbex) run(n *ir.Node, pc *smt.Term, e *env) {
 	for {
-		if ex.paths > maxPaths || pc.IsFalse() {
+		if ex.capped() || pc.IsFalse() {
 			return
 		}
 		if n == ex.stop {
@@ -215,7 +237,7 @@ func (ex refSymbex) run(n *ir.Node, pc *smt.Term, e *env) {
 // primeEnv seeds the symbolic environment with facts that hold on EVERY
 // run reaching the assert point: assignments whose node dominates it and
 // that are not clobbered by any later possible writer.
-func (ex refSymbex) primeEnv(pl *core.Pipeline, ap *ir.Node) *env {
+func (ex *refSymbex) primeEnv(pl *core.Pipeline, ap *ir.Node) *env {
 	p := pl.IR
 	canReach := map[*ir.Node]bool{ap: true}
 	stack := []*ir.Node{ap}

@@ -110,22 +110,40 @@ func New(file *spec.File) (*Shim, error) {
 }
 
 // Compile parses a spec file's assertions into a shareable, read-only
-// compiled annotation set (see Compiled).
+// compiled annotation set (see Compiled). The file is outside input: a null
+// table, action or assertion, and a key or parameter width outside 1 to
+// smt.MaxWidth, are errors.
 func Compile(file *spec.File) (*Compiled, error) {
 	cp := &Compiled{
 		file:   file,
 		f:      smt.NewFactory(),
 		tables: make(map[string]*table, len(file.Tables)),
 	}
-	for _, ts := range file.Tables {
+	for i, ts := range file.Tables {
+		if ts == nil {
+			return nil, fmt.Errorf("shim: table %d is null", i)
+		}
 		for _, k := range ts.Keys {
 			if k.Width < 1 || k.Width > smt.MaxWidth { // sizes the mask tables
 				return nil, fmt.Errorf("shim: table %s: key %s has width %d, want 1 to %d", ts.Name, k.Path, k.Width, smt.MaxWidth)
 			}
 		}
+		for j, a := range ts.Actions {
+			if a == nil {
+				return nil, fmt.Errorf("shim: table %s: action %d is null", ts.Name, j)
+			}
+			for _, p := range a.Params {
+				if p.Width < 1 || p.Width > smt.MaxWidth {
+					return nil, fmt.Errorf("shim: table %s: action %s: parameter %s has width %d, want 1 to %d", ts.Name, a.Name, p.Name, p.Width, smt.MaxWidth)
+				}
+			}
+		}
 		cp.tables[ts.Name] = newTable(ts)
 	}
-	for _, a := range file.Assertions {
+	for i, a := range file.Assertions {
+		if a == nil {
+			return nil, fmt.Errorf("shim: assertion %d is null", i)
+		}
 		primary, linked := cp.tables[a.Table], cp.tables[a.Linked]
 		if primary == nil {
 			return nil, fmt.Errorf("shim: assertion references unknown table %s", a.Table)
