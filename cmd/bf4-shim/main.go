@@ -11,23 +11,23 @@
 // dataplane simulator, enabling "packet" requests that execute against
 // the current shadow snapshot.
 //
-// With -state-dir the shim journals every applied update and restarts
-// from the snapshot + journal without any controller replay. SIGINT and
-// SIGTERM trigger a graceful shutdown: in-flight requests drain, a final
-// checkpoint compacts the journal, then the process exits.
+// The shim serves a fleet: one shadow-state shard per switch id listed
+// in -shards (default one, sw0), all validating against one program
+// compiled once through the annotation cache. Requests route by their
+// "switch" field; the first listed shard is the default. A supervisor
+// restores crashed or wedged shards; while a shard is down, writes to it
+// fail fast with a retryable error and the controller retries.
+//
+// With -state-dir each shard journals every applied update under
+// <state-dir>/<id>/ and restarts from its snapshot + journal without any
+// controller replay. SIGINT and SIGTERM trigger a graceful shutdown:
+// in-flight requests drain, a final checkpoint compacts each journal,
+// then the process exits.
 //
 // With -obs-addr the shim serves observability over HTTP on a second,
 // private listener: Prometheus text metrics at /metrics, the same
 // document as JSON at /metrics.json, and net/http/pprof profiling under
 // /debug/pprof/.
-//
-// With -shards the shim becomes a fleet service: one shadow-state shard
-// per listed switch id, all validating against one program compiled once
-// through the annotation cache. A supervisor restores crashed or wedged
-// shards from their per-shard snapshot+journal (subdirectories of
-// -state-dir); -on-shard-down picks what writes do meanwhile (reject
-// with a retryable error, or queue until restore). Requests route by
-// their "switch" field; the first listed shard is the default.
 package main
 
 import (
@@ -59,9 +59,8 @@ func main() {
 		corpusName  = flag.String("corpus", "", "corpus program for packet injection")
 		switchScale = flag.Int("switch-scale", 0, "generated switch scale for packet injection")
 
-		stateDir     = flag.String("state-dir", "", "directory for crash-recovery state (snapshot + journal); in fleet mode each shard gets a subdirectory")
-		shards       = flag.String("shards", "", "comma-separated switch ids; non-empty runs the fleet service (one shadow-state shard per switch, program verified once)")
-		onShardDown  = flag.String("on-shard-down", "reject", "degraded mode while a shard restores: reject (fail fast, retryable) or queue (park writes until restore)")
+		stateDir     = flag.String("state-dir", "", "directory for crash-recovery state: each shard keeps its snapshot + journal in <state-dir>/<id>/")
+		shards       = flag.String("shards", "sw0", "comma-separated switch ids, one shadow-state shard each (program verified once); the first is the default switch")
 		healthIvl    = flag.Duration("health-interval", 250*time.Millisecond, "fleet supervisor health-check tick")
 		healthDl     = flag.Duration("health-deadline", 5*time.Second, "declare a shard wedged when one operation holds its lock this long")
 		maxConns     = flag.Int("max-conns", 0, "max concurrent controller connections (0 = unlimited)")
@@ -132,51 +131,28 @@ func main() {
 		MaxConns:      *maxConns,
 		Obs:           reg,
 	}
-	var sh *shim.Shim
-	var store *shim.Store
-	var fleet *shim.Fleet
-	if ids := splitShards(*shards); len(ids) > 0 {
-		// Fleet mode: one shadow-state shard per switch, all validating
-		// against one compiled program (verified once via the annotation
-		// cache), supervised for crash/wedge failover.
-		mode, err := shim.ParseOnShardDown(*onShardDown)
-		if err != nil {
+	ids := splitShards(*shards)
+	if len(ids) == 0 {
+		fatalf("-shards lists no switch id")
+	}
+	fleet := shim.NewFleet(shim.FleetConfig{
+		StateRoot:      *stateDir,
+		HealthInterval: *healthIvl,
+		HealthDeadline: *healthDl,
+		Obs:            reg,
+	})
+	for _, id := range ids {
+		// AddShard's errors start with their layer: shim: or spec:.
+		if _, err := fleet.AddShard(id, file); err != nil {
 			fatalf("%v", err)
 		}
-		fleet = shim.NewFleet(shim.FleetConfig{
-			StateRoot:      *stateDir,
-			OnShardDown:    mode,
-			HealthInterval: *healthIvl,
-			HealthDeadline: *healthDl,
-			Obs:            reg,
-		})
-		for _, id := range ids {
-			if _, err := fleet.AddShard(id, file); err != nil {
-				fatalf("shard %s: %v", id, err)
-			}
-		}
-		fleet.StartSupervisor()
-		srv.Fleet = fleet
-		srv.DefaultSwitch = ids[0]
-		fmt.Printf("bf4-shim: fleet of %d shards (%s mode, verify-once cache)\n", len(ids), mode)
-	} else {
-		var err error
-		sh, err = shim.New(file)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		if *stateDir != "" {
-			store, err = shim.OpenStore(*stateDir)
-			if err != nil {
-				fatalf("state dir: %v", err)
-			}
-			if err := sh.AttachStore(store); err != nil {
-				fatalf("%v", err)
-			}
-			fmt.Printf("bf4-shim: shadow state restored from %s\n", *stateDir)
-		}
-		sh.SetObs(reg)
-		srv.Shim = sh
+	}
+	fleet.StartSupervisor()
+	srv.Fleet = fleet
+	srv.DefaultSwitch = ids[0]
+	fmt.Printf("bf4-shim: fleet of %d shards (verify-once cache)\n", len(ids))
+	if *stateDir != "" {
+		fmt.Printf("bf4-shim: shadow state restored from %s\n", *stateDir)
 	}
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
@@ -213,17 +189,9 @@ func main() {
 		if err := srv.Shutdown(ctx); err != nil {
 			fmt.Fprintf(os.Stderr, "bf4-shim: forced shutdown: %v\n", err)
 		}
-		if fleet != nil {
-			// Stops the supervisor and checkpoints every healthy shard.
-			if err := fleet.Close(); err != nil {
-				fmt.Fprintf(os.Stderr, "bf4-shim: fleet close: %v\n", err)
-			}
-		}
-		if store != nil {
-			if err := sh.Checkpoint(); err != nil {
-				fmt.Fprintf(os.Stderr, "bf4-shim: final checkpoint: %v\n", err)
-			}
-			store.Close()
+		// Stops the supervisor and checkpoints every healthy shard.
+		if err := fleet.Close(); err != nil {
+			fmt.Fprintf(os.Stderr, "bf4-shim: fleet close: %v\n", err)
 		}
 	}
 }

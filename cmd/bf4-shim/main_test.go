@@ -95,8 +95,11 @@ func TestTamperedSpecIsRefusedAtLoad(t *testing.T) {
 }
 
 // TestLegacyStateDirIsRefusedAtStart: -state-dir on a directory the JSON
-// persistence wrote makes bf4-shim exit 1 with one line naming the file;
+// persistence wrote, or one whose top level holds the state of a
+// single-switch shim, makes bf4-shim exit 1 with one line naming the file;
 // it neither starts empty over acknowledged state nor touches the files.
+// Each shard keeps its state in <state-dir>/<id>/; the guard refuses by
+// name and reads no file.
 func TestLegacyStateDirIsRefusedAtStart(t *testing.T) {
 	p := progs.Get("simple_nat")
 	res, err := driver.Run(p.Name, p.Source, driver.DefaultConfig())
@@ -111,21 +114,23 @@ func TestLegacyStateDirIsRefusedAtStart(t *testing.T) {
 	if err := os.WriteFile(specPath, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	legacy := filepath.Join(dir, "journal.jsonl")
-	record := `{"seq":1,"ops":[{"table":"nat","default":{"action":"drop_"}}]}` + "\n"
-	if err := os.WriteFile(legacy, []byte(record), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	code, out := runMain(t, "-spec", specPath, "-state-dir", dir, "-listen", "127.0.0.1:0")
-	msg := strings.TrimSpace(out)
-	if code != 1 || strings.Contains(msg, "\n") || !strings.HasPrefix(msg, "shim: ") || !strings.Contains(msg, legacy) {
-		t.Errorf("exit status %d, want 1 and one line starting shim: that names %s, got\n%s", code, legacy, msg)
-	}
-	if left, _ := os.ReadFile(legacy); string(left) != record {
-		t.Errorf("the refused journal was modified")
-	}
-	if names, _ := os.ReadDir(dir); len(names) != 1 {
-		t.Errorf("the refused directory now holds %d files", len(names))
+	for _, name := range []string{"journal.jsonl", "snapshot.bin", "journal.bin"} {
+		dir := t.TempDir()
+		legacy := filepath.Join(dir, name)
+		record := `{"seq":1,"ops":[{"table":"nat","default":{"action":"drop_"}}]}` + "\n"
+		if err := os.WriteFile(legacy, []byte(record), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		code, out := runMain(t, "-spec", specPath, "-state-dir", dir, "-listen", "127.0.0.1:0")
+		msg := strings.TrimSpace(out)
+		if code != 1 || strings.Contains(msg, "\n") || !strings.HasPrefix(msg, "shim: ") || !strings.Contains(msg, legacy) {
+			t.Errorf("exit status %d, want 1 and one line starting shim: that names %s, got\n%s", code, legacy, msg)
+		}
+		if left, _ := os.ReadFile(legacy); string(left) != record {
+			t.Errorf("the refused journal was modified")
+		}
+		if names, _ := os.ReadDir(dir); len(names) != 1 {
+			t.Errorf("the refused directory now holds %d files", len(names))
+		}
 	}
 }

@@ -37,11 +37,13 @@ func main() {
 	pl, _, _ := res.Final() // the fixed program (ipv4_lpm gained a validity key)
 	file := res.Spec()
 
-	sh, err := shim.New(file)
-	if err != nil {
+	// One switch is a one-shard fleet.
+	fleet := shim.NewFleet(shim.FleetConfig{})
+	defer fleet.Close()
+	if _, err := fleet.AddShard("sw0", file); err != nil {
 		log.Fatal(err)
 	}
-	srv := &p4runtime.Server{Shim: sh, Prog: pl.IR}
+	srv := &p4runtime.Server{Fleet: fleet, DefaultSwitch: "sw0", Prog: pl.IR}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)

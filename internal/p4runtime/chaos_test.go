@@ -155,27 +155,11 @@ func TestChaosConvergence(t *testing.T) {
 	// Chaos run: same workload over the wire through faultnet, with the
 	// shim journaling to a state dir.
 	stateDir := t.TempDir()
-	saveChaosArtifacts(t, stateDir)
-	sh, err := shim.New(rawSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := shim.OpenStore(stateDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sh.AttachStore(st); err != nil {
-		t.Fatal(err)
-	}
-	srv := &Server{Shim: sh, ReadTimeout: 10 * time.Second, WriteTimeout: 5 * time.Second}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve(ln)
-	defer srv.Close()
+	saveChaosArtifacts(t, filepath.Join(stateDir, "sw0"))
+	srv := &Server{ReadTimeout: 10 * time.Second, WriteTimeout: 5 * time.Second}
+	sd, addr := serve(t, rawSpec(), shim.FleetConfig{StateRoot: stateDir}, srv)
 
-	client, err := DialOptions(ln.Addr().String(), chaosClientOpts(seed, chaosFaults(seed), ln.Addr().String()))
+	client, err := DialOptions(addr, chaosClientOpts(seed, chaosFaults(seed), addr))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +188,7 @@ func TestChaosConvergence(t *testing.T) {
 		}
 	}
 
-	got, err := sh.MarshalSnapshot()
+	got, err := sd.MarshalSnapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,21 +196,14 @@ func TestChaosConvergence(t *testing.T) {
 		t.Fatalf("chaos run diverged from fault-free run:\nwant %s\ngot  %s", want, got)
 	}
 
-	// Simulated kill -9: no Close, no Checkpoint. A fresh shim restored
-	// from the state dir matches without any controller replay.
-	sh2, err := shim.New(rawSpec())
-	if err != nil {
+	// Simulated kill -9: the incarnation is fenced, no Close, no
+	// Checkpoint. The shard restored from its state dir matches without
+	// any controller replay.
+	sd.Kill()
+	if err := srv.Fleet.RestoreNow("sw0"); err != nil {
 		t.Fatal(err)
 	}
-	st2, err := shim.OpenStore(stateDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sh2.AttachStore(st2); err != nil {
-		t.Fatal(err)
-	}
-	defer st2.Close()
-	restored, err := sh2.MarshalSnapshot()
+	restored, err := sd.MarshalSnapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,18 +234,8 @@ func canonicalEntries(snap *dataplane.Snapshot) map[string][]string {
 func TestChaosRaceSoak(t *testing.T) {
 	seed := chaosSeed(t)
 	prog, file := natProgram(t)
-	sh, err := shim.New(file)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := &Server{Shim: sh, Prog: prog, ReadTimeout: 10 * time.Second, WriteTimeout: 5 * time.Second}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve(ln)
-	defer srv.Close()
-	addr := ln.Addr().String()
+	srv := &Server{Prog: prog, ReadTimeout: 10 * time.Second, WriteTimeout: 5 * time.Second}
+	sd, addr := serve(t, file, shim.FleetConfig{}, srv)
 
 	const clients = 6
 	const perClient = 8
@@ -334,7 +301,7 @@ func TestChaosRaceSoak(t *testing.T) {
 			}
 		}
 	}
-	got := canonicalEntries(sh.Snapshot())
+	got := canonicalEntries(sd.Snapshot())
 	want := canonicalEntries(ref.Snapshot())
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("soak shadow state diverged:\ngot  %v\nwant %v", got, want)

@@ -3,7 +3,6 @@ package p4runtime
 import (
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -17,7 +16,7 @@ import (
 )
 
 // TestChaosMetricsScrape runs the concurrent chaos workload with a
-// metrics registry attached to both the shim and the server, while a
+// metrics registry attached to both the fleet and the server, while a
 // scraper hits /metrics and /metrics.json mid-flight — the exact
 // deployment shape of bf4-shim -obs-addr. Under -race this proves the
 // exposition path (which snapshots histograms bucket by bucket) is safe
@@ -26,21 +25,10 @@ import (
 func TestChaosMetricsScrape(t *testing.T) {
 	seed := chaosSeed(t)
 	prog, file := natProgram(t)
-	sh, err := shim.New(file)
-	if err != nil {
-		t.Fatal(err)
-	}
 	reg := obs.NewRegistry()
-	sh.SetObs(reg)
-	srv := &Server{Shim: sh, Prog: prog, Obs: reg,
+	srv := &Server{Prog: prog, Obs: reg,
 		ReadTimeout: 10 * time.Second, WriteTimeout: 5 * time.Second}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve(ln)
-	defer srv.Close()
-	addr := ln.Addr().String()
+	sd, addr := serve(t, file, shim.FleetConfig{Obs: reg}, srv)
 
 	web := httptest.NewServer(obs.NewMux(reg))
 	defer web.Close()
@@ -121,7 +109,7 @@ func TestChaosMetricsScrape(t *testing.T) {
 	scraperWG.Wait()
 
 	// The exported counters must agree with the shim's own ledger.
-	st := sh.Stats()
+	st := sd.Stats()
 	if got := reg.CounterValue("bf4_shim_updates_validated_total"); got != int64(st.Validated) {
 		t.Errorf("validated counter = %d, shim says %d", got, st.Validated)
 	}

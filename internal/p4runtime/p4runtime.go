@@ -1,6 +1,7 @@
 // Package p4runtime implements a minimal P4Runtime-flavoured control
 // protocol over TCP with newline-delimited JSON framing. The server
-// embeds bf4's sanitization shim (paper §4.4): every table write is
+// fronts bf4's sanitization shim (paper §4.4) as a fleet, one shard per
+// switch and a single switch as a one-shard fleet: every table write is
 // validated against the inferred controller assertions before it reaches
 // the (simulated) dataplane; rejected updates return an exception to the
 // controller, exactly the failure mode the paper argues controllers
@@ -79,8 +80,8 @@ type Request struct {
 	// Client identifies the sender for idempotent retries: the shim
 	// dedups mutations on (client, id).
 	Client string `json:"client,omitempty"`
-	// Switch routes the request to one shard of a fleet server. Empty
-	// selects the server's DefaultSwitch (or the single embedded shim).
+	// Switch routes the request to one shard of the server's fleet. Empty
+	// selects the server's DefaultSwitch.
 	Switch string            `json:"switch,omitempty"`
 	Type   string            `json:"type"` // insert | set_default | validate | batch | packet | stats | health
 	Table  string            `json:"table,omitempty"`
@@ -201,22 +202,12 @@ func EncodeEntry(e *dataplane.Entry) *EntryMsg {
 	return m
 }
 
-// shimLike is the validation surface dispatch runs against: either one
-// embedded *shim.Shim or one *shim.Shard of a fleet.
-type shimLike interface {
-	Validate(*shim.Update) error
-	ApplyWithKey(string, *shim.Update) error
-	ApplyBatchWithKey(string, []*shim.Update) error
-	Snapshot() *dataplane.Snapshot
-	Stats() shim.Stats
-}
-
 // Server runs the shim behind the wire protocol.
 type Server struct {
-	Shim *shim.Shim
-	// Fleet, when set, serves many switches: requests route to the shard
-	// named by their Switch field (DefaultSwitch when empty) and Shim is
-	// ignored. Shard-down failures return retryable error responses.
+	// Fleet serves the switches (a single switch is a one-shard fleet):
+	// requests route to the shard named by their Switch field
+	// (DefaultSwitch when empty). Shard-down failures return retryable
+	// error responses. Serve refuses to start without a fleet.
 	Fleet *shim.Fleet
 	// DefaultSwitch names the shard for requests that omit Switch.
 	DefaultSwitch string
@@ -238,8 +229,8 @@ type Server struct {
 	// Obs, when non-nil, publishes server metrics: request counts and
 	// latency (bf4_p4rt_requests_total, bf4_p4rt_request_errors_total,
 	// bf4_p4rt_request_ns) and the live connection gauge
-	// (bf4_p4rt_connections). Attach the same registry to Shim via
-	// SetObs for the full picture. All obs calls are nil-safe.
+	// (bf4_p4rt_connections). Give the fleet the same registry
+	// (FleetConfig.Obs) for the full picture. All obs calls are nil-safe.
 	Obs *obs.Registry
 	// met holds the handles of those metrics, looked up once per Serve.
 	met struct {
@@ -291,6 +282,9 @@ func (s *Server) closing() bool {
 // Serve accepts connections until the listener closes. After Shutdown it
 // returns nil.
 func (s *Server) Serve(ln net.Listener) error {
+	if s.Fleet == nil {
+		return errors.New("p4runtime: server has no fleet to serve")
+	}
 	s.mu.Lock()
 	s.ln = ln
 	if s.conns == nil {
@@ -484,12 +478,9 @@ func dedupKey(req *Request) string {
 	return req.Client + ":" + strconv.FormatInt(req.ID, 10)
 }
 
-// target resolves the shim a request runs against: the named (or
-// default) fleet shard, or the single embedded shim.
-func (s *Server) target(req *Request) (shimLike, error) {
-	if s.Fleet == nil {
-		return s.Shim, nil
-	}
+// target resolves the fleet shard a request runs against: the named one,
+// or the default.
+func (s *Server) target(req *Request) (*shim.Shard, error) {
 	id := req.Switch
 	if id == "" {
 		id = s.DefaultSwitch
@@ -517,46 +508,27 @@ func (s *Server) dispatch(req *Request) *Response {
 	}
 	if req.Type == "health" {
 		resp.OK = true
-		if s.Fleet != nil {
-			resp.Shards = s.Fleet.Health()
-		}
+		resp.Shards = s.Fleet.Health()
 		return resp
 	}
-	sh, terr := s.target(req)
+	sd, terr := s.target(req)
 	if terr != nil {
 		return fail(terr)
 	}
 	switch req.Type {
-	case "insert", "validate":
-		if req.Entry == nil {
-			return fail(fmt.Errorf("p4runtime: missing entry"))
+	case "insert", "validate", "set_default":
+		op := req.Type
+		if op == "validate" {
+			op = "insert"
 		}
-		e, err := DecodeEntry(req.Entry)
-		if err != nil {
-			return fail(err)
+		u, err := decodeUpdate(-1, op, req.Table, req.Entry)
+		if err == nil {
+			if req.Type == "validate" {
+				err = sd.Validate(u)
+			} else {
+				err = sd.ApplyWithKey(dedupKey(req), u)
+			}
 		}
-		u := &shim.Update{Table: req.Table, Entry: e}
-		if req.Type == "insert" {
-			err = sh.ApplyWithKey(dedupKey(req), u)
-		} else {
-			err = sh.Validate(u)
-		}
-		if err != nil {
-			return fail(err)
-		}
-		resp.OK = true
-	case "set_default":
-		if req.Entry == nil {
-			return fail(fmt.Errorf("p4runtime: missing entry"))
-		}
-		e, err := DecodeEntry(req.Entry)
-		if err != nil {
-			return fail(err)
-		}
-		err = sh.ApplyWithKey(dedupKey(req), &shim.Update{
-			Table:      req.Table,
-			SetDefault: &dataplane.DefaultAction{Action: e.Action, Params: e.Params},
-		})
 		if err != nil {
 			return fail(err)
 		}
@@ -567,25 +539,13 @@ func (s *Server) dispatch(req *Request) *Response {
 		}
 		updates := make([]*shim.Update, 0, len(req.Update))
 		for i, um := range req.Update {
-			if um.Entry == nil {
-				return fail(fmt.Errorf("p4runtime: batch update %d missing entry", i))
-			}
-			e, err := DecodeEntry(um.Entry)
+			u, err := decodeUpdate(i, um.Op, um.Table, um.Entry)
 			if err != nil {
-				return fail(fmt.Errorf("p4runtime: batch update %d: %w", i, err))
-			}
-			u := &shim.Update{Table: um.Table}
-			switch um.Op {
-			case "insert":
-				u.Entry = e
-			case "set_default":
-				u.SetDefault = &dataplane.DefaultAction{Action: e.Action, Params: e.Params}
-			default:
-				return fail(fmt.Errorf("p4runtime: batch update %d has unknown op %q", i, um.Op))
+				return fail(err)
 			}
 			updates = append(updates, u)
 		}
-		if err := sh.ApplyBatchWithKey(dedupKey(req), updates); err != nil {
+		if err := sd.ApplyBatchWithKey(dedupKey(req), updates); err != nil {
 			var be *shim.BatchError
 			if errors.As(err, &be) {
 				idx := be.Index
@@ -606,9 +566,9 @@ func (s *Server) dispatch(req *Request) *Response {
 			}
 			pkt[name] = v
 		}
-		snap := sh.Snapshot()
+		snap := sd.Snapshot()
 		if snap == nil {
-			return fail(&shim.ShardDownError{ID: req.Switch, Reason: "no live shadow snapshot"})
+			return fail(&shim.ShardDownError{ID: sd.ID(), State: sd.State(), Reason: "no live shadow snapshot"})
 		}
 		interp := &dataplane.Interp{P: s.Prog, Snapshot: snap, Inputs: pkt}
 		tr, err := interp.Run()
@@ -623,7 +583,7 @@ func (s *Server) dispatch(req *Request) *Response {
 			resp.BugKind = tr.Terminal.Bug.String()
 		}
 	case "stats":
-		st := sh.Stats()
+		st := sd.Stats()
 		resp.OK = true
 		resp.Validated = st.Validated
 		resp.Rejected = st.Rejected
@@ -631,6 +591,32 @@ func (s *Server) dispatch(req *Request) *Response {
 		return fail(fmt.Errorf("p4runtime: unknown request type %q", req.Type))
 	}
 	return resp
+}
+
+// decodeUpdate turns one wire write into a shim update; op is "insert" or
+// "set_default". i is the write's place in a batch, -1 outside one, and
+// words the errors only.
+func decodeUpdate(i int, op, table string, m *EntryMsg) (*shim.Update, error) {
+	if m == nil {
+		if i < 0 {
+			return nil, errors.New("p4runtime: missing entry")
+		}
+		return nil, fmt.Errorf("p4runtime: batch update %d missing entry", i)
+	}
+	e, err := DecodeEntry(m)
+	if err != nil {
+		if i < 0 {
+			return nil, err
+		}
+		return nil, fmt.Errorf("p4runtime: batch update %d: %w", i, err)
+	}
+	switch op {
+	case "insert":
+		return &shim.Update{Table: table, Entry: e}, nil
+	case "set_default":
+		return &shim.Update{Table: table, SetDefault: &dataplane.DefaultAction{Action: e.Action, Params: e.Params}}, nil
+	}
+	return nil, fmt.Errorf("p4runtime: batch update %d has unknown op %q", i, op)
 }
 
 // Options tunes the client's resilience behavior. The zero value gives
@@ -790,9 +776,6 @@ func (c *Client) roundTrip(req *Request) (*Response, error) {
 			c.backoff(attempt)
 		}
 		if c.conn == nil {
-			if c.opts.Dialer == nil {
-				break
-			}
 			conn, err := c.opts.Dialer()
 			if err != nil {
 				lastErr = err
@@ -805,8 +788,7 @@ func (c *Client) roundTrip(req *Request) (*Response, error) {
 			if !resp.OK && resp.Retryable && attempt+1 < c.opts.MaxAttempts {
 				// Transient server-side failure (shard down/restoring):
 				// back off and resend the same request — the idempotency
-				// key makes the retry at-most-once even if the first
-				// attempt was queued and later applied.
+				// key makes the retry at-most-once.
 				lastErr = fmt.Errorf("p4runtime: retryable: %s", resp.Error)
 				continue
 			}
@@ -815,9 +797,6 @@ func (c *Client) roundTrip(req *Request) (*Response, error) {
 		lastErr = err
 		c.conn.Close()
 		c.conn = nil
-		if c.opts.Dialer == nil {
-			break
-		}
 	}
 	return nil, fmt.Errorf("p4runtime: %s request failed after %d attempts: %w",
 		req.Type, c.opts.MaxAttempts, lastErr)
@@ -968,8 +947,7 @@ func (c *Client) SendPacket(fields map[string]int64) (*PacketResult, error) {
 }
 
 // Health fetches the server's per-shard lifecycle states (switch id →
-// "healthy" | "restoring" | "down"). A single-shim server returns an
-// empty map.
+// "healthy" | "restoring" | "down").
 func (c *Client) Health() (map[string]string, error) {
 	resp, err := c.roundTrip(&Request{Type: "health"})
 	if err != nil {

@@ -71,7 +71,7 @@ V1Switch(P(), Ing(), Eg(), Dep()) main;
 
 // natProgram compiles the NAT example and returns its IR plus the
 // inferred spec, shared by the protocol and chaos tests.
-func natProgram(t *testing.T) (*ir.Program, *spec.File) {
+func natProgram(t testing.TB) (*ir.Program, *spec.File) {
 	t.Helper()
 	res, err := driver.Run("simple_nat", natSrc, driver.DefaultConfig())
 	if err != nil {
@@ -81,33 +81,43 @@ func natProgram(t *testing.T) (*ir.Program, *spec.File) {
 	return pl.IR, res.Spec()
 }
 
-func startServer(t *testing.T) (*Client, func()) {
+// serve starts srv in front of a one-shard fleet of cfg: shard "sw0",
+// the default switch, over file. The server and the fleet stop when the
+// test ends; serve returns the shard and the server's address.
+func serve(t *testing.T, file *spec.File, cfg shim.FleetConfig, srv *Server) (*shim.Shard, string) {
 	t.Helper()
-	prog, file := natProgram(t)
-	sh, err := shim.New(file)
+	fleet := shim.NewFleet(cfg)
+	t.Cleanup(func() { fleet.Close() })
+	sd, err := fleet.AddShard("sw0", file)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := &Server{Shim: sh, Prog: prog}
+	srv.Fleet, srv.DefaultSwitch = fleet, "sw0"
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var wg sync.WaitGroup
-	wg.Add(1)
+	done := make(chan struct{})
 	go func() {
-		defer wg.Done()
+		defer close(done)
 		srv.Serve(ln)
 	}()
-	client, err := Dial(ln.Addr().String())
+	t.Cleanup(func() {
+		srv.Close()
+		<-done
+	})
+	return sd, ln.Addr().String()
+}
+
+func startServer(t *testing.T) (*Client, func()) {
+	t.Helper()
+	prog, file := natProgram(t)
+	_, addr := serve(t, file, shim.FleetConfig{}, &Server{Prog: prog})
+	client, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return client, func() {
-		client.Close()
-		srv.Close()
-		wg.Wait()
-	}
+	return client, func() { client.Close() }
 }
 
 func TestInsertAndPacket(t *testing.T) {
@@ -158,18 +168,8 @@ func TestPacketReportsUnlistedAction(t *testing.T) {
 	prog, file := natProgram(t)
 	nat := file.Table("nat")
 	nat.Actions = append(nat.Actions, &spec.ActionSchema{Name: "nat_hit_v2", Index: len(nat.Actions)})
-	sh, err := shim.New(file)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := &Server{Shim: sh, Prog: prog}
-	go srv.Serve(ln)
-	defer srv.Close()
-	client, err := Dial(ln.Addr().String())
+	_, addr := serve(t, file, shim.FleetConfig{}, &Server{Prog: prog})
+	client, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,5 +283,23 @@ func TestEntryCodecRoundTrip(t *testing.T) {
 	}
 	if e2.Keys[2].PrefixLen != 8 || e2.Keys[1].Mask.Int64() != 0xFF {
 		t.Fatalf("key details lost: %+v", e2.Keys)
+	}
+}
+
+// TestPacketToDownDefaultShardNamesIt: a packet that relies on the
+// default switch, sent while that shard is down, is refused as retryable
+// with the resolved shard's id and state, not an empty name.
+func TestPacketToDownDefaultShardNamesIt(t *testing.T) {
+	prog, file := natProgram(t)
+	sd, addr := serve(t, file, shim.FleetConfig{}, &Server{Prog: prog})
+	sd.Kill()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	resp := roundTripRaw(t, conn, `{"id":1,"type":"packet","packet":{"hdr.ethernet.etherType":"2048"}}`)
+	if resp.OK || !resp.Retryable || !strings.Contains(resp.Error, "shard sw0 unavailable (down)") {
+		t.Fatalf("packet to a down default shard: %+v, want a retryable refusal naming sw0", resp)
 	}
 }

@@ -32,23 +32,14 @@ func rawSpec() *spec.File {
 
 // newRawServer runs a server over a trivial single-table spec for
 // protocol-level testing.
-func newRawServer(t *testing.T, cfg func(*Server)) (*Server, *shim.Shim, string) {
+func newRawServer(t *testing.T, cfg func(*Server)) (*Server, *shim.Shard, string) {
 	t.Helper()
-	sh, err := shim.New(rawSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := &Server{Shim: sh}
+	srv := &Server{}
 	if cfg != nil {
 		cfg(srv)
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve(ln)
-	t.Cleanup(func() { srv.Close() })
-	return srv, sh, ln.Addr().String()
+	sd, addr := serve(t, rawSpec(), shim.FleetConfig{}, srv)
+	return srv, sd, addr
 }
 
 func startRawServer(t *testing.T) (net.Conn, func()) {

@@ -7,3 +7,6 @@ const FrameHeader = frameHeader
 var SealFrame = sealFrame
 
 func JournalHeader(program string) []byte { return fileHeader(journalMagic, program) }
+
+// LiveShim is the shard's current incarnation (nil while it is down).
+func (sd *Shard) LiveShim() *Shim { return sd.currentShim() }

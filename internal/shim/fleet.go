@@ -2,6 +2,7 @@ package shim
 
 import (
 	"fmt"
+	"os"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -22,10 +23,9 @@ import (
 // Availability is per shard. A shard dies (crash, wedged operation) and
 // only its switch degrades; a supervisor notices via deadline-based
 // health checks, fences the dead incarnation, and restores the shard
-// from its snapshot+journal. While a shard is down the fleet is in one
-// of two configurable degraded modes: reject (fail fast with a
-// retryable error) or queue (park writes, bounded, and replay them in
-// arrival order the moment restore completes).
+// from its snapshot+journal. While a shard is down, or wedged past
+// OpWait, every operation on it fails fast with a retryable
+// ShardDownError; the controller backs off and retries.
 //
 // The exactly-once story under failover: a mutation is journaled before
 // it is committed to memory, so the on-disk journal is the authority.
@@ -35,36 +35,6 @@ import (
 // carry idempotency keys and the dedup window is persisted, so a
 // controller retrying across a restore gets the recorded outcome
 // instead of a double-apply.
-
-// OnShardDown selects the fleet's degraded mode while a shard restores.
-type OnShardDown int
-
-const (
-	// DownReject fails writes to a down shard immediately with a
-	// retryable ShardDownError.
-	DownReject OnShardDown = iota
-	// DownQueue parks writes to a down shard (bounded) and replays them
-	// in arrival order once restore completes.
-	DownQueue
-)
-
-// ParseOnShardDown parses the -on-shard-down flag value.
-func ParseOnShardDown(s string) (OnShardDown, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "", "reject":
-		return DownReject, nil
-	case "queue":
-		return DownQueue, nil
-	}
-	return DownReject, fmt.Errorf("shim: unknown on-shard-down mode %q (want reject|queue)", s)
-}
-
-func (m OnShardDown) String() string {
-	if m == DownQueue {
-		return "queue"
-	}
-	return "reject"
-}
 
 // ShardState is one point in a shard's lifecycle.
 type ShardState int32
@@ -108,8 +78,6 @@ type FleetConfig struct {
 	// StateRoot, when set, persists each shard under
 	// <StateRoot>/<sanitized shard id>/.
 	StateRoot string
-	// OnShardDown selects the degraded mode (default DownReject).
-	OnShardDown OnShardDown
 	// HealthInterval is the supervisor tick (default 250ms).
 	HealthInterval time.Duration
 	// HealthDeadline declares a shard wedged when one operation has held
@@ -118,9 +86,6 @@ type FleetConfig struct {
 	// OpWait bounds how long an operation waits for a shard's lock
 	// before treating the shard as unavailable (default 5s).
 	OpWait time.Duration
-	// QueueWait bounds how long a queued write waits for restore in
-	// DownQueue mode (default 30s).
-	QueueWait time.Duration
 	// CompactEvery overrides the per-shard journal compaction threshold
 	// (0 keeps the store default).
 	CompactEvery int
@@ -154,16 +119,6 @@ func (c *FleetConfig) opWait() time.Duration {
 	return 5 * time.Second
 }
 
-func (c *FleetConfig) queueWait() time.Duration {
-	if c.QueueWait > 0 {
-		return c.QueueWait
-	}
-	return 30 * time.Second
-}
-
-// queueLimit bounds the per-shard degraded queue.
-const queueLimit = 1024
-
 // Fleet multiplexes shards and runs their supervisor.
 type Fleet struct {
 	cfg   FleetConfig
@@ -180,7 +135,6 @@ type Fleet struct {
 	// Fleet-wide metrics (nil-safe).
 	restoresTotal *obs.Counter
 	degradedTotal *obs.Counter
-	replayedTotal *obs.Counter
 	shardsGauge   *obs.Gauge
 	downGauge     *obs.Gauge
 }
@@ -191,7 +145,6 @@ type Fleet struct {
 //	bf4_fleet_shards_down                     shards not currently healthy
 //	bf4_fleet_restores_total                  shard restores (all shards)
 //	bf4_fleet_degraded_rejections_total       writes refused while degraded
-//	bf4_fleet_replayed_batches_total          queued writes replayed after restore
 //	bf4_fleet_annotation_compiles_total       programs compiled (cache misses)
 //	bf4_fleet_annotation_cache_hits_total     compiles avoided by the cache
 //
@@ -199,7 +152,6 @@ type Fleet struct {
 //
 //	bf4_fleet_shard_restores_total{shard="id"}
 //	bf4_fleet_shard_degraded_rejections_total{shard="id"}
-//	bf4_fleet_shard_replayed_total{shard="id"}
 //	bf4_fleet_shard_journal_lag{shard="id"}
 func NewFleet(cfg FleetConfig) *Fleet {
 	cache := cfg.Cache
@@ -213,7 +165,6 @@ func NewFleet(cfg FleetConfig) *Fleet {
 		stop:          make(chan struct{}),
 		restoresTotal: cfg.Obs.Counter("bf4_fleet_restores_total"),
 		degradedTotal: cfg.Obs.Counter("bf4_fleet_degraded_rejections_total"),
-		replayedTotal: cfg.Obs.Counter("bf4_fleet_replayed_batches_total"),
 		shardsGauge:   cfg.Obs.Gauge("bf4_fleet_shards"),
 		downGauge:     cfg.Obs.Gauge("bf4_fleet_shards_down"),
 	}
@@ -247,6 +198,19 @@ func (f *Fleet) AddShard(id string, file *spec.File) (*Shard, error) {
 	if id == "" {
 		return nil, fmt.Errorf("shim: empty shard id")
 	}
+	var dir string
+	if root := f.cfg.StateRoot; root != "" {
+		dir = filepath.Join(root, sanitizeShardID(id))
+		// The root's top level holds shard directories only. A state file
+		// there is a single-switch shim's: a shard starting empty beside it
+		// would drop acknowledged state.
+		for _, name := range append([]string{snapshotName, journalName}, legacyNames...) {
+			if _, err := os.Lstat(filepath.Join(root, name)); err == nil {
+				return nil, fmt.Errorf("shim: %s sits at the top level of the state directory, where only shard directories belong; move it into %s%c to keep its state",
+					filepath.Join(root, name), dir, filepath.Separator)
+			}
+		}
+	}
 	cp, fp, err := f.cache.Get(file)
 	if err != nil {
 		return nil, err
@@ -263,14 +227,11 @@ func (f *Fleet) AddShard(id string, file *spec.File) (*Shard, error) {
 		id:    id,
 		fp:    fp,
 		cp:    cp,
-	}
-	if f.cfg.StateRoot != "" {
-		sd.dir = filepath.Join(f.cfg.StateRoot, sanitizeShardID(id))
+		dir:   dir,
 	}
 	reg := f.cfg.Obs
 	sd.restores = reg.Counter(obs.LabeledName("bf4_fleet_shard_restores_total", "shard", id))
 	sd.degraded = reg.Counter(obs.LabeledName("bf4_fleet_shard_degraded_rejections_total", "shard", id))
-	sd.replayed = reg.Counter(obs.LabeledName("bf4_fleet_shard_replayed_total", "shard", id))
 	sd.lagGauge = reg.Gauge(obs.LabeledName("bf4_fleet_shard_journal_lag", "shard", id))
 
 	if err := sd.restore(true); err != nil {

@@ -263,42 +263,31 @@ func TestFleetDegradedModes(t *testing.T) {
 			t.Fatalf("degraded rejection counter = %d, want 1", got)
 		}
 	})
-	t.Run("queue", func(t *testing.T) {
-		reg := obs.NewRegistry()
-		f := testFleet(t, FleetConfig{
-			StateRoot:   t.TempDir(),
-			NoSync:      true,
-			Obs:         reg,
-			OnShardDown: DownQueue,
-			QueueWait:   5 * time.Second,
-		})
-		sd, err := f.AddShard("sw0", tinySpec())
-		if err != nil {
+}
+
+// TestAddShardRefusesTopLevelState: a state root holding a single-switch
+// shim's state files at its top level is refused by name, before the
+// shard's directory is created beside them.
+func TestAddShardRefusesTopLevelState(t *testing.T) {
+	for _, name := range []string{"snapshot.bin", "journal.bin", "snapshot.json", "journal.jsonl"} {
+		root := t.TempDir()
+		path := filepath.Join(root, name)
+		if err := os.WriteFile(path, []byte("acknowledged"), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		sd.Kill()
-		res := make(chan error, 1)
-		go func() { res <- sd.ApplyWithKey("q:1", insertT(1, "NoAction")) }()
-		// The write parks; restore must drain it.
-		time.Sleep(20 * time.Millisecond)
-		select {
-		case err := <-res:
-			t.Fatalf("queued write returned before restore: %v", err)
-		default:
+		f := testFleet(t, FleetConfig{StateRoot: root, NoSync: true})
+		_, err := f.AddShard("sw0", tinySpec())
+		if err == nil || !strings.HasPrefix(err.Error(), "shim: ") || !strings.Contains(err.Error(), path) ||
+			!strings.Contains(err.Error(), filepath.Join(root, "sw0")) {
+			t.Errorf("%s: AddShard = %v, want a refusal naming %s and %s", name, err, path, filepath.Join(root, "sw0"))
 		}
-		if err := f.RestoreNow("sw0"); err != nil {
-			t.Fatal(err)
+		if _, err := os.Stat(filepath.Join(root, "sw0")); !os.IsNotExist(err) {
+			t.Errorf("%s: the refused shard's directory was created (%v)", name, err)
 		}
-		if err := <-res; err != nil {
-			t.Fatalf("queued write failed after restore: %v", err)
+		if f.Shard("sw0") != nil {
+			t.Errorf("%s: the refused shard was registered", name)
 		}
-		if got := sd.ShadowSize("t"); got != 1 {
-			t.Fatalf("queued write not applied: %d entries", got)
-		}
-		if got := reg.CounterValue("bf4_fleet_replayed_batches_total"); got != 1 {
-			t.Fatalf("replayed counter = %d, want 1", got)
-		}
-	})
+	}
 }
 
 func TestFleetSupervisorRestoresKilledShard(t *testing.T) {

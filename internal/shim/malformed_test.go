@@ -6,6 +6,7 @@ import (
 	"math/big"
 	"net"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -88,10 +89,6 @@ func TestMalformedUpdatesThroughTheChain(t *testing.T) {
 	p := progs.Get("simple_nat")
 	res, file := verifyToFile(t, p.Name, p.Source, driver.DefaultConfig())
 	pl, _, _ := res.Final()
-	cp, err := shim.Compile(file)
-	if err != nil {
-		t.Fatal(err)
-	}
 	external := &shim.Update{Table: "if_info", Entry: &dataplane.Entry{
 		Keys: []dataplane.KeyMatch{dataplane.NewExact(2)}, Action: "set_if_info", Params: []*big.Int{big.NewInt(1)}}}
 	other := &shim.Update{Table: "if_info", Entry: &dataplane.Entry{
@@ -110,17 +107,20 @@ func TestMalformedUpdatesThroughTheChain(t *testing.T) {
 				name = tc.name + "/fast"
 			}
 			t.Run(name, func(t *testing.T) {
-				sh, st, err := attach(cp, t.TempDir())
+				root := t.TempDir()
+				fleet := shim.NewFleet(shim.FleetConfig{StateRoot: root, NoSync: true})
+				defer fleet.Close()
+				sd, err := fleet.AddShard("sw0", file)
 				if err != nil {
 					t.Fatal(err)
 				}
-				defer st.Close()
+				sh := sd.LiveShim()
 				sh.SetFastpath(fastpath)
 				ln, err := net.Listen("tcp", "127.0.0.1:0")
 				if err != nil {
 					t.Fatal(err)
 				}
-				srv := &p4runtime.Server{Shim: sh}
+				srv := &p4runtime.Server{Fleet: fleet, DefaultSwitch: "sw0"}
 				go srv.Serve(ln)
 				defer srv.Close()
 				client, err := p4runtime.Dial(ln.Addr().String())
@@ -139,7 +139,7 @@ func TestMalformedUpdatesThroughTheChain(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if journal, err = os.ReadFile(st.JournalPath()); err != nil {
+					if journal, err = os.ReadFile(filepath.Join(root, "sw0", "journal.bin")); err != nil {
 						t.Fatal(err)
 					}
 					for _, ts := range file.Tables {

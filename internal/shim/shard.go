@@ -1,7 +1,6 @@
 package shim
 
 import (
-	"errors"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -34,25 +33,13 @@ type Shard struct {
 	sem       chan struct{} // capacity 1; nil while down
 	state     ShardState
 	gen       int64 // incarnation counter; bumped by every fence
-	queue     []*queuedOp
 	restoring bool
 
 	// Per-shard metrics (nil-safe).
 	restores *obs.Counter
 	degraded *obs.Counter
-	replayed *obs.Counter
 	lagGauge *obs.Gauge
 }
-
-// queuedOp is one write parked in DownQueue mode.
-type queuedOp struct {
-	run  func(*Shim) error
-	done chan error
-}
-
-// errShardRecovered signals do() that the shard came back between the
-// unavailability check and the enqueue — retry against the live shim.
-var errShardRecovered = errors.New("shim: shard recovered")
 
 // ID returns the switch identifier.
 func (sd *Shard) ID() string { return sd.id }
@@ -80,7 +67,7 @@ func (sd *Shard) Validate(u *Update) error {
 func (sd *Shard) Apply(u *Update) error { return sd.ApplyWithKey("", u) }
 
 // ApplyWithKey validates and applies one update with an idempotency
-// key. Writes to a down shard follow the fleet's degraded mode.
+// key. A write to a down shard fails fast with a ShardDownError.
 func (sd *Shard) ApplyWithKey(key string, u *Update) error {
 	return sd.do(func(sh *Shim) error { return sh.ApplyWithKey(key, u) })
 }
@@ -141,28 +128,15 @@ func (sd *Shard) currentShim() *Shim {
 	return sd.sh
 }
 
-// do funnels one operation through the shard's semaphore, routing
-// around dead or wedged incarnations per the fleet's degraded mode. The
-// bounded retry loop covers the races where the shard flips state while
-// the operation is between checks.
+// do funnels one operation through the shard's semaphore. An operation
+// that finds its shard dead, wedged or fenced under it fails fast with a
+// retryable ShardDownError.
 func (sd *Shard) do(run func(*Shim) error) error {
-	for attempt := 0; attempt < 3; attempt++ {
-		err := sd.doOnce(run)
-		if err == errShardRecovered {
-			continue
-		}
-		return err
-	}
-	sd.rejectDegraded()
-	return &ShardDownError{ID: sd.id, State: sd.State(), Reason: "shard flapping"}
-}
-
-func (sd *Shard) doOnce(run func(*Shim) error) error {
 	sd.mu.Lock()
 	state, sem, gen := sd.state, sd.sem, sd.gen
 	sd.mu.Unlock()
 	if state != ShardHealthy || sem == nil {
-		return sd.degradedOp(run)
+		return sd.unavailable("no live incarnation")
 	}
 	t := time.NewTimer(sd.fleet.cfg.opWait())
 	select {
@@ -172,7 +146,7 @@ func (sd *Shard) doOnce(run func(*Shim) error) error {
 		// Lock not acquired within OpWait: wedged or overloaded. Either
 		// way the shard is unavailable to this caller; the supervisor
 		// decides whether to fail it over.
-		return sd.degradedOp(run)
+		return sd.unavailable("timed out waiting for the shard")
 	}
 	sd.opStart.Store(time.Now().UnixNano())
 	release := func() {
@@ -186,17 +160,17 @@ func (sd *Shard) doOnce(run func(*Shim) error) error {
 	sd.mu.Unlock()
 	if curState != ShardHealthy || sh == nil || curGen != gen {
 		release()
-		return sd.degradedOp(run)
+		return sd.unavailable("no live incarnation")
 	}
 	err := run(sh)
 	release()
 	if err != nil && sd.fencedSince(curGen) {
 		// The incarnation was fenced mid-operation: the error is a
 		// fencing artifact (closed journal handle), not a validation
-		// verdict. The mutation did not commit; route it through the
-		// degraded path so the retry lands on the restored incarnation
-		// (idempotency keys resolve any journaled-but-unacked ambiguity).
-		return sd.degradedOp(run)
+		// verdict. The mutation did not commit; the caller's retry lands
+		// on the restored incarnation (idempotency keys resolve any
+		// journaled-but-unacked ambiguity).
+		return sd.unavailable("fenced mid-operation")
 	}
 	sd.observeLag(sh)
 	return err
@@ -208,47 +182,12 @@ func (sd *Shard) fencedSince(gen int64) bool {
 	return sd.gen != gen
 }
 
-// degradedOp handles an operation that found its shard unavailable:
-// reject mode fails fast with a retryable error; queue mode parks the
-// operation (bounded) until restore replays it in arrival order.
-func (sd *Shard) degradedOp(run func(*Shim) error) error {
-	f := sd.fleet
-	if f.cfg.OnShardDown != DownQueue {
-		sd.rejectDegraded()
-		return &ShardDownError{ID: sd.id, State: sd.State(), Reason: "degraded mode is reject"}
-	}
-	done := make(chan error, 1)
-	sd.mu.Lock()
-	if sd.state == ShardHealthy && sd.sh != nil {
-		// Raced with a completed restore; run live instead of parking
-		// (a parked op after the drain would wait for the next restore).
-		sd.mu.Unlock()
-		return errShardRecovered
-	}
-	if len(sd.queue) >= queueLimit {
-		sd.mu.Unlock()
-		sd.rejectDegraded()
-		return &ShardDownError{ID: sd.id, State: sd.State(), Reason: "degraded queue full"}
-	}
-	sd.queue = append(sd.queue, &queuedOp{run: run, done: done})
-	sd.mu.Unlock()
-	t := time.NewTimer(f.cfg.queueWait())
-	defer t.Stop()
-	select {
-	case err := <-done:
-		return err
-	case <-t.C:
-		// The op stays parked and may still be applied by a later
-		// restore — a deliberately ambiguous outcome, resolved by the
-		// caller retrying with the same idempotency key.
-		sd.rejectDegraded()
-		return &ShardDownError{ID: sd.id, State: sd.State(), Reason: "timed out waiting for restore"}
-	}
-}
-
-func (sd *Shard) rejectDegraded() {
+// unavailable counts and returns the refusal of an operation that found its
+// shard unavailable.
+func (sd *Shard) unavailable(reason string) error {
 	sd.degraded.Inc()
 	sd.fleet.degradedTotal.Inc()
+	return &ShardDownError{ID: sd.id, State: sd.State(), Reason: reason}
 }
 
 func (sd *Shard) observeLag(sh *Shim) {
@@ -280,10 +219,8 @@ func (sd *Shard) Kill() {
 }
 
 // restore rebuilds the shard from its snapshot+journal and installs the
-// fresh incarnation, then drains any parked writes in arrival order
-// while still holding the new semaphore (per-shard ordering survives
-// failover). initial marks the AddShard bring-up, which is not counted
-// as a restore.
+// fresh incarnation. initial marks the AddShard bring-up, which is not
+// counted as a restore.
 func (sd *Shard) restore(initial bool) error {
 	sd.mu.Lock()
 	if sd.restoring || (sd.state == ShardHealthy && sd.sh != nil) {
@@ -323,27 +260,15 @@ func (sd *Shard) restore(initial bool) error {
 		}
 	}
 
-	sem := make(chan struct{}, 1)
-	sem <- struct{}{} // held until parked writes are drained
-
 	sd.mu.Lock()
-	sd.sh, sd.store, sd.sem = sh, st, sem
+	sd.sh, sd.store, sd.sem = sh, st, make(chan struct{}, 1)
 	sd.state = ShardHealthy
-	q := sd.queue
-	sd.queue = nil
 	sd.mu.Unlock()
 
 	if !initial {
 		sd.restores.Inc()
 		sd.fleet.restoresTotal.Inc()
 	}
-	for _, op := range q {
-		err := op.run(sh)
-		sd.replayed.Inc()
-		sd.fleet.replayedTotal.Inc()
-		op.done <- err
-	}
-	<-sem
 	sd.observeLag(sh)
 	return nil
 }
