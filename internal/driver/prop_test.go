@@ -26,13 +26,23 @@ func propRunFixture(t *testing.T) (src string, props []*prop.Property) {
 func TestPropsTypecheckErrors(t *testing.T) {
 	src, _ := propRunFixture(t)
 	cases := []struct{ line, frag string }{
-		{"@assert(hdr.nosuch.field == 1)", "hdr.nosuch.field"},
+		// A path's error points at its root identifier, not at the '.'
+		// where the P4 AST places a member.
+		{"@assert(hdr.nosuch.field == 1)", `bad.props:1:9: no field "hdr.nosuch.field"`},
 		{"@assert @after(nosuch) (meta.m.guard == 8w7)", "nosuch"},
 		{"@assert(hit(nosuch))", "nosuch"},
 		{"@assert(action_run(classify_0) == not_an_action)", "not_an_action"},
 		{"@assert(meta.m.guard)", "bool"},
 		{"@assert(meta.m.guard == meta.m.scratch)", "width"},
 		{"@assert(1 == 2)", "width"},
+		// Well-formed P4 that the property pass refuses.
+		{"@assert(meta.m.guard == 8w1 == 8w2)", "want bit-vectors of one width"},
+		{"@assert(hit())", "expected table name in hit(...)"},
+		{"@assert((bit<8>)meta.m.flag == 8w0)", "cast is not allowed"},
+		{"@assert(meta.m.guard << 1 == 8w0)", "operator << is not allowed"},
+		{"@assert(meta.m.guard * 2 == 8w0)", "operator * is not allowed"},
+		{"@assert(meta.m.guard == 8w1 ? true : false)", "?: is not allowed"},
+		{"@assert(hdr.ipv4[0].ttl == 8w0)", "indexing is not allowed"},
 	}
 	for _, c := range cases {
 		props, err := prop.ParseSpecFile("bad.props", []byte(c.line))

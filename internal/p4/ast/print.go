@@ -365,6 +365,8 @@ func (p *printer) stmt(s Stmt) {
 // precedence for parenthesization decisions.
 func prec(op token.Kind) int {
 	switch op {
+	case token.ARROW:
+		return 0
 	case token.OR:
 		return 1
 	case token.AND:
@@ -425,24 +427,41 @@ func (p *printer) expr(e Expr, parentPrec int) {
 			p.w("false")
 		}
 	case *UnaryExpr:
+		if parentPrec > 11 {
+			p.w("(")
+		}
 		p.w(x.Op.String())
 		p.expr(x.X, 11)
+		if parentPrec > 11 {
+			p.w(")")
+		}
 	case *BinaryExpr:
 		pr := prec(x.Op)
 		if pr < parentPrec {
 			p.w("(")
 		}
-		p.expr(x.X, pr)
+		// Every operator associates left but ->, which associates right.
+		lp, rp := pr, pr+1
+		if x.Op == token.ARROW {
+			lp, rp = pr+1, pr
+		}
+		p.expr(x.X, lp)
 		p.w(" " + x.Op.String() + " ")
-		p.expr(x.Y, pr+1)
+		p.expr(x.Y, rp)
 		if pr < parentPrec {
 			p.w(")")
 		}
 	case *CastExpr:
+		if parentPrec > 11 {
+			p.w("(")
+		}
 		p.w("(")
 		p.typ(x.Type)
 		p.w(")")
 		p.expr(x.X, 11)
+		if parentPrec > 11 {
+			p.w(")")
+		}
 	case *TernaryExpr:
 		if parentPrec > 0 {
 			p.w("(")

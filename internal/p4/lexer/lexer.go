@@ -21,8 +21,13 @@ type Lexer struct {
 }
 
 // New returns a lexer over src.
-func New(src string) *Lexer {
-	return &Lexer{src: src, line: 1, col: 1}
+func New(src string) *Lexer { return NewAt(src, token.Pos{Line: 1, Col: 1}) }
+
+// NewAt returns a lexer over src whose first byte sits at pos, for a
+// fragment embedded in a larger file (a property predicate in a comment
+// or a .props line).
+func NewAt(src string, pos token.Pos) *Lexer {
+	return &Lexer{src: src, line: pos.Line, col: pos.Col}
 }
 
 // Errors returns lexical errors encountered so far.
@@ -163,6 +168,10 @@ func (l *Lexer) Next() token.Token {
 		}
 		return mk(token.PLUS)
 	case '-':
+		if l.peek() == '>' {
+			l.advance()
+			return mk(token.ARROW)
+		}
 		return mk(token.MINUS)
 	case '=':
 		if l.peek() == '=' {

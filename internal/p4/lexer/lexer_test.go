@@ -32,10 +32,11 @@ func TestBasicTokens(t *testing.T) {
 }
 
 func TestOperators(t *testing.T) {
-	got := kinds("== != <= >= << >> && || ++ = < > & | ! ~ ^")
+	got := kinds("== != <= >= << >> && || ++ -> - > = < > & | ! ~ ^")
 	want := []token.Kind{
 		token.EQ, token.NEQ, token.LEQ, token.GEQ, token.SHL, token.SHR,
-		token.AND, token.OR, token.PLUSPLUS, token.ASSIGN, token.LANGLE,
+		token.AND, token.OR, token.PLUSPLUS, token.ARROW, token.MINUS,
+		token.RANGLE, token.ASSIGN, token.LANGLE,
 		token.RANGLE, token.AMP, token.PIPE, token.NOT, token.TILDE,
 		token.CARET, token.EOF,
 	}

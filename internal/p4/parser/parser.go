@@ -8,6 +8,7 @@ package parser
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/big"
 	"strings"
 
@@ -18,7 +19,7 @@ import (
 
 // Parse parses a complete P4 program.
 func Parse(src string) (*ast.Program, error) {
-	p := newParser(src)
+	p := newParser(lexer.New(src))
 	prog := p.parseProgram()
 	if errs := p.allErrors(); len(errs) > 0 {
 		msgs := make([]string, len(errs))
@@ -56,7 +57,33 @@ func PrefixFile(filename string, err error) error {
 
 // ParseExpr parses a single expression (used by the spec parser and tests).
 func ParseExpr(src string) (ast.Expr, error) {
-	p := newParser(src)
+	return newParser(lexer.New(src)).parseOnly()
+}
+
+// ParsePredicate parses a property predicate: a P4 expression in which
+// `a -> b` (implication) is also admitted, as a right-associative
+// BinaryExpr{Op: ARROW} binding looser than every other operator, at any
+// parenthesis level. src starts at position at of its file. Comments are
+// refused rather than skipped, so text after a predicate cannot hide in
+// one. P4 programs never admit `->`.
+func ParsePredicate(src string, at token.Pos) (ast.Expr, error) {
+	line, col := at.Line, at.Col
+	for i := 0; i < len(src); i++ {
+		if src[i] == '#' || src[i] == '/' && i+1 < len(src) && (src[i+1] == '/' || src[i+1] == '*') {
+			return nil, fmt.Errorf("%s: comment inside a property predicate", token.Pos{Line: line, Col: col})
+		}
+		if col++; src[i] == '\n' {
+			line, col = line+1, 1
+		}
+	}
+	p := newParser(lexer.NewAt(src, at))
+	p.arrows = true
+	return p.parseOnly()
+}
+
+// parseOnly parses one expression that must span the whole input and
+// returns the first error.
+func (p *parser) parseOnly() (ast.Expr, error) {
 	e := p.parseExpr()
 	if errs := p.allErrors(); len(errs) > 0 {
 		return nil, errs[0]
@@ -67,19 +94,48 @@ func ParseExpr(src string) (ast.Expr, error) {
 	return e, nil
 }
 
+// maxDepth bounds how deep the parser nests: statements inside
+// statements, expressions inside expressions, and each link of a
+// left-associative operator, member, index or call chain, all counted
+// together. Every later pass (types, IR lowering, the property pass)
+// recurses over the tree, so a bound here keeps hostile input from
+// ending in an unrecoverable stack overflow. The deepest program in the
+// corpus and the generators (switch@64 included) reaches 11, a property
+// predicate 8 (EXPERIMENTS.md E37).
+const maxDepth = 1000
+
 type parser struct {
 	lex  *lexer.Lexer
 	tok  token.Token
 	next token.Token
 	errs []error
+
+	arrows  bool // ParsePredicate: admit `->`
+	depth   int  // current nesting, bounded by maxDepth
+	tooDeep bool // maxDepth was exceeded; input skipped to EOF
 }
 
-func newParser(src string) *parser {
-	p := &parser{lex: lexer.New(src)}
+func newParser(lex *lexer.Lexer) *parser {
+	p := &parser{lex: lex}
 	p.tok = p.lex.Next()
 	p.next = p.lex.Next()
 	return p
 }
+
+// enter opens one level of nesting, closed by leave (or by lowering
+// p.depth once for a whole chain). Past maxDepth it reports one error and
+// skips the rest of the input, so every open production sees EOF and
+// returns.
+func (p *parser) enter() {
+	p.depth++
+	if p.depth > maxDepth && !p.tooDeep {
+		p.errorf(p.tok.Pos, "nesting deeper than %d", maxDepth)
+		p.tooDeep = true
+		p.skipTo()
+	}
+}
+
+func (p *parser) leave() { p.depth-- }
 
 func (p *parser) advance() {
 	p.tok = p.next
@@ -87,7 +143,7 @@ func (p *parser) advance() {
 }
 
 func (p *parser) errorf(pos token.Pos, format string, args ...interface{}) {
-	if len(p.errs) < 50 {
+	if len(p.errs) < 50 && !p.tooDeep {
 		p.errs = append(p.errs, fmt.Errorf("%s: %s", pos, fmt.Sprintf(format, args...)))
 	}
 }
@@ -261,7 +317,15 @@ func (p *parser) parseType() ast.Type {
 	case token.KwBit:
 		p.advance()
 		p.expect(token.LANGLE)
-		w := p.parseIntValue()
+		t := p.expect(token.INT)
+		_, v, err := ParseIntLit(t.Lit)
+		w := 0
+		if err == nil {
+			w, err = checkWidth(v)
+		}
+		if err != nil {
+			p.errorf(t.Pos, "%v", err)
+		}
 		p.expect(token.RANGLE)
 		return &ast.BitType{P: pos, Width: w}
 	case token.KwBool:
@@ -278,10 +342,14 @@ func (p *parser) parseType() ast.Type {
 	}
 }
 
-// parseIntValue parses a plain integer token into an int.
+// parseIntValue parses a plain integer token into an int (a table,
+// register or header-stack size).
 func (p *parser) parseIntValue() int {
 	t := p.expect(token.INT)
 	_, v, err := ParseIntLit(t.Lit)
+	if err == nil && v.Cmp(big.NewInt(math.MaxInt32)) > 0 {
+		err = fmt.Errorf("size %s out of range", t.Lit)
+	}
 	if err != nil {
 		p.errorf(t.Pos, "%v", err)
 		return 0
@@ -289,17 +357,31 @@ func (p *parser) parseIntValue() int {
 	return int(v.Int64())
 }
 
+// maxWidth is the widest bit<N> and the widest width prefix of a literal.
+const maxWidth = 4096
+
+// checkWidth admits the width of a bit<N> type or of a literal's width
+// prefix: 1..maxWidth.
+func checkWidth(w *big.Int) (int, error) {
+	if w.Sign() <= 0 || w.Cmp(big.NewInt(maxWidth)) > 0 {
+		return 0, fmt.Errorf("width %s out of range 1..%d", w, maxWidth)
+	}
+	return int(w.Int64()), nil
+}
+
 // ParseIntLit decodes a P4 integer literal: returns the declared width
-// (0 if unsized) and the magnitude. Accepted forms: 42, 0x2A, 0b101010,
-// 8w255, 9w0x1FF, 4s7, with optional underscores.
+// (0 if unsized, else 1..4096) and the magnitude. Accepted forms: 42,
+// 0x2A, 0b101010, 8w255, 9w0x1FF, 4s7, with optional underscores.
 func ParseIntLit(lit string) (width int, val *big.Int, err error) {
 	s := strings.ReplaceAll(lit, "_", "")
 	if i := strings.IndexAny(s, "ws"); i > 0 && !strings.HasPrefix(s, "0x") && !strings.HasPrefix(s, "0X") && !strings.HasPrefix(s, "0b") && !strings.HasPrefix(s, "0B") {
-		w := new(big.Int)
-		if _, ok := w.SetString(s[:i], 10); !ok {
+		w, ok := new(big.Int).SetString(s[:i], 10)
+		if !ok {
 			return 0, nil, fmt.Errorf("bad width in literal %q", lit)
 		}
-		width = int(w.Int64())
+		if width, err = checkWidth(w); err != nil {
+			return 0, nil, fmt.Errorf("literal %q: %v", lit, err)
+		}
 		s = s[i+1:]
 	}
 	val = new(big.Int)
@@ -759,6 +841,8 @@ func (p *parser) parseStmtOrBlock() *ast.BlockStmt {
 }
 
 func (p *parser) parseStmt() ast.Stmt {
+	p.enter()
+	defer p.leave()
 	pos := p.tok.Pos
 	switch p.tok.Kind {
 	case token.LBRACE:
@@ -909,7 +993,15 @@ func binaryPrec(k token.Kind) int {
 }
 
 func (p *parser) parseExpr() ast.Expr {
-	return p.parseTernary()
+	p.enter()
+	defer p.leave()
+	e := p.parseTernary()
+	if p.arrows && p.tok.Kind == token.ARROW {
+		pos := p.tok.Pos
+		p.advance()
+		e = &ast.BinaryExpr{P: pos, Op: token.ARROW, X: e, Y: p.parseExpr()}
+	}
+	return e
 }
 
 func (p *parser) parseTernary() ast.Expr {
@@ -927,20 +1019,24 @@ func (p *parser) parseTernary() ast.Expr {
 
 func (p *parser) parseBinary(minPrec int) ast.Expr {
 	lhs := p.parseUnary()
-	for {
+	for links := 0; ; links++ {
 		prec := binaryPrec(p.tok.Kind)
 		if prec == 0 || prec < minPrec {
+			p.depth -= links
 			return lhs
 		}
 		op := p.tok.Kind
 		pos := p.tok.Pos
 		p.advance()
+		p.enter() // each link of a left-associative chain deepens the tree
 		rhs := p.parseBinary(prec + 1)
 		lhs = &ast.BinaryExpr{P: pos, Op: op, X: lhs, Y: rhs}
 	}
 }
 
 func (p *parser) parseUnary() ast.Expr {
+	p.enter()
+	defer p.leave()
 	pos := p.tok.Pos
 	switch p.tok.Kind {
 	case token.MINUS, token.TILDE, token.NOT:
@@ -996,8 +1092,15 @@ func (p *parser) parsePrimary() ast.Expr {
 }
 
 func (p *parser) parsePostfix(e ast.Expr) ast.Expr {
-	for {
+	for links := 0; ; links++ {
 		pos := p.tok.Pos
+		switch p.tok.Kind {
+		case token.DOT, token.LBRACKET, token.LPAREN:
+			p.enter() // as in parseBinary
+		default:
+			p.depth -= links
+			return e
+		}
 		switch p.tok.Kind {
 		case token.DOT:
 			p.advance()
@@ -1030,8 +1133,6 @@ func (p *parser) parsePostfix(e ast.Expr) ast.Expr {
 			}
 			p.expect(token.RPAREN)
 			e = call
-		default:
-			return e
 		}
 	}
 }

@@ -1,10 +1,12 @@
 package parser
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"bf4/internal/p4/ast"
+	"bf4/internal/p4/token"
 )
 
 // miniNAT is a condensed version of the paper's running example
@@ -226,6 +228,7 @@ func TestIntLitForms(t *testing.T) {
 		{"1w0b1", 1, 1},
 		{"4s7", 4, 7},
 		{"32w0xdead_beef", 32, 0xdeadbeef},
+		{"4096w1", 4096, 1},
 	}
 	for _, c := range cases {
 		e, err := ParseExpr(c.src)
@@ -241,6 +244,24 @@ func TestIntLitForms(t *testing.T) {
 		if lit.Width != c.width || lit.Val.Int64() != c.val {
 			t.Errorf("%q: got width=%d val=%d, want %d/%d", c.src, lit.Width, lit.Val.Int64(), c.width, c.val)
 		}
+	}
+	// A width is 1..4096, in a literal and in bit<N> alike; it never wraps
+	// and a zero width is not "unsized".
+	for _, src := range []string{"99999999999999999999w1", "0w1", "4097w1", "0s1"} {
+		if _, err := ParseExpr(src); err == nil || !strings.HasPrefix(err.Error(), "1:1: ") {
+			t.Errorf("%q: got %v, want a 1:1: width error", src, err)
+		}
+	}
+	for _, w := range []string{"0", "4097", "99999999999999999999"} {
+		_, err := Parse("header h_t { bit<" + w + "> f; }")
+		if err == nil || !strings.HasPrefix(err.Error(), "1:18: ") {
+			t.Errorf("bit<%s>: got %v, want a 1:18: width error", w, err)
+		}
+	}
+	// A size does not wrap either.
+	_, err := Parse("control c() { table t { size = 99999999999999999999; } apply { } }")
+	if err == nil || !strings.HasPrefix(err.Error(), "1:32: size") {
+		t.Errorf("size = 99999999999999999999: got %v, want a 1:32: size error", err)
 	}
 }
 
@@ -267,6 +288,130 @@ func TestExprPrecedence(t *testing.T) {
 	}
 	if ast.PrintExpr(e2) != ast.PrintExpr(e) {
 		t.Fatalf("round trip: %q vs %q", ast.PrintExpr(e2), ast.PrintExpr(e))
+	}
+}
+
+// shape renders e with every operator node parenthesized and without
+// positions: two trees are the same exactly when their shapes are.
+func shape(e ast.Expr) string {
+	switch x := e.(type) {
+	case *ast.Ident:
+		return x.Name
+	case *ast.Member:
+		return shape(x.X) + "." + x.Name
+	case *ast.IndexExpr:
+		return shape(x.X) + "[" + shape(x.Index) + "]"
+	case *ast.CallExpr:
+		args := make([]string, len(x.Args))
+		for i, a := range x.Args {
+			args[i] = shape(a)
+		}
+		return shape(x.Fun) + "(" + strings.Join(args, ", ") + ")"
+	case *ast.IntLit:
+		if x.Width > 0 {
+			return fmt.Sprintf("%dw%s", x.Width, x.Val)
+		}
+		return x.Val.String()
+	case *ast.UnaryExpr:
+		return "(" + x.Op.String() + shape(x.X) + ")"
+	case *ast.BinaryExpr:
+		return "(" + shape(x.X) + " " + x.Op.String() + " " + shape(x.Y) + ")"
+	case *ast.CastExpr:
+		return "((" + ast.PrintType(x.Type) + ")" + shape(x.X) + ")"
+	case *ast.TernaryExpr:
+		return "(" + shape(x.Cond) + " ? " + shape(x.Then) + " : " + shape(x.Else) + ")"
+	}
+	return ast.PrintExpr(e) // BoolLit, DefaultExpr
+}
+
+func mustPredicate(t *testing.T, src string) ast.Expr {
+	t.Helper()
+	e, err := ParsePredicate(src, token.Pos{Line: 1, Col: 1})
+	if err != nil {
+		t.Fatalf("ParsePredicate(%q): %v", src, err)
+	}
+	return e
+}
+
+func TestParsePredicatePrecedence(t *testing.T) {
+	cases := []struct{ src, want string }{
+		{"(a.b == 1 && c.d == 2 || e.f == 3)", "(((a.b == 1) && (c.d == 2)) || (e.f == 3))"},
+		// Implication binds loosest and associates right.
+		{"(a.b == 1 -> c.d == 2 -> e.f == 3)", "((a.b == 1) -> ((c.d == 2) -> (e.f == 3)))"},
+		{"(a -> b || c && d)", "(a -> (b || (c && d)))"},
+		{"((a -> b) -> c)", "((a -> b) -> c)"},
+		{"(!hit(t) || hit(u))", "((!hit(t)) || hit(u))"},
+		// miss() is a call like hit(); the property pass reads it as !hit().
+		{"(miss(t))", "miss(t)"},
+		{"(a.b + 1 == 2)", "((a.b + 1) == 2)"},
+		{"(a.b & 16w0xff == a.b)", "((a.b & 16w255) == a.b)"},
+		{"(hdr.ipv4.isValid() -> hdr.ipv4.ttl > 0)", "(hdr.ipv4.isValid() -> (hdr.ipv4.ttl > 0))"},
+		{"(action_run(t) != drop_)", "(action_run(t) != drop_)"},
+		// -> is admitted inside any parentheses, call arguments included.
+		{"(f((a -> b)) == (c -> d))", "(f((a -> b)) == (c -> d))"},
+	}
+	for _, c := range cases {
+		if got := shape(mustPredicate(t, c.src)); got != c.want {
+			t.Errorf("ParsePredicate(%q) = %q, want %q", c.src, got, c.want)
+		}
+	}
+}
+
+func TestParsePredicateNumbers(t *testing.T) {
+	cases := []struct {
+		src   string
+		width int
+		value int64
+	}{
+		{"(a.b == 42)", 0, 42},
+		{"(a.b == 0x800)", 0, 2048},
+		{"(a.b == 16w0x800)", 16, 2048},
+		{"(a.b == 9w511)", 9, 511},
+	}
+	for _, c := range cases {
+		e := mustPredicate(t, c.src).(*ast.BinaryExpr)
+		lit, ok := e.Y.(*ast.IntLit)
+		if !ok {
+			t.Fatalf("ParsePredicate(%q): rhs is %T, want *ast.IntLit", c.src, e.Y)
+		}
+		if lit.Width != c.width || lit.Val.Int64() != c.value {
+			t.Errorf("ParsePredicate(%q): got %dw%v, want %dw%d", c.src, lit.Width, lit.Val, c.width, c.value)
+		}
+	}
+}
+
+// TestParsePredicatePositions: positions are offset to the predicate's
+// place in its file, and trailing text or a comment is an error there.
+func TestParsePredicatePositions(t *testing.T) {
+	e, err := ParsePredicate("(a.b == 1)", token.Pos{Line: 4, Col: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := e.Pos(); got != (token.Pos{Line: 4, Col: 14}) {
+		t.Errorf("== at %v, want 4:14", got)
+	}
+	for src, want := range map[string]string{
+		"(a.b == 1) trailing": "4:20: ",
+		"(a.b == 1) // note":  "4:20: ",
+		"(a.b == 1) # note":   "4:20: ",
+		"(a.b == 1 /* x */)":  "4:19: ",
+		"(a.b == ":            "4:17: ",
+	} {
+		if _, err := ParsePredicate(src, token.Pos{Line: 4, Col: 9}); err == nil || !strings.HasPrefix(err.Error(), want) {
+			t.Errorf("ParsePredicate(%q): got %v, want an error at %s", src, err, want)
+		}
+	}
+}
+
+// TestArrowOnlyInPredicates: `->` is a token of property predicates; a
+// P4 program or expression using it does not parse.
+func TestArrowOnlyInPredicates(t *testing.T) {
+	src := "control c(inout bit<8> x) { apply { if (x == 1 -> x == 2) { x = 3; } } }"
+	if _, err := Parse(src); err == nil || !strings.Contains(err.Error(), "1:48: expected ), found ->") {
+		t.Errorf("Parse: got %v, want 1:48: expected ), found ->", err)
+	}
+	if _, err := ParseExpr("(a -> b)"); err == nil {
+		t.Error("ParseExpr admitted ->")
 	}
 }
 

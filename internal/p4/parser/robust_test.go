@@ -1,10 +1,14 @@
 package parser
 
 import (
+	"fmt"
 	"math/rand"
+	"regexp"
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"bf4/internal/p4/token"
 )
 
 // TestParserNeverPanicsOnRandomInput: arbitrary byte soup must produce
@@ -64,19 +68,48 @@ func TestParserNeverPanicsOnMutatedSource(t *testing.T) {
 	}
 }
 
-// TestDeepNestingBounded: pathological nesting must not blow the stack.
+// TestDeepNestingBounded: nesting past maxDepth — parentheses, operator
+// and member chains, unary operators, ternaries, implications, blocks and
+// else-if chains — ends in one positioned error, never in a stack
+// overflow of the parser or of a later pass; the same shapes well inside
+// the bound parse.
 func TestDeepNestingBounded(t *testing.T) {
-	depth := 2000
-	expr := strings.Repeat("(", depth) + "x" + strings.Repeat(")", depth)
-	func() {
-		defer func() { recover() }()
-		ParseExpr(expr)
-	}()
-	// Deeply nested blocks in a control.
-	body := strings.Repeat("if (x == 8w0) { ", 500) + "y = 8w1;" + strings.Repeat(" }", 500)
-	src := "control c(inout bit<8> x, inout bit<8> y) { apply { " + body + " } }"
-	func() {
-		defer func() { recover() }()
-		Parse(src)
-	}()
+	exprs := map[string]func(n int) string{
+		"parens":  func(n int) string { return strings.Repeat("(", n) + "x" + strings.Repeat(")", n) },
+		"plus":    func(n int) string { return "x" + strings.Repeat(" + x", n) },
+		"members": func(n int) string { return "x" + strings.Repeat(".f", n) },
+		"calls":   func(n int) string { return "f" + strings.Repeat("()", n) },
+		"unary":   func(n int) string { return strings.Repeat("!", n) + "x" },
+		"ternary": func(n int) string { return strings.Repeat("a ? b : ", n) + "c" },
+		"arrows":  func(n int) string { return strings.Repeat("a -> ", n) + "b" },
+	}
+	programs := map[string]func(n int) string{
+		"blocks": func(n int) string { return strings.Repeat("{ ", n) + strings.Repeat("} ", n) },
+		"ifs": func(n int) string {
+			return strings.Repeat("if (x == 8w0) { ", n) + "y = 8w1;" + strings.Repeat(" }", n)
+		},
+		"elseif": func(n int) string { return strings.Repeat("if (x == 8w0) { } else ", n) + "{ }" },
+	}
+	program := func(body string) string {
+		return "control c(inout bit<8> x, inout bit<8> y) { apply { " + body + " } }"
+	}
+	tooDeep := regexp.MustCompile(fmt.Sprintf(`^\d+:\d+: nesting deeper than %d$`, maxDepth))
+	for name, gen := range exprs {
+		if _, err := ParsePredicate(gen(maxDepth/4), token.Pos{Line: 1, Col: 1}); err != nil {
+			t.Errorf("%s at depth %d: %v", name, maxDepth/4, err)
+		}
+		for _, n := range []int{maxDepth + 1, 1_000_000} {
+			if _, err := ParsePredicate(gen(n), token.Pos{Line: 1, Col: 1}); err == nil || !tooDeep.MatchString(err.Error()) {
+				t.Errorf("%s at depth %d: got %v, want one positioned nesting error", name, n, err)
+			}
+		}
+	}
+	for name, gen := range programs {
+		if _, err := Parse(program(gen(maxDepth / 4))); err != nil {
+			t.Errorf("%s at depth %d: %v", name, maxDepth/4, err)
+		}
+		if _, err := Parse(program(gen(maxDepth + 1))); err == nil || !tooDeep.MatchString(err.Error()) {
+			t.Errorf("%s at depth %d: got %v, want one positioned nesting error", name, maxDepth+1, err)
+		}
+	}
 }

@@ -54,6 +54,7 @@ const (
 	OR  // ||
 
 	PLUSPLUS // ++ (concatenation)
+	ARROW    // -> (implication; property predicates only)
 
 	// Keywords.
 	KwAction
@@ -100,8 +101,8 @@ var kindNames = map[Kind]string{
 	MINUS: "-", STAR: "*", SLASH: "/", PERCENT: "%", AMP: "&", PIPE: "|",
 	CARET: "^", TILDE: "~", NOT: "!", SHL: "<<", SHR: ">>", EQ: "==",
 	NEQ: "!=", LEQ: "<=", GEQ: ">=", AND: "&&", OR: "||", PLUSPLUS: "++",
-	KwAction: "action", KwActions: "actions", KwApply: "apply", KwBit: "bit",
-	KwBool: "bool", KwConst: "const", KwControl: "control",
+	ARROW: "->", KwAction: "action", KwActions: "actions", KwApply: "apply",
+	KwBit: "bit", KwBool: "bool", KwConst: "const", KwControl: "control",
 	KwDefault: "default", KwDefaultAction: "default_action", KwElse: "else",
 	KwEntries: "entries", KwEnum: "enum", KwError: "error", KwExit: "exit",
 	KwFalse: "false", KwHeader: "header", KwIf: "if", KwIn: "in",

@@ -47,8 +47,7 @@ func instrumentOne(p *ir.Program, pr *Property) error {
 	}
 	var anchors []anchor
 	if pr.After != "" {
-		ck := newChecker(p, nil)
-		insts, err := ck.instancesOf(pr.After, pr.Pos)
+		insts, err := instancesOf(p, pr.After, pr.Pos)
 		if err != nil {
 			return fmt.Errorf("%s: @after: %w", pr.Pos, err)
 		}
@@ -69,11 +68,10 @@ func instrumentOne(p *ir.Program, pr *Property) error {
 		anchors = append(anchors, anchor{node: at})
 	}
 	for _, a := range anchors {
-		ck := newChecker(p, a.inst)
-		if err := ck.checkProperty(pr); err != nil {
+		cond, err := (&predicate{p: p, anchor: a.inst, file: pr.Pos.File}).property(pr)
+		if err != nil {
 			return err
 		}
-		cond := newCompiler(p, ck.c).compile(pr.Expr)
 		splice(p, a.node, pr, cond)
 	}
 	return nil

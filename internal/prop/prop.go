@@ -1,10 +1,42 @@
+// Package prop implements bf4's user-facing properties: boolean
+// @assert/@assume predicates over header fields, validity bits, standard
+// metadata and table hit/action state, written either as P4 source
+// comments or in standalone .props spec files. A predicate is a P4-16
+// expression, parsed by internal/p4/parser (ParsePredicate, which adds
+// `->`) with file:line:col positions; this package types it against the
+// lowered program's variables and table instances and builds its term in
+// one pass (hit(table), miss(table), action_run(table) == a,
+// <header>.isValid()), then splices guarded BugAssertFail nodes into the
+// IR through ir.Options.Instrument — after which the whole existing
+// pipeline (dataflow pre-discharge, wp, solver adjudication, Infer,
+// Fixes, the runtime shim) handles user properties exactly like built-in
+// checks.
 package prop
 
 import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"bf4/internal/p4/ast"
+	"bf4/internal/p4/parser"
+	"bf4/internal/p4/token"
 )
+
+// Pos is a source position inside a property's origin (a P4 file or a
+// .props spec file). Line and Col are 1-based.
+type Pos struct {
+	File string
+	Line int
+	Col  int
+}
+
+func (p Pos) String() string {
+	if p.File == "" {
+		return fmt.Sprintf("%d:%d", p.Line, p.Col)
+	}
+	return fmt.Sprintf("%s:%d:%d", p.File, p.Line, p.Col)
+}
 
 // Kind discriminates the two property flavors.
 type Kind int
@@ -30,7 +62,7 @@ func (k Kind) String() string {
 // Property is one parsed @assert/@assume annotation.
 type Property struct {
 	Kind Kind
-	Expr Expr
+	Expr ast.Expr
 	// After anchors the property right behind every apply of the named
 	// table (`@assert @after(t) (...)`); empty means the default anchor
 	// (end of ingress for asserts, ingress entry for assumes).
@@ -132,9 +164,9 @@ func parseAnnotation(text string, pos Pos) (*Property, error) {
 	if len(rest) == 0 || rest[0] != '(' {
 		return nil, fmt.Errorf("%s:%d:%d: expected parenthesized predicate", pos.File, pos.Line, col)
 	}
-	expr, err := ParseExpr(rest, Pos{File: pos.File, Line: pos.Line, Col: col})
+	expr, err := parser.ParsePredicate(rest, token.Pos{Line: pos.Line, Col: col})
 	if err != nil {
-		return nil, err
+		return nil, parser.PrefixFile(pos.File, err)
 	}
 	pr.Expr = expr
 	pr.Text = strings.TrimSpace(trimOuterParens(strings.TrimSpace(rest)))

@@ -3,76 +3,29 @@ package prop
 import (
 	"strings"
 	"testing"
+
+	"bf4/internal/ir"
+	"bf4/internal/p4/parser"
+	"bf4/internal/p4/types"
+	"bf4/internal/progs"
 )
 
-func mustParse(t *testing.T, src string) Expr {
-	t.Helper()
-	e, err := ParseExpr(src, Pos{File: "t.props", Line: 1, Col: 1})
-	if err != nil {
-		t.Fatalf("ParseExpr(%q): %v", src, err)
-	}
-	return e
-}
-
-func TestParsePrecedence(t *testing.T) {
-	// String() parenthesizes every binary node, so it exposes the parse
-	// shape directly.
-	cases := []struct{ src, want string }{
-		{"(a.b == 1 && c.d == 2 || e.f == 3)", "(((a.b == 1) && (c.d == 2)) || (e.f == 3))"},
-		// Implication binds loosest and associates right.
-		{"(a.b == 1 -> c.d == 2 -> e.f == 3)", "((a.b == 1) -> ((c.d == 2) -> (e.f == 3)))"},
-		{"(!hit(t) || hit(u))", "(!hit(t) || hit(u))"},
-		// miss() is sugar for !hit().
-		{"(miss(t))", "!hit(t)"},
-		{"(a.b + 1 == 2)", "((a.b + 1) == 2)"},
-		{"(a.b & 16w0xff == a.b)", "((a.b & 16w255) == a.b)"},
-		{"(hdr.ipv4.isValid() -> hdr.ipv4.ttl > 0)", "(hdr.ipv4.isValid() -> (hdr.ipv4.ttl > 0))"},
-		{"(action_run(t) != drop_)", "(action_run(t) != drop_)"},
-	}
-	for _, c := range cases {
-		if got := mustParse(t, c.src).String(); got != c.want {
-			t.Errorf("ParseExpr(%q).String() = %q, want %q", c.src, got, c.want)
-		}
-	}
-}
-
-func TestParseNumbers(t *testing.T) {
-	cases := []struct {
-		src   string
-		width int
-		value int64
-	}{
-		{"(a.b == 42)", 0, 42},
-		{"(a.b == 0x800)", 0, 2048},
-		{"(a.b == 16w0x800)", 16, 2048},
-		{"(a.b == 9w511)", 9, 511},
-	}
-	for _, c := range cases {
-		e := mustParse(t, c.src).(*BinaryExpr)
-		lit, ok := e.Y.(*IntExpr)
-		if !ok {
-			t.Fatalf("ParseExpr(%q): rhs is %T, want *IntExpr", c.src, e.Y)
-		}
-		if lit.Width != c.width || lit.Value.Int64() != c.value {
-			t.Errorf("ParseExpr(%q): got %dw%v, want %dw%d", c.src, lit.Width, lit.Value, c.width, c.value)
-		}
-	}
-}
-
+// TestParseErrors: a malformed predicate on a .props line fails with the
+// line's file:line:col.
 func TestParseErrors(t *testing.T) {
-	cases := []struct{ src, frag string }{
-		{"(a.b == ", ""},            // unclosed
-		{"(a.b == 1 == 2)", ""},     // comparisons don't chain
-		{"(a.b @ 1)", ""},           // bad token
-		{"(hit())", ""},             // hit wants a table name
-		{"(a.b == 1) trailing", ""}, // text after the predicate
-		{"(16w0xzz == a.b)", ""},    // malformed literal
+	cases := []string{
+		"(a.b == ",            // unclosed
+		"(a.b @ 1)",           // bad token
+		"(a.b == 1) trailing", // text after the predicate
+		"(16w0xzz == a.b)",    // malformed literal
+		"(a.b == 0w1)",        // literal width out of range
+		"(a.b == 1) // note",  // a comment is text after the predicate too
 	}
-	for _, c := range cases {
-		if _, err := ParseExpr(c.src, Pos{File: "t.props", Line: 3, Col: 1}); err == nil {
-			t.Errorf("ParseExpr(%q): expected error", c.src)
+	for _, src := range cases {
+		if _, err := ParseSpecFile("t.props", []byte("\n\n@assert"+src)); err == nil {
+			t.Errorf("ParseSpecFile(%q): expected error", src)
 		} else if !strings.Contains(err.Error(), "t.props:3:") {
-			t.Errorf("ParseExpr(%q): error %q lacks a t.props:3:<col> position", c.src, err)
+			t.Errorf("ParseSpecFile(%q): error %q lacks a t.props:3:<col> position", src, err)
 		}
 	}
 }
@@ -178,8 +131,11 @@ func TestSortProperties(t *testing.T) {
 }
 
 func TestDataVars(t *testing.T) {
-	e := mustParse(t, "(hdr.ipv4.isValid() && hit(t) -> action_run(t) != drop_ && standard_metadata.egress_spec != 9w0 && hdr.ipv4.ttl > meta.m.guard)")
-	got := DataVars(e)
+	props, err := ParseSpecFile("t.props", []byte("@assert(hdr.ipv4.isValid() && hit(t) -> action_run(t) != drop_ && standard_metadata.egress_spec != 9w0 && hdr.ipv4.ttl > meta.m.guard)"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := DataVars(props[0].Expr)
 	want := []string{"hdr.ipv4.$valid", "hdr.ipv4.ttl", "meta.m.guard", "smeta.egress_spec"}
 	if len(got) != len(want) {
 		t.Fatalf("DataVars = %v, want %v", got, want)
@@ -187,6 +143,55 @@ func TestDataVars(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("DataVars = %v, want %v", got, want)
+		}
+	}
+}
+
+// TestPredicateTerms pins the term each operator and builtin builds,
+// against the generated property program. The wanted terms are the ones
+// the separate typechecker and compiler this pass replaced built.
+func TestPredicateTerms(t *testing.T) {
+	src, _ := progs.GeneratePropSwitch(1, 1)
+	prog, err := parser.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, err := types.Check(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := ir.Build(prog, info, ir.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct{ src, want string }{
+		{"meta.m.guard > 8w3", "(bvult #x3[8] meta.m.guard)"},
+		{"meta.m.guard >= 3", "(bvule #x3[8] meta.m.guard)"},
+		{"3 < meta.m.guard", "(bvult #x3[8] meta.m.guard)"},
+		{"meta.m.guard <= meta.m.stage", "(bvule meta.m.guard meta.m.stage)"},
+		{"meta.m.guard + 1 == 8w2", "(= (bvadd meta.m.guard #x1[8]) #x2[8])"},
+		{"meta.m.guard - meta.m.flag != 0", "(not (= (bvsub meta.m.guard meta.m.flag) #x0[8]))"},
+		{"(meta.m.guard | 8w1) ^ meta.m.flag & 8w2 == 8w3", "(= (bvxor (bvand meta.m.flag #x2[8]) (bvor meta.m.guard #x1[8])) #x3[8])"},
+		{"~meta.m.guard == -meta.m.flag", "(= (bvnot meta.m.guard) (bvneg meta.m.flag))"},
+		{"!hit(classify_0) || miss(fwd_0)", "(or (not pcn_classify_0$0.hit) (not pcn_fwd_0$0.hit))"},
+		{"hit(classify_0) -> action_run(classify_0) != drop_", "(or (not pcn_classify_0$0.hit) (not (= pcn_classify_0$0.action_run #x2[8])))"},
+		{"drop_ == action_run(fwd_0) && hdr.ipv4.isValid()", "(and hdr.ipv4.$valid (= pcn_fwd_0$0.action_run #x1[8]))"},
+		{"standard_metadata.egress_spec != 9w0", "(not (= #x0[9] smeta.egress_spec))"},
+		{"true && false || meta.m.guard == 8w7", "(= meta.m.guard #x7[8])"},
+		{"hdr.ipv4.ttl > 0 -> hdr.ethernet.etherType == 0x800", "(or (= #x800[16] hdr.ethernet.etherType) (not (bvult #x0[8] hdr.ipv4.ttl)))"},
+		{"hdr.ipv4.isValid() == !hdr.ethernet.isValid()", "(not (xor hdr.ipv4.$valid (not hdr.ethernet.$valid)))"},
+		{"meta.m.scratch + 32w1 - 7 > meta.m.scratch -> meta.m.flag == 255", "(or (= meta.m.flag #xff[8]) (not (bvult meta.m.scratch (bvsub (bvadd meta.m.scratch #x1[32]) #x7[32]))))"},
+	}
+	for _, c := range cases {
+		props, err := ParseSpecFile("t.props", []byte("@assert("+c.src+")"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		term, err := (&predicate{p: p, file: "t.props"}).property(props[0])
+		if err != nil {
+			t.Errorf("%s: %v", c.src, err)
+		} else if got := term.String(); got != c.want {
+			t.Errorf("%s: built %s, want %s", c.src, got, c.want)
 		}
 	}
 }

@@ -1,13 +1,17 @@
 package prop
 
-import "sort"
+import (
+	"sort"
+
+	"bf4/internal/p4/ast"
+)
 
 // DataVars returns the resolved program-variable names a property
 // expression reads — field paths plus header validity bits — sorted and
 // deduplicated. Table state (hit/action_run) is excluded: those are
 // per-instance control variables, not packet data. Used by the driver to
 // pick which fields of a replayed witness to show.
-func DataVars(e Expr) []string {
+func DataVars(e ast.Expr) []string {
 	seen := map[string]bool{}
 	collectVars(e, seen)
 	out := make([]string, 0, len(seen))
@@ -18,47 +22,24 @@ func DataVars(e Expr) []string {
 	return out
 }
 
-func collectVars(e Expr, seen map[string]bool) {
-	switch e := e.(type) {
-	case *PathExpr:
-		if name, ok := pathVarName(e); ok {
+func collectVars(e ast.Expr, seen map[string]bool) {
+	switch x := e.(type) {
+	case *ast.Ident, *ast.Member:
+		if name, ok := varName(dotted(e)); ok {
 			seen[name] = true
 		}
-	case *ValidExpr:
-		if name, ok := pathVarName(e.Header); ok {
-			seen[name+".$valid"] = true
+	case *ast.CallExpr:
+		if fun, ok := x.Fun.(*ast.Member); ok && fun.Name == "isValid" {
+			if name, ok := varName(dotted(fun.X)); ok {
+				seen[name+".$valid"] = true
+			}
 		}
-	case *UnaryExpr:
-		collectVars(e.X, seen)
-	case *BinaryExpr:
-		// In an action comparison the path operand is an action name,
-		// not a field.
-		if ae, _, _ := actionCompare(e); ae != nil && (e.Op == "==" || e.Op == "!=") {
-			return
-		}
-		collectVars(e.X, seen)
-		collectVars(e.Y, seen)
-	case *IntExpr, *BoolExpr, *HitExpr, *ActionExpr:
+	case *ast.UnaryExpr:
+		collectVars(x.X, seen)
+	case *ast.BinaryExpr:
+		// The action name of an action comparison is a bare identifier,
+		// which names no variable.
+		collectVars(x.X, seen)
+		collectVars(x.Y, seen)
 	}
-}
-
-// pathVarName resolves a dotted path to the lowered variable namespace
-// without needing a program (mirrors checker.resolvePath).
-func pathVarName(e *PathExpr) (string, bool) {
-	if len(e.Parts) < 2 {
-		return "", false
-	}
-	root := e.Parts[0]
-	switch root {
-	case "standard_metadata":
-		root = "smeta"
-	case "hdr", "meta", "smeta":
-	default:
-		return "", false
-	}
-	name := root
-	for _, p := range e.Parts[1:] {
-		name += "." + p
-	}
-	return name, true
 }
