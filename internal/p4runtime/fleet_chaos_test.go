@@ -216,7 +216,7 @@ type cutOnBatchConn struct {
 
 func (c *cutOnBatchConn) Write(p []byte) (int, error) {
 	n, err := c.Conn.Write(p)
-	if err == nil && bytes.Contains(p, []byte(`"type":"batch"`)) {
+	if err == nil && bytes.Contains(p, []byte("\x05batch")) { // the type field of a batch request frame
 		c.once.Do(c.gate.Cut)
 	}
 	return n, err

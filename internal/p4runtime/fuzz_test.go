@@ -1,55 +1,66 @@
 package p4runtime
 
 import (
+	"bufio"
 	"bytes"
-	"encoding/json"
+	"encoding/binary"
+	"math/big"
 	"strings"
 	"testing"
 
+	"bf4/internal/dataplane"
 	"bf4/internal/shim"
 )
 
-// FuzzDispatch feeds arbitrary request frames, one per line, to a
-// one-shard fleet server with packet injection on, the way a connection
-// hands them to dispatchSafe. No frame may panic dispatch, and after every
-// frame the shard holds exactly what an in-process shim holds that was
-// given, with the same idempotency keys, the updates of the frames the
-// server acknowledged.
+// FuzzDispatch feeds arbitrary bytes, as the frames that follow a
+// connection's preface, to a one-shard fleet server with packet injection
+// on, the way a connection reads and serves them. No input may panic the
+// reader, the decoder or dispatch, and after every frame the shard holds
+// exactly what an in-process shim holds that was given, with the same
+// idempotency keys, the writes of the frames the server acknowledged.
 func FuzzDispatch(f *testing.F) {
-	// Every raw frame of robust_test.go, then writes the NAT program's
-	// tables admit, so that mutations start from acknowledged frames too.
-	for _, frame := range []string{
-		`{"id":1,"type":"frobnicate"}`,
-		`{"id":2,"type":"insert","table":"t"}`,
-		`{"id":3,"type":"insert","table":"t","entry":{"keys":[{"value":"zap"}],"action":"NoAction"}}`,
-		`{"id":4,"type":"insert","table":"t","entry":{"keys":[{"value":"-7"}],"action":"NoAction"}}`,
-		`{"id":5,"type":"insert","table":"t","entry":{"keys":[{"value":"` + strings.Repeat("9", 2000) + `"}],"action":"NoAction"}}`,
-		`{"id":6,"type":"validate","table":"t","entry":{"keys":[{"value":"1","mask":"-1"}],"action":"NoAction"}}`,
-		`{"id":7,"type":"packet","packet":{"x":"1"}}`,
-		"{nope",
-		`{"id":10,"type":"stats"}`,
-		`{"id":1,"type":"insert","junk":"` + strings.Repeat("x", 4096) + `"}`,
-		`{"id":1,"type":"stats"}`,
-		`{"id":2,"type":"stats"}`,
-		`{"id":1,"client":"c1","type":"insert","table":"t","entry":{"keys":[{"value":"3"}],"action":"NoAction"}}`,
-		`{"id":1,"client":"c2","type":"insert","table":"t","entry":{"keys":[{"value":"4"}],"action":"NoAction"}}`,
-		`{"id":1,"type":"batch","updates":[` +
-			`{"op":"insert","table":"t","entry":{"keys":[{"value":"1"}],"action":"NoAction"}},` +
-			`{"op":"insert","table":"ghost","entry":{"keys":[{"value":"2"}],"action":"NoAction"}}]}`,
-		`{"id":2,"type":"batch","updates":[` +
-			`{"op":"insert","table":"t","entry":{"keys":[{"value":"1"}],"action":"NoAction"}},` +
-			`{"op":"set_default","table":"t","entry":{"keys":[],"action":"NoAction"}}]}`,
-
-		`{"id":1,"client":"c","type":"insert","table":"nat","entry":{"keys":[{"value":"1"},{"value":"5","mask":"-1"}],"action":"drop_"}}`,
-		`{"id":2,"client":"c","type":"set_default","table":"ipv4_lpm","entry":{"action":"drop_"}}` + "\n" +
-			`{"id":3,"client":"c","type":"batch","updates":[` +
-			`{"op":"insert","table":"ipv4_lpm","entry":{"keys":[{"value":"0","prefix_len":0},{"value":"1"}],"action":"set_nhop","params":["1","7"]}},` +
-			`{"op":"set_default","table":"nat","entry":{"action":"drop_"}}]}` + "\n" +
-			`{"id":3,"client":"c","type":"stats"}` + "\n" +
-			`{"id":4,"type":"packet","packet":{"hdr.ethernet.etherType":"2048","hdr.ipv4.srcAddr":"5"}}`,
-	} {
-		f.Add([]byte(frame))
+	// Every frame of robust_test.go, then writes the NAT program's tables
+	// admit, so that mutations start from acknowledged frames too; each
+	// also cut at every byte, and a length far above the frame cap.
+	var seeds [][]byte
+	for _, name := range []string{"unknown type", "missing entry", "no op", "full mask", "packet", "stats",
+		"c1 insert", "c2 insert", "bad batch", "good batch"} {
+		seeds = append(seeds, appendFrame(nil, payloadOf(f, rawRequests[name])))
 	}
+	for _, name := range []string{"truncated", "wide", "bad integer"} {
+		seeds = append(seeds, appendFrame(nil, rawPayloads(f)[name]))
+	}
+	natEntry := func(keys []dataplane.KeyMatch, action string, params ...int64) *dataplane.Entry {
+		e := &dataplane.Entry{Keys: keys, Action: action}
+		for _, p := range params {
+			e.Params = append(e.Params, big.NewInt(p))
+		}
+		return e
+	}
+	drop := &dataplane.DefaultAction{Action: "drop_"}
+	var nat []byte
+	for _, req := range []*wireRequest{
+		{ID: 1, Client: "c", Type: "insert", Writes: []*shim.Update{{Table: "nat", Entry: natEntry(
+			[]dataplane.KeyMatch{dataplane.NewExact(1), {Value: big.NewInt(5), Mask: big.NewInt(-1), PrefixLen: -1}}, "drop_")}}},
+		{ID: 2, Client: "c", Type: "set_default", Writes: []*shim.Update{{Table: "ipv4_lpm", SetDefault: drop}}},
+		{ID: 3, Client: "c", Type: "batch", Writes: []*shim.Update{
+			{Table: "ipv4_lpm", Entry: natEntry([]dataplane.KeyMatch{dataplane.NewLpm(0, 0), dataplane.NewExact(1)}, "set_nhop", 1, 7)},
+			{Table: "nat", SetDefault: drop}}},
+		{ID: 3, Client: "c", Type: "stats"},
+		{ID: 4, Type: "packet", Packet: dataplane.Packet{"hdr.ethernet.etherType": big.NewInt(2048), "hdr.ipv4.srcAddr": big.NewInt(5)}},
+	} {
+		frame := appendFrame(nil, payloadOf(f, req))
+		seeds = append(seeds, frame)
+		nat = append(nat, frame...)
+	}
+	seeds = append(seeds, nat)
+	for _, seed := range seeds {
+		for n := 0; n <= len(seed); n++ {
+			f.Add(seed[:n])
+		}
+	}
+	f.Add(binary.AppendUvarint(nil, 1<<40))
+
 	prog, file := natProgram(f)
 	cache := shim.NewAnnotationCache(nil)
 	cp, _, err := cache.Get(file)
@@ -65,18 +76,27 @@ func FuzzDispatch(f *testing.F) {
 		}
 		srv := &Server{Fleet: fleet, DefaultSwitch: "sw0", Prog: prog}
 		ref := shim.NewFromCompiled(cp)
-		for _, frame := range bytes.Split(data, []byte("\n")) {
-			var req Request
-			if json.Unmarshal(frame, &req) != nil {
-				continue
+		r := bufio.NewReader(bytes.NewReader(data))
+		var buf []byte
+		for {
+			// An error ends the connection: the input is spent, or its
+			// next length is one the server refuses and then closes.
+			payload, err := readFramePayload(r, srv.maxFrame(), buf)
+			if err != nil {
+				return
 			}
-			resp := srv.dispatchSafe(&req)
+			buf = payload
+			resp := srv.serve(payload)
 			if strings.Contains(resp.Error, "internal error") {
-				t.Fatalf("frame %q: %s", frame, resp.Error)
+				t.Fatalf("frame %x: %s", payload, resp.Error)
 			}
 			if resp.OK {
-				if err := applyAcked(ref, &req); err != nil {
-					t.Fatalf("frame %q was acknowledged, the in-process shim refuses it: %v", frame, err)
+				req, err := decodeRequest(payload)
+				if err == nil {
+					err = applyAcked(ref, req)
+				}
+				if err != nil {
+					t.Fatalf("frame %x was acknowledged, the in-process shim refuses it: %v", payload, err)
 				}
 			}
 			got, err := sd.MarshalSnapshot()
@@ -88,32 +108,20 @@ func FuzzDispatch(f *testing.F) {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(got, want) {
-				t.Fatalf("after frame %q the shard holds\n%x\nthe in-process shim\n%x", frame, got, want)
+				t.Fatalf("after frame %x the shard holds\n%x\nthe in-process shim\n%x", payload, got, want)
 			}
 		}
 	})
 }
 
-// applyAcked applies an acknowledged request's updates to sh with the
+// applyAcked applies an acknowledged request's writes to sh with the
 // request's idempotency key; requests that write nothing are no-ops.
-func applyAcked(sh *shim.Shim, req *Request) error {
+func applyAcked(sh *shim.Shim, req *wireRequest) error {
 	switch req.Type {
 	case "insert", "set_default":
-		u, err := decodeUpdate(-1, req.Type, req.Table, req.Entry)
-		if err != nil {
-			return err
-		}
-		return sh.ApplyWithKey(dedupKey(req), u)
+		return sh.ApplyWithKey(dedupKey(req), req.Writes[0])
 	case "batch":
-		updates := make([]*shim.Update, len(req.Update))
-		for i, um := range req.Update {
-			u, err := decodeUpdate(i, um.Op, um.Table, um.Entry)
-			if err != nil {
-				return err
-			}
-			updates[i] = u
-		}
-		return sh.ApplyBatchWithKey(dedupKey(req), updates)
+		return sh.ApplyBatchWithKey(dedupKey(req), req.Writes)
 	}
 	return nil
 }

@@ -1,33 +1,39 @@
 // Package p4runtime implements a minimal P4Runtime-flavoured control
-// protocol over TCP with newline-delimited JSON framing. The server
-// fronts bf4's sanitization shim (paper §4.4) as a fleet, one shard per
-// switch and a single switch as a one-shard fleet: every table write is
-// validated against the inferred controller assertions before it reaches
-// the (simulated) dataplane; rejected updates return an exception to the
-// controller, exactly the failure mode the paper argues controllers
-// already handle (duplicate-rule errors). The server can also inject test
-// packets, executing them on the dataplane interpreter against the
-// current shadow snapshot.
+// protocol over TCP. The server fronts bf4's sanitization shim (paper
+// §4.4) as a fleet, one shard per switch and a single switch as a
+// one-shard fleet: every table write is validated against the inferred
+// controller assertions before it reaches the (simulated) dataplane;
+// rejected updates return an exception to the controller, exactly the
+// failure mode the paper argues controllers already handle
+// (duplicate-rule errors). The server can also inject test packets,
+// executing them on the dataplane interpreter against the current shadow
+// snapshot.
+//
+// The wire is binary (wire.go): each side opens with a versioned preface,
+// then sends length-prefixed frames whose payloads are in the shim's own
+// encoding, so a write travels as the record the journal stores. A
+// request frame is a header (id, client, switch, type) and its writes; a
+// response frame carries Response's fields. Real P4Runtime likewise sends
+// writes as binary protobuf messages.
 //
 // The layer is built to run as always-on control-plane infrastructure:
 // the server enforces per-connection read/write deadlines, a maximum
-// frame size and a connection cap, answers malformed frames with an
-// error Response instead of a silent close, recovers per-connection
-// panics, and drains in-flight requests on Shutdown. The client
-// reconnects automatically with exponential backoff and jitter, applies
-// per-call timeouts, and retries idempotently: every request carries a
-// client ID + request ID, and the shim keeps a dedup window of recently
-// applied IDs so a retried insert after an ambiguous failure is not
-// double-applied.
+// frame size and a connection cap, answers a payload it cannot decode
+// with an error response and keeps the connection, answers a lost framing
+// (an oversized length, a peer without the preface) with an error
+// response and a close, recovers per-connection panics, and drains
+// in-flight requests on Shutdown. The client reconnects automatically
+// with exponential backoff and jitter, applies per-call timeouts, and
+// retries idempotently: every request carries a client ID + request ID,
+// and the shim keeps a dedup window of recently applied IDs so a retried
+// insert after an ambiguous failure is not double-applied.
 package p4runtime
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"crypto/rand"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math/big"
@@ -42,165 +48,7 @@ import (
 	"bf4/internal/ir"
 	"bf4/internal/obs"
 	"bf4/internal/shim"
-	"bf4/internal/smt"
 )
-
-// MaxValueBits bounds wire integers; anything wider is rejected before
-// it can reach the bitvector layer. It is the width bound smt.Parse holds
-// spec-file conditions to.
-const MaxValueBits = smt.MaxWidth
-
-// KeyMatchMsg is the wire form of a key match. Values are decimal
-// strings (bitvector widths exceed int64).
-type KeyMatchMsg struct {
-	Value     string `json:"value"`
-	Mask      string `json:"mask,omitempty"`
-	PrefixLen *int   `json:"prefix_len,omitempty"`
-}
-
-// EntryMsg is the wire form of a table entry.
-type EntryMsg struct {
-	Keys     []KeyMatchMsg `json:"keys"`
-	Action   string        `json:"action"`
-	Params   []string      `json:"params,omitempty"`
-	Priority int           `json:"priority,omitempty"`
-}
-
-// UpdateMsg is one element of an atomic batch.
-type UpdateMsg struct {
-	// Op is "insert" or "set_default".
-	Op    string    `json:"op"`
-	Table string    `json:"table"`
-	Entry *EntryMsg `json:"entry"`
-}
-
-// Request is one controller→shim message.
-type Request struct {
-	ID int64 `json:"id"`
-	// Client identifies the sender for idempotent retries: the shim
-	// dedups mutations on (client, id).
-	Client string `json:"client,omitempty"`
-	// Switch routes the request to one shard of the server's fleet. Empty
-	// selects the server's DefaultSwitch.
-	Switch string            `json:"switch,omitempty"`
-	Type   string            `json:"type"` // insert | set_default | validate | batch | packet | stats | health
-	Table  string            `json:"table,omitempty"`
-	Entry  *EntryMsg         `json:"entry,omitempty"`
-	Update []UpdateMsg       `json:"updates,omitempty"`
-	Packet map[string]string `json:"packet,omitempty"`
-}
-
-// Response is one shim→controller message.
-type Response struct {
-	ID    int64  `json:"id"`
-	OK    bool   `json:"ok"`
-	Error string `json:"error,omitempty"`
-
-	// Retryable marks a failure that is expected to clear (shard down or
-	// restoring): the client should back off and retry the same request —
-	// its idempotency key makes the retry safe.
-	Retryable bool `json:"retryable,omitempty"`
-
-	// FailedIndex reports which update of a rejected batch failed.
-	FailedIndex *int `json:"failed_index,omitempty"`
-
-	// Shards is the health-request result: switch id → lifecycle state.
-	Shards map[string]string `json:"shards,omitempty"`
-
-	// Packet-injection results.
-	EgressSpec *int64 `json:"egress_spec,omitempty"`
-	Bug        bool   `json:"bug,omitempty"`
-	BugKind    string `json:"bug_kind,omitempty"`
-
-	// Stats results.
-	Validated int `json:"validated,omitempty"`
-	Rejected  int `json:"rejected,omitempty"`
-}
-
-func parseBig(s string) (*big.Int, error) {
-	if s == "" {
-		return big.NewInt(0), nil
-	}
-	if len(s) > MaxValueBits/3 {
-		return nil, fmt.Errorf("p4runtime: integer literal of %d chars exceeds the wire limit", len(s))
-	}
-	v, ok := new(big.Int).SetString(s, 0)
-	if !ok {
-		return nil, fmt.Errorf("p4runtime: bad integer %q", s)
-	}
-	if v.Sign() < 0 {
-		return nil, fmt.Errorf("p4runtime: negative value %q not allowed", s)
-	}
-	if v.BitLen() > MaxValueBits {
-		return nil, fmt.Errorf("p4runtime: value %q is %d bits wide, limit %d", s, v.BitLen(), MaxValueBits)
-	}
-	return v, nil
-}
-
-// ParseValue parses a wire integer (decimal, 0x…, 0b…), rejecting
-// negative or absurdly wide values with a clear error.
-func ParseValue(s string) (*big.Int, error) { return parseBig(s) }
-
-// parseMask parses a ternary mask. "-1" is the established dataplane
-// sentinel for "match every bit" (two's-complement all-ones at any
-// width), so it is the one negative value allowed on the wire.
-func parseMask(s string) (*big.Int, error) {
-	if s == "-1" {
-		return big.NewInt(-1), nil
-	}
-	return parseBig(s)
-}
-
-// DecodeEntry converts a wire entry to a dataplane entry.
-func DecodeEntry(m *EntryMsg) (*dataplane.Entry, error) {
-	e := &dataplane.Entry{Action: m.Action, Priority: m.Priority}
-	for _, km := range m.Keys {
-		v, err := parseBig(km.Value)
-		if err != nil {
-			return nil, err
-		}
-		dk := dataplane.KeyMatch{Value: v, PrefixLen: -1}
-		if km.Mask != "" {
-			mv, err := parseMask(km.Mask)
-			if err != nil {
-				return nil, err
-			}
-			dk.Mask = mv
-		}
-		if km.PrefixLen != nil {
-			dk.PrefixLen = *km.PrefixLen
-		}
-		e.Keys = append(e.Keys, dk)
-	}
-	for _, p := range m.Params {
-		v, err := parseBig(p)
-		if err != nil {
-			return nil, err
-		}
-		e.Params = append(e.Params, v)
-	}
-	return e, nil
-}
-
-// EncodeEntry converts a dataplane entry to wire form.
-func EncodeEntry(e *dataplane.Entry) *EntryMsg {
-	m := &EntryMsg{Action: e.Action, Priority: e.Priority}
-	for _, k := range e.Keys {
-		km := KeyMatchMsg{Value: k.Value.String()}
-		if k.Mask != nil {
-			km.Mask = k.Mask.String()
-		}
-		if k.PrefixLen >= 0 {
-			pl := k.PrefixLen
-			km.PrefixLen = &pl
-		}
-		m.Keys = append(m.Keys, km)
-	}
-	for _, p := range e.Params {
-		m.Params = append(m.Params, p.String())
-	}
-	return m
-}
 
 // Server runs the shim behind the wire protocol.
 type Server struct {
@@ -221,7 +69,9 @@ type Server struct {
 	// WriteTimeout bounds each response write (default 30s, negative
 	// disables).
 	WriteTimeout time.Duration
-	// MaxFrameBytes caps one request frame (default 1 MiB).
+	// MaxFrameBytes caps one request frame's payload (default 1 MiB). A
+	// longer one is answered with an error and the connection closed,
+	// before any of it is read.
 	MaxFrameBytes int
 	// MaxConns caps concurrent connections; extra connections receive an
 	// error Response and are closed (default 0 = unlimited).
@@ -312,7 +162,7 @@ func (s *Server) Serve(ln net.Listener) error {
 		if s.MaxConns > 0 && len(s.conns) >= s.MaxConns {
 			s.mu.Unlock()
 			conn.SetWriteDeadline(time.Now().Add(5 * time.Second))
-			json.NewEncoder(conn).Encode(&Response{OK: false, Error: "p4runtime: connection limit reached"})
+			conn.Write(appendResponse([]byte(preface), new(shim.Encoder), &Response{Error: "p4runtime: connection limit reached"}))
 			conn.Close()
 			continue
 		}
@@ -377,28 +227,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 }
 
-var errFrameTooLarge = errors.New("p4runtime: frame exceeds size limit")
-
-// readFrame reads one newline-delimited frame, enforcing the size cap.
-// A partial frame cut off by EOF is an error, never a request.
-func readFrame(r *bufio.Reader, max int) ([]byte, error) {
-	var buf []byte
-	for {
-		chunk, err := r.ReadSlice('\n')
-		buf = append(buf, chunk...)
-		if len(buf) > max {
-			return nil, errFrameTooLarge
-		}
-		if err == bufio.ErrBufferFull {
-			continue
-		}
-		if err != nil {
-			return nil, err
-		}
-		return buf, nil
-	}
-}
-
 func (s *Server) handle(conn net.Conn) {
 	defer func() {
 		// Per-connection panic recovery: a poisoned connection dies, the
@@ -411,49 +239,63 @@ func (s *Server) handle(conn net.Conn) {
 		s.met.conns.Add(-1)
 	}()
 	r := bufio.NewReaderSize(conn, 4096)
-	enc := json.NewEncoder(conn)
+	var enc shim.Encoder
+	out := []byte(preface) // the server's preface goes out with its first frame
+	send := func(resp *Response) bool {
+		out = appendResponse(out, &enc, resp)
+		if d := s.writeTimeout(); d > 0 {
+			conn.SetWriteDeadline(time.Now().Add(d))
+		}
+		_, err := conn.Write(out)
+		out = out[:0]
+		return err == nil
+	}
+	if d := s.readTimeout(); d > 0 {
+		conn.SetReadDeadline(time.Now().Add(d))
+	}
+	if err := readPreface(r); err != nil {
+		// Another protocol, an older client's JSON line say: refuse it
+		// rather than read its bytes as frames.
+		if err == errPreface {
+			send(&Response{Error: err.Error()})
+		}
+		return
+	}
+	var payload []byte
 	for !s.closing() {
 		if d := s.readTimeout(); d > 0 {
 			conn.SetReadDeadline(time.Now().Add(d))
 		}
-		frame, err := readFrame(r, s.maxFrame())
+		p, err := readFramePayload(r, s.maxFrame(), payload)
 		if err == errFrameTooLarge {
 			// The framing is lost beyond recovery: answer, then close.
-			s.writeResponse(conn, enc, &Response{OK: false, Error: errFrameTooLarge.Error()})
+			send(&Response{Error: err.Error()})
 			return
 		}
 		if err != nil {
 			return
 		}
-		if len(bytes.TrimSpace(frame)) == 0 {
-			continue
-		}
-		var req Request
-		if err := json.Unmarshal(frame, &req); err != nil {
-			// Newline framing survives malformed JSON: report the error
-			// on the wire and keep the connection.
-			if !s.writeResponse(conn, enc, &Response{OK: false,
-				Error: "p4runtime: malformed request: " + err.Error()}) {
-				return
-			}
-			continue
-		}
-		if !s.writeResponse(conn, enc, s.dispatchSafe(&req)) {
+		payload = p
+		// A payload that does not decode is answered; the length prefix
+		// keeps the framing, so the connection stays.
+		if !send(s.serve(payload)) {
 			return
 		}
 	}
 }
 
-func (s *Server) writeResponse(conn net.Conn, enc *json.Encoder, resp *Response) bool {
-	if d := s.writeTimeout(); d > 0 {
-		conn.SetWriteDeadline(time.Now().Add(d))
+// serve answers one request frame's payload.
+func (s *Server) serve(payload []byte) *Response {
+	req, err := decodeRequest(payload)
+	if err != nil {
+		return &Response{ID: req.ID, Error: "p4runtime: malformed request: " + err.Error()}
 	}
-	return enc.Encode(resp) == nil
+	return s.dispatchSafe(req)
 }
 
 // dispatchSafe turns a dispatch panic into an error Response and records
 // request metrics (count, error count, latency) when Obs is attached.
-func (s *Server) dispatchSafe(req *Request) (resp *Response) {
+func (s *Server) dispatchSafe(req *wireRequest) (resp *Response) {
 	start := time.Now()
 	defer func() {
 		if r := recover(); r != nil {
@@ -471,7 +313,7 @@ func (s *Server) dispatchSafe(req *Request) (resp *Response) {
 
 // dedupKey builds the idempotency key for a mutation ("" disables
 // dedup for clients that do not identify themselves).
-func dedupKey(req *Request) string {
+func dedupKey(req *wireRequest) string {
 	if req.Client == "" {
 		return ""
 	}
@@ -480,7 +322,7 @@ func dedupKey(req *Request) string {
 
 // target resolves the fleet shard a request runs against: the named one,
 // or the default.
-func (s *Server) target(req *Request) (*shim.Shard, error) {
+func (s *Server) target(req *wireRequest) (*shim.Shard, error) {
 	id := req.Switch
 	if id == "" {
 		id = s.DefaultSwitch
@@ -495,7 +337,7 @@ func (s *Server) target(req *Request) (*shim.Shard, error) {
 	return sd, nil
 }
 
-func (s *Server) dispatch(req *Request) *Response {
+func (s *Server) dispatch(req *wireRequest) *Response {
 	resp := &Response{ID: req.ID}
 	fail := func(err error) *Response {
 		resp.OK = false
@@ -517,11 +359,7 @@ func (s *Server) dispatch(req *Request) *Response {
 	}
 	switch req.Type {
 	case "insert", "validate", "set_default":
-		op := req.Type
-		if op == "validate" {
-			op = "insert"
-		}
-		u, err := decodeUpdate(-1, op, req.Table, req.Entry)
+		u, err := singleWrite(req)
 		if err == nil {
 			if req.Type == "validate" {
 				err = sd.Validate(u)
@@ -534,18 +372,10 @@ func (s *Server) dispatch(req *Request) *Response {
 		}
 		resp.OK = true
 	case "batch":
-		if len(req.Update) == 0 {
+		if len(req.Writes) == 0 {
 			return fail(fmt.Errorf("p4runtime: empty batch"))
 		}
-		updates := make([]*shim.Update, 0, len(req.Update))
-		for i, um := range req.Update {
-			u, err := decodeUpdate(i, um.Op, um.Table, um.Entry)
-			if err != nil {
-				return fail(err)
-			}
-			updates = append(updates, u)
-		}
-		if err := sd.ApplyBatchWithKey(dedupKey(req), updates); err != nil {
+		if err := sd.ApplyBatchWithKey(dedupKey(req), req.Writes); err != nil {
 			var be *shim.BatchError
 			if errors.As(err, &be) {
 				idx := be.Index
@@ -558,13 +388,9 @@ func (s *Server) dispatch(req *Request) *Response {
 		if s.Prog == nil {
 			return fail(fmt.Errorf("p4runtime: packet injection not enabled"))
 		}
-		pkt := dataplane.Packet{}
-		for name, val := range req.Packet {
-			v, err := parseBig(val)
-			if err != nil {
-				return fail(err)
-			}
-			pkt[name] = v
+		pkt := req.Packet
+		if pkt == nil {
+			pkt = dataplane.Packet{}
 		}
 		snap := sd.Snapshot()
 		if snap == nil {
@@ -583,7 +409,7 @@ func (s *Server) dispatch(req *Request) *Response {
 			resp.BugKind = tr.Terminal.Bug.String()
 		}
 	case "stats":
-		st := sd.Stats()
+		st := sd.Counters()
 		resp.OK = true
 		resp.Validated = st.Validated
 		resp.Rejected = st.Rejected
@@ -593,30 +419,20 @@ func (s *Server) dispatch(req *Request) *Response {
 	return resp
 }
 
-// decodeUpdate turns one wire write into a shim update; op is "insert" or
-// "set_default". i is the write's place in a batch, -1 outside one, and
-// words the errors only.
-func decodeUpdate(i int, op, table string, m *EntryMsg) (*shim.Update, error) {
-	if m == nil {
-		if i < 0 {
-			return nil, errors.New("p4runtime: missing entry")
-		}
-		return nil, fmt.Errorf("p4runtime: batch update %d missing entry", i)
+// singleWrite is the one write of an insert, validate or set_default
+// request, the op its type names.
+func singleWrite(req *wireRequest) (*shim.Update, error) {
+	switch {
+	case len(req.Writes) == 0:
+		return nil, errors.New("p4runtime: missing entry")
+	case len(req.Writes) > 1:
+		return nil, fmt.Errorf("p4runtime: %s request carries %d writes, want one", req.Type, len(req.Writes))
+	case req.Type == "set_default" && req.Writes[0].SetDefault == nil:
+		return nil, errors.New("p4runtime: set_default request carries an entry, not a default action")
+	case req.Type != "set_default" && req.Writes[0].Entry == nil:
+		return nil, fmt.Errorf("p4runtime: %s request carries a default action, not an entry", req.Type)
 	}
-	e, err := DecodeEntry(m)
-	if err != nil {
-		if i < 0 {
-			return nil, err
-		}
-		return nil, fmt.Errorf("p4runtime: batch update %d: %w", i, err)
-	}
-	switch op {
-	case "insert":
-		return &shim.Update{Table: table, Entry: e}, nil
-	case "set_default":
-		return &shim.Update{Table: table, SetDefault: &dataplane.DefaultAction{Action: e.Action, Params: e.Params}}, nil
-	}
-	return nil, fmt.Errorf("p4runtime: batch update %d has unknown op %q", i, op)
+	return req.Writes[0], nil
 }
 
 // Options tunes the client's resilience behavior. The zero value gives
@@ -654,12 +470,18 @@ type Options struct {
 type Client struct {
 	mu   sync.Mutex
 	conn net.Conn
-	enc  *json.Encoder
-	dec  *json.Decoder
-	next int64
-	id   string
-	opts Options
-	rng  *mrand.Rand
+	r    *bufio.Reader
+	// opened: the client's preface went out on conn; greeted: the
+	// server's came in.
+	opened, greeted bool
+	// enc encodes a request's payload, out holds the preface and the
+	// request's frame, in the last response's payload.
+	enc     shim.Encoder
+	out, in []byte
+	next    int64
+	id      string
+	opts    Options
+	rng     *mrand.Rand
 	// jrng drives backoff jitter only. It is never shared and never
 	// seeded identically across clients (see Options.Seed).
 	jrng *mrand.Rand
@@ -727,8 +549,8 @@ func (c *Client) ID() string { return c.id }
 
 func (c *Client) setConn(conn net.Conn) {
 	c.conn = conn
-	c.enc = json.NewEncoder(conn)
-	c.dec = json.NewDecoder(bufio.NewReader(conn))
+	c.r = bufio.NewReader(conn)
+	c.opened, c.greeted = false, false
 }
 
 // Close closes the connection.
@@ -760,7 +582,7 @@ func (c *Client) backoff(a int) {
 	time.Sleep(c.backoffDelay(a))
 }
 
-func (c *Client) roundTrip(req *Request) (*Response, error) {
+func (c *Client) roundTrip(req *wireRequest) (*Response, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.next++
@@ -769,6 +591,13 @@ func (c *Client) roundTrip(req *Request) (*Response, error) {
 	if req.Switch == "" {
 		req.Switch = c.opts.Switch
 	}
+	// One encoding serves every attempt.
+	c.enc = shim.Encoder{Buf: c.enc.Buf[:0]}
+	encodeRequest(&c.enc, req)
+	if c.enc.Err != nil {
+		return nil, fmt.Errorf("p4runtime: cannot encode the %s request: %w", req.Type, c.enc.Err)
+	}
+	c.out = appendFrame(append(c.out[:0], preface...), c.enc.Buf)
 
 	var lastErr error
 	for attempt := 0; attempt < c.opts.MaxAttempts; attempt++ {
@@ -783,7 +612,7 @@ func (c *Client) roundTrip(req *Request) (*Response, error) {
 			}
 			c.setConn(conn)
 		}
-		resp, err := c.try(req)
+		resp, err := c.try(req.ID)
 		if err == nil {
 			if !resp.OK && resp.Retryable && attempt+1 < c.opts.MaxAttempts {
 				// Transient server-side failure (shard down/restoring):
@@ -802,39 +631,64 @@ func (c *Client) roundTrip(req *Request) (*Response, error) {
 		req.Type, c.opts.MaxAttempts, lastErr)
 }
 
-// try performs one round trip on the current connection.
-func (c *Client) try(req *Request) (*Response, error) {
+// try performs one round trip of the frame in c.out, request id, on the
+// current connection.
+func (c *Client) try(id int64) (*Response, error) {
 	if d := c.opts.CallTimeout; d > 0 {
 		c.conn.SetDeadline(time.Now().Add(d))
 		defer c.conn.SetDeadline(time.Time{})
 	}
-	if err := c.enc.Encode(req); err != nil {
+	out := c.out
+	if c.opened {
+		out = out[len(preface):]
+	}
+	if _, err := c.conn.Write(out); err != nil {
 		return nil, err
 	}
-	for {
-		var resp Response
-		if err := c.dec.Decode(&resp); err != nil {
+	c.opened = true
+	if !c.greeted {
+		if err := readPreface(c.r); err == errPreface {
+			return nil, fmt.Errorf("p4runtime: the server does not open with the %q preface", preface)
+		} else if err != nil {
 			return nil, err
 		}
+		c.greeted = true
+	}
+	for {
+		payload, err := readFramePayload(c.r, maxResponseBytes, c.in)
+		if err != nil {
+			return nil, err
+		}
+		c.in = payload
+		resp, err := decodeResponse(payload)
+		if err != nil {
+			return nil, fmt.Errorf("p4runtime: malformed response: %w", err)
+		}
 		switch {
-		case resp.ID == req.ID:
-			return &resp, nil
+		case resp.ID == id:
+			return resp, nil
 		case resp.ID == 0 && !resp.OK:
-			// Connection-level error (frame limit, conn cap, malformed
-			// frame): surface it; the caller reconnects and retries.
+			// Connection-level error (frame limit, conn cap, preface,
+			// undecodable header): surface it; the caller reconnects and
+			// retries.
 			return nil, fmt.Errorf("p4runtime: server error: %s", resp.Error)
-		case resp.ID < req.ID:
+		case resp.ID < id:
 			continue // stale response from an earlier request; skip
 		default:
-			return nil, fmt.Errorf("p4runtime: response id %d for request %d", resp.ID, req.ID)
+			return nil, fmt.Errorf("p4runtime: response id %d for request %d", resp.ID, id)
 		}
 	}
+}
+
+// insert is the request of an entry insert (or validate) to table.
+func insert(typ, table string, e *dataplane.Entry) *wireRequest {
+	return &wireRequest{Type: typ, Writes: []*shim.Update{{Table: table, Entry: e}}}
 }
 
 // Insert adds a table entry; a *RejectionError-shaped error means the
 // shim refused it.
 func (c *Client) Insert(table string, e *dataplane.Entry) error {
-	resp, err := c.roundTrip(&Request{Type: "insert", Table: table, Entry: EncodeEntry(e)})
+	resp, err := c.roundTrip(insert("insert", table, e))
 	if err != nil {
 		return err
 	}
@@ -846,7 +700,7 @@ func (c *Client) Insert(table string, e *dataplane.Entry) error {
 
 // Validate checks an entry without inserting it.
 func (c *Client) Validate(table string, e *dataplane.Entry) error {
-	resp, err := c.roundTrip(&Request{Type: "validate", Table: table, Entry: EncodeEntry(e)})
+	resp, err := c.roundTrip(insert("validate", table, e))
 	if err != nil {
 		return err
 	}
@@ -858,8 +712,8 @@ func (c *Client) Validate(table string, e *dataplane.Entry) error {
 
 // SetDefault changes a table's default action.
 func (c *Client) SetDefault(table, action string, params []*big.Int) error {
-	e := &dataplane.Entry{Action: action, Params: params}
-	resp, err := c.roundTrip(&Request{Type: "set_default", Table: table, Entry: EncodeEntry(e)})
+	d := &dataplane.DefaultAction{Action: action, Params: params}
+	resp, err := c.roundTrip(&wireRequest{Type: "set_default", Writes: []*shim.Update{{Table: table, SetDefault: d}}})
 	if err != nil {
 		return err
 	}
@@ -890,22 +744,22 @@ func (e *BatchRejectedError) Error() string { return e.Message }
 // validated and applied, or none is and a *BatchRejectedError reports
 // the first offender.
 func (c *Client) WriteBatch(ops []BatchOp) error {
-	msgs := make([]UpdateMsg, 0, len(ops))
-	for _, op := range ops {
-		um := UpdateMsg{Table: op.Table}
+	writes := make([]shim.Update, len(ops))
+	req := &wireRequest{Type: "batch", Writes: make([]*shim.Update, len(ops))}
+	for i, op := range ops {
+		w := &writes[i]
+		w.Table = op.Table
 		switch {
 		case op.Entry != nil:
-			um.Op = "insert"
-			um.Entry = EncodeEntry(op.Entry)
+			w.Entry = op.Entry
 		case op.Default != nil:
-			um.Op = "set_default"
-			um.Entry = EncodeEntry(&dataplane.Entry{Action: op.Default.Action, Params: op.Default.Params})
+			w.SetDefault = op.Default
 		default:
 			return fmt.Errorf("p4runtime: batch op for table %s has neither entry nor default", op.Table)
 		}
-		msgs = append(msgs, um)
+		req.Writes[i] = w
 	}
-	resp, err := c.roundTrip(&Request{Type: "batch", Update: msgs})
+	resp, err := c.roundTrip(req)
 	if err != nil {
 		return err
 	}
@@ -928,11 +782,11 @@ type PacketResult struct {
 
 // SendPacket injects a packet (field name → value) into the dataplane.
 func (c *Client) SendPacket(fields map[string]int64) (*PacketResult, error) {
-	msg := map[string]string{}
+	pkt := dataplane.Packet{}
 	for k, v := range fields {
-		msg[k] = fmt.Sprintf("%d", v)
+		pkt.SetField(k, v)
 	}
-	resp, err := c.roundTrip(&Request{Type: "packet", Packet: msg})
+	resp, err := c.roundTrip(&wireRequest{Type: "packet", Packet: pkt})
 	if err != nil {
 		return nil, err
 	}
@@ -949,7 +803,7 @@ func (c *Client) SendPacket(fields map[string]int64) (*PacketResult, error) {
 // Health fetches the server's per-shard lifecycle states (switch id →
 // "healthy" | "restoring" | "down").
 func (c *Client) Health() (map[string]string, error) {
-	resp, err := c.roundTrip(&Request{Type: "health"})
+	resp, err := c.roundTrip(&wireRequest{Type: "health"})
 	if err != nil {
 		return nil, err
 	}
@@ -961,7 +815,7 @@ func (c *Client) Health() (map[string]string, error) {
 
 // Stats fetches shim counters.
 func (c *Client) Stats() (validated, rejected int, err error) {
-	resp, err := c.roundTrip(&Request{Type: "stats"})
+	resp, err := c.roundTrip(&wireRequest{Type: "stats"})
 	if err != nil {
 		return 0, 0, err
 	}

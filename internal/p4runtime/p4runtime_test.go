@@ -293,12 +293,8 @@ func TestPacketToDownDefaultShardNamesIt(t *testing.T) {
 	prog, file := natProgram(t)
 	sd, addr := serve(t, file, shim.FleetConfig{}, &Server{Prog: prog})
 	sd.Kill()
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	resp := roundTripRaw(t, conn, `{"id":1,"type":"packet","packet":{"hdr.ethernet.etherType":"2048"}}`)
+	resp := dialRaw(t, addr).roundTripPayload(t, payloadOf(t, &wireRequest{ID: 1, Type: "packet",
+		Packet: dataplane.Packet{"hdr.ethernet.etherType": big.NewInt(2048)}}))
 	if resp.OK || !resp.Retryable || !strings.Contains(resp.Error, "shard sw0 unavailable (down)") {
 		t.Fatalf("packet to a down default shard: %+v, want a retryable refusal naming sw0", resp)
 	}

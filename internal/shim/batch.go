@@ -61,7 +61,8 @@ func (s *Shim) apply(key string, updates []*Update, batch bool) error {
 	done := 0
 	var err error
 	for i, u := range updates {
-		if err = s.validateLocked(u); err != nil {
+		var tb *table
+		if tb, err = s.validateLocked(u); err != nil {
 			if batch {
 				err = &BatchError{Index: i, Size: len(updates), Err: err}
 			}
@@ -71,7 +72,7 @@ func (s *Shim) apply(key string, updates []*Update, batch bool) error {
 			d, had := s.defaults[u.Table]
 			prior = append(prior, priorDefault{u.Table, d, had})
 		}
-		s.commitLocked(u)
+		s.commitLocked(tb, u)
 		done++
 	}
 	if err == nil {
@@ -103,11 +104,17 @@ type priorDefault struct {
 	had   bool
 }
 
-// commitLocked records a validated update in the shadow state (mirroring
-// its insertion into the switch).
-func (s *Shim) commitLocked(u *Update) {
-	if u.Entry != nil {
-		s.shadow[u.Table] = append(s.shadow[u.Table], u.Entry)
+// commitLocked records a validated update to tb in the shadow state
+// (mirroring its insertion into the switch).
+func (s *Shim) commitLocked(tb *table, u *Update) {
+	if e := u.Entry; e != nil {
+		s.shadow[tb.idx] = append(s.shadow[tb.idx], e)
+		if len(tb.scanners) > 0 {
+			act := tb.actions[e.Action]
+			for _, b := range tb.scanners {
+				s.words[b.id] = b.row(s.words[b.id], act, e)
+			}
+		}
 		s.obs.shadowEntries.Add(1)
 	}
 	if u.SetDefault != nil {
@@ -120,8 +127,11 @@ func (s *Shim) commitLocked(u *Update) {
 func (s *Shim) rollbackLocked(committed []*Update, prior []priorDefault) {
 	for _, u := range committed {
 		if u.Entry != nil {
-			es := s.shadow[u.Table]
-			s.shadow[u.Table] = es[:len(es)-1]
+			tb := s.cp.tables[u.Table]
+			s.shadow[tb.idx] = s.shadow[tb.idx][:len(s.shadow[tb.idx])-1]
+			for _, b := range tb.scanners {
+				s.words[b.id] = s.words[b.id][:len(s.words[b.id])-(b.hi-b.lo)]
+			}
 			s.obs.shadowEntries.Add(-1)
 		}
 	}

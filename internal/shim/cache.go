@@ -27,8 +27,12 @@ type Compiled struct {
 	// f keeps the owning term factory alive (terms intern into it).
 	f *smt.Factory
 	// tables indexes the schema, and each table's cluster and plan, by
-	// name: one lookup per update.
+	// name: one lookup per update. byName lists the same tables sorted by
+	// name, in which order a shim writes its state.
 	tables map[string]*table
+	byName []*table
+	// scans counts the bindings conditions scan (binding.id).
+	scans int
 
 	// maxRegs sizes the scratch register files that scratch pools for
 	// fast-path evaluation. Sharing the pool across the shards of one

@@ -11,10 +11,11 @@ import (
 	"bf4/internal/smt"
 )
 
-// The shim's durable vocabulary has one binary encoding, used by the
-// journal and the snapshot (persist.go) and exported for the wire:
+// The shim's vocabulary has one binary encoding, used by the journal and
+// the snapshot (persist.go) and by the p4runtime wire frames:
 //
 //	uvarint  counts, lengths, sequence numbers, prefix lengths
+//	varint   zigzag-encoded signed integers (priorities)
 //	string   uvarint length, bytes
 //	integer  uvarint length, big-endian magnitude of at most smt.MaxWidth bits
 //	key      flags, value, mask (keyMask only), prefix length (keyPrefix only)
@@ -44,15 +45,23 @@ type Encoder struct {
 	Err error
 }
 
-func (e *Encoder) uvarint(v uint64) { e.Buf = binary.AppendUvarint(e.Buf, v) }
+// Uvarint appends an unsigned varint.
+func (e *Encoder) Uvarint(v uint64) { e.Buf = binary.AppendUvarint(e.Buf, v) }
 
-func (e *Encoder) str(s string) {
-	e.uvarint(uint64(len(s)))
+// Varint appends a zigzag-encoded signed varint.
+func (e *Encoder) Varint(v int64) { e.Buf = binary.AppendVarint(e.Buf, v) }
+
+// Str appends a length-prefixed string.
+func (e *Encoder) Str(s string) {
+	e.Uvarint(uint64(len(s)))
 	e.Buf = append(e.Buf, s...)
 }
 
-func (e *Encoder) int(v *big.Int) {
+// Int appends a non-negative integer of at most smt.MaxWidth bits.
+func (e *Encoder) Int(v *big.Int) {
 	switch {
+	case v == nil:
+		e.Err = fmt.Errorf("integer is missing")
 	case v.Sign() < 0:
 		e.Err = fmt.Errorf("integer %s is negative", v)
 	case v.IsUint64():
@@ -69,22 +78,22 @@ func (e *Encoder) int(v *big.Int) {
 		e.Err = fmt.Errorf("integer of %d bits is wider than %d", v.BitLen(), smt.MaxWidth)
 	default:
 		n := (v.BitLen() + 7) / 8
-		e.uvarint(uint64(n))
+		e.Uvarint(uint64(n))
 		e.Buf = slices.Grow(e.Buf, n)[:len(e.Buf)+n]
 		v.FillBytes(e.Buf[len(e.Buf)-n:])
 	}
 }
 
 func (e *Encoder) ints(vs []*big.Int) {
-	e.uvarint(uint64(len(vs)))
+	e.Uvarint(uint64(len(vs)))
 	for _, v := range vs {
-		e.int(v)
+		e.Int(v)
 	}
 }
 
 // Entry appends one table entry.
 func (e *Encoder) Entry(x *dataplane.Entry) {
-	e.uvarint(uint64(len(x.Keys)))
+	e.Uvarint(uint64(len(x.Keys)))
 	for i := range x.Keys {
 		k := &x.Keys[i]
 		var flags uint64
@@ -97,32 +106,32 @@ func (e *Encoder) Entry(x *dataplane.Entry) {
 		if k.PrefixLen >= 0 {
 			flags |= keyPrefix
 		}
-		e.uvarint(flags)
-		e.int(k.Value)
+		e.Uvarint(flags)
+		e.Int(k.Value)
 		if flags&keyMask != 0 {
-			e.int(k.Mask)
+			e.Int(k.Mask)
 		}
 		if flags&keyPrefix != 0 {
 			if k.PrefixLen > smt.MaxWidth {
 				e.Err = fmt.Errorf("prefix length %d exceeds %d bits", k.PrefixLen, smt.MaxWidth)
 			}
-			e.uvarint(uint64(k.PrefixLen))
+			e.Uvarint(uint64(k.PrefixLen))
 		}
 	}
-	e.str(x.Action)
+	e.Str(x.Action)
 	e.ints(x.Params)
-	e.Buf = binary.AppendVarint(e.Buf, int64(x.Priority))
+	e.Varint(int64(x.Priority))
 }
 
 // Default appends one runtime default action.
 func (e *Encoder) Default(d *dataplane.DefaultAction) {
-	e.str(d.Action)
+	e.Str(d.Action)
 	e.ints(d.Params)
 }
 
 // Update appends one update op.
 func (e *Encoder) Update(u *Update) {
-	e.str(u.Table)
+	e.Str(u.Table)
 	var flags uint64
 	if u.Entry != nil {
 		flags |= opEntry
@@ -130,7 +139,7 @@ func (e *Encoder) Update(u *Update) {
 	if u.SetDefault != nil {
 		flags |= opDefault
 	}
-	e.uvarint(flags)
+	e.Uvarint(flags)
 	if u.Entry != nil {
 		e.Entry(u.Entry)
 	}
@@ -165,7 +174,8 @@ func (d *Decoder) Finish() error {
 	return d.Err
 }
 
-func (d *Decoder) uvarint() uint64 {
+// Uvarint reads an unsigned varint.
+func (d *Decoder) Uvarint() uint64 {
 	v, n := binary.Uvarint(d.Buf)
 	if n <= 0 {
 		d.fail("truncated or overlong varint")
@@ -175,10 +185,16 @@ func (d *Decoder) uvarint() uint64 {
 	return v
 }
 
-// count reads a byte length or an element count; every element takes at
+// Varint reads a zigzag-encoded signed varint.
+func (d *Decoder) Varint() int64 {
+	u := d.Uvarint()
+	return int64(u>>1) ^ -int64(u&1)
+}
+
+// Count reads a byte length or an element count; every element takes at
 // least one byte, so either is refused when it exceeds what remains.
-func (d *Decoder) count() int {
-	n := d.uvarint()
+func (d *Decoder) Count() int {
+	n := d.Uvarint()
 	if n > uint64(len(d.Buf)) {
 		d.fail("length %d exceeds the %d bytes that remain", n, len(d.Buf))
 		return 0
@@ -187,15 +203,17 @@ func (d *Decoder) count() int {
 }
 
 func (d *Decoder) bytes() []byte {
-	n := d.count()
+	n := d.Count()
 	b := d.Buf[:n]
 	d.Buf = d.Buf[n:]
 	return b
 }
 
-func (d *Decoder) str() string { return string(d.bytes()) }
+// Str reads a length-prefixed string.
+func (d *Decoder) Str() string { return string(d.bytes()) }
 
-func (d *Decoder) int() *big.Int {
+// Int reads an integer of at most smt.MaxWidth bits.
+func (d *Decoder) Int() *big.Int {
 	b := d.bytes()
 	if len(b) > smt.MaxWidth/8 {
 		d.fail("integer of %d bytes is wider than %d bits", len(b), smt.MaxWidth)
@@ -205,13 +223,13 @@ func (d *Decoder) int() *big.Int {
 }
 
 func (d *Decoder) ints() []*big.Int {
-	n := d.count()
+	n := d.Count()
 	if n == 0 {
 		return nil
 	}
 	vs := make([]*big.Int, n)
 	for i := range vs {
-		vs[i] = d.int()
+		vs[i] = d.Int()
 	}
 	return vs
 }
@@ -219,46 +237,45 @@ func (d *Decoder) ints() []*big.Int {
 // Entry reads one table entry.
 func (d *Decoder) Entry() *dataplane.Entry {
 	x := &dataplane.Entry{}
-	if n := d.count(); n > 0 {
+	if n := d.Count(); n > 0 {
 		x.Keys = make([]dataplane.KeyMatch, n)
 	}
 	for i := range x.Keys {
 		k := &x.Keys[i]
-		flags := d.uvarint()
+		flags := d.Uvarint()
 		if flags&^(keyMask|keyFullMask|keyPrefix) != 0 || flags&(keyMask|keyFullMask) == keyMask|keyFullMask {
 			d.fail("key flags %#x", flags)
 		}
-		k.Value, k.PrefixLen = d.int(), -1
+		k.Value, k.PrefixLen = d.Int(), -1
 		if flags&keyMask != 0 {
-			k.Mask = d.int()
+			k.Mask = d.Int()
 		}
 		if flags&keyFullMask != 0 {
 			k.Mask = big.NewInt(-1)
 		}
 		if flags&keyPrefix != 0 {
-			p := d.uvarint()
+			p := d.Uvarint()
 			if p > smt.MaxWidth {
 				d.fail("prefix length %d exceeds %d bits", p, smt.MaxWidth)
 			}
 			k.PrefixLen = int(p)
 		}
 	}
-	x.Action = d.str()
+	x.Action = d.Str()
 	x.Params = d.ints()
-	p := d.uvarint() // zigzag, as binary.AppendVarint writes it
-	x.Priority = int(int64(p>>1) ^ -int64(p&1))
+	x.Priority = int(d.Varint())
 	return x
 }
 
 // Default reads one runtime default action.
 func (d *Decoder) Default() *dataplane.DefaultAction {
-	return &dataplane.DefaultAction{Action: d.str(), Params: d.ints()}
+	return &dataplane.DefaultAction{Action: d.Str(), Params: d.ints()}
 }
 
 // Update reads one update op.
 func (d *Decoder) Update() *Update {
-	u := &Update{Table: d.str()}
-	flags := d.uvarint()
+	u := &Update{Table: d.Str()}
+	flags := d.Uvarint()
 	if flags&^(opEntry|opDefault) != 0 {
 		d.fail("update flags %#x", flags)
 	}

@@ -102,6 +102,22 @@ var bigZero, bigOne = new(big.Int), big.NewInt(1)
 type binding struct {
 	tb   *table
 	vars []boundVar
+	// The variables that have a register hold regs[lo:hi], in vars order.
+	lo, hi int
+	// id, for a scanned binding, indexes the words a shim keeps of the
+	// scanned table's shadow entries (Shim.words): per entry, what fill
+	// writes to regs[lo:hi]. The fast tier's scan copies them.
+	id int
+}
+
+// row appends to dst the words e, running act, binds to regs[lo:hi].
+func (b *binding) row(dst []uint64, act *action, e *dataplane.Entry) []uint64 {
+	for i := range b.vars {
+		if v := &b.vars[i]; v.slot >= 0 {
+			dst = append(dst, normU64(v.value(act, e).Uint64(), v.width))
+		}
+	}
+	return dst
 }
 
 // fill binds every variable to e's value for it, in env on the term tier
@@ -172,6 +188,9 @@ type plan struct {
 	// hasFast: some condition has a program or guards, so an update is
 	// worth a register file.
 	hasFast bool
+	// scanners are the bindings, of any table's cluster, that scan this
+	// table's shadow entries: a shim keeps their words (Shim.words).
+	scanners []*binding
 }
 
 // planner resolves names while Compile builds the plans.
@@ -222,10 +241,10 @@ type slotKey struct {
 	sort smt.Sort
 }
 
-// slotRef is a register and the binding that fills it.
+// slotRef is a variable of the binding that fills it: owner.vars[i].
 type slotRef struct {
-	slot  int
 	owner *binding
+	i     int
 }
 
 var errWideVar = errors.New("variable takes values wider than a register")
@@ -239,11 +258,12 @@ func (cp *Compiled) compilePlans() {
 		if len(tb.conds) == 0 {
 			continue
 		}
-		tb.own.tb = tb
-		slots, nSlots := map[slotKey]slotRef{}, 0
+		tb.own.tb, tb.own.id = tb, -1
+		slots := map[slotKey]slotRef{}
+		bindings := []*binding{&tb.own} // the own binding, then the scanned ones as met
 		scans := map[*table]*binding{}
 		// Pass one: resolve every variable against the updated table or
-		// the condition's other table, fixing the register layout.
+		// the condition's other table.
 		for ci := range tb.conds {
 			c := &tb.conds[ci]
 			for _, vt := range c.term.Vars(nil) {
@@ -252,7 +272,10 @@ func (cp *Compiled) compilePlans() {
 				if !ok && c.other != nil {
 					if v, ok = pl.controlVars(c.other)[vt.Name()]; ok {
 						if scans[c.other] == nil {
-							scans[c.other] = &binding{tb: c.other}
+							scans[c.other] = &binding{tb: c.other, id: cp.scans}
+							cp.scans++
+							c.other.scanners = append(c.other.scanners, scans[c.other])
+							bindings = append(bindings, scans[c.other])
 						}
 						b = scans[c.other]
 						c.scan = b
@@ -262,14 +285,25 @@ func (cp *Compiled) compilePlans() {
 				if _, done := slots[k]; done || !ok {
 					continue // !ok: bound on neither tier
 				}
-				v.name, v.width, v.slot = k.name, k.sort.Width, -1
+				v.name, v.width = k.name, k.sort.Width
+				slots[k] = slotRef{b, len(b.vars)}
+				b.vars = append(b.vars, v)
+			}
+		}
+		// The register layout: each binding's variables that fit a word,
+		// back to back, so that a scan loads an entry with one copy.
+		nSlots := 0
+		for _, b := range bindings {
+			b.lo = nSlots
+			for i := range b.vars {
+				v := &b.vars[i]
+				v.slot = -1
 				if v.bits <= 64 && v.width <= 64 {
 					v.slot = nSlots
 					nSlots++
 				}
-				slots[k] = slotRef{v.slot, b}
-				b.vars = append(b.vars, v)
 			}
+			b.hi = nSlots
 		}
 		// Pass two: lower. A condition reads the registers of the updated
 		// table and of the table it scans; a variable of a table some
@@ -280,10 +314,10 @@ func (cp *Compiled) compilePlans() {
 				switch {
 				case !ok || r.owner != &tb.own && r.owner != scan:
 					return -1, nil
-				case r.slot < 0:
+				case r.owner.vars[r.i].slot < 0:
 					return 0, errWideVar
 				}
-				return r.slot, nil
+				return r.owner.vars[r.i].slot, nil
 			})
 			if err != nil {
 				return nil

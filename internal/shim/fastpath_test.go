@@ -2,6 +2,7 @@ package shim
 
 import (
 	"errors"
+	"fmt"
 	"math/big"
 	"strings"
 	"sync"
@@ -317,3 +318,79 @@ func TestFastpathRaceSoak(t *testing.T) {
 }
 
 var errSoakAcceptedBad = errors.New("known-bad wide update was accepted")
+
+// TestLinkedScanAfterRollbackAndRestore: the words a shim keeps of a
+// scanned table's entries stay in step with the entries through a
+// rolled-back batch and through Kill+RestoreNow (journal replay, then a
+// checkpoint's snapshot), on both tiers. A batch that added l entries 9
+// and 8 and was rolled back must leave no words behind: stale ones would
+// sit where the next l entry's belong, and the linked-scan rejection of
+// t key 1 against l key 7 would not fire.
+func TestLinkedScanAfterRollbackAndRestore(t *testing.T) {
+	key8 := []spec.KeySchema{{Path: "hdr.k", MatchKind: "exact", Width: 8}}
+	noAct := []*spec.ActionSchema{{Name: "NoAction", Index: 0}}
+	file := &spec.File{
+		Program: "linked",
+		Tables: []*spec.TableSchema{
+			{Name: "t", Prefix: "t$0", Keys: key8, Actions: noAct, Default: "NoAction"},
+			{Name: "l", Prefix: "l$0", Keys: key8, Actions: noAct, Default: "NoAction"},
+		},
+		Assertions: []*spec.Assertion{{
+			Table: "t", Linked: "l", Source: "t-after-l",
+			Forbidden: []string{"(and |t$0.hit| (= |t$0.key0| (_ bv1 8)) |l$0.hit| (= |l$0.key0| (_ bv7 8)))"},
+			Vars:      map[string]int{"t$0.hit": 0, "t$0.key0": 8, "l$0.hit": 0, "l$0.key0": 8},
+		}},
+	}
+	entry := func(table string, k int64, action string) *Update {
+		return &Update{Table: table, Entry: &dataplane.Entry{Keys: []dataplane.KeyMatch{dataplane.NewExact(k)}, Action: action}}
+	}
+	for _, fastpath := range []bool{true, false} {
+		fleet := NewFleet(FleetConfig{StateRoot: t.TempDir(), NoSync: true})
+		sd, err := fleet.AddShard("sw0", file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		live := func() *Shim {
+			sh := sd.LiveShim()
+			sh.SetFastpath(fastpath)
+			return sh
+		}
+		sh := live()
+		if err := sh.Apply(entry("l", 5, "NoAction")); err != nil {
+			t.Fatal(err)
+		}
+		err = sh.ApplyBatch([]*Update{entry("l", 9, "NoAction"), entry("l", 8, "NoAction"), entry("t", 2, "bogus")})
+		if !strings.Contains(fmt.Sprint(err), "rolled back") {
+			t.Fatalf("batch with a bogus action: %v", err)
+		}
+		if err := sh.Apply(entry("l", 7, "NoAction")); err != nil {
+			t.Fatal(err)
+		}
+		rejects := func(when string) {
+			t.Helper()
+			var re *RejectionError
+			if err := live().Apply(entry("t", 1, "NoAction")); !errors.As(err, &re) || re.Assertion == nil || re.Assertion.Source != "t-after-l" {
+				t.Fatalf("fastpath=%v, %s: t key 1 beside l {5, 7} = %v, want the linked-scan rejection", fastpath, when, err)
+			}
+		}
+		rejects("after the rolled-back batch")
+		if fast := live().Counters().FastpathHits; (fast > 0) != fastpath {
+			t.Fatalf("fastpath=%v: %d fast-tier evaluations", fastpath, fast)
+		}
+		for i, checkpoint := range []bool{false, true} {
+			if checkpoint {
+				if err := live().Checkpoint(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := fleet.Kill("sw0"); err != nil {
+				t.Fatal(err)
+			}
+			if err := fleet.RestoreNow("sw0"); err != nil {
+				t.Fatal(err)
+			}
+			rejects(fmt.Sprintf("after restore %d (checkpointed: %v)", i+1, checkpoint))
+		}
+		fleet.Close()
+	}
+}

@@ -75,7 +75,7 @@ func syncDir(dir string) error {
 // fileHeader returns the bytes a state file of program starts with.
 func fileHeader(magic, program string) []byte {
 	e := Encoder{Buf: []byte(magic)}
-	e.str(program)
+	e.Str(program)
 	return e.Buf
 }
 
@@ -86,7 +86,7 @@ func (s *Shim) openHeader(path, magic string, data []byte) (*Decoder, error) {
 		return nil, fmt.Errorf("shim: %s is not a %s file of format %d", path, magic[:7], magic[7])
 	}
 	d := &Decoder{Buf: data[len(magic):]}
-	if prog := d.str(); d.Err != nil {
+	if prog := d.Str(); d.Err != nil {
 		return nil, fmt.Errorf("shim: %s: corrupt header: %v", path, d.Err)
 	} else if prog != s.cp.file.Program {
 		return nil, fmt.Errorf("shim: %s holds the state of program %q, not of %q", path, prog, s.cp.file.Program)
@@ -301,10 +301,10 @@ func (s *Shim) loadSnapshot(path string, data []byte) error {
 		return fmt.Errorf("shim: corrupt snapshot %s: checksum mismatch", path)
 	}
 	d.Buf = d.Buf[:len(d.Buf)-4]
-	s.seq = int64(d.uvarint())
+	s.seq = int64(d.Uvarint())
 	s.readState(d)
-	for n := d.count(); n > 0; n-- {
-		s.recordOutcome(d.str(), nil)
+	for n := d.Count(); n > 0; n-- {
+		s.recordOutcome(d.Str(), nil)
 	}
 	if err := d.Finish(); err != nil {
 		return fmt.Errorf("shim: corrupt snapshot %s: %v", path, err)
@@ -332,8 +332,8 @@ func (s *Shim) replayJournal(st *Store, data []byte, off int) (int, error) {
 		var ops []*Update
 		if err == nil {
 			d := Decoder{Buf: payload}
-			seq, key = int64(d.uvarint()), d.str()
-			ops = make([]*Update, d.count())
+			seq, key = int64(d.Uvarint()), d.Str()
+			ops = make([]*Update, d.Count())
 			for i := range ops {
 				ops[i] = d.Update()
 			}
@@ -365,7 +365,7 @@ func (s *Shim) replayJournal(st *Store, data []byte, off int) (int, error) {
 			continue
 		}
 		for _, u := range ops {
-			s.commitLocked(u)
+			s.commitLocked(s.cp.tables[u.Table], u)
 		}
 		s.recordOutcome(key, nil)
 	}
@@ -393,9 +393,9 @@ func (s *Shim) journalLocked(key string, updates []*Update) error {
 	}
 	enc := &st.enc
 	*enc = Encoder{Buf: append(enc.Buf[:0], make([]byte, frameHeader)...)}
-	enc.uvarint(uint64(s.seq + 1))
-	enc.str(key)
-	enc.uvarint(uint64(len(updates)))
+	enc.Uvarint(uint64(s.seq + 1))
+	enc.Str(key)
+	enc.Uvarint(uint64(len(updates)))
 	for _, u := range updates {
 		enc.Update(u)
 	}
@@ -457,39 +457,43 @@ const spillAt = 64 << 10
 // in insertion order. After each entry it offers spill what enc holds, so
 // that a checkpoint never holds the whole state.
 func (s *Shim) writeState(enc *Encoder, spill func(atLeast int)) {
-	names := make([]string, 0, len(s.shadow)+len(s.defaults))
-	for table, es := range s.shadow {
-		if len(es) > 0 {
-			names = append(names, table)
+	n := 0
+	for _, tb := range s.cp.byName {
+		if len(s.shadow[tb.idx]) > 0 {
+			n++
 		}
 	}
-	sort.Strings(names)
-	enc.uvarint(uint64(len(names)))
-	for _, table := range names {
-		enc.str(table)
-		enc.uvarint(uint64(len(s.shadow[table])))
-		for _, e := range s.shadow[table] {
+	enc.Uvarint(uint64(n))
+	for _, tb := range s.cp.byName {
+		es := s.shadow[tb.idx]
+		if len(es) == 0 {
+			continue
+		}
+		enc.Str(tb.ts.Name)
+		enc.Uvarint(uint64(len(es)))
+		for _, e := range es {
 			enc.Entry(e)
 			spill(spillAt)
 		}
 	}
-	names = names[:0]
+	names := make([]string, 0, len(s.defaults))
 	for table := range s.defaults {
 		names = append(names, table)
 	}
 	sort.Strings(names)
-	enc.uvarint(uint64(len(names)))
+	enc.Uvarint(uint64(len(names)))
 	for _, table := range names {
-		enc.str(table)
+		enc.Str(table)
 		enc.Default(s.defaults[table])
 	}
 }
 
 // readState is writeState's inverse, into an empty shim.
 func (s *Shim) readState(d *Decoder) {
-	for n := d.count(); n > 0; n-- {
-		u := Update{Table: d.str()}
-		es := make([]*dataplane.Entry, d.count())
+	listed := map[string]bool{}
+	for n := d.Count(); n > 0; n-- {
+		u := Update{Table: d.Str()}
+		es := make([]*dataplane.Entry, d.Count())
 		for i := range es {
 			es[i] = d.Entry()
 			u.Entry = es[i]
@@ -497,13 +501,23 @@ func (s *Shim) readState(d *Decoder) {
 				d.fail("table %s entry %d: %s", u.Table, i, reason)
 			}
 		}
-		if s.shadow[u.Table] != nil {
+		if listed[u.Table] {
 			d.fail("table %s listed twice", u.Table)
 		}
-		s.shadow[u.Table] = es
+		listed[u.Table] = true
+		// Entries reach the state only when every one passed the check,
+		// which refuses any of a table the program does not have.
+		if tb := s.cp.tables[u.Table]; tb != nil && d.Err == nil {
+			s.shadow[tb.idx] = es
+			for _, b := range tb.scanners {
+				for _, e := range es {
+					s.words[b.id] = b.row(s.words[b.id], tb.actions[e.Action], e)
+				}
+			}
+		}
 	}
-	for n := d.count(); n > 0; n-- {
-		u := Update{Table: d.str(), SetDefault: d.Default()}
+	for n := d.Count(); n > 0; n-- {
+		u := Update{Table: d.Str(), SetDefault: d.Default()}
 		if _, _, reason := s.cp.check(&u); d.Err == nil && reason != "" {
 			d.fail("table %s default: %s", u.Table, reason)
 		}
@@ -543,7 +557,7 @@ func (s *Shim) checkpointLocked() error {
 			enc.Buf = enc.Buf[:0]
 		}
 	}
-	enc.uvarint(uint64(s.seq))
+	enc.Uvarint(uint64(s.seq))
 	s.writeState(enc, spill)
 	// Dedup window, oldest first (ring order), applied keys only.
 	var applied []string
@@ -553,9 +567,9 @@ func (s *Shim) checkpointLocked() error {
 			applied = append(applied, key)
 		}
 	}
-	enc.uvarint(uint64(len(applied)))
+	enc.Uvarint(uint64(len(applied)))
 	for _, key := range applied {
-		enc.str(key)
+		enc.Str(key)
 		spill(spillAt)
 	}
 	spill(0)

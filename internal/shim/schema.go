@@ -21,7 +21,9 @@ import (
 // table is Compile's view of one table: its schema as the check reads it,
 // and the conditions clustered on it with their binding plan (fastpath.go).
 type table struct {
-	ts      *spec.TableSchema
+	ts *spec.TableSchema
+	// idx indexes the table's shadow entries in a shim (Shim.shadow).
+	idx     int
 	actions map[string]*action
 	plan
 }
@@ -33,8 +35,8 @@ type action struct {
 	run *big.Int
 }
 
-func newTable(ts *spec.TableSchema) *table {
-	tb := &table{ts: ts, actions: make(map[string]*action, len(ts.Actions))}
+func newTable(ts *spec.TableSchema, idx int) *table {
+	tb := &table{ts: ts, idx: idx, actions: make(map[string]*action, len(ts.Actions))}
 	for _, a := range ts.Actions {
 		tb.actions[a.Name] = &action{a, big.NewInt(int64(a.Index))}
 	}

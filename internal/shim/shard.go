@@ -85,6 +85,15 @@ func (sd *Shard) Stats() Stats {
 	return Stats{}
 }
 
+// Counters returns the current incarnation's scalar counters (zero when
+// down), without the latency reservoirs Stats copies.
+func (sd *Shard) Counters() Stats {
+	if sh := sd.currentShim(); sh != nil {
+		return sh.Counters()
+	}
+	return Stats{}
+}
+
 // ShadowSize returns the shadow entry count for a table (0 when down).
 func (sd *Shard) ShadowSize(table string) int {
 	if sh := sd.currentShim(); sh != nil {

@@ -12,6 +12,8 @@ package shim
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -71,9 +73,13 @@ const DefaultDedupWindow = 4096
 
 // Shim validates and tracks controller updates for one P4 program.
 type Shim struct {
-	mu       sync.Mutex
-	cp       *Compiled
-	shadow   map[string][]*dataplane.Entry
+	mu sync.Mutex
+	cp *Compiled
+	// shadow holds each table's entries by table.idx; words, by
+	// binding.id, the register words of the entries of the table a
+	// binding scans, a row of hi-lo per entry in shadow order.
+	shadow   [][]*dataplane.Entry
+	words    [][]uint64
 	defaults map[string]*dataplane.DefaultAction
 	counters struct{ validated, rejected, fastHits, slowHits int }
 	obs      shimObs
@@ -138,8 +144,16 @@ func Compile(file *spec.File) (*Compiled, error) {
 				}
 			}
 		}
-		cp.tables[ts.Name] = newTable(ts)
+		tb := newTable(ts, len(cp.tables))
+		if old := cp.tables[ts.Name]; old != nil {
+			tb.idx = old.idx // a later schema of the same name replaces it
+		}
+		cp.tables[ts.Name] = tb
 	}
+	for _, tb := range cp.tables {
+		cp.byName = append(cp.byName, tb)
+	}
+	slices.SortFunc(cp.byName, func(a, b *table) int { return strings.Compare(a.ts.Name, b.ts.Name) })
 	for i, a := range file.Assertions {
 		if a == nil {
 			return nil, fmt.Errorf("shim: assertion %d is null", i)
@@ -182,7 +196,8 @@ func NewFromCompiled(cp *Compiled) *Shim {
 	return &Shim{
 		cp:           cp,
 		fastpath:     true,
-		shadow:       map[string][]*dataplane.Entry{},
+		shadow:       make([][]*dataplane.Entry, len(cp.tables)),
+		words:        make([][]uint64, cp.scans),
 		defaults:     map[string]*dataplane.DefaultAction{},
 		perAssertion: newReservoir(DefaultStatsCap),
 		perUpdate:    newReservoir(DefaultStatsCap),
@@ -261,14 +276,18 @@ func (s *Shim) SetDedupWindow(n int) {
 func (s *Shim) ShadowSize(table string) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.shadow[table])
+	if tb := s.cp.tables[table]; tb != nil {
+		return len(s.shadow[tb.idx])
+	}
+	return 0
 }
 
 // Validate checks an update without applying it.
 func (s *Shim) Validate(u *Update) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.validateLocked(u)
+	_, err := s.validateLocked(u)
+	return err
 }
 
 // Apply validates an update and, when safe, records it in the shadow
@@ -318,8 +337,10 @@ func (s *Shim) Snapshot() *dataplane.Snapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	snap := dataplane.NewSnapshot()
-	for t, es := range s.shadow {
-		snap.Entries[t] = append([]*dataplane.Entry(nil), es...)
+	for _, tb := range s.cp.byName {
+		if es := s.shadow[tb.idx]; len(es) > 0 {
+			snap.Entries[tb.ts.Name] = slices.Clone(es)
+		}
 	}
 	for t, d := range s.defaults {
 		snap.Defaults[t] = d
@@ -334,27 +355,40 @@ func (s *Shim) rejectLocked(e *RejectionError) error {
 	return e
 }
 
-func (s *Shim) validateLocked(u *Update) error {
-	start := time.Now()
+// epoch anchors the validation clock: time.Since of a Time that carries a
+// monotonic reading reads the monotonic clock alone, once.
+var epoch = time.Now()
+
+func monoNow() int64 { return int64(time.Since(epoch)) }
+
+// validateLocked judges u against the shadow state and returns its table
+// (nil when the update is refused). It reads the clock once at every
+// boundary: the start, the start of the assertions, the end of each, and
+// the end when that is not the last assertion's.
+func (s *Shim) validateLocked(u *Update) (*table, error) {
+	start := monoNow()
+	last := start
 	defer func() {
-		ns := time.Since(start).Nanoseconds()
-		s.perUpdate.add(ns)
-		s.obs.updateNs.Observe(ns)
+		if last == start {
+			last = monoNow()
+		}
+		s.perUpdate.add(last - start)
+		s.obs.updateNs.Observe(last - start)
 	}()
 	s.counters.validated++
 	s.obs.validated.Inc()
 
 	tb, act, reason := s.cp.check(u)
 	if reason != "" {
-		return s.rejectLocked(&RejectionError{Table: u.Table, Reason: reason})
+		return nil, s.rejectLocked(&RejectionError{Table: u.Table, Reason: reason})
 	}
 	// Default-rule policy: reject buggy actions outright (§4.4).
 	if d := u.SetDefault; d != nil && tb.actions[d.Action].Buggy {
-		return s.rejectLocked(&RejectionError{Table: u.Table,
+		return nil, s.rejectLocked(&RejectionError{Table: u.Table,
 			Reason: fmt.Sprintf("default action %s has a reachable bug", d.Action)})
 	}
-	if u.Entry == nil {
-		return nil
+	if u.Entry == nil || len(tb.conds) == 0 {
+		return tb, nil
 	}
 
 	// Two tiers, one plan (fastpath.go): conditions compiled to bytecode
@@ -371,9 +405,9 @@ func (s *Shim) validateLocked(u *Update) error {
 	}
 	var env smt.Env
 
+	last = monoNow()
 	for ci := range tb.conds {
 		c := &tb.conds[ci]
-		aStart := time.Now()
 		violated, fast := false, false
 		if useFast {
 			switch {
@@ -397,14 +431,16 @@ func (s *Shim) validateLocked(u *Update) error {
 			s.counters.slowHits++
 			s.obs.slowpathHits.Inc()
 		}
-		aNs := time.Since(aStart).Nanoseconds()
+		now := monoNow()
+		aNs := now - last
+		last = now
 		s.perAssertion.add(aNs)
 		s.obs.assertNs.Observe(aNs)
 		if violated {
-			return s.rejectLocked(&RejectionError{Table: u.Table, Assertion: c.src, Forbidden: c.src.Forbidden[c.i]})
+			return nil, s.rejectLocked(&RejectionError{Table: u.Table, Assertion: c.src, Forbidden: c.src.Forbidden[c.i]})
 		}
 	}
-	return nil
+	return tb, nil
 }
 
 // violated evaluates one forbidden condition under the update's bindings
@@ -413,21 +449,33 @@ func (s *Shim) validateLocked(u *Update) error {
 // shadow entry of that table completes the forbidden shape (the paper's
 // step c, linear in that table's size).
 func (s *Shim) violated(c *condition, regs []uint64, env smt.Env) bool {
-	if c.scan == nil {
+	b := c.scan
+	if b == nil {
 		return c.holds(regs, env)
 	}
-	entries := s.shadow[c.scan.tb.ts.Name]
+	entries := s.shadow[b.tb.idx]
 	held := false
-	for _, e := range entries {
-		c.scan.fill(regs, env, c.scan.tb.actions[e.Action], e)
-		if held = c.holds(regs, env); held {
-			break
+	if env == nil {
+		// Each entry's words were computed when it was committed.
+		words, n := s.words[b.id], b.hi-b.lo
+		for i := range entries {
+			copy(regs[b.lo:b.hi], words[i*n:])
+			if held = c.prog.Eval(regs); held {
+				break
+			}
+		}
+	} else {
+		for _, e := range entries {
+			b.fill(nil, env, b.tb.actions[e.Action], e)
+			if held = c.holds(nil, env); held {
+				break
+			}
 		}
 	}
 	// With no entry bound the scanned table's variables read zero, hit
 	// included: for this condition when there is no candidate entry, and
 	// for later ones that name them without scanning that table.
-	c.scan.clear(regs, env)
+	b.clear(regs, env)
 	if len(entries) == 0 {
 		return c.holds(regs, env)
 	}
