@@ -109,12 +109,7 @@ type priorDefault struct {
 func (s *Shim) commitLocked(tb *table, u *Update) {
 	if e := u.Entry; e != nil {
 		s.shadow[tb.idx] = append(s.shadow[tb.idx], e)
-		if len(tb.scanners) > 0 {
-			act := tb.actions[e.Action]
-			for _, b := range tb.scanners {
-				s.words[b.id] = b.row(s.words[b.id], act, e)
-			}
-		}
+		s.keepRows(tb, len(s.shadow[tb.idx])-1)
 		s.obs.shadowEntries.Add(1)
 	}
 	if u.SetDefault != nil {
@@ -129,9 +124,7 @@ func (s *Shim) rollbackLocked(committed []*Update, prior []priorDefault) {
 		if u.Entry != nil {
 			tb := s.cp.tables[u.Table]
 			s.shadow[tb.idx] = s.shadow[tb.idx][:len(s.shadow[tb.idx])-1]
-			for _, b := range tb.scanners {
-				s.words[b.id] = s.words[b.id][:len(s.words[b.id])-(b.hi-b.lo)]
-			}
+			s.keepRows(tb, len(s.shadow[tb.idx]))
 			s.obs.shadowEntries.Add(-1)
 		}
 	}

@@ -31,14 +31,12 @@ type Compiled struct {
 	// name, in which order a shim writes its state.
 	tables map[string]*table
 	byName []*table
-	// scans counts the bindings conditions scan (binding.id).
-	scans int
 
 	// maxRegs sizes the scratch register files that scratch pools for
 	// fast-path evaluation. Sharing the pool across the shards of one
 	// program is safe: a file is checked out for the duration of a single
-	// validation, and a program reads no register the update or a shadow
-	// scan has not written first.
+	// validation or of one table's row upkeep (keepRows), and a program
+	// reads no register the update or a shadow entry has not written first.
 	maxRegs int
 	scratch sync.Pool
 }

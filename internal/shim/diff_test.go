@@ -399,6 +399,163 @@ func TestDifferentialShadowGrowth(t *testing.T) {
 	finishDiff(t, fast, slow)
 }
 
+// linkedFile is a handcrafted spec of linked assertions whose scanning
+// conditions have every kind of conjunct: filters (they read only the
+// scanned table), guards (only the updated one) and joins (both) — an
+// equality of keys, a parameter against a key, a masked key against an
+// extract of the other's lpm key — under nested ANDs, with one binding
+// shared by two assertions that scan the same table. Keys and parameters
+// are two to four bits wide, so random values meet often. Table c's
+// 72-bit key puts the wide-link conditions that read it on the term tier
+// on both sides: one as a join, one in a conjunct that reads c alone.
+func linkedFile() *spec.File {
+	return &spec.File{
+		Program: "linked-filters",
+		Tables: []*spec.TableSchema{
+			{
+				Name:   "a",
+				Prefix: "a$0",
+				Keys: []spec.KeySchema{
+					{Path: "hdr.a.k", MatchKind: "exact", Width: 2},
+					{Path: "hdr.a.t", MatchKind: "ternary", Width: 3},
+				},
+				Actions: []*spec.ActionSchema{
+					{Name: "NoAction", Index: 0},
+					{Name: "set", Index: 1, Params: []spec.ParamSchema{{Name: "v", Width: 2}}},
+				},
+				Default: "NoAction",
+			},
+			{
+				Name:   "b",
+				Prefix: "b$0",
+				Keys: []spec.KeySchema{
+					{Path: "hdr.b.k", MatchKind: "exact", Width: 2},
+					{Path: "hdr.b.p", MatchKind: "lpm", Width: 4},
+				},
+				Actions: []*spec.ActionSchema{
+					{Name: "NoAction", Index: 0},
+					{Name: "fwd", Index: 1, Params: []spec.ParamSchema{{Name: "port", Width: 3}}},
+					{Name: "drop", Index: 2},
+				},
+				Default: "NoAction",
+			},
+			{
+				Name:   "c",
+				Prefix: "c$0",
+				Keys:   []spec.KeySchema{{Path: "hdr.c.addr", MatchKind: "exact", Width: 72}},
+				Actions: []*spec.ActionSchema{
+					{Name: "NoAction", Index: 0},
+					{Name: "mark", Index: 1, Params: []spec.ParamSchema{{Name: "m", Width: 2}}},
+				},
+				Default: "NoAction",
+			},
+		},
+		Assertions: []*spec.Assertion{
+			{
+				Table:  "a",
+				Linked: "b",
+				Source: "key-join",
+				Forbidden: []string{
+					"(and |a$0.hit| |b$0.hit| (= |b$0.action_run| (_ bv1 2)) (bvule (_ bv4 3) |b$0.fwd.port|) (= |a$0.key0| |b$0.key0|))",
+					"(and (and |a$0.hit| (= |a$0.action_run| (_ bv1 2))) (and (not (= |b$0.mask1| (_ bv0 4))) (= |a$0.set.v| |b$0.key0|)))",
+				},
+				Vars: map[string]int{
+					"a$0.hit": 0, "a$0.key0": 2, "a$0.action_run": 2, "a$0.set.v": 2,
+					"b$0.hit": 0, "b$0.key0": 2, "b$0.action_run": 2, "b$0.fwd.port": 3, "b$0.mask1": 4,
+				},
+			},
+			{
+				Table:  "a",
+				Linked: "b",
+				Source: "mask-join",
+				Forbidden: []string{
+					"(and |b$0.hit| (bvult |b$0.key1| (_ bv8 4)) (= (bvand |a$0.key1| |a$0.mask1|) ((_ extract 2 0) |b$0.key1|)))",
+				},
+				Vars: map[string]int{"a$0.key1": 3, "a$0.mask1": 3, "b$0.hit": 0, "b$0.key1": 4},
+			},
+			{
+				Table:  "b",
+				Linked: "c",
+				Source: "wide-link",
+				Forbidden: []string{
+					"(and |b$0.hit| (= |b$0.key0| (_ bv3 2)) |c$0.hit| (= ((_ extract 71 70) |c$0.key0|) ((_ extract 1 0) |b$0.key1|)))",
+					"(and (= |b$0.action_run| (_ bv1 2)) |c$0.hit| (= ((_ extract 71 70) |c$0.key0|) (_ bv0 2)))",
+					"(and (= |b$0.action_run| (_ bv2 2)) (= |c$0.action_run| (_ bv1 2)) (= |c$0.mark.m| |b$0.key0|))",
+				},
+				Vars: map[string]int{
+					"b$0.hit": 0, "b$0.key0": 2, "b$0.key1": 4, "b$0.action_run": 2,
+					"c$0.hit": 0, "c$0.key0": 72, "c$0.action_run": 2, "c$0.mark.m": 2,
+				},
+			},
+		},
+	}
+}
+
+// TestDifferentialLinkedFilters replays adversarial streams over
+// linkedFile in atomic batches of one to four updates, so that batches
+// are rolled back after committing some of their entries, and requires
+// byte-identical decisions, rejection texts and snapshots on the fast
+// tier, which scans only the entries that pass a condition's filters,
+// and the term tier, which scans them all. A join taken for a filter, or
+// a candidate row left behind by a rollback, diverges here. The last
+// replay is of a file that lists table a twice, which Compile must plan
+// once.
+func TestDifferentialLinkedFilters(t *testing.T) {
+	twice := linkedFile()
+	twice.Program, twice.Tables = "linked-filters-twice", append(twice.Tables, twice.Tables[0])
+	for _, r := range []struct {
+		file *spec.File
+		seed int64
+	}{{linkedFile(), 3}, {linkedFile(), 17}, {linkedFile(), 29}, {twice, 3}} {
+		cp, err := Compile(r.file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fast, slow := diffPair(t, cp)
+		rng := rand.New(rand.NewSource(r.seed))
+		data := make([]byte, 1<<17)
+		rng.Read(data)
+		fd := &byteFeed{data: data}
+		rolledBack, linked := 0, 0
+		for i := 0; i < 1200; i++ {
+			batch := make([]*Update, 1+rng.Intn(4))
+			for j := range batch {
+				batch[j], _ = fuzzUpdate(cp.file, fd)
+			}
+			errF, errS := fast.ApplyBatch(batch), slow.ApplyBatch(batch)
+			switch {
+			case (errF == nil) != (errS == nil):
+				t.Fatalf("%s, seed %d, batch %d: tiers disagree: fast=%v slow=%v", r.file.Program, r.seed, i, errF, errS)
+			case errF != nil && errF.Error() != errS.Error():
+				t.Fatalf("%s, seed %d, batch %d: tiers reject with different messages:\nfast: %s\nslow: %s", r.file.Program, r.seed, i, errF, errS)
+			}
+			var be *BatchError
+			var re *RejectionError
+			if errors.As(errF, &be) && be.Index > 0 {
+				rolledBack++
+			}
+			if errors.As(errF, &re) && re.Assertion != nil && re.Assertion.Linked != "" {
+				linked++
+			}
+		}
+		finishDiff(t, fast, slow)
+		// Both cuts must have run: some scanned entries kept as
+		// candidates, some filtered out, and linked rejections found.
+		kept, dropped := 0, 0
+		for _, tb := range cp.byName {
+			for k := range tb.scanners {
+				n := len(fast.cands[tb.idx][k].at)
+				kept += n
+				dropped += len(fast.shadow[tb.idx]) - n
+			}
+		}
+		if kept == 0 || dropped == 0 || rolledBack == 0 || linked == 0 || fast.Stats().FastpathHits == 0 {
+			t.Fatalf("%s, seed %d: stream too tame: %d candidate rows kept, %d entries filtered out, %d batches rolled back after a commit, %d linked rejections",
+				r.file.Program, r.seed, kept, dropped, rolledBack, linked)
+		}
+	}
+}
+
 // FuzzFastpath: the headline oracle. Arbitrary byte strings decode into
 // update streams; fast and slow tiers must stay byte-identical on
 // decisions, messages and shadow state, and both must refuse a malformed

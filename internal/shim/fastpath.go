@@ -17,11 +17,23 @@ import (
 // scans, if any. Validation fills the variables from that one list on
 // either tier — registers for the bytecode programs the conditions are
 // lowered into (internal/smt/lower.go), an smt.Env for the term evaluator
-// — and scans the same table, so the tiers differ only in how a term is
-// evaluated (condition.holds). Only conditions the register machine
-// cannot express — a bitvector wider than 64 — stay on the term tier when
-// the fast path is on; SetFastpath(false) puts all of them there, as the
-// reference the differential harness, the fuzzers and bench/ compare with.
+// — so the tiers differ only in how a term is evaluated (condition.holds)
+// and in which shadow entries a scan visits. Only conditions the register
+// machine cannot express — a bitvector wider than 64 — stay on the term
+// tier when the fast path is on; SetFastpath(false) puts all of them
+// there, as the reference the differential harness, the fuzzers and
+// bench/ compare with.
+//
+// A scanning condition's top-level conjuncts come in three kinds. Guards
+// read no variable of the scanned table: run on the update's registers
+// first, a false one decides the condition without a scan. Filters read
+// the scanned table's variables and none of the updated table's: run once
+// per shadow entry when it is committed, they decide which entries can
+// ever complete the condition, and a shim keeps only those as the
+// condition's candidate rows (Shim.cands, kept by keepRows). Joins read
+// both and stay in the full program, which the fast tier's scan runs on
+// every candidate. Both cuts are exact: a false conjunct makes the whole
+// term false, whatever the other table binds.
 //
 // What makes one plan enough is the boundary check (schema.go): an entry
 // that reaches a binder has its table's key count, an action of the table
@@ -35,7 +47,8 @@ import (
 // a table's cluster and must all be allocated before any program's
 // temporaries, so pass one resolves the variables of every condition
 // (fixing the register layout, including each scanned table's region) and
-// pass two lowers the conditions with temporaries above the last slot.
+// pass two lowers the conditions, their guards and their filters with
+// temporaries above the last slot.
 
 type varKind uint8
 
@@ -102,22 +115,9 @@ var bigZero, bigOne = new(big.Int), big.NewInt(1)
 type binding struct {
 	tb   *table
 	vars []boundVar
-	// The variables that have a register hold regs[lo:hi], in vars order.
+	// The variables that have a register hold regs[lo:hi], in vars order,
+	// so that what fill writes there is an entry's row, loaded by one copy.
 	lo, hi int
-	// id, for a scanned binding, indexes the words a shim keeps of the
-	// scanned table's shadow entries (Shim.words): per entry, what fill
-	// writes to regs[lo:hi]. The fast tier's scan copies them.
-	id int
-}
-
-// row appends to dst the words e, running act, binds to regs[lo:hi].
-func (b *binding) row(dst []uint64, act *action, e *dataplane.Entry) []uint64 {
-	for i := range b.vars {
-		if v := &b.vars[i]; v.slot >= 0 {
-			dst = append(dst, normU64(v.value(act, e).Uint64(), v.width))
-		}
-	}
-	return dst
 }
 
 // fill binds every variable to e's value for it, in env on the term tier
@@ -165,6 +165,14 @@ type condition struct {
 	// false under the update's bindings alone proves the condition cannot
 	// be violated; all true prove nothing. They cut work, never verdicts.
 	guards []*smt.Program
+	// filters, for a scanning condition with a prog, are the conjuncts
+	// that read scanned variables and none of the updated table's, each
+	// the same under every update. A shadow entry under which one is
+	// false can never complete the term, so it is no candidate: at is the
+	// condition's position in the scanned table's scanners, by which a
+	// shim keeps the rows of the entries that pass them all (Shim.cands).
+	filters []*smt.Program
+	at      int
 }
 
 // holds evaluates the term under the current bindings: by the evaluator
@@ -188,9 +196,10 @@ type plan struct {
 	// hasFast: some condition has a program or guards, so an update is
 	// worth a register file.
 	hasFast bool
-	// scanners are the bindings, of any table's cluster, that scan this
-	// table's shadow entries: a shim keeps their words (Shim.words).
-	scanners []*binding
+	// scanners are the conditions, of any table's cluster, whose fast
+	// tier scans this table's shadow entries: a shim keeps each one's
+	// candidate rows (Shim.cands).
+	scanners []*condition
 }
 
 // planner resolves names while Compile builds the plans.
@@ -253,12 +262,11 @@ var errWideVar = errors.New("variable takes values wider than a register")
 // conditions that cannot lower simply stay on the term tier.
 func (cp *Compiled) compilePlans() {
 	pl := &planner{vars: map[*table]map[string]boundVar{}, prefix: map[int][]*big.Int{}}
-	for _, ts := range cp.file.Tables {
-		tb := cp.tables[ts.Name]
+	for _, tb := range cp.byName { // each table once, though a file may list a name twice
 		if len(tb.conds) == 0 {
 			continue
 		}
-		tb.own.tb, tb.own.id = tb, -1
+		tb.own.tb = tb
 		slots := map[slotKey]slotRef{}
 		bindings := []*binding{&tb.own} // the own binding, then the scanned ones as met
 		scans := map[*table]*binding{}
@@ -272,9 +280,7 @@ func (cp *Compiled) compilePlans() {
 				if !ok && c.other != nil {
 					if v, ok = pl.controlVars(c.other)[vt.Name()]; ok {
 						if scans[c.other] == nil {
-							scans[c.other] = &binding{tb: c.other, id: cp.scans}
-							cp.scans++
-							c.other.scanners = append(c.other.scanners, scans[c.other])
+							scans[c.other] = &binding{tb: c.other}
 							bindings = append(bindings, scans[c.other])
 						}
 						b = scans[c.other]
@@ -325,22 +331,38 @@ func (cp *Compiled) compilePlans() {
 			cp.maxRegs = max(cp.maxRegs, prog.NumRegs())
 			return prog
 		}
+		reads := func(t *smt.Term, b *binding) bool {
+			for _, vt := range t.Vars(nil) {
+				if slots[slotKey{vt.Name(), vt.Sort()}].owner == b {
+					return true
+				}
+			}
+			return false
+		}
 		for ci := range tb.conds {
 			c := &tb.conds[ci]
 			c.prog = lower(c.term, c.scan)
 			if c.prog == nil || c.scan != nil {
-			conjunct:
+				// Guards read no scanned variable; filters read scanned
+				// variables and none of the update's; joins read both and
+				// are left to the full program. A conjunct that does not
+				// lower is simply no guard or filter.
 				for _, conj := range conjuncts(c.term, nil) {
-					for _, vt := range conj.Vars(nil) {
-						if c.scan != nil && slots[slotKey{vt.Name(), vt.Sort()}].owner == c.scan {
-							continue conjunct
+					switch {
+					case c.scan == nil || !reads(conj, c.scan):
+						if g := lower(conj, c.scan); g != nil {
+							c.guards = append(c.guards, g)
+						}
+					case c.prog != nil && !reads(conj, &tb.own):
+						if f := lower(conj, c.scan); f != nil {
+							c.filters = append(c.filters, f)
 						}
 					}
-					// A conjunct that does not lower is simply no guard.
-					if g := lower(conj, c.scan); g != nil {
-						c.guards = append(c.guards, g)
-					}
 				}
+			}
+			if c.prog != nil && c.scan != nil {
+				c.at = len(c.other.scanners)
+				c.other.scanners = append(c.other.scanners, c)
 			}
 			tb.hasFast = tb.hasFast || c.prog != nil || len(c.guards) > 0
 		}

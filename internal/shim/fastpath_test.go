@@ -67,8 +67,9 @@ func smallAccept() *Update {
 
 // TestFastpathPlanShape pins which conditions compile into which tier:
 // 65-bit params must stay on the term-DAG slow path, shadow-linked
-// assertions must compile into the per-entry scan tier, and everything
-// else must lower to a single-shot program.
+// assertions must compile into the per-entry scan tier with their
+// scanned-only conjuncts as filters, and everything else must lower to a
+// single-shot program with no filters.
 func TestFastpathPlanShape(t *testing.T) {
 	cp := widthCompiled(t)
 	wide := cp.tables["wide"]
@@ -94,6 +95,9 @@ func TestFastpathPlanShape(t *testing.T) {
 		}
 		if c.scan != nil {
 			t.Errorf("wide condition %d scans %s; wide has no linked assertions", ci, c.scan.tb.ts.Name)
+		}
+		if len(c.filters) != 0 {
+			t.Errorf("wide condition %d scans nothing and needs no filters, has %d", ci, len(c.filters))
 		}
 	}
 	for _, v := range wide.own.vars {
@@ -121,9 +125,13 @@ func TestFastpathPlanShape(t *testing.T) {
 	if got := len(linked.guards); got != 2 {
 		t.Errorf("linked condition has %d scan guards, want 2", got)
 	}
+	// The two peer-only conjuncts, p.hit and p.key0 = 3, become its filters.
+	if got := len(linked.filters); got != 2 {
+		t.Errorf("linked condition has %d filters, want 2", got)
+	}
 	for ci := range small.conds[1:] {
-		if c := &small.conds[1+ci]; c.prog == nil || c.scan != nil {
-			t.Errorf("param-guard term %d did not compile into a single-shot program", ci)
+		if c := &small.conds[1+ci]; c.prog == nil || c.scan != nil || len(c.filters) != 0 {
+			t.Errorf("param-guard term %d did not compile into a single-shot program without filters", ci)
 		}
 	}
 
@@ -131,8 +139,23 @@ func TestFastpathPlanShape(t *testing.T) {
 	if len(peer.conds) != 1 || peer.conds[0].scan == nil {
 		t.Fatal("peer's view of the linked assertion should scan small")
 	}
-	if got := peer.conds[0].scan.tb.ts.Name; got != "small" {
+	view := &peer.conds[0]
+	if got := view.scan.tb.ts.Name; got != "small" {
 		t.Errorf("peer's linked condition scans %q, want small", got)
+	}
+	// Mirrored: p.hit and p.key0 = 3 guard it, s.hit and s.key0 = 0 filter.
+	if len(view.guards) != 2 || len(view.filters) != 2 {
+		t.Errorf("peer's linked condition has %d guards and %d filters, want 2 and 2", len(view.guards), len(view.filters))
+	}
+	// Each table lists the conditions that scan it, at their positions.
+	if len(peer.scanners) != 1 || peer.scanners[0] != linked || linked.at != 0 {
+		t.Errorf("peer is scanned by %d conditions, want small's linked one at 0", len(peer.scanners))
+	}
+	if len(small.scanners) != 1 || small.scanners[0] != view || view.at != 0 {
+		t.Errorf("small is scanned by %d conditions, want peer's view at 0", len(small.scanners))
+	}
+	if len(wide.scanners) != 0 {
+		t.Errorf("wide is scanned by %d conditions, want none", len(wide.scanners))
 	}
 
 	if cp.maxRegs == 0 {
@@ -319,13 +342,14 @@ func TestFastpathRaceSoak(t *testing.T) {
 
 var errSoakAcceptedBad = errors.New("known-bad wide update was accepted")
 
-// TestLinkedScanAfterRollbackAndRestore: the words a shim keeps of a
-// scanned table's entries stay in step with the entries through a
+// TestLinkedScanAfterRollbackAndRestore: the candidate rows a shim keeps
+// of a scanned table's entries stay in step with the entries through a
 // rolled-back batch and through Kill+RestoreNow (journal replay, then a
-// checkpoint's snapshot), on both tiers. A batch that added l entries 9
-// and 8 and was rolled back must leave no words behind: stale ones would
-// sit where the next l entry's belong, and the linked-scan rejection of
-// t key 1 against l key 7 would not fire.
+// checkpoint's snapshot), on both tiers. A batch that added l entries 9,
+// 7 and 8 and was rolled back must leave no row behind: l key 7 passes
+// the condition's filters, so a stale candidate would reject t key 1
+// before l key 7 is really applied, and a restore that skipped the
+// filters would miss the rejection after.
 func TestLinkedScanAfterRollbackAndRestore(t *testing.T) {
 	key8 := []spec.KeySchema{{Path: "hdr.k", MatchKind: "exact", Width: 8}}
 	noAct := []*spec.ActionSchema{{Name: "NoAction", Index: 0}}
@@ -359,9 +383,12 @@ func TestLinkedScanAfterRollbackAndRestore(t *testing.T) {
 		if err := sh.Apply(entry("l", 5, "NoAction")); err != nil {
 			t.Fatal(err)
 		}
-		err = sh.ApplyBatch([]*Update{entry("l", 9, "NoAction"), entry("l", 8, "NoAction"), entry("t", 2, "bogus")})
+		err = sh.ApplyBatch([]*Update{entry("l", 9, "NoAction"), entry("l", 7, "NoAction"), entry("l", 8, "NoAction"), entry("t", 2, "bogus")})
 		if !strings.Contains(fmt.Sprint(err), "rolled back") {
 			t.Fatalf("batch with a bogus action: %v", err)
+		}
+		if err := sh.Validate(entry("t", 1, "NoAction")); err != nil {
+			t.Fatalf("fastpath=%v: t key 1 beside l {5} after the rolled-back batch = %v, want accepted", fastpath, err)
 		}
 		if err := sh.Apply(entry("l", 7, "NoAction")); err != nil {
 			t.Fatal(err)

@@ -509,11 +509,7 @@ func (s *Shim) readState(d *Decoder) {
 		// which refuses any of a table the program does not have.
 		if tb := s.cp.tables[u.Table]; tb != nil && d.Err == nil {
 			s.shadow[tb.idx] = es
-			for _, b := range tb.scanners {
-				for _, e := range es {
-					s.words[b.id] = b.row(s.words[b.id], tb.actions[e.Action], e)
-				}
-			}
+			s.keepRows(tb, 0)
 		}
 	}
 	for n := d.Count(); n > 0; n-- {

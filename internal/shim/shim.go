@@ -75,11 +75,12 @@ const DefaultDedupWindow = 4096
 type Shim struct {
 	mu sync.Mutex
 	cp *Compiled
-	// shadow holds each table's entries by table.idx; words, by
-	// binding.id, the register words of the entries of the table a
-	// binding scans, a row of hi-lo per entry in shadow order.
+	// shadow holds each table's entries by table.idx. cands holds, by
+	// the scanned table's idx and then by condition.at, each scanning
+	// condition's candidate rows: the shadow entries that pass its
+	// filters, in shadow order (keepRows).
 	shadow   [][]*dataplane.Entry
-	words    [][]uint64
+	cands    [][]candidates
 	defaults map[string]*dataplane.DefaultAction
 	counters struct{ validated, rejected, fastHits, slowHits int }
 	obs      shimObs
@@ -193,11 +194,15 @@ func Compile(file *spec.File) (*Compiled, error) {
 // shadow state, dedup window and statistics; the compiled terms are only
 // ever read.
 func NewFromCompiled(cp *Compiled) *Shim {
+	cands := make([][]candidates, len(cp.tables))
+	for _, tb := range cp.byName {
+		cands[tb.idx] = make([]candidates, len(tb.scanners))
+	}
 	return &Shim{
 		cp:           cp,
 		fastpath:     true,
 		shadow:       make([][]*dataplane.Entry, len(cp.tables)),
-		words:        make([][]uint64, cp.scans),
+		cands:        cands,
 		defaults:     map[string]*dataplane.DefaultAction{},
 		perAssertion: newReservoir(DefaultStatsCap),
 		perUpdate:    newReservoir(DefaultStatsCap),
@@ -447,7 +452,9 @@ func (s *Shim) validateLocked(u *Update) (*table, error) {
 // — in regs on the bytecode tier, in env (non-nil) on the term tier. A
 // condition that reads its assertion's other table is violated if ANY
 // shadow entry of that table completes the forbidden shape (the paper's
-// step c, linear in that table's size).
+// step c): on the term tier every entry is tried, on the bytecode tier
+// only the condition's candidates, whose rows were built and filtered
+// when they were committed.
 func (s *Shim) violated(c *condition, regs []uint64, env smt.Env) bool {
 	b := c.scan
 	if b == nil {
@@ -456,10 +463,9 @@ func (s *Shim) violated(c *condition, regs []uint64, env smt.Env) bool {
 	entries := s.shadow[b.tb.idx]
 	held := false
 	if env == nil {
-		// Each entry's words were computed when it was committed.
-		words, n := s.words[b.id], b.hi-b.lo
-		for i := range entries {
-			copy(regs[b.lo:b.hi], words[i*n:])
+		cs := &s.cands[b.tb.idx][c.at]
+		for i, n := 0, b.hi-b.lo; i < len(cs.at); i++ {
+			copy(regs[b.lo:b.hi], cs.rows[i*n:])
 			if held = c.prog.Eval(regs); held {
 				break
 			}
@@ -480,4 +486,45 @@ func (s *Shim) violated(c *condition, regs []uint64, env smt.Env) bool {
 		return c.holds(regs, env)
 	}
 	return held
+}
+
+// candidates are the shadow entries of a scanned table that pass one
+// condition's filters: their positions in the shadow, and back to back a
+// row of hi-lo words each, what binding.fill writes to regs[lo:hi].
+type candidates struct {
+	at   []int
+	rows []uint64
+}
+
+// keepRows brings the candidate rows of every condition that scans tb in
+// step with tb's shadow entries from the from-th on, the ones before it
+// being unchanged: it drops the rows of entries at or past from, then
+// fills the binding for each entry there now and keeps its row where
+// every filter holds. Commit, rollback and restore all go through it.
+func (s *Shim) keepRows(tb *table, from int) {
+	if len(tb.scanners) == 0 {
+		return
+	}
+	regsp := s.cp.scratch.Get().(*[]uint64)
+	defer s.cp.scratch.Put(regsp)
+	regs, es := *regsp, s.shadow[tb.idx]
+	for k, c := range tb.scanners {
+		cs, b := &s.cands[tb.idx][k], c.scan
+		n := len(cs.at)
+		for n > 0 && cs.at[n-1] >= from {
+			n--
+		}
+		cs.at, cs.rows = cs.at[:n], cs.rows[:n*(b.hi-b.lo)]
+	entry:
+		for i := from; i < len(es); i++ {
+			b.fill(regs, nil, tb.actions[es[i].Action], es[i])
+			for _, f := range c.filters {
+				if !f.Eval(regs) {
+					continue entry
+				}
+			}
+			cs.at = append(cs.at, i)
+			cs.rows = append(cs.rows, regs[b.lo:b.hi]...)
+		}
+	}
 }
