@@ -17,6 +17,8 @@
 package baseline
 
 import (
+	"fmt"
+	"math/big"
 	"time"
 
 	"bf4/internal/core"
@@ -99,10 +101,20 @@ type veraExplorer struct {
 	paths   int
 	stopped bool
 	havocN  int
+	// err ends the exploration: a snapshot that dataplane.Interp refuses.
+	err error
+	// onBug, when set, sees the condition of every path that reaches a bug.
+	onBug func(bug *ir.Node, pc *smt.Term)
 }
 
-// Vera explores the program path by path.
-func Vera(pl *core.Pipeline, opts VeraOptions) *VeraResult {
+// Vera explores the program path by path. In snapshot mode a table runs
+// as dataplane.Interp runs it; a snapshot Interp refuses (an entry or a
+// default whose action the table does not list) is an error.
+func Vera(pl *core.Pipeline, opts VeraOptions) (*VeraResult, error) {
+	return vera(pl, opts, nil)
+}
+
+func vera(pl *core.Pipeline, opts VeraOptions, onBug func(*ir.Node, *smt.Term)) (*VeraResult, error) {
 	start := time.Now()
 	if opts.MaxPaths == 0 {
 		opts.MaxPaths = 1 << 20
@@ -114,11 +126,15 @@ func Vera(pl *core.Pipeline, opts VeraOptions) *VeraResult {
 		opts:    opts,
 		visited: map[*ir.Node]bool{},
 		bugs:    map[*ir.Node]bool{},
+		onBug:   onBug,
 	}
 	if opts.Timeout > 0 {
 		ex.deadline = start.Add(opts.Timeout)
 	}
 	ex.explore(pl.IR.Start, pl.IR.F.True(), nil)
+	if ex.err != nil {
+		return nil, ex.err
+	}
 
 	res := &VeraResult{
 		Paths:     ex.paths,
@@ -130,7 +146,7 @@ func Vera(pl *core.Pipeline, opts VeraOptions) *VeraResult {
 	for range pl.IR.Reachable() {
 		res.TotalNodes++
 	}
-	return res
+	return res, nil
 }
 
 type veraEnv struct {
@@ -168,7 +184,12 @@ func (ex *veraExplorer) subst(t *smt.Term, e *veraEnv) *smt.Term {
 	return smt.Substitute(ex.f, t, m)
 }
 
+// budgetExceeded reports whether the exploration must stop: its budget
+// is spent, or an error ended it.
 func (ex *veraExplorer) budgetExceeded() bool {
+	if ex.err != nil {
+		return true
+	}
 	if ex.paths >= ex.opts.MaxPaths {
 		ex.stopped = true
 		return true
@@ -190,6 +211,9 @@ func (ex *veraExplorer) explore(n *ir.Node, pc *smt.Term, env *veraEnv) {
 		case ir.BugTerm:
 			ex.paths++
 			ex.bugs[n] = true
+			if ex.onBug != nil {
+				ex.onBug(n, pc)
+			}
 			return
 		case ir.AcceptTerm, ir.RejectTerm, ir.UnreachTerm:
 			ex.paths++
@@ -239,53 +263,122 @@ func (ex *veraExplorer) explore(n *ir.Node, pc *smt.Term, env *veraEnv) {
 	}
 }
 
-// exploreTable enumerates concrete entries at an assert point (snapshot
-// mode): each matching entry binds the instance's control variables to
-// constants, plus one miss branch.
+// exploreTable runs a table on the snapshot (snapshot mode) as
+// dataplane.Interp's applyTable does. Each entry runs on the packets it
+// matches that no entry ranking before it matches, with the instance's
+// control variables bound to its constants; the miss runs on the packets
+// no entry matches. On a miss the declared default runs with the
+// snapshot's parameters (zero without a snapshot default); another of
+// the table's actions made the default runs on the hit side, as an entry
+// that matches every packet.
 func (ex *veraExplorer) exploreTable(n *ir.Node, pc *smt.Term, env *veraEnv) {
 	inst := n.Instance
-	entries := ex.opts.Snapshot.Entries[inst.Table.Name]
+	t := inst.Table
 	f := ex.f
 	cont := n.Succs[0]
 
-	bind := func(e *veraEnv, entry *dataplane.Entry) *veraEnv {
-		e = e.set(inst.HitVar.Term, f.True())
-		idx := inst.ActIndex[entry.Action]
-		e = e.set(inst.ActVar.Term, f.BVConst64(int64(idx), 8))
-		for j := range inst.KeyVars {
-			if j < len(entry.Keys) {
-				e = e.set(inst.KeyVars[j].Term, f.BVConst(entry.Keys[j].Value, inst.KeyVars[j].Sort.Width))
-				if inst.MaskVars[j] != nil {
-					mask := dataplane.EffectiveMaskFor(inst.Table.Keys[j], entry.Keys[j])
-					e = e.set(inst.MaskVars[j].Term, f.BVConst(mask, inst.MaskVars[j].Sort.Width))
-				}
-			}
+	keys := make([]*smt.Term, len(inst.KeyVars))
+	for j, kv := range inst.KeyVars {
+		keys[j] = f.BVConst64(0, kv.Sort.Width)
+		if kt := inst.KeyTerms[j]; kt != nil {
+			keys[j] = ex.subst(kt, env)
 		}
-		for pi, pv := range inst.ParamVars[entry.Action] {
-			val := int64(0)
-			if pi < len(entry.Params) {
-				e = e.set(pv.Term, f.BVConst(entry.Params[pi], pv.Sort.Width))
-				continue
-			}
-			e = e.set(pv.Term, f.BVConst64(val, pv.Sort.Width))
-		}
-		return e
 	}
-
-	for _, entry := range entries {
+	entries := ex.opts.Snapshot.Entries[t.Name]
+	matches := make([]*smt.Term, len(entries))
+	ranks := make([]int, len(entries))
+	for i, entry := range entries {
+		matches[i] = f.False()
+		if rank, ok := dataplane.Rank(t, entry); ok {
+			matches[i], ranks[i] = f.True(), rank
+			for j, k := range t.Keys {
+				mask := dataplane.EffectiveMaskFor(k, entry.Keys[j])
+				w := inst.KeyVars[j].Sort.Width
+				matches[i] = f.And(matches[i], f.Eq(f.BVAnd(keys[j], f.BVConst(mask, w)),
+					f.BVConst(new(big.Int).And(entry.Keys[j].Value, mask), w)))
+			}
+		}
+	}
+	missPC := pc
+	for i, entry := range entries {
+		missPC = f.And(missPC, f.Not(matches[i]))
 		if ex.budgetExceeded() {
 			return
 		}
-		// The expansion's own match assumes will constrain the packet
-		// against the bound constants; feasibility is checked per branch.
-		ex.explore(cont, pc, bind(env, entry))
+		won := f.And(pc, matches[i])
+		for j := range entries {
+			if ranks[j] > ranks[i] || ranks[j] == ranks[i] && j < i {
+				won = f.And(won, f.Not(matches[j]))
+			}
+		}
+		if ex.s.Check(won) != solver.Sat {
+			continue
+		}
+		e := ex.run(inst, env, entry.Action, entry.Params)
+		if e == nil {
+			return
+		}
+		for j, kv := range inst.KeyVars {
+			e = e.set(kv.Term, f.BVConst(entry.Keys[j].Value, kv.Sort.Width))
+			if mv := inst.MaskVars[j]; mv != nil {
+				mask := dataplane.EffectiveMaskFor(t.Keys[j], entry.Keys[j])
+				e = e.set(mv.Term, f.BVConst(mask, mv.Sort.Width))
+			}
+		}
+		ex.explore(cont, won, e)
 	}
-	// Miss branch.
+	if ex.budgetExceeded() || ex.s.Check(missPC) != solver.Sat {
+		return
+	}
+
+	d := ex.opts.Snapshot.Defaults[t.Name]
+	if d != nil && d.Action != t.Default.Name {
+		e := ex.run(inst, env, d.Action, d.Params)
+		if e == nil {
+			return
+		}
+		// Exact keys take the packet's values, masks are empty. What this
+		// cannot reproduce, like Interp, is hit reading false afterwards.
+		for j, kv := range inst.KeyVars {
+			e = e.set(kv.Term, keys[j])
+			if mv := inst.MaskVars[j]; mv != nil {
+				e = e.set(mv.Term, f.BVConst64(0, mv.Sort.Width))
+			}
+		}
+		ex.explore(cont, missPC, e)
+		return
+	}
 	missEnv := env.set(inst.HitVar.Term, f.False())
-	for _, pv := range inst.DefaultParamVars {
-		missEnv = missEnv.set(pv.Term, f.BVConst64(0, pv.Sort.Width))
+	for pi, pv := range inst.DefaultParamVars {
+		v := new(big.Int)
+		if d != nil && pi < len(d.Params) {
+			v = d.Params[pi]
+		}
+		missEnv = missEnv.set(pv.Term, f.BVConst(v, pv.Sort.Width))
 	}
-	ex.explore(cont, pc, missEnv)
+	ex.explore(cont, missPC, missEnv)
+}
+
+// run binds what a hit running action binds besides the keys: hit, the
+// action's index and its parameters, zero past the ones given. An action
+// the table does not list ends the exploration with an error (nil env).
+func (ex *veraExplorer) run(inst *ir.TableInstance, env *veraEnv, action string, params []*big.Int) *veraEnv {
+	idx, ok := inst.ActIndex[action]
+	if !ok {
+		ex.err = fmt.Errorf("vera: table %s: the snapshot runs action %q, which the table does not list", inst.Table.Name, action)
+		return nil
+	}
+	f := ex.f
+	env = env.set(inst.HitVar.Term, f.True())
+	env = env.set(inst.ActVar.Term, f.BVConst64(int64(idx), inst.ActVar.Sort.Width))
+	for pi, pv := range inst.ParamVars[action] {
+		v := new(big.Int)
+		if pi < len(params) {
+			v = params[pi]
+		}
+		env = env.set(pv.Term, f.BVConst(v, pv.Sort.Width))
+	}
+	return env
 }
 
 func itoa(v int) string {

@@ -2,12 +2,15 @@ package baseline
 
 import (
 	"math/big"
+	"strings"
 	"testing"
 	"time"
 
 	"bf4/internal/core"
 	"bf4/internal/dataplane"
 	"bf4/internal/ir"
+	"bf4/internal/smt"
+	"bf4/internal/solver"
 )
 
 const natSrc = `
@@ -69,6 +72,129 @@ func compileNAT(t *testing.T) *core.Pipeline {
 	return pl
 }
 
+// natDefaultSrc is the NAT program with a default action whose parameter
+// the program leaves to the controller: nat_miss(1) forwards a packet nat
+// does not match to ipv4_lpm, whose set_nhop decrements an IPv4 TTL the
+// packet may lack.
+var natDefaultSrc = strings.Replace(strings.Replace(natSrc,
+	`        actions = { drop_; nat_hit; }
+        default_action = drop_();`,
+	`        actions = { drop_; nat_hit; nat_miss; }
+        default_action = nat_miss();`, 1),
+	`    table nat {`,
+	`    action nat_miss(bit<1> fwd) { meta.meta.do_forward = fwd; }
+    table nat {`, 1)
+
+// TestVeraConcreteDefaultsMatchInterp: Vera's snapshot mode must run a
+// table as dataplane.Interp does. Every path Vera takes to a bug is solved
+// for a packet, and Interp on the snapshot must reach that bug on it; so
+// the two bug sets are equal. The snapshots: nat with no entries and a
+// default that forwards — the declared nat_miss with a non-zero
+// parameter, or nat_hit on the hit side as an entry matching every
+// packet — which reaches ipv4_lpm's set_nhop on a non-IPv4 packet, a bug
+// a zero parameter or the declared default would not reach; a miss that
+// only valid IPv4 packets take, since an entry matches the others; and an
+// entry that wins only where a higher-priority one does not match.
+func TestVeraConcreteDefaultsMatchInterp(t *testing.T) {
+	pl, err := core.Compile(natDefaultSrc, ir.DefaultOptions(), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	natEntry := func(valid, src, mask int64, prio int, action string, params ...*big.Int) *dataplane.Entry {
+		return &dataplane.Entry{
+			Keys:   []dataplane.KeyMatch{dataplane.NewExact(valid), dataplane.NewTernary(src, mask)},
+			Action: action, Params: params, Priority: prio,
+		}
+	}
+	for _, c := range []struct {
+		name     string
+		def      *dataplane.DefaultAction
+		nat      []*dataplane.Entry
+		wantBugs bool
+	}{
+		{"declared default", &dataplane.DefaultAction{Action: "nat_miss", Params: []*big.Int{big.NewInt(1)}}, nil, true},
+		{"another default", &dataplane.DefaultAction{Action: "nat_hit", Params: []*big.Int{big.NewInt(7)}}, nil, true},
+		{"miss where no entry matches", &dataplane.DefaultAction{Action: "nat_miss", Params: []*big.Int{big.NewInt(1)}},
+			[]*dataplane.Entry{natEntry(0, 0, 0, 0, "drop_")}, false},
+		{"priority", nil, []*dataplane.Entry{
+			natEntry(0, 0, 0, 1, "nat_hit", big.NewInt(1)),
+			natEntry(0, 0, 1, 2, "drop_"), // even source addresses: reads an invalid key
+		}, true},
+	} {
+		snap := dataplane.NewSnapshot()
+		if c.def != nil {
+			snap.Defaults["nat"] = c.def
+		}
+		for _, e := range c.nat {
+			snap.Insert("nat", e)
+		}
+		snap.Insert("ipv4_lpm", &dataplane.Entry{
+			Keys:   []dataplane.KeyMatch{dataplane.NewLpm(0, 0)},
+			Action: "set_nhop",
+			Params: []*big.Int{big.NewInt(1), big.NewInt(2)},
+		})
+		paths, reached := 0, map[*ir.Node]bool{}
+		r, err := vera(pl, VeraOptions{Snapshot: snap}, func(bug *ir.Node, pc *smt.Term) {
+			paths++
+			s := solver.New(pl.IR.F)
+			if s.Check(pc) != solver.Sat {
+				t.Fatalf("%s: a path to %s has no packet", c.name, bug)
+			}
+			// A havoc's fresh variable names the packet field it reads.
+			pkt := dataplane.Packet{}
+			for name, v := range s.Model() {
+				if i := strings.Index(name, "$vera"); i >= 0 {
+					name = name[:i]
+				}
+				pkt[name] = v
+			}
+			tr, err := (&dataplane.Interp{P: pl.IR, Snapshot: snap, Inputs: pkt}).Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tr.Terminal != bug {
+				t.Errorf("%s: Vera's path reaches %s, Interp on its packet %v reaches %s", c.name, bug, pkt, tr.Terminal)
+			}
+			if tr.Bug() {
+				reached[tr.Terminal] = true
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !r.Completed || (paths > 0) != c.wantBugs {
+			t.Fatalf("%s: completed=%v, %d paths to a bug", c.name, r.Completed, paths)
+		}
+		if len(reached) != len(r.BugsHit) {
+			t.Errorf("%s: Vera reached %d bugs, Interp %d on its packets", c.name, len(r.BugsHit), len(reached))
+		}
+		for b := range reached {
+			if !r.BugsHit[b] {
+				t.Errorf("%s: Interp reached %s, Vera did not", c.name, b)
+			}
+		}
+	}
+}
+
+// TestVeraRefusesUnlistedActions: a snapshot that runs an action its
+// table does not list is an error, in an entry or as the default, as it
+// is in dataplane.Interp — not a path with the action index 0.
+func TestVeraRefusesUnlistedActions(t *testing.T) {
+	pl := compileNAT(t)
+	entry := dataplane.NewSnapshot()
+	entry.Insert("nat", &dataplane.Entry{
+		Keys:   []dataplane.KeyMatch{dataplane.NewExact(1), dataplane.NewTernary(0, 0)},
+		Action: "bogus",
+	})
+	def := dataplane.NewSnapshot()
+	def.Defaults["nat"] = &dataplane.DefaultAction{Action: "bogus"}
+	for _, snap := range []*dataplane.Snapshot{entry, def} {
+		if _, err := Vera(pl, VeraOptions{Snapshot: snap}); err == nil || !strings.Contains(err.Error(), `"bogus"`) {
+			t.Errorf("snapshot running an unlisted action: err = %v", err)
+		}
+	}
+}
+
 func TestP4VApproxFindsBug(t *testing.T) {
 	pl := compileNAT(t)
 	r := P4VApprox(pl)
@@ -117,7 +243,10 @@ func TestVeraConcreteSnapshot(t *testing.T) {
 		Keys:   []dataplane.KeyMatch{dataplane.NewExact(1), dataplane.NewTernary(0, 0)},
 		Action: "drop_",
 	})
-	r := Vera(pl, VeraOptions{Snapshot: snap})
+	r, err := Vera(pl, VeraOptions{Snapshot: snap})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !r.Completed {
 		t.Fatal("concrete exploration must complete")
 	}
@@ -138,7 +267,10 @@ func TestVeraConcreteFaultySnapshot(t *testing.T) {
 		Action: "nat_hit",
 		Params: []*big.Int{big.NewInt(1)},
 	})
-	r := Vera(pl, VeraOptions{Snapshot: snap})
+	r, err := Vera(pl, VeraOptions{Snapshot: snap})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !r.Completed {
 		t.Fatal("exploration must complete")
 	}
@@ -155,7 +287,10 @@ func TestVeraConcreteFaultySnapshot(t *testing.T) {
 
 func TestVeraSymbolicFindsMore(t *testing.T) {
 	pl := compileNAT(t)
-	r := Vera(pl, VeraOptions{MaxPaths: 10000, Timeout: 30 * time.Second})
+	r, err := Vera(pl, VeraOptions{MaxPaths: 10000, Timeout: 30 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(r.BugsHit) == 0 {
 		t.Fatal("symbolic exploration must find the NAT bugs")
 	}
@@ -166,7 +301,10 @@ func TestVeraSymbolicFindsMore(t *testing.T) {
 
 func TestVeraBudgetStopsExploration(t *testing.T) {
 	pl := compileNAT(t)
-	r := Vera(pl, VeraOptions{MaxPaths: 3})
+	r, err := Vera(pl, VeraOptions{MaxPaths: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if r.Completed {
 		t.Fatal("3-path budget cannot complete the NAT program")
 	}

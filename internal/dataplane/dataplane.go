@@ -311,15 +311,34 @@ func (ip *Interp) applyTable(inst *ir.TableInstance, state smt.Env, tr *Trace) e
 	return nil
 }
 
-// matchEntry reports whether the key values match the entry, returning a
-// score for winner selection (lpm prefix length dominates; then
-// priority).
-func matchEntry(t *ir.Table, e *Entry, keyVals []*big.Int) (score int, ok bool) {
+// Rank is an entry's score in winner selection — lpm prefix length
+// dominates, then priority; among equal scores the first entry wins —
+// and whether the entry has a match for every key of t (one that does
+// not matches no packet).
+func Rank(t *ir.Table, e *Entry) (score int, ok bool) {
+	if len(e.Keys) < len(t.Keys) {
+		return 0, false
+	}
 	score = e.Priority
 	for j, k := range t.Keys {
-		if j >= len(e.Keys) {
-			return 0, false
+		if k.MatchKind == "lpm" {
+			plen := e.Keys[j].PrefixLen
+			if plen < 0 {
+				plen = k.Width
+			}
+			score += plen * 1000 // prefix length dominates priority
 		}
+	}
+	return score, true
+}
+
+// matchEntry reports whether the key values match the entry, returning
+// its Rank.
+func matchEntry(t *ir.Table, e *Entry, keyVals []*big.Int) (score int, ok bool) {
+	if score, ok = Rank(t, e); !ok {
+		return 0, false
+	}
+	for j, k := range t.Keys {
 		km := e.Keys[j]
 		kv := keyVals[j]
 		switch k.MatchKind {
@@ -348,7 +367,6 @@ func matchEntry(t *ir.Table, e *Entry, keyVals []*big.Int) (score int, ok bool) 
 			if a.Cmp(b) != 0 {
 				return 0, false
 			}
-			score += plen * 1000 // prefix length dominates priority
 		}
 	}
 	return score, true

@@ -376,14 +376,20 @@ func VeraCompare(scale int, symbolicBudget time.Duration) (*VeraComparison, erro
 		}
 		snap.Insert(t.Name, e)
 	}
-	rc := baseline.Vera(pl, baseline.VeraOptions{Snapshot: snap, Timeout: symbolicBudget})
+	rc, err := baseline.Vera(pl, baseline.VeraOptions{Snapshot: snap, Timeout: symbolicBudget})
+	if err != nil {
+		return nil, err
+	}
 	out.ConcretePaths = rc.Paths
 	out.ConcreteBugs = len(rc.BugsHit)
 	out.ConcreteTime = rc.Duration
 	out.ConcreteCoverage = rc.Coverage()
 	out.ConcreteComplete = rc.Completed
 
-	rs := baseline.Vera(pl, baseline.VeraOptions{Timeout: symbolicBudget})
+	rs, err := baseline.Vera(pl, baseline.VeraOptions{Timeout: symbolicBudget})
+	if err != nil {
+		return nil, err
+	}
 	out.SymbolicPaths = rs.Paths
 	out.SymbolicBugs = len(rs.BugsHit)
 	out.SymbolicTime = rs.Duration
@@ -423,7 +429,10 @@ func percentilesOf(ns []int64) Percentiles {
 }
 
 // Shim replays a synthetic controller trace of n updates against the
-// generated switch's inferred assertions.
+// generated switch's inferred assertions, timing each Apply from outside
+// as a controller sees it. An update's per-assertion sample is its time
+// divided by the assertion evaluations it ran; updates that ran none
+// (refused at the boundary, or to a table no assertion names) give none.
 func Shim(scale, n int) (*ShimLatency, error) {
 	src := progs.GenerateSwitch(scale)
 	res, err := driver.Run("switch", src, driver.DefaultConfig())
@@ -435,29 +444,28 @@ func Shim(scale, n int) (*ShimLatency, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Size the latency reservoirs so no sample of this bounded replay is
-	// evicted: percentiles stay exact, identical to the unbounded
-	// accounting the shim used to keep.
-	terms := 0
-	for _, a := range file.Assertions {
-		terms += len(a.Forbidden)
-	}
-	if terms < 1 {
-		terms = 1
-	}
-	sh.SetStatsCap((n + 1) * terms)
-	gen := trace.NewGenerator(1, file)
-	updates := gen.Updates(n)
+	updates := trace.NewGenerator(1, file).Updates(n)
+	perUpdate := make([]int64, 0, len(updates))
+	var perAssertion []int64
+	evals := 0
 	for _, u := range updates {
+		start := time.Now()
 		_ = sh.Apply(u)
+		ns := int64(time.Since(start))
+		perUpdate = append(perUpdate, ns)
+		c := sh.Counters()
+		if ran := c.FastpathHits + c.SlowpathHits - evals; ran > 0 {
+			perAssertion = append(perAssertion, ns/int64(ran))
+		}
+		evals = c.FastpathHits + c.SlowpathHits
 	}
-	st := sh.Stats()
+	st := sh.Counters()
 	out := &ShimLatency{
 		Updates:      st.Validated,
 		Assertions:   len(file.Assertions),
 		Rejected:     st.Rejected,
-		PerAssertion: percentilesOf(st.PerAssertion.SampleNs),
-		PerUpdate:    percentilesOf(st.PerUpdate.SampleNs),
+		PerAssertion: percentilesOf(perAssertion),
+		PerUpdate:    percentilesOf(perUpdate),
 	}
 	seen := map[string]bool{}
 	for _, a := range file.Assertions {

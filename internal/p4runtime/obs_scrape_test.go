@@ -21,7 +21,7 @@ import (
 // deployment shape of bf4-shim -obs-addr. Under -race this proves the
 // exposition path (which snapshots histograms bucket by bucket) is safe
 // against the validation hot path. At the end the exported counters must
-// agree with the shim's own Stats().
+// agree with the shim's own Counters().
 func TestChaosMetricsScrape(t *testing.T) {
 	seed := chaosSeed(t)
 	prog, file := natProgram(t)
@@ -109,7 +109,7 @@ func TestChaosMetricsScrape(t *testing.T) {
 	scraperWG.Wait()
 
 	// The exported counters must agree with the shim's own ledger.
-	st := sd.Stats()
+	st := sd.Counters()
 	if got := reg.CounterValue("bf4_shim_updates_validated_total"); got != int64(st.Validated) {
 		t.Errorf("validated counter = %d, shim says %d", got, st.Validated)
 	}
@@ -128,6 +128,7 @@ func TestChaosMetricsScrape(t *testing.T) {
 	for _, want := range []string{
 		"bf4_shim_updates_validated_total",
 		"bf4_shim_update_ns_bucket",
+		"bf4_shim_assertion_ns_bucket",
 		"bf4_shim_shadow_entries",
 		"bf4_p4rt_requests_total",
 		"bf4_p4rt_request_ns_bucket",

@@ -110,18 +110,14 @@ func TestReaderRefusesLengthBeforeAllocating(t *testing.T) {
 	}
 }
 
-// TestStatsReadsCounters: a stats request reads the shard's counters; it
-// does not copy the latency reservoirs, which after 10 000 updates hold
-// 8 192 samples each.
+// TestStatsReadsCounters: a stats request after 10 000 updates reads the
+// shard's counters and allocates nothing that grows with the updates.
 func TestStatsReadsCounters(t *testing.T) {
 	_, file := natProgram(t)
 	srv := &Server{}
 	sd, _ := serve(t, file, shim.FleetConfig{}, srv)
 	for _, u := range trace.NewGenerator(1, file).Updates(10000) {
 		sd.Apply(u)
-	}
-	if st := sd.Stats(); len(st.PerUpdate.SampleNs) < 8192 || len(st.PerAssertion.SampleNs) < 8192 {
-		t.Fatalf("reservoirs hold %d and %d samples, want full ones", len(st.PerUpdate.SampleNs), len(st.PerAssertion.SampleNs))
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -131,6 +127,6 @@ func TestStatsReadsCounters(t *testing.T) {
 		t.Fatalf("stats: %+v", resp)
 	}
 	if n := after.TotalAlloc - before.TotalAlloc; n >= 64<<10 {
-		t.Fatalf("one stats request allocated %d bytes, a reservoir's worth", n)
+		t.Fatalf("one stats request allocated %d bytes", n)
 	}
 }

@@ -204,7 +204,7 @@ func TestApplyWithKeyDedup(t *testing.T) {
 	if err2 == nil || err2.Error() != err1.Error() {
 		t.Fatalf("replayed outcome differs: %v vs %v", err1, err2)
 	}
-	st := sh.Stats()
+	st := sh.Counters()
 	// The replay is served from the window: validation ran twice total
 	// (one accept + one reject), not three times.
 	if st.Validated != 2 || st.Rejected != 1 {
@@ -234,27 +234,5 @@ func TestDedupWindowEviction(t *testing.T) {
 	}
 	if sh.ShadowSize("t") != 4 {
 		t.Fatal("windowed key re-applied")
-	}
-}
-
-func TestReservoirBounds(t *testing.T) {
-	r := newReservoir(10)
-	for i := int64(1); i <= 100; i++ {
-		r.add(i)
-	}
-	st := r.snapshot()
-	if st.Count != 100 || st.MaxNs != 100 {
-		t.Fatalf("aggregates: %+v", st)
-	}
-	if len(st.SampleNs) != 10 {
-		t.Fatalf("window size %d", len(st.SampleNs))
-	}
-	for i, v := range st.SampleNs {
-		if v != int64(91+i) {
-			t.Fatalf("window[%d] = %d, want %d (most recent, oldest first)", i, v, 91+i)
-		}
-	}
-	if st.MeanNs != 50.5 {
-		t.Fatalf("mean = %v", st.MeanNs)
 	}
 }

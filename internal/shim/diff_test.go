@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"bf4/internal/dataplane"
+	"bf4/internal/obs"
 	"bf4/internal/smt"
 	"bf4/internal/spec"
 )
@@ -193,7 +194,7 @@ func finishDiff(t testing.TB, fast, slow *Shim) {
 	if !bytes.Equal(bf, bs) {
 		t.Fatalf("shadow snapshots differ:\nfast:\n%s\nslow:\n%s", bf, bs)
 	}
-	sf, ss := fast.Stats(), slow.Stats()
+	sf, ss := fast.Counters(), slow.Counters()
 	if sf.Validated != ss.Validated || sf.Rejected != ss.Rejected {
 		t.Fatalf("stats differ: fast=%+v slow=%+v", sf, ss)
 	}
@@ -328,7 +329,7 @@ func TestDifferentialReplayWidths(t *testing.T) {
 		applyBoth(t, fast, slow, u, malformed)
 	}
 	finishDiff(t, fast, slow)
-	sf := fast.Stats()
+	sf := fast.Counters()
 	if sf.FastpathHits == 0 {
 		t.Fatal("fast tier never ran a compiled program")
 	}
@@ -364,7 +365,7 @@ func TestDifferentialReplayNAT(t *testing.T) {
 		Params: []*big.Int{big.NewInt(1)},
 	}}, false)
 	finishDiff(t, fast, slow)
-	if fast.Stats().FastpathHits == 0 {
+	if fast.Counters().FastpathHits == 0 {
 		t.Fatal("NAT assertions should compile to the fast path")
 	}
 }
@@ -549,9 +550,77 @@ func TestDifferentialLinkedFilters(t *testing.T) {
 				dropped += len(fast.shadow[tb.idx]) - n
 			}
 		}
-		if kept == 0 || dropped == 0 || rolledBack == 0 || linked == 0 || fast.Stats().FastpathHits == 0 {
+		if kept == 0 || dropped == 0 || rolledBack == 0 || linked == 0 || fast.Counters().FastpathHits == 0 {
 			t.Fatalf("%s, seed %d: stream too tame: %d candidate rows kept, %d entries filtered out, %d batches rolled back after a commit, %d linked rejections",
 				r.file.Program, r.seed, kept, dropped, rolledBack, linked)
+		}
+	}
+}
+
+// TestDifferentialObsAttached: a shim with a registry attached reads the
+// clock at every assertion boundary, one without reads none; nothing else
+// may differ. The width-boundary stream, the NAT stream and linked-filter
+// batches replay on each tier through a shim of each kind, and decisions,
+// rejection texts, counters and the final MarshalSnapshot must be
+// byte-identical.
+func TestDifferentialObsAttached(t *testing.T) {
+	_, _, nat := buildNATShim(t)
+	for _, r := range []struct {
+		file  *spec.File
+		seed  int64
+		batch bool
+	}{{widthFile(), 7, false}, {nat, 11, false}, {linkedFile(), 17, true}} {
+		cp, err := Compile(r.file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, fastpath := range []bool{true, false} {
+			plain, observed := NewFromCompiled(cp), NewFromCompiled(cp)
+			plain.SetFastpath(fastpath)
+			observed.SetFastpath(fastpath)
+			reg := obs.NewRegistry()
+			observed.SetObs(reg)
+			applyTo := func(s *Shim, batch []*Update) error {
+				if r.batch {
+					return s.ApplyBatch(batch)
+				}
+				return s.Apply(batch[0])
+			}
+			rng := rand.New(rand.NewSource(r.seed))
+			data := make([]byte, 1<<17)
+			rng.Read(data)
+			fd := &byteFeed{data: data}
+			for i := 0; i < 1000; i++ {
+				batch := []*Update{nil}
+				if r.batch {
+					batch = make([]*Update, 1+rng.Intn(4))
+				}
+				for j := range batch {
+					batch[j], _ = fuzzUpdate(cp.file, fd)
+				}
+				errP, errO := applyTo(plain, batch), applyTo(observed, batch)
+				if (errP == nil) != (errO == nil) || errP != nil && errP.Error() != errO.Error() {
+					t.Fatalf("%s, fastpath=%v, update %d: without a registry %v, with one %v", r.file.Program, fastpath, i, errP, errO)
+				}
+			}
+			bp, err := plain.MarshalSnapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			bo, err := observed.MarshalSnapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(bp, bo) {
+				t.Fatalf("%s, fastpath=%v: snapshots differ with a registry attached", r.file.Program, fastpath)
+			}
+			cpn, con := plain.Counters(), observed.Counters()
+			if cpn != con {
+				t.Fatalf("%s, fastpath=%v: counters %+v without a registry, %+v with one", r.file.Program, fastpath, cpn, con)
+			}
+			if cpn.Rejected == 0 || cpn.Rejected == cpn.Validated || reg.Histogram("bf4_shim_assertion_ns", nil).Count() == 0 {
+				t.Fatalf("%s, fastpath=%v: stream too tame: %+v", r.file.Program, fastpath, cpn)
+			}
 		}
 	}
 }

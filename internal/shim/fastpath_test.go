@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -174,7 +175,7 @@ func TestFastpathStatsSplit(t *testing.T) {
 			t.Fatalf("accept update rejected: %v", err)
 		}
 	}
-	st := s.Stats()
+	st := s.Counters()
 	// wideAccept (NoAction): width-boundary (3 fast) + ghost (1 fast) +
 	// wide-param (guard on action_run refutes → fast) = 5 fast.
 	// wideActA: same 4 fast, but the wide-param guard passes, forcing
@@ -191,7 +192,7 @@ func TestFastpathStatsSplit(t *testing.T) {
 			t.Fatalf("accept update rejected with fastpath off: %v", err)
 		}
 	}
-	st = off.Stats()
+	st = off.Counters()
 	if st.FastpathHits != 0 || st.SlowpathHits != 13 {
 		t.Fatalf("fastpath off: fast/slow hits = %d/%d, want 0/13", st.FastpathHits, st.SlowpathHits)
 	}
@@ -213,6 +214,23 @@ func TestAcceptedUpdateAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestNewFromCompiledAllocatesLittle: a shim keeps no latency samples of
+// its own (the registry's histograms are the only record), so building
+// one allocates its shadow and candidate slices and empty maps, not the
+// two 64 KB rings it once preallocated.
+func TestNewFromCompiledAllocatesLittle(t *testing.T) {
+	cp := widthCompiled(t)
+	const runs = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	testing.AllocsPerRun(runs, func() { benchShim = NewFromCompiled(cp) })
+	runtime.ReadMemStats(&after)
+	// AllocsPerRun calls the function once more to warm up.
+	if n := (after.TotalAlloc - before.TotalAlloc) / (runs + 1); n >= 8<<10 {
+		t.Fatalf("NewFromCompiled allocates %d bytes a shim, want under 8 KB", n)
+	}
+}
+
 // TestFastpathRejectionMessage pins that a fast-path rejection carries
 // the same source attribution the slow path produces.
 func TestFastpathRejectionMessage(t *testing.T) {
@@ -225,7 +243,7 @@ func TestFastpathRejectionMessage(t *testing.T) {
 	if !strings.Contains(err.Error(), "width-boundary") {
 		t.Fatalf("rejection lost its source attribution: %v", err)
 	}
-	if s.Stats().FastpathHits == 0 {
+	if s.Counters().FastpathHits == 0 {
 		t.Fatal("rejection should have come from the fast path")
 	}
 }
@@ -332,10 +350,10 @@ func TestFastpathRaceSoak(t *testing.T) {
 	for err := range errs {
 		t.Fatalf("race soak: %v", err)
 	}
-	if shims[0].Stats().FastpathHits == 0 {
+	if shims[0].Counters().FastpathHits == 0 {
 		t.Fatal("soak never exercised the fast path")
 	}
-	if shims[2].Stats().FastpathHits != 0 {
+	if shims[2].Counters().FastpathHits != 0 {
 		t.Fatal("disabled shim took the fast path")
 	}
 }

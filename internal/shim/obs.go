@@ -5,8 +5,10 @@ import "bf4/internal/obs"
 // shimObs holds retained metric handles. Every field stays nil until
 // SetObs attaches a registry, and all obs types are nil-safe, so with
 // observability off the hot path pays one nil-receiver method call per
-// site — the existing counters and latency reservoirs are untouched
-// either way (they feed Stats and the p4runtime status RPC).
+// counter site and reads no clock: updateNs and assertNs are the shim's
+// only latency record, and validation times itself only for them. The
+// shim's own counters (Counters, the p4runtime stats request) are kept
+// either way.
 type shimObs struct {
 	validated        *obs.Counter
 	rejected         *obs.Counter

@@ -77,16 +77,7 @@ func (sd *Shard) ApplyBatchWithKey(key string, updates []*Update) error {
 	return sd.do(func(sh *Shim) error { return sh.ApplyBatchWithKey(key, updates) })
 }
 
-// Stats returns the current incarnation's statistics (zero when down).
-func (sd *Shard) Stats() Stats {
-	if sh := sd.currentShim(); sh != nil {
-		return sh.Stats()
-	}
-	return Stats{}
-}
-
-// Counters returns the current incarnation's scalar counters (zero when
-// down), without the latency reservoirs Stats copies.
+// Counters returns the current incarnation's counters (zero when down).
 func (sd *Shard) Counters() Stats {
 	if sh := sd.currentShim(); sh != nil {
 		return sh.Counters()

@@ -47,9 +47,9 @@ func (e *RejectionError) Error() string {
 	return fmt.Sprintf("shim: update to table %s rejected: %s", e.Table, e.Reason)
 }
 
-// Stats aggregates validation outcomes and latencies (for §5.3).
-// Latency streams are kept in bounded reservoirs (see LatencyStats) so a
-// long-running shim holds constant memory regardless of update count.
+// Stats holds a shim's validation counters. Latency is not among them:
+// the bf4_shim_update_ns and bf4_shim_assertion_ns histograms of the
+// registry SetObs attaches are its only record (§5.3).
 type Stats struct {
 	Validated int
 	Rejected  int
@@ -58,14 +58,7 @@ type Stats struct {
 	// resolution, wide vectors, or SetFastpath(false)).
 	FastpathHits int
 	SlowpathHits int
-	// PerAssertion summarizes single-assertion evaluation latency;
-	// PerUpdate summarizes whole-update validation latency.
-	PerAssertion LatencyStats
-	PerUpdate    LatencyStats
 }
-
-// DefaultStatsCap is the default latency-reservoir capacity.
-const DefaultStatsCap = 8192
 
 // DefaultDedupWindow is the default size of the applied-request-ID
 // window used for idempotent retries.
@@ -88,9 +81,6 @@ type Shim struct {
 	// fastpath gates the compiled-bytecode evaluation tier (on by
 	// default); when off, every condition takes the term-DAG slow path.
 	fastpath bool
-
-	perAssertion reservoir
-	perUpdate    reservoir
 
 	// applied is the idempotency window: outcome of recently applied
 	// (or rejected) keyed mutations, so a retried request after an
@@ -191,7 +181,7 @@ func Compile(file *spec.File) (*Compiled, error) {
 
 // NewFromCompiled builds a shim over an already-compiled annotation set.
 // Many shims (fleet shards) may share one Compiled: each gets its own
-// shadow state, dedup window and statistics; the compiled terms are only
+// shadow state, dedup window and counters; the compiled terms are only
 // ever read.
 func NewFromCompiled(cp *Compiled) *Shim {
 	cands := make([][]candidates, len(cp.tables))
@@ -199,13 +189,11 @@ func NewFromCompiled(cp *Compiled) *Shim {
 		cands[tb.idx] = make([]candidates, len(tb.scanners))
 	}
 	return &Shim{
-		cp:           cp,
-		fastpath:     true,
-		shadow:       make([][]*dataplane.Entry, len(cp.tables)),
-		cands:        cands,
-		defaults:     map[string]*dataplane.DefaultAction{},
-		perAssertion: newReservoir(DefaultStatsCap),
-		perUpdate:    newReservoir(DefaultStatsCap),
+		cp:       cp,
+		fastpath: true,
+		shadow:   make([][]*dataplane.Entry, len(cp.tables)),
+		cands:    cands,
+		defaults: map[string]*dataplane.DefaultAction{},
 		// appliedOrder grows on demand in recordOutcome: preallocating
 		// the full window is a 64KB zeroed pointer-slice per shim, pure
 		// waste for callers that never pass an idempotency key.
@@ -224,8 +212,7 @@ func (s *Shim) SetFastpath(on bool) {
 	s.fastpath = on
 }
 
-// Counters returns the scalar counters only, skipping the latency
-// reservoir snapshots Stats copies — cheap enough to poll per batch.
+// Counters returns a copy of the validation counters.
 func (s *Shim) Counters() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -235,30 +222,6 @@ func (s *Shim) Counters() Stats {
 		FastpathHits: s.counters.fastHits,
 		SlowpathHits: s.counters.slowHits,
 	}
-}
-
-// Stats returns a copy of the accumulated statistics.
-func (s *Shim) Stats() Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return Stats{
-		Validated:    s.counters.validated,
-		Rejected:     s.counters.rejected,
-		FastpathHits: s.counters.fastHits,
-		SlowpathHits: s.counters.slowHits,
-		PerAssertion: s.perAssertion.snapshot(),
-		PerUpdate:    s.perUpdate.snapshot(),
-	}
-}
-
-// SetStatsCap bounds the latency reservoirs to the given number of
-// samples (default DefaultStatsCap). Call before serving traffic for
-// exact percentile windows.
-func (s *Shim) SetStatsCap(n int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.perAssertion.setCap(n)
-	s.perUpdate.setCap(n)
 }
 
 // SetDedupWindow bounds the applied-request-ID window (default
@@ -367,19 +330,23 @@ var epoch = time.Now()
 func monoNow() int64 { return int64(time.Since(epoch)) }
 
 // validateLocked judges u against the shadow state and returns its table
-// (nil when the update is refused). It reads the clock once at every
-// boundary: the start, the start of the assertions, the end of each, and
-// the end when that is not the last assertion's.
+// (nil when the update is refused). With a registry attached it reads the
+// clock once at every boundary, for the latency histograms: the start,
+// the start of the assertions, the end of each, and the end when that is
+// not the last assertion's. With none it reads no clock.
 func (s *Shim) validateLocked(u *Update) (*table, error) {
-	start := monoNow()
-	last := start
-	defer func() {
-		if last == start {
-			last = monoNow()
-		}
-		s.perUpdate.add(last - start)
-		s.obs.updateNs.Observe(last - start)
-	}()
+	timed := s.obs.updateNs != nil
+	var start, last int64
+	if timed {
+		start = monoNow()
+		last = start
+		defer func() {
+			if last == start {
+				last = monoNow()
+			}
+			s.obs.updateNs.Observe(last - start)
+		}()
+	}
 	s.counters.validated++
 	s.obs.validated.Inc()
 
@@ -410,7 +377,9 @@ func (s *Shim) validateLocked(u *Update) (*table, error) {
 	}
 	var env smt.Env
 
-	last = monoNow()
+	if timed {
+		last = monoNow()
+	}
 	for ci := range tb.conds {
 		c := &tb.conds[ci]
 		violated, fast := false, false
@@ -436,11 +405,11 @@ func (s *Shim) validateLocked(u *Update) (*table, error) {
 			s.counters.slowHits++
 			s.obs.slowpathHits.Inc()
 		}
-		now := monoNow()
-		aNs := now - last
-		last = now
-		s.perAssertion.add(aNs)
-		s.obs.assertNs.Observe(aNs)
+		if timed {
+			now := monoNow()
+			s.obs.assertNs.Observe(now - last)
+			last = now
+		}
 		if violated {
 			return nil, s.rejectLocked(&RejectionError{Table: u.Table, Assertion: c.src, Forbidden: c.src.Forbidden[c.i]})
 		}

@@ -8,6 +8,7 @@ import (
 	"bf4/internal/dataplane"
 	"bf4/internal/driver"
 	"bf4/internal/ir"
+	"bf4/internal/obs"
 	"bf4/internal/spec"
 )
 
@@ -261,14 +262,19 @@ func TestGlobalCorrectness(t *testing.T) {
 	if bugs > 0 {
 		t.Fatalf("%d buggy executions", bugs)
 	}
-	st := sh.Stats()
+	st := sh.Counters()
 	if st.Validated != 100 || st.Rejected != rejected {
 		t.Fatalf("stats: %+v", st)
 	}
 }
 
+// TestShimStatsLatencies: with a registry attached, every validated
+// update is one bf4_shim_update_ns observation, and the paper's headline
+// (validation in milliseconds) holds on average with a wide margin.
 func TestShimStatsLatencies(t *testing.T) {
 	sh, _, _ := buildNATShim(t)
+	reg := obs.NewRegistry()
+	sh.SetObs(reg)
 	for i := 0; i < 50; i++ {
 		sh.Validate(&Update{Table: "nat", Entry: &dataplane.Entry{
 			Keys:   []dataplane.KeyMatch{dataplane.NewExact(1), dataplane.NewTernary(int64(i), -1)},
@@ -276,23 +282,17 @@ func TestShimStatsLatencies(t *testing.T) {
 			Params: []*big.Int{big.NewInt(int64(i))},
 		}})
 	}
-	st := sh.Stats()
-	if len(st.PerUpdate.SampleNs) != 50 || st.PerUpdate.Count != 50 {
-		t.Fatalf("per-update samples = %d count = %d", len(st.PerUpdate.SampleNs), st.PerUpdate.Count)
+	h := reg.Histogram("bf4_shim_update_ns", nil)
+	if h.Count() != 50 {
+		t.Fatalf("bf4_shim_update_ns counts %d updates, want 50", h.Count())
 	}
-	if st.PerUpdate.MeanNs <= 0 || st.PerUpdate.MaxNs <= 0 {
-		t.Fatalf("aggregates not tracked: %+v", st.PerUpdate)
+	if h.Sum() <= 0 {
+		t.Fatalf("bf4_shim_update_ns sums to %dns", h.Sum())
 	}
-	for _, ns := range st.PerUpdate.SampleNs {
-		if ns <= 0 {
-			t.Fatal("non-positive latency sample")
-		}
-		// The paper's headline: validation in milliseconds. Anything
-		// under 50ms per update in a test environment is comfortably in
-		// line.
-		if ns > 50e6 {
-			t.Fatalf("update validation took %dns", ns)
-		}
+	// Anything under 50ms per update in a test environment is comfortably
+	// in line.
+	if mean := h.Sum() / h.Count(); mean > 50e6 {
+		t.Fatalf("update validation took %dns on average", mean)
 	}
 }
 
