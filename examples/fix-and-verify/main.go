@@ -1,9 +1,10 @@
 // Fix-and-verify: bring your own (buggy) P4 program, watch bf4 repair it.
 // This example analyzes an inline program with a validity-blind routing
-// table, prints the counterexample model for the bug, applies the
-// proposed key fix, re-verifies the fixed source end to end, and finally
-// replays the bug's model through the dataplane interpreter to prove the
-// counterexample is real on the original program.
+// table and a path that leaves egress_spec unset, prints the
+// counterexample model for each bug and replays it through the dataplane
+// interpreter to prove it real on the original program, then prints the
+// fixed program — the key added to the table, mark_to_drop at the top of
+// ingress — and re-verifies it end to end.
 //
 //	go run ./examples/fix-and-verify
 package main
@@ -60,7 +61,11 @@ control RIngress(inout headers hdr, inout metadata meta,
         actions = { route; drop_; }
         default_action = drop_();
     }
-    apply { routing.apply(); }
+    apply {
+        if (smeta.ingress_port != 9w64) {     // BUG: port 64 leaves egress_spec unset
+            routing.apply();
+        }
+    }
 }
 
 V1Switch(RParser(), RIngress()) main;
@@ -111,21 +116,28 @@ func main() {
 	if res.FixedSource == "" {
 		log.Fatal("no fixed source produced")
 	}
-	fmt.Println("\n== fixed routing table (excerpt) ==")
+	// The fixed source is the program bf4 verified in its last round: the
+	// key is in the table and the egress-spec fix is a statement.
+	fmt.Println("\n== fixed ingress control ==")
+	in := false
 	for _, line := range strings.Split(res.FixedSource, "\n") {
-		if strings.Contains(line, "isValid()") || strings.Contains(line, "table routing") {
-			fmt.Println("   ", strings.TrimSpace(line))
+		in = in || strings.HasPrefix(line, "control RIngress")
+		if in {
+			fmt.Println("   ", line)
+		}
+		if in && line == "}" {
+			break
 		}
 	}
 
-	// The fixed source must verify clean.
+	// Verifying the fixed source again must find nothing to fix.
 	res2, err := driver.Run("fixed_router", res.FixedSource, driver.DefaultConfig())
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\n== re-verification of the fixed program ==\n%s\n", res2.Summary())
-	if res2.BugsAfterInfer != 0 {
-		log.Fatal("fixed program still has uncontrolled bugs")
+	if res2.BugsAfterInfer != 0 || res2.Fixed != nil {
+		log.Fatalf("fixed program still needs fixes:\n%s", res2.Fixes.Describe())
 	}
 	fmt.Println("all bugs controllable: safe to deploy behind the shim.")
 }

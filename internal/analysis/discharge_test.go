@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"bf4/internal/fixes"
 	"bf4/internal/ir"
 	"bf4/internal/p4/ast"
 	"bf4/internal/p4/parser"
@@ -13,8 +14,9 @@ import (
 	"bf4/internal/progs"
 )
 
-// compile lowers src through the frontend with opts.
-func compile(t *testing.T, name, src string, opts ir.Options) (*ast.Program, *ir.Program) {
+// compile lowers src through the frontend, with fx applied when it is
+// not nil.
+func compile(t *testing.T, name, src string, fx *fixes.Result) (*ast.Program, *ir.Program) {
 	t.Helper()
 	prog, err := parser.Parse(src)
 	if err != nil {
@@ -24,7 +26,12 @@ func compile(t *testing.T, name, src string, opts ir.Options) (*ast.Program, *ir
 	if err != nil {
 		t.Fatalf("%s: typecheck: %v", name, err)
 	}
-	p, err := ir.Build(prog, info, opts)
+	if fx != nil {
+		if info, err = fixes.Apply(prog, info, fx); err != nil {
+			t.Fatalf("%s: apply fixes: %v", name, err)
+		}
+	}
+	p, err := ir.Build(prog, info, ir.DefaultOptions())
 	if err != nil {
 		t.Fatalf("%s: lower: %v", name, err)
 	}
@@ -40,25 +47,23 @@ func compile(t *testing.T, name, src string, opts ir.Options) (*ast.Program, *ir
 func TestConstPropDischargeSubsumesValidity(t *testing.T) {
 	type testCase struct {
 		name, src string
-		opts      ir.Options
+		fx        *fixes.Result
 	}
 	var cases []testCase
 	for _, p := range progs.All() {
 		if p.Name != "switch" {
-			cases = append(cases, testCase{p.Name, p.Source, ir.DefaultOptions()})
+			cases = append(cases, testCase{p.Name, p.Source, nil})
 		}
 	}
 	for _, n := range []int{1, 2, 4} {
-		cases = append(cases, testCase{fmt.Sprintf("switch@%d", n), progs.GenerateSwitch(n), ir.DefaultOptions()})
+		cases = append(cases, testCase{fmt.Sprintf("switch@%d", n), progs.GenerateSwitch(n), nil})
 	}
-	fixed := ir.DefaultOptions()
-	fixed.ExtraKeys = map[string][]string{"ipv4_lpm": {"hdr.ipv4.isValid()"}}
-	fixed.InitEgressSpecDrop = true
+	fixed := &fixes.Result{Keys: map[string][]string{"ipv4_lpm": {"hdr.ipv4.isValid()"}}, Special: []string{fixes.EgressSpecDrop}}
 	cases = append(cases, testCase{"simple_nat+keys", progs.Get("simple_nat").Source, fixed})
 
 	discharged := 0
 	for _, c := range cases {
-		prog, p := compile(t, c.name, c.src, c.opts)
+		prog, p := compile(t, c.name, c.src, c.fx)
 		set, reach, _ := discharge(p)
 		for n := range dischargeSet(p, reach, SolveForward(p.Start, NewValidity(p))) {
 			if !set[n] {
@@ -124,7 +129,7 @@ func TestRangeFoldDischargesPinned(t *testing.T) {
 			name, src = "switch@1", progs.GenerateSwitch(1)
 		}
 		t.Run(name, func(t *testing.T) {
-			prog, pr := compile(t, name, src, ir.DefaultOptions())
+			prog, pr := compile(t, name, src, nil)
 			res := Run(pr, prog)
 			got, w := dischargedNodes(pr, res.Discharge), want[name]
 			if res.Stats.Discharged != w.n || got != w.nodes {
@@ -169,7 +174,7 @@ func dischargedNodes(p *ir.Program, set map[*ir.Node]bool) string {
 // range rule needs no variable's value for them, but none of the four is
 // the lattice's.
 func TestValidityDischargesAreValidityChecks(t *testing.T) {
-	prog, p := compile(t, "heavy_hitter_1", progs.Get("heavy_hitter_1").Source, ir.DefaultOptions())
+	prog, p := compile(t, "heavy_hitter_1", progs.Get("heavy_hitter_1").Source, nil)
 	st := Run(p, prog).Stats
 	if st.Discharged != 4 || st.DischargedValidity != 0 {
 		t.Errorf("heavy_hitter_1: discharged %d (%d via header-validity), want 4 (0)", st.Discharged, st.DischargedValidity)

@@ -50,10 +50,11 @@ type CompileOptions struct {
 	// Slicing computes bug-reachability conditions over the slice with
 	// respect to the bug nodes (paper default) rather than the whole CFG.
 	Slicing bool
-	// AST and Info, when set, are src's already-checked frontend result;
-	// compilation then starts at the lowering (CompileTime excludes the
-	// frontend). Callers that attach file names to frontend diagnostics
-	// parse first and hand the result over.
+	// AST and Info, when set, are an already-checked frontend result —
+	// src's, or src's edited by fixes.Apply; compilation then starts at the
+	// lowering (CompileTime excludes the frontend). Callers that attach
+	// file names to frontend diagnostics, and the driver, which applies
+	// the fixes, parse first and hand the result over.
 	AST  *ast.Program
 	Info *types.Info
 	// Obs and Trace attach observability: each stage (parse, typecheck,
@@ -76,18 +77,9 @@ func CompileWith(src string, opts CompileOptions) (*Pipeline, error) {
 	reg, parent := opts.Obs, opts.Trace
 	prog, info := opts.AST, opts.Info
 	if prog == nil {
-		_, done := obs.StartPhase(reg, parent, "parse")
 		var err error
-		prog, err = parser.Parse(src)
-		done()
-		if err != nil {
-			return nil, fmt.Errorf("parse: %w", err)
-		}
-		_, done = obs.StartPhase(reg, parent, "typecheck")
-		info, err = types.Check(prog)
-		done()
-		if err != nil {
-			return nil, fmt.Errorf("typecheck: %w", err)
+		if prog, info, err = Frontend(src, reg, parent); err != nil {
+			return nil, err
 		}
 	}
 
@@ -134,6 +126,23 @@ func CompileWith(src string, opts CompileOptions) (*Pipeline, error) {
 	}
 	pl.CompileTime = time.Since(start)
 	return pl, nil
+}
+
+// Frontend parses and type-checks src, each stage a span of parent.
+func Frontend(src string, reg *obs.Registry, parent *obs.Span) (*ast.Program, *types.Info, error) {
+	_, done := obs.StartPhase(reg, parent, "parse")
+	prog, err := parser.Parse(src)
+	done()
+	if err != nil {
+		return nil, nil, fmt.Errorf("parse: %w", err)
+	}
+	_, done = obs.StartPhase(reg, parent, "typecheck")
+	info, err := types.Check(prog)
+	done()
+	if err != nil {
+		return nil, nil, fmt.Errorf("typecheck: %w", err)
+	}
+	return prog, info, nil
 }
 
 // Bug is one potential bug and its verification outcome.

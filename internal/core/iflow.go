@@ -11,8 +11,6 @@
 package core
 
 import (
-	"time"
-
 	"bf4/internal/ir"
 	"bf4/internal/obs"
 	"bf4/internal/smt"
@@ -49,8 +47,8 @@ type ConfirmOptions struct {
 // ConfirmLeaks decides each alarm bug node with the solver. It is
 // ConfirmNodes under its original information-flow name, plus the iflow
 // observability counters.
-func (pl *Pipeline) ConfirmLeaks(alarms []*ir.Node, opts ConfirmOptions) ([]*LeakVerdict, time.Duration) {
-	out, dur := pl.ConfirmNodes(alarms, opts, "confirm-leaks")
+func (pl *Pipeline) ConfirmLeaks(alarms []*ir.Node, opts ConfirmOptions) []*LeakVerdict {
+	out := pl.ConfirmNodes(alarms, opts, "confirm-leaks")
 	if opts.Obs != nil {
 		confirmed, discharged := 0, 0
 		for _, v := range out {
@@ -68,7 +66,7 @@ func (pl *Pipeline) ConfirmLeaks(alarms []*ir.Node, opts ConfirmOptions) ([]*Lea
 		// false: no query was asked.
 		opts.Obs.Counter("bf4_iflow_discharged_fold_total").Add(int64(discharged))
 	}
-	return out, dur
+	return out
 }
 
 // ConfirmNodes decides each bug node with the solver: Confirmed with a
@@ -79,8 +77,7 @@ func (pl *Pipeline) ConfirmLeaks(alarms []*ir.Node, opts ConfirmOptions) ([]*Lea
 // not depend on Workers — only wall-clock does (models MAY differ across
 // worker counts; callers needing a canonical witness re-derive one
 // deterministically).
-func (pl *Pipeline) ConfirmNodes(nodes []*ir.Node, opts ConfirmOptions, phase string) ([]*CheckVerdict, time.Duration) {
-	start := time.Now()
+func (pl *Pipeline) ConfirmNodes(nodes []*ir.Node, opts ConfirmOptions, phase string) []*CheckVerdict {
 	sp, done := obs.StartPhase(opts.Obs, opts.Trace, phase)
 	defer done()
 
@@ -97,5 +94,5 @@ func (pl *Pipeline) ConfirmNodes(nodes []*ir.Node, opts ConfirmOptions, phase st
 		sp.SetMetric("alarms", int64(len(nodes)))
 		sp.SetMetric("confirmed", int64(confirmed))
 	}
-	return out, time.Since(start)
+	return out
 }

@@ -3,6 +3,7 @@ package cost
 import (
 	"testing"
 
+	"bf4/internal/fixes"
 	"bf4/internal/ir"
 	"bf4/internal/p4/parser"
 	"bf4/internal/p4/types"
@@ -44,12 +45,21 @@ V1Switch(P(), Ing()) main;
 
 func build(t *testing.T, src string, opts ir.Options) *ir.Program {
 	t.Helper()
+	return buildFixed(t, src, opts, &fixes.Result{})
+}
+
+// buildFixed lowers src with fx applied.
+func buildFixed(t *testing.T, src string, opts ir.Options, fx *fixes.Result) *ir.Program {
+	t.Helper()
 	prog, err := parser.Parse(src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	info, err := types.Check(prog)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if info, err = fixes.Apply(prog, info, fx); err != nil {
 		t.Fatal(err)
 	}
 	p, err := ir.Build(prog, info, opts)
@@ -82,9 +92,7 @@ func TestGuardsIncreaseStages(t *testing.T) {
 }
 
 func TestSynthesizedKeyBits(t *testing.T) {
-	opts := ir.DefaultOptions()
-	opts.ExtraKeys = map[string][]string{"t2": {"hdr.h.isValid()"}}
-	p := build(t, twoTableSrc, opts)
+	p := buildFixed(t, twoTableSrc, ir.DefaultOptions(), &fixes.Result{Keys: map[string][]string{"t2": {"hdr.h.isValid()"}}})
 	s := Estimate(p)
 	if s.ExtraMatchBits != 1 {
 		t.Fatalf("ExtraMatchBits = %d, want 1 (one validity bit)", s.ExtraMatchBits)

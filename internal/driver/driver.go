@@ -9,7 +9,6 @@ package driver
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 	"time"
 
@@ -20,8 +19,6 @@ import (
 	"bf4/internal/ir"
 	"bf4/internal/obs"
 	"bf4/internal/p4/ast"
-	"bf4/internal/p4/parser"
-	"bf4/internal/p4/types"
 	"bf4/internal/pool"
 	"bf4/internal/solver"
 	"bf4/internal/spec"
@@ -124,10 +121,12 @@ func (r *Result) Spec() *spec.File {
 const maxRebuilds = 3
 
 // Run executes the full bf4 loop on a program: round 0 on the program as
-// written, then a rebuild round with the fixes so far applied for as long
-// as a round proposes a fix no earlier one did (Figure 3's loop back from
-// "fixes" to "infer predicates"; the corpus converges in one rebuild, but
-// nothing guarantees that in general).
+// written, then a rebuild round on the program with the fixes so far
+// applied for as long as a round proposes a fix no earlier one did
+// (Figure 3's loop back from "fixes" to "infer predicates"; the corpus
+// converges in one rebuild, but nothing guarantees that in general). The
+// last round's program is the one FixedSource prints: what a round past
+// maxRebuilds would have added is not reported as a fix.
 func Run(name, src string, cfg Config) (*Result, error) {
 	start := time.Now()
 	cfg.Infer.Workers = cfg.Workers
@@ -136,15 +135,10 @@ func Run(name, src string, cfg Config) (*Result, error) {
 	// overwrites. It lives as long as this call — a pool outliving a run
 	// would make a second run in the process warmer than a user's only one.
 	cfg.Infer.Solvers = solver.NewPool(cfg.Obs)
-	res := &Result{Name: name, LoC: countLoC(src)}
+	res := &Result{Name: name, LoC: countLoC(src), Fixes: &fixes.Result{Keys: map[string][]string{}}}
 
-	keys := map[string][]string{}
-	for t, ks := range cfg.IR.ExtraKeys {
-		keys[t] = slices.Clone(ks)
-	}
-	cfg.IR.ExtraKeys = keys
-	for n := 0; n <= maxRebuilds; n++ {
-		t, err := round(n, src, cfg)
+	for n := 0; ; n++ {
+		t, err := round(n, src, res.Fixes, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -152,7 +146,7 @@ func Run(name, src string, cfg Config) (*Result, error) {
 			res.Initial, res.InitialRep, res.InferResult, res.Analysis = t.pl, t.rep, t.inf, t.ar
 			res.Bugs = t.rep.NumReachable()
 			res.BugsAfterInfer = len(t.inf.Uncontrolled)
-			res.Fixes = &fixes.Result{Keys: map[string][]string{}, Unfixable: t.fx.Unfixable}
+			res.Fixes.Unfixable = t.fx.Unfixable
 		} else {
 			res.Fixed, res.Rounds = t.pl, n
 		}
@@ -160,25 +154,9 @@ func Run(name, src string, cfg Config) (*Result, error) {
 		res.BugsAfterFixes = len(t.inf.Uncontrolled)
 		res.Dataplane = t.inf.Uncontrolled
 
-		// Merge the round's proposals into the keys the next compile gets.
 		// A round that proposes nothing new ends the loop: what it left
 		// uncontrolled are genuine dataplane bugs.
-		fresh := false
-		for tbl, ks := range t.fx.Keys {
-			for _, k := range ks {
-				if !slices.Contains(keys[tbl], k) {
-					keys[tbl] = append(keys[tbl], k)
-					res.Fixes.Keys[tbl] = append(res.Fixes.Keys[tbl], k)
-					fresh = true
-				}
-			}
-		}
-		if len(t.fx.Special) > 0 && !cfg.IR.InitEgressSpecDrop {
-			cfg.IR.InitEgressSpecDrop = true
-			res.Fixes.Special = append(res.Fixes.Special, t.fx.Special...)
-			fresh = true
-		}
-		if !fresh {
+		if n == maxRebuilds || !res.Fixes.Merge(t.fx) {
 			break
 		}
 		res.KeysAdded = res.Fixes.TotalKeys()
@@ -186,9 +164,7 @@ func Run(name, src string, cfg Config) (*Result, error) {
 	}
 
 	if res.Fixed != nil {
-		if fixedSrc, err := RewriteSource(src, res.Fixes); err == nil {
-			res.FixedSource = fixedSrc
-		}
+		res.FixedSource = ast.Print(res.Fixed.AST)
 	}
 	res.Runtime = time.Since(start)
 	return res, nil
@@ -203,14 +179,13 @@ type turn struct {
 	fx  *fixes.Result
 }
 
-// round is one turn of the loop: compile src with the keys and the
-// egress-spec fix accumulated in cfg.IR, find the bugs (the dataflow
-// pre-pass retires the checks it can prove unreachable, the solver decides
-// the rest), infer annotations, and propose fixes for what they leave
-// uncontrolled. Round 0's phases are top-level spans of cfg.Trace; a later
-// round is one "rebuild" phase, timed whole, with only analysis and
-// findbugs as spans of their own beneath it.
-func round(n int, src string, cfg Config) (turn, error) {
+// round is one turn of the loop: compile src with the fixes applied (none
+// in round 0), find the bugs (the dataflow pre-pass retires the checks it
+// can prove unreachable, the solver decides the rest), infer annotations,
+// and propose fixes for what they leave uncontrolled. Round 0's phases are
+// top-level spans of cfg.Trace; a later round is one "rebuild" phase, timed
+// whole, with only analysis and findbugs as spans of their own beneath it.
+func round(n int, src string, fx *fixes.Result, cfg Config) (turn, error) {
 	parent := cfg.Trace
 	if n > 0 {
 		var done func()
@@ -225,7 +200,7 @@ func round(n int, src string, cfg Config) (turn, error) {
 	}
 
 	sp, done := phase("compile")
-	pl, err := core.CompileWith(src, core.CompileOptions{IR: cfg.IR, Slicing: cfg.Slicing, Obs: cfg.Obs, Trace: sp})
+	pl, err := compile(src, fx, cfg, sp)
 	done()
 	if err != nil {
 		if n > 0 {
@@ -259,9 +234,22 @@ func round(n int, src string, cfg Config) (turn, error) {
 	rep.Shards = nil
 
 	_, done = phase("fixes")
-	fx := fixes.Run(pl, inf.Uncontrolled, cfg.Workers)
+	fx = fixes.Run(pl, inf.Uncontrolled, cfg.Workers)
 	done()
 	return turn{pl, ar, rep, inf, fx}, nil
+}
+
+// compile parses src, applies fx to the parsed program (fixes.Apply
+// type-checks the edit) and compiles it.
+func compile(src string, fx *fixes.Result, cfg Config, parent *obs.Span) (*core.Pipeline, error) {
+	prog, info, err := core.Frontend(src, cfg.Obs, parent)
+	if err != nil {
+		return nil, err
+	}
+	if info, err = fixes.Apply(prog, info, fx); err != nil {
+		return nil, fmt.Errorf("apply fixes: %w", err)
+	}
+	return core.CompileWith(src, core.CompileOptions{IR: cfg.IR, Slicing: cfg.Slicing, AST: prog, Info: info, Obs: cfg.Obs, Trace: parent})
 }
 
 func countLoC(src string) int {
@@ -273,108 +261,6 @@ func countLoC(src string) int {
 		}
 	}
 	return n
-}
-
-// RewriteSource produces the fixed P4 program: the proposed keys are
-// appended to their tables (translated from canonical paths back to each
-// control's parameter names) and re-printed.
-func RewriteSource(src string, fx *fixes.Result) (string, error) {
-	prog, err := parser.Parse(src)
-	if err != nil {
-		return "", err
-	}
-	info, err := types.Check(prog)
-	if err != nil {
-		return "", err
-	}
-	for _, d := range prog.Decls {
-		ctl, ok := d.(*ast.ControlDecl)
-		if !ok {
-			continue
-		}
-		inverse := roleInverse(info, ctl)
-		for _, l := range ctl.Locals {
-			td, ok := l.(*ast.TableDecl)
-			if !ok {
-				continue
-			}
-			for _, keyPath := range fx.Keys[td.Name] {
-				expr, err := keyExprFor(keyPath, inverse)
-				if err != nil {
-					continue
-				}
-				td.Keys = append(td.Keys, &ast.TableKey{Expr: expr, MatchKind: "exact"})
-			}
-		}
-	}
-	out := ast.Print(prog)
-	if len(fx.Special) > 0 {
-		out = "// bf4: " + strings.Join(fx.Special, "\n// bf4: ") + "\n" + out
-	}
-	return out, nil
-}
-
-// roleInverse maps canonical prefixes (hdr/meta/smeta) back to the
-// control's parameter names.
-func roleInverse(info *types.Info, ctl *ast.ControlDecl) map[string]string {
-	inv := map[string]string{}
-	var headersStruct, metaStruct *ast.StructDecl
-	if info.Pipeline.Parser != nil {
-		for _, p := range info.Pipeline.Parser.Params {
-			if st, ok := info.ResolveType(p.Type).(*types.StructT); ok {
-				switch {
-				case st.Decl.Name == "standard_metadata_t":
-				case p.Dir == "out":
-					headersStruct = st.Decl
-				case metaStruct == nil:
-					metaStruct = st.Decl
-				}
-			}
-		}
-	}
-	for _, p := range ctl.Params {
-		st, ok := info.ResolveType(p.Type).(*types.StructT)
-		if !ok {
-			continue
-		}
-		switch {
-		case st.Decl.Name == "standard_metadata_t":
-			inv["smeta"] = p.Name
-		case st.Decl == headersStruct:
-			inv["hdr"] = p.Name
-		case st.Decl == metaStruct:
-			inv["meta"] = p.Name
-		default:
-			inv[p.Name] = p.Name
-		}
-	}
-	return inv
-}
-
-// keyExprFor parses a canonical key path and rewrites its root to the
-// control's parameter name.
-func keyExprFor(path string, inverse map[string]string) (ast.Expr, error) {
-	e, err := parser.ParseExpr(path)
-	if err != nil {
-		return nil, err
-	}
-	rewriteRoot(e, inverse)
-	return e, nil
-}
-
-func rewriteRoot(e ast.Expr, inverse map[string]string) {
-	switch x := e.(type) {
-	case *ast.Ident:
-		if repl, ok := inverse[x.Name]; ok {
-			x.Name = repl
-		}
-	case *ast.Member:
-		rewriteRoot(x.X, inverse)
-	case *ast.IndexExpr:
-		rewriteRoot(x.X, inverse)
-	case *ast.CallExpr:
-		rewriteRoot(x.Fun, inverse)
-	}
 }
 
 // Summary renders a Table 1-style row.

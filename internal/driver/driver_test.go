@@ -112,12 +112,11 @@ func TestFixedSourceReparses(t *testing.T) {
 	if got := res2.Fixes.Keys["ipv4_lpm"]; len(got) > 0 {
 		t.Fatalf("fixed program still wants keys on ipv4_lpm: %v", got)
 	}
-	// Re-verifying the rewritten program must come out clean: the keys are
-	// now in the source, so inference controls every bug without new keys.
-	// (The egress-spec suggestion is advisory, not a source rewrite, so it
-	// may legitimately reappear.)
-	if res2.KeysAdded != 0 || res2.BugsAfterFixes != 0 {
-		t.Fatalf("fixed source does not re-verify clean: %s", res2.Summary())
+	// Re-verifying the fixed program must come out clean: the keys and the
+	// egress-spec drop are now in the source, so inference controls every
+	// bug and nothing is proposed.
+	if res2.KeysAdded != 0 || len(res2.Fixes.Special) != 0 || res2.BugsAfterInfer != 0 || res2.BugsAfterFixes != 0 {
+		t.Fatalf("fixed source does not re-verify clean: %s\n%s", res2.Summary(), res2.Fixes.Describe())
 	}
 }
 

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 
 	"bf4/internal/analysis"
 	"bf4/internal/core"
@@ -46,8 +45,6 @@ type PropReport struct {
 	Properties []*prop.Property
 	Diags      []analysis.Diagnostic
 	analysis.PropSummary
-
-	Runtime time.Duration
 }
 
 // Props compiles a program with its properties (source-comment
@@ -55,7 +52,6 @@ type PropReport struct {
 // and produces the confirmed/dismissed/discharged report. Frontend and
 // property type errors come back with positions attached.
 func Props(name, src string, extra []*prop.Property, cfg PropConfig) (*PropReport, error) {
-	start := time.Now()
 	props, err := prop.ExtractSource(name, src)
 	if err != nil {
 		return nil, err
@@ -109,7 +105,7 @@ func Props(name, src string, extra []*prop.Property, cfg PropConfig) (*PropRepor
 
 	// The solver tier adjudicates the remainder through the standard wp
 	// reachability conditions.
-	verdicts, _ := pl.ConfirmNodes(candidates, core.ConfirmOptions{Workers: cfg.Workers, Obs: cfg.Obs, Trace: cfg.Trace}, "confirm-props")
+	verdicts := pl.ConfirmNodes(candidates, core.ConfirmOptions{Workers: cfg.Workers, Obs: cfg.Obs, Trace: cfg.Trace}, "confirm-props")
 	verdictOf := map[*ir.Node]*core.CheckVerdict{}
 	for _, v := range verdicts {
 		verdictOf[v.Node] = v
@@ -142,7 +138,6 @@ func Props(name, src string, extra []*prop.Property, cfg PropConfig) (*PropRepor
 		cfg.Obs.Counter("bf4_prop_confirmed_total").Add(int64(rep.Confirmed))
 		cfg.Obs.Counter("bf4_prop_dismissed_total").Add(int64(rep.Dismissed))
 	}
-	rep.Runtime = time.Since(start)
 	return rep, nil
 }
 

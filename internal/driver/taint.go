@@ -10,7 +10,6 @@ package driver
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"bf4/internal/analysis"
 	"bf4/internal/core"
@@ -54,14 +53,12 @@ type TaintReport struct {
 	analysis.TaintSummary
 
 	DataflowIterations int
-	Runtime            time.Duration
 }
 
 // Taint compiles a program with information-flow instrumentation and
 // produces the confirmed/dismissed leak report. Frontend errors come
 // back with name: prefixed (like Lint).
 func Taint(name, src string, cfg TaintConfig) (*TaintReport, error) {
-	start := time.Now()
 	switch cfg.Policy {
 	case "", "default":
 		cfg.Policy = "default"
@@ -86,7 +83,7 @@ func Taint(name, src string, cfg TaintConfig) (*TaintReport, error) {
 	for i, a := range df.Alarms {
 		alarmNodes[i] = a.Node
 	}
-	verdicts, _ := pl.ConfirmLeaks(alarmNodes, core.ConfirmOptions{Workers: cfg.Workers, Obs: cfg.Obs, Trace: cfg.Trace})
+	verdicts := pl.ConfirmLeaks(alarmNodes, core.ConfirmOptions{Workers: cfg.Workers, Obs: cfg.Obs, Trace: cfg.Trace})
 
 	rep := &TaintReport{
 		Name:     name,
@@ -118,7 +115,6 @@ func Taint(name, src string, cfg TaintConfig) (*TaintReport, error) {
 		cfg.Obs.Counter("bf4_taint_confirmed_total").Add(int64(rep.Confirmed))
 		cfg.Obs.Counter("bf4_taint_dismissed_total").Add(int64(rep.Dismissed))
 	}
-	rep.Runtime = time.Since(start)
 	return rep, nil
 }
 

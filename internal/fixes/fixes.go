@@ -5,12 +5,14 @@
 // (vars, terms) lattice, computing the minimal set of live variables that
 // determine the bug. Those variables, minus the table's existing control
 // variables, become new exact-match keys. Egress-spec bugs get the
-// paper's special-cased suggestion (drop at the start of ingress) since
-// key-based fixes degenerate for them (§4.6).
+// paper's special-cased fix (drop at the start of ingress) since
+// key-based fixes degenerate for them (§4.6). Apply (apply.go) makes the
+// proposals edits of the parsed program, the one form a fix takes.
 package fixes
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -56,12 +58,19 @@ func isAssumeBranch(n *ir.Node) bool {
 	return f.Kind == ir.Nop && len(f.Succs) == 1 && f.Succs[0].Kind == ir.UnreachTerm
 }
 
+// EgressSpecDrop is the special fix for egress-spec-not-set bugs (§4.6),
+// as Result.Special holds it: Apply makes it a mark_to_drop at the top of
+// ingress.
+const EgressSpecDrop = "egress_spec may be unset at end of ingress: initialize it " +
+	"(e.g. mark_to_drop(standard_metadata)) at the beginning of the ingress pipeline"
+
 // Result aggregates proposed fixes.
 type Result struct {
 	// Keys maps table name to the key paths to add (deduplicated,
 	// sorted).
 	Keys map[string][]string
-	// Special holds non-key suggestions (egress-spec handling).
+	// Special holds the non-key fix, EgressSpecDrop, when an
+	// egress-spec-not-set bug is uncontrolled.
 	Special []string
 	// Unfixable lists genuine dataplane bugs: no dominating table exists
 	// or the determining variables cannot be table keys.
@@ -79,6 +88,25 @@ func (r *Result) TotalKeys() int {
 
 // TablesTouched counts tables receiving at least one key.
 func (r *Result) TablesTouched() int { return len(r.Keys) }
+
+// Merge adds o's keys and special fix to r where r lacks them, each table's
+// new keys after its old ones, and reports whether anything was added.
+// o's Unfixable is not merged.
+func (r *Result) Merge(o *Result) (fresh bool) {
+	for t, ks := range o.Keys {
+		for _, k := range ks {
+			if !slices.Contains(r.Keys[t], k) {
+				r.Keys[t] = append(r.Keys[t], k)
+				fresh = true
+			}
+		}
+	}
+	if len(o.Special) > 0 && len(r.Special) == 0 {
+		r.Special = append(r.Special, o.Special...)
+		fresh = true
+	}
+	return fresh
+}
 
 // Run proposes fixes for every uncontrolled bug. The per-bug dataflow runs
 // (TableKeys: pure functions of the pipeline) go out to at most workers
@@ -102,9 +130,7 @@ func Run(pl *core.Pipeline, uncontrolled []*core.Bug, workers int) *Result {
 	for i, b := range uncontrolled {
 		if b.Kind == ir.BugEgressSpecNotSet {
 			if !egressSuggested {
-				res.Special = append(res.Special,
-					"egress_spec may be unset at end of ingress: initialize it "+
-						"(e.g. mark_to_drop(standard_metadata)) at the beginning of the ingress pipeline")
+				res.Special = append(res.Special, EgressSpecDrop)
 				egressSuggested = true
 			}
 			continue
@@ -215,7 +241,7 @@ func TableKeys(pl *core.Pipeline, b *core.Bug, inst *ir.TableInstance) (keys []s
 	// matches ternary on. Recognize plain variable keys and the
 	// ite(valid,1,0) encoding of isValid() keys.
 	for j, kt := range inst.KeyTerms {
-		if kt == nil || j >= len(inst.Table.Keys) || inst.Table.Keys[j].MatchKind != "exact" {
+		if inst.Table.Keys[j].MatchKind != "exact" {
 			continue
 		}
 		if v, okv := p.Vars[kt.Name()]; okv && kt == v.Term {

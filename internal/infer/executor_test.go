@@ -51,9 +51,14 @@ func TestExecutorMatchesReference(t *testing.T) {
 			// the matches learnEq turns into bindings.
 			rep := pl.FindBugs()
 			fx := fixes.Run(pl, Run(pl, rep, DefaultOptions()).Uncontrolled, 0)
-			opts := ir.DefaultOptions()
-			opts.ExtraKeys, opts.InitEgressSpecDrop = fx.Keys, len(fx.Special) > 0
-			rebuilt, err := core.Compile(c.src, opts, true)
+			prog, info, err := core.Frontend(c.src, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if info, err = fixes.Apply(prog, info, fx); err != nil {
+				t.Fatalf("apply fixes: %v", err)
+			}
+			rebuilt, err := core.CompileWith(c.src, core.CompileOptions{IR: ir.DefaultOptions(), Slicing: true, AST: prog, Info: info})
 			if err != nil {
 				t.Fatalf("rebuild: %v", err)
 			}

@@ -14,7 +14,6 @@ package infer
 
 import (
 	"sort"
-	"time"
 
 	"bf4/internal/core"
 	"bf4/internal/ir"
@@ -56,10 +55,7 @@ type Result struct {
 	// Uncontrolled lists bugs that remain reachable.
 	Uncontrolled []*core.Bug
 
-	FastInferTime time.Duration
-	InferTime     time.Duration
-	RecheckTime   time.Duration
-	InferCalls    int
+	InferCalls int
 }
 
 // CombinedPredicate conjoins every assertion's predicate.
@@ -160,7 +156,6 @@ func run(pl *core.Pipeline, rep *core.Report, opts Options, solveOnly bool) *Res
 	// Phase 1: Fast-Infer on every instance, in parallel (pure symbolic
 	// execution over the shared term factory; no solver involved).
 	if opts.UseFastInfer {
-		start := time.Now()
 		sp, done := obs.StartPhase(opts.Obs, opts.Trace, "fastinfer")
 		fast := pool.ObservedMap(opts.Obs, "fastinfer", workers, len(pl.IR.Instances), func(i int) *Assertion {
 			return FastInfer(pl, pl.IR.Instances[i])
@@ -172,7 +167,6 @@ func run(pl *core.Pipeline, rep *core.Report, opts Options, solveOnly bool) *Res
 		}
 		sp.SetMetric("assertions", int64(len(res.Assertions)))
 		done()
-		res.FastInferTime = time.Since(start)
 	}
 
 	// Recheck which bugs remain reachable under current predicates.
@@ -181,7 +175,6 @@ func run(pl *core.Pipeline, rep *core.Report, opts Options, solveOnly bool) *Res
 	// Phase 2: Infer for assert points that still dominate uncontrolled
 	// bugs, one task (and one private pair of solvers) per instance.
 	if opts.UseInfer && len(uncontrolled) > 0 {
-		start := time.Now()
 		byInstance := map[*ir.TableInstance][]*core.Bug{}
 		var dominated []*core.Bug
 		for _, b := range uncontrolled {
@@ -208,8 +201,9 @@ func run(pl *core.Pipeline, rep *core.Report, opts Options, solveOnly bool) *Res
 		}
 		sp, phaseDone := obs.StartPhase(opts.Obs, opts.Trace, "infer")
 		type inferOut struct {
-			a     *Assertion
-			calls int
+			a      *Assertion
+			calls  int
+			capped bool
 		}
 		// A fork is wanted again by the fan-out's next instance and by
 		// nothing after it, so the forks' pool is the fan-out's own: an
@@ -221,24 +215,29 @@ func run(pl *core.Pipeline, rep *core.Report, opts Options, solveOnly bool) *Res
 		forks := solver.NewPool(opts.Obs)
 		outs := pool.ObservedMap(opts.Obs, "infer", workers, len(insts), func(i int) inferOut {
 			var out inferOut
-			out.a = inferShared(pl, forks, dualBase, directBase, insts[i], byInstance[insts[i]], &out.calls)
+			out.a, out.capped = inferShared(pl, forks, dualBase, directBase, insts[i], byInstance[insts[i]], &out.calls)
 			return out
 		})
 		forks.Release()
 		opts.Solvers.Put(dualBase, directBase)
+		capped := 0
 		for _, o := range outs {
 			res.InferCalls += o.calls
+			if o.capped {
+				capped++
+			}
 			if o.a != nil && len(o.a.Forbidden) > 0 {
 				res.Assertions = append(res.Assertions, o.a)
 			}
 		}
 		if opts.Obs != nil {
 			opts.Obs.Counter("bf4_infer_calls_total").Add(int64(res.InferCalls))
+			opts.Obs.Counter("bf4_infer_iteration_cap_total").Add(int64(capped))
 		}
 		sp.SetMetric("instances", int64(len(insts)))
 		sp.SetMetric("calls", int64(res.InferCalls))
+		sp.SetMetric("capped", int64(capped))
 		phaseDone()
-		res.InferTime = time.Since(start)
 		uncontrolled = re.recheck(uncontrolled)
 	}
 
@@ -290,11 +289,9 @@ type rechecker struct {
 // witness. The shards serve nothing but these rechecks, so skipping a check
 // changes no state any Infer query sees.
 func (re *rechecker) recheck(candidates []*core.Bug) []*core.Bug {
-	start := time.Now()
 	sp, done := obs.StartPhase(re.obs, re.trace, "recheck")
 	sp.SetMetric("candidates", int64(len(candidates)))
 	defer done()
-	defer func() { re.res.RecheckTime += time.Since(start) }()
 	f := re.pl.IR.F
 	asserted := len(re.preds)
 	for _, a := range re.res.Assertions[asserted:] {
@@ -523,16 +520,18 @@ func warmBases(pl *core.Pipeline, bugs []*core.Bug, opts Options) (dual, direct 
 // conditions blasted and receives the instance's BUG disjunction. The assert
 // point's reachability condition is passed as an extra assumption and
 // filtered out of the unsat core, so the resulting cubes range over
-// control-variable atoms only.
-func inferShared(pl *core.Pipeline, forks *solver.Pool, dualBase, directBase *solver.Solver, inst *ir.TableInstance, bugs []*core.Bug, calls *int) *Assertion {
+// control-variable atoms only. capped reports that the loop stopped at
+// maxInferIterations with the direct solver still Sat: the cubes found so
+// far may leave bugs of the instance reachable.
+func inferShared(pl *core.Pipeline, forks *solver.Pool, dualBase, directBase *solver.Solver, inst *ir.TableInstance, bugs []*core.Bug, calls *int) (a *Assertion, capped bool) {
 	f := pl.IR.F
 	atoms := atomsFor(pl, inst)
 	if len(atoms) == 0 {
-		return nil
+		return nil, false
 	}
 	reachAP := pl.FullReach.Cond[inst.Apply]
 	if reachAP == nil {
-		return nil
+		return nil, false
 	}
 
 	// BUG: disjunction of the dominated bugs' reachability conditions.
@@ -541,7 +540,7 @@ func inferShared(pl *core.Pipeline, forks *solver.Pool, dualBase, directBase *so
 		bug = f.Or(bug, b.Cond)
 	}
 	if bug.IsFalse() {
-		return nil
+		return nil, false
 	}
 
 	dual, direct := forks.Fork(dualBase), forks.Fork(directBase)
@@ -556,11 +555,11 @@ func inferShared(pl *core.Pipeline, forks *solver.Pool, dualBase, directBase *so
 		atomSet[f.Not(p)] = true
 	}
 
-	a := &Assertion{Instance: inst, Source: "infer"}
+	a = &Assertion{Instance: inst, Source: "infer"}
 	for iter := 0; iter < maxInferIterations; iter++ {
 		*calls++
 		if direct.Check() != solver.Sat {
-			return a
+			return a, false
 		}
 		// The atoms range over this instance's control variables: the model
 		// of those is all the cube is read from.
@@ -595,5 +594,5 @@ func inferShared(pl *core.Pipeline, forks *solver.Pool, dualBase, directBase *so
 			direct.Assert(f.Not(cubeAll))
 		}
 	}
-	return a
+	return a, true
 }

@@ -194,7 +194,7 @@ func TestInferAlgorithmDirectly(t *testing.T) {
 	}
 	calls := 0
 	dual, direct := warmBases(pl, natBugs, DefaultOptions())
-	a := inferShared(pl, nil, dual, direct, nat, natBugs, &calls)
+	a, _ := inferShared(pl, nil, dual, direct, nat, natBugs, &calls)
 	if a == nil || len(a.Forbidden) == 0 {
 		t.Fatal("Infer produced nothing for the controllable nat bug")
 	}
@@ -281,8 +281,8 @@ func TestForkMatchesFreshOnCorpus(t *testing.T) {
 					continue
 				}
 				var calls, pooledCalls int
-				a := inferShared(pl, nil, dualBase, directBase, inst, bugs, &calls)
-				if b := inferShared(pl, recycled, dualBase, directBase, inst, bugs, &pooledCalls); !reflect.DeepEqual(a, b) || calls != pooledCalls {
+				a, _ := inferShared(pl, nil, dualBase, directBase, inst, bugs, &calls)
+				if b, _ := inferShared(pl, recycled, dualBase, directBase, inst, bugs, &pooledCalls); !reflect.DeepEqual(a, b) || calls != pooledCalls {
 					t.Errorf("%s: Infer on recycled forks took %d calls to %v, on allocated ones %d calls to %v", inst.Name(), pooledCalls, b, calls, a)
 				}
 				if a == nil {

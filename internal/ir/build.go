@@ -17,18 +17,10 @@ const DropSpec = 511
 
 // Options control IR construction and instrumentation. The three bug
 // classes of the paper (header validity, egress_spec, register bounds),
-// dontCare marking and the egress control are always lowered. The Fixes
-// algorithm reruns Build with ExtraKeys populated.
+// dontCare marking and the egress control are always lowered. Fixes are
+// not an option: they are edits of the program (fixes.Apply), lowered
+// like the rest of it.
 type Options struct {
-	// ExtraKeys maps table name to additional key paths (P4 expressions,
-	// e.g. "hdr.ipv4.isValid()") appended as exact-match keys.
-	ExtraKeys map[string][]string
-
-	// InitEgressSpecDrop applies the paper's special fix for
-	// egress-spec-not-set bugs (§4.6/§5.1): initialize egress_spec to the
-	// drop port at the beginning of ingress, making the programmer's
-	// implicit-drop intention explicit.
-	InitEgressSpecDrop bool
 	// CheckInfoFlow instruments information-flow tracking: shadow taint
 	// variables, @sensitive sources and info-leak sink checks (see
 	// taint.go). Off by default; the IR is unchanged when disabled.
@@ -255,23 +247,7 @@ func (b *builder) run(prog *ast.Program) error {
 		return errors.New("ir: program has neither parser nor ingress control")
 	}
 
-	// Identify the headers and metadata structs from the parser signature.
-	if pl.Parser != nil {
-		for _, p := range pl.Parser.Params {
-			t := b.info.ResolveType(p.Type)
-			switch x := t.(type) {
-			case *types.StructT:
-				if x.Decl.Name == "standard_metadata_t" {
-					continue
-				}
-				if p.Dir == "out" {
-					b.headersStruct = x.Decl
-				} else if b.metaStruct == nil {
-					b.metaStruct = x.Decl
-				}
-			}
-		}
-	}
+	b.headersStruct, b.metaStruct = b.info.PipelineStructs()
 
 	// Declare pipeline storage.
 	if b.headersStruct != nil {
@@ -298,12 +274,6 @@ func (b *builder) run(prog *ast.Program) error {
 
 	b.p.EgressSpecSet = b.p.NewVar("$egress_spec_set", smt.BoolSort)
 	b.assign(b.p.EgressSpecSet, b.f().False())
-	if b.opts.InitEgressSpecDrop {
-		if spec := b.lookupVar("smeta.egress_spec"); spec != nil {
-			b.assign(spec, b.f().BVConst64(DropSpec, 9))
-			b.noteEgressSpecWrite(spec)
-		}
-	}
 
 	// Parser.
 	ingressEntry := b.nop("ingress-entry")

@@ -14,8 +14,11 @@
 //     overwrites with dontCare marking, register/stack bounds, and the
 //     egress_spec-not-set shadow check.
 //
-// Because expansion happens at build time, the Fixes algorithm reruns the
-// builder with Options.ExtraKeys to obtain the fixed program's IR.
+// The builder lowers only what the type checker accepted. A fix is an
+// edit of the typed program (fixes.Apply: keys appended to tables, a drop
+// at the top of ingress), so the fixed program's IR comes from the same
+// Build over the edited AST; expansion, running at build time, picks the
+// added keys up like any other.
 package ir
 
 import (
@@ -249,7 +252,8 @@ type KeyInfo struct {
 	Path      string // source-level path, e.g. "hdr.ipv4.srcAddr" or "...isValid()"
 	MatchKind string // exact | ternary | lpm
 	Width     int
-	// Synthesized marks keys added by the Fixes algorithm.
+	// Synthesized marks keys added by the Fixes algorithm
+	// (ast.TableKey.Synthesized).
 	Synthesized bool
 }
 

@@ -148,25 +148,6 @@ func TestNATVars(t *testing.T) {
 	}
 }
 
-func TestExtraKeysChangeTables(t *testing.T) {
-	opts := DefaultOptions()
-	opts.ExtraKeys = map[string][]string{
-		"ipv4_lpm": {"hdr.ipv4.isValid()"},
-	}
-	p := buildSrc(t, natSrc, opts)
-	tbl := p.Tables["ipv4_lpm"]
-	if len(tbl.Keys) != 2 {
-		t.Fatalf("ipv4_lpm keys = %d, want 2", len(tbl.Keys))
-	}
-	k := tbl.Keys[1]
-	if !k.Synthesized || k.Path != "hdr.ipv4.isValid()" || k.MatchKind != "exact" || k.Width != 1 {
-		t.Fatalf("synthesized key: %+v", k)
-	}
-	if p.Vars["pcn_ipv4_lpm$0.key1"] == nil {
-		t.Fatal("synthesized key var missing")
-	}
-}
-
 func TestHeaderCopyInstrumentation(t *testing.T) {
 	src := `
 header h_t { bit<8> a; bit<8> b; }

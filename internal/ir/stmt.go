@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"bf4/internal/p4/ast"
-	"bf4/internal/p4/parser"
 	"bf4/internal/p4/token"
 	"bf4/internal/p4/types"
 	"bf4/internal/smt"
@@ -524,8 +523,7 @@ func (b *builder) inlineAction(ad *ast.ActionDecl, args []*smt.Term) {
 
 // ------------------------------------------------------------- tables
 
-// tableMeta builds (once) the static metadata for a table, including any
-// keys synthesized by the Fixes algorithm (Options.ExtraKeys).
+// tableMeta builds (once) the static metadata for a table.
 func (b *builder) tableMeta(td *ast.TableDecl) *Table {
 	if t, ok := b.p.Tables[td.Name]; ok {
 		return t
@@ -541,14 +539,11 @@ func (b *builder) tableMeta(td *ast.TableDecl) *Table {
 			w = 32
 		}
 		t.Keys = append(t.Keys, &KeyInfo{
-			Path:      ast.PathString(k.Expr),
-			MatchKind: k.MatchKind,
-			Width:     w,
+			Path:        ast.PathString(k.Expr),
+			MatchKind:   k.MatchKind,
+			Width:       w,
+			Synthesized: k.Synthesized,
 		})
-	}
-	for _, extra := range b.opts.ExtraKeys[td.Name] {
-		w := b.extraKeyWidth(extra)
-		t.Keys = append(t.Keys, &KeyInfo{Path: extra, MatchKind: "exact", Width: w, Synthesized: true})
 	}
 	sc := b.info.ScopeOf(b.ctl)
 	actionInfo := func(ref *ast.ActionRef) *ActionInfo {
@@ -574,24 +569,8 @@ func (b *builder) tableMeta(td *ast.TableDecl) *Table {
 	return t
 }
 
-// extraKeyWidth computes the width of a synthesized key path.
-func (b *builder) extraKeyWidth(path string) int {
-	e, err := parser.ParseExpr(path)
-	if err != nil {
-		return 1
-	}
-	if _, ok := e.(*ast.CallExpr); ok {
-		return 1 // isValid()
-	}
-	r := b.resolveRef(e)
-	if r.v != nil && !r.v.Sort.IsBool() {
-		return r.v.Sort.Width
-	}
-	return 1
-}
-
-// lowerKeyExpr lowers a table key path (original AST expr or synthesized
-// path string) returning the value term and the headers it reads.
+// lowerKeyExpr lowers a table key expression, returning the value term and
+// the headers it reads.
 func (b *builder) lowerKeyExpr(e ast.Expr, w int) (*smt.Term, []string) {
 	b.beginReads()
 	t := b.lowerExpr(e, w)
@@ -673,19 +652,7 @@ func (b *builder) expandTable(td *ast.TableDecl, pos token.Pos) *TableInstance {
 	keyTerms := make([]*smt.Term, len(t.Keys))
 	keyReads := make([][]string, len(t.Keys))
 	for j, k := range t.Keys {
-		var e ast.Expr
-		if j < len(td.Keys) {
-			e = td.Keys[j].Expr
-		} else {
-			// Synthesized key: parse its canonical path.
-			pe, err := parser.ParseExpr(k.Path)
-			if err != nil {
-				b.errorf(pos, "bad synthesized key %q: %v", k.Path, err)
-				continue
-			}
-			e = pe
-		}
-		keyTerms[j], keyReads[j] = b.lowerKeyExpr(e, k.Width)
+		keyTerms[j], keyReads[j] = b.lowerKeyExpr(td.Keys[j].Expr, k.Width)
 	}
 	inst.KeyTerms = keyTerms
 
@@ -693,7 +660,7 @@ func (b *builder) expandTable(td *ast.TableDecl, pos token.Pos) *TableInstance {
 	// (counters, digests, match statistics), so a tainted key leaks.
 	if b.opts.CheckInfoFlow {
 		for j, k := range t.Keys {
-			if keyTerms[j] == nil || b.cur == nil {
+			if b.cur == nil {
 				continue
 			}
 			b.checkLeakTaint(b.taintOf(keyTerms[j]), "table-key",
@@ -713,9 +680,6 @@ func (b *builder) expandTable(td *ast.TableDecl, pos token.Pos) *TableInstance {
 	// terms of entry variables before the checks are reached.
 	b.cur = hitT
 	for j := range t.Keys {
-		if keyTerms[j] == nil {
-			continue
-		}
 		var match *smt.Term
 		if inst.MaskVars[j] != nil {
 			match = f.Eq(f.BVAnd(keyTerms[j], inst.MaskVars[j].Term),
@@ -726,9 +690,6 @@ func (b *builder) expandTable(td *ast.TableDecl, pos token.Pos) *TableInstance {
 		b.assume(match)
 	}
 	for j, k := range t.Keys {
-		if keyTerms[j] == nil {
-			continue
-		}
 		// Key-read bugs: evaluating a key over an invalid header is
 		// undefined. For ternary/lpm the read only happens under a
 		// nonzero mask (the paper's nat example); for exact it

@@ -195,6 +195,9 @@ type TableKey struct {
 	P         token.Pos
 	Expr      Expr
 	MatchKind string
+	// Synthesized marks a key the Fixes algorithm appended; Print writes
+	// it like any other key.
+	Synthesized bool
 }
 
 func (k *TableKey) Pos() token.Pos { return k.P }

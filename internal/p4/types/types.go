@@ -967,6 +967,26 @@ func (in *Info) resolvePipeline(prog *ast.Program) {
 	}
 }
 
+// PipelineStructs identifies the structs the verifier calls hdr and meta:
+// the type of the parser's out parameter, and of its first other struct
+// parameter that is not standard_metadata_t.
+func (in *Info) PipelineStructs() (headers, meta *ast.StructDecl) {
+	if in.Pipeline.Parser == nil {
+		return nil, nil
+	}
+	for _, p := range in.Pipeline.Parser.Params {
+		st, ok := in.ResolveType(p.Type).(*StructT)
+		switch {
+		case !ok || st.Decl.Name == "standard_metadata_t":
+		case p.Dir == "out":
+			headers = st.Decl
+		case meta == nil:
+			meta = st.Decl
+		}
+	}
+	return headers, meta
+}
+
 // ScopeOf returns the scope of a parser or control declaration.
 func (in *Info) ScopeOf(d ast.Decl) *Scope { return in.Scopes[d] }
 
