@@ -45,8 +45,6 @@ import (
 	"bf4/internal/driver"
 	"bf4/internal/ir"
 	"bf4/internal/obs"
-	"bf4/internal/p4/parser"
-	"bf4/internal/p4/types"
 	"bf4/internal/progs"
 	"bf4/internal/prop"
 )
@@ -59,11 +57,7 @@ func gatherProps(name, src, specFile string) ([]*prop.Property, error) {
 		return nil, err
 	}
 	if specFile != "" {
-		data, err := os.ReadFile(specFile)
-		if err != nil {
-			return nil, err
-		}
-		ps, err := prop.ParseSpecFile(specFile, data)
+		ps, err := readProps(specFile)
 		if err != nil {
 			return nil, err
 		}
@@ -71,6 +65,15 @@ func gatherProps(name, src, specFile string) ([]*prop.Property, error) {
 	}
 	prop.Sort(props)
 	return props, nil
+}
+
+// readProps reads and parses a .props spec file.
+func readProps(path string) ([]*prop.Property, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	return prop.ParseSpecFile(path, data)
 }
 
 func main() {
@@ -400,38 +403,38 @@ func lintMain(args []string) {
 		usagef("bf4 lint: -spec requires -props")
 	}
 
+	cfg := driver.DefaultConfig()
+	cfg.Workers = max(*jobs, 1) // lint's -j 0 is one worker, not GOMAXPROCS
 	rep, err := func() (*analysis.Report, error) {
 		switch {
 		case *propsRun:
 			if *specFile != "" {
-				data, err := os.ReadFile(*specFile)
-				if err != nil {
-					return nil, err
-				}
-				ps, err := prop.ParseSpecFile(*specFile, data)
+				ps, err := readProps(*specFile)
 				if err != nil {
 					return nil, err
 				}
 				extraProps = append(extraProps, ps...)
 			}
-			pcfg := driver.DefaultPropConfig()
-			pcfg.Workers = *jobs
-			pr, err := driver.Props(name, src, extraProps, pcfg)
+			pr, err := driver.Props(name, src, extraProps, cfg)
 			if err != nil {
 				return nil, err
 			}
 			return pr.Report(), nil
 		case *taint:
-			tcfg := driver.DefaultTaintConfig()
-			tcfg.Policy = *taintPolicy
-			tcfg.Workers = *jobs
-			tr, err := driver.Taint(name, src, tcfg)
+			switch *taintPolicy {
+			case "", "default":
+				cfg.IR.TaintDefaultPolicy = true
+			case "annot":
+			default:
+				return nil, fmt.Errorf("taint: policy must be default or annot, got %q", *taintPolicy)
+			}
+			tr, err := driver.Taint(name, src, cfg)
 			if err != nil {
 				return nil, err
 			}
 			return tr.Report(), nil
 		default:
-			res, err := Lint(name, src)
+			res, err := driver.Lint(name, src, cfg)
 			if err != nil {
 				return nil, err
 			}
@@ -453,25 +456,6 @@ func lintMain(args []string) {
 	if rep.HasErrors() {
 		os.Exit(1)
 	}
-}
-
-// Lint compiles src through the frontend and runs the static-analysis
-// layer. Frontend errors come back with name: prefixed to every
-// diagnostic line (file:line:col).
-func Lint(name, src string) (*analysis.Result, error) {
-	prog, err := parser.ParseFile(name, src)
-	if err != nil {
-		return nil, err
-	}
-	info, err := types.Check(prog)
-	if err != nil {
-		return nil, parser.PrefixFile(name, err)
-	}
-	p, err := ir.Build(prog, info, ir.DefaultOptions())
-	if err != nil {
-		return nil, parser.PrefixFile(name, err)
-	}
-	return analysis.Run(p, prog), nil
 }
 
 func fatalf(format string, args ...interface{}) {

@@ -132,6 +132,45 @@ func TestLintPropsExitUsage(t *testing.T) {
 	}
 }
 
+// TestLintErrorPositions: every lint mode prints a program that does not
+// compile as a compiler does, first line <file>:line:col: message with
+// <file> the file the position is in — the program for a lowering error,
+// the .props file for a property that does not type-check — and exits 2.
+// bf4 itself keeps naming the stage and exits 1.
+func TestLintErrorPositions(t *testing.T) {
+	dir := t.TempDir()
+	// simple_nat with a division by a non-constant, which type-checks but
+	// does not lower.
+	src := strings.Replace(progs.Get("simple_nat").Source, "hdr.ipv4.ttl - 8w1;", "hdr.ipv4.ttl / hdr.ipv4.ttl;", 1)
+	natdiv := filepath.Join(dir, "natdiv.p4")
+	if err := os.WriteFile(natdiv, []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	p4, _ := writePropFixture(t)
+	badType := filepath.Join(dir, "badtype.props")
+	if err := os.WriteFile(badType, []byte("@assert(hdr.nosuch.field == 1)\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	division := natdiv + ":125:37: division is only supported on constants"
+	for _, c := range []struct {
+		args []string
+		code int
+		want string
+	}{
+		{[]string{"lint", natdiv}, 2, division},
+		{[]string{"lint", "-taint", natdiv}, 2, division},
+		{[]string{"lint", "-props", natdiv}, 2, division},
+		{[]string{"lint", "-props", "-spec", badType, p4}, 2, badType + `:1:9: no field "hdr.nosuch.field" in the program (resolved to "hdr.nosuch.field")`},
+		{[]string{natdiv}, 1, "bf4: lower: 125:37: division is only supported on constants"},
+		{[]string{"-check=assert", "-prop-spec", badType, p4}, 1, "bf4: lower: " + badType + `:1:9: no field "hdr.nosuch.field" in the program (resolved to "hdr.nosuch.field")`},
+	} {
+		out, code := runBF4(t, c.args...)
+		if first, _, _ := strings.Cut(out, "\n"); code != c.code || first != c.want {
+			t.Errorf("bf4 %s: exit %d, first line\n\t%s\nwant exit %d,\n\t%s", strings.Join(c.args, " "), code, first, c.code, c.want)
+		}
+	}
+}
+
 func TestCheckAssertLoop(t *testing.T) {
 	// The full verify→infer loop: the selection property is controlled
 	// by inferred annotations, the data property stays violated, and the

@@ -1,5 +1,6 @@
 // Properties: check user @assert/@assume predicates against a program
-// two ways. First the lint-style run (driver.Props): every assert is
+// two ways, both decided by the same loop (core.FindBugsWith) on the same
+// driver.Config. First the lint-style run (driver.Props): every assert is
 // discharged statically, confirmed with a packet witness, or dismissed
 // as infeasible. Then the full verify→infer loop (driver.Run with the
 // property instrumenter): violated asserts whose root cause is table
@@ -30,8 +31,11 @@ func main() {
 		log.Fatal(err)
 	}
 
+	// One configuration for both runs: Props sets the property
+	// instrumenter on its own copy, Run is given it below.
+	cfg := driver.DefaultConfig()
 	fmt.Println("== properties, lint-style (bf4 lint -props) ==")
-	rep, err := driver.Props(name, src, props, driver.DefaultPropConfig())
+	rep, err := driver.Props(name, src, props, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -41,7 +45,6 @@ func main() {
 	// assuming arbitrary table entries, then infer the controller
 	// annotations that control the controllable ones.
 	fmt.Println("\n== properties through verify -> infer (bf4 -check=assert) ==")
-	cfg := driver.DefaultConfig()
 	cfg.IR.Instrument = prop.Instrumenter(props)
 	res, err := driver.Run(name, src, cfg)
 	if err != nil {

@@ -7,31 +7,20 @@ import (
 	"testing"
 
 	"bf4/internal/analysis"
-	"bf4/internal/ir"
-	"bf4/internal/p4/parser"
-	"bf4/internal/p4/types"
+	"bf4/internal/driver"
 	"bf4/internal/progs"
 )
 
 var update = flag.Bool("update", false, "rewrite golden lint files")
 
-// lint compiles a corpus source through the frontend and runs the
-// analysis layer, mirroring what `bf4 lint` does.
+// lint runs `bf4 lint`'s plain mode (driver.Lint) on a corpus source.
 func lint(t *testing.T, name, src string) *analysis.Result {
 	t.Helper()
-	prog, err := parser.ParseFile(name, src)
+	res, err := driver.Lint(name, src, driver.DefaultConfig())
 	if err != nil {
-		t.Fatalf("parse: %v", err)
+		t.Fatalf("lint: %v", err)
 	}
-	info, err := types.Check(prog)
-	if err != nil {
-		t.Fatalf("typecheck: %v", err)
-	}
-	p, err := ir.Build(prog, info, ir.DefaultOptions())
-	if err != nil {
-		t.Fatalf("lower: %v", err)
-	}
-	return analysis.Run(p, prog)
+	return res
 }
 
 // TestLintGolden locks the exact diagnostic output for every corpus

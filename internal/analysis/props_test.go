@@ -36,7 +36,7 @@ func TestPropGolden(t *testing.T) {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			t.Parallel()
 			name, src, props := propFixture(t, 4, seed)
-			rep, err := driver.Props(name, src, props, driver.DefaultPropConfig())
+			rep, err := driver.Props(name, src, props, driver.DefaultConfig())
 			if err != nil {
 				t.Fatalf("props: %v", err)
 			}
@@ -70,7 +70,7 @@ func TestPropFamilies(t *testing.T) {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			t.Parallel()
 			name, src, props := propFixture(t, 4, seed)
-			rep, err := driver.Props(name, src, props, driver.DefaultPropConfig())
+			rep, err := driver.Props(name, src, props, driver.DefaultConfig())
 			if err != nil {
 				t.Fatalf("props: %v", err)
 			}
@@ -109,7 +109,7 @@ func TestPropDeterminism(t *testing.T) {
 	var baseText, baseJSON string
 	var baseChecks int64
 	for i, workers := range []int{1, 4} {
-		cfg := driver.DefaultPropConfig()
+		cfg := driver.DefaultConfig()
 		cfg.Workers, cfg.Obs = workers, obs.NewRegistry()
 		rep, err := driver.Props(name, src, props, cfg)
 		if err != nil {
@@ -144,7 +144,7 @@ func TestPropDeterminism(t *testing.T) {
 // including the schema version stamp.
 func TestPropJSONShape(t *testing.T) {
 	name, src, props := propFixture(t, 4, 1)
-	rep, err := driver.Props(name, src, props, driver.DefaultPropConfig())
+	rep, err := driver.Props(name, src, props, driver.DefaultConfig())
 	if err != nil {
 		t.Fatalf("props: %v", err)
 	}

@@ -7,8 +7,8 @@
 // interpreted over masks here and over per-path shadow values in the
 // solver — a sink the dataflow proves untainted is untainted on every
 // path (monotonicity), and every dataflow alarm is handed to the solver
-// for confirmation (internal/core ConfirmLeaks) rather than reported
-// directly.
+// (driver.Taint decides the alarm nodes with core.FindBugsWith, the loop
+// every bug check goes through) rather than reported directly.
 package analysis
 
 import (

@@ -35,6 +35,14 @@ func taintFixtures(t *testing.T) map[string]string {
 	return out
 }
 
+// taintConfig is the configuration of `bf4 lint -taint -taint-policy
+// policy`.
+func taintConfig(policy string) driver.Config {
+	cfg := driver.DefaultConfig()
+	cfg.IR.TaintDefaultPolicy = policy == "default"
+	return cfg
+}
+
 // TestTaintGolden locks the exact `bf4 lint -taint` output — verdicts,
 // witness paths, positions, summary line — for every corpus program and
 // both generated taint families. Run with -update to accept intended
@@ -45,7 +53,7 @@ func TestTaintGolden(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			file := name + ".p4"
-			rep, err := driver.Taint(file, src, driver.DefaultTaintConfig())
+			rep, err := driver.Taint(file, src, taintConfig("default"))
 			if err != nil {
 				t.Fatalf("taint: %v", err)
 			}
@@ -79,7 +87,7 @@ func TestTaintFamilies(t *testing.T) {
 		t.Run(fmt.Sprintf("leaky/seed%d", seed), func(t *testing.T) {
 			t.Parallel()
 			src := progs.GenerateTaintSwitch(4, seed, true)
-			rep, err := driver.Taint("leaky.p4", src, driver.DefaultTaintConfig())
+			rep, err := driver.Taint("leaky.p4", src, taintConfig("default"))
 			if err != nil {
 				t.Fatalf("taint: %v", err)
 			}
@@ -99,8 +107,7 @@ func TestTaintFamilies(t *testing.T) {
 			t.Parallel()
 			src := progs.GenerateTaintSwitch(4, seed, false)
 			for _, policy := range []string{"default", "annot"} {
-				cfg := driver.DefaultTaintConfig()
-				cfg.Policy = policy
+				cfg := taintConfig(policy)
 				rep, err := driver.Taint("clean.p4", src, cfg)
 				if err != nil {
 					t.Fatalf("taint (policy %s): %v", policy, err)
@@ -126,7 +133,7 @@ func TestTaintDeterminism(t *testing.T) {
 	var baseText, baseJSON string
 	var baseChecks int64
 	for i, workers := range []int{1, 4} {
-		cfg := driver.DefaultTaintConfig()
+		cfg := taintConfig("default")
 		cfg.Workers, cfg.Obs = workers, obs.NewRegistry()
 		rep, err := driver.Taint("leaky.p4", src, cfg)
 		if err != nil {
@@ -160,7 +167,7 @@ func TestTaintDeterminism(t *testing.T) {
 // TestTaintJSONShape: the -json contract consumed by the CI corpus job.
 func TestTaintJSONShape(t *testing.T) {
 	src := progs.GenerateTaintSwitch(4, 1, true)
-	rep, err := driver.Taint("leaky.p4", src, driver.DefaultTaintConfig())
+	rep, err := driver.Taint("leaky.p4", src, taintConfig("default"))
 	if err != nil {
 		t.Fatalf("taint: %v", err)
 	}

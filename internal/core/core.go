@@ -83,16 +83,12 @@ func CompileWith(src string, opts CompileOptions) (*Pipeline, error) {
 		}
 	}
 
-	sp, done := obs.StartPhase(reg, parent, "lower")
-	p, err := ir.Build(prog, info, opts.IR)
-	done()
+	p, err := Lower(prog, info, opts.IR, reg, parent)
 	if err != nil {
-		return nil, fmt.Errorf("lower: %w", err)
+		return nil, err
 	}
-	sp.SetMetric("nodes", int64(len(p.Nodes)))
-	sp.SetMetric("bugs", int64(len(p.Bugs)))
 
-	_, done = obs.StartPhase(reg, parent, "passify")
+	_, done := obs.StartPhase(reg, parent, "passify")
 	pass := ssa.Passify(p)
 	done()
 
@@ -126,6 +122,20 @@ func CompileWith(src string, opts CompileOptions) (*Pipeline, error) {
 	}
 	pl.CompileTime = time.Since(start)
 	return pl, nil
+}
+
+// Lower lowers a checked program to IR under opts, a "lower" span of
+// parent. It is the last stage bf4 lint's plain mode runs.
+func Lower(prog *ast.Program, info *types.Info, opts ir.Options, reg *obs.Registry, parent *obs.Span) (*ir.Program, error) {
+	sp, done := obs.StartPhase(reg, parent, "lower")
+	p, err := ir.Build(prog, info, opts)
+	done()
+	if err != nil {
+		return nil, fmt.Errorf("lower: %w", err)
+	}
+	sp.SetMetric("nodes", int64(len(p.Nodes)))
+	sp.SetMetric("bugs", int64(len(p.Bugs)))
+	return p, nil
 }
 
 // Frontend parses and type-checks src, each stage a span of parent.
@@ -231,7 +241,7 @@ func (r *Report) ReachableByKind() map[ir.BugKind]int {
 // FindBugs checks reachability of every instrumented bug (paper §4.1:
 // SAT(reach(bug)) per bug node, incrementally on one solver).
 func (pl *Pipeline) FindBugs() *Report {
-	return pl.FindBugsWith(FindOptions{})
+	return pl.FindBugsWith(pl.IR.Bugs, FindOptions{})
 }
 
 // FindOptions configures the bug-finding phase.
@@ -261,17 +271,21 @@ type FindOptions struct {
 	Trace *obs.Span
 }
 
-// FindBugsWith is the fully-parameterised bug finder. The checks of the
-// slice run on up to opts.Workers persistent solvers, which the report
-// hands on to Infer.
-func (pl *Pipeline) FindBugsWith(opts FindOptions) *Report {
+// FindBugsWith decides the bug nodes it is given — every bug for
+// driver.Run, the assert nodes for driver.Props, the label analysis's
+// alarms for driver.Taint — and is the one decision loop of them all. A
+// node outside the CFG or without a reachability condition gets no Bug
+// record; one whose condition the factory folded to false is recorded
+// unreachable without a query. The checks of the slice run on up to
+// opts.Workers persistent solvers, which the report hands on to Infer.
+func (pl *Pipeline) FindBugsWith(nodes []*ir.Node, opts FindOptions) *Report {
 	start := time.Now()
 	sp, done := obs.StartPhase(opts.Obs, opts.Trace, "findbugs")
 	defer done()
 	rep := &Report{Pipeline: pl}
 	reachable := pl.IR.Reachable()
 
-	bugs := append([]*ir.Node(nil), pl.IR.Bugs...)
+	bugs := append([]*ir.Node(nil), nodes...)
 	sort.Slice(bugs, func(i, j int) bool { return bugs[i].ID < bugs[j].ID })
 	// queue holds the nodes that need the solver, queued their bugs.
 	var queue []*ir.Node
@@ -295,7 +309,7 @@ func (pl *Pipeline) FindBugsWith(opts FindOptions) *Report {
 		}
 	}
 
-	checks, shards := pl.checkNodes(queue, opts.Workers, opts.Solvers, opts.Obs, "findbugs")
+	checks, shards := pl.checkNodes(queue, opts.Workers, opts.Solvers, opts.Obs)
 	rep.Shards = shards
 	rep.Checks = len(checks)
 	for i, c := range checks {
@@ -328,28 +342,26 @@ func (pl *Pipeline) FindBugsWith(opts FindOptions) *Report {
 }
 
 // nodeCheck is the outcome of deciding one bug node's reachability
-// condition: reachable with a witness model; discharged, i.e. known
-// unsatisfiable without a query (absent or constant false); or neither
-// (the solver answered unsat).
+// condition: reachable with a witness model, or not (the solver answered
+// unsat).
 type nodeCheck struct {
-	reachable  bool
-	model      smt.Env
-	discharged bool
+	reachable bool
+	model     smt.Env
 }
 
-// checkNodes decides the reachability condition of every node — the one
-// check loop behind bug finding and behind taint/property confirmation.
-// Node i goes to worker i mod workers; each worker owns a persistent
-// solver over the shared term factory (hash-consing is mutex-guarded) that
-// publishes to reg, its checks tagged with phase, and results are indexed
-// by node position, so verdicts are deterministic for any worker count
-// (models may differ across counts). A worker is a cold solver that blasts
+// checkNodes decides the reachability condition of every node: the
+// solver half of FindBugsWith, its only caller. Node i goes to worker i
+// mod workers; each worker owns a persistent solver over the shared term
+// factory (hash-consing is mutex-guarded) that publishes to reg, its
+// checks tagged "findbugs", and results are indexed by node position, so
+// verdicts are deterministic for any worker count (models may differ
+// across counts). A worker is a cold solver that blasts
 // nearly the whole program for its first check and holds that CNF from then
 // on, so no more are started than one per checksPerShard nodes. The
 // workers' solvers, taken from solvers (nil: allocated), are returned in
 // worker order; there is always at least one, even for an empty node list.
 // A panic inside a check is re-raised here, on the caller's goroutine.
-func (pl *Pipeline) checkNodes(nodes []*ir.Node, workers int, solvers *solver.Pool, reg *obs.Registry, phase string) ([]nodeCheck, []*solver.Solver) {
+func (pl *Pipeline) checkNodes(nodes []*ir.Node, workers int, solvers *solver.Pool, reg *obs.Registry) ([]nodeCheck, []*solver.Solver) {
 	workers = max(1, min(workers, (len(nodes)+checksPerShard-1)/checksPerShard))
 	out := make([]nodeCheck, len(nodes))
 	shards := make([]*solver.Solver, workers)
@@ -359,7 +371,7 @@ func (pl *Pipeline) checkNodes(nodes []*ir.Node, workers int, solvers *solver.Po
 		shards[w] = s
 		name := ShardName(w)
 		for i := w; i < len(nodes); i += workers {
-			s.Tag(phase, name, nodes[i].ID)
+			s.Tag("findbugs", name, nodes[i].ID)
 			out[i] = checkCond(s, pl.Reach.Cond[nodes[i]])
 		}
 	})
@@ -375,15 +387,12 @@ const checksPerShard = 4
 // ShardName is the name shard w's checks carry in the slowest-checks table.
 func ShardName(w int) string { return fmt.Sprintf("shard %d", w) }
 
-// checkCond decides one condition on s. An absent or constant-false
-// condition is unsatisfiable by construction and discharged without a
-// query; everything else is checked as an assumption, so the condition
-// holds for this check only while its circuit and the clauses learnt from
-// it carry over to the solver's next check.
+// checkCond decides one condition on s. It is checked as an assumption,
+// so the condition holds for this check only while its circuit and the
+// clauses learnt from it carry over to the solver's next check. Absent and
+// constant-false conditions never get here: FindBugsWith records them
+// without a query.
 func checkCond(s *solver.Solver, cond *smt.Term) nodeCheck {
-	if cond == nil || cond.IsFalse() {
-		return nodeCheck{discharged: true}
-	}
 	if s.Check(cond) != solver.Sat {
 		return nodeCheck{}
 	}

@@ -282,5 +282,5 @@ func TestShardPanicReachesTheCaller(t *testing.T) {
 			t.Fatalf("recovered %v, want the bit-blaster's refusal of the bad condition", r)
 		}
 	}()
-	pl.checkNodes(nodes, 2, nil, nil, "test")
+	pl.checkNodes(nodes, 2, nil, nil)
 }

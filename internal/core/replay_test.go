@@ -35,7 +35,7 @@ func TestCorpusWitnessReplay(t *testing.T) {
 			if err != nil {
 				t.Fatalf("compile: %v", err)
 			}
-			rep := pl.FindBugsWith(FindOptions{Workers: 2})
+			rep := pl.FindBugsWith(pl.IR.Bugs, FindOptions{Workers: 2})
 			replayed := 0
 			for _, b := range rep.Bugs {
 				if !b.Reachable {
@@ -91,7 +91,7 @@ func TestEverySatModelEvaluates(t *testing.T) {
 					nodes = append(nodes, bn)
 				}
 			}
-			checks, _ := pl.checkNodes(nodes, 2, nil, nil, "test")
+			checks, _ := pl.checkNodes(nodes, 2, nil, nil)
 			sat := 0
 			for i, c := range checks {
 				if !c.reachable {

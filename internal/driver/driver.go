@@ -24,20 +24,21 @@ import (
 	"bf4/internal/spec"
 )
 
-// Config selects pipeline options for a run.
+// Config selects pipeline options for a run of Run, Props, Taint or Lint.
 type Config struct {
+	// IR selects the checks lowered into the program: -check=iflow sets
+	// CheckInfoFlow and TaintDefaultPolicy, -check=assert sets Instrument.
+	// Taint turns CheckInfoFlow on and Props sets Instrument itself.
 	IR ir.Options
 	// Infer's ablation switches; its Workers, Solvers, Obs and Trace are
 	// Run's to set.
 	Infer infer.Options
-	// Slicing enables bug-reachability slicing (paper default: on).
-	Slicing bool
 	// Workers is the run's worker count (cmd/bf4's -j): the bound of the
 	// solver shards the bug checks and their rechecks are dealt to, and of
-	// the per-instance inference fan-out; <= 0 means GOMAXPROCS. Verdicts,
-	// annotations and fixes are identical for every value; the witness
-	// models of reachable bugs may differ, since a bug's model comes from
-	// whichever shard decided it.
+	// Run's per-instance inference fan-out; <= 0 means GOMAXPROCS.
+	// Verdicts, reports, annotations and fixes are identical for every
+	// value; the witness models of reachable bugs may differ, since a
+	// bug's model comes from whichever shard decided it.
 	Workers int
 	// Obs, when non-nil, collects metrics from every layer of the run
 	// (phase timings, per-query solver telemetry, pool utilization);
@@ -51,7 +52,7 @@ type Config struct {
 
 // DefaultConfig matches the paper's configuration.
 func DefaultConfig() Config {
-	return Config{IR: ir.DefaultOptions(), Infer: infer.DefaultOptions(), Slicing: true}
+	return Config{IR: ir.DefaultOptions(), Infer: infer.DefaultOptions()}
 }
 
 // Result is one full bf4 run over a program (one Table 1 row).
@@ -221,7 +222,7 @@ func round(n int, src string, fx *fixes.Result, cfg Config) (turn, error) {
 		skip = analysis.Discharge(pl.IR)
 	}
 	done()
-	rep := pl.FindBugsWith(core.FindOptions{Skip: skip, Workers: pool.Workers(cfg.Workers), Solvers: cfg.Infer.Solvers, Obs: cfg.Obs, Trace: parent})
+	rep := pl.FindBugsWith(pl.IR.Bugs, core.FindOptions{Skip: skip, Workers: pool.Workers(cfg.Workers), Solvers: cfg.Infer.Solvers, Obs: cfg.Obs, Trace: parent})
 
 	sp, done = phase("inference")
 	cfg.Infer.Trace = sp
@@ -240,7 +241,7 @@ func round(n int, src string, fx *fixes.Result, cfg Config) (turn, error) {
 }
 
 // compile parses src, applies fx to the parsed program (fixes.Apply
-// type-checks the edit) and compiles it.
+// type-checks the edit; nil applies nothing) and compiles it, sliced.
 func compile(src string, fx *fixes.Result, cfg Config, parent *obs.Span) (*core.Pipeline, error) {
 	prog, info, err := core.Frontend(src, cfg.Obs, parent)
 	if err != nil {
@@ -249,7 +250,7 @@ func compile(src string, fx *fixes.Result, cfg Config, parent *obs.Span) (*core.
 	if info, err = fixes.Apply(prog, info, fx); err != nil {
 		return nil, fmt.Errorf("apply fixes: %w", err)
 	}
-	return core.CompileWith(src, core.CompileOptions{IR: cfg.IR, Slicing: cfg.Slicing, AST: prog, Info: info, Obs: cfg.Obs, Trace: parent})
+	return core.CompileWith(src, core.CompileOptions{IR: cfg.IR, Slicing: true, AST: prog, Info: info, Obs: cfg.Obs, Trace: parent})
 }
 
 func countLoC(src string) int {

@@ -1,12 +1,11 @@
 // Property-DSL orchestration: gather @assert/@assume properties from
 // source comments and .props spec files, compile them into the program
-// through the ir instrumentation hook, pre-discharge what the dataflow
-// layer can prove, and adjudicate the rest with the solver — confirming
-// each violation with a deterministic packet witness or dismissing it as
-// infeasible. The three verdict tiers mirror the built-in checks'
-// economics: discharged properties cost no solver time, dismissed ones
-// cost one unsat query, confirmed ones additionally get a canonical
-// model replayed on the concrete interpreter.
+// through the ir instrumentation hook, and decide every assert with
+// core.FindBugsWith — the dataflow layer's discharge set as its skip set,
+// so what the static tier proves costs no query. The three verdict tiers
+// mirror the built-in checks' economics: discharged properties cost no
+// solver time, dismissed ones cost one unsat query, confirmed ones
+// additionally get a canonical model replayed on the concrete interpreter.
 package driver
 
 import (
@@ -19,39 +18,29 @@ import (
 	"bf4/internal/dataplane"
 	"bf4/internal/ir"
 	"bf4/internal/obs"
+	"bf4/internal/pool"
 	"bf4/internal/prop"
 	"bf4/internal/solver"
 )
-
-// PropConfig selects options for a property run.
-type PropConfig struct {
-	// Workers is the solver-confirmation fan-out; <= 0 means one.
-	// Reports are byte-identical for every value.
-	Workers int
-	// Obs/Trace attach observability (nil = off, zero overhead).
-	Obs   *obs.Registry
-	Trace *obs.Span
-}
-
-// DefaultPropConfig matches lint's defaults: sequential confirmation.
-func DefaultPropConfig() PropConfig {
-	return PropConfig{}
-}
 
 // PropReport is the result of one property run.
 type PropReport struct {
 	Name       string
 	Pipeline   *core.Pipeline
 	Properties []*prop.Property
-	Diags      []analysis.Diagnostic
+	// Bugs are FindBugsWith's records of the assert nodes; tier reads each
+	// one's verdict.
+	Bugs  []*core.Bug
+	Diags []analysis.Diagnostic
 	analysis.PropSummary
 }
 
 // Props compiles a program with its properties (source-comment
 // annotations plus any extra properties, e.g. from .props spec files)
-// and produces the confirmed/dismissed/discharged report. Frontend and
-// property type errors come back with positions attached.
-func Props(name, src string, extra []*prop.Property, cfg PropConfig) (*PropReport, error) {
+// under cfg and produces the confirmed/dismissed/discharged report.
+// Frontend, lowering and property type errors come back as every bf4 lint
+// mode prints them (lintError).
+func Props(name, src string, extra []*prop.Property, cfg Config) (*PropReport, error) {
 	props, err := prop.ExtractSource(name, src)
 	if err != nil {
 		return nil, err
@@ -59,10 +48,13 @@ func Props(name, src string, extra []*prop.Property, cfg PropConfig) (*PropRepor
 	props = append(props, extra...)
 	prop.Sort(props)
 
-	opts := ir.DefaultOptions()
-	opts.Instrument = prop.Instrumenter(props)
-
-	pl, err := compileNamed(name, src, opts, cfg.Obs, cfg.Trace)
+	cfg.IR.Instrument = func(p *ir.Program) error {
+		if err := prop.Instrument(p, props); err != nil {
+			return propError{err}
+		}
+		return nil
+	}
+	pl, err := lintCompile(name, src, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -77,13 +69,6 @@ func Props(name, src string, extra []*prop.Property, cfg PropConfig) (*PropRepor
 		byOrigin[pr.Origin()] = pr
 	}
 
-	// The static tier: constant propagation's discharge set plus plain CFG
-	// reachability retire every check they can prove.
-	_, anDone := obs.StartPhase(cfg.Obs, cfg.Trace, "prop-analysis")
-	discharged := analysis.Discharge(pl.IR)
-	reach := pl.IR.Reachable()
-	anDone()
-
 	var nodes []*ir.Node
 	for _, bn := range pl.IR.Bugs {
 		if bn.Bug == ir.BugAssertFail {
@@ -93,42 +78,30 @@ func Props(name, src string, extra []*prop.Property, cfg PropConfig) (*PropRepor
 	sort.Slice(nodes, func(i, j int) bool { return nodes[i].ID < nodes[j].ID })
 	rep.Checks = len(nodes)
 
-	var candidates []*ir.Node
-	static := map[*ir.Node]bool{}
-	for _, bn := range nodes {
-		if !reach[bn] || discharged[bn] {
-			static[bn] = true
-			continue
-		}
-		candidates = append(candidates, bn)
-	}
-
-	// The solver tier adjudicates the remainder through the standard wp
-	// reachability conditions.
-	verdicts := pl.ConfirmNodes(candidates, core.ConfirmOptions{Workers: cfg.Workers, Obs: cfg.Obs, Trace: cfg.Trace}, "confirm-props")
-	verdictOf := map[*ir.Node]*core.CheckVerdict{}
-	for _, v := range verdicts {
-		verdictOf[v.Node] = v
+	// The static tier: constant propagation's discharge set, plus plain CFG
+	// reachability inside FindBugsWith.
+	_, done := obs.StartPhase(cfg.Obs, cfg.Trace, "analysis")
+	skip := analysis.Discharge(pl.IR)
+	done()
+	rep.Bugs = pl.FindBugsWith(nodes, core.FindOptions{Skip: skip, Workers: pool.Workers(cfg.Workers), Obs: cfg.Obs, Trace: cfg.Trace}).Bugs
+	bugOf := map[*ir.Node]*core.Bug{}
+	for _, b := range rep.Bugs {
+		bugOf[b.Node] = b
 	}
 
 	for _, bn := range nodes {
 		pr := byOrigin[originOf(bn)]
-		switch {
-		case static[bn]:
+		status, witness := tier(bugOf[bn]), ""
+		switch status {
+		case "discharged":
 			rep.Discharged++
-			rep.Diags = append(rep.Diags, propDiag(bn, pr, "discharged", ""))
-		case verdictOf[bn].Discharged:
-			// Condition folded to false without a query — same static
-			// guarantee, found one layer later.
-			rep.Discharged++
-			rep.Diags = append(rep.Diags, propDiag(bn, pr, "discharged", ""))
-		case verdictOf[bn].Confirmed:
+		case "confirmed":
 			rep.Confirmed++
-			rep.Diags = append(rep.Diags, propDiag(bn, pr, "confirmed", canonicalWitness(pl, bn, pr)))
+			witness = canonicalWitness(pl, bn, pr)
 		default:
 			rep.Dismissed++
-			rep.Diags = append(rep.Diags, propDiag(bn, pr, "dismissed", ""))
 		}
+		rep.Diags = append(rep.Diags, propDiag(bn, pr, status, witness))
 	}
 	rep.Diags = analysis.SortAndDedupe(rep.Diags)
 
@@ -141,6 +114,22 @@ func Props(name, src string, extra []*prop.Property, cfg PropConfig) (*PropRepor
 	return rep, nil
 }
 
+// tier is the verdict Props reports for an assert node, read from its
+// record b (nil when FindBugsWith made none: the node is off the CFG or
+// has no reachability condition). No record, a Discharged one or a
+// condition folded to false is "discharged" statically; a Reachable one
+// is "confirmed"; any other is "dismissed", the solver having answered
+// unsat.
+func tier(b *core.Bug) string {
+	switch {
+	case b == nil || b.Discharged || b.Cond.IsFalse():
+		return "discharged"
+	case b.Reachable:
+		return "confirmed"
+	}
+	return "dismissed"
+}
+
 func originOf(bn *ir.Node) string {
 	if bn.Prop == nil {
 		return ""
@@ -149,8 +138,8 @@ func originOf(bn *ir.Node) string {
 }
 
 // canonicalWitness derives the packet witness reported for a confirmed
-// violation. The confirmation phase's models depend on worker count, so
-// the report never uses them: a fresh solver re-solves the check's
+// violation. The decision loop's models depend on worker count, so the
+// report never uses them: a fresh solver re-solves the check's
 // reachability condition sequentially (the term is fixed at compile time,
 // so the model is reproducible), and the model is replayed on the concrete
 // interpreter to read off the fields the property mentions.

@@ -22,7 +22,8 @@ func propRunFixture(t *testing.T) (src string, props []*prop.Property) {
 
 // TestPropsTypecheckErrors: a property referencing something the program
 // doesn't have must fail the run with a positioned error, not silently
-// verify nothing.
+// verify nothing. The position is the property's, in its own file: the
+// error starts with it, as a compiler's would.
 func TestPropsTypecheckErrors(t *testing.T) {
 	src, _ := propRunFixture(t)
 	cases := []struct{ line, frag string }{
@@ -49,7 +50,7 @@ func TestPropsTypecheckErrors(t *testing.T) {
 		if err != nil {
 			t.Fatalf("ParseSpecFile(%q): unexpected parse error: %v", c.line, err)
 		}
-		_, err = Props("propswitch.p4", src, props, DefaultPropConfig())
+		_, err = Props("propswitch.p4", src, props, DefaultConfig())
 		if err == nil {
 			t.Errorf("Props with %q: expected typecheck error", c.line)
 			continue
@@ -57,8 +58,8 @@ func TestPropsTypecheckErrors(t *testing.T) {
 		if !strings.Contains(err.Error(), c.frag) {
 			t.Errorf("Props with %q: error %q does not mention %q", c.line, err, c.frag)
 		}
-		if !strings.Contains(err.Error(), "bad.props:1:") {
-			t.Errorf("Props with %q: error %q lacks the declaration position", c.line, err)
+		if !strings.HasPrefix(err.Error(), "bad.props:1:") {
+			t.Errorf("Props with %q: error %q does not start with the declaration position", c.line, err)
 		}
 	}
 }

@@ -1,10 +1,10 @@
 // Information-flow (taint) orchestration: compile with shadow-taint
-// instrumentation, run the label dataflow pass, and hand every alarm to
-// the solver for confirmation. The two halves see the same taint
-// semantics — the dataflow pass abstractly executes the very shadow
-// terms the solver decides — so a sink the dataflow clears needs no
-// query, and a dataflow alarm the solver refutes is a genuinely
-// infeasible flow, reported as dismissed.
+// instrumentation, run the label dataflow pass, and decide every alarm
+// with core.FindBugsWith. The two halves see the same taint semantics —
+// the dataflow pass abstractly executes the very shadow terms the solver
+// decides — so a sink the dataflow clears needs no query, and a dataflow
+// alarm the solver refutes is a genuinely infeasible flow, reported as
+// dismissed.
 package driver
 
 import (
@@ -15,96 +15,67 @@ import (
 	"bf4/internal/core"
 	"bf4/internal/ir"
 	"bf4/internal/obs"
-	"bf4/internal/p4/parser"
-	"bf4/internal/p4/types"
+	"bf4/internal/pool"
 )
-
-// TaintConfig selects options for a taint run.
-type TaintConfig struct {
-	// Policy picks the source set: "default" taints @sensitive-annotated
-	// fields plus the built-in policy (ipv4/ipv6 source addresses);
-	// "annot" taints annotated fields only.
-	Policy string
-	// Workers is the solver-confirmation fan-out; <= 0 means one.
-	// Reports are byte-identical for every value.
-	Workers int
-	// Obs/Trace attach observability (nil = off, zero overhead).
-	Obs   *obs.Registry
-	Trace *obs.Span
-}
-
-// DefaultTaintConfig matches lint's defaults: full policy, sequential
-// confirmation.
-func DefaultTaintConfig() TaintConfig {
-	return TaintConfig{Policy: "default"}
-}
 
 // TaintReport is the result of one taint run.
 type TaintReport struct {
 	Name     string
 	Pipeline *core.Pipeline
 	Dataflow *analysis.TaintResult
-	// Verdicts is parallel to Dataflow.Alarms.
-	Verdicts []*core.LeakVerdict
+	// Bugs are FindBugsWith's records of the alarm nodes: an alarm is a
+	// confirmed leak when its node's record is Reachable.
+	Bugs []*core.Bug
 	// Diags carries one diagnostic per alarm: confirmed leaks from
 	// annotated sources are errors, confirmed policy-source leaks are
 	// warnings, dismissed alarms are info.
 	Diags []analysis.Diagnostic
 	analysis.TaintSummary
-
-	DataflowIterations int
 }
 
-// Taint compiles a program with information-flow instrumentation and
-// produces the confirmed/dismissed leak report. Frontend errors come
-// back with name: prefixed (like Lint).
-func Taint(name, src string, cfg TaintConfig) (*TaintReport, error) {
-	switch cfg.Policy {
-	case "", "default":
-		cfg.Policy = "default"
-	case "annot":
-	default:
-		return nil, fmt.Errorf("taint: policy must be default or annot, got %q", cfg.Policy)
-	}
-
-	opts := ir.DefaultOptions()
-	opts.CheckInfoFlow = true
-	opts.TaintDefaultPolicy = cfg.Policy == "default"
-	pl, err := compileNamed(name, src, opts, cfg.Obs, cfg.Trace)
+// Taint compiles a program with information-flow instrumentation under
+// cfg — cfg.IR.TaintDefaultPolicy picks the source set: @sensitive
+// annotations plus the built-in policy (ipv4/ipv6 source addresses), or
+// the annotations alone — and produces the confirmed/dismissed leak
+// report. Frontend and lowering errors come back as every bf4 lint mode
+// prints them (lintError).
+func Taint(name, src string, cfg Config) (*TaintReport, error) {
+	cfg.IR.CheckInfoFlow = true
+	pl, err := lintCompile(name, src, cfg)
 	if err != nil {
 		return nil, err
 	}
 
-	_, dfDone := obs.StartPhase(cfg.Obs, cfg.Trace, "taint-dataflow")
+	_, done := obs.StartPhase(cfg.Obs, cfg.Trace, "analysis")
 	df := analysis.RunTaint(pl.IR)
-	dfDone()
+	done()
 
-	alarmNodes := make([]*ir.Node, len(df.Alarms))
+	alarms := make([]*ir.Node, len(df.Alarms))
 	for i, a := range df.Alarms {
-		alarmNodes[i] = a.Node
+		alarms[i] = a.Node
 	}
-	verdicts := pl.ConfirmLeaks(alarmNodes, core.ConfirmOptions{Workers: cfg.Workers, Obs: cfg.Obs, Trace: cfg.Trace})
-
 	rep := &TaintReport{
 		Name:     name,
 		Pipeline: pl,
 		Dataflow: df,
-		Verdicts: verdicts,
+		Bugs:     pl.FindBugsWith(alarms, core.FindOptions{Workers: pool.Workers(cfg.Workers), Obs: cfg.Obs, Trace: cfg.Trace}).Bugs,
 		TaintSummary: analysis.TaintSummary{
 			Sinks:           df.Sinks,
 			StaticallyClean: df.StaticallyClean,
 			Alarms:          len(df.Alarms),
 		},
-		DataflowIterations: df.Iterations,
 	}
-	for i, a := range df.Alarms {
-		v := verdicts[i]
-		if v.Confirmed {
+	confirmed := map[*ir.Node]bool{}
+	for _, b := range rep.Bugs {
+		confirmed[b.Node] = b.Reachable
+	}
+	for _, a := range df.Alarms {
+		if confirmed[a.Node] {
 			rep.Confirmed++
 		} else {
 			rep.Dismissed++
 		}
-		rep.Diags = append(rep.Diags, taintDiag(pl.IR, a, v))
+		rep.Diags = append(rep.Diags, taintDiag(pl.IR, a, confirmed[a.Node]))
 	}
 	rep.Diags = analysis.SortAndDedupe(rep.Diags)
 
@@ -124,7 +95,7 @@ func Taint(name, src string, cfg TaintConfig) (*TaintReport, error) {
 // confirmed leak under the built-in default policy is a warning, and a
 // dismissed alarm is informational (the dataflow over-approximation
 // fired but the solver proved the flow infeasible).
-func taintDiag(p *ir.Program, a *analysis.TaintAlarm, v *core.LeakVerdict) analysis.Diagnostic {
+func taintDiag(p *ir.Program, a *analysis.TaintAlarm, confirmed bool) analysis.Diagnostic {
 	pos := analysis.FallbackPos(a.Node)
 	origin := "default policy"
 	sev := analysis.SevWarning
@@ -138,7 +109,7 @@ func taintDiag(p *ir.Program, a *analysis.TaintAlarm, v *core.LeakVerdict) analy
 		Col:     pos.Col,
 		Witness: strings.Join(a.Witness, " -> "),
 	}
-	if v.Confirmed {
+	if confirmed {
 		d.Severity = sev
 		d.Msg = fmt.Sprintf("confirmed leak: %s (source %s, %s)", a.Node.Comment, a.Source, origin)
 	} else {
@@ -152,23 +123,4 @@ func taintDiag(p *ir.Program, a *analysis.TaintAlarm, v *core.LeakVerdict) analy
 // summary.
 func (r *TaintReport) Report() *analysis.Report {
 	return &analysis.Report{Diags: r.Diags, Taint: &r.TaintSummary}
-}
-
-// compileNamed is the front half Taint and Props share: parse and
-// type-check src with name: prefixed onto every diagnostic line (like
-// Lint), then lower, passify and compute sliced reachability conditions
-// under a "compile" span.
-func compileNamed(name, src string, opts ir.Options, reg *obs.Registry, trace *obs.Span) (*core.Pipeline, error) {
-	prog, err := parser.ParseFile(name, src)
-	if err != nil {
-		return nil, err
-	}
-	info, err := types.Check(prog)
-	if err != nil {
-		return nil, parser.PrefixFile(name, err)
-	}
-	sp, done := obs.StartPhase(reg, trace, "compile")
-	pl, err := core.CompileWith(src, core.CompileOptions{IR: opts, Slicing: true, AST: prog, Info: info, Obs: reg, Trace: sp})
-	done()
-	return pl, parser.PrefixFile(name, err)
 }

@@ -15,10 +15,10 @@ import (
 // mark_to_drop(<standard metadata>) as the first statement of ingress.
 // This is the only place a fix takes effect: the rebuild round compiles
 // the edited program, and the fixed source bf4 writes is its print. An
-// edit the type checker refuses is an error; with nothing to apply, prog
-// and info are returned untouched.
+// edit the type checker refuses is an error; with nothing to apply (fx
+// nil or empty), prog and info are returned untouched.
 func Apply(prog *ast.Program, info *types.Info, fx *Result) (*types.Info, error) {
-	if len(fx.Keys) == 0 && len(fx.Special) == 0 {
+	if fx == nil || len(fx.Keys) == 0 && len(fx.Special) == 0 {
 		return info, nil
 	}
 	placed := 0

@@ -246,7 +246,7 @@ func TestForkMatchesFreshOnCorpus(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep := pl.FindBugsWith(core.FindOptions{Workers: 2, Solvers: recycled})
+		rep := pl.FindBugsWith(pl.IR.Bugs, core.FindOptions{Workers: 2, Solvers: recycled})
 		dirtying := DefaultOptions()
 		dirtying.Solvers = recycled
 		Run(pl, rep, dirtying)

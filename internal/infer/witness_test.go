@@ -61,7 +61,7 @@ func TestRecheckWitnessMatchesSolver(t *testing.T) {
 				// One pipeline, two reports: the terms and nodes of both runs
 				// are the same objects, the bugs and their shards are not.
 				inferOn := func(solveOnly bool) (res *Result, checks int) {
-					rep := pl.FindBugsWith(core.FindOptions{Workers: workers})
+					rep := pl.FindBugsWith(pl.IR.Bugs, core.FindOptions{Workers: workers})
 					opts := DefaultOptions()
 					opts.Workers = workers
 					res = run(pl, rep, opts, solveOnly)

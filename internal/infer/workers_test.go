@@ -28,7 +28,7 @@ func renderRun(t *testing.T, name, src string, workers int, solvers *solver.Pool
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	rep := pl.FindBugsWith(core.FindOptions{Workers: workers, Solvers: solvers})
+	rep := pl.FindBugsWith(pl.IR.Bugs, core.FindOptions{Workers: workers, Solvers: solvers})
 	defer func() { solvers.Put(rep.Shards...) }()
 	opts := infer.DefaultOptions()
 	opts.Workers = workers

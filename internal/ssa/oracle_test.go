@@ -117,7 +117,9 @@ func TestEachIncarnationConstrainedOncePerPath(t *testing.T) {
 		for _, leaky := range []bool{true, false} {
 			name := fmt.Sprintf("taintswitch@4/seed%d/leaky=%v", seed, leaky)
 			t.Run(name, func(t *testing.T) {
-				rep, err := driver.Taint(name, progs.GenerateTaintSwitch(4, seed, leaky), driver.DefaultTaintConfig())
+				cfg := driver.DefaultConfig()
+				cfg.IR.TaintDefaultPolicy = true
+				rep, err := driver.Taint(name, progs.GenerateTaintSwitch(4, seed, leaky), cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -131,7 +133,7 @@ func TestEachIncarnationConstrainedOncePerPath(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rep, err := driver.Props(name, src, props, driver.DefaultPropConfig())
+			rep, err := driver.Props(name, src, props, driver.DefaultConfig())
 			if err != nil {
 				t.Fatal(err)
 			}
