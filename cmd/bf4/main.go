@@ -49,33 +49,6 @@ import (
 	"bf4/internal/prop"
 )
 
-// gatherProps collects the properties for a -check=assert run: source
-// comments in the program plus an optional .props spec file.
-func gatherProps(name, src, specFile string) ([]*prop.Property, error) {
-	props, err := prop.ExtractSource(name, src)
-	if err != nil {
-		return nil, err
-	}
-	if specFile != "" {
-		ps, err := readProps(specFile)
-		if err != nil {
-			return nil, err
-		}
-		props = append(props, ps...)
-	}
-	prop.Sort(props)
-	return props, nil
-}
-
-// readProps reads and parses a .props spec file.
-func readProps(path string) ([]*prop.Property, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return prop.ParseSpecFile(path, data)
-}
-
 func main() {
 	if len(os.Args) > 1 && os.Args[1] == "lint" {
 		lintMain(os.Args[2:])
@@ -137,7 +110,7 @@ func main() {
 		cfg.IR.TaintDefaultPolicy = true
 	case "assert":
 		checkAssert = true
-		props, err := gatherProps(name, src, *propSpec)
+		props, err := driver.GatherProps(name, src, *propSpec, nil)
 		if err != nil {
 			usagef("%v", err)
 		}
@@ -169,8 +142,7 @@ func main() {
 
 	fmt.Println(res.Summary())
 	st := res.Analysis.Stats
-	fmt.Printf("analysis: discharged %d/%d checks statically (%d via header-validity alone); %d lint diagnostic(s)\n",
-		st.Discharged, st.BugChecks, st.DischargedValidity, len(res.Analysis.Diags))
+	fmt.Printf("analysis: discharged %d/%d checks statically\n", st.Discharged, st.BugChecks)
 	if checkAssert {
 		violated, controlled, hold := 0, 0, 0
 		for _, b := range res.InitialRep.Bugs {
@@ -408,14 +380,11 @@ func lintMain(args []string) {
 	rep, err := func() (*analysis.Report, error) {
 		switch {
 		case *propsRun:
-			if *specFile != "" {
-				ps, err := readProps(*specFile)
-				if err != nil {
-					return nil, err
-				}
-				extraProps = append(extraProps, ps...)
+			props, err := driver.GatherProps(name, src, *specFile, extraProps)
+			if err != nil {
+				return nil, err
 			}
-			pr, err := driver.Props(name, src, extraProps, cfg)
+			pr, err := driver.Props(name, src, props, cfg)
 			if err != nil {
 				return nil, err
 			}
@@ -434,11 +403,7 @@ func lintMain(args []string) {
 			}
 			return tr.Report(), nil
 		default:
-			res, err := driver.Lint(name, src, cfg)
-			if err != nil {
-				return nil, err
-			}
-			return &analysis.Report{Diags: res.Diags}, nil
+			return driver.Lint(name, src, cfg)
 		}
 	}()
 	if err != nil {

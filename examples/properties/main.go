@@ -26,7 +26,11 @@ func main() {
 	// three verdicts (same generator as `bf4 lint -family props`).
 	name := "propswitch.p4"
 	src, specText := progs.GeneratePropSwitch(2, 1)
-	props, err := prop.ParseSpecFile("propswitch.props", []byte(specText))
+	spec, err := prop.ParseSpecFile("propswitch.props", []byte(specText))
+	if err != nil {
+		log.Fatal(err)
+	}
+	props, err := driver.GatherProps(name, src, "", spec)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -128,17 +128,9 @@ var zero = new(big.Int)
 // variable (possibly under negations) forced to a value, every conjunct
 // of a holding conjunction, every disjunct of a failing disjunction, and
 // var = literal equations. Everything else is soundly ignored.
-//
-// track filters which variables may be learned (nil admits all): an
-// analysis that does not track a variable must not record facts about it,
-// because a later assignment to an untracked variable would not kill the
-// stale binding.
-func refine(f *smt.Factory, e env, cond *smt.Term, holds bool, track func(string) bool) env {
+func refine(f *smt.Factory, e env, cond *smt.Term, holds bool) env {
 	var learned map[string]*smt.Term
 	learn := func(name string, v *smt.Term) {
-		if track != nil && !track(name) {
-			return
-		}
 		if learned == nil {
 			learned = make(map[string]*smt.Term)
 		}

@@ -2,28 +2,20 @@ package analysis
 
 import (
 	"fmt"
-	"strings"
 
 	"bf4/internal/ir"
 	"bf4/internal/smt"
 )
 
-// constants is the shared constant-propagation dataflow problem. Facts
-// are env stores over the variables track admits. With a nil track every
-// variable is tracked — the full constant-propagation & reachability
-// pass. The header-validity pass instantiates it restricted to the
-// ".$valid" bits, which yields the classic three-valued
-// definite-valid / definite-invalid / unknown lattice per header
-// (binding true / binding false / no binding).
+// constants is the constant-propagation & reachability dataflow problem.
+// Facts are env stores over every IR variable.
 //
 // It implements EdgeRefiner: branch conditions that fold to a constant
 // kill the infeasible edge (reachability), and conditions that do not
 // fold still refine the store on each side (path sensitivity for simple
 // guards like `if (hdr.ipv4.isValid())`).
 type constants struct {
-	f     *smt.Factory
-	name  string
-	track func(name string) bool
+	f *smt.Factory
 }
 
 // NewConstProp returns the constant-propagation & reachability analysis
@@ -31,31 +23,15 @@ type constants struct {
 // prunes infeasible branch edges so statically-dead nodes are reported
 // unreachable.
 func NewConstProp(p *ir.Program) Analysis {
-	return &constants{f: p.F, name: "constprop"}
+	return &constants{f: p.F}
 }
 
-// validitySuffix marks the boolean shadow variable the IR keeps per
-// header to model isValid().
-const validitySuffix = ".$valid"
-
-func isValidityVar(name string) bool { return strings.HasSuffix(name, validitySuffix) }
-
-// NewValidity returns the header-validity analysis for p: the constants
-// problem restricted to the per-header validity bits.
-func NewValidity(p *ir.Program) Analysis {
-	return &constants{f: p.F, name: "header-validity", track: isValidityVar}
-}
-
-func (c *constants) Name() string   { return c.name }
 func (c *constants) Boundary() Fact { return env{} }
 
 func (c *constants) Transfer(n *ir.Node, in Fact) Fact {
 	e := in.(env)
 	switch n.Kind {
 	case ir.Assign:
-		if c.track != nil && !c.track(n.Var.Name) {
-			return e
-		}
 		val := evalUnder(c.f, n.Expr, e)
 		if isLiteral(val) {
 			out := e.clone()
@@ -96,7 +72,7 @@ func (c *constants) FlowEdge(n *ir.Node, succIdx int, out Fact) Fact {
 	if cond.IsFalse() && taken {
 		return nil // then edge of an always-false branch is infeasible
 	}
-	return refine(c.f, e, n.Expr, taken, c.track)
+	return refine(c.f, e, n.Expr, taken)
 }
 
 // foldedCond returns the branch condition of n folded under the solved

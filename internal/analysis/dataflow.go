@@ -1,21 +1,20 @@
 // Package analysis is bf4's compile-time static-analysis layer: a
-// generic dataflow framework over the IR control-flow graph plus four
-// concrete analyzers (header validity, constant propagation &
-// reachability, dead-write detection, table-entry lint). It serves two
-// masters:
+// generic dataflow framework over the IR control-flow graph plus three
+// concrete analyzers (constant propagation & reachability, dead-write
+// detection, table-entry lint). It has one entry point per purpose:
 //
-//   - a pre-pass for the verifier: bug checks the abstract
-//     interpretation proves unreachable are discharged before the
-//     weakest-precondition queries ever reach the SMT solver, shrinking
-//     the solver workload without changing any verdict (the pre-pass is
-//     sound: it only discharges a query when every concrete execution
-//     provably avoids the bug node, i.e. exactly when the solver would
-//     answer unsat);
-//   - a standalone linter (`bf4 lint`): the same analyzers report
-//     definite static bugs (a read of a header that is invalid on every
-//     path), dead stores, duplicate/shadowed table keys and unreferenced
-//     actions as human- or JSON-rendered diagnostics with stable source
-//     positions.
+//   - Discharge, the verifier's pre-pass, run by every verification
+//     round: bug checks constant propagation proves unreachable are
+//     discharged before the weakest-precondition queries ever reach the
+//     SMT solver, shrinking the solver workload without changing any
+//     verdict (the pre-pass is sound: it only discharges a query when
+//     every concrete execution provably avoids the bug node, i.e. exactly
+//     when the solver would answer unsat);
+//   - Lint, the standalone linter (`bf4 lint`): definite static bugs (a
+//     read of a header that is invalid on every path), constant
+//     conditions, dead stores, duplicate/shadowed table keys and
+//     unreferenced actions as human- or JSON-rendered diagnostics with
+//     stable source positions.
 //
 // The framework is deliberately more general than the acyclic IR
 // requires: the worklist solver iterates in reverse postorder and runs
@@ -39,8 +38,6 @@ type Fact interface{}
 // (entry to exit) or backward (exit to entry) depending on which solver
 // is used.
 type Analysis interface {
-	// Name identifies the analysis in diagnostics and stats.
-	Name() string
 	// Boundary is the fact at the flow entry: the start node's input for
 	// forward problems, every terminal's output for backward ones.
 	Boundary() Fact

@@ -190,44 +190,6 @@ func TestForwardFixpointOnLoop(t *testing.T) {
 	}
 }
 
-// TestValidityLattice: the validity analysis tracks only .$valid
-// variables and proves a guarded bug node unreachable.
-func TestValidityLattice(t *testing.T) {
-	p := ir.NewProgram("t")
-	valid := p.NewVar("hdr.eth.$valid", smt.BoolSort)
-	x := p.NewVar("x", smt.BV(8))
-
-	setValid := assign(p, valid, p.F.True())
-	setX := assign(p, x, p.F.BVConst64(1, 8))
-	// The lowering idiom for a bug check: branch(bad) with
-	// Succs[0] = nop -> bug, Succs[1] = continue.
-	br := p.NewNode(ir.Branch)
-	br.Expr = p.F.Not(valid.Term)
-	nop := p.NewNode(ir.Nop)
-	bug := p.NewNode(ir.BugTerm)
-	bug.Bug = ir.BugInvalidHeaderRead
-	cont := p.NewNode(ir.AcceptTerm)
-	chain(p, setValid, setX)
-	p.Edge(setX, br)
-	p.Edge(br, nop)
-	p.Edge(nop, bug)
-	p.Edge(br, cont)
-	p.Bugs = append(p.Bugs, bug)
-
-	fs := SolveForward(p.Start, NewValidity(p))
-	if fs.Reached(bug) {
-		t.Fatalf("bug node reached despite definite validity")
-	}
-	// The validity analysis must NOT track x.
-	if got := fs.Out[setX].(env)["x"]; got != nil {
-		t.Fatalf("validity lattice tracked non-validity var x = %v", got)
-	}
-	disch := dischargeSet(p, p.Reachable(), fs)
-	if !disch[bug] {
-		t.Fatalf("bug not in discharge set")
-	}
-}
-
 // TestBackwardLivenessFixpoint: backward liveness on a loop terminates
 // and keeps a variable read in the loop body live at the loop head.
 func TestBackwardLivenessFixpoint(t *testing.T) {

@@ -35,7 +35,6 @@ func NewLiveness(p *ir.Program) Analysis {
 	return &liveness{p: p, boundary: b}
 }
 
-func (l *liveness) Name() string   { return "dead-write" }
 func (l *liveness) Boundary() Fact { return l.boundary }
 
 func (l *liveness) Transfer(n *ir.Node, out Fact) Fact {

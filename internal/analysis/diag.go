@@ -88,10 +88,12 @@ func (d Diagnostic) Format(file string) string {
 	return b.String()
 }
 
-// sortDiags orders diagnostics by position, then severity (errors
+// SortAndDedupe orders diagnostics by position, then severity (errors
 // first), pass and message — a total, input-order-independent order so
-// renderings are byte-stable for golden files and CI diffing.
-func sortDiags(ds []Diagnostic) {
+// renderings are byte-stable for golden files and CI diffing — and drops
+// exact duplicates (distinct IR nodes lowered from one source construct
+// produce identical findings).
+func SortAndDedupe(ds []Diagnostic) []Diagnostic {
 	sort.Slice(ds, func(i, j int) bool {
 		a, b := ds[i], ds[j]
 		if a.Line != b.Line {
@@ -111,11 +113,6 @@ func sortDiags(ds []Diagnostic) {
 		}
 		return a.Witness < b.Witness
 	})
-}
-
-// dedupeDiags removes exact duplicates from a sorted slice (distinct IR
-// nodes lowered from one source construct produce identical findings).
-func dedupeDiags(ds []Diagnostic) []Diagnostic {
 	out := ds[:0]
 	for i, d := range ds {
 		if i > 0 && d == ds[i-1] {
@@ -124,14 +121,6 @@ func dedupeDiags(ds []Diagnostic) []Diagnostic {
 		out = append(out, d)
 	}
 	return out
-}
-
-// SortAndDedupe puts diagnostics in the stable rendering order (see
-// sortDiags) and drops exact duplicates. Passes outside this package
-// (the information-flow driver) use it to match lint's output contract.
-func SortAndDedupe(ds []Diagnostic) []Diagnostic {
-	sortDiags(ds)
-	return dedupeDiags(ds)
 }
 
 // Report is what every `bf4 lint` mode renders: the diagnostics and, for

@@ -14,7 +14,7 @@ import (
 var update = flag.Bool("update", false, "rewrite golden lint files")
 
 // lint runs `bf4 lint`'s plain mode (driver.Lint) on a corpus source.
-func lint(t *testing.T, name, src string) *analysis.Result {
+func lint(t *testing.T, name, src string) *analysis.Report {
 	t.Helper()
 	res, err := driver.Lint(name, src, driver.DefaultConfig())
 	if err != nil {
@@ -35,8 +35,7 @@ func TestLintGolden(t *testing.T) {
 				src = progs.GenerateSwitch(4)
 			}
 			file := p.Name + ".p4"
-			res := lint(t, file, src)
-			got := (&analysis.Report{Diags: res.Diags}).RenderText(file)
+			got := lint(t, file, src).RenderText(file)
 
 			golden := filepath.Join("testdata", p.Name+".lint.golden")
 			if *update {
@@ -81,7 +80,7 @@ func TestLintJSONRoundTrips(t *testing.T) {
 	if len(res.Diags) == 0 {
 		t.Skip("simple_nat produces no diagnostics; golden covers this")
 	}
-	data, err := (&analysis.Report{Diags: res.Diags}).RenderJSON("simple_nat.p4")
+	data, err := res.RenderJSON("simple_nat.p4")
 	if err != nil {
 		t.Fatalf("render: %v", err)
 	}

@@ -14,7 +14,7 @@ import (
 	"bf4/internal/prop"
 )
 
-// propFixture generates one prop-exercise switch plus its parsed
+// propFixture generates one prop-exercise switch plus its gathered
 // property list, the way `bf4 lint -props -family props` does.
 func propFixture(t *testing.T, scale, seed int) (name, src string, props []*prop.Property) {
 	t.Helper()
@@ -23,6 +23,9 @@ func propFixture(t *testing.T, scale, seed int) (name, src string, props []*prop
 	props, err := prop.ParseSpecFile(fmt.Sprintf("propswitch@%d.props", seed), []byte(spec))
 	if err != nil {
 		t.Fatalf("parse generated spec: %v", err)
+	}
+	if props, err = driver.GatherProps(name, src, "", props); err != nil {
+		t.Fatalf("gather: %v", err)
 	}
 	return name, src, props
 }

@@ -23,8 +23,6 @@ type taintAnalysis struct {
 	p *ir.Program
 }
 
-func (a *taintAnalysis) Name() string { return "taint" }
-
 // Boundary starts with no labels: sources are tainted by the
 // instrumented shadow initializations, not by the boundary fact.
 func (a *taintAnalysis) Boundary() Fact { return iflabels{} }
@@ -132,7 +130,6 @@ type TaintResult struct {
 	// query (the mirror image of the PR3 pre-discharge contract).
 	Sinks           int
 	StaticallyClean int
-	Iterations      int
 }
 
 // RunTaint solves the label analysis over an instrumented program and
@@ -142,7 +139,7 @@ type TaintResult struct {
 func RunTaint(p *ir.Program) *TaintResult {
 	a := &taintAnalysis{p: p}
 	fs := SolveForward(p.Start, a)
-	res := &TaintResult{Facts: fs, Iterations: fs.Iterations}
+	res := &TaintResult{Facts: fs}
 	for _, bn := range p.Bugs {
 		if bn.Bug != ir.BugInfoLeak || bn.Leak == nil {
 			continue

@@ -8,8 +8,7 @@ import (
 )
 
 // validityKind reports whether a bug class is guarded by a header-validity
-// condition — the classes the header-validity analysis can discharge or
-// prove definite on its own.
+// condition: its definite findings carry the "header-validity" label.
 func validityKind(k ir.BugKind) bool {
 	switch k {
 	case ir.BugInvalidHeaderRead, ir.BugInvalidHeaderWrite,
@@ -73,16 +72,13 @@ func FallbackPos(n *ir.Node) token.Pos {
 // definiteBugLint reports bug sites whose guard condition folds to true
 // under the solved facts: every execution reaching the site trips the
 // check, so it is a static bug needing no solver query. Validity bug
-// classes are attributed to the header-validity pass, the rest to
-// constprop. Sites without a source position (synthetic pipeline-exit
-// checks) anchor to the enclosing construct via FallbackPos; only sites
-// with no position anywhere upstream are skipped.
-func definiteBugLint(p *ir.Program, fs *Facts, pass string, kinds func(ir.BugKind) bool) []Diagnostic {
+// classes are labelled header-validity, the rest constprop. Sites without
+// a source position (synthetic pipeline-exit checks) anchor to the
+// enclosing construct via FallbackPos; only sites with no position
+// anywhere upstream are skipped.
+func definiteBugLint(p *ir.Program, fs *Facts) []Diagnostic {
 	var ds []Diagnostic
 	for _, bn := range p.Bugs {
-		if !kinds(bn.Bug) {
-			continue
-		}
 		pos := FallbackPos(bn)
 		if !pos.IsValid() {
 			continue
@@ -92,6 +88,10 @@ func definiteBugLint(p *ir.Program, fs *Facts, pass string, kinds func(ir.BugKin
 			continue
 		}
 		if c := foldedCond(p.F, fs, g); c != nil && c.IsTrue() {
+			pass := "constprop"
+			if validityKind(bn.Bug) {
+				pass = "header-validity"
+			}
 			ds = append(ds, Diagnostic{
 				Pass:     pass,
 				Severity: SevError,

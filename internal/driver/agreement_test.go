@@ -36,8 +36,12 @@ func TestPropsAgreesWithRun(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				props, err := GatherProps("propswitch.p4", src, "", extra)
+				if err != nil {
+					t.Fatal(err)
+				}
 				cfg := DefaultConfig()
-				rep, err := Props("propswitch.p4", src, extra, cfg)
+				rep, err := Props("propswitch.p4", src, props, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}

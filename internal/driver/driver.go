@@ -83,9 +83,8 @@ type Result struct {
 	Initial     *core.Pipeline
 	InitialRep  *core.Report
 	InferResult *infer.Result
-	// Analysis is the static-analysis result for the initial program: the
-	// bug checks the dataflow pre-pass discharged without a solver query,
-	// and its lint diagnostics.
+	// Analysis is the dataflow pre-pass of the initial program: the bug
+	// checks it discharged without a solver query, and its counts.
 	Analysis *analysis.Result
 	// Artifacts of the last round, the program the switch runs. Fixed is
 	// nil when no fixes were needed; FinalRep and FinalInfer are then
@@ -210,19 +209,10 @@ func round(n int, src string, fx *fixes.Result, cfg Config) (turn, error) {
 		return turn{}, err
 	}
 
-	// Only round 0's lint and statistics are reported (Result.Analysis): a
-	// rebuild round runs the part of the layer that feeds the solver.
 	_, done = obs.StartPhase(cfg.Obs, parent, "analysis")
-	var ar *analysis.Result
-	var skip map[*ir.Node]bool
-	if n == 0 {
-		ar = analysis.Run(pl.IR, pl.AST)
-		skip = ar.Discharge
-	} else {
-		skip = analysis.Discharge(pl.IR)
-	}
+	ar := analysis.Discharge(pl.IR)
 	done()
-	rep := pl.FindBugsWith(pl.IR.Bugs, core.FindOptions{Skip: skip, Workers: pool.Workers(cfg.Workers), Solvers: cfg.Infer.Solvers, Obs: cfg.Obs, Trace: parent})
+	rep := pl.FindBugsWith(pl.IR.Bugs, core.FindOptions{Skip: ar.Skip, Workers: pool.Workers(cfg.Workers), Solvers: cfg.Infer.Solvers, Obs: cfg.Obs, Trace: parent})
 
 	sp, done = phase("inference")
 	cfg.Infer.Trace = sp

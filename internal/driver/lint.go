@@ -1,8 +1,8 @@
 // The front half of bf4 lint's three modes. Plain lint lowers the program
-// and runs the static-analysis layer on the IR; Props and Taint compile it
-// with Run's compile and decide their checks with core.FindBugsWith, Run's
-// decision loop. All three report a program that does not compile the way
-// a compiler does: a file:line:col: message line per diagnostic.
+// and runs analysis.Lint on the IR; Props and Taint compile it with Run's
+// compile and decide their checks with core.FindBugsWith, Run's decision
+// loop. All three report a program that does not compile the way a
+// compiler does: a file:line:col: message line per diagnostic.
 package driver
 
 import (
@@ -15,9 +15,9 @@ import (
 )
 
 // Lint is bf4 lint's plain mode: src is parsed, type-checked and lowered
-// under cfg.IR — no passification, wp or slice — and the static-analysis
-// layer runs on the IR.
-func Lint(name, src string, cfg Config) (*analysis.Result, error) {
+// under cfg.IR — no passification, wp or slice — and analysis.Lint runs on
+// the IR.
+func Lint(name, src string, cfg Config) (*analysis.Report, error) {
 	prog, info, err := core.Frontend(src, cfg.Obs, cfg.Trace)
 	if err != nil {
 		return nil, lintError(name, err)
@@ -26,7 +26,7 @@ func Lint(name, src string, cfg Config) (*analysis.Result, error) {
 	if err != nil {
 		return nil, lintError(name, err)
 	}
-	return analysis.Run(p, prog), nil
+	return &analysis.Report{Diags: analysis.Lint(p, prog)}, nil
 }
 
 // lintCompile is the front half of Props and Taint: compile with no fixes,

@@ -1,6 +1,6 @@
 // Property-DSL orchestration: gather @assert/@assume properties from
-// source comments and .props spec files, compile them into the program
-// through the ir instrumentation hook, and decide every assert with
+// source comments and .props spec files (GatherProps), compile them into
+// the program through the ir instrumentation hook, and decide every assert with
 // core.FindBugsWith — the dataflow layer's discharge set as its skip set,
 // so what the static tier proves costs no query. The three verdict tiers
 // mirror the built-in checks' economics: discharged properties cost no
@@ -10,6 +10,7 @@ package driver
 
 import (
 	"fmt"
+	"os"
 	"sort"
 	"strings"
 
@@ -35,19 +36,36 @@ type PropReport struct {
 	analysis.PropSummary
 }
 
-// Props compiles a program with its properties (source-comment
-// annotations plus any extra properties, e.g. from .props spec files)
-// under cfg and produces the confirmed/dismissed/discharged report.
-// Frontend, lowering and property type errors come back as every bf4 lint
-// mode prints them (lintError).
-func Props(name, src string, extra []*prop.Property, cfg Config) (*PropReport, error) {
+// GatherProps collects the properties of program name: its source
+// comments, then extra, then the .props file at specFile when one is
+// named, in prop.Sort's order. bf4 -check=assert and bf4 lint -props check
+// what it returns.
+func GatherProps(name, src, specFile string, extra []*prop.Property) ([]*prop.Property, error) {
 	props, err := prop.ExtractSource(name, src)
 	if err != nil {
 		return nil, err
 	}
 	props = append(props, extra...)
+	if specFile != "" {
+		data, err := os.ReadFile(specFile)
+		if err != nil {
+			return nil, err
+		}
+		ps, err := prop.ParseSpecFile(specFile, data)
+		if err != nil {
+			return nil, err
+		}
+		props = append(props, ps...)
+	}
 	prop.Sort(props)
+	return props, nil
+}
 
+// Props compiles a program with props (GatherProps) under cfg and produces
+// the confirmed/dismissed/discharged report. Frontend, lowering and
+// property type errors come back as every bf4 lint mode prints them
+// (lintError).
+func Props(name, src string, props []*prop.Property, cfg Config) (*PropReport, error) {
 	cfg.IR.Instrument = func(p *ir.Program) error {
 		if err := prop.Instrument(p, props); err != nil {
 			return propError{err}
@@ -81,7 +99,7 @@ func Props(name, src string, extra []*prop.Property, cfg Config) (*PropReport, e
 	// The static tier: constant propagation's discharge set, plus plain CFG
 	// reachability inside FindBugsWith.
 	_, done := obs.StartPhase(cfg.Obs, cfg.Trace, "analysis")
-	skip := analysis.Discharge(pl.IR)
+	skip := analysis.Discharge(pl.IR).Skip
 	done()
 	rep.Bugs = pl.FindBugsWith(nodes, core.FindOptions{Skip: skip, Workers: pool.Workers(cfg.Workers), Obs: cfg.Obs, Trace: cfg.Trace}).Bugs
 	bugOf := map[*ir.Node]*core.Bug{}

@@ -50,6 +50,9 @@ func TestPropsTypecheckErrors(t *testing.T) {
 		if err != nil {
 			t.Fatalf("ParseSpecFile(%q): unexpected parse error: %v", c.line, err)
 		}
+		if props, err = GatherProps("propswitch.p4", src, "", props); err != nil {
+			t.Fatalf("GatherProps(%q): %v", c.line, err)
+		}
 		_, err = Props("propswitch.p4", src, props, DefaultConfig())
 		if err == nil {
 			t.Errorf("Props with %q: expected typecheck error", c.line)

@@ -51,7 +51,7 @@ func TestVerdictsMatchReferenceSolver(t *testing.T) {
 					if !smt.EvalBool(b.Cond, b.Model) {
 						t.Errorf("%s: reported model does not satisfy the reachability condition", b.Description())
 					}
-				case res.Analysis.Discharge[b.Node]:
+				case res.Analysis.Skip[b.Node]:
 					byAnalysis++
 				default:
 					unreachable++

@@ -3,6 +3,7 @@ package ir
 import (
 	"errors"
 	"fmt"
+	"math/big"
 	"strings"
 
 	"bf4/internal/p4/ast"
@@ -55,6 +56,8 @@ func Build(prog *ast.Program, info *types.Info, opts Options) (*Program, error) 
 		info:         info,
 		opts:         opts,
 		memo:         make(map[string]*Node),
+		consts:       make(map[*types.ConstVal]*smt.Term),
+		ints:         make(map[*types.ConstVal]*big.Int),
 		shadowInited: make(map[*Var]bool),
 	}
 	if err := b.run(prog); err != nil {
@@ -103,6 +106,8 @@ type builder struct {
 	stackReads map[string]bool // stacks needing an underflow check
 
 	memo          map[string]*Node // parser state memo: "state@budget"
+	consts        map[*types.ConstVal]*smt.Term
+	ints          map[*types.ConstVal]*big.Int // unsized consts' exact values; nil if not an int
 	instanceCount map[string]int
 
 	// Information-flow state (Options.CheckInfoFlow; see taint.go).

@@ -1,6 +1,7 @@
 package ir
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -247,6 +248,115 @@ V1Switch(P(), Ing()) main;
 	}
 	if p.Registers["reg"] == nil || p.Registers["reg"].Size != 16 {
 		t.Fatal("register metadata missing")
+	}
+}
+
+// TestConstFoldsAtDeclaredWidth: a const's initializer is computed as P4
+// computes it. Typed operands wrap at their width: (8w200 + 8w100) is 44
+// before the shift, so C is 22, not (200 + 100) >> 1 = 150. An int
+// expression (unsized literals and consts) is computed exactly and then
+// cast to the width it meets: the declared width, or a typed operand's.
+// A const of no bit type is 32 bits wide.
+func TestConstFoldsAtDeclaredWidth(t *testing.T) {
+	src := `
+const bit<8> C = (8w200 + 8w100) >> 1;
+const int U = 70000;
+const bit<48> S = 1 << 40;
+const bit<64> M = (1 << 48) - 1;
+const bit<8> H = 300 >> 1;
+const bit<48> X = (1 << 40) | 48w1;
+const int K = 1 << 40;
+const bit<48> D = K << 2;
+struct headers { }
+struct metadata { bit<8> c; bit<32> u; bit<48> s; bit<64> m; bit<8> h; bit<48> x; bit<48> k; bit<48> d; }
+parser P(packet_in pkt, out headers hdr, inout metadata meta,
+         inout standard_metadata_t smeta) {
+    state start { transition accept; }
+}
+control Ing(inout headers hdr, inout metadata meta,
+            inout standard_metadata_t smeta) {
+    apply {
+        smeta.egress_spec = 9w1;
+        meta.c = C;
+        meta.u = U;
+        meta.s = S;
+        meta.m = M;
+        meta.h = H;
+        meta.x = X;
+        meta.k = K;
+        meta.d = D;
+    }
+}
+V1Switch(P(), Ing()) main;
+`
+	p := buildSrc(t, src, DefaultOptions())
+	want := map[string]struct {
+		val   int64
+		width int
+	}{
+		"meta.c": {22, 8}, "meta.u": {70000, 32}, "meta.s": {1 << 40, 48},
+		"meta.m": {1<<48 - 1, 64}, "meta.h": {150, 8}, "meta.x": {1<<40 | 1, 48},
+		"meta.k": {1 << 40, 48}, "meta.d": {1 << 42, 48},
+	}
+	seen := 0
+	for _, n := range p.Nodes {
+		if n.Kind != Assign || !n.Pos.IsValid() { // the zeroing of metadata has no position
+			continue
+		}
+		w, ok := want[n.Var.Name]
+		if !ok {
+			continue
+		}
+		seen++
+		if !n.Expr.IsConst() || n.Expr.Const().Int64() != w.val || n.Expr.Sort().Width != w.width {
+			t.Errorf("%s = %s, want the %d-bit constant %d", n.Var.Name, n.Expr, w.width, w.val)
+		}
+	}
+	if seen != len(want) {
+		t.Fatalf("found %d of the %d assignments", seen, len(want))
+	}
+}
+
+// TestConstChainLowersOnce: each const is lowered once however often it
+// is named, sized or not. Lowering every use anew would take 2^64
+// lowerings here.
+func TestConstChainLowersOnce(t *testing.T) {
+	for _, typ := range []string{"bit<8>", "int"} {
+		var decls strings.Builder
+		fmt.Fprintf(&decls, "const %s C0 = 3;\n", typ)
+		for k := 1; k <= 64; k++ {
+			fmt.Fprintf(&decls, "const %s C%d = C%d + C%d;\n", typ, k, k-1, k-1)
+		}
+		src := decls.String() + `
+struct headers { }
+struct metadata { bit<8> x; }
+parser P(packet_in pkt, out headers hdr, inout metadata meta,
+         inout standard_metadata_t smeta) {
+    state start { transition accept; }
+}
+control Ing(inout headers hdr, inout metadata meta,
+            inout standard_metadata_t smeta) {
+    apply {
+        smeta.egress_spec = 9w1;
+        meta.x = C7 + C64;
+    }
+}
+V1Switch(P(), Ing()) main;
+`
+		p := buildSrc(t, src, DefaultOptions())
+		found := false
+		for _, n := range p.Nodes {
+			// C7 + C64 = 3·2^7 + 3·2^64, which is 128 mod 2^8.
+			if n.Kind == Assign && n.Pos.IsValid() && n.Var.Name == "meta.x" {
+				found = true
+				if !n.Expr.IsConst() || n.Expr.Const().Int64() != 128 {
+					t.Errorf("%s chain: meta.x = %s, want 128", typ, n.Expr)
+				}
+			}
+		}
+		if !found {
+			t.Errorf("%s chain: no assignment to meta.x", typ)
+		}
 	}
 }
 

@@ -26,6 +26,8 @@ type ref struct {
 	fromHeader string
 	// stackLast marks dynamic stack access needing an underflow check.
 	stackLast bool
+	// konst is the const a name resolved to (term is its lowering).
+	konst *types.ConstVal
 }
 
 // isPrefix reports whether path is a declared struct prefix.
@@ -95,11 +97,7 @@ func (b *builder) resolveRef(e ast.Expr) ref {
 			return ref{register: reg}
 		}
 		if c, ok := b.info.Consts[x.Name]; ok {
-			w := c.Width
-			if w == 0 {
-				w = 32
-			}
-			return ref{term: b.f().BVConst(c.Val, w)}
+			return ref{term: b.lowerConst(c), konst: c}
 		}
 		return b.resolvePath(x.Name)
 	case *ast.Member:
@@ -144,6 +142,95 @@ func (b *builder) resolveRef(e ast.Expr) ref {
 	}
 }
 
+// lowerConst lowers a const's initializer at its declared width, 32 bits
+// when unsized, outside any control or action: its names are consts. Each
+// const is lowered once, so a chain of consts that each name the last
+// twice costs one lowering a const, not two to the chain's length.
+func (b *builder) lowerConst(c *types.ConstVal) *smt.Term {
+	if t, ok := b.consts[c]; ok {
+		return t
+	}
+	w := c.Width
+	if w == 0 {
+		w = 32
+	}
+	ctl, roles, args := b.ctl, b.roles, b.actionArgs
+	b.ctl, b.roles, b.actionArgs = nil, nil, nil
+	t := b.toBV(b.lowerExpr(c.Value, w), w)
+	b.ctl, b.roles, b.actionArgs = ctl, roles, args
+	b.consts[c] = t
+	return t
+}
+
+// intValue is e's exact value when e has P4's arbitrary-precision int
+// type: unsized literals and unsized consts under unary - and ~ and the
+// binary + - * << >> & | ^. P4 computes such an expression exactly and
+// casts it to the width it meets (intTerm).
+func (b *builder) intValue(e ast.Expr) (*big.Int, bool) {
+	switch x := e.(type) {
+	case *ast.IntLit:
+		return x.Val, x.Width == 0
+	case *ast.Ident:
+		c := b.resolveRef(x).konst
+		if c == nil || c.Width != 0 {
+			return nil, false
+		}
+		v, seen := b.ints[c]
+		if !seen {
+			ctl, roles, args := b.ctl, b.roles, b.actionArgs
+			b.ctl, b.roles, b.actionArgs = nil, nil, nil
+			v, _ = b.intValue(c.Value)
+			b.ctl, b.roles, b.actionArgs = ctl, roles, args
+			b.ints[c] = v
+		}
+		return v, v != nil
+	case *ast.UnaryExpr:
+		v, ok := b.intValue(x.X)
+		switch {
+		case !ok:
+		case x.Op == token.MINUS:
+			return new(big.Int).Neg(v), true
+		case x.Op == token.TILDE:
+			return new(big.Int).Not(v), true
+		}
+	case *ast.BinaryExpr:
+		l, ok := b.intValue(x.X)
+		if !ok {
+			return nil, false
+		}
+		r, ok := b.intValue(x.Y)
+		if !ok {
+			return nil, false
+		}
+		if op, ok := intOps[x.Op]; ok {
+			return op(new(big.Int), l, r), true
+		}
+		if (x.Op == token.SHL || x.Op == token.SHR) && r.Sign() >= 0 && r.BitLen() <= 16 {
+			if x.Op == token.SHL {
+				return new(big.Int).Lsh(l, uint(r.Uint64())), true
+			}
+			return new(big.Int).Rsh(l, uint(r.Uint64())), true
+		}
+	}
+	return nil, false
+}
+
+// intOps are the binary operators of int besides the shifts, whose
+// amount intValue bounds (a longer shift is lowered as bits).
+var intOps = map[token.Kind]func(z, x, y *big.Int) *big.Int{
+	token.PLUS: (*big.Int).Add, token.MINUS: (*big.Int).Sub, token.STAR: (*big.Int).Mul,
+	token.AMP: (*big.Int).And, token.PIPE: (*big.Int).Or, token.CARET: (*big.Int).Xor,
+}
+
+// intTerm casts an int value to width w, 32 bits when the context gives
+// none.
+func (b *builder) intTerm(v *big.Int, w int) *smt.Term {
+	if w == 0 {
+		w = 32
+	}
+	return b.f().BVConst(v, w)
+}
+
 // ------------------------------------------------------------- exprs
 
 // lowerExpr lowers an expression to a term. want is the target width for
@@ -162,7 +249,12 @@ func (b *builder) lowerExpr(e ast.Expr, want int) *smt.Term {
 		return f.BVConst(x.Val, w)
 	case *ast.BoolLit:
 		return f.Bool(x.Val)
-	case *ast.Ident, *ast.Member, *ast.IndexExpr:
+	case *ast.Ident:
+		if v, ok := b.intValue(x); ok {
+			return b.intTerm(v, want)
+		}
+		return b.lowerPathRead(e)
+	case *ast.Member, *ast.IndexExpr:
 		return b.lowerPathRead(e)
 	case *ast.CallExpr:
 		return b.lowerCallExpr(x)
@@ -176,6 +268,9 @@ func (b *builder) lowerExpr(e ast.Expr, want int) *smt.Term {
 			return f.BVNot(b.lowerBV(x.X, want))
 		}
 	case *ast.BinaryExpr:
+		if v, ok := b.intValue(x); ok {
+			return b.intTerm(v, want)
+		}
 		return b.lowerBinary(x, want)
 	case *ast.CastExpr:
 		t := b.info.ResolveType(x.Type)
@@ -301,13 +396,28 @@ func (b *builder) lowerBinary(x *ast.BinaryExpr, want int) *smt.Term {
 	case token.OR:
 		return f.Or(b.toBool(b.lowerExpr(x.X, 0)), b.toBool(b.lowerExpr(x.Y, 0)))
 	}
-	// Lower the structurally-typed side first to learn the width.
-	lhs := b.lowerExpr(x.X, 0)
-	w := 0
-	if !lhs.Sort().IsBool() {
-		w = lhs.Sort().Width
+	// Lower the structurally-typed side first to learn the width: the
+	// left one, unless it is an int beside a typed operand it takes the
+	// width of.
+	var lhs, rhs *smt.Term
+	if v, ok := b.intValue(x.X); ok && op != token.SHL && op != token.SHR && op != token.PLUSPLUS {
+		if _, ok := b.intValue(x.Y); !ok {
+			rhs = b.lowerExpr(x.Y, want)
+			w := want
+			if !rhs.Sort().IsBool() {
+				w = rhs.Sort().Width
+			}
+			lhs = b.intTerm(v, w)
+		}
 	}
-	rhs := b.lowerExpr(x.Y, w)
+	if lhs == nil {
+		lhs = b.lowerExpr(x.X, 0)
+		w := 0
+		if !lhs.Sort().IsBool() {
+			w = lhs.Sort().Width
+		}
+		rhs = b.lowerExpr(x.Y, w)
+	}
 	// Harmonize sorts.
 	if lhs.Sort().IsBool() != rhs.Sort().IsBool() {
 		lhs, rhs = b.toBool(lhs), b.toBool(rhs)

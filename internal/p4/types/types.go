@@ -10,7 +10,6 @@ package types
 import (
 	"errors"
 	"fmt"
-	"math/big"
 	"strings"
 
 	"bf4/internal/p4/ast"
@@ -135,10 +134,11 @@ type Info struct {
 	errs []error
 }
 
-// ConstVal is the evaluated value of a const declaration.
+// ConstVal is a const declaration: its declared width (0 when unsized)
+// and its initializer, which ir lowers at that width.
 type ConstVal struct {
 	Width int
-	Val   *big.Int
+	Value ast.Expr
 }
 
 // standardMetadata is the builtin v1model standard_metadata_t.
@@ -218,12 +218,13 @@ func Check(prog *ast.Program) (*Info, error) {
 			if bt, ok := in.resolveAST(x.Type).(*ast.BitType); ok {
 				w = bt.Width
 			}
-			v := in.constEval(x.Value)
-			if v == nil {
-				in.errorf(x, "const %s: initializer is not a constant expression", x.Name)
-				v = big.NewInt(0)
+			if _, dup := in.Consts[x.Name]; dup {
+				in.errorf(x, "duplicate const %s", x.Name)
 			}
-			in.Consts[x.Name] = &ConstVal{Width: w, Val: v}
+			if !in.constant(x.Value) {
+				in.errorf(x, "const %s: initializer is not a constant expression", x.Name)
+			}
+			in.Consts[x.Name] = &ConstVal{Width: w, Value: x.Value}
 		}
 	}
 
@@ -313,62 +314,28 @@ func (in *Info) ResolveType(t ast.Type) Type {
 	}
 }
 
-// constEval evaluates a constant expression, or returns nil.
-func (in *Info) constEval(e ast.Expr) *big.Int {
+// constant reports whether e is a constant expression: literals and
+// earlier consts under unary - and ~, the arithmetic, shift and bitwise
+// binary operators, and casts.
+func (in *Info) constant(e ast.Expr) bool {
 	switch x := e.(type) {
-	case *ast.IntLit:
-		return x.Val
-	case *ast.BoolLit:
-		if x.Val {
-			return big.NewInt(1)
-		}
-		return big.NewInt(0)
+	case *ast.IntLit, *ast.BoolLit:
+		return true
 	case *ast.Ident:
-		if c, ok := in.Consts[x.Name]; ok {
-			return c.Val
-		}
-		return nil
+		_, ok := in.Consts[x.Name]
+		return ok
 	case *ast.UnaryExpr:
-		v := in.constEval(x.X)
-		if v == nil {
-			return nil
-		}
-		switch x.Op.String() {
-		case "-":
-			return new(big.Int).Neg(v)
-		case "~":
-			return new(big.Int).Not(v)
-		}
-		return nil
+		op := x.Op.String()
+		return (op == "-" || op == "~") && in.constant(x.X)
 	case *ast.BinaryExpr:
-		a, b := in.constEval(x.X), in.constEval(x.Y)
-		if a == nil || b == nil {
-			return nil
-		}
 		switch x.Op.String() {
-		case "+":
-			return new(big.Int).Add(a, b)
-		case "-":
-			return new(big.Int).Sub(a, b)
-		case "*":
-			return new(big.Int).Mul(a, b)
-		case "<<":
-			return new(big.Int).Lsh(a, uint(b.Uint64()))
-		case ">>":
-			return new(big.Int).Rsh(a, uint(b.Uint64()))
-		case "&":
-			return new(big.Int).And(a, b)
-		case "|":
-			return new(big.Int).Or(a, b)
-		case "^":
-			return new(big.Int).Xor(a, b)
+		case "+", "-", "*", "<<", ">>", "&", "|", "^":
+			return in.constant(x.X) && in.constant(x.Y)
 		}
-		return nil
 	case *ast.CastExpr:
-		return in.constEval(x.X)
-	default:
-		return nil
+		return in.constant(x.X)
 	}
+	return false
 }
 
 func (in *Info) newScope(owner ast.Decl, params []*ast.Param, locals []ast.Decl) *Scope {

@@ -106,8 +106,11 @@ func TestConstEval(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := info.Consts["TYPE_IPV4"]
-	if c == nil || c.Val.Int64() != 0x800 || c.Width != 16 {
+	if c == nil || c.Width != 16 {
 		t.Fatalf("TYPE_IPV4 = %+v", c)
+	}
+	if lit, ok := c.Value.(*ast.IntLit); !ok || lit.Val.Int64() != 0x800 {
+		t.Fatalf("TYPE_IPV4 initializer = %#v", c.Value)
 	}
 }
 
@@ -189,6 +192,15 @@ control c(inout h hh) {
 	t.Run("undefined name", func(t *testing.T) {
 		errContains(t, `header h { bit<8> x; }
 control c(inout h hh) { apply { hh.x = nothere; } }`, "undefined")
+	})
+	t.Run("non-constant const", func(t *testing.T) {
+		errContains(t, `const bit<8> C = D;
+control c() { apply { } }`, "const C: initializer is not a constant expression")
+	})
+	t.Run("duplicate const", func(t *testing.T) {
+		errContains(t, `const bit<8> C = 8w1;
+const bit<8> C = C + 8w1;
+control c() { apply { } }`, "duplicate const C")
 	})
 	t.Run("compare width mismatch", func(t *testing.T) {
 		errContains(t, `header h { bit<8> x; bit<16> y; }

@@ -2,6 +2,7 @@ package shim
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"bf4/internal/dataplane"
@@ -214,25 +215,25 @@ func TestApplyWithKeyDedup(t *testing.T) {
 
 func TestDedupWindowEviction(t *testing.T) {
 	sh := tinyShim(t)
-	sh.SetDedupWindow(2)
-	for i, key := range []string{"a", "b", "c"} {
-		if err := sh.ApplyWithKey(key, insertT(int64(10+i), "NoAction")); err != nil {
+	const n = DefaultDedupWindow + 1
+	for i := 0; i < n; i++ {
+		if err := sh.ApplyWithKey(fmt.Sprintf("k%d", i), insertT(int64(10+i), "NoAction")); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// "a" has been evicted: replaying it re-applies (the window is a
+	// "k0" has been evicted: replaying it re-applies (the window is a
 	// bounded guarantee, not an unbounded log).
-	if err := sh.ApplyWithKey("a", insertT(10, "NoAction")); err != nil {
+	if err := sh.ApplyWithKey("k0", insertT(10, "NoAction")); err != nil {
 		t.Fatal(err)
 	}
-	if sh.ShadowSize("t") != 4 {
-		t.Fatalf("shadow size = %d, want 4", sh.ShadowSize("t"))
+	if got := sh.ShadowSize("t"); got != n+1 {
+		t.Fatalf("shadow size = %d, want %d", got, n+1)
 	}
-	// "c" is still in the window.
-	if err := sh.ApplyWithKey("c", insertT(12, "NoAction")); err != nil {
+	// The newest key is still in the window.
+	if err := sh.ApplyWithKey(fmt.Sprintf("k%d", n-1), insertT(int64(10+n-1), "NoAction")); err != nil {
 		t.Fatal(err)
 	}
-	if sh.ShadowSize("t") != 4 {
+	if sh.ShadowSize("t") != n+1 {
 		t.Fatal("windowed key re-applied")
 	}
 }

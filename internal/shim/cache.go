@@ -41,9 +41,6 @@ type Compiled struct {
 	scratch sync.Pool
 }
 
-// File returns the spec file this program was compiled from.
-func (cp *Compiled) File() *spec.File { return cp.file }
-
 // Fingerprint content-addresses a spec file: the SHA-256 of its
 // canonical JSON marshaling. Two switches running the same verified
 // program produce the same fingerprint and therefore share one compiled

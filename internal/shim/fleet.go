@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -170,9 +169,6 @@ func NewFleet(cfg FleetConfig) *Fleet {
 	}
 }
 
-// Cache returns the fleet's annotation cache.
-func (f *Fleet) Cache() *AnnotationCache { return f.cache }
-
 // sanitizeShardID maps a switch identifier onto a filesystem-safe
 // directory name.
 func sanitizeShardID(id string) string {
@@ -251,15 +247,6 @@ func (f *Fleet) Shard(id string) *Shard {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.shards[id]
-}
-
-// Shards returns the registered switch ids, sorted.
-func (f *Fleet) Shards() []string {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	ids := append([]string(nil), f.order...)
-	sort.Strings(ids)
-	return ids
 }
 
 // all snapshots the shard list without holding the fleet lock during

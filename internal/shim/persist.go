@@ -162,9 +162,6 @@ func OpenStore(dir string) (*Store, error) {
 	return &Store{dir: dir, CompactEvery: 4096}, nil
 }
 
-// Dir returns the state directory path.
-func (st *Store) Dir() string { return st.dir }
-
 // JournalPath returns the journal file path (for diagnostics upload).
 func (st *Store) JournalPath() string { return filepath.Join(st.dir, journalName) }
 

@@ -60,8 +60,8 @@ type Stats struct {
 	SlowpathHits int
 }
 
-// DefaultDedupWindow is the default size of the applied-request-ID
-// window used for idempotent retries.
+// DefaultDedupWindow is the size of the applied-request-ID window used
+// for idempotent retries.
 const DefaultDedupWindow = 4096
 
 // Shim validates and tracks controller updates for one P4 program.
@@ -88,8 +88,6 @@ type Shim struct {
 	applied      map[string]error
 	appliedOrder []string
 	appliedHead  int
-
-	dedupCap int
 
 	// store, when attached, journals mutations and snapshots state for
 	// crash recovery.
@@ -224,22 +222,6 @@ func (s *Shim) Counters() Stats {
 	}
 }
 
-// SetDedupWindow bounds the applied-request-ID window (default
-// DefaultDedupWindow entries).
-func (s *Shim) SetDedupWindow(n int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if n < 1 {
-		n = 1
-	}
-	// Reset: the window only affects retries in flight, which a
-	// reconfiguration boundary need not preserve.
-	s.applied = map[string]error{}
-	s.appliedOrder = make([]string, 0, n)
-	s.appliedHead = 0
-	s.dedupCap = n
-}
-
 // ShadowSize returns the number of shadow entries for a table.
 func (s *Shim) ShadowSize(table string) int {
 	s.mu.Lock()
@@ -286,16 +268,12 @@ func (s *Shim) recordOutcome(key string, err error) {
 		s.applied[key] = err
 		return
 	}
-	capacity := s.dedupCap
-	if capacity == 0 {
-		capacity = DefaultDedupWindow
-	}
-	if len(s.appliedOrder) < capacity {
+	if len(s.appliedOrder) < DefaultDedupWindow {
 		s.appliedOrder = append(s.appliedOrder, key)
 	} else {
 		delete(s.applied, s.appliedOrder[s.appliedHead])
 		s.appliedOrder[s.appliedHead] = key
-		s.appliedHead = (s.appliedHead + 1) % capacity
+		s.appliedHead = (s.appliedHead + 1) % DefaultDedupWindow
 	}
 	s.applied[key] = err
 }

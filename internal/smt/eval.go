@@ -5,15 +5,6 @@ import "math/big"
 // Env maps variable names to concrete values. Boolean variables use 0/1.
 type Env map[string]*big.Int
 
-// Clone returns a copy of the environment.
-func (e Env) Clone() Env {
-	out := make(Env, len(e))
-	for k, v := range e {
-		out[k] = v
-	}
-	return out
-}
-
 // SetBool assigns a boolean variable.
 func (e Env) SetBool(name string, v bool) {
 	if v {

@@ -197,9 +197,6 @@ func (s *Solver) Tag(phase, name string, node int) {
 	s.tag = obs.CheckRecord{Phase: phase, Solver: name, Node: node}
 }
 
-// Factory returns the term factory this solver builds on.
-func (s *Solver) Factory() *smt.Factory { return s.f }
-
 // NumChecks returns the number of Check calls made, a useful statistic for
 // the evaluation harness.
 func (s *Solver) NumChecks() int { return s.checks }

@@ -133,6 +133,9 @@ func TestEachIncarnationConstrainedOncePerPath(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			if props, err = driver.GatherProps(name, src, "", props); err != nil {
+				t.Fatal(err)
+			}
 			rep, err := driver.Props(name, src, props, driver.DefaultConfig())
 			if err != nil {
 				t.Fatal(err)
