@@ -12,6 +12,9 @@
 //
 //	p4sim -corpus simple_nat scenario.json
 //	p4sim -program prog.p4 scenario.json
+//
+// A table or packet field the program does not have is an error (exit 1),
+// not an empty table or a zero field.
 package main
 
 import (
@@ -19,6 +22,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 
 	"bf4/internal/core"
 	"bf4/internal/dataplane"
@@ -74,9 +78,21 @@ func main() {
 		fatalf("scenario: %v", err)
 	}
 
+	tables := map[string]bool{}
+	for _, inst := range pl.IR.Instances {
+		tables[inst.Table.Name] = true
+	}
+	names := make([]string, 0, len(sc.Entries))
+	for table := range sc.Entries {
+		names = append(names, table)
+	}
+	sort.Strings(names)
 	snap := dataplane.NewSnapshot()
-	for table, msgs := range sc.Entries {
-		for _, m := range msgs {
+	for _, table := range names {
+		if !tables[table] {
+			fatalf("entries: the program has no table %q", table)
+		}
+		for _, m := range sc.Entries[table] {
 			e, err := p4runtime.DecodeEntry(m)
 			if err != nil {
 				fatalf("entry for %s: %v", table, err)
@@ -93,6 +109,9 @@ func main() {
 				fatalf("packet %d: %v", i, err)
 			}
 			pkt[name] = v
+		}
+		if err := pkt.Check(pl.IR); err != nil {
+			fatalf("packet %d: %v", i, err)
 		}
 		interp := &dataplane.Interp{P: pl.IR, Snapshot: snap, Inputs: pkt}
 		tr, err := interp.Run()

@@ -31,7 +31,7 @@ type Result struct {
 // discharging it cannot change any verdict.
 func Discharge(p *ir.Program) *Result {
 	reach := p.Reachable()
-	res := &Result{Skip: dischargeSet(p, reach, SolveForward(p.Start, NewConstProp(p)))}
+	res := &Result{Skip: dischargeSet(p, reach, SolveForward(p, NewConstProp(p)))}
 	for _, bn := range p.Bugs {
 		if reach[bn] {
 			res.Stats.BugChecks++
@@ -46,11 +46,10 @@ func Discharge(p *ir.Program) *Result {
 // when the source AST is supplied, table lint. The diagnostics come sorted
 // and deduplicated.
 func Lint(p *ir.Program, prog *ast.Program) []Diagnostic {
-	reach := p.Reachable()
-	cp := SolveForward(p.Start, NewConstProp(p))
+	cp := SolveForward(p, NewConstProp(p))
 	ds := definiteBugLint(p, cp)
 	ds = append(ds, constPropLint(p, cp)...)
-	ds = append(ds, deadWriteLint(p, reach, SolveBackward(p.Start, NewLiveness(p)))...)
+	ds = append(ds, deadWriteLint(p, SolveBackward(p, NewLiveness(p)))...)
 	if prog != nil {
 		ds = append(ds, TableLint(prog)...)
 	}

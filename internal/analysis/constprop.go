@@ -55,8 +55,7 @@ func (c *constants) Transfer(n *ir.Node, in Fact) Fact {
 	return e
 }
 
-func (c *constants) Join(a, b Fact) Fact  { return joinEnv(a.(env), b.(env)) }
-func (c *constants) Equal(a, b Fact) bool { return a.(env).equal(b.(env)) }
+func (c *constants) Join(a, b Fact) Fact { return joinEnv(a.(env), b.(env)) }
 
 // FlowEdge implements EdgeRefiner. Succs[0] is the branch-taken edge.
 func (c *constants) FlowEdge(n *ir.Node, succIdx int, out Fact) Fact {

@@ -1,7 +1,8 @@
 // Package analysis is bf4's compile-time static-analysis layer: a
-// generic dataflow framework over the IR control-flow graph plus three
-// concrete analyzers (constant propagation & reachability, dead-write
-// detection, table-entry lint). It has one entry point per purpose:
+// dataflow framework over the IR control-flow graph plus four concrete
+// analyzers (constant propagation & reachability, dead-write liveness,
+// information-flow labels, table-entry lint). It has one entry point per
+// purpose:
 //
 //   - Discharge, the verifier's pre-pass, run by every verification
 //     round: bug checks constant propagation proves unreachable are
@@ -14,17 +15,18 @@
 //     read of a header that is invalid on every path), constant
 //     conditions, dead stores, duplicate/shadowed table keys and
 //     unreferenced actions as human- or JSON-rendered diagnostics with
-//     stable source positions.
+//     stable source positions;
+//   - RunTaint, the label half of `bf4 lint -taint`: sinks the labels
+//     cannot prove clean, handed to the solver as alarms.
 //
-// The framework is deliberately more general than the acyclic IR
-// requires: the worklist solver iterates in reverse postorder and runs
-// to a fixpoint, so loop-shaped graphs (hand-built in tests, or future
-// IR extensions with cycles) converge as long as the lattice has finite
-// height and transfer functions are monotone.
+// The IR is acyclic (parser loops are unrolled; ir.Program.Topo panics on
+// a cycle), so each solver is one walk in topological order: a node is
+// visited once, after every predecessor (forward) or successor
+// (backward), and its fact is final when it is computed.
 package analysis
 
 import (
-	"container/heap"
+	"slices"
 
 	"bf4/internal/ir"
 )
@@ -47,8 +49,6 @@ type Analysis interface {
 	Transfer(n *ir.Node, in Fact) Fact
 	// Join combines two facts at a merge point (least upper bound).
 	Join(a, b Fact) Fact
-	// Equal reports whether two facts are equal (fixpoint detection).
-	Equal(a, b Fact) bool
 }
 
 // EdgeRefiner is an optional extension for forward analyses that can
@@ -65,10 +65,6 @@ type Facts struct {
 	// In and Out map each node to its input/output fact. A node absent
 	// from In was never reached by any feasible path (bottom).
 	In, Out map[*ir.Node]Fact
-	// Iterations counts node-transfer applications, a measure of
-	// fixpoint effort (equals the node count on acyclic graphs unless
-	// edge refinement prunes paths).
-	Iterations int
 }
 
 // Reached reports whether the solver found any feasible path to n.
@@ -77,232 +73,79 @@ func (fs *Facts) Reached(n *ir.Node) bool {
 	return ok
 }
 
-// rpoIndex computes a reverse-postorder numbering of the graph rooted at
-// start, following succs. Unlike ir.Program.Topo it tolerates cycles
-// (back edges simply do not extend the DFS), which is what lets the
-// solver run on loop-shaped graphs.
-func rpoIndex(start *ir.Node, backward bool) (order []*ir.Node, index map[*ir.Node]int) {
-	next := func(n *ir.Node) []*ir.Node { return n.Succs }
-	if backward {
-		next = func(n *ir.Node) []*ir.Node { return n.Preds }
-	}
-	const (
-		white = 0
-		gray  = 1
-		black = 2
-	)
-	color := map[*ir.Node]int8{}
-	type frame struct {
-		n *ir.Node
-		i int
-	}
-	var post []*ir.Node
-	stack := []frame{{start, 0}}
-	color[start] = gray
-	for len(stack) > 0 {
-		fr := &stack[len(stack)-1]
-		succs := next(fr.n)
-		if fr.i < len(succs) {
-			s := succs[fr.i]
-			fr.i++
-			if color[s] == white {
-				color[s] = gray
-				stack = append(stack, frame{s, 0})
-			}
-			continue
-		}
-		color[fr.n] = black
-		post = append(post, fr.n)
-		stack = stack[:len(stack)-1]
-	}
-	order = make([]*ir.Node, len(post))
-	index = make(map[*ir.Node]int, len(post))
-	for i, n := range post {
-		order[len(post)-1-i] = n
-	}
-	for i, n := range order {
-		index[n] = i
-	}
-	return order, index
-}
-
-// nodeHeap is a worklist ordered by reverse-postorder index, so nodes
-// are processed in an order that minimizes re-iteration.
-type nodeHeap struct {
-	nodes []*ir.Node
-	index map[*ir.Node]int
-	on    map[*ir.Node]bool
-}
-
-func (h *nodeHeap) Len() int           { return len(h.nodes) }
-func (h *nodeHeap) Less(i, j int) bool { return h.index[h.nodes[i]] < h.index[h.nodes[j]] }
-func (h *nodeHeap) Swap(i, j int)      { h.nodes[i], h.nodes[j] = h.nodes[j], h.nodes[i] }
-func (h *nodeHeap) Push(x interface{}) { h.nodes = append(h.nodes, x.(*ir.Node)) }
-func (h *nodeHeap) Pop() interface{} {
-	n := h.nodes[len(h.nodes)-1]
-	h.nodes = h.nodes[:len(h.nodes)-1]
-	return n
-}
-
-func (h *nodeHeap) push(n *ir.Node) {
-	if !h.on[n] {
-		h.on[n] = true
-		heap.Push(h, n)
-	}
-}
-
-func (h *nodeHeap) pop() *ir.Node {
-	n := heap.Pop(h).(*ir.Node)
-	h.on[n] = false
-	return n
-}
-
-type edgeKey struct{ from, to int }
-
-// SolveForward runs a forward dataflow problem from start to fixpoint.
-// If a implements EdgeRefiner, per-edge refinement (including edge
-// pruning) is applied; nodes no feasible edge reaches stay out of the
-// result's In map and are reported unreachable by Facts.Reached.
-func SolveForward(start *ir.Node, a Analysis) *Facts {
+// SolveForward solves a forward dataflow problem in one pass over
+// p.Topo(). A node's input is Boundary at p.Start, else the join of its
+// feasible incoming edge facts in Preds order. If a implements
+// EdgeRefiner, each edge fact is refined (or pruned); a node no feasible
+// edge reaches stays out of In and Out and is reported unreachable by
+// Facts.Reached.
+func SolveForward(p *ir.Program, a Analysis) *Facts {
 	refiner, _ := a.(EdgeRefiner)
-	_, index := rpoIndex(start, false)
 	fs := &Facts{In: map[*ir.Node]Fact{}, Out: map[*ir.Node]Fact{}}
-	// edgeOut[from→to] is the (refined) fact on that edge; absent means
-	// nothing has flowed yet or the edge is infeasible.
-	edgeOut := map[edgeKey]Fact{}
-
-	wl := &nodeHeap{index: index, on: map[*ir.Node]bool{}}
-	heap.Init(wl)
-	fs.In[start] = a.Boundary()
-	wl.push(start)
-
-	// refreshIn recomputes a node's input as the join over all its
-	// currently-feasible incoming edges, requeueing it on change.
-	refreshIn := func(s *ir.Node) {
-		var sin Fact
-		have := false
-		if s == start {
-			// The boundary fact acts as a permanent virtual edge into the
-			// start node (it may also have real preds in loop-shaped
-			// graphs).
-			sin, have = a.Boundary(), true
+	// edges[n][i] is the fact on the edge n → n.Succs[i], nil when the
+	// edge is infeasible. ir.Build never gives a node the same successor
+	// twice, so a predecessor and its successor name the edge.
+	edges := map[*ir.Node][]Fact{}
+	for _, n := range p.Topo() {
+		var in Fact
+		if n == p.Start {
+			in = a.Boundary()
 		}
-		for _, p := range s.Preds {
-			pf, ok := edgeOut[edgeKey{p.ID, s.ID}]
-			if !ok {
-				continue
+		for _, pr := range n.Preds {
+			ef := edges[pr]
+			if ef == nil {
+				continue // pr is unreached (or not reachable from p.Start)
 			}
-			if !have {
-				sin, have = pf, true
-			} else {
-				sin = a.Join(sin, pf)
+			switch f := ef[slices.Index(pr.Succs, n)]; {
+			case f == nil:
+			case in == nil:
+				in = f
+			default:
+				in = a.Join(in, f)
 			}
 		}
-		old, hadOld := fs.In[s]
-		switch {
-		case !have:
-			if hadOld {
-				delete(fs.In, s)
-				wl.push(s)
-			}
-		case !hadOld || !a.Equal(old, sin):
-			fs.In[s] = sin
-			wl.push(s)
-		}
-	}
-
-	for wl.Len() > 0 {
-		n := wl.pop()
-		in, ok := fs.In[n]
-		if !ok {
-			// The node lost all feasible incoming edges (edge pruning
-			// made it unreachable): retract its own contributions.
-			delete(fs.Out, n)
-			for _, s := range n.Succs {
-				k := edgeKey{n.ID, s.ID}
-				if _, had := edgeOut[k]; had {
-					delete(edgeOut, k)
-					refreshIn(s)
-				}
-			}
+		if in == nil {
 			continue
 		}
-		fs.Iterations++
+		fs.In[n] = in
 		out := a.Transfer(n, in)
 		fs.Out[n] = out
-		for i, s := range n.Succs {
-			ef := out
+		ef := make([]Fact, len(n.Succs))
+		for i := range n.Succs {
+			ef[i] = out
 			if refiner != nil {
-				ef = refiner.FlowEdge(n, i, out)
+				ef[i] = refiner.FlowEdge(n, i, out)
 			}
-			k := edgeKey{n.ID, s.ID}
-			if ef == nil {
-				delete(edgeOut, k)
-			} else {
-				edgeOut[k] = ef
-			}
-			refreshIn(s)
 		}
+		edges[n] = ef
 	}
 	return fs
 }
 
-// SolveBackward runs a backward dataflow problem (e.g. liveness): facts
-// flow from the terminals toward start. In the result, In[n] is the fact
-// *before* n executes and Out[n] the fact after; Boundary seeds the
-// output of every terminal (node without successors). Edge refinement is
-// not applied in backward mode.
-func SolveBackward(start *ir.Node, a Analysis) *Facts {
-	order, index := rpoIndex(start, false)
+// SolveBackward solves a backward dataflow problem (e.g. liveness) in one
+// pass over p.Topo() in reverse. In the result, In[n] is the fact
+// *before* n executes and Out[n] the fact after: Boundary for a terminal
+// (node without successors), else the join of the successors' In in
+// Succs order. Every node reachable from p.Start gets both. Edge
+// refinement is not applied in backward mode.
+func SolveBackward(p *ir.Program, a Analysis) *Facts {
 	fs := &Facts{In: map[*ir.Node]Fact{}, Out: map[*ir.Node]Fact{}}
-
-	// Process in postorder (reverse of forward RPO) so most nodes see
-	// their successors solved first.
-	revIndex := make(map[*ir.Node]int, len(order))
-	for i, n := range order {
-		revIndex[n] = len(order) - 1 - i
-	}
-	wl := &nodeHeap{index: revIndex, on: map[*ir.Node]bool{}}
-	heap.Init(wl)
-	for _, n := range order {
-		wl.push(n)
-	}
-
-	for wl.Len() > 0 {
-		n := wl.pop()
+	topo := p.Topo()
+	for i := len(topo) - 1; i >= 0; i-- {
+		n := topo[i]
 		var out Fact
 		if len(n.Succs) == 0 {
 			out = a.Boundary()
-		} else {
-			have := false
-			for _, s := range n.Succs {
-				sf, ok := fs.In[s]
-				if !ok {
-					continue
-				}
-				if !have {
-					out, have = sf, true
-				} else {
-					out = a.Join(out, sf)
-				}
-			}
-			if !have {
-				continue // successors not yet solved (cycle warm-up)
+		}
+		for j, s := range n.Succs {
+			if j == 0 {
+				out = fs.In[s]
+			} else {
+				out = a.Join(out, fs.In[s])
 			}
 		}
-		fs.Iterations++
 		fs.Out[n] = out
-		in := a.Transfer(n, out)
-		old, had := fs.In[n]
-		if had && a.Equal(old, in) {
-			continue
-		}
-		fs.In[n] = in
-		for _, p := range n.Preds {
-			if _, ok := index[p]; ok {
-				wl.push(p)
-			}
-		}
+		fs.In[n] = a.Transfer(n, out)
 	}
 	return fs
 }

@@ -1,9 +1,12 @@
 package analysis
 
 import (
+	"strings"
 	"testing"
 
+	"bf4/internal/cfg"
 	"bf4/internal/ir"
+	"bf4/internal/slice"
 	"bf4/internal/smt"
 )
 
@@ -35,7 +38,7 @@ func TestConstPropStraightLine(t *testing.T) {
 	exit := p.NewNode(ir.AcceptTerm)
 	chain(p, a1, a2, exit)
 
-	fs := SolveForward(p.Start, NewConstProp(p))
+	fs := SolveForward(p, NewConstProp(p))
 	out := fs.Out[a2].(env)
 	if got := out["y"]; got == nil || !got.IsConst() || got.Const().Int64() != 4 {
 		t.Fatalf("y = %v, want 4", got)
@@ -72,7 +75,7 @@ func TestConstPropJoin(t *testing.T) {
 		p.Edge(elseN, join)
 		p.Edge(join, exit)
 
-		fs := SolveForward(p.Start, NewConstProp(p))
+		fs := SolveForward(p, NewConstProp(p))
 		got := fs.In[join].(env)["x"]
 		if agree {
 			if got == nil || got.Const().Int64() != 7 {
@@ -105,7 +108,7 @@ func TestConstPropPrunesBranch(t *testing.T) {
 	p.Edge(thenN, exit)
 	p.Edge(elseN, exit)
 
-	fs := SolveForward(p.Start, NewConstProp(p))
+	fs := SolveForward(p, NewConstProp(p))
 	if !fs.Reached(thenN) {
 		t.Fatalf("then arm should be reached")
 	}
@@ -136,7 +139,7 @@ func TestEdgeRefinementLearnsEquality(t *testing.T) {
 	p.Edge(use, exit)
 	p.Edge(other, exit)
 
-	fs := SolveForward(p.Start, NewConstProp(p))
+	fs := SolveForward(p, NewConstProp(p))
 	if got := fs.In[use].(env)["x"]; got == nil || got.Const().Int64() != 5 {
 		t.Fatalf("then-edge: x = %v, want 5 (learned from branch)", got)
 	}
@@ -152,10 +155,9 @@ func TestEdgeRefinementLearnsEquality(t *testing.T) {
 	}
 }
 
-// TestForwardFixpointOnLoop: a loop-shaped CFG must terminate and reach
-// the weaker fixpoint — a constant overwritten in the loop body loses
-// its binding at the head, while a loop-invariant one keeps it.
-func TestForwardFixpointOnLoop(t *testing.T) {
+// loopGraph builds the loop-shaped graph the IR never produces:
+// i = 0; k = 42; head: if c { i = i + 1; goto head } else accept.
+func loopGraph() *ir.Program {
 	p := ir.NewProgram("t")
 	i := p.NewVar("i", smt.BV(8))
 	k := p.NewVar("k", smt.BV(8))
@@ -167,55 +169,39 @@ func TestForwardFixpointOnLoop(t *testing.T) {
 	head.Expr = c.Term
 	body := assign(p, i, p.F.Add(i.Term, p.F.BVConst64(1, 8)))
 	exit := p.NewNode(ir.AcceptTerm)
-	start := chain(p, init, initK)
-	_ = start
+	chain(p, init, initK)
 	p.Edge(initK, head)
 	p.Edge(head, body) // then: loop body
 	p.Edge(head, exit) // else: leave
 	p.Edge(body, head) // back edge
-
-	fs := SolveForward(p.Start, NewConstProp(p))
-	if fs.Iterations == 0 || fs.Iterations > 4*len(p.Nodes)+8 {
-		t.Fatalf("fixpoint effort %d out of range for %d nodes", fs.Iterations, len(p.Nodes))
-	}
-	inHead := fs.In[head].(env)
-	if got := inHead["i"]; got != nil {
-		t.Fatalf("loop head: i = %v, want top (overwritten in body)", got)
-	}
-	if got := inHead["k"]; got == nil || got.Const().Int64() != 42 {
-		t.Fatalf("loop head: k = %v, want 42 (loop invariant)", got)
-	}
-	if !fs.Reached(exit) {
-		t.Fatalf("exit must stay reachable")
-	}
+	return p
 }
 
-// TestBackwardLivenessFixpoint: backward liveness on a loop terminates
-// and keeps a variable read in the loop body live at the loop head.
-func TestBackwardLivenessFixpoint(t *testing.T) {
-	p := ir.NewProgram("t")
-	i := p.NewVar("i", smt.BV(8))
-	d := p.NewVar("meta.dead", smt.BV(8))
-	c := p.NewVar("c", smt.BoolSort)
-
-	init := assign(p, i, p.F.BVConst64(0, 8))
-	deadW := assign(p, d, p.F.BVConst64(9, 8))
-	head := p.NewNode(ir.Branch)
-	head.Expr = c.Term
-	body := assign(p, i, p.F.Add(i.Term, p.F.BVConst64(1, 8))) // reads i
-	exit := p.NewNode(ir.AcceptTerm)
-	chain(p, init, deadW)
-	p.Edge(deadW, head)
-	p.Edge(head, body)
-	p.Edge(head, exit)
-	p.Edge(body, head)
-
-	fs := SolveBackward(p.Start, NewLiveness(p))
-	if live := fs.Out[init].(liveSet); !live["i"] {
-		t.Fatalf("i must be live after init (read by loop body)")
-	}
-	if live := fs.Out[deadW].(liveSet); live["meta.dead"] {
-		t.Fatalf("meta.dead live after its write, but it is never read")
+// TestCyclicGraphIsRefused: every CFG pass is one walk in topological
+// order, exact only because the IR is acyclic. A graph with a back edge
+// must make each of them panic through ir.Program.Topo rather than
+// return facts computed without the back edge's contribution.
+func TestCyclicGraphIsRefused(t *testing.T) {
+	p := loopGraph()
+	for _, pass := range []struct {
+		name string
+		run  func()
+	}{
+		{"Topo", func() { p.Topo() }},
+		{"SolveForward", func() { SolveForward(p, NewConstProp(p)) }},
+		{"SolveBackward", func() { SolveBackward(p, NewLiveness(p)) }},
+		{"cfg.NewDominators", func() { cfg.NewDominators(p) }},
+		{"slice.WRTBugs", func() { slice.WRTBugs(p) }},
+	} {
+		t.Run(pass.name, func(t *testing.T) {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "ir: cycle through") {
+					t.Fatalf("panic = %q, want one naming the cycle (ir: cycle through …)", msg)
+				}
+			}()
+			pass.run()
+		})
 	}
 }
 

@@ -89,34 +89,22 @@ func (l *liveness) Join(a, b Fact) Fact {
 	return out
 }
 
-func (l *liveness) Equal(a, b Fact) bool {
-	x, y := a.(liveSet), b.(liveSet)
-	if len(x) != len(y) {
-		return false
-	}
-	for k := range x {
-		if !y[k] {
-			return false
-		}
-	}
-	return true
-}
-
 // deadWriteLint reports assignments whose value is never read before
 // being overwritten or the pipeline ends. A source construct can lower to
 // several IR nodes (action inlining, table expansion); a write is only
 // reported when every inlined copy is dead, so a store read in one
 // context is never flagged because another context ignores it. Compiler
 // shadow variables ($-prefixed), control variables and synthetic
-// (positionless) nodes are skipped.
-func deadWriteLint(p *ir.Program, reach map[*ir.Node]bool, fs *Facts) []Diagnostic {
+// (positionless) nodes are skipped, and so are CFG-unreachable ones: the
+// backward pass gives exactly the reachable nodes an Out fact.
+func deadWriteLint(p *ir.Program, fs *Facts) []Diagnostic {
 	type site struct {
 		pos  token.Pos
 		name string
 	}
 	dead := map[site]bool{}
 	for _, n := range p.Nodes {
-		if n.Kind != ir.Assign || !reach[n] || !n.Pos.IsValid() {
+		if n.Kind != ir.Assign || !n.Pos.IsValid() {
 			continue
 		}
 		if n.Var.IsControl || strings.HasPrefix(n.Var.Name, "$") || strings.Contains(n.Var.Name, ".$") {
@@ -124,7 +112,7 @@ func deadWriteLint(p *ir.Program, reach map[*ir.Node]bool, fs *Facts) []Diagnost
 		}
 		out, ok := fs.Out[n]
 		if !ok {
-			continue // liveness did not solve this node; stay silent
+			continue // unreachable
 		}
 		k := site{n.Pos, n.Var.Name}
 		isDead := !out.(liveSet)[n.Var.Name]

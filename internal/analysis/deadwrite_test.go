@@ -44,8 +44,8 @@ func posAssign(p *ir.Program, v *ir.Var, rhs *smt.Term, line int) *ir.Node {
 
 // runDeadWrite wires the liveness solve into the lint pass.
 func runDeadWrite(p *ir.Program) []Diagnostic {
-	fs := SolveBackward(p.Start, NewLiveness(p))
-	return deadWriteLint(p, p.Reachable(), fs)
+	fs := SolveBackward(p, NewLiveness(p))
+	return deadWriteLint(p, fs)
 }
 
 // TestDeadWriteAtExit: a final write to user metadata is dead; the same

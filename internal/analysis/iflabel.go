@@ -10,10 +10,6 @@ import (
 	"bf4/internal/smt"
 )
 
-// maxFlowSteps caps witness chains so self-referential updates in loops
-// (x = x + 1) cannot grow provenance unboundedly while masks converge.
-const maxFlowSteps = 12
-
 // flowStep is one copy in a witness chain: a variable the tainted value
 // passed through, and where the copy happened.
 type flowStep struct {
@@ -24,10 +20,9 @@ type flowStep struct {
 // label is the abstract security label of one variable: the per-bit
 // taint lattice element (bottom = absent from the map, public = zero
 // bits would also be absent, sensitive = nonzero mask; mask bits give
-// the per-bit refinement), plus best-effort provenance for witness
-// rendering. Provenance is deliberately excluded from the fixpoint
-// equality: masks drive convergence, provenance is deterministic
-// metadata derived from the converged masks.
+// the per-bit refinement), plus provenance for witness rendering:
+// deterministic metadata the transfer and join carry alongside the
+// masks, never consulted to decide a mask.
 type label struct {
 	mask *big.Int
 	// src is the sensitive source variable the taint traces back to;
@@ -122,9 +117,6 @@ func (e iflabels) provFor(t *smt.Term, self string, pos token.Pos) (string, []fl
 	steps := best.steps
 	if n := len(steps); n > 0 && steps[n-1].name == self {
 		return best.src, steps // self-update: chain unchanged
-	}
-	if len(steps) >= maxFlowSteps {
-		return best.src, steps
 	}
 	out := make([]flowStep, len(steps)+1)
 	copy(out, steps)

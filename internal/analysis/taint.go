@@ -1,6 +1,6 @@
-// Forward information-flow (taint) dataflow pass over the worklist
-// framework. It runs on IR built with Options.CheckInfoFlow and
-// abstractly executes the builder's shadow taint assignments: on
+// Forward information-flow (taint) dataflow pass, one topological walk of
+// the IR (SolveForward). It runs on IR built with Options.CheckInfoFlow
+// and abstractly executes the builder's shadow taint assignments: on
 // v.$taint := T(...), the new label mask of v is T evaluated under the
 // current masks (smt.Eval; unbound shadows read as zero = public). The
 // abstract and concrete taint semantics are therefore the same term,
@@ -26,20 +26,6 @@ type taintAnalysis struct {
 // Boundary starts with no labels: sources are tainted by the
 // instrumented shadow initializations, not by the boundary fact.
 func (a *taintAnalysis) Boundary() Fact { return iflabels{} }
-
-func (a *taintAnalysis) Equal(x, y Fact) bool {
-	ex, ey := x.(iflabels), y.(iflabels)
-	if len(ex) != len(ey) {
-		return false
-	}
-	for k, lx := range ex {
-		ly, ok := ey[k]
-		if !ok || lx.mask.Cmp(ly.mask) != 0 {
-			return false
-		}
-	}
-	return true
-}
 
 // Join is the per-variable, per-bit least upper bound: mask union.
 // Provenance picks the deterministic representative (betterProv).
@@ -138,7 +124,7 @@ type TaintResult struct {
 // is the builder's deterministic emission order.
 func RunTaint(p *ir.Program) *TaintResult {
 	a := &taintAnalysis{p: p}
-	fs := SolveForward(p.Start, a)
+	fs := SolveForward(p, a)
 	res := &TaintResult{Facts: fs}
 	for _, bn := range p.Bugs {
 		if bn.Bug != ir.BugInfoLeak || bn.Leak == nil {

@@ -15,7 +15,9 @@ type Dominators struct {
 }
 
 // NewDominators computes the dominator tree of the graph rooted at
-// p.Start.
+// p.Start. The IR is acyclic, so every predecessor of a node precedes it
+// in p.Topo() and Cooper–Harvey–Kennedy's iteration converges in its
+// first reverse-postorder pass: that one pass is all it runs.
 func NewDominators(p *ir.Program) *Dominators {
 	order := p.Topo()
 	d := &Dominators{idom: map[*ir.Node]*ir.Node{}, order: map[*ir.Node]int{}}
@@ -24,29 +26,19 @@ func NewDominators(p *ir.Program) *Dominators {
 	}
 	root := order[0]
 	d.idom[root] = root
-	changed := true
-	for changed {
-		changed = false
-		for _, n := range order[1:] {
-			var newIdom *ir.Node
-			for _, pred := range n.Preds {
-				if _, ok := d.idom[pred]; !ok {
-					continue
-				}
-				if newIdom == nil {
-					newIdom = pred
-				} else {
-					newIdom = d.intersect(pred, newIdom)
-				}
+	for _, n := range order[1:] {
+		var idom *ir.Node
+		for _, pred := range n.Preds {
+			if _, ok := d.idom[pred]; !ok {
+				continue // not reachable from the root
 			}
-			if newIdom == nil {
-				continue
-			}
-			if d.idom[n] != newIdom {
-				d.idom[n] = newIdom
-				changed = true
+			if idom == nil {
+				idom = pred
+			} else {
+				idom = d.intersect(pred, idom)
 			}
 		}
+		d.idom[n] = idom
 	}
 	return d
 }

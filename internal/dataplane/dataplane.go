@@ -17,6 +17,7 @@ package dataplane
 import (
 	"fmt"
 	"math/big"
+	"slices"
 	"strings"
 
 	"bf4/internal/ir"
@@ -94,6 +95,24 @@ type Packet map[string]*big.Int
 // SetField sets a field value, e.g. pkt.SetField("hdr.ipv4.ttl", 64).
 func (p Packet) SetField(name string, v int64) { p[name] = big.NewInt(v) }
 
+// Check refuses a packet naming a field prog has no variable for: the
+// interpreter would never read it, so a misspelled field silently runs
+// the packet with that field zero. The error names the first such field
+// in name order.
+func (p Packet) Check(prog *ir.Program) error {
+	var unknown []string
+	for name := range p {
+		if _, ok := prog.Vars[name]; !ok {
+			unknown = append(unknown, name)
+		}
+	}
+	if len(unknown) == 0 {
+		return nil
+	}
+	slices.Sort(unknown)
+	return fmt.Errorf("dataplane: packet field %q is not a variable of the program", unknown[0])
+}
+
 // Trace is the outcome of one execution.
 type Trace struct {
 	Terminal *ir.Node
@@ -135,16 +154,11 @@ type Interp struct {
 	// Inputs preloads version-0 variables (ingress_port etc.) in
 	// snapshot mode.
 	Inputs Packet
-	// MaxSteps bounds execution (default 1 << 20).
-	MaxSteps int
 }
 
-// Run executes one packet.
+// Run executes one packet. Execution follows successor edges through the
+// acyclic IR, so it ends at a terminal within len(P.Nodes) steps.
 func (ip *Interp) Run() (*Trace, error) {
-	limit := ip.MaxSteps
-	if limit == 0 {
-		limit = 1 << 20
-	}
 	state := smt.Env{}
 	// Seed version-0 values.
 	if ip.Model != nil {
@@ -159,10 +173,7 @@ func (ip *Interp) Run() (*Trace, error) {
 	}
 	tr := &Trace{Matched: map[*ir.TableInstance]int{}}
 	n := ip.P.Start
-	for steps := 0; ; steps++ {
-		if steps > limit {
-			return nil, fmt.Errorf("dataplane: execution exceeded %d steps", limit)
-		}
+	for {
 		tr.Nodes = append(tr.Nodes, n)
 		switch n.Kind {
 		case ir.BugTerm, ir.AcceptTerm, ir.RejectTerm, ir.UnreachTerm:

@@ -392,6 +392,9 @@ func (s *Server) dispatch(req *wireRequest) *Response {
 		if pkt == nil {
 			pkt = dataplane.Packet{}
 		}
+		if err := pkt.Check(s.Prog); err != nil {
+			return fail(err)
+		}
 		snap := sd.Snapshot()
 		if snap == nil {
 			return fail(&shim.ShardDownError{ID: sd.ID(), State: sd.State(), Reason: "no live shadow snapshot"})

@@ -186,6 +186,21 @@ func TestPacketReportsUnlistedAction(t *testing.T) {
 	}
 }
 
+// TestPacketRefusesUnknownField: a packet naming a field the program has
+// no variable for is refused with an error naming it, not run with that
+// field read as zero.
+func TestPacketRefusesUnknownField(t *testing.T) {
+	client, stop := startServer(t)
+	defer stop()
+	_, err := client.SendPacket(map[string]int64{"hdr.ethernet.etherType": 0x800, "hdr.ipv4.srcAdr": 0x0A000001})
+	if err == nil || !strings.Contains(err.Error(), `"hdr.ipv4.srcAdr"`) {
+		t.Fatalf("packet = %v, want an error naming hdr.ipv4.srcAdr", err)
+	}
+	if _, err := client.SendPacket(map[string]int64{"hdr.ethernet.etherType": 0x800, "hdr.ipv4.srcAddr": 0x0A000001}); err != nil {
+		t.Fatalf("packet with known fields: %v", err)
+	}
+}
+
 func TestRejectionOverTheWire(t *testing.T) {
 	client, stop := startServer(t)
 	defer stop()

@@ -8,6 +8,8 @@
 package slice
 
 import (
+	"slices"
+
 	"bf4/internal/ir"
 	"bf4/internal/smt"
 )
@@ -31,37 +33,21 @@ func WRTNodes(p *ir.Program, targets []*ir.Node) (keep map[*ir.Node]bool, stats 
 }
 
 func wrt(p *ir.Program, targets []*ir.Node) (map[*ir.Node]bool, Stats) {
-	reachable := p.Reachable()
 	stats := Stats{TotalInstructions: p.NumInstructions()}
-
-	// Backward closure: nodes from which some target is reachable.
-	canReach := map[*ir.Node]bool{}
-	var stack []*ir.Node
+	target := make(map[*ir.Node]bool, len(targets))
 	for _, t := range targets {
-		if reachable[t] && !canReach[t] {
-			canReach[t] = true
-			stack = append(stack, t)
-		}
-	}
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, pr := range n.Preds {
-			if reachable[pr] && !canReach[pr] {
-				canReach[pr] = true
-				stack = append(stack, pr)
-			}
-		}
+		target[t] = true
 	}
 
-	// Flow-sensitive backward liveness restricted to the canReach region.
-	// reach(target) contains exactly the branch conditions along paths to
-	// a target, so branches in the region generate uses; an assignment
-	// contributes (keep) iff its variable is live-out, i.e. some later
-	// condition on a path to a target reads it. One reverse-topological
-	// pass suffices on the acyclic CFG. A live set is a bitset over the
-	// program's variables in declaration order, one a node, never written
-	// again once it is the node's.
+	// Flow-sensitive backward liveness restricted to the canReach region,
+	// the nodes from which some target is reachable. reach(target)
+	// contains exactly the branch conditions along paths to a target, so
+	// branches in the region generate uses; an assignment contributes
+	// (keep) iff its variable is live-out, i.e. some later condition on a
+	// path to a target reads it. One reverse-topological pass computes
+	// both on the acyclic CFG: a node's successors are final before it. A
+	// live set is a bitset over the program's variables in declaration
+	// order, one a node, never written again once it is the node's.
 	vars := p.VarList()
 	index := make(map[*ir.Var]int, len(vars))
 	for i, v := range vars {
@@ -84,9 +70,11 @@ func wrt(p *ir.Program, targets []*ir.Node) (map[*ir.Node]bool, Stats) {
 		live[w] &^= bit
 		return was
 	}
+	canReach := map[*ir.Node]bool{}
 	topo := p.Topo()
 	for i := len(topo) - 1; i >= 0; i-- {
 		n := topo[i]
+		canReach[n] = target[n] || slices.ContainsFunc(n.Succs, func(s *ir.Node) bool { return canReach[s] })
 		if !canReach[n] {
 			continue
 		}
