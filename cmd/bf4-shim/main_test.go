@@ -63,7 +63,13 @@ func TestTamperedSpecIsRefusedAtLoad(t *testing.T) {
 		"ill-sorted":  forbid("(bvadd |pcn_nat$0.hit| true)"),
 		"not-boolean": forbid("|pcn_nat$0.key1|"),
 		"oversize":    forbid("(= (_ bv1 70000000000) (_ bv1 70000000000))"),
-		"key-width":   func(f *spec.File) { f.Table("ipv4_lpm").Keys[0].Width = 70000000000 },
+		"key-width": func(f *spec.File) {
+			for _, ts := range f.Tables {
+				if ts.Name == "ipv4_lpm" {
+					ts.Keys[0].Width = 70000000000
+				}
+			}
+		},
 	} {
 		data, err := good.Marshal()
 		if err != nil {

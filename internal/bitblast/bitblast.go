@@ -40,9 +40,6 @@ func New(f *smt.Factory, s *sat.Solver) *Context {
 	}
 }
 
-// Fork returns an independent copy of c: CopyFrom into a new context.
-func (c *Context) Fork() *Context { return new(Context).CopyFrom(c) }
-
 // CopyFrom overwrites c with an independent copy of src over a copy of its
 // solver (Solver returns it), reusing c's solver and memo tables where it
 // has them: every memoized literal means in the copy what it means in src,

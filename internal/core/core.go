@@ -227,17 +227,6 @@ func (r *Report) NumReachable() int {
 	return n
 }
 
-// ReachableByKind tallies reachable bugs per class.
-func (r *Report) ReachableByKind() map[ir.BugKind]int {
-	out := map[ir.BugKind]int{}
-	for _, b := range r.Bugs {
-		if b.Reachable {
-			out[b.Kind]++
-		}
-	}
-	return out
-}
-
 // FindBugs checks reachability of every instrumented bug (paper §4.1:
 // SAT(reach(bug)) per bug node, incrementally on one solver).
 func (pl *Pipeline) FindBugs() *Report {

@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"math/big"
 	"slices"
-	"strings"
 
 	"bf4/internal/ir"
 	"bf4/internal/smt"
@@ -133,13 +132,6 @@ func (t *Trace) EgressSpec() int64 {
 		return v.Int64()
 	}
 	return -1
-}
-
-// Summary renders a compact trace description.
-func (t *Trace) Summary() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%d steps -> %s", len(t.Nodes), t.Terminal)
-	return b.String()
 }
 
 // Interp executes the expanded IR.

@@ -104,7 +104,7 @@ func TestSnapshotForwarding(t *testing.T) {
 		t.Fatal(err)
 	}
 	if tr.Bug() {
-		t.Fatalf("unexpected bug: %s", tr.Summary())
+		t.Fatalf("unexpected bug: %d steps -> %s", len(tr.Nodes), tr.Terminal)
 	}
 	if tr.Terminal.Kind != ir.AcceptTerm {
 		t.Fatalf("terminal = %s", tr.Terminal)
@@ -128,7 +128,7 @@ func TestSnapshotMissRunsDefault(t *testing.T) {
 	}
 	// Default drop_: mark_to_drop sets egress_spec to the drop port.
 	if tr.Bug() {
-		t.Fatalf("unexpected bug on miss: %s", tr.Summary())
+		t.Fatalf("unexpected bug on miss: %d steps -> %s", len(tr.Nodes), tr.Terminal)
 	}
 	if got := tr.EgressSpec(); got != ir.DropSpec {
 		t.Fatalf("egress_spec = %d, want drop (%d)", got, ir.DropSpec)
@@ -177,7 +177,7 @@ func TestFaultyRuleTriggersBug(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !tr.Bug() {
-		t.Fatalf("faulty rule did not trigger a bug: %s", tr.Summary())
+		t.Fatalf("faulty rule did not trigger a bug: %d steps -> %s", len(tr.Nodes), tr.Terminal)
 	}
 	if tr.Terminal.Bug != ir.BugInvalidKeyRead {
 		t.Fatalf("bug kind = %s, want invalid-key-read", tr.Terminal.Bug)

@@ -2,7 +2,10 @@ package driver
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
+	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -99,9 +102,9 @@ func TestObservabilityPreservesVerdicts(t *testing.T) {
 			var walk func(*obs.Span)
 			walk = func(sp *obs.Span) {
 				if sp.Name() == "recheck" {
-					c, _ := sp.Metric("candidates")
-					w, ok := sp.Metric("witnessed")
-					r, _ := sp.Metric("reachable")
+					c, _ := spanMetric(sp, "candidates")
+					w, ok := spanMetric(sp, "witnessed")
+					r, _ := spanMetric(sp, "reachable")
 					if !ok || w > r || r > c {
 						t.Errorf("recheck span: %d candidates, %d witnessed (recorded: %v), %d reachable", c, w, ok, r)
 					}
@@ -230,4 +233,87 @@ func TestColdChecksStayCheap(t *testing.T) {
 	if got := reg.CounterValue("bf4_solver_conflicts_total"); got > 1100 {
 		t.Errorf("the run took %d conflicts, want at most 1100 (765 when pinned, 2756 with constant gate phases)", got)
 	}
+}
+
+// spanMetric reads the annotation SetMetric attached to sp under key off
+// sp's rendered line, and whether there is one.
+func spanMetric(sp *obs.Span, key string) (int64, bool) {
+	line, _, _ := strings.Cut(sp.RenderString(), "\n")
+	for _, f := range strings.Fields(line) {
+		if v, ok := strings.CutPrefix(f, key+"="); ok {
+			n, err := strconv.ParseInt(v, 10, 64)
+			return n, err == nil
+		}
+	}
+	return 0, false
+}
+
+// TestMetricsRepeat: three runs of switch@2 at two workers give the same
+// counters, gauges and histograms, timings (names with _ns) aside. A
+// metric that holds whichever worker finished last measures the schedule,
+// not the program, and cannot be compared between runs or commits. The
+// solver pool's own metrics are such measures: whether a worker finds an
+// idle solver, and how large the arrays of the one it finds are, depend on
+// when the other worker hands one back. Only the solvers taken from the
+// pool, found or made, are the program's.
+func TestMetricsRepeat(t *testing.T) {
+	src := progs.GenerateSwitch(2)
+	var first map[string]string
+	for i := 1; i <= 3; i++ {
+		cfg := DefaultConfig()
+		cfg.Workers = 2
+		cfg.Obs = obs.NewRegistry()
+		if _, err := Run("switch@2", src, cfg); err != nil {
+			t.Fatal(err)
+		}
+		got := repeatableMetrics(t, cfg.Obs)
+		if i == 1 {
+			first = got
+			continue
+		}
+		var diffs []string
+		for name, v := range got {
+			if first[name] != v {
+				diffs = append(diffs, fmt.Sprintf("%s: %s in run 1, %s in run %d", name, first[name], v, i))
+			}
+		}
+		for name, v := range first {
+			if _, ok := got[name]; !ok {
+				diffs = append(diffs, fmt.Sprintf("%s: %s in run 1, absent in run %d", name, v, i))
+			}
+		}
+		if len(diffs) > 0 {
+			sort.Strings(diffs)
+			t.Fatalf("metrics differ between runs of one program:\n%s", strings.Join(diffs, "\n"))
+		}
+	}
+}
+
+// repeatableMetrics returns reg's counters, gauges and histograms by name,
+// without the ones whose name contains _ns and with the solver pool's
+// three replaced by the number of solvers taken from it.
+func repeatableMetrics(t *testing.T, reg *obs.Registry) map[string]string {
+	t.Helper()
+	data, err := reg.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		Counters, Gauges, Histograms map[string]json.RawMessage
+	}
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	pool := map[string]bool{"bf4_solver_fresh_total": true, "bf4_solver_recycled_total": true, "bf4_solver_pool_retained_bytes": true}
+	out := map[string]string{
+		"solvers taken from the pool": fmt.Sprint(reg.CounterValue("bf4_solver_fresh_total") + reg.CounterValue("bf4_solver_recycled_total")),
+	}
+	for _, m := range []map[string]json.RawMessage{doc.Counters, doc.Gauges, doc.Histograms} {
+		for name, v := range m {
+			if !strings.Contains(name, "_ns") && !pool[name] {
+				out[name] = string(v)
+			}
+		}
+	}
+	return out
 }

@@ -6,6 +6,7 @@ import (
 	"bf4/internal/core"
 	"bf4/internal/infer"
 	"bf4/internal/progs"
+	"bf4/internal/smt"
 	"bf4/internal/solver"
 )
 
@@ -60,7 +61,7 @@ func TestInferredPredicatesSoundAcrossCorpus(t *testing.T) {
 					}
 				}
 				under := solver.New(f)
-				under.Assert(inf.CombinedPredicate(f))
+				under.Assert(combinedPredicate(f, inf))
 				for _, b := range rep.Bugs {
 					if b.Reachable && inf.Controlled[b.Node] {
 						controlled++
@@ -80,4 +81,13 @@ func TestInferredPredicatesSoundAcrossCorpus(t *testing.T) {
 	if cubes == 0 || controlled == 0 {
 		t.Fatalf("checked %d cubes and %d controlled bugs: the oracle saw nothing", cubes, controlled)
 	}
+}
+
+// combinedPredicate conjoins every assertion's predicate.
+func combinedPredicate(f *smt.Factory, r *infer.Result) *smt.Term {
+	out := f.True()
+	for _, a := range r.Assertions {
+		out = f.And(out, a.Predicate(f))
+	}
+	return out
 }

@@ -42,7 +42,7 @@ func TestUncontrolledWitnessesAreCertificates(t *testing.T) {
 				t.Fatal(err)
 			}
 			certify := func(round string, pl *core.Pipeline, inf *infer.Result, bugs []*core.Bug) {
-				pred := inf.CombinedPredicate(pl.IR.F)
+				pred := combinedPredicate(pl.IR.F, inf)
 				for _, b := range bugs {
 					certified++
 					if b.Model == nil {

@@ -6,7 +6,6 @@ import (
 	"io"
 	"os"
 	"os/exec"
-	"sync"
 )
 
 // Proc supervises a child process for crash-injection tests: a shard
@@ -15,11 +14,8 @@ import (
 // exactly the crash the snapshot+journal recovery path claims to
 // survive.
 type Proc struct {
-	cmd *exec.Cmd
-
-	mu   sync.Mutex
+	cmd  *exec.Cmd
 	done chan struct{}
-	werr error
 }
 
 // StartProc launches name with args. env entries are appended to the
@@ -34,10 +30,7 @@ func StartProc(name string, args, env []string, stdout, stderr io.Writer) (*Proc
 	}
 	p := &Proc{cmd: cmd, done: make(chan struct{})}
 	go func() {
-		err := cmd.Wait()
-		p.mu.Lock()
-		p.werr = err
-		p.mu.Unlock()
+		_ = cmd.Wait() // a killed child's exit status says only that it was killed
 		close(p.done)
 	}()
 	return p, nil
@@ -52,18 +45,6 @@ func (p *Proc) Kill() error {
 		return err
 	}
 	return nil
-}
-
-// Signal sends sig to the child.
-func (p *Proc) Signal(sig os.Signal) error { return p.cmd.Process.Signal(sig) }
-
-// Wait blocks until the child exits and returns its wait error (nil on
-// clean exit).
-func (p *Proc) Wait() error {
-	<-p.done
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.werr
 }
 
 func alreadyFinished(err error) bool {

@@ -58,15 +58,6 @@ type Result struct {
 	InferCalls int
 }
 
-// CombinedPredicate conjoins every assertion's predicate.
-func (r *Result) CombinedPredicate(f *smt.Factory) *smt.Term {
-	out := f.True()
-	for _, a := range r.Assertions {
-		out = f.And(out, a.Predicate(f))
-	}
-	return out
-}
-
 // Options tune the inference pipeline (ablation hooks for the
 // evaluation).
 type Options struct {

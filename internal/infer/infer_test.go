@@ -154,7 +154,7 @@ func TestInferNeverRemovesGoodRuns(t *testing.T) {
 	pl, rep := compileAndFind(t, natSrc)
 	res := Run(pl, rep, DefaultOptions())
 	f := pl.IR.F
-	pred := res.CombinedPredicate(f)
+	pred := combinedPredicate(f, res)
 	ok := f.And(pl.FullReach.OK, f.Not(pl.FullReach.DontCareReach))
 	s := solver.New(f)
 	// OK ∧ ¬φ must be unsatisfiable.
@@ -169,7 +169,7 @@ func TestControlledBugsBecomeUnreachable(t *testing.T) {
 	res := Run(pl, rep, DefaultOptions())
 	f := pl.IR.F
 	s := solver.New(f)
-	s.Assert(res.CombinedPredicate(f))
+	s.Assert(combinedPredicate(f, res))
 	for _, b := range rep.Bugs {
 		if !b.Reachable || !res.Controlled[b.Node] {
 			continue
@@ -358,4 +358,13 @@ func TestFastInferForbiddenInconsistentWithOK(t *testing.T) {
 			}
 		}
 	}
+}
+
+// combinedPredicate conjoins every assertion's predicate.
+func combinedPredicate(f *smt.Factory, r *Result) *smt.Term {
+	out := f.True()
+	for _, a := range r.Assertions {
+		out = f.And(out, a.Predicate(f))
+	}
+	return out
 }

@@ -7,6 +7,7 @@ import (
 
 	"bf4/internal/core"
 	"bf4/internal/ir"
+	"bf4/internal/obs"
 	"bf4/internal/progs"
 )
 
@@ -60,15 +61,15 @@ func TestRecheckWitnessMatchesSolver(t *testing.T) {
 			for _, workers := range []int{1, 2, 4} {
 				// One pipeline, two reports: the terms and nodes of both runs
 				// are the same objects, the bugs and their shards are not.
-				inferOn := func(solveOnly bool) (res *Result, checks int) {
-					rep := pl.FindBugsWith(pl.IR.Bugs, core.FindOptions{Workers: workers})
+				// The report's shards publish to reg, Infer's own solvers
+				// to nothing: the checks counted are the shards'.
+				inferOn := func(solveOnly bool) (res *Result, checks int64) {
+					reg := obs.NewRegistry()
+					rep := pl.FindBugsWith(pl.IR.Bugs, core.FindOptions{Workers: workers, Obs: reg})
 					opts := DefaultOptions()
 					opts.Workers = workers
 					res = run(pl, rep, opts, solveOnly)
-					for _, s := range rep.Shards {
-						checks += s.NumChecks()
-					}
-					return res, checks
+					return res, reg.CounterValue("bf4_solver_checks_total")
 				}
 				witnessed, fewer := inferOn(false)
 				solved, all := inferOn(true)

@@ -23,8 +23,6 @@ package ir
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 
 	"bf4/internal/p4/token"
 	"bf4/internal/smt"
@@ -478,33 +476,4 @@ func (p *Program) Reachable() map[*Node]bool {
 		stack = append(stack, n.Succs...)
 	}
 	return seen
-}
-
-// Dump renders the reachable CFG as text, for debugging and golden tests.
-func (p *Program) Dump() string {
-	var b strings.Builder
-	for _, n := range p.Topo() {
-		b.WriteString(n.String())
-		if len(n.Succs) > 0 {
-			ids := make([]string, len(n.Succs))
-			for i, s := range n.Succs {
-				ids[i] = fmt.Sprintf("n%d", s.ID)
-			}
-			fmt.Fprintf(&b, " -> %s", strings.Join(ids, ", "))
-		}
-		b.WriteString("\n")
-	}
-	return b.String()
-}
-
-// ControlVars returns all control variables (the Γ set), sorted by name.
-func (p *Program) ControlVars() []*Var {
-	var out []*Var
-	for _, v := range p.varOrder {
-		if v.IsControl {
-			out = append(out, v)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
 }

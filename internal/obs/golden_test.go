@@ -11,7 +11,7 @@ func goldenRegistry() *Registry {
 	r := NewRegistry()
 	r.Counter("bf4_solver_checks_total").Add(3)
 	r.Counter("bf4_shim_updates_validated_total").Add(12)
-	r.Gauge("bf4_solver_cnf_vars").Set(240)
+	r.Gauge("bf4_solver_pool_retained_bytes").Set(240)
 	h := r.Histogram("bf4_solver_check_conflicts", CountBuckets)
 	for _, v := range []int64{0, 5, 50, 5_000, 5_000_000} {
 		h.Observe(v)
@@ -32,8 +32,8 @@ func TestPrometheusGolden(t *testing.T) {
 bf4_shim_updates_validated_total 12
 # TYPE bf4_solver_checks_total counter
 bf4_solver_checks_total 3
-# TYPE bf4_solver_cnf_vars gauge
-bf4_solver_cnf_vars 240
+# TYPE bf4_solver_pool_retained_bytes gauge
+bf4_solver_pool_retained_bytes 240
 # TYPE bf4_solver_check_conflicts histogram
 bf4_solver_check_conflicts_bucket{le="1"} 1
 bf4_solver_check_conflicts_bucket{le="10"} 2
@@ -65,7 +65,7 @@ func TestJSONGolden(t *testing.T) {
     "bf4_solver_checks_total": 3
   },
   "gauges": {
-    "bf4_solver_cnf_vars": 240
+    "bf4_solver_pool_retained_bytes": 240
   },
   "histograms": {
     "bf4_solver_check_conflicts": {

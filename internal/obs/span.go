@@ -61,18 +61,6 @@ func (s *Span) End() {
 	s.mu.Unlock()
 }
 
-// SetDuration overrides the span's duration (for phases whose time is
-// accumulated externally, e.g. summed recheck time).
-func (s *Span) SetDuration(d time.Duration) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.ended = true
-	s.dur = d
-	s.mu.Unlock()
-}
-
 // Duration returns the span's duration: the recorded one after End, the
 // running elapsed time before.
 func (s *Span) Duration() time.Duration {
@@ -110,22 +98,6 @@ func (s *Span) SetMetric(key string, v int64) {
 		}
 	}
 	s.metrics = append(s.metrics, spanMetric{key, v})
-}
-
-// Metric returns the annotation SetMetric attached under key, and whether
-// there is one.
-func (s *Span) Metric(key string) (int64, bool) {
-	if s == nil {
-		return 0, false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, m := range s.metrics {
-		if m.key == key {
-			return m.val, true
-		}
-	}
-	return 0, false
 }
 
 // Children returns a snapshot of the span's children in start order.

@@ -56,14 +56,28 @@ func TestPrintExprForms(t *testing.T) {
 	}
 }
 
+// printType renders a type reference.
+func printType(t Type) string {
+	pr := &printer{}
+	pr.typ(t)
+	return pr.b.String()
+}
+
+// printStmt renders a single statement.
+func printStmt(s Stmt) string {
+	pr := &printer{}
+	pr.stmt(s)
+	return strings.TrimRight(pr.b.String(), "\n")
+}
+
 func TestPrintType(t *testing.T) {
-	if got := PrintType(&BitType{Width: 48}); got != "bit<48>" {
+	if got := printType(&BitType{Width: 48}); got != "bit<48>" {
 		t.Errorf("got %q", got)
 	}
-	if got := PrintType(&BoolType{}); got != "bool" {
+	if got := printType(&BoolType{}); got != "bool" {
 		t.Errorf("got %q", got)
 	}
-	if got := PrintType(&StackType{Elem: &NamedType{Name: "vlan_t"}, Size: 2}); got != "vlan_t[2]" {
+	if got := printType(&StackType{Elem: &NamedType{Name: "vlan_t"}, Size: 2}); got != "vlan_t[2]" {
 		t.Errorf("got %q", got)
 	}
 }
@@ -76,10 +90,10 @@ func TestPrintStmt(t *testing.T) {
 		}},
 		Else: &BlockStmt{Stmts: []Stmt{&ExitStmt{}}},
 	}
-	out := PrintStmt(s)
+	out := printStmt(s)
 	for _, want := range []string{"if (c)", "x = 8w1;", "exit;", "} else {"} {
 		if !strings.Contains(out, want) {
-			t.Errorf("PrintStmt lacks %q:\n%s", want, out)
+			t.Errorf("printStmt lacks %q:\n%s", want, out)
 		}
 	}
 }

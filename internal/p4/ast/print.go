@@ -29,20 +29,6 @@ func PrintExpr(e Expr) string {
 	return pr.b.String()
 }
 
-// PrintType renders a type reference.
-func PrintType(t Type) string {
-	pr := &printer{}
-	pr.typ(t)
-	return pr.b.String()
-}
-
-// PrintStmt renders a single statement.
-func PrintStmt(s Stmt) string {
-	pr := &printer{}
-	pr.stmt(s)
-	return strings.TrimRight(pr.b.String(), "\n")
-}
-
 type printer struct {
 	b      strings.Builder
 	indent int

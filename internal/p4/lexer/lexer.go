@@ -295,16 +295,3 @@ func (l *Lexer) number(pos token.Pos, first byte) token.Token {
 	}
 	return token.Token{Kind: token.INT, Lit: l.src[start:l.off], Pos: pos}
 }
-
-// All scans the entire input, returning every token including the final
-// EOF. Mostly a testing convenience.
-func (l *Lexer) All() []token.Token {
-	var out []token.Token
-	for {
-		t := l.Next()
-		out = append(out, t)
-		if t.Kind == token.EOF {
-			return out
-		}
-	}
-}

@@ -6,9 +6,22 @@ import (
 	"bf4/internal/p4/token"
 )
 
+// all scans the entire input, returning every token including the final
+// EOF.
+func all(l *Lexer) []token.Token {
+	var out []token.Token
+	for {
+		t := l.Next()
+		out = append(out, t)
+		if t.Kind == token.EOF {
+			return out
+		}
+	}
+}
+
 func kinds(src string) []token.Kind {
 	var out []token.Kind
-	for _, t := range New(src).All() {
+	for _, t := range all(New(src)) {
 		out = append(out, t.Kind)
 	}
 	return out
@@ -59,7 +72,7 @@ func TestNumbers(t *testing.T) {
 		{"32w0xdead_beef", "32w0xdead_beef"},
 	}
 	for _, c := range cases {
-		toks := New(c.src).All()
+		toks := all(New(c.src))
 		if toks[0].Kind != token.INT || toks[0].Lit != c.lit {
 			t.Errorf("%q: got %v", c.src, toks[0])
 		}
@@ -89,7 +102,7 @@ header h { bit<8> x; }
 }
 
 func TestPositions(t *testing.T) {
-	toks := New("a\n  b").All()
+	toks := all(New("a\n  b"))
 	if toks[0].Pos.Line != 1 || toks[0].Pos.Col != 1 {
 		t.Errorf("a at %v", toks[0].Pos)
 	}
@@ -100,7 +113,7 @@ func TestPositions(t *testing.T) {
 
 func TestUnterminatedComment(t *testing.T) {
 	l := New("/* never closed")
-	l.All()
+	all(l)
 	if len(l.Errors()) == 0 {
 		t.Fatal("expected error for unterminated comment")
 	}
@@ -108,7 +121,7 @@ func TestUnterminatedComment(t *testing.T) {
 
 func TestIllegalChar(t *testing.T) {
 	l := New("$")
-	toks := l.All()
+	toks := all(l)
 	if toks[0].Kind != token.ILLEGAL {
 		t.Fatalf("got %v, want ILLEGAL", toks[0])
 	}
@@ -118,7 +131,7 @@ func TestIllegalChar(t *testing.T) {
 }
 
 func TestKeywordsVsIdents(t *testing.T) {
-	toks := New("tables applying if0 if").All()
+	toks := all(New("tables applying if0 if"))
 	want := []token.Kind{token.IDENT, token.IDENT, token.IDENT, token.KwIf, token.EOF}
 	for i := range want {
 		if toks[i].Kind != want[i] {

@@ -31,16 +31,6 @@ func Parse(src string) (*ast.Program, error) {
 	return prog, nil
 }
 
-// ParseFile is Parse with a filename attached to every diagnostic:
-// errors print file:line:col: message instead of line:col: message.
-func ParseFile(filename, src string) (*ast.Program, error) {
-	prog, err := Parse(src)
-	if err != nil {
-		return prog, PrefixFile(filename, err)
-	}
-	return prog, nil
-}
-
 // PrefixFile prepends filename: to every line of a frontend diagnostic
 // (parser and typechecker errors are one line:col-prefixed message per
 // line). A nil error or empty filename passes through unchanged.
@@ -188,7 +178,9 @@ func (p *parser) accept(k token.Kind) bool {
 
 // progress returns a checkpoint of the current token; stalled reports
 // whether the parser failed to move past it (error-recovery loops use the
-// pair to guarantee forward progress on malformed input).
+// pair to guarantee forward progress on malformed input). The loops whose
+// iterations consume a keyword they have seen or call parseStmt or
+// parseLocalDecl, which always consume their first token, need no guard.
 func (p *parser) progress() token.Token { return p.tok }
 
 func (p *parser) stalled(mark token.Token) bool {
@@ -631,7 +623,8 @@ func (p *parser) parseControl() ast.Decl {
 }
 
 // parseLocalDecl parses control-/parser-local declarations: actions,
-// tables, registers, constants and variables.
+// tables, registers, constants and variables, consuming at least the
+// token it starts on.
 func (p *parser) parseLocalDecl() ast.Decl {
 	switch p.tok.Kind {
 	case token.KwAction:
@@ -840,6 +833,7 @@ func (p *parser) parseStmtOrBlock() *ast.BlockStmt {
 	return &ast.BlockStmt{P: s.Pos(), Stmts: []ast.Stmt{s}}
 }
 
+// parseStmt consumes at least the token it starts on.
 func (p *parser) parseStmt() ast.Stmt {
 	p.enter()
 	defer p.leave()
@@ -944,6 +938,7 @@ func (p *parser) parseSwitch() ast.Stmt {
 	st := &ast.SwitchStmt{P: pos, Table: table}
 	p.expect(token.LBRACE)
 	for p.tok.Kind != token.RBRACE && p.tok.Kind != token.EOF {
+		mark := p.progress()
 		cpos := p.tok.Pos
 		label := ""
 		if p.tok.Kind == token.KwDefault {
@@ -957,6 +952,9 @@ func (p *parser) parseSwitch() ast.Stmt {
 			c.Body = p.parseBlock()
 		}
 		st.Cases = append(st.Cases, c)
+		if p.stalled(mark) {
+			p.advance()
+		}
 	}
 	p.expect(token.RBRACE)
 	return st

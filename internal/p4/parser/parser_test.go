@@ -317,7 +317,8 @@ func shape(e ast.Expr) string {
 	case *ast.BinaryExpr:
 		return "(" + shape(x.X) + " " + x.Op.String() + " " + shape(x.Y) + ")"
 	case *ast.CastExpr:
-		return "((" + ast.PrintType(x.Type) + ")" + shape(x.X) + ")"
+		// A cast of the empty identifier prints as its type in parentheses.
+		return "(" + ast.PrintExpr(&ast.CastExpr{Type: x.Type, X: &ast.Ident{}}) + shape(x.X) + ")"
 	case *ast.TernaryExpr:
 		return "(" + shape(x.Cond) + " ? " + shape(x.Then) + " : " + shape(x.Else) + ")"
 	}

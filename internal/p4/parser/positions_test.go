@@ -47,10 +47,12 @@ func TestParseErrorsCarryLineCol(t *testing.T) {
 	}
 }
 
-// TestParseFilePrefixesFilename: ParseFile diagnostics read
-// file:line:col so editors and CI annotations can jump to them.
+// TestParseFilePrefixesFilename: a file's parse diagnostics, through
+// PrefixFile, read file:line:col so editors and CI annotations can jump
+// to them.
 func TestParseFilePrefixesFilename(t *testing.T) {
-	_, err := ParseFile("broken.p4", "header h_t { bit<8> f }\n")
+	_, err := Parse("header h_t { bit<8> f }\n")
+	err = PrefixFile("broken.p4", err)
 	if err == nil {
 		t.Fatal("expected a parse error")
 	}

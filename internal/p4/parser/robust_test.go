@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"bf4/internal/p4/token"
 )
@@ -111,5 +112,38 @@ func TestDeepNestingBounded(t *testing.T) {
 		if _, err := Parse(program(gen(maxDepth + 1))); err == nil || !tooDeep.MatchString(err.Error()) {
 			t.Errorf("%s at depth %d: got %v, want one positioned nesting error", name, maxDepth+1, err)
 		}
+	}
+}
+
+// TestSwitchCaseWithoutLabelTerminates: a switch whose case is neither an
+// identifier nor default (here a call, the switch having no expression)
+// ends in positioned errors. The case loop once appended a case and two
+// errors per iteration without consuming a token, forever.
+func TestSwitchCaseWithoutLabelTerminates(t *testing.T) {
+	const src = `control C() {
+    apply {
+        switch{x.apply(); }
+    }
+}
+`
+	done := make(chan error, 1)
+	go func() {
+		_, err := Parse(src)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("parsed without error")
+		}
+		for _, line := range strings.Split(err.Error(), "\n") {
+			if !regexp.MustCompile(`^\d+:\d+: `).MatchString(line) {
+				t.Fatalf("error without a position: %q", line)
+			}
+		}
+	case <-time.After(10 * time.Second):
+		// A stalled loop allocates without bound: stop the process, not
+		// just the test.
+		panic("parser: the switch case loop does not terminate")
 	}
 }

@@ -290,7 +290,7 @@ func TestFleetPartitionHealDuringCheckpoint(t *testing.T) {
 		defer close(healed)
 		deadline := time.Now().Add(5 * time.Second)
 		for time.Now().Before(deadline) {
-			if gate.IsCut() && sd.ShadowSize("t") == len(ops) {
+			if gate.IsCut() && shadowSize(sd.Snapshot(), "t") == len(ops) {
 				gate.Heal()
 				return
 			}
@@ -303,7 +303,7 @@ func TestFleetPartitionHealDuringCheckpoint(t *testing.T) {
 	}
 	<-healed
 
-	if got := sd.ShadowSize("t"); got != len(ops) {
+	if got := shadowSize(sd.Snapshot(), "t"); got != len(ops) {
 		t.Fatalf("shadow has %d entries, want %d (retry double-applied or batch lost)", got, len(ops))
 	}
 	if hits := reg.CounterValue("bf4_shim_dedup_hits_total"); hits == 0 {
@@ -325,7 +325,7 @@ func TestFleetPartitionHealDuringCheckpoint(t *testing.T) {
 	if err := sd.ApplyBatchWithKey(key, updates); err != nil {
 		t.Fatalf("replayed key after restore: %v", err)
 	}
-	if got := sd.ShadowSize("t"); got != len(ops) {
+	if got := shadowSize(sd.Snapshot(), "t"); got != len(ops) {
 		t.Fatalf("post-restore retry double-applied: %d entries, want %d", got, len(ops))
 	}
 }

@@ -3,6 +3,7 @@ package p4runtime
 import (
 	"math/big"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -166,7 +167,7 @@ func TestInsertAndPacket(t *testing.T) {
 // table's action 0 and report that action's egress port.
 func TestPacketReportsUnlistedAction(t *testing.T) {
 	prog, file := natProgram(t)
-	nat := file.Table("nat")
+	nat := file.Tables[slices.IndexFunc(file.Tables, func(ts *spec.TableSchema) bool { return ts.Name == "nat" })]
 	nat.Actions = append(nat.Actions, &spec.ActionSchema{Name: "nat_hit_v2", Index: len(nat.Actions)})
 	_, addr := serve(t, file, shim.FleetConfig{}, &Server{Prog: prog})
 	client, err := Dial(addr)

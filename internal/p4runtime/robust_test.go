@@ -235,7 +235,7 @@ func TestNegativeValueRejected(t *testing.T) {
 	if v, _, err := client.Stats(); err != nil || v != 0 {
 		t.Fatalf("after a refused encoding: %d validated, %v", v, err)
 	}
-	if err := client.Insert("t", tWrite("t", 1).Entry); err != nil || sd.ShadowSize("t") != 1 {
+	if err := client.Insert("t", tWrite("t", 1).Entry); err != nil || shadowSize(sd.Snapshot(), "t") != 1 {
 		t.Fatalf("insert after a refused encoding: %v", err)
 	}
 }
@@ -394,14 +394,14 @@ func TestDedupOverWire(t *testing.T) {
 			t.Fatalf("retry %d failed: %+v", i, resp)
 		}
 	}
-	if n := sh.ShadowSize("t"); n != 1 {
+	if n := shadowSize(sh.Snapshot(), "t"); n != 1 {
 		t.Fatalf("retried insert applied %d times", n)
 	}
 	// A different client with the same request ID is a distinct mutation.
 	if resp := conn.roundTrip(t, "c2 insert"); !resp.OK {
 		t.Fatalf("second client rejected: %+v", resp)
 	}
-	if n := sh.ShadowSize("t"); n != 2 {
+	if n := shadowSize(sh.Snapshot(), "t"); n != 2 {
 		t.Fatalf("shadow size = %d, want 2", n)
 	}
 }
@@ -417,13 +417,13 @@ func TestBatchOverWire(t *testing.T) {
 	if resp.FailedIndex == nil || *resp.FailedIndex != 1 {
 		t.Fatalf("FailedIndex = %v, want 1", resp.FailedIndex)
 	}
-	if n := sh.ShadowSize("t"); n != 0 {
+	if n := shadowSize(sh.Snapshot(), "t"); n != 0 {
 		t.Fatalf("rolled-back batch left %d entries", n)
 	}
 	if resp := conn.roundTrip(t, "good batch"); !resp.OK {
 		t.Fatalf("clean batch rejected: %+v", resp)
 	}
-	if n := sh.ShadowSize("t"); n != 1 {
+	if n := shadowSize(sh.Snapshot(), "t"); n != 1 {
 		t.Fatalf("shadow size = %d, want 1", n)
 	}
 }
@@ -450,4 +450,13 @@ func TestShutdownDrains(t *testing.T) {
 		}
 		c2.Close()
 	}
+}
+
+// shadowSize is the number of entries snap holds for table; a down shard's
+// nil snapshot holds none.
+func shadowSize(snap *dataplane.Snapshot, table string) int {
+	if snap == nil {
+		return 0
+	}
+	return len(snap.Entries[table])
 }

@@ -117,7 +117,7 @@ func TestStatsReadsCounters(t *testing.T) {
 	srv := &Server{}
 	sd, _ := serve(t, file, shim.FleetConfig{}, srv)
 	for _, u := range trace.NewGenerator(1, file).Updates(10000) {
-		sd.Apply(u)
+		sd.ApplyWithKey("", u)
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

@@ -79,19 +79,6 @@ type Property struct {
 // Origin renders the declaration site as file:line:col.
 func (p *Property) Origin() string { return p.Pos.String() }
 
-// Describe renders the property header for messages, e.g.
-// "@assert @after(fwd) (x == 1)".
-func (p *Property) Describe() string {
-	var b strings.Builder
-	b.WriteString("@")
-	b.WriteString(p.Kind.String())
-	if p.After != "" {
-		fmt.Fprintf(&b, " @after(%s)", p.After)
-	}
-	fmt.Fprintf(&b, "(%s)", p.Text)
-	return b.String()
-}
-
 // Sort orders properties by declaration site (file, line, col) — the
 // canonical processing order, independent of how the inputs were
 // gathered (source scan vs spec files).

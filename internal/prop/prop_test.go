@@ -47,10 +47,10 @@ func TestParseSpecFile(t *testing.T) {
 		t.Fatalf("got %d properties, want 3", len(props))
 	}
 	if props[0].Kind != Assume || props[0].After != "" {
-		t.Errorf("props[0] = %s, want a plain @assume", props[0].Describe())
+		t.Errorf("props[0] = %+v, want a plain @assume", props[0])
 	}
 	if props[1].Kind != Assert || props[1].After != "fwd_0" {
-		t.Errorf("props[1] = %s, want @assert @after(fwd_0)", props[1].Describe())
+		t.Errorf("props[1] = %+v, want @assert @after(fwd_0)", props[1])
 	}
 	if props[1].Origin() != "x.props:5:3" {
 		t.Errorf("props[1].Origin() = %q, want x.props:5:3 (indented line)", props[1].Origin())
@@ -101,10 +101,10 @@ func TestExtractSource(t *testing.T) {
 		}
 	}
 	if props[0].Kind != Assume || props[0].Pos.Line != 3 {
-		t.Errorf("props[0] = %s at %s, want @assume on line 3", props[0].Describe(), props[0].Origin())
+		t.Errorf("props[0] = %+v at %s, want @assume on line 3", props[0], props[0].Origin())
 	}
 	if props[1].After != "t0" || props[1].Pos.Line != 5 {
-		t.Errorf("props[1] = %s at %s, want @after(t0) on line 5", props[1].Describe(), props[1].Origin())
+		t.Errorf("props[1] = %+v at %s, want @after(t0) on line 5", props[1], props[1].Origin())
 	}
 	// Column points at the '@'.
 	if wantCol := strings.Index("        // @assume", "@") + 1; props[0].Pos.Col != wantCol {

@@ -29,11 +29,11 @@ func crefs(t testing.TB, s *Solver) []int32 {
 // arena and the watch lists together: the arena is clauses back to back
 // with no waste, the problem-clause counter matches them, every reason and
 // every watcher names one of them, and each is watched exactly twice. It
-// holds between calls on a solver that is still Okay (a refuted one may
-// keep an empty clause).
+// holds between calls on a solver not yet refuted (okState; a refuted one
+// may keep an empty clause).
 func checkInvariants(t testing.TB, s *Solver) {
 	t.Helper()
-	if !s.Okay() {
+	if !s.okState {
 		return
 	}
 	if s.decisionLevel() != 0 {
@@ -211,7 +211,7 @@ func TestChronologicalPath(t *testing.T) {
 // analyze, long before it turns a verdict.
 func checkDerivedImplied(t testing.TB, s *Solver, nVars int, cnf [][]Lit) {
 	t.Helper()
-	if !s.Okay() {
+	if !s.okState {
 		return
 	}
 	var derived [][]Lit

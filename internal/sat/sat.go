@@ -81,7 +81,7 @@ const (
 //	size<<sizeShift | learntBit
 //
 // and the literals follow inline. The store holds no pointer: the
-// collector never scans it, Clone copies it in one go, and a clause visit
+// collector never scans it, CopyFrom copies it in one go, and a clause visit
 // in propagate is one dependent load where a slice of clause structs, each
 // with its own literal slice, cost two. It is append-only: nothing deletes
 // a clause, so a cref names one clause for the solver's whole life and the
@@ -344,9 +344,6 @@ func (s *Solver) SetPhase(v Var, phase bool) {
 // Phase returns the saved phase of v: what SetPhase or v's last assignment
 // left (a level-0 fact reads its value; after Sat, every variable its model's).
 func (s *Solver) Phase(v Var) bool { return !s.polarity[v] }
-
-// Clone returns a deep copy of s: CopyFrom into a new solver.
-func (s *Solver) Clone() *Solver { return new(Solver).CopyFrom(s) }
 
 // CopyFrom overwrites s with a deep copy of src — clause database with
 // learnt clauses, watch lists, level-0 trail, activities, saved phases,
@@ -916,11 +913,4 @@ func (s *Solver) ValueLit(l Lit) bool {
 // the assumptions). The returned slice is valid until the next Solve.
 func (s *Solver) FailedAssumptions() []Lit {
 	return s.conflictCs
-}
-
-// Okay reports whether the clause database is still possibly satisfiable
-// (false after a level-0 conflict).
-func (s *Solver) Okay() bool {
-	s.init()
-	return s.okState
 }

@@ -435,14 +435,14 @@ func clonesContinueIdentically(t *testing.T, fresh func() *Solver) {
 	}
 }
 
-// copiers are the ways to a copy of a solver: Clone, and CopyFrom into a
-// solver with a life behind it (dirtySolver) that has more variables and
-// clauses than the original, or fewer.
+// copiers are the ways to a copy of a solver: CopyFrom into a new solver,
+// or into a solver with a life behind it (dirtySolver) that has more
+// variables and clauses than the original, or fewer.
 var copiers = []struct {
 	name string
 	copy func(s *Solver) *Solver
 }{
-	{"clone", (*Solver).Clone},
+	{"clone", func(s *Solver) *Solver { return new(Solver).CopyFrom(s) }},
 	{"into-larger", func(s *Solver) *Solver { return dirtySolver(600).CopyFrom(s) }},
 	{"into-smaller", func(s *Solver) *Solver {
 		// Two variables: a model, a core, then refuted by a unit.

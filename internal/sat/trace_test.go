@@ -114,7 +114,7 @@ func TestSearchTracePinned(t *testing.T) {
 // piece of state a next one could inherit: nVars variables under clauses
 // solved to a model, a failed-assumption core, learnt clauses and bumped
 // activities, saved phases, a level-0 trail that has been propagated
-// (qhead) — and finally a refutation at level 0, which leaves it not Okay.
+// (qhead) — and finally a refutation at level 0, which clears okState.
 func dirtySolver(nVars int) *Solver {
 	s := New()
 	for _, cl := range random3SAT(3, nVars, 3*nVars) {
@@ -133,7 +133,7 @@ func dirtySolver(nVars int) *Solver {
 			}
 		}
 	}
-	if s.Solve() != Unsat || s.Okay() || s.qhead == 0 {
+	if s.Solve() != Unsat || s.okState || s.qhead == 0 {
 		panic("dirtySolver: the pigeons fit")
 	}
 	return s

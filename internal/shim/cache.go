@@ -96,10 +96,3 @@ func (c *AnnotationCache) Get(file *spec.File) (*Compiled, string, error) {
 	c.compiles.Inc()
 	return cp, fp, nil
 }
-
-// Len returns the number of cached programs.
-func (c *AnnotationCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.m)
-}

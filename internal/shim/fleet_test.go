@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"bf4/internal/dataplane"
 	"bf4/internal/obs"
 )
 
@@ -40,11 +41,11 @@ func TestAnnotationCacheVerifyOnce(t *testing.T) {
 		t.Fatalf("cache hits = %d, want %d", got, n-1)
 	}
 	// All shards share one Compiled and one fingerprint.
-	fp := f.Shard("sw0").Fingerprint()
+	fp := f.Shard("sw0").fp
 	for i := 1; i < n; i++ {
 		sd := f.Shard(fmt.Sprintf("sw%d", i))
-		if sd.Fingerprint() != fp {
-			t.Fatalf("shard %d fingerprint %s != %s", i, sd.Fingerprint(), fp)
+		if sd.fp != fp {
+			t.Fatalf("shard %d fingerprint %s != %s", i, sd.fp, fp)
 		}
 		if sd.cp != f.Shard("sw0").cp {
 			t.Fatalf("shard %d does not share the compiled annotation set", i)
@@ -52,13 +53,13 @@ func TestAnnotationCacheVerifyOnce(t *testing.T) {
 	}
 	// Shards validate independently: a rejection on one leaves others
 	// untouched.
-	if err := f.Shard("sw0").Apply(insertT(0, "act")); err == nil {
+	if err := f.Shard("sw0").ApplyWithKey("", insertT(0, "act")); err == nil {
 		t.Fatal("forbidden update accepted")
 	}
-	if err := f.Shard("sw1").Apply(insertT(1, "NoAction")); err != nil {
+	if err := f.Shard("sw1").ApplyWithKey("", insertT(1, "NoAction")); err != nil {
 		t.Fatal(err)
 	}
-	if f.Shard("sw1").ShadowSize("t") != 1 || f.Shard("sw2").ShadowSize("t") != 0 {
+	if shadowSize(f.Shard("sw1").Snapshot(), "t") != 1 || shadowSize(f.Shard("sw2").Snapshot(), "t") != 0 {
 		t.Fatal("shard shadow state not isolated")
 	}
 }
@@ -90,7 +91,7 @@ func TestFleetKillRestorePreservesAckedUpdates(t *testing.T) {
 	if err := f.RestoreNow("sw0"); err != nil {
 		t.Fatal(err)
 	}
-	if got := sd.ShadowSize("t"); got != len(acked) {
+	if got := shadowSize(sd.Snapshot(), "t"); got != len(acked) {
 		t.Fatalf("after restores: %d entries, want %d acked", got, len(acked))
 	}
 	// Retries of every acked key are absorbed by the restored dedup
@@ -100,7 +101,7 @@ func TestFleetKillRestorePreservesAckedUpdates(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := sd.ShadowSize("t"); got != len(acked) {
+	if got := shadowSize(sd.Snapshot(), "t"); got != len(acked) {
 		t.Fatalf("retries double-applied: %d entries, want %d", got, len(acked))
 	}
 	if got := reg.CounterValue("bf4_shim_dedup_hits_total"); got != int64(len(acked)) {
@@ -187,7 +188,7 @@ func TestFleetKillUnderConcurrentLoad(t *testing.T) {
 	}()
 	wg.Wait()
 	<-done
-	if !sd.Healthy() {
+	if sd.State() != ShardHealthy {
 		if err := f.RestoreNow("sw0"); err != nil {
 			t.Fatal(err)
 		}
@@ -201,7 +202,7 @@ func TestFleetKillUnderConcurrentLoad(t *testing.T) {
 	if err := f.RestoreNow("sw0"); err != nil {
 		t.Fatal(err)
 	}
-	if got := sd.ShadowSize("t"); got != workers*perWorker {
+	if got := shadowSize(sd.Snapshot(), "t"); got != workers*perWorker {
 		t.Fatalf("after final restore: %d entries, want %d (acked-update loss or double-apply)",
 			got, workers*perWorker)
 	}
@@ -217,7 +218,7 @@ func TestFleetWedgeDetectionFailsOver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sd.Apply(insertT(1, "NoAction")); err != nil {
+	if err := sd.ApplyWithKey("", insertT(1, "NoAction")); err != nil {
 		t.Fatal(err)
 	}
 	// Wedge the shard: steal its semaphore and backdate the op start, as
@@ -230,17 +231,17 @@ func TestFleetWedgeDetectionFailsOver(t *testing.T) {
 
 	f.superviseOnce()
 
-	if !sd.Healthy() {
+	if sd.State() != ShardHealthy {
 		t.Fatalf("shard not healthy after wedge failover: %s", sd.State())
 	}
 	if sd.fencedSince(gen) == false {
 		t.Fatal("wedge failover did not fence the old incarnation")
 	}
 	// The fresh incarnation serves immediately and kept the acked state.
-	if err := sd.Apply(insertT(2, "NoAction")); err != nil {
+	if err := sd.ApplyWithKey("", insertT(2, "NoAction")); err != nil {
 		t.Fatal(err)
 	}
-	if got := sd.ShadowSize("t"); got != 2 {
+	if got := shadowSize(sd.Snapshot(), "t"); got != 2 {
 		t.Fatalf("shadow size %d after failover, want 2", got)
 	}
 }
@@ -254,7 +255,7 @@ func TestFleetDegradedModes(t *testing.T) {
 			t.Fatal(err)
 		}
 		sd.Kill()
-		err = sd.Apply(insertT(1, "NoAction"))
+		err = sd.ApplyWithKey("", insertT(1, "NoAction"))
 		var sde *ShardDownError
 		if !errors.As(err, &sde) {
 			t.Fatalf("write to down shard: %v, want ShardDownError", err)
@@ -300,19 +301,19 @@ func TestFleetSupervisorRestoresKilledShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sd.Apply(insertT(1, "NoAction")); err != nil {
+	if err := sd.ApplyWithKey("", insertT(1, "NoAction")); err != nil {
 		t.Fatal(err)
 	}
 	f.StartSupervisor()
 	sd.Kill()
 	deadline := time.Now().Add(5 * time.Second)
-	for !sd.Healthy() {
+	for sd.State() != ShardHealthy {
 		if time.Now().After(deadline) {
 			t.Fatal("supervisor did not restore the killed shard")
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	if got := sd.ShadowSize("t"); got != 1 {
+	if got := shadowSize(sd.Snapshot(), "t"); got != 1 {
 		t.Fatalf("restored shadow size %d, want 1", got)
 	}
 }
@@ -326,17 +327,17 @@ func TestFleetPrometheusExposesPerShardMetrics(t *testing.T) {
 		}
 	}
 	sd := f.Shard("sw0")
-	if err := sd.Apply(insertT(1, "NoAction")); err != nil {
+	if err := sd.ApplyWithKey("", insertT(1, "NoAction")); err != nil {
 		t.Fatal(err)
 	}
 	sd.Kill()
-	if err := sd.Apply(insertT(2, "NoAction")); err == nil {
+	if err := sd.ApplyWithKey("", insertT(2, "NoAction")); err == nil {
 		t.Fatal("write to down shard accepted")
 	}
 	if err := f.RestoreNow("sw0"); err != nil {
 		t.Fatal(err)
 	}
-	if err := sd.Apply(insertT(2, "NoAction")); err != nil {
+	if err := sd.ApplyWithKey("", insertT(2, "NoAction")); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -554,7 +555,7 @@ func TestShardJournalLag(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		if err := sd.Apply(insertT(int64(i+1), "NoAction")); err != nil {
+		if err := sd.ApplyWithKey("", insertT(int64(i+1), "NoAction")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -568,4 +569,13 @@ func TestShardJournalLag(t *testing.T) {
 	if got := sd.JournalLag(); got != 0 {
 		t.Fatalf("journal lag after checkpoint %d, want 0", got)
 	}
+}
+
+// shadowSize is the number of entries snap holds for table; a down shard's
+// nil snapshot holds none.
+func shadowSize(snap *dataplane.Snapshot, table string) int {
+	if snap == nil {
+		return 0
+	}
+	return len(snap.Entries[table])
 }

@@ -44,10 +44,6 @@ type Shard struct {
 // ID returns the switch identifier.
 func (sd *Shard) ID() string { return sd.id }
 
-// Fingerprint returns the program fingerprint this shard validates
-// against (the annotation-cache key).
-func (sd *Shard) Fingerprint() string { return sd.fp }
-
 // State returns the shard's lifecycle state.
 func (sd *Shard) State() ShardState {
 	sd.mu.Lock()
@@ -55,16 +51,10 @@ func (sd *Shard) State() ShardState {
 	return sd.state
 }
 
-// Healthy reports whether the shard is serving.
-func (sd *Shard) Healthy() bool { return sd.State() == ShardHealthy }
-
 // Validate checks an update against the shard without applying it.
 func (sd *Shard) Validate(u *Update) error {
 	return sd.do(func(sh *Shim) error { return sh.Validate(u) })
 }
-
-// Apply validates and applies one update (no idempotency key).
-func (sd *Shard) Apply(u *Update) error { return sd.ApplyWithKey("", u) }
 
 // ApplyWithKey validates and applies one update with an idempotency
 // key. A write to a down shard fails fast with a ShardDownError.
@@ -83,14 +73,6 @@ func (sd *Shard) Counters() Stats {
 		return sh.Counters()
 	}
 	return Stats{}
-}
-
-// ShadowSize returns the shadow entry count for a table (0 when down).
-func (sd *Shard) ShadowSize(table string) int {
-	if sh := sd.currentShim(); sh != nil {
-		return sh.ShadowSize(table)
-	}
-	return 0
 }
 
 // Snapshot materializes the shard's shadow state (nil when down).

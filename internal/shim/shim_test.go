@@ -3,6 +3,7 @@ package shim
 import (
 	"math/big"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"bf4/internal/dataplane"
@@ -302,7 +303,7 @@ func TestSpecRenderAndParse(t *testing.T) {
 	if len(r) == 0 || res == nil {
 		t.Fatal("empty render")
 	}
-	if file.Table("nat") == nil {
+	if !slices.ContainsFunc(file.Tables, func(ts *spec.TableSchema) bool { return ts.Name == "nat" }) {
 		t.Fatal("nat schema missing")
 	}
 	if got := len(file.AssertionsFor("nat")); got == 0 {

@@ -89,9 +89,6 @@ type Program struct {
 // NumRegs returns the register-file size Eval requires.
 func (p *Program) NumRegs() int { return p.nRegs }
 
-// Len returns the instruction count (diagnostics).
-func (p *Program) Len() int { return len(p.code) }
-
 // Eval runs the program over regs (len >= NumRegs). Slot registers must
 // already hold the current update's normalized values; temp registers
 // need no initialization. Returns the boolean result.

@@ -315,8 +315,8 @@ func TestLowerSharedDAGOnce(t *testing.T) {
 	}
 	// add, const10, ult, const3, eq, not, and = 7; a tree-expanded
 	// lowering would emit the add twice.
-	if prog.Len() > 7 {
-		t.Fatalf("shared DAG lowered to %d instructions, want <= 7", prog.Len())
+	if n := smt.ProgramLen(prog); n > 7 {
+		t.Fatalf("shared DAG lowered to %d instructions, want <= 7", n)
 	}
 	env := smt.Env{"x": big.NewInt(4), "y": big.NewInt(5)}
 	mustAgree(t, term, env)

@@ -105,9 +105,6 @@ type Term struct {
 	idx  [2]int   // integer indices (see Indices): extract hi lo, zero_extend/sign_extend k
 }
 
-// ID returns a factory-unique identifier, usable as a map key.
-func (t *Term) ID() uint32 { return t.id }
-
 // Op returns the term's constructor.
 func (t *Term) Op() Op { return t.op }
 
@@ -161,11 +158,12 @@ func (t *Term) Vars(dst []*Term) []*Term {
 	return t.VarsSeen(dst, seen)
 }
 
-// VarsSeen is Vars with a caller-owned seen-set keyed by Term.ID(). Every
-// visited node is recorded in seen, so repeated calls over terms sharing
-// DAG structure walk each distinct node exactly once in total — without
-// it, N asserts over one shared formula walk the DAG N times (a quadratic
-// blowup on wide conditions; see BenchmarkVarsAccumulate).
+// VarsSeen is Vars with a caller-owned seen-set keyed by the terms'
+// factory-unique ids. Every visited node is recorded in seen, so repeated
+// calls over terms sharing DAG structure walk each distinct node exactly
+// once in total — without it, N asserts over one shared formula walk the
+// DAG N times (a quadratic blowup on wide conditions; see
+// BenchmarkVarsAccumulate).
 func (t *Term) VarsSeen(dst []*Term, seen map[uint32]bool) []*Term {
 	var walk func(*Term)
 	walk = func(u *Term) {
@@ -200,26 +198,6 @@ func (t *Term) Size() int {
 	}
 	walk(t)
 	return len(seen)
-}
-
-// TreeSize returns the size of t expanded as a tree, capped at limit
-// (returns limit if exceeded). Used to measure the benefit of DAG sharing.
-func (t *Term) TreeSize(limit int) int {
-	var walk func(*Term, int) int
-	walk = func(u *Term, budget int) int {
-		if budget <= 0 {
-			return 0
-		}
-		n := 1
-		for _, a := range u.args {
-			n += walk(a, budget-n)
-			if n >= budget {
-				return budget
-			}
-		}
-		return n
-	}
-	return walk(t, limit)
 }
 
 // Factory creates and hash-conses terms. The zero value is not usable;

@@ -237,8 +237,8 @@ func TestVarsAndSize(t *testing.T) {
 	if got := expr.Size(); got != 4 {
 		t.Fatalf("Size = %d, want 4", got)
 	}
-	if got := expr.TreeSize(100); got != 7 {
-		t.Fatalf("TreeSize = %d, want 7", got)
+	if got := treeSize(expr, 100); got != 7 {
+		t.Fatalf("treeSize = %d, want 7", got)
 	}
 }
 
@@ -256,9 +256,29 @@ func TestDAGSharingAblation(t *testing.T) {
 		t.Fatalf("DAG size %d; sharing is broken", n)
 	}
 	const cap = 1 << 20
-	if n := x.TreeSize(cap); n < cap {
+	if n := treeSize(x, cap); n < cap {
 		t.Fatalf("tree size %d unexpectedly small", n)
 	}
+}
+
+// treeSize returns the size of t expanded as a tree, capped at limit
+// (returns limit if exceeded): what DAG sharing saves.
+func treeSize(t *Term, limit int) int {
+	var walk func(*Term, int) int
+	walk = func(u *Term, budget int) int {
+		if budget <= 0 {
+			return 0
+		}
+		n := 1
+		for _, a := range u.args {
+			n += walk(a, budget-n)
+			if n >= budget {
+				return budget
+			}
+		}
+		return n
+	}
+	return walk(t, limit)
 }
 
 // refNode is an independently evaluated expression tree used as an oracle

@@ -24,7 +24,7 @@ func TestForkIsolation(t *testing.T) {
 		t.Fatalf("base: got %v, want Sat", res)
 	}
 	vars, clauses, _, _ := base.Stats()
-	checks := base.NumChecks()
+	checks := base.checks
 
 	want := make([]Result, len(conds))
 	for i, c := range conds {
@@ -43,7 +43,7 @@ func TestForkIsolation(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			s := base.Fork()
+			s := new(Solver).CopyFrom(base)
 			s.Assert(conds[i])
 			got[i] = s.Check()
 			if got[i] == Sat {
@@ -70,9 +70,9 @@ func TestForkIsolation(t *testing.T) {
 			}
 		}
 	}
-	if v, c, _, _ := base.Stats(); v != vars || c != clauses || base.NumChecks() != checks {
+	if v, c, _, _ := base.Stats(); v != vars || c != clauses || base.checks != checks {
 		t.Fatalf("base changed under its forks: %d vars %d clauses %d checks, was %d %d %d",
-			v, c, base.NumChecks(), vars, clauses, checks)
+			v, c, base.checks, vars, clauses, checks)
 	}
 	// conds[0] (x > 150) contradicts the base; had it leaked, this is Unsat.
 	if res := base.Check(); res != Sat {

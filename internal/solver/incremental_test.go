@@ -122,7 +122,7 @@ func TestRecheckBlastsNothing(t *testing.T) {
 	vars, clauses, _, _ := s.Stats()
 	for i, c := range conds {
 		s.Check(c)
-		if st := s.LastCheckStats(); st.NewVars != 0 || st.NewClauses != 0 {
+		if st := s.lastCheck; st.NewVars != 0 || st.NewClauses != 0 {
 			t.Fatalf("recheck %d grew the CNF by %d variables and %d clauses", i, st.NewVars, st.NewClauses)
 		}
 	}

@@ -11,13 +11,13 @@ import (
 // so that whoever needs a solver again — an Infer fan-out its forks, one
 // pair an instance; a run its next round's shards and bases — overwrites
 // one it already paid for instead of allocating another. A solver from the
-// pool is indistinguishable from New's or Fork's: Reset and CopyFrom leave
+// pool is indistinguishable from a new one's: Reset and CopyFrom leave
 // nothing of its earlier life. A pool lives as long as the need for its
 // solvers (one fan-out, one run; never the process) and is safe for its
 // owner's goroutines; a nil *Pool allocates every solver and keeps none.
 //
 // Ownership: Put hands a solver over for good. The caller must hold the
-// only reference and must not touch it again — the next New or Fork, on
+// only reference and must not touch it again — the pool's next New or Fork, on
 // any goroutine, writes over it.
 type Pool struct {
 	mu   sync.Mutex
@@ -67,7 +67,8 @@ func (p *Pool) New(f *smt.Factory) *Solver {
 	return New(f)
 }
 
-// Fork returns an independent copy of base, as base.Fork does.
+// Fork returns an independent copy of base, as new(Solver).CopyFrom(base)
+// does.
 func (p *Pool) Fork(base *Solver) *Solver {
 	s := p.take()
 	if s == nil {

@@ -22,7 +22,7 @@ func poolSession(t *testing.T, p *Pool, f *smt.Factory) string {
 		base.Assert(b)
 	}
 	out := make([]string, len(conds)+1)
-	out[0] = fmt.Sprintf("base: %v %+v", base.Check(), base.LastCheckStats().Search)
+	out[0] = fmt.Sprintf("base: %v %+v", base.Check(), base.lastCheck.Search)
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, 2)
 	for i, c := range conds {
@@ -35,7 +35,7 @@ func poolSession(t *testing.T, p *Pool, f *smt.Factory) string {
 			defer p.Put(s)
 			s.Assert(c)
 			res := s.Check()
-			out[i+1] = fmt.Sprintf("fork %d: %v %+v", i, res, s.LastCheckStats().Search)
+			out[i+1] = fmt.Sprintf("fork %d: %v %+v", i, res, s.lastCheck.Search)
 			if res == Sat {
 				out[i+1] += fmt.Sprint(" ", s.Model())
 			}
@@ -47,7 +47,7 @@ func poolSession(t *testing.T, p *Pool, f *smt.Factory) string {
 }
 
 // TestPoolRecyclesLikeFresh: solvers from a pool — idle ones with a life on
-// another factory's terms behind them, a registry and a tag included — answer, model and search exactly as New's and Fork's do, and
+// another factory's terms behind them, a registry and a tag included — answer, model and search exactly as New's and CopyFrom's do, and
 // the pool says what it allocated, recycled and holds. Run under -race:
 // forks are taken and put back from two goroutines.
 func TestPoolRecyclesLikeFresh(t *testing.T) {
@@ -108,7 +108,7 @@ func TestPoolRecyclesLikeFresh(t *testing.T) {
 	}
 }
 
-// TestNilPoolAllocates: the nil pool is solver.New and Fork, and Put on it
+// TestNilPoolAllocates: the nil pool is solver.New and CopyFrom, and Put on it
 // keeps nothing.
 func TestNilPoolAllocates(t *testing.T) {
 	var p *Pool

@@ -15,7 +15,6 @@ package solver
 
 import (
 	"maps"
-	"math/big"
 	"time"
 
 	"bf4/internal/bitblast"
@@ -29,9 +28,8 @@ type Result = sat.Result
 
 // Re-exported results for call-site readability.
 const (
-	Sat     = sat.Sat
-	Unsat   = sat.Unsat
-	Unknown = sat.Unknown
+	Sat   = sat.Sat
+	Unsat = sat.Unsat
 )
 
 // Solver is an incremental QF_BV solver. Create with New; not safe for
@@ -43,16 +41,16 @@ type Solver struct {
 	vars map[*smt.Term]bool // variables seen so far, for model extraction
 
 	// varSeen records every DAG node registerVars has walked (keyed by
-	// Term.ID()), so repeated asserts over shared structure cost one walk
-	// of each distinct node in total instead of re-walking the whole DAG
-	// per call.
+	// the term's factory-unique id), so repeated asserts over shared
+	// structure cost one walk of each distinct node in total instead of
+	// re-walking the whole DAG per call.
 	varSeen map[uint32]bool
 
 	lastCore []*smt.Term
 	checks   int
 
 	// lastCheck is the per-query statistics delta of the most recent
-	// Check call (see LastCheckStats).
+	// Check call.
 	lastCheck CheckStats
 
 	// hooks holds retained metric handles when SetObs installed a
@@ -92,7 +90,6 @@ type obsHooks struct {
 	learned, blastNs, searchNs, cancelled        *obs.Counter
 	firstChecks, firstConflicts                  *obs.Counter
 	checkConflicts, checkNs                      *obs.Histogram
-	cnfVars, cnfClauses                          *obs.Gauge
 }
 
 // SetObs installs a metrics registry: every subsequent Check records its
@@ -125,8 +122,6 @@ func (s *Solver) SetObs(reg *obs.Registry) {
 		searchNs:       reg.Counter("bf4_solver_search_ns_total"),
 		checkConflicts: reg.Histogram("bf4_solver_check_conflicts", obs.CountBuckets),
 		checkNs:        reg.Histogram("bf4_solver_check_ns", obs.DurationBuckets),
-		cnfVars:        reg.Gauge("bf4_solver_cnf_vars"),
-		cnfClauses:     reg.Gauge("bf4_solver_cnf_clauses"),
 	}
 }
 
@@ -158,9 +153,6 @@ func (s *Solver) Reset(f *smt.Factory) *Solver {
 	}
 	return s
 }
-
-// Fork returns an independent copy of s: CopyFrom into a new solver.
-func (s *Solver) Fork() *Solver { return new(Solver).CopyFrom(s) }
 
 // CopyFrom overwrites s with an independent copy of src and returns s: the
 // same assertions and registered variables over a deep copy
@@ -196,10 +188,6 @@ func (s *Solver) CopyFrom(src *Solver) *Solver {
 func (s *Solver) Tag(phase, name string, node int) {
 	s.tag = obs.CheckRecord{Phase: phase, Solver: name, Node: node}
 }
-
-// NumChecks returns the number of Check calls made, a useful statistic for
-// the evaluation harness.
-func (s *Solver) NumChecks() int { return s.checks }
 
 func (s *Solver) registerVars(t *smt.Term) {
 	for _, v := range t.VarsSeen(nil, s.varSeen) {
@@ -296,8 +284,6 @@ func (s *Solver) recordCheck() {
 	h.searchNs.Add(s.lastCheck.SearchTime.Nanoseconds())
 	h.checkConflicts.Observe(d.Conflicts)
 	h.checkNs.Observe(s.lastCheck.BlastTime.Nanoseconds() + s.lastCheck.SearchTime.Nanoseconds())
-	h.cnfVars.Set(int64(s.sat.NumVars()))
-	h.cnfClauses.Set(int64(s.sat.NumClauses()))
 	rec := s.tag
 	// A cold start: the first check of this solver and of every solver it
 	// was copied from (a fork carries its source's count).
@@ -312,11 +298,6 @@ func (s *Solver) recordCheck() {
 	rec.Ns = s.lastCheck.BlastTime.Nanoseconds() + s.lastCheck.SearchTime.Nanoseconds()
 	h.reg.RecordCheck(rec)
 }
-
-// LastCheckStats returns the per-query statistics of the most recent
-// Check call: snapshot deltas, never cumulative totals, so two sequential
-// checks on one solver report independent work.
-func (s *Solver) LastCheckStats() CheckStats { return s.lastCheck }
 
 // UnsatCore returns, after an Unsat Check, a subset of the assumption
 // terms sufficient for unsatisfiability. The slice is valid until the next
@@ -349,16 +330,6 @@ func (s *Solver) ModelOf(terms ...*smt.Term) smt.Env {
 		}
 	}
 	return env
-}
-
-// Value evaluates t under the current model.
-func (s *Solver) Value(t *smt.Term) *big.Int {
-	return smt.Eval(t, s.ModelOf(t))
-}
-
-// ValueBool evaluates boolean t under the current model.
-func (s *Solver) ValueBool(t *smt.Term) bool {
-	return smt.EvalBool(t, s.ModelOf(t))
 }
 
 // Stats reports SAT-level statistics.

@@ -21,8 +21,8 @@ func TestAssertCheckModel(t *testing.T) {
 	if (av+bv)%256 != 10 || av >= bv {
 		t.Fatalf("model a=%d b=%d violates constraints", av, bv)
 	}
-	if !s.ValueBool(f.Ult(a, b)) {
-		t.Fatalf("ValueBool inconsistent with model")
+	if !smt.EvalBool(f.Ult(a, b), s.ModelOf(f.Ult(a, b))) {
+		t.Fatalf("model does not satisfy a < b")
 	}
 }
 
@@ -216,8 +216,8 @@ func TestStatsAndChecks(t *testing.T) {
 	s.Assert(f.Ult(x, f.BVConst64(100, 8)))
 	s.Check()
 	s.Check(f.Ugt(x, f.BVConst64(50, 8)))
-	if s.NumChecks() != 2 {
-		t.Fatalf("NumChecks = %d, want 2", s.NumChecks())
+	if s.checks != 2 {
+		t.Fatalf("checks = %d, want 2", s.checks)
 	}
 	vars, clauses, _, props := s.Stats()
 	if vars == 0 || clauses == 0 {

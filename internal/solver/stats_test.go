@@ -43,7 +43,7 @@ func TestCheckStatsAreDeltas(t *testing.T) {
 	if res := s.Check(pigeon...); res != Unsat {
 		t.Fatalf("first check = %v, want unsat", res)
 	}
-	first := s.LastCheckStats()
+	first := s.lastCheck
 	if first.Result != Unsat {
 		t.Fatalf("first stats result = %v", first.Result)
 	}
@@ -61,7 +61,7 @@ func TestCheckStatsAreDeltas(t *testing.T) {
 	if res := s.Check(cond); res != Sat {
 		t.Fatalf("second check = %v, want sat", res)
 	}
-	second := s.LastCheckStats()
+	second := s.lastCheck
 	if second.Result != Sat {
 		t.Fatalf("second stats result = %v", second.Result)
 	}
@@ -96,7 +96,7 @@ func TestCheckStatsSumToCumulative(t *testing.T) {
 
 	var sumConflicts, sumProps int64
 	add := func() {
-		d := s.LastCheckStats().Search
+		d := s.lastCheck.Search
 		sumConflicts += d.Conflicts
 		sumProps += d.Propagations
 	}
@@ -151,8 +151,10 @@ func TestSolverObsRecording(t *testing.T) {
 	if h.Count() != 2 {
 		t.Fatalf("conflict histogram count = %d, want 2", h.Count())
 	}
-	if reg.GaugeValue("bf4_solver_cnf_vars") == 0 {
-		t.Fatal("cnf vars gauge empty")
+	// The CNF size travels with each check's record, not in a gauge
+	// that whichever solver checked last would overwrite.
+	if cs := reg.SlowestChecks(); len(cs) == 0 || cs[0].CNFVars == 0 || cs[0].CNFClauses == 0 {
+		t.Fatalf("slowest checks carry no CNF size: %+v", cs)
 	}
 }
 
@@ -167,18 +169,18 @@ func TestFirstCheckIsMarked(t *testing.T) {
 	s.SetObs(reg)
 	pigeon := distinct(f, s, "a", 5)
 
-	cold := s.Fork()
+	cold := new(Solver).CopyFrom(s)
 	cold.Tag("test", "fork of an unchecked solver", -1)
 	s.Tag("test", "fresh", -1)
 	s.Check(pigeon...)
-	firstConflicts := s.LastCheckStats().Search.Conflicts
+	firstConflicts := s.lastCheck.Search.Conflicts
 	s.Tag("test", "second", -1)
 	s.Check()
-	warm := s.Fork()
+	warm := new(Solver).CopyFrom(s)
 	warm.Tag("test", "fork of a checked solver", -1)
 	warm.Check()
 	cold.Check()
-	firstConflicts += cold.LastCheckStats().Search.Conflicts
+	firstConflicts += cold.lastCheck.Search.Conflicts
 	s.Reset(f).SetObs(reg)
 	s.Tag("test", "reset", -1)
 	s.Check()

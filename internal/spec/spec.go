@@ -234,16 +234,6 @@ func Parse(data []byte) (*File, error) {
 	return f, nil
 }
 
-// Table returns the schema for a table name, or nil.
-func (f *File) Table(name string) *TableSchema {
-	for _, t := range f.Tables {
-		if t.Name == name {
-			return t
-		}
-	}
-	return nil
-}
-
 // AssertionsFor returns the assertions that mention a table (as primary
 // or linked), pre-clustered the way the shim needs them (paper §4.4 step
 // a: constant-time dispatch by table id).

@@ -53,7 +53,12 @@ func buildFile(t *testing.T) *File {
 
 func TestBuildSchema(t *testing.T) {
 	f := buildFile(t)
-	ts := f.Table("nat")
+	var ts *TableSchema
+	for _, s := range f.Tables {
+		if s.Name == "nat" {
+			ts = s
+		}
+	}
 	if ts == nil {
 		t.Fatal("nat schema missing")
 	}

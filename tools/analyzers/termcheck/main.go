@@ -1,10 +1,10 @@
 // Command termcheck is a repository self-check analyzer enforcing the
 // smt.Term usage contract in our own Go code. Terms are hash-consed:
 // every structurally equal term is one pointer, which is exactly what
-// makes pointer comparison, map keys, and the Term.ID() memo tables
-// sound. The contract breaks if code builds a Term outside the factory
-// or compares against a freshly-built struct, so three misuses are
-// flagged:
+// makes pointer comparison, map keys, and the memo tables keyed by a
+// term's factory-unique id sound. The contract breaks if code builds a
+// Term outside the factory or compares against a freshly-built struct,
+// so three misuses are flagged:
 //
 //   - a `Term{...}` / `&Term{...}` / `smt.Term{...}` composite literal
 //     anywhere outside internal/smt itself — terms must come from
@@ -26,7 +26,7 @@
 // flagging wg.Add(1) or big.Int.Not would drown the signal in false
 // positives.
 //
-// Like solvercheck it is stdlib-only (go/ast + go/parser) and runs in CI
+// It is stdlib-only (go/ast + go/parser) and runs in CI
 // as `go run ./tools/analyzers/termcheck .`.
 package main
 
@@ -111,16 +111,6 @@ func checkDir(root string) ([]finding, error) {
 		return nil
 	})
 	return findings, err
-}
-
-// checkSrc analyzes a single source text (test helper).
-func checkSrc(src string) ([]finding, error) {
-	fset := token.NewFileSet()
-	file, err := parser.ParseFile(fset, "src.go", src, 0)
-	if err != nil {
-		return nil, err
-	}
-	return checkFile(fset, file), nil
 }
 
 func checkFile(fset *token.FileSet, file *ast.File) []finding {

@@ -1,9 +1,21 @@
 package main
 
 import (
+	"go/parser"
+	"go/token"
 	"strings"
 	"testing"
 )
+
+// checkSrc analyzes a single source text.
+func checkSrc(src string) ([]finding, error) {
+	fset := token.NewFileSet()
+	file, err := parser.ParseFile(fset, "src.go", src, 0)
+	if err != nil {
+		return nil, err
+	}
+	return checkFile(fset, file), nil
+}
 
 func mustFindings(t *testing.T, src string) []finding {
 	t.Helper()
