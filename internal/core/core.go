@@ -263,17 +263,16 @@ type FindOptions struct {
 // FindBugsWith decides the bug nodes it is given — every bug for
 // driver.Run, the assert nodes for driver.Props, the label analysis's
 // alarms for driver.Taint — and is the one decision loop of them all. A
-// node outside the CFG or without a reachability condition gets no Bug
-// record; one whose condition the factory folded to false is recorded
-// unreachable without a query. The checks of the slice run on up to
-// opts.Workers persistent solvers, which the report hands on to Infer.
+// node outside the CFG has no reachability condition (wp.Compute gives one
+// to exactly the nodes Start reaches) and gets no Bug record; one whose
+// condition the factory folded to false is recorded unreachable without a
+// query. The checks of the slice run on up to opts.Workers persistent
+// solvers, which the report hands on to Infer.
 func (pl *Pipeline) FindBugsWith(nodes []*ir.Node, opts FindOptions) *Report {
 	start := time.Now()
 	sp, done := obs.StartPhase(opts.Obs, opts.Trace, "findbugs")
 	defer done()
 	rep := &Report{Pipeline: pl}
-	reachable := pl.IR.Reachable()
-
 	bugs := append([]*ir.Node(nil), nodes...)
 	sort.Slice(bugs, func(i, j int) bool { return bugs[i].ID < bugs[j].ID })
 	// queue holds the nodes that need the solver, queued their bugs.
@@ -281,7 +280,7 @@ func (pl *Pipeline) FindBugsWith(nodes []*ir.Node, opts FindOptions) *Report {
 	var queued []*Bug
 	for _, bn := range bugs {
 		cond := pl.Reach.Cond[bn]
-		if !reachable[bn] || cond == nil {
+		if cond == nil {
 			continue
 		}
 		b := &Bug{Node: bn, Kind: bn.Bug, Cond: cond}

@@ -180,21 +180,13 @@ func (f *fact) clone() *fact {
 }
 
 // join is the lattice meet (pairwise union, paper §4.3).
-func (f *fact) join(o *fact) bool {
-	changed := false
+func (f *fact) join(o *fact) {
 	for v := range o.vars {
-		if !f.vars[v] {
-			f.vars[v] = true
-			changed = true
-		}
+		f.vars[v] = true
 	}
 	for v := range o.terms {
-		if !f.terms[v] {
-			f.terms[v] = true
-			changed = true
-		}
+		f.terms[v] = true
 	}
-	return changed
 }
 
 // TableKeys runs the paper's TableKeys dataflow: the returned key paths,

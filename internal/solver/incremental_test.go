@@ -121,9 +121,10 @@ func TestRecheckBlastsNothing(t *testing.T) {
 	}
 	vars, clauses, _, _ := s.Stats()
 	for i, c := range conds {
+		v0, c0 := s.sat.NumVars(), s.sat.NumClauses()
 		s.Check(c)
-		if st := s.lastCheck; st.NewVars != 0 || st.NewClauses != 0 {
-			t.Fatalf("recheck %d grew the CNF by %d variables and %d clauses", i, st.NewVars, st.NewClauses)
+		if dv, dc := s.sat.NumVars()-v0, s.sat.NumClauses()-c0; dv != 0 || dc != 0 {
+			t.Fatalf("recheck %d grew the CNF by %d variables and %d clauses", i, dv, dc)
 		}
 	}
 	if v, c, _, _ := s.Stats(); v != vars || c != clauses {

@@ -73,9 +73,6 @@ type CheckStats struct {
 	Result Result
 	// Search holds the SAT search-statistic deltas for this check.
 	Search sat.Stats
-	// NewVars and NewClauses count CNF growth during this check
-	// (assumption blasting; the incremental circuit persists).
-	NewVars, NewClauses int
 	// BlastTime covers bit-blasting of the assumptions (asserted formulas
 	// are lowered, and timed, in Assert); SearchTime covers the CDCL search
 	// itself.
@@ -85,7 +82,7 @@ type CheckStats struct {
 // obsHooks are the solver's retained metric handles (nil when disabled).
 type obsHooks struct {
 	reg                                          *obs.Registry
-	checks, sat, unsat, unknown                  *obs.Counter
+	checks, sat, unsat                           *obs.Counter
 	conflicts, propagations, decisions, restarts *obs.Counter
 	learned, blastNs, searchNs, cancelled        *obs.Counter
 	firstChecks, firstConflicts                  *obs.Counter
@@ -109,7 +106,6 @@ func (s *Solver) SetObs(reg *obs.Registry) {
 		checks:         reg.Counter("bf4_solver_checks_total"),
 		sat:            reg.Counter("bf4_solver_sat_total"),
 		unsat:          reg.Counter("bf4_solver_unsat_total"),
-		unknown:        reg.Counter("bf4_solver_unknown_total"),
 		conflicts:      reg.Counter("bf4_solver_conflicts_total"),
 		propagations:   reg.Counter("bf4_solver_propagations_total"),
 		decisions:      reg.Counter("bf4_solver_decisions_total"),
@@ -221,7 +217,6 @@ func (s *Solver) Check(assumptions ...*smt.Term) Result {
 	s.checks++
 	start := time.Now()
 	preStats := s.sat.StatsSnapshot()
-	preVars, preClauses := s.sat.NumVars(), s.sat.NumClauses()
 	lits := make([]sat.Lit, 0, len(assumptions))
 	byLit := make(map[sat.Lit]*smt.Term, len(assumptions))
 	for _, a := range assumptions {
@@ -251,8 +246,6 @@ func (s *Solver) Check(assumptions ...*smt.Term) Result {
 	s.lastCheck = CheckStats{
 		Result:     res,
 		Search:     s.sat.StatsSnapshot().Sub(preStats),
-		NewVars:    s.sat.NumVars() - preVars,
-		NewClauses: s.sat.NumClauses() - preClauses,
 		BlastTime:  blastDone.Sub(start),
 		SearchTime: time.Since(blastDone),
 	}
@@ -265,13 +258,10 @@ func (s *Solver) Check(assumptions ...*smt.Term) Result {
 func (s *Solver) recordCheck() {
 	h := &s.hooks
 	h.checks.Inc()
-	switch s.lastCheck.Result {
-	case Sat:
+	if s.lastCheck.Result == Sat {
 		h.sat.Inc()
-	case Unsat:
+	} else {
 		h.unsat.Inc()
-	default:
-		h.unknown.Inc()
 	}
 	d := s.lastCheck.Search
 	h.conflicts.Add(d.Conflicts)
