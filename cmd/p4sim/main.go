@@ -64,7 +64,7 @@ func main() {
 		fatalf("need -corpus or -program")
 	}
 
-	pl, err := core.Compile(src, ir.DefaultOptions(), true)
+	pl, err := core.Compile(src, ir.DefaultOptions())
 	if err != nil {
 		fatalf("compile: %v", err)
 	}

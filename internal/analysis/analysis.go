@@ -30,7 +30,10 @@ type Result struct {
 // concrete execution and its weakest-precondition query is unsatisfiable;
 // discharging it cannot change any verdict.
 func Discharge(p *ir.Program) *Result {
-	reach := p.Reachable()
+	reach := make(map[*ir.Node]bool, len(p.Nodes))
+	for _, n := range p.Topo() {
+		reach[n] = true
+	}
 	res := &Result{Skip: dischargeSet(p, reach, SolveForward(p, NewConstProp(p)))}
 	for _, bn := range p.Bugs {
 		if reach[bn] {

@@ -20,7 +20,6 @@ type liveSet map[string]bool
 // only writes to `meta.*` locals and control-block temporaries can be
 // proven dead at exit.
 type liveness struct {
-	p        *ir.Program
 	boundary liveSet
 }
 
@@ -32,7 +31,7 @@ func NewLiveness(p *ir.Program) Analysis {
 			b[name] = true
 		}
 	}
-	return &liveness{p: p, boundary: b}
+	return &liveness{boundary: b}
 }
 
 func (l *liveness) Boundary() Fact { return l.boundary }

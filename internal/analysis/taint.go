@@ -19,9 +19,7 @@ import (
 )
 
 // taintAnalysis implements Analysis; see iflabel.go for the fact.
-type taintAnalysis struct {
-	p *ir.Program
-}
+type taintAnalysis struct{}
 
 // Boundary starts with no labels: sources are tainted by the
 // instrumented shadow initializations, not by the boundary fact.
@@ -109,7 +107,6 @@ type TaintAlarm struct {
 
 // TaintResult is the outcome of the dataflow half of the taint pass.
 type TaintResult struct {
-	Facts  *Facts
 	Alarms []*TaintAlarm
 	// Sinks counts reachable instrumented sink checks; StaticallyClean
 	// counts those the label analysis discharged without any solver
@@ -123,9 +120,8 @@ type TaintResult struct {
 // under the converged labels. Alarms are ordered by bug-node ID, which
 // is the builder's deterministic emission order.
 func RunTaint(p *ir.Program) *TaintResult {
-	a := &taintAnalysis{p: p}
-	fs := SolveForward(p, a)
-	res := &TaintResult{Facts: fs}
+	fs := SolveForward(p, &taintAnalysis{})
+	res := &TaintResult{}
 	for _, bn := range p.Bugs {
 		if bn.Bug != ir.BugInfoLeak || bn.Leak == nil {
 			continue

@@ -29,7 +29,7 @@ func TestTaintOverwriteKills(t *testing.T) {
 	p.Edge(a1, a2)
 	p.Edge(a2, exit)
 
-	fs := SolveForward(p, &taintAnalysis{p: p})
+	fs := SolveForward(p, &taintAnalysis{})
 	if out, _ := fs.Out[a2].(iflabels); out["x"] != nil {
 		t.Errorf("x still labeled after overwrite: %v", out["x"])
 	}
@@ -61,7 +61,7 @@ func TestTaintJoinUnionsMasks(t *testing.T) {
 	p.Edge(elseA, join)
 	p.Edge(join, exit)
 
-	fs := SolveForward(p, &taintAnalysis{p: p})
+	fs := SolveForward(p, &taintAnalysis{})
 	out, _ := fs.Out[join].(iflabels)
 	if out == nil || out["x"] == nil || out["x"].mask.Cmp(big.NewInt(0xff)) != 0 {
 		t.Fatalf("join label = %v, want mask ff", out["x"])
@@ -113,7 +113,7 @@ func TestTaintTransferEveryNodeKind(t *testing.T) {
 	p := ir.NewProgram("t")
 	x := p.NewVar("x", smt.BV(8))
 	xs := p.NewVar("x"+ir.TaintSuffix, smt.BV(8))
-	a := &taintAnalysis{p: p}
+	a := &taintAnalysis{}
 	in := iflabels{"y": &label{mask: big.NewInt(1), src: "y"}}
 	kinds := 0
 	for k := ir.NodeKind(0); k.String() != ""; k++ {

@@ -41,11 +41,8 @@ func P4VApprox(pl *core.Pipeline) *P4VResult {
 	start := time.Now()
 	f := pl.IR.F
 	query := f.False()
-	reachable := pl.IR.Reachable()
+	// wp.Compute gives a condition to exactly the nodes Start reaches.
 	for _, b := range pl.IR.Bugs {
-		if !reachable[b] {
-			continue
-		}
 		if c, ok := pl.Reach.Cond[b]; ok {
 			query = f.Or(query, c)
 		}
@@ -90,7 +87,6 @@ func (r *VeraResult) Coverage() float64 {
 }
 
 type veraExplorer struct {
-	p        *ir.Program
 	f        *smt.Factory
 	s        *solver.Solver
 	opts     VeraOptions
@@ -120,7 +116,6 @@ func vera(pl *core.Pipeline, opts VeraOptions, onBug func(*ir.Node, *smt.Term)) 
 		opts.MaxPaths = 1 << 20
 	}
 	ex := &veraExplorer{
-		p:       pl.IR,
 		f:       pl.IR.F,
 		s:       solver.New(pl.IR.F),
 		opts:    opts,
@@ -136,17 +131,14 @@ func vera(pl *core.Pipeline, opts VeraOptions, onBug func(*ir.Node, *smt.Term)) 
 		return nil, ex.err
 	}
 
-	res := &VeraResult{
-		Paths:     ex.paths,
-		BugsHit:   ex.bugs,
-		Visited:   len(ex.visited),
-		Completed: !ex.stopped,
-		Duration:  time.Since(start),
-	}
-	for range pl.IR.Reachable() {
-		res.TotalNodes++
-	}
-	return res, nil
+	return &VeraResult{
+		Paths:      ex.paths,
+		BugsHit:    ex.bugs,
+		Visited:    len(ex.visited),
+		TotalNodes: len(pl.IR.Topo()),
+		Completed:  !ex.stopped,
+		Duration:   time.Since(start),
+	}, nil
 }
 
 type veraEnv struct {

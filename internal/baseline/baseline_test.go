@@ -65,7 +65,7 @@ V1Switch(P(), Ing()) main;
 
 func compileNAT(t *testing.T) *core.Pipeline {
 	t.Helper()
-	pl, err := core.Compile(natSrc, ir.DefaultOptions(), true)
+	pl, err := core.Compile(natSrc, ir.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ var natDefaultSrc = strings.Replace(strings.Replace(natSrc,
 // only valid IPv4 packets take, since an entry matches the others; and an
 // entry that wins only where a higher-priority one does not match.
 func TestVeraConcreteDefaultsMatchInterp(t *testing.T) {
-	pl, err := core.Compile(natDefaultSrc, ir.DefaultOptions(), true)
+	pl, err := core.Compile(natDefaultSrc, ir.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ control Ing(inout headers hdr, inout metadata meta,
 }
 V1Switch(P(), Ing()) main;
 `
-	pl, err := core.Compile(src, ir.DefaultOptions(), true)
+	pl, err := core.Compile(src, ir.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -94,7 +94,7 @@ func TestDominatingAssertPoint(t *testing.T) {
 func TestDominatorsStartDominatesAll(t *testing.T) {
 	p, _ := diamond(t)
 	d := NewDominators(p)
-	for n := range p.Reachable() {
+	for _, n := range p.Topo() {
 		if !d.Dominates(p.Start, n) {
 			t.Errorf("start must dominate n%d", n.ID)
 		}

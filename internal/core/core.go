@@ -47,9 +47,6 @@ type Pipeline struct {
 // CompileOptions configures CompileWith.
 type CompileOptions struct {
 	IR ir.Options
-	// Slicing computes bug-reachability conditions over the slice with
-	// respect to the bug nodes (paper default) rather than the whole CFG.
-	Slicing bool
 	// AST and Info, when set, are an already-checked frontend result —
 	// src's, or src's edited by fixes.Apply; compilation then starts at the
 	// lowering (CompileTime excludes the frontend). Callers that attach
@@ -67,8 +64,8 @@ type CompileOptions struct {
 }
 
 // Compile runs the frontend and all verification-form passes.
-func Compile(src string, opts ir.Options, useSlicing bool) (*Pipeline, error) {
-	return CompileWith(src, CompileOptions{IR: opts, Slicing: useSlicing})
+func Compile(src string, opts ir.Options) (*Pipeline, error) {
+	return CompileWith(src, CompileOptions{IR: opts})
 }
 
 // CompileWith is the fully-parameterised Compile.
@@ -105,21 +102,13 @@ func CompileWith(src string, opts CompileOptions) (*Pipeline, error) {
 		FullReach: full,
 		Doms:      cfg.NewDominators(p),
 	}
-	if opts.Slicing {
-		sp, done := obs.StartPhase(reg, parent, "slice")
-		keep, stats := slice.WRTBugs(p)
-		pl.SliceStats = stats
-		pl.Reach = wp.Compute(p, pass, keep)
-		sp.SetMetric("kept", int64(stats.SliceInstructions))
-		sp.SetMetric("total", int64(stats.TotalInstructions))
-		done()
-	} else {
-		pl.SliceStats = slice.Stats{
-			TotalInstructions: p.NumInstructions(),
-			SliceInstructions: p.NumInstructions(),
-		}
-		pl.Reach = full
-	}
+	sp, done := obs.StartPhase(reg, parent, "slice")
+	keep, stats := slice.WRTBugs(p)
+	pl.SliceStats = stats
+	pl.Reach = wp.Compute(p, pass, keep)
+	sp.SetMetric("kept", int64(stats.SliceInstructions))
+	sp.SetMetric("total", int64(stats.TotalInstructions))
+	done()
 	pl.CompileTime = time.Since(start)
 	return pl, nil
 }
@@ -247,8 +236,9 @@ type FindOptions struct {
 	// on it, witness models may (see checkNodes).
 	Workers int
 	// Solvers, when non-nil, is the run's solver pool: the shards are built
-	// in solvers it has idle, and whoever ends up owning Report.Shards may
-	// Put them back once no check will run on them again.
+	// in solvers it has idle, taken on the caller's goroutine, and whoever
+	// ends up owning Report.Shards may Put them back once no check will run
+	// on them again.
 	Solvers *solver.Pool
 	// Obs and Trace attach observability: the whole phase is one child
 	// span of Trace (annotated with check/reachable/discharged counts),
@@ -346,18 +336,20 @@ type nodeCheck struct {
 // across counts). A worker is a cold solver that blasts
 // nearly the whole program for its first check and holds that CNF from then
 // on, so no more are started than one per checksPerShard nodes. The
-// workers' solvers, taken from solvers (nil: allocated), are returned in
-// worker order; there is always at least one, even for an empty node list.
-// A panic inside a check is re-raised here, on the caller's goroutine.
+// workers' solvers are taken from solvers (nil: allocated) in worker order,
+// on the caller's goroutine before any worker starts, and returned in that
+// order; there is always at least one, even for an empty node list. A panic
+// inside a check is re-raised here, on the caller's goroutine.
 func (pl *Pipeline) checkNodes(nodes []*ir.Node, workers int, solvers *solver.Pool, reg *obs.Registry) ([]nodeCheck, []*solver.Solver) {
 	workers = max(1, min(workers, (len(nodes)+checksPerShard-1)/checksPerShard))
 	out := make([]nodeCheck, len(nodes))
 	shards := make([]*solver.Solver, workers)
-	pool.ForEach(workers, workers, func(w int) {
-		s := solvers.New(pl.IR.F)
-		s.SetObs(reg)
-		shards[w] = s
-		name := ShardName(w)
+	for w := range shards {
+		shards[w] = solvers.New(pl.IR.F)
+		shards[w].SetObs(reg)
+	}
+	pool.ForEach(workers, workers, func(_, w int) {
+		s, name := shards[w], ShardName(w)
 		for i := w; i < len(nodes); i += workers {
 			s.Tag("findbugs", name, nodes[i].ID)
 			out[i] = checkCond(s, pl.Reach.Cond[nodes[i]])

@@ -69,7 +69,7 @@ V1Switch(P(), Ing(), Eg(), Dep()) main;
 
 func compileNAT(t *testing.T) *Pipeline {
 	t.Helper()
-	pl, err := Compile(natSrc, ir.DefaultOptions(), true)
+	pl, err := Compile(natSrc, ir.DefaultOptions())
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
@@ -159,7 +159,7 @@ control Ing(inout headers hdr, inout metadata meta,
 }
 V1Switch(P(), Ing()) main;
 `
-	pl, err := Compile(src, ir.DefaultOptions(), true)
+	pl, err := Compile(src, ir.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ control Ing(inout headers hdr, inout metadata meta,
 }
 V1Switch(P(), Ing()) main;
 `
-	pl, err := Compile(src, ir.DefaultOptions(), true)
+	pl, err := Compile(src, ir.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,14 +223,12 @@ V1Switch(P(), Ing()) main;
 }
 
 func TestSlicedAndUnslicedAgree(t *testing.T) {
-	plS, err := Compile(natSrc, ir.DefaultOptions(), true)
+	plS, err := Compile(natSrc, ir.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	plU, err := Compile(natSrc, ir.DefaultOptions(), false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plU := *plS
+	plU.Reach = plS.FullReach
 	repS, repU := plS.FindBugs(), plU.FindBugs()
 	if repS.NumReachable() != repU.NumReachable() {
 		t.Fatalf("sliced %d vs unsliced %d reachable bugs", repS.NumReachable(), repU.NumReachable())
@@ -270,7 +268,7 @@ func TestDescriptionsAreInformative(t *testing.T) {
 // shards have finished, where a caller's recover (bf4 lint's, the
 // experiments') sees it. From a bare goroutine it would end the process.
 func TestShardPanicReachesTheCaller(t *testing.T) {
-	pl, err := Compile(natSrc, ir.DefaultOptions(), true)
+	pl, err := Compile(natSrc, ir.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,7 @@ import (
 // compileSrc compiles and finds bugs in one source.
 func compileSrc(t *testing.T, src string) (*Pipeline, *Report) {
 	t.Helper()
-	pl, err := Compile(src, ir.DefaultOptions(), true)
+	pl, err := Compile(src, ir.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

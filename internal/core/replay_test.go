@@ -31,7 +31,7 @@ func TestCorpusWitnessReplay(t *testing.T) {
 			name, src = "switch@4", progs.GenerateSwitch(4)
 		}
 		t.Run(name, func(t *testing.T) {
-			pl, err := Compile(src, ir.DefaultOptions(), true)
+			pl, err := Compile(src, ir.DefaultOptions())
 			if err != nil {
 				t.Fatalf("compile: %v", err)
 			}
@@ -81,7 +81,7 @@ func TestEverySatModelEvaluates(t *testing.T) {
 			name, src = "switch@1", progs.GenerateSwitch(1)
 		}
 		t.Run(name, func(t *testing.T) {
-			pl, err := Compile(src, ir.DefaultOptions(), true)
+			pl, err := Compile(src, ir.DefaultOptions())
 			if err != nil {
 				t.Fatalf("compile: %v", err)
 			}

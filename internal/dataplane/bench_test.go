@@ -11,7 +11,7 @@ import (
 
 func benchPipeline(b *testing.B) *core.Pipeline {
 	b.Helper()
-	pl, err := core.Compile(natSrcBench, ir.DefaultOptions(), true)
+	pl, err := core.Compile(natSrcBench, ir.DefaultOptions())
 	if err != nil {
 		b.Fatal(err)
 	}

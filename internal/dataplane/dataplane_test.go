@@ -67,7 +67,7 @@ V1Switch(P(), Ing(), Eg(), Dep()) main;
 
 func compileNAT(t *testing.T) *core.Pipeline {
 	t.Helper()
-	pl, err := core.Compile(natSrc, ir.DefaultOptions(), true)
+	pl, err := core.Compile(natSrc, ir.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

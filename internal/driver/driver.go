@@ -133,7 +133,8 @@ func Run(name, src string, cfg Config) (*Result, error) {
 	cfg.Infer.Obs = cfg.Obs
 	// The run's solver memory: what one round is done with, the next
 	// overwrites. It lives as long as this call — a pool outliving a run
-	// would make a second run in the process warmer than a user's only one.
+	// would make a second run in the process warmer than a user's only one —
+	// and is used on this goroutine only.
 	cfg.Infer.Solvers = solver.NewPool(cfg.Obs)
 	res := &Result{Name: name, LoC: countLoC(src), Fixes: &fixes.Result{Keys: map[string][]string{}}}
 
@@ -240,7 +241,7 @@ func compile(src string, fx *fixes.Result, cfg Config, parent *obs.Span) (*core.
 	if info, err = fixes.Apply(prog, info, fx); err != nil {
 		return nil, fmt.Errorf("apply fixes: %w", err)
 	}
-	return core.CompileWith(src, core.CompileOptions{IR: cfg.IR, Slicing: true, AST: prog, Info: info, Obs: cfg.Obs, Trace: parent})
+	return core.CompileWith(src, core.CompileOptions{IR: cfg.IR, AST: prog, Info: info, Obs: cfg.Obs, Trace: parent})
 }
 
 func countLoC(src string) int {

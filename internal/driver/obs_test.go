@@ -189,8 +189,8 @@ func TestRunOwnsItsSolvers(t *testing.T) {
 				t.Fatalf("no rebuild round: nothing is recycled across rounds\n%s", want)
 			}
 			fresh, recycled := reg.CounterValue("bf4_solver_fresh_total"), reg.CounterValue("bf4_solver_recycled_total")
-			if fresh == 0 || fresh > 7 || recycled == 0 {
-				t.Errorf("one worker allocated %d solvers and recycled %d: a shard and two bases serve both rounds, two forks every instance of a round", fresh, recycled)
+			if fresh != 3 || recycled == 0 {
+				t.Errorf("one worker allocated %d solvers and recycled %d: a shard and two bases serve both rounds (the forks are the Infer workers', not the pool's)", fresh, recycled)
 			}
 			var wg sync.WaitGroup
 			for _, workers := range []int{2, 4, 2, 4} {
@@ -248,50 +248,54 @@ func spanMetric(sp *obs.Span, key string) (int64, bool) {
 	return 0, false
 }
 
-// TestMetricsRepeat: three runs of switch@2 at two workers give the same
-// counters, gauges and histograms, timings (names with _ns) aside. A
-// metric that holds whichever worker finished last measures the schedule,
-// not the program, and cannot be compared between runs or commits. The
-// solver pool's own metrics are such measures: whether a worker finds an
-// idle solver, and how large the arrays of the one it finds are, depend on
-// when the other worker hands one back. Only the solvers taken from the
-// pool, found or made, are the program's.
+// TestMetricsRepeat: three runs of switch@2 and of linearroad_16 at two
+// workers give the same counters, gauges and histograms, timings (names
+// with _ns) aside. A metric that holds whichever worker finished last
+// measures the schedule, not the program, and cannot be compared between
+// runs or commits. The solver pool's three are compared whole: the run's
+// pool is used on the run's goroutine only, so which solver it hands out,
+// and how large the arrays it holds are, is the program's.
 func TestMetricsRepeat(t *testing.T) {
-	src := progs.GenerateSwitch(2)
-	var first map[string]string
-	for i := 1; i <= 3; i++ {
-		cfg := DefaultConfig()
-		cfg.Workers = 2
-		cfg.Obs = obs.NewRegistry()
-		if _, err := Run("switch@2", src, cfg); err != nil {
-			t.Fatal(err)
-		}
-		got := repeatableMetrics(t, cfg.Obs)
-		if i == 1 {
-			first = got
-			continue
-		}
-		var diffs []string
-		for name, v := range got {
-			if first[name] != v {
-				diffs = append(diffs, fmt.Sprintf("%s: %s in run 1, %s in run %d", name, first[name], v, i))
+	for _, c := range []struct{ name, src string }{
+		{"switch@2", progs.GenerateSwitch(2)},
+		{"linearroad_16", progs.Get("linearroad_16").Source},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var first map[string]string
+			for i := 1; i <= 3; i++ {
+				cfg := DefaultConfig()
+				cfg.Workers = 2
+				cfg.Obs = obs.NewRegistry()
+				if _, err := Run(c.name, c.src, cfg); err != nil {
+					t.Fatal(err)
+				}
+				got := repeatableMetrics(t, cfg.Obs)
+				if i == 1 {
+					first = got
+					continue
+				}
+				var diffs []string
+				for name, v := range got {
+					if first[name] != v {
+						diffs = append(diffs, fmt.Sprintf("%s: %s in run 1, %s in run %d", name, first[name], v, i))
+					}
+				}
+				for name, v := range first {
+					if _, ok := got[name]; !ok {
+						diffs = append(diffs, fmt.Sprintf("%s: %s in run 1, absent in run %d", name, v, i))
+					}
+				}
+				if len(diffs) > 0 {
+					sort.Strings(diffs)
+					t.Fatalf("metrics differ between runs of one program:\n%s", strings.Join(diffs, "\n"))
+				}
 			}
-		}
-		for name, v := range first {
-			if _, ok := got[name]; !ok {
-				diffs = append(diffs, fmt.Sprintf("%s: %s in run 1, absent in run %d", name, v, i))
-			}
-		}
-		if len(diffs) > 0 {
-			sort.Strings(diffs)
-			t.Fatalf("metrics differ between runs of one program:\n%s", strings.Join(diffs, "\n"))
-		}
+		})
 	}
 }
 
 // repeatableMetrics returns reg's counters, gauges and histograms by name,
-// without the ones whose name contains _ns and with the solver pool's
-// three replaced by the number of solvers taken from it.
+// without the ones whose name contains _ns.
 func repeatableMetrics(t *testing.T, reg *obs.Registry) map[string]string {
 	t.Helper()
 	data, err := reg.JSON()
@@ -304,13 +308,10 @@ func repeatableMetrics(t *testing.T, reg *obs.Registry) map[string]string {
 	if err := json.Unmarshal(data, &doc); err != nil {
 		t.Fatal(err)
 	}
-	pool := map[string]bool{"bf4_solver_fresh_total": true, "bf4_solver_recycled_total": true, "bf4_solver_pool_retained_bytes": true}
-	out := map[string]string{
-		"solvers taken from the pool": fmt.Sprint(reg.CounterValue("bf4_solver_fresh_total") + reg.CounterValue("bf4_solver_recycled_total")),
-	}
+	out := map[string]string{}
 	for _, m := range []map[string]json.RawMessage{doc.Counters, doc.Gauges, doc.Histograms} {
 		for name, v := range m {
-			if !strings.Contains(name, "_ns") && !pool[name] {
+			if !strings.Contains(name, "_ns") {
 				out[name] = string(v)
 			}
 		}

@@ -140,36 +140,32 @@ type SlicingResult struct {
 }
 
 // Slicing measures model-checking time with and without the slice on
-// the generated switch. The two arms are independent compiles and run
-// concurrently when workers > 1; use workers=1 when the timing columns
-// must not contend for cores (bug counts, instruction counts, formula
-// sizes, and propagations are deterministic either way).
+// the generated switch. The two arms decide the bugs of one compile, on its
+// sliced conditions (Reach) and on a copy of the pipeline whose conditions
+// range over the whole CFG (FullReach), and run concurrently when
+// workers > 1; use workers=1 when the timing columns must not contend for
+// cores (bug counts, instruction counts, formula sizes, and propagations
+// are deterministic either way).
 func Slicing(scale, workers int) (*SlicingResult, error) {
-	src := progs.GenerateSwitch(scale)
-	type arm struct {
-		pl  *core.Pipeline
-		rep *core.Report
-	}
-	arms, err := pool.MapErr(workers, 2, func(i int) (arm, error) {
-		pl, err := core.Compile(src, ir.DefaultOptions(), i == 0)
-		if err != nil {
-			return arm{}, err
-		}
-		return arm{pl, pl.FindBugs()}, nil
-	})
+	pl, err := core.Compile(progs.GenerateSwitch(scale), ir.DefaultOptions())
 	if err != nil {
 		return nil, err
 	}
+	unsliced := *pl
+	unsliced.Reach = pl.FullReach
+	arms := pool.Map(workers, 2, func(i int) *core.Report {
+		return [2]*core.Pipeline{pl, &unsliced}[i].FindBugs()
+	})
 	out := &SlicingResult{}
-	plS, repS := arms[0].pl, arms[0].rep
-	out.TotalInstructions = plS.SliceStats.TotalInstructions
-	out.SliceInstructions = plS.SliceStats.SliceInstructions
+	repS := arms[0]
+	out.TotalInstructions = pl.SliceStats.TotalInstructions
+	out.SliceInstructions = pl.SliceStats.SliceInstructions
 	out.TimeWithSlicing = repS.SolveTime
 	out.BugsWith = repS.NumReachable()
 	out.FormulaWith = formulaNodes(repS)
 	_, _, _, out.PropagationsWith = repS.Shards[0].Stats()
 
-	repU := arms[1].rep
+	repU := arms[1]
 	out.TimeWithout = repU.SolveTime
 	out.BugsWithout = repU.NumReachable()
 	out.FormulaWithout = formulaNodes(repU)
@@ -211,7 +207,7 @@ func InferAblation(scale, workers int) (*InferAblationResult, error) {
 	}
 	arms, err := pool.MapErr(workers, 2, func(i int) (arm, error) {
 		fast := i == 0
-		pl, err := core.Compile(src, ir.DefaultOptions(), true)
+		pl, err := core.Compile(src, ir.DefaultOptions())
 		if err != nil {
 			return arm{}, err
 		}
@@ -258,7 +254,7 @@ func heuristic(scale, workers int, enable func(*infer.Options, bool)) (*Heuristi
 	}
 	arms, err := pool.MapErr(workers, 2, func(i int) (arm, error) {
 		on := i == 1
-		pl, err := core.Compile(src, ir.DefaultOptions(), true)
+		pl, err := core.Compile(src, ir.DefaultOptions())
 		if err != nil {
 			return arm{}, err
 		}
@@ -311,7 +307,7 @@ func P4V(scale int) (*P4VComparison, error) {
 	src := progs.GenerateSwitch(scale)
 	out := &P4VComparison{}
 
-	pl, err := core.Compile(src, ir.DefaultOptions(), true)
+	pl, err := core.Compile(src, ir.DefaultOptions())
 	if err != nil {
 		return nil, err
 	}
@@ -350,7 +346,7 @@ type VeraComparison struct {
 // snapshot) and symbolically (budgeted).
 func VeraCompare(scale int, symbolicBudget time.Duration) (*VeraComparison, error) {
 	src := progs.GenerateSwitch(scale)
-	pl, err := core.Compile(src, ir.DefaultOptions(), true)
+	pl, err := core.Compile(src, ir.DefaultOptions())
 	if err != nil {
 		return nil, err
 	}

@@ -80,8 +80,10 @@ func TestStagesExperiment(t *testing.T) {
 	}
 }
 
+// TestSlicingAgreesOnVerdicts runs the two arms on two workers: they decide
+// one compile's bugs on one term factory at once, the case -race watches.
 func TestSlicingAgreesOnVerdicts(t *testing.T) {
-	r, err := Slicing(2, 1)
+	r, err := Slicing(2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -61,7 +61,7 @@ V1Switch(P(), Ing()) main;
 
 func uncontrolledBugs(t *testing.T, src string) (*core.Pipeline, []*core.Bug) {
 	t.Helper()
-	pl, err := core.Compile(src, ir.DefaultOptions(), true)
+	pl, err := core.Compile(src, ir.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

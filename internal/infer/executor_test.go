@@ -43,7 +43,7 @@ func TestExecutorMatchesReference(t *testing.T) {
 	var n execCounts
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			pl, err := core.Compile(c.src, ir.DefaultOptions(), true)
+			pl, err := core.Compile(c.src, ir.DefaultOptions())
 			if err != nil {
 				t.Fatalf("compile: %v", err)
 			}
@@ -58,7 +58,7 @@ func TestExecutorMatchesReference(t *testing.T) {
 			if info, err = fixes.Apply(prog, info, fx); err != nil {
 				t.Fatalf("apply fixes: %v", err)
 			}
-			rebuilt, err := core.CompileWith(c.src, core.CompileOptions{IR: ir.DefaultOptions(), Slicing: true, AST: prog, Info: info})
+			rebuilt, err := core.CompileWith(c.src, core.CompileOptions{IR: ir.DefaultOptions(), AST: prog, Info: info})
 			if err != nil {
 				t.Fatalf("rebuild: %v", err)
 			}

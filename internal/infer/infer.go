@@ -71,16 +71,17 @@ type Options struct {
 	UseDontCare bool
 	// Workers bounds the per-table-instance inference fan-out and the
 	// number of report shards rechecked at once; <= 0 means GOMAXPROCS.
-	// Each worker task owns its own solvers (forks of the round's two warm
-	// bases; solvers are stateful and must never be shared across
+	// Each worker owns its own solvers (a pair of forks of the round's two
+	// warm bases; solvers are stateful and must never be shared across
 	// goroutines) and results are merged in a fixed instance order, so
 	// Run's output is identical for every worker count.
 	Workers int
 	// Solvers, when non-nil, is the run's solver pool: the two bases are
 	// built in solvers it has idle and Put back when the fan-out has
-	// returned, for the next round to build its own in. (The forks recycle
-	// among themselves, in a pool of the fan-out's own.) The report's shards
-	// are not Run's to put back: its caller owns them.
+	// returned, for the next round to build its own in. Run touches it on
+	// its own goroutine only. The forks are not the pool's: each worker
+	// allocates its pair and drops it when the fan-out returns. The
+	// report's shards are not Run's to put back: its caller owns them.
 	Solvers *solver.Pool
 	// Obs, when non-nil, receives phase timings, pool utilization and
 	// per-query solver telemetry; Trace parents the phase spans. Both
@@ -112,12 +113,12 @@ func DefaultOptions() Options {
 // ownership is strict: the bug reachability solvers from FindBugs (the
 // report's shards, each with its own bugs' conditions already blasted)
 // serve the predicate rechecks, one goroutine per shard, while each Infer
-// task owns a private dual and a private direct solver that serve that
-// instance's whole model/core loop. Both are forks of two bases built once
-// per round, before the fan-out (warmBases): the formulas every instance
-// needs are blasted once, and every instance starts from the same warm
-// state — not from whatever state a worker's previous instance left
-// behind. That is what keeps the inferred cubes independent of scheduling:
+// worker owns a private dual and a private direct solver, copied over from
+// two bases built once per round before the fan-out (warmBases) for every
+// instance the worker takes: the formulas every instance needs are blasted
+// once, and every instance starts from the same warm state — not from
+// whatever state the worker's previous instance left behind. That is what
+// keeps the inferred cubes independent of scheduling:
 // models and unsat cores depend on learned-clause state, so any sharing
 // between instances would make the output depend on which instances a
 // worker happened to process first. Results are merged in instance order,
@@ -196,20 +197,19 @@ func run(pl *core.Pipeline, rep *core.Report, opts Options, solveOnly bool) *Res
 			calls  int
 			capped bool
 		}
-		// A fork is wanted again by the fan-out's next instance and by
-		// nothing after it, so the forks' pool is the fan-out's own: an
-		// instance copies the bases into the pair an earlier one put back,
-		// two pairs a worker at most exist, and none of them is held while
-		// the round's other phases and the next round's compile run. Which
-		// pair a worker is handed depends on scheduling; what is in it
-		// after CopyFrom does not.
-		forks := solver.NewPool(opts.Obs)
-		outs := pool.ObservedMap(opts.Obs, "infer", workers, len(insts), func(i int) inferOut {
-			var out inferOut
-			out.a, out.capped = inferShared(pl, forks, dualBase, directBase, insts[i], byInstance[insts[i]], &out.calls)
-			return out
+		// A worker's fork pair is wanted again by its next instance and by
+		// nothing after the fan-out: it is allocated for the worker's first
+		// instance, copied over from the bases for each one, and dropped
+		// with pairs when the fan-out returns, so at most one pair a worker
+		// exists and none is held while the round's other phases and the
+		// next round's compile run. Which instances share a pair depends on
+		// scheduling; what is in it after CopyFrom does not.
+		pairs := make([]forkPair, min(workers, len(insts)))
+		outs := make([]inferOut, len(insts))
+		pool.ObservedForEach(opts.Obs, "infer", workers, len(insts), func(w, i int) {
+			out := &outs[i]
+			out.a, out.capped = inferShared(pl, &pairs[w], dualBase, directBase, insts[i], byInstance[insts[i]], &out.calls)
 		})
-		forks.Release()
 		opts.Solvers.Put(dualBase, directBase)
 		capped := 0
 		for _, o := range outs {
@@ -290,7 +290,7 @@ func (re *rechecker) recheck(candidates []*core.Bug) []*core.Bug {
 	}
 	reachable := make([]bool, len(candidates))
 	witnessed := make([]int64, len(re.shards))
-	pool.ForEach(re.workers, len(re.shards), func(k int) {
+	pool.ForEach(re.workers, len(re.shards), func(_, k int) {
 		s, name := re.shards[k], core.ShardName(k)
 		for _, p := range re.preds[asserted:] {
 			s.Assert(p)
@@ -476,11 +476,13 @@ func regionNodes(p *ir.Program, inst *ir.TableInstance) []*ir.Node {
 // answered one query, so what an instance inherits is not just the CNF but
 // saved phases, variable activities and learnt clauses of a search that
 // has already walked the program once. The two are independent of each
-// other, so they are built side by side when there is a second worker.
+// other, so they are built side by side when there is a second worker; both
+// are taken from opts.Solvers before either starts.
 func warmBases(pl *core.Pipeline, bugs []*core.Bug, opts Options) (dual, direct *solver.Solver) {
 	f := pl.IR.F
-	bases := pool.Map(opts.Workers, 2, func(i int) *solver.Solver {
-		s := opts.Solvers.New(f)
+	bases := [2]*solver.Solver{opts.Solvers.New(f), opts.Solvers.New(f)}
+	pool.ForEach(opts.Workers, 2, func(_, i int) {
+		s := bases[i]
 		s.SetObs(opts.Obs)
 		s.Tag("inferbase", [2]string{"dual", "direct"}[i], -1)
 		if i == 0 {
@@ -490,31 +492,33 @@ func warmBases(pl *core.Pipeline, bugs []*core.Bug, opts Options) (dual, direct 
 			}
 			s.Assert(ok)
 			s.Check()
-			return s
+			return
 		}
 		anyBug := f.False()
 		for _, b := range bugs {
 			anyBug = f.Or(anyBug, b.Cond)
 		}
 		s.Check(anyBug)
-		return s
 	})
 	return bases[0], bases[1]
 }
+
+// forkPair is one Infer worker's pair of solvers, the copies of the round's
+// bases its instances run on; nil until the worker's first instance.
+type forkPair struct{ dual, direct *solver.Solver }
 
 // inferShared runs Algorithm 1 for one instance — sample a bad run, widen
 // its model to a cube over the atom set, check the cube excludes no good
 // run (dual solver + unsat core generalization), block it, repeat — on
 // private forks of the round's bases (see warmBases), which it only reads.
-// The forks come from the pool forks (nil: are allocated) and go back to it
-// on return: the dual fork holds the OK formula, the direct fork has the bug
-// conditions blasted and receives the instance's BUG disjunction. The assert
-// point's reachability condition is passed as an extra assumption and
-// filtered out of the unsat core, so the resulting cubes range over
-// control-variable atoms only. capped reports that the loop stopped at
+// The forks are written into pair, which the caller owns: the dual fork
+// holds the OK formula, the direct fork has the bug conditions blasted and
+// receives the instance's BUG disjunction. The assert point's reachability
+// condition is passed as an extra assumption and filtered out of the unsat
+// core, so the resulting cubes range over control-variable atoms only. capped reports that the loop stopped at
 // maxInferIterations with the direct solver still Sat: the cubes found so
 // far may leave bugs of the instance reachable.
-func inferShared(pl *core.Pipeline, forks *solver.Pool, dualBase, directBase *solver.Solver, inst *ir.TableInstance, bugs []*core.Bug, calls *int) (a *Assertion, capped bool) {
+func inferShared(pl *core.Pipeline, pair *forkPair, dualBase, directBase *solver.Solver, inst *ir.TableInstance, bugs []*core.Bug, calls *int) (a *Assertion, capped bool) {
 	f := pl.IR.F
 	atoms := atomsFor(pl, inst)
 	if len(atoms) == 0 {
@@ -534,8 +538,10 @@ func inferShared(pl *core.Pipeline, forks *solver.Pool, dualBase, directBase *so
 		return nil, false
 	}
 
-	dual, direct := forks.Fork(dualBase), forks.Fork(directBase)
-	defer forks.Put(dual, direct)
+	if pair.dual == nil {
+		pair.dual, pair.direct = new(solver.Solver), new(solver.Solver)
+	}
+	dual, direct := pair.dual.CopyFrom(dualBase), pair.direct.CopyFrom(directBase)
 	dual.Tag("infer", inst.Name()+"/dual", -1)
 	direct.Tag("infer", inst.Name()+"/direct", -1)
 	direct.Assert(bug)

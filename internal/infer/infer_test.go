@@ -69,7 +69,7 @@ V1Switch(P(), Ing(), Eg(), Dep()) main;
 
 func compileAndFind(t *testing.T, src string) (*core.Pipeline, *core.Report) {
 	t.Helper()
-	pl, err := core.Compile(src, ir.DefaultOptions(), true)
+	pl, err := core.Compile(src, ir.DefaultOptions())
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
@@ -194,7 +194,7 @@ func TestInferAlgorithmDirectly(t *testing.T) {
 	}
 	calls := 0
 	dual, direct := warmBases(pl, natBugs, DefaultOptions())
-	a, _ := inferShared(pl, nil, dual, direct, nat, natBugs, &calls)
+	a, _ := inferShared(pl, &forkPair{}, dual, direct, nat, natBugs, &calls)
 	if a == nil || len(a.Forbidden) == 0 {
 		t.Fatal("Infer produced nothing for the controllable nat bug")
 	}
@@ -237,12 +237,12 @@ func TestAssertionSources(t *testing.T) {
 // condition — are replayed through forks of the round's bases and through
 // solvers built from nothing, and must get the same sat/unsat answers.
 func TestForkMatchesFreshOnCorpus(t *testing.T) {
-	// Every fork below is taken from a pool whose idle solvers have another
-	// program's whole life behind them: its shards, with their bug checks
-	// and rechecks, and the bases of its inference.
+	// Every fork below is copied into a solver taken from a pool whose idle
+	// solvers have another program's whole life behind them: its shards,
+	// with their bug checks and rechecks, and the bases of its inference.
 	recycled := solver.NewPool(nil)
 	{
-		pl, err := core.Compile(natSrc, ir.DefaultOptions(), true)
+		pl, err := core.Compile(natSrc, ir.DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -274,6 +274,10 @@ func TestForkMatchesFreshOnCorpus(t *testing.T) {
 			}
 			dualBase, directBase := warmBases(pl, dominated, opts)
 			ok := f.And(pl.FullReach.OK, f.Not(pl.FullReach.DontCareReach))
+			// One worker's pair, built in recycled solvers and copied over by
+			// every instance below, as a worker's pair is by each it takes.
+			worker := &forkPair{recycled.New(f), recycled.New(f)}
+			defer func() { recycled.Put(worker.dual, worker.direct) }()
 			for _, inst := range pl.IR.Instances {
 				bugs := byInstance[inst]
 				reachAP := pl.FullReach.Cond[inst.Apply]
@@ -281,8 +285,8 @@ func TestForkMatchesFreshOnCorpus(t *testing.T) {
 					continue
 				}
 				var calls, pooledCalls int
-				a, _ := inferShared(pl, nil, dualBase, directBase, inst, bugs, &calls)
-				if b, _ := inferShared(pl, recycled, dualBase, directBase, inst, bugs, &pooledCalls); !reflect.DeepEqual(a, b) || calls != pooledCalls {
+				a, _ := inferShared(pl, &forkPair{}, dualBase, directBase, inst, bugs, &calls)
+				if b, _ := inferShared(pl, worker, dualBase, directBase, inst, bugs, &pooledCalls); !reflect.DeepEqual(a, b) || calls != pooledCalls {
 					t.Errorf("%s: Infer on recycled forks took %d calls to %v, on allocated ones %d calls to %v", inst.Name(), pooledCalls, b, calls, a)
 				}
 				if a == nil {
@@ -300,7 +304,7 @@ func TestForkMatchesFreshOnCorpus(t *testing.T) {
 					}
 				}
 
-				directFork, directFresh := recycled.Fork(directBase), solver.New(f)
+				directFork, directFresh := recycled.New(f).CopyFrom(directBase), solver.New(f)
 				directFork.Assert(bug)
 				directFresh.Assert(bug)
 				for i, cube := range a.Forbidden {
@@ -310,7 +314,7 @@ func TestForkMatchesFreshOnCorpus(t *testing.T) {
 				}
 				same("direct after every cube", directFork.Check(), directFresh.Check())
 
-				dualFork, dualFresh := recycled.Fork(dualBase), solver.New(f)
+				dualFork, dualFresh := recycled.New(f).CopyFrom(dualBase), solver.New(f)
 				dualFresh.Assert(ok)
 				for i, cube := range a.Forbidden {
 					fork, fresh := dualFork.Check(cube, reachAP), dualFresh.Check(cube, reachAP)

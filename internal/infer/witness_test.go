@@ -54,7 +54,7 @@ func TestRecheckWitnessMatchesSolver(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			pl, err := core.Compile(c.src, ir.DefaultOptions(), true)
+			pl, err := core.Compile(c.src, ir.DefaultOptions())
 			if err != nil {
 				t.Fatalf("compile: %v", err)
 			}

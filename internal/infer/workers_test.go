@@ -24,7 +24,7 @@ import (
 // driver.round returns them.
 func renderRun(t *testing.T, name, src string, workers int, solvers *solver.Pool) string {
 	t.Helper()
-	pl, err := core.Compile(src, ir.DefaultOptions(), true)
+	pl, err := core.Compile(src, ir.DefaultOptions())
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
@@ -65,11 +65,12 @@ func renderRun(t *testing.T, name, src string, workers int, solvers *solver.Pool
 // solvers with different histories, so a verdict that leaned on a
 // particular solver's state would show here; switch@1 is the case with the
 // most to lose on the Infer side: ten instances fork the same two warm
-// bases, so any state leaking from one instance's solvers into another's
+// bases, and a worker copies them over the pair its previous instance
+// used, so any state leaking from one instance's solvers into another's
 // would show as a cube that depends on the schedule. The reference run
-// allocates its solvers; the others draw them from one pool that lives
-// across the whole test, so every program is decided on what the programs
-// before it left behind, handed out in whatever order the schedule gives.
+// allocates its solvers; the others draw their shards and bases from one
+// pool that lives across the whole test, so every program is decided on
+// what the programs before it left behind.
 func TestRunDeterministicAcrossWorkerCounts(t *testing.T) {
 	recycled := solver.NewPool(nil)
 	type testCase struct {

@@ -180,9 +180,6 @@ type PropInfo struct {
 
 // LeakInfo describes one instrumented information-flow sink check.
 type LeakInfo struct {
-	// Sink classifies the sink: "emit-field", "emit-copy", "egress-meta",
-	// "table-key" or "extern-payload".
-	Sink string
 	// Dest names the destination (field path, table key, extern call).
 	Dest string
 	// Taint is the shadow taint term of the value written to the sink;
@@ -270,7 +267,6 @@ type ParamInfo struct {
 // Table is static table metadata shared by all instances.
 type Table struct {
 	Name    string
-	Control string
 	Keys    []*KeyInfo
 	Actions []*ActionInfo
 	Default *ActionInfo // resolved default action (NoAction if unset)
@@ -460,20 +456,4 @@ func (p *Program) Topo() []*Node {
 		order[i], order[j] = order[j], order[i]
 	}
 	return order
-}
-
-// Reachable returns the set of nodes reachable from Start.
-func (p *Program) Reachable() map[*Node]bool {
-	seen := map[*Node]bool{}
-	stack := []*Node{p.Start}
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if seen[n] {
-			continue
-		}
-		seen[n] = true
-		stack = append(stack, n.Succs...)
-	}
-	return seen
 }

@@ -529,9 +529,6 @@ func (b *builder) tableMeta(td *ast.TableDecl) *Table {
 		return t
 	}
 	t := &Table{Name: td.Name, Size: td.Size}
-	if b.ctl != nil {
-		t.Control = b.ctl.Name
-	}
 	for _, k := range td.Keys {
 		kt := b.info.TypeOf(k.Expr)
 		w := types.WidthOf(kt)

@@ -386,7 +386,7 @@ func (b *builder) checkLeakTaint(taint *smt.Term, sink, dest string, pos token.P
 	n.Bug = BugInfoLeak
 	n.Pos = pos
 	n.Comment = fmt.Sprintf("sensitive data reaches %s %s", sinkNouns[sink], dest)
-	n.Leak = &LeakInfo{Sink: sink, Dest: dest, Taint: taint}
+	n.Leak = &LeakInfo{Dest: dest, Taint: taint}
 	b.emit(n)
 	b.p.Bugs = append(b.p.Bugs, n)
 	b.cur = e

@@ -113,7 +113,6 @@ type Pipeline struct {
 
 // Scope resolves names within one parser or control.
 type Scope struct {
-	Owner     ast.Decl // *ast.ParserDecl or *ast.ControlDecl
 	Params    map[string]*ast.Param
 	Actions   map[string]*ast.ActionDecl
 	Tables    map[string]*ast.TableDecl
@@ -340,7 +339,6 @@ func (in *Info) constant(e ast.Expr) bool {
 
 func (in *Info) newScope(owner ast.Decl, params []*ast.Param, locals []ast.Decl) *Scope {
 	sc := &Scope{
-		Owner:     owner,
 		Params:    make(map[string]*ast.Param),
 		Actions:   map[string]*ast.ActionDecl{"NoAction": NoAction},
 		Tables:    make(map[string]*ast.TableDecl),

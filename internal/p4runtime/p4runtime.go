@@ -484,7 +484,6 @@ type Client struct {
 	next    int64
 	id      string
 	opts    Options
-	rng     *mrand.Rand
 	// jrng drives backoff jitter only. It is never shared and never
 	// seeded identically across clients (see Options.Seed).
 	jrng *mrand.Rand
@@ -542,7 +541,6 @@ func newClient(opts Options) *Client {
 	return &Client{
 		opts: opts,
 		id:   hex.EncodeToString(idb[:]),
-		rng:  rng,
 		jrng: mrand.New(mrand.NewSource(jseed)),
 	}
 }

@@ -17,7 +17,7 @@ import (
 // gap means the task list was too short or too skewed for the fan-out.
 // A nil registry delegates to the plain ForEach — zero overhead, same
 // scheduling, identical results either way.
-func ObservedForEach(reg *obs.Registry, scope string, workers, n int, fn func(i int)) {
+func ObservedForEach(reg *obs.Registry, scope string, workers, n int, fn func(w, i int)) {
 	if reg == nil {
 		ForEach(workers, n, fn)
 		return
@@ -29,9 +29,9 @@ func ObservedForEach(reg *obs.Registry, scope string, workers, n int, fn func(i 
 		w = n
 	}
 	reg.Gauge("bf4_pool_" + scope + "_workers").Set(int64(w))
-	ForEach(workers, n, func(i int) {
+	ForEach(workers, n, func(w, i int) {
 		start := time.Now()
-		fn(i)
+		fn(w, i)
 		busy.Add(int64(time.Since(start)))
 		tasks.Inc()
 	})
@@ -41,6 +41,6 @@ func ObservedForEach(reg *obs.Registry, scope string, workers, n int, fn func(i 
 // slice is identical to Map's for every worker count and for nil reg.
 func ObservedMap[T any](reg *obs.Registry, scope string, workers, n int, fn func(i int) T) []T {
 	out := make([]T, n)
-	ObservedForEach(reg, scope, workers, n, func(i int) { out[i] = fn(i) })
+	ObservedForEach(reg, scope, workers, n, func(_, i int) { out[i] = fn(i) })
 	return out
 }

@@ -22,10 +22,14 @@ func Workers(n int) int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// ForEach invokes fn(i) for every i in [0, n) on at most
-// Workers(workers) goroutines and waits for all of them. A panic in any
-// task is re-raised in the caller after the remaining workers drain.
-func ForEach(workers, n int, fn func(i int)) {
+// ForEach invokes fn(w, i) for every task i in [0, n) on at most
+// Workers(workers) goroutines and waits for all of them. w, in
+// [0, min(Workers(workers), n)), names the goroutine running the task: the
+// tasks of one w run one after another, never at once, so fn may keep
+// per-worker state indexed by w without a lock. Which tasks share a w
+// depends on the schedule. A panic in any task is re-raised in the caller
+// after the remaining workers drain.
+func ForEach(workers, n int, fn func(w, i int)) {
 	if n <= 0 {
 		return
 	}
@@ -35,7 +39,7 @@ func ForEach(workers, n int, fn func(i int)) {
 	}
 	if w == 1 {
 		for i := 0; i < n; i++ {
-			fn(i)
+			fn(0, i)
 		}
 		return
 	}
@@ -63,7 +67,7 @@ func ForEach(workers, n int, fn func(i int)) {
 				if i >= n {
 					return
 				}
-				fn(i)
+				fn(g, i)
 			}
 		}()
 	}
@@ -77,7 +81,7 @@ func ForEach(workers, n int, fn func(i int)) {
 // order. The result slice is identical for every worker count.
 func Map[T any](workers, n int, fn func(i int) T) []T {
 	out := make([]T, n)
-	ForEach(workers, n, func(i int) { out[i] = fn(i) })
+	ForEach(workers, n, func(_, i int) { out[i] = fn(i) })
 	return out
 }
 
@@ -87,7 +91,7 @@ func Map[T any](workers, n int, fn func(i int) T) []T {
 func MapErr[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
 	errs := make([]error, n)
-	ForEach(workers, n, func(i int) { out[i], errs[i] = fn(i) })
+	ForEach(workers, n, func(_, i int) { out[i], errs[i] = fn(i) })
 	for _, err := range errs {
 		if err != nil {
 			return out, err

@@ -53,7 +53,7 @@ func TestMapDeterministicAcrossWorkerCounts(t *testing.T) {
 func TestForEachBoundsConcurrency(t *testing.T) {
 	const workers = 3
 	var cur, peak atomic.Int64
-	ForEach(workers, 200, func(i int) {
+	ForEach(workers, 200, func(_, i int) {
 		c := cur.Add(1)
 		for {
 			p := peak.Load()
@@ -70,8 +70,8 @@ func TestForEachBoundsConcurrency(t *testing.T) {
 
 func TestForEachZeroAndNegativeN(t *testing.T) {
 	ran := false
-	ForEach(4, 0, func(int) { ran = true })
-	ForEach(4, -5, func(int) { ran = true })
+	ForEach(4, 0, func(int, int) { ran = true })
+	ForEach(4, -5, func(int, int) { ran = true })
 	if ran {
 		t.Fatal("ForEach ran tasks for n <= 0")
 	}
@@ -110,11 +110,59 @@ func TestForEachPropagatesPanic(t *testing.T) {
 					t.Fatalf("workers=%d: panic not propagated", w)
 				}
 			}()
-			ForEach(w, 50, func(i int) {
+			ForEach(w, 50, func(_, i int) {
 				if i == 13 {
 					panic("boom")
 				}
 			})
 		}()
+	}
+}
+
+// TestForEachWorkerIndex holds the contract per-worker state rests on: every
+// worker index is in [0, min(workers, n)), the tasks of one worker never run
+// at once, and state kept per worker (here a scratch buffer a task
+// overwrites) changes no result at any worker count.
+func TestForEachWorkerIndex(t *testing.T) {
+	const n = 300
+	task := func(buf []int, i int) int {
+		for k := range buf {
+			buf[k] = i + k
+		}
+		sum := 0
+		for _, v := range buf {
+			sum += v
+		}
+		return sum
+	}
+	var want []int
+	for _, workers := range []int{1, 2, 3, 8, 500} {
+		span := min(workers, n)
+		bufs := make([][]int, span)
+		busy := make([]atomic.Int32, span)
+		out := make([]int, n)
+		ForEach(workers, n, func(w, i int) {
+			if w < 0 || w >= span {
+				t.Errorf("workers=%d: task %d ran on worker %d, want one in [0, %d)", workers, i, w, span)
+				return
+			}
+			if busy[w].Add(1) != 1 {
+				t.Errorf("workers=%d: worker %d ran two tasks at once", workers, w)
+			}
+			if bufs[w] == nil {
+				bufs[w] = make([]int, 64)
+			}
+			out[i] = task(bufs[w], i)
+			busy[w].Add(-1)
+		})
+		if want == nil {
+			want = out
+			continue
+		}
+		for i := range out {
+			if out[i] != want[i] {
+				t.Fatalf("workers=%d: result %d is %d, %d at one worker", workers, i, out[i], want[i])
+			}
+		}
 	}
 }

@@ -11,9 +11,11 @@ import (
 )
 
 // poolSession is the shape one Infer round gives a pool — a base built with
-// New, one fork an assertion on up to two goroutines at once, every solver
-// Put back when done — rendered as text: verdicts, models, and the search
-// effort of every check to the last propagation.
+// New, then two workers' forks taken with New before the workers start, each
+// copied over from the base for every assertion its worker takes, the two
+// workers running at once; every solver Put back when the workers are done —
+// rendered as text: verdicts, models, and the search effort of every check
+// to the last propagation.
 func poolSession(t *testing.T, p *Pool, f *smt.Factory) string {
 	t.Helper()
 	basis, conds := sliceFixture(f)
@@ -23,33 +25,33 @@ func poolSession(t *testing.T, p *Pool, f *smt.Factory) string {
 	}
 	out := make([]string, len(conds)+1)
 	out[0] = fmt.Sprintf("base: %v %+v", base.Check(), base.lastCheck.Search)
+	forks := []*Solver{p.New(f), p.New(f)}
 	var wg sync.WaitGroup
-	sem := make(chan struct{}, 2)
-	for i, c := range conds {
+	for w, s := range forks {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			s := p.Fork(base)
-			defer p.Put(s)
-			s.Assert(c)
-			res := s.Check()
-			out[i+1] = fmt.Sprintf("fork %d: %v %+v", i, res, s.lastCheck.Search)
-			if res == Sat {
-				out[i+1] += fmt.Sprint(" ", s.Model())
+			for i := w; i < len(conds); i += len(forks) {
+				s.CopyFrom(base)
+				s.Assert(conds[i])
+				res := s.Check()
+				out[i+1] = fmt.Sprintf("fork %d: %v %+v", i, res, s.lastCheck.Search)
+				if res == Sat {
+					out[i+1] += fmt.Sprint(" ", s.Model())
+				}
 			}
 		}()
 	}
 	wg.Wait()
 	p.Put(base)
+	p.Put(forks...)
 	return fmt.Sprint(out)
 }
 
 // TestPoolRecyclesLikeFresh: solvers from a pool — idle ones with a life on
 // another factory's terms behind them, a registry and a tag included — answer, model and search exactly as New's and CopyFrom's do, and
 // the pool says what it allocated, recycled and holds. Run under -race:
-// forks are taken and put back from two goroutines.
+// two goroutines copy the one base into the forks they own.
 func TestPoolRecyclesLikeFresh(t *testing.T) {
 	reg := obs.NewRegistry()
 	p := NewPool(reg)
@@ -87,19 +89,16 @@ func TestPoolRecyclesLikeFresh(t *testing.T) {
 	if got := reg.CounterValue("bf4_solver_checks_total"); got != checks {
 		t.Errorf("a recycled solver kept its first life's registry: %d checks recorded, were %d", got, checks)
 	}
-	if fresh, recycled := reg.CounterValue("bf4_solver_fresh_total"), reg.CounterValue("bf4_solver_recycled_total"); fresh != 3 || recycled != int64(len(conds))+1 {
-		t.Errorf("fresh %d, recycled %d; want 3 and %d: a base and two forks at a time fit the three idle solvers", fresh, recycled, len(conds)+1)
+	if fresh, recycled := reg.CounterValue("bf4_solver_fresh_total"), reg.CounterValue("bf4_solver_recycled_total"); fresh != 3 || recycled != 3 {
+		t.Errorf("fresh %d, recycled %d; want 3 and 3: a base and two workers' forks fit the three idle solvers", fresh, recycled)
 	}
-
-	// Released, the pool holds nothing and says so.
-	p.Release()
-	if got := reg.GaugeValue("bf4_solver_pool_retained_bytes"); got != 0 {
-		t.Errorf("bf4_solver_pool_retained_bytes = %d after Release, want 0", got)
+	held = 0
+	for _, d := range dirty {
+		held += d.sat.Bytes()
 	}
-	if p.New(smt.NewFactory()); reg.CounterValue("bf4_solver_fresh_total") != 4 {
-		t.Errorf("a released pool recycled a solver: %d allocated, want 4", reg.CounterValue("bf4_solver_fresh_total"))
+	if got := reg.GaugeValue("bf4_solver_pool_retained_bytes"); got != int64(held) {
+		t.Errorf("bf4_solver_pool_retained_bytes = %d after the session, the three idle solvers hold %d", got, held)
 	}
-	p.Put(dirty[0])
 
 	// What the pool hands out is empty: no tag, no variable, no core.
 	s := p.New(smt.NewFactory())
@@ -116,7 +115,7 @@ func TestNilPoolAllocates(t *testing.T) {
 	x := f.BVVar("x", 8)
 	a := p.New(f)
 	a.Assert(f.Ult(x, f.BVConst64(10, 8)))
-	b := p.Fork(a)
+	b := p.New(f).CopyFrom(a)
 	p.Put(a, b, nil)
 	b.Assert(f.Ugt(x, f.BVConst64(20, 8)))
 	if ra, rb := a.Check(), b.Check(); ra != Sat || rb != Unsat {

@@ -42,7 +42,7 @@ V1Switch(P(), Ing()) main;
 
 func buildFile(t *testing.T) *File {
 	t.Helper()
-	pl, err := core.Compile(natSrc, ir.DefaultOptions(), true)
+	pl, err := core.Compile(natSrc, ir.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

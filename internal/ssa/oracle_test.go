@@ -165,7 +165,7 @@ func TestJoinRuleKeepsVerdicts(t *testing.T) {
 			name, src = "switch@1", progs.GenerateSwitch(1)
 		}
 		t.Run(name, func(t *testing.T) {
-			pl, err := core.Compile(src, ir.DefaultOptions(), true)
+			pl, err := core.Compile(src, ir.DefaultOptions())
 			if err != nil {
 				t.Fatal(err)
 			}
