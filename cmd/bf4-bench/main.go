@@ -34,7 +34,7 @@ func main() {
 		run         = flag.String("run", "all", "experiment: table1, slicing, infer, multitable, dontcare, p4v, vera, shim, overhead, stages, all")
 		switchScale = flag.Int("switch-scale", 8, "generated switch scale for switch-based experiments")
 		updates     = flag.Int("updates", 2000, "controller updates for the shim experiment")
-		veraBudget  = flag.Duration("vera-budget", 20*time.Second, "budget for symbolic Vera exploration")
+		veraBudget  = flag.Int("vera-budget", 7500, "paths symbolic Vera explores (7500 take about 20 s at switch@8 on a 2-vCPU VM)")
 		jobs        = flag.Int("j", 0, "worker pool size for parallel experiments (0 = GOMAXPROCS, 1 = serial)")
 		stable      = flag.Bool("stable", false, "render table1 without the runtime column and omit the wall-clock footers (byte-stable across -j values and machines)")
 	)

@@ -62,10 +62,10 @@ type VeraOptions struct {
 	// Snapshot, when non-nil, runs concrete-entry mode (the paper's
 	// per-snapshot Vera). Nil explores symbolic entries.
 	Snapshot *dataplane.Snapshot
-	// MaxPaths bounds explored paths (0 = 1 << 20).
+	// MaxPaths bounds explored paths (0 = 1 << 20). It is the only
+	// budget, so an exploration's paths, the bugs it hits and the nodes it
+	// visits repeat from run to run and from machine to machine.
 	MaxPaths int
-	// Timeout bounds wall-clock time (0 = none).
-	Timeout time.Duration
 }
 
 // VeraResult summarizes an exploration.
@@ -87,10 +87,9 @@ func (r *VeraResult) Coverage() float64 {
 }
 
 type veraExplorer struct {
-	f        *smt.Factory
-	s        *solver.Solver
-	opts     VeraOptions
-	deadline time.Time
+	f    *smt.Factory
+	s    *solver.Solver
+	opts VeraOptions
 
 	visited map[*ir.Node]bool
 	bugs    map[*ir.Node]bool
@@ -122,9 +121,6 @@ func vera(pl *core.Pipeline, opts VeraOptions, onBug func(*ir.Node, *smt.Term)) 
 		visited: map[*ir.Node]bool{},
 		bugs:    map[*ir.Node]bool{},
 		onBug:   onBug,
-	}
-	if opts.Timeout > 0 {
-		ex.deadline = start.Add(opts.Timeout)
 	}
 	ex.explore(pl.IR.Start, pl.IR.F.True(), nil)
 	if ex.err != nil {
@@ -183,10 +179,6 @@ func (ex *veraExplorer) budgetExceeded() bool {
 		return true
 	}
 	if ex.paths >= ex.opts.MaxPaths {
-		ex.stopped = true
-		return true
-	}
-	if !ex.deadline.IsZero() && time.Now().After(ex.deadline) {
 		ex.stopped = true
 		return true
 	}

@@ -2,13 +2,14 @@ package baseline
 
 import (
 	"math/big"
+	"slices"
 	"strings"
 	"testing"
-	"time"
 
 	"bf4/internal/core"
 	"bf4/internal/dataplane"
 	"bf4/internal/ir"
+	"bf4/internal/progs"
 	"bf4/internal/smt"
 	"bf4/internal/solver"
 )
@@ -287,7 +288,7 @@ func TestVeraConcreteFaultySnapshot(t *testing.T) {
 
 func TestVeraSymbolicFindsMore(t *testing.T) {
 	pl := compileNAT(t)
-	r, err := Vera(pl, VeraOptions{MaxPaths: 10000, Timeout: 30 * time.Second})
+	r, err := Vera(pl, VeraOptions{MaxPaths: 10000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,6 +297,38 @@ func TestVeraSymbolicFindsMore(t *testing.T) {
 	}
 	if r.Coverage() <= 0 || r.Coverage() > 1 {
 		t.Fatalf("coverage = %v", r.Coverage())
+	}
+}
+
+// TestVeraBudgetRepeats: the path budget is the only one, so two symbolic
+// explorations of switch@1 under it take the same paths, hit the same bugs
+// and visit the same nodes (a wall-clock budget stopped wherever the
+// machine had got to).
+func TestVeraBudgetRepeats(t *testing.T) {
+	pl, err := core.Compile(progs.GenerateSwitch(1), ir.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	explore := func() (*VeraResult, []int) {
+		r, err := Vera(pl, VeraOptions{MaxPaths: 500})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var bugs []int
+		for n := range r.BugsHit {
+			bugs = append(bugs, n.ID)
+		}
+		slices.Sort(bugs)
+		return r, bugs
+	}
+	a, bugsA := explore()
+	b, bugsB := explore()
+	if a.Completed || a.Paths != 500 {
+		t.Fatalf("the budget did not stop the exploration: %d paths, completed %v", a.Paths, a.Completed)
+	}
+	if a.Paths != b.Paths || a.Visited != b.Visited || !slices.Equal(bugsA, bugsB) {
+		t.Fatalf("two explorations under one budget differ: %d / %d paths, %d / %d nodes, bugs %v / %v",
+			a.Paths, b.Paths, a.Visited, b.Visited, bugsA, bugsB)
 	}
 }
 

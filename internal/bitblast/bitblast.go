@@ -88,24 +88,6 @@ func (c *Context) Solver() *sat.Solver { return c.s }
 // false, so models (and the witnesses built from them) stay zero-biased.
 func (c *Context) freshLit() sat.Lit { return sat.MkLit(c.s.NewVar(), false) }
 
-// phase returns the saved phase of literal l: the value the solver's next
-// decision on it tries first. Level-0 facts, the constant among them, and
-// every variable of the last model read their value.
-func (c *Context) phase(l sat.Lit) bool { return c.s.Phase(l.Var()) != l.Sign() }
-
-// freshGate allocates the output variable of a Tseitin gate, whose first
-// saved phase is the gate's function of its inputs' saved phases. The saved
-// phases are then a point of the circuit — the all-zeros input on a fresh
-// solver, the last model after a Sat answer — so a descent that follows
-// them can contradict an asserted root or an assumption, never a gate
-// definition. The three emitters below are the only callers: a gate with
-// any other first phase costs a conflict to put right.
-func (c *Context) freshGate(phase bool) sat.Lit {
-	v := c.s.NewVar()
-	c.s.SetPhase(v, phase)
-	return sat.MkLit(v, false)
-}
-
 // Literal returns a SAT literal equivalent to the boolean term t,
 // introducing Tseitin definitions as needed.
 func (c *Context) Literal(t *smt.Term) sat.Lit {
@@ -311,24 +293,7 @@ func (c *Context) mkAnd(lits []sat.Lit) sat.Lit {
 	case 1:
 		return out[0]
 	}
-	return c.emitAnd(out)
-}
-
-// emitAnd emits the Tseitin definition y ↔ ∧ lits and returns y.
-func (c *Context) emitAnd(lits []sat.Lit) sat.Lit {
-	all := true
-	for _, l := range lits {
-		all = all && c.phase(l)
-	}
-	y := c.freshGate(all)
-	long := make([]sat.Lit, 0, len(lits)+1)
-	long = append(long, y)
-	for _, l := range lits {
-		c.s.AddClause(y.Neg(), l) // y -> l
-		long = append(long, l.Neg())
-	}
-	c.s.AddClause(long...) // all l -> y
-	return y
+	return c.s.And(out...)
 }
 
 // mkXor returns a literal equivalent to a xor b.
@@ -347,17 +312,7 @@ func (c *Context) mkXor(a, b sat.Lit) sat.Lit {
 	case a == b.Neg():
 		return c.litTrue
 	}
-	return c.emitXor(a, b)
-}
-
-// emitXor emits the Tseitin definition y ↔ a ⊕ b and returns y.
-func (c *Context) emitXor(a, b sat.Lit) sat.Lit {
-	y := c.freshGate(c.phase(a) != c.phase(b))
-	c.s.AddClause(y.Neg(), a, b)
-	c.s.AddClause(y.Neg(), a.Neg(), b.Neg())
-	c.s.AddClause(y, a.Neg(), b)
-	c.s.AddClause(y, a, b.Neg())
-	return y
+	return c.s.Xor(a, b)
 }
 
 // mkIte returns a literal equivalent to cond ? a : b.
@@ -374,24 +329,7 @@ func (c *Context) mkIte(cond, a, b sat.Lit) sat.Lit {
 	case a == c.litFalse && b == c.litTrue:
 		return cond.Neg()
 	}
-	return c.emitIte(cond, a, b)
-}
-
-// emitIte emits the Tseitin definition y ↔ (cond ? a : b) and returns y.
-func (c *Context) emitIte(cond, a, b sat.Lit) sat.Lit {
-	branch := b
-	if c.phase(cond) {
-		branch = a
-	}
-	y := c.freshGate(c.phase(branch))
-	c.s.AddClause(cond.Neg(), a.Neg(), y)
-	c.s.AddClause(cond.Neg(), a, y.Neg())
-	c.s.AddClause(cond, b.Neg(), y)
-	c.s.AddClause(cond, b, y.Neg())
-	// Redundant but propagation-helping: if a and b agree, y agrees.
-	c.s.AddClause(a.Neg(), b.Neg(), y)
-	c.s.AddClause(a, b, y.Neg())
-	return y
+	return c.s.Ite(cond, a, b)
 }
 
 // mkMaj returns the majority of three literals (carry-out of a full adder).

@@ -343,8 +343,8 @@ type VeraComparison struct {
 }
 
 // VeraCompare explores the generated switch concretely (one populated
-// snapshot) and symbolically (budgeted).
-func VeraCompare(scale int, symbolicBudget time.Duration) (*VeraComparison, error) {
+// snapshot, to the end) and symbolically, at most symbolicPaths paths.
+func VeraCompare(scale, symbolicPaths int) (*VeraComparison, error) {
 	src := progs.GenerateSwitch(scale)
 	pl, err := core.Compile(src, ir.DefaultOptions())
 	if err != nil {
@@ -372,7 +372,7 @@ func VeraCompare(scale int, symbolicBudget time.Duration) (*VeraComparison, erro
 		}
 		snap.Insert(t.Name, e)
 	}
-	rc, err := baseline.Vera(pl, baseline.VeraOptions{Snapshot: snap, Timeout: symbolicBudget})
+	rc, err := baseline.Vera(pl, baseline.VeraOptions{Snapshot: snap})
 	if err != nil {
 		return nil, err
 	}
@@ -382,7 +382,7 @@ func VeraCompare(scale int, symbolicBudget time.Duration) (*VeraComparison, erro
 	out.ConcreteCoverage = rc.Coverage()
 	out.ConcreteComplete = rc.Completed
 
-	rs, err := baseline.Vera(pl, baseline.VeraOptions{Timeout: symbolicBudget})
+	rs, err := baseline.Vera(pl, baseline.VeraOptions{MaxPaths: symbolicPaths})
 	if err != nil {
 		return nil, err
 	}

@@ -143,7 +143,7 @@ func TestShimExperimentSmall(t *testing.T) {
 }
 
 func TestVeraCompareSmall(t *testing.T) {
-	r, err := VeraCompare(1, 3*time.Second)
+	r, err := VeraCompare(1, 1000)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,16 +1,22 @@
 package sat
 
-// varHeap is a binary max-heap of variables ordered by VSIDS activity,
-// with an index map enabling decrease-key when activities are bumped.
+import "math/bits"
+
+// varHeap is a binary max-heap of variables ordered by VSIDS activity, the
+// later variable first among equals, with an index map enabling
+// decrease-key when activities are bumped.
 type varHeap struct {
 	heap     []Var
-	indices  []int // position of each var in heap, -1 if absent
+	indices  []int32 // position of each var in heap, -1 if absent
 	activity *[]float64
 }
 
 func (h *varHeap) less(a, b Var) bool {
 	act := *h.activity
-	return act[a] > act[b]
+	if act[a] != act[b] {
+		return act[a] > act[b]
+	}
+	return a > b
 }
 
 func (h *varHeap) inHeap(v Var) bool {
@@ -24,16 +30,16 @@ func (h *varHeap) insert(v Var) {
 	if h.indices[v] >= 0 {
 		return
 	}
-	h.indices[v] = len(h.heap)
+	h.indices[v] = int32(len(h.heap))
 	h.heap = append(h.heap, v)
-	h.percolateUp(h.indices[v])
+	h.percolateUp(int(h.indices[v]))
 }
 
 // decrease restores the heap property after v's activity increased
 // (named after the classical decrease-key, since a higher activity means a
 // smaller key in the ordering).
 func (h *varHeap) decrease(v Var) {
-	h.percolateUp(h.indices[v])
+	h.percolateUp(int(h.indices[v]))
 }
 
 func (h *varHeap) removeMin() (Var, bool) {
@@ -60,11 +66,11 @@ func (h *varHeap) percolateUp(i int) {
 			break
 		}
 		h.heap[i] = h.heap[parent]
-		h.indices[h.heap[i]] = i
+		h.indices[h.heap[i]] = int32(i)
 		i = parent
 	}
 	h.heap[i] = v
-	h.indices[v] = i
+	h.indices[v] = int32(i)
 }
 
 func (h *varHeap) percolateDown(i int) {
@@ -82,9 +88,51 @@ func (h *varHeap) percolateDown(i int) {
 			break
 		}
 		h.heap[i] = h.heap[child]
-		h.indices[h.heap[i]] = i
+		h.indices[h.heap[i]] = int32(i)
 		i = child
 	}
 	h.heap[i] = v
-	h.indices[v] = i
+	h.indices[v] = int32(i)
+}
+
+// bitQueue is a set of variables that yields its largest first: the order
+// varHeap keeps among variables of equal activity, for the variables no
+// conflict has bumped yet, which are most of a circuit's. words holds one
+// bit per variable, and summary one bit per nonzero word.
+type bitQueue struct {
+	words, summary []uint64
+}
+
+// grow makes room for n variables.
+func (q *bitQueue) grow(n int) {
+	for len(q.words) < (n+63)/64 {
+		q.words = append(q.words, 0)
+	}
+	for len(q.summary) < (len(q.words)+63)/64 {
+		q.summary = append(q.summary, 0)
+	}
+}
+
+func (q *bitQueue) has(v Var) bool { return q.words[v>>6]&(1<<(v&63)) != 0 }
+
+func (q *bitQueue) add(v Var) {
+	q.words[v>>6] |= 1 << (v & 63)
+	q.summary[v>>12] |= 1 << (v >> 6 & 63)
+}
+
+func (q *bitQueue) remove(v Var) {
+	if q.words[v>>6] &^= 1 << (v & 63); q.words[v>>6] == 0 {
+		q.summary[v>>12] &^= 1 << (v >> 6 & 63)
+	}
+}
+
+// max returns the largest variable in q, if any.
+func (q *bitQueue) max() (Var, bool) {
+	for i := len(q.summary) - 1; i >= 0; i-- {
+		if s := q.summary[i]; s != 0 {
+			w := i*64 + 63 - bits.LeadingZeros64(s)
+			return Var(w*64 + 63 - bits.LeadingZeros64(q.words[w])), true
+		}
+	}
+	return 0, false
 }

@@ -1,7 +1,7 @@
 // Package sat implements a CDCL (conflict-driven clause learning) SAT
-// solver with two-literal watching, VSIDS branching, first-UIP clause
-// learning, Luby restarts, phase saving, and assumption-based incremental
-// solving with unsat-core extraction over the assumptions.
+// solver with two-literal watching, first-UIP clause learning, Luby
+// restarts, phase saving, and assumption-based incremental solving with
+// unsat-core extraction over the assumptions.
 //
 // The solver is the decision substrate for the bitvector SMT layer
 // (internal/bitblast, internal/solver): bf4's reachability queries and the
@@ -9,6 +9,21 @@
 // uses Z3; this package provides the subset of Z3's functionality those
 // algorithms need (check, model, failed assumptions) with identical
 // semantics.
+//
+// The solver knows the circuit it solves. A gate (And, Xor, Ite) is an
+// output variable defined over input literals; its Tseitin clauses are
+// added with it. Every other clause is a root. Search is justification
+// directed (Kuehlmann et al., "Circuit-based Boolean reasoning", DAC 2001):
+// a gate the roots or the assumptions need is justified once its assigned
+// inputs force its value, and a Solve answers Sat as soon as everything
+// needed is justified, not once every variable has a value. A decision is
+// an unassigned input of a needed gate that is not justified yet, or a
+// variable a conflict has bumped, the most active first (VSIDS), at its
+// saved phase. The model is then completed by evaluating every gate from
+// the inputs, which keep their values or else their saved phases; the
+// saved phases are set to the model, so they stay a point of the circuit.
+// A CNF with no gates is all roots and is searched the same way: a root
+// clause with no true literal offers its literals.
 //
 // Search backjumps to the level where a learnt clause asserts, so the trail
 // stays in level order, and keeps every learnt clause: on the verifier's
@@ -20,7 +35,10 @@
 // switch takes 1.4× the conflicts and 1.075× the time (E34).
 package sat
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Var is a propositional variable, numbered from 0.
 type Var int32
@@ -118,6 +136,36 @@ type watcher struct {
 
 func (w watcher) cref() int32 { return int32(w.ref &^ binFlag) }
 
+// The gate kinds, in the low bits of a gate's header word in gateIn.
+const (
+	gateAnd uint32 = 1 + iota // y ↔ ∧ inputs
+	gateXor                   // y ↔ a ⊕ b
+	gateIte                   // y ↔ (c ? a : b), inputs c, a, b
+
+	gateKind  = 3
+	gateShift = 2
+)
+
+// justMark is the justification frontier when a decision level opened.
+type justMark struct{ n, head, pend int32 }
+
+// pending is an entry of the justification frontier that was not justified
+// when justify reached it.
+type pending struct {
+	e     int32 // a literal or ^cref, as in Solver.just
+	at    int32 // the decision level at which it was justified since, or -1: open
+	nodes int32 // offset in Solver.nodes of its nodes, one per input
+}
+
+// node stands for one input of a pending entry on the list of the entries
+// an assignment of that input's variable wakes. prev is -2 while it is on
+// no list. v is the input's variable, noted when the node goes on a list:
+// propagate reorders a root clause's literals.
+type node struct {
+	entry, prev, next int32
+	v                 Var
+}
+
 // Result is the outcome of a Solve call.
 type Result int8
 
@@ -164,7 +212,44 @@ type Solver struct {
 	trailLim []int32 // trail index at each decision level
 	qhead    int
 
-	heap    varHeap
+	// The circuit. gate holds, for each variable, the offset in gateIn of
+	// its gate's header (kind | inputs<<gateShift), which the gate's input
+	// literals follow, or -1 for an input variable. gateIn is append-only
+	// and nothing in it is ever written again, so CopyFrom shares it.
+	gate   []int32
+	gateIn []uint32
+
+	// The justification frontier. just lists what the roots and the
+	// assumptions need: gate literals that are true (each variable at most
+	// once, marked in needed) and root clauses (^cref) that need a true
+	// literal. justify takes the entries in order from justHead: a
+	// justified one puts what it needs in turn at the end of just, one that
+	// is not opens in pend. An open entry is on the list (waiting heads it,
+	// per variable, in nodes) of each of its inputs, and is looked at again
+	// when one of them is assigned (wakeHead is how far along the trail
+	// that has happened); a variable with a list is an input of an open
+	// entry. justLim holds the lengths at each decision level;
+	// cancelUntil restores them and reopens the entries justified above the
+	// level it returns to, which justify then looks at again.
+	just     []int32
+	justHead int
+	needed   []bool
+	pend     []pending
+	open     int
+	nodes    []node
+	waiting  []int32
+	wakeHead int
+	reopened []int32
+	justLim  []justMark
+	woken    []int32 // justify's scratch
+
+	// The decision order: VSIDS activity, the later variable first among
+	// equals. heap holds the variables a conflict has bumped, cold those it
+	// has not; a variable goes in when it is unassigned and a candidate
+	// (branch), and may still be there when it is neither any more.
+	heap varHeap
+	cold bitQueue
+
 	varInc  float64
 	okState bool // false once the clause set is unsat at level 0
 
@@ -239,14 +324,19 @@ func (s *Solver) init() {
 // Reset empties s and keeps its arrays: what follows — variables, clauses,
 // answers, search effort — is what it would be on New(), whatever s held
 // before. Every field is named here or zero, so one added later starts
-// zero rather than stale.
+// zero rather than stale. The gate inputs are let go, not kept: a copy may
+// share them with its source.
 func (s *Solver) Reset() *Solver {
 	*s = Solver{
 		arena: s.arena[:0], watches: s.watches[:0], watchMem: s.watchMem[:0],
 		assigns: s.assigns[:0], level: s.level[:0], reason: s.reason[:0],
 		polarity: s.polarity[:0], activity: s.activity[:0], seen: s.seen[:0],
 		trail: s.trail[:0], trailLim: s.trailLim[:0],
+		gate: s.gate[:0], just: s.just[:0], needed: s.needed[:0], pend: s.pend[:0], nodes: s.nodes[:0],
+		waiting: s.waiting[:0], reopened: s.reopened[:0], justLim: s.justLim[:0],
+		woken: s.woken[:0],
 		heap:  varHeap{heap: s.heap.heap[:0], indices: s.heap.indices[:0]},
+		cold:  bitQueue{words: s.cold.words[:0], summary: s.cold.summary[:0]},
 		model: s.model[:0], conflictCs: s.conflictCs[:0],
 		addBuf: s.addBuf[:0], learntBuf: s.learntBuf[:0],
 	}
@@ -260,7 +350,7 @@ func (s *Solver) Reset() *Solver {
 // size on the way there; doubling allocates twice.
 const (
 	firstVars  = 64  // variables
-	firstWords = 512 // arena words
+	firstWords = 512 // arena and gate input words
 )
 
 // regrow returns s with room for at least n elements, contents kept.
@@ -272,9 +362,9 @@ func regrow[T any](s []T, n int) []T {
 }
 
 // growVars makes room for n variables in every array indexed by variable
-// or literal, and in the trail and the heap, which hold each variable at
-// most once: they are always grown here, together, so none of them ever
-// grows on its own append.
+// or literal, and in the trail, which holds each variable at most once:
+// they are always grown here, together, so none of them ever grows on its
+// own append.
 func (s *Solver) growVars(n int) {
 	s.assigns = regrow(s.assigns, n)
 	s.level = regrow(s.level, n)
@@ -282,9 +372,11 @@ func (s *Solver) growVars(n int) {
 	s.polarity = regrow(s.polarity, n)
 	s.activity = regrow(s.activity, n)
 	s.seen = regrow(s.seen, n)
+	s.gate = regrow(s.gate, n)
+	s.needed = regrow(s.needed, n)
+	s.waiting = regrow(s.waiting, n)
 	s.watches = regrow(s.watches, 2*n)
 	s.trail = regrow(s.trail, n)
-	s.heap.heap = regrow(s.heap.heap, n)
 	s.heap.indices = regrow(s.heap.indices, n)
 }
 
@@ -293,15 +385,18 @@ func (s *Solver) NumVars() int { return len(s.assigns) }
 
 // Bytes returns the size of the arrays s holds on to, used or not: what
 // keeping s around for reuse costs. (Watch lists that still lie in the
-// array CopyFrom carved them from are counted once, with it.)
+// array CopyFrom carved them from are counted once, with it; the gate
+// inputs are counted whole, though a copy shares them with its source.)
 func (s *Solver) Bytes() int {
 	perVar := cap(s.assigns) + 4*cap(s.level) + 4*cap(s.reason) + cap(s.polarity) + 8*cap(s.activity) +
-		cap(s.seen) + 4*cap(s.trail) + 4*cap(s.heap.heap) + 8*cap(s.heap.indices) + cap(s.model)
+		cap(s.seen) + 4*cap(s.trail) + 4*cap(s.gate) + cap(s.needed) + 4*cap(s.waiting) +
+		4*cap(s.heap.heap) + 4*cap(s.heap.indices) + 8*cap(s.cold.words) + 8*cap(s.cold.summary) + cap(s.model) +
+		4*cap(s.just) + 12*cap(s.pend) + 16*cap(s.nodes) + 4*cap(s.reopened) + 4*cap(s.woken)
 	watchers := 0
 	for _, ws := range s.watches {
 		watchers += cap(ws)
 	}
-	return 4*cap(s.arena) + perVar + 24*cap(s.watches) + 8*max(watchers, cap(s.watchMem))
+	return 4*cap(s.arena) + 4*cap(s.gateIn) + perVar + 24*cap(s.watches) + 8*max(watchers, cap(s.watchMem))
 }
 
 // NumClauses returns the number of problem (non-learnt) clauses of two or
@@ -328,8 +423,12 @@ func (s *Solver) NewVar() Var {
 	s.polarity = append(s.polarity, true) // default phase: false (sign=true)
 	s.activity = append(s.activity, 0)
 	s.seen = append(s.seen, false)
+	s.gate = append(s.gate, -1)
+	s.needed = append(s.needed, false)
+	s.waiting = append(s.waiting, -1)
+	s.heap.indices = append(s.heap.indices, -1)
+	s.cold.grow(len(s.assigns))
 	s.watches = append(s.watches, nil, nil)
-	s.heap.insert(v)
 	return v
 }
 
@@ -346,13 +445,16 @@ func (s *Solver) SetPhase(v Var, phase bool) {
 func (s *Solver) Phase(v Var) bool { return !s.polarity[v] }
 
 // CopyFrom overwrites s with a deep copy of src — clause database with
-// learnt clauses, watch lists, level-0 trail, activities, saved phases,
-// heap order and statistics — and returns s. Nothing s held before shows
-// afterwards, but its arrays are written over in place where they are large
-// enough, so copying into a solver that is done with is a copy and not an
-// allocation. The copy shares no mutable memory with src, so the two may be
-// used from different goroutines, and it continues exactly as src would
-// have. src must be at decision level 0 (between Solve calls).
+// learnt clauses, circuit, watch lists, level-0 trail and justification
+// frontier, activities, saved phases and statistics — and returns s.
+// Nothing s held before shows afterwards, but its arrays are written over
+// in place where they are large enough, so copying into a solver that is
+// done with is a copy and not an allocation. The copy shares no mutable
+// memory with src, so the two may be used from different goroutines, and
+// it continues exactly as src would have. The gate inputs, which neither
+// writes again, are shared: as a full slice, so that the first gate either
+// adds moves its own copy. src must be at decision level 0 (between Solve
+// calls).
 func (s *Solver) CopyFrom(src *Solver) *Solver {
 	src.init()
 	if src.decisionLevel() != 0 {
@@ -385,6 +487,16 @@ func (s *Solver) CopyFrom(src *Solver) *Solver {
 	s.polarity = append(buf.polarity, src.polarity...)
 	s.activity = append(buf.activity, src.activity...)
 	s.seen = append(buf.seen, src.seen...)
+	s.gate = append(buf.gate, src.gate...)
+	s.gateIn = src.gateIn[:len(src.gateIn):len(src.gateIn)]
+	s.needed = append(buf.needed, src.needed...)
+	s.just = append(buf.just, src.just...)
+	s.pend = append(buf.pend, src.pend...)
+	s.nodes = append(buf.nodes, src.nodes...)
+	s.waiting = append(buf.waiting, src.waiting...)
+	s.reopened = append(buf.reopened, src.reopened...)
+	s.woken = buf.woken
+	s.justLim = buf.justLim
 	s.trail = append(buf.trail, src.trail...)
 	s.trailLim = buf.trailLim
 	s.model = append(buf.model, src.model...)
@@ -394,6 +506,10 @@ func (s *Solver) CopyFrom(src *Solver) *Solver {
 		heap:     append(buf.heap.heap, src.heap.heap...),
 		indices:  append(buf.heap.indices, src.heap.indices...),
 		activity: &s.activity,
+	}
+	s.cold = bitQueue{
+		words:   append(buf.cold.words, src.cold.words...),
+		summary: append(buf.cold.summary, src.cold.summary...),
 	}
 	return s
 }
@@ -413,10 +529,15 @@ func (s *Solver) litsOf(cref int32) []uint32 {
 	return s.arena[cref+1 : cref+1+int32(s.arena[cref]>>sizeShift)]
 }
 
-// AddClause adds a disjunction of literals. It returns false if the clause
-// set became trivially unsatisfiable (conflicting unit clauses at level 0).
-// AddClause must be called at decision level 0, i.e. not during Solve.
-func (s *Solver) AddClause(lits ...Lit) bool {
+// AddClause adds a root: a disjunction of literals every model satisfies.
+// It returns false if the clause set became trivially unsatisfiable
+// (conflicting unit clauses at level 0). AddClause must be called at
+// decision level 0, i.e. not during Solve.
+func (s *Solver) AddClause(lits ...Lit) bool { return s.addClause(lits, true) }
+
+// addClause adds a clause, a root or one of a gate's definition, and puts a
+// root on the justification frontier.
+func (s *Solver) addClause(lits []Lit, root bool) bool {
 	s.init()
 	if !s.okState {
 		return false
@@ -453,14 +574,114 @@ nextLit:
 		return false
 	case 1:
 		s.uncheckedEnqueue(out[0], 0, -1)
+		if root {
+			s.need(out[0])
+		}
 		if s.propagate() != -1 {
 			s.okState = false
 			return false
 		}
 		return true
 	}
-	s.attachClause(out, false)
+	cref := s.attachClause(out, false)
+	if root {
+		s.just = append(s.just, ^cref)
+	}
 	return true
+}
+
+// And returns the output of a new gate y ↔ ∧ ins over two or more input
+// literals, and adds its Tseitin clauses. And, Xor and Ite must be called
+// at decision level 0.
+func (s *Solver) And(ins ...Lit) Lit {
+	y := s.newGate(gateAnd, ins)
+	long := make([]Lit, 0, len(ins)+1)
+	long = append(long, y)
+	for _, l := range ins {
+		s.addClause([]Lit{y.Neg(), l}, false) // y -> l
+		long = append(long, l.Neg())
+	}
+	s.addClause(long, false) // all l -> y
+	return y
+}
+
+// Xor returns the output of a new gate y ↔ a ⊕ b and adds its Tseitin
+// clauses.
+func (s *Solver) Xor(a, b Lit) Lit {
+	y := s.newGate(gateXor, []Lit{a, b})
+	s.addClause([]Lit{y.Neg(), a, b}, false)
+	s.addClause([]Lit{y.Neg(), a.Neg(), b.Neg()}, false)
+	s.addClause([]Lit{y, a.Neg(), b}, false)
+	s.addClause([]Lit{y, a, b.Neg()}, false)
+	return y
+}
+
+// Ite returns the output of a new gate y ↔ (c ? a : b) and adds its
+// Tseitin clauses.
+func (s *Solver) Ite(c, a, b Lit) Lit {
+	y := s.newGate(gateIte, []Lit{c, a, b})
+	s.addClause([]Lit{c.Neg(), a.Neg(), y}, false)
+	s.addClause([]Lit{c.Neg(), a, y.Neg()}, false)
+	s.addClause([]Lit{c, b.Neg(), y}, false)
+	s.addClause([]Lit{c, b, y.Neg()}, false)
+	// Redundant but propagation-helping: if a and b agree, y agrees.
+	s.addClause([]Lit{a.Neg(), b.Neg(), y}, false)
+	s.addClause([]Lit{a, b, y.Neg()}, false)
+	return y
+}
+
+// newGate records a gate of the given kind over ins, with a fresh output
+// variable after all of theirs, and returns the output's positive literal.
+// The output's first saved phase is the gate's function of its inputs'
+// saved phases. The saved phases are then a point of the circuit — the
+// all-zeros input on a fresh solver, the last model after a Sat answer —
+// so a descent that follows them can contradict a root or an assumption,
+// never a gate definition.
+func (s *Solver) newGate(kind uint32, ins []Lit) Lit {
+	for _, l := range ins {
+		s.ensureVar(l.Var())
+	}
+	v := s.NewVar()
+	g := int32(len(s.gateIn))
+	s.gate[v] = g
+	if need := len(s.gateIn) + 1 + len(ins); need > cap(s.gateIn) {
+		s.gateIn = regrow(s.gateIn, max(firstWords, 2*cap(s.gateIn), need))
+	}
+	s.gateIn = append(s.gateIn, kind|uint32(len(ins))<<gateShift)
+	for _, l := range ins {
+		s.gateIn = append(s.gateIn, uint32(l))
+	}
+	s.SetPhase(v, s.eval(g))
+	return MkLit(v, false)
+}
+
+// gateOf returns the kind and the input literals of the gate at offset g.
+func (s *Solver) gateOf(g int32) (uint32, []uint32) {
+	h := s.gateIn[g]
+	return h & gateKind, s.gateIn[g+1 : g+1+int32(h>>gateShift)]
+}
+
+// phase is the saved phase of literal l.
+func (s *Solver) phase(l Lit) bool { return s.Phase(l.Var()) != l.Sign() }
+
+// eval returns the gate at offset g's function of its inputs' saved phases.
+func (s *Solver) eval(g int32) bool {
+	kind, ins := s.gateOf(g)
+	switch kind {
+	case gateAnd:
+		for _, w := range ins {
+			if !s.phase(Lit(w)) {
+				return false
+			}
+		}
+		return true
+	case gateXor:
+		return s.phase(Lit(ins[0])) != s.phase(Lit(ins[1]))
+	}
+	if s.phase(Lit(ins[0])) {
+		return s.phase(Lit(ins[1]))
+	}
+	return s.phase(Lit(ins[2]))
 }
 
 // attachClause copies lits (two or more) into the arena as a new clause and
@@ -577,6 +798,7 @@ func (s *Solver) decisionLevel() int { return len(s.trailLim) }
 
 func (s *Solver) newDecisionLevel() {
 	s.trailLim = append(s.trailLim, int32(len(s.trail)))
+	s.justLim = append(s.justLim, justMark{int32(len(s.just)), int32(s.justHead), int32(len(s.pend))})
 }
 
 // decide opens a decision level with l as its decision.
@@ -586,19 +808,41 @@ func (s *Solver) decide(l Lit) {
 }
 
 // cancelUntil backtracks to level: it unassigns, last first, the literals
-// above it.
+// above it, and restores the justification frontier level had.
 func (s *Solver) cancelUntil(level int) {
 	from := s.decisionLevel()
 	if from <= level {
 		return
 	}
 	bound := int(s.trailLim[level])
+	mark := s.justLim[level]
+	for _, e := range s.just[mark.n:] {
+		s.needed[Lit(e).Var()] = false // only roots, added at level 0, are negative
+	}
+	s.just, s.justHead, s.justLim = s.just[:mark.n], int(mark.head), s.justLim[:level]
+	s.wakeHead = min(s.wakeHead, bound)
+	for i := int32(len(s.pend)) - 1; i >= mark.pend; i-- {
+		if s.pend[i].at < 0 {
+			s.setOpen(i, false)
+		}
+	}
+	if int(mark.pend) < len(s.pend) {
+		s.nodes = s.nodes[:s.pend[mark.pend].nodes]
+		s.pend = s.pend[:mark.pend]
+	}
+	for i := range s.pend {
+		if s.pend[i].at > int32(level) {
+			s.pend[i].at = -1
+			s.setOpen(int32(i), true)
+			s.reopened = append(s.reopened, int32(i))
+		}
+	}
 	for i := len(s.trail) - 1; i >= bound; i-- {
 		v := s.trail[i].Var()
 		s.assigns[v] = lUndef
 		s.reason[v] = -1
-		if !s.heap.inHeap(v) {
-			s.heap.insert(v)
+		if s.candidate(v) {
+			s.offer(v)
 		}
 	}
 	s.stats.CancelledLiterals += int64(len(s.trail) - bound)
@@ -610,6 +854,7 @@ func (s *Solver) cancelUntil(level int) {
 	}
 }
 
+// bumpVar raises v's activity (VSIDS), which orders the decisions.
 func (s *Solver) bumpVar(v Var) {
 	s.activity[v] += s.varInc
 	if s.activity[v] > 1e100 {
@@ -618,8 +863,236 @@ func (s *Solver) bumpVar(v Var) {
 		}
 		s.varInc *= 1e-100
 	}
-	if s.heap.inHeap(v) {
+	switch {
+	case s.heap.inHeap(v):
 		s.heap.decrease(v)
+	case s.cold.has(v):
+		s.cold.remove(v)
+		s.heap.insert(v)
+	}
+}
+
+// offer puts v, an unassigned candidate, in the decision order.
+func (s *Solver) offer(v Var) {
+	switch {
+	case s.activity[v] == 0:
+		s.cold.add(v)
+	case !s.heap.inHeap(v):
+		s.heap.insert(v)
+	}
+}
+
+// need puts on the justification frontier the true literal of l's
+// variable, which is assigned, if it is a gate's output and not there yet.
+// An input is justified by its value alone.
+func (s *Solver) need(l Lit) {
+	v := l.Var()
+	if s.gate[v] < 0 || s.needed[v] {
+		return
+	}
+	s.needed[v] = true
+	s.just = append(s.just, int32(l^Lit(s.value(l))))
+}
+
+// justify brings the frontier up to date with the assignment: it looks
+// again at the open entries an input of which was assigned since it last
+// ran, and at the entries cancelUntil reopened, and takes the entries of
+// just from justHead on. An entry the assignment justifies closes, and puts
+// what it needs at the end of just (justified); one it does not opens.
+func (s *Solver) justify() {
+	for {
+		switch {
+		case s.wakeHead < len(s.trail):
+			v := s.trail[s.wakeHead].Var()
+			s.wakeHead++
+			s.woken = s.woken[:0]
+			for n := s.waiting[v]; n >= 0; n = s.nodes[n].next {
+				s.woken = append(s.woken, s.nodes[n].entry)
+			}
+			for _, i := range s.woken {
+				s.recheck(i)
+			}
+		case len(s.reopened) > 0:
+			i := s.reopened[len(s.reopened)-1]
+			s.reopened = s.reopened[:len(s.reopened)-1]
+			if int(i) < len(s.pend) {
+				s.recheck(i)
+			}
+		case s.justHead < len(s.just):
+			e := s.just[s.justHead]
+			s.justHead++
+			if !s.justified(e) {
+				s.openEntry(e)
+			}
+		default:
+			return
+		}
+	}
+}
+
+// justified reports whether the assignment justifies entry e, and if so
+// puts on the frontier what it needs:
+//
+//   - a root clause: one true literal;
+//   - a true AND: all of its inputs; a false one: one false input;
+//   - an XOR: both inputs;
+//   - an ITE: the condition and the input it selects.
+func (s *Solver) justified(e int32) bool {
+	if e < 0 {
+		lits := s.litsOf(^e)
+		i := slices.IndexFunc(lits, func(w uint32) bool { return s.value(Lit(w)) == lTrue })
+		if i >= 0 {
+			s.need(Lit(lits[i]))
+		}
+		return i >= 0
+	}
+	y := Lit(e)
+	kind, ins := s.gateOf(s.gate[y.Var()])
+	switch {
+	case kind == gateAnd && !y.Sign():
+		for _, w := range ins {
+			s.need(Lit(w))
+		}
+	case kind == gateAnd:
+		i := slices.IndexFunc(ins, func(w uint32) bool { return s.value(Lit(w)) == lFalse })
+		if i < 0 {
+			return false
+		}
+		s.need(Lit(ins[i]))
+	case kind == gateXor:
+		if s.assigns[Lit(ins[0]).Var()] == lUndef || s.assigns[Lit(ins[1]).Var()] == lUndef {
+			return false
+		}
+		s.need(Lit(ins[0]))
+		s.need(Lit(ins[1]))
+	default:
+		c := Lit(ins[0])
+		if s.assigns[c.Var()] == lUndef {
+			return false
+		}
+		// Propagation has given the selected input y's value.
+		s.need(c)
+		s.need(Lit(ins[1+s.value(c)]))
+	}
+	return true
+}
+
+// inputs returns the literals of a root clause, or the inputs of a gate.
+func (s *Solver) inputs(e int32) []uint32 {
+	if e < 0 {
+		return s.litsOf(^e)
+	}
+	_, ins := s.gateOf(s.gate[Lit(e).Var()])
+	return ins
+}
+
+// openEntry adds e, which the assignment does not justify, to pend, open.
+func (s *Solver) openEntry(e int32) {
+	i := int32(len(s.pend))
+	s.pend = append(s.pend, pending{e: e, at: -1, nodes: int32(len(s.nodes))})
+	for range s.inputs(e) {
+		s.nodes = append(s.nodes, node{entry: i, prev: -2})
+	}
+	s.setOpen(i, true)
+}
+
+// recheck closes pend entry i if it is open and the assignment now
+// justifies it.
+func (s *Solver) recheck(i int32) {
+	if s.pend[i].at < 0 && s.justified(s.pend[i].e) {
+		s.pend[i].at = int32(s.decisionLevel())
+		s.setOpen(i, false)
+	}
+}
+
+// setOpen opens pend entry i or closes it: it puts the entry's nodes on
+// the lists of its inputs' variables, or takes them off. An unassigned
+// input of an opening entry goes in the decision order.
+func (s *Solver) setOpen(i int32, open bool) {
+	p := s.pend[i]
+	if open {
+		s.open++
+	} else {
+		s.open--
+	}
+	for k, w := range s.inputs(p.e) {
+		n := p.nodes + int32(k)
+		nd := &s.nodes[n]
+		if open {
+			nd.v = Lit(w).Var()
+		}
+		v := nd.v
+		if open {
+			nd.prev, nd.next = -1, s.waiting[v]
+			if nd.next >= 0 {
+				s.nodes[nd.next].prev = n
+			}
+			s.waiting[v] = n
+			if s.assigns[v] == lUndef {
+				s.offer(v)
+			}
+			continue
+		}
+		if nd.prev >= 0 {
+			s.nodes[nd.prev].next = nd.next
+		} else {
+			s.waiting[v] = nd.next
+		}
+		if nd.next >= 0 {
+			s.nodes[nd.next].prev = nd.prev
+		}
+		nd.prev = -2
+	}
+}
+
+// branch returns the next decision, or LitUndef when no entry of the
+// frontier is open: everything the roots and the assumptions need is then
+// justified. The candidates are the unassigned inputs of the open entries,
+// and the variables conflicts have bumped, which stay candidates wherever
+// they are: a conflict is cheapest where it is met early. The decision is
+// the first candidate in the decision order, at its saved phase.
+func (s *Solver) branch() Lit {
+	if s.open == 0 {
+		return LitUndef
+	}
+	for {
+		v, ok := s.heap.removeMin()
+		if !ok {
+			if v, ok = s.cold.max(); !ok {
+				panic("sat: an open entry of the justification frontier offers no decision")
+			}
+			s.cold.remove(v)
+		}
+		if s.assigns[v] == lUndef && s.candidate(v) {
+			return MkLit(v, s.polarity[v])
+		}
+	}
+}
+
+// candidate reports whether v may be decided on: it is an input of an open
+// entry, or a conflict has bumped it.
+func (s *Solver) candidate(v Var) bool { return s.waiting[v] >= 0 || s.activity[v] > 0 }
+
+// complete extends the assignment to a model once the frontier is empty:
+// an input keeps its value, or else its saved phase, and each gate, whose
+// inputs come before it, takes its function of theirs. What the roots and
+// the assumptions need is justified, so the model keeps their values and
+// satisfies them; it satisfies every gate definition by construction, and
+// hence every learnt clause. The saved phases are set to the model.
+func (s *Solver) complete() {
+	s.model = regrow(s.model[:0], len(s.assigns))
+	for v, g := range s.gate {
+		switch {
+		case g >= 0:
+			s.polarity[v] = !s.eval(g)
+		case s.assigns[v] != lUndef:
+			s.polarity[v] = s.assigns[v] == lFalse
+		}
+		m := lTrue
+		if s.polarity[v] {
+			m = lFalse
+		}
+		s.model = append(s.model, m)
 	}
 }
 
@@ -852,42 +1325,29 @@ func (s *Solver) search(assumptions []Lit, conflictLimit int64) Result {
 		if conflictC >= conflictLimit {
 			return Unknown
 		}
+		s.justify()
 		// Establish assumptions one decision level at a time.
 		if s.decisionLevel() < len(assumptions) {
 			p := assumptions[s.decisionLevel()]
 			switch s.value(p) {
 			case lTrue:
 				s.newDecisionLevel() // dummy level to keep indices aligned
-				continue
 			case lFalse:
 				s.analyzeFinal(p)
 				return Unsat
 			default:
 				s.decide(p)
-				continue
 			}
+			s.need(p)
+			continue
 		}
-		// Pick a branching variable.
-		next := s.pickBranch()
+		next := s.branch()
 		if next == LitUndef {
-			// All variables assigned: model found.
-			s.model = append(s.model[:0], s.assigns...)
+			s.complete()
 			return Sat
 		}
 		s.stats.Decisions++
 		s.decide(next)
-	}
-}
-
-func (s *Solver) pickBranch() Lit {
-	for {
-		v, ok := s.heap.removeMin()
-		if !ok {
-			return LitUndef
-		}
-		if s.assigns[v] == lUndef {
-			return MkLit(v, s.polarity[v])
-		}
 	}
 }
 

@@ -426,7 +426,7 @@ func BenchmarkSolveRandom3SAT(b *testing.B) {
 // TestCloneContinuesIdentically: a clone is the same solver, not merely an
 // equivalent one — the same later calls give the same answers at the same
 // search effort, because clauses, learnt clauses, activities, saved phases
-// and heap order all came along.
+// and the justification frontier all came along.
 func TestCloneContinuesIdentically(t *testing.T) { clonesContinueIdentically(t, New) }
 
 func clonesContinueIdentically(t *testing.T, fresh func() *Solver) {
@@ -678,4 +678,74 @@ func fuzzSession(t *testing.T, s *Solver, nVars int, next func() int, more func(
 		}
 		addClauses(next() % 4)
 	}
+}
+
+// TestSatAssignsOnlyWhatJustifies: a circuit of two halves that share no
+// variable, with a root asserted in one half. The Sat answer assigns no
+// variable of the other half above level 0 — the search never decides
+// there, and nothing propagates there — and the completed model still
+// satisfies every gate definition of both halves.
+func TestSatAssignsOnlyWhatJustifies(t *testing.T) {
+	s := New()
+	half := func() (root Lit, vars []Var) {
+		first := Var(s.NumVars())
+		var in []Lit
+		for i := 0; i < 6; i++ {
+			in = append(in, MkLit(s.NewVar(), false))
+		}
+		x := s.Xor(in[0], in[1])
+		a := s.And(x, in[2].Neg(), in[3])
+		b := s.Ite(in[4], a, in[5])
+		root = s.And(b.Neg(), s.Xor(a, in[5])).Neg()
+		for v := first; v < Var(s.NumVars()); v++ {
+			vars = append(vars, v)
+		}
+		return root, vars
+	}
+	root, _ := half()
+	_, other := half()
+	s.AddClause(root)
+	if res := s.search(nil, 1<<62); res != Sat {
+		t.Fatalf("got %v, want Sat", res)
+	}
+	if s.stats.Decisions == 0 {
+		t.Fatal("the root was justified without a decision: the test shows nothing")
+	}
+	if len(s.trailLim) > 0 {
+		for _, l := range s.trail[s.trailLim[0]:] {
+			if slices.Contains(other, l.Var()) {
+				t.Errorf("the Sat answer assigned %v, of the half no root or assumption needs", l)
+			}
+		}
+	}
+	s.cancelUntil(0)
+	for v := range s.NumVars() {
+		if g := s.gate[v]; g >= 0 && s.Value(Var(v)) != s.evalModel(g) {
+			t.Errorf("the model gives gate %d the value %v, its inputs give %v", v, s.Value(Var(v)), !s.Value(Var(v)))
+		}
+	}
+	if !s.ValueLit(root) {
+		t.Errorf("the model falsifies the root %v", root)
+	}
+}
+
+// evalModel returns the value of the gate at offset g under the model.
+func (s *Solver) evalModel(g int32) bool {
+	kind, ins := s.gateOf(g)
+	in := func(k int) bool { return s.ValueLit(Lit(ins[k])) }
+	switch kind {
+	case gateAnd:
+		for k := range ins {
+			if !in(k) {
+				return false
+			}
+		}
+		return true
+	case gateXor:
+		return in(0) != in(1)
+	}
+	if in(0) {
+		return in(1)
+	}
+	return in(2)
 }
