@@ -247,8 +247,9 @@ func checkCloneAgrees(t testing.TB, s, c *Solver) {
 		slices.Equal(s.gate, c.gate) && slices.Equal(s.gateIn, c.gateIn) &&
 		slices.Equal(s.just, c.just) && s.justHead == c.justHead && slices.Equal(s.needed, c.needed) &&
 		slices.Equal(s.pend, c.pend) && slices.Equal(s.nodes, c.nodes) && slices.Equal(s.waiting, c.waiting) &&
-		slices.Equal(s.reopened, c.reopened) && s.open == c.open &&
-		slices.Equal(s.cold.words, c.cold.words) &&
+		slices.Equal(s.reopened, c.reopened) && s.open == c.open && s.wakeHead == c.wakeHead &&
+		slices.Equal(s.heap.heap, c.heap.heap) && slices.Equal(s.heap.indices, c.heap.indices) &&
+		slices.Equal(s.cold.words, c.cold.words) && slices.Equal(s.cold.summary, c.cold.summary) &&
 		s.NumClauses() == c.NumClauses() && s.StatsSnapshot() == c.StatsSnapshot() &&
 		slices.EqualFunc(s.watches, c.watches, func(a, b []watcher) bool { return slices.Equal(a, b) })
 	if !same {

@@ -214,8 +214,7 @@ type Solver struct {
 
 	// The circuit. gate holds, for each variable, the offset in gateIn of
 	// its gate's header (kind | inputs<<gateShift), which the gate's input
-	// literals follow, or -1 for an input variable. gateIn is append-only
-	// and nothing in it is ever written again, so CopyFrom shares it.
+	// literals follow, or -1 for an input variable.
 	gate   []int32
 	gateIn []uint32
 
@@ -246,7 +245,10 @@ type Solver struct {
 	// The decision order: VSIDS activity, the later variable first among
 	// equals. heap holds the variables a conflict has bumped, cold those it
 	// has not; a variable goes in when it is unassigned and a candidate
-	// (branch), and may still be there when it is neither any more.
+	// (branch), and may still be there when it is neither any more. The
+	// bit queue takes no comparison for the unbumped ones, most of a
+	// circuit's: one heap holding both costs 1.13× the operation time on
+	// switch@2 (EXPERIMENTS.md E45).
 	heap varHeap
 	cold bitQueue
 
@@ -324,15 +326,14 @@ func (s *Solver) init() {
 // Reset empties s and keeps its arrays: what follows — variables, clauses,
 // answers, search effort — is what it would be on New(), whatever s held
 // before. Every field is named here or zero, so one added later starts
-// zero rather than stale. The gate inputs are let go, not kept: a copy may
-// share them with its source.
+// zero rather than stale.
 func (s *Solver) Reset() *Solver {
 	*s = Solver{
 		arena: s.arena[:0], watches: s.watches[:0], watchMem: s.watchMem[:0],
 		assigns: s.assigns[:0], level: s.level[:0], reason: s.reason[:0],
 		polarity: s.polarity[:0], activity: s.activity[:0], seen: s.seen[:0],
 		trail: s.trail[:0], trailLim: s.trailLim[:0],
-		gate: s.gate[:0], just: s.just[:0], needed: s.needed[:0], pend: s.pend[:0], nodes: s.nodes[:0],
+		gate: s.gate[:0], gateIn: s.gateIn[:0], just: s.just[:0], needed: s.needed[:0], pend: s.pend[:0], nodes: s.nodes[:0],
 		waiting: s.waiting[:0], reopened: s.reopened[:0], justLim: s.justLim[:0],
 		woken: s.woken[:0],
 		heap:  varHeap{heap: s.heap.heap[:0], indices: s.heap.indices[:0]},
@@ -385,8 +386,7 @@ func (s *Solver) NumVars() int { return len(s.assigns) }
 
 // Bytes returns the size of the arrays s holds on to, used or not: what
 // keeping s around for reuse costs. (Watch lists that still lie in the
-// array CopyFrom carved them from are counted once, with it; the gate
-// inputs are counted whole, though a copy shares them with its source.)
+// array CopyFrom carved them from are counted once, with it.)
 func (s *Solver) Bytes() int {
 	perVar := cap(s.assigns) + 4*cap(s.level) + 4*cap(s.reason) + cap(s.polarity) + 8*cap(s.activity) +
 		cap(s.seen) + 4*cap(s.trail) + 4*cap(s.gate) + cap(s.needed) + 4*cap(s.waiting) +
@@ -451,10 +451,8 @@ func (s *Solver) Phase(v Var) bool { return !s.polarity[v] }
 // in place where they are large enough, so copying into a solver that is
 // done with is a copy and not an allocation. The copy shares no mutable
 // memory with src, so the two may be used from different goroutines, and
-// it continues exactly as src would have. The gate inputs, which neither
-// writes again, are shared: as a full slice, so that the first gate either
-// adds moves its own copy. src must be at decision level 0 (between Solve
-// calls).
+// it continues exactly as src would have. src must be at decision level 0
+// (between Solve calls).
 func (s *Solver) CopyFrom(src *Solver) *Solver {
 	src.init()
 	if src.decisionLevel() != 0 {
@@ -468,6 +466,7 @@ func (s *Solver) CopyFrom(src *Solver) *Solver {
 	buf.growVars(room(len(src.assigns)))
 	*s = *src
 	s.arena = append(regrow(buf.arena, room(len(src.arena))), src.arena...)
+	s.gateIn = append(regrow(buf.gateIn, room(len(src.gateIn))), src.gateIn...)
 	// One backing array for all watch lists, carved into full slices: the
 	// first append to a list moves it out of the shared array.
 	nWatches := 0
@@ -488,7 +487,6 @@ func (s *Solver) CopyFrom(src *Solver) *Solver {
 	s.activity = append(buf.activity, src.activity...)
 	s.seen = append(buf.seen, src.seen...)
 	s.gate = append(buf.gate, src.gate...)
-	s.gateIn = src.gateIn[:len(src.gateIn):len(src.gateIn)]
 	s.needed = append(buf.needed, src.needed...)
 	s.just = append(buf.just, src.just...)
 	s.pend = append(buf.pend, src.pend...)
