@@ -47,7 +47,7 @@ func P4VApprox(pl *core.Pipeline) *P4VResult {
 			query = f.Or(query, c)
 		}
 	}
-	s := solver.New(f)
+	s := solver.New()
 	res := &P4VResult{}
 	if s.Check(query) == solver.Sat {
 		res.AnyBugReachable = true
@@ -116,7 +116,7 @@ func vera(pl *core.Pipeline, opts VeraOptions, onBug func(*ir.Node, *smt.Term)) 
 	}
 	ex := &veraExplorer{
 		f:       pl.IR.F,
-		s:       solver.New(pl.IR.F),
+		s:       solver.New(),
 		opts:    opts,
 		visited: map[*ir.Node]bool{},
 		bugs:    map[*ir.Node]bool{},

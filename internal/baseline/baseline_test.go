@@ -137,7 +137,7 @@ func TestVeraConcreteDefaultsMatchInterp(t *testing.T) {
 		paths, reached := 0, map[*ir.Node]bool{}
 		r, err := vera(pl, VeraOptions{Snapshot: snap}, func(bug *ir.Node, pc *smt.Term) {
 			paths++
-			s := solver.New(pl.IR.F)
+			s := solver.New()
 			if s.Check(pc) != solver.Sat {
 				t.Fatalf("%s: a path to %s has no packet", c.name, bug)
 			}

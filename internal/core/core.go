@@ -345,7 +345,7 @@ func (pl *Pipeline) checkNodes(nodes []*ir.Node, workers int, solvers *solver.Po
 	out := make([]nodeCheck, len(nodes))
 	shards := make([]*solver.Solver, workers)
 	for w := range shards {
-		shards[w] = solvers.New(pl.IR.F)
+		shards[w] = solvers.New()
 		shards[w].SetObs(reg)
 	}
 	pool.ForEach(workers, workers, func(_, w int) {

@@ -4,5 +4,5 @@ import "bf4/internal/solver"
 
 // newTestSolver returns a fresh solver over a pipeline's factory.
 func newTestSolver(pl *Pipeline) *solver.Solver {
-	return solver.New(pl.IR.F)
+	return solver.New()
 }

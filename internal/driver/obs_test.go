@@ -210,7 +210,7 @@ func TestRunOwnsItsSolvers(t *testing.T) {
 // TestColdChecksStayCheap pins what a cold start costs on switch@1: the
 // first check of each bug-check shard and of each Infer base, rounds 0 and 1
 // together. A fresh solver's saved phases are the circuit at the all-zeros
-// input (bitblast.freshGate), so its first descent contradicts only what was
+// input (sat.newGate), so its first descent contradicts only what was
 // asserted; with every gate starting true instead (the parent of the change
 // that introduced this test) the same eight checks took 713 conflicts of the
 // run's 2 756, against 158 of 765. The counts repeat exactly at a fixed

@@ -166,7 +166,7 @@ func canonicalWitness(pl *core.Pipeline, bn *ir.Node, pr *prop.Property) string 
 	if cond == nil {
 		return ""
 	}
-	s := solver.New(pl.IR.F)
+	s := solver.New()
 	if s.Check(cond) != solver.Sat {
 		return ""
 	}

@@ -39,7 +39,7 @@ func TestVerdictsMatchReferenceSolver(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, b := range res.InitialRep.Bugs {
-				ref := solver.New(res.Initial.IR.F)
+				ref := solver.New()
 				want := ref.Check(b.Cond) == solver.Sat
 				if b.Reachable != want {
 					t.Errorf("%s: pipeline says reachable=%v (discharged=%v), reference solver says %v",

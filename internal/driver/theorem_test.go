@@ -45,7 +45,7 @@ func TestInferredPredicatesSoundAcrossCorpus(t *testing.T) {
 			}
 			check := func(round string, pl *core.Pipeline, rep *core.Report, inf *infer.Result) {
 				f := pl.IR.F
-				good := solver.New(f)
+				good := solver.New()
 				good.Assert(f.And(pl.FullReach.OK, f.Not(pl.FullReach.DontCareReach)))
 				for _, a := range inf.Assertions {
 					from := a.Instance
@@ -60,7 +60,7 @@ func TestInferredPredicatesSoundAcrossCorpus(t *testing.T) {
 						}
 					}
 				}
-				under := solver.New(f)
+				under := solver.New()
 				under.Assert(combinedPredicate(f, inf))
 				for _, b := range rep.Bugs {
 					if b.Reachable && inf.Controlled[b.Node] {

@@ -480,7 +480,7 @@ func regionNodes(p *ir.Program, inst *ir.TableInstance) []*ir.Node {
 // are taken from opts.Solvers before either starts.
 func warmBases(pl *core.Pipeline, bugs []*core.Bug, opts Options) (dual, direct *solver.Solver) {
 	f := pl.IR.F
-	bases := [2]*solver.Solver{opts.Solvers.New(f), opts.Solvers.New(f)}
+	bases := [2]*solver.Solver{opts.Solvers.New(), opts.Solvers.New()}
 	pool.ForEach(opts.Workers, 2, func(_, i int) {
 		s := bases[i]
 		s.SetObs(opts.Obs)

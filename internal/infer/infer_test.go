@@ -156,7 +156,7 @@ func TestInferNeverRemovesGoodRuns(t *testing.T) {
 	f := pl.IR.F
 	pred := combinedPredicate(f, res)
 	ok := f.And(pl.FullReach.OK, f.Not(pl.FullReach.DontCareReach))
-	s := solver.New(f)
+	s := solver.New()
 	// OK ∧ ¬φ must be unsatisfiable.
 	s.Assert(f.And(ok, f.Not(pred)))
 	if got := s.Check(); got != solver.Unsat {
@@ -168,7 +168,7 @@ func TestControlledBugsBecomeUnreachable(t *testing.T) {
 	pl, rep := compileAndFind(t, natSrc)
 	res := Run(pl, rep, DefaultOptions())
 	f := pl.IR.F
-	s := solver.New(f)
+	s := solver.New()
 	s.Assert(combinedPredicate(f, res))
 	for _, b := range rep.Bugs {
 		if !b.Reachable || !res.Controlled[b.Node] {
@@ -203,7 +203,7 @@ func TestInferAlgorithmDirectly(t *testing.T) {
 	}
 	// Check the predicate controls the bug.
 	f := pl.IR.F
-	s := solver.New(f)
+	s := solver.New()
 	s.Assert(a.Predicate(f))
 	if s.Check(natBugs[0].Cond) != solver.Unsat {
 		t.Fatal("Infer's predicate does not control the nat bug")
@@ -276,7 +276,7 @@ func TestForkMatchesFreshOnCorpus(t *testing.T) {
 			ok := f.And(pl.FullReach.OK, f.Not(pl.FullReach.DontCareReach))
 			// One worker's pair, built in recycled solvers and copied over by
 			// every instance below, as a worker's pair is by each it takes.
-			worker := &forkPair{recycled.New(f), recycled.New(f)}
+			worker := &forkPair{recycled.New(), recycled.New()}
 			defer func() { recycled.Put(worker.dual, worker.direct) }()
 			for _, inst := range pl.IR.Instances {
 				bugs := byInstance[inst]
@@ -304,7 +304,7 @@ func TestForkMatchesFreshOnCorpus(t *testing.T) {
 					}
 				}
 
-				directFork, directFresh := recycled.New(f).CopyFrom(directBase), solver.New(f)
+				directFork, directFresh := recycled.New().CopyFrom(directBase), solver.New()
 				directFork.Assert(bug)
 				directFresh.Assert(bug)
 				for i, cube := range a.Forbidden {
@@ -314,7 +314,7 @@ func TestForkMatchesFreshOnCorpus(t *testing.T) {
 				}
 				same("direct after every cube", directFork.Check(), directFresh.Check())
 
-				dualFork, dualFresh := recycled.New(f).CopyFrom(dualBase), solver.New(f)
+				dualFork, dualFresh := recycled.New().CopyFrom(dualBase), solver.New()
 				dualFresh.Assert(ok)
 				for i, cube := range a.Forbidden {
 					fork, fresh := dualFork.Check(cube, reachAP), dualFresh.Check(cube, reachAP)
@@ -352,7 +352,7 @@ func TestFastInferForbiddenInconsistentWithOK(t *testing.T) {
 			continue
 		}
 		for _, forb := range a.Forbidden {
-			s := solver.New(f)
+			s := solver.New()
 			// A forbidden cube together with "this entry was hit on a
 			// good run through the table" must be unsat.
 			s.Assert(f.And(ok, pl.FullReach.Cond[inst.Apply], forb))

@@ -4,9 +4,8 @@ import (
 	"math/rand"
 	"testing"
 
-	"bf4/internal/bitblast"
-	"bf4/internal/sat"
 	"bf4/internal/smt"
+	"bf4/internal/solver"
 )
 
 // TestEveryOpEverywhere is the exhaustiveness gate for the term language:
@@ -139,25 +138,23 @@ func TestEveryOpEverywhere(t *testing.T) {
 				t.Errorf("%v: Program.Eval(%s) = %v under %v", op, root, got, env)
 			}
 
-			// The circuit: pin the inputs, solve, read the output.
-			c := bitblast.New(f, sat.New())
+			// The circuit: pin the inputs, solve, read the output through
+			// a variable asserted equal to it.
+			c := solver.New()
 			for _, v := range vars {
 				val := smt.Eval(v, env)
 				if v.Sort().IsBool() {
-					c.AssertTrue(f.Eq(v, f.Bool(val.Sign() != 0)))
+					c.Assert(f.Eq(v, f.Bool(val.Sign() != 0)))
 				} else {
-					c.AssertTrue(f.Eq(v, f.BVConst(val, w)))
+					c.Assert(f.Eq(v, f.BVConst(val, w)))
 				}
 			}
-			if term.Sort().IsBool() {
-				c.Literal(term)
-			} else {
-				c.Bits(term)
-			}
-			if c.Solver().Solve() != sat.Sat {
+			out := f.Var("out", term.Sort())
+			c.Assert(f.Eq(out, term))
+			if c.Check() != solver.Sat {
 				t.Fatalf("%v: pinned circuit of %s is not satisfiable", op, term)
 			}
-			if got := c.ModelValue(term); got.Cmp(want) != 0 {
+			if got := smt.Eval(out, c.Model()); got.Cmp(want) != 0 {
 				t.Errorf("%v: circuit of %s computes %v, Eval %v, under %v", op, term, got, want, env)
 			}
 		}

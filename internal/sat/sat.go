@@ -4,7 +4,7 @@
 // unsat-core extraction over the assumptions.
 //
 // The solver is the decision substrate for the bitvector SMT layer
-// (internal/bitblast, internal/solver): bf4's reachability queries and the
+// (internal/solver, which bit-blasts terms onto it): bf4's reachability queries and the
 // Infer algorithm's model/unsat-core loop both bottom out here. The paper
 // uses Z3; this package provides the subset of Z3's functionality those
 // algorithms need (check, model, failed assumptions) with identical

@@ -8,8 +8,8 @@
 //
 // The factory performs light, evaluation-preserving simplification at
 // construction time (constant folding, identities, complement detection).
-// Heavier reasoning is delegated to internal/bitblast + internal/sat via
-// the internal/solver façade.
+// Heavier reasoning is delegated to internal/solver, which bit-blasts
+// terms onto the CDCL core in internal/sat.
 package smt
 
 import (

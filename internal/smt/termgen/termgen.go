@@ -1,9 +1,9 @@
 // Package termgen deterministically generates random smt terms and
 // matching environments from a byte string: a well-sorted term DAG plus an
-// assignment for every variable it used. Two harnesses read it: FuzzLower
-// (internal/smt) checks the bytecode lowering against smt.EvalBool, and
-// TestFreshPhasesAreTheCircuitAtItsInputs (internal/bitblast) checks a
-// circuit's saved phases against smt.Eval. The same bytes always produce
+// assignment for every variable it used. FuzzLower (internal/smt) checks
+// the bytecode lowering against smt.EvalBool with it, and internal/solver's
+// circuit tests (FuzzCircuit, TestFreshPhasesAreTheCircuitAtItsInputs)
+// check models and saved phases against smt.Eval. The same bytes always produce
 // the same term and environment, so fuzz findings replay exactly.
 package termgen
 

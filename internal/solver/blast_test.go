@@ -1,4 +1,4 @@
-package bitblast
+package solver
 
 import (
 	"math/big"
@@ -10,21 +10,21 @@ import (
 )
 
 // fixVar pins every bit of a blasted variable to the given value.
-func fixVar(c *Context, v *smt.Term, val *big.Int) {
+func fixVar(c *Solver, v *smt.Term, val *big.Int) {
 	if v.Sort().IsBool() {
-		l := c.Literal(v)
+		l := c.literal(v)
 		if val.Sign() != 0 {
-			c.Solver().AddClause(l)
+			c.sat.AddClause(l)
 		} else {
-			c.Solver().AddClause(l.Neg())
+			c.sat.AddClause(l.Neg())
 		}
 		return
 	}
-	for i, l := range c.Bits(v) {
+	for i, l := range c.bits(v) {
 		if val.Bit(i) == 1 {
-			c.Solver().AddClause(l)
+			c.sat.AddClause(l)
 		} else {
-			c.Solver().AddClause(l.Neg())
+			c.sat.AddClause(l.Neg())
 		}
 	}
 }
@@ -71,9 +71,9 @@ func TestCircuitsMatchEval(t *testing.T) {
 			term = f.SExt(f.Extract(a, 2, 0), w)
 		}
 
-		solver := sat.New()
-		c := New(f, solver)
-		bits := c.Bits(term)
+		c := New()
+		solver := c.sat
+		bits := c.bits(term)
 		av := new(big.Int).SetUint64(rng.Uint64() & (1<<w - 1))
 		bv := new(big.Int).SetUint64(rng.Uint64() & (1<<w - 1))
 		fixVar(c, a, av)
@@ -123,9 +123,9 @@ func TestBooleanPredicatesMatchEval(t *testing.T) {
 			term = f.Xor(p, f.Slt(f.Sub(a, b), f.BVConst64(0, w)))
 		}
 
-		solver := sat.New()
-		c := New(f, solver)
-		lit := c.Literal(term)
+		c := New()
+		solver := c.sat
+		lit := c.literal(term)
 		av := new(big.Int).SetUint64(rng.Uint64() & (1<<w - 1))
 		bv := new(big.Int).SetUint64(rng.Uint64() & (1<<w - 1))
 		pv := big.NewInt(int64(rng.Intn(2)))
@@ -157,13 +157,13 @@ func TestModelSoundness(t *testing.T) {
 			f.Ult(a, k),
 			f.Not(f.Eq(b, f.BVConst64(0, w))),
 		)
-		solver := sat.New()
-		c := New(f, solver)
-		c.AssertTrue(phi)
+		c := New()
+		solver := c.sat
+		c.Assert(phi)
 		// Ensure variables are blasted for model extraction.
-		c.Bits(a)
-		c.Bits(b)
-		c.Bits(x)
+		c.bits(a)
+		c.bits(b)
+		c.bits(x)
 		res := solver.Solve()
 		if k.Const().Sign() == 0 {
 			if res != sat.Unsat {
@@ -175,9 +175,9 @@ func TestModelSoundness(t *testing.T) {
 			t.Fatalf("iter %d: expected sat", iter)
 		}
 		env := smt.Env{
-			"a": c.ModelBV(a),
-			"b": c.ModelBV(b),
-			"x": c.ModelBV(x),
+			"a": c.value(a),
+			"b": c.value(b),
+			"x": c.value(x),
 		}
 		if !smt.EvalBool(phi, env) {
 			t.Fatalf("iter %d: model %v does not satisfy %s", iter, env, phi)
@@ -219,11 +219,11 @@ func TestValidities(t *testing.T) {
 			f := smt.NewFactory()
 			a, b := f.BVVar("a", w), f.BVVar("b", w)
 			valid := tc.mk(f, a, b)
-			solver := sat.New()
-			c := New(f, solver)
-			c.AssertTrue(f.Not(valid))
+			c := New()
+			solver := c.sat
+			c.Assert(f.Not(valid))
 			if res := solver.Solve(); res != sat.Unsat {
-				env := smt.Env{"a": c.ModelBV(a), "b": c.ModelBV(b)}
+				env := smt.Env{"a": c.value(a), "b": c.value(b)}
 				t.Fatalf("counterexample to validity: %v", env)
 			}
 		})
@@ -233,18 +233,18 @@ func TestValidities(t *testing.T) {
 func TestIncrementalSolvingWithAssumptions(t *testing.T) {
 	f := smt.NewFactory()
 	a := f.BVVar("a", 8)
-	solver := sat.New()
-	c := New(f, solver)
-	c.AssertTrue(f.Ult(a, f.BVConst64(10, 8)))
-	c.Bits(a)
+	c := New()
+	solver := c.sat
+	c.Assert(f.Ult(a, f.BVConst64(10, 8)))
+	c.bits(a)
 
-	assumeBig := c.Literal(f.Ugt(a, f.BVConst64(5, 8)))
-	assumeSmall := c.Literal(f.Ult(a, f.BVConst64(3, 8)))
+	assumeBig := c.literal(f.Ugt(a, f.BVConst64(5, 8)))
+	assumeSmall := c.literal(f.Ult(a, f.BVConst64(3, 8)))
 
 	if res := solver.Solve(assumeBig); res != sat.Sat {
 		t.Fatalf("a in (5,10): got %v", res)
 	}
-	v := c.ModelBV(a).Int64()
+	v := c.value(a).Int64()
 	if v <= 5 || v >= 10 {
 		t.Fatalf("model a=%d out of range (5,10)", v)
 	}
@@ -259,22 +259,22 @@ func TestIncrementalSolvingWithAssumptions(t *testing.T) {
 func TestWidthOneVectors(t *testing.T) {
 	f := smt.NewFactory()
 	a, b := f.BVVar("a", 1), f.BVVar("b", 1)
-	solver := sat.New()
-	c := New(f, solver)
+	c := New()
+	solver := c.sat
 	// a + b wraps at width 1: 1 + 1 = 0.
-	c.AssertTrue(f.Eq(a, f.BVConst64(1, 1)))
-	c.AssertTrue(f.Eq(b, f.BVConst64(1, 1)))
+	c.Assert(f.Eq(a, f.BVConst64(1, 1)))
+	c.Assert(f.Eq(b, f.BVConst64(1, 1)))
 	sum := f.Add(a, b)
-	c.AssertTrue(f.Eq(sum, f.BVConst64(0, 1)))
+	c.Assert(f.Eq(sum, f.BVConst64(0, 1)))
 	if res := solver.Solve(); res != sat.Sat {
 		t.Fatalf("1+1=0 at width 1: got %v", res)
 	}
 	// Shifting a 1-bit vector by 1 yields zero.
-	solver2 := sat.New()
-	c2 := New(f, solver2)
-	c2.AssertTrue(f.Eq(f.Shl(a, b), f.BVConst64(1, 1)))
-	c2.AssertTrue(f.Eq(a, f.BVConst64(1, 1)))
-	c2.AssertTrue(f.Eq(b, f.BVConst64(1, 1)))
+	c2 := New()
+	solver2 := c2.sat
+	c2.Assert(f.Eq(f.Shl(a, b), f.BVConst64(1, 1)))
+	c2.Assert(f.Eq(a, f.BVConst64(1, 1)))
+	c2.Assert(f.Eq(b, f.BVConst64(1, 1)))
 	if res := solver2.Solve(); res != sat.Unsat {
 		t.Fatalf("1<<1 must be 0 at width 1: got %v", res)
 	}
@@ -284,13 +284,13 @@ func TestSharedSubtermsBlastedOnce(t *testing.T) {
 	f := smt.NewFactory()
 	a, b := f.BVVar("a", 16), f.BVVar("b", 16)
 	sum := f.Add(a, b)
-	solver := sat.New()
-	c := New(f, solver)
-	c.AssertTrue(f.Eq(sum, f.BVConst64(100, 16)))
+	c := New()
+	solver := c.sat
+	c.Assert(f.Eq(sum, f.BVConst64(100, 16)))
 	n1 := solver.NumVars()
 	// Re-asserting a formula over the same shared subterm must not re-blast
 	// the adder.
-	c.AssertTrue(f.Ult(sum, f.BVConst64(200, 16)))
+	c.Assert(f.Ult(sum, f.BVConst64(200, 16)))
 	n2 := solver.NumVars()
 	if n2-n1 > 40 {
 		t.Fatalf("re-use of shared subterm created %d new vars", n2-n1)
@@ -304,9 +304,9 @@ func BenchmarkBlastAdd32(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		f := smt.NewFactory()
 		x, y := f.BVVar("x", 32), f.BVVar("y", 32)
-		solver := sat.New()
-		c := New(f, solver)
-		c.AssertTrue(f.Eq(f.Add(x, y), f.BVConst64(12345, 32)))
+		c := New()
+		solver := c.sat
+		c.Assert(f.Eq(f.Add(x, y), f.BVConst64(12345, 32)))
 		solver.Solve()
 	}
 }
@@ -316,11 +316,11 @@ func BenchmarkSolveMulFactor(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		f := smt.NewFactory()
 		x, y := f.BVVar("x", 12), f.BVVar("y", 12)
-		solver := sat.New()
-		c := New(f, solver)
-		c.AssertTrue(f.Eq(f.Mul(x, y), f.BVConst64(1517, 12))) // 37*41
-		c.AssertTrue(f.Ugt(x, f.BVConst64(1, 12)))
-		c.AssertTrue(f.Ugt(y, f.BVConst64(1, 12)))
+		c := New()
+		solver := c.sat
+		c.Assert(f.Eq(f.Mul(x, y), f.BVConst64(1517, 12))) // 37*41
+		c.Assert(f.Ugt(x, f.BVConst64(1, 12)))
+		c.Assert(f.Ugt(y, f.BVConst64(1, 12)))
 		if solver.Solve() != sat.Sat {
 			b.Fatal("factoring query must be sat")
 		}

@@ -1,4 +1,4 @@
-package bitblast
+package solver
 
 import (
 	"testing"
@@ -11,7 +11,7 @@ import (
 // phase returns the saved phase of literal l: the value the solver's next
 // decision on it tries first. Level-0 facts, the constant among them, and
 // every variable of the last model read their value.
-func (c *Context) phase(l sat.Lit) bool { return c.s.Phase(l.Var()) != l.Sign() }
+func (c *Solver) phase(l sat.Lit) bool { return c.sat.Phase(l.Var()) != l.Sign() }
 
 // FuzzCircuit drives incremental sessions over termgen terms. Each round
 // takes the next generated term t and the generator's value v of it: even
@@ -28,8 +28,8 @@ func FuzzCircuit(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fac := smt.NewFactory()
 		g := termgen.New(fac, data)
-		c := New(fac, sat.New())
-		var fork *Context
+		c := New()
+		var fork *Solver
 		for round := 0; round < 8; round++ {
 			term := g.Term()
 			want := smt.Eval(term, g.Env())
@@ -41,31 +41,31 @@ func FuzzCircuit(f *testing.F) {
 				holds = fac.Not(term)
 			}
 			if round == 4 {
-				fork = new(Context).CopyFrom(c)
+				fork = new(Solver).CopyFrom(c)
 			}
-			for i, ctx := range []*Context{c, fork} {
+			for i, ctx := range []*Solver{c, fork} {
 				if ctx == nil {
 					continue
 				}
 				var assume []sat.Lit
 				if round%2 == 0 {
-					ctx.AssertTrue(holds)
+					ctx.Assert(holds)
 				} else {
-					assume = append(assume, ctx.Literal(holds))
+					assume = append(assume, ctx.literal(holds))
 				}
-				if res := ctx.s.Solve(assume...); res != sat.Sat {
+				if res := ctx.sat.Solve(assume...); res != sat.Sat {
 					t.Fatalf("round %d, solver %d: %s = %v, which the generator's environment satisfies, is %v", round, i, term, want, res)
 				}
 				checkModel(t, ctx, round)
 			}
 			if fork != nil {
 				for u := range c.lit {
-					if c.ModelBool(u) != fork.ModelBool(u) {
+					if c.value(u).Cmp(fork.value(u)) != 0 {
 						t.Fatalf("round %d: the fork's model differs from the original's at %s", round, u)
 					}
 				}
 				for u := range c.bv {
-					if c.ModelBV(u).Cmp(fork.ModelBV(u)) != 0 {
+					if c.value(u).Cmp(fork.value(u)) != 0 {
 						t.Fatalf("round %d: the fork's model differs from the original's at %s", round, u)
 					}
 				}
@@ -76,7 +76,7 @@ func FuzzCircuit(f *testing.F) {
 
 // checkModel holds c's last model to the circuit: every term blasted so far
 // reads what smt.Eval gives under the model's values of its variables.
-func checkModel(t *testing.T, c *Context, round int) {
+func checkModel(t *testing.T, c *Solver, round int) {
 	t.Helper()
 	env := smt.Env{}
 	var blasted []*smt.Term
@@ -88,11 +88,11 @@ func checkModel(t *testing.T, c *Context, round int) {
 	}
 	for _, u := range blasted {
 		for _, v := range u.Vars(nil) {
-			env.Set(v.Name(), c.ModelValue(v))
+			env.Set(v.Name(), c.value(v))
 		}
 	}
 	for _, u := range blasted {
-		if got, want := c.ModelValue(u), smt.Eval(u, env); got.Cmp(want) != 0 {
+		if got, want := c.value(u), smt.Eval(u, env); got.Cmp(want) != 0 {
 			t.Fatalf("round %d: the model gives %s the value %v, Eval %v", round, u, got, want)
 		}
 	}

@@ -12,9 +12,8 @@ import (
 func bruteSat(t *testing.T, terms ...*smt.Term) bool {
 	t.Helper()
 	var vars []*smt.Term
-	seen := map[uint32]bool{}
 	for _, tm := range terms {
-		vars = tm.VarsSeen(vars, seen)
+		vars = tm.Vars(vars)
 	}
 	bits := 0
 	for _, v := range vars {
@@ -80,7 +79,7 @@ func TestCheckConstantAssumptions(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			s := New(f)
+			s := New()
 			got := s.Check(tc.assume...)
 			if want := bruteSat(t, tc.assume...); (got == Sat) != want {
 				t.Fatalf("Check = %v, brute force says satisfiable = %v", got, want)

@@ -16,7 +16,7 @@ import (
 func TestForkIsolation(t *testing.T) {
 	f := smt.NewFactory()
 	basis, conds := sliceFixture(f)
-	base := New(f)
+	base := New()
 	for _, b := range basis {
 		base.Assert(b)
 	}
@@ -28,7 +28,7 @@ func TestForkIsolation(t *testing.T) {
 
 	want := make([]Result, len(conds))
 	for i, c := range conds {
-		fresh := New(f)
+		fresh := New()
 		for _, b := range basis {
 			fresh.Assert(b)
 		}
@@ -85,7 +85,7 @@ func TestForkIsolation(t *testing.T) {
 func TestAssertCountsAsBlastTime(t *testing.T) {
 	f := smt.NewFactory()
 	reg := obs.NewRegistry()
-	s := New(f)
+	s := New()
 	s.SetObs(reg)
 	x, y := f.BVVar("x", 32), f.BVVar("y", 32)
 	s.Assert(f.Eq(f.Mul(x, y), f.BVConst64(391, 32)))

@@ -41,7 +41,7 @@ func TestScopedChecksAdversarialOrdering(t *testing.T) {
 	// Reference verdicts from fresh, non-incremental solvers.
 	want := make([]Result, len(conds))
 	for i, c := range conds {
-		fresh := New(f)
+		fresh := New()
 		for _, b := range base {
 			fresh.Assert(b)
 		}
@@ -55,7 +55,7 @@ func TestScopedChecksAdversarialOrdering(t *testing.T) {
 		{1, 1, 0, 0, 2, 2, 5, 3, 4}, // repeated checks must stay stable
 	}
 	for oi, order := range orders {
-		s := New(f)
+		s := New()
 		for _, b := range base {
 			s.Assert(b)
 		}
@@ -85,7 +85,7 @@ func TestScopedChecksAdversarialOrdering(t *testing.T) {
 // show up in a later check's unsat core.
 func TestIncrementalUnsatCoreUnpolluted(t *testing.T) {
 	f := smt.NewFactory()
-	s := New(f)
+	s := New()
 	x := f.BVVar("x", 8)
 	s.Assert(f.Ult(x, f.BVConst64(5, 8)))
 	// Burn a few checks first so earlier assumptions and learned clauses
@@ -108,7 +108,7 @@ func TestIncrementalUnsatCoreUnpolluted(t *testing.T) {
 // decided — adds no variable and no clause, only search.
 func TestRecheckBlastsNothing(t *testing.T) {
 	f := smt.NewFactory()
-	s := New(f)
+	s := New()
 	x := f.BVVar("x", 8)
 	y := f.BVVar("y", 8)
 	s.Assert(f.Eq(f.Add(x, y), f.BVConst64(77, 8)))

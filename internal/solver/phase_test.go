@@ -1,4 +1,4 @@
-package bitblast
+package solver
 
 import (
 	"fmt"
@@ -12,16 +12,16 @@ import (
 )
 
 // blastTerm blasts t, boolean or bitvector.
-func blastTerm(c *Context, t *smt.Term) {
+func blastTerm(c *Solver, t *smt.Term) {
 	if t.Sort().IsBool() {
-		c.Literal(t)
+		c.literal(t)
 	} else {
-		c.Bits(t)
+		c.bits(t)
 	}
 }
 
 // phaseValue reads the value of blasted term t at the solver's saved phases.
-func phaseValue(c *Context, t *smt.Term) *big.Int {
+func phaseValue(c *Solver, t *smt.Term) *big.Int {
 	v := new(big.Int)
 	if t.Sort().IsBool() {
 		if c.phase(c.lit[t]) {
@@ -41,7 +41,7 @@ func phaseValue(c *Context, t *smt.Term) *big.Int {
 // blasted so far reads smt.Eval under env at the saved phases; a Solve with
 // no assumption then answers Sat without one conflict — following the phases
 // it never contradicts a gate definition — and its model is that point.
-func checkPoint(t *testing.T, c *Context, env smt.Env, where string) {
+func checkPoint(t *testing.T, c *Solver, env smt.Env, where string) {
 	t.Helper()
 	var blasted []*smt.Term
 	for u := range c.lit {
@@ -59,22 +59,22 @@ func checkPoint(t *testing.T, c *Context, env smt.Env, where string) {
 		}
 	}
 	each(func(u *smt.Term) *big.Int { return phaseValue(c, u) }, "saved phase")
-	before := c.s.Conflicts()
-	if res := c.s.Solve(); res != sat.Sat {
+	before := c.sat.Conflicts()
+	if res := c.sat.Solve(); res != sat.Sat {
 		t.Fatalf("%s: a circuit with nothing asserted is %v", where, res)
 	}
-	if n := c.s.Conflicts() - before; n != 0 {
+	if n := c.sat.Conflicts() - before; n != 0 {
 		t.Fatalf("%s: %d conflict(s) descending the saved phases of a circuit with nothing asserted", where, n)
 	}
-	each(c.ModelValue, "model")
+	each(c.value, "model")
 }
 
-// TestFreshPhasesAreTheCircuitAtItsInputs pins what freshGate promises, over
+// TestFreshPhasesAreTheCircuitAtItsInputs pins what sat.newGate promises, over
 // generated terms of every operator: the saved phases of a solver are the
 // circuit evaluated at its input bits' phases. On a fresh solver that is the
 // all-zeros input; with the input bits' phases set beforehand it is that
 // input; after a Sat answer it is the answer's model, for the gates blasted
-// before it (the search left their values) and after it (freshGate computes
+// before it (the search left their values) and after it (newGate computes
 // them) alike.
 func TestFreshPhasesAreTheCircuitAtItsInputs(t *testing.T) {
 	rng := rand.New(rand.NewSource(27))
@@ -86,24 +86,24 @@ func TestFreshPhasesAreTheCircuitAtItsInputs(t *testing.T) {
 		first, second := g.Term(), g.Term()
 
 		// The all-zeros point.
-		c := New(f, sat.New())
+		c := New()
 		blastTerm(c, first)
 		checkPoint(t, c, smt.Env{}, fmt.Sprintf("iter %d, fresh solver", iter))
 
 		// A random input point, set before any gate is built.
-		c = New(f, sat.New())
+		c = New()
 		env := smt.Env{}
 		for _, v := range first.Vars(nil) {
 			if v.Sort().IsBool() {
 				bit := rng.Intn(2) == 1
-				c.s.SetPhase(c.Literal(v).Var(), bit)
+				c.sat.SetPhase(c.literal(v).Var(), bit)
 				env.SetBool(v.Name(), bit)
 				continue
 			}
 			val := new(big.Int)
-			for i, l := range c.Bits(v) {
+			for i, l := range c.bits(v) {
 				bit := rng.Intn(2) == 1
-				c.s.SetPhase(l.Var(), bit)
+				c.sat.SetPhase(l.Var(), bit)
 				if bit {
 					val.SetBit(val, i, 1)
 				}
@@ -115,20 +115,20 @@ func TestFreshPhasesAreTheCircuitAtItsInputs(t *testing.T) {
 
 		// A model: the answer under an assumption about the first term, then
 		// the second term blasted on top of it.
-		c = New(f, sat.New())
+		c = New()
 		blastTerm(c, first)
 		var assume sat.Lit
 		if first.Sort().IsBool() {
-			assume = c.Literal(first)
+			assume = c.literal(first)
 		} else {
-			assume = c.Bits(first)[0]
+			assume = c.bits(first)[0]
 		}
-		if c.s.Solve(assume) != sat.Sat && c.s.Solve(assume.Neg()) != sat.Sat {
+		if c.sat.Solve(assume) != sat.Sat && c.sat.Solve(assume.Neg()) != sat.Sat {
 			t.Fatalf("iter %d: %s can be neither true nor false", iter, first)
 		}
 		env = smt.Env{}
 		for _, v := range first.Vars(nil) {
-			env.Set(v.Name(), c.ModelValue(v))
+			env.Set(v.Name(), c.value(v))
 		}
 		blastTerm(c, second)
 		checkPoint(t, c, env, fmt.Sprintf("iter %d, after a model", iter))

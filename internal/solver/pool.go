@@ -1,9 +1,6 @@
 package solver
 
-import (
-	"bf4/internal/obs"
-	"bf4/internal/smt"
-)
+import "bf4/internal/obs"
 
 // Pool hands out solvers and takes back the ones their owner is done with,
 // so that a run's next round builds its shards and bases in solvers it
@@ -37,22 +34,22 @@ func NewPool(reg *obs.Registry) *Pool {
 	}
 }
 
-// New returns an empty solver over f, as solver.New does.
-func (p *Pool) New(f *smt.Factory) *Solver {
+// New returns an empty solver, as solver.New does.
+func (p *Pool) New() *Solver {
 	if p == nil {
-		return New(f)
+		return New()
 	}
 	n := len(p.free)
 	if n == 0 {
 		p.fresh.Inc()
-		return New(f)
+		return New()
 	}
 	s := p.free[n-1]
 	p.free[n-1] = nil
 	p.free = p.free[:n-1]
 	p.recycled.Inc()
 	p.retained.Add(-int64(s.sat.Bytes()))
-	return s.Reset(f)
+	return s.Reset()
 }
 
 // Put hands solvers the caller is done with (nil ones are skipped) over to

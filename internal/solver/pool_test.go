@@ -19,13 +19,13 @@ import (
 func poolSession(t *testing.T, p *Pool, f *smt.Factory) string {
 	t.Helper()
 	basis, conds := sliceFixture(f)
-	base := p.New(f)
+	base := p.New()
 	for _, b := range basis {
 		base.Assert(b)
 	}
 	out := make([]string, len(conds)+1)
 	out[0] = fmt.Sprintf("base: %v %+v", base.Check(), base.lastCheck.Search)
-	forks := []*Solver{p.New(f), p.New(f)}
+	forks := []*Solver{p.New(), p.New()}
 	var wg sync.WaitGroup
 	for w, s := range forks {
 		wg.Add(1)
@@ -58,7 +58,7 @@ func TestPoolRecyclesLikeFresh(t *testing.T) {
 
 	g := smt.NewFactory()
 	basis, conds := sliceFixture(g)
-	dirty := []*Solver{p.New(g), p.New(g), p.New(g)}
+	dirty := []*Solver{p.New(), p.New(), p.New()}
 	for i, d := range dirty {
 		d.SetObs(reg)
 		d.Tag("first-life", "dirty", i)
@@ -101,9 +101,9 @@ func TestPoolRecyclesLikeFresh(t *testing.T) {
 	}
 
 	// What the pool hands out is empty: no tag, no variable, no core.
-	s := p.New(smt.NewFactory())
-	if len(s.vars) != 0 || len(s.lastCore) != 0 || s.checks != 0 || s.sat.NumVars() != 0 || !reflect.DeepEqual(s.tag, obs.CheckRecord{Node: -1}) {
-		t.Errorf("a solver from the pool is not empty: %d vars, core %v, %d checks, %d SAT vars, tag %+v", len(s.vars), s.lastCore, s.checks, s.sat.NumVars(), s.tag)
+	s := p.New()
+	if len(s.inputs) != 0 || len(s.lit) != 0 || len(s.bv) != 0 || len(s.lastCore) != 0 || s.checks != 0 || s.sat.NumVars() != 0 || !reflect.DeepEqual(s.tag, obs.CheckRecord{Node: -1}) {
+		t.Errorf("a solver from the pool is not empty: %d inputs, %d+%d blasted terms, core %v, %d checks, %d SAT vars, tag %+v", len(s.inputs), len(s.lit), len(s.bv), s.lastCore, s.checks, s.sat.NumVars(), s.tag)
 	}
 }
 
@@ -113,15 +113,15 @@ func TestNilPoolAllocates(t *testing.T) {
 	var p *Pool
 	f := smt.NewFactory()
 	x := f.BVVar("x", 8)
-	a := p.New(f)
+	a := p.New()
 	a.Assert(f.Ult(x, f.BVConst64(10, 8)))
-	b := p.New(f).CopyFrom(a)
+	b := p.New().CopyFrom(a)
 	p.Put(a, b, nil)
 	b.Assert(f.Ugt(x, f.BVConst64(20, 8)))
 	if ra, rb := a.Check(), b.Check(); ra != Sat || rb != Unsat {
 		t.Fatalf("after Put on a nil pool: original %v, fork %v; want sat, unsat", ra, rb)
 	}
-	if c := p.New(f); c == a || c == b {
+	if c := p.New(); c == a || c == b {
 		t.Fatal("a nil pool handed a solver out twice")
 	}
 }

@@ -1,7 +1,7 @@
 // Package solver is the Z3-like façade bf4's algorithms program against:
 // assert formulas, check satisfiability under assumptions, extract models
-// and unsat cores. It glues the hash-consed term layer (internal/smt) to
-// the bit-blaster (internal/bitblast) and the CDCL core (internal/sat),
+// and unsat cores. It lowers the hash-consed term layer (internal/smt) to
+// CNF with its own bit-blaster (blast.go) over the CDCL core (internal/sat),
 // and is incremental: learned clauses and blasted circuitry persist across
 // Check calls, which is what makes the per-bug reachability queries and
 // Infer's model/core loop cheap after the first call.
@@ -17,7 +17,6 @@ import (
 	"maps"
 	"time"
 
-	"bf4/internal/bitblast"
 	"bf4/internal/obs"
 	"bf4/internal/sat"
 	"bf4/internal/smt"
@@ -35,16 +34,13 @@ const (
 // Solver is an incremental QF_BV solver. Create with New; not safe for
 // concurrent use.
 type Solver struct {
-	f    *smt.Factory
-	sat  *sat.Solver
-	ctx  *bitblast.Context
-	vars map[*smt.Term]bool // variables seen so far, for model extraction
+	sat *sat.Solver
+	lit map[*smt.Term]sat.Lit   // blasted boolean terms
+	bv  map[*smt.Term][]sat.Lit // blasted bitvector terms, LSB first; never written after creation
 
-	// varSeen records every DAG node registerVars has walked (keyed by
-	// the term's factory-unique id), so repeated asserts over shared
-	// structure cost one walk of each distinct node in total instead of
-	// re-walking the whole DAG per call.
-	varSeen map[uint32]bool
+	// inputs are the variables blasted so far, in blasting order: the
+	// variables Model assigns.
+	inputs []*smt.Term
 
 	lastCore []*smt.Term
 	checks   int
@@ -121,29 +117,27 @@ func (s *Solver) SetObs(reg *obs.Registry) {
 	}
 }
 
-// New returns an empty solver over the given term factory.
-func New(f *smt.Factory) *Solver {
+// New returns an empty solver.
+func New() *Solver {
 	s := &Solver{
-		ctx:     bitblast.New(f, sat.New()),
-		vars:    make(map[*smt.Term]bool),
-		varSeen: make(map[uint32]bool),
+		sat: sat.New(),
+		lit: make(map[*smt.Term]sat.Lit),
+		bv:  make(map[*smt.Term][]sat.Lit),
 	}
-	return s.Reset(f)
+	return s.Reset()
 }
 
-// Reset empties s for terms of f, keeping the memory its SAT core and its
-// tables hold: every later call answers as it would on New(f). Every field
-// is named here or zero.
-func (s *Solver) Reset(f *smt.Factory) *Solver {
-	clear(s.vars)
-	clear(s.varSeen)
-	s.ctx.Reset(f)
+// Reset empties s, keeping the memory its SAT core and its tables hold:
+// every later call answers as it would on New(). Every field is named here
+// or zero.
+func (s *Solver) Reset() *Solver {
+	clear(s.lit)
+	clear(s.bv)
 	*s = Solver{
-		f:        f,
-		sat:      s.ctx.Solver(),
-		ctx:      s.ctx,
-		vars:     s.vars,
-		varSeen:  s.varSeen,
+		sat:      s.sat.Reset(),
+		lit:      s.lit,
+		bv:       s.bv,
+		inputs:   s.inputs[:0],
 		tag:      obs.CheckRecord{Node: -1},
 		lastCore: s.lastCore[:0],
 	}
@@ -151,27 +145,27 @@ func (s *Solver) Reset(f *smt.Factory) *Solver {
 }
 
 // CopyFrom overwrites s with an independent copy of src and returns s: the
-// same assertions and registered variables over a deep copy
-// of the SAT state (clauses, learnt clauses, activities, saved phases) and
-// of the blasted-term memo, written into the memory s already holds where
-// that is large enough. Terms src has blasted cost the copy nothing, its
-// first Check starts as warm as src's next one would, nothing s held before
-// shows, and nothing done to either afterwards shows in the other, so
-// copies of one solver may run on different goroutines. The installed
-// metrics registry is shared (its counters are atomic).
+// same assertions over a deep copy of the SAT state (clauses, learnt
+// clauses, activities, saved phases) and of the blasted-term memos, written
+// into the memory s already holds where that is large enough. Terms src has
+// blasted cost the copy nothing, its first Check starts as warm as src's
+// next one would, nothing s held before shows, and nothing done to either
+// afterwards shows in the other, so copies of one solver may run on
+// different goroutines. The bit-vector literal slices the memos point at
+// are never written after creation, so the two solvers share them. The
+// installed metrics registry is shared (its counters are atomic).
 func (s *Solver) CopyFrom(src *Solver) *Solver {
-	ctx, vars, varSeen, lastCore := s.ctx, s.vars, s.varSeen, s.lastCore
-	if ctx == nil {
-		ctx, vars, varSeen = new(bitblast.Context), make(map[*smt.Term]bool, len(src.vars)), make(map[uint32]bool, len(src.varSeen))
+	core, lit, bv, inputs, lastCore := s.sat, s.lit, s.bv, s.inputs, s.lastCore
+	if core == nil {
+		core, lit, bv = new(sat.Solver), make(map[*smt.Term]sat.Lit, len(src.lit)), make(map[*smt.Term][]sat.Lit, len(src.bv))
 	}
-	clear(vars)
-	clear(varSeen)
-	maps.Copy(vars, src.vars)
-	maps.Copy(varSeen, src.varSeen)
+	clear(lit)
+	clear(bv)
+	maps.Copy(lit, src.lit)
+	maps.Copy(bv, src.bv)
 	*s = *src
-	s.ctx = ctx.CopyFrom(src.ctx)
-	s.sat = s.ctx.Solver()
-	s.vars, s.varSeen = vars, varSeen
+	s.sat, s.lit, s.bv = core.CopyFrom(src.sat), lit, bv
+	s.inputs = append(inputs[:0], src.inputs...)
 	s.lastCore = append(lastCore[:0], src.lastCore...)
 	return s
 }
@@ -185,29 +179,12 @@ func (s *Solver) Tag(phase, name string, node int) {
 	s.tag = obs.CheckRecord{Phase: phase, Solver: name, Node: node}
 }
 
-func (s *Solver) registerVars(t *smt.Term) {
-	for _, v := range t.VarsSeen(nil, s.varSeen) {
-		if s.vars[v] {
-			continue
-		}
-		s.vars[v] = true
-		// Blast the variable now so that model extraction always works,
-		// even if the blasted circuit does not depend on it.
-		if v.Sort().IsBool() {
-			s.ctx.Literal(v)
-		} else {
-			s.ctx.Bits(v)
-		}
-	}
-}
-
 // Assert adds t to the solver's constraint set for good. A formula that
 // should hold for one query only is a Check assumption.
 func (s *Solver) Assert(t *smt.Term) {
 	start := time.Now()
 	defer func() { s.hooks.blastNs.Add(time.Since(start).Nanoseconds()) }()
-	s.registerVars(t)
-	s.ctx.AssertTrue(t)
+	s.sat.AddClause(s.lower(t))
 }
 
 // Check determines satisfiability of the asserted formulas together with
@@ -226,8 +203,7 @@ func (s *Solver) Check(assumptions ...*smt.Term) Result {
 		if a.IsTrue() {
 			continue
 		}
-		s.registerVars(a)
-		l := s.ctx.Literal(a)
+		l := s.lower(a)
 		if _, dup := byLit[l]; !dup {
 			byLit[l] = a
 			lits = append(lits, l)
@@ -295,12 +271,12 @@ func (s *Solver) recordCheck() {
 func (s *Solver) UnsatCore() []*smt.Term { return s.lastCore }
 
 // Model returns, after a Sat Check, an environment assigning every
-// variable the solver has seen. Variables the circuit left unconstrained
-// get whatever phase the SAT solver chose.
+// variable of every formula asserted or assumed so far. Variables the
+// circuit left unconstrained get whatever phase the SAT solver chose.
 func (s *Solver) Model() smt.Env {
-	env := make(smt.Env, len(s.vars))
-	for v := range s.vars {
-		env[v.Name()] = s.ctx.ModelValue(v)
+	env := make(smt.Env, len(s.inputs))
+	for _, v := range s.inputs {
+		env[v.Name()] = s.value(v)
 	}
 	return env
 }
@@ -308,16 +284,16 @@ func (s *Solver) Model() smt.Env {
 // ModelOf is Model restricted to the variables of the given terms: the same
 // values, so evaluating any of the terms under it gives what Model would,
 // without a big.Int for every other variable of the program. A variable the
-// solver has never seen stays out, as it does in Model, and reads zero.
+// solver has never blasted stays out, as it does in Model, and reads zero.
 func (s *Solver) ModelOf(terms ...*smt.Term) smt.Env {
 	env := smt.Env{}
-	seen := map[uint32]bool{}
+	seen := map[*smt.Term]bool{}
 	for _, t := range terms {
-		for _, v := range t.VarsSeen(nil, seen) {
-			if s.vars[v] {
-				env[v.Name()] = s.ctx.ModelValue(v)
+		eachVar(t, seen, nil, func(v *smt.Term) {
+			if s.blasted(v) {
+				env[v.Name()] = s.value(v)
 			}
-		}
+		})
 	}
 	return env
 }

@@ -9,7 +9,7 @@ import (
 
 func TestAssertCheckModel(t *testing.T) {
 	f := smt.NewFactory()
-	s := New(f)
+	s := New()
 	a, b := f.BVVar("a", 8), f.BVVar("b", 8)
 	s.Assert(f.Eq(f.Add(a, b), f.BVConst64(10, 8)))
 	s.Assert(f.Ult(a, b))
@@ -31,7 +31,7 @@ func TestAssertCheckModel(t *testing.T) {
 // same under either; a variable no formula mentioned is in neither.
 func TestModelOfIsModelRestricted(t *testing.T) {
 	f := smt.NewFactory()
-	s := New(f)
+	s := New()
 	a, b, c := f.BVVar("a", 8), f.BVVar("b", 8), f.BVVar("c", 8)
 	p, q := f.BoolVar("p"), f.BoolVar("q")
 	s.Assert(f.Eq(f.Add(a, b), f.BVConst64(10, 8)))
@@ -60,7 +60,7 @@ func TestModelOfIsModelRestricted(t *testing.T) {
 
 func TestCheckWithAssumptions(t *testing.T) {
 	f := smt.NewFactory()
-	s := New(f)
+	s := New()
 	x := f.BVVar("x", 4)
 	s.Assert(f.Ult(x, f.BVConst64(8, 4)))
 	big := f.Ugt(x, f.BVConst64(9, 4))
@@ -82,7 +82,7 @@ func TestCheckWithAssumptions(t *testing.T) {
 
 func TestUnsatCoreSubset(t *testing.T) {
 	f := smt.NewFactory()
-	s := New(f)
+	s := New()
 	x := f.BVVar("x", 8)
 	a1 := f.Ult(x, f.BVConst64(5, 8))  // x < 5
 	a2 := f.Ugt(x, f.BVConst64(10, 8)) // x > 10 — conflicts with a1
@@ -106,7 +106,7 @@ func TestUnsatCoreSubset(t *testing.T) {
 
 func TestModelCoversAllSeenVars(t *testing.T) {
 	f := smt.NewFactory()
-	s := New(f)
+	s := New()
 	a := f.BVVar("a", 8)
 	p, q := f.BoolVar("p"), f.BoolVar("q")
 	// Even unconstrained-after-solving variables must get model values.
@@ -129,7 +129,7 @@ func TestModelCoversAllSeenVars(t *testing.T) {
 
 func TestIncrementalAccumulation(t *testing.T) {
 	f := smt.NewFactory()
-	s := New(f)
+	s := New()
 	x := f.BVVar("x", 8)
 	for i := 0; i < 8; i++ {
 		s.Assert(f.Not(f.Eq(x, f.BVConst64(int64(i), 8))))
@@ -158,9 +158,9 @@ func TestInferShapedLoop(t *testing.T) {
 	bug := f.And(hit, f.Not(valid), f.Not(f.Eq(mask, f.BVConst64(0, 8))))
 	ok := f.Not(bug)
 
-	direct := New(f)
+	direct := New()
 	direct.Assert(bug)
-	dual := New(f)
+	dual := New()
 	dual.Assert(ok)
 
 	atoms := []*smt.Term{hit, valid, f.Eq(mask, f.BVConst64(0, 8))}
@@ -196,7 +196,7 @@ func TestRandomizedEquivalenceQueries(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	f := smt.NewFactory()
 	for iter := 0; iter < 20; iter++ {
-		s := New(f)
+		s := New()
 		w := 4 + rng.Intn(5)
 		x := f.BVVar("x", w)
 		k := int64(rng.Intn(1 << w))
@@ -211,7 +211,7 @@ func TestRandomizedEquivalenceQueries(t *testing.T) {
 
 func TestStatsAndChecks(t *testing.T) {
 	f := smt.NewFactory()
-	s := New(f)
+	s := New()
 	x := f.BVVar("x", 8)
 	s.Assert(f.Ult(x, f.BVConst64(100, 8)))
 	s.Check()
@@ -230,7 +230,7 @@ func BenchmarkIncrementalReachQueries(b *testing.B) {
 	// Shape of bf4's bug reachability phase: one shared formula, many
 	// assumption-only checks.
 	f := smt.NewFactory()
-	s := New(f)
+	s := New()
 	x := f.BVVar("x", 16)
 	y := f.BVVar("y", 16)
 	s.Assert(f.Eq(f.Add(x, y), f.BVConst64(5000, 16)))

@@ -38,7 +38,7 @@ func distinct(f *smt.Factory, s *Solver, tag string, n int) []*smt.Term {
 // every later one.
 func TestCheckStatsAreDeltas(t *testing.T) {
 	f := smt.NewFactory()
-	s := New(f)
+	s := New()
 	pigeon := distinct(f, s, "a", 6)
 	vars, clauses := s.sat.NumVars(), s.sat.NumClauses()
 	if res := s.Check(pigeon...); res != Unsat {
@@ -89,7 +89,7 @@ func TestCheckStatsAreDeltas(t *testing.T) {
 // nothing dropped.
 func TestCheckStatsSumToCumulative(t *testing.T) {
 	f := smt.NewFactory()
-	s := New(f)
+	s := New()
 	pigeon := distinct(f, s, "a", 6)
 	// Assert-time unit propagation (clauses added outside any Check) is
 	// deliberately attributed to no check; measure from here.
@@ -121,7 +121,7 @@ func TestCheckStatsSumToCumulative(t *testing.T) {
 func TestSolverObsRecording(t *testing.T) {
 	run := func(reg *obs.Registry) []Result {
 		f := smt.NewFactory()
-		s := New(f)
+		s := New()
 		s.SetObs(reg)
 		pigeon := distinct(f, s, "a", 5)
 		var out []Result
@@ -166,7 +166,7 @@ func TestSolverObsRecording(t *testing.T) {
 func TestFirstCheckIsMarked(t *testing.T) {
 	f := smt.NewFactory()
 	reg := obs.NewRegistry()
-	s := New(f)
+	s := New()
 	s.SetObs(reg)
 	pigeon := distinct(f, s, "a", 5)
 
@@ -182,7 +182,7 @@ func TestFirstCheckIsMarked(t *testing.T) {
 	warm.Check()
 	cold.Check()
 	firstConflicts += cold.lastCheck.Search.Conflicts
-	s.Reset(f).SetObs(reg)
+	s.Reset().SetObs(reg)
 	s.Tag("test", "reset", -1)
 	s.Check()
 

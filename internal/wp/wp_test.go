@@ -42,7 +42,7 @@ func TestReachabilityOfGuardedBug(t *testing.T) {
 	if cond == nil {
 		t.Fatal("no condition for bug")
 	}
-	s := solver.New(p.F)
+	s := solver.New()
 	if s.Check(cond) != solver.Sat {
 		t.Fatal("bug must be reachable (in = 4)")
 	}
@@ -60,7 +60,7 @@ func TestOKFormula(t *testing.T) {
 	p, bug := guardedBug()
 	pass := ssa.Passify(p)
 	r := Compute(p, pass, nil)
-	s := solver.New(p.F)
+	s := solver.New()
 	if s.Check(r.OK) != solver.Sat {
 		t.Fatal("OK must be satisfiable")
 	}
@@ -101,7 +101,7 @@ func TestUnreachableAfterContradiction(t *testing.T) {
 
 	pass := ssa.Passify(p)
 	r := Compute(p, pass, nil)
-	s := solver.New(p.F)
+	s := solver.New()
 	if s.Check(r.Cond[bug]) != solver.Unsat {
 		t.Fatal("x can only be 1 or 2; bug at x==3 must be unreachable")
 	}
@@ -136,7 +136,7 @@ func TestSliceKeepsBugSemantics(t *testing.T) {
 	keep := map[*ir.Node]bool{ax: true, br: true} // drop ay's constraint
 	sliced := Compute(p, pass, keep)
 
-	s := solver.New(p.F)
+	s := solver.New()
 	r1 := s.Check(full.Cond[bug])
 	r2 := s.Check(sliced.Cond[bug])
 	if r1 != r2 {
