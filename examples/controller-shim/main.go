@@ -18,7 +18,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"math/big"
 	"net"
 
 	"bf4/internal/dataplane"
@@ -69,7 +68,7 @@ func main() {
 	must("if_info", &dataplane.Entry{
 		Keys:   []dataplane.KeyMatch{dataplane.NewExact(1)},
 		Action: "set_if_info",
-		Params: []*big.Int{big.NewInt(0)}, // internal interface
+		Params: []dataplane.Value{dataplane.U64(0)}, // internal interface
 	})
 	must("nat", &dataplane.Entry{
 		Keys: []dataplane.KeyMatch{
@@ -82,7 +81,7 @@ func main() {
 			dataplane.NewTernary(0, 0),
 		},
 		Action: "nat_hit_int_to_ext",
-		Params: []*big.Int{big.NewInt(0xC0A80001), big.NewInt(4000)},
+		Params: []dataplane.Value{dataplane.U64(0xC0A80001), dataplane.U64(4000)},
 	})
 	must("ipv4_lpm", &dataplane.Entry{
 		Keys: []dataplane.KeyMatch{
@@ -90,7 +89,7 @@ func main() {
 			dataplane.NewExact(1), // the key bf4 added: ipv4 must be valid
 		},
 		Action: "set_nhop",
-		Params: []*big.Int{big.NewInt(0x0A0000FE), big.NewInt(7)},
+		Params: []dataplane.Value{dataplane.U64(0x0A0000FE), dataplane.U64(7)},
 	})
 
 	// 2. The paper's faulty rule: expects an INVALID ipv4 header yet
@@ -107,7 +106,7 @@ func main() {
 			dataplane.NewTernary(0, 0),
 		},
 		Action: "nat_hit_int_to_ext",
-		Params: []*big.Int{big.NewInt(1), big.NewInt(1)},
+		Params: []dataplane.Value{dataplane.U64(1), dataplane.U64(1)},
 	})
 	if err == nil {
 		log.Fatal("the shim accepted a faulty rule!")

@@ -18,7 +18,6 @@ package baseline
 
 import (
 	"fmt"
-	"math/big"
 	"time"
 
 	"bf4/internal/core"
@@ -276,10 +275,10 @@ func (ex *veraExplorer) exploreTable(n *ir.Node, pc *smt.Term, env *veraEnv) {
 		if rank, ok := dataplane.Rank(t, entry); ok {
 			matches[i], ranks[i] = f.True(), rank
 			for j, k := range t.Keys {
-				mask := dataplane.EffectiveMaskFor(k, entry.Keys[j])
+				mask := dataplane.EffectiveMaskFor(k, entry.Keys[j]).Big()
 				w := inst.KeyVars[j].Sort.Width
 				matches[i] = f.And(matches[i], f.Eq(f.BVAnd(keys[j], f.BVConst(mask, w)),
-					f.BVConst(new(big.Int).And(entry.Keys[j].Value, mask), w)))
+					f.BVConst(mask.And(mask, entry.Keys[j].Value.Big()), w)))
 			}
 		}
 	}
@@ -303,10 +302,10 @@ func (ex *veraExplorer) exploreTable(n *ir.Node, pc *smt.Term, env *veraEnv) {
 			return
 		}
 		for j, kv := range inst.KeyVars {
-			e = e.set(kv.Term, f.BVConst(entry.Keys[j].Value, kv.Sort.Width))
+			e = e.set(kv.Term, f.BVConst(entry.Keys[j].Value.Big(), kv.Sort.Width))
 			if mv := inst.MaskVars[j]; mv != nil {
 				mask := dataplane.EffectiveMaskFor(t.Keys[j], entry.Keys[j])
-				e = e.set(mv.Term, f.BVConst(mask, mv.Sort.Width))
+				e = e.set(mv.Term, f.BVConst(mask.Big(), mv.Sort.Width))
 			}
 		}
 		ex.explore(cont, won, e)
@@ -334,11 +333,11 @@ func (ex *veraExplorer) exploreTable(n *ir.Node, pc *smt.Term, env *veraEnv) {
 	}
 	missEnv := env.set(inst.HitVar.Term, f.False())
 	for pi, pv := range inst.DefaultParamVars {
-		v := new(big.Int)
+		var v dataplane.Value
 		if d != nil && pi < len(d.Params) {
 			v = d.Params[pi]
 		}
-		missEnv = missEnv.set(pv.Term, f.BVConst(v, pv.Sort.Width))
+		missEnv = missEnv.set(pv.Term, f.BVConst(v.Big(), pv.Sort.Width))
 	}
 	ex.explore(cont, missPC, missEnv)
 }
@@ -346,7 +345,7 @@ func (ex *veraExplorer) exploreTable(n *ir.Node, pc *smt.Term, env *veraEnv) {
 // run binds what a hit running action binds besides the keys: hit, the
 // action's index and its parameters, zero past the ones given. An action
 // the table does not list ends the exploration with an error (nil env).
-func (ex *veraExplorer) run(inst *ir.TableInstance, env *veraEnv, action string, params []*big.Int) *veraEnv {
+func (ex *veraExplorer) run(inst *ir.TableInstance, env *veraEnv, action string, params []dataplane.Value) *veraEnv {
 	idx, ok := inst.ActIndex[action]
 	if !ok {
 		ex.err = fmt.Errorf("vera: table %s: the snapshot runs action %q, which the table does not list", inst.Table.Name, action)
@@ -356,11 +355,11 @@ func (ex *veraExplorer) run(inst *ir.TableInstance, env *veraEnv, action string,
 	env = env.set(inst.HitVar.Term, f.True())
 	env = env.set(inst.ActVar.Term, f.BVConst64(int64(idx), inst.ActVar.Sort.Width))
 	for pi, pv := range inst.ParamVars[action] {
-		v := new(big.Int)
+		var v dataplane.Value
 		if pi < len(params) {
 			v = params[pi]
 		}
-		env = env.set(pv.Term, f.BVConst(v, pv.Sort.Width))
+		env = env.set(pv.Term, f.BVConst(v.Big(), pv.Sort.Width))
 	}
 	return env
 }

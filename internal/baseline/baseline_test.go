@@ -1,7 +1,6 @@
 package baseline
 
 import (
-	"math/big"
 	"slices"
 	"strings"
 	"testing"
@@ -101,7 +100,7 @@ func TestVeraConcreteDefaultsMatchInterp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	natEntry := func(valid, src, mask int64, prio int, action string, params ...*big.Int) *dataplane.Entry {
+	natEntry := func(valid, src, mask int64, prio int, action string, params ...dataplane.Value) *dataplane.Entry {
 		return &dataplane.Entry{
 			Keys:   []dataplane.KeyMatch{dataplane.NewExact(valid), dataplane.NewTernary(src, mask)},
 			Action: action, Params: params, Priority: prio,
@@ -113,12 +112,12 @@ func TestVeraConcreteDefaultsMatchInterp(t *testing.T) {
 		nat      []*dataplane.Entry
 		wantBugs bool
 	}{
-		{"declared default", &dataplane.DefaultAction{Action: "nat_miss", Params: []*big.Int{big.NewInt(1)}}, nil, true},
-		{"another default", &dataplane.DefaultAction{Action: "nat_hit", Params: []*big.Int{big.NewInt(7)}}, nil, true},
-		{"miss where no entry matches", &dataplane.DefaultAction{Action: "nat_miss", Params: []*big.Int{big.NewInt(1)}},
+		{"declared default", &dataplane.DefaultAction{Action: "nat_miss", Params: []dataplane.Value{dataplane.U64(1)}}, nil, true},
+		{"another default", &dataplane.DefaultAction{Action: "nat_hit", Params: []dataplane.Value{dataplane.U64(7)}}, nil, true},
+		{"miss where no entry matches", &dataplane.DefaultAction{Action: "nat_miss", Params: []dataplane.Value{dataplane.U64(1)}},
 			[]*dataplane.Entry{natEntry(0, 0, 0, 0, "drop_")}, false},
 		{"priority", nil, []*dataplane.Entry{
-			natEntry(0, 0, 0, 1, "nat_hit", big.NewInt(1)),
+			natEntry(0, 0, 0, 1, "nat_hit", dataplane.U64(1)),
 			natEntry(0, 0, 1, 2, "drop_"), // even source addresses: reads an invalid key
 		}, true},
 	} {
@@ -132,7 +131,7 @@ func TestVeraConcreteDefaultsMatchInterp(t *testing.T) {
 		snap.Insert("ipv4_lpm", &dataplane.Entry{
 			Keys:   []dataplane.KeyMatch{dataplane.NewLpm(0, 0)},
 			Action: "set_nhop",
-			Params: []*big.Int{big.NewInt(1), big.NewInt(2)},
+			Params: []dataplane.Value{dataplane.U64(1), dataplane.U64(2)},
 		})
 		paths, reached := 0, map[*ir.Node]bool{}
 		r, err := vera(pl, VeraOptions{Snapshot: snap}, func(bug *ir.Node, pc *smt.Term) {
@@ -266,7 +265,7 @@ func TestVeraConcreteFaultySnapshot(t *testing.T) {
 	snap.Insert("nat", &dataplane.Entry{
 		Keys:   []dataplane.KeyMatch{dataplane.NewExact(0), dataplane.NewTernary(0, 0xFF000000)},
 		Action: "nat_hit",
-		Params: []*big.Int{big.NewInt(1)},
+		Params: []dataplane.Value{dataplane.U64(1)},
 	})
 	r, err := Vera(pl, VeraOptions{Snapshot: snap})
 	if err != nil {

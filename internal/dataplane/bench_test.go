@@ -1,7 +1,6 @@
 package dataplane_test
 
 import (
-	"math/big"
 	"testing"
 
 	"bf4/internal/core"
@@ -28,12 +27,12 @@ func BenchmarkInterpreterForwarding(b *testing.B) {
 	snap.Insert("nat", &dataplane.Entry{
 		Keys:   []dataplane.KeyMatch{dataplane.NewExact(1), dataplane.NewTernary(0x0A000001, -1)},
 		Action: "nat_hit",
-		Params: []*big.Int{big.NewInt(0x0A000099)},
+		Params: []dataplane.Value{dataplane.U64(0x0A000099)},
 	})
 	snap.Insert("ipv4_lpm", &dataplane.Entry{
 		Keys:   []dataplane.KeyMatch{dataplane.NewLpm(0, 0)},
 		Action: "set_nhop",
-		Params: []*big.Int{big.NewInt(0x0A0000FE), big.NewInt(7)},
+		Params: []dataplane.Value{dataplane.U64(0x0A0000FE), dataplane.U64(7)},
 	})
 	pkt := ipv4Packet(0x0A000001, 64)
 	b.ReportAllocs()

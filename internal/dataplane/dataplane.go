@@ -18,53 +18,12 @@ import (
 	"fmt"
 	"math/big"
 	"slices"
+	"strconv"
 
 	"bf4/internal/ir"
 	"bf4/internal/smt"
 	"bf4/internal/ssa"
 )
-
-// Entry is one concrete table entry.
-type Entry struct {
-	// Keys holds one match per table key, in key order.
-	Keys []KeyMatch
-	// Action names the action to run on hit; Params are its arguments.
-	Action string
-	Params []*big.Int
-	// Priority breaks ties for ternary matches (higher wins); insertion
-	// order breaks remaining ties.
-	Priority int
-}
-
-// KeyMatch is a concrete match for one key.
-type KeyMatch struct {
-	Value *big.Int
-	// Mask applies to ternary matches (nil = exact full match).
-	Mask *big.Int
-	// PrefixLen applies to lpm keys (-1 for non-lpm).
-	PrefixLen int
-}
-
-// NewExact returns an exact key match.
-func NewExact(v int64) KeyMatch {
-	return KeyMatch{Value: big.NewInt(v), PrefixLen: -1}
-}
-
-// NewTernary returns a ternary key match.
-func NewTernary(v, mask int64) KeyMatch {
-	return KeyMatch{Value: big.NewInt(v), Mask: big.NewInt(mask), PrefixLen: -1}
-}
-
-// NewLpm returns an lpm key match with the given prefix length.
-func NewLpm(v int64, prefixLen int) KeyMatch {
-	return KeyMatch{Value: big.NewInt(v), PrefixLen: prefixLen}
-}
-
-// DefaultAction overrides a table's default action at runtime.
-type DefaultAction struct {
-	Action string
-	Params []*big.Int
-}
 
 // Snapshot is a concrete rule state: the paper's "P4 program together
 // with all its active table entries".
@@ -204,6 +163,35 @@ func (ip *Interp) Run() (*Trace, error) {
 
 var bigZero = new(big.Int)
 
+// Big returns v as a big.Int, for the interpreter's arithmetic.
+func (v Value) Big() *big.Int {
+	if v.hi == nil {
+		return new(big.Int).SetUint64(v.lo)
+	}
+	return new(big.Int).SetBytes(v.AppendBytes(nil))
+}
+
+// String returns v in decimal.
+func (v Value) String() string {
+	if v.hi == nil {
+		return strconv.FormatUint(v.lo, 10)
+	}
+	return v.Big().String()
+}
+
+// FromBig returns the value of x, which must be present and not negative.
+func FromBig(x *big.Int) (Value, error) {
+	switch {
+	case x == nil:
+		return Value{}, fmt.Errorf("integer is missing")
+	case x.Sign() < 0:
+		return Value{}, fmt.Errorf("integer %s is negative", x)
+	case x.IsUint64():
+		return U64(x.Uint64()), nil
+	}
+	return FromBytes(x.Bytes()), nil
+}
+
 func (ip *Interp) havocValue(n *ir.Node) *big.Int {
 	// Replay mode: the model assigns the SSA version this havoc created.
 	if ip.Model != nil && ip.Pass != nil {
@@ -229,12 +217,10 @@ func (ip *Interp) havocValue(n *ir.Node) *big.Int {
 // one a switch can hold (the shim refuses the update), and it is an error.
 func (ip *Interp) applyTable(inst *ir.TableInstance, state smt.Env, tr *Trace) error {
 	t := inst.Table
-	keyVals := make([]*big.Int, len(inst.KeyTerms))
+	keyVals := make([]Value, len(inst.KeyTerms))
 	for j, kt := range inst.KeyTerms {
 		if kt != nil {
-			keyVals[j] = smt.Eval(kt, state)
-		} else {
-			keyVals[j] = bigZero
+			keyVals[j], _ = FromBig(smt.Eval(kt, state)) // never negative
 		}
 	}
 	entries := ip.Snapshot.Entries[t.Name]
@@ -267,7 +253,7 @@ func (ip *Interp) applyTable(inst *ir.TableInstance, state smt.Env, tr *Trace) e
 			km := KeyMatch{Value: keyVals[j], PrefixLen: -1}
 			switch k.MatchKind {
 			case "ternary":
-				km.Mask = bigZero
+				km.MaskKind = MaskBits
 			case "lpm":
 				km.PrefixLen = 0
 			}
@@ -283,15 +269,15 @@ func (ip *Interp) applyTable(inst *ir.TableInstance, state smt.Env, tr *Trace) e
 		state.SetUint64(inst.ActVar.Name, uint64(idx))
 		for j := range inst.KeyVars {
 			if j < len(e.Keys) {
-				state[inst.KeyVars[j].Name] = e.Keys[j].Value
+				state[inst.KeyVars[j].Name] = e.Keys[j].Value.Big()
 				if inst.MaskVars[j] != nil {
-					state[inst.MaskVars[j].Name] = EffectiveMaskFor(t.Keys[j], e.Keys[j])
+					state[inst.MaskVars[j].Name] = EffectiveMaskFor(t.Keys[j], e.Keys[j]).Big()
 				}
 			}
 		}
 		for pi, pv := range inst.ParamVars[e.Action] {
 			if pi < len(e.Params) {
-				state[pv.Name] = e.Params[pi]
+				state[pv.Name] = e.Params[pi].Big()
 			} else {
 				state[pv.Name] = bigZero
 			}
@@ -302,7 +288,7 @@ func (ip *Interp) applyTable(inst *ir.TableInstance, state smt.Env, tr *Trace) e
 			// The declared default with other parameter values.
 			for pi, pv := range inst.DefaultParamVars {
 				if pi < len(d.Params) {
-					state[pv.Name] = d.Params[pi]
+					state[pv.Name] = d.Params[pi].Big()
 				}
 			}
 		} else {
@@ -337,70 +323,48 @@ func Rank(t *ir.Table, e *Entry) (score int, ok bool) {
 
 // matchEntry reports whether the key values match the entry, returning
 // its Rank.
-func matchEntry(t *ir.Table, e *Entry, keyVals []*big.Int) (score int, ok bool) {
+func matchEntry(t *ir.Table, e *Entry, keyVals []Value) (score int, ok bool) {
 	if score, ok = Rank(t, e); !ok {
 		return 0, false
 	}
 	for j, k := range t.Keys {
-		km := e.Keys[j]
-		kv := keyVals[j]
-		switch k.MatchKind {
-		case "exact":
-			if kv.Cmp(km.Value) != 0 {
-				return 0, false
-			}
-		case "ternary":
-			mask := km.Mask
-			if mask == nil {
-				mask = smt.Mask(k.Width)
-			}
-			a := new(big.Int).And(kv, mask)
-			b := new(big.Int).And(km.Value, mask)
-			if a.Cmp(b) != 0 {
-				return 0, false
-			}
-		case "lpm":
-			plen := km.PrefixLen
-			if plen < 0 {
-				plen = k.Width
-			}
-			mask := PrefixMask(k.Width, plen)
-			a := new(big.Int).And(kv, mask)
-			b := new(big.Int).And(km.Value, mask)
-			if a.Cmp(b) != 0 {
-				return 0, false
-			}
+		km, kv := &e.Keys[j], keyVals[j]
+		switch {
+		case k.MatchKind == "exact", k.MatchKind == "ternary" && km.MaskKind == FullMask:
+			ok = kv.Equal(km.Value)
+		case k.MatchKind == "ternary" || k.MatchKind == "lpm":
+			ok = maskedEqual(kv, km.Value, EffectiveMaskFor(k, *km))
+		}
+		if !ok {
+			return 0, false
 		}
 	}
 	return score, true
 }
 
-// PrefixMask returns the width-w mask of an lpm prefix of length plen: the
-// top plen bits set.
-func PrefixMask(w, plen int) *big.Int {
-	if plen >= w {
-		return smt.Mask(w)
+// maskedEqual reports whether a and b agree on every bit m sets.
+func maskedEqual(a, b, m Value) bool {
+	for i := range max(a.Limbs(), b.Limbs()) {
+		if (a.Limb(i)^b.Limb(i))&m.Limb(i) != 0 {
+			return false
+		}
 	}
-	return new(big.Int).Lsh(smt.Mask(plen), uint(w-plen))
+	return true
 }
 
 // EffectiveMaskFor converts an entry's key match into the mask value the
 // expansion's mask variable expects (ternary mask, lpm prefix mask, or
 // all-ones for exact).
-func EffectiveMaskFor(k *ir.KeyInfo, km KeyMatch) *big.Int {
+func EffectiveMaskFor(k *ir.KeyInfo, km KeyMatch) Value {
 	switch k.MatchKind {
 	case "ternary":
-		if km.Mask != nil {
+		if km.MaskKind == MaskBits {
 			return km.Mask
 		}
-		return smt.Mask(k.Width)
 	case "lpm":
-		plen := km.PrefixLen
-		if plen < 0 {
-			plen = k.Width
+		if km.PrefixLen >= 0 {
+			return PrefixMask(k.Width, km.PrefixLen)
 		}
-		return PrefixMask(k.Width, plen)
-	default:
-		return smt.Mask(k.Width)
 	}
+	return Ones(k.Width)
 }

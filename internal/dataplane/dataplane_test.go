@@ -1,7 +1,6 @@
 package dataplane_test
 
 import (
-	"math/big"
 	"strings"
 	"testing"
 
@@ -90,13 +89,13 @@ func TestSnapshotForwarding(t *testing.T) {
 	snap.Insert("nat", &dataplane.Entry{
 		Keys:   []dataplane.KeyMatch{dataplane.NewExact(1), dataplane.NewTernary(0x0A000001, -1)},
 		Action: "nat_hit",
-		Params: []*big.Int{big.NewInt(0x0A000099)},
+		Params: []dataplane.Value{dataplane.U64(0x0A000099)},
 	})
 	// lpm: route everything to port 7.
 	snap.Insert("ipv4_lpm", &dataplane.Entry{
 		Keys:   []dataplane.KeyMatch{dataplane.NewLpm(0, 0)},
 		Action: "set_nhop",
-		Params: []*big.Int{big.NewInt(0x0A0000FE), big.NewInt(7)},
+		Params: []dataplane.Value{dataplane.U64(0x0A0000FE), dataplane.U64(7)},
 	})
 	interp := &dataplane.Interp{P: pl.IR, Snapshot: snap, Inputs: ipv4Packet(0x0A000001, 64)}
 	tr, err := interp.Run()
@@ -166,7 +165,7 @@ func TestFaultyRuleTriggersBug(t *testing.T) {
 	snap.Insert("nat", &dataplane.Entry{
 		Keys:   []dataplane.KeyMatch{dataplane.NewExact(0), dataplane.NewTernary(0, 0xFF000000)},
 		Action: "nat_hit",
-		Params: []*big.Int{big.NewInt(1)},
+		Params: []dataplane.Value{dataplane.U64(1)},
 	})
 	// A non-IPv4 packet (header invalid) matches that rule.
 	p := dataplane.Packet{}
@@ -216,18 +215,18 @@ func TestLpmLongestPrefixWins(t *testing.T) {
 	snap.Insert("nat", &dataplane.Entry{
 		Keys:   []dataplane.KeyMatch{dataplane.NewExact(1), dataplane.NewTernary(0, 0)},
 		Action: "nat_hit",
-		Params: []*big.Int{big.NewInt(0x0A000010)}, // nhop = 10.0.0.16
+		Params: []dataplane.Value{dataplane.U64(0x0A000010)}, // nhop = 10.0.0.16
 	})
 	// Two lpm routes: /8 to port 1, /24 to port 2. /24 must win.
 	snap.Insert("ipv4_lpm", &dataplane.Entry{
 		Keys:   []dataplane.KeyMatch{dataplane.NewLpm(0x0A000000, 8)},
 		Action: "set_nhop",
-		Params: []*big.Int{big.NewInt(1), big.NewInt(1)},
+		Params: []dataplane.Value{dataplane.U64(1), dataplane.U64(1)},
 	})
 	snap.Insert("ipv4_lpm", &dataplane.Entry{
 		Keys:   []dataplane.KeyMatch{dataplane.NewLpm(0x0A000000, 24)},
 		Action: "set_nhop",
-		Params: []*big.Int{big.NewInt(2), big.NewInt(2)},
+		Params: []dataplane.Value{dataplane.U64(2), dataplane.U64(2)},
 	})
 	interp := &dataplane.Interp{P: pl.IR, Snapshot: snap, Inputs: ipv4Packet(3, 64)}
 	tr, err := interp.Run()
@@ -251,7 +250,7 @@ func TestTernaryPriority(t *testing.T) {
 	snap.Insert("nat", &dataplane.Entry{
 		Keys:     []dataplane.KeyMatch{dataplane.NewExact(1), dataplane.NewTernary(0, 0)},
 		Action:   "nat_hit",
-		Params:   []*big.Int{big.NewInt(5)},
+		Params:   []dataplane.Value{dataplane.U64(5)},
 		Priority: 10,
 	})
 	interp := &dataplane.Interp{P: pl.IR, Snapshot: snap, Inputs: ipv4Packet(1, 64)}

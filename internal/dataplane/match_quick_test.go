@@ -1,7 +1,6 @@
 package dataplane
 
 import (
-	"math/big"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -54,7 +53,7 @@ func TestMatchEntryAgainstOracle(t *testing.T) {
 			km = NewLpm(entryVal, plen)
 		}
 		e := &Entry{Keys: []KeyMatch{km}, Action: "a"}
-		_, got := matchEntry(tbl, e, []*big.Int{big.NewInt(keyVal)})
+		_, got := matchEntry(tbl, e, []Value{U64(uint64(keyVal))})
 		want := refMatch(kind, width, keyVal, entryVal, mask, plen)
 		return got == want
 	}
@@ -73,21 +72,21 @@ func TestLpmScoreOrdersByPrefix(t *testing.T) {
 			Name: "t",
 			Keys: []*ir.KeyInfo{{Path: "k", MatchKind: "lpm", Width: width}},
 		}
-		keyVal := big.NewInt(int64(rng.Intn(1 << width)))
+		keyVal := int64(rng.Intn(1 << width))
 		shortLen := rng.Intn(width)
 		longLen := shortLen + 1 + rng.Intn(width-shortLen)
 		mkEntry := func(plen, prio int) *Entry {
 			// Entry value equals the key on the prefix so both match.
 			return &Entry{
-				Keys:     []KeyMatch{NewLpm(keyVal.Int64(), plen)},
+				Keys:     []KeyMatch{NewLpm(keyVal, plen)},
 				Action:   "a",
 				Priority: prio,
 			}
 		}
 		short := mkEntry(shortLen, rng.Intn(100))
 		long := mkEntry(longLen, rng.Intn(100))
-		sShort, ok1 := matchEntry(tbl, short, []*big.Int{keyVal})
-		sLong, ok2 := matchEntry(tbl, long, []*big.Int{keyVal})
+		sShort, ok1 := matchEntry(tbl, short, []Value{U64(uint64(keyVal))})
+		sLong, ok2 := matchEntry(tbl, long, []Value{U64(uint64(keyVal))})
 		return ok1 && ok2 && sLong > sShort
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
@@ -98,9 +97,9 @@ func TestLpmScoreOrdersByPrefix(t *testing.T) {
 // TestPrefixMaskProperties checks the mask helpers' algebra.
 func TestPrefixMaskProperties(t *testing.T) {
 	prop := func(w8, p8 uint8) bool {
-		w := int(w8%64) + 1
+		w := int(w8) + 1 // one limb and several
 		p := int(p8) % (w + 1)
-		m := PrefixMask(w, p)
+		m := PrefixMask(w, p).Big()
 		// The mask has exactly p leading ones within width w.
 		ones := 0
 		for i := 0; i < w; i++ {
@@ -108,7 +107,7 @@ func TestPrefixMaskProperties(t *testing.T) {
 				ones++
 			}
 		}
-		if ones != p {
+		if ones != p || m.BitLen() > w {
 			return false
 		}
 		// All set bits are the high-order ones.
@@ -117,7 +116,7 @@ func TestPrefixMaskProperties(t *testing.T) {
 				return false
 			}
 		}
-		return PrefixMask(w, w).Cmp(smt.Mask(w)) == 0
+		return Ones(w).Big().Cmp(smt.Mask(w)) == 0
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Fatal(err)

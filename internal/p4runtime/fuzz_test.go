@@ -33,7 +33,7 @@ func FuzzDispatch(f *testing.F) {
 	natEntry := func(keys []dataplane.KeyMatch, action string, params ...int64) *dataplane.Entry {
 		e := &dataplane.Entry{Keys: keys, Action: action}
 		for _, p := range params {
-			e.Params = append(e.Params, big.NewInt(p))
+			e.Params = append(e.Params, dataplane.U64(uint64(p)))
 		}
 		return e
 	}
@@ -41,7 +41,7 @@ func FuzzDispatch(f *testing.F) {
 	var nat []byte
 	for _, req := range []*wireRequest{
 		{ID: 1, Client: "c", Type: "insert", Writes: []*shim.Update{{Table: "nat", Entry: natEntry(
-			[]dataplane.KeyMatch{dataplane.NewExact(1), {Value: big.NewInt(5), Mask: big.NewInt(-1), PrefixLen: -1}}, "drop_")}}},
+			[]dataplane.KeyMatch{dataplane.NewExact(1), dataplane.NewTernary(5, -1)}, "drop_")}}},
 		{ID: 2, Client: "c", Type: "set_default", Writes: []*shim.Update{{Table: "ipv4_lpm", SetDefault: drop}}},
 		{ID: 3, Client: "c", Type: "batch", Writes: []*shim.Update{
 			{Table: "ipv4_lpm", Entry: natEntry([]dataplane.KeyMatch{dataplane.NewLpm(0, 0), dataplane.NewExact(1)}, "set_nhop", 1, 7)},

@@ -84,31 +84,35 @@ func parseBig(s string) (*big.Int, error) {
 // negative or absurdly wide values with a clear error.
 func ParseValue(s string) (*big.Int, error) { return parseBig(s) }
 
-// parseMask parses a ternary mask. "-1" is the established dataplane
-// sentinel for "match every bit" (two's-complement all-ones at any
-// width), so it is the one negative value a message may hold.
-func parseMask(s string) (*big.Int, error) {
-	if s == "-1" {
-		return big.NewInt(-1), nil
+// parseValue is ParseValue into a table entry's value.
+func parseValue(s string) (dataplane.Value, error) {
+	v, err := parseBig(s)
+	if err != nil {
+		return dataplane.Value{}, err
 	}
-	return parseBig(s)
+	return dataplane.FromBig(v)
 }
 
-// DecodeEntry converts a JSON entry to a dataplane entry.
+// DecodeEntry converts a JSON entry to a dataplane entry. A ternary mask
+// of "-1" is the dataplane's full-mask sentinel, the one negative number a
+// message may hold.
 func DecodeEntry(m *EntryMsg) (*dataplane.Entry, error) {
 	e := &dataplane.Entry{Action: m.Action, Priority: m.Priority}
 	for _, km := range m.Keys {
-		v, err := parseBig(km.Value)
+		v, err := parseValue(km.Value)
 		if err != nil {
 			return nil, err
 		}
 		dk := dataplane.KeyMatch{Value: v, PrefixLen: -1}
-		if km.Mask != "" {
-			mv, err := parseMask(km.Mask)
-			if err != nil {
+		switch km.Mask {
+		case "":
+		case "-1":
+			dk.MaskKind = dataplane.FullMask
+		default:
+			if dk.Mask, err = parseValue(km.Mask); err != nil {
 				return nil, err
 			}
-			dk.Mask = mv
+			dk.MaskKind = dataplane.MaskBits
 		}
 		if km.PrefixLen != nil {
 			dk.PrefixLen = *km.PrefixLen
@@ -116,7 +120,7 @@ func DecodeEntry(m *EntryMsg) (*dataplane.Entry, error) {
 		e.Keys = append(e.Keys, dk)
 	}
 	for _, p := range m.Params {
-		v, err := parseBig(p)
+		v, err := parseValue(p)
 		if err != nil {
 			return nil, err
 		}
@@ -130,8 +134,11 @@ func EncodeEntry(e *dataplane.Entry) *EntryMsg {
 	m := &EntryMsg{Action: e.Action, Priority: e.Priority}
 	for _, k := range e.Keys {
 		km := KeyMatchMsg{Value: k.Value.String()}
-		if k.Mask != nil {
+		switch k.MaskKind {
+		case dataplane.MaskBits:
 			km.Mask = k.Mask.String()
+		case dataplane.FullMask:
+			km.Mask = "-1"
 		}
 		if k.PrefixLen >= 0 {
 			pl := k.PrefixLen

@@ -36,7 +36,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"math/big"
 	mrand "math/rand"
 	"net"
 	"strconv"
@@ -712,7 +711,7 @@ func (c *Client) Validate(table string, e *dataplane.Entry) error {
 }
 
 // SetDefault changes a table's default action.
-func (c *Client) SetDefault(table, action string, params []*big.Int) error {
+func (c *Client) SetDefault(table, action string, params []dataplane.Value) error {
 	d := &dataplane.DefaultAction{Action: action, Params: params}
 	resp, err := c.roundTrip(&wireRequest{Type: "set_default", Writes: []*shim.Update{{Table: table, SetDefault: d}}})
 	if err != nil {

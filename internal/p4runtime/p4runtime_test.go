@@ -129,7 +129,7 @@ func TestInsertAndPacket(t *testing.T) {
 	err := client.Insert("nat", &dataplane.Entry{
 		Keys:   []dataplane.KeyMatch{dataplane.NewExact(1), dataplane.NewTernary(0x0A000001, -1)},
 		Action: "nat_hit",
-		Params: []*big.Int{big.NewInt(0x0A000099)},
+		Params: []dataplane.Value{dataplane.U64(0x0A000099)},
 	})
 	if err != nil {
 		t.Fatalf("insert: %v", err)
@@ -138,7 +138,7 @@ func TestInsertAndPacket(t *testing.T) {
 	err = client.Insert("ipv4_lpm", &dataplane.Entry{
 		Keys:   []dataplane.KeyMatch{dataplane.NewLpm(0, 0), dataplane.NewExact(1)},
 		Action: "set_nhop",
-		Params: []*big.Int{big.NewInt(1), big.NewInt(7)},
+		Params: []dataplane.Value{dataplane.U64(1), dataplane.U64(7)},
 	})
 	if err != nil {
 		t.Fatalf("insert lpm: %v", err)
@@ -209,7 +209,7 @@ func TestRejectionOverTheWire(t *testing.T) {
 	err := client.Insert("nat", &dataplane.Entry{
 		Keys:   []dataplane.KeyMatch{dataplane.NewExact(0), dataplane.NewTernary(0, 0xFF000000)},
 		Action: "nat_hit",
-		Params: []*big.Int{big.NewInt(1)},
+		Params: []dataplane.Value{dataplane.U64(1)},
 	})
 	if err == nil {
 		t.Fatal("faulty rule accepted over the wire")
@@ -286,7 +286,7 @@ func TestEntryCodecRoundTrip(t *testing.T) {
 			dataplane.NewLpm(0x0A000000, 8),
 		},
 		Action:   "act",
-		Params:   []*big.Int{big.NewInt(7), big.NewInt(9)},
+		Params:   []dataplane.Value{dataplane.U64(7), dataplane.U64(9)},
 		Priority: 3,
 	}
 	m := EncodeEntry(e)
@@ -297,7 +297,7 @@ func TestEntryCodecRoundTrip(t *testing.T) {
 	if e2.Action != "act" || e2.Priority != 3 || len(e2.Keys) != 3 || len(e2.Params) != 2 {
 		t.Fatalf("round trip lost data: %+v", e2)
 	}
-	if e2.Keys[2].PrefixLen != 8 || e2.Keys[1].Mask.Int64() != 0xFF {
+	if e2.Keys[2].PrefixLen != 8 || e2.Keys[1].Mask.Uint64() != 0xFF {
 		t.Fatalf("key details lost: %+v", e2.Keys)
 	}
 }

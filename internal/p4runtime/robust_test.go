@@ -56,7 +56,7 @@ var rawRequests = map[string]*wireRequest{
 	"missing entry": {ID: 2, Type: "insert"},
 	"no op":         {ID: 3, Type: "insert", Writes: []*shim.Update{{Table: "t"}}},
 	"full mask": {ID: 6, Type: "validate", Writes: []*shim.Update{{Table: "t", Entry: &dataplane.Entry{
-		Keys: []dataplane.KeyMatch{{Value: big.NewInt(1), Mask: big.NewInt(-1), PrefixLen: -1}}, Action: "NoAction"}}}},
+		Keys: []dataplane.KeyMatch{dataplane.NewTernary(1, -1)}, Action: "NoAction"}}}},
 	"packet":     {ID: 7, Type: "packet", Packet: dataplane.Packet{"x": big.NewInt(1)}},
 	"stats":      {ID: 10, Type: "stats"},
 	"c1 insert":  {ID: 1, Client: "c1", Type: "insert", Writes: []*shim.Update{tWrite("t", 3)}},
@@ -219,8 +219,9 @@ func TestBadIntegerValue(t *testing.T) {
 	}
 }
 
-// TestNegativeValueRejected: a frame cannot hold a negative value, so the
-// client refuses to encode one, sends nothing and stays usable.
+// TestNegativeValueRejected: a frame cannot hold a negative value — a
+// table entry's values cannot be negative at all, a packet field's can —
+// so the client refuses to encode one, sends nothing and stays usable.
 func TestNegativeValueRejected(t *testing.T) {
 	_, sd, addr := newRawServer(t, nil)
 	client, err := Dial(addr)
@@ -228,9 +229,8 @@ func TestNegativeValueRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	e := &dataplane.Entry{Keys: []dataplane.KeyMatch{{Value: big.NewInt(-7), PrefixLen: -1}}, Action: "NoAction"}
-	if err := client.Insert("t", e); err == nil || !strings.Contains(err.Error(), "negative") {
-		t.Fatalf("negative key value: %v", err)
+	if _, err := client.SendPacket(map[string]int64{"x": -7}); err == nil || !strings.Contains(err.Error(), "negative") {
+		t.Fatalf("negative packet field: %v", err)
 	}
 	if v, _, err := client.Stats(); err != nil || v != 0 {
 		t.Fatalf("after a refused encoding: %d validated, %v", v, err)
@@ -254,7 +254,7 @@ func TestAbsurdlyWideValueRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	wide := new(big.Int).Lsh(big.NewInt(1), 5000)
+	wide, _ := dataplane.FromBig(new(big.Int).Lsh(big.NewInt(1), 5000))
 	e := &dataplane.Entry{Keys: []dataplane.KeyMatch{{Value: wide, PrefixLen: -1}}, Action: "NoAction"}
 	if err := client.Insert("t", e); err == nil || !strings.Contains(err.Error(), "integer of 5001 bits is wider than 4096") {
 		t.Fatalf("5001-bit key value: %v", err)
@@ -281,7 +281,7 @@ func TestPacketWithoutProgram(t *testing.T) {
 func TestBuggyDefaultRejectedOverWire(t *testing.T) {
 	client, stop := startServer(t)
 	defer stop()
-	err := client.SetDefault("ipv4_lpm", "set_nhop", []*big.Int{big.NewInt(1), big.NewInt(7)})
+	err := client.SetDefault("ipv4_lpm", "set_nhop", []dataplane.Value{dataplane.U64(1), dataplane.U64(7)})
 	if err == nil || !strings.Contains(err.Error(), "reachable bug") {
 		t.Fatalf("buggy default action: got %v, want a reachable-bug rejection", err)
 	}

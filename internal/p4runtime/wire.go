@@ -108,7 +108,11 @@ func encodeRequest(e *shim.Encoder, req *wireRequest) {
 	e.Uvarint(uint64(len(req.Packet)))
 	for _, name := range sortedKeys(req.Packet) {
 		e.Str(name)
-		e.Int(req.Packet[name])
+		v, err := dataplane.FromBig(req.Packet[name])
+		if err != nil && e.Err == nil {
+			e.Err = err
+		}
+		e.Int(v)
 	}
 }
 
@@ -131,7 +135,7 @@ func decodeRequest(payload []byte) (*wireRequest, error) {
 			req.Packet = dataplane.Packet{}
 		}
 		name := d.Str()
-		req.Packet[name] = d.Int()
+		req.Packet[name] = d.Int().Big()
 	}
 	if err := d.Finish(); err != nil {
 		return req, err

@@ -5,12 +5,16 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
 
+	"bf4/internal/dataplane"
 	"bf4/internal/driver"
 	"bf4/internal/progs"
 	"bf4/internal/shim"
+	"bf4/internal/spec"
 	"bf4/internal/trace"
 )
 
@@ -128,5 +132,55 @@ func TestStatsReadsCounters(t *testing.T) {
 	}
 	if n := after.TotalAlloc - before.TotalAlloc; n >= 64<<10 {
 		t.Fatalf("one stats request allocated %d bytes", n)
+	}
+}
+
+// TestGoldenBatchFrame: the frame of a batch request of 32 generated
+// updates over the width-boundary spec — 65- and 128-bit values, ternary
+// keys under a mask, none and the full mask — is the one the codec wrote
+// when values were *big.Int (internal/shim/testdata/golden/batch.frame),
+// and that frame decodes to a request that encodes back to it.
+func TestGoldenBatchFrame(t *testing.T) {
+	dir := filepath.Join("..", "shim", "testdata", "golden")
+	data, err := os.ReadFile(filepath.Join(dir, "widths.spec.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	file, err := spec.Parse(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join(dir, "batch.frame"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ups := trace.NewGenerator(5, file).Updates(32)
+	for i, u := range ups {
+		for j := range u.Entry.Keys {
+			if k := &u.Entry.Keys[j]; k.MaskKind == dataplane.MaskBits {
+				k.MaskKind = [3]dataplane.MaskKind{dataplane.NoMask, dataplane.FullMask, dataplane.MaskBits}[(i+j)%3]
+			}
+		}
+	}
+	var e shim.Encoder
+	encodeRequest(&e, &wireRequest{ID: 7, Client: "golden", Type: "batch", Writes: ups})
+	if e.Err != nil {
+		t.Fatal(e.Err)
+	}
+	if got := appendFrame(nil, e.Buf); !bytes.Equal(got, want) {
+		t.Fatalf("the batch frame is %d bytes, the golden one %d, and they differ", len(got), len(want))
+	}
+	payload, err := readFramePayload(bufio.NewReader(bytes.NewReader(want)), len(want), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, err := decodeRequest(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e = shim.Encoder{}
+	encodeRequest(&e, req)
+	if !bytes.Equal(e.Buf, payload) {
+		t.Fatal("the golden frame does not decode to a request that encodes back to it")
 	}
 }

@@ -3,9 +3,6 @@ package shim
 import (
 	"encoding/binary"
 	"fmt"
-	"math/big"
-	"math/bits"
-	"slices"
 
 	"bf4/internal/dataplane"
 	"bf4/internal/smt"
@@ -24,7 +21,8 @@ import (
 //	update   table, flags, entry (opEntry only), default (opDefault only)
 //
 // Nothing depends on a key's declared width, so dataplane.Entry is stored
-// as it is held.
+// as it is held, and an integer's bytes are its dataplane.Value's limbs in
+// big-endian order, with no big.Int between them.
 
 const (
 	keyMask     = 1 << iota // a mask integer follows the value
@@ -35,11 +33,9 @@ const (
 	opDefault = 1 << 1
 )
 
-var fullMask = big.NewInt(-1)
-
-// Encoder appends encodings to Buf. An integer the format cannot hold —
-// negative (other than the full-mask sentinel) or wider than smt.MaxWidth
-// — sets Err, and Buf is then not to be used.
+// Encoder appends encodings to Buf. What the format cannot hold — an
+// integer wider than smt.MaxWidth, a mask kind dataplane does not define —
+// sets Err, and Buf is then not to be used.
 type Encoder struct {
 	Buf []byte
 	Err error
@@ -57,34 +53,18 @@ func (e *Encoder) Str(s string) {
 	e.Buf = append(e.Buf, s...)
 }
 
-// Int appends a non-negative integer of at most smt.MaxWidth bits.
-func (e *Encoder) Int(v *big.Int) {
-	switch {
-	case v == nil:
-		e.Err = fmt.Errorf("integer is missing")
-	case v.Sign() < 0:
-		e.Err = fmt.Errorf("integer %s is negative", v)
-	case v.IsUint64():
-		// One machine word, as nearly every key and parameter is: the same
-		// bytes without big.Int's general conversion, which is otherwise
-		// half of a checkpoint's encoding time.
-		x := v.Uint64()
-		n := (bits.Len64(x) + 7) / 8
-		e.Buf = append(e.Buf, byte(n))
-		for s := 8 * (n - 1); s >= 0; s -= 8 {
-			e.Buf = append(e.Buf, byte(x>>s))
-		}
-	case v.BitLen() > smt.MaxWidth:
-		e.Err = fmt.Errorf("integer of %d bits is wider than %d", v.BitLen(), smt.MaxWidth)
-	default:
-		n := (v.BitLen() + 7) / 8
-		e.Uvarint(uint64(n))
-		e.Buf = slices.Grow(e.Buf, n)[:len(e.Buf)+n]
-		v.FillBytes(e.Buf[len(e.Buf)-n:])
+// Int appends an integer of at most smt.MaxWidth bits.
+func (e *Encoder) Int(v dataplane.Value) {
+	n := v.BitLen()
+	if n > smt.MaxWidth {
+		e.Err = fmt.Errorf("integer of %d bits is wider than %d", n, smt.MaxWidth)
+		return
 	}
+	e.Uvarint(uint64((n + 7) / 8))
+	e.Buf = v.AppendBytes(e.Buf)
 }
 
-func (e *Encoder) ints(vs []*big.Int) {
+func (e *Encoder) ints(vs []dataplane.Value) {
 	e.Uvarint(uint64(len(vs)))
 	for _, v := range vs {
 		e.Int(v)
@@ -97,11 +77,14 @@ func (e *Encoder) Entry(x *dataplane.Entry) {
 	for i := range x.Keys {
 		k := &x.Keys[i]
 		var flags uint64
-		if k.Mask != nil {
+		switch k.MaskKind {
+		case dataplane.NoMask:
+		case dataplane.MaskBits:
 			flags = keyMask
-			if k.Mask.Cmp(fullMask) == 0 {
-				flags = keyFullMask
-			}
+		case dataplane.FullMask:
+			flags = keyFullMask
+		default:
+			e.Err = fmt.Errorf("mask kind %d", k.MaskKind)
 		}
 		if k.PrefixLen >= 0 {
 			flags |= keyPrefix
@@ -213,21 +196,21 @@ func (d *Decoder) bytes() []byte {
 func (d *Decoder) Str() string { return string(d.bytes()) }
 
 // Int reads an integer of at most smt.MaxWidth bits.
-func (d *Decoder) Int() *big.Int {
+func (d *Decoder) Int() dataplane.Value {
 	b := d.bytes()
 	if len(b) > smt.MaxWidth/8 {
 		d.fail("integer of %d bytes is wider than %d bits", len(b), smt.MaxWidth)
-		return nil
+		return dataplane.Value{}
 	}
-	return new(big.Int).SetBytes(b)
+	return dataplane.FromBytes(b)
 }
 
-func (d *Decoder) ints() []*big.Int {
+func (d *Decoder) ints() []dataplane.Value {
 	n := d.Count()
 	if n == 0 {
 		return nil
 	}
-	vs := make([]*big.Int, n)
+	vs := make([]dataplane.Value, n)
 	for i := range vs {
 		vs[i] = d.Int()
 	}
@@ -248,10 +231,10 @@ func (d *Decoder) Entry() *dataplane.Entry {
 		}
 		k.Value, k.PrefixLen = d.Int(), -1
 		if flags&keyMask != 0 {
-			k.Mask = d.Int()
+			k.Mask, k.MaskKind = d.Int(), dataplane.MaskBits
 		}
 		if flags&keyFullMask != 0 {
-			k.Mask = big.NewInt(-1)
+			k.MaskKind = dataplane.FullMask
 		}
 		if flags&keyPrefix != 0 {
 			p := d.Uvarint()

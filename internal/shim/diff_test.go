@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/big"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -22,12 +23,16 @@ import (
 // workload shape.
 
 // widthFile is a handcrafted spec exercising every fast-path boundary:
-// exact/ternary/lpm keys at widths 1, 63 and 64; a 65-bit action
-// parameter (must fall back: too wide for the register machine); an
-// unbound non-shadow variable (evaluates to zero on both tiers); a
-// linked two-table assertion (compiled into the per-shadow-entry scan
-// tier); and action-parameter guards that are bound only when the entry
-// selects that action.
+// exact/ternary/lpm keys at widths 1, 63 and 64, and at 65 and 128 (table
+// v6, with a 128-bit parameter), whose conditions run on two-limb
+// registers: = and not on masks against (_ bv0 128) as ipv6_fib's do,
+// bvult, bvule, bvand, bvor, bvnot, ite, zero_extend and extracts inside
+// and across a limb; a 65-bit action parameter; a 128-bit bvadd the
+// register machine does not take (wide-arith: the counted term-tier
+// fallback, behind its action_run guard); an unbound non-shadow variable
+// (evaluates to zero on both tiers); a linked two-table assertion
+// (compiled into the per-shadow-entry scan tier); and action-parameter
+// guards that are bound only when the entry selects that action.
 func widthFile() *spec.File {
 	return &spec.File{
 		Program: "widths",
@@ -69,6 +74,24 @@ func widthFile() *spec.File {
 				Prefix:  "p$0",
 				Keys:    []spec.KeySchema{{Path: "hdr.h.idx", MatchKind: "exact", Width: 8}},
 				Actions: []*spec.ActionSchema{{Name: "NoAction", Index: 0}, {Name: "fwd", Index: 1}},
+				Default: "NoAction",
+			},
+			{
+				Name:   "v6",
+				Prefix: "v$0",
+				Keys: []spec.KeySchema{
+					{Path: "hdr.b.e65", MatchKind: "exact", Width: 65},
+					{Path: "hdr.b.t65", MatchKind: "ternary", Width: 65},
+					{Path: "hdr.b.l65", MatchKind: "lpm", Width: 65},
+					{Path: "hdr.b.e128", MatchKind: "exact", Width: 128},
+					{Path: "hdr.b.t128", MatchKind: "ternary", Width: 128},
+					{Path: "hdr.b.l128", MatchKind: "lpm", Width: 128},
+				},
+				Actions: []*spec.ActionSchema{
+					{Name: "NoAction", Index: 0},
+					{Name: "set6", Index: 1, Params: []spec.ParamSchema{
+						{Name: "addr", Width: 128}, {Name: "port", Width: 9}}},
+				},
 				Default: "NoAction",
 			},
 		},
@@ -123,6 +146,28 @@ func widthFile() *spec.File {
 					"s$0.action_run": 2, "s$0.go_.port": 9,
 				},
 			},
+			{
+				Table:  "v6",
+				Source: "wide-keys",
+				Forbidden: []string{
+					"(and |v$0.hit| (not (= (_ bv0 128) |v$0.mask4|)) (= ((_ extract 0 0) |v$0.key4|) (_ bv1 1)))",
+					"(and (= |v$0.action_run| (_ bv1 4)) (bvult |v$0.set6.addr| (bvand |v$0.key3| |v$0.mask5|)))",
+					"(= (bvor |v$0.key0| |v$0.mask1|) (bvnot (_ bv0 65)))",
+					"(and (not (= |v$0.mask2| (_ bv0 65))) (= ((_ extract 64 1) |v$0.mask2|) ((_ extract 63 0) |v$0.key1|)))",
+					"(and (bvule ((_ zero_extend 63) |v$0.key2|) |v$0.mask5|) (= (ite (= |v$0.key0| (_ bv0 65)) |v$0.mask4| |v$0.key3|) (_ bv0 128)))",
+				},
+				Vars: map[string]int{
+					"v$0.hit": 0, "v$0.action_run": 4, "v$0.set6.addr": 128,
+					"v$0.key0": 65, "v$0.key1": 65, "v$0.key2": 65, "v$0.key3": 128, "v$0.key4": 128,
+					"v$0.mask1": 65, "v$0.mask2": 65, "v$0.mask4": 128, "v$0.mask5": 128,
+				},
+			},
+			{
+				Table:     "v6",
+				Source:    "wide-arith",
+				Forbidden: []string{"(and (= (bvadd |v$0.key3| (_ bv1 128)) (_ bv0 128)) (= |v$0.action_run| (_ bv1 4)))"},
+				Vars:      map[string]int{"v$0.key3": 128, "v$0.action_run": 4},
+			},
 		},
 	}
 }
@@ -157,20 +202,13 @@ func diffPair(t testing.TB, cp *Compiled) (fast, slow *Shim) {
 	return fast, slow
 }
 
-// applyBoth applies one update to both tiers and requires byte-identical
-// outcomes (including the rejection message). A malformed update must be
-// refused at the boundary by both — with a Reason, not by an assertion —
+// applyUpdate applies one update to every evaluator and requires the
+// same outcome of each (diffSet.apply). A malformed update must be
+// refused at the boundary by all — with a Reason, not by an assertion —
 // whatever the shadow state is.
-func applyBoth(t testing.TB, fast, slow *Shim, u *Update, malformed bool) {
+func (d *diffSet) applyUpdate(t testing.TB, u *Update, malformed bool) {
 	t.Helper()
-	errF := fast.Apply(u)
-	errS := slow.Apply(u)
-	switch {
-	case (errF == nil) != (errS == nil):
-		t.Fatalf("tiers disagree on update to %s: fast=%v slow=%v", u.Table, errF, errS)
-	case errF != nil && errF.Error() != errS.Error():
-		t.Fatalf("tiers reject with different messages:\nfast: %s\nslow: %s", errF, errS)
-	}
+	errF := d.apply(t, []*Update{u}, false)
 	if malformed {
 		var re *RejectionError
 		if !errors.As(errF, &re) || re.Assertion != nil || re.Reason == "" {
@@ -219,19 +257,39 @@ func (b *byteFeed) next() byte {
 	return c
 }
 
-func (b *byteFeed) big(nb int) *big.Int {
-	buf := make([]byte, nb)
+// inWidth draws a value of the given width: adversarial within it — one
+// in sixteen a limb boundary (selector bytes 0xf0 to 0xf3: zero, 2^63,
+// 2^64 - 1, 2^64, all ones where one does not fit) or all ones (0xf4),
+// the rest random bytes — but never over it.
+func (b *byteFeed) inWidth(w int) dataplane.Value {
+	if sel := b.next(); sel >= 0xf0 {
+		if i := int(sel-0xf0) % 5; i < len(boundaryValues) && boundaryValues[i].BitLen() <= w {
+			return bigValue(boundaryValues[i])
+		}
+		return dataplane.Ones(w)
+	}
+	buf := make([]byte, (w+7)/8)
 	for i := range buf {
 		buf[i] = b.next()
 	}
-	return new(big.Int).SetBytes(buf)
+	return bigValue(new(big.Int).And(new(big.Int).SetBytes(buf), smt.Mask(w)))
 }
 
-// inWidth draws a value of the given width: adversarial within it (all
-// ones, the top bit, a 64-bit word and beyond) but never over it.
-func (b *byteFeed) inWidth(w int) *big.Int {
-	v := b.big((w + 7) / 8)
-	return v.And(v, smt.Mask(w))
+// boundaryValues are the values on either side of the limb boundaries.
+var boundaryValues = []*big.Int{
+	big.NewInt(0),
+	new(big.Int).Lsh(big.NewInt(1), 63),
+	new(big.Int).SetUint64(1<<64 - 1),
+	new(big.Int).Lsh(big.NewInt(1), 64),
+}
+
+// bigValue is x, which is not negative, as a dataplane.Value.
+func bigValue(x *big.Int) dataplane.Value {
+	v, err := dataplane.FromBig(x)
+	if err != nil {
+		panic(err)
+	}
+	return v
 }
 
 // fuzzUpdate decodes one controller update and says whether it is
@@ -245,7 +303,7 @@ func (b *byteFeed) inWidth(w int) *big.Int {
 func fuzzUpdate(file *spec.File, fd *byteFeed) (u *Update, malformed bool) {
 	ts := file.Tables[int(fd.next())%len(file.Tables)]
 	op := fd.next()
-	args := func(a *spec.ActionSchema) (ps []*big.Int) {
+	args := func(a *spec.ActionSchema) (ps []dataplane.Value) {
 		for _, p := range a.Params {
 			ps = append(ps, fd.inWidth(p.Width))
 		}
@@ -264,7 +322,7 @@ func fuzzUpdate(file *spec.File, fd *byteFeed) (u *Update, malformed bool) {
 		case m&8 != 0:
 			d.Action, malformed = "no_such_action", true
 		default:
-			d.Params, malformed = append(d.Params, big.NewInt(0)), true
+			d.Params, malformed = append(d.Params, dataplane.Value{}), true
 		}
 		return &Update{Table: ts.Name, SetDefault: d}, malformed
 	}
@@ -274,11 +332,11 @@ func fuzzUpdate(file *spec.File, fd *byteFeed) (u *Update, malformed bool) {
 		switch k.MatchKind {
 		case "ternary":
 			switch fd.next() % 4 {
-			case 0: // nil: the full mask
+			case 0: // none: the full mask
 			case 1:
-				km.Mask = big.NewInt(-1)
+				km.MaskKind = dataplane.FullMask
 			default:
-				km.Mask = fd.inWidth(k.Width)
+				km.Mask, km.MaskKind = fd.inWidth(k.Width), dataplane.MaskBits
 			}
 		case "lpm":
 			km.PrefixLen = int(fd.next())%(k.Width+2) - 1 // -1 .. width
@@ -291,20 +349,20 @@ func fuzzUpdate(file *spec.File, fd *byteFeed) (u *Update, malformed bool) {
 		malformed = true
 		j := int(fd.next()) % len(ts.Keys)
 		k, w := &e.Keys[j], ts.Keys[j].Width
-		over := new(big.Int).Lsh(big.NewInt(1), uint(w+int(fd.next())%70)) // a bit at or above the width
+		over := bigValue(new(big.Int).Lsh(big.NewInt(1), uint(w+int(fd.next())%70))) // a bit at or above the width
 		switch shape := (m >> 3) % 8; {
 		case shape == 0:
 			e.Action = "bogus_action"
 		case shape == 1:
 			k.Value = over
 		case shape == 2 && len(e.Params) > 0:
-			e.Params[0] = new(big.Int).Lsh(big.NewInt(1), uint(a.Params[0].Width))
+			e.Params[0] = bigValue(new(big.Int).Lsh(big.NewInt(1), uint(a.Params[0].Width)))
 		case shape == 3 && len(e.Params) > 0:
 			e.Params = e.Params[1:]
 		case shape == 4:
-			e.Params = append(e.Params, big.NewInt(0))
+			e.Params = append(e.Params, dataplane.Value{})
 		case shape == 5:
-			k.Mask = over
+			k.Mask, k.MaskKind = over, dataplane.MaskBits
 		case shape == 6:
 			k.PrefixLen = w + 1 + int(fd.next())%3
 		default:
@@ -319,22 +377,22 @@ func fuzzUpdate(file *spec.File, fd *byteFeed) (u *Update, malformed bool) {
 // tiers provably exercised.
 func TestDifferentialReplayWidths(t *testing.T) {
 	cp := widthCompiled(t)
-	fast, slow := diffPair(t, cp)
+	d := newDiffSet(t, cp)
 	rng := rand.New(rand.NewSource(7))
 	data := make([]byte, 1<<18)
 	rng.Read(data)
 	fd := &byteFeed{data: data}
 	for i := 0; i < 2500; i++ {
 		u, malformed := fuzzUpdate(cp.file, fd)
-		applyBoth(t, fast, slow, u, malformed)
+		d.applyUpdate(t, u, malformed)
 	}
-	finishDiff(t, fast, slow)
-	sf := fast.Counters()
+	d.finish(t)
+	sf := d.fast.Counters()
 	if sf.FastpathHits == 0 {
 		t.Fatal("fast tier never ran a compiled program")
 	}
 	if sf.SlowpathHits == 0 {
-		t.Fatal("fast tier never fell back (wide-param and linked assertions must)")
+		t.Fatal("fast tier never fell back (wide-arith's 128-bit bvadd must)")
 	}
 	if sf.Rejected == 0 || sf.Rejected == sf.Validated {
 		t.Fatalf("stream not adversarial enough: %d/%d rejected", sf.Rejected, sf.Validated)
@@ -349,23 +407,23 @@ func TestDifferentialReplayNAT(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast, slow := diffPair(t, cp)
+	d := newDiffSet(t, cp)
 	rng := rand.New(rand.NewSource(11))
 	data := make([]byte, 1<<17)
 	rng.Read(data)
 	fd := &byteFeed{data: data}
 	for i := 0; i < 2000; i++ {
 		u, malformed := fuzzUpdate(cp.file, fd)
-		applyBoth(t, fast, slow, u, malformed)
+		d.applyUpdate(t, u, malformed)
 	}
 	// The paper's faulty rule, verbatim.
-	applyBoth(t, fast, slow, &Update{Table: "nat", Entry: &dataplane.Entry{
+	d.applyUpdate(t, &Update{Table: "nat", Entry: &dataplane.Entry{
 		Keys:   []dataplane.KeyMatch{dataplane.NewExact(0), dataplane.NewTernary(0x0A000000, 0xFF000000)},
 		Action: "nat_hit",
-		Params: []*big.Int{big.NewInt(1)},
+		Params: []dataplane.Value{dataplane.U64(1)},
 	}}, false)
-	finishDiff(t, fast, slow)
-	if fast.Counters().FastpathHits == 0 {
+	d.finish(t)
+	if d.fast.Counters().FastpathHits == 0 {
 		t.Fatal("NAT assertions should compile to the fast path")
 	}
 }
@@ -375,29 +433,121 @@ func TestDifferentialReplayNAT(t *testing.T) {
 // are judged, and both tiers must agree at every shadow size.
 func TestDifferentialShadowGrowth(t *testing.T) {
 	cp := widthCompiled(t)
-	fast, slow := diffPair(t, cp)
-	small := func(valid int64, mask *big.Int) *Update {
-		km := dataplane.KeyMatch{Value: big.NewInt(0x55), Mask: mask, PrefixLen: -1}
+	d := newDiffSet(t, cp)
+	small := func(valid int64) *Update {
+		km := dataplane.KeyMatch{Value: dataplane.U64(0x55), PrefixLen: -1}
 		return &Update{Table: "small", Entry: &dataplane.Entry{
-			Keys:   []dataplane.KeyMatch{{Value: big.NewInt(valid), PrefixLen: -1}, km},
+			Keys:   []dataplane.KeyMatch{dataplane.NewExact(valid), km},
 			Action: "NoAction",
 		}}
 	}
 	peer := func(idx int64) *Update {
 		return &Update{Table: "peer", Entry: &dataplane.Entry{
-			Keys:   []dataplane.KeyMatch{{Value: big.NewInt(idx), PrefixLen: -1}},
+			Keys:   []dataplane.KeyMatch{dataplane.NewExact(idx)},
 			Action: "fwd",
 		}}
 	}
 	// Empty shadow: the linked condition treats peer.hit as false.
-	applyBoth(t, fast, slow, small(0, nil), false)
+	d.applyUpdate(t, small(0), false)
 	// Non-matching peer entry, then the matching one (key0 == 3).
-	applyBoth(t, fast, slow, peer(9), false)
-	applyBoth(t, fast, slow, small(0, nil), false)
-	applyBoth(t, fast, slow, peer(3), false)
-	applyBoth(t, fast, slow, small(0, nil), false)
-	applyBoth(t, fast, slow, small(1, nil), false)
-	finishDiff(t, fast, slow)
+	d.applyUpdate(t, peer(9), false)
+	d.applyUpdate(t, small(0), false)
+	d.applyUpdate(t, peer(3), false)
+	d.applyUpdate(t, small(0), false)
+	d.applyUpdate(t, small(1), false)
+	d.finish(t)
+}
+
+// TestWidthBoundaryValues walks the 65- and 128-bit keys of widthFile's
+// v6 table, and the 64-bit ones of wide, through the limb boundaries: each
+// key at 0, 2^63, 2^64 - 1, 2^64 and all ones, a ternary one under no
+// mask, the full mask and each of those masks, an lpm one under prefix
+// lengths 0, 64, its width and none; then set6's 128-bit parameter at
+// each, and a 65-bit p65. The register tier, the term tier and the
+// big.Int reference must agree on every update, and the conditions must
+// reject some of them, the one of wide-arith on the term tier.
+func TestWidthBoundaryValues(t *testing.T) {
+	cp := widthCompiled(t)
+	d := newDiffSet(t, cp)
+	boundaries := func(w int) (vs []dataplane.Value) {
+		for _, b := range append(boundaryValues, smt.Mask(w)) {
+			if b.BitLen() <= w {
+				vs = append(vs, bigValue(b))
+			}
+		}
+		return vs
+	}
+	schema := map[string]*spec.TableSchema{}
+	for _, ts := range cp.file.Tables {
+		schema[ts.Name] = ts
+	}
+	// base matches nothing any condition forbids: key0 and key3 are 1,
+	// ternary masks 0, lpm keys matched whole.
+	base := func(table string) *dataplane.Entry {
+		e := &dataplane.Entry{Action: "NoAction"}
+		for j, k := range schema[table].Keys {
+			km := dataplane.KeyMatch{PrefixLen: -1}
+			switch {
+			case j == 0 || j == 3:
+				km.Value = dataplane.U64(1)
+			case k.MatchKind == "ternary":
+				km.MaskKind = dataplane.MaskBits
+			}
+			e.Keys = append(e.Keys, km)
+		}
+		return e
+	}
+	rejected := map[string]bool{}
+	apply := func(table string, e *dataplane.Entry) {
+		var re *RejectionError
+		if err := d.apply(t, []*Update{{Table: table, Entry: e}}, false); errors.As(err, &re) && re.Assertion != nil {
+			rejected[re.Forbidden] = true
+		}
+	}
+	for _, table := range []string{"v6", "wide"} {
+		for j, k := range schema[table].Keys {
+			for _, v := range boundaries(k.Width) {
+				var variants []dataplane.KeyMatch
+				switch k.MatchKind {
+				case "ternary":
+					variants = append(variants, dataplane.KeyMatch{Value: v, PrefixLen: -1}, dataplane.KeyMatch{Value: v, MaskKind: dataplane.FullMask, PrefixLen: -1})
+					for _, m := range boundaries(k.Width) {
+						variants = append(variants, dataplane.KeyMatch{Value: v, Mask: m, MaskKind: dataplane.MaskBits, PrefixLen: -1})
+					}
+				case "lpm":
+					for _, plen := range []int{-1, 0, 64, k.Width} {
+						variants = append(variants, dataplane.KeyMatch{Value: v, PrefixLen: min(plen, k.Width)})
+					}
+				default:
+					variants = append(variants, dataplane.KeyMatch{Value: v, PrefixLen: -1})
+				}
+				for _, km := range variants {
+					e := base(table)
+					e.Keys[j] = km
+					apply(table, e)
+				}
+			}
+		}
+	}
+	for _, addr := range boundaries(128) {
+		for _, key3 := range boundaries(128) {
+			e := base("v6")
+			e.Keys[3].Value, e.Action, e.Params = key3, "set6", []dataplane.Value{addr, dataplane.U64(0)}
+			apply("v6", e)
+		}
+	}
+	for _, p := range boundaries(65) {
+		e := base("wide")
+		e.Action, e.Params = "actA", []dataplane.Value{dataplane.U64(0), p}
+		apply("wide", e)
+	}
+	d.finish(t)
+	c := d.fast.Counters()
+	arith := cp.file.Assertions[slices.IndexFunc(cp.file.Assertions, func(a *spec.Assertion) bool { return a.Source == "wide-arith" })]
+	if len(rejected) < 6 || !rejected[arith.Forbidden[0]] || c.SlowpathHits == 0 || c.Rejected == c.Validated {
+		t.Fatalf("boundaries too tame: %d forbidden terms rejected some update (wide-arith's: %v), counters %+v",
+			len(rejected), rejected[arith.Forbidden[0]], c)
+	}
 }
 
 // linkedFile is a handcrafted spec of linked assertions whose scanning
@@ -512,7 +662,7 @@ func TestDifferentialLinkedFilters(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fast, slow := diffPair(t, cp)
+		d := newDiffSet(t, cp)
 		rng := rand.New(rand.NewSource(r.seed))
 		data := make([]byte, 1<<17)
 		rng.Read(data)
@@ -523,13 +673,7 @@ func TestDifferentialLinkedFilters(t *testing.T) {
 			for j := range batch {
 				batch[j], _ = fuzzUpdate(cp.file, fd)
 			}
-			errF, errS := fast.ApplyBatch(batch), slow.ApplyBatch(batch)
-			switch {
-			case (errF == nil) != (errS == nil):
-				t.Fatalf("%s, seed %d, batch %d: tiers disagree: fast=%v slow=%v", r.file.Program, r.seed, i, errF, errS)
-			case errF != nil && errF.Error() != errS.Error():
-				t.Fatalf("%s, seed %d, batch %d: tiers reject with different messages:\nfast: %s\nslow: %s", r.file.Program, r.seed, i, errF, errS)
-			}
+			errF := d.apply(t, batch, true)
 			var be *BatchError
 			var re *RejectionError
 			if errors.As(errF, &be) && be.Index > 0 {
@@ -539,18 +683,18 @@ func TestDifferentialLinkedFilters(t *testing.T) {
 				linked++
 			}
 		}
-		finishDiff(t, fast, slow)
+		d.finish(t)
 		// Both cuts must have run: some scanned entries kept as
 		// candidates, some filtered out, and linked rejections found.
 		kept, dropped := 0, 0
 		for _, tb := range cp.byName {
 			for k := range tb.scanners {
-				n := len(fast.cands[tb.idx][k].at)
+				n := len(d.fast.cands[tb.idx][k].at)
 				kept += n
-				dropped += len(fast.shadow[tb.idx]) - n
+				dropped += len(d.fast.shadow[tb.idx]) - n
 			}
 		}
-		if kept == 0 || dropped == 0 || rolledBack == 0 || linked == 0 || fast.Counters().FastpathHits == 0 {
+		if kept == 0 || dropped == 0 || rolledBack == 0 || linked == 0 || d.fast.Counters().FastpathHits == 0 {
 			t.Fatalf("%s, seed %d: stream too tame: %d candidate rows kept, %d entries filtered out, %d batches rolled back after a commit, %d linked rejections",
 				r.file.Program, r.seed, kept, dropped, rolledBack, linked)
 		}
@@ -632,6 +776,7 @@ func TestDifferentialObsAttached(t *testing.T) {
 func FuzzFastpath(f *testing.F) {
 	// Seeds (testdata/fuzz/FuzzFastpath holds the same under names): a
 	// clean wide-table insert (exact/ternary/lpm keys at widths 64/63/64/1),
+	// two v6 inserts at 65 and 128 bits,
 	// a small-table insert with a 9-bit param, the shadow-scan pair (peer
 	// insert then small insert), a SetDefault onto the buggy action, an
 	// unknown table, an empty update — and every malformed shape fuzzUpdate
@@ -647,9 +792,16 @@ func FuzzFastpath(f *testing.F) {
 	}
 	f.Add([]byte{0x01, 0x10, 0x01, 0x00, 0x07, 0x07}) // a default with a parameter too many
 	f.Add([]byte{0x01, 0x10, 0x01, 0x00, 0x07, 0x0f}) // set_default no_such_action
+	// v6 at the limb boundaries: 2^64, all ones masked by 2^63, 2^64-1
+	// under a 64-bit prefix, all 128 ones, zero under the full mask, 2^64
+	// under the whole prefix, set6 with addr 2^64-1 (below key3 under
+	// mask5: rejected) — then a v6 entry whose 65-bit ternary key has no
+	// mask, so that it ORs to all ones (rejected).
+	f.Add([]byte{0x03, 0x01, 0xf3, 0xf4, 0x02, 0xf1, 0xf2, 0x41, 0xf4, 0xf0, 0x01, 0xf3, 0x81, 0x01, 0xf2, 0x01, 0x00, 0x00})
+	f.Add([]byte{0x03, 0x01, 0x05, 0x01, 0x01, 0xf0, 0x00, 0xf0, 0x00, 0xf0, 0xf2, 0x00, 0xf0, 0x00, 0x00, 0x00})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cp := widthCompiled(t)
-		fast, slow := diffPair(t, cp)
+		d := newDiffSet(t, cp)
 		fd := &byteFeed{data: data}
 		n := 1 + len(data)/8
 		if n > 64 {
@@ -657,8 +809,8 @@ func FuzzFastpath(f *testing.F) {
 		}
 		for i := 0; i < n; i++ {
 			u, malformed := fuzzUpdate(cp.file, fd)
-			applyBoth(t, fast, slow, u, malformed)
+			d.applyUpdate(t, u, malformed)
 		}
-		finishDiff(t, fast, slow)
+		d.finish(t)
 	})
 }

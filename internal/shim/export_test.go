@@ -10,3 +10,6 @@ func JournalHeader(program string) []byte { return fileHeader(journalMagic, prog
 
 // LiveShim is the shard's current incarnation (nil while it is down).
 func (sd *Shard) LiveShim() *Shim { return sd.currentShim() }
+
+// WidthFile is the differential harness's width-boundary spec.
+var WidthFile = widthFile

@@ -1,9 +1,7 @@
 package shim
 
 import (
-	"errors"
 	"fmt"
-	"math/big"
 
 	"bf4/internal/dataplane"
 	"bf4/internal/smt"
@@ -18,11 +16,14 @@ import (
 // either tier — registers for the bytecode programs the conditions are
 // lowered into (internal/smt/lower.go), an smt.Env for the term evaluator
 // — so the tiers differ only in how a term is evaluated (condition.holds)
-// and in which shadow entries a scan visits. Only conditions the register
-// machine cannot express — a bitvector wider than 64 — stay on the term
-// tier when the fast path is on; SetFastpath(false) puts all of them
-// there, as the reference the differential harness, the fuzzers and
-// bench/ compare with.
+// and in which shadow entries a scan visits. A variable of width w takes
+// ⌈w/64⌉ registers, its value's limbs (dataplane.Value) masked to w, so a
+// 128-bit key is two words copied, not a bignum. Only conditions with an
+// operator the lowerer does not take at widths above 64 (arithmetic,
+// shifts, signed compares) stay on the term tier when the fast path is
+// on, each evaluation counted as a slow-path hit; SetFastpath(false) puts
+// all of them there, as the reference the differential harness, the
+// fuzzers and bench/ compare with.
 //
 // A scanning condition's top-level conjuncts come in three kinds. Guards
 // read no variable of the scanned table: run on the update's registers
@@ -39,7 +40,7 @@ import (
 // that reaches a binder has its table's key count, an action of the table
 // with that action's parameter count, and values that fit their declared
 // widths, so a binder reads e.Keys[j] and e.Params[j] as they are and a
-// value of at most 64 declared bits is its own low word. Variables that
+// value's limbs are its registers. Variables that
 // neither the updated nor the scanned table binds read zero on both tiers
 // (the evaluator's unbound-variable convention; lowered to the constant).
 //
@@ -71,20 +72,19 @@ type boundVar struct {
 	// varMask: full is the mask of a ternary key matched with none (or -1)
 	// and of an lpm key matched whole; prefix[n] that of an n-bit prefix
 	// (nil for a ternary key).
-	full   *big.Int
-	prefix []*big.Int
-	bits   int // declared width of the values it takes
+	full   dataplane.Value
+	prefix []dataplane.Value
 	width  int // sort the conditions read it at (0 = bool)
-	slot   int // its register; -1 when values or sort exceed a word
+	// slot is its first register of smt.Limbs(width), one limb each.
+	slot int
 }
 
 // value is what entry e, running act, binds v to: zero for a parameter of
-// an action e does not run, which is what an unbound variable reads. The
-// result is shared, never to be written.
-func (v *boundVar) value(act *action, e *dataplane.Entry) *big.Int {
+// an action e does not run, which is what an unbound variable reads.
+func (v *boundVar) value(act *action, e *dataplane.Entry) dataplane.Value {
 	switch v.kind {
 	case varHit:
-		return bigOne
+		return one
 	case varActionRun:
 		return act.run
 	case varKey:
@@ -94,7 +94,7 @@ func (v *boundVar) value(act *action, e *dataplane.Entry) *big.Int {
 		switch {
 		case v.prefix != nil && k.PrefixLen >= 0:
 			return v.prefix[k.PrefixLen]
-		case v.prefix != nil || k.Mask == nil || k.Mask.Sign() < 0:
+		case v.prefix != nil || k.MaskKind != dataplane.MaskBits:
 			return v.full
 		}
 		return k.Mask
@@ -103,10 +103,10 @@ func (v *boundVar) value(act *action, e *dataplane.Entry) *big.Int {
 			return e.Params[v.j]
 		}
 	}
-	return bigZero
+	return dataplane.Value{}
 }
 
-var bigZero, bigOne = new(big.Int), big.NewInt(1)
+var one = dataplane.U64(1)
 
 // binding is the variables one table's entries bind for the conditions of
 // one cluster: the updated table's, or those of a table the cluster's
@@ -115,8 +115,8 @@ var bigZero, bigOne = new(big.Int), big.NewInt(1)
 type binding struct {
 	tb   *table
 	vars []boundVar
-	// The variables that have a register hold regs[lo:hi], in vars order,
-	// so that what fill writes there is an entry's row, loaded by one copy.
+	// The variables' registers are regs[lo:hi], in vars order, so that
+	// what fill writes there is an entry's row, loaded by one copy.
 	lo, hi int
 }
 
@@ -126,22 +126,33 @@ type binding struct {
 func (b *binding) fill(regs []uint64, env smt.Env, act *action, e *dataplane.Entry) {
 	for i := range b.vars {
 		v := &b.vars[i]
-		if val := v.value(act, e); env != nil {
-			env[v.name] = val
-		} else if v.slot >= 0 {
-			regs[v.slot] = normU64(val.Uint64(), v.width)
+		val := v.value(act, e)
+		switch {
+		case env != nil:
+			env[v.name] = val.Big()
+		case v.width == 0:
+			regs[v.slot] = 0
+			if !val.IsZero() {
+				regs[v.slot] = 1
+			}
+		case v.width <= 64:
+			regs[v.slot] = val.Uint64() & smt.LimbMask(v.width, 0)
+		default:
+			for l := range smt.Limbs(v.width) {
+				regs[v.slot+l] = val.Limb(l) & smt.LimbMask(v.width, l)
+			}
 		}
 	}
 }
 
 // clear unbinds the variables: each reads zero, hit as false.
 func (b *binding) clear(regs []uint64, env smt.Env) {
+	if env == nil {
+		clear(regs[b.lo:b.hi])
+		return
+	}
 	for i := range b.vars {
-		if env != nil {
-			delete(env, b.vars[i].name)
-		} else if s := b.vars[i].slot; s >= 0 {
-			regs[s] = 0
-		}
+		delete(env, b.vars[i].name)
 	}
 }
 
@@ -205,7 +216,7 @@ type plan struct {
 // planner resolves names while Compile builds the plans.
 type planner struct {
 	vars   map[*table]map[string]boundVar
-	prefix map[int][]*big.Int
+	prefix map[int][]dataplane.Value
 }
 
 // controlVars lists the variables tb's entries bind, by name. It is the
@@ -216,15 +227,15 @@ func (pl *planner) controlVars(tb *table) map[string]boundVar {
 	}
 	p := tb.ts.Prefix
 	m := map[string]boundVar{
-		p + ".hit":        {kind: varHit, bits: 1},
-		p + ".action_run": {kind: varActionRun, bits: 64},
+		p + ".hit":        {kind: varHit},
+		p + ".action_run": {kind: varActionRun},
 	}
 	for j, k := range tb.ts.Keys {
-		m[fmt.Sprintf("%s.key%d", p, j)] = boundVar{kind: varKey, j: j, bits: k.Width}
+		m[fmt.Sprintf("%s.key%d", p, j)] = boundVar{kind: varKey, j: j}
 		if k.MatchKind != "ternary" && k.MatchKind != "lpm" {
 			continue // an exact key's mask is never bound
 		}
-		mask := boundVar{kind: varMask, j: j, bits: k.Width, full: smt.Mask(k.Width)}
+		mask := boundVar{kind: varMask, j: j, full: dataplane.Ones(k.Width)}
 		if k.MatchKind == "lpm" {
 			if pl.prefix[k.Width] == nil {
 				for n := 0; n <= k.Width; n++ {
@@ -237,7 +248,7 @@ func (pl *planner) controlVars(tb *table) map[string]boundVar {
 	}
 	for _, a := range tb.ts.Actions {
 		for i, ps := range a.Params {
-			m[p+"."+a.Name+"."+ps.Name] = boundVar{kind: varParam, j: i, act: tb.actions[a.Name], bits: ps.Width}
+			m[p+"."+a.Name+"."+ps.Name] = boundVar{kind: varParam, j: i, act: tb.actions[a.Name]}
 		}
 	}
 	pl.vars[tb] = m
@@ -256,12 +267,10 @@ type slotRef struct {
 	i     int
 }
 
-var errWideVar = errors.New("variable takes values wider than a register")
-
 // compilePlans builds the plan of every table. It never fails:
 // conditions that cannot lower simply stay on the term tier.
 func (cp *Compiled) compilePlans() {
-	pl := &planner{vars: map[*table]map[string]boundVar{}, prefix: map[int][]*big.Int{}}
+	pl := &planner{vars: map[*table]map[string]boundVar{}, prefix: map[int][]dataplane.Value{}}
 	for _, tb := range cp.byName { // each table once, though a file may list a name twice
 		if len(tb.conds) == 0 {
 			continue
@@ -296,18 +305,14 @@ func (cp *Compiled) compilePlans() {
 				b.vars = append(b.vars, v)
 			}
 		}
-		// The register layout: each binding's variables that fit a word,
+		// The register layout: each binding's variables, limb by limb and
 		// back to back, so that a scan loads an entry with one copy.
 		nSlots := 0
 		for _, b := range bindings {
 			b.lo = nSlots
 			for i := range b.vars {
-				v := &b.vars[i]
-				v.slot = -1
-				if v.bits <= 64 && v.width <= 64 {
-					v.slot = nSlots
-					nSlots++
-				}
+				b.vars[i].slot = nSlots
+				nSlots += smt.Limbs(b.vars[i].width)
 			}
 			b.hi = nSlots
 		}
@@ -317,11 +322,8 @@ func (cp *Compiled) compilePlans() {
 		lower := func(term *smt.Term, scan *binding) *smt.Program {
 			prog, err := smt.LowerBool(term, nSlots, func(name string, s smt.Sort) (int, error) {
 				r, ok := slots[slotKey{name, s}]
-				switch {
-				case !ok || r.owner != &tb.own && r.owner != scan:
+				if !ok || r.owner != &tb.own && r.owner != scan {
 					return -1, nil
-				case r.owner.vars[r.i].slot < 0:
-					return 0, errWideVar
 				}
 				return r.owner.vars[r.i].slot, nil
 			})
@@ -388,20 +390,4 @@ func guardsRefute(guards []*smt.Program, regs []uint64) bool {
 		}
 	}
 	return false
-}
-
-// normU64 reduces an in-register value to a sort: width 0 (bool) is
-// truthiness, width w is mod 2^w. Mirrors smt.Eval's env-read
-// normalization.
-func normU64(v uint64, width int) uint64 {
-	if width == 0 {
-		if v != 0 {
-			return 1
-		}
-		return 0
-	}
-	if width < 64 {
-		return v & ((uint64(1) << uint(width)) - 1)
-	}
-	return v
 }

@@ -3,13 +3,13 @@ package shim
 import (
 	"errors"
 	"fmt"
-	"math/big"
 	"runtime"
 	"strings"
 	"sync"
 	"testing"
 
 	"bf4/internal/dataplane"
+	"bf4/internal/smt"
 	"bf4/internal/spec"
 )
 
@@ -35,7 +35,7 @@ func wideReject() *Update {
 	return &Update{Table: "wide", Entry: &dataplane.Entry{
 		Keys: []dataplane.KeyMatch{
 			dataplane.NewExact(0),
-			{Value: big.NewInt(0), PrefixLen: -1},
+			{PrefixLen: -1},
 			dataplane.NewLpm(1, 0),
 			dataplane.NewExact(1),
 		},
@@ -44,12 +44,12 @@ func wideReject() *Update {
 }
 
 // wideActA selects actA with both params zero: the 65-bit wide-param
-// condition's action_run guard passes, so its term-DAG fallback really
+// condition's action_run conjunct holds, so its two-limb compare really
 // runs (and accepts, since p65 == 0).
 func wideActA() *Update {
 	u := wideAccept()
 	u.Entry.Action = "actA"
-	u.Entry.Params = []*big.Int{big.NewInt(0), big.NewInt(0)}
+	u.Entry.Params = []dataplane.Value{dataplane.U64(0), dataplane.U64(0)}
 	return u
 }
 
@@ -67,10 +67,11 @@ func smallAccept() *Update {
 }
 
 // TestFastpathPlanShape pins which conditions compile into which tier:
-// 65-bit params must stay on the term-DAG slow path, shadow-linked
-// assertions must compile into the per-entry scan tier with their
-// scanned-only conjuncts as filters, and everything else must lower to a
-// single-shot program with no filters.
+// conditions over 65- and 128-bit values lower onto multi-limb registers,
+// a condition with wide arithmetic stays on the term-DAG slow path behind
+// its lowerable conjuncts as guards, shadow-linked assertions compile into
+// the per-entry scan tier with their scanned-only conjuncts as filters,
+// and everything else lowers to a single-shot program with no filters.
 func TestFastpathPlanShape(t *testing.T) {
 	cp := widthCompiled(t)
 	wide := cp.tables["wide"]
@@ -85,13 +86,9 @@ func TestFastpathPlanShape(t *testing.T) {
 	for ci := range wide.conds {
 		c := &wide.conds[ci]
 		switch {
-		case ci == 3 && c.prog != nil:
-			t.Error("65-bit param condition must stay on the term tier")
-		case ci == 3 && len(c.guards) != 1:
-			t.Errorf("65-bit param condition has %d guards, want its action_run conjunct", len(c.guards))
-		case ci != 3 && c.prog == nil:
-			t.Errorf("wide condition %d (%s) did not compile; an unbound ghost var must not force a fallback", ci, c.src.Source)
-		case ci != 3 && len(c.guards) != 0:
+		case c.prog == nil:
+			t.Errorf("wide condition %d (%s) did not compile; neither a 65-bit parameter nor an unbound ghost var may force a fallback", ci, c.src.Source)
+		case len(c.guards) != 0:
 			t.Errorf("wide condition %d runs once per update and needs no guards, has %d", ci, len(c.guards))
 		}
 		if c.scan != nil {
@@ -101,9 +98,32 @@ func TestFastpathPlanShape(t *testing.T) {
 			t.Errorf("wide condition %d scans nothing and needs no filters, has %d", ci, len(c.filters))
 		}
 	}
-	for _, v := range wide.own.vars {
-		if wideVar := v.name == "w$0.actA.p65"; wideVar != (v.slot < 0) {
-			t.Errorf("%s at width %d has register %d", v.name, v.width, v.slot)
+	// Each variable takes a register a limb, back to back: p65 two.
+	for _, tb := range []*table{wide, cp.tables["v6"]} {
+		next := tb.own.lo
+		for _, v := range tb.own.vars {
+			if v.slot != next {
+				t.Errorf("%s at width %d has register %d, want %d", v.name, v.width, v.slot, next)
+			}
+			next += smt.Limbs(v.width)
+		}
+		if next != tb.own.hi {
+			t.Errorf("%s's registers end at %d, its binding at %d", tb.ts.Name, next, tb.own.hi)
+		}
+	}
+	// v6's cluster: wide-keys (5 terms) lower; wide-arith's bvadd at 128
+	// bits does not, and its action_run conjunct guards it.
+	v6 := cp.tables["v6"]
+	if got := len(v6.conds); got != 6 {
+		t.Fatalf("v6's cluster has %d conditions, want 6", got)
+	}
+	for ci := range v6.conds {
+		c := &v6.conds[ci]
+		switch arith := c.src.Source == "wide-arith"; {
+		case arith && (c.prog != nil || len(c.guards) != 1):
+			t.Errorf("wide-arith: program %v, %d guards; want none and its action_run conjunct", c.prog != nil, len(c.guards))
+		case !arith && c.prog == nil:
+			t.Errorf("v6 condition %d (%s) did not lower onto multi-limb registers", ci, c.src.Source)
 		}
 	}
 
@@ -176,13 +196,12 @@ func TestFastpathStatsSplit(t *testing.T) {
 		}
 	}
 	st := s.Counters()
-	// wideAccept (NoAction): width-boundary (3 fast) + ghost (1 fast) +
-	// wide-param (guard on action_run refutes → fast) = 5 fast.
-	// wideActA: same 4 fast, but the wide-param guard passes, forcing
-	// one term-DAG eval of the 65-bit condition = 1 slow.
-	// smallAccept: linked scan (1 fast) + param-guard (2 fast).
-	if st.FastpathHits != 12 || st.SlowpathHits != 1 {
-		t.Fatalf("fast/slow hits = %d/%d, want 12/1", st.FastpathHits, st.SlowpathHits)
+	// wideAccept (NoAction): width-boundary (3) + wide-param (1) +
+	// ghost (1) = 5 fast. wideActA: the same 5, the 65-bit wide-param
+	// condition on two-limb registers. smallAccept: linked scan (1) +
+	// param-guard (2) = 3 fast.
+	if st.FastpathHits != 13 || st.SlowpathHits != 0 {
+		t.Fatalf("fast/slow hits = %d/%d, want 13/0", st.FastpathHits, st.SlowpathHits)
 	}
 
 	off := NewFromCompiled(cp)

@@ -22,9 +22,9 @@ import (
 //
 // The same workload is replayed through a second shim held on the slow
 // tier: over verifier-derived annotations the bytecode tier must return
-// the same verdict and the same rejection text on every update. The
-// generated switch@1 is the one program here where some conditions of a
-// fast-tier shim fall back to the term DAG.
+// the same verdict and the same rejection text on every update, and it
+// must run every evaluation itself — the generated switch@1's 128-bit
+// ipv6_fib conditions included, on two-limb registers.
 func TestGlobalCorrectnessAcrossCorpus(t *testing.T) {
 	programs := []string{"simple_nat", "mc_nat_16", "ecmp_2", "netchain", "heavy_hitter_2", "issue894", "switch"}
 	for _, name := range programs {
@@ -70,6 +70,9 @@ func TestGlobalCorrectnessAcrossCorpus(t *testing.T) {
 			fast, slow := sh.Counters(), oracle.Counters()
 			if slow.FastpathHits != 0 {
 				t.Fatalf("SetFastpath(false) used the bytecode tier %d times", slow.FastpathHits)
+			}
+			if fast.SlowpathHits != 0 {
+				t.Fatalf("a fast-tier shim fell back to the term DAG %d times", fast.SlowpathHits)
 			}
 			if fast.FastpathHits+fast.SlowpathHits != slow.SlowpathHits {
 				t.Fatalf("assertion evaluation counts differ: fast %d+%d, slow %d",

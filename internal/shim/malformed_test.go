@@ -29,7 +29,10 @@ type malformedCase struct {
 	egress    int64
 }
 
-func bits(n uint) *big.Int { return new(big.Int).Lsh(big.NewInt(1), n) }
+func bits(n uint) dataplane.Value {
+	v, _ := dataplane.FromBig(new(big.Int).Lsh(big.NewInt(1), n))
+	return v
+}
 
 // natEntry is simple_nat's nat rule for TCP from 10.0.0.1 arriving on an
 // external port; edit changes one field of it.
@@ -38,7 +41,7 @@ func natEntry(edit func(e *dataplane.Entry)) *shim.Update {
 		Keys: []dataplane.KeyMatch{dataplane.NewExact(1), dataplane.NewExact(1), dataplane.NewExact(1),
 			dataplane.NewTernary(0x0A000001, 0xFFFFFFFF), dataplane.NewTernary(0, 0), dataplane.NewTernary(0, 0), dataplane.NewTernary(0, 0)},
 		Action: "nat_hit_ext_to_int",
-		Params: []*big.Int{big.NewInt(0x0C000001), big.NewInt(99)},
+		Params: []dataplane.Value{dataplane.U64(0x0C000001), dataplane.U64(99)},
 	}
 	edit(e)
 	return &shim.Update{Table: "nat", Entry: e}
@@ -48,7 +51,7 @@ func lpmEntry(prefixLen int) *shim.Update {
 	return &shim.Update{Table: "ipv4_lpm", Entry: &dataplane.Entry{
 		Keys:   []dataplane.KeyMatch{dataplane.NewLpm(0x0C000000, prefixLen), dataplane.NewExact(1)},
 		Action: "set_nhop",
-		Params: []*big.Int{big.NewInt(7), big.NewInt(3)},
+		Params: []dataplane.Value{dataplane.U64(7), dataplane.U64(3)},
 	}}
 }
 
@@ -58,7 +61,7 @@ func malformedCases() []malformedCase {
 		{name: "unknown action", twin: natEntry(same),
 			bad: natEntry(func(e *dataplane.Entry) { e.Action = "bogus_action" })},
 		{name: "over-wide key value", twin: natEntry(same),
-			bad: natEntry(func(e *dataplane.Entry) { e.Keys[1].Value = big.NewInt(3) })}, // 1-bit isValid()
+			bad: natEntry(func(e *dataplane.Entry) { e.Keys[1].Value = dataplane.U64(3) })}, // 1-bit isValid()
 		{name: "over-wide parameter", twin: natEntry(same),
 			bad: natEntry(func(e *dataplane.Entry) { e.Params[0] = bits(70) })},
 		{name: "too few parameters", twin: natEntry(same),
@@ -90,7 +93,7 @@ func TestMalformedUpdatesThroughTheChain(t *testing.T) {
 	res, file := verifyToFile(t, p.Name, p.Source, driver.DefaultConfig())
 	pl, _, _ := res.Final()
 	external := &shim.Update{Table: "if_info", Entry: &dataplane.Entry{
-		Keys: []dataplane.KeyMatch{dataplane.NewExact(2)}, Action: "set_if_info", Params: []*big.Int{big.NewInt(1)}}}
+		Keys: []dataplane.KeyMatch{dataplane.NewExact(2)}, Action: "set_if_info", Params: []dataplane.Value{dataplane.U64(1)}}}
 	other := &shim.Update{Table: "if_info", Entry: &dataplane.Entry{
 		Keys: []dataplane.KeyMatch{dataplane.NewExact(5)}, Action: "drop_"}}
 	pkt := dataplane.Packet{}

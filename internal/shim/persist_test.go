@@ -230,7 +230,7 @@ func TestFullMaskSentinelSurvivesRestart(t *testing.T) {
 	// Mask -1 is the dataplane's full-mask sentinel; it must round-trip
 	// through the journal.
 	u := &Update{Table: "t", Entry: &dataplane.Entry{
-		Keys:   []dataplane.KeyMatch{{Value: big.NewInt(3), Mask: big.NewInt(-1), PrefixLen: -1}},
+		Keys:   []dataplane.KeyMatch{{Value: dataplane.U64(3), MaskKind: dataplane.FullMask, PrefixLen: -1}},
 		Action: "NoAction",
 	}}
 	if err := sh.Apply(u); err != nil {
@@ -422,22 +422,22 @@ func TestLegacyStateDirRefused(t *testing.T) {
 // error, not a silent misreading.
 func TestCodecRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
-	value := func(width int) *big.Int {
+	value := func(width int) dataplane.Value {
 		v := new(big.Int).Rand(rng, new(big.Int).Lsh(big.NewInt(1), uint(width)))
 		if rng.Intn(4) == 0 {
 			v.SetBit(v, width-1, 1) // the top bit, so that the widest encoding occurs
 		}
-		return v
+		return bigValue(v)
 	}
 	for _, width := range []int{1, 8, 64, 65, 128, 4096} {
 		for i := 0; i < 50; i++ {
 			e := &dataplane.Entry{
 				Keys: []dataplane.KeyMatch{
 					{Value: value(width), PrefixLen: -1},
-					{Value: value(width), Mask: value(width), PrefixLen: -1},
-					{Value: value(width), Mask: big.NewInt(-1), PrefixLen: -1},
+					{Value: value(width), Mask: value(width), MaskKind: dataplane.MaskBits, PrefixLen: -1},
+					{Value: value(width), MaskKind: dataplane.FullMask, PrefixLen: -1},
 					{Value: value(width), PrefixLen: rng.Intn(width + 1)},
-					{Value: new(big.Int), Mask: new(big.Int), PrefixLen: 0},
+					{MaskKind: dataplane.MaskBits, PrefixLen: 0},
 				},
 				Action:   fmt.Sprintf("act%d", i),
 				Priority: rng.Intn(200) - 100,
@@ -460,7 +460,7 @@ func TestCodecRoundTrip(t *testing.T) {
 			if d.Err != nil || len(d.Buf) != 0 {
 				t.Fatalf("width %d: decode error %v, %d bytes left", width, d.Err, len(d.Buf))
 			}
-			// Compared as printed: big.Int holds zero in more than one way.
+			// Compared as printed, values in decimal.
 			show := func(e *dataplane.Entry, u *Update) string {
 				return fmt.Sprintf("%+v | %s %+v %+v", e, u.Table, u.Entry, u.SetDefault)
 			}
@@ -479,10 +479,9 @@ func TestCodecRoundTrip(t *testing.T) {
 		}
 	}
 	for name, k := range map[string]dataplane.KeyMatch{
-		"negative value": {Value: big.NewInt(-2), PrefixLen: -1},
-		"negative mask":  {Value: big.NewInt(2), Mask: big.NewInt(-2), PrefixLen: -1},
-		"over-wide":      {Value: new(big.Int).Lsh(big.NewInt(1), smt.MaxWidth), PrefixLen: -1},
-		"long prefix":    {Value: big.NewInt(2), PrefixLen: smt.MaxWidth + 1},
+		"unknown mask kind": {Value: dataplane.U64(2), MaskKind: dataplane.FullMask + 1, PrefixLen: -1},
+		"over-wide":         {Value: bigValue(new(big.Int).Lsh(big.NewInt(1), smt.MaxWidth)), PrefixLen: -1},
+		"long prefix":       {Value: dataplane.U64(2), PrefixLen: smt.MaxWidth + 1},
 	} {
 		var enc Encoder
 		enc.Entry(&dataplane.Entry{Keys: []dataplane.KeyMatch{k}})

@@ -1,7 +1,6 @@
 package shim_test
 
 import (
-	"math/big"
 	"strings"
 	"testing"
 
@@ -91,10 +90,7 @@ func TestDefaultRulePolicyThroughTheChain(t *testing.T) {
 			}
 			for _, ts := range file.Tables {
 				for _, a := range ts.Actions {
-					d := &dataplane.DefaultAction{Action: a.Name, Params: make([]*big.Int, len(a.Params))}
-					for i := range d.Params {
-						d.Params[i] = new(big.Int)
-					}
+					d := &dataplane.DefaultAction{Action: a.Name, Params: make([]dataplane.Value, len(a.Params))}
 					err := sh.Apply(&shim.Update{Table: ts.Name, SetDefault: d})
 					switch {
 					case flagged[ts.Name+"."+a.Name] && err == nil:
@@ -129,19 +125,19 @@ func TestBuggyDefaultReachesItsBug(t *testing.T) {
 	}
 	for _, u := range []*shim.Update{
 		{Table: "if_info", Entry: &dataplane.Entry{
-			Keys: []dataplane.KeyMatch{dataplane.NewExact(1)}, Action: "set_if_info", Params: []*big.Int{big.NewInt(0)}}},
+			Keys: []dataplane.KeyMatch{dataplane.NewExact(1)}, Action: "set_if_info", Params: []dataplane.Value{dataplane.U64(0)}}},
 		// Translate whatever arrives on an internal port without ipv4 or
 		// tcp: every ternary mask is empty, so no invalid field is read.
 		{Table: "nat", Entry: &dataplane.Entry{
 			Keys: []dataplane.KeyMatch{dataplane.NewExact(0), dataplane.NewExact(0), dataplane.NewExact(0),
 				dataplane.NewTernary(0, 0), dataplane.NewTernary(0, 0), dataplane.NewTernary(0, 0), dataplane.NewTernary(0, 0)},
-			Action: "nat_hit_int_to_ext", Params: []*big.Int{big.NewInt(1), big.NewInt(1)}}},
+			Action: "nat_hit_int_to_ext", Params: []dataplane.Value{dataplane.U64(1), dataplane.U64(1)}}},
 	} {
 		if err := sh.Apply(u); err != nil {
 			t.Fatalf("sane rule refused: %v", err)
 		}
 	}
-	override := &dataplane.DefaultAction{Action: "set_nhop", Params: []*big.Int{big.NewInt(1), big.NewInt(7)}}
+	override := &dataplane.DefaultAction{Action: "set_nhop", Params: []dataplane.Value{dataplane.U64(1), dataplane.U64(7)}}
 	if err := sh.Apply(&shim.Update{Table: "ipv4_lpm", SetDefault: override}); err == nil {
 		t.Fatal("shim admitted set_nhop as ipv4_lpm's default")
 	}

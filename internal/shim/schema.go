@@ -2,7 +2,6 @@ package shim
 
 import (
 	"fmt"
-	"math/big"
 
 	"bf4/internal/dataplane"
 	"bf4/internal/spec"
@@ -32,20 +31,15 @@ type table struct {
 // entry that selects it.
 type action struct {
 	*spec.ActionSchema
-	run *big.Int
+	run dataplane.Value
 }
 
 func newTable(ts *spec.TableSchema, idx int) *table {
 	tb := &table{ts: ts, idx: idx, actions: make(map[string]*action, len(ts.Actions))}
 	for _, a := range ts.Actions {
-		tb.actions[a.Name] = &action{a, big.NewInt(int64(a.Index))}
+		tb.actions[a.Name] = &action{a, dataplane.U64(uint64(a.Index))}
 	}
 	return tb
-}
-
-// fits reports whether v is a width-bit value, in [0, 2^width).
-func fits(v *big.Int, width int) bool {
-	return v != nil && v.Sign() >= 0 && v.BitLen() <= width
 }
 
 // check resolves the table and the entry's action of an update that has
@@ -77,9 +71,9 @@ func (tb *table) checkEntry(e *dataplane.Entry) (*action, string) {
 	for j := range e.Keys {
 		k, w := &e.Keys[j], tb.ts.Keys[j].Width
 		switch {
-		case !fits(k.Value, w):
+		case !k.Value.Fits(w):
 			return nil, fmt.Sprintf("key %d: value does not fit the key's %d bits", j, w)
-		case k.Mask != nil && !fits(k.Mask, w) && k.Mask.Cmp(fullMask) != 0:
+		case k.MaskKind > dataplane.FullMask || k.MaskKind == dataplane.MaskBits && !k.Mask.Fits(w):
 			return nil, fmt.Sprintf("key %d: mask is neither -1 nor a value of the key's %d bits", j, w)
 		case k.PrefixLen < -1 || k.PrefixLen > w:
 			return nil, fmt.Sprintf("key %d: prefix length %d is outside the key's %d bits", j, k.PrefixLen, w)
@@ -90,7 +84,7 @@ func (tb *table) checkEntry(e *dataplane.Entry) (*action, string) {
 
 // checkCall checks an action and its arguments, of an entry or of a
 // runtime default.
-func (tb *table) checkCall(name string, params []*big.Int) (*action, string) {
+func (tb *table) checkCall(name string, params []dataplane.Value) (*action, string) {
 	act := tb.actions[name]
 	if act == nil {
 		return nil, fmt.Sprintf("table has no action %q", name)
@@ -99,7 +93,7 @@ func (tb *table) checkCall(name string, params []*big.Int) (*action, string) {
 		return nil, fmt.Sprintf("action %s takes %d parameters, got %d", name, len(act.Params), len(params))
 	}
 	for i, p := range params {
-		if w := act.Params[i].Width; !fits(p, w) {
+		if w := act.Params[i].Width; !p.Fits(w) {
 			return nil, fmt.Sprintf("action %s: parameter %s does not fit its %d bits", name, act.Params[i].Name, w)
 		}
 	}

@@ -54,8 +54,9 @@ type Stats struct {
 	Validated int
 	Rejected  int
 	// FastpathHits counts assertion evaluations served by a compiled
-	// bytecode program; SlowpathHits counts term-DAG evaluations (shadow
-	// resolution, wide vectors, or SetFastpath(false)).
+	// bytecode program; SlowpathHits counts term-DAG evaluations (an
+	// operator the lowerer does not take above 64 bits, or
+	// SetFastpath(false)).
 	FastpathHits int
 	SlowpathHits int
 }

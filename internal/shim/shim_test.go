@@ -1,7 +1,6 @@
 package shim
 
 import (
-	"math/big"
 	"math/rand"
 	"slices"
 	"testing"
@@ -99,7 +98,7 @@ func TestShimAcceptsSaneRules(t *testing.T) {
 	err := sh.Apply(&Update{Table: "nat", Entry: &dataplane.Entry{
 		Keys:   []dataplane.KeyMatch{dataplane.NewExact(1), dataplane.NewTernary(0x0A000001, -1)},
 		Action: "nat_hit",
-		Params: []*big.Int{big.NewInt(42)},
+		Params: []dataplane.Value{dataplane.U64(42)},
 	}})
 	if err != nil {
 		t.Fatalf("sane nat rule rejected: %v", err)
@@ -115,7 +114,7 @@ func TestShimRejectsPaperFaultyRule(t *testing.T) {
 	err := sh.Apply(&Update{Table: "nat", Entry: &dataplane.Entry{
 		Keys:   []dataplane.KeyMatch{dataplane.NewExact(0), dataplane.NewTernary(0x0A000000, 0xFF000000)},
 		Action: "nat_hit",
-		Params: []*big.Int{big.NewInt(1)},
+		Params: []dataplane.Value{dataplane.U64(1)},
 	}})
 	if err == nil {
 		t.Fatal("faulty rule accepted")
@@ -139,7 +138,7 @@ func TestShimRejectsInvalidLpmRule(t *testing.T) {
 	err := sh.Apply(&Update{Table: "ipv4_lpm", Entry: &dataplane.Entry{
 		Keys:   []dataplane.KeyMatch{dataplane.NewLpm(0, 0), dataplane.NewExact(0)},
 		Action: "set_nhop",
-		Params: []*big.Int{big.NewInt(1), big.NewInt(7)},
+		Params: []dataplane.Value{dataplane.U64(1), dataplane.U64(7)},
 	}})
 	if err == nil {
 		t.Fatal("lpm rule with invalid-header expectation and set_nhop accepted")
@@ -162,7 +161,7 @@ func TestAutofillOffRejectsOldFormat(t *testing.T) {
 	err := sh.Apply(&Update{Table: "ipv4_lpm", Entry: &dataplane.Entry{
 		Keys:   []dataplane.KeyMatch{dataplane.NewLpm(0, 0)},
 		Action: "set_nhop",
-		Params: []*big.Int{big.NewInt(1), big.NewInt(7)},
+		Params: []dataplane.Value{dataplane.U64(1), dataplane.U64(7)},
 	}})
 	if err == nil {
 		t.Fatal("rule without the synthesized validity key accepted")
@@ -207,7 +206,7 @@ func TestGlobalCorrectness(t *testing.T) {
 		u := &Update{Table: "nat", Entry: &dataplane.Entry{
 			Keys:   []dataplane.KeyMatch{dataplane.NewExact(valid), dataplane.NewTernary(int64(rng.Intn(1<<30)), maskChoice)},
 			Action: action,
-			Params: []*big.Int{big.NewInt(int64(rng.Intn(1 << 30)))},
+			Params: []dataplane.Value{dataplane.U64(uint64(rng.Intn(1 << 30)))},
 		}}
 		if action == "drop_" {
 			u.Entry.Params = nil
@@ -224,7 +223,7 @@ func TestGlobalCorrectness(t *testing.T) {
 		u := &Update{Table: "ipv4_lpm", Entry: &dataplane.Entry{
 			Keys:   []dataplane.KeyMatch{dataplane.NewLpm(int64(rng.Intn(1<<30)), rng.Intn(33)), dataplane.NewExact(valid)},
 			Action: action,
-			Params: []*big.Int{big.NewInt(int64(rng.Intn(1 << 30))), big.NewInt(int64(rng.Intn(500)))},
+			Params: []dataplane.Value{dataplane.U64(uint64(rng.Intn(1 << 30))), dataplane.U64(uint64(rng.Intn(500)))},
 		}}
 		if action == "drop_" {
 			u.Entry.Params = nil
@@ -280,7 +279,7 @@ func TestShimStatsLatencies(t *testing.T) {
 		sh.Validate(&Update{Table: "nat", Entry: &dataplane.Entry{
 			Keys:   []dataplane.KeyMatch{dataplane.NewExact(1), dataplane.NewTernary(int64(i), -1)},
 			Action: "nat_hit",
-			Params: []*big.Int{big.NewInt(int64(i))},
+			Params: []dataplane.Value{dataplane.U64(uint64(i))},
 		}})
 	}
 	h := reg.Histogram("bf4_shim_update_ns", nil)

@@ -10,16 +10,17 @@ import (
 	"bf4/internal/smt/termgen"
 )
 
-// lowerRun lowers term with one slot per distinct variable, fills the
-// register file from env (normalized per sort, unbound vars zero), and
-// runs the program.
+// lowerRun lowers term with smt.Limbs registers per distinct variable,
+// fills the register file from env (normalized per sort, unbound vars
+// zero), and runs the program.
 func lowerRun(term *smt.Term, env smt.Env) (bool, error) {
 	vars := term.Vars(nil)
-	slots := map[string]int{}
-	for i, v := range vars {
-		slots[v.Name()] = i
+	slots, n := map[string]int{}, 0
+	for _, v := range vars {
+		slots[v.Name()] = n
+		n += smt.Limbs(v.Sort().Width)
 	}
-	prog, err := smt.LowerBool(term, len(vars), func(name string, s smt.Sort) (int, error) {
+	prog, err := smt.LowerBool(term, n, func(name string, s smt.Sort) (int, error) {
 		i, ok := slots[name]
 		if !ok {
 			return 0, fmt.Errorf("slot for unknown var %s", name)
@@ -31,29 +32,29 @@ func lowerRun(term *smt.Term, env smt.Env) (bool, error) {
 	}
 	regs := make([]uint64, prog.NumRegs())
 	for _, v := range vars {
-		val, ok := env[v.Name()]
-		if !ok {
-			continue
+		if val, ok := env[v.Name()]; ok {
+			copy(regs[slots[v.Name()]:], normLimbs(val, v.Sort()))
 		}
-		regs[slots[v.Name()]] = normSlot(val, v.Sort())
 	}
 	return prog.Eval(regs), nil
 }
 
-// normSlot reduces a value to the slot representation the lowering
-// contract requires: booleans 0/1, width-w vectors mod 2^w.
-func normSlot(v *big.Int, s smt.Sort) uint64 {
+// normLimbs reduces a value to the slot representation the lowering
+// contract requires: booleans 0/1, width-w vectors mod 2^w, in
+// smt.Limbs(w) little-endian 64-bit limbs.
+func normLimbs(v *big.Int, s smt.Sort) []uint64 {
 	if s.IsBool() {
 		if v.Sign() != 0 {
-			return 1
+			return []uint64{1}
 		}
-		return 0
+		return []uint64{0}
 	}
-	m := new(big.Int).Mod(new(big.Int).Set(v), new(big.Int).Lsh(big.NewInt(1), uint(s.Width)))
-	if m.Sign() < 0 {
-		m.Add(m, new(big.Int).Lsh(big.NewInt(1), uint(s.Width)))
+	m := new(big.Int).Mod(v, new(big.Int).Lsh(big.NewInt(1), uint(s.Width)))
+	limbs := make([]uint64, smt.Limbs(s.Width))
+	for i := range limbs {
+		limbs[i] = new(big.Int).Rsh(m, uint(64*i)).Uint64()
 	}
-	return m.Uint64()
+	return limbs
 }
 
 // mustAgree checks the fast path against EvalBool for one boolean term.
@@ -258,25 +259,66 @@ func TestLowerUnboundVarIsZero(t *testing.T) {
 	}
 }
 
-// TestLowerWideTermFails: any width > 64 in the DAG must refuse to lower
-// with ErrWideTerm (the shim's slow-path trigger).
-func TestLowerWideTermFails(t *testing.T) {
+// TestLowerWideTermsMatchEval: the operators the register machine takes
+// at any width — =, bvult, bvule, bvand, bvor, bvxor, bvnot, ite, extract
+// and zero_extend — lower on values of one to three limbs and compute
+// Eval's value, at the limb boundaries and across them.
+func TestLowerWideTermsMatchEval(t *testing.T) {
 	f := smt.NewFactory()
-	x65 := f.BVVar("x", 65)
+	for _, w := range []int{65, 100, 127, 128, 129, 192} {
+		x, y := f.BVVar("x", w), f.BVVar("y", w)
+		grid := valueGrid(w)
+		for _, xv := range grid {
+			for _, yv := range grid {
+				env := smt.Env{"x": xv, "y": yv}
+				for _, c := range []*smt.Term{f.Eq(x, y), f.Ult(x, y), f.Ule(x, y)} {
+					mustAgree(t, c, env)
+				}
+				for _, e := range []*smt.Term{f.BVAnd(x, y), f.BVOr(x, y), f.BVXor(x, y), f.BVNot(x)} {
+					checkBVExpr(t, f, e, env)
+				}
+			}
+			env := smt.Env{"x": xv}
+			env.SetBool("c", xv.Bit(64) == 1)
+			checkBVExpr(t, f, f.Ite(f.BoolVar("c"), x, f.BVConst(grid[len(grid)-1], w)), env)
+			checkBVExpr(t, f, f.ZExt(x, w+70), env)
+			// Extracts inside a limb, ending on and starting at a
+			// boundary, across one boundary, and whole limbs wide.
+			for _, r := range [][2]int{{0, 0}, {63, 0}, {64, 1}, {64, 60}, {w - 1, 64}, {w - 1, 1}, {w - 1, w - 1}, {w - 2, 0}} {
+				checkBVExpr(t, f, f.Extract(x, r[0], r[1]), env)
+			}
+		}
+		n := f.BVVar("n", 40)
+		for _, nv := range valueGrid(40) {
+			checkBVExpr(t, f, f.ZExt(n, w), smt.Env{"n": nv})
+		}
+	}
+}
+
+// TestLowerWideArithmeticRefused: every operator lowered only at widths
+// up to 64 refuses a wider operand or result with ErrWideTerm (the
+// shim's counted term-tier fallback), and the same operators at 64 bits
+// lower.
+func TestLowerWideArithmeticRefused(t *testing.T) {
+	f := smt.NewFactory()
 	noSlots := func(name string, s smt.Sort) (int, error) { return -1, nil }
-	if _, err := smt.LowerBool(f.Eq(x65, f.BVConst64(0, 65)), 0, noSlots); !errors.Is(err, smt.ErrWideTerm) {
-		t.Fatalf("width-65 var: got %v, want ErrWideTerm", err)
-	}
-	a, b := f.BVVar("a", 33), f.BVVar("b", 32)
-	wide := f.Eq(f.Concat(a, b), f.BVConst64(1, 65))
-	if _, err := smt.LowerBool(wide, 0, noSlots); !errors.Is(err, smt.ErrWideTerm) {
-		t.Fatalf("65-bit concat: got %v, want ErrWideTerm", err)
-	}
-	// Width-64 intermediate is fine.
-	c, d := f.BVVar("c", 32), f.BVVar("d", 32)
-	ok := f.Eq(f.Concat(c, d), f.BVConst64(7, 64))
-	if _, err := smt.LowerBool(ok, 0, noSlots); err != nil {
-		t.Fatalf("64-bit concat should lower: %v", err)
+	for _, w := range []int{64, 65, 128} {
+		x, y := f.BVVar("x", w), f.BVVar("y", w)
+		for _, term := range []*smt.Term{
+			f.Eq(f.Add(x, y), x), f.Eq(f.Sub(x, y), x), f.Eq(f.Neg(x), y), f.Eq(f.Mul(x, y), x),
+			f.Eq(f.Shl(x, y), x), f.Eq(f.Lshr(x, y), x), f.Eq(f.Ashr(x, y), x),
+			f.Slt(x, y), f.Sle(x, y),
+			f.Eq(f.Concat(f.BVVar("a", w-32), f.BVVar("b", 32)), x),
+			f.Eq(f.SExt(f.BVVar("c", w-8), w), x),
+		} {
+			_, err := smt.LowerBool(term, 0, noSlots)
+			if w == 64 && err != nil {
+				t.Errorf("%s: %v", term, err)
+			}
+			if w > 64 && !errors.Is(err, smt.ErrWideTerm) {
+				t.Errorf("%s: got %v, want ErrWideTerm", term, err)
+			}
+		}
 	}
 }
 
@@ -323,21 +365,30 @@ func TestLowerSharedDAGOnce(t *testing.T) {
 }
 
 // FuzzLower cross-checks the bytecode against smt.EvalBool on random
-// term DAGs. termgen's width pool tops out well under 64, so lowering
-// must always succeed here; any disagreement or lowering failure is a
-// bug.
+// term DAGs, at widths on both sides of each limb boundary. A term lowers
+// unless some operator lowered only up to 64 bits (lowerableAtAnyWidth
+// says which are not) has a wider operand or result; then it must refuse
+// with ErrWideTerm. Any other lowering failure, and any disagreement, is
+// a bug.
 func FuzzLower(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08})
 	f.Add([]byte{0xff, 0x80, 0x40, 0x20, 0x10, 0x08, 0x04, 0x02, 0x01, 0x00, 0xaa, 0x55})
 	f.Add([]byte("differential-lowering-seed-with-some-length-to-burn"))
+	f.Add([]byte{0x01, 0x08, 0x07, 0x00, 0x01, 0x00, 0x01, 0x01, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fac := smt.NewFactory()
-		g := termgen.New(fac, data)
+		g := termgen.NewWide(fac, data)
 		term := g.Bool(3)
 		env := g.Env()
 		want := smt.EvalBool(term, env)
 		got, err := lowerRun(term, env)
+		if refused := wideOnlyOp(term, map[*smt.Term]bool{}); refused != nil {
+			if !errors.Is(err, smt.ErrWideTerm) {
+				t.Fatalf("LowerBool(%s) = %v, want ErrWideTerm for %s", term, err, refused)
+			}
+			return
+		}
 		if err != nil {
 			t.Fatalf("LowerBool failed on lowerable term %s: %v", term, err)
 		}
@@ -345,4 +396,31 @@ func FuzzLower(f *testing.F) {
 			t.Fatalf("fast/slow disagree on %s: fast=%v slow=%v", term, got, want)
 		}
 	})
+}
+
+// lowerableAtAnyWidth are the operators lowered limb by limb.
+var lowerableAtAnyWidth = map[smt.Op]bool{
+	smt.OpConst: true, smt.OpVar: true, smt.OpEq: true, smt.OpUlt: true, smt.OpUle: true,
+	smt.OpBVAnd: true, smt.OpBVOr: true, smt.OpBVXor: true, smt.OpBVNot: true,
+	smt.OpIte: true, smt.OpExtract: true, smt.OpZExt: true,
+}
+
+// wideOnlyOp returns a subterm of t whose operator is lowered only up to
+// 64 bits but has a wider operand or result, or nil.
+func wideOnlyOp(t *smt.Term, seen map[*smt.Term]bool) *smt.Term {
+	if seen[t] {
+		return nil
+	}
+	seen[t] = true
+	wide := t.Sort().Width > 64
+	for _, a := range t.Args() {
+		if r := wideOnlyOp(a, seen); r != nil {
+			return r
+		}
+		wide = wide || a.Sort().Width > 64
+	}
+	if wide && !lowerableAtAnyWidth[t.Op()] {
+		return t
+	}
+	return nil
 }

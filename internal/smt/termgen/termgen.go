@@ -15,8 +15,13 @@ import (
 
 // widths is the pool of bitvector widths the generator draws from: small
 // widths shake out boundary bugs (carries, sign bits), the larger ones
-// exercise the big.Int paths.
-var widths = []int{1, 2, 3, 4, 7, 8, 16, 32}
+// exercise the big.Int paths. wideWidths adds the limb boundaries of the
+// register machine (internal/smt/lower.go): one word, one bit past it,
+// two words and one bit past those.
+var (
+	widths     = []int{1, 2, 3, 4, 7, 8, 16, 32}
+	wideWidths = []int{1, 3, 8, 32, 63, 64, 65, 100, 127, 128, 129}
+)
 
 // Gen consumes a byte string to drive generation choices. When the bytes
 // run out every remaining choice resolves to its first (leaf) option, so
@@ -28,12 +33,20 @@ type Gen struct {
 	env  smt.Env
 	// nvar bounds the variable pool per sort so generated terms share
 	// variables (shared leaves are what make DAG memoization observable).
-	nvar int
+	nvar   int
+	widths []int
 }
 
 // New returns a generator over f driven by data.
 func New(f *smt.Factory, data []byte) *Gen {
-	return &Gen{f: f, data: data, env: make(smt.Env), nvar: 3}
+	return &Gen{f: f, data: data, env: make(smt.Env), nvar: 3, widths: widths}
+}
+
+// NewWide is New drawing widths on both sides of 64 and 128 as well.
+func NewWide(f *smt.Factory, data []byte) *Gen {
+	g := New(f, data)
+	g.widths = wideWidths
+	return g
 }
 
 // Env returns the assignment for every variable generated so far. Values
@@ -57,7 +70,7 @@ func (g *Gen) Term() *smt.Term {
 	if g.byte()%4 != 0 {
 		return g.Bool(g.depth())
 	}
-	return g.BV(widths[g.pick(len(widths))], g.depth())
+	return g.BV(g.widths[g.pick(len(g.widths))], g.depth())
 }
 
 func (g *Gen) depth() int { return 2 + g.pick(3) }
@@ -115,7 +128,7 @@ func (g *Gen) Bool(depth int) *smt.Term {
 			return g.boolVar()
 		}
 	}
-	w := widths[g.pick(len(widths))]
+	w := g.widths[g.pick(len(g.widths))]
 	switch g.pick(14) {
 	case 0:
 		return g.boolVar()

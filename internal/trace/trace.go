@@ -7,12 +7,10 @@
 package trace
 
 import (
-	"math/big"
 	"math/rand"
 
 	"bf4/internal/dataplane"
 	"bf4/internal/shim"
-	"bf4/internal/smt"
 	"bf4/internal/spec"
 )
 
@@ -70,18 +68,18 @@ func (g *Generator) entry(t *spec.TableSchema, faulty bool) *dataplane.Entry {
 			v := g.randBits(k.Width)
 			if isValidityKey {
 				if faulty {
-					v = big.NewInt(0) // expect an invalid header: suspicious
+					v = dataplane.U64(0) // expect an invalid header: suspicious
 				} else {
-					v = big.NewInt(1)
+					v = dataplane.U64(1)
 				}
 			}
 			km = dataplane.KeyMatch{Value: v, PrefixLen: -1}
 		case "ternary":
 			mask := g.randBits(k.Width)
-			if faulty && mask.Sign() == 0 {
-				mask = big.NewInt(1)
+			if faulty && mask.IsZero() {
+				mask = dataplane.U64(1)
 			}
-			km = dataplane.KeyMatch{Value: g.randBits(k.Width), Mask: mask, PrefixLen: -1}
+			km = dataplane.KeyMatch{Value: g.randBits(k.Width), Mask: mask, MaskKind: dataplane.MaskBits, PrefixLen: -1}
 		case "lpm":
 			km = dataplane.KeyMatch{Value: g.randBits(k.Width), PrefixLen: g.rng.Intn(k.Width + 1)}
 		default:
@@ -110,14 +108,19 @@ func (g *Generator) entry(t *spec.TableSchema, faulty bool) *dataplane.Entry {
 	return e
 }
 
-func (g *Generator) randBits(w int) *big.Int {
+// randBits draws a width-w value from ⌈w/32⌉ 32-bit words, the first
+// drawn the most significant, and keeps its low w bits.
+func (g *Generator) randBits(w int) dataplane.Value {
 	if w <= 0 {
-		return big.NewInt(0)
+		return dataplane.Value{}
 	}
-	v := new(big.Int)
-	for i := 0; i < w; i += 32 {
-		v.Lsh(v, 32)
-		v.Or(v, big.NewInt(int64(g.rng.Uint32())))
+	words := (w + 31) / 32
+	limbs := make([]uint64, (words+1)/2)
+	for i := words - 1; i >= 0; i-- {
+		limbs[i/2] |= uint64(g.rng.Uint32()) << (32 * (i % 2))
 	}
-	return v.And(v, smt.Mask(w))
+	if top := len(limbs) - 1; w < 64*len(limbs) {
+		limbs[top] &= 1<<uint(w-64*top) - 1
+	}
+	return dataplane.FromLimbs(limbs)
 }

@@ -1,8 +1,14 @@
 package trace
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"os"
+	"path/filepath"
 	"testing"
 
+	"bf4/internal/dataplane"
+	"bf4/internal/shim"
 	"bf4/internal/spec"
 )
 
@@ -54,7 +60,7 @@ func TestDeterminism(t *testing.T) {
 			t.Fatalf("update %d differs between same-seed generators", i)
 		}
 		for j := range a[i].Entry.Keys {
-			if a[i].Entry.Keys[j].Value.Cmp(b[i].Entry.Keys[j].Value) != 0 {
+			if !a[i].Entry.Keys[j].Value.Equal(b[i].Entry.Keys[j].Value) {
 				t.Fatalf("update %d key %d differs", i, j)
 			}
 		}
@@ -62,7 +68,7 @@ func TestDeterminism(t *testing.T) {
 	c := NewGenerator(43, f).Updates(50)
 	same := true
 	for i := range a {
-		if a[i].Entry.Keys[1].Value.Cmp(c[i].Entry.Keys[1].Value) != 0 {
+		if !a[i].Entry.Keys[1].Value.Equal(c[i].Entry.Keys[1].Value) {
 			same = false
 		}
 	}
@@ -91,7 +97,7 @@ func TestEntryShape(t *testing.T) {
 			t.Fatalf("entry has %d keys, want 3", len(e.Keys))
 		}
 		// Validity key stays in {0,1}.
-		v := e.Keys[0].Value.Int64()
+		v := e.Keys[0].Value.Uint64()
 		if v != 0 && v != 1 {
 			t.Fatalf("validity key = %d", v)
 		}
@@ -99,7 +105,7 @@ func TestEntryShape(t *testing.T) {
 			sawFaultyValidity = true
 		}
 		// Ternary key carries a mask; lpm a prefix length.
-		if e.Keys[1].Mask == nil {
+		if e.Keys[1].MaskKind != dataplane.MaskBits {
 			t.Fatal("ternary key lacks mask")
 		}
 		if e.Keys[2].PrefixLen < 0 || e.Keys[2].PrefixLen > 32 {
@@ -130,6 +136,35 @@ func TestWidthsRespected(t *testing.T) {
 			if p.BitLen() > 32 {
 				t.Fatalf("32-bit param has %d bits", p.BitLen())
 			}
+		}
+	}
+}
+
+// TestStreamEncodingPinned: a generator draws the same numbers in the same
+// order whatever a value is held as. The shim encoding of the first 64
+// updates of two seeds over the width-boundary spec (keys of 1 to 128
+// bits, a 128-bit parameter) hashes to what it did when values were
+// *big.Int, so a benchmark's update streams encode byte-identically
+// across that change.
+func TestStreamEncodingPinned(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("..", "shim", "testdata", "golden", "widths.spec.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	file, err := spec.Parse(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seed, want := range map[int64]string{
+		1: "325bf83cfd8e40986e8ba6d6ecc9013930df43199854d6163542692b7b29de11",
+		2: "0b2147c84f575f8572ed7c507850d9df04544d6b792c36f4000131f4da90fb73",
+	} {
+		var e shim.Encoder
+		for _, u := range NewGenerator(seed, file).Updates(64) {
+			e.Update(u)
+		}
+		if sum := sha256.Sum256(e.Buf); e.Err != nil || hex.EncodeToString(sum[:]) != want {
+			t.Errorf("seed %d: %d bytes hashing to %x (%v), want %s", seed, len(e.Buf), sum, e.Err, want)
 		}
 	}
 }
