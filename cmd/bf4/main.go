@@ -310,7 +310,7 @@ func lintMain(args []string) {
 		specFile    = fs.String("spec", "", "with -props: read additional properties from this .props spec file")
 		family      = fs.String("family", "", "lint a generated exercise program: props (a pipeline plus a .props spec covering all three verdict tiers; sized by -switch-scale, placed by -seed)")
 		famSeed     = fs.Int("seed", 1, "placement seed for -family generation (deterministic per seed)")
-		jobs        = fs.Int("j", 0, "confirmation solver workers (0 = 1; output identical for every value)")
+		jobs        = fs.Int("j", 0, "confirmation solver workers (0 = GOMAXPROCS; output identical for every value)")
 	)
 	fs.Usage = func() {
 		fmt.Fprintln(os.Stderr, "usage: bf4 lint [-json] [-taint] [-props] (program.p4 | -corpus name | -switch-scale n | -taint-family leaky|clean | -family props)")
@@ -376,7 +376,7 @@ func lintMain(args []string) {
 	}
 
 	cfg := driver.DefaultConfig()
-	cfg.Workers = max(*jobs, 1) // lint's -j 0 is one worker, not GOMAXPROCS
+	cfg.Workers = *jobs
 	rep, err := func() (*analysis.Report, error) {
 		switch {
 		case *propsRun:

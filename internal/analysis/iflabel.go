@@ -2,20 +2,12 @@ package analysis
 
 import (
 	"math/big"
+	"slices"
 	"sort"
-	"strings"
 
 	"bf4/internal/ir"
-	"bf4/internal/p4/token"
 	"bf4/internal/smt"
 )
-
-// flowStep is one copy in a witness chain: a variable the tainted value
-// passed through, and where the copy happened.
-type flowStep struct {
-	name string
-	pos  token.Pos
-}
 
 // label is the abstract security label of one variable: the per-bit
 // taint lattice element (bottom = absent from the map, public = zero
@@ -26,10 +18,10 @@ type flowStep struct {
 type label struct {
 	mask *big.Int
 	// src is the sensitive source variable the taint traces back to;
-	// steps are the copies from src to this variable (ending with the
-	// variable itself).
+	// steps are the variables the value was copied through from src to
+	// this variable (ending with the variable itself).
 	src   string
-	steps []flowStep
+	steps []string
 }
 
 // iflabels is the dataflow fact: variable name -> label. Variables
@@ -93,15 +85,7 @@ func betterProv(a, b *label) bool {
 	if a.src != b.src {
 		return a.src < b.src
 	}
-	return renderSteps(a.steps) < renderSteps(b.steps)
-}
-
-func renderSteps(steps []flowStep) string {
-	names := make([]string, len(steps))
-	for i, s := range steps {
-		names[i] = s.name
-	}
-	return strings.Join(names, "\x00")
+	return slices.Compare(a.steps, b.steps) < 0
 }
 
 // provFor computes the provenance of a newly labeled variable self,
@@ -109,19 +93,16 @@ func renderSteps(steps []flowStep) string {
 // chain by one step. A taint with no tainted contributor is a source
 // (the shadow initialization/havoc of a sensitive variable), so the
 // chain starts at self.
-func (e iflabels) provFor(t *smt.Term, self string, pos token.Pos) (string, []flowStep) {
+func (e iflabels) provFor(t *smt.Term, self string) (string, []string) {
 	best := e.bestContributor(t)
 	if best == nil {
 		return self, nil
 	}
 	steps := best.steps
-	if n := len(steps); n > 0 && steps[n-1].name == self {
+	if n := len(steps); n > 0 && steps[n-1] == self {
 		return best.src, steps // self-update: chain unchanged
 	}
-	out := make([]flowStep, len(steps)+1)
-	copy(out, steps)
-	out[len(steps)] = flowStep{name: self, pos: pos}
-	return best.src, out
+	return best.src, append(slices.Clip(steps), self)
 }
 
 // bestContributor picks the deterministic representative label among

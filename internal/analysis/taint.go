@@ -81,7 +81,7 @@ func (a *taintAnalysis) Transfer(n *ir.Node, in Fact) Fact {
 			delete(out, base)
 			return out
 		}
-		src, steps := e.provFor(n.Expr, base, n.Pos)
+		src, steps := e.provFor(n.Expr, base)
 		out[base] = &label{mask: mask, src: src, steps: steps}
 		return out
 	case ir.Havoc:
@@ -97,7 +97,6 @@ func (a *taintAnalysis) Transfer(n *ir.Node, in Fact) Fact {
 // analysis could not prove clean, pending solver confirmation.
 type TaintAlarm struct {
 	Node *ir.Node // the BugInfoLeak terminal
-	Mask *big.Int // taint mask of the sink value under the labels
 	// Source is the sensitive variable the flow traces back to, and
 	// Witness the full rendered path: source, intermediate copies, sink
 	// destination.
@@ -140,13 +139,11 @@ func RunTaint(p *ir.Program) *TaintResult {
 			res.StaticallyClean++
 			continue
 		}
-		alarm := &TaintAlarm{Node: bn, Mask: mask}
+		alarm := &TaintAlarm{Node: bn}
 		if best := e.bestContributor(bn.Leak.Taint); best != nil {
 			alarm.Source = best.src
 			alarm.Witness = append(alarm.Witness, best.src)
-			for _, s := range best.steps {
-				alarm.Witness = append(alarm.Witness, s.name)
-			}
+			alarm.Witness = append(alarm.Witness, best.steps...)
 		} else {
 			alarm.Source = "?"
 			alarm.Witness = append(alarm.Witness, "?")

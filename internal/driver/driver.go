@@ -117,16 +117,14 @@ func (r *Result) Spec() *spec.File {
 	return spec.Build(r.Name, pl.IR, rep, inf, r.Fixes.Special)
 }
 
-// maxRebuilds bounds the rebuild rounds after round 0.
-const maxRebuilds = 3
-
 // Run executes the full bf4 loop on a program: round 0 on the program as
 // written, then a rebuild round on the program with the fixes so far
 // applied for as long as a round proposes a fix no earlier one did
-// (Figure 3's loop back from "fixes" to "infer predicates"; the corpus
-// converges in one rebuild, but nothing guarantees that in general). The
-// last round's program is the one FixedSource prints: what a round past
-// maxRebuilds would have added is not reported as a fix.
+// (Figure 3's loop back from "fixes" to "infer predicates"). The loop
+// terminates: Merge reports something new only for a (table, key path)
+// pair it has not seen, drawn from the program's finitely many variables,
+// or for the one special fix. The last round's program is the one
+// FixedSource prints.
 func Run(name, src string, cfg Config) (*Result, error) {
 	start := time.Now()
 	cfg.Infer.Workers = cfg.Workers
@@ -157,7 +155,7 @@ func Run(name, src string, cfg Config) (*Result, error) {
 
 		// A round that proposes nothing new ends the loop: what it left
 		// uncontrolled are genuine dataplane bugs.
-		if n == maxRebuilds || !res.Fixes.Merge(t.fx) {
+		if !res.Fixes.Merge(t.fx) {
 			break
 		}
 		res.KeysAdded = res.Fixes.TotalKeys()

@@ -3,6 +3,8 @@ package driver
 import (
 	"strings"
 	"testing"
+
+	"bf4/internal/progs"
 )
 
 const natSrc = `
@@ -237,9 +239,9 @@ func TestFixPointEarlyExitOnDataplaneBug(t *testing.T) {
 	// One fixable bug (t's rd reads conditionally-parsed hdr.h) plus one
 	// genuinely unfixable bug (the apply block reads conditionally-parsed
 	// hdr.g outside any table's expansion). The loop must run exactly one
-	// round: the fix controls t's bug, no new keys appear for the
-	// dataplane bug, and the newKeys == 0 early exit fires well before
-	// maxRounds.
+	// rebuild: the fix controls t's bug, no new keys appear for the
+	// dataplane bug, and the loop stops at the first round whose fixes
+	// Merge finds nothing new in.
 	src := `
 header h_t { bit<8> x; }
 header g_t { bit<8> y; }
@@ -294,6 +296,30 @@ V1Switch(P(), Ing(), Eg(), Dep()) main;
 	}
 	if res.BugsAfterFixes == 0 {
 		t.Fatal("dataplane bug wrongly eliminated")
+	}
+}
+
+// TestIflowNATInferRunsToFixpoint pins simple_nat under -check=iflow. Its
+// nat$0 instance needs 991 Infer iterations in round 0 and 1 012 in the
+// rebuild before no bad run is left outside the cubes; a loop stopped at
+// 200 leaves nat's four invalid-key-read bugs reachable (7/7/5/1) and
+// tells the programmer to fix P4 code the inferred annotations control.
+func TestIflowNATInferRunsToFixpoint(t *testing.T) {
+	p := progs.Get("simple_nat")
+	cfg := DefaultConfig()
+	cfg.Workers = 2
+	cfg.IR.CheckInfoFlow, cfg.IR.TaintDefaultPolicy = true, true
+	res, err := Run(p.Name, p.Source, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Log(res.Summary())
+	got := [4]int{res.Bugs, res.BugsAfterInfer, res.BugsAfterFixes, res.KeysAdded}
+	if want := [4]int{7, 3, 1, 1}; got != want {
+		for _, b := range res.Dataplane {
+			t.Logf("remaining: %s", b.Description())
+		}
+		t.Fatalf("bugs/afterInfer/afterFixes/keys = %v, want %v", got, want)
 	}
 }
 

@@ -14,7 +14,9 @@ import (
 // TestInferNeverRemovesGoodRuns and TestControlledBugsBecomeUnreachable over
 // the 24 hand-written programs and switch@1/@2, both rounds, on solvers
 // built here from nothing: they share no clause, phase or activity with the
-// run's shards and bases.
+// run's shards and bases. Every program runs twice: as is, and with the
+// information-flow checks of -check=iflow, whose Infer instances sample the
+// most (simple_nat's nat$0 runs 1 012 iterations to its fixpoint).
 //
 // Which cubes Infer emits depends on the models its solver happens to return
 // first, and those move whenever search does; what must not move is what
@@ -25,13 +27,22 @@ import (
 // of the round's predicates. An annotation file may differ from another
 // run's in cubes; it may not fail either of these.
 func TestInferredPredicatesSoundAcrossCorpus(t *testing.T) {
-	type program struct{ name, src string }
+	type program struct {
+		name, src string
+		iflow     bool
+	}
 	var programs []program
-	for _, p := range progs.All() {
-		if p.Name != "switch" {
-			programs = append(programs, program{p.Name, p.Source})
-		} else if !testing.Short() {
-			programs = append(programs, program{"switch@1", progs.GenerateSwitch(1)}, program{"switch@2", progs.GenerateSwitch(2)})
+	for _, iflow := range []bool{false, true} {
+		suffix := ""
+		if iflow {
+			suffix = "/iflow"
+		}
+		for _, p := range progs.All() {
+			if p.Name != "switch" {
+				programs = append(programs, program{p.Name + suffix, p.Source, iflow})
+			} else if !testing.Short() {
+				programs = append(programs, program{"switch@1" + suffix, progs.GenerateSwitch(1), iflow}, program{"switch@2" + suffix, progs.GenerateSwitch(2), iflow})
+			}
 		}
 	}
 	cubes, controlled := 0, 0
@@ -39,6 +50,7 @@ func TestInferredPredicatesSoundAcrossCorpus(t *testing.T) {
 		t.Run(p.name, func(t *testing.T) {
 			cfg := DefaultConfig()
 			cfg.Workers = 2
+			cfg.IR.CheckInfoFlow, cfg.IR.TaintDefaultPolicy = p.iflow, p.iflow
 			res, err := Run(p.name, p.src, cfg)
 			if err != nil {
 				t.Fatal(err)

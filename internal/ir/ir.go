@@ -127,8 +127,6 @@ type Var struct {
 	// IsControl marks table-entry control variables (keys, masks, action
 	// selector, action parameters) — the Γ set of the paper's appendix.
 	IsControl bool
-	// Instance is the table instance a control variable belongs to.
-	Instance *TableInstance
 }
 
 func (v *Var) String() string { return v.Name }

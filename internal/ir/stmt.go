@@ -606,7 +606,6 @@ func (b *builder) expandTable(td *ast.TableDecl, pos token.Pos) *TableInstance {
 	mkVar := func(name string, sort smt.Sort) *Var {
 		v := b.p.NewVar(pfx+"."+name, sort)
 		v.IsControl = true
-		v.Instance = inst
 		return v
 	}
 	inst.HitVar = mkVar("hit", smt.BoolSort)
