@@ -2,6 +2,7 @@ package sat
 
 import (
 	"fmt"
+	"reflect"
 	"slices"
 	"testing"
 )
@@ -30,9 +31,11 @@ func crefs(t testing.TB, s *Solver) []int32 {
 // with no waste, the problem-clause counter matches them, every reason and
 // every watcher names one of them, and each is watched exactly twice. It
 // holds between calls on a solver not yet refuted (okState; a refuted one
-// may keep an empty clause).
+// may keep an empty clause). The watch pool's bookkeeping it checks on any
+// solver.
 func checkInvariants(t testing.TB, s *Solver) {
 	t.Helper()
+	checkWatchPool(t, s)
 	if !s.okState {
 		return
 	}
@@ -64,8 +67,8 @@ func checkInvariants(t testing.TB, s *Solver) {
 		pos  int
 	}
 	seen := map[watch]int{}
-	for p, ws := range s.watches {
-		for _, w := range ws {
+	for p, wl := range s.watches {
+		for _, w := range s.watchList(wl) {
 			cref := w.cref()
 			if !isClause[cref] {
 				t.Fatalf("watch list of %v holds %d, which is no clause of the arena", Lit(p), cref)
@@ -90,6 +93,33 @@ func checkInvariants(t testing.TB, s *Solver) {
 				t.Fatalf("clause %d %v has %d watchers for literal %d, want 1", cref, s.litsOf(cref), n, pos)
 			}
 		}
+	}
+}
+
+// checkWatchPool checks that the watch lists lie in the pool without
+// overlap, each within its room, and that the slots no list owns (the
+// rooms of moved lists) are fewer than those they do.
+func checkWatchPool(t testing.TB, s *Solver) {
+	t.Helper()
+	if len(s.watches) != 2*len(s.assigns) {
+		t.Fatalf("%d watch lists for %d variables", len(s.watches), len(s.assigns))
+	}
+	owner := make([]int, len(s.watchMem))
+	live := 0
+	for p, wl := range s.watches {
+		if wl.n > wl.cap || int(wl.off+wl.cap) > len(s.watchMem) {
+			t.Fatalf("watch list of %v: %d watchers, room %d at %d, in a pool of %d", Lit(p), wl.n, wl.cap, wl.off, len(s.watchMem))
+		}
+		for i := wl.off; i < wl.off+wl.cap; i++ {
+			if owner[i] != 0 {
+				t.Fatalf("pool slot %d is in the watch lists of %v and %v", i, Lit(owner[i]-1), Lit(p))
+			}
+			owner[i] = p + 1
+		}
+		live += int(wl.cap)
+	}
+	if dead := len(s.watchMem) - live; dead > 0 && dead >= live {
+		t.Fatalf("%d of the watch pool's %d slots are in no watch list", dead, len(s.watchMem))
 	}
 }
 
@@ -251,12 +281,18 @@ func checkCloneAgrees(t testing.TB, s, c *Solver) {
 		slices.Equal(s.heap.heap, c.heap.heap) && slices.Equal(s.heap.indices, c.heap.indices) &&
 		slices.Equal(s.cold.words, c.cold.words) && slices.Equal(s.cold.summary, c.cold.summary) &&
 		s.NumClauses() == c.NumClauses() && s.StatsSnapshot() == c.StatsSnapshot() &&
-		slices.EqualFunc(s.watches, c.watches, func(a, b []watcher) bool { return slices.Equal(a, b) })
+		len(s.watches) == len(c.watches)
+	for p := 0; same && p < len(s.watches); p++ {
+		same = slices.Equal(s.watchList(s.watches[p]), c.watchList(c.watches[p]))
+	}
 	if !same {
 		t.Fatal("clone differs from its original")
 	}
 	if len(s.arena) > 0 && &s.arena[0] == &c.arena[0] {
 		t.Fatal("clone shares the original's arena")
+	}
+	if cap(s.watchMem) > 0 && cap(c.watchMem) > 0 && &s.watchMem[:1][0] == &c.watchMem[:1][0] {
+		t.Fatal("clone shares the original's watch pool")
 	}
 }
 
@@ -270,4 +306,94 @@ func TestMustCrefRefusesTaggedRange(t *testing.T) {
 		}
 	}()
 	mustCref(maxCref + 1)
+}
+
+// TestPropagateMovesAListOutOfAFullPool: propagate walks a window on p's
+// watch list while it moves watchers to other lists, and the first move
+// out of a pool with no room grows the pool into a new array. The walk has
+// to go on in the new array: two copies of one solver, one carved into a
+// pool that is exactly full and one with CopyFrom's room, must keep their
+// lists whole and search alike.
+func TestPropagateMovesAListOutOfAFullPool(t *testing.T) {
+	base := New()
+	for _, cl := range random3SAT(5, 60, 255) {
+		base.AddClause(cl...)
+	}
+	roomy := new(Solver).CopyFrom(base)
+	full := new(Solver).CopyFrom(base)
+	full.watchMem = full.watchMem[:len(full.watchMem):len(full.watchMem)]
+	// CopyFrom leaves every list full, and the base holds no unit, so the
+	// first watcher anything moves is moved by propagate, out of this pool.
+	pool := &full.watchMem[0]
+	rf, rr := full.Solve(), roomy.Solve()
+	if &full.watchMem[0] == pool {
+		t.Fatal("the full pool never grew: the case is not exercised")
+	}
+	checkInvariants(t, full)
+	checkInvariants(t, roomy)
+	if rf != rr || full.StatsSnapshot() != roomy.StatsSnapshot() {
+		t.Fatalf("full pool: %v %+v; pool with room: %v %+v", rf, full.StatsSnapshot(), rr, roomy.StatsSnapshot())
+	}
+	if full.StatsSnapshot().Conflicts == 0 {
+		t.Fatal("the solve hit no conflict: too easy to tell the two apart")
+	}
+}
+
+// TestSolverStateHoldsNoPointers: the collector never scans the solver's
+// arrays, so no slice field of Solver, nested ones included, may have an
+// element type that holds a pointer, and no other field may hold one
+// except the two named here.
+func TestSolverStateHoldsNoPointers(t *testing.T) {
+	allowed := map[string]bool{
+		"heap.activity":  true, // the heap orders by the solver's own activity array
+		"afterBacktrack": true, // a test hook, nil outside tests
+	}
+	if !holdsPointer(reflect.TypeOf([]watcher{})) || holdsPointer(reflect.TypeOf(wlist{})) {
+		t.Fatal("holdsPointer misjudges a watch list")
+	}
+	slicesSeen := 0
+	var walk func(path string, typ reflect.Type)
+	walk = func(path string, typ reflect.Type) {
+		switch {
+		case typ.Kind() == reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				f := typ.Field(i)
+				name := f.Name
+				if path != "" {
+					name = path + "." + name
+				}
+				walk(name, f.Type)
+			}
+		case typ.Kind() == reflect.Slice:
+			slicesSeen++
+			if holdsPointer(typ.Elem()) {
+				t.Errorf("Solver.%s is a %v: its elements hold pointers", path, typ)
+			}
+		case holdsPointer(typ) && !allowed[path]:
+			t.Errorf("Solver.%s is a %v, which holds a pointer", path, typ)
+		}
+	}
+	walk("", reflect.TypeOf(Solver{}))
+	if slicesSeen < 20 {
+		t.Fatalf("the walk saw %d slice fields: it missed the solver's arrays", slicesSeen)
+	}
+}
+
+// holdsPointer reports whether a value of type typ holds a pointer the
+// collector has to follow.
+func holdsPointer(typ reflect.Type) bool {
+	switch typ.Kind() {
+	case reflect.Pointer, reflect.UnsafePointer, reflect.Map, reflect.Chan, reflect.Func,
+		reflect.Interface, reflect.String, reflect.Slice:
+		return true
+	case reflect.Array:
+		return typ.Len() > 0 && holdsPointer(typ.Elem())
+	case reflect.Struct:
+		for i := 0; i < typ.NumField(); i++ {
+			if holdsPointer(typ.Field(i).Type) {
+				return true
+			}
+		}
+	}
+	return false
 }

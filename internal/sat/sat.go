@@ -136,6 +136,16 @@ type watcher struct {
 
 func (w watcher) cref() int32 { return int32(w.ref &^ binFlag) }
 
+// The watch lists hold no pointer either: all of them lie in one pool,
+// Solver.watchMem, and a literal's list is a wlist, n watchers from offset
+// off with room for cap. A full list that gains a watcher moves to the end
+// of the pool with twice the room, and the slots it leaves are dead until
+// CopyFrom carves the lists again. The rooms a list has left are each at
+// most half the next, so they add up to less than the room it has: less
+// than half the pool is ever dead, and nothing compacts it. Moves keep a list's
+// order, so the search does not see them.
+type wlist struct{ off, n, cap uint32 }
+
 // The gate kinds, in the low bits of a gate's header word in gateIn.
 const (
 	gateAnd uint32 = 1 + iota // y ↔ ∧ inputs
@@ -195,11 +205,9 @@ func (r Result) String() string {
 // be added between Solve calls (incremental use); variables are created
 // with NewVar or implicitly by AddClause.
 type Solver struct {
-	arena   []uint32    // the clause store, see learntBit
-	watches [][]watcher // indexed by Lit
-	// watchMem is the one array CopyFrom carved the watch lists from, kept
-	// for the next CopyFrom to carve them from again.
-	watchMem []watcher
+	arena    []uint32  // the clause store, see learntBit
+	watches  []wlist   // indexed by Lit, see wlist
+	watchMem []watcher // the pool every watch list lies in
 
 	assigns  []lbool // indexed by Var
 	level    []int32 // decision level of each assigned var
@@ -350,8 +358,9 @@ func (s *Solver) Reset() *Solver {
 // large slice by a quarter at a time and so allocate five times its final
 // size on the way there; doubling allocates twice.
 const (
-	firstVars  = 64  // variables
-	firstWords = 512 // arena and gate input words
+	firstVars     = 64  // variables
+	firstWords    = 512 // arena and gate input words, watch pool slots
+	firstWatchers = 2   // room of a watch list's first move
 )
 
 // regrow returns s with room for at least n elements, contents kept.
@@ -385,18 +394,13 @@ func (s *Solver) growVars(n int) {
 func (s *Solver) NumVars() int { return len(s.assigns) }
 
 // Bytes returns the size of the arrays s holds on to, used or not: what
-// keeping s around for reuse costs. (Watch lists that still lie in the
-// array CopyFrom carved them from are counted once, with it.)
+// keeping s around for reuse costs.
 func (s *Solver) Bytes() int {
 	perVar := cap(s.assigns) + 4*cap(s.level) + 4*cap(s.reason) + cap(s.polarity) + 8*cap(s.activity) +
 		cap(s.seen) + 4*cap(s.trail) + 4*cap(s.gate) + cap(s.needed) + 4*cap(s.waiting) +
 		4*cap(s.heap.heap) + 4*cap(s.heap.indices) + 8*cap(s.cold.words) + 8*cap(s.cold.summary) + cap(s.model) +
 		4*cap(s.just) + 12*cap(s.pend) + 16*cap(s.nodes) + 4*cap(s.reopened) + 4*cap(s.woken)
-	watchers := 0
-	for _, ws := range s.watches {
-		watchers += cap(ws)
-	}
-	return 4*cap(s.arena) + 4*cap(s.gateIn) + perVar + 24*cap(s.watches) + 8*max(watchers, cap(s.watchMem))
+	return 4*cap(s.arena) + 4*cap(s.gateIn) + perVar + 12*cap(s.watches) + 8*cap(s.watchMem)
 }
 
 // NumClauses returns the number of problem (non-learnt) clauses of two or
@@ -428,7 +432,7 @@ func (s *Solver) NewVar() Var {
 	s.waiting = append(s.waiting, -1)
 	s.heap.indices = append(s.heap.indices, -1)
 	s.cold.grow(len(s.assigns))
-	s.watches = append(s.watches, nil, nil)
+	s.watches = append(s.watches, wlist{}, wlist{})
 	return v
 }
 
@@ -467,18 +471,19 @@ func (s *Solver) CopyFrom(src *Solver) *Solver {
 	*s = *src
 	s.arena = append(regrow(buf.arena, room(len(src.arena))), src.arena...)
 	s.gateIn = append(regrow(buf.gateIn, room(len(src.gateIn))), src.gateIn...)
-	// One backing array for all watch lists, carved into full slices: the
-	// first append to a list moves it out of the shared array.
+	// The watch lists are carved again, each at exactly its length and
+	// with no dead slot between them; the room is the pool's, for the
+	// lists that move.
 	nWatches := 0
-	for _, ws := range src.watches {
-		nWatches += len(ws)
+	for _, wl := range src.watches {
+		nWatches += int(wl.n)
 	}
-	s.watchMem = regrow(buf.watchMem, nWatches)
-	s.watches = buf.watches[:len(src.watches)]
-	for i, ws := range src.watches {
-		start := len(s.watchMem)
-		s.watchMem = append(s.watchMem, ws...)
-		s.watches[i] = s.watchMem[start:len(s.watchMem):len(s.watchMem)]
+	s.watchMem = regrow(buf.watchMem, room(nWatches))
+	s.watches = buf.watches
+	for _, wl := range src.watches {
+		off := uint32(len(s.watchMem))
+		s.watchMem = append(s.watchMem, src.watchList(wl)...)
+		s.watches = append(s.watches, wlist{off, wl.n, wl.n})
 	}
 	s.assigns = append(buf.assigns, src.assigns...)
 	s.level = append(buf.level, src.level...)
@@ -705,9 +710,38 @@ func (s *Solver) attachClause(lits []Lit, learnt bool) int32 {
 		ref |= binFlag
 	}
 	l0, l1 := lits[0], lits[1]
-	s.watches[l0.Neg()] = append(s.watches[l0.Neg()], watcher{ref, l1})
-	s.watches[l1.Neg()] = append(s.watches[l1.Neg()], watcher{ref, l0})
+	s.watch(l0.Neg(), watcher{ref, l1})
+	s.watch(l1.Neg(), watcher{ref, l0})
 	return cref
+}
+
+// watchList returns the watchers of list wl as a window on the pool.
+func (s *Solver) watchList(wl wlist) []watcher {
+	return s.watchMem[wl.off : wl.off+wl.n]
+}
+
+// watch appends w to l's watch list. A full list first moves, which may
+// grow the pool into a new array: a window on the pool taken before is
+// stale afterwards, though every other list keeps its offset.
+func (s *Solver) watch(l Lit, w watcher) {
+	wl := &s.watches[l]
+	if wl.n == wl.cap {
+		s.moveWatches(wl)
+	}
+	s.watchMem[wl.off+wl.n] = w
+	wl.n++
+}
+
+// moveWatches moves list wl, which is full, to the end of the pool with
+// twice the room, growing the pool by doubling where it has too little.
+func (s *Solver) moveWatches(wl *wlist) {
+	room := max(firstWatchers, 2*wl.cap)
+	off := len(s.watchMem)
+	if need := off + int(room); need > cap(s.watchMem) {
+		s.watchMem = regrow(s.watchMem, max(firstWords, 2*cap(s.watchMem), need))
+	}
+	s.watchMem = append(s.watchMem, s.watchList(*wl)...)[:off+int(room)]
+	*wl = wlist{uint32(off), wl.n, room}
 }
 
 // uncheckedEnqueue makes l true at the given level with reason from.
@@ -726,7 +760,8 @@ func (s *Solver) propagate() int32 {
 	for s.qhead < len(s.trail) {
 		p := s.trail[s.qhead]
 		s.qhead++
-		ws := s.watches[p]
+		off := s.watches[p].off
+		ws := s.watchList(s.watches[p])
 		notP := uint32(p.Neg())
 		n := 0
 	nextWatcher:
@@ -757,8 +792,10 @@ func (s *Solver) propagate() int32 {
 				for k := 2; k < len(lits); k++ {
 					if s.value(Lit(lits[k])) != lFalse {
 						lits[1], lits[k] = lits[k], lits[1]
-						nl := Lit(lits[1]).Neg()
-						s.watches[nl] = append(s.watches[nl], watcher{w.ref, first})
+						s.watch(Lit(lits[1]).Neg(), watcher{w.ref, first})
+						// The pool may have grown into a new array, which
+						// holds p's list where it was, as far as written.
+						ws = s.watchMem[off : off+uint32(len(ws))]
 						continue nextWatcher
 					}
 				}
@@ -781,13 +818,13 @@ func (s *Solver) propagate() int32 {
 					ws[n] = ws[i]
 					n++
 				}
-				s.watches[p] = ws[:n]
+				s.watches[p].n = uint32(n)
 				s.qhead = len(s.trail)
 				return cref
 			}
 			s.uncheckedEnqueue(first, int32(len(s.trailLim)), cref)
 		}
-		s.watches[p] = ws[:n]
+		s.watches[p].n = uint32(n)
 	}
 	return -1
 }

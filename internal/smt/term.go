@@ -151,7 +151,7 @@ func (t *Term) String() string {
 // VarsSeen with a persistent seen-set: it skips whole subgraphs visited
 // by earlier calls instead of re-walking them.
 func (t *Term) Vars(dst []*Term) []*Term {
-	seen := make(map[uint32]bool, 64)
+	seen := make(map[uint32]bool)
 	for _, v := range dst {
 		seen[v.id] = true
 	}
